@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint chaos check bench bench-serve bench-overload bench-smoke
+.PHONY: build test race vet lint chaos fuzz-smoke check bench bench-serve bench-overload bench-smoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ chaos:
 	@mkdir -p $(dir $(CURDIR)/$(EVENTS_OUT))
 	WARPER_CHAOS=1 WARPER_EVENTS_OUT=$(CURDIR)/$(EVENTS_OUT) $(GO) test -race -count=1 -run 'Chaos|Faulty|Degraded|Overload' ./internal/serve ./internal/resilience ./internal/warper
 
+# Ten seconds of coverage-guided fuzzing per target (go test takes one -fuzz
+# target per run): the annotator's indexed count against the reference scan,
+# and the two wire decoders. `go test ./...` only replays their seed corpora.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzCountMatchesScan$$' -fuzztime=$(FUZZTIME) ./internal/annotator
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire
+
 # Tier-2 benchmarks. bench: compute-core micro-benchmarks (nn/gbt/kernel +
 # one full adaptation period) → BENCH_PR4.json, then the cross-PR trajectory
 # table over every BENCH_*.json in the repo. bench-serve: concurrent
@@ -52,8 +61,9 @@ chaos:
 # BENCH_PR9.json — and finally the binary-protocol benchmark: the columnar
 # /estimate/batch endpoint vs scalar JSON over HTTP on the uncached path,
 # with a zero-alloc batch assert and a GOMAXPROCS>=4 multi-core pass →
-# BENCH_PR10.json. bench-smoke runs the quick variant of every suite: it
-# proves the harnesses run, not the numbers.
+# BENCH_PR10.json. bench-smoke runs the quick variant of every suite, plus
+# the annotator micro-benchmarks (count, batch, and count with the index
+# invalidated every N counts): it proves the harnesses run, not the numbers.
 bench:
 	./scripts/bench.sh micro -out BENCH_PR4.json
 	./scripts/bench_trajectory.sh
@@ -79,6 +89,7 @@ bench-smoke:
 	./scripts/bench.sh overload -quick -out /tmp/bench-overload-smoke.json
 	./scripts/bench.sh zipf -quick -out /tmp/bench-zipf-smoke.json
 	./scripts/bench.sh wire -quick -out /tmp/bench-wire-smoke.json
+	$(GO) test -run='^$$' -bench='^BenchmarkAnnotator' -benchtime=200x .
 	./scripts/bench_trajectory.sh /tmp/bench-smoke.json /tmp/bench-serve-smoke.json /tmp/bench-zipf-smoke.json /tmp/bench-wire-smoke.json
 
-check: build vet lint test race chaos
+check: build vet lint test race chaos fuzz-smoke

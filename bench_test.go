@@ -5,6 +5,7 @@ package warperbench
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -87,6 +88,33 @@ func BenchmarkAnnotatorBatch(b *testing.B) {
 		if _, err := ann.AnnotateAll(context.Background(), preds); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAnnotatorCountMutating invalidates the table's sorted-column index
+// every N counts (Version++ is what every dataset mutator does, at no cost of
+// its own), so ns/op shows how many counts it takes to amortise one rebuild:
+// every=1 re-sorts all columns per count, every=4096 is close to
+// BenchmarkAnnotatorCount.
+func BenchmarkAnnotatorCountMutating(b *testing.B) {
+	for _, every := range []int{1, 64, 4096} {
+		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			tbl := dataset.PRSA(6000, rng)
+			sch := query.SchemaOf(tbl)
+			ann := annotator.New(tbl)
+			g := workload.New("w3", tbl, sch, workload.Options{})
+			preds := workload.Generate(g, 64, rng)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%every == 0 {
+					tbl.Version++
+				}
+				if _, err := ann.Count(context.Background(), preds[i%len(preds)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

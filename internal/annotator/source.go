@@ -7,15 +7,15 @@ import (
 )
 
 // Source is the annotation seam between Warper and whatever executes
-// ground-truth counts. In this reproduction every implementation scans
-// in-memory tables, but in production 𝔸 issues count(*) queries against a
+// ground-truth counts. In this reproduction every implementation counts
+// over in-memory tables, but in production 𝔸 issues count(*) queries against a
 // live DBMS — a call that can be slow, flaky, or down. The interface is
 // therefore context-aware (callers bound and cancel annotation work) and
 // fallible (a failed count surfaces as an error the adaptation loop can
 // absorb instead of a lost period).
 //
-// Implementations: *Annotator (exact), *Sampled (approximate), *Parallel
-// (fan-out over worker goroutines), and the wrappers in
+// Implementations: *Annotator (exact, over the table's sorted-column scan
+// index), *Sampled (approximate, over a row sample), and the wrappers in
 // internal/resilience (retry/breaker hardening, fault injection). The
 // JoinAnnotator follows the same shape over join queries but is not a
 // Source — its query type differs.
@@ -33,11 +33,10 @@ type Source interface {
 var (
 	_ Source = (*Annotator)(nil)
 	_ Source = (*Sampled)(nil)
-	_ Source = (*Parallel)(nil)
 )
 
-// ctxCheckRows is how many rows the scan loops process between context
+// ctxCheckRows is how many rows the counting loops process between context
 // polls: frequent enough that cancellation lands within microseconds on the
 // tables this reproduction uses, rare enough that the atomic load in
-// ctx.Err() stays invisible next to the per-row comparisons.
+// ctx.Err() stays invisible next to the per-row work.
 const ctxCheckRows = 4096

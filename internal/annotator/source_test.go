@@ -37,42 +37,9 @@ func TestCancelledContextStopsCount(t *testing.T) {
 	if _, err := s.Count(ctx, preds[0]); !errors.Is(err, context.Canceled) {
 		t.Errorf("Sampled.Count err = %v, want context.Canceled", err)
 	}
-	if _, err := ParallelAnnotate(ctx, tbl, preds, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("ParallelAnnotate err = %v, want context.Canceled", err)
-	}
 	// A cancelled annotation charges nothing to the cost meters.
 	if a.Queries != 0 {
 		t.Errorf("cancelled work was metered: Queries = %d", a.Queries)
-	}
-}
-
-// TestParallelSourceMatchesExact pins the Parallel Source adapter against
-// the serial exact annotator.
-func TestParallelSourceMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	tbl := dataset.PRSA(1500, rng)
-	sch := query.SchemaOf(tbl)
-	g := workload.New("w2", tbl, sch, workload.Options{})
-	preds := workload.Generate(g, 16, rng)
-
-	exact := New(tbl)
-	par := NewParallel(tbl, 4)
-	ctx := context.Background()
-	got, err := par.AnnotateAll(ctx, preds)
-	if err != nil {
-		t.Fatalf("Parallel.AnnotateAll: %v", err)
-	}
-	for i, lp := range got {
-		if want := countOK(t, exact, preds[i]); lp.Card != want {
-			t.Fatalf("pred %d: parallel=%v exact=%v", i, lp.Card, want)
-		}
-	}
-	c, err := par.Count(ctx, preds[0])
-	if err != nil {
-		t.Fatalf("Parallel.Count: %v", err)
-	}
-	if want := countOK(t, exact, preds[0]); c != want {
-		t.Errorf("Parallel.Count = %v, want %v", c, want)
 	}
 }
 
@@ -84,9 +51,6 @@ func TestAnnotateAllDimMismatch(t *testing.T) {
 	bad := []query.Predicate{{Lows: []float64{0}, Highs: []float64{1}}}
 	if _, err := New(tbl).AnnotateAll(context.Background(), bad); err == nil {
 		t.Error("exact AnnotateAll accepted a dim-mismatched predicate")
-	}
-	if _, err := ParallelAnnotate(context.Background(), tbl, bad, 2); err == nil {
-		t.Error("ParallelAnnotate accepted a dim-mismatched predicate")
 	}
 	rng := rand.New(rand.NewSource(1))
 	s := newSampledOK(t, tbl, 1, rng)

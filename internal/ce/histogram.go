@@ -2,7 +2,6 @@ package ce
 
 import (
 	"math"
-	"sort"
 
 	"warper/internal/dataset"
 	"warper/internal/query"
@@ -21,8 +20,6 @@ type HistogramEstimator struct {
 	// bounds[c] holds the bin edges of column c (len bins+1, ascending).
 	bounds  [][]float64
 	numRows float64
-	// builtVersion invalidates against table mutations.
-	builtVersion int
 }
 
 // NewHistogramEstimator builds equi-depth histograms with the given number
@@ -36,21 +33,19 @@ func NewHistogramEstimator(t *dataset.Table, bins int) *HistogramEstimator {
 	return h
 }
 
+// rebuild reads the equi-depth edges off the table's shared sorted row
+// order (the annotator's scan index), so an estimator over an unchanged
+// table sorts nothing. It replaces bounds rather than writing into them: a
+// Clone taken earlier keeps its own edges.
 func (h *HistogramEstimator) rebuild() {
-	h.builtVersion = h.tbl.Version
-	h.numRows = float64(h.tbl.NumRows())
+	n := h.tbl.NumRows()
+	h.numRows = float64(n)
 	h.bounds = make([][]float64, h.tbl.NumCols())
+	order, _ := h.tbl.SortedOrder()
 	for c, col := range h.tbl.Cols {
-		sorted := append([]float64(nil), col.Vals...)
-		sort.Float64s(sorted)
 		edges := make([]float64, h.bins+1)
-		for b := 0; b <= h.bins; b++ {
-			if len(sorted) == 0 {
-				edges[b] = 0
-				continue
-			}
-			idx := b * (len(sorted) - 1) / h.bins
-			edges[b] = sorted[idx]
+		for b := 0; n > 0 && b <= h.bins; b++ {
+			edges[b] = col.Vals[order[c][b*(n-1)/h.bins]]
 		}
 		h.bounds[c] = edges
 	}

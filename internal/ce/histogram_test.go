@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"warper/internal/annotator"
@@ -87,6 +88,39 @@ func TestHistogramStaleAfterDataDriftUntilUpdate(t *testing.T) {
 	after := h.Estimate(query.NewFullRange(query.SchemaOf(tbl)))
 	if math.Abs(after-float64(tbl.NumRows())) > 1 {
 		t.Errorf("post-rebuild full-range = %v, want %d", after, tbl.NumRows())
+	}
+}
+
+// TestHistogramEdgesMatchSortedValues pins the edges read off the table's
+// shared sorted order to the definition they replaced: bin b's edge is
+// element b·(n−1)/bins of the column's values sorted by sort.Float64s (NaN
+// cells first), before and after a data drift.
+func TestHistogramEdgesMatchSortedValues(t *testing.T) {
+	tbl, _, _ := histFixture(t)
+	tbl.Cols[2].Vals[17] = math.NaN()
+	tbl.Cols[2].Vals[1800] = math.NaN()
+	check := func(h *HistogramEstimator) {
+		t.Helper()
+		for c, col := range tbl.Cols {
+			sorted := append([]float64(nil), col.Vals...)
+			sort.Float64s(sorted)
+			for b, got := range h.bounds[c] {
+				want := sorted[b*(len(sorted)-1)/h.bins]
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("column %d edge %d = %v, want %v", c, b, got, want)
+				}
+			}
+		}
+	}
+	h := NewHistogramEstimator(tbl, 64)
+	check(h)
+	dataset.UpdateDrift(tbl, 0.3, 1, rand.New(rand.NewSource(34)))
+	if err := h.Update(nil); err != nil {
+		t.Fatal(err)
+	}
+	check(h)
+	if e := NewHistogramEstimator(dataset.NewTable("empty", &dataset.Column{Name: "a"}), 8); e.Estimate(query.Predicate{Lows: []float64{0}, Highs: []float64{1}}) != 0 {
+		t.Error("empty-table histogram estimates rows")
 	}
 }
 

@@ -8,6 +8,8 @@ package dataset
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // ColType classifies a column. Dates are stored as numeric day offsets and
@@ -91,6 +93,11 @@ type Table struct {
 	// ChangedRows counts rows appended or updated since the last
 	// ResetChangeTracking, as a fraction feed for data-drift detection.
 	ChangedRows int
+
+	// order caches the per-column sorted row order (see SortedOrder);
+	// orderMu serializes its rebuild.
+	orderMu sync.Mutex
+	order   atomic.Pointer[sortedOrder]
 }
 
 // NewTable builds a table and validates that all columns have equal length.

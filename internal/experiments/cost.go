@@ -31,8 +31,8 @@ func measureCosts(ds string, sc Scale, seed int64) costProfile {
 	env.Ann.ResetMeters()
 	probe := workload.Generate(env.NewGen, 50, rng)
 	mustAnnotateAll(env.Ann, probe)
-	// AnnotateAll shares one scan across the batch; per-query cost for
-	// separately arriving queries uses single-query scans.
+	// AnnotateAll meters a batch as one unit; per-query cost for
+	// separately arriving queries uses single counts.
 	env.Ann.ResetMeters()
 	for _, p := range probe[:10] {
 		mustCount(env.Ann, p)
@@ -91,7 +91,7 @@ func Table6(sc Scale, seed int64) []*Table {
 			warperBusy := annBusy + prof.ModelUpdate + prof.WarperBuild
 			t.Rows = append(t.Rows, []string{
 				ds,
-				fmt.Sprintf("%.4f", prof.AnnotatePerQuery.Seconds()),
+				fmt.Sprintf("%.6f", prof.AnnotatePerQuery.Seconds()), // indexed counts take microseconds
 				fmt.Sprintf("%.1fs", prof.WarperBuild.Seconds()),
 				fmt.Sprintf("%s @ %g q/s", scen.window, scen.rate),
 				f3(simclock.CPUPercent(augBusy, scen.window)),

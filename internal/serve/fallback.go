@@ -27,9 +27,10 @@ import (
 // outage response — it keeps joins ordered by table size while the pool
 // recovers.
 
-// fallbackBins is the per-column bin count of the histogram tier. 64 bins
-// keeps a rebuild in the microsecond range for bench-scale tables while
-// matching NewHistogramEstimator's own default.
+// fallbackBins is the per-column bin count of the histogram tier, matching
+// NewHistogramEstimator's own default. A rebuild reads 65 edges per column
+// off the table's shared sorted order — microseconds once the annotator has
+// built that order for the period's counts.
 const fallbackBins = 64
 
 // fallbackLadder holds the fallback tiers behind atomic pointers so the
@@ -37,6 +38,10 @@ const fallbackBins = 64
 // fully-built replacements; a published histogram is never mutated again.
 type fallbackLadder struct {
 	hist atomic.Pointer[ce.HistogramEstimator]
+	// histVersion/histRows are the table state hist was built from. Only
+	// refresh touches them, and refresh calls are serialized (construction,
+	// then periodMu).
+	histVersion, histRows int
 	// priorBits is math.Float64bits of the last-swap model prior (0 bits =
 	// no prior yet).
 	priorBits atomic.Uint64
@@ -44,12 +49,14 @@ type fallbackLadder struct {
 
 func newFallbackLadder() *fallbackLadder { return &fallbackLadder{} }
 
-// refresh rebuilds the histogram tier from the live table and recomputes the
-// cached model prior from the just-swapped model. Called at construction and
-// under periodMu after every successful swap — never on the estimate path —
-// so the table is not mid-mutation and the model is not mid-training.
+// refresh rebuilds the histogram tier from the live table — unless the table
+// is as the current histogram saw it, which is most periods — and recomputes
+// the cached model prior from the just-swapped model. Called at construction
+// and under periodMu after every successful swap — never on the estimate
+// path — so the table is not mid-mutation and the model is not mid-training.
 func (f *fallbackLadder) refresh(tbl *dataset.Table, model ce.Estimator, sch *query.Schema) {
-	if tbl != nil {
+	if tbl != nil && (f.hist.Load() == nil || f.histVersion != tbl.Version || f.histRows != tbl.NumRows()) {
+		f.histVersion, f.histRows = tbl.Version, tbl.NumRows()
 		f.hist.Store(ce.NewHistogramEstimator(tbl, fallbackBins))
 	}
 	if model != nil && sch != nil {

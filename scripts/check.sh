@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification flow: build, vet, warperlint, full test suite, a
 # module-wide race pass (training-heavy tests skip themselves under -short),
-# and the fault-injected chaos soak. Mirrors `make check` for environments
-# without make.
+# the fault-injected chaos soak, and ten seconds of fuzzing per fuzz target.
+# Mirrors `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,6 +30,11 @@ mkdir -p artifacts
 WARPER_CHAOS=1 WARPER_EVENTS_OUT="$(pwd)/artifacts/EVENTS_chaos.json" \
 	go test -race -count=1 -run 'Chaos|Faulty|Degraded|Overload' \
 	./internal/serve ./internal/resilience ./internal/warper
+
+echo "== fuzz-smoke (${FUZZTIME:=10s} per target)"
+go test -run='^$' -fuzz='^FuzzCountMatchesScan$' -fuzztime="$FUZZTIME" ./internal/annotator
+go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime="$FUZZTIME" ./internal/wire
+go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/wire
 
 # The committed estimate-cache and binary-protocol benchmark reports
 # (make bench-serve) ride along with the CI artifact upload when present.
