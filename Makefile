@@ -15,9 +15,12 @@ test:
 
 # Module-wide race pass. Tests that spend their time in model training
 # guard themselves with testing.Short(), so -short keeps this about the
-# concurrency, not the math.
+# concurrency, not the math. The one training-heavy test the pass does run is
+# the golden-bits script: a seeded adaptation run that must reproduce its
+# pinned weights while shards and gradient tasks fan out at 1, 2 and 4 workers.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=1 -run '^TestGoldenBits' ./internal/warper
 
 vet:
 	$(GO) vet ./...
@@ -63,7 +66,9 @@ fuzz-smoke:
 # with a zero-alloc batch assert and a GOMAXPROCS>=4 multi-core pass →
 # BENCH_PR10.json. bench-smoke runs the quick variant of every suite, plus
 # the annotator micro-benchmarks (count, batch, and count with the index
-# invalidated every N counts): it proves the harnesses run, not the numbers.
+# invalidated every N counts), one full adaptation period and one GAN
+# iteration with -benchmem (the log carries their allocs/op; the iteration's
+# must read 0): it proves the harnesses run, not the numbers.
 bench:
 	./scripts/bench.sh micro -out BENCH_PR4.json
 	./scripts/bench_trajectory.sh
@@ -90,6 +95,8 @@ bench-smoke:
 	./scripts/bench.sh zipf -quick -out /tmp/bench-zipf-smoke.json
 	./scripts/bench.sh wire -quick -out /tmp/bench-wire-smoke.json
 	$(GO) test -run='^$$' -bench='^BenchmarkAnnotator' -benchtime=200x .
+	$(GO) test -run='^$$' -bench='^BenchmarkWarperPeriod$$' -benchmem -benchtime=20x .
+	$(GO) test -run='^$$' -bench='^BenchmarkGANIteration$$' -benchmem -benchtime=20x ./internal/warper
 	./scripts/bench_trajectory.sh /tmp/bench-smoke.json /tmp/bench-serve-smoke.json /tmp/bench-zipf-smoke.json /tmp/bench-wire-smoke.json
 
 check: build vet lint test race chaos fuzz-smoke

@@ -264,23 +264,17 @@ func (m *MSCN) trainMinibatch(qs []*query.JoinQuery, targets []float64, opt nn.O
 	for r := 0; r < b; r++ {
 		gOut.Row(r)[0] = preds.Row(r)[0] - targets[r] // d(½(p−t)²)/dp
 	}
-	m.zeroGrad()
-	gIn := m.outNet.BatchBackward(gOut)
-	if ctx.nT > 0 {
-		gT := nn.NewMat(ctx.nT, mscnHidden)
-		scatterMean(gIn, ctx.tOff, gT, 0)
-		m.tableNet.BatchBackward(gT)
-	}
-	if m.joinNet != nil && ctx.nJ > 0 {
+	// Each BatchBackward assigns its network's averaged gradients outright
+	// (a branch with no set elements in this batch gets zeros).
+	scale := 1 / float64(b)
+	gIn := m.outNet.BatchBackward(gOut, scale)
+	gT := nn.NewMat(ctx.nT, mscnHidden)
+	scatterMean(gIn, ctx.tOff, gT, 0)
+	m.tableNet.BatchBackward(gT, scale)
+	if m.joinNet != nil {
 		gJ := nn.NewMat(ctx.nJ, mscnHidden)
 		scatterMean(gIn, ctx.jOff, gJ, mscnHidden)
-		m.joinNet.BatchBackward(gJ)
-	}
-	scale := 1 / float64(b)
-	for _, p := range m.params() {
-		for i := range p.G {
-			p.G[i] *= scale
-		}
+		m.joinNet.BatchBackward(gJ, scale)
 	}
 	opt.Step(m.params())
 	return nil
@@ -292,12 +286,6 @@ func (m *MSCN) params() []*nn.Param {
 		ps = append(ps, m.joinNet.Params()...)
 	}
 	return append(ps, m.outNet.Params()...)
-}
-
-func (m *MSCN) zeroGrad() {
-	for _, p := range m.params() {
-		p.ZeroGrad()
-	}
 }
 
 // trainEpochs runs minibatch MSE training in log space. A query outside the

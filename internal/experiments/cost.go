@@ -47,7 +47,7 @@ func measureCosts(ds string, sc Scale, seed int64) costProfile {
 		mustPeriod(ad, p)
 	}
 	prof.WarperBuild = ad.Ledger.Get("pretrain") + ad.Ledger.Get("gan") + ad.Ledger.Get("ae") +
-		ad.Ledger.Get("gen") + ad.Ledger.Get("pick")
+		ad.Ledger.Get("gen") + ad.Ledger.Get("embed") + ad.Ledger.Get("pick")
 	prof.ModelUpdate = ad.Ledger.Get("model")
 
 	// HEM: its extra cost is one model evaluation pass over arrivals.

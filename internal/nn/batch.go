@@ -9,43 +9,57 @@ import (
 
 // shardRows is the fixed shard granularity for data-parallel training and
 // batched inference. The shard layout depends only on the batch size — never
-// on the worker count — and the shard reduction below runs in ascending shard
-// order, so seeded runs are byte-identical at any parallel.SetWorkers setting.
+// on the worker count — and parameter gradients are summed shard by shard in
+// ascending order (see denseGradW), so seeded runs are byte-identical at any
+// parallel.SetWorkers setting.
 const shardRows = 8
+
+// gradTaskOuts is how many output neurons of one Dense layer a
+// parameter-gradient work item covers. Every weight gradient is computed
+// whole by exactly one item, so the split changes scheduling, never bits.
+const gradTaskOuts = 32
 
 // Batch operation modes dispatched through the scratch runner.
 const (
 	modeForward = iota
 	modeTrain
-	modeBackwardAcc
-	modeBackwardData
+	modeBackward
+	modeGradW
 )
 
+// gradTask is one parameter-gradient work item: outputs [o0, o1) of the Dense
+// layer at index layer.
+type gradTask struct {
+	layer  int
+	o0, o1 int
+}
+
 // scratch is the per-network reusable arena for batched compute: full-batch
-// activation matrices for every layer boundary, ping-pong gradient matrices,
-// and one flat gradient buffer per shard so parallel workers never share an
-// accumulator. All buffers grow monotonically and are reused, so the
-// steady-state train loop performs zero heap allocations.
+// activation matrices for every layer boundary, and — once a backward pass
+// has run — one gradient matrix per boundary, kept until the
+// parameter-gradient pass has read them. All buffers grow monotonically and
+// are reused, so the steady-state train loop performs zero heap allocations.
+// Forward-only users never pay for the gradient side.
 type scratch struct {
 	net *Network
 
-	params    []*Param
-	paramOffs []int // flat-buffer offset of each param
-	layerOffs []int // flat-buffer offset of each layer's first param (-1 if none)
-	total     int   // total scalar parameter count
+	widths []int // layer-boundary widths for the current input width
+	acts   []Mat // acts[l] is the input to layer l; acts[len] the output
+	maxW   int
 
-	widths  []int // layer-boundary widths for the current input width
-	actBufs []matBuf
-	acts    []Mat // acts[l] is the input to layer l; acts[len] the output
-	maxW    int
+	// grads[l] is dLoss/d acts[l] for the current batch, backed by
+	// gradBufs[l] — except the last, the loss gradient itself, which is the
+	// caller's matrix for BatchBackward and lossG for a train step.
+	gradBufs []Mat
+	grads    []Mat
+	lossG    Mat
 
-	gLBuf, gABuf, gBBuf matBuf
-	gL, gA, gB          Mat // loss-grad and ping-pong backward buffers
+	gradTasks []gradTask
+	gradTmp   [][]float64 // per-task partial-sum row (generic path and k tail)
 
-	shardGrads [][]float64 // per-shard flat parameter gradients
-	shardLoss  []float64
-	lossTmp    [][]float64 // per-shard softmax scratch
-	tiles      [][]float64 // per-shard SIMD transpose tiles (4 quarters of 4*maxW)
+	shardLoss []float64
+	lossTmp   [][]float64 // per-shard softmax scratch
+	tiles     [][]float64 // per-shard SIMD lane tiles (2 halves of 4*maxW)
 
 	runner *parallel.Runner
 
@@ -55,13 +69,13 @@ type scratch struct {
 	fwdOK bool
 
 	// Per-cycle state: written by the dispatching goroutine before
-	// runner.Run, read by shard workers (the channel hand-off orders it).
+	// runner.Run, read by the work items (the channel hand-off orders it).
 	mode    int
 	rows    int
 	nShards int
 	loss    Loss
 	ys      [][]float64
-	gOut    Mat
+	scale   float64
 }
 
 // batchable reports whether every layer is one of the built-in kinds the
@@ -90,26 +104,19 @@ func (n *Network) ensureScratch(rows, inCols int) *scratch {
 			return nil
 		}
 		sc = &scratch{net: n}
-		sc.layerOffs = make([]int, len(n.Layers))
-		off := 0
 		for li, l := range n.Layers {
-			ps := l.Params()
-			if len(ps) == 0 {
-				sc.layerOffs[li] = -1
-				continue
-			}
-			sc.layerOffs[li] = off
-			for _, p := range ps {
-				sc.params = append(sc.params, p)
-				sc.paramOffs = append(sc.paramOffs, off)
-				off += len(p.W)
+			if d, ok := l.(*Dense); ok {
+				for o0 := 0; o0 < d.Out; o0 += gradTaskOuts {
+					sc.gradTasks = append(sc.gradTasks, gradTask{layer: li, o0: o0, o1: min(o0+gradTaskOuts, d.Out)})
+					sc.gradTmp = append(sc.gradTmp, make([]float64, d.In))
+				}
 			}
 		}
-		sc.total = off
 		sc.widths = make([]int, len(n.Layers)+1)
-		sc.actBufs = make([]matBuf, len(n.Layers)+1)
 		sc.acts = make([]Mat, len(n.Layers)+1)
-		sc.runner = parallel.NewRunner(sc.shardFn)
+		sc.gradBufs = make([]Mat, len(n.Layers))
+		sc.grads = make([]Mat, len(n.Layers)+1)
+		sc.runner = parallel.NewRunner(sc.runItem)
 		n.sc = sc
 	}
 
@@ -135,64 +142,62 @@ func (n *Network) ensureScratch(rows, inCols int) *scratch {
 	sc.rows = rows
 	sc.nShards = (rows + shardRows - 1) / shardRows
 	for i := range sc.acts {
-		sc.acts[i] = sc.actBufs[i].mat(rows, sc.widths[i])
+		sc.acts[i] = sc.acts[i].Resized(rows, sc.widths[i])
 	}
-	outW := sc.widths[len(sc.widths)-1]
-	sc.gL = sc.gLBuf.mat(rows, outW)
-	sc.gA = sc.gABuf.mat(rows, sc.maxW)
-	sc.gB = sc.gBBuf.mat(rows, sc.maxW)
-	for len(sc.shardGrads) < sc.nShards {
-		sc.shardGrads = append(sc.shardGrads, make([]float64, sc.total))
+	for len(sc.shardLoss) < sc.nShards {
 		sc.shardLoss = append(sc.shardLoss, 0)
-		sc.lossTmp = append(sc.lossTmp, make([]float64, sc.maxW))
+		sc.lossTmp = append(sc.lossTmp, nil)
 		sc.tiles = append(sc.tiles, nil)
 	}
 	for s := 0; s < sc.nShards; s++ {
 		if len(sc.lossTmp[s]) < sc.maxW {
 			sc.lossTmp[s] = make([]float64, sc.maxW)
 		}
-		if len(sc.tiles[s]) < 16*sc.maxW {
-			sc.tiles[s] = make([]float64, 16*sc.maxW)
+		if len(sc.tiles[s]) < 8*sc.maxW {
+			sc.tiles[s] = make([]float64, 8*sc.maxW)
 		}
 	}
 	return sc
 }
 
-// shardFn is the persistent worker body: it processes shard s's row range
-// according to the current cycle mode. Shards touch disjoint rows and write
-// only their own gradient buffer, so they are race-free by construction.
-func (sc *scratch) shardFn(s int) {
-	r0 := s * shardRows
-	r1 := r0 + shardRows
-	if r1 > sc.rows {
-		r1 = sc.rows
+// sizeGrads shapes the per-boundary gradient matrices for the current batch
+// below lossGrad, the gradient at the network's output.
+func (sc *scratch) sizeGrads(lossGrad Mat) {
+	for i := range sc.gradBufs {
+		sc.gradBufs[i] = sc.gradBufs[i].Resized(sc.rows, sc.widths[i])
+		sc.grads[i] = sc.gradBufs[i]
 	}
+	sc.grads[len(sc.gradBufs)] = lossGrad
+}
+
+// runItem is the persistent worker body. In the row-sharded modes item s is
+// shard s's row range; in modeGradW it is parameter-gradient task s. Shards
+// touch disjoint rows and gradient tasks disjoint weight rows, so items are
+// race-free by construction.
+func (sc *scratch) runItem(s int) {
+	if sc.mode == modeGradW {
+		t := sc.gradTasks[s]
+		denseGradW(sc.net.Layers[t.layer].(*Dense), sc.acts[t.layer], sc.grads[t.layer+1], t.o0, t.o1, sc.scale, sc.gradTmp[s])
+		return
+	}
+	r0 := s * shardRows
+	r1 := min(r0+shardRows, sc.rows)
 	tile := sc.tiles[s]
 	switch sc.mode {
 	case modeForward:
 		sc.forwardRange(r0, r1, tile)
 	case modeTrain:
 		sc.forwardRange(r0, r1, tile)
-		buf := sc.shardGrads[s]
-		for i := range buf {
-			buf[i] = 0
-		}
 		tmp := sc.lossTmp[s]
-		out := sc.acts[len(sc.acts)-1]
+		out, gL := sc.acts[len(sc.acts)-1], sc.grads[len(sc.grads)-1]
 		var sum float64
 		for r := r0; r < r1; r++ {
-			sum += lossGradInto(sc.loss, sc.gL.Row(r), tmp, out.Row(r), sc.ys[r])
+			sum += LossGradInto(sc.loss, gL.Row(r), tmp, out.Row(r), sc.ys[r])
 		}
 		sc.shardLoss[s] = sum
-		sc.backwardRange(sc.gL, r0, r1, buf, tile)
-	case modeBackwardAcc:
-		buf := sc.shardGrads[s]
-		for i := range buf {
-			buf[i] = 0
-		}
-		sc.backwardRange(sc.gOut, r0, r1, buf, tile)
-	case modeBackwardData:
-		sc.backwardRange(sc.gOut, r0, r1, nil, tile)
+		sc.backwardRange(r0, r1, tile)
+	case modeBackward:
+		sc.backwardRange(r0, r1, tile)
 	}
 }
 
@@ -257,29 +262,17 @@ func (sc *scratch) forwardRange(r0, r1 int, tile []float64) {
 	}
 }
 
-// backwardRange propagates the gradient rows [r0, r1) of src back through the
-// stack, writing layer-input gradients into the ping-pong buffers and, when
-// buf is non-nil, accumulating parameter gradients into it. It returns the
-// dLoss/dInput matrix (a view over one of the ping-pong buffers).
-func (sc *scratch) backwardRange(src Mat, r0, r1 int, buf, tile []float64) Mat {
-	cur := src
-	for k, li := 0, len(sc.net.Layers)-1; li >= 0; k, li = k+1, li-1 {
-		w := sc.widths[li]
-		var dst Mat
-		if k%2 == 0 {
-			dst = sc.gA.View(sc.rows, w)
-		} else {
-			dst = sc.gB.View(sc.rows, w)
-		}
+// backwardRange propagates the loss-gradient rows [r0, r1) back through the
+// stack: layer li reads grads[li+1] and writes grads[li], so after every shard
+// has run, grads[0] is dLoss/dInput and each Dense layer's output gradient is
+// still in place for the parameter-gradient pass. It computes no parameter
+// gradient itself.
+func (sc *scratch) backwardRange(r0, r1 int, tile []float64) {
+	for li := len(sc.net.Layers) - 1; li >= 0; li-- {
+		cur, dst := sc.grads[li+1], sc.grads[li]
 		switch t := sc.net.Layers[li].(type) {
 		case *Dense:
-			var gw, gb []float64
-			if buf != nil {
-				off := sc.layerOffs[li]
-				gw = buf[off : off+t.In*t.Out]
-				gb = buf[off+t.In*t.Out : off+t.In*t.Out+t.Out]
-			}
-			batchDenseBackward(t, sc.acts[li], cur, dst, gw, gb, r0, r1, tile)
+			batchDenseBackward(t, cur, dst, r0, r1, tile)
 		case *LeakyReLU:
 			in := sc.acts[li]
 			for r := r0; r < r1; r++ {
@@ -335,83 +328,16 @@ func (sc *scratch) backwardRange(src Mat, r0, r1 int, buf, tile []float64) Mat {
 				}
 			}
 		}
-		cur = dst
-	}
-	return cur
-}
-
-// dxMat returns the buffer holding dLoss/dInput after a full backward pass
-// (determined by the parity of the layer count).
-func (sc *scratch) dxMat() Mat {
-	if (len(sc.net.Layers)-1)%2 == 0 {
-		return sc.gA.View(sc.rows, sc.widths[0])
-	}
-	return sc.gB.View(sc.rows, sc.widths[0])
-}
-
-// reduceInto folds the per-shard gradient buffers into the parameter
-// accumulators in ascending shard order — the fixed-order reduction that
-// keeps training byte-identical at any worker count.
-func (sc *scratch) reduceInto() {
-	for s := 0; s < sc.nShards; s++ {
-		buf := sc.shardGrads[s]
-		for pi, p := range sc.params {
-			off := sc.paramOffs[pi]
-			g := p.G
-			src := buf[off : off+len(g)]
-			for i := range g {
-				g[i] += src[i]
-			}
-		}
 	}
 }
 
-// reduceScaled folds the per-shard gradients directly into p.G scaled by inv,
-// in one fused pass (ascending shard order per element, scale last — the same
-// value sequence as reduceInto followed by a scale pass, without the extra
-// zero/read/write traffic). Used by the train step, which owns p.G outright.
-func (sc *scratch) reduceScaled(inv float64) {
-	for pi, p := range sc.params {
-		off := sc.paramOffs[pi]
-		g := p.G
-		end := off + len(g)
-		s0 := sc.shardGrads[0][off:end]
-		switch sc.nShards {
-		case 1:
-			for i := range g {
-				g[i] = s0[i] * inv
-			}
-		case 2:
-			s1 := sc.shardGrads[1][off:end]
-			for i := range g {
-				t := s0[i]
-				t += s1[i]
-				g[i] = t * inv
-			}
-		case 4:
-			s1 := sc.shardGrads[1][off:end]
-			s2 := sc.shardGrads[2][off:end]
-			s3 := sc.shardGrads[3][off:end]
-			for i := range g {
-				t := s0[i]
-				t += s1[i]
-				t += s2[i]
-				t += s3[i]
-				g[i] = t * inv
-			}
-		default:
-			copy(g, s0)
-			for s := 1; s < sc.nShards; s++ {
-				src := sc.shardGrads[s][off:end]
-				for i := range g {
-					g[i] += src[i]
-				}
-			}
-			for i := range g {
-				g[i] *= inv
-			}
-		}
-	}
+// gradW runs the parameter-gradient pass over the whole batch: every p.G is
+// assigned scale·Σ over the batch rows (denseGradW fixes the summation
+// order), whatever it held before.
+func (sc *scratch) gradW(scale float64) {
+	sc.mode = modeGradW
+	sc.scale = scale
+	sc.runner.Run(len(sc.gradTasks))
 }
 
 // BatchForward runs a whole batch through the network, returning an
@@ -471,24 +397,21 @@ func (n *Network) InferBatch(x Mat, out []float64) bool {
 	}
 	sc.fwdOK = false
 	tile := sc.tiles[0]
-	q := len(tile) / 4
-	xt, yt := tile[:q], tile[q:2*q]
+	q := len(tile) / 2
 	r := 0
 	for ; r+4 <= x.Rows; r += 4 {
-		x0, x1, x2, x3 := x.Row(r), x.Row(r+1), x.Row(r+2), x.Row(r+3)
-		for k := 0; k < x.Cols; k++ {
-			xt[k*4] = x0[k]
-			xt[k*4+1] = x1[k]
-			xt[k*4+2] = x2[k]
-			xt[k*4+3] = x3[k]
-		}
-		cur, nxt := xt, yt
+		// The first Dense gathers the four sample rows into cur itself
+		// (non-zero input stride); every later one finds its input tile
+		// where the previous kernel left it.
+		cur, nxt := tile[:q], tile[q:]
+		src, stride := &x.Data[r*x.Stride], x.Stride
 		w := x.Cols
 		for _, l := range n.Layers {
 			switch t := l.(type) {
 			case *Dense:
-				denseForwardBlockASM(&t.Weight.W[0], &t.Bias.W[0], &cur[0], &nxt[0], t.In, t.Out)
+				denseForwardBlockASM(&t.Weight.W[0], &t.Bias.W[0], src, &nxt[0], stride, 0, t.In, t.Out, &cur[0])
 				cur, nxt = nxt, cur
+				src, stride = &cur[0], 0
 				w = t.Out
 			case *LeakyReLU:
 				leakyForwardASM(&cur[0], &cur[0], 4*w, t.Alpha)
@@ -513,43 +436,53 @@ func (n *Network) InferBatch(x Mat, out []float64) bool {
 }
 
 // BatchBackward propagates a full batch of output gradients back through the
-// network, accumulating parameter gradients (deterministic fixed-order shard
-// reduction) and returning dLoss/dInput as a scratch view. BatchForward must
-// have been called immediately before with the same row count.
-func (n *Network) BatchBackward(gradOut Mat) Mat {
-	return n.batchBackward(gradOut, modeBackwardAcc)
+// network and returns dLoss/dInput as a scratch view. It owns the parameter
+// gradients outright: every p.G is assigned scale·Σ_rows of that row's
+// gradient — nothing is accumulated into what p.G held before, so callers
+// neither zero nor rescale it. The sum runs shard by shard in ascending order
+// (see denseGradW), which keeps it byte-identical at any worker count; a
+// gradOut with no rows assigns zero. BatchForward must have been called
+// immediately before with the same row count.
+func (n *Network) BatchBackward(gradOut Mat, scale float64) Mat {
+	if gradOut.Rows == 0 {
+		for _, p := range n.params() {
+			clear(p.G)
+		}
+		return Mat{}
+	}
+	sc := n.backwardData(gradOut)
+	sc.gradW(scale)
+	return sc.grads[0]
 }
 
-// BatchBackwardData is BatchBackward without parameter-gradient accumulation:
-// it only computes dLoss/dInput. The GAN generator step uses it to chain
-// gradients through the frozen discriminator and encoder.
+// BatchBackwardData is BatchBackward without the parameter gradients: it only
+// computes dLoss/dInput and leaves every p.G alone. The GAN generator step
+// uses it to chain gradients through the frozen discriminator and encoder.
 func (n *Network) BatchBackwardData(gradOut Mat) Mat {
-	return n.batchBackward(gradOut, modeBackwardData)
+	return n.backwardData(gradOut).grads[0]
 }
 
-func (n *Network) batchBackward(gradOut Mat, mode int) Mat {
+func (n *Network) backwardData(gradOut Mat) *scratch {
 	sc := n.sc
 	if sc == nil || !sc.fwdOK || sc.rows != gradOut.Rows || gradOut.Cols != sc.widths[len(sc.widths)-1] {
 		panic("nn: BatchBackward requires a matching BatchForward on a batchable network") //lint:allow panicfree out-of-order batch API use is a programmer error
 	}
-	sc.gOut = gradOut
-	sc.mode = mode
+	sc.sizeGrads(gradOut)
+	sc.mode = modeBackward
 	sc.runner.Run(sc.nShards)
-	sc.gOut = Mat{}
-	if mode == modeBackwardAcc {
-		sc.reduceInto()
-	}
-	return sc.dxMat()
+	return sc
 }
 
 // trainBatchBatched is the sharded minibatch step behind TrainBatch: copy the
-// batch into the arena, run fused forward/loss/backward per shard, reduce
-// shard gradients in fixed order, average, and step the optimizer. Steady
-// state allocates nothing.
+// batch into the arena, run fused forward/loss/backward per shard, compute
+// the averaged parameter gradients in one pass, and step the optimizer.
+// Steady state allocates nothing.
 func (n *Network) trainBatchBatched(sc *scratch, xs, ys [][]float64, loss Loss, opt Optimizer) float64 {
 	for i := range xs {
 		copy(sc.acts[0].Row(i), xs[i])
 	}
+	sc.lossG = sc.lossG.Resized(sc.rows, sc.widths[len(sc.widths)-1])
+	sc.sizeGrads(sc.lossG)
 	sc.mode = modeTrain
 	sc.loss = loss
 	sc.ys = ys
@@ -560,8 +493,8 @@ func (n *Network) trainBatchBatched(sc *scratch, xs, ys [][]float64, loss Loss, 
 	for s := 0; s < sc.nShards; s++ {
 		total += sc.shardLoss[s]
 	}
-	sc.reduceScaled(1 / float64(len(xs)))
-	opt.Step(sc.params)
+	sc.gradW(1 / float64(len(xs)))
+	opt.Step(n.params())
 	return total / float64(len(xs))
 }
 
@@ -570,161 +503,36 @@ func (n *Network) trainBatchBatched(sc *scratch, xs, ys [][]float64, loss Loss, 
 // FMA latency. Each sample's dot product runs in ascending k order — the same
 // order as the scalar Forward — so results are byte-identical to it. On AVX2
 // hardware full 4-row blocks go through the assembly kernel (one sample per
-// vector lane, same per-lane accumulation order, still byte-identical).
+// vector lane, same per-lane accumulation order, still byte-identical), which
+// reads the four sample rows and writes the four output rows itself.
 func batchDenseForward(d *Dense, in, out Mat, r0, r1 int, tile []float64) {
-	if simdEnabled && d.In >= 4 && d.Out > 0 && r1-r0 >= 4 {
-		batchDenseForwardSIMD(d, in, out, r0, r1, tile)
-		return
-	}
-	for o := 0; o < d.Out; o++ {
-		row := d.Weight.W[o*d.In : (o+1)*d.In]
-		b := d.Bias.W[o]
-		r := r0
+	r := r0
+	if simdEnabled && d.In >= 4 {
 		for ; r+4 <= r1; r += 4 {
-			x0, x1, x2, x3 := in.Row(r), in.Row(r+1), in.Row(r+2), in.Row(r+3)
+			denseForwardBlockASM(&d.Weight.W[0], &d.Bias.W[0], &in.Data[r*in.Stride], &out.Data[r*out.Stride],
+				in.Stride, out.Stride, d.In, d.Out, &tile[0])
+		}
+	}
+	for ; r+4 <= r1; r += 4 {
+		x0, x1, x2, x3 := in.Row(r), in.Row(r+1), in.Row(r+2), in.Row(r+3)
+		y0, y1, y2, y3 := out.Row(r), out.Row(r+1), out.Row(r+2), out.Row(r+3)
+		for o := 0; o < d.Out; o++ {
+			b := d.Bias.W[o]
 			s0, s1, s2, s3 := b, b, b, b
-			for k, w := range row {
+			for k, w := range d.Weight.W[o*d.In : (o+1)*d.In] {
 				s0 += w * x0[k]
 				s1 += w * x1[k]
 				s2 += w * x2[k]
 				s3 += w * x3[k]
 			}
-			out.Row(r)[o] = s0
-			out.Row(r + 1)[o] = s1
-			out.Row(r + 2)[o] = s2
-			out.Row(r + 3)[o] = s3
-		}
-		for ; r < r1; r++ {
-			x := in.Row(r)
-			s := b
-			for k, w := range row {
-				s += w * x[k]
-			}
-			out.Row(r)[o] = s
-		}
-	}
-}
-
-// batchDenseBackward computes dX for rows [r0, r1) and, when gw/gb are
-// non-nil, accumulates dW/db into them. dX keeps each sample's accumulation
-// independent and in the scalar Backward's order (byte-identical to it); dW
-// within a shard also accumulates in per-sample order, so a single-shard
-// batch is bit-equal to the sequential reference. Across shards the reduction
-// reassociates (fixed shard order — deterministic at any worker count). On
-// AVX2 hardware full 4-row blocks go through the assembly kernels, which keep
-// the same per-element accumulation orders.
-func batchDenseBackward(d *Dense, in, gout, gin Mat, gw, gb []float64, r0, r1 int, tile []float64) {
-	if simdEnabled && d.In >= 4 && d.Out > 0 && r1-r0 >= 4 {
-		batchDenseBackwardSIMD(d, in, gout, gin, gw, gb, r0, r1, tile)
-		return
-	}
-	for r := r0; r < r1; r++ {
-		gx := gin.Row(r)
-		for i := range gx {
-			gx[i] = 0
-		}
-	}
-	if gw == nil {
-		for r := r0; r < r1; r++ {
-			g, gx := gout.Row(r), gin.Row(r)
-			for o := 0; o < d.Out; o++ {
-				gv := g[o]
-				if gv == 0 {
-					continue
-				}
-				row := d.Weight.W[o*d.In : (o+1)*d.In]
-				for k, w := range row {
-					gx[k] += gv * w
-				}
-			}
-		}
-		return
-	}
-	r := r0
-	for ; r+4 <= r1; r += 4 {
-		g0, g1, g2, g3 := gout.Row(r), gout.Row(r+1), gout.Row(r+2), gout.Row(r+3)
-		x0, x1, x2, x3 := in.Row(r), in.Row(r+1), in.Row(r+2), in.Row(r+3)
-		gx0, gx1, gx2, gx3 := gin.Row(r), gin.Row(r+1), gin.Row(r+2), gin.Row(r+3)
-		for o := 0; o < d.Out; o++ {
-			v0, v1, v2, v3 := g0[o], g1[o], g2[o], g3[o]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			// Accumulate in per-sample order (four separate rounded adds,
-			// not one block sum) so shard gradients stay bit-identical to
-			// the sequential reference accumulation.
-			tb := gb[o]
-			tb += v0
-			tb += v1
-			tb += v2
-			tb += v3
-			gb[o] = tb
-			row := d.Weight.W[o*d.In : (o+1)*d.In]
-			grow := gw[o*d.In : (o+1)*d.In]
-			for k, w := range row {
-				tg := grow[k]
-				tg += v0 * x0[k]
-				tg += v1 * x1[k]
-				tg += v2 * x2[k]
-				tg += v3 * x3[k]
-				grow[k] = tg
-				gx0[k] += v0 * w
-				gx1[k] += v1 * w
-				gx2[k] += v2 * w
-				gx3[k] += v3 * w
-			}
-		}
-	}
-	for ; r < r1; r++ {
-		g, x, gx := gout.Row(r), in.Row(r), gin.Row(r)
-		for o := 0; o < d.Out; o++ {
-			gv := g[o]
-			if gv == 0 {
-				continue
-			}
-			gb[o] += gv
-			row := d.Weight.W[o*d.In : (o+1)*d.In]
-			grow := gw[o*d.In : (o+1)*d.In]
-			for k, w := range row {
-				grow[k] += gv * x[k]
-				gx[k] += gv * w
-			}
-		}
-	}
-}
-
-// batchDenseForwardSIMD drives the AVX2 forward kernel over full 4-row
-// blocks: gather the block into a k-major tile (one sample per lane), run the
-// kernel, scatter the o-major result tile back into the activation rows. The
-// per-lane accumulation order equals the scalar kernel's, so outputs are
-// byte-identical. Remaining 1-3 rows use the scalar loop.
-func batchDenseForwardSIMD(d *Dense, in, out Mat, r0, r1 int, tile []float64) {
-	q := len(tile) / 4
-	xt, yt := tile[:q], tile[q:2*q]
-	r := r0
-	for ; r+4 <= r1; r += 4 {
-		x0, x1, x2, x3 := in.Row(r), in.Row(r+1), in.Row(r+2), in.Row(r+3)
-		for k := 0; k < d.In; k++ {
-			xt[k*4] = x0[k]
-			xt[k*4+1] = x1[k]
-			xt[k*4+2] = x2[k]
-			xt[k*4+3] = x3[k]
-		}
-		denseForwardBlockASM(&d.Weight.W[0], &d.Bias.W[0], &xt[0], &yt[0], d.In, d.Out)
-		y0, y1, y2, y3 := out.Row(r), out.Row(r+1), out.Row(r+2), out.Row(r+3)
-		for o := 0; o < d.Out; o++ {
-			y0[o] = yt[o*4]
-			y1[o] = yt[o*4+1]
-			y2[o] = yt[o*4+2]
-			y3[o] = yt[o*4+3]
+			y0[o], y1[o], y2[o], y3[o] = s0, s1, s2, s3
 		}
 	}
 	for ; r < r1; r++ {
 		x, y := in.Row(r), out.Row(r)
 		for o := 0; o < d.Out; o++ {
-			row := d.Weight.W[o*d.In : (o+1)*d.In]
 			s := d.Bias.W[o]
-			for k, w := range row {
+			for k, w := range d.Weight.W[o*d.In : (o+1)*d.In] {
 				s += w * x[k]
 			}
 			y[o] = s
@@ -732,86 +540,105 @@ func batchDenseForwardSIMD(d *Dense, in, out Mat, r0, r1 int, tile []float64) {
 	}
 }
 
-// batchDenseBackwardSIMD drives the AVX2 backward kernels over full 4-row
-// blocks. dX: gradients gathered into an o-major tile, accumulated per lane
-// in ascending o order, scattered back. dW: the k-vectorized kernel adds the
-// four samples sequentially per weight; the bias and the k tail (in % 4) stay
-// in Go with the same quad-zero skip and per-sample order as the scalar
-// kernel. Remaining 1-3 rows use the scalar loop.
-func batchDenseBackwardSIMD(d *Dense, in, gout, gin Mat, gw, gb []float64, r0, r1 int, tile []float64) {
-	q := len(tile) / 4
-	gvt, gxt := tile[2*q:3*q], tile[3*q:4*q]
-	in4 := d.In &^ 3
+// batchDenseBackward computes dX = Wᵀ·g for rows [r0, r1). Each sample's
+// accumulation is independent and runs in ascending output order from +0,
+// skipping exact-zero gradients (adding their ±0 products would change
+// nothing: a sum that starts at +0 is never −0) — the scalar Backward's
+// order, so dX is byte-identical to it. On AVX2 hardware full 4-row blocks go
+// through the assembly kernel, one sample per lane in the same order.
+func batchDenseBackward(d *Dense, gout, gin Mat, r0, r1 int, tile []float64) {
 	r := r0
-	for ; r+4 <= r1; r += 4 {
-		g0, g1, g2, g3 := gout.Row(r), gout.Row(r+1), gout.Row(r+2), gout.Row(r+3)
-		for o := 0; o < d.Out; o++ {
-			gvt[o*4] = g0[o]
-			gvt[o*4+1] = g1[o]
-			gvt[o*4+2] = g2[o]
-			gvt[o*4+3] = g3[o]
-		}
-		for i := 0; i < 4*d.In; i++ {
-			gxt[i] = 0
-		}
-		denseBackwardDXBlockASM(&d.Weight.W[0], &gvt[0], &gxt[0], d.In, d.Out)
-		gx0, gx1, gx2, gx3 := gin.Row(r), gin.Row(r+1), gin.Row(r+2), gin.Row(r+3)
-		for k := 0; k < d.In; k++ {
-			gx0[k] = gxt[k*4]
-			gx1[k] = gxt[k*4+1]
-			gx2[k] = gxt[k*4+2]
-			gx3[k] = gxt[k*4+3]
-		}
-		if gw == nil {
-			continue
-		}
-		x0, x1, x2, x3 := in.Row(r), in.Row(r+1), in.Row(r+2), in.Row(r+3)
-		denseBackwardDWBlockASM(&gw[0], &gvt[0], &x0[0], &x1[0], &x2[0], &x3[0], d.In, in4, d.Out)
-		for o := 0; o < d.Out; o++ {
-			v0, v1, v2, v3 := g0[o], g1[o], g2[o], g3[o]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			tb := gb[o]
-			tb += v0
-			tb += v1
-			tb += v2
-			tb += v3
-			gb[o] = tb
-			grow := gw[o*d.In : (o+1)*d.In]
-			for k := in4; k < d.In; k++ {
-				tg := grow[k]
-				tg += v0 * x0[k]
-				tg += v1 * x1[k]
-				tg += v2 * x2[k]
-				tg += v3 * x3[k]
-				grow[k] = tg
-			}
+	if simdEnabled && d.In >= 4 {
+		for ; r+4 <= r1; r += 4 {
+			denseBackwardDXBlockASM(&d.Weight.W[0], &gout.Data[r*gout.Stride], &gin.Data[r*gin.Stride],
+				gout.Stride, gin.Stride, d.In, d.Out, &tile[0])
 		}
 	}
 	for ; r < r1; r++ {
-		g, x, gx := gout.Row(r), in.Row(r), gin.Row(r)
-		for i := range gx {
-			gx[i] = 0
-		}
-		for o := 0; o < d.Out; o++ {
-			gv := g[o]
+		g, gx := gout.Row(r), gin.Row(r)
+		clear(gx)
+		for o, gv := range g {
 			if gv == 0 {
 				continue
 			}
-			row := d.Weight.W[o*d.In : (o+1)*d.In]
-			if gw != nil {
-				gb[o] += gv
-				grow := gw[o*d.In : (o+1)*d.In]
-				for k, w := range row {
-					grow[k] += gv * x[k]
-					gx[k] += gv * w
-				}
-			} else {
-				for k, w := range row {
-					gx[k] += gv * w
+			for k, w := range d.Weight.W[o*d.In : (o+1)*d.In] {
+				gx[k] += gv * w
+			}
+		}
+	}
+}
+
+// denseGradW assigns the weight and bias gradients of outputs [o0, o1) of d
+// for the whole batch: x holds the layer's input rows, g its output-gradient
+// rows. Each gradient is
+//
+//	scale · (S_0 + S_1 + … )    S_s = ((0 + g_r·x_r) + g_r+1·x_r+1) + …
+//
+// with one partial sum S_s per shard of shardRows consecutive rows, rows
+// added in order from +0, and the shards added in ascending order — the value
+// sequence of per-shard gradient buffers reduced in shard order and scaled
+// last, without the buffers. The kernel is output-stationary: a shard's
+// partial sum lives in registers and the running total is parked in the
+// gradient itself, so there is nothing to zero, reduce or rescale
+// afterwards. No multiply-add is fused
+// (the Go compiler does not fuse on amd64 and the assembly uses separate
+// VMULPD/VADDPD), so the generic and AVX2 paths agree bit for bit. Exact-zero
+// output gradients are not skipped: their products are ±0, and a partial sum
+// that started at +0 is never −0, so adding them is the identity.
+func denseGradW(d *Dense, x, g Mat, o0, o1 int, scale float64, tmp []float64) {
+	rows, n := g.Rows, o1-o0
+	// Bias: one lane per output, rows read contiguously.
+	var acc, tot [gradTaskOuts]float64
+	for s0 := 0; s0 < rows; s0 += shardRows {
+		clear(acc[:n])
+		for r := s0; r < min(s0+shardRows, rows); r++ {
+			for i, gv := range g.Data[r*g.Stride+o0 : r*g.Stride+o1] {
+				acc[i] += gv
+			}
+		}
+		if s0 == 0 {
+			tot = acc
+			continue
+		}
+		for i := range tot[:n] {
+			tot[i] += acc[i]
+		}
+	}
+	for i, t := range tot[:n] {
+		d.Bias.G[o0+i] = t * scale
+	}
+
+	k0 := 0
+	if simdEnabled && d.In >= 4 && n >= 2 {
+		// The kernel covers whole quads of input columns; the loop below
+		// finishes the 0–3 columns left over.
+		k0 = d.In &^ 3
+		denseGradWBlockASM(&d.Weight.G[o0*d.In], &g.Data[o0], &x.Data[0], g.Stride, x.Stride, rows, d.In, n, scale, shardRows)
+	}
+	if k0 == d.In {
+		return
+	}
+	part := tmp[:d.In-k0]
+	for o := o0; o < o1; o++ {
+		gw := d.Weight.G[o*d.In+k0 : (o+1)*d.In]
+		for s0 := 0; s0 < rows; s0 += shardRows {
+			clear(part)
+			for r := s0; r < min(s0+shardRows, rows); r++ {
+				gv := g.Data[r*g.Stride+o]
+				for k, xv := range x.Data[r*x.Stride+k0 : r*x.Stride+d.In] {
+					part[k] += gv * xv
 				}
 			}
+			if s0 == 0 {
+				copy(gw, part)
+				continue
+			}
+			for k, p := range part {
+				gw[k] += p
+			}
+		}
+		for k := range gw {
+			gw[k] *= scale
 		}
 	}
 }

@@ -278,7 +278,7 @@ func TestTrainBatchErrors(t *testing.T) {
 }
 
 // TestBatchBackwardAccumulatesLikeSerial: parameter gradients from a batched
-// backward over one shard must match per-sample accumulation bit-for-bit.
+// backward over one shard must match per-sample accumulation.
 func TestBatchBackwardAccumulatesLikeSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	n := MLP(9, 16, 2, 5, rng)
@@ -293,11 +293,10 @@ func TestBatchBackwardAccumulatesLikeSerial(t *testing.T) {
 	}
 	x := NewMat(len(xs), 9)
 	x.CopyFromRows(xs)
-	n.ZeroGrad()
 	n.BatchForward(x)
 	g := NewMat(len(xs), 5)
 	g.CopyFromRows(grads)
-	n.BatchBackward(g)
+	n.BatchBackward(g, 1)
 
 	ref.ZeroGrad()
 	for r := range xs {
@@ -403,5 +402,5 @@ func TestBatchBackwardAfterInferBatchPanics(t *testing.T) {
 			t.Error("BatchBackward after InferBatch did not panic")
 		}
 	}()
-	n.BatchBackward(NewMat(4, 1))
+	n.BatchBackward(NewMat(4, 1), 1)
 }

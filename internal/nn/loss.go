@@ -201,10 +201,12 @@ func (SoftmaxCrossEntropy) lossGradInto(dst, tmp, pred, target []float64) float6
 	return s
 }
 
-// lossGradInto computes loss(pred, target) and writes its gradient into dst,
-// using the fused path when the loss supports it and falling back to the
-// allocating interface methods otherwise.
-func lossGradInto(loss Loss, dst, tmp, pred, target []float64) float64 {
+// LossGradInto computes loss(pred, target) and writes its gradient into dst —
+// the same values as loss.Loss and loss.Grad — using the fused,
+// allocation-free path when the loss supports it and falling back to the
+// allocating interface methods otherwise. tmp is scratch at least as wide as
+// pred; only SoftmaxCrossEntropy uses it.
+func LossGradInto(loss Loss, dst, tmp, pred, target []float64) float64 {
 	if fl, ok := loss.(fusedLoss); ok {
 		return fl.lossGradInto(dst, tmp, pred, target)
 	}

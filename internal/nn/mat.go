@@ -34,18 +34,15 @@ func (m Mat) CopyFromRows(rows [][]float64) {
 	}
 }
 
-// matBuf is a growable backing store for a Mat, reused across batches so the
-// steady-state training loop never allocates.
-type matBuf struct {
-	data []float64
-}
-
-// mat shapes the buffer as a rows×cols matrix, growing the backing array
-// only when capacity is exceeded.
-func (b *matBuf) mat(rows, cols int) Mat {
+// Resized returns a dense rows×cols matrix over m's backing array, allocating
+// a new one only when its capacity is exceeded. Contents are unspecified. It
+// is the growth primitive behind every reused batch buffer: keep the result
+// where m was (`buf = buf.Resized(r, c)`) and the steady-state training loop
+// never allocates.
+func (m Mat) Resized(rows, cols int) Mat {
 	need := rows * cols
-	if cap(b.data) < need {
-		b.data = make([]float64, need)
+	if cap(m.Data) < need {
+		m.Data = make([]float64, need)
 	}
-	return Mat{Rows: rows, Cols: cols, Stride: cols, Data: b.data[:need]}
+	return Mat{Rows: rows, Cols: cols, Stride: cols, Data: m.Data[:need]}
 }

@@ -20,27 +20,36 @@ var simdEnabled = simdAvailable
 // cpuidHasAVX2 checks CPUID for AVX2 and XGETBV for OS-enabled YMM state.
 func cpuidHasAVX2() bool
 
-// denseForwardBlockASM computes yt[o*4+lane] = bias[o] + Σ_k w[o*in+k] *
-// xt[k*4+lane] for o in [0, out), accumulating in ascending k order per lane.
-// xt is a k-major 4-sample tile; yt is an o-major 4-sample tile.
+// denseForwardBlockASM computes, for one block of four samples (one per
+// lane), out[o] = bias[o] + Σ_k w[o*in+k] * x[k] for o in [0, out),
+// accumulating in ascending k order per lane. With xStride != 0, x is the
+// first of four sample rows xStride elements apart and the kernel gathers
+// them into the k-major tile xt itself; with xStride == 0, x already is that
+// tile (xt is unused). With yStride != 0, y is the first of four output rows
+// and results are transposed in registers and stored straight into them;
+// with yStride == 0, y is an o-major tile — the layout the next layer's
+// kernel reads, which is how InferBatch chains layers without leaving it.
 //
 //go:noescape
-func denseForwardBlockASM(w, bias, xt, yt *float64, in, out int)
+func denseForwardBlockASM(w, bias, x, y *float64, xStride, yStride, in, out int, xt *float64)
 
-// denseBackwardDXBlockASM accumulates gxt[k*4+lane] += Σ_o gvt[o*4+lane] *
-// w[o*in+k] in ascending o order per (k, lane). gxt must be pre-zeroed.
+// denseBackwardDXBlockASM computes, for one block of four samples, gx[k] =
+// Σ_o dy[o] * w[o*in+k] from +0 in ascending o order per (k, sample). dy and
+// gx are the first of four rows gStride / gxStride elements apart; gvt is a
+// 4*out scratch tile. Every gx element is written exactly once.
 //
 //go:noescape
-func denseBackwardDXBlockASM(w, gvt, gxt *float64, in, out int)
+func denseBackwardDXBlockASM(w, dy, gx *float64, gStride, gxStride, in, out int, gvt *float64)
 
-// denseBackwardDWBlockASM accumulates gw[o*in+k] += Σ_j gvt[o*4+j] * xj[k]
-// in ascending sample order j for k in [0, in4) (in4 = in rounded down to a
-// multiple of 4; the caller handles the k tail). x0..x3 are the four sample
-// rows of a full block — callers only dispatch complete 4-row blocks. gw
-// rows have stride in.
+// denseGradWBlockASM assigns gw[o*in+k] = scale · Σ_shards (Σ_rows dy[r][o] *
+// x[r][k]) for o in [0, nOut) and k in [0, in&^3): rows in order from +0
+// within each shard of `shard` rows, shards in ascending order, scale last
+// (the caller handles the k tail and the bias). gw is the first neuron's
+// gradient row (stride in), dy its entry in output-gradient row 0 (row stride
+// gStride), x input row 0 (row stride xStride). nOut must be at least 2.
 //
 //go:noescape
-func denseBackwardDWBlockASM(gw, gvt, x0, x1, x2, x3 *float64, in, in4, out int)
+func denseGradWBlockASM(gw, dy, x *float64, gStride, xStride, rows, in, nOut int, scale float64, shard int)
 
 // adamStepASM applies the Adam update to the first n&^3 elements of w/g/m/v
 // (the caller handles the tail). VDIVPD and VSQRTPD are IEEE correctly

@@ -8,9 +8,13 @@ package nn
 var simdAvailable = false
 var simdEnabled = false
 
-func denseForwardBlockASM(w, bias, xt, yt *float64, in, out int)      { panic("nn: no simd") } //lint:allow panicfree unreachable: simdEnabled is false on this platform
-func denseBackwardDXBlockASM(w, gvt, gxt *float64, in, out int)       { panic("nn: no simd") } //lint:allow panicfree unreachable: simdEnabled is false on this platform
-func denseBackwardDWBlockASM(gw, gvt, x0, x1, x2, x3 *float64, in, in4, out int) {
+func denseForwardBlockASM(w, bias, x, y *float64, xStride, yStride, in, out int, xt *float64) {
+	panic("nn: no simd") //lint:allow panicfree unreachable: simdEnabled is false on this platform
+}
+func denseBackwardDXBlockASM(w, dy, gx *float64, gStride, gxStride, in, out int, gvt *float64) {
+	panic("nn: no simd") //lint:allow panicfree unreachable: simdEnabled is false on this platform
+}
+func denseGradWBlockASM(gw, dy, x *float64, gStride, xStride, rows, in, nOut int, scale float64, shard int) {
 	panic("nn: no simd") //lint:allow panicfree unreachable: simdEnabled is false on this platform
 }
 
@@ -22,7 +26,7 @@ func leakyForwardASM(x, y *float64, n int, alpha float64) { panic("nn: no simd")
 func leakyBackwardASM(x, grad, gx *float64, n int, alpha float64) {
 	panic("nn: no simd") //lint:allow panicfree unreachable: simdEnabled is false on this platform
 }
-func reluForwardASM(x, y *float64, n int)      { panic("nn: no simd") } //lint:allow panicfree unreachable: simdEnabled is false on this platform
+func reluForwardASM(x, y *float64, n int) { panic("nn: no simd") } //lint:allow panicfree unreachable: simdEnabled is false on this platform
 func reluBackwardASM(x, grad, gx *float64, n int) {
 	panic("nn: no simd") //lint:allow panicfree unreachable: simdEnabled is false on this platform
 }

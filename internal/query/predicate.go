@@ -145,10 +145,22 @@ func (p Predicate) FeaturizeInto(s *Schema, f []float64) {
 // well-formed predicates.
 func Unfeaturize(f []float64, s *Schema) Predicate {
 	d := s.NumCols()
+	p := Predicate{Lows: make([]float64, d), Highs: make([]float64, d)}
+	UnfeaturizeInto(f, s, p)
+	return p
+}
+
+// UnfeaturizeInto is Unfeaturize into the bounds of p, which must have the
+// schema's dimension. It performs no allocation, so a training loop can
+// reuse one predicate per throw-away sample.
+func UnfeaturizeInto(f []float64, s *Schema, p Predicate) {
+	d := s.NumCols()
 	if len(f) != 2*d {
 		panic(fmt.Sprintf("query: feature len %d vs 2·%d", len(f), d))
 	}
-	p := Predicate{Lows: make([]float64, d), Highs: make([]float64, d)}
+	if p.Dim() != d {
+		panic(fmt.Sprintf("query: predicate dim %d vs schema %d", p.Dim(), d))
+	}
 	for i := 0; i < d; i++ {
 		span := s.Maxs[i] - s.Mins[i]
 		lo := s.Mins[i] + mathClamp(f[i], 0, 1)*span
@@ -159,7 +171,7 @@ func Unfeaturize(f []float64, s *Schema) Predicate {
 		}
 		p.Lows[i], p.Highs[i] = lo, hi
 	}
-	return p.Normalize(s)
+	p.Normalize(s)
 }
 
 // Volume returns the fraction of the normalized predicate box relative to

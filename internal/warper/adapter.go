@@ -234,9 +234,9 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, er
 		if a.det.pi > a.Cfg.Pi {
 			a.det.pi = maxF(a.Cfg.Pi, a.det.pi*0.8)
 		}
-		rep.Busy = w.Stop()
-		a.Ledger.Charge("detect", rep.Busy)
 		stages[0] = stageW.Stop()
+		a.Ledger.Charge("detect", stages[0])
+		rep.Busy = w.Stop()
 		a.emitPeriod(&rep, len(arrivals), &stages)
 		return rep, nil
 	}
@@ -256,6 +256,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, er
 	}
 
 	stages[0] = stageW.Stop()
+	a.Ledger.Charge("detect", stages[0])
 	stageW = simclock.StartWatch()
 
 	// Lines 3–8: update the learned components; generate when in c2.
@@ -273,9 +274,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, er
 			}
 			preds := genFn(a.Pool, nGen)
 			for _, p := range preds {
-				e := a.Pool.AddGenerated(p)
-				a.comps.Embed(e)
-				a.comps.Classify(e)
+				a.Pool.AddGenerated(p)
 			}
 			rep.Generated = len(preds)
 			a.Ledger.Charge("gen", genW.Stop())
@@ -286,9 +285,12 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, er
 		a.Ledger.Charge("ae", aw.Stop())
 	}
 
-	// Refresh embeddings so the picker sees current z.
+	// Refresh embeddings so the picker sees current z (and the freshly
+	// generated entries get theirs, with l' and s').
+	ew := simclock.StartWatch()
 	a.comps.EmbedAll(a.Pool)
 	a.comps.ClassifyAll(a.Pool.BySource(pool.SrcGen))
+	a.Ledger.Charge("embed", ew.Stop())
 	stages[1] = stageW.Stop()
 
 	// Line 9: pick queries and annotate them.

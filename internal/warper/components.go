@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"warper/internal/mathx"
 	"warper/internal/nn"
 	"warper/internal/pool"
 	"warper/internal/query"
@@ -26,8 +25,11 @@ type components struct {
 
 	optEnc  nn.Optimizer
 	optGen  nn.Optimizer
-	optDisc Optimizer4
+	optDisc nn.Optimizer
 	rng     *rand.Rand
+
+	// The networks' parameter lists, built once: Network.Params allocates.
+	encParams, genParams, discParams []*nn.Param
 
 	// gtScale normalizes log-cardinality inputs to the encoder.
 	gtScale float64
@@ -36,7 +38,37 @@ type components struct {
 	// steps since the last TakeTrained call (feeds the per-period training
 	// throughput in PeriodStats and /metrics).
 	trained int
+
+	arena stepArena
 }
+
+// stepArena holds every buffer a training step or an embedding refresh
+// needs, reused across calls so that a steady-state GAN iteration allocates
+// nothing. Everything is sized by the minibatch or by embedChunk rows, never
+// by the pool.
+type stepArena struct {
+	encIn  nn.Mat // 𝔼 inputs: featurization + the two gt slots
+	zIn    nn.Mat // 𝔾 / 𝔻 inputs: z + ε, or stored embeddings
+	outG   nn.Mat // loss gradient at a network's output
+	featG  nn.Mat // genStep: anchor-loss gradient, then dLoss/d𝔾-output
+	anchor nn.Mat // genStep: the seeds' featurizations
+
+	batch   []*pool.Entry // the sampled minibatch
+	picks   []*pool.Entry // generator seeds for the throw-away fakes
+	missing []*pool.Entry // entries found without an embedding
+	fakes   []pool.Entry  // throw-away generated entries for 𝔻
+
+	sigma, mean []float64 // embeddingStd result and its scratch
+	probs       [numClasses]float64
+}
+
+// embedChunk is the row count of one batched 𝔼/𝔻 refresh pass: whole-pool
+// refreshes run in chunks of this size so the networks' activation arenas
+// are sized by it, not by the pool.
+const embedChunk = 256
+
+// oneHot holds the discriminator's three target distributions.
+var oneHot = [numClasses][numClasses]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 
 // TakeTrained returns the number of samples trained since the last call and
 // resets the counter.
@@ -46,9 +78,6 @@ func (c *components) TakeTrained() int {
 	return n
 }
 
-// Optimizer4 aliases nn.Optimizer; named to keep struct alignment readable.
-type Optimizer4 = nn.Optimizer
-
 // discriminator class indices: the source order {gen, new, train} from §3.3.
 const (
 	classGen   = 0
@@ -56,6 +85,9 @@ const (
 	classTrain = 2
 	numClasses = 3
 )
+
+// sourceOf maps a discriminator class back to the pool source it stands for.
+var sourceOf = [numClasses]pool.Source{classGen: pool.SrcGen, classNew: pool.SrcNew, classTrain: pool.SrcTrain}
 
 func classOf(s pool.Source) int {
 	switch s {
@@ -99,23 +131,17 @@ func newComponents(cfg Config, sch *query.Schema, nRows int, rng *rand.Rand) *co
 	c.optEnc = nn.NewAdam(cfg.LR)
 	c.optGen = nn.NewAdam(cfg.LR)
 	c.optDisc = nn.NewAdam(cfg.LR)
+	c.encParams, c.genParams, c.discParams = c.enc.Params(), c.gen.Params(), c.disc.Params()
 	return c
 }
 
-// encoderInput builds the 𝔼 input for an entry: featurized predicate plus
-// the ground-truth signal when available and fresh (§3.2: "embed() uses the
-// ground truth labels as an additional input ... whenever they are available
-// and up-to-date").
-func (c *components) encoderInput(e *pool.Entry) []float64 {
-	in := make([]float64, c.sch.FeatureDim()+2)
-	c.encoderInputInto(e, in)
-	return in
-}
-
-// encoderInputInto writes the 𝔼 input for e into dst (len FeatureDim()+2).
+// encoderInputInto writes the 𝔼 input for e into dst (len FeatureDim()+2):
+// the featurized predicate plus the ground-truth signal when available and
+// fresh (§3.2: "embed() uses the ground truth labels as an additional input
+// ... whenever they are available and up-to-date").
 func (c *components) encoderInputInto(e *pool.Entry, dst []float64) {
-	feat := e.Pred.Featurize(c.sch)
-	d := copy(dst, feat)
+	d := c.sch.FeatureDim()
+	e.Pred.FeaturizeInto(c.sch, dst[:d])
 	if e.HasGT() {
 		dst[d] = math.Log1p(e.GT) / c.gtScale
 		dst[d+1] = 1
@@ -125,26 +151,23 @@ func (c *components) encoderInputInto(e *pool.Entry, dst []float64) {
 	}
 }
 
-// Embed computes z = 𝔼(q, gt) and stores it on the entry.
-func (c *components) Embed(e *pool.Entry) []float64 {
-	z := c.enc.Forward(c.encoderInput(e))
-	e.Z = append(e.Z[:0], z...)
-	return e.Z
-}
-
-// embedEntries refreshes e.Z for every given entry with one batched 𝔼 pass
-// (duplicate entries are simply re-written with the same value).
+// embedEntries refreshes e.Z for every given entry with batched 𝔼 passes of
+// at most embedChunk rows (duplicate entries are simply re-written with the
+// same value). A row's embedding does not depend on what else is in its
+// batch, so chunking changes no bits.
 func (c *components) embedEntries(entries []*pool.Entry) {
-	if len(entries) == 0 {
-		return
-	}
-	in := nn.NewMat(len(entries), c.sch.FeatureDim()+2)
-	for i, e := range entries {
-		c.encoderInputInto(e, in.Row(i))
-	}
-	z := c.enc.BatchForward(in)
-	for i, e := range entries {
-		e.Z = append(e.Z[:0], z.Row(i)...)
+	for len(entries) > 0 {
+		chunk := entries[:min(len(entries), embedChunk)]
+		entries = entries[len(chunk):]
+		c.arena.encIn = c.arena.encIn.Resized(len(chunk), c.sch.FeatureDim()+2)
+		in := c.arena.encIn
+		for i, e := range chunk {
+			c.encoderInputInto(e, in.Row(i))
+		}
+		z := c.enc.BatchForward(in)
+		for i, e := range chunk {
+			e.Z = append(e.Z[:0], z.Row(i)...)
+		}
 	}
 }
 
@@ -154,57 +177,45 @@ func (c *components) EmbedAll(p *pool.Pool) {
 	c.embedEntries(p.Entries)
 }
 
-// applyClass stores the classification of one softmax row on the entry.
-func applyClass(e *pool.Entry, probs []float64) (pool.Source, float64) {
-	best := classGen
-	for k := 1; k < numClasses; k++ {
-		if probs[k] > probs[best] {
-			best = k
-		}
-	}
-	var src pool.Source
-	switch best {
-	case classGen:
-		src = pool.SrcGen
-	case classNew:
-		src = pool.SrcNew
-	default:
-		src = pool.SrcTrain
-	}
-	e.PredSource = src
-	e.Conf = probs[classNew]
-	return src, probs[classNew]
-}
-
-// Classify runs 𝔻 on an entry's embedding, storing l' and the confidence s'
-// (the softmax probability that the predicate resembles the new workload).
-func (c *components) Classify(e *pool.Entry) (pool.Source, float64) {
-	if len(e.Z) != c.embedDim {
-		c.Embed(e)
-	}
-	return applyClass(e, nn.Softmax(c.disc.Forward(e.Z)))
-}
-
-// ClassifyAll refreshes l', s' for the given entries with one batched 𝔻 pass
-// over their embeddings.
-func (c *components) ClassifyAll(entries []*pool.Entry) {
-	if len(entries) == 0 {
-		return
-	}
-	var missing []*pool.Entry
+// embedMissing embeds the entries that carry no embedding of the configured
+// width yet.
+func (c *components) embedMissing(entries []*pool.Entry) {
+	missing := c.arena.missing[:0]
 	for _, e := range entries {
 		if len(e.Z) != c.embedDim {
 			missing = append(missing, e)
 		}
 	}
+	c.arena.missing = missing
 	c.embedEntries(missing)
-	zm := nn.NewMat(len(entries), c.embedDim)
-	for i, e := range entries {
-		copy(zm.Row(i), e.Z)
-	}
-	logits := c.disc.BatchForward(zm)
-	for i, e := range entries {
-		applyClass(e, nn.Softmax(logits.Row(i)))
+}
+
+// ClassifyAll refreshes l', s' for the given entries — the discriminator's
+// predicted origin and the softmax probability that the predicate resembles
+// the new workload — with batched 𝔻 passes of at most embedChunk rows over
+// their embeddings.
+func (c *components) ClassifyAll(entries []*pool.Entry) {
+	c.embedMissing(entries)
+	for len(entries) > 0 {
+		chunk := entries[:min(len(entries), embedChunk)]
+		entries = entries[len(chunk):]
+		c.arena.zIn = c.arena.zIn.Resized(len(chunk), c.embedDim)
+		zm := c.arena.zIn
+		for i, e := range chunk {
+			copy(zm.Row(i), e.Z)
+		}
+		logits := c.disc.BatchForward(zm)
+		for i, e := range chunk {
+			probs := nn.SoftmaxInto(c.arena.probs[:], logits.Row(i))
+			best := classGen
+			for k := 1; k < numClasses; k++ {
+				if probs[k] > probs[best] {
+					best = k
+				}
+			}
+			e.PredSource = sourceOf[best]
+			e.Conf = probs[classNew]
+		}
 	}
 }
 
@@ -213,11 +224,18 @@ func sampleEntries(entries []*pool.Entry, n int, rng *rand.Rand) []*pool.Entry {
 	if len(entries) == 0 {
 		return nil
 	}
-	out := make([]*pool.Entry, n)
-	for i := range out {
-		out[i] = entries[rng.Intn(len(entries))]
+	return sampleInto(make([]*pool.Entry, 0, n), entries, n, rng)
+}
+
+// sampleInto appends n entries drawn uniformly with replacement to dst.
+func sampleInto(dst, entries []*pool.Entry, n int, rng *rand.Rand) []*pool.Entry {
+	if len(entries) == 0 {
+		return dst
 	}
-	return out
+	for i := 0; i < n; i++ {
+		dst = append(dst, entries[rng.Intn(len(entries))])
+	}
+	return dst
 }
 
 // aeStep runs one autoencoder minibatch: q → 𝔼 → z → 𝔾 → q̂ with L1
@@ -230,30 +248,25 @@ func (c *components) aeStep(batch []*pool.Entry) float64 {
 	}
 	b := len(batch)
 	featDim := c.sch.FeatureDim()
-	c.enc.ZeroGrad()
-	c.gen.ZeroGrad()
-	in := nn.NewMat(b, featDim+2)
+	a := &c.arena
+	a.encIn = a.encIn.Resized(b, featDim+2)
+	a.outG = a.outG.Resized(b, featDim)
+	in, g := a.encIn, a.outG
 	for i, e := range batch {
 		c.encoderInputInto(e, in.Row(i))
 	}
 	z := c.enc.BatchForward(in)
 	rec := c.gen.BatchForward(z)
-	var loss nn.L1
 	var total float64
-	g := nn.NewMat(b, featDim)
 	for r := 0; r < b; r++ {
-		target := in.Row(r)[:featDim]
-		total += loss.Loss(rec.Row(r), target)
-		copy(g.Row(r), loss.Grad(rec.Row(r), target))
+		total += nn.LossGradInto(nn.L1{}, g.Row(r), nil, rec.Row(r), in.Row(r)[:featDim])
 	}
-	gz := c.gen.BatchBackward(g)
-	c.enc.BatchBackward(gz)
-	c.trained += b
 	scale := 1 / float64(b)
-	scaleGrads(c.enc, scale)
-	scaleGrads(c.gen, scale)
-	c.optEnc.Step(c.enc.Params())
-	c.optGen.Step(c.gen.Params())
+	gz := c.gen.BatchBackward(g, scale)
+	c.enc.BatchBackward(gz, scale)
+	c.trained += b
+	c.optEnc.Step(c.encParams)
+	c.optGen.Step(c.genParams)
 	return total / float64(b)
 }
 
@@ -270,14 +283,11 @@ func (c *components) UpdateAutoEncoder(p *pool.Pool, epochs int) float64 {
 		var epochLoss float64
 		var batches int
 		for start := 0; start < len(perm); start += c.batch {
-			end := start + c.batch
-			if end > len(perm) {
-				end = len(perm)
-			}
-			batch := make([]*pool.Entry, 0, end-start)
-			for _, j := range perm[start:end] {
+			batch := c.arena.batch[:0]
+			for _, j := range perm[start:min(start+c.batch, len(perm))] {
 				batch = append(batch, entries[j])
 			}
+			c.arena.batch = batch
 			epochLoss += c.aeStep(batch)
 			batches++
 		}
@@ -297,25 +307,23 @@ func (c *components) discStep(batch []*pool.Entry) float64 {
 		return 0
 	}
 	b := len(batch)
-	c.disc.ZeroGrad()
-	in := nn.NewMat(b, c.sch.FeatureDim()+2)
+	a := &c.arena
+	a.encIn = a.encIn.Resized(b, c.sch.FeatureDim()+2)
+	a.outG = a.outG.Resized(b, numClasses)
+	in, g := a.encIn, a.outG
 	for i, e := range batch {
 		c.encoderInputInto(e, in.Row(i))
 	}
 	z := c.enc.BatchForward(in)
 	logits := c.disc.BatchForward(z)
-	var loss nn.SoftmaxCrossEntropy
 	var total float64
-	g := nn.NewMat(b, numClasses)
 	for r := 0; r < b; r++ {
-		target := nn.OneHot(numClasses, classOf(batch[r].Source))
-		total += loss.Loss(logits.Row(r), target)
-		copy(g.Row(r), loss.Grad(logits.Row(r), target))
+		target := oneHot[classOf(batch[r].Source)][:]
+		total += nn.LossGradInto(nn.SoftmaxCrossEntropy{}, g.Row(r), a.probs[:], logits.Row(r), target)
 	}
-	c.disc.BatchBackward(g)
+	c.disc.BatchBackward(g, 1/float64(b))
 	c.trained += b
-	scaleGrads(c.disc, 1/float64(b))
-	c.optDisc.Step(c.disc.Params())
+	c.optDisc.Step(c.discParams)
 	return total / float64(b)
 }
 
@@ -337,60 +345,55 @@ func (c *components) genStep(seeds []*pool.Entry, sigma []float64) float64 {
 	}
 	b := len(seeds)
 	featDim := c.sch.FeatureDim()
-	c.gen.ZeroGrad()
-	var ce nn.SoftmaxCrossEntropy
-	var l1 nn.L1
-	target := nn.OneHot(numClasses, classNew)
+	a := &c.arena
+	c.embedMissing(seeds)
+	a.zIn = a.zIn.Resized(b, c.embedDim)
+	a.encIn = a.encIn.Resized(b, featDim+2)
+	a.outG = a.outG.Resized(b, numClasses)
+	a.featG = a.featG.Resized(b, featDim)
+	a.anchor = a.anchor.Resized(b, featDim)
+	zin, encIn, gCE, gFeat, anchor := a.zIn, a.encIn, a.outG, a.featG, a.anchor
 
-	var missing []*pool.Entry
-	for _, seed := range seeds {
-		if len(seed.Z) != c.embedDim {
-			missing = append(missing, seed)
-		}
-	}
-	c.embedEntries(missing)
-	zin := nn.NewMat(b, c.embedDim)
 	for i, seed := range seeds {
-		copy(zin.Row(i), c.noisy(seed.Z, sigma))
+		c.noisyInto(zin.Row(i), seed.Z, sigma)
 	}
 	feat := c.gen.BatchForward(zin)
-	// Pad generated featurizations into encoder inputs; the two gt slots
-	// stay zero (no ground truth for synthetic queries).
-	encIn := nn.NewMat(b, featDim+2)
+	// Pad generated featurizations into encoder inputs; the two gt slots are
+	// zero (no ground truth for synthetic queries).
 	for r := 0; r < b; r++ {
-		copy(encIn.Row(r), feat.Row(r))
+		row := encIn.Row(r)
+		copy(row, feat.Row(r))
+		row[featDim], row[featDim+1] = 0, 0
 	}
 	z2 := c.enc.BatchForward(encIn)
 	logits := c.disc.BatchForward(z2)
 
-	anchors := make([][]float64, b)
+	// Per row: the adversarial gradient (scaled in place) goes back through
+	// 𝔻 and 𝔼; the anchor gradient waits in gFeat for what comes back.
 	var total float64
-	gCE := nn.NewMat(b, numClasses)
+	target := oneHot[classNew][:]
 	for r := 0; r < b; r++ {
-		anchors[r] = seeds[r].Pred.Featurize(c.sch)
-		total += genAdvWeight*ce.Loss(logits.Row(r), target) + genAnchorWeight*l1.Loss(feat.Row(r), anchors[r])
-		g := ce.Grad(logits.Row(r), target)
+		seeds[r].Pred.FeaturizeInto(c.sch, anchor.Row(r))
+		adv := nn.LossGradInto(nn.SoftmaxCrossEntropy{}, gCE.Row(r), a.probs[:], logits.Row(r), target)
+		total += genAdvWeight*adv + genAnchorWeight*nn.LossGradInto(nn.L1{}, gFeat.Row(r), nil, feat.Row(r), anchor.Row(r))
 		row := gCE.Row(r)
-		for i := range g {
-			row[i] = genAdvWeight * g[i]
+		for i := range row {
+			row[i] = genAdvWeight * row[i]
 		}
 	}
-	// Gradients flow through 𝔻 and 𝔼 as data only (BatchBackwardData skips
-	// parameter-gradient accumulation): only 𝔾 steps here.
+	// Gradients flow through 𝔻 and 𝔼 as data only (BatchBackwardData leaves
+	// their parameter gradients alone): only 𝔾 steps here.
 	gz2 := c.disc.BatchBackwardData(gCE)
 	gEncIn := c.enc.BatchBackwardData(gz2)
-	gFeat := nn.NewMat(b, featDim)
 	for r := 0; r < b; r++ {
-		row := gFeat.Row(r)
-		copy(row, gEncIn.Row(r)[:featDim])
-		for i, g := range l1.Grad(feat.Row(r), anchors[r]) {
-			row[i] += genAnchorWeight * g
+		row, back := gFeat.Row(r), gEncIn.Row(r)
+		for i := range row {
+			row[i] = back[i] + genAnchorWeight*row[i]
 		}
 	}
-	c.gen.BatchBackward(gFeat)
+	c.gen.BatchBackward(gFeat, 1/float64(b))
 	c.trained += b
-	scaleGrads(c.gen, 1/float64(b))
-	c.optGen.Step(c.gen.Params())
+	c.optGen.Step(c.genParams)
 	return total / float64(b)
 }
 
@@ -400,35 +403,59 @@ func (c *components) genStep(seeds []*pool.Entry, sigma []float64) float64 {
 // (higher δ_js to the target workload).
 var noiseScale = 0.4
 
-// noisy returns z + ε with ε ~ N(0, (noiseScale·σ)²) per dimension (§3.2: σ
-// derives from the std of the embeddings of previously seen predicates).
-func (c *components) noisy(z []float64, sigma []float64) []float64 {
-	out := make([]float64, len(z))
+// noisyInto writes z + ε into dst, with ε ~ N(0, (noiseScale·σ)²) per
+// dimension (§3.2: σ derives from the std of the embeddings of previously
+// seen predicates).
+func (c *components) noisyInto(dst, z, sigma []float64) {
 	for i := range z {
-		out[i] = z[i] + c.rng.NormFloat64()*sigma[i]*noiseScale
+		dst[i] = z[i] + c.rng.NormFloat64()*sigma[i]*noiseScale
 	}
-	return out
 }
 
-// embeddingStd computes the per-dimension std of the given entries'
-// embeddings.
+// embeddingStd computes the per-dimension population std of the given
+// entries' embeddings (entries without one are left out), reading the
+// embeddings in place. The result lives in the step arena and is valid until
+// the next call.
 func (c *components) embeddingStd(entries []*pool.Entry) []float64 {
-	sigma := make([]float64, c.embedDim)
+	a := &c.arena
+	if len(a.sigma) != c.embedDim {
+		a.sigma = make([]float64, c.embedDim)
+		a.mean = make([]float64, c.embedDim)
+	}
+	sigma, mean := a.sigma, a.mean
 	if len(entries) < 2 {
 		for i := range sigma {
 			sigma[i] = 0.1
 		}
 		return sigma
 	}
-	for d := 0; d < c.embedDim; d++ {
-		col := make(mathx.Vector, 0, len(entries))
-		for _, e := range entries {
-			if len(e.Z) == c.embedDim {
-				col = append(col, e.Z[d])
+	// Two passes, each dimension accumulating in entry order: mean, then the
+	// mean squared deviation.
+	clear(mean)
+	n := 0
+	for _, e := range entries {
+		if len(e.Z) == c.embedDim {
+			n++
+			for d, z := range e.Z {
+				mean[d] += z
 			}
 		}
-		sigma[d] = col.Std()
-		if sigma[d] <= 0 {
+	}
+	for d := range mean {
+		mean[d] /= float64(n)
+	}
+	clear(sigma)
+	for _, e := range entries {
+		if len(e.Z) == c.embedDim {
+			for d, z := range e.Z {
+				dev := z - mean[d]
+				sigma[d] += dev * dev
+			}
+		}
+	}
+	for d := range sigma {
+		sigma[d] = math.Sqrt(sigma[d] / float64(n))
+		if n < 2 || sigma[d] <= 0 {
 			sigma[d] = 0.05
 		}
 	}
@@ -442,10 +469,7 @@ type ganLoss struct{ AE, Gen, Disc float64 }
 func (g ganLoss) total() float64 { return g.Gen + g.Disc }
 
 // UpdateMultiTask implements update_MultiTask (§3.3): up to nIters GAN
-// iterations, each consisting of an autoencoder step (so 𝔼/𝔾 keep adapting
-// on the fly), a discriminator step over {gen,new,train} samples, and an
-// adversarial generator step from new-workload embeddings. It early-stops
-// when 𝓛_GAN converges (§3.5).
+// iterations (see ganIteration). It early-stops when 𝓛_GAN converges (§3.5).
 func (c *components) UpdateMultiTask(p *pool.Pool, nIters int) ganLoss {
 	newEntries := p.BySource(pool.SrcNew)
 	if len(newEntries) == 0 {
@@ -453,29 +477,14 @@ func (c *components) UpdateMultiTask(p *pool.Pool, nIters int) ganLoss {
 		c.UpdateAutoEncoder(p, 1)
 		return ganLoss{}
 	}
-	c.EmbedAll(p)
+	// Only the new-workload embeddings are read below (noise scale, seeds);
+	// every caller re-embeds the whole pool once 𝔼 has stopped moving.
+	c.embedEntries(newEntries)
 	var last ganLoss
 	prev := math.Inf(1)
 	stall := 0
 	for it := 0; it < nIters; it++ {
-		// Task 1: autoencoder minibatch over the whole pool.
-		aeBatch := sampleEntries(p.Entries, c.batch, c.rng)
-		last.AE = c.aeStep(aeBatch)
-
-		// Task 2: discriminator on real pool entries plus freshly generated
-		// fakes so 𝔻 sees all three classes.
-		discBatch := sampleEntries(p.Entries, c.batch/2, c.rng)
-		sigma := c.embeddingStd(newEntries)
-		fakes := c.generateEntries(newEntries, c.batch/2, sigma)
-		discBatch = append(discBatch, fakes...)
-		last.Disc = c.discStep(discBatch)
-
-		// Task 3: adversarial generator step seeded from new-workload
-		// embeddings.
-		seedEntries := sampleEntries(newEntries, c.batch/2, c.rng)
-		last.Gen = c.genStep(seedEntries, sigma)
-
-		c.optDisc.EndEpoch()
+		last = c.ganIteration(p, newEntries)
 
 		// Early stop when 𝓛_GAN stops improving.
 		if math.Abs(prev-last.total()) < 1e-3 {
@@ -491,33 +500,63 @@ func (c *components) UpdateMultiTask(p *pool.Pool, nIters int) ganLoss {
 	return last
 }
 
+// ganIteration is one round of the three tasks: an autoencoder step (so 𝔼/𝔾
+// keep adapting on the fly), a discriminator step over {gen,new,train}
+// samples, and an adversarial generator step from new-workload embeddings.
+// In steady state it allocates nothing.
+func (c *components) ganIteration(p *pool.Pool, newEntries []*pool.Entry) ganLoss {
+	a := &c.arena
+	var l ganLoss
+
+	// Task 1: autoencoder minibatch over the whole pool.
+	a.batch = sampleInto(a.batch[:0], p.Entries, c.batch, c.rng)
+	l.AE = c.aeStep(a.batch)
+
+	// Task 2: discriminator on real pool entries plus freshly generated
+	// fakes so 𝔻 sees all three classes.
+	a.batch = sampleInto(a.batch[:0], p.Entries, c.batch/2, c.rng)
+	sigma := c.embeddingStd(newEntries)
+	a.batch = c.appendFakes(a.batch, newEntries, c.batch/2, sigma)
+	l.Disc = c.discStep(a.batch)
+
+	// Task 3: adversarial generator step seeded from new-workload
+	// embeddings.
+	a.batch = sampleInto(a.batch[:0], newEntries, c.batch/2, c.rng)
+	l.Gen = c.genStep(a.batch, sigma)
+
+	c.optDisc.EndEpoch()
+	return l
+}
+
 // generateFeats synthesizes n featurizations seeded from random
 // new-workload embeddings: one batched 𝔼 refresh over the picks (𝔼 may have
 // changed since their Z was cached) plus one batched 𝔾 pass. The returned
 // matrix is a scratch view valid until the next 𝔾 batch operation.
 func (c *components) generateFeats(newEntries []*pool.Entry, n int, sigma []float64) nn.Mat {
-	picks := make([]*pool.Entry, n)
-	for i := range picks {
-		picks[i] = newEntries[c.rng.Intn(len(newEntries))]
+	a := &c.arena
+	a.picks = sampleInto(a.picks[:0], newEntries, n, c.rng)
+	c.embedEntries(a.picks)
+	a.zIn = a.zIn.Resized(n, c.embedDim)
+	for i, e := range a.picks {
+		c.noisyInto(a.zIn.Row(i), e.Z, sigma)
 	}
-	c.embedEntries(picks)
-	zin := nn.NewMat(n, c.embedDim)
-	for i, e := range picks {
-		copy(zin.Row(i), c.noisy(e.Z, sigma))
-	}
-	return c.gen.BatchForward(zin)
+	return c.gen.BatchForward(a.zIn)
 }
 
-// generateEntries synthesizes n throwaway entries (not added to the pool)
-// for discriminator training.
-func (c *components) generateEntries(newEntries []*pool.Entry, n int, sigma []float64) []*pool.Entry {
+// appendFakes synthesizes n throwaway entries (never added to the pool) for
+// discriminator training and appends them to dst. They live in the step
+// arena and are overwritten by the next call.
+func (c *components) appendFakes(dst, newEntries []*pool.Entry, n int, sigma []float64) []*pool.Entry {
 	feats := c.generateFeats(newEntries, n, sigma)
-	out := make([]*pool.Entry, n)
-	for i := range out {
-		pred := query.Unfeaturize(feats.Row(i), c.sch)
-		out[i] = &pool.Entry{Pred: pred, GT: pool.NoGT, Source: pool.SrcGen}
+	a := &c.arena
+	for len(a.fakes) < n {
+		a.fakes = append(a.fakes, pool.Entry{Pred: query.NewFullRange(c.sch), GT: pool.NoGT, Source: pool.SrcGen})
 	}
-	return out
+	for i := 0; i < n; i++ {
+		query.UnfeaturizeInto(feats.Row(i), c.sch, a.fakes[i].Pred)
+		dst = append(dst, &a.fakes[i])
+	}
+	return dst
 }
 
 // Generate implements pool.gen(𝔾, 𝔼, n): n synthetic predicates seeded from
@@ -534,12 +573,4 @@ func (c *components) Generate(p *pool.Pool, n int) []query.Predicate {
 		out[i] = query.Unfeaturize(feats.Row(i), c.sch)
 	}
 	return out
-}
-
-func scaleGrads(n *nn.Network, s float64) {
-	for _, p := range n.Params() {
-		for i := range p.G {
-			p.G[i] *= s
-		}
-	}
 }

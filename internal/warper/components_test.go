@@ -25,6 +25,11 @@ type testEnv struct {
 
 func newTestEnv(t *testing.T, nTrain, nNew int) *testEnv {
 	t.Helper()
+	return newTestEnvTB(t, nTrain, nNew)
+}
+
+func newTestEnvTB(t testing.TB, nTrain, nNew int) *testEnv {
+	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	tbl := dataset.PRSA(3000, rng)
 	sch := query.SchemaOf(tbl)
@@ -161,13 +166,13 @@ func TestDiscriminatorLearnsSourceClasses(t *testing.T) {
 	c.UpdateAutoEncoder(p, 5)
 	c.UpdateMultiTask(p, cfg.NIters)
 	c.EmbedAll(p)
+	c.ClassifyAll(p.Entries)
 	// The discriminator should separate train from new better than chance.
 	correct, total := 0, 0
 	for _, e := range p.Entries {
-		src, _ := c.Classify(e)
 		if e.Source == pool.SrcTrain || e.Source == pool.SrcNew {
 			total++
-			if src == e.Source {
+			if e.PredSource == e.Source {
 				correct++
 			}
 		}
@@ -182,14 +187,16 @@ func TestClassifySetsConfidence(t *testing.T) {
 	env := newTestEnv(t, 60, 20)
 	p := env.seededPool(20)
 	c := newComponents(smallCfg(), env.sch, env.tbl.NumRows(), env.rng)
-	c.EmbedAll(p)
 	for _, e := range p.Entries {
-		_, conf := c.Classify(e)
-		if conf < 0 || conf > 1 {
-			t.Fatalf("confidence out of range: %v", conf)
+		e.Conf = -1
+	}
+	c.ClassifyAll(p.Entries) // embeds the entries first: none has a z yet
+	for _, e := range p.Entries {
+		if len(e.Z) != c.embedDim {
+			t.Fatal("ClassifyAll left an entry without an embedding")
 		}
-		if e.Conf != conf {
-			t.Fatal("Conf not stored on entry")
+		if e.Conf < 0 || e.Conf > 1 {
+			t.Fatalf("confidence not stored or out of range: %v", e.Conf)
 		}
 	}
 }
@@ -199,11 +206,10 @@ func TestEncoderUsesGTWhenAvailable(t *testing.T) {
 	c := newComponents(smallCfg(), env.sch, env.tbl.NumRows(), env.rng)
 	with := &pool.Entry{Pred: env.train[0].Pred, GT: env.train[0].Card, Source: pool.SrcTrain}
 	without := &pool.Entry{Pred: env.train[0].Pred, GT: pool.NoGT, Source: pool.SrcTrain}
-	zWith := append([]float64(nil), c.Embed(with)...)
-	zWithout := c.Embed(without)
+	c.embedEntries([]*pool.Entry{with, without})
 	same := true
-	for i := range zWith {
-		if zWith[i] != zWithout[i] {
+	for i := range with.Z {
+		if with.Z[i] != without.Z[i] {
 			same = false
 			break
 		}
@@ -213,7 +219,7 @@ func TestEncoderUsesGTWhenAvailable(t *testing.T) {
 	}
 }
 
-func annAllT(t *testing.T, ann *annotator.Annotator, ps []query.Predicate) []query.Labeled {
+func annAllT(t testing.TB, ann *annotator.Annotator, ps []query.Predicate) []query.Labeled {
 	t.Helper()
 	out, err := ann.AnnotateAll(context.Background(), ps)
 	if err != nil {

@@ -104,3 +104,46 @@ func TestNilObserverIsSafe(t *testing.T) {
 	// Must not panic with no observer attached.
 	periodOK(t, e.ad, arrivalsOf(e.newQ[:20], true))
 }
+
+// TestLedgerCoversEveryStage pins the §4.3 cost ledger to the period's wall
+// clock: after a workload-drift (c2) period every stage that took time has a
+// ledger charge, and the charges add up to Report.Busy within 5 % — what
+// Table 6 / Table 11 build from the ledger is the whole period, not a subset.
+func TestLedgerCoversEveryStage(t *testing.T) {
+	e := newAdapterEnv(t, adapterCfg(), 500)
+	rec := newRecordingObserver()
+	e.ad.Obs = rec
+	stageCharges := map[string][]string{
+		StageDetect:   {"detect"},
+		StageGenerate: {"gan", "gen", "ae", "embed"},
+		StagePick:     {"pick"},
+		StageAnnotate: {"annotate"},
+		StageUpdate:   {"model"},
+	}
+	before := map[string]time.Duration{}
+	for _, names := range stageCharges {
+		for _, n := range names {
+			before[n] = e.ad.Ledger.Get(n)
+		}
+	}
+
+	rep := periodOK(t, e.ad, arrivalsOf(e.newQ[:40], true))
+	if !rep.Detection.Mode.Has(C2) || !rep.Updated {
+		t.Fatalf("period ran %v updated=%v, want an updating c2 period", rep.Detection.Mode, rep.Updated)
+	}
+
+	var sum time.Duration
+	for _, stage := range StageNames {
+		var charged time.Duration
+		for _, n := range stageCharges[stage] {
+			charged += e.ad.Ledger.Get(n) - before[n]
+		}
+		if wall := rec.durs[stage][0]; wall > 0 && charged == 0 {
+			t.Errorf("stage %q took %v but charged nothing to the ledger", stage, wall)
+		}
+		sum += charged
+	}
+	if diff := (rep.Busy - sum).Abs(); diff > rep.Busy/20 {
+		t.Errorf("ledger charged %v of a %v period (off by %v, more than 5%%)", sum, rep.Busy, diff)
+	}
+}

@@ -25,6 +25,13 @@ go test ./...
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
+# The -short pass above skips the training-heavy tests, so the seeded
+# adaptation script that pins every 𝔼/𝔾/𝔻 and M weight to its golden bits
+# gets its own race run: it fans shards and gradient tasks out at
+# parallel.SetWorkers(1), (2) and (4).
+echo "== golden bits under -race (SetWorkers 1/2/4)"
+go test -race -count=1 -run '^TestGoldenBits' ./internal/warper
+
 echo "== chaos (WARPER_CHAOS=1 fault-injected + overload soak)"
 mkdir -p artifacts
 WARPER_CHAOS=1 WARPER_EVENTS_OUT="$(pwd)/artifacts/EVENTS_chaos.json" \
