@@ -46,18 +46,21 @@ chaos:
 
 # Ten seconds of coverage-guided fuzzing per target (go test takes one -fuzz
 # target per run): the annotator's indexed count against the reference scan,
-# and the two wire decoders. `go test ./...` only replays their seed corpora.
+# the two wire decoders, and the JSON and binary estimate entry points
+# against each other and a scalar reference. `go test ./...` only replays
+# their seed corpora.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCountMatchesScan$$' -fuzztime=$(FUZZTIME) ./internal/annotator
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzEstimateEntryPoints$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Tier-2 benchmarks. bench: compute-core micro-benchmarks (nn/gbt/kernel +
 # one full adaptation period) → BENCH_PR4.json, then the cross-PR trajectory
 # table over every BENCH_*.json in the repo. bench-serve: concurrent
 # /estimate serving throughput (single-lock baseline vs replica pool vs
-# coalescer vs tracer envelope, byte-identity checked) → BENCH_PR5.json plus
+# tracer envelope, byte-identity checked) → BENCH_PR5.json plus
 # an adaptation-journal artifact, then the estimate-cache benchmark —
 # Zipf(1.1) template workload, cached vs uncached, a 1-CPU pass and a
 # GOMAXPROCS=2 pass, byte-identity held across a mid-run model swap →

@@ -24,8 +24,8 @@ import (
 )
 
 // The -servebench mode measures /estimate serving throughput at a fixed
-// concurrent client count, comparing the replica-pool server (direct and
-// micro-batched) against the single-lock design it replaced. Every served
+// concurrent client count, comparing the replica-pool server against the
+// single-lock design it replaced. Every served
 // answer is checked against a reference clone, so the speedup numbers in
 // BENCH_PR5.json are certified byte-identical, not approximate.
 
@@ -131,21 +131,14 @@ func runServeBench(out string, quick bool) error {
 		return float64(elapsed.Nanoseconds()) / float64(total), nil
 	}
 
-	// The three serving cores under test. The baseline is the single-lock
-	// design this PR removed; the other two are the live serve.Server in its
-	// direct-checkout and micro-batched configurations.
+	// The two serving cores under test. The baseline is the single-lock
+	// design PR 5 removed; the other is the live serve.Server.
 	locked := &lockedEstimator{
 		m:        lm.Clone(),
 		lockWait: obs.NewRegistry().Histogram("lock_wait_seconds", obs.LatencyOpts()),
 	}
 	direct := serve.NewWithOptions(ad, sch, serve.Options{Replicas: serveClients})
 	defer direct.Close()
-	batched := serve.NewWithOptions(ad, sch, serve.Options{
-		Replicas:    serveClients,
-		BatchWindow: 200 * time.Microsecond,
-		BatchMax:    serveClients,
-	})
-	defer batched.Close()
 
 	// The flight-recorder acceptance check rides along: the tracer envelope
 	// the HTTP handler wraps around every estimate (Acquire → EnterStage →
@@ -170,7 +163,6 @@ func runServeBench(out string, quick bool) error {
 	}{
 		{"serve_estimate_single_lock", locked.Estimate},
 		{"serve_estimate_replicas", direct.Estimate},
-		{"serve_estimate_coalesced", batched.Estimate},
 		{"serve_estimate_tracer_off", envelope(tracerOff)},
 		{"serve_estimate_traced", envelope(tracerOn)},
 	}
@@ -222,10 +214,6 @@ func runServeBench(out string, quick bool) error {
 		fmt.Printf("%-28s %10.0f ns/op %12.0f est/s  (best of %d, %d clients, byte-identical)\n",
 			cf.name, nsPerOp, 1e9/nsPerOp, servePasses, serveClients)
 	}
-	bh := batched.Metrics().Reg.Histogram("warper_estimate_batch_rows", obs.HistogramOpts{Start: 1, Growth: 2, Count: 10})
-	if bh.Count() > 0 {
-		fmt.Printf("coalesced batches: %d, mean size %.2f\n", bh.Count(), bh.Mean())
-	}
 
 	ratio := func(name, num, den string) {
 		var nv, dv float64
@@ -243,7 +231,6 @@ func runServeBench(out string, quick bool) error {
 		}
 	}
 	ratio("serve_replicas_speedup", "serve_estimate_single_lock", "serve_estimate_replicas")
-	ratio("serve_coalesced_speedup", "serve_estimate_single_lock", "serve_estimate_coalesced")
 	// ≈1.00x is the acceptance target: tracing off must be free.
 	ratio("serve_tracer_off_overhead", "serve_estimate_tracer_off", "serve_estimate_replicas")
 
@@ -251,7 +238,7 @@ func runServeBench(out string, quick bool) error {
 	// empty-buffer period gives the journal real period_start/period_end/
 	// model_swap content to capture.
 	if path := os.Getenv("WARPER_EVENTS_OUT"); path != "" {
-		h := batched.Handler()
+		h := direct.Handler()
 		rw := httptest.NewRecorder()
 		h.ServeHTTP(rw, httptest.NewRequest("POST", "/period", nil))
 		if rw.Code != 200 {

@@ -25,7 +25,7 @@
 //	warperd -addr :8080 -dataset prsa                 # synthetic table
 //	warperd -addr :8080 -csv mydata.csv -model lm-mlp # your own CSV
 //	warperd -addr :8080 -pprof -log-level debug       # full observability
-//	warperd -replicas 8 -batch-window 200us           # concurrent serving tuning
+//	warperd -replicas 8                               # concurrent serving tuning
 //	warperd -faults 0.2 -fault-hang 0.05 -annotate-timeout 500ms  # chaos mode
 //	warperd -trace-sample 100 -drift-alarm-gmq 4      # drift flight recorder
 //	warperd -estimate-timeout 50ms -shed-queue 256    # overload-safe serving
@@ -66,10 +66,8 @@ func main() {
 		pprofOn   = flag.Bool("pprof", false, "expose /debug/pprof/ profiling endpoints")
 
 		// Concurrent serving. Replicas are deep model clones checked out per
-		// estimate; batching coalesces queued estimates into one forward pass.
-		replicas    = flag.Int("replicas", 0, "serving replicas (0 = GOMAXPROCS)")
-		batchWindow = flag.Duration("batch-window", 0, "estimate micro-batching window (0 = off)")
-		batchMax    = flag.Int("batch-max", 0, "max estimates per coalesced batch (0 = default 64)")
+		// group of estimates.
+		replicas = flag.Int("replicas", 0, "serving replicas (0 = GOMAXPROCS)")
 
 		// Overload safety. The deadline budgets how long an estimate may
 		// queue for a replica before the fallback ladder (or a 429) answers;
@@ -190,8 +188,6 @@ func main() {
 		EnablePprof:   *pprofOn,
 		PeriodTimeout: *periodTimeout,
 		Replicas:      *replicas,
-		BatchWindow:   *batchWindow,
-		BatchMax:      *batchMax,
 		TraceSample:   *traceSample,
 		TraceBuf:      *traceBuf,
 		DriftWindow:   *driftWindow,

@@ -125,8 +125,8 @@ func (lm *LM) EstimateAll(ps []query.Predicate, out []float64) {
 		panic("ce: EstimateAll length mismatch") //lint:allow panicfree caller-side slice-length contract
 	}
 	if mlp, ok := lm.backend.(*mlpBackend); ok && len(ps) > 0 {
-		// Featurize straight into the model-owned batch matrix, so the
-		// steady-state serving coalescer performs no allocations here.
+		// Featurize straight into the model-owned batch matrix, so a
+		// steady-state serving group performs no allocations here.
 		in := lm.Schema.FeatureDim()
 		need := len(ps) * in
 		if cap(lm.batchBuf) < need {

@@ -54,14 +54,13 @@ var hotPathRoots = []string{
 	"serve.(*Server).Estimate",
 	"serve.(*Server).EstimateBudget",
 	"serve.(*replicaPool).checkout",
-	"serve.(*replicaPool).checkoutDeadline",
-	"serve.(*replicaPool).tryCheckout",
 	"serve.(*replicaPool).checkin",
-	// The estimate cache's lookup and insert paths run on every request
-	// when the cache is enabled; rooting them (in addition to reaching them
-	// through Estimate) keeps the zero-alloc proof local to the cache.
-	"serve.(*Server).cacheLookup",
-	"serve.(*Server).cacheFill",
+	// The one estimate pipeline every entry point calls — the group
+	// function (probe, pack, fill) and admission — and the cache's lookup
+	// and insert under it; rooting them (in addition to reaching them
+	// through Estimate) keeps the zero-alloc proof local to each stage.
+	"serve.(*Server).estimateGroup",
+	"serve.(*Server).admit",
 	"serve.(*estimateCache).get",
 	"serve.(*estimateCache).put",
 	"obs.(*Tracer).Acquire",

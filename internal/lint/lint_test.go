@@ -166,8 +166,8 @@ func TestAllowSuppressesExactlyOne(t *testing.T) {
 
 func TestHotPathAllocFixture(t *testing.T) {
 	diags := checkFixture(t, HotPathAlloc, "hotpathalloc/serve")
-	if len(diags) != 15 {
-		t.Errorf("got %d diagnostics, want 15 (panic args, allow-pruned decls/edges, the cache's free-list-miss allow, and unreachable helpers are exempt)", len(diags))
+	if len(diags) != 16 {
+		t.Errorf("got %d diagnostics, want 16 (panic args, allow-pruned decls/edges, the scratch free-list-miss allow, and unreachable helpers are exempt)", len(diags))
 	}
 }
 

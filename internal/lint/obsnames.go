@@ -19,8 +19,7 @@ import (
 //
 // Gauges carry no mandatory suffix (a pool size or threshold has no unit),
 // but still must be snake_case. Deliberate exceptions (e.g. a legacy name
-// kept for a migration) use //lint:allow obsnames. Renamed metrics exported
-// through AliasHistogram are exempt: the alias is the legacy name.
+// kept for a migration) use //lint:allow obsnames.
 var ObsNames = &Analyzer{
 	Name: "obsnames",
 	Doc:  "obs metric names must be snake_case with a kind-appropriate unit suffix, one kind per name",

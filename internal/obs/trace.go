@@ -11,7 +11,7 @@ import (
 
 // This file implements the request-tracing half of the flight recorder: a
 // sampled, allocation-bounded per-request trace through the serving stages
-// (handler → coalescer → replica checkout → batched inference), retained in
+// (handler → cache probe → replica checkout → batched inference), retained in
 // a fixed ring and exportable as Chrome trace-event JSON, plus top-K
 // exemplar capture for the worst and slowest requests.
 //
@@ -40,7 +40,7 @@ type Trace struct {
 	Handler string
 	Start   time.Time
 	// BatchSize and Generation capture which serving configuration answered:
-	// how many coalesced requests shared the forward pass and which model
+	// how many cache-missing rows shared the forward pass and which model
 	// generation's replica ran it.
 	BatchSize  int
 	Generation uint64

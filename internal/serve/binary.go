@@ -2,19 +2,17 @@
 //
 // POST /estimate/batch answers one columnar request frame; POST
 // /estimate/batch/stream answers length-prefixed frames on one connection,
-// flushing each response as it is encoded. Both run on pooled wireState
-// units — a wire.Buffer plus the cache/miss scratch — checked out of a
-// free list, so the steady path allocates nothing: decoded predicates view
-// the request bytes in place, cache keys land in a per-state slab, and the
-// response is encoded over the reclaimed request storage.
+// flushing each response as it is encoded. Both run on the pooled scratch
+// units every estimate uses (estimate.go) with a wire.Buffer attached, so
+// the steady path allocates nothing: decoded predicates view the request
+// bytes in place, cache keys land in the scratch's slabs, and the response
+// is encoded over the reclaimed request storage.
 //
-// The serving semantics match the JSON path group by group: rows are
-// processed in wireGroupRows row groups, each group probes the estimate
-// cache first, and the misses go through the same admission rules as
-// estimateBudgetUncached (health state, deadline budget, fallback ladder).
-// A shed anywhere sheds the whole request — a binary batch is one
-// optimizer plan, and a half-answered plan is useless — so 429 (or a
-// FlagShed frame on the stream) covers all rows.
+// A batch is served by looping the estimate pipeline over wireGroupRows-row
+// groups, so the serving semantics are the JSON path's, group by group. A
+// shed anywhere sheds the whole request — a binary batch is one optimizer
+// plan, and a half-answered plan is useless — so 429 (or a FlagShed frame
+// on the stream) covers all rows.
 package serve
 
 import (
@@ -23,17 +21,11 @@ import (
 	"net/http"
 	"time"
 
-	"warper/internal/ce"
 	"warper/internal/obs"
-	"warper/internal/query"
 	"warper/internal/wire"
 )
 
 const (
-	// wirePoolSize bounds the wireState free list; concurrent binary
-	// requests beyond it allocate transient states (counted on
-	// wire_buffer_misses_total) that the full list lets die.
-	wirePoolSize = 64
 	// maxWireRows caps one batch so a forged row count cannot force an
 	// unbounded inference or scratch growth.
 	maxWireRows = 8192
@@ -52,63 +44,25 @@ const (
 // Options.BinaryProtocol.
 var errWireDisabled = errors.New("serve: binary protocol not enabled")
 
-// wireState is one pooled binary-request unit: the frame buffer plus every
-// scratch slab the group loop needs. Single-owner between wireGet and
-// wirePut; slices grow to their high-water mark once and stay.
-type wireState struct {
-	buf *wire.Buffer
-	// cards accumulates the whole batch's answers (the response payload).
-	cards []float64
-	// keys/hashes hold one row group's featurized cache keys and hashes.
-	keys   []float64
-	hashes []uint64
-	// missIdx/missPreds/missOuts gather a group's cache misses into the
-	// packed batch one replica checkout answers.
-	missIdx   []int
-	missPreds []query.Predicate
-	missOuts  []float64
-}
-
-// newWireState builds one pooled unit.
-//
-//lint:allow hotpathalloc free-list miss: a fresh wire state allocates once and is recycled by wirePut forever after
-func newWireState() *wireState {
-	return &wireState{buf: wire.NewBuffer()}
-}
-
-// wireGet checks a wireState out of the free list, allocating a fresh one
-// (counted) when the list is empty.
-func (s *Server) wireGet() (*wireState, error) {
-	if s.wireFree == nil {
-		return nil, errWireDisabled
+// wireScratch is getScratch for the binary entry points: the frame buffer
+// is attached on a scratch's first binary request and recycled with it.
+func (s *Server) wireScratch() *scratch {
+	sc := s.getScratch()
+	if sc.buf == nil {
+		sc.buf = wire.NewBuffer()
 	}
-	select {
-	case ws := <-s.wireFree:
-		return ws, nil
-	default:
-		s.met.wireBufMisses.Inc()
-		return newWireState(), nil
-	}
+	return sc
 }
 
-// wirePut returns a wireState to the free list, dropping it when the list
-// is already full.
-func (s *Server) wirePut(ws *wireState) {
-	select {
-	case s.wireFree <- ws:
-	default:
-	}
-}
-
-// decodeWire parses the frame in ws.buf against the serving schema and
+// decodeWire parses the frame in sc.buf against the serving schema and
 // normalizes the decoded predicates in place. The decoder has already
 // proven every bound finite — Normalize after the check, never before,
 // because Normalize clamps ±Inf (masking it) and lets NaN through.
-func (s *Server) decodeWire(ws *wireState) error {
-	if err := ws.buf.DecodeBatch(s.sch.NumCols(), maxWireRows); err != nil {
+func (s *Server) decodeWire(sc *scratch) error {
+	if err := sc.buf.DecodeBatch(s.sch.NumCols(), maxWireRows); err != nil {
 		return err
 	}
-	preds := ws.buf.Req.Preds
+	preds := sc.buf.Req.Preds
 	for i := range preds {
 		preds[i] = preds[i].Normalize(s.sch)
 	}
@@ -119,53 +73,35 @@ func (s *Server) decodeWire(ws *wireState) error {
 // group, encode the response over the reclaimed request buffer.
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	tr := s.rec.tracer.Acquire("estimate_batch")
-	deadline, err := s.estimateDeadline(r)
+	defer s.rec.tracer.Finish(tr)
+	tr.EnterStage("decode")
+	budget, err := s.estimateBudget(r)
 	if err != nil {
-		s.rec.tracer.Finish(tr)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ws, err := s.wireGet()
-	if err != nil {
-		s.rec.tracer.Finish(tr)
-		httpError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	defer s.wirePut(ws)
-	tr.EnterStage("decode")
+	sc := s.wireScratch()
+	defer s.putScratch(sc)
 	r.Body = http.MaxBytesReader(w, r.Body, maxWireBody) //lint:allow hotpathalloc HTTP decode boundary; one body-cap wrapper per request, same codec layer as the JSON path
-	if err := ws.buf.ReadAll(r.Body); err != nil {
-		s.rec.tracer.Finish(tr)
+	if err := sc.buf.ReadAll(r.Body); err != nil {
 		s.met.wireDecodeErrors.Inc()
 		httpError(w, decodeErrorCode(err), "read: %v", err)
 		return
 	}
-	if err := s.decodeWire(ws); err != nil {
-		s.rec.tracer.Finish(tr)
+	if err := s.decodeWire(sc); err != nil {
 		s.met.wireDecodeErrors.Inc()
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	gen, degraded, reason, serr := s.serveWireBatch(ws, deadline, tr)
-	if serr != nil {
-		s.rec.tracer.Finish(tr)
-		// Same shed contract as /estimate: a promise the server recovers
-		// if clients back off.
-		w.Header().Set("Retry-After", "1")
-		//lint:allow hotpathalloc shed responses are off the steady path by definition; the reason string boxes once per 429
-		httpError(w, http.StatusTooManyRequests, "overloaded: %s", reason)
+	gen, out := s.serveWireBatch(sc, deadlineIn(budget), tr)
+	if out.Shed {
+		writeShed(w, out.Reason)
 		return
 	}
 	tr.EnterStage("respond")
-	var flags uint16
-	if degraded {
-		flags |= wire.FlagDegraded
-	}
-	ws.buf.EncodeResponse(gen, flags, ws.cards, false)
+	s.encodeWire(sc, gen, out, false)
 	w.Header().Set("Content-Type", wireContentType)
-	_, _ = w.Write(ws.buf.Out)
-	s.wireDone(len(ws.cards))
-	s.rec.tracer.Finish(tr)
+	_, _ = w.Write(sc.buf.Out)
 }
 
 // handleEstimateStream answers length-prefixed frames on one connection.
@@ -175,17 +111,13 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 // answers a FlagShed error frame and keeps the stream alive so the client
 // can back off without reconnecting.
 func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
-	budget, err := s.estimateBudgetDur(r)
+	budget, err := s.estimateBudget(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ws, err := s.wireGet()
-	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	defer s.wirePut(ws)
+	sc := s.wireScratch()
+	defer s.putScratch(sc)
 	// HTTP/1.x is half-duplex by default: once the first response frame is
 	// written the server stops serving body reads, which would truncate the
 	// stream after one frame. Full duplex restores read-after-write.
@@ -195,40 +127,28 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		tr := s.rec.tracer.Acquire("estimate_stream")
 		tr.EnterStage("decode")
-		if err := ws.buf.ReadFrame(r.Body, maxWireBody); err != nil {
+		err := sc.buf.ReadFrame(r.Body, maxWireBody)
+		if err == nil {
+			err = s.decodeWire(sc)
+		}
+		if err != nil {
 			s.rec.tracer.Finish(tr)
 			if err == io.EOF {
 				return // clean end of stream
 			}
 			s.met.wireDecodeErrors.Inc()
-			ws.buf.EncodeError(0, true)
-			_, _ = w.Write(ws.buf.Out)
+			sc.buf.EncodeError(0, true)
+			_, _ = w.Write(sc.buf.Out)
 			return
 		}
-		if err := s.decodeWire(ws); err != nil {
-			s.rec.tracer.Finish(tr)
-			s.met.wireDecodeErrors.Inc()
-			ws.buf.EncodeError(0, true)
-			_, _ = w.Write(ws.buf.Out)
-			return
-		}
-		var deadline time.Time
-		if budget > 0 {
-			deadline = time.Now().Add(budget)
-		}
-		gen, degraded, _, serr := s.serveWireBatch(ws, deadline, tr)
-		if serr != nil {
-			ws.buf.EncodeError(wire.FlagShed, true)
+		gen, out := s.serveWireBatch(sc, deadlineIn(budget), tr)
+		if out.Shed {
+			sc.buf.EncodeError(wire.FlagShed, true)
 		} else {
-			var flags uint16
-			if degraded {
-				flags |= wire.FlagDegraded
-			}
-			ws.buf.EncodeResponse(gen, flags, ws.cards, true)
-			s.wireDone(len(ws.cards))
+			s.encodeWire(sc, gen, out, true)
 		}
 		tr.EnterStage("respond")
-		_, _ = w.Write(ws.buf.Out)
+		_, _ = w.Write(sc.buf.Out)
 		if fl != nil {
 			fl.Flush()
 		}
@@ -236,11 +156,17 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// wireDone charges the per-batch wire metrics.
-func (s *Server) wireDone(rows int) {
+// encodeWire encodes the served batch in sc as a response frame and charges
+// the per-batch wire metrics.
+func (s *Server) encodeWire(sc *scratch, gen uint64, out EstimateOutcome, framed bool) {
+	var flags uint16
+	if out.Degraded {
+		flags |= wire.FlagDegraded
+	}
+	sc.buf.EncodeResponse(gen, flags, sc.cards, framed)
 	s.met.wireBatches.Inc()
-	s.met.wireRows.Add(int64(rows))
-	s.met.wireBatchRows.Observe(float64(rows))
+	s.met.wireRows.Add(int64(len(sc.cards)))
+	s.met.wireBatchRows.Observe(float64(len(sc.cards)))
 }
 
 // EstimateBatchWire answers one (unframed) binary request frame in-process
@@ -250,235 +176,51 @@ func (s *Server) wireDone(rows int) {
 // appended to dst (reuse a sized dst to stay allocation-free). The error
 // is a decode sentinel from internal/wire, or the shed outcome.
 func (s *Server) EstimateBatchWire(dst []byte, frame []byte, deadline time.Time) ([]byte, error) {
-	ws, err := s.wireGet()
-	if err != nil {
-		return dst, err
+	if !s.wireOn {
+		return dst, errWireDisabled
 	}
-	defer s.wirePut(ws)
-	b := ws.buf
+	sc := s.wireScratch()
+	defer s.putScratch(sc)
 	//lint:allow hotpathalloc grow-once frame copy; the pooled buffer keeps its high-water capacity
-	b.In = append(b.In[:0], frame...)
-	if err := s.decodeWire(ws); err != nil {
+	sc.buf.In = append(sc.buf.In[:0], frame...)
+	if err := s.decodeWire(sc); err != nil {
 		s.met.wireDecodeErrors.Inc()
 		return dst, err
 	}
-	gen, degraded, _, serr := s.serveWireBatch(ws, deadline, nil)
-	if serr != nil {
-		return dst, serr
+	gen, out := s.serveWireBatch(sc, deadline, nil)
+	if out.Shed {
+		return dst, errShed
 	}
-	var flags uint16
-	if degraded {
-		flags |= wire.FlagDegraded
-	}
-	b.EncodeResponse(gen, flags, ws.cards, false)
-	s.wireDone(len(ws.cards))
+	s.encodeWire(sc, gen, out, false)
 	//lint:allow hotpathalloc caller-owned dst grows once to its high-water capacity
-	return append(dst, b.Out...), nil
+	return append(dst, sc.buf.Out...), nil
 }
 
-// serveWireBatch answers the decoded batch in ws group by group, writing
-// the answers into ws.cards. It returns the serving generation of the last
-// full-model group (0 when every row came from cache or fallback), whether
-// any group was degraded (with the first degradation reason), and the shed
-// error when admission control refused a group — all-or-nothing, per the
-// package comment.
-func (s *Server) serveWireBatch(ws *wireState, deadline time.Time, tr *obs.Trace) (uint64, bool, string, error) {
-	preds := ws.buf.Req.Preds
-	rows := len(preds)
-	if cap(ws.cards) < rows {
-		//lint:allow hotpathalloc grow-once answer slab; bounded by maxWireRows, kept at high-water capacity
-		ws.cards = make([]float64, rows)
-	}
-	ws.cards = ws.cards[:rows]
+// serveWireBatch answers the decoded batch in sc through the estimate
+// pipeline, one wireGroupRows-row group at a time, writing the answers into
+// sc.cards. It returns the serving generation of the last full-model group
+// (0 when every row came from cache or fallback) and the batch's outcome:
+// the first degraded group's when any group was degraded, or the shed that
+// refused a group — all-or-nothing, per the package comment. The health
+// state is re-read per group, so a transition mid-batch applies from the
+// next group on.
+func (s *Server) serveWireBatch(sc *scratch, deadline time.Time, tr *obs.Trace) (uint64, EstimateOutcome) {
+	preds := sc.buf.Req.Preds
+	sc.size(len(preds), s.cache)
 	var gen uint64
-	degraded := false
-	reason := ""
-	for base := 0; base < rows; base += wireGroupRows {
-		n := rows - base
-		if n > wireGroupRows {
-			n = wireGroupRows
-		}
-		group := preds[base : base+n]
-		out := ws.cards[base : base+n]
-		var g uint64
-		var deg bool
-		var rsn string
-		var err error
-		if s.cache != nil {
-			g, deg, rsn, err = s.wireGroupCached(ws, group, out, deadline, tr)
-		} else {
-			g, deg, rsn, err = s.wireResolveMisses(group, out, deadline, tr)
-		}
-		if err != nil {
-			return 0, false, rsn, err
+	var batch EstimateOutcome
+	for base := 0; base < len(preds); base += wireGroupRows {
+		end := min(base+wireGroupRows, len(preds))
+		g, out := s.estimateGroup(sc, preds[base:end], sc.cards[base:end], s.health.current(), deadline, tr)
+		if out.Shed {
+			return 0, out
 		}
 		if g != 0 {
 			gen = g
 		}
-		if deg {
-			degraded = true
-			if reason == "" {
-				reason = rsn
-			}
+		if out.Degraded && !batch.Degraded {
+			batch = out
 		}
 	}
-	return gen, degraded, reason, nil
-}
-
-// wireGroupCached serves one row group with the estimate cache in front:
-// probe every row, gather the misses into a packed batch, answer it through
-// admission control, scatter the answers back and insert the full-model
-// ones. The flush epoch is read before the probes — and therefore before
-// the underlying estimates — so inserts racing InvalidateEstimateCache
-// stamp the pre-flush epoch and stay conservatively invisible (the same
-// ordering cacheLookup documents).
-func (s *Server) wireGroupCached(ws *wireState, group []query.Predicate, out []float64, deadline time.Time, tr *obs.Trace) (uint64, bool, string, error) {
-	tr.EnterStage("cache")
-	c := s.cache
-	kl := c.keyLen
-	n := len(group)
-	epoch := c.epoch.Load()
-	gen := s.pool.generation()
-	if cap(ws.keys) < n*kl {
-		//lint:allow hotpathalloc grow-once key slab; bounded by wireGroupRows×keyLen, kept at high-water capacity
-		ws.keys = make([]float64, n*kl)
-	}
-	keys := ws.keys[:n*kl]
-	if cap(ws.hashes) < n {
-		//lint:allow hotpathalloc grow-once hash slab; bounded by wireGroupRows
-		ws.hashes = make([]uint64, n)
-	}
-	hashes := ws.hashes[:n]
-	if cap(ws.missIdx) < n {
-		//lint:allow hotpathalloc grow-once miss-index slab; bounded by wireGroupRows
-		ws.missIdx = make([]int, 0, n)
-	}
-	miss := ws.missIdx[:0]
-	for i := range group {
-		k := keys[i*kl : (i+1)*kl]
-		group[i].FeaturizeInto(s.sch, k)
-		hashes[i] = cacheHash(k)
-		if card, ok := c.get(k, hashes[i], gen, epoch); ok {
-			s.met.cacheHits.Inc()
-			out[i] = card
-			continue
-		}
-		s.met.cacheMisses.Inc()
-		//lint:allow hotpathalloc append never grows: missIdx was pre-sized to the group length above
-		miss = append(miss, i)
-	}
-	ws.missIdx = miss
-	if len(miss) == 0 {
-		return 0, false, "", nil
-	}
-	if cap(ws.missPreds) < len(miss) {
-		//lint:allow hotpathalloc grow-once miss-gather slab; bounded by wireGroupRows
-		ws.missPreds = make([]query.Predicate, len(miss))
-	}
-	if cap(ws.missOuts) < len(miss) {
-		//lint:allow hotpathalloc grow-once miss-answer slab; bounded by wireGroupRows
-		ws.missOuts = make([]float64, len(miss))
-	}
-	mp := ws.missPreds[:len(miss)]
-	mo := ws.missOuts[:len(miss)]
-	for j, i := range miss {
-		mp[j] = group[i]
-	}
-	mgen, deg, rsn, err := s.wireResolveMisses(mp, mo, deadline, tr)
-	if err != nil {
-		return 0, false, rsn, err
-	}
-	for j, i := range miss {
-		out[i] = mo[j]
-	}
-	if mgen != 0 {
-		// Only full-model answers are inserted, stamped with the replica
-		// generation that computed them and the pre-probe epoch — fallback
-		// answers pass gen 0 here exactly like cacheFill refuses them.
-		for j, i := range miss {
-			c.put(keys[i*kl:(i+1)*kl], hashes[i], mgen, epoch, mo[j])
-		}
-	}
-	return mgen, deg, rsn, nil
-}
-
-// wireResolveMisses answers one packed group of cache misses under the
-// same admission rules as estimateBudgetUncached: the health state picks
-// the rule, the deadline budgets the replica wait, and the fallback ladder
-// (when enabled) keeps budget misses answerable. The returned generation
-// is 0 for fallback answers, which must never be cached.
-func (s *Server) wireResolveMisses(preds []query.Predicate, out []float64, deadline time.Time, tr *obs.Trace) (uint64, bool, string, error) {
-	switch s.health.current() {
-	case Shedding:
-		tr.EnterStage("checkout")
-		if r, ok := s.pool.tryCheckout(); ok {
-			return s.wireRunOn(r, preds, out, tr), false, "", nil
-		}
-		s.met.shedShedding.Inc()
-		return 0, false, reasonShedding, errShed
-	case Degraded:
-		tr.EnterStage("checkout")
-		if r, ok := s.pool.tryCheckout(); ok {
-			return s.wireRunOn(r, preds, out, tr), false, "", nil
-		}
-		if s.fb == nil {
-			s.met.shedShedding.Inc()
-			return 0, false, reasonShedding, errShed
-		}
-		reason := reasonDegraded
-		if s.health.breakerOpen.Load() {
-			reason = reasonBreaker
-			s.met.fbBreaker.Inc()
-		} else {
-			s.met.fbDegraded.Inc()
-		}
-		tr.EnterStage("fallback")
-		for i := range preds {
-			out[i] = s.fb.estimate(preds[i])
-		}
-		return 0, true, reason, nil
-	}
-	// Healthy: the queued path, budgeted by the deadline.
-	tr.EnterStage("checkout")
-	r, err := s.pool.checkoutDeadline(deadline)
-	if err == nil {
-		return s.wireRunOn(r, preds, out, tr), false, "", nil
-	}
-	if err == errShed {
-		s.met.shedQueueFull.Inc()
-		return 0, false, reasonQueueFull, errShed
-	}
-	// errCheckoutTimeout: answer from the ladder, or shed when it is off.
-	if s.fb != nil {
-		tr.EnterStage("fallback")
-		s.met.fbTimeout.Inc()
-		for i := range preds {
-			out[i] = s.fb.estimate(preds[i])
-		}
-		return 0, true, reasonTimeout, nil
-	}
-	s.met.shedDeadline.Inc()
-	return 0, false, reasonDeadline, err
-}
-
-// wireRunOn answers one packed group on a checked-out replica — the batch
-// form of runOn, with the same deferred-checkin replica-leak guard. The
-// columnar decode means preds already sit in the contiguous layout
-// EstimateAll's feature matrix wants; the batched forward pass hits
-// nn.InferBatch's 4-row tiles directly.
-func (s *Server) wireRunOn(r *replica, preds []query.Predicate, out []float64, tr *obs.Trace) uint64 {
-	defer s.pool.checkin(r)
-	if tr != nil {
-		tr.BatchSize = len(preds)
-		tr.Generation = r.gen
-	}
-	tr.EnterStage("infer")
-	if be, ok := r.model.(ce.BatchEstimator); ok {
-		be.EstimateAll(preds, out)
-		return r.gen
-	}
-	for i := range preds {
-		out[i] = r.model.Estimate(preds[i])
-	}
-	return r.gen
+	return gen, batch
 }

@@ -49,11 +49,7 @@ type estimateCache struct {
 	// live counts slots holding an entry (including generation-stale ones
 	// awaiting overwrite), exported as estimate_cache_entries.
 	live atomic.Int64
-	// scratch recycles featurization key buffers so the lookup path
-	// allocates nothing; misses of the free-list allocate and the buffer
-	// joins the pool on release.
-	scratch chan []float64
-	met     *Metrics
+	met  *Metrics
 }
 
 // cacheWays is the probe-group width: an entry may live in any of the
@@ -97,9 +93,6 @@ const (
 	defaultCacheShards  = 8
 	defaultCacheEntries = 4096
 	maxCacheShards      = 256
-	// cacheScratchBufs bounds the key-buffer free-list; a burst of more
-	// concurrent estimates than this allocates the overflow buffers once.
-	cacheScratchBufs = 64
 )
 
 // nextPow2 rounds n up to the next power of two (n must be >= 1).
@@ -133,7 +126,6 @@ func newEstimateCache(keyLen, shards, entries int, met *Metrics) *estimateCache 
 		shardMask: uint64(shards - 1),
 		keyLen:    keyLen,
 		capacity:  shards * per,
-		scratch:   make(chan []float64, cacheScratchBufs),
 		met:       met,
 	}
 	for i := range c.shards {
@@ -142,24 +134,6 @@ func newEstimateCache(keyLen, shards, entries int, met *Metrics) *estimateCache 
 		c.shards[i].mask = uint64(per - 1)
 	}
 	return c
-}
-
-// acquire takes a key scratch buffer off the free-list.
-func (c *estimateCache) acquire() []float64 {
-	select {
-	case b := <-c.scratch:
-		return b
-	default:
-	}
-	return make([]float64, c.keyLen) //lint:allow hotpathalloc key-scratch free-list miss: only a burst beyond the pooled buffers allocates, and every buffer recycles on release
-}
-
-// release returns a key scratch buffer to the free-list.
-func (c *estimateCache) release(b []float64) {
-	select {
-	case c.scratch <- b:
-	default:
-	}
 }
 
 // cacheHash mixes the feature vector's raw float64 bits: FNV-1a word-wise,

@@ -1,0 +1,392 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"warper/internal/query"
+	"warper/internal/wire"
+)
+
+// post sends one request with an optional X-Warper-Deadline-Ms budget and
+// returns the status and body.
+func post(t testing.TB, url, ctype string, body []byte, budgetMs int) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", ctype)
+	if budgetMs > 0 {
+		req.Header.Set(deadlineHeader, strconv.Itoa(budgetMs))
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// shedOutcome parses a 429 body ("overloaded: <reason>") into its outcome.
+func shedOutcome(t testing.TB, code int, body []byte) EstimateOutcome {
+	t.Helper()
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("status = %d (%s), want 200 or 429", code, body)
+	}
+	return EstimateOutcome{Shed: true, Reason: strings.TrimSpace(strings.TrimPrefix(string(body), "overloaded: "))}
+}
+
+// reasonCounters snapshots the six per-reason admission counters.
+func reasonCounters(srv *Server) map[string]int64 {
+	return map[string]int64{
+		reasonTimeout:   srv.met.fbTimeout.Value(),
+		reasonBreaker:   srv.met.fbBreaker.Value(),
+		reasonDegraded:  srv.met.fbDegraded.Value(),
+		reasonQueueFull: srv.met.shedQueueFull.Value(),
+		reasonShedding:  srv.met.shedShedding.Value(),
+		reasonDeadline:  srv.met.shedDeadline.Value(),
+	}
+}
+
+// TestEntryPointsAgree is the one-pipeline contract in every admission
+// state, not just healthy: the same predicate sent through EstimateBudget,
+// POST /estimate, a one-row binary frame and row 280 of a 300-row binary
+// frame (its second 256-row group) gets the same cardinality bits, the same
+// outcome class and reason, and charges the same per-reason counter once
+// per group — and only full-model answers ever reach the cache.
+func TestEntryPointsAgree(t *testing.T) {
+	for _, cacheOn := range []bool{true, false} {
+		for _, fallback := range []bool{true, false} {
+			t.Run(fmt.Sprintf("cache=%v/fallback=%v", cacheOn, fallback), func(t *testing.T) {
+				entryPointsAgree(t, cacheOn, fallback)
+			})
+		}
+	}
+}
+
+// entryPointsAgree walks the admission table on one server.
+func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
+	type health struct {
+		name    string
+		state   HealthState
+		breaker bool
+	}
+	healths := []health{
+		{"healthy", Healthy, false},
+		{"degraded", Degraded, false},
+		{"degraded+breaker", Degraded, true},
+		{"shedding", Shedding, false},
+	}
+	// want is the admission table, spelled out from the outside.
+	want := func(h health, fallback, held, budgeted bool) EstimateOutcome {
+		switch {
+		case !held:
+			return EstimateOutcome{}
+		case h.state == Shedding, h.state == Degraded && !fallback:
+			return EstimateOutcome{Shed: true, Reason: "shedding"}
+		case h.state == Degraded && h.breaker:
+			return EstimateOutcome{Degraded: true, Reason: "breaker"}
+		case h.state == Degraded:
+			return EstimateOutcome{Degraded: true, Reason: "degraded"}
+		case !budgeted:
+			return EstimateOutcome{} // waits until the replica is released
+		case !fallback:
+			return EstimateOutcome{Shed: true, Reason: "deadline"}
+		}
+		return EstimateOutcome{Degraded: true, Reason: "timeout"}
+	}
+	const bigRows, bigRow = 300, 280
+
+	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{
+		BinaryProtocol: true,
+		Replicas:       1,
+		EstimateCache:  cacheOn,
+		NoFallback:     !fallback,
+	})
+	ref := srv.Estimator().Clone()
+	rng := rand.New(rand.NewSource(41))
+	big := make([]query.Predicate, bigRows)
+	for i := range big {
+		big[i] = gNew.Gen(rng)
+	}
+	for _, h := range healths {
+		for _, held := range []bool{false, true} {
+			for _, budgeted := range []bool{false, true} {
+				name := fmt.Sprintf("%s/held=%v/budgeted=%v", h.name, held, budgeted)
+				p := gNew.Gen(rng)
+				pn := p.Normalize(sch)
+				big[bigRow] = p
+				jsonBody, err := jsonBytes(predicateJSON{Lows: p.Lows, Highs: p.Highs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				oneFrame, err := wire.AppendRequest(nil, 0, []query.Predicate{p}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bigFrame, err := wire.AppendRequest(nil, 0, big, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				budgetMs := 0
+				if budgeted {
+					budgetMs = 1
+				}
+				wireCall := func(frame []byte, row int) (float64, EstimateOutcome) {
+					code, body := post(t, ts.URL+"/estimate/batch", wireContentType, frame, budgetMs)
+					if code != http.StatusOK {
+						return 0, shedOutcome(t, code, body)
+					}
+					hd, cards, err := wire.DecodeResponse(body, nil)
+					if err != nil {
+						t.Fatalf("%s: DecodeResponse: %v", name, err)
+					}
+					// The wire carries the class, not the reason: the
+					// counter deltas below pin the reason.
+					return cards[row], EstimateOutcome{Degraded: hd.Degraded()}
+				}
+				entries := []struct {
+					name   string
+					groups int64
+					call   func() (float64, EstimateOutcome)
+				}{
+					{"EstimateBudget", 1, func() (float64, EstimateOutcome) {
+						var deadline time.Time
+						if budgeted {
+							deadline = time.Now().Add(time.Millisecond)
+						}
+						return srv.EstimateBudget(pn, deadline)
+					}},
+					{"POST /estimate", 1, func() (float64, EstimateOutcome) {
+						code, body := post(t, ts.URL+"/estimate", "application/json", jsonBody, budgetMs)
+						if code != http.StatusOK {
+							return 0, shedOutcome(t, code, body)
+						}
+						var er estimateResponse
+						if err := json.Unmarshal(body, &er); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						return er.Cardinality, EstimateOutcome{Degraded: er.Degraded, Reason: er.Reason}
+					}},
+					{"one-row frame", 1, func() (float64, EstimateOutcome) { return wireCall(oneFrame, 0) }},
+					{"row 280 of 300", 2, func() (float64, EstimateOutcome) { return wireCall(bigFrame, bigRow) }},
+				}
+
+				srv.health.state.Store(int32(h.state))
+				srv.health.breakerOpen.Store(h.breaker)
+				exp := want(h, fallback, held, budgeted)
+				wantCard := ref.Estimate(pn)
+				if exp.Degraded {
+					wantCard = srv.fb.estimate(pn)
+				}
+				var r *replica
+				if held {
+					if r, err = srv.pool.checkout(false, time.Time{}); err != nil {
+						t.Fatalf("%s: hold the replica: %v", name, err)
+					}
+				}
+				for _, ep := range entries {
+					var entriesBefore int64
+					if cacheOn {
+						// Hide what the previous entry point cached, so
+						// every one of them takes the miss path.
+						srv.cache.flushAll()
+						entriesBefore = srv.cache.entries()
+					}
+					before := reasonCounters(srv)
+					var released chan struct{}
+					if held && h.state == Healthy && !budgeted {
+						// The request queues forever: hand the replica
+						// back once it is parked, take it again after.
+						released = make(chan struct{})
+						go func() {
+							defer close(released)
+							for i := 0; srv.met.checkoutQueue.Value() < 1 && i < 5000; i++ {
+								time.Sleep(time.Millisecond)
+							}
+							srv.pool.checkin(r)
+						}()
+					}
+					card, got := ep.call()
+					if released != nil {
+						<-released
+						if r, err = srv.pool.checkout(false, time.Time{}); err != nil {
+							t.Fatalf("%s/%s: re-hold the replica: %v", name, ep.name, err)
+						}
+					}
+					if got.Degraded != exp.Degraded || got.Shed != exp.Shed {
+						t.Errorf("%s/%s: outcome %+v, want %+v", name, ep.name, got, exp)
+						continue
+					}
+					if got.Reason != "" && got.Reason != exp.Reason {
+						t.Errorf("%s/%s: reason %q, want %q", name, ep.name, got.Reason, exp.Reason)
+					}
+					if !exp.Shed && math.Float64bits(card) != math.Float64bits(wantCard) {
+						t.Errorf("%s/%s: cardinality %v, want %v", name, ep.name, card, wantCard)
+					}
+					// One charge per group; a shed stops at its first group.
+					charges := map[string]int64{}
+					switch {
+					case exp.Shed:
+						charges[exp.Reason] = 1
+					case exp.Degraded:
+						charges[exp.Reason] = ep.groups
+					}
+					for reason, v := range reasonCounters(srv) {
+						if d := v - before[reason]; d != charges[reason] {
+							t.Errorf("%s/%s: counter{reason=%q} moved by %d, want %d", name, ep.name, reason, d, charges[reason])
+						}
+					}
+					if cacheOn {
+						if grew := srv.cache.entries() - entriesBefore; (exp.Shed || exp.Degraded) && grew != 0 {
+							t.Errorf("%s/%s: %+v answer grew the cache by %d entries", name, ep.name, exp, grew)
+						}
+						// A full-model answer is cached: asking again hits,
+						// whatever the admission state.
+						hits := srv.met.cacheHits.Value()
+						srv.EstimateBudget(pn, time.Now().Add(time.Millisecond))
+						if hit := srv.met.cacheHits.Value() == hits+1; hit != (exp == EstimateOutcome{}) {
+							t.Errorf("%s/%s: answer cached = %v after outcome %+v", name, ep.name, hit, exp)
+						}
+					}
+				}
+				if held {
+					srv.pool.checkin(r)
+				}
+			}
+		}
+	}
+}
+
+// TestScalarZeroAllocSteady is TestWireZeroAllocSteady for the group of
+// one: a warmed in-process estimate allocates nothing whether it hits the
+// cache, misses it, or misses it under a deadline.
+func TestScalarZeroAllocSteady(t *testing.T) {
+	srv, _, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true, Replicas: 2})
+	p := gNew.Gen(rand.New(rand.NewSource(29))).Normalize(sch)
+	// Warm both replicas (the free list is FIFO) and the pooled scratch.
+	for i := 0; i < 4; i++ {
+		srv.cache.flushAll()
+		srv.Estimate(p)
+	}
+	cases := []struct {
+		name string
+		miss bool
+		call func()
+	}{
+		{"Estimate hit", false, func() { srv.Estimate(p) }},
+		{"Estimate miss", true, func() { srv.Estimate(p) }},
+		{"EstimateBudget miss", true, func() { srv.EstimateBudget(p, time.Now().Add(time.Minute)) }},
+	}
+	for _, tc := range cases {
+		misses := srv.met.cacheMisses.Value()
+		allocs := testing.AllocsPerRun(100, func() {
+			if tc.miss {
+				srv.cache.flushAll() // one atomic add: the entry is re-inserted in place
+			}
+			tc.call()
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %v per call, want 0", tc.name, allocs)
+		}
+		if missed := srv.met.cacheMisses.Value() > misses; missed != tc.miss {
+			t.Errorf("%s: took the miss path = %v, want %v", tc.name, missed, tc.miss)
+		}
+	}
+}
+
+// slowBody trickles its bytes out over a fixed time and signals when the
+// last one has been read.
+type slowBody struct {
+	data  []byte
+	chunk int
+	pause time.Duration
+	done  chan struct{}
+}
+
+func (b *slowBody) Read(p []byte) (int, error) {
+	if len(b.data) == 0 {
+		return 0, io.EOF
+	}
+	time.Sleep(b.pause)
+	n := copy(p, b.data[:min(b.chunk, len(b.data))])
+	b.data = b.data[n:]
+	if len(b.data) == 0 {
+		close(b.done)
+	}
+	return n, nil
+}
+
+// TestBatchDeadlineStartsAfterDecode pins where the deadline budget starts:
+// it bounds the wait for a replica, so a slow upload must not spend it. A
+// 200 ms budget, a body trickled in over 300 ms, and the only replica held
+// until 50 ms after the body completes: the request must queue for those
+// 50 ms and get the model's answer, not a fallback answer it never waited
+// for.
+func TestBatchDeadlineStartsAfterDecode(t *testing.T) {
+	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{BinaryProtocol: true, Replicas: 1})
+	p := gNew.Gen(rand.New(rand.NewSource(31)))
+	frame, err := wire.AppendRequest(nil, 0, []query.Predicate{p}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := srv.pool.checkout(false, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunks = 6
+	body := &slowBody{
+		data:  frame,
+		chunk: (len(frame) + chunks - 1) / chunks,
+		pause: 300 * time.Millisecond / chunks,
+		done:  make(chan struct{}),
+	}
+	go func() {
+		<-body.done
+		time.Sleep(50 * time.Millisecond)
+		srv.pool.checkin(r)
+	}()
+	req, err := http.NewRequest("POST", ts.URL+"/estimate/batch", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(len(frame))
+	req.Header.Set("Content-Type", wireContentType)
+	req.Header.Set(deadlineHeader, "200")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d (%s), want 200", resp.StatusCode, raw)
+	}
+	h, cards, err := wire.DecodeResponse(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Degraded() {
+		t.Errorf("slow upload spent the replica-wait budget: answer is degraded (fallback timeouts = %d)", srv.met.fbTimeout.Value())
+	}
+	if want := srv.Estimator().Clone().Estimate(p.Normalize(sch)); len(cards) != 1 || cards[0] != want {
+		t.Errorf("cards = %v, want [%v]", cards, want)
+	}
+}

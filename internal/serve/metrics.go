@@ -12,15 +12,10 @@ import (
 // Metric names exposed on GET /metrics. Kept as constants so tests and the
 // README's operating guide cannot drift from the implementation.
 const (
-	mReqTotal   = "warper_http_requests_total"
-	mReqSeconds = "warper_http_request_seconds"
-	// mCheckoutWait is the renamed replica-wait histogram; the old name
-	// below is exported as an alias for one release so dashboards watching
-	// it keep seeing data while they migrate.
+	mReqTotal        = "warper_http_requests_total"
+	mReqSeconds      = "warper_http_request_seconds"
 	mCheckoutWait    = "warper_replica_checkout_wait_seconds"
-	mCheckoutWaitOld = "warper_estimate_lock_wait_seconds"
 	mQError          = "warper_qerror_ratio"
-	mQErrorOld       = "warper_qerror"
 	mStageSeconds    = "warper_period_stage_seconds"
 	mPeriodsTotal    = "warper_periods_total"
 	mPeriodConflicts = "warper_period_conflicts_total"
@@ -46,8 +41,6 @@ const (
 	mCheckoutQueue = "warper_replica_checkout_queue"
 	mRefreshes     = "warper_replica_refreshes_total"
 	mSwapSeconds   = "warper_model_swap_seconds"
-	mBatchRows     = "warper_estimate_batch_rows"
-	mBatchRowsOld  = "warper_estimate_batch_size"
 
 	// Flight-recorder metrics (rolling q-error drift watch).
 	mDriftAlarm = "warper_drift_alarm"
@@ -122,7 +115,6 @@ type Metrics struct {
 	checkoutQueue *obs.Gauge
 	refreshes     *obs.Counter
 	swapSeconds   *obs.Histogram
-	batchRows     *obs.Histogram
 
 	driftAlarm *obs.Gauge
 	driftGMQ   *obs.Gauge
@@ -172,9 +164,7 @@ func NewMetrics() *Metrics {
 	r.Help(mReqTotal, "HTTP requests by handler and status code.")
 	r.Help(mReqSeconds, "HTTP request latency in seconds, by handler.")
 	r.Help(mCheckoutWait, "Time estimate requests wait to check out a serving replica.")
-	r.Help(mCheckoutWaitOld, "Deprecated alias of "+mCheckoutWait+"; removed next release.")
 	r.Help(mQError, "Observed q-error of served estimates, from execution feedback.")
-	r.Help(mQErrorOld, "Deprecated alias of "+mQError+"; removed next release.")
 	r.Help(mStageSeconds, "Adaptation period stage durations in seconds.")
 	r.Help(mPeriodsTotal, "Completed adaptation periods.")
 	r.Help(mPeriodConflicts, "Period requests rejected because one was already running.")
@@ -194,12 +184,10 @@ func NewMetrics() *Metrics {
 	r.Help(mTrainSamples, "Minibatch rows consumed by component training across all periods.")
 	r.Help(mTrainThroughput, "Component training throughput of the last period, in samples per second of busy time.")
 	r.Help(mReplicas, "Serving replica-pool size.")
-	r.Help(mCheckouts, "Replica checkouts: one per served estimate (or coalesced batch).")
+	r.Help(mCheckouts, "Replica checkouts: one per group of estimates that missed the cache (a scalar request is a group of one).")
 	r.Help(mCheckoutQueue, "Estimate requests currently queued for a free replica.")
 	r.Help(mRefreshes, "Replica re-clones after a model swap bumped the serving generation.")
 	r.Help(mSwapSeconds, "Time to swap a repaired model into the serving pool (clone + generation bump).")
-	r.Help(mBatchRows, "Coalesced estimate batch sizes, in predicates per forward pass.")
-	r.Help(mBatchRowsOld, "Deprecated alias of "+mBatchRows+"; removed next release.")
 	r.Help(mDriftAlarm, "Drift-watch alarm state: 1 while the windowed GMQ breaches the threshold.")
 	r.Help(mDriftGMQ, "Geometric mean q-error over the drift watch's rolling window.")
 	r.Help(mHealthState, "Serving health state: 0 healthy, 1 degraded, 2 shedding.")
@@ -214,7 +202,7 @@ func NewMetrics() *Metrics {
 	r.Help(mWireRows, "Predicates served through the binary wire protocol.")
 	r.Help(mWireDecodeErrors, "Binary frames rejected by the wire decoder (bad header, size, or non-finite bounds).")
 	r.Help(mWireBatchRows, "Binary batch sizes, in predicates per request frame.")
-	r.Help(mWireBufMisses, "Binary requests that found the wire buffer free list empty and allocated a fresh buffer.")
+	r.Help(mWireBufMisses, "Estimate requests (scalar or binary) that found the request-scratch free list empty and allocated a fresh unit.")
 	r.Help(mAnnRetries, "Annotation attempts retried by the resilience wrapper.")
 	r.Help(mAnnTimeouts, "Annotation attempts killed by the per-attempt deadline.")
 	r.Help(mAnnFailed, "Annotation calls that failed for good within a period (after retries).")
@@ -249,8 +237,6 @@ func NewMetrics() *Metrics {
 		checkoutQueue: r.Gauge(mCheckoutQueue),
 		refreshes:     r.Counter(mRefreshes),
 		swapSeconds:   r.Histogram(mSwapSeconds, obs.LatencyOpts()),
-		// Batch sizes span 1..BatchMax; log-scale buckets from 1 up.
-		batchRows: r.Histogram(mBatchRows, obs.HistogramOpts{Start: 1, Growth: 2, Count: 10}),
 
 		driftAlarm: r.Gauge(mDriftAlarm),
 		driftGMQ:   r.Gauge(mDriftGMQ),
@@ -284,10 +270,6 @@ func NewMetrics() *Metrics {
 		periodPartial: r.Counter(mPeriodPartial),
 		telemetryDeg:  r.Counter(mTelemetryDeg),
 	}
-	// One-release rename bridge: the old names export the same histograms.
-	r.AliasHistogram(mCheckoutWaitOld, m.checkoutWait)
-	r.AliasHistogram(mQErrorOld, m.qerr)
-	r.AliasHistogram(mBatchRowsOld, m.batchRows)
 	// Pre-create one histogram per period stage so /metrics shows the full
 	// stage set from startup, not only after the first period.
 	for _, st := range warper.StageNames {

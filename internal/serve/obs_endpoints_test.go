@@ -65,7 +65,7 @@ func TestMetricsExposition(t *testing.T) {
 		`warper_http_requests_total{code="200",handler="feedback"} 25`,
 		`warper_http_requests_total{code="200",handler="period"} 1`,
 		`warper_http_request_seconds_bucket{handler="estimate",le="+Inf"} 1`,
-		`warper_qerror_count 25`,
+		`warper_qerror_ratio_count 25`,
 		`warper_period_stage_seconds_count{stage="detect"} 1`,
 		`warper_period_stage_seconds_count{stage="generate"} 1`,
 		`warper_period_stage_seconds_count{stage="pick"} 1`,
@@ -78,7 +78,7 @@ func TestMetricsExposition(t *testing.T) {
 		"warper_gamma ",
 		"warper_delta_m ",
 		"warper_delta_js ",
-		"warper_estimate_lock_wait_seconds_count",
+		"warper_replica_checkout_wait_seconds_count",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -25,8 +25,8 @@ func drainReplicas(t *testing.T, srv *Server) []*replica {
 	t.Helper()
 	var out []*replica
 	for {
-		r, ok := srv.pool.tryCheckout()
-		if !ok {
+		r, err := srv.pool.checkout(false, time.Time{})
+		if err != nil {
 			return out
 		}
 		out = append(out, r)

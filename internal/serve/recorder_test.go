@@ -95,54 +95,6 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 }
 
-func TestDebugTracesWithCoalescer(t *testing.T) {
-	_, ts, _, _, gNew := newTestServerOpts(t, Options{
-		TraceSample: 1, TraceBuf: 16, BatchWindow: 200 * time.Microsecond, BatchMax: 8,
-	})
-	rng := rand.New(rand.NewSource(8))
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		p := gNew.Gen(rng)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pj := predicateJSON{Lows: p.Lows, Highs: p.Highs}
-			var buf strings.Builder
-			_ = json.NewEncoder(&buf).Encode(pj)
-			resp, err := http.Post(ts.URL+"/estimate", "application/json", strings.NewReader(buf.String()))
-			if err == nil {
-				resp.Body.Close()
-			}
-		}()
-	}
-	wg.Wait()
-
-	_, body := getBody(t, ts.URL+"/debug/traces")
-	var dump chromeTraceDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	// Every traced request went through the coalescer: its batch_size arg
-	// and a batch_lead or batch_wait stage must be present.
-	sawBatchStage := false
-	for _, ev := range dump.TraceEvents {
-		if ev.Name == "batch_lead" || ev.Name == "batch_wait" {
-			sawBatchStage = true
-		}
-		if ev.Name == "estimate" {
-			if bs, ok := ev.Args["batch_size"].(float64); !ok || bs < 1 {
-				t.Errorf("coalesced trace has batch_size %v", ev.Args["batch_size"])
-			}
-			if gen, ok := ev.Args["generation"].(float64); !ok || gen < 1 {
-				t.Errorf("coalesced trace has generation %v", ev.Args["generation"])
-			}
-		}
-	}
-	if !sawBatchStage {
-		t.Error("no batch_lead/batch_wait stage in any trace")
-	}
-}
-
 func TestDebugEventsCausalOrder(t *testing.T) {
 	srv, ts, _, ann, gNew := newTestServerOpts(t, Options{
 		DriftWindow:   time.Minute,
@@ -316,49 +268,6 @@ func TestDebugEndpointsBoundedUnderLoad(t *testing.T) {
 	if len(events.Events) > defaultJournalCap {
 		t.Errorf("journal holds %d events, cap %d", len(events.Events), defaultJournalCap)
 	}
-}
-
-// TestMetricRenameAliases pins the one-release rename bridge: both the new
-// and the old metric names export, with identical counts.
-func TestMetricRenameAliases(t *testing.T) {
-	_, ts, _, _, gNew := newTestServer(t)
-	rng := rand.New(rand.NewSource(12))
-	p := gNew.Gen(rng)
-	var est estimateResponse
-	postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, &est)
-	gt := est.Cardinality + 1
-	postJSON(t, ts.URL+"/feedback", feedbackRequest{
-		predicateJSON: predicateJSON{Lows: p.Lows, Highs: p.Highs}, Cardinality: &gt,
-	}, nil)
-
-	_, body := getBody(t, ts.URL+"/metrics")
-	text := string(body)
-	for _, pair := range [][2]string{
-		{mCheckoutWait, mCheckoutWaitOld},
-		{mQError, mQErrorOld},
-		{mBatchRows, mBatchRowsOld},
-	} {
-		newCount := extractMetric(t, text, pair[0]+"_count")
-		oldCount := extractMetric(t, text, pair[1]+"_count")
-		if newCount != oldCount {
-			t.Errorf("%s_count = %s but alias %s_count = %s", pair[0], newCount, pair[1], oldCount)
-		}
-	}
-	if !strings.Contains(text, mQError+"_count 1") {
-		t.Errorf("feedback did not record under the new q-error name:\n%s", text)
-	}
-}
-
-// extractMetric returns the value of an exposition line by exact name.
-func extractMetric(t *testing.T, text, name string) string {
-	t.Helper()
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, name+" ") {
-			return strings.TrimPrefix(line, name+" ")
-		}
-	}
-	t.Fatalf("metric %s not found in exposition", name)
-	return ""
 }
 
 // TestTracingOffHasNoDebugData confirms the default server traces nothing

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"warper/internal/annotator"
 	"warper/internal/ce"
@@ -94,38 +93,6 @@ func TestConcurrentReplicaEstimatesAreByteIdentical(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("estimate %d: replica served %v, reference %v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestCoalescedEstimatesAreByteIdentical pins the BatchEstimator contract on
-// the serving path: batched answers from the coalescer match per-sample
-// estimates bit for bit, and batches actually formed.
-func TestCoalescedEstimatesAreByteIdentical(t *testing.T) {
-	srv, sch, gNew := newPoolServer(t, Options{
-		Replicas:    2,
-		BatchWindow: 200 * time.Microsecond,
-		BatchMax:    8,
-	})
-	rng := rand.New(rand.NewSource(5))
-	preds := make([]query.Predicate, 300)
-	want := make([]float64, len(preds))
-	for i := range preds {
-		preds[i] = gNew.Gen(rng).Normalize(sch)
-		want[i] = srv.adapter.M.Estimate(preds[i])
-	}
-	got := concurrentEstimates(srv, preds, 8)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("estimate %d: coalesced answer %v, reference %v", i, got[i], want[i])
-		}
-	}
-	if srv.met.batchRows.Count() == 0 {
-		t.Error("no coalesced batch was recorded")
-	}
-	// After Close, the direct checkout path still answers.
-	srv.Close()
-	if got := srv.Estimate(preds[0]); got != want[0] {
-		t.Errorf("post-Close estimate = %v, want %v", got, want[0])
 	}
 }
 

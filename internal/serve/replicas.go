@@ -2,24 +2,25 @@ package serve
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"warper/internal/ce"
 	"warper/internal/obs"
-	"warper/internal/query"
 	"warper/internal/resilience"
 )
 
-// Admission-control outcomes of a deadline-bounded checkout. Sentinels, not
-// wrapped errors: the estimate path switches on identity and never formats
-// them.
+// Admission-control outcomes of a checkout that found no free replica.
+// Sentinels, not wrapped errors: the estimate path switches on identity and
+// never formats them.
 var (
+	// errNoReplica: every replica is busy and the caller declined to queue.
+	errNoReplica = errors.New("no replica free")
 	// errShed: the bounded admission queue is full; the request is load-shed
-	// without waiting.
-	errShed = errors.New("admission queue full")
+	// without waiting. Also what EstimateBatchWire returns for a batch shed
+	// for any reason.
+	errShed = errors.New("shed by admission control")
 	// errCheckoutTimeout: the request queued but no replica freed up within
 	// its deadline budget.
 	errCheckoutTimeout = errors.New("replica checkout deadline exceeded")
@@ -61,10 +62,9 @@ type replicaPool struct {
 	refreshMu sync.Mutex
 	met       *Metrics
 
-	// waiters counts requests parked in checkoutDeadline's bounded admission
-	// queue; maxQueue caps it — arrival number maxQueue+1 is shed with
-	// errShed instead of queueing. The blocking checkout() path is exempt
-	// (no deadline means the caller opted out of admission control).
+	// waiters counts deadline-carrying requests parked in the bounded
+	// admission queue; maxQueue caps it — arrival number maxQueue+1 is shed
+	// with errShed instead of queueing.
 	waiters  atomic.Int64
 	maxQueue int64
 	// timers recycles the slow-path deadline timers so a queued checkout
@@ -96,30 +96,29 @@ func newReplicaPool(src ce.Estimator, n int, met *Metrics) *replicaPool {
 	return p
 }
 
-// checkout acquires a free replica, refreshing it first when a model swap
-// made its clone stale. The fast path is one buffered-channel receive.
-func (p *replicaPool) checkout() *replica {
-	p.met.checkouts.Inc()
+// checkout acquires a replica — the pool's one way in. A free replica is
+// taken immediately: the fast path is one buffered-channel receive. When
+// every replica is busy, wait decides. Without it the call fails with
+// errNoReplica (the admission rule of the degraded and shedding health
+// states). With it the request queues: under a deadline it joins the bounded
+// admission queue — a full queue sheds with errShed without waiting, a
+// missed deadline returns errCheckoutTimeout — and with a zero deadline it
+// waits forever, exempt from the queue bound (no deadline means the caller
+// opted out of admission control).
+func (p *replicaPool) checkout(wait bool, deadline time.Time) (*replica, error) {
 	var r *replica
 	select {
 	case r = <-p.free:
 	default:
-		// Every replica is busy: this request queues. The wait histogram is
-		// the successor of PR 1's estimate-lock wait, renamed to say what it
-		// now measures; the old name stays exported as an alias for one
-		// release (see metrics.go).
-		p.met.checkoutQueue.Add(1)
-		sp := obs.StartSpan(p.met.checkoutWait)
-		r = <-p.free
-		sp.End()
-		p.met.checkoutQueue.Add(-1)
+		if !wait {
+			return nil, errNoReplica
+		}
+		var err error
+		if r, err = p.queue(deadline); err != nil {
+			return nil, err
+		}
 	}
-	return p.ready(r)
-}
-
-// ready finishes a checkout: the chaos starvation hold (a no-op without an
-// armed fault plan) and the lazy post-swap refresh.
-func (p *replicaPool) ready(r *replica) *replica {
+	p.met.checkouts.Inc()
 	if p.faults != nil {
 		// Chaos only: hold the replica hostage like a slow forward pass
 		// would. The injector decides, count-based; this path sleeps so the
@@ -131,64 +130,38 @@ func (p *replicaPool) ready(r *replica) *replica {
 	if cur := p.src.Load(); r.gen != cur.gen {
 		p.refresh(r) //lint:allow hotpathalloc sanctioned slow branch: one re-clone per model swap, serialized behind refreshMu
 	}
-	return r
+	return r, nil
 }
 
-// tryCheckout acquires a replica only if one is free right now — the
-// admission rule of the degraded and shedding health states, where letting
-// requests queue is exactly what the server must stop doing.
-func (p *replicaPool) tryCheckout() (*replica, bool) {
-	select {
-	case r := <-p.free:
-		p.met.checkouts.Inc()
-		return p.ready(r), true
-	default:
-		return nil, false
-	}
-}
-
-// checkoutDeadline is checkout with an admission budget: a free replica is
-// taken immediately; otherwise the request joins the bounded admission queue
-// and waits until deadline. A full queue sheds with errShed without waiting;
-// a missed deadline returns errCheckoutTimeout. A zero deadline preserves
-// the legacy contract — wait forever, no queue bound.
-func (p *replicaPool) checkoutDeadline(deadline time.Time) (*replica, error) {
-	select {
-	case r := <-p.free:
-		p.met.checkouts.Inc()
-		return p.ready(r), nil
-	default:
-	}
-	if deadline.IsZero() {
-		return p.checkout(), nil
-	}
-	if p.waiters.Add(1) > p.maxQueue {
-		p.waiters.Add(-1)
-		return nil, errShed
-	}
-	d := time.Until(deadline)
-	if d <= 0 {
-		p.waiters.Add(-1)
-		return nil, errCheckoutTimeout
+// queue parks one request until a replica frees up or its deadline passes.
+// The wait histogram is the successor of PR 1's estimate-lock wait, renamed
+// to say what it now measures.
+func (p *replicaPool) queue(deadline time.Time) (*replica, error) {
+	var timeout <-chan time.Time // nil without a deadline: never fires
+	if !deadline.IsZero() {
+		if p.waiters.Add(1) > p.maxQueue {
+			p.waiters.Add(-1)
+			return nil, errShed
+		}
+		defer p.waiters.Add(-1)
+		d := time.Until(deadline)
+		if d <= 0 {
+			return nil, errCheckoutTimeout
+		}
+		t := p.getTimer(d)
+		defer p.putTimer(t)
+		timeout = t.C
 	}
 	p.met.checkoutQueue.Add(1)
-	t := p.getTimer(d)
+	defer p.met.checkoutQueue.Add(-1)
+	// The span records timed-out waits too: those are precisely the signal
+	// the health machine's p99 watches.
 	sp := obs.StartSpan(p.met.checkoutWait)
+	defer sp.End()
 	select {
 	case r := <-p.free:
-		p.met.checkouts.Inc()
-		sp.End()
-		p.met.checkoutQueue.Add(-1)
-		p.waiters.Add(-1)
-		p.putTimer(t)
-		return p.ready(r), nil
-	case <-t.C:
-		// The wait span still records: a timed-out wait is precisely the
-		// signal the health machine's p99 watches.
-		sp.End()
-		p.met.checkoutQueue.Add(-1)
-		p.waiters.Add(-1)
-		p.putTimer(t)
+		return r, nil
+	case <-timeout:
 		return nil, errCheckoutTimeout
 	}
 }
@@ -283,272 +256,3 @@ func (p *replicaPool) current() ce.Estimator { return p.src.Load().model }
 
 // generation returns the current serving generation number.
 func (p *replicaPool) generation() uint64 { return p.src.Load().gen }
-
-// --- micro-batching coalescer ----------------------------------------------
-
-// batch is one combining buffer of concurrent estimates. Appends happen
-// under the coalescer mutex; once the batch is detached (full, or its
-// leader's wait ended) no request touches preds again. outs and pv are
-// written by the leader before close(done), so every waiter reads them
-// race-free after <-done.
-type batch struct {
-	preds []query.Predicate
-	outs  []float64
-	done  chan struct{}
-	pv    any // model panic, re-raised in every waiting request
-	// deadline is the tightest non-zero deadline among the batch's members,
-	// maintained under the coalescer mutex while the batch forms (the
-	// leader's b.n load after detach is the happens-before edge that lets
-	// exec read it lock-free). A shared batch lives or dies on one checkout,
-	// so the strictest member budgets it.
-	deadline time.Time
-	// out is the batch-level outcome, written by exec before close(done):
-	// degraded marks a fallback-served batch with its reason; errv carries
-	// the admission error (errShed / errCheckoutTimeout) when the batch
-	// could not be answered at all.
-	out batchOutcome
-	// gen is the serving generation that executed the batch, written by exec
-	// before close(done) so traced waiters read it race-free.
-	gen uint64
-	// n mirrors len(preds): stored (under the coalescer mutex) after every
-	// append, loaded by the spinning leader without the mutex. The atomic
-	// load doubles as the happens-before edge that lets exec read preds
-	// lock-free when a follower filled and detached the batch.
-	n atomic.Int32
-	// refs counts waiters still reading outs; the last one to leave
-	// recycles the batch onto the coalescer free-list.
-	refs atomic.Int32
-}
-
-// coalescer combines concurrent estimate requests into single
-// ce.BatchEstimator.EstimateAll calls using a leader/follower scheme: the
-// request that opens a batch becomes its leader, yields the processor a few
-// times (never longer than `window`) so concurrent requests can join, then
-// detaches the batch, runs it on one checked-out replica, and wakes every
-// follower with one channel close. There is no dispatcher goroutine and no
-// per-request channel hop — the hot path is one short mutex region, one
-// park on the batch's done channel, and a slot read. Per the BatchEstimator
-// contract the results are bit-identical to per-request Estimate calls;
-// what the window trades is a bounded amount of p50 latency for amortized
-// inference cost.
-// batchOutcome is how one coalesced batch (and hence each of its members)
-// was ultimately served: fully (zero value), from the fallback ladder
-// (degraded + reason), or not at all (err set to an admission sentinel).
-type batchOutcome struct {
-	degraded bool
-	reason   string
-	err      error
-}
-
-type coalescer struct {
-	pool *replicaPool
-	met  *Metrics
-	// fb, when non-nil, answers a batch whose replica checkout missed its
-	// deadline; nil means such batches fail with the admission error.
-	fb *fallbackLadder
-
-	window time.Duration
-	max    int
-
-	// mu guards cur and closed. Held only to append to the forming batch —
-	// never across inference.
-	mu     sync.Mutex
-	cur    *batch
-	closed bool
-
-	// freeb recycles batch buffers (preds/outs backing arrays) between
-	// rounds; the done channel is the only per-batch allocation that
-	// survives, because a closed channel cannot be reused.
-	freeb chan *batch
-}
-
-// newCoalescer builds a combining coalescer over pool. fb may be nil
-// (fallback disabled).
-func newCoalescer(pool *replicaPool, window time.Duration, max int, met *Metrics, fb *fallbackLadder) *coalescer {
-	if max < 1 {
-		max = 1
-	}
-	return &coalescer{pool: pool, met: met, fb: fb, window: window, max: max, freeb: make(chan *batch, 4)}
-}
-
-// newBatch takes a recycled batch off the free-list or allocates one.
-//
-//lint:allow hotpathalloc free-list miss and the per-batch done channel are the documented batch-amortized allocations
-func (c *coalescer) newBatch() *batch {
-	var b *batch
-	select {
-	case b = <-c.freeb:
-		b.preds = b.preds[:0]
-		b.pv = nil
-		b.deadline = time.Time{}
-		b.out = batchOutcome{}
-		b.gen = 0
-		b.n.Store(0)
-	default:
-		b = &batch{preds: make([]query.Predicate, 0, c.max), outs: make([]float64, c.max)}
-	}
-	b.done = make(chan struct{})
-	return b
-}
-
-// recycle offers a drained batch back to the free-list.
-func (c *coalescer) recycle(b *batch) {
-	select {
-	case c.freeb <- b:
-	default:
-	}
-}
-
-// estimate joins (or opens) the forming batch and blocks for its batched
-// answer. It reports false after Close, telling the caller to fall back to
-// the direct checkout path. A non-nil deadline tightens the batch's shared
-// admission budget; the returned batchOutcome says whether the answer came
-// from the model, the fallback ladder, or nowhere (outcome.err set), and
-// the returned generation is the one that executed the batch (0 when no
-// replica ever ran it) — the estimate cache stamps its entries with it. A
-// non-nil trace records whether this request led or followed, plus the
-// executed batch's size and generation.
-func (c *coalescer) estimate(p query.Predicate, tr *obs.Trace, deadline time.Time) (float64, uint64, batchOutcome, bool) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, 0, batchOutcome{}, false
-	}
-	b := c.cur
-	leader := b == nil
-	if leader {
-		b = c.newBatch()
-		c.cur = b
-	}
-	idx := len(b.preds)
-	b.preds = append(b.preds, p) //lint:allow hotpathalloc never grows: capacity is c.max and the batch detaches at max
-	if !deadline.IsZero() && (b.deadline.IsZero() || deadline.Before(b.deadline)) {
-		b.deadline = deadline
-	}
-	b.n.Store(int32(len(b.preds)))
-	if len(b.preds) >= c.max {
-		// Full: detach now so the next arrival opens a fresh batch with its
-		// own leader. Two detached batches may run concurrently — that is
-		// exactly what the replica pool is for.
-		c.cur = nil
-	}
-	c.mu.Unlock()
-
-	if leader {
-		// lead runs exec in this goroutine, which closes done before
-		// returning — the leader never parks on it.
-		tr.EnterStage("batch_lead")
-		c.lead(b, tr)
-	} else {
-		tr.EnterStage("batch_wait")
-		<-b.done
-	}
-	if tr != nil {
-		// Written by exec before close(done) / before lead returned.
-		tr.BatchSize = int(b.n.Load())
-		tr.Generation = b.gen
-	}
-	// b.gen must be read in the same pre-release window as outs[idx]: the
-	// moment refs hits zero the batch can be recycled and rewritten.
-	out, gen, bo, pv := b.outs[idx], b.gen, b.out, b.pv
-	if b.refs.Add(-1) == 0 && pv == nil {
-		c.recycle(b)
-	}
-	if pv != nil {
-		// Re-raise the model panic in each requesting goroutine so the HTTP
-		// recover middleware charges it per request. A panicked batch is
-		// never recycled.
-		panic(pv) //lint:allow panicfree re-raising a model panic for the per-request recover middleware
-	}
-	return out, gen, bo, true
-}
-
-// lead is the batch leader's accumulation wait: while the batch is still
-// forming it yields so runnable requesters can join, and detaches after two
-// consecutive yields without a new arrival or once the window is spent — a
-// saturated server batches at its concurrency level with no timer stall,
-// and a lone request passes straight through. The window is therefore a
-// hard cap on accumulation wait, not a mandatory delay.
-func (c *coalescer) lead(b *batch, tr *obs.Trace) {
-	start := time.Now()
-	idle, lastN := 0, 1
-	for {
-		n := int(b.n.Load())
-		if n >= c.max {
-			break // a follower filled and detached it
-		}
-		if n > lastN {
-			idle, lastN = 0, n
-		} else {
-			idle++
-		}
-		if idle > 2 || time.Since(start) >= c.window {
-			c.mu.Lock()
-			if c.cur == b {
-				c.cur = nil
-			}
-			c.mu.Unlock()
-			break
-		}
-		runtime.Gosched()
-	}
-	c.exec(b, tr)
-}
-
-// exec runs one detached batch on a checked-out replica and wakes every
-// waiter. A model panic is captured into b.pv for the waiters to re-raise;
-// the deferred checkin keeps a panicking model from draining the pool
-// (forward scratch is overwritten on every call, so the replica stays
-// usable), and the deferred close guarantees no waiter is left parked.
-func (c *coalescer) exec(b *batch, tr *obs.Trace) {
-	defer close(b.done)
-	//lint:allow hotpathalloc open-coded defers keep this recover closure off the heap
-	defer func() {
-		if rec := recover(); rec != nil {
-			b.pv = rec
-		}
-	}()
-	n := len(b.preds)
-	b.refs.Store(int32(n))
-	c.met.batchRows.Observe(float64(n))
-	if cap(b.outs) < n {
-		b.outs = make([]float64, n) //lint:allow hotpathalloc grow-once output buffer; recycled batches keep their capacity
-	}
-	b.outs = b.outs[:n]
-	tr.EnterStage("checkout")
-	r, err := c.pool.checkoutDeadline(b.deadline)
-	if err != nil {
-		// The whole batch missed its budget together: answer every member
-		// from the fallback ladder, or fail them all with the admission
-		// sentinel when the queue was full (shedding beats serving stale
-		// answers to a queue that is still growing) or fallback is off.
-		if c.fb == nil || err == errShed {
-			b.out = batchOutcome{err: err}
-			return
-		}
-		tr.EnterStage("fallback")
-		b.out = batchOutcome{degraded: true, reason: reasonTimeout}
-		for i := range b.preds {
-			b.outs[i] = c.fb.estimate(b.preds[i])
-		}
-		return
-	}
-	defer c.pool.checkin(r)
-	b.gen = r.gen
-	tr.EnterStage("infer")
-	if be, ok := r.model.(ce.BatchEstimator); ok {
-		be.EstimateAll(b.preds, b.outs)
-		return
-	}
-	for i := range b.preds {
-		b.outs[i] = r.model.Estimate(b.preds[i])
-	}
-}
-
-// Close makes every subsequent estimate fall back to the direct checkout
-// path. Batches already forming complete normally. Safe to call repeatedly.
-func (c *coalescer) Close() {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-}

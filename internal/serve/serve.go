@@ -14,9 +14,8 @@
 // bump at the end, and replicas re-clone lazily — so estimates stay
 // servable (and fast) while a period is in flight, instead of queueing
 // behind a multi-second model update. The measured replica-checkout wait is
-// exported so the win stays visible. An optional micro-batching coalescer
-// (Options.BatchWindow) drains concurrent estimates into single batched
-// forward passes.
+// exported so the win stays visible. Every estimate, whatever its entry
+// point, goes through the one pipeline in estimate.go.
 package serve
 
 import (
@@ -61,15 +60,6 @@ type Options struct {
 	// Replicas is the serving-pool size: how many independent model clones
 	// can estimate concurrently. 0 or negative defaults to GOMAXPROCS.
 	Replicas int
-	// BatchWindow enables the micro-batching coalescer: concurrent
-	// estimates are drained into single batched forward passes, waiting at
-	// most this long to accumulate a batch. 0 disables coalescing. The
-	// results are bit-identical to per-request estimates (the
-	// ce.BatchEstimator contract); the trade is a little p50 latency for
-	// amortized inference cost under concurrency.
-	BatchWindow time.Duration
-	// BatchMax caps one coalesced batch. 0 defaults to 64.
-	BatchMax int
 	// TraceSample enables request tracing: one estimate (and period) request
 	// in every TraceSample is traced through the serving stages and retained
 	// for /debug/traces. 0 disables tracing; the disabled hot path costs one
@@ -142,9 +132,6 @@ type Server struct {
 	// pool serves estimates from private model clones; handlePeriod swaps
 	// a repaired model in with one atomic generation bump.
 	pool *replicaPool
-	// coal, when non-nil, drains concurrent estimates into batched forward
-	// passes (Options.BatchWindow).
-	coal *coalescer
 	// cache, when non-nil, answers repeated predicates without touching the
 	// pool; entries are generation-stamped, so a model swap invalidates them
 	// wholesale (Options.EstimateCache).
@@ -172,10 +159,11 @@ type Server struct {
 	// estimateTimeout is the default /estimate deadline budget (0 = none).
 	estimateTimeout time.Duration
 
-	// wireOn mounts the binary batch endpoints; wireFree is their pooled
-	// request-state free list (see binary.go).
-	wireOn   bool
-	wireFree chan *wireState
+	// scratch is the free list of pooled request units every estimate entry
+	// point draws from (see estimate.go).
+	scratch chan *scratch
+	// wireOn mounts the binary batch endpoints (see binary.go).
+	wireOn bool
 }
 
 // statusSnapshot holds the /status fields refreshed under mu after every
@@ -196,7 +184,6 @@ func New(a *warper.Adapter, sch *query.Schema) *Server {
 
 // NewWithOptions builds a Server with explicit options. The server installs
 // its metric set as the adapter's Observer unless one is already attached.
-// Servers with a batch window must be Closed when done.
 func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server {
 	s := &Server{
 		adapter:       a,
@@ -205,6 +192,8 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 		logger:        opts.Logger,
 		pprof:         opts.EnablePprof,
 		periodTimeout: opts.PeriodTimeout,
+		scratch:       make(chan *scratch, scratchPoolSize),
+		wireOn:        opts.BinaryProtocol,
 	}
 	if s.logger == nil {
 		// Discard at a level above every call site rather than relying on
@@ -239,13 +228,6 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 	}
 	s.health = newHealthTracker(opts.Health.withDefaults(s.pool.maxQueue), s.met, s.rec.journal)
 	s.met.health = s.health
-	if opts.BatchWindow > 0 {
-		bm := opts.BatchMax
-		if bm <= 0 {
-			bm = 64
-		}
-		s.coal = newCoalescer(s.pool, opts.BatchWindow, bm, s.met, s.fb)
-	}
 	if opts.EstimateCache {
 		s.cache = newEstimateCache(sch.FeatureDim(), opts.CacheShards, opts.CacheEntries, s.met)
 		if opts.CacheFlushOnAlarm {
@@ -255,120 +237,14 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 			s.rec.onDriftAlarm = s.InvalidateEstimateCache
 		}
 	}
-	if opts.BinaryProtocol {
-		s.wireOn = true
-		s.wireFree = make(chan *wireState, wirePoolSize)
-	}
 	s.refreshStatusLocked()
 	return s
 }
 
-// Close releases background serving resources (the batching dispatcher).
-// Idempotent; only needed when Options.BatchWindow was set.
-func (s *Server) Close() {
-	if s.coal != nil {
-		s.coal.Close()
-	}
-}
-
-// Estimate answers one predicate on the served model — the in-process
-// equivalent of POST /estimate, exported for embedding Warper without HTTP
-// and for the serving benchmark. The predicate must already be normalized
-// against the server's schema. Safe for concurrent use.
-func (s *Server) Estimate(p query.Predicate) float64 {
-	return s.estimate(p, nil)
-}
-
-// estimate is the traced form of Estimate: the estimate cache first (when
-// enabled), then the coalesced/checkout path, populating the cache on the
-// way out. With tr == nil the path is identical to before tracing existed —
-// nil-receiver stage calls compile to cheap no-ops and nothing allocates.
-func (s *Server) estimate(p query.Predicate, tr *obs.Trace) float64 {
-	if s.cache == nil {
-		card, _ := s.estimateUncached(p, tr)
-		return card
-	}
-	pr, card, hit := s.cacheLookup(p, tr)
-	if hit {
-		return card
-	}
-	card, gen := s.estimateUncached(p, tr)
-	s.cacheFill(pr, gen, card)
-	return card
-}
-
-// estimateUncached runs one predicate through the coalescer or a directly
-// checked-out replica, returning the answer and the serving generation of
-// the model that computed it.
-func (s *Server) estimateUncached(p query.Predicate, tr *obs.Trace) (float64, uint64) {
-	if s.coal != nil {
-		// Zero deadline: the batch outcome can only be the zero value.
-		if card, gen, _, ok := s.coal.estimate(p, tr, time.Time{}); ok {
-			return card, gen
-		}
-		// Coalescer closed: fall through to the direct checkout path.
-	}
-	tr.EnterStage("checkout")
-	r := s.pool.checkout()
-	return s.runOn(r, p, tr)
-}
-
-// runOn answers one predicate on a checked-out replica, returning the
-// replica's serving generation alongside the answer (the cache stamps its
-// entries with the generation that computed them, never the one current at
-// insert time). The deferred checkin is the replica-leak guard: even a
-// panicking model hands its replica back to the free list (forward scratch
-// is overwritten per call, so the replica stays usable) before the panic
-// reaches the recover middleware.
-func (s *Server) runOn(r *replica, p query.Predicate, tr *obs.Trace) (float64, uint64) {
-	defer s.pool.checkin(r)
-	if tr != nil {
-		tr.BatchSize = 1
-		tr.Generation = r.gen
-	}
-	tr.EnterStage("infer")
-	return r.model.Estimate(p), r.gen
-}
-
-// cacheProbe carries one request's cache interaction across the miss path:
-// the featurized key (a free-list scratch buffer), its hash, and the
-// generation + flush epoch the lookup ran against.
-type cacheProbe struct {
-	key   []float64
-	hash  uint64
-	epoch uint64
-}
-
-// cacheLookup featurizes p and probes the estimate cache. On a hit the
-// scratch key is already released; on a miss the caller must hand the probe
-// to cacheFill (which also releases it). The flush epoch is read before the
-// lookup — and therefore before the underlying estimate a miss will run —
-// so an insert racing InvalidateEstimateCache stamps the pre-flush epoch
-// and stays conservatively invisible.
-func (s *Server) cacheLookup(p query.Predicate, tr *obs.Trace) (cacheProbe, float64, bool) {
-	tr.EnterStage("cache")
-	pr := cacheProbe{key: s.cache.acquire(), epoch: s.cache.epoch.Load()}
-	p.FeaturizeInto(s.sch, pr.key)
-	pr.hash = cacheHash(pr.key)
-	if card, ok := s.cache.get(pr.key, pr.hash, s.pool.generation(), pr.epoch); ok {
-		s.cache.release(pr.key)
-		s.met.cacheHits.Inc()
-		return pr, card, true
-	}
-	s.met.cacheMisses.Inc()
-	return pr, 0, false
-}
-
-// cacheFill completes a miss: gen is the serving generation that computed
-// card, or 0 when the answer must not be cached (fallback-ladder, shed, or
-// deadline-missed responses — a degraded answer served from cache after
-// recovery would be a silent accuracy regression).
-func (s *Server) cacheFill(pr cacheProbe, gen uint64, card float64) {
-	if gen != 0 {
-		s.cache.put(pr.key, pr.hash, gen, pr.epoch, card)
-	}
-	s.cache.release(pr.key)
-}
+// Close is a no-op, kept so embedders that pair NewWithOptions with a
+// deferred Close keep compiling: the server owns no goroutine and no
+// resource the garbage collector does not.
+func (s *Server) Close() {}
 
 // InvalidateEstimateCache drops every cached estimate by bumping the
 // cache's flush epoch — one atomic add, no scan. Wired to the drift alarm
@@ -383,142 +259,6 @@ func (s *Server) InvalidateEstimateCache() {
 	s.rec.journal.Append("cache_flush", 0, map[string]any{
 		"entries": s.cache.entries(),
 	})
-}
-
-// Fallback and shed reasons, exported on the estimate_fallback_total and
-// estimate_shed_total counters and in degraded response bodies.
-const (
-	reasonTimeout   = "timeout"    // checkout missed the deadline budget
-	reasonBreaker   = "breaker"    // annotation breaker open, server degraded
-	reasonDegraded  = "degraded"   // degraded health, no replica free
-	reasonQueueFull = "queue_full" // bounded admission queue overflowed
-	reasonShedding  = "shedding"   // shedding health, no replica free
-	reasonDeadline  = "deadline"   // budget missed with fallback disabled
-)
-
-// EstimateOutcome reports how an estimate was (or was not) served: fully
-// (zero value), from the fallback ladder (Degraded), or refused (Shed).
-type EstimateOutcome struct {
-	Degraded bool
-	Shed     bool
-	Reason   string
-}
-
-// EstimateBudget is Estimate under admission control: the deadline bounds
-// how long the request may queue for a replica, and the outcome says whether
-// the answer is the model's, the fallback ladder's, or a shed. A zero
-// deadline waits forever (in healthy state). Safe for concurrent use.
-func (s *Server) EstimateBudget(p query.Predicate, deadline time.Time) (float64, EstimateOutcome) {
-	return s.estimateBudget(p, nil, deadline)
-}
-
-// estimateBudget is the overload-safe estimate path with the cache in
-// front. A cache hit is admission-free — it consumes no replica and no
-// queue slot — so hits serve even in degraded and shedding states: an exact
-// model answer for ~100 ns is strictly better than a fallback answer or a
-// 429. Only full-model answers are inserted; degraded and shed outcomes
-// pass gen 0 to cacheFill, which refuses them.
-func (s *Server) estimateBudget(p query.Predicate, tr *obs.Trace, deadline time.Time) (float64, EstimateOutcome) {
-	if s.cache == nil {
-		card, _, out := s.estimateBudgetUncached(p, tr, deadline)
-		return card, out
-	}
-	pr, card, hit := s.cacheLookup(p, tr)
-	if hit {
-		return card, EstimateOutcome{}
-	}
-	card, gen, out := s.estimateBudgetUncached(p, tr, deadline)
-	s.cacheFill(pr, gen, card)
-	return card, out
-}
-
-// estimateBudgetUncached is the overload-safe estimate core: the health
-// state picks the admission rule, the deadline budgets the replica wait,
-// and the fallback ladder (when enabled) keeps budget misses answerable.
-// The returned generation is the one that computed a full-model answer, or
-// 0 for fallback/shed outcomes (which must never be cached).
-func (s *Server) estimateBudgetUncached(p query.Predicate, tr *obs.Trace, deadline time.Time) (float64, uint64, EstimateOutcome) {
-	switch s.health.current() {
-	case Shedding:
-		// Admit only what a free replica can absorb right now; everything
-		// else is refused so the queue drains instead of growing.
-		tr.EnterStage("checkout")
-		if r, ok := s.pool.tryCheckout(); ok {
-			card, gen := s.runOn(r, p, tr)
-			return card, gen, EstimateOutcome{}
-		}
-		s.met.shedShedding.Inc()
-		return 0, 0, EstimateOutcome{Shed: true, Reason: reasonShedding}
-	case Degraded:
-		// Serve from the model when it is immediately reachable, from the
-		// fallback ladder otherwise — degraded mode never queues.
-		tr.EnterStage("checkout")
-		if r, ok := s.pool.tryCheckout(); ok {
-			card, gen := s.runOn(r, p, tr)
-			return card, gen, EstimateOutcome{}
-		}
-		if s.fb == nil {
-			s.met.shedShedding.Inc()
-			return 0, 0, EstimateOutcome{Shed: true, Reason: reasonShedding}
-		}
-		reason := reasonDegraded
-		if s.health.breakerOpen.Load() {
-			reason = reasonBreaker
-			s.met.fbBreaker.Inc()
-		} else {
-			s.met.fbDegraded.Inc()
-		}
-		tr.EnterStage("fallback")
-		return s.fb.estimate(p), 0, EstimateOutcome{Degraded: true, Reason: reason}
-	}
-	// Healthy: the normal coalesced/queued path, budgeted by the deadline.
-	if s.coal != nil {
-		if card, gen, bo, ok := s.coal.estimate(p, tr, deadline); ok {
-			return s.resolveBatch(card, gen, bo)
-		}
-	}
-	tr.EnterStage("checkout")
-	r, err := s.pool.checkoutDeadline(deadline)
-	if err == nil {
-		card, gen := s.runOn(r, p, tr)
-		return card, gen, EstimateOutcome{}
-	}
-	return s.resolveMiss(p, tr, err)
-}
-
-// resolveMiss turns a direct-path admission error into a fallback answer or
-// a shed outcome.
-func (s *Server) resolveMiss(p query.Predicate, tr *obs.Trace, err error) (float64, uint64, EstimateOutcome) {
-	if err == errShed {
-		s.met.shedQueueFull.Inc()
-		return 0, 0, EstimateOutcome{Shed: true, Reason: reasonQueueFull}
-	}
-	// errCheckoutTimeout: answer from the ladder, or shed when it is off.
-	if s.fb != nil {
-		tr.EnterStage("fallback")
-		s.met.fbTimeout.Inc()
-		return s.fb.estimate(p), 0, EstimateOutcome{Degraded: true, Reason: reasonTimeout}
-	}
-	s.met.shedDeadline.Inc()
-	return 0, 0, EstimateOutcome{Shed: true, Reason: reasonDeadline}
-}
-
-// resolveBatch maps a coalesced batch's outcome onto this member's outcome,
-// charging the per-request fallback/shed counters. Only a full-model batch
-// keeps its generation; degraded batches return 0 so they are never cached.
-func (s *Server) resolveBatch(card float64, gen uint64, bo batchOutcome) (float64, uint64, EstimateOutcome) {
-	switch {
-	case bo.err == errShed:
-		s.met.shedQueueFull.Inc()
-		return 0, 0, EstimateOutcome{Shed: true, Reason: reasonQueueFull}
-	case bo.err != nil:
-		s.met.shedDeadline.Inc()
-		return 0, 0, EstimateOutcome{Shed: true, Reason: reasonDeadline}
-	case bo.degraded:
-		s.met.fbTimeout.Inc()
-		return card, 0, EstimateOutcome{Degraded: true, Reason: bo.reason}
-	}
-	return card, gen, EstimateOutcome{}
 }
 
 // Metrics exposes the server's metric set (for tests and embedding).
@@ -672,23 +412,14 @@ type estimateResponse struct {
 // budget, in integer milliseconds.
 const deadlineHeader = "X-Warper-Deadline-Ms"
 
-// estimateDeadline resolves one request's deadline budget: the header
+// estimateBudget resolves one request's deadline budget: the header
 // override when present, else the -estimate-timeout default; zero means
 // unbudgeted. A header that is not a positive integer millisecond count is
 // an error the caller answers with 400 — silently ignoring a client typo
-// would degrade that client to wait-forever semantics unnoticed.
-func (s *Server) estimateDeadline(r *http.Request) (time.Time, error) {
-	d, err := s.estimateBudgetDur(r)
-	if err != nil || d <= 0 {
-		return time.Time{}, err
-	}
-	return time.Now().Add(d), nil
-}
-
-// estimateBudgetDur resolves the deadline budget as a duration — the
-// streaming batch endpoint restarts the budget per frame, so it needs the
-// duration, not one absolute deadline for the connection's lifetime.
-func (s *Server) estimateBudgetDur(r *http.Request) (time.Duration, error) {
+// would degrade that client to wait-forever semantics unnoticed. Handlers
+// call this before they read the body (a malformed header costs no upload)
+// and turn the budget into a deadline only once the body is decoded.
+func (s *Server) estimateBudget(r *http.Request) (time.Duration, error) {
 	d := s.estimateTimeout
 	if h := r.Header.Get(deadlineHeader); h != "" {
 		ms, err := strconv.Atoi(h)
@@ -700,6 +431,18 @@ func (s *Server) estimateBudgetDur(r *http.Request) (time.Duration, error) {
 		d = time.Duration(ms) * time.Millisecond
 	}
 	return d, nil
+}
+
+// deadlineIn starts a budget's clock: the budget bounds the wait for a
+// replica, so it starts when the request is decoded and ready to queue —
+// never before the body is read, or a slow upload would spend it and the
+// request would be answered from the ladder without waiting at all. The
+// streaming endpoint restarts it per frame. A zero budget is no deadline.
+func deadlineIn(budget time.Duration) time.Time {
+	if budget <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(budget)
 }
 
 // decodeJSONStrict decodes exactly one JSON value from body into v: a
@@ -724,37 +467,30 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// Acquire costs one atomic load when tracing is off and returns nil;
 	// every stage call below is a nil-receiver no-op then.
 	tr := s.rec.tracer.Acquire("estimate")
+	defer s.rec.tracer.Finish(tr)
 	tr.EnterStage("decode")
+	budget, err := s.estimateBudget(r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxPeriodBody) //lint:allow hotpathalloc HTTP decode boundary; one body-cap wrapper per request, same codec layer as the decoder below
 	var req estimateRequest
 	if err := decodeJSONStrict(r.Body, &req); err != nil {
-		s.rec.tracer.Finish(tr)
 		httpError(w, decodeErrorCode(err), "decode: %v", err)
 		return
 	}
 	p, err := s.decodePredicate(req.predicateJSON)
 	if err != nil {
-		s.rec.tracer.Finish(tr)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	deadline, err := s.estimateDeadline(r)
-	if err != nil {
-		s.rec.tracer.Finish(tr)
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The estimate runs on a checked-out replica (or through the batching
-	// coalescer) — no serving mutex anywhere on this path. The health state
-	// decides the admission rule; the deadline budgets the replica wait.
-	card, out := s.estimateBudget(p, tr, deadline)
+	// The estimate runs on a checked-out replica — no serving mutex anywhere
+	// on this path. The health state decides the admission rule; the
+	// deadline budgets the replica wait.
+	card, out := s.estimateOne(p, s.health.current(), deadlineIn(budget), tr)
 	if out.Shed {
-		s.rec.tracer.Finish(tr)
-		// A shed is a promise the server will recover if clients back off;
-		// Retry-After makes the back-off explicit.
-		w.Header().Set("Retry-After", "1")
-		//lint:allow hotpathalloc shed responses are off the steady path by definition; the reason string boxes once per 429
-		httpError(w, http.StatusTooManyRequests, "overloaded: %s", out.Reason)
+		writeShed(w, out.Reason)
 		return
 	}
 	tr.EnterStage("respond")
@@ -771,7 +507,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			Latency:   lat.Seconds(),
 			Predicate: p.WhereClause(s.sch),
 		})
-		s.rec.tracer.Finish(tr)
 	}
 }
 
@@ -1084,6 +819,16 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 //lint:allow hotpathalloc error responses are off the steady-state path; formatting one may allocate
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
+}
+
+// writeShed answers a shed estimate, scalar or batch: 429 with the reason.
+// A shed is a promise the server will recover if clients back off;
+// Retry-After makes the back-off explicit.
+//
+//lint:allow hotpathalloc shed responses are off the steady path by definition; the reason string boxes once per 429
+func writeShed(w http.ResponseWriter, reason string) {
+	w.Header().Set("Retry-After", "1")
+	httpError(w, http.StatusTooManyRequests, "overloaded: %s", reason)
 }
 
 // decodeErrorCode maps a body-decode failure to its status: 413 when the

@@ -23,7 +23,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *query.Schema, *ann
 	return newTestServerOpts(t, Options{})
 }
 
-func newTestServerOpts(t *testing.T, sopts Options) (*Server, *httptest.Server, *query.Schema, *annotator.Annotator, workload.Generator) {
+func newTestServerOpts(t testing.TB, sopts Options) (*Server, *httptest.Server, *query.Schema, *annotator.Annotator, workload.Generator) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(61))
 	tbl := dataset.PRSA(2000, rng)
@@ -201,7 +201,7 @@ func countOK(t *testing.T, ann *annotator.Annotator, p query.Predicate) float64 
 	return c
 }
 
-func annAll(t *testing.T, ann *annotator.Annotator, ps []query.Predicate) []query.Labeled {
+func annAll(t testing.TB, ann *annotator.Annotator, ps []query.Predicate) []query.Labeled {
 	t.Helper()
 	out, err := ann.AnnotateAll(context.Background(), ps)
 	if err != nil {

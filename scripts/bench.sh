@@ -5,9 +5,9 @@
 #                           gbt fit, kernel solve, one adaptation period)
 #                           → BENCH_PR4.json
 #   bench.sh serve  [...]   concurrent /estimate serving benchmark: 8
-#                           clients against the single-lock baseline, the
-#                           replica pool, and the micro-batching coalescer,
-#                           every answer checked byte-identical
+#                           clients against the single-lock baseline and
+#                           the replica pool, every answer checked
+#                           byte-identical
 #                           → BENCH_PR5.json
 #   bench.sh overload [...] overload acceptance: open-loop load at 2x
 #                           measured saturation through admission control,

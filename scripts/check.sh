@@ -42,6 +42,7 @@ echo "== fuzz-smoke (${FUZZTIME:=10s} per target)"
 go test -run='^$' -fuzz='^FuzzCountMatchesScan$' -fuzztime="$FUZZTIME" ./internal/annotator
 go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime="$FUZZTIME" ./internal/wire
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/wire
+go test -run='^$' -fuzz='^FuzzEstimateEntryPoints$' -fuzztime="$FUZZTIME" ./internal/serve
 
 # The committed estimate-cache and binary-protocol benchmark reports
 # (make bench-serve) ride along with the CI artifact upload when present.
