@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint chaos fuzz-smoke check bench bench-serve bench-overload bench-smoke
+.PHONY: build test race vet lint chaos fuzz-smoke check bench
 
 build:
 	$(GO) build ./...
@@ -34,15 +34,17 @@ lint:
 	$(GO) run ./cmd/warperlint ./...
 
 # Fault-injected soak: the WARPER_CHAOS gate enables the opt-in chaos tests
-# (heavy injected errors/hangs under concurrent traffic, plus the overload
-# soak: replica starvation + slow swaps + open breaker) on top of the
-# always-on fault-tolerance tests, under the race detector. The soak writes
+# (heavy injected errors/hangs under concurrent traffic; the overload soak:
+# replica starvation + slow swaps + open breaker; the open-loop 2x-saturation
+# acceptance run; and the differential driver's long sequence — 10^5 seeded
+# operations per seed and mode against the one-mutex reference server) on top
+# of the always-on fault-tolerance tests, under the race detector. The soak writes
 # its /debug/events adaptation journal to $(EVENTS_OUT); everything under
 # artifacts/ is ignored by git and uploaded by CI as a workflow artifact.
 EVENTS_OUT ?= artifacts/EVENTS_chaos.json
 chaos:
 	@mkdir -p $(dir $(CURDIR)/$(EVENTS_OUT))
-	WARPER_CHAOS=1 WARPER_EVENTS_OUT=$(CURDIR)/$(EVENTS_OUT) $(GO) test -race -count=1 -run 'Chaos|Faulty|Degraded|Overload' ./internal/serve ./internal/resilience ./internal/warper
+	WARPER_CHAOS=1 WARPER_EVENTS_OUT=$(CURDIR)/$(EVENTS_OUT) $(GO) test -race -count=1 -timeout 30m -run 'Chaos|Faulty|Degraded|Overload|Differential' ./internal/serve ./internal/resilience ./internal/warper
 
 # Ten seconds of coverage-guided fuzzing per target (go test takes one -fuzz
 # target per run): the annotator's indexed count against the reference scan,
@@ -56,50 +58,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzEstimateEntryPoints$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
-# Tier-2 benchmarks. bench: compute-core micro-benchmarks (nn/gbt/kernel +
-# one full adaptation period) → BENCH_PR4.json, then the cross-PR trajectory
-# table over every BENCH_*.json in the repo. bench-serve: concurrent
-# /estimate serving throughput (single-lock baseline vs replica pool vs
-# tracer envelope, byte-identity checked) → BENCH_PR5.json plus
-# an adaptation-journal artifact, then the estimate-cache benchmark —
-# Zipf(1.1) template workload, cached vs uncached, a 1-CPU pass and a
-# GOMAXPROCS=2 pass, byte-identity held across a mid-run model swap →
-# BENCH_PR9.json — and finally the binary-protocol benchmark: the columnar
-# /estimate/batch endpoint vs scalar JSON over HTTP on the uncached path,
-# with a zero-alloc batch assert and a GOMAXPROCS>=4 multi-core pass →
-# BENCH_PR10.json. bench-smoke runs the quick variant of every suite, plus
-# the annotator micro-benchmarks (count, batch, and count with the index
-# invalidated every N counts), one full adaptation period and one GAN
-# iteration with -benchmem (the log carries their allocs/op; the iteration's
-# must read 0): it proves the harnesses run, not the numbers.
+# The benchmark of record (BENCHMARK.json, bench/README.md): four 20-second
+# workloads against the system built as warperd builds it, with a
+# bit-identity oracle on every served row; -all runs each one untraced (the
+# gated metrics) and then traced (the per-layer ones). Package micro-benchmarks are plain
+# `go test -bench` in internal/{nn,gbt,ce,annotator,resilience,warper}; CI
+# runs each once to prove it builds and runs.
 bench:
-	./scripts/bench.sh micro -out BENCH_PR4.json
-	./scripts/bench_trajectory.sh
-
-bench-serve:
-	@mkdir -p $(CURDIR)/artifacts
-	WARPER_EVENTS_OUT=$(CURDIR)/artifacts/EVENTS_servebench.json ./scripts/bench.sh serve -out BENCH_PR5.json
-	./scripts/bench.sh zipf -out BENCH_PR9.json
-	./scripts/bench.sh wire -out BENCH_PR10.json
-	./scripts/bench_trajectory.sh
-
-# Overload acceptance run: open-loop load at 2x measured saturation through
-# the admission controller, health machine and fallback ladder. Fails on
-# unbounded queue growth, late sheds, or post-recovery divergence; records
-# shed-rate and degraded-vs-full GMQ in BENCH_PR8.json.
-bench-overload:
-	./scripts/bench.sh overload -out BENCH_PR8.json
-	./scripts/bench_trajectory.sh
-
-bench-smoke:
-	./scripts/bench.sh micro -quick -out /tmp/bench-smoke.json
-	./scripts/bench.sh serve -quick -out /tmp/bench-serve-smoke.json
-	./scripts/bench.sh overload -quick -out /tmp/bench-overload-smoke.json
-	./scripts/bench.sh zipf -quick -out /tmp/bench-zipf-smoke.json
-	./scripts/bench.sh wire -quick -out /tmp/bench-wire-smoke.json
-	$(GO) test -run='^$$' -bench='^BenchmarkAnnotator' -benchtime=200x .
-	$(GO) test -run='^$$' -bench='^BenchmarkWarperPeriod$$' -benchmem -benchtime=20x .
-	$(GO) test -run='^$$' -bench='^BenchmarkGANIteration$$' -benchmem -benchtime=20x ./internal/warper
-	./scripts/bench_trajectory.sh /tmp/bench-smoke.json /tmp/bench-serve-smoke.json /tmp/bench-zipf-smoke.json /tmp/bench-wire-smoke.json
+	bash bench/run.sh -all
 
 check: build vet lint test race chaos fuzz-smoke

@@ -23,81 +23,13 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "", "experiment id to run, or 'all'")
-		list   = flag.Bool("list", false, "list experiment ids and exit")
-		quick  = flag.Bool("quick", false, "use the shrunken quick scale")
-		runs   = flag.Int("runs", 0, "override repetitions per configuration")
-		seed   = flag.Int64("seed", 1, "base random seed")
-		micro  = flag.Bool("micro", false, "run the compute-core micro-benchmarks and write JSON")
-		sbench = flag.Bool("servebench", false, "run the concurrent /estimate serving benchmark and write JSON")
-		over   = flag.Bool("overload", false, "with -servebench: drive open-loop load past saturation and record shed/fallback behavior")
-		zipf   = flag.Float64("zipf", 0, "with -servebench: run the estimate-cache benchmark under a Zipf-skewed template workload with this exponent (> 1)")
-		binary = flag.Bool("binary", false, "with -servebench: run the columnar binary batch protocol benchmark against scalar JSON")
-		traj   = flag.Bool("trajectory", false, "merge BENCH_*.json reports (or the given paths) into one trajectory table")
-		out    = flag.String("out", "", "output path (default BENCH_PR4.json for -micro, BENCH_PR5.json for -servebench, BENCH_PR8.json for -overload, BENCH_PR9.json for -zipf, BENCH_PR10.json for -binary)")
+		exp   = flag.String("exp", "", "experiment id to run, or 'all'")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
+		quick = flag.Bool("quick", false, "use the shrunken quick scale")
+		runs  = flag.Int("runs", 0, "override repetitions per configuration")
+		seed  = flag.Int64("seed", 1, "base random seed")
 	)
 	flag.Parse()
-
-	if *traj {
-		if err := runTrajectory(flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "trajectory:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *micro {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR4.json"
-		}
-		if err := runMicro(path, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "micro:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *sbench {
-		path := *out
-		if *binary {
-			if path == "" {
-				path = "BENCH_PR10.json"
-			}
-			if err := runWireBench(path, *quick); err != nil {
-				fmt.Fprintln(os.Stderr, "wirebench:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if *zipf > 0 {
-			if path == "" {
-				path = "BENCH_PR9.json"
-			}
-			if err := runZipfBench(path, *quick, *zipf); err != nil {
-				fmt.Fprintln(os.Stderr, "zipf:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if *over {
-			if path == "" {
-				path = "BENCH_PR8.json"
-			}
-			if err := runOverloadBench(path, *quick); err != nil {
-				fmt.Fprintln(os.Stderr, "overload:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if path == "" {
-			path = "BENCH_PR5.json"
-		}
-		if err := runServeBench(path, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "servebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, n := range experiments.Names() {

@@ -13,7 +13,7 @@ import (
 )
 
 // fixture builds a PRSA-like table with a labeled train/test split from w1.
-func fixture(t *testing.T, nTrain, nTest int) (*dataset.Table, *query.Schema, []query.Labeled, []query.Labeled) {
+func fixture(t testing.TB, nTrain, nTest int) (*dataset.Table, *query.Schema, []query.Labeled, []query.Labeled) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	tbl := dataset.PRSA(4000, rng)
@@ -312,7 +312,7 @@ func joinGMQOK(t *testing.T, m JoinEstimator, test []query.LabeledJoin) float64 
 	return gmq
 }
 
-func annAll(t *testing.T, ann *annotator.Annotator, ps []query.Predicate) []query.Labeled {
+func annAll(t testing.TB, ann *annotator.Annotator, ps []query.Predicate) []query.Labeled {
 	t.Helper()
 	out, err := ann.AnnotateAll(context.Background(), ps)
 	if err != nil {

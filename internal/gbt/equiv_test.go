@@ -64,7 +64,7 @@ func TestPresortedTreeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ReferenceFitTree(X, y, cfg)
+			want := referenceFitTree(X, y, cfg)
 			sameTree(t, got.root, want.root)
 		})
 	}
@@ -80,7 +80,7 @@ func TestPresortedEnsembleMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ReferenceFit(X, y, cfg)
+	want := referenceFit(X, y, cfg)
 	if got.base != want.base || len(got.trees) != len(want.trees) {
 		t.Fatalf("ensemble shape differs: base %v vs %v, %d vs %d trees",
 			got.base, want.base, len(got.trees), len(want.trees))

@@ -32,6 +32,6 @@ func BenchmarkGBTFitReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ReferenceFit(X, y, cfg)
+		referenceFit(X, y, cfg)
 	}
 }

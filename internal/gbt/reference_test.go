@@ -9,10 +9,10 @@ import "sort"
 // reproduces — with it, both implementations accumulate every prefix sum in
 // the same order and fit byte-identical trees. It must not be optimized.
 
-// ReferenceFitTree grows a regression tree by re-sorting the node's samples
+// referenceFitTree grows a regression tree by re-sorting the node's samples
 // on every feature at every node. Inputs must be well-formed (callers
 // validate); it is retained for tests and benchmarks only.
-func ReferenceFitTree(X [][]float64, y []float64, cfg TreeConfig) *Tree {
+func referenceFitTree(X [][]float64, y []float64, cfg TreeConfig) *Tree {
 	if cfg.MinLeafSize < 1 {
 		cfg.MinLeafSize = 1
 	}
@@ -26,8 +26,8 @@ func ReferenceFitTree(X [][]float64, y []float64, cfg TreeConfig) *Tree {
 	return &Tree{root: referenceGrow(X, y, idx, cfg, 0)}
 }
 
-// ReferenceFit trains a boosted ensemble using ReferenceFitTree per stage.
-func ReferenceFit(X [][]float64, y []float64, cfg Config) *Regressor {
+// referenceFit trains a boosted ensemble using referenceFitTree per stage.
+func referenceFit(X [][]float64, y []float64, cfg Config) *Regressor {
 	r := &Regressor{cfg: cfg}
 	if len(y) == 0 {
 		return r
@@ -49,7 +49,7 @@ func ReferenceFit(X [][]float64, y []float64, cfg Config) *Regressor {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
 		}
-		tree := ReferenceFitTree(X, resid, tc)
+		tree := referenceFitTree(X, resid, tc)
 		r.trees = append(r.trees, tree)
 		for i := range pred {
 			pred[i] += cfg.Rate * tree.Predict(X[i])

@@ -1,7 +1,8 @@
 package lint
 
 // HotPathAlloc statically enforces the zero-allocation serving promise
-// that bench-serve's AllocsPerRun envelope only samples at runtime: no
+// that the AllocsPerRun tests (TestScalarZeroAllocSteady,
+// TestWireZeroAllocSteady) only sample at runtime: no
 // allocating construct may be reachable from the /estimate handler, the
 // replica checkout/checkin path, batched inference, or the tracer's
 // off/sampled bookkeeping. PR 4–6 bought the module model-owned scratch
@@ -46,7 +47,7 @@ var HotPathAlloc = &Analyzer{
 }
 
 // hotPathRoots are the serving entry points the zero-alloc promise
-// covers, mirroring the bench-serve runtime envelope: the HTTP estimate
+// covers, mirroring what those AllocsPerRun tests exercise: the HTTP estimate
 // handler and the public Estimate method, replica checkout/checkin, the
 // tracer paths every request pays, and batched inference.
 var hotPathRoots = []string{

@@ -37,11 +37,11 @@ func BenchmarkTrainStepBatched(b *testing.B) {
 func BenchmarkTrainStepReference(b *testing.B) {
 	n, xs, ys := benchNet()
 	opt := NewAdam(0.001)
-	ReferenceTrainBatch(n, xs, ys, MSE{}, opt)
+	referenceTrainBatch(n, xs, ys, MSE{}, opt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ReferenceTrainBatch(n, xs, ys, MSE{}, opt)
+		referenceTrainBatch(n, xs, ys, MSE{}, opt)
 	}
 }
 
@@ -65,7 +65,21 @@ func BenchmarkForwardReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, x := range xs {
-			ReferenceForward(n, x)
+			referencePredict(n, x)
 		}
+	}
+}
+
+// BenchmarkForwardBackwardPerSample is the per-sample Layer API on the same
+// shape: one Forward and one Backward, the path scalar inference and the
+// custom-layer fallback still take.
+func BenchmarkForwardBackwardPerSample(b *testing.B) {
+	n, xs, _ := benchNet()
+	grad := make([]float64, 16)
+	grad[0] = 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Forward(xs[0])
+		n.Backward(grad)
 	}
 }

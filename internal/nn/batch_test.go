@@ -49,7 +49,7 @@ func TestBatchForwardMatchesSerial(t *testing.T) {
 			x.CopyFromRows(xs)
 			got := n.BatchForward(x)
 			for r := 0; r < rows; r++ {
-				want := ReferenceForward(n, xs[r])
+				want := referencePredict(n, xs[r])
 				for i := range want {
 					if got.Row(r)[i] != want[i] {
 						t.Fatalf("%s rows=%d: row %d col %d: batched %v != serial %v",
@@ -145,7 +145,7 @@ func TestTrainBatchMatchesReferenceWithinOneShard(t *testing.T) {
 			if err != nil {
 				t.Fatalf("TrainBatch: %v", err)
 			}
-			lb := ReferenceTrainBatch(b, xs, ys, loss, NewSGD(0.05))
+			lb := referenceTrainBatch(b, xs, ys, loss, NewSGD(0.05))
 			if la != lb {
 				t.Fatalf("%T step %d: batched loss %v != reference %v", loss, step, la, lb)
 			}
@@ -174,7 +174,7 @@ func TestTrainBatchMatchesReferenceMultiShard(t *testing.T) {
 		if _, err := a.TrainBatch(xs, ys, MSE{}, NewSGD(0.05)); err != nil {
 			t.Fatalf("TrainBatch: %v", err)
 		}
-		ReferenceTrainBatch(b, xs, ys, MSE{}, NewSGD(0.05))
+		referenceTrainBatch(b, xs, ys, MSE{}, NewSGD(0.05))
 	}
 	ap, bp := a.Params(), b.Params()
 	for pi := range ap {
@@ -204,7 +204,7 @@ func TestTrainBatchCrossEntropyMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("TrainBatch: %v", err)
 		}
-		lb := ReferenceTrainBatch(b, xs, ys, SoftmaxCrossEntropy{}, NewSGD(0.05))
+		lb := referenceTrainBatch(b, xs, ys, SoftmaxCrossEntropy{}, NewSGD(0.05))
 		if la != lb {
 			t.Fatalf("step %d: batched CE loss %v != reference %v", step, la, lb)
 		}

@@ -5,13 +5,13 @@ import "math"
 // This file preserves the original per-sample training step — one heap
 // allocation per layer per sample, sequential gradient accumulation — exactly
 // as the tree shipped before the batched compute core landed. It is the
-// oracle for the batched-equivalence tests and the baseline that the recorded
-// benchmark trajectory (BENCH_PR4.json) measures speedups against. It must
-// not be "optimized": its whole value is being the slow, known-good original.
+// oracle for the batched-equivalence tests and the baseline of
+// BenchmarkTrainStepReference / BenchmarkForwardReference. It must not be
+// "optimized": its whole value is being the slow, known-good original.
 
-// ReferenceTrainBatch performs one optimizer step on a minibatch using the
+// referenceTrainBatch performs one optimizer step on a minibatch using the
 // original allocating per-sample forward/backward, returning the mean loss.
-func ReferenceTrainBatch(n *Network, xs, ys [][]float64, loss Loss, opt Optimizer) float64 {
+func referenceTrainBatch(n *Network, xs, ys [][]float64, loss Loss, opt Optimizer) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -28,9 +28,9 @@ func ReferenceTrainBatch(n *Network, xs, ys [][]float64, loss Loss, opt Optimize
 	return total / float64(len(xs))
 }
 
-// ReferenceForward runs one sample through the network with the original
+// referencePredict runs one sample through the network with the original
 // allocating per-layer code and returns the output.
-func ReferenceForward(n *Network, x []float64) []float64 {
+func referencePredict(n *Network, x []float64) []float64 {
 	acts := referenceForward(n, x)
 	return acts[len(acts)-1]
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -62,43 +64,67 @@ func TestGaugeAddConcurrent(t *testing.T) {
 	}
 }
 
-// TestAliasHistogramSharesData verifies the rename bridge: the alias family
-// exports the same observations as the canonical name.
-func TestAliasHistogramSharesData(t *testing.T) {
+// TestExportRacesSeriesCreation is the registry's concurrency contract: a
+// label value seen for the first time (a new `reason` on a counter, a new
+// handler on a histogram) creates a series at any moment, including while
+// /metrics, /debug/vars and the window sampler are walking the registry.
+// The exporters must work on a snapshot taken under the registry lock —
+// walking the live series map is a fatal "concurrent map iteration and map
+// write", and reading a just-created series' value pointer is a data race.
+// Run under -race.
+func TestExportRacesSeriesCreation(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("replica_checkout_wait_seconds", LatencyOpts())
-	r.AliasHistogram("estimate_lock_wait_seconds", h)
-	h.Observe(0.01)
-	h.Observe(0.02)
+	win := NewWindows(r, time.Minute)
+	const creators, perCreator = 4, 200
+	var creating, exporting sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < creators; w++ {
+		creating.Add(1)
+		go func(w int) {
+			defer creating.Done()
+			for i := 0; i < perCreator; i++ {
+				v := strconv.Itoa(w*perCreator + i)
+				r.Counter("shed_total", "reason", v).Inc()
+				r.Gauge("depth", "queue", v).Set(1)
+				r.Histogram("wait_seconds", LatencyOpts(), "handler", v).Observe(0.01)
+			}
+		}(w)
+	}
+	now := time.Now()
+	for _, export := range []func(){
+		func() {
+			r.PrometheusHandler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/metrics", nil))
+		},
+		func() {
+			r.VarsHandler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/vars", nil))
+		},
+		func() {
+			now = now.Add(time.Minute) // a full span later: every Tick captures
+			win.Tick(now)
+		},
+	} {
+		exporting.Add(1)
+		go func(export func()) {
+			defer exporting.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					export()
+				}
+			}
+		}(export)
+	}
+	creating.Wait()
+	close(stop)
+	exporting.Wait()
 
 	var sb strings.Builder
-	r.WritePrometheus(&sb)
-	text := sb.String()
-	for _, want := range []string{
-		"replica_checkout_wait_seconds_count 2",
-		"estimate_lock_wait_seconds_count 2",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-
-	// The alias shares the histogram, so later observations appear in both.
-	h.Observe(0.03)
-	sb.Reset()
-	r.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), "estimate_lock_wait_seconds_count 3") {
-		t.Error("alias did not track the canonical histogram")
+	if got, want := strings.Count(sb.String(), "shed_total{"), creators*perCreator; got != want {
+		t.Errorf("exposition has %d shed_total series, want %d", got, want)
 	}
-}
-
-func TestAliasHistogramKindConflictPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("taken_total")
-	defer func() {
-		if recover() == nil {
-			t.Error("aliasing over a counter name did not panic")
-		}
-	}()
-	r.AliasHistogram("taken_total", NewHistogram(LatencyOpts()))
 }

@@ -24,7 +24,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
-		for _, s := range f.sortedSeries() {
+		for _, s := range f.series {
 			if err := writeSeries(w, f, s); err != nil {
 				return err
 			}
@@ -33,7 +33,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writeSeries(w io.Writer, f *family, s *series) error {
+func writeSeries(w io.Writer, f familySnapshot, s series) error {
 	switch f.kind {
 	case kindCounter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.c.Value())
@@ -105,7 +105,7 @@ type histogramJSON struct {
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
 	for _, f := range r.snapshotFamilies() {
-		for _, s := range f.sortedSeries() {
+		for _, s := range f.series {
 			key := f.name + s.labels
 			switch f.kind {
 			case kindCounter:

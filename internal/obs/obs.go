@@ -152,8 +152,10 @@ func escapeLabel(v string) string {
 }
 
 // seriesFor finds or creates the series for (name, labels), enforcing kind
-// consistency across the family.
-func (r *Registry) seriesFor(name string, kind metricKind, labels []string) *series {
+// consistency across the family. A new series gets its metric value in the
+// same critical section that publishes it, so an export snapshot never sees
+// a series without one; opts only matters for a new histogram.
+func (r *Registry) seriesFor(name string, kind metricKind, opts HistogramOpts, labels []string) *series {
 	suffix := labelSuffix(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -169,6 +171,14 @@ func (r *Registry) seriesFor(name string, kind metricKind, labels []string) *ser
 	s := f.series[suffix]
 	if s == nil {
 		s = &series{labels: suffix}
+		switch kind {
+		case kindCounter:
+			s.c = &Counter{}
+		case kindGauge:
+			s.g = &Gauge{}
+		default:
+			s.h = NewHistogram(opts)
+		}
 		f.series[suffix] = s
 	}
 	return s
@@ -177,85 +187,50 @@ func (r *Registry) seriesFor(name string, kind metricKind, labels []string) *ser
 // Counter returns the counter for name with the given alternating key/value
 // label pairs, creating it on first use.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	s := r.seriesFor(name, kindCounter, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.seriesFor(name, kindCounter, HistogramOpts{}, labels).c
 }
 
 // Gauge returns the gauge for name and labels, creating it on first use.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	s := r.seriesFor(name, kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.seriesFor(name, kindGauge, HistogramOpts{}, labels).g
 }
 
 // Histogram returns the histogram for name and labels, creating it with opts
 // on first use (later calls ignore opts and return the existing histogram).
 func (r *Registry) Histogram(name string, opts HistogramOpts, labels ...string) *Histogram {
-	s := r.seriesFor(name, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.h == nil {
-		s.h = NewHistogram(opts)
-	}
-	return s.h
+	return r.seriesFor(name, kindHistogram, opts, labels).h
 }
 
-// AliasHistogram exposes an existing histogram under a second name — the
-// one-release bridge when a metric is renamed: dashboards watching the old
-// name keep seeing the same data while they migrate. The alias shares the
-// histogram, so the two exported families are always identical. Panics if
-// the alias name is already registered as a different kind.
-func (r *Registry) AliasHistogram(alias string, h *Histogram) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.families[alias]
-	if f == nil {
-		f = &family{name: alias, kind: kindHistogram, series: map[string]*series{}}
-		r.families[alias] = f
-	} else if len(f.series) == 0 {
-		f.kind = kindHistogram
-	} else if f.kind != kindHistogram {
-		panic(fmt.Sprintf("obs: alias %q already registered as %v", alias, f.kind))
-	}
-	s := f.series[""]
-	if s == nil {
-		s = &series{}
-		f.series[""] = s
-	}
-	s.h = h
+// familySnapshot is an export-time copy of one family: its header fields
+// and its series ordered by label suffix. Exposition works on these copies
+// because the live family.series map keeps growing under Registry.mu while a
+// scrape renders (a first-seen label value creates a series at any time).
+type familySnapshot struct {
+	name   string
+	kind   metricKind
+	help   string
+	series []series
 }
 
-// snapshotFamilies returns families and series in deterministic order for
-// exposition.
-func (r *Registry) snapshotFamilies() []*family {
+// snapshotFamilies copies every family that has series, in name order, with
+// each family's series in label order — all under the registry lock, so
+// callers iterate without it. The metric values behind the copied pointers
+// are atomics and stay live.
+func (r *Registry) snapshotFamilies() []familySnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fams := make([]*family, 0, len(r.families))
+	fams := make([]familySnapshot, 0, len(r.families))
 	for _, f := range r.families {
 		if len(f.series) == 0 {
 			continue // help-only entry, nothing to expose
 		}
-		fams = append(fams, f)
+		fs := familySnapshot{name: f.name, kind: f.kind, help: f.help, series: make([]series, 0, len(f.series))}
+		for _, s := range f.series {
+			fs.series = append(fs.series, *s)
+		}
+		sort.Slice(fs.series, func(i, j int) bool { return fs.series[i].labels < fs.series[j].labels })
+		fams = append(fams, fs)
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	return fams
-}
-
-// sortedSeries returns a family's series ordered by label suffix.
-func (f *family) sortedSeries() []*series {
-	out := make([]*series, 0, len(f.series))
-	for _, s := range f.series {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })
-	return out
 }

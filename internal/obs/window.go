@@ -97,7 +97,7 @@ func (w *Windows) capture(now time.Time) windowSample {
 		hists:    map[string]histSample{},
 	}
 	for _, f := range w.reg.snapshotFamilies() {
-		for _, sr := range f.sortedSeries() {
+		for _, sr := range f.series {
 			key := f.name + sr.labels
 			switch f.kind {
 			case kindCounter:

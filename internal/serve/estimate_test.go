@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"warper/internal/obs"
 	"warper/internal/query"
 	"warper/internal/wire"
 )
@@ -41,13 +42,23 @@ func post(t testing.TB, url, ctype string, body []byte, budgetMs int) (int, []by
 	return resp.StatusCode, raw
 }
 
-// shedOutcome parses a 429 body ("overloaded: <reason>") into its outcome.
+// parseShed parses a 429 body ("overloaded: <reason>") into its outcome.
+func parseShed(code int, body []byte) (EstimateOutcome, error) {
+	reason, ok := strings.CutPrefix(string(body), "overloaded: ")
+	if code != http.StatusTooManyRequests || !ok {
+		return EstimateOutcome{}, fmt.Errorf("status = %d (%s), want 200 or a 429 shed", code, body)
+	}
+	return EstimateOutcome{Shed: true, Reason: strings.TrimSpace(reason)}, nil
+}
+
+// shedOutcome is parseShed for the test's own goroutine.
 func shedOutcome(t testing.TB, code int, body []byte) EstimateOutcome {
 	t.Helper()
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("status = %d (%s), want 200 or 429", code, body)
+	out, err := parseShed(code, body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return EstimateOutcome{Shed: true, Reason: strings.TrimSpace(strings.TrimPrefix(string(body), "overloaded: "))}
+	return out
 }
 
 // reasonCounters snapshots the six per-reason admission counters.
@@ -78,6 +89,28 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
+// admissionOutcome is the admission table, spelled out from the outside:
+// what a request whose rows all miss the cache must come back as, given the
+// health state, whether a fallback ladder exists, whether every replica is
+// held, and whether the request carries a deadline.
+func admissionOutcome(state HealthState, breaker, fallback, held, budgeted bool) EstimateOutcome {
+	switch {
+	case !held:
+		return EstimateOutcome{}
+	case state == Shedding, state == Degraded && !fallback:
+		return EstimateOutcome{Shed: true, Reason: "shedding"}
+	case state == Degraded && breaker:
+		return EstimateOutcome{Degraded: true, Reason: "breaker"}
+	case state == Degraded:
+		return EstimateOutcome{Degraded: true, Reason: "degraded"}
+	case !budgeted:
+		return EstimateOutcome{} // waits until the replica is released
+	case !fallback:
+		return EstimateOutcome{Shed: true, Reason: "deadline"}
+	}
+	return EstimateOutcome{Degraded: true, Reason: "timeout"}
+}
+
 // entryPointsAgree walks the admission table on one server.
 func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 	type health struct {
@@ -90,24 +123,6 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 		{"degraded", Degraded, false},
 		{"degraded+breaker", Degraded, true},
 		{"shedding", Shedding, false},
-	}
-	// want is the admission table, spelled out from the outside.
-	want := func(h health, fallback, held, budgeted bool) EstimateOutcome {
-		switch {
-		case !held:
-			return EstimateOutcome{}
-		case h.state == Shedding, h.state == Degraded && !fallback:
-			return EstimateOutcome{Shed: true, Reason: "shedding"}
-		case h.state == Degraded && h.breaker:
-			return EstimateOutcome{Degraded: true, Reason: "breaker"}
-		case h.state == Degraded:
-			return EstimateOutcome{Degraded: true, Reason: "degraded"}
-		case !budgeted:
-			return EstimateOutcome{} // waits until the replica is released
-		case !fallback:
-			return EstimateOutcome{Shed: true, Reason: "deadline"}
-		}
-		return EstimateOutcome{Degraded: true, Reason: "timeout"}
 	}
 	const bigRows, bigRow = 300, 280
 
@@ -188,7 +203,7 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 
 				srv.health.state.Store(int32(h.state))
 				srv.health.breakerOpen.Store(h.breaker)
-				exp := want(h, fallback, held, budgeted)
+				exp := admissionOutcome(h.state, h.breaker, fallback, held, budgeted)
 				wantCard := ref.Estimate(pn)
 				if exp.Degraded {
 					wantCard = srv.fb.estimate(pn)
@@ -274,7 +289,9 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 
 // TestScalarZeroAllocSteady is TestWireZeroAllocSteady for the group of
 // one: a warmed in-process estimate allocates nothing whether it hits the
-// cache, misses it, or misses it under a deadline.
+// cache, misses it, or misses it under a deadline — nor does the envelope
+// the HTTP handler wraps around it (Acquire → EnterStage → Finish) while
+// the tracer's sample rate is 0.
 func TestScalarZeroAllocSteady(t *testing.T) {
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true, Replicas: 2})
 	p := gNew.Gen(rand.New(rand.NewSource(29))).Normalize(sch)
@@ -283,6 +300,7 @@ func TestScalarZeroAllocSteady(t *testing.T) {
 		srv.cache.flushAll()
 		srv.Estimate(p)
 	}
+	tracerOff := obs.NewTracer(0, 64)
 	cases := []struct {
 		name string
 		miss bool
@@ -291,6 +309,12 @@ func TestScalarZeroAllocSteady(t *testing.T) {
 		{"Estimate hit", false, func() { srv.Estimate(p) }},
 		{"Estimate miss", true, func() { srv.Estimate(p) }},
 		{"EstimateBudget miss", true, func() { srv.EstimateBudget(p, time.Now().Add(time.Minute)) }},
+		{"Estimate miss in a tracer-off envelope", true, func() {
+			tr := tracerOff.Acquire("estimate")
+			tr.EnterStage("infer")
+			srv.Estimate(p)
+			tracerOff.Finish(tr)
+		}},
 	}
 	for _, tc := range cases {
 		misses := srv.met.cacheMisses.Value()

@@ -503,3 +503,164 @@ func TestOverloadChaosSoak(t *testing.T) {
 		t.Errorf("post-recovery answer %v, want full-model %v", est.Cardinality, want)
 	}
 }
+
+// storeMax raises a to v when v is larger.
+func storeMax(a *atomic.Int64, v int64) {
+	for old := a.Load(); v > old && !a.CompareAndSwap(old, v); old = a.Load() {
+	}
+}
+
+// TestOverloadOpenLoop2xSaturation is the overload acceptance run, opt-in
+// behind `make chaos` like the soak above. Replica starvation makes
+// saturation machine-independent (every checkout holds its replica for
+// starveHold, so the pool serves ~replicas/starveHold per second however
+// fast the model infers); the closed-loop saturation rate is measured, and
+// then arrivals are released open-loop at twice that rate — they do not wait
+// for completions, which is what lets a queue grow and makes its bound mean
+// something. The shapes exercise every rung: the excess arrival rate times
+// the budget exceeds the queue bound (the queue caps out and sheds), the
+// full queue's drain time exceeds the budget (queued requests time out into
+// the fallback ladder), and QueueHigh (= shedQueue/2) is crossed (the health
+// machine reaches shedding and its admission rule sheds too). Asserted: the
+// queue stays within its bound, no shed answer overstays the budget, both
+// rungs fire, the server walks back to healthy, and the model's answers are
+// bit-identical afterwards.
+func TestOverloadOpenLoop2xSaturation(t *testing.T) {
+	if os.Getenv("WARPER_CHAOS") == "" {
+		t.Skip("overload acceptance run is opt-in: set WARPER_CHAOS=1 (or run `make chaos`)")
+	}
+	const (
+		clients    = 8
+		budget     = 5 * time.Millisecond
+		shedQueue  = 64
+		starveHold = 100 * time.Microsecond
+		step       = 2 * time.Millisecond // dispatcher release interval
+		satDur     = 150 * time.Millisecond
+		dur        = 600 * time.Millisecond
+		// depthSlack covers arrivals sampled between their queue reservation
+		// and its rollback; latencySlack covers timer-wakeup scheduling noise.
+		depthSlack   = clients * 8
+		latencySlack = 250 * time.Millisecond
+	)
+	faults := resilience.NewServeFaults(resilience.ServeFaultPlan{StarveEvery: 1, StarveHold: starveHold})
+	// Wait thresholds out of reach, as in the soak: queue depth drives the
+	// ladder, and scheduler-inflated wait samples cannot pin recovery.
+	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
+		Replicas:        clients,
+		EstimateTimeout: budget,
+		ShedQueue:       shedQueue,
+		ServeFaults:     faults,
+		Health: HealthConfig{
+			EvalInterval:   20 * time.Millisecond,
+			DegradeWaitP99: 30 * time.Second,
+			ShedWaitP99:    time.Minute,
+		},
+	})
+	rng := rand.New(rand.NewSource(17))
+	ref := srv.Estimator().Clone()
+	preds := make([]query.Predicate, 256)
+	want := make([]float64, len(preds))
+	for i := range preds {
+		preds[i] = gNew.Gen(rng).Normalize(sch)
+		want[i] = ref.Estimate(preds[i])
+	}
+
+	// Phase 1: closed-loop saturation, every answer checked.
+	var completed, diverged atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; time.Since(start) < satDur; i++ {
+				if srv.Estimate(preds[i%len(preds)]) != want[i%len(preds)] {
+					diverged.Add(1)
+				}
+				completed.Add(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := diverged.Load(); n != 0 {
+		t.Fatalf("saturation: %d estimates diverged from the reference", n)
+	}
+	saturation := float64(completed.Load()) / time.Since(start).Seconds()
+
+	// Phase 2: open-loop arrivals at 2x saturation, with a sampler driving
+	// the health machine's clock and watching the queue depth.
+	var ok, degraded, shed, maxShedLat, maxDepth atomic.Int64
+	done := make(chan struct{})
+	var sampler sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case now := <-tick.C:
+				srv.Tick(now)
+				storeMax(&maxDepth, srv.QueueDepth())
+			}
+		}
+	}()
+	perStep := max(1, int(2*saturation*step.Seconds()))
+	start = time.Now()
+	for s, idx := 0, 0; s < int(dur/step); s++ {
+		time.Sleep(time.Until(start.Add(time.Duration(s) * step)))
+		for j := 0; j < perStep; j, idx = j+1, idx+1 {
+			wg.Add(1)
+			go func(p query.Predicate) {
+				defer wg.Done()
+				t0 := time.Now()
+				_, o := srv.EstimateBudget(p, t0.Add(budget))
+				switch {
+				case o.Shed:
+					shed.Add(1)
+					storeMax(&maxShedLat, int64(time.Since(t0)))
+				case o.Degraded:
+					degraded.Add(1)
+				default:
+					ok.Add(1)
+				}
+			}(preds[idx%len(preds)])
+		}
+	}
+	wg.Wait()
+	close(done)
+	sampler.Wait()
+	t.Logf("saturation %.0f est/s, offered 2x: ok %d, degraded %d, shed %d; max queue depth %d (bound %d), max shed latency %v (budget %v)",
+		saturation, ok.Load(), degraded.Load(), shed.Load(), maxDepth.Load(), shedQueue, time.Duration(maxShedLat.Load()), budget)
+	if d := maxDepth.Load(); d > shedQueue+depthSlack {
+		t.Errorf("queue depth %d grew past the %d bound", d, shedQueue)
+	}
+	if lat := time.Duration(maxShedLat.Load()); lat > budget+latencySlack {
+		t.Errorf("a shed answer took %v, budget %v", lat, budget)
+	}
+	if shed.Load() == 0 {
+		t.Error("no request shed at 2x saturation: load shedding untested")
+	}
+	if degraded.Load() == 0 {
+		t.Error("no degraded answer at 2x saturation: fallback ladder untested")
+	}
+
+	// Phase 3: chaos off; the health machine must walk back to healthy and
+	// overload must not have perturbed the served model.
+	faults.Disable()
+	recoverBy := time.Now().Add(10 * time.Second)
+	for srv.HealthState() != Healthy && time.Now().Before(recoverBy) {
+		srv.Tick(time.Now())
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := srv.HealthState(); got != Healthy {
+		t.Fatalf("server did not recover to healthy (state %v)", got)
+	}
+	for i, p := range preds {
+		if got := srv.Estimate(p); got != want[i] {
+			t.Fatalf("post-recovery estimate %d = %v, want %v", i, got, want[i])
+		}
+	}
+}

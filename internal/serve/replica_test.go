@@ -10,11 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"warper/internal/annotator"
-	"warper/internal/ce"
-	"warper/internal/dataset"
 	"warper/internal/query"
-	"warper/internal/warper"
 	"warper/internal/workload"
 )
 
@@ -22,30 +18,10 @@ import (
 // environment newTestServer uses.
 func newPoolServer(t *testing.T, opts Options) (*Server, *query.Schema, workload.Generator) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(61))
-	tbl := dataset.PRSA(2000, rng)
-	sch := query.SchemaOf(tbl)
-	ann := annotator.New(tbl)
-	wopts := workload.Options{MaxConstrained: 2}
-	gTrain := workload.New("w1", tbl, sch, wopts)
-	train := annAll(t, ann, workload.Generate(gTrain, 300, rng))
-	lm := ce.NewLM(ce.LMMLP, sch, 1)
-	if err := lm.Train(train); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	cfg := warper.DefaultConfig()
-	cfg.Hidden = 32
-	cfg.Depth = 2
-	cfg.NIters = 20
-	cfg.Gamma = 100
-	cfg.PickSize = 60
-	ad, err := warper.New(cfg, lm, sch, ann, train)
-	if err != nil {
-		t.Fatalf("warper.New: %v", err)
-	}
+	ad, sch, _, gNew := newTestAdapter(t, 61, nil)
 	srv := NewWithOptions(ad, sch, opts)
 	t.Cleanup(srv.Close)
-	return srv, sch, workload.New("w4", tbl, sch, wopts)
+	return srv, sch, gNew
 }
 
 // concurrentEstimates fires every predicate through srv.Estimate from nWorkers
@@ -134,9 +110,7 @@ func TestModelSwapRefreshesReplicas(t *testing.T) {
 // good, so the evidence of drift silently vanished. They must be
 // re-buffered for the next attempt.
 func TestFailedPeriodRestoresArrivals(t *testing.T) {
-	_, ts, ann, gNew := robustnessEnv(t, func(lm *ce.LM) ce.Estimator {
-		return &failUpdateModel{LM: lm}
-	})
+	_, ts, ann, gNew := robustnessEnv(t, failingUpdate)
 	rng := rand.New(rand.NewSource(37))
 	const n = 30
 	feedDrifted(t, ts, ann, gNew, rng, n)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -19,10 +18,8 @@ import (
 
 	"warper/internal/annotator"
 	"warper/internal/ce"
-	"warper/internal/dataset"
 	"warper/internal/query"
 	"warper/internal/resilience"
-	"warper/internal/warper"
 	"warper/internal/workload"
 )
 
@@ -45,54 +42,24 @@ func (p *panicModel) Clone() ce.Estimator {
 	return &panicModel{LM: p.LM.Clone().(*ce.LM), armed: p.armed}
 }
 
-// failUpdateModel simulates a kernel-fit failure: Update first mutates the
-// underlying weights (a half-applied repair) and then reports failure, so
-// a server that forgets to reinstate the pre-period clone would serve the
-// corrupted model.
-type failUpdateModel struct {
-	*ce.LM
-}
-
-func (f *failUpdateModel) Update(examples []query.Labeled) error {
-	if err := f.LM.Update(examples); err != nil {
-		return err
-	}
-	return errors.New("ce: kernel fit failed: simulated singular system")
-}
-
-func (f *failUpdateModel) Clone() ce.Estimator {
-	return &failUpdateModel{LM: f.LM.Clone().(*ce.LM)}
+// failingUpdate wraps lm so that every Update fails after it has mutated the
+// weights (hookModel, differential_test.go) — a simulated kernel-fit
+// failure: a server that forgets to reinstate the pre-period clone would
+// serve the half-updated model.
+func failingUpdate(lm *ce.LM) ce.Estimator {
+	h := &modelHooks{}
+	h.failUpdate.Store(true)
+	return &hookModel{LM: lm, h: h}
 }
 
 // robustnessEnv builds a server around the given model wrapper.
 func robustnessEnv(t *testing.T, wrap func(*ce.LM) ce.Estimator) (*Server, *httptest.Server, *annotator.Annotator, workload.Generator) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(91))
-	tbl := dataset.PRSA(2000, rng)
-	sch := query.SchemaOf(tbl)
-	ann := annotator.New(tbl)
-	opts := workload.Options{MaxConstrained: 2}
-	gTrain := workload.New("w1", tbl, sch, opts)
-	train := annAll(t, ann, workload.Generate(gTrain, 300, rng))
-	lm := ce.NewLM(ce.LMMLP, sch, 1)
-	if err := lm.Train(train); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-
-	cfg := warper.DefaultConfig()
-	cfg.Hidden = 32
-	cfg.Depth = 2
-	cfg.NIters = 20
-	cfg.Gamma = 100
-	cfg.PickSize = 60
-	ad, err := warper.New(cfg, wrap(lm), sch, ann, train)
-	if err != nil {
-		t.Fatalf("warper.New: %v", err)
-	}
+	ad, sch, ann, gNew := newTestAdapter(t, 91, wrap)
 	srv := New(ad, sch)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, ts, ann, workload.New("w4", tbl, sch, opts)
+	return srv, ts, ann, gNew
 }
 
 // metricsBody fetches /metrics as text.
@@ -159,9 +126,7 @@ func TestPanickingModelKeepsServing(t *testing.T) {
 // response while /estimate keeps serving the pre-period model — no process
 // death, no half-updated weights.
 func TestFailedPeriodKeepsPrePeriodModelServing(t *testing.T) {
-	srv, ts, ann, gNew := robustnessEnv(t, func(lm *ce.LM) ce.Estimator {
-		return &failUpdateModel{LM: lm}
-	})
+	srv, ts, ann, gNew := robustnessEnv(t, failingUpdate)
 	rng := rand.New(rand.NewSource(13))
 
 	// Feed drifted, labeled arrivals so the period detects drift and

@@ -25,7 +25,22 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *query.Schema, *ann
 
 func newTestServerOpts(t testing.TB, sopts Options) (*Server, *httptest.Server, *query.Schema, *annotator.Annotator, workload.Generator) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(61))
+	ad, sch, ann, gNew := newTestAdapter(t, 61, nil)
+	srv := NewWithOptions(ad, sch, sopts)
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts, sch, ann, gNew
+}
+
+// newTestAdapter builds the adaptation stack every server in these tests
+// sits on: a 2000-row PRSA table drawn from seed, an LM-mlp trained on 300
+// w1 predicates (passed through wrap, when given, before the adapter sees
+// it) and a small-network adapter. The returned generator draws the drifted
+// w4 workload over the same table. Equal seeds build bit-identical stacks.
+func newTestAdapter(t testing.TB, seed int64, wrap func(*ce.LM) ce.Estimator) (*warper.Adapter, *query.Schema, *annotator.Annotator, workload.Generator) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	tbl := dataset.PRSA(2000, rng)
 	sch := query.SchemaOf(tbl)
 	ann := annotator.New(tbl)
@@ -36,6 +51,10 @@ func newTestServerOpts(t testing.TB, sopts Options) (*Server, *httptest.Server, 
 	if err := lm.Train(train); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
+	var m ce.Estimator = lm
+	if wrap != nil {
+		m = wrap(lm)
+	}
 
 	cfg := warper.DefaultConfig()
 	cfg.Hidden = 32
@@ -43,16 +62,11 @@ func newTestServerOpts(t testing.TB, sopts Options) (*Server, *httptest.Server, 
 	cfg.NIters = 20
 	cfg.Gamma = 100
 	cfg.PickSize = 60
-	ad, err := warper.New(cfg, lm, sch, ann, train)
+	ad, err := warper.New(cfg, m, sch, ann, train)
 	if err != nil {
 		t.Fatalf("warper.New: %v", err)
 	}
-	srv := NewWithOptions(ad, sch, sopts)
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	gNew := workload.New("w4", tbl, sch, opts)
-	return srv, ts, sch, ann, gNew
+	return ad, sch, ann, workload.New("w4", tbl, sch, opts)
 }
 
 func postJSON(t *testing.T, url string, body any, out any) *http.Response {

@@ -3,7 +3,9 @@ package warper
 import (
 	"testing"
 
+	"warper/internal/ce"
 	"warper/internal/pool"
+	"warper/internal/workload"
 )
 
 // ganFixture builds Table 3 sized components (DefaultConfig: three hidden
@@ -45,5 +47,34 @@ func TestGANIterationSteadyStateAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() { c.embeddingStd(newEntries) }); n != 0 {
 		t.Errorf("embeddingStd allocates %v times per run, want 0", n)
+	}
+}
+
+// BenchmarkWarperPeriod is one full adaptation period (detect → generate →
+// pick → annotate → update) over ten fresh labeled w4 arrivals, on a
+// 250-query LM-mlp and Hidden-64 components.
+func BenchmarkWarperPeriod(b *testing.B) {
+	env := newTestEnvTB(b, 250, 0)
+	lm := ce.NewLM(ce.LMMLP, env.sch, 1)
+	if err := lm.Train(env.train); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Hidden = 64
+	cfg.Depth = 2
+	cfg.NIters = 30
+	cfg.Gamma = 200
+	cfg.PickSize = 100
+	ad, err := New(cfg, lm, env.sch, env.ann, env.train)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gNew := workload.New("w4", env.tbl, env.sch, workload.Options{MaxConstrained: 2})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := annAllT(b, env.ann, workload.Generate(gNew, 10, env.rng))
+		if _, err := ad.Period(arrivalsOf(fresh, true)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
