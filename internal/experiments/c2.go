@@ -135,13 +135,3 @@ func median(xs []float64) float64 {
 	}
 	return (s[mid-1] + s[mid]) / 2
 }
-
-// sortedMethodNames returns method names in a stable order for map output.
-func sortedMethodNames(m map[string]*metrics.Curve) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -46,6 +46,11 @@ func measureCosts(ds string, sc Scale, seed int64) costProfile {
 	for _, p := range periods {
 		mustPeriod(ad, p)
 	}
+	// The period clock charges every instant of a period to one ledger key
+	// (warper.Report.Stages); Table 6's C is the component work and the
+	// model update among them. Annotation is modelled from c_gt·n_a below,
+	// and detect and finish (early-stop evaluation, pool and canary upkeep)
+	// are no part of the paper's cost model.
 	prof.WarperBuild = ad.Ledger.Get("pretrain") + ad.Ledger.Get("gan") + ad.Ledger.Get("ae") +
 		ad.Ledger.Get("gen") + ad.Ledger.Get("embed") + ad.Ledger.Get("pick")
 	prof.ModelUpdate = ad.Ledger.Get("model")

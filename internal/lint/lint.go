@@ -342,7 +342,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism,
 		PanicFree,
-		LockHygiene,
 		ErrcheckLite,
 		CtxPropagate,
 		ObsNames,

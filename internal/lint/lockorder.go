@@ -1,30 +1,38 @@
 package lint
 
-// LockOrder lifts the lock discipline from per-function to module-wide.
-// Two properties are checked over the call graph:
+// LockOrder is the module's lock discipline, checked over the call graph.
+// Three properties:
 //
 //  1. Ordering. Every blocking Lock/RLock opens a region (to the matching
 //     Unlock in the same statement list, or the end of the list for
-//     deferred/implicit unlocks — the same region shape lockhygiene
-//     uses). Any mutex acquired inside the region — directly, in a
-//     nested block, or transitively through module calls — adds an edge
-//     held → acquired to a module-wide acquisition graph. A cycle in
-//     that graph is a latent deadlock between serving, pool, and
+//     deferred/implicit unlocks). Any mutex acquired inside the region —
+//     directly, in a nested block, or transitively through module calls —
+//     adds an edge held → acquired to a module-wide acquisition graph. A
+//     cycle in that graph is a latent deadlock between serving, pool, and
 //     observability locks, and is reported even when the two halves of
 //     the inversion live in different packages.
 //
-//  2. Transitive hygiene. lockhygiene flags slow work (training,
-//     annotation, I/O) called directly under a lock in internal/serve;
-//     this rule extends the same check through the call graph, so a
-//     helper that reaches model.Update three frames down is caught at
-//     the call site under the lock.
+//  2. Hygiene. PR 1 measured lock-wait as the dominant head-of-line
+//     latency source and moved adaptation off the estimate lock via
+//     clone/swap; this pins that property: inside internal/serve, no
+//     model training/updating, no annotation, and no I/O may run in a
+//     region — called there directly (depth 0), or reached through a
+//     helper three frames down, in which case the diagnostic lands on the
+//     call site under the lock.
+//
+//  3. Lock-free checkout. The checkout path — replicaPool methods and the
+//     server's Estimate method — hands replicas over through the
+//     free-list channel; any blocking Lock/RLock there reintroduces the
+//     single-lock bottleneck the pool exists to remove.
 //
 // TryLock never opens a region — a non-blocking acquisition cannot
-// deadlock, which is exactly why handlePeriod's period latch uses it —
-// and refreshMu keeps its sanctioned exemption from the hygiene check
-// (but not from ordering: a cycle through refreshMu is still a cycle).
-// Goroutine and closure edges are followed conservatively: work spawned
-// while a lock is held can run while it is held.
+// deadlock, which is exactly why handlePeriod's period latch uses it and
+// may span a full repair — and refreshMu, which serializes rare post-swap
+// re-clones off the common path, is exempt from hygiene and from the
+// checkout check (but not from ordering: a cycle through refreshMu is
+// still a cycle). Goroutine and closure edges are followed
+// conservatively: work spawned while a lock is held can run while it is
+// held.
 
 import (
 	"fmt"
@@ -37,7 +45,7 @@ import (
 
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "module-wide mutex acquisition graph must be cycle-free; no slow work transitively under serve locks",
+	Doc:       "module-wide mutex acquisition graph must be cycle-free; no slow work under serve locks, directly or transitively; replica checkout stays lock-free",
 	Packages:  []string{"serve", "pool", "obs"},
 	RunModule: runLockOrder,
 }
@@ -59,7 +67,18 @@ type lockOrderState struct {
 	edges     []lockEdge
 	edgeSeen  map[[2]*types.Var]bool
 	display   map[*types.Var]string
-	hygSeen   map[token.Pos]bool // transitive-hygiene report dedup
+}
+
+// slowMethods are module methods that train, retrain, or scan tables —
+// work that must never run under the serving lock.
+var slowMethods = map[string]bool{
+	"Train": true, "Update": true, "TrainJoin": true, "UpdateJoin": true,
+	"Period": true, "AnnotateAll": true,
+}
+
+// ioPackages whose calls count as I/O under a lock.
+var ioPackages = map[string]bool{
+	"os": true, "io": true, "net": true, "net/http": true, "bufio": true,
 }
 
 func runLockOrder(mp *ModulePass) {
@@ -72,15 +91,54 @@ func runLockOrder(mp *ModulePass) {
 		inSlow:    map[*CGNode]bool{},
 		edgeSeen:  map[[2]*types.Var]bool{},
 		display:   map[*types.Var]string{},
-		hygSeen:   map[token.Pos]bool{},
 	}
 	st.buildDisplayNames()
 	for _, n := range st.g.Nodes() {
-		if n.Body != nil {
-			st.scanRegions(n, n.Body.List, nil)
+		if n.Body == nil {
+			continue
+		}
+		st.scanRegions(n, n.Body.List, nil)
+		if n.Obj != nil && n.Pkg.Types.Name() == "serve" && onCheckoutPath(n.Obj) {
+			st.reportCheckoutLocks(n)
 		}
 	}
 	st.reportCycles()
+}
+
+// onCheckoutPath reports whether fn belongs to the replica checkout hot
+// path: any method on the replica pool, or the server's public Estimate.
+func onCheckoutPath(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	name := named.Obj().Name()
+	return name == "replicaPool" || fn.Name() == "Estimate" && strings.EqualFold(name, "server")
+}
+
+// reportCheckoutLocks flags every blocking Lock/RLock in a checkout-path
+// body. refreshMu is exempt by name, matching the sanctioned design.
+func (st *lockOrderState) reportCheckoutLocks(n *CGNode) {
+	ast.Inspect(n.Body, func(x ast.Node) bool {
+		es, ok := x.(*ast.ExprStmt)
+		if !ok {
+			return true
+		}
+		_, kind := st.mutexCallKey(n, es)
+		recv := mutexRecvText(es)
+		if (kind == "Lock" || kind == "RLock") && !strings.Contains(recv, "refreshMu") {
+			st.mp.Reportf(es.Pos(), "blocking %s of %s on the replica checkout path: hand replicas over the free-list channel instead", kind, recv)
+		}
+		return true
+	})
 }
 
 // buildDisplayNames maps struct-field mutexes to pkg.Type.field names so
@@ -185,7 +243,7 @@ func (st *lockOrderState) scanRegions(n *CGNode, stmts []ast.Stmt, held []*types
 			}
 		}
 
-		st.noteStmtCalls(n, stm, held)
+		st.noteNodeCalls(n, stm, held)
 	}
 }
 
@@ -204,17 +262,11 @@ func (st *lockOrderState) scanClauses(n *CGNode, body *ast.BlockStmt, held []*ty
 	}
 }
 
-// noteStmtCalls charges every call in a simple statement against the
-// held set.
-func (st *lockOrderState) noteStmtCalls(n *CGNode, stm ast.Stmt, held []*types.Var) {
-	st.noteNodeCalls(n, stm, held)
-}
-
 // noteNodeCalls records, for every call under the node, the locks the
-// callee transitively acquires (as ordering edges) and transitive slow
-// work (as hygiene diagnostics, serve package only). Function literals
-// invoked in place are followed; closures merely constructed here run
-// elsewhere and are skipped — deferred unlock closures must not extend
+// callee transitively acquires (as ordering edges) and slow work the call
+// is or reaches (as hygiene diagnostics, serve package only). Function
+// literals invoked in place are followed; closures merely constructed here
+// run elsewhere and are skipped — deferred unlock closures must not extend
 // the region.
 func (st *lockOrderState) noteNodeCalls(n *CGNode, node ast.Node, held []*types.Var) {
 	if len(held) == 0 {
@@ -228,44 +280,49 @@ func (st *lockOrderState) noteNodeCalls(n *CGNode, node ast.Node, held []*types.
 		if !ok {
 			return true
 		}
+		var targets []*CGNode
 		if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
 			if ln := st.g.LitNode(lit); ln != nil {
-				st.noteCallee(n, ln, call.Pos(), held)
+				targets = []*CGNode{ln}
 			}
-			return true
+		} else {
+			targets, _ = st.g.resolveTargets(n.Pkg, call.Fun)
 		}
-		targets, _ := st.g.resolveTargets(n.Pkg, call.Fun)
 		for _, t := range targets {
-			st.noteCallee(n, t, call.Pos(), held)
+			for _, lk := range st.lockSummary(t) {
+				st.noteAcquire(n, lk, call.Pos(), held)
+			}
 		}
+		st.noteHygiene(n, call, targets, held)
 		return true
 	})
 }
 
-// noteCallee charges one resolved callee against the held set: ordering
-// edges for its lock summary, and a transitive-hygiene diagnostic when a
-// serve lock shields slow work through it.
-func (st *lockOrderState) noteCallee(n *CGNode, t *CGNode, pos token.Pos, held []*types.Var) {
-	for _, lk := range st.lockSummary(t) {
-		st.noteAcquire(n, lk, pos, held)
-	}
-	if n.Pkg.Types.Name() != "serve" {
+// noteHygiene reports one call made while a serve lock is held when it is
+// slow work itself or transitively reaches some through a resolved callee.
+func (st *lockOrderState) noteHygiene(n *CGNode, call *ast.CallExpr, targets []*CGNode, held []*types.Var) {
+	if n.Pkg.Types.Name() != "serve" || st.mp.Allowed(call.Pos()) {
 		return
 	}
-	if st.mp.Allowed(pos) {
-		return
-	}
+	lock := ""
 	for _, h := range held {
-		if strings.Contains(st.name(h), "refreshMu") {
-			continue // sanctioned: rare post-swap re-clone serialization
+		// refreshMu is sanctioned: rare post-swap re-clone serialization.
+		if name := st.name(h); !strings.Contains(name, "refreshMu") {
+			lock = name
+			break
 		}
-		if directlySlow(t) {
-			continue // lockhygiene reports direct slow calls itself
-		}
-		if desc := st.slowReach(t); desc != "" && !st.hygSeen[pos] {
-			st.hygSeen[pos] = true
-			st.mp.Reportf(pos, "call to %s transitively reaches %s while %s is held: move slow work off the lock",
-				t.Name, desc, st.name(h))
+	}
+	if lock == "" {
+		return
+	}
+	if desc := slowCall(n.Pkg, call); desc != "" {
+		st.mp.Reportf(call.Pos(), "%s under a held sync lock (%s): move slow work off the lock", desc, lock)
+		return
+	}
+	for _, t := range targets {
+		if desc := st.slowReach(t); desc != "" {
+			st.mp.Reportf(call.Pos(), "call to %s transitively reaches %s while %s is held: move slow work off the lock",
+				t.Name, desc, lock)
 			return
 		}
 	}
@@ -353,26 +410,12 @@ func (st *lockOrderState) slowReach(n *CGNode) string {
 	return desc
 }
 
-// directlySlow reports whether n itself is one of the slow-named module
-// methods lockhygiene already flags at direct call sites.
-func directlySlow(n *CGNode) bool {
-	if n.Obj == nil {
-		return false
-	}
-	name := n.Obj.Name()
-	if slowMethods[name] {
-		return true
-	}
-	return name == "Count" && n.Obj.Pkg() != nil && strings.HasSuffix(n.Obj.Pkg().Path(), "/annotator")
-}
-
-// directSlowCall scans n's own body for a call to a slow module method
-// or an I/O package function, mirroring lockhygiene's direct check.
+// directSlowCall scans n's own body for slow work: the first call there
+// that slowCall names, or "".
 func directSlowCall(n *CGNode) string {
 	if n.Body == nil {
 		return ""
 	}
-	info := n.Pkg.Info
 	out := ""
 	ast.Inspect(n.Body, func(x ast.Node) bool {
 		if out != "" {
@@ -381,35 +424,37 @@ func directSlowCall(n *CGNode) string {
 		if _, ok := x.(*ast.FuncLit); ok {
 			return false
 		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return true
-		}
-		sig := fn.Type().(*types.Signature)
-		if sig.Recv() == nil {
-			if ioPackages[fn.Pkg().Path()] {
-				out = fn.Pkg().Name() + "." + fn.Name()
-			}
-			return true
-		}
-		isModule := strings.Contains(fn.Pkg().Path(), "/") || fn.Pkg().Path() == n.Pkg.Types.Path()
-		if !isModule {
-			return true
-		}
-		if slowMethods[fn.Name()] || (fn.Name() == "Count" && strings.HasSuffix(fn.Pkg().Path(), "/annotator")) {
-			out = types.ExprString(sel.X) + "." + fn.Name()
+		if call, ok := x.(*ast.CallExpr); ok {
+			out = slowCall(n.Pkg, call)
 		}
 		return true
 	})
 	return out
+}
+
+// slowCall names the call when it is slow work itself — an I/O package
+// function, or a training/annotation method of a module type (a same-named
+// method on a stdlib type is fine) — and returns "" otherwise.
+func slowCall(pkg *Package, call *ast.CallExpr) string {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return ""
+	}
+	if fn.Type().(*types.Signature).Recv() == nil {
+		if ioPackages[fn.Pkg().Path()] {
+			return fn.Pkg().Name() + "." + fn.Name()
+		}
+		return ""
+	}
+	isModule := strings.Contains(fn.Pkg().Path(), "/") || fn.Pkg().Path() == pkg.Types.Path()
+	if isModule && (slowMethods[fn.Name()] || fn.Name() == "Count" && strings.HasSuffix(fn.Pkg().Path(), "/annotator")) {
+		return types.ExprString(sel.X) + "." + fn.Name()
+	}
+	return ""
 }
 
 // mutexCallKey resolves a plain `x.Lock()`-shaped statement to the mutex
@@ -435,8 +480,8 @@ func (st *lockOrderState) mutexCallKey(n *CGNode, stm ast.Stmt) (*types.Var, str
 	return varOf(n.Pkg.Info, unparen(sel.X)), fn.Name()
 }
 
-// mutexRecvText renders the receiver of a mutex-method statement for
-// matching Lock to its Unlock, the same way lockhygiene does.
+// mutexRecvText renders the receiver of a mutex-method statement, for
+// matching Lock to its Unlock and for naming it in diagnostics.
 func mutexRecvText(stm ast.Stmt) string {
 	es, ok := stm.(*ast.ExprStmt)
 	if !ok {

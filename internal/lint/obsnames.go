@@ -10,12 +10,12 @@ import (
 )
 
 // ObsNames enforces the metric-naming contract of the obs registry: every
-// name registered through Registry.Counter/Gauge/Histogram must be
-// snake_case, counters must end in _total, histograms must carry a unit
-// suffix, and one name must keep one kind. The registry panics on a kind
-// clash at runtime; this rule catches it — and the silent naming drift the
-// registry cannot see — at lint time, so /metrics stays queryable by the
-// dashboards the README documents.
+// name registered through Registry.Counter/Gauge/Histogram, or declared with
+// its help through their New* forms, must be snake_case, counters must end
+// in _total, histograms must carry a unit suffix, and one name must keep one
+// kind. The registry panics on a kind clash at runtime; this rule catches it
+// — and the silent naming drift the registry cannot see — at lint time, so
+// /metrics stays queryable by the dashboards the README documents.
 //
 // Gauges carry no mandatory suffix (a pool size or threshold has no unit),
 // but still must be snake_case. Deliberate exceptions (e.g. a legacy name
@@ -53,11 +53,11 @@ func runObsNames(pass *Pass) {
 			}
 			var kind string
 			switch sel.Sel.Name {
-			case "Counter":
+			case "Counter", "NewCounter":
 				kind = "counter"
-			case "Gauge":
+			case "Gauge", "NewGauge":
 				kind = "gauge"
-			case "Histogram":
+			case "Histogram", "NewHistogram":
 				kind = "histogram"
 			default:
 				return true

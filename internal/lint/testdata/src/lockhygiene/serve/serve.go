@@ -1,5 +1,6 @@
 // Package serve is a lint fixture: its import-path segment places it in
-// the lockhygiene analyzer's scope.
+// the scope of lockorder's hygiene and checkout checks, which were the
+// lockhygiene rule before lockorder absorbed it.
 package serve
 
 import (

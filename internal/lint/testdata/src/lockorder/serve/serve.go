@@ -1,6 +1,6 @@
 // Package serve is the lockorder fixture: an AB/BA inversion where one
 // half is transitive, TryLock and refreshMu exemptions, a deferred-unlock
-// region, and a transitive slow call under a lock.
+// region, and a slow call under a lock, direct and transitive.
 package serve
 
 import "sync"
@@ -57,8 +57,8 @@ func (s *Server) inverse(j *Journal) {
 	j.mu.Unlock()
 }
 
-// periodUnderLock shields slow work behind a helper: lockhygiene cannot
-// see it, lockorder's transitive check must.
+// periodUnderLock shields slow work behind a helper: no per-function scan
+// can see it, the transitive check must.
 func (s *Server) periodUnderLock(m *Model) {
 	s.mu.Lock()
 	s.repair(m) // want "transitively reaches m.Update"
@@ -69,11 +69,11 @@ func (s *Server) repair(m *Model) {
 	m.Update(1)
 }
 
-// directSlow is lockhygiene's beat: lockorder stays silent on direct
-// slow calls so the same line is not reported twice.
+// directSlow is depth 0 of the same check: the call under the lock is the
+// slow work, and is reported once, as itself.
 func (s *Server) directSlow(m *Model) {
 	s.mu.Lock()
-	m.Update(2)
+	m.Update(2) // want "m.Update under a held sync lock"
 	s.mu.Unlock()
 }
 

@@ -15,6 +15,12 @@ func (r *Registry) Histogram(name string, opts HistogramOpts, labels ...string) 
 	return nil
 }
 
+func (r *Registry) NewCounter(name, help string, labels ...string) *Counter { return nil }
+func (r *Registry) NewGauge(name, help string, labels ...string) *Gauge     { return nil }
+func (r *Registry) NewHistogram(name, help string, opts HistogramOpts, labels ...string) *Histogram {
+	return nil
+}
+
 // notRegistry has the same method names but a different receiver type; the
 // rule must ignore it.
 type notRegistry struct{}
@@ -68,4 +74,14 @@ func register(r *Registry, other notRegistry) {
 	r.Histogram("wire_batch_rows", HistogramOpts{})
 	r.Histogram("wire_batch_size", HistogramOpts{}) // want "must end in a unit suffix"
 	r.Counter("wireBatches_total")                  // want "not snake_case"
+
+	// The declaring forms (name + help in one call) are the same
+	// registrations and get the same checks, kind clashes across the two
+	// forms included.
+	r.NewCounter("warper_periods_total", "Completed adaptation periods.")
+	r.NewGauge("warper_pi", "Current drift threshold pi.")
+	r.NewHistogram("warper_model_swap_seconds", "Swap time.", HistogramOpts{})
+	r.NewCounter("warper_periods", "Completed adaptation periods.")       // want "must end in _total"
+	r.NewHistogram("warper_swap", "Swap time.", HistogramOpts{})          // want "must end in a unit suffix"
+	r.NewGauge("warper_requests_total", "Requests, declared as a gauge.") // want "registered as both counter and gauge"
 }

@@ -201,6 +201,26 @@ func (r *Registry) Histogram(name string, opts HistogramOpts, labels ...string) 
 	return r.seriesFor(name, kindHistogram, opts, labels).h
 }
 
+// NewCounter declares a counter: it attaches the exposition help and returns
+// the series for labels in one call, so a metric cannot be described without
+// being registered, or the reverse. NewGauge and NewHistogram do the same.
+func (r *Registry) NewCounter(name, help string, labels ...string) *Counter {
+	r.Help(name, help)
+	return r.Counter(name, labels...)
+}
+
+// NewGauge declares a gauge; see NewCounter.
+func (r *Registry) NewGauge(name, help string, labels ...string) *Gauge {
+	r.Help(name, help)
+	return r.Gauge(name, labels...)
+}
+
+// NewHistogram declares a histogram; see NewCounter.
+func (r *Registry) NewHistogram(name, help string, opts HistogramOpts, labels ...string) *Histogram {
+	r.Help(name, help)
+	return r.Histogram(name, opts, labels...)
+}
+
 // familySnapshot is an export-time copy of one family: its header fields
 // and its series ordered by label suffix. Exposition works on these copies
 // because the live family.series map keeps growing under Registry.mu while a

@@ -135,29 +135,3 @@ func TestSpanRecords(t *testing.T) {
 		t.Error("zero span should be inert")
 	}
 }
-
-func TestStagesSequence(t *testing.T) {
-	var got []string
-	st := NewStages(func(stage string, d time.Duration) {
-		if d < 0 {
-			t.Errorf("stage %s negative duration", stage)
-		}
-		got = append(got, stage)
-	})
-	st.At("detect")
-	st.At("generate")
-	st.At("update")
-	st.Close()
-	st.Close() // idempotent
-	want := []string{"detect", "generate", "update"}
-	if len(got) != len(want) {
-		t.Fatalf("stages = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("stage[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	// Nil sink must be safe.
-	NewStages(nil).At("x")
-}

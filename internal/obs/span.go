@@ -31,41 +31,3 @@ func (s *Span) End() time.Duration {
 	}
 	return d
 }
-
-// Stages times a sequence of named stages within one operation: each call to
-// At closes the previous stage and opens the next, and Close closes the last
-// one. Durations are reported through the sink callback in call order,
-// making it easy to adapt to any observer interface.
-type Stages struct {
-	sink  func(stage string, d time.Duration)
-	cur   string
-	start time.Time
-}
-
-// NewStages begins a staged timing run. A nil sink makes every method a
-// no-op.
-func NewStages(sink func(stage string, d time.Duration)) *Stages {
-	return &Stages{sink: sink}
-}
-
-// At closes the current stage (if any) and starts the named one.
-func (t *Stages) At(stage string) {
-	if t == nil || t.sink == nil {
-		return
-	}
-	now := time.Now()
-	if t.cur != "" {
-		t.sink(t.cur, now.Sub(t.start))
-	}
-	t.cur = stage
-	t.start = now
-}
-
-// Close ends the current stage.
-func (t *Stages) Close() {
-	if t == nil || t.sink == nil || t.cur == "" {
-		return
-	}
-	t.sink(t.cur, time.Since(t.start))
-	t.cur = ""
-}

@@ -55,11 +55,11 @@ func (s State) String() string {
 	}
 }
 
-// Events is an optional observation seam, mirroring warper.Observer: the
-// wrapper reports retries, attempt timeouts, and breaker transitions here so
-// the serve layer can export them as metrics without this package importing
-// obs. Nil callbacks are skipped. Callbacks run synchronously on the calling
-// goroutine and must not call back into the wrapper.
+// Events is an optional observation seam: the wrapper reports retries,
+// attempt timeouts, and breaker transitions here so the serve layer can
+// export them as metrics without this package importing obs. Nil callbacks
+// are skipped. Callbacks run synchronously on the calling goroutine and must
+// not call back into the wrapper.
 type Events struct {
 	// Retry fires before each re-attempt, with the 1-based number of the
 	// attempt that just failed and its error.

@@ -229,9 +229,12 @@ func TestDecodePredicateRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestDeadlineHeaderMalformed pins the deadline-header bugfix: a header
-// that is not a positive integer millisecond count answers 400 on both
-// protocols instead of silently degrading to wait-forever semantics.
+// TestDeadlineHeaderMalformed pins the deadline-header bugfixes: a header
+// that is not a positive integer millisecond count answers 400 on every
+// estimate endpoint instead of silently degrading to wait-forever semantics
+// — and so does a count too large for a time.Duration, which used to wrap
+// into a negative budget (no deadline, exempt from the admission-queue
+// bound) or an arbitrary tiny one.
 func TestDeadlineHeaderMalformed(t *testing.T) {
 	_, ts, _, _, gNew := newTestServerOpts(t, Options{BinaryProtocol: true})
 	p := gNew.Gen(rand.New(rand.NewSource(13)))
@@ -243,41 +246,56 @@ func TestDeadlineHeaderMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(url, ctype string, body []byte, hdr string) int {
-		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", ctype)
-		if hdr != "" {
-			req.Header.Set(deadlineHeader, hdr)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
+	framed, err := wire.AppendRequest(nil, 0, []query.Predicate{p}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	endpoints := []struct {
+		path, ctype string
+		body        []byte
+	}{
+		{"/estimate", "application/json", jsonBody},
+		{"/estimate/batch", wireContentType, frame},
+		{"/estimate/batch/stream", wireContentType, framed},
 	}
 	// Note: leading/trailing whitespace is trimmed by net/http before the
 	// handler sees the header, so " 50" arrives as a valid "50".
-	for _, bad := range []string{"abc", "0", "-5", "1.5", "50ms"} {
-		if code := post(ts.URL+"/estimate", "application/json", jsonBody, bad); code != http.StatusBadRequest {
-			t.Errorf("json %q: status = %d, want 400", bad, code)
+	for _, tc := range []struct {
+		header string
+		want   int
+	}{
+		{"abc", http.StatusBadRequest},
+		{"0", http.StatusBadRequest},
+		{"-5", http.StatusBadRequest},
+		{"1.5", http.StatusBadRequest},
+		{"50ms", http.StatusBadRequest},
+		{"9223372036854775807", http.StatusBadRequest}, // × 1e6 wraps to −1 ms
+		{"18446744073710", http.StatusBadRequest},      // × 1e6 wraps to 448 µs
+		{"9223372036855", http.StatusBadRequest},       // maxDeadlineMs + 1
+		{"9223372036854", http.StatusOK},               // maxDeadlineMs
+		{"5000", http.StatusOK},
+		{"", http.StatusOK},
+	} {
+		for _, ep := range endpoints {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+ep.path, bytes.NewReader(ep.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", ep.ctype)
+			if tc.header != "" {
+				req.Header.Set(deadlineHeader, tc.header)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("POST %s with %s: %q: status = %d, want %d",
+					ep.path, deadlineHeader, tc.header, resp.StatusCode, tc.want)
+			}
 		}
-		if code := post(ts.URL+"/estimate/batch", wireContentType, frame, bad); code != http.StatusBadRequest {
-			t.Errorf("batch %q: status = %d, want 400", bad, code)
-		}
-	}
-	if code := post(ts.URL+"/estimate", "application/json", jsonBody, "5000"); code != http.StatusOK {
-		t.Errorf("json valid header: status = %d, want 200", code)
-	}
-	if code := post(ts.URL+"/estimate/batch", wireContentType, frame, "5000"); code != http.StatusOK {
-		t.Errorf("batch valid header: status = %d, want 200", code)
-	}
-	if code := post(ts.URL+"/estimate", "application/json", jsonBody, ""); code != http.StatusOK {
-		t.Errorf("json no header: status = %d, want 200", code)
 	}
 }
 

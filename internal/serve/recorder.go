@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"html/template"
 	"net/http"
-	"sync"
 	"time"
 
 	"warper/internal/obs"
-	"warper/internal/warper"
 )
 
 // This file wires the obs flight-recorder primitives into the server: the
@@ -43,17 +41,9 @@ type flightRecorder struct {
 	// Options.CacheFlushOnAlarm: the cached pre-drift answers are exactly
 	// what would keep masking the drift the watch just detected.
 	onDriftAlarm func()
-
-	// stageMu guards the stage-duration scratch filled by PeriodStage
-	// callbacks and drained into the period_end event. handlePeriod holds
-	// periodMu around the whole period, so one period's stages never
-	// interleave with another's.
-	stageMu sync.Mutex
-	stages  map[string]float64 // stage -> seconds, pending period
 }
 
-// newFlightRecorder builds the recorder from options and registers itself
-// on the metric set for lifecycle callbacks.
+// newFlightRecorder builds the recorder from options.
 func newFlightRecorder(met *Metrics, opts Options) *flightRecorder {
 	buf := opts.TraceBuf
 	if buf <= 0 {
@@ -63,17 +53,14 @@ func newFlightRecorder(met *Metrics, opts Options) *flightRecorder {
 	if window <= 0 {
 		window = defaultDriftWindow
 	}
-	r := &flightRecorder{
+	return &flightRecorder{
 		tracer:    obs.NewTracer(opts.TraceSample, buf),
 		journal:   obs.NewJournal(defaultJournalCap),
 		windows:   obs.NewWindows(met.Reg, recorderWindow),
 		drift:     obs.NewDriftWatch(window, opts.DriftAlarmGMQ),
 		exemplars: obs.NewExemplars(defaultExemplars),
 		met:       met,
-		stages:    map[string]float64{},
 	}
-	met.rec = r
-	return r
 }
 
 // feedback folds one ground-truth observation into the drift watch and the
@@ -118,48 +105,6 @@ func (r *flightRecorder) applyDriftTransition(st obs.DriftState, tr obs.DriftTra
 			"window_gmq": st.WindowGMQ,
 			"count":      st.Count,
 		})
-	}
-}
-
-// noteStage records one period-stage duration for the upcoming period_end
-// event (called by Metrics.PeriodStage).
-func (r *flightRecorder) noteStage(stage string, d time.Duration) {
-	r.stageMu.Lock()
-	r.stages[stage] = d.Seconds()
-	r.stageMu.Unlock()
-}
-
-// periodDone turns a completed period's summary into journal events: one
-// period_end with the stage breakdown, plus one degrade_* event per
-// degradation-ladder step the period took (called by Metrics.PeriodDone).
-func (r *flightRecorder) periodDone(st warper.PeriodStats) {
-	r.stageMu.Lock()
-	stages := r.stages
-	r.stages = map[string]float64{}
-	r.stageMu.Unlock()
-	fields := map[string]any{
-		"mode":      st.Mode.String(),
-		"arrivals":  st.Arrivals,
-		"generated": st.Generated,
-		"picked":    st.Picked,
-		"annotated": st.Annotated,
-		"updated":   st.Updated,
-		"delta_m":   st.DeltaM,
-		"delta_js":  st.DeltaJS,
-		"busy_ms":   float64(st.Busy.Microseconds()) / 1000,
-	}
-	for stage, secs := range stages {
-		fields["stage_"+stage+"_seconds"] = secs
-	}
-	r.journal.Append("period_end", 0, fields)
-	if st.Partial {
-		r.journal.Append("degrade_partial", 0, map[string]any{"annotate_failed": st.AnnotateFailed})
-	}
-	if st.UsedFallback {
-		r.journal.Append("degrade_fallback", 0, nil)
-	}
-	if st.TelemetryDegraded {
-		r.journal.Append("degrade_telemetry", 0, nil)
 	}
 }
 
@@ -301,19 +246,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
 	s.Tick(now)
 
-	s.mu.Lock()
-	status := statusResponse{
-		Model:    s.status.Model,
-		PoolSize: s.status.PoolSize,
-		Labeled:  s.status.Labeled,
-		Buffered: len(s.buffer),
-		Periods:  s.periods,
-		Pi:       s.status.Pi,
-		Gamma:    s.status.Gamma,
-		Costs:    s.status.Costs,
-	}
-	s.mu.Unlock()
-
 	events := s.rec.journal.Snapshot()
 	total := s.rec.journal.Total()
 	evicted := total - uint64(len(events))
@@ -327,7 +259,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	traces := s.rec.tracer.Snapshot()
 	data := statuszData{
 		Now:        now,
-		Status:     status,
+		Status:     s.statusNow(),
 		Health:     s.health.current(),
 		QueueDepth: s.pool.queueDepth(),
 		Window:     s.rec.windows.View(now),

@@ -6,11 +6,15 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"warper/internal/ce"
 	"warper/internal/query"
+	"warper/internal/warper"
 	"warper/internal/workload"
 )
 
@@ -131,6 +135,95 @@ func TestFailedPeriodRestoresArrivals(t *testing.T) {
 	body = metricsBody(t, ts.URL)
 	if got := metricValue(t, body, mBuffered); got != n {
 		t.Errorf("%s = %v after second failed period, want %v", mBuffered, got, float64(n))
+	}
+}
+
+// TestFeedbackBufferIsBounded pins the bound on arrivals buffered between
+// periods: at maxFeedbackBuffer a feedback post is refused with 429 +
+// Retry-After and buffers nothing — but its ground truth has still fed the
+// q-error probe — and once the buffer is drained feedback is accepted again.
+func TestFeedbackBufferIsBounded(t *testing.T) {
+	srv, ts, _, ann, gNew := newTestServer(t)
+	rng := rand.New(rand.NewSource(41))
+	srv.mu.Lock()
+	srv.buffer = make([]warper.Arrival, maxFeedbackBuffer-1)
+	srv.mu.Unlock()
+
+	post := func() *http.Response {
+		p := gNew.Gen(rng)
+		card := countOK(t, ann, p)
+		return postJSON(t, ts.URL+"/feedback", feedbackRequest{
+			predicateJSON: predicateJSON{Lows: p.Lows, Highs: p.Highs},
+			Cardinality:   &card,
+		}, nil)
+	}
+	if r := post(); r.StatusCode != http.StatusOK {
+		t.Fatalf("feedback below the bound = %d, want 200", r.StatusCode)
+	}
+	for i := 0; i < 2; i++ {
+		r := post()
+		if r.StatusCode != http.StatusTooManyRequests || r.Header.Get("Retry-After") == "" {
+			t.Fatalf("feedback at the bound = %d (Retry-After %q), want 429 with Retry-After",
+				r.StatusCode, r.Header.Get("Retry-After"))
+		}
+	}
+	if got := srv.met.qerr.Count(); got != 3 {
+		t.Errorf("q-error probe saw %d observations, want 3: a refused post still measures the served model", got)
+	}
+	body := metricsBody(t, ts.URL)
+	if got := metricValue(t, body, mBuffered); got != maxFeedbackBuffer {
+		t.Errorf("%s = %v, want %d", mBuffered, got, maxFeedbackBuffer)
+	}
+
+	// Draining is what a period does; emptying the buffer by hand keeps the
+	// test from adapting on 65536 placeholder arrivals.
+	srv.mu.Lock()
+	srv.buffer = nil
+	srv.mu.Unlock()
+	if r := post(); r.StatusCode != http.StatusOK {
+		t.Errorf("feedback after the drain = %d, want 200", r.StatusCode)
+	}
+}
+
+// TestFailedPeriodRebufferIsBounded drives the re-buffering of a failed
+// period past the bound: the arrivals the period consumed come back first,
+// in order, and it is the feedback that arrived mid-period that is trimmed.
+func TestFailedPeriodRebufferIsBounded(t *testing.T) {
+	hooks := &modelHooks{}
+	hooks.failUpdate.Store(true)
+	ad, sch, ann, gNew := newTestAdapter(t, 91, func(lm *ce.LM) ce.Estimator { return &hookModel{LM: lm, h: hooks} })
+	srv := New(ad, sch)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	const n = 30
+	feedDrifted(t, ts, ann, gNew, rand.New(rand.NewSource(37)), n)
+	srv.mu.Lock()
+	consumed := append([]warper.Arrival(nil), srv.buffer...)
+	srv.mu.Unlock()
+
+	// The period's first inference runs after it took the buffer: fill the
+	// new one to the bound there, as a burst of mid-period feedback would.
+	burst := func() {
+		srv.mu.Lock()
+		srv.buffer = make([]warper.Arrival, maxFeedbackBuffer)
+		srv.mu.Unlock()
+	}
+	hooks.midInfer.Store(&burst)
+	if r := postJSON(t, ts.URL+"/period", struct{}{}, nil); r.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("failing period = %d, want 500", r.StatusCode)
+	}
+
+	srv.mu.Lock()
+	got := srv.buffer
+	srv.mu.Unlock()
+	if len(got) != maxFeedbackBuffer {
+		t.Fatalf("%d arrivals buffered after the failed period, want the bound %d", len(got), maxFeedbackBuffer)
+	}
+	if !reflect.DeepEqual(got[:n], consumed) {
+		t.Error("the consumed arrivals are not first in the restored buffer")
+	}
+	if got[n].Pred.Lows != nil {
+		t.Error("the restored buffer does not continue with the mid-period feedback")
 	}
 }
 

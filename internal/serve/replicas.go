@@ -53,7 +53,7 @@ type replica struct {
 // free-list. The checkout path is lock-free (a channel receive, an atomic
 // load); the only mutex, refreshMu, serializes the rare lazy re-clone after
 // a generation bump, because Clone/CloneInto advance the source model's RNG.
-// warperlint's lockhygiene rule pins the lock-free property.
+// warperlint's lockorder rule pins the lock-free property.
 type replicaPool struct {
 	free chan *replica
 	src  atomic.Pointer[modelGen]

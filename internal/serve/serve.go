@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"mime"
 	"net/http"
 	"runtime"
@@ -182,8 +183,7 @@ func New(a *warper.Adapter, sch *query.Schema) *Server {
 	return NewWithOptions(a, sch, Options{})
 }
 
-// NewWithOptions builds a Server with explicit options. The server installs
-// its metric set as the adapter's Observer unless one is already attached.
+// NewWithOptions builds a Server with explicit options.
 func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server {
 	s := &Server{
 		adapter:       a,
@@ -202,9 +202,6 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 			&slog.HandlerOptions{Level: slog.Level(127)}))
 	}
 	s.rec = newFlightRecorder(s.met, opts)
-	if a.Obs == nil {
-		a.Obs = s.met
-	}
 	n := opts.Replicas
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -409,24 +406,31 @@ type estimateResponse struct {
 }
 
 // deadlineHeader lets one request override the server's default estimate
-// budget, in integer milliseconds.
-const deadlineHeader = "X-Warper-Deadline-Ms"
+// budget, in integer milliseconds; maxDeadlineMs is the largest count that
+// still fits a time.Duration.
+const (
+	deadlineHeader = "X-Warper-Deadline-Ms"
+	maxDeadlineMs  = math.MaxInt64 / int64(time.Millisecond)
+)
 
 // estimateBudget resolves one request's deadline budget: the header
 // override when present, else the -estimate-timeout default; zero means
 // unbudgeted. A header that is not a positive integer millisecond count is
 // an error the caller answers with 400 — silently ignoring a client typo
-// would degrade that client to wait-forever semantics unnoticed. Handlers
+// would degrade that client to wait-forever semantics unnoticed, and so
+// would a count past maxDeadlineMs: the conversion below would wrap it to a
+// negative budget, which reads as "no deadline, exempt from the admission
+// queue bound" (or to an arbitrary small positive one). Handlers
 // call this before they read the body (a malformed header costs no upload)
 // and turn the budget into a deadline only once the body is decoded.
 func (s *Server) estimateBudget(r *http.Request) (time.Duration, error) {
 	d := s.estimateTimeout
 	if h := r.Header.Get(deadlineHeader); h != "" {
-		ms, err := strconv.Atoi(h)
-		if err != nil || ms <= 0 {
+		ms, err := strconv.ParseInt(h, 10, 64)
+		if err != nil || ms <= 0 || ms > maxDeadlineMs {
 			//lint:allow hotpathalloc malformed-request rejection; the error never forms on the steady path
-			return 0, fmt.Errorf("%s: %q is not a positive integer millisecond count",
-				deadlineHeader, h)
+			return 0, fmt.Errorf("%s: %q is not a positive integer millisecond count (at most %d)",
+				deadlineHeader, h, maxDeadlineMs)
 		}
 		d = time.Duration(ms) * time.Millisecond
 	}
@@ -521,6 +525,12 @@ type feedbackResponse struct {
 	Buffered int `json:"buffered"`
 }
 
+// maxFeedbackBuffer bounds the arrivals buffered between periods, so a
+// client that posts feedback and never triggers /period cannot grow the heap
+// without limit. A period consumes the whole buffer; the bound is far above
+// what any period-driving client accumulates between two of them.
+const maxFeedbackBuffer = 1 << 16
+
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// Same body cap as /period and /estimate: feedback bodies beyond the cap
 	// answer 413 instead of being decoded unboundedly.
@@ -560,13 +570,22 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		}, now)
 	}
 	s.mu.Lock()
-	s.buffer = append(s.buffer, ar)
+	full := len(s.buffer) >= maxFeedbackBuffer
+	if !full {
+		s.buffer = append(s.buffer, ar)
+	}
 	n := len(s.buffer)
 	s.mu.Unlock()
 	s.met.buffered.Set(float64(n))
 	// Feedback is a tick path: let the health machine reconsider with the
 	// window the drift watch just advanced.
 	s.evalHealth(time.Now())
+	if full {
+		// The q-error probe and the drift watch above have seen the
+		// observation; only the next period's evidence is refused.
+		writeShed(w, "feedback buffer full; POST /period to drain it")
+		return
+	}
 	s.writeJSON(w, feedbackResponse{Buffered: n})
 }
 
@@ -682,13 +701,11 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 		// is still serving that generation, so /estimate never sees the
 		// failure. The consumed arrivals are re-buffered ahead of any
 		// feedback that arrived mid-period: a failed period must not cost
-		// the next one its drift evidence.
+		// the next one its drift evidence. Past maxFeedbackBuffer it is the
+		// mid-period tail that is trimmed.
 		s.mu.Lock()
 		s.adapter.M = pre
-		restored := make([]warper.Arrival, 0, len(arrivals)+len(s.buffer))
-		restored = append(restored, arrivals...)
-		restored = append(restored, s.buffer...)
-		s.buffer = restored
+		s.buffer = append(arrivals, s.buffer[:min(len(s.buffer), maxFeedbackBuffer-len(arrivals))]...)
 		nBuffered := len(s.buffer)
 		s.refreshStatusLocked()
 		s.mu.Unlock()
@@ -729,37 +746,24 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 		// adapter.M here races nothing.
 		s.fb.refresh(s.adapter.Table(), s.adapter.M, s.sch)
 	}
-	s.rec.journal.Append("model_swap", traceID, map[string]any{
-		"generation": s.pool.generation(),
-		"model":      s.adapter.M.Name(),
-		"updated":    rep.Updated,
-	})
 	s.mu.Lock()
 	s.periods++
 	s.refreshStatusLocked()
+	st := s.status
 	s.mu.Unlock()
+	s.writeJSON(w, s.stampPeriod(&rep, nArrivals, st, traceID))
+}
 
-	s.logger.Info("period",
-		"mode", rep.Detection.Mode.String(),
-		"arrivals", nArrivals,
-		"generated", rep.Generated,
-		"picked", rep.Picked,
-		"annotated", rep.Annotated,
-		"updated", rep.Updated,
-		"early_stopped", rep.EarlyStopped,
-		"delta_m", rep.Detection.DeltaM,
-		"delta_js", rep.Detection.DeltaJS,
-		"pi", s.adapter.Pi(),
-		"gamma", s.adapter.Gamma(),
-		"busy_ms", float64(rep.Busy.Microseconds())/1000,
-		"partial", rep.Partial,
-		"annotate_failed", rep.AnnotateFailed,
-		"used_fallback", rep.UsedFallback,
-		"telemetry_degraded", rep.TelemetryDegraded)
-
-	s.writeJSON(w, periodResponse{
+// stampPeriod is the one place a completed period is recorded: from the
+// adapter's Report — plus the pool and threshold state the status snapshot
+// just re-read — it moves the counters, gauges and per-stage histograms,
+// journals period_end, the degradation steps and the swap, logs the summary
+// line and builds the /period response. A failed period never gets here, so
+// the period count, the stage histograms and the journal stay aligned.
+func (s *Server) stampPeriod(rep *warper.Report, arrivals int, st statusSnapshot, traceID uint64) periodResponse {
+	resp := periodResponse{
 		Mode:         rep.Detection.Mode.String(),
-		Arrivals:     nArrivals,
+		Arrivals:     arrivals,
 		Generated:    rep.Generated,
 		Picked:       rep.Picked,
 		Annotated:    rep.Annotated,
@@ -773,7 +777,85 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 		AnnotateFailed:    rep.AnnotateFailed,
 		UsedFallback:      rep.UsedFallback,
 		TelemetryDegraded: rep.TelemetryDegraded,
+	}
+
+	m := s.met
+	m.periods.Inc()
+	m.generated.Add(int64(rep.Generated))
+	m.annotated.Add(int64(rep.Annotated))
+	m.trained.Add(int64(rep.TrainedSamples))
+	m.annFailed.Add(int64(rep.AnnotateFailed))
+	if rep.Updated {
+		m.updates.Inc()
+	}
+	if rep.EarlyStopped {
+		m.earlyStop.Inc()
+	}
+	if busy := rep.Busy.Seconds(); busy > 0 && rep.TrainedSamples > 0 {
+		m.trainTput.Set(float64(rep.TrainedSamples) / busy)
+	}
+	m.poolSize.Set(float64(st.PoolSize))
+	m.labeled.Set(float64(st.Labeled))
+	m.pi.Set(st.Pi)
+	m.gamma.Set(float64(st.Gamma))
+	m.deltaM.Set(resp.DeltaM)
+	m.deltaJS.Set(resp.DeltaJS)
+
+	end := map[string]any{
+		"mode":      resp.Mode,
+		"arrivals":  arrivals,
+		"generated": rep.Generated,
+		"picked":    rep.Picked,
+		"annotated": rep.Annotated,
+		"updated":   rep.Updated,
+		"delta_m":   resp.DeltaM,
+		"delta_js":  resp.DeltaJS,
+		"busy_ms":   resp.BusyMillis,
+	}
+	for i, stage := range warper.StageNames {
+		secs := rep.Stages[i].Seconds()
+		m.stages[i].Observe(secs)
+		end["stage_"+stage+"_seconds"] = secs
+	}
+	journal := s.rec.journal
+	journal.Append("period_end", 0, end)
+	// One degrade_* event per degradation-ladder step the period took.
+	if rep.Partial {
+		m.periodPartial.Inc()
+		journal.Append("degrade_partial", 0, map[string]any{"annotate_failed": rep.AnnotateFailed})
+	}
+	if rep.UsedFallback {
+		m.annFallback.Inc()
+		journal.Append("degrade_fallback", 0, nil)
+	}
+	if rep.TelemetryDegraded {
+		m.telemetryDeg.Inc()
+		journal.Append("degrade_telemetry", 0, nil)
+	}
+	journal.Append("model_swap", traceID, map[string]any{
+		"generation": s.pool.generation(),
+		"model":      st.Model,
+		"updated":    rep.Updated,
 	})
+
+	s.logger.Info("period",
+		"mode", resp.Mode,
+		"arrivals", arrivals,
+		"generated", rep.Generated,
+		"picked", rep.Picked,
+		"annotated", rep.Annotated,
+		"updated", rep.Updated,
+		"early_stopped", rep.EarlyStopped,
+		"delta_m", resp.DeltaM,
+		"delta_js", resp.DeltaJS,
+		"pi", st.Pi,
+		"gamma", st.Gamma,
+		"busy_ms", resp.BusyMillis,
+		"partial", rep.Partial,
+		"annotate_failed", rep.AnnotateFailed,
+		"used_fallback", rep.UsedFallback,
+		"telemetry_degraded", rep.TelemetryDegraded)
+	return resp
 }
 
 type statusResponse struct {
@@ -787,9 +869,13 @@ type statusResponse struct {
 	Costs    string  `json:"costs"`
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+// statusNow assembles the GET /status payload, which /statusz heads its page
+// with: the adapter state cached after the last period plus the live buffer
+// length and period count.
+func (s *Server) statusNow() statusResponse {
 	s.mu.Lock()
-	resp := statusResponse{
+	defer s.mu.Unlock()
+	return statusResponse{
 		Model:    s.status.Model,
 		PoolSize: s.status.PoolSize,
 		Labeled:  s.status.Labeled,
@@ -799,8 +885,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Gamma:    s.status.Gamma,
 		Costs:    s.status.Costs,
 	}
-	s.mu.Unlock()
-	s.writeJSON(w, resp)
+}
+
+func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+	s.writeJSON(w, s.statusNow())
 }
 
 // writeJSON encodes v as the response body. By the time Encode can fail the

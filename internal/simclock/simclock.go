@@ -15,40 +15,6 @@ import (
 	"time"
 )
 
-// Clock is a virtual clock.
-type Clock struct {
-	now time.Duration
-}
-
-// Now returns the current virtual time since the clock's epoch.
-func (c *Clock) Now() time.Duration { return c.now }
-
-// Advance moves the clock forward. Negative advances panic.
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic("simclock: negative advance")
-	}
-	c.now += d
-}
-
-// Arrivals models a deterministic fixed-rate query arrival process, e.g. the
-// paper's "one test query arrival per five seconds".
-type Arrivals struct {
-	Interval time.Duration // time between consecutive arrivals
-}
-
-// CountBetween returns how many queries arrive in the half-open virtual
-// interval (from, to]. Arrival k happens at time (k+1)·Interval.
-func (a Arrivals) CountBetween(from, to time.Duration) int {
-	if a.Interval <= 0 {
-		panic("simclock: non-positive arrival interval")
-	}
-	if to <= from {
-		return 0
-	}
-	return int(to/a.Interval) - int(from/a.Interval)
-}
-
 // Ledger accumulates named busy-time charges (annotation, model update, GAN
 // training, …) so experiments can report per-component costs and CPU
 // utilization exactly as Table 6 and Table 11 do.
@@ -124,3 +90,13 @@ func StartWatch() Stopwatch { return Stopwatch{start: time.Now()} }
 
 // Stop returns the elapsed real time.
 func (s Stopwatch) Stop() time.Duration { return time.Since(s.start) }
+
+// Lap returns the real time elapsed since the watch started or last lapped,
+// and restarts it at the same instant: consecutive laps tile the interval
+// they cover with no gap and no overlap.
+func (s *Stopwatch) Lap() time.Duration {
+	now := time.Now()
+	d := now.Sub(s.start)
+	s.start = now
+	return d
+}

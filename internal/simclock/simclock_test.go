@@ -5,53 +5,6 @@ import (
 	"time"
 )
 
-func TestClockAdvance(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Error("fresh clock not at zero")
-	}
-	c.Advance(5 * time.Second)
-	c.Advance(2 * time.Second)
-	if c.Now() != 7*time.Second {
-		t.Errorf("Now = %v", c.Now())
-	}
-}
-
-func TestClockNegativeAdvancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var c Clock
-	c.Advance(-time.Second)
-}
-
-func TestArrivalsCount(t *testing.T) {
-	a := Arrivals{Interval: 5 * time.Second}
-	if got := a.CountBetween(0, 30*time.Second); got != 6 {
-		t.Errorf("arrivals in 30s = %d, want 6", got)
-	}
-	if got := a.CountBetween(0, 4*time.Second); got != 0 {
-		t.Errorf("arrivals in 4s = %d, want 0", got)
-	}
-	if got := a.CountBetween(5*time.Second, 10*time.Second); got != 1 {
-		t.Errorf("arrivals in (5,10] = %d, want 1", got)
-	}
-	if got := a.CountBetween(10*time.Second, 10*time.Second); got != 0 {
-		t.Errorf("empty interval = %d", got)
-	}
-}
-
-func TestArrivalsDisjointIntervalsSum(t *testing.T) {
-	a := Arrivals{Interval: 7 * time.Second}
-	total := a.CountBetween(0, 100*time.Second)
-	split := a.CountBetween(0, 33*time.Second) + a.CountBetween(33*time.Second, 100*time.Second)
-	if total != split {
-		t.Errorf("split count %d != total %d", split, total)
-	}
-}
-
 func TestLedger(t *testing.T) {
 	l := NewLedger()
 	l.Charge("annotate", 3*time.Second)
@@ -82,5 +35,19 @@ func TestStopwatch(t *testing.T) {
 	w := StartWatch()
 	if w.Stop() < 0 {
 		t.Error("negative elapsed")
+	}
+}
+
+// TestStopwatchLapsTile pins Lap's contract: laps restart the watch where
+// they end, so they add up to the elapsed time with nothing lost between.
+func TestStopwatchLapsTile(t *testing.T) {
+	w := StartWatch()
+	begin := w.start
+	var sum time.Duration
+	for i := 0; i < 100; i++ {
+		sum += w.Lap()
+	}
+	if got := w.start.Sub(begin); sum != got {
+		t.Errorf("100 laps sum to %v over an interval of %v", sum, got)
 	}
 }

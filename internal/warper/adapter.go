@@ -28,10 +28,6 @@ type Adapter struct {
 	// ablation swaps in Gaussian-noise augmentation). Nil uses the GAN
 	// generator 𝔾.
 	GenFunc func(p *pool.Pool, n int) []query.Predicate
-	// Obs, when non-nil, receives per-stage timings and a summary for every
-	// Period invocation. Set it before serving; Period calls it
-	// synchronously.
-	Obs Observer
 
 	sch   *query.Schema
 	ann   *annotator.Annotator
@@ -135,7 +131,23 @@ func (s staticGenT) Gen(rng *rand.Rand) query.Predicate {
 }
 func (s staticGenT) Name() string { return "canary" }
 
-// Report summarizes one Algorithm-1 invocation.
+// Period stages, the index of Report.Stages. Every period reports every
+// stage — one skipped by the drift mode (generate during a quiet period)
+// reports a zero duration — so downstream per-stage histograms stay aligned
+// with the period count.
+const (
+	StageDetect = iota
+	StageGenerate
+	StagePick
+	StageAnnotate
+	StageUpdate
+)
+
+// StageNames names the period stages, indexed like Report.Stages.
+var StageNames = [...]string{"detect", "generate", "pick", "annotate", "update"}
+
+// Report is the one record of an Algorithm-1 invocation: what the period
+// decided and did, and where its time went.
 type Report struct {
 	Detection Detection
 	// Generated is the number of synthetic queries added to the pool.
@@ -157,6 +169,11 @@ type Report struct {
 	TrainedSamples int
 	// Busy is the compute charged to the virtual clock this period.
 	Busy time.Duration
+	// Stages splits Busy by stage (indexed like StageNames): the period runs
+	// on one clock whose every lap lands in exactly one stage and one Ledger
+	// key, so Σ Stages == Busy and the period's Ledger deltas sum to Stages,
+	// on error returns too.
+	Stages [len(StageNames)]time.Duration
 
 	// Partial is true when the ground-truth source lost part of the
 	// annotation batch but the period proceeded with the labels it got
@@ -203,21 +220,25 @@ func (a *Adapter) ModelSnapshot() ce.Estimator { return a.M.Clone() }
 // error. A non-nil error means the repair failed partway and the adapter's
 // model may be partially updated: callers that serve traffic should discard
 // a.M in favor of a pre-period clone so the previous model keeps serving.
-func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, error) {
-	w := simclock.StartWatch()
-	// stages collects per-stage wall-clock, indexed like StageNames.
-	var stages [len(StageNames)]time.Duration
-	stageW := simclock.StartWatch()
-
+func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report, err error) {
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
+	clk := periodClock{watch: simclock.StartWatch(), rep: &rep, ledger: a.Ledger, stage: StageDetect, key: "detect"}
+	defer func() {
+		clk.lap()
+		if err == nil {
+			// Samples trained during a period that errored out are
+			// attributed to the next period that completes.
+			rep.TrainedSamples = a.comps.TakeTrained()
+		}
+	}()
+
 	tbl := a.ann.Table()
 	recent := lastN(a.Pool.LabeledBySource(pool.SrcNew), 90)
 	det, err := a.det.detect(ctx, arrivals, recent, a.M, a.src, tbl.ChangedFraction())
-	rep := Report{Detection: det, TelemetryDegraded: det.TelemetryDegraded}
+	rep.Detection, rep.TelemetryDegraded = det, det.TelemetryDegraded
 	if err != nil {
-		rep.Busy = w.Stop()
 		return rep, err
 	}
 
@@ -234,10 +255,6 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, er
 		if a.det.pi > a.Cfg.Pi {
 			a.det.pi = maxF(a.Cfg.Pi, a.det.pi*0.8)
 		}
-		stages[0] = stageW.Stop()
-		a.Ledger.Charge("detect", stages[0])
-		rep.Busy = w.Stop()
-		a.emitPeriod(&rep, len(arrivals), &stages)
 		return rep, nil
 	}
 
@@ -255,19 +272,14 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, er
 		tbl.ResetChangeTracking()
 	}
 
-	stages[0] = stageW.Stop()
-	a.Ledger.Charge("detect", stages[0])
-	stageW = simclock.StartWatch()
-
 	// Lines 3–8: update the learned components; generate when in c2.
 	if det.Mode.Has(C2) {
-		gw := simclock.StartWatch()
+		clk.enter(StageGenerate, "gan")
 		rep.GANLoss = a.comps.UpdateMultiTask(a.Pool, a.Cfg.NIters)
-		a.Ledger.Charge("gan", gw.Stop())
 
 		nGen := int(a.Cfg.GenFraction * float64(maxI(det.NT, 1)))
 		if nGen >= 1 { // §4.3: generator disabled when n_g < 1
-			genW := simclock.StartWatch()
+			clk.enter(StageGenerate, "gen")
 			genFn := a.GenFunc
 			if genFn == nil {
 				genFn = a.comps.Generate
@@ -277,51 +289,42 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, er
 				a.Pool.AddGenerated(p)
 			}
 			rep.Generated = len(preds)
-			a.Ledger.Charge("gen", genW.Stop())
 		}
 	} else {
-		aw := simclock.StartWatch()
+		clk.enter(StageGenerate, "ae")
 		a.comps.UpdateAutoEncoder(a.Pool, 2)
-		a.Ledger.Charge("ae", aw.Stop())
 	}
 
 	// Refresh embeddings so the picker sees current z (and the freshly
 	// generated entries get theirs, with l' and s').
-	ew := simclock.StartWatch()
+	clk.enter(StageGenerate, "embed")
 	a.comps.EmbedAll(a.Pool)
 	a.comps.ClassifyAll(a.Pool.BySource(pool.SrcGen))
-	a.Ledger.Charge("embed", ew.Stop())
-	stages[1] = stageW.Stop()
 
 	// Line 9: pick queries and annotate them.
-	pw := simclock.StartWatch()
+	clk.enter(StagePick, "pick")
 	picked := a.pick(det.Mode)
 	rep.Picked = len(picked)
-	stages[2] = pw.Stop()
-	a.Ledger.Charge("pick", stages[2])
 
-	anW := simclock.StartWatch()
+	clk.enter(StageAnnotate, "annotate")
 	rep.Annotated, err = a.annotate(ctx, picked, &rep)
-	stages[3] = anW.Stop()
-	a.Ledger.Charge("annotate", stages[3])
 	if err != nil {
-		rep.Busy = w.Stop()
 		return rep, err
 	}
 
-	// Line 10: update 𝕄 from the pool. The update stage also covers the
-	// early-stop evaluation and pool maintenance below. A failed update
-	// aborts the period: the caller keeps its pre-period model, and the
-	// pool/detector state stays consistent for the next attempt.
-	stageW = simclock.StartWatch()
-	mw := simclock.StartWatch()
-	err = a.updateModel(picked)
-	a.Ledger.Charge("model", mw.Stop())
-	if err != nil {
-		rep.Busy = w.Stop()
+	// Line 10: update 𝕄 from the pool. A failed update aborts the period:
+	// the caller keeps its pre-period model, and the pool/detector state
+	// stays consistent for the next attempt.
+	clk.enter(StageUpdate, "model")
+	if err := a.updateModel(picked); err != nil {
 		return rep, err
 	}
 	rep.Updated = true
+
+	// The rest of the update stage — the early-stop evaluation and the pool
+	// and canary maintenance below — is no part of Table 6's model-update
+	// cost, so it runs under its own ledger key.
+	clk.enter(StageUpdate, "finish")
 
 	// Early stop (§3.4): when the model stops improving on its best
 	// observed error for several consecutive periods, raise π so det_drft
@@ -363,7 +366,6 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, er
 		// period and the rebase retries then.
 		if err := a.det.telemetry.Canaries.Rebase(ctx, a.src); err != nil {
 			if ctx.Err() != nil {
-				rep.Busy = w.Stop()
 				return rep, ctx.Err()
 			}
 			rep.TelemetryDegraded = true
@@ -379,10 +381,31 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (Report, er
 		}
 		a.det.pendingC1 = staleLeft && !rep.EarlyStopped
 	}
-	stages[4] = stageW.Stop()
-	rep.Busy = w.Stop()
-	a.emitPeriod(&rep, len(arrivals), &stages)
 	return rep, nil
+}
+
+// periodClock is the one clock of a period. lap closes the interval since
+// the previous lap into the stage and Ledger key it ran under; enter does
+// that and names what runs next. PeriodCtx defers the last lap, so every
+// return path accounts for every instant since the period began exactly once.
+type periodClock struct {
+	watch  simclock.Stopwatch
+	rep    *Report
+	ledger *simclock.Ledger
+	stage  int
+	key    string
+}
+
+func (c *periodClock) lap() {
+	d := c.watch.Lap()
+	c.rep.Stages[c.stage] += d
+	c.rep.Busy += d
+	c.ledger.Charge(c.key, d)
+}
+
+func (c *periodClock) enter(stage int, key string) {
+	c.lap()
+	c.stage, c.key = stage, key
 }
 
 // pick runs ℙ according to the drift mode (Table 2).

@@ -36,7 +36,7 @@ type components struct {
 
 	// trained counts minibatch rows consumed by AE/discriminator/generator
 	// steps since the last TakeTrained call (feeds the per-period training
-	// throughput in PeriodStats and /metrics).
+	// throughput in Report.TrainedSamples and /metrics).
 	trained int
 
 	arena stepArena

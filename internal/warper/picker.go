@@ -7,7 +7,6 @@ import (
 
 	"warper/internal/ce"
 	"warper/internal/metrics"
-	"warper/internal/nn"
 	"warper/internal/pool"
 )
 
@@ -280,16 +279,4 @@ func dedup(entries []*pool.Entry) []*pool.Entry {
 		}
 	}
 	return out
-}
-
-// entropy helper kept close to the discriminator's 3-class output for tests.
-func discEntropy(logits []float64) float64 {
-	probs := nn.Softmax(logits)
-	var h float64
-	for _, p := range probs {
-		if p > 0 {
-			h -= p * math.Log2(p)
-		}
-	}
-	return h
 }

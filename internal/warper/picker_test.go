@@ -175,12 +175,3 @@ func TestPickEntropyStrategy(t *testing.T) {
 		t.Errorf("entropy picker favored certain entry: %v", counts)
 	}
 }
-
-func TestDiscEntropyBounds(t *testing.T) {
-	if h := discEntropy([]float64{0, 0, 0}); h < 1.58 || h > 1.59 {
-		t.Errorf("uniform 3-class entropy = %v, want log2(3)", h)
-	}
-	if h := discEntropy([]float64{100, 0, 0}); h > 0.01 {
-		t.Errorf("peaked entropy = %v, want ~0", h)
-	}
-}
