@@ -4,8 +4,8 @@
 // workload, wraps it in a Warper adapter, and exposes:
 //
 //	POST /estimate     {"lows": [...], "highs": [...]}            → {"cardinality": N}
-//	POST /estimate/batch        columnar binary batch frame (with -binary)
-//	POST /estimate/batch/stream length-prefixed binary frames (with -binary)
+//	POST /estimate/batch        columnar binary batch frame
+//	POST /estimate/batch/stream length-prefixed binary frames
 //	POST /feedback     {"lows": [...], "highs": [...], "cardinality": N}
 //	POST /period       run one adaptation period over buffered feedback
 //	GET  /status       model, pool, thresholds, component costs
@@ -26,11 +26,14 @@
 //	warperd -addr :8080 -csv mydata.csv -model lm-mlp # your own CSV
 //	warperd -addr :8080 -pprof -log-level debug       # full observability
 //	warperd -replicas 8                               # concurrent serving tuning
-//	warperd -faults 0.2 -fault-hang 0.05 -annotate-timeout 500ms  # chaos mode
+//	warperd -annotate-timeout 500ms -annotate-retries 5 -period-timeout 30s  # period-time fault tolerance
 //	warperd -trace-sample 100 -drift-alarm-gmq 4      # drift flight recorder
-//	warperd -estimate-timeout 50ms -shed-queue 256    # overload-safe serving
-//	warperd -cache-entries 8192 -cache-shards 16      # estimate-cache tuning (-estimate-cache=false to disable)
-//	warperd -binary                                   # columnar binary batch endpoints
+//	warperd -estimate-timeout 50ms                    # overload-safe serving
+//	warperd -cache-entries 8192                       # estimate-cache capacity
+//
+// The server it builds is the one bench/fixture.go measures: estimate cache
+// on and flushed on a drift alarm, binary batch endpoints mounted, fallback
+// ladder on. Fault injection lives in the tests behind `make chaos`.
 package main
 
 import (
@@ -52,97 +55,117 @@ import (
 	"warper/internal/workload"
 )
 
+// config is the parsed command line.
+type config struct {
+	addr      string
+	dataset   string
+	csvPath   string
+	rows      int
+	model     string
+	trainSize int
+	workload  string
+	seed      int64
+	logLevel  string
+	pprof     bool
+
+	replicas     int
+	estTimeout   time.Duration
+	cacheEntries int
+
+	traceSample int
+	driftWindow time.Duration
+	driftAlarm  float64
+
+	annTimeout    time.Duration
+	annRetries    int
+	periodTimeout time.Duration
+}
+
+// defineFlags registers every warperd flag on fs and returns the struct
+// fs.Parse fills. main_test.go holds the README flag tables and the usage
+// lines to exactly this set.
+func defineFlags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.dataset, "dataset", "prsa", "synthetic dataset: higgs, prsa or poker")
+	fs.StringVar(&c.csvPath, "csv", "", "load the table from a CSV file instead")
+	fs.IntVar(&c.rows, "rows", 6000, "synthetic table rows")
+	fs.StringVar(&c.model, "model", "lm-mlp", "CE model: lm-mlp, lm-gbt, lm-ply, lm-rbf")
+	fs.IntVar(&c.trainSize, "train", 600, "initial training workload size")
+	fs.StringVar(&c.workload, "workload", "w1", "initial workload spec (w1..w5, mixtures like w12)")
+	fs.Int64Var(&c.seed, "seed", 1, "random seed")
+	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug, info, warn or error")
+	fs.BoolVar(&c.pprof, "pprof", false, "expose /debug/pprof/ profiling endpoints")
+
+	// Concurrent serving. Replicas are deep model clones checked out per
+	// group of estimates.
+	fs.IntVar(&c.replicas, "replicas", 0, "serving replicas (0 = GOMAXPROCS)")
+
+	// Overload safety. The deadline budgets how long an estimate may queue
+	// for a replica before the fallback ladder answers; the admission queue
+	// is bounded at max(64, 16*replicas) and the health machine rides on top.
+	fs.DurationVar(&c.estTimeout, "estimate-timeout", 0, "per-request /estimate deadline budget, overridable via X-Warper-Deadline-Ms (0 = wait forever)")
+
+	// Estimate cache. Entries are stamped with the serving generation, so
+	// a model swap invalidates the whole cache with one atomic bump;
+	// degraded/shed answers are never cached.
+	fs.IntVar(&c.cacheEntries, "cache-entries", 0, "estimate-cache capacity in entries (0 = 4096; clamped to 4194304)")
+
+	// Drift flight recorder. Tracing is off by default so /estimate stays
+	// allocation-free; the drift watch always runs (it rides the feedback
+	// path, not the hot path).
+	fs.IntVar(&c.traceSample, "trace-sample", 0, "trace 1 in N requests (0 = tracing off)")
+	fs.DurationVar(&c.driftWindow, "drift-window", 0, "rolling q-error drift window (0 = default 5m)")
+	fs.Float64Var(&c.driftAlarm, "drift-alarm-gmq", 4, "windowed GMQ that raises the drift alarm (0 = off)")
+
+	// Fault tolerance. The resilience wrapper always guards period-time
+	// annotation: retry with backoff, per-attempt timeouts and a circuit
+	// breaker.
+	fs.DurationVar(&c.annTimeout, "annotate-timeout", 2*time.Second, "per-attempt annotation deadline")
+	fs.IntVar(&c.annRetries, "annotate-retries", 3, "annotation attempts per call, including the first")
+	fs.DurationVar(&c.periodTimeout, "period-timeout", 0, "deadline for one POST /period adaptation (0 = none)")
+	return c
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		ds        = flag.String("dataset", "prsa", "synthetic dataset: higgs, prsa or poker")
-		csvPath   = flag.String("csv", "", "load the table from a CSV file instead")
-		rows      = flag.Int("rows", 6000, "synthetic table rows")
-		model     = flag.String("model", "lm-mlp", "CE model: lm-mlp, lm-gbt, lm-ply, lm-rbf")
-		trainSize = flag.Int("train", 600, "initial training workload size")
-		trainWkld = flag.String("workload", "w1", "initial workload spec (w1..w5, mixtures like w12)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		pprofOn   = flag.Bool("pprof", false, "expose /debug/pprof/ profiling endpoints")
-
-		// Concurrent serving. Replicas are deep model clones checked out per
-		// group of estimates.
-		replicas = flag.Int("replicas", 0, "serving replicas (0 = GOMAXPROCS)")
-
-		// Overload safety. The deadline budgets how long an estimate may
-		// queue for a replica before the fallback ladder (or a 429) answers;
-		// the shed queue bounds admission; the health machine rides on top.
-		estTimeout = flag.Duration("estimate-timeout", 0, "per-request /estimate deadline budget, overridable via X-Warper-Deadline-Ms (0 = wait forever)")
-		shedQueue  = flag.Int("shed-queue", 0, "max estimates queued for a replica before load shedding (0 = max(64, 16*replicas))")
-		fallback   = flag.Bool("fallback", true, "serve budget misses and degraded mode from the histogram fallback ladder instead of shedding")
-
-		// Estimate cache. Entries are stamped with the serving generation, so
-		// a model swap invalidates the whole cache with one atomic bump;
-		// degraded/shed answers are never cached.
-		// Binary protocol: the zero-copy columnar batch endpoints.
-		binaryOn = flag.Bool("binary", false, "mount the columnar binary batch endpoints /estimate/batch and /estimate/batch/stream")
-
-		estCache     = flag.Bool("estimate-cache", true, "answer repeated predicates from the generation-stamped estimate cache")
-		cacheShards  = flag.Int("cache-shards", 0, "estimate-cache shards, rounded up to a power of two (0 = 8)")
-		cacheEntries = flag.Int("cache-entries", 0, "estimate-cache capacity in entries across all shards (0 = 4096)")
-		cacheFlush   = flag.Bool("cache-flush-on-alarm", true, "flush the estimate cache when the drift watch raises its alarm")
-
-		// Fault tolerance. The resilience wrapper always guards period-time
-		// annotation; the -faults* flags additionally inject deterministic
-		// faults underneath it — the chaos-testing mode used to demo the
-		// degradation ladder end to end.
-		// Drift flight recorder. Tracing is off by default so /estimate stays
-		// allocation-free; the drift watch always runs (it rides the feedback
-		// path, not the hot path).
-		traceSample = flag.Int("trace-sample", 0, "trace 1 in N requests (0 = tracing off)")
-		traceBuf    = flag.Int("trace-buf", 0, "finished traces kept for /debug/traces (0 = default 64)")
-		driftWindow = flag.Duration("drift-window", 0, "rolling q-error drift window (0 = default 5m)")
-		driftAlarm  = flag.Float64("drift-alarm-gmq", 4, "windowed GMQ that raises the drift alarm (0 = off)")
-
-		faultErr      = flag.Float64("faults", 0, "injected annotation error rate in [0,1] (testing)")
-		faultHang     = flag.Float64("fault-hang", 0, "injected annotation hang rate in [0,1] (testing)")
-		faultLatency  = flag.Duration("fault-latency", 0, "injected annotation latency (testing)")
-		annTimeout    = flag.Duration("annotate-timeout", 2*time.Second, "per-attempt annotation deadline")
-		annRetries    = flag.Int("annotate-retries", 3, "annotation attempts per call, including the first")
-		periodTimeout = flag.Duration("period-timeout", 0, "deadline for one POST /period adaptation (0 = none)")
-	)
+	cfg := defineFlags(flag.CommandLine)
 	flag.Parse()
 
 	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		slog.Error("bad -log-level", "value", *logLevel, "err", err)
+	if err := level.UnmarshalText([]byte(cfg.logLevel)); err != nil {
+		slog.Error("bad -log-level", "value", cfg.logLevel, "err", err)
 		os.Exit(2)
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(logger)
 
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(cfg.seed))
 
 	var tbl *dataset.Table
-	if *csvPath != "" {
-		f, err := os.Open(*csvPath)
+	if cfg.csvPath != "" {
+		f, err := os.Open(cfg.csvPath)
 		if err != nil {
-			logger.Error("open csv", "path", *csvPath, "err", err)
+			logger.Error("open csv", "path", cfg.csvPath, "err", err)
 			os.Exit(1)
 		}
 		tbl, err = dataset.FromCSV("csv", f, dataset.CSVOptions{HasHeader: true})
 		if cerr := f.Close(); cerr != nil {
-			logger.Warn("close csv", "path", *csvPath, "err", cerr)
+			logger.Warn("close csv", "path", cfg.csvPath, "err", cerr)
 		}
 		if err != nil {
-			logger.Error("parse csv", "path", *csvPath, "err", err)
+			logger.Error("parse csv", "path", cfg.csvPath, "err", err)
 			os.Exit(1)
 		}
 	} else {
-		switch *ds {
+		switch cfg.dataset {
 		case "higgs":
-			tbl = dataset.Higgs(*rows, rng)
+			tbl = dataset.Higgs(cfg.rows, rng)
 		case "poker":
-			tbl = dataset.Poker(*rows, rng)
+			tbl = dataset.Poker(cfg.rows, rng)
 		case "prsa":
-			tbl = dataset.PRSA(*rows, rng)
+			tbl = dataset.PRSA(cfg.rows, rng)
 		default:
-			logger.Error("unknown dataset", "dataset", *ds)
+			logger.Error("unknown dataset", "dataset", cfg.dataset)
 			os.Exit(1)
 		}
 	}
@@ -151,21 +174,21 @@ func main() {
 	logger.Info("table loaded", "name", tbl.Name, "rows", tbl.NumRows(), "cols", tbl.NumCols())
 
 	var m ce.Estimator
-	switch *model {
+	switch cfg.model {
 	case "lm-mlp":
-		m = ce.NewLM(ce.LMMLP, sch, *seed)
+		m = ce.NewLM(ce.LMMLP, sch, cfg.seed)
 	case "lm-gbt":
-		m = ce.NewLM(ce.LMGBT, sch, *seed)
+		m = ce.NewLM(ce.LMGBT, sch, cfg.seed)
 	case "lm-ply":
-		m = ce.NewLM(ce.LMPly, sch, *seed)
+		m = ce.NewLM(ce.LMPly, sch, cfg.seed)
 	case "lm-rbf":
-		m = ce.NewLM(ce.LMRBF, sch, *seed)
+		m = ce.NewLM(ce.LMRBF, sch, cfg.seed)
 	default:
-		logger.Error("unknown model", "model", *model)
+		logger.Error("unknown model", "model", cfg.model)
 		os.Exit(1)
 	}
-	g := workload.Parse(*trainWkld, tbl, sch, workload.Options{MaxConstrained: 2})
-	train, err := ann.AnnotateAll(context.Background(), workload.Generate(g, *trainSize, rng))
+	g := workload.Parse(cfg.workload, tbl, sch, workload.Options{MaxConstrained: 2})
+	train, err := ann.AnnotateAll(context.Background(), workload.Generate(g, cfg.trainSize, rng))
 	if err != nil {
 		logger.Error("train workload annotation failed", "err", err)
 		os.Exit(1)
@@ -183,51 +206,39 @@ func main() {
 		logger.Error("build adapter failed", "err", err)
 		os.Exit(1)
 	}
+	// EstimateCache, CacheFlushOnAlarm and BinaryProtocol are the literals
+	// bench/fixture.go passes, and like it this leaves NoFallback unset, so
+	// the server warperd runs is the server the benchmark measures.
 	srv := serve.NewWithOptions(adapter, sch, serve.Options{
 		Logger:        logger,
-		EnablePprof:   *pprofOn,
-		PeriodTimeout: *periodTimeout,
-		Replicas:      *replicas,
-		TraceSample:   *traceSample,
-		TraceBuf:      *traceBuf,
-		DriftWindow:   *driftWindow,
-		DriftAlarmGMQ: *driftAlarm,
+		EnablePprof:   cfg.pprof,
+		PeriodTimeout: cfg.periodTimeout,
+		Replicas:      cfg.replicas,
+		TraceSample:   cfg.traceSample,
+		DriftWindow:   cfg.driftWindow,
+		DriftAlarmGMQ: cfg.driftAlarm,
 
-		EstimateTimeout: *estTimeout,
-		ShedQueue:       *shedQueue,
-		NoFallback:      !*fallback,
+		EstimateTimeout: cfg.estTimeout,
 
-		EstimateCache:     *estCache,
-		CacheShards:       *cacheShards,
-		CacheEntries:      *cacheEntries,
-		CacheFlushOnAlarm: *cacheFlush,
+		EstimateCache:     true,
+		CacheEntries:      cfg.cacheEntries,
+		CacheFlushOnAlarm: true,
 
-		BinaryProtocol: *binaryOn,
+		BinaryProtocol: true,
 	})
 
-	// Route period-time annotation through the resilience stack: optional
-	// deterministic fault injection (-faults*) under retry/backoff, per-
-	// attempt timeouts and a circuit breaker, reporting into the server's
-	// /metrics registry and charging retries to the adapter's cost ledger.
-	var src annotator.Source = ann
-	if *faultErr > 0 || *faultHang > 0 || *faultLatency > 0 {
-		src = resilience.NewFaulty(src, resilience.FaultPlan{
-			ErrRate:  *faultErr,
-			HangRate: *faultHang,
-			Latency:  *faultLatency,
-			Seed:     *seed,
-		})
-		logger.Warn("fault injection enabled",
-			"err_rate", *faultErr, "hang_rate", *faultHang, "latency", *faultLatency)
-	}
-	adapter.SetSource(resilience.Wrap(src, resilience.Policy{
-		MaxAttempts:    *annRetries,
-		AttemptTimeout: *annTimeout,
-		Seed:           *seed,
+	// Route period-time annotation through the resilience stack:
+	// retry/backoff, per-attempt timeouts and a circuit breaker, reporting
+	// into the server's /metrics registry and charging retries to the
+	// adapter's cost ledger.
+	adapter.SetSource(resilience.Wrap(ann, resilience.Policy{
+		MaxAttempts:    cfg.annRetries,
+		AttemptTimeout: cfg.annTimeout,
+		Seed:           cfg.seed,
 	}, srv.Metrics().ResilienceEvents()).WithCostLedger(adapter.Ledger))
 
-	logger.Info("serving", "addr", *addr, "pprof", *pprofOn)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	logger.Info("serving", "addr", cfg.addr, "pprof", cfg.pprof)
+	if err := http.ListenAndServe(cfg.addr, srv.Handler()); err != nil {
 		logger.Error("listen", "err", err)
 		os.Exit(1)
 	}

@@ -1,9 +1,9 @@
 // Command warperlint runs the project's static-analysis suite (package
 // internal/lint) over the module: determinism of the algorithm packages,
 // panic-freedom of the serving path, lock hygiene in internal/serve,
-// dropped-error detection everywhere, and the module-wide call-graph
-// rules — hot-path allocation-freedom, atomic-field discipline, goroutine
-// exit paths, and lock-order acyclicity. It exits non-zero when any
+// dropped-error detection everywhere, typed atomics only, no go statements
+// in the serving packages, and the module-wide call-graph rules — hot-path
+// allocation-freedom and lock-order acyclicity. It exits non-zero when any
 // diagnostic survives //lint:allow suppression, so it can gate
 // scripts/check.sh and CI.
 //

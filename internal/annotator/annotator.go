@@ -232,30 +232,3 @@ func (a *Annotator) ResetMeters() {
 	a.Elapsed = 0
 	a.mu.Unlock()
 }
-
-// CountDisjunction returns the exact number of rows matching at least one
-// disjunct (rows are counted once even when several disjuncts match). A
-// disjunct whose dimensionality does not match the table is an error, like
-// Count's.
-func (a *Annotator) CountDisjunction(ctx context.Context, d query.Disjunction) (float64, error) {
-	start := time.Now()
-	for i, p := range d {
-		if p.Dim() != a.tbl.NumCols() {
-			return 0, fmt.Errorf("annotator: disjunct %d dim %d vs table cols %d",
-				i, p.Dim(), a.tbl.NumCols())
-		}
-	}
-	n := a.tbl.NumRows()
-	row := make([]float64, a.tbl.NumCols())
-	count := 0
-	for r := 0; r < n; r++ {
-		if r%ctxCheckRows == 0 && ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		if d.Matches(a.tbl.Row(r, row)) {
-			count++
-		}
-	}
-	a.addCost(1, int64(n), time.Since(start))
-	return float64(count), nil
-}

@@ -30,9 +30,6 @@ func TestCancelledContextStopsCount(t *testing.T) {
 	if _, err := a.AnnotateAll(ctx, preds); !errors.Is(err, context.Canceled) {
 		t.Errorf("AnnotateAll err = %v, want context.Canceled", err)
 	}
-	if _, err := a.CountDisjunction(ctx, query.Disjunction(preds[:2])); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountDisjunction err = %v, want context.Canceled", err)
-	}
 	s := newSampledOK(t, tbl, 0.5, rng)
 	if _, err := s.Count(ctx, preds[0]); !errors.Is(err, context.Canceled) {
 		t.Errorf("Sampled.Count err = %v, want context.Canceled", err)

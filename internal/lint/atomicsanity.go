@@ -1,168 +1,40 @@
 package lint
 
-// AtomicSanity guards the module's mixed-access invariant: once any code
-// reaches a variable through the sync/atomic package functions, every
-// other access must be atomic too — a single plain read or write
-// re-introduces the data race the atomic was bought to remove, and the
-// race detector only catches it if a test happens to interleave the two.
-// The replica pool's generation counters and the tracer's sequence
-// numbers live or die by this.
-//
-// The rule is module-wide (a field can be accessed atomically in one
-// package and plainly in another) and two-pass: first collect every
-// variable whose address is passed to a sync/atomic function, then flag
-// every plain use of those variables anywhere else. The one exemption is
-// constructor-shaped code — functions named New*/new*, reset, or init —
-// where single-owner initialization before publication is the idiom.
-//
-// The typed atomics (atomic.Int64, atomic.Pointer[T], …) the module
-// prefers are immune by construction — their fields cannot be read
-// plainly — so a clean tree under this rule plus typed atomics means the
-// invariant holds by type, not by discipline.
-
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
+// AtomicSanity guards the mixed-access invariant: once a variable is
+// reached through a sync/atomic package function, a single plain read or
+// write elsewhere re-introduces the race the atomic was bought to remove,
+// and the race detector only catches it if a test interleaves the two. The
+// typed atomics (atomic.Int64, atomic.Pointer[T], …) cannot be read
+// plainly, so banning the function-style API makes the invariant hold by
+// type, not by discipline. The replica pool's generation counters and the
+// tracer's sequence numbers live or die by this.
 var AtomicSanity = &Analyzer{
-	Name:      "atomicsanity",
-	Doc:       "variables accessed via sync/atomic must never be read or written plainly outside their constructor",
-	RunModule: runAtomicSanity,
+	Name: "atomicsanity",
+	Doc:  "package-level sync/atomic functions are banned; use the typed atomics, which cannot be accessed plainly",
+	Run:  runAtomicSanity,
 }
 
-func runAtomicSanity(mp *ModulePass) {
-	// Pass 1: every variable whose address reaches a sync/atomic
-	// function, with the first such site for the diagnostic message.
-	atomicVars := map[*types.Var]token.Pos{}
-	// exempt marks the &v operands themselves, so pass 2 does not flag
-	// the atomic call sites that defined the set.
-	exempt := map[ast.Expr]bool{}
-	for _, pkg := range mp.Pkgs {
-		info := pkg.Info
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(x ast.Node) bool {
-				call, ok := x.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-					return true
-				}
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					return true // typed-atomic method: safe by construction
-				}
-				if len(call.Args) == 0 {
-					return true
-				}
-				addr, ok := unparen(call.Args[0]).(*ast.UnaryExpr)
-				if !ok || addr.Op != token.AND {
-					return true
-				}
-				operand := unparen(addr.X)
-				if v := varOf(info, operand); v != nil {
-					if _, seen := atomicVars[v]; !seen {
-						atomicVars[v] = call.Pos()
-					}
-					exempt[operand] = true
-				}
+func runAtomicSanity(pass *Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
 				return true
-			})
-		}
-	}
-	if len(atomicVars) == 0 {
-		return
-	}
-
-	// Pass 2: plain uses anywhere outside constructors.
-	for _, pkg := range mp.Pkgs {
-		info := pkg.Info
-		for _, f := range pkg.Files {
-			// Declaration ranges of constructor-shaped functions.
-			var ctors [][2]token.Pos
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				name := fd.Name.Name
-				if strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") ||
-					strings.EqualFold(name, "reset") || name == "init" {
-					ctors = append(ctors, [2]token.Pos{fd.Pos(), fd.End()})
-				}
 			}
-			inCtor := func(pos token.Pos) bool {
-				for _, r := range ctors {
-					if r[0] <= pos && pos <= r[1] {
-						return true
-					}
-				}
-				return false
+			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+				return true
 			}
-			ast.Inspect(f, func(x ast.Node) bool {
-				e, ok := x.(ast.Expr)
-				if !ok || exempt[e] {
-					return true
-				}
-				var v *types.Var
-				switch e.(type) {
-				case *ast.SelectorExpr, *ast.Ident:
-					v = varOf(info, e)
-				default:
-					return true
-				}
-				if v == nil {
-					return true
-				}
-				first, isAtomic := atomicVars[v]
-				if !isAtomic || inCtor(e.Pos()) {
-					return true
-				}
-				_, isSel := e.(*ast.SelectorExpr)
-				if !isSel {
-					// A bare ident both names fields in selectors (already
-					// handled) and plain vars; only flag idents that are the
-					// whole access, not the Sel half of a selector.
-					if id := e.(*ast.Ident); info.Uses[id] != v {
-						return true
-					}
-					if v.IsField() {
-						return true // the x.f selector case reports instead
-					}
-				}
-				mp.Reportf(e.Pos(),
-					"%s is accessed via sync/atomic (first at %s) but read or written plainly here; every access must be atomic",
-					v.Name(), mp.Fset.Position(first))
-				return !isSel // don't descend into a reported selector twice
-			})
-		}
-	}
-}
-
-// varOf resolves an expression to the variable it names: a struct field
-// via selector, or a plain variable via identifier.
-func varOf(info *types.Info, e ast.Expr) *types.Var {
-	switch n := e.(type) {
-	case *ast.SelectorExpr:
-		if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal {
-			if v, ok := sel.Obj().(*types.Var); ok {
-				return v
+			if fn.Type().(*types.Signature).Recv() != nil {
+				return true // typed-atomic method: safe by construction
 			}
-		}
-		if v, ok := info.Uses[n.Sel].(*types.Var); ok {
-			return v
-		}
-	case *ast.Ident:
-		if v, ok := info.Uses[n].(*types.Var); ok {
-			return v
-		}
+			pass.Reportf(sel.Pos(), "atomic.%s on a plain variable: every other access must be atomic too and nothing checks it; use a typed atomic (atomic.Int64, atomic.Pointer[T], …)", fn.Name())
+			return true
+		})
 	}
-	return nil
 }

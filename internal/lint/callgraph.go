@@ -2,8 +2,8 @@ package lint
 
 // This file builds a module-wide call graph over the loaded packages so
 // analyzers can check transitive properties — "no allocation reachable
-// from the estimate handler", "every goroutine reaches an exit", "no lock
-// cycle" — that per-package AST walks cannot see.
+// from the estimate handler", "no lock cycle" — that per-package AST walks
+// cannot see.
 //
 // Resolution is CHA-style (class hierarchy analysis) over go/types:
 //
@@ -17,7 +17,7 @@ package lint
 //     expressions get EdgeMethodValue edges with the same resolution;
 //   - function literals are first-class nodes, reached by EdgeClosure
 //     (built and passed around) or by the direct kind when invoked in
-//     place; go f(...) and defer f(...) mark their edges EdgeGo/EdgeDefer.
+//     place; go f(...) and defer f(...) are calls like any other.
 //
 // Known holes, deliberate for a stdlib-only analyzer: calls through
 // func-typed variables and struct fields are unresolved (no edge), and
@@ -48,10 +48,6 @@ const (
 	// EdgeClosure is a reference to a function literal that is not
 	// invoked on the spot.
 	EdgeClosure
-	// EdgeGo is a call spawned as a goroutine.
-	EdgeGo
-	// EdgeDefer is a deferred call.
-	EdgeDefer
 )
 
 // String names the kind for golden tests and diagnostics.
@@ -65,10 +61,6 @@ func (k EdgeKind) String() string {
 		return "methodvalue"
 	case EdgeClosure:
 		return "closure"
-	case EdgeGo:
-		return "go"
-	case EdgeDefer:
-		return "defer"
 	}
 	return "unknown"
 }
@@ -176,9 +168,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	return g
 }
 
-// FuncNode returns the node for a declared function, or nil.
-func (g *CallGraph) FuncNode(fn *types.Func) *CGNode { return g.funcs[fn] }
-
 // LitNode returns the node for a function literal, or nil.
 func (g *CallGraph) LitNode(lit *ast.FuncLit) *CGNode { return g.lits[lit] }
 
@@ -198,20 +187,6 @@ func (g *CallGraph) Nodes() []*CGNode {
 	return out
 }
 
-// ResolveCall resolves a call expression in pkg to its possible module
-// callees, the same way edge construction does. Used by rules that start
-// from a syntactic site (a go statement) rather than a node.
-func (g *CallGraph) ResolveCall(pkg *Package, call *ast.CallExpr) []*CGNode {
-	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
-		if n := g.lits[lit]; n != nil {
-			return []*CGNode{n}
-		}
-		return nil
-	}
-	targets, _ := g.resolveTargets(pkg, call.Fun)
-	return targets
-}
-
 // walk adds the edges out of n, whose body statements live in root.
 // Nested function literals become their own nodes and are walked
 // recursively; the outer walk does not descend into them.
@@ -219,42 +194,31 @@ func (g *CallGraph) walk(n *CGNode, root *ast.BlockStmt) {
 	pkg := n.Pkg
 	info := pkg.Info
 
-	// First pass: which expressions are call Funs, which calls are
-	// spawned/deferred, and which literals are invoked in place.
-	callKind := map[*ast.CallExpr]EdgeKind{}
+	// First pass: which expressions are call Funs, and which literals are
+	// invoked in place.
 	callFun := map[ast.Expr]bool{}
-	litKind := map[*ast.FuncLit]EdgeKind{}
+	invoked := map[*ast.FuncLit]bool{}
 	ast.Inspect(root, func(x ast.Node) bool {
 		switch v := x.(type) {
 		case *ast.FuncLit:
 			return false
-		case *ast.GoStmt:
-			callKind[v.Call] = EdgeGo
-		case *ast.DeferStmt:
-			callKind[v.Call] = EdgeDefer
 		case *ast.CallExpr:
 			fun := unparen(v.Fun)
 			callFun[fun] = true
 			if lit, ok := fun.(*ast.FuncLit); ok {
-				k, spawned := callKind[v]
-				if !spawned {
-					k = EdgeCall
-				}
-				litKind[lit] = k
+				invoked[lit] = true
 			}
 		}
 		return true
 	})
-	// go/defer statements nested inside literals are classified by the
-	// literal's own recursive walk, which recomputes these maps.
 
 	ast.Inspect(root, func(x ast.Node) bool {
 		switch v := x.(type) {
 		case *ast.FuncLit:
 			child := g.litNode(n, v)
-			kind, invoked := litKind[v]
-			if !invoked {
-				kind = EdgeClosure
+			kind := EdgeClosure
+			if invoked[v] {
+				kind = EdgeCall
 			}
 			n.Out = append(n.Out, CGEdge{Callee: child, Pos: v.Pos(), Kind: kind})
 			g.walk(child, v.Body)
@@ -263,17 +227,13 @@ func (g *CallGraph) walk(n *CGNode, root *ast.BlockStmt) {
 			if _, ok := unparen(v.Fun).(*ast.FuncLit); ok {
 				return true // edge added by the FuncLit case
 			}
-			kind, spawned := callKind[v]
-			if !spawned {
-				kind = EdgeCall
-			}
 			targets, dynamic := g.resolveTargets(pkg, v.Fun)
+			kind := EdgeCall
+			if dynamic {
+				kind = EdgeDynamic
+			}
 			for _, t := range targets {
-				k := kind
-				if dynamic && k == EdgeCall {
-					k = EdgeDynamic
-				}
-				n.Out = append(n.Out, CGEdge{Callee: t, Pos: v.Pos(), Kind: k})
+				n.Out = append(n.Out, CGEdge{Callee: t, Pos: v.Pos(), Kind: kind})
 			}
 			return true
 		case *ast.SelectorExpr:

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -19,7 +18,7 @@ func edgeList(n *CGNode) []string {
 
 // TestCallGraphFixture pins edge construction over the callgraph/app
 // fixture: recursion, CHA interface fan-out, method values, closures,
-// in-place literal invocation, and go/defer kinds.
+// in-place literal invocation, and go/defer as plain calls.
 func TestCallGraphFixture(t *testing.T) {
 	pkg := fixtureLoad(t, "callgraph/app")
 	g := BuildCallGraph([]*Package{pkg})
@@ -49,11 +48,12 @@ func TestCallGraphFixture(t *testing.T) {
 		t.Errorf("app.Odd edges = %v, want %v", got, want)
 	}
 
-	// Spawn: go, defer, method value (CHA fan-out), closure, and an
-	// in-place invoked literal, in source order.
+	// Spawn: a spawned and a deferred call (plain call edges), method value
+	// (CHA fan-out), closure, and an in-place invoked literal, in source
+	// order.
 	if got, want := edgeList(get("app.Spawn")), []string{
-		"go app.worker",
-		"defer app.cleanup",
+		"call app.worker",
+		"call app.cleanup",
 		"methodvalue app.(*Hist).Estimate",
 		"methodvalue app.(*LM).Estimate",
 		"closure app.Spawn$1",
@@ -66,33 +66,6 @@ func TestCallGraphFixture(t *testing.T) {
 	if got, want := edgeList(get("app.Spawn$2")), []string{"call app.Dispatch"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("app.Spawn$2 edges = %v, want %v", got, want)
 	}
-
-	// ResolveCall resolves a syntactic go statement the same way edge
-	// construction does.
-	var goCall *ast.CallExpr
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(x ast.Node) bool {
-			if gs, ok := x.(*ast.GoStmt); ok && goCall == nil {
-				goCall = gs.Call
-			}
-			return goCall == nil
-		})
-	}
-	if goCall == nil {
-		t.Fatal("fixture has no go statement")
-	}
-	targets := g.ResolveCall(pkg, goCall)
-	if len(targets) != 1 || targets[0].Name != "app.worker" {
-		t.Errorf("ResolveCall(go …) = %v, want [app.worker]", edgeNames(targets))
-	}
-}
-
-func edgeNames(ns []*CGNode) []string {
-	var out []string
-	for _, n := range ns {
-		out = append(out, n.Name)
-	}
-	return out
 }
 
 // TestCallGraphModule builds the graph over the real module and checks

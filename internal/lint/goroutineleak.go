@@ -1,131 +1,31 @@
 package lint
 
-// GoroutineLeak pins the lifecycle half of the resilience story: every
-// goroutine spawned by the serving, adaptation, and worker packages must
-// be able to find its way out — transitively reach a ctx.Done()/ctx.Err()
-// check or a channel receive (including range-over-channel) that a
-// closing sender unblocks. A goroutine without one outlives its server,
-// pins its captures, and turns every test binary into a slow leak; the
-// ROADMAP's multi-tenant fleet work multiplies whatever leaks today.
-//
-// The check walks the call graph from each go statement's resolved
-// target (function, method, CHA interface fan-out, or function literal)
-// and searches every reachable body for an exit construct. Exit
-// detection is syntactic and deliberately generous — any channel receive
-// counts, because the module's worker pools exit by draining a closed
-// task channel. Goroutines whose target cannot be resolved (a func-typed
-// variable) are flagged too: an invisible lifecycle is as reviewable as
-// a missing one, and //lint:allow goroutineleak with a reason is the
-// explicit override.
+import "go/ast"
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
-
+// GoroutineLeak pins the lifecycle half of the resilience story: a
+// goroutine without a way out outlives its server, pins its captures, and
+// turns every test binary into a slow leak; the ROADMAP's multi-tenant
+// fleet work multiplies whatever leaks today. The serving, adaptation and
+// annotation packages therefore spawn nothing themselves: fan-out goes
+// through internal/parallel, whose fixed-size pool is started once per
+// process and whose Run waits for its helpers before returning, so the one
+// spawn site left in the module is reviewable by eye. A goroutine that
+// genuinely cannot go through a Runner takes a //lint:allow goroutineleak
+// naming what stops it and what waits for it.
 var GoroutineLeak = &Analyzer{
-	Name:      "goroutineleak",
-	Doc:       "every go statement in serving/adaptation packages must transitively reach a ctx.Done()/channel-receive exit",
-	Packages:  []string{"serve", "resilience", "obs", "adapt", "annotator", "parallel"},
-	RunModule: runGoroutineLeak,
+	Name:     "goroutineleak",
+	Doc:      "no go statements in serving/adaptation packages; fan out through internal/parallel, whose Run waits for its helpers",
+	Packages: []string{"serve", "resilience", "obs", "adapt", "annotator"},
+	Run:      runGoroutineLeak,
 }
 
-func runGoroutineLeak(mp *ModulePass) {
-	exitMemo := map[*CGNode]bool{}
-	for _, pkg := range mp.Pkgs {
-		if !mp.Analyzer.applies(pkg.Path) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(x ast.Node) bool {
-				gs, ok := x.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				if mp.Allowed(gs.Pos()) {
-					return true
-				}
-				targets := mp.Graph.ResolveCall(pkg, gs.Call)
-				if len(targets) == 0 {
-					mp.Reportf(gs.Pos(), "goroutine target cannot be resolved statically; give it a ctx.Done()/channel exit in a named function or add //lint:allow goroutineleak with a reason")
-					return true
-				}
-				for _, t := range targets {
-					if !exitReachable(t, exitMemo, map[*CGNode]bool{}) {
-						mp.Reportf(gs.Pos(), "goroutine (%s) has no reachable ctx.Done()/channel-receive exit and may outlive its owner", t.Name)
-						break
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// exitReachable reports whether n or any transitive callee contains an
-// exit construct.
-func exitReachable(n *CGNode, memo map[*CGNode]bool, walking map[*CGNode]bool) bool {
-	if v, ok := memo[n]; ok {
-		return v
-	}
-	if walking[n] {
-		return false // recursion: no exit found on this path yet
-	}
-	walking[n] = true
-	found := hasExitConstruct(n)
-	for _, e := range n.Out {
-		if found {
-			break
-		}
-		found = exitReachable(e.Callee, memo, walking)
-	}
-	delete(walking, n)
-	memo[n] = found
-	return found
-}
-
-// hasExitConstruct scans n's own body (excluding nested literals, which
-// are separate nodes) for a channel receive, a range over a channel, or
-// a ctx.Done()/ctx.Err() call.
-func hasExitConstruct(n *CGNode) bool {
-	if n.Body == nil {
-		return false
-	}
-	info := n.Pkg.Info
-	found := false
-	ast.Inspect(n.Body, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		switch v := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW {
-				found = true
+func runGoroutineLeak(pass *Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if gs, ok := n.(*ast.GoStmt); ok {
+				pass.Reportf(gs.Pos(), "go statement in package %s: fan out through a parallel.Runner, whose Run waits for its helpers, so no goroutine outlives its owner", pass.Pkg.Name())
 			}
-		case *ast.RangeStmt:
-			if t := info.TypeOf(v.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			sel, ok := unparen(v.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok {
-				return true
-			}
-			full := fn.FullName()
-			if full == "(context.Context).Done" || full == "(context.Context).Err" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+			return true
+		})
+	}
 }

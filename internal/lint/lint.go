@@ -12,8 +12,8 @@
 // shapes: local ones see a single package at a time (Run), and
 // module-wide ones see every loaded package plus a CHA-style call graph
 // over them (RunModule) — the latter carry the transitive invariants
-// (hot-path allocation-freedom, goroutine exits, lock ordering) that no
-// per-package view can check.
+// (hot-path allocation-freedom, lock ordering) that no per-package view
+// can check.
 //
 // A diagnostic can be suppressed with a directive comment:
 //

@@ -480,6 +480,27 @@ func (st *lockOrderState) mutexCallKey(n *CGNode, stm ast.Stmt) (*types.Var, str
 	return varOf(n.Pkg.Info, unparen(sel.X)), fn.Name()
 }
 
+// varOf resolves an expression to the variable it names: a struct field
+// via selector, or a plain variable via identifier.
+func varOf(info *types.Info, e ast.Expr) *types.Var {
+	switch n := e.(type) {
+	case *ast.SelectorExpr:
+		if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal {
+			if v, ok := sel.Obj().(*types.Var); ok {
+				return v
+			}
+		}
+		if v, ok := info.Uses[n.Sel].(*types.Var); ok {
+			return v
+		}
+	case *ast.Ident:
+		if v, ok := info.Uses[n].(*types.Var); ok {
+			return v
+		}
+	}
+	return nil
+}
+
 // mutexRecvText renders the receiver of a mutex-method statement, for
 // matching Lock to its Unlock and for naming it in diagnostics.
 func mutexRecvText(stm ast.Stmt) string {

@@ -1,5 +1,5 @@
 // Package app is the golden fixture for the call-graph layer: recursion,
-// interface dispatch, method values, closures, and go/defer edges. The
+// interface dispatch, method values, closures, and go/defer calls. The
 // Estimator interface mirrors ce.Estimator's dispatch shape with two
 // implementations, so CHA fan-out is observable.
 package app
@@ -36,8 +36,8 @@ func Odd(n int) bool {
 
 // Spawn exercises every remaining edge kind from one body.
 func Spawn(e Estimator) {
-	go worker(e)    // EdgeGo
-	defer cleanup() // EdgeDefer
+	go worker(e)    // EdgeCall: spawned calls are calls
+	defer cleanup() // EdgeCall: so are deferred ones
 
 	f := e.Estimate // EdgeMethodValue, CHA fan-out
 	_ = f

@@ -1,7 +1,7 @@
-// Package serve is the goroutineleak fixture: goroutines with and
-// without a reachable exit construct, spawned directly, through named
-// functions, through interface dispatch, and through an unresolvable
-// function value.
+// Package serve is the goroutineleak fixture: in a serving package every
+// go statement is a violation, whether or not the goroutine can find its
+// way out — the exits below are the ones the former reachability analysis
+// accepted — and //lint:allow is the explicit override.
 package serve
 
 import "context"
@@ -10,31 +10,17 @@ type Worker struct {
 	tasks chan int
 }
 
-// ok: range over a channel exits when the channel closes.
+// range over a channel exits when the channel closes; still a spawn site.
 func (w *Worker) startDrain() {
-	go func() {
+	go func() { // want "go statement in package serve"
 		for range w.tasks {
 		}
 	}()
 }
 
-// ok: select with ctx.Done.
-func (w *Worker) startCtx(ctx context.Context) {
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case t := <-w.tasks:
-				_ = t
-			}
-		}
-	}()
-}
-
-// ok: the exit lives transitively in a named function.
+// the exit lives in a named function.
 func (w *Worker) startNamed(ctx context.Context) {
-	go w.loop(ctx)
+	go w.loop(ctx) // want "go statement in package serve"
 }
 
 func (w *Worker) loop(ctx context.Context) {
@@ -44,41 +30,36 @@ func (w *Worker) loop(ctx context.Context) {
 
 // leak: busy loop with no exit construct anywhere.
 func (w *Worker) startHot() {
-	go func() { // want "no reachable ctx.Done"
+	go func() { // want "go statement in package serve"
 		for {
 		}
 	}()
 }
 
-// leak: a func-typed value cannot be resolved statically.
+// leak: a func-typed value.
 func (w *Worker) startFire(f func()) {
-	go f() // want "cannot be resolved statically"
+	go f() // want "go statement in package serve"
 }
 
-// allowed: documented one-shot.
-func (w *Worker) startSanctioned() {
-	//lint:allow goroutineleak fixture: bounded one-shot loop for the test
-	go func() {
-		for {
-		}
-	}()
-}
-
-// Interface dispatch: CHA fans out to both implementations, and the one
-// without an exit is reported.
-type runner interface{ run(ctx context.Context) }
-
-type good struct{}
-
-func (g *good) run(ctx context.Context) { <-ctx.Done() }
-
-type bad struct{}
-
-func (b *bad) run(ctx context.Context) {
-	for {
+// a spawn nested in a closure is found too.
+func (w *Worker) startNested() func() {
+	return func() {
+		go w.loop(context.Background()) // want "go statement in package serve"
 	}
 }
 
-func spawn(r runner, ctx context.Context) {
-	go r.run(ctx) // want "no reachable ctx.Done"
+// allowed: the override names what stops the goroutine and what waits.
+func (w *Worker) startSanctioned(done chan struct{}) {
+	//lint:allow goroutineleak fixture: exits when tasks closes; the caller waits on done
+	go func() {
+		for range w.tasks {
+		}
+		close(done)
+	}()
+}
+
+// calls and defers are not spawns.
+func (w *Worker) inline(ctx context.Context) {
+	defer w.loop(ctx)
+	w.loop(ctx)
 }

@@ -83,7 +83,7 @@ type scratch struct {
 func (n *Network) batchable() bool {
 	for _, l := range n.Layers {
 		switch l.(type) {
-		case *Dense, *LeakyReLU, *ReLU, *Sigmoid, *Tanh:
+		case *Dense, *LeakyReLU, *Tanh:
 		default:
 			return false
 		}
@@ -227,30 +227,6 @@ func (sc *scratch) forwardRange(r0, r1 int, tile []float64) {
 					}
 				}
 			}
-		case *ReLU:
-			for r := r0; r < r1; r++ {
-				x, y := in.Row(r), out.Row(r)
-				i := 0
-				if simdEnabled && len(x) >= 4 {
-					n4 := len(x) &^ 3
-					reluForwardASM(&x[0], &y[0], n4)
-					i = n4
-				}
-				for ; i < len(x); i++ {
-					if v := x[i]; v > 0 {
-						y[i] = v
-					} else {
-						y[i] = 0
-					}
-				}
-			}
-		case *Sigmoid:
-			for r := r0; r < r1; r++ {
-				x, y := in.Row(r), out.Row(r)
-				for i, v := range x {
-					y[i] = 1 / (1 + math.Exp(-v))
-				}
-			}
 		case *Tanh:
 			for r := r0; r < r1; r++ {
 				x, y := in.Row(r), out.Row(r)
@@ -289,33 +265,6 @@ func (sc *scratch) backwardRange(r0, r1 int, tile []float64) {
 					} else {
 						gx[i] = t.Alpha * g[i]
 					}
-				}
-			}
-		case *ReLU:
-			in := sc.acts[li]
-			for r := r0; r < r1; r++ {
-				x, g, gx := in.Row(r), cur.Row(r), dst.Row(r)
-				i := 0
-				if simdEnabled && len(g) >= 4 {
-					n4 := len(g) &^ 3
-					reluBackwardASM(&x[0], &g[0], &gx[0], n4)
-					i = n4
-				}
-				for ; i < len(g); i++ {
-					if x[i] > 0 {
-						gx[i] = g[i]
-					} else {
-						gx[i] = 0
-					}
-				}
-			}
-		case *Sigmoid:
-			out := sc.acts[li+1]
-			for r := r0; r < r1; r++ {
-				y, g, gx := out.Row(r), cur.Row(r), dst.Row(r)
-				for i, gi := range g {
-					s := y[i]
-					gx[i] = gi * s * (1 - s)
 				}
 			}
 		case *Tanh:
@@ -415,12 +364,6 @@ func (n *Network) InferBatch(x Mat, out []float64) bool {
 				w = t.Out
 			case *LeakyReLU:
 				leakyForwardASM(&cur[0], &cur[0], 4*w, t.Alpha)
-			case *ReLU:
-				reluForwardASM(&cur[0], &cur[0], 4*w)
-			case *Sigmoid:
-				for i := 0; i < 4*w; i++ {
-					cur[i] = 1 / (1 + math.Exp(-cur[i]))
-				}
 			case *Tanh:
 				for i := 0; i < 4*w; i++ {
 					cur[i] = math.Tanh(cur[i])

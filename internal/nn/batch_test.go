@@ -27,11 +27,11 @@ func randBatch(rng *rand.Rand, rows, in, out int) (xs, ys [][]float64) {
 func testNets() map[string]func(*rand.Rand) *Network {
 	return map[string]func(*rand.Rand) *Network{
 		"mlp-leaky": func(rng *rand.Rand) *Network { return MLP(9, 16, 2, 5, rng) },
-		"sigmoid": func(rng *rand.Rand) *Network {
-			return NewNetwork(NewDense(9, 12, rng), NewSigmoid(), NewDense(12, 5, rng))
+		"tanh": func(rng *rand.Rand) *Network {
+			return NewNetwork(NewDense(9, 12, rng), NewTanh(), NewDense(12, 5, rng))
 		},
-		"tanh-relu": func(rng *rand.Rand) *Network {
-			return NewNetwork(NewDense(9, 12, rng), NewTanh(), NewDense(12, 7, rng), NewReLU(), NewDense(7, 5, rng))
+		"tanh-leaky": func(rng *rand.Rand) *Network {
+			return NewNetwork(NewDense(9, 12, rng), NewTanh(), NewDense(12, 7, rng), NewLeakyReLU(), NewDense(7, 5, rng))
 		},
 	}
 }
@@ -325,9 +325,9 @@ func TestInferBatchMatchesForward(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	nets := map[string]*Network{
-		"leaky": NewNetwork(NewDense(6, 16, rng), NewLeakyReLU(), NewDense(16, 16, rng), NewLeakyReLU(), NewDense(16, 1, rng)),
-		"relu":  NewNetwork(NewDense(5, 8, rng), NewReLU(), NewDense(8, 1, rng)),
-		"mixed": NewNetwork(NewDense(7, 9, rng), NewTanh(), NewDense(9, 6, rng), NewSigmoid(), NewDense(6, 1, rng)),
+		"leaky":        NewNetwork(NewDense(6, 16, rng), NewLeakyReLU(), NewDense(16, 16, rng), NewLeakyReLU(), NewDense(16, 1, rng)),
+		"leaky-narrow": NewNetwork(NewDense(5, 8, rng), NewLeakyReLU(), NewDense(8, 1, rng)),
+		"mixed":        NewNetwork(NewDense(7, 9, rng), NewTanh(), NewDense(9, 6, rng), NewLeakyReLU(), NewDense(6, 1, rng)),
 	}
 	for name, n := range nets {
 		for _, rows := range []int{1, 3, 4, 8, 11} {

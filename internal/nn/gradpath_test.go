@@ -63,10 +63,10 @@ func testScaledAssign(t *testing.T) {
 			return NewNetwork(NewDense(29, 27, rng), NewLeakyReLU(), NewDense(27, 16, rng), NewLeakyReLU(), NewDense(16, 5, rng), NewTanh())
 		},
 		"in27": func(rng *rand.Rand) *Network {
-			return NewNetwork(NewDense(27, 29, rng), NewReLU(), NewDense(29, 3, rng))
+			return NewNetwork(NewDense(27, 29, rng), NewLeakyReLU(), NewDense(29, 3, rng))
 		},
 		"narrow": func(rng *rand.Rand) *Network {
-			return NewNetwork(NewDense(3, 6, rng), NewSigmoid(), NewDense(6, 2, rng))
+			return NewNetwork(NewDense(3, 6, rng), NewTanh(), NewDense(6, 2, rng))
 		},
 		// 20 = one 16-column pass + one 4-column pass; 33 outputs = a
 		// gradient task of a single neuron; 33 inputs = two passes + a tail.

@@ -197,96 +197,6 @@ func (l *LeakyReLU) Clone() Layer { return &LeakyReLU{Alpha: l.Alpha} }
 // OutSize implements Layer.
 func (l *LeakyReLU) OutSize(in int) int { return in }
 
-// ReLU applies max(0, x) elementwise. Forward/Backward results are
-// layer-owned buffers, reused across calls.
-type ReLU struct {
-	lastIn []float64
-	out    []float64
-	gx     []float64
-}
-
-// NewReLU returns a ReLU activation.
-func NewReLU() *ReLU { return &ReLU{} }
-
-// Forward implements Layer.
-func (l *ReLU) Forward(x []float64) []float64 {
-	l.lastIn = x
-	l.out = ensureLen(l.out, len(x))
-	y := l.out
-	for i, v := range x {
-		if v > 0 {
-			y[i] = v
-		} else {
-			y[i] = 0
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (l *ReLU) Backward(gradOut []float64) []float64 {
-	l.gx = ensureLen(l.gx, len(gradOut))
-	gx := l.gx
-	for i, g := range gradOut {
-		if l.lastIn[i] > 0 {
-			gx[i] = g
-		} else {
-			gx[i] = 0
-		}
-	}
-	return gx
-}
-
-// Params implements Layer.
-func (l *ReLU) Params() []*Param { return nil }
-
-// Clone implements Layer.
-func (l *ReLU) Clone() Layer { return &ReLU{} }
-
-// OutSize implements Layer.
-func (l *ReLU) OutSize(in int) int { return in }
-
-// Sigmoid applies 1/(1+e^-x) elementwise. Used to keep generated predicate
-// featurizations inside the unit box. Forward/Backward results are
-// layer-owned buffers, reused across calls.
-type Sigmoid struct {
-	lastOut []float64
-	gx      []float64
-}
-
-// NewSigmoid returns a Sigmoid activation.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Forward implements Layer.
-func (l *Sigmoid) Forward(x []float64) []float64 {
-	l.lastOut = ensureLen(l.lastOut, len(x))
-	y := l.lastOut
-	for i, v := range x {
-		y[i] = 1 / (1 + math.Exp(-v))
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (l *Sigmoid) Backward(gradOut []float64) []float64 {
-	l.gx = ensureLen(l.gx, len(gradOut))
-	gx := l.gx
-	for i, g := range gradOut {
-		s := l.lastOut[i]
-		gx[i] = g * s * (1 - s)
-	}
-	return gx
-}
-
-// Params implements Layer.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// Clone implements Layer.
-func (l *Sigmoid) Clone() Layer { return &Sigmoid{} }
-
-// OutSize implements Layer.
-func (l *Sigmoid) OutSize(in int) int { return in }
-
 // Tanh applies the hyperbolic tangent elementwise. Forward/Backward results
 // are layer-owned buffers, reused across calls.
 type Tanh struct {

@@ -123,12 +123,6 @@ func sameLayerShape(a, b Layer) bool {
 	case *LeakyReLU:
 		bl, ok := b.(*LeakyReLU)
 		return ok && al.Alpha == bl.Alpha
-	case *ReLU:
-		_, ok := b.(*ReLU)
-		return ok
-	case *Sigmoid:
-		_, ok := b.(*Sigmoid)
-		return ok
 	case *Tanh:
 		_, ok := b.(*Tanh)
 		return ok

@@ -27,12 +27,6 @@ type SGD struct {
 // NewSGD returns plain SGD with the given learning rate.
 func NewSGD(rate float64) *SGD { return &SGD{Rate: rate} }
 
-// NewPaperSGD returns the §3.5 configuration: the given rate with momentum
-// 0.9, halving every 10 epochs.
-func NewPaperSGD(rate float64) *SGD {
-	return &SGD{Rate: rate, Momentum: 0.9, DecayEvery: 10, DecayFactor: 0.5}
-}
-
 // Step implements Optimizer.
 func (s *SGD) Step(params []*Param) {
 	if s.Momentum == 0 {

@@ -63,20 +63,6 @@ func referenceForward(n *Network, x []float64) [][]float64 {
 				}
 			}
 			x = y
-		case *ReLU:
-			y := make([]float64, len(x))
-			for i, v := range x {
-				if v > 0 {
-					y[i] = v
-				}
-			}
-			x = y
-		case *Sigmoid:
-			y := make([]float64, len(x))
-			for i, v := range x {
-				y[i] = 1 / (1 + math.Exp(-v))
-			}
-			x = y
 		case *Tanh:
 			y := make([]float64, len(x))
 			for i, v := range x {
@@ -121,22 +107,6 @@ func referenceBackward(n *Network, acts [][]float64, grad []float64) {
 				} else {
 					gx[i] = t.Alpha * g
 				}
-			}
-			grad = gx
-		case *ReLU:
-			gx := make([]float64, len(grad))
-			for i, g := range grad {
-				if in[i] > 0 {
-					gx[i] = g
-				}
-			}
-			grad = gx
-		case *Sigmoid:
-			out := acts[li+1]
-			gx := make([]float64, len(grad))
-			for i, g := range grad {
-				s := out[i]
-				gx[i] = g * s * (1 - s)
 			}
 			grad = gx
 		case *Tanh:

@@ -35,10 +35,6 @@ func (n *Network) Save(w io.Writer) error {
 			})
 		case *LeakyReLU:
 			out.Layers = append(out.Layers, layerJSON{Kind: "leakyrelu", Alpha: v.Alpha})
-		case *ReLU:
-			out.Layers = append(out.Layers, layerJSON{Kind: "relu"})
-		case *Sigmoid:
-			out.Layers = append(out.Layers, layerJSON{Kind: "sigmoid"})
 		case *Tanh:
 			out.Layers = append(out.Layers, layerJSON{Kind: "tanh"})
 		default:
@@ -74,10 +70,6 @@ func Load(r io.Reader) (*Network, error) {
 				alpha = 0.01
 			}
 			net.Layers = append(net.Layers, &LeakyReLU{Alpha: alpha})
-		case "relu":
-			net.Layers = append(net.Layers, &ReLU{})
-		case "sigmoid":
-			net.Layers = append(net.Layers, &Sigmoid{})
 		case "tanh":
 			net.Layers = append(net.Layers, &Tanh{})
 		default:

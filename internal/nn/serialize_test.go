@@ -12,7 +12,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	n := NewNetwork(
 		NewDense(4, 8, rng), NewLeakyReLU(),
 		NewDense(8, 6, rng), NewTanh(),
-		NewDense(6, 2, rng), NewSigmoid(),
+		NewDense(6, 2, rng), NewTanh(),
 	)
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {

@@ -68,9 +68,3 @@ func leakyForwardASM(x, y *float64, n int, alpha float64)
 
 //go:noescape
 func leakyBackwardASM(x, grad, gx *float64, n int, alpha float64)
-
-//go:noescape
-func reluForwardASM(x, y *float64, n int)
-
-//go:noescape
-func reluBackwardASM(x, grad, gx *float64, n int)

@@ -715,57 +715,3 @@ lbloop:
 lbdone:
 	VZEROUPPER
 	RET
-
-// func reluForwardASM(x, y *float64, n int)
-//
-// y[i] = x[i] > 0 ? x[i] : 0 for i in [0, n&^3). The GT_OQ mask ANDs the
-// input, producing +0 in the else arm like the scalar branch.
-TEXT ·reluForwardASM(SB), NOSPLIT, $0-24
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DI
-	MOVQ n+16(FP), CX
-	VXORPD Y2, Y2, Y2
-	SHRQ $2, CX
-	JZ   rfdone
-
-rfloop:
-	VMOVUPD (SI), Y0
-	VCMPPD $0x1E, Y2, Y0, Y4  // mask = x > 0
-	VANDPD Y4, Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  rfloop
-
-rfdone:
-	VZEROUPPER
-	RET
-
-// func reluBackwardASM(x, grad, gx *float64, n int)
-//
-// gx[i] = x[i] > 0 ? grad[i] : 0 for i in [0, n&^3).
-TEXT ·reluBackwardASM(SB), NOSPLIT, $0-32
-	MOVQ x+0(FP), SI
-	MOVQ grad+8(FP), BX
-	MOVQ gx+16(FP), DI
-	MOVQ n+24(FP), CX
-	VXORPD Y2, Y2, Y2
-	SHRQ $2, CX
-	JZ   rbdone
-
-rbloop:
-	VMOVUPD (SI), Y0
-	VMOVUPD (BX), Y5
-	VCMPPD $0x1E, Y2, Y0, Y4  // mask = x > 0
-	VANDPD Y4, Y5, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, BX
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  rbloop
-
-rbdone:
-	VZEROUPPER
-	RET

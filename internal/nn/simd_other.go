@@ -26,7 +26,3 @@ func leakyForwardASM(x, y *float64, n int, alpha float64) { panic("nn: no simd")
 func leakyBackwardASM(x, grad, gx *float64, n int, alpha float64) {
 	panic("nn: no simd") //lint:allow panicfree unreachable: simdEnabled is false on this platform
 }
-func reluForwardASM(x, y *float64, n int) { panic("nn: no simd") } //lint:allow panicfree unreachable: simdEnabled is false on this platform
-func reluBackwardASM(x, grad, gx *float64, n int) {
-	panic("nn: no simd") //lint:allow panicfree unreachable: simdEnabled is false on this platform
-}

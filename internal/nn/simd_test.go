@@ -20,7 +20,7 @@ func TestSIMDMatchesGeneric(t *testing.T) {
 		return NewNetwork(
 			NewDense(9, 13, rng), NewLeakyReLU(),
 			NewDense(13, 7, rng), NewTanh(),
-			NewDense(7, 5, rng), NewSigmoid(),
+			NewDense(7, 5, rng), NewTanh(),
 		)
 	}
 	for _, rows := range []int{4, 5, 8, 19, 32} {
@@ -90,7 +90,7 @@ func TestSIMDBackwardDataMatchesGeneric(t *testing.T) {
 
 	build := func() *Network {
 		rng := rand.New(rand.NewSource(11))
-		return NewNetwork(NewDense(9, 14, rng), NewReLU(), NewDense(14, 5, rng))
+		return NewNetwork(NewDense(9, 14, rng), NewLeakyReLU(), NewDense(14, 5, rng))
 	}
 
 	simdEnabled = false

@@ -17,9 +17,9 @@ import (
 //
 // The window is a ring of per-slot (count, Σlog q) aggregates — GMQ over
 // any span of slots is exp(Σlog/Σcount), so rolling the window is O(slots)
-// arithmetic, no sample retention. Rolling quantiles come from P² sketches
-// restarted at each full window turnover (tumbling semantics: cheap,
-// bounded, and within one window length of the rolling truth).
+// arithmetic, no sample retention. Quantiles of the same stream are not kept
+// here: the caller records each q-error in a registry histogram, whose
+// windowed p50/p95/p99 Windows already derives.
 type DriftWatch struct {
 	mu sync.Mutex
 
@@ -32,9 +32,6 @@ type DriftWatch struct {
 	cur      int
 	curStart time.Time
 	started  bool
-
-	p50, p95, p99 *P2
-	sketchStart   time.Time
 
 	alarm      bool
 	alarmSince time.Time
@@ -68,9 +65,6 @@ func NewDriftWatch(window time.Duration, alarmGMQ float64) *DriftWatch {
 		alarmGMQ: alarmGMQ,
 		minCount: defaultDriftMinCount,
 		slots:    make([]driftSlot, driftSlots),
-		p50:      NewP2(0.5),
-		p95:      NewP2(0.95),
-		p99:      NewP2(0.99),
 	}
 }
 
@@ -96,10 +90,6 @@ type DriftState struct {
 	WindowGMQ float64 `json:"window_gmq"`
 	// Count is the number of feedback observations in the window.
 	Count int `json:"count"`
-	// P50/P95/P99 are tumbling-window q-error quantiles from the P² sketches.
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
 	// Alarm is the current alarm state; AlarmSince its raise time.
 	Alarm      bool      `json:"alarm"`
 	AlarmSince time.Time `json:"alarm_since"`
@@ -132,9 +122,6 @@ func (d *DriftWatch) Observe(q float64, now time.Time) (DriftState, DriftTransit
 	d.roll(now)
 	d.slots[d.cur].count++
 	d.slots[d.cur].sumLog += math.Log(q)
-	d.p50.Observe(q)
-	d.p95.Observe(q)
-	d.p99.Observe(q)
 	return d.readLocked(now)
 }
 
@@ -192,23 +179,9 @@ func (d *DriftWatch) roll(now time.Time) {
 				d.slots[i] = driftSlot{}
 			}
 			d.curStart = now
-			d.resetSketchesLocked(now)
 			break
 		}
 	}
-	// Tumble the quantile sketches once per full window.
-	if d.sketchStart.IsZero() {
-		d.sketchStart = now
-	} else if now.Sub(d.sketchStart) >= d.window {
-		d.resetSketchesLocked(now)
-	}
-}
-
-func (d *DriftWatch) resetSketchesLocked(now time.Time) {
-	d.p50.Reset(0.5)
-	d.p95.Reset(0.95)
-	d.p99.Reset(0.99)
-	d.sketchStart = now
 }
 
 func (d *DriftWatch) stateLocked() DriftState {
@@ -225,9 +198,6 @@ func (d *DriftWatch) stateLocked() DriftState {
 	return DriftState{
 		WindowGMQ:  gmq,
 		Count:      count,
-		P50:        d.p50.Quantile(),
-		P95:        d.p95.Quantile(),
-		P99:        d.p99.Quantile(),
 		Alarm:      d.alarm,
 		AlarmSince: d.alarmSince,
 		Threshold:  d.alarmGMQ,

@@ -31,7 +31,6 @@ type Journal struct {
 	mu   sync.Mutex
 	buf  []Event
 	next uint64 // seq of the next appended event == total appended
-	now  func() time.Time
 }
 
 // NewJournal returns a journal retaining the last capacity events
@@ -40,15 +39,7 @@ func NewJournal(capacity int) *Journal {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Journal{buf: make([]Event, 0, capacity), now: time.Now}
-}
-
-// SetClock replaces the timestamp source, for deterministic tests and
-// simclock-driven harnesses.
-func (j *Journal) SetClock(now func() time.Time) {
-	j.mu.Lock()
-	j.now = now
-	j.mu.Unlock()
+	return &Journal{buf: make([]Event, 0, capacity)}
 }
 
 // Append records one event. fields may be nil; the map is retained, so
@@ -56,7 +47,7 @@ func (j *Journal) SetClock(now func() time.Time) {
 func (j *Journal) Append(kind string, traceID uint64, fields map[string]any) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ev := Event{Seq: j.next, Time: j.now(), Kind: kind, TraceID: traceID, Fields: fields}
+	ev := Event{Seq: j.next, Time: time.Now(), Kind: kind, TraceID: traceID, Fields: fields}
 	if len(j.buf) < cap(j.buf) {
 		j.buf = append(j.buf, ev)
 	} else {

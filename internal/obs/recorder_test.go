@@ -5,67 +5,10 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 )
-
-// --- P² sketch ---------------------------------------------------------------
-
-func TestP2AgainstExactQuantiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, p := range []float64{0.5, 0.95, 0.99} {
-		sk := NewP2(p)
-		n := 5000
-		vals := make([]float64, n)
-		for i := range vals {
-			// Log-normal-ish q-error shaped data.
-			vals[i] = math.Exp(rng.NormFloat64())
-			sk.Observe(vals[i])
-		}
-		sort.Float64s(vals)
-		exact := vals[int(p*float64(n))]
-		got := sk.Quantile()
-		// P² is an approximation; accept 15% relative error on this smooth
-		// distribution (it is typically far tighter).
-		if math.Abs(got-exact)/exact > 0.15 {
-			t.Errorf("p=%v: P² = %v, exact = %v", p, got, exact)
-		}
-		if sk.Count() != n {
-			t.Errorf("count = %d, want %d", sk.Count(), n)
-		}
-	}
-}
-
-func TestP2SmallSamplesExact(t *testing.T) {
-	sk := NewP2(0.5)
-	if sk.Quantile() != 0 {
-		t.Error("empty sketch should report 0")
-	}
-	sk.Observe(3)
-	sk.Observe(1)
-	sk.Observe(2)
-	// Median of {1,2,3} by nearest rank.
-	if got := sk.Quantile(); got != 2 {
-		t.Errorf("small-sample median = %v, want 2", got)
-	}
-	sk.Reset(0.5)
-	if sk.Count() != 0 || sk.Quantile() != 0 {
-		t.Error("reset did not empty the sketch")
-	}
-}
-
-func TestP2MonotoneStream(t *testing.T) {
-	sk := NewP2(0.95)
-	for i := 1; i <= 1000; i++ {
-		sk.Observe(float64(i))
-	}
-	got := sk.Quantile()
-	if got < 850 || got > 1000 {
-		t.Errorf("p95 of 1..1000 = %v, want ≈950", got)
-	}
-}
 
 // --- Journal -----------------------------------------------------------------
 
@@ -155,6 +98,32 @@ func TestTracerDisabledReturnsNil(t *testing.T) {
 	var nilTrace *Trace
 	nilTrace.EnterStage("a")
 	tr.Finish(nil)
+}
+
+// TestTracerZeroAllocSteady pins the sampled half of the tracer's promise:
+// with every request traced, a warmed Acquire → four stages → Finish cycle
+// recycles pre-allocated traces through the free list and the finished ring
+// and allocates nothing. (The unsampled half — one atomic load — is part of
+// serve's TestScalarZeroAllocSteady.)
+func TestTracerZeroAllocSteady(t *testing.T) {
+	tr := NewTracer(1, 8)
+	cycle := func() {
+		x := tr.Acquire("estimate")
+		x.EnterStage("decode")
+		x.EnterStage("cache")
+		x.EnterStage("infer")
+		x.EnterStage("respond")
+		tr.Finish(x)
+	}
+	for i := 0; i < 32; i++ {
+		cycle() // fill the finished ring so Finish is in its evict-and-recycle regime
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("sampled trace cycle allocates %v per request, want 0", allocs)
+	}
+	if got := len(tr.Snapshot()); got == 0 {
+		t.Error("no trace was retained: the cycle never took the sampled path")
+	}
 }
 
 func TestTracerBoundedUnderLoad(t *testing.T) {

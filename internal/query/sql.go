@@ -6,8 +6,7 @@ import (
 )
 
 // SQL rendering turns predicates back into the WHERE clauses they model —
-// useful for debugging, for logging what the annotator is counting, and for
-// replaying workloads against a real DBMS.
+// how /statusz shows an operator the predicates behind its exemplars.
 
 // WhereClause renders the predicate as a SQL boolean expression against the
 // schema's column names. Unconstrained columns (spanning the full range) are
@@ -37,68 +36,6 @@ func (p Predicate) WhereClause(s *Schema) string {
 		return "TRUE"
 	}
 	return strings.Join(parts, " AND ")
-}
-
-// CountSQL renders the full count(*) query the predicate models (§2).
-func (p Predicate) CountSQL(s *Schema) string {
-	return fmt.Sprintf("SELECT count(*) FROM %s WHERE %s", s.Table, p.WhereClause(s))
-}
-
-// SQL renders a join query as a count(*) statement over the joined tables.
-// schemas must cover every table in the query.
-func (j *JoinQuery) SQL(schemas map[string]*Schema) string {
-	var conds []string
-	for _, jc := range j.Joins {
-		conds = append(conds, fmt.Sprintf("%s.%s = %s.%s",
-			jc.LeftTable, jc.LeftCol, jc.RightTable, jc.RightCol))
-	}
-	for _, t := range j.Tables {
-		sch, ok := schemas[t]
-		if !ok {
-			conds = append(conds, fmt.Sprintf("/* missing schema for %s */", t))
-			continue
-		}
-		if p, ok := j.Preds[t]; ok {
-			if w := p.WhereClause(sch); w != "TRUE" {
-				conds = append(conds, prefixCols(w, t))
-			}
-		}
-	}
-	where := "TRUE"
-	if len(conds) > 0 {
-		where = strings.Join(conds, " AND ")
-	}
-	return fmt.Sprintf("SELECT count(*) FROM %s WHERE %s", strings.Join(j.Tables, ", "), where)
-}
-
-// prefixCols qualifies the column references of a single-table WHERE clause
-// with its table name. The clause grammar is the restricted one WhereClause
-// emits, so a token-level rewrite is safe.
-func prefixCols(clause, table string) string {
-	tokens := strings.Split(clause, " ")
-	expectCol := true
-	inBetween := false
-	for i, tok := range tokens {
-		switch tok {
-		case "BETWEEN":
-			inBetween = true
-			continue
-		case "AND":
-			if inBetween {
-				inBetween = false // BETWEEN x AND y — not a conjunction
-			} else {
-				expectCol = true
-			}
-			continue
-		case "=", "<=", ">=", "TRUE":
-			continue
-		}
-		if expectCol {
-			tokens[i] = table + "." + tok
-			expectCol = false
-		}
-	}
-	return strings.Join(tokens, " ")
 }
 
 // fnum formats a float without trailing zeros.

@@ -1,9 +1,6 @@
 package query
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestWhereClauseForms(t *testing.T) {
 	s := testSchema() // cols a [0,100], b [-10,10], c [0,4]
@@ -30,39 +27,5 @@ func TestWhereClauseForms(t *testing.T) {
 	p.SetRange(1, -5, 5)
 	if got := p.WhereClause(s); got != "a = 42 AND b BETWEEN -5 AND 5" {
 		t.Errorf("conjunction = %q", got)
-	}
-}
-
-func TestCountSQL(t *testing.T) {
-	s := testSchema()
-	p := NewFullRange(s)
-	p.SetEquals(2, 3)
-	want := "SELECT count(*) FROM t WHERE c = 3"
-	if got := p.CountSQL(s); got != want {
-		t.Errorf("CountSQL = %q, want %q", got, want)
-	}
-}
-
-func TestJoinSQL(t *testing.T) {
-	s := testSchema()
-	s2 := testSchema()
-	s2.Table = "u"
-	j := NewJoinQuery("t", "u").AddJoin("t", "a", "u", "a")
-	pt := NewFullRange(s)
-	pt.SetRange(0, 10, 20)
-	j.SetPred("t", pt)
-	got := j.SQL(map[string]*Schema{"t": s, "u": s2})
-	if !strings.Contains(got, "FROM t, u") ||
-		!strings.Contains(got, "t.a = u.a") ||
-		!strings.Contains(got, "t.a BETWEEN 10 AND 20") {
-		t.Errorf("join SQL = %q", got)
-	}
-}
-
-func TestJoinSQLMissingSchema(t *testing.T) {
-	j := NewJoinQuery("ghost")
-	got := j.SQL(map[string]*Schema{})
-	if !strings.Contains(got, "missing schema") {
-		t.Errorf("SQL = %q", got)
 	}
 }

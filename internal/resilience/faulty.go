@@ -31,8 +31,8 @@ type FaultPlan struct {
 }
 
 // Faulty wraps an annotator.Source with deterministic fault injection. It is
-// the test double for the resilience stack: chaos tests, the golden
-// partial-period test, and warperd's -faults flag all build one of these.
+// the test double for the resilience stack: the chaos tests and the golden
+// partial-period test build one of these.
 // Safe for concurrent use.
 type Faulty struct {
 	src  annotator.Source

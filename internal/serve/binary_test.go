@@ -153,7 +153,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if h, cards, code := postWire(t, ts.URL+"/estimate/batch", empty); code != http.StatusOK || len(cards) != 0 || h.Err() {
 		t.Errorf("empty batch: code %d, %d cards, header %+v", code, len(cards), h)
 	}
-	// Binary endpoints must be absent without -binary.
+	// Binary endpoints must be absent without Options.BinaryProtocol.
 	_, ts2, _, _, _ := newTestServer(t)
 	if _, _, code := postWire(t, ts2.URL+"/estimate/batch", valid); code != http.StatusNotFound {
 		t.Errorf("disabled server: status = %d, want 404", code)

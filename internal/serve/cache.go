@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -88,34 +89,41 @@ type cacheShard struct {
 	hand uint64
 }
 
-// Cache sizing defaults, overridable through Options.
+// Cache geometry. Only the capacity is an option (Options.CacheEntries).
 const (
-	defaultCacheShards  = 8
+	// cacheShards is the server's shard count (a power of two): inserts
+	// serialize per shard, lookups take no lock at all.
+	cacheShards         = 8
 	defaultCacheEntries = 4096
-	maxCacheShards      = 256
+	// maxCacheEntries clamps the requested capacity, which is operator
+	// input: 4M slots is already ~800 MB of entries and keys on the
+	// 9-column default table, and past it a typo would be a start-up
+	// allocation failure instead of a cache.
+	maxCacheEntries = 1 << 22
 )
 
-// nextPow2 rounds n up to the next power of two (n must be >= 1).
+// nextPow2 rounds n up to the next power of two. It is total: n < 1 gives 1
+// and anything past the largest power of two an int holds gives that power.
 func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
+	const maxPow2 = 1 << (bits.UintSize - 2)
+	switch {
+	case n <= 1:
+		return 1
+	case n > maxPow2:
+		return maxPow2
 	}
-	return p
+	return 1 << bits.Len(uint(n-1))
 }
 
 // newEstimateCache builds a cache with keyLen-word keys over roughly
-// `entries` total slots split across `shards` power-of-two shards.
+// `entries` total slots (0 = the default, clamped to maxCacheEntries) split
+// across `shards` shards, a power of two.
 func newEstimateCache(keyLen, shards, entries int, met *Metrics) *estimateCache {
-	if shards <= 0 {
-		shards = defaultCacheShards
-	}
-	shards = nextPow2(shards)
-	if shards > maxCacheShards {
-		shards = maxCacheShards
-	}
 	if entries <= 0 {
 		entries = defaultCacheEntries
+	}
+	if entries > maxCacheEntries {
+		entries = maxCacheEntries
 	}
 	per := nextPow2((entries + shards - 1) / shards)
 	if per < cacheWays {

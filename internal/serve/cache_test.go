@@ -2,6 +2,7 @@ package serve
 
 import (
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -115,6 +116,36 @@ func TestEstimateCacheEviction(t *testing.T) {
 	c.put(k, cacheHash(k), 2, epoch, 7)
 	if got := met.cacheEvictions.Value(); got != before {
 		t.Errorf("evictions %d -> %d; overwriting a stale generation should be free", before, got)
+	}
+}
+
+// TestEstimateCacheSizing pins the sizing of operator-supplied capacity:
+// the constructor rounds up to a power of two per shard, defaults zero and
+// negative requests, and clamps anything past maxCacheEntries instead of
+// failing the allocation (or, past 2^62, never returning from nextPow2).
+func TestEstimateCacheSizing(t *testing.T) {
+	for _, tc := range []struct{ entries, want int }{
+		{-1, defaultCacheEntries},
+		{0, defaultCacheEntries},
+		{1, cacheShards * cacheWays},
+		{4096, 4096},
+		{4097, 8192},
+		{maxCacheEntries + 1, maxCacheEntries},
+		{1 << 40, maxCacheEntries},
+		{math.MaxInt, maxCacheEntries},
+	} {
+		// keyLen 1 keeps the largest case at a few hundred MB.
+		if got := newEstimateCache(1, cacheShards, tc.entries, NewMetrics()).capacity; got != tc.want {
+			t.Errorf("entries %d: capacity %d, want %d", tc.entries, got, tc.want)
+		}
+	}
+	for _, tc := range []struct{ n, want int }{
+		{math.MinInt, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {1 << 20, 1 << 20}, {1<<20 + 1, 1 << 21},
+		{1 << 62, 1 << 62}, {1<<62 + 1, 1 << 62}, {math.MaxInt, 1 << 62},
+	} {
+		if got := nextPow2(tc.n); got != tc.want {
+			t.Errorf("nextPow2(%d) = %d, want %d", tc.n, got, tc.want)
+		}
 	}
 }
 
@@ -409,7 +440,7 @@ func TestStatuszCacheDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), "-estimate-cache") {
+	if !strings.Contains(string(body), "Options.EstimateCache is off") {
 		t.Error("/statusz cache section missing its disabled hint")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"warper/internal/obs"
 	"warper/internal/query"
 	"warper/internal/wire"
+	"warper/internal/workload"
 )
 
 // post sends one request with an optional X-Warper-Deadline-Ms budget and
@@ -289,48 +290,92 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 
 // TestScalarZeroAllocSteady is TestWireZeroAllocSteady for the group of
 // one: a warmed in-process estimate allocates nothing whether it hits the
-// cache, misses it, or misses it under a deadline — nor does the envelope
-// the HTTP handler wraps around it (Acquire → EnterStage → Finish) while
-// the tracer's sample rate is 0.
+// cache, misses it, misses it under a deadline, or misses into a full cache
+// and evicts — nor does the envelope the HTTP handler wraps around it
+// (Acquire → EnterStage → Finish) while the tracer's sample rate is 0.
 func TestScalarZeroAllocSteady(t *testing.T) {
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true, Replicas: 2})
-	p := gNew.Gen(rand.New(rand.NewSource(29))).Normalize(sch)
+	rng := rand.New(rand.NewSource(29))
+	p := gNew.Gen(rng).Normalize(sch)
 	// Warm both replicas (the free list is FIFO) and the pooled scratch.
 	for i := 0; i < 4; i++ {
 		srv.cache.flushAll()
 		srv.Estimate(p)
 	}
 	tracerOff := obs.NewTracer(0, 64)
+
+	// A second server with the smallest cache there is (cacheShards ×
+	// cacheWays slots) under a cyclic scan of eight times as many distinct
+	// predicates: every estimate misses, finds its probe group full of live
+	// same-generation entries and takes put's second-chance eviction branch.
+	full, _, fsch, _, fgen := newTestServerOpts(t, Options{EstimateCache: true, CacheEntries: 1, Replicas: 2})
+	scan := distinctKeys(fgen, fsch, 8*full.cache.capacity, rng)
+	next := 0
+	scanOne := func() {
+		full.Estimate(scan[next%len(scan)])
+		next++
+	}
+	for range scan {
+		scanOne()
+	}
+
 	cases := []struct {
 		name string
-		miss bool
-		call func()
+		srv  *Server
+		// flush makes the run a miss by bumping the flush epoch (one atomic
+		// add: the entry is re-inserted in place); evict makes it one by
+		// scanning, and expects every run to evict a live entry. Neither: a
+		// hit.
+		flush, evict bool
+		call         func()
 	}{
-		{"Estimate hit", false, func() { srv.Estimate(p) }},
-		{"Estimate miss", true, func() { srv.Estimate(p) }},
-		{"EstimateBudget miss", true, func() { srv.EstimateBudget(p, time.Now().Add(time.Minute)) }},
-		{"Estimate miss in a tracer-off envelope", true, func() {
+		{"Estimate hit", srv, false, false, func() { srv.Estimate(p) }},
+		{"Estimate miss", srv, true, false, func() { srv.Estimate(p) }},
+		{"EstimateBudget miss", srv, true, false, func() { srv.EstimateBudget(p, time.Now().Add(time.Minute)) }},
+		{"Estimate miss in a tracer-off envelope", srv, true, false, func() {
 			tr := tracerOff.Acquire("estimate")
 			tr.EnterStage("infer")
 			srv.Estimate(p)
 			tracerOff.Finish(tr)
 		}},
+		{"Estimate miss into a full cache", full, false, true, scanOne},
 	}
 	for _, tc := range cases {
-		misses := srv.met.cacheMisses.Value()
-		allocs := testing.AllocsPerRun(100, func() {
-			if tc.miss {
-				srv.cache.flushAll() // one atomic add: the entry is re-inserted in place
+		misses, evictions := tc.srv.met.cacheMisses.Value(), tc.srv.met.cacheEvictions.Value()
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, func() {
+			if tc.flush {
+				tc.srv.cache.flushAll()
 			}
 			tc.call()
 		})
 		if allocs != 0 {
 			t.Errorf("%s allocates %v per call, want 0", tc.name, allocs)
 		}
-		if missed := srv.met.cacheMisses.Value() > misses; missed != tc.miss {
-			t.Errorf("%s: took the miss path = %v, want %v", tc.name, missed, tc.miss)
+		if missed := tc.srv.met.cacheMisses.Value() > misses; missed != (tc.flush || tc.evict) {
+			t.Errorf("%s: took the miss path = %v, want %v", tc.name, missed, !missed)
+		}
+		if got := tc.srv.met.cacheEvictions.Value() - evictions; tc.evict && got < runs {
+			t.Errorf("%s: %d evictions over %d runs, want every insert to evict", tc.name, got, runs)
 		}
 	}
+}
+
+// distinctKeys draws n normalized predicates from g whose cache keys differ
+// pairwise.
+func distinctKeys(g workload.Generator, sch *query.Schema, n int, rng *rand.Rand) []query.Predicate {
+	out := make([]query.Predicate, 0, n)
+	seen := make(map[uint64]bool, n)
+	feat := make([]float64, sch.FeatureDim())
+	for len(out) < n {
+		p := g.Gen(rng).Normalize(sch)
+		p.FeaturizeInto(sch, feat)
+		if h := cacheHash(feat); !seen[h] {
+			seen[h] = true
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // slowBody trickles its bytes out over a fixed time and signals when the

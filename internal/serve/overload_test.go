@@ -242,7 +242,7 @@ func TestQueueBoundSheds(t *testing.T) {
 	}
 }
 
-// TestNoFallbackShedsOnBudgetMiss pins -fallback=false: a budget miss sheds
+// TestNoFallbackShedsOnBudgetMiss pins Options.NoFallback: a budget miss sheds
 // with reason "deadline" instead of serving a histogram answer.
 func TestNoFallbackShedsOnBudgetMiss(t *testing.T) {
 	srv, ts, _, _, gNew := newTestServerOpts(t, Options{

@@ -194,14 +194,14 @@ sheds answer 429 (see estimate_fallback_total / estimate_shed_total below)</p>
 (hit rate {{printf "%.1f" .CacheHitPct}}%), evictions {{.CacheEvictions}},
 invalidations {{.CacheInvalidations}} (model swaps + flushes; a swap's generation bump
 invalidates every entry without a scan)</p>
-{{else}}<p>disabled (set -estimate-cache)</p>{{end}}
+{{else}}<p>disabled (Options.EstimateCache is off)</p>{{end}}
 
 <h2>Drift watch</h2>
 {{if .DriftOn}}
 <p>{{if .Drift.Alarm}}<span class="alarm">ALARM</span> since {{ago .Now .Drift.AlarmSince}}{{else}}<span class="ok">ok</span>{{end}}
 — window GMQ {{printf "%.3f" .Drift.WindowGMQ}} over {{.Drift.Count}} obs
 (threshold {{printf "%.2f" .Drift.Threshold}}, window {{.Drift.Window}});
-q-error p50 {{printf "%.2f" .Drift.P50}} p95 {{printf "%.2f" .Drift.P95}} p99 {{printf "%.2f" .Drift.P99}}</p>
+q-error p50/p95/p99: the warper_qerror_ratio row of the recent window below</p>
 {{else}}<p>disabled (set -drift-alarm-gmq)</p>{{end}}
 
 <h2>Recent window ({{printf "%.0fs" .Window.Seconds}})</h2>

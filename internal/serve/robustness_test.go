@@ -184,7 +184,7 @@ func TestFailedPeriodKeepsPrePeriodModelServing(t *testing.T) {
 
 // faultyEnv builds a server whose adapter annotates through a deterministic
 // fault injector under the resilience wrapper — the chaos-test configuration
-// warperd's -faults flag produces.
+// warperd itself no longer offers.
 func faultyEnv(t *testing.T, plan resilience.FaultPlan, pol resilience.Policy) (*Server, *httptest.Server, *annotator.Annotator, workload.Generator) {
 	t.Helper()
 	srv, ts, ann, gNew := robustnessEnv(t, func(lm *ce.LM) ce.Estimator { return lm })

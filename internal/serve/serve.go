@@ -99,11 +99,9 @@ type Options struct {
 	// generation bump invalidates the whole cache). Degraded, shed and
 	// deadline-missed answers are never cached.
 	EstimateCache bool
-	// CacheShards is the estimate-cache shard count, rounded up to a power
-	// of two (0 = 8).
-	CacheShards int
 	// CacheEntries bounds the estimate cache's total capacity across all
-	// shards (0 = 4096). Full probe groups evict second-chance style.
+	// shards (0 = 4096, at most maxCacheEntries). Full probe groups evict
+	// second-chance style.
 	CacheEntries int
 	// CacheFlushOnAlarm flushes the estimate cache when the drift watch
 	// raises its alarm, so stale pre-drift answers cannot mask the very
@@ -226,7 +224,7 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 	s.health = newHealthTracker(opts.Health.withDefaults(s.pool.maxQueue), s.met, s.rec.journal)
 	s.met.health = s.health
 	if opts.EstimateCache {
-		s.cache = newEstimateCache(sch.FeatureDim(), opts.CacheShards, opts.CacheEntries, s.met)
+		s.cache = newEstimateCache(sch.FeatureDim(), cacheShards, opts.CacheEntries, s.met)
 		if opts.CacheFlushOnAlarm {
 			// The drift watch raising its alarm means the cached pre-drift
 			// answers are the ones masking the drift: flush them so feedback

@@ -52,11 +52,30 @@ type Adapter struct {
 	stall       int
 }
 
-// Early-stop robustness constants: the number of consecutive small-gain
-// periods before π is raised, and the cap on π growth (×Config.Pi).
+// Drift-threshold constants (§3.4): the initial threshold π on the accuracy
+// gap δ_m (also the floor online tuning decays back to), the number of
+// consecutive small-gain periods before π is raised, the factor it is raised
+// by, and the cap on π growth (×initialPi).
 const (
+	initialPi      = 0.2
 	earlyStopStall = 3
+	piBoost        = 2.0
 	maxPiGrowth    = 8.0
+)
+
+// Period constants the paper fixes once (§3.5) and no caller varies.
+const (
+	// errorBuckets is the stratification bucket count for the c1/c3 picker.
+	errorBuckets = 5
+	// pickerKNN is the neighbor count when assigning unlabeled queries to
+	// error buckets by embedding distance.
+	pickerKNN = 3
+	// maxPoolGen bounds retained generated entries across periods.
+	maxPoolGen = 4000
+	// fallbackSampleRate is the row-sample rate of the approximate annotator
+	// used when exact annotation loses more than Config.MinLabelFraction of
+	// a batch.
+	fallbackSampleRate = 0.1
 )
 
 // New builds an Adapter around a previously trained CE model. It fails only
@@ -75,7 +94,7 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 		M:      m,
 		Pool:   pool.InitFromTraining(trainSet),
 		Ledger: simclock.NewLedger(),
-		Picker: &Picker{Strategy: StrategyWarper, Buckets: cfg.ErrorBuckets, KNN: cfg.KNN},
+		Picker: &Picker{Strategy: StrategyWarper, Buckets: errorBuckets, KNN: pickerKNN},
 		sch:    sch,
 		ann:    ann,
 		src:    ann,
@@ -114,7 +133,7 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 		telemetry:  &drift.DataTelemetry{Canaries: canaries},
 		trainPreds: trainPreds,
 		trainGMQ:   trainGMQ,
-		pi:         cfg.Pi,
+		pi:         initialPi,
 		gamma:      cfg.Gamma,
 	}
 	return a, nil
@@ -252,8 +271,8 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 		// Quiet period: relax an early-stop-raised π back toward its base
 		// value so a later real drift (or resumed progress) re-triggers
 		// detection rather than staying silenced forever.
-		if a.det.pi > a.Cfg.Pi {
-			a.det.pi = maxF(a.Cfg.Pi, a.det.pi*0.8)
+		if a.det.pi > initialPi {
+			a.det.pi = maxF(initialPi, a.det.pi*0.8)
 		}
 		return rep, nil
 	}
@@ -341,12 +360,12 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 			}
 			a.haveBest = true
 			a.stall = 0
-			a.det.pi = a.Cfg.Pi
+			a.det.pi = initialPi
 		} else {
 			a.stall++
 			if a.stall >= earlyStopStall {
-				if a.det.pi < a.Cfg.Pi*maxPiGrowth {
-					a.det.pi *= a.Cfg.PiBoost
+				if a.det.pi < initialPi*maxPiGrowth {
+					a.det.pi *= piBoost
 				}
 				rep.EarlyStopped = true
 			}
@@ -358,7 +377,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 		}
 	}
 
-	a.Pool.TrimGenerated(a.Cfg.MaxPoolGen)
+	a.Pool.TrimGenerated(maxPoolGen)
 	if det.Mode.Has(C1) {
 		// Rebase is best-effort: a flaky source must not abort a period
 		// whose model update already succeeded. A skipped rebase leaves
@@ -552,7 +571,7 @@ func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, rep *Repor
 // with them the fallback labels — are a deterministic function of Config.
 func (a *Adapter) fallbackSource() (annotator.Source, error) {
 	if a.fallback == nil {
-		s, err := annotator.NewSampled(a.ann.Table(), a.Cfg.FallbackSampleRate, a.rng)
+		s, err := annotator.NewSampled(a.ann.Table(), fallbackSampleRate, a.rng)
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,6 @@ type components struct {
 
 	sch      *query.Schema
 	embedDim int
-	batch    int
 
 	optEnc  nn.Optimizer
 	optGen  nn.Optimizer
@@ -61,6 +60,16 @@ type stepArena struct {
 	sigma, mean []float64 // embeddingStd result and its scratch
 	probs       [numClasses]float64
 }
+
+// Training hyper-parameters the paper fixes once (§3.5 / Table 3) and never
+// sweeps; Figure 10 varies only width and depth, which stay in Config.
+const (
+	// batchSize is the minibatch size for component training.
+	batchSize = 32
+	// learningRate is the component learning rate (§3.5: 1e-3, halved every
+	// 10 epochs).
+	learningRate = 1e-3
+)
 
 // embedChunk is the row count of one batched 𝔼/𝔻 refresh pass: whole-pool
 // refreshes run in chunks of this size so the networks' activation arenas
@@ -108,7 +117,6 @@ func newComponents(cfg Config, sch *query.Schema, nRows int, rng *rand.Rand) *co
 	c := &components{
 		sch:      sch,
 		embedDim: cfg.EmbedDim,
-		batch:    cfg.Batch,
 		rng:      rng,
 		gtScale:  math.Log1p(float64(nRows) + 1),
 	}
@@ -128,9 +136,9 @@ func newComponents(cfg Config, sch *query.Schema, nRows int, rng *rand.Rand) *co
 	// §3.5 trains with lr=1e-3; Adam (the sklearn/PyTorch default the paper
 	// builds on) converges in the few hundred steps available per
 	// invocation, where plain SGD at this rate would not.
-	c.optEnc = nn.NewAdam(cfg.LR)
-	c.optGen = nn.NewAdam(cfg.LR)
-	c.optDisc = nn.NewAdam(cfg.LR)
+	c.optEnc = nn.NewAdam(learningRate)
+	c.optGen = nn.NewAdam(learningRate)
+	c.optDisc = nn.NewAdam(learningRate)
 	c.encParams, c.genParams, c.discParams = c.enc.Params(), c.gen.Params(), c.disc.Params()
 	return c
 }
@@ -282,9 +290,9 @@ func (c *components) UpdateAutoEncoder(p *pool.Pool, epochs int) float64 {
 		perm := c.rng.Perm(len(entries))
 		var epochLoss float64
 		var batches int
-		for start := 0; start < len(perm); start += c.batch {
+		for start := 0; start < len(perm); start += batchSize {
 			batch := c.arena.batch[:0]
-			for _, j := range perm[start:min(start+c.batch, len(perm))] {
+			for _, j := range perm[start:min(start+batchSize, len(perm))] {
 				batch = append(batch, entries[j])
 			}
 			c.arena.batch = batch
@@ -509,19 +517,19 @@ func (c *components) ganIteration(p *pool.Pool, newEntries []*pool.Entry) ganLos
 	var l ganLoss
 
 	// Task 1: autoencoder minibatch over the whole pool.
-	a.batch = sampleInto(a.batch[:0], p.Entries, c.batch, c.rng)
+	a.batch = sampleInto(a.batch[:0], p.Entries, batchSize, c.rng)
 	l.AE = c.aeStep(a.batch)
 
 	// Task 2: discriminator on real pool entries plus freshly generated
 	// fakes so 𝔻 sees all three classes.
-	a.batch = sampleInto(a.batch[:0], p.Entries, c.batch/2, c.rng)
+	a.batch = sampleInto(a.batch[:0], p.Entries, batchSize/2, c.rng)
 	sigma := c.embeddingStd(newEntries)
-	a.batch = c.appendFakes(a.batch, newEntries, c.batch/2, sigma)
+	a.batch = c.appendFakes(a.batch, newEntries, batchSize/2, sigma)
 	l.Disc = c.discStep(a.batch)
 
 	// Task 3: adversarial generator step seeded from new-workload
 	// embeddings.
-	a.batch = sampleInto(a.batch[:0], newEntries, c.batch/2, c.rng)
+	a.batch = sampleInto(a.batch[:0], newEntries, batchSize/2, c.rng)
 	l.Gen = c.genStep(a.batch, sigma)
 
 	c.optDisc.EndEpoch()

@@ -8,10 +8,14 @@ package warper
 
 import "time"
 
-// Config holds every tunable of the Warper system. Zero values are replaced
-// with the paper's defaults by withDefaults.
+// Config holds the tunables some caller varies (the Figure 10/11 sweeps,
+// the experiments' scales, the examples); what the paper fixes once lives as
+// constants beside its readers in components.go and adapter.go. Zero values
+// are replaced with the paper's defaults by withDefaults.
 type Config struct {
-	// EmbedDim is |z|, the encoder output width.
+	// EmbedDim is |z|, the encoder output width. Table 3 fixes it at 16 and
+	// every caller outside the tests leaves it there; it stays a field
+	// because the component tests train at |z| = 8.
 	EmbedDim int
 	// Hidden and Depth shape 𝔼 and 𝔾 (Table 3 uses 3 hidden FC-128 layers);
 	// Figure 10 sweeps these.
@@ -20,11 +24,6 @@ type Config struct {
 	// NIters is n_i, the per-invocation cap on GAN update iterations (§3.5
 	// uses 100 with early stopping on loss convergence).
 	NIters int
-	// Batch is the minibatch size for component training.
-	Batch int
-	// LR is the component learning rate (§3.5: 1e-3, halved every 10
-	// epochs).
-	LR float64
 
 	// GenFraction sets n_g = GenFraction·n_t generated queries per step
 	// (§4.1 uses 10%); the generator is disabled when n_g < 1.
@@ -34,16 +33,7 @@ type Config struct {
 	PickSize int
 	// AnnotateBudget caps annotations per invocation (n_a). 0 = unlimited.
 	AnnotateBudget int
-	// ErrorBuckets is the stratification bucket count for the c1/c3 picker.
-	ErrorBuckets int
-	// KNN is the neighbor count when assigning unlabeled queries to error
-	// buckets by embedding distance.
-	KNN int
 
-	// Pi is the initial drift threshold π on the accuracy gap δ_m.
-	Pi float64
-	// PiBoost multiplies π after an early stop (§3.4).
-	PiBoost float64
 	// GainEps is the minimum per-step GMQ gain below which Warper early
 	// stops.
 	GainEps float64
@@ -53,8 +43,6 @@ type Config struct {
 	// model, estimated offline from the training curve and tuned online.
 	Gamma int
 
-	// MaxPoolGen bounds retained generated entries across periods.
-	MaxPoolGen int
 	// Canaries is the number of canary predicates for data-drift telemetry.
 	Canaries int
 
@@ -68,10 +56,6 @@ type Config struct {
 	// time; labels not obtained in time are treated like failed calls
 	// (partial-label degradation). 0 = no deadline.
 	AnnotateDeadline time.Duration
-	// FallbackSampleRate is the row-sample rate of the approximate
-	// annotator used when exact annotation loses more than
-	// MinLabelFraction of a batch. Default 0.1.
-	FallbackSampleRate float64
 
 	// Seed drives all of Warper's internal randomness.
 	Seed int64
@@ -84,23 +68,15 @@ func DefaultConfig() Config {
 		Hidden:         128,
 		Depth:          3,
 		NIters:         100,
-		Batch:          32,
-		LR:             1e-3,
 		GenFraction:    0.1,
 		PickSize:       1000,
 		AnnotateBudget: 0,
-		ErrorBuckets:   5,
-		KNN:            3,
-		Pi:             0.2,
-		PiBoost:        2.0,
 		GainEps:        0.02,
 		JSThreshold:    0.04,
 		Gamma:          400,
-		MaxPoolGen:     4000,
 		Canaries:       10,
 
-		MinLabelFraction:   0.5,
-		FallbackSampleRate: 0.1,
+		MinLabelFraction: 0.5,
 
 		Seed: 1,
 	}
@@ -120,29 +96,11 @@ func (c Config) withDefaults() Config {
 	if c.NIters <= 0 {
 		c.NIters = d.NIters
 	}
-	if c.Batch <= 0 {
-		c.Batch = d.Batch
-	}
-	if c.LR <= 0 {
-		c.LR = d.LR
-	}
 	if c.GenFraction <= 0 {
 		c.GenFraction = d.GenFraction
 	}
 	if c.PickSize <= 0 {
 		c.PickSize = d.PickSize
-	}
-	if c.ErrorBuckets <= 0 {
-		c.ErrorBuckets = d.ErrorBuckets
-	}
-	if c.KNN <= 0 {
-		c.KNN = d.KNN
-	}
-	if c.Pi <= 0 {
-		c.Pi = d.Pi
-	}
-	if c.PiBoost <= 0 {
-		c.PiBoost = d.PiBoost
 	}
 	if c.GainEps <= 0 {
 		c.GainEps = d.GainEps
@@ -153,17 +111,11 @@ func (c Config) withDefaults() Config {
 	if c.Gamma <= 0 {
 		c.Gamma = d.Gamma
 	}
-	if c.MaxPoolGen <= 0 {
-		c.MaxPoolGen = d.MaxPoolGen
-	}
 	if c.Canaries <= 0 {
 		c.Canaries = d.Canaries
 	}
 	if c.MinLabelFraction <= 0 || c.MinLabelFraction > 1 {
 		c.MinLabelFraction = d.MinLabelFraction
-	}
-	if c.FallbackSampleRate <= 0 || c.FallbackSampleRate > 1 {
-		c.FallbackSampleRate = d.FallbackSampleRate
 	}
 	return c
 }

@@ -29,7 +29,7 @@ func detFixture(t *testing.T, gamma int) (*testEnv, *detector) {
 		telemetry:  &drift.DataTelemetry{},
 		trainPreds: trainPreds,
 		trainGMQ:   1.5,
-		pi:         cfg.Pi,
+		pi:         initialPi,
 		gamma:      gamma,
 	}
 	return env, d

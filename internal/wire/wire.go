@@ -207,10 +207,12 @@ func (b *Buffer) DecodeBatch(wantCols, maxRows int) error {
 	cols64 := uint64(binary.LittleEndian.Uint32(in[20:]))
 	// Canonical empty batch: zero rows carry zero cols (an empty batch
 	// cannot state a width — AppendRequest encodes it that way too).
-	if wantCols < 0 || cols64 != uint64(wantCols) {
-		if !(rows64 == 0 && cols64 == 0) {
+	if rows64 == 0 {
+		if cols64 != 0 {
 			return ErrCols
 		}
+	} else if wantCols < 0 || cols64 != uint64(wantCols) {
+		return ErrCols
 	}
 	if maxRows < 0 || rows64 > uint64(maxRows) {
 		return ErrRows
