@@ -1,7 +1,8 @@
 # Build/test entry points. `make check` is the full tier-1 flow the CI
-# driver runs; `make race` sweeps the whole module under the race detector
-# (-short skips training-heavy tests so the pass stays fast); `make lint`
-# runs warperlint, the stdlib-only analyzer suite in internal/lint.
+# driver runs (scripts/check.sh, the one definition of it); `make race`
+# sweeps the whole module under the race detector (-short skips
+# training-heavy tests so the pass stays fast); `make lint` runs warperlint,
+# the stdlib-only analyzer suite in internal/lint.
 
 GO ?= go
 
@@ -15,21 +16,19 @@ test:
 
 # Module-wide race pass. Tests that spend their time in model training
 # guard themselves with testing.Short(), so -short keeps this about the
-# concurrency, not the math. The one training-heavy test the pass does run is
-# the golden-bits script: a seeded adaptation run that must reproduce its
-# pinned weights while shards and gradient tasks fan out at 1, 2 and 4 workers.
+# concurrency (the serving plane's), not the math: training runs on one
+# goroutine and has nothing to race.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=1 -run '^TestGoldenBits' ./internal/warper
 
 vet:
 	$(GO) vet ./...
 
-# warperlint enforces determinism, panic-safety, lock hygiene, error
-# handling, and the module-wide call-graph contracts: hot-path
-# allocation-freedom, atomic-field discipline, goroutine exits, and lock
-# ordering (see internal/lint, DESIGN.md §13). Exits non-zero on any
-# diagnostic.
+# warperlint enforces determinism, panic-safety, error handling, context
+# propagation, metric naming, two syntactic bans (function-style sync/atomic,
+# `go` statements) and the two module-wide call-graph contracts: hot-path
+# allocation-freedom and lock ordering (see internal/lint, DESIGN.md §13).
+# Exits non-zero on any diagnostic.
 lint:
 	$(GO) run ./cmd/warperlint ./...
 
@@ -67,4 +66,5 @@ fuzz-smoke:
 bench:
 	bash bench/run.sh -all
 
-check: build vet lint test race chaos fuzz-smoke
+check:
+	./scripts/check.sh

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"warper/internal/warper"
@@ -113,5 +114,14 @@ func (t *Table) String() string {
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
+
+// f1 renders one-decimal cells, the Δ columns among them. metrics.Speedup
+// clamps "the method already sits at the target before its first query" to
+// MaxFloat64, which prints as 309 digits; the tables say "max".
+func f1(v float64) string {
+	if v == math.MaxFloat64 {
+		return "max"
+	}
+	return fmt.Sprintf("%.1f", v)
+}

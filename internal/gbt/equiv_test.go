@@ -3,8 +3,6 @@ package gbt
 import (
 	"math/rand"
 	"testing"
-
-	"warper/internal/parallel"
 )
 
 func randData(rng *rand.Rand, n, d, dup int) ([][]float64, []float64) {
@@ -87,31 +85,5 @@ func TestPresortedEnsembleMatchesReference(t *testing.T) {
 	}
 	for m := range got.trees {
 		sameTree(t, got.trees[m].root, want.trees[m].root)
-	}
-}
-
-// TestFitIdenticalAtAnyWorkerCount: feature-parallel split scans must not
-// change the fitted ensemble at any worker count (node sizes above and below
-// the parallel threshold both appear).
-func TestFitIdenticalAtAnyWorkerCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	X, y := randData(rng, 600, 5, 1)
-	cfg := Config{Stages: 10, Rate: 0.1, MaxDepth: 4, MinLeafSize: 3}
-
-	defer parallel.SetWorkers(0)
-	parallel.SetWorkers(1)
-	want, err := Fit(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 3, 8} {
-		parallel.SetWorkers(w)
-		got, err := Fit(X, y, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for m := range want.trees {
-			sameTree(t, got.trees[m].root, want.trees[m].root)
-		}
 	}
 }

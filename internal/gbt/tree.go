@@ -17,8 +17,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-
-	"warper/internal/parallel"
 )
 
 // treeNode is one node of a regression tree. Leaves have Feature == -1.
@@ -42,12 +40,6 @@ type TreeConfig struct {
 	MinImpurement float64
 }
 
-// parallelScanMin is the node size below which the per-feature split scans
-// run serially; tiny nodes are not worth the dispatch overhead. The result is
-// identical either way (per-feature bests are reduced in ascending feature
-// order).
-const parallelScanMin = 256
-
 // grower holds the presorted state shared by every tree of an ensemble fit:
 // column-major feature values, per-feature sorted index arrays, and the node
 // sample list in original relative order (so leaf means and node totals
@@ -62,10 +54,6 @@ type grower struct {
 	rows   []int   // node samples in original relative order
 	rows0  []int   // 0..n-1, copied into rows before each tree
 	tmp    []int   // partition scratch
-
-	// Per-feature split-scan results for the current node.
-	gains []float64
-	thrs  []float64
 }
 
 func newGrower(X [][]float64, y []float64, cfg TreeConfig) *grower {
@@ -110,8 +98,6 @@ func newGrower(X [][]float64, y []float64, cfg TreeConfig) *grower {
 	}
 	g.rows = make([]int, n)
 	g.tmp = make([]int, n)
-	g.gains = make([]float64, d)
-	g.thrs = make([]float64, d)
 	return g
 }
 
@@ -158,9 +144,8 @@ func (g *grower) mean(lo, hi int) float64 {
 }
 
 // bestSplit scans every feature's presorted index range with a prefix-sum
-// sweep. Features are scanned independently (in parallel for large nodes) and
-// reduced in ascending feature order with a strict comparison — the same
-// winner a serial ascending scan picks.
+// sweep, features in ascending order, and keeps the first candidate with the
+// strictly largest gain.
 func (g *grower) bestSplit(lo, hi int) (feature int, threshold, gain float64) {
 	n := hi - lo
 	minLeaf := g.cfg.MinLeafSize
@@ -174,11 +159,9 @@ func (g *grower) bestSplit(lo, hi int) (feature int, threshold, gain float64) {
 	}
 	parentSSE := totalSq - totalSum*totalSum/float64(n)
 
-	d := len(g.cols)
-	scan := func(f int) {
+	feature = -1
+	for f, col := range g.cols {
 		ord := g.ord[f][lo:hi]
-		col := g.cols[f]
-		bestG, bestT := 0.0, 0.0
 		var leftSum, leftSq float64
 		for k := 0; k < n-1; k++ {
 			i := ord[k]
@@ -198,28 +181,9 @@ func (g *grower) bestSplit(lo, hi int) (feature int, threshold, gain float64) {
 			rightSum := totalSum - leftSum
 			rightSq := totalSq - leftSq
 			sse := (leftSq - leftSum*leftSum/float64(nl)) + (rightSq - rightSum*rightSum/float64(nr))
-			gn := parentSSE - sse
-			if gn > bestG {
-				bestG = gn
-				bestT = 0.5 * (v + vNext)
+			if gn := parentSSE - sse; gn > gain {
+				feature, threshold, gain = f, 0.5*(v+vNext), gn
 			}
-		}
-		g.gains[f] = bestG
-		g.thrs[f] = bestT
-	}
-	if n >= parallelScanMin && d > 1 {
-		parallel.For(d, scan)
-	} else {
-		for f := 0; f < d; f++ {
-			scan(f)
-		}
-	}
-	feature = -1
-	for f := 0; f < d; f++ {
-		if g.gains[f] > gain {
-			gain = g.gains[f]
-			feature = f
-			threshold = g.thrs[f]
 		}
 	}
 	return feature, threshold, gain

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"warper/internal/parallel"
 )
 
 // Kernel computes k(x, y) for two feature vectors.
@@ -114,20 +112,17 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Regressor, er
 		r.anchors[i] = X[j]
 		ys[i] = y[j]
 	}
-	// Build K + λI. Rows are filled in parallel: row i computes the upper
-	// triangle K[i][j≥i] and mirrors into K[j][i]. Every element is written
-	// exactly once (writes are element-disjoint across rows) and each value
-	// depends only on its own Eval call, so the matrix is identical at any
-	// worker count.
+	// Build K + λI: row i computes the upper triangle K[i][j≥i] and mirrors
+	// it into K[j][i].
 	K := make([]float64, n*n)
-	parallel.For(n, func(i int) {
+	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			v := cfg.Kernel.Eval(r.anchors[i], r.anchors[j])
 			K[i*n+j] = v
 			K[j*n+i] = v
 		}
 		K[i*n+i] += cfg.Lambda
-	})
+	}
 	alpha, err := solveCholesky(K, ys, n)
 	if err != nil {
 		return nil, err

@@ -222,9 +222,6 @@ func TestScopeByLastSegment(t *testing.T) {
 	if Nondeterminism.applies("warper/internal/serve") {
 		t.Error("internal/serve should be out of scope for nondeterminism")
 	}
-	if GoroutineLeak.applies("warper/internal/parallel") {
-		t.Error("internal/parallel owns the module's one spawn site and must stay out of goroutineleak's scope")
-	}
 	if !ErrcheckLite.applies("warper/cmd/warperd") {
 		t.Error("empty Packages must mean every package")
 	}

@@ -6,14 +6,15 @@ import (
 )
 
 // Nondeterminism enforces the reproducibility contract behind every table
-// in the paper: algorithm packages must draw randomness only from injected
-// *rand.Rand values (seeded per Config.Seed) and must never read the wall
-// clock directly. A single rand.Intn or time.Now in a training loop makes
-// Tables 5–9 unreproducible across runs.
+// in the paper: algorithm packages — and the packages that generate every
+// experiment's inputs (datasets, workloads, baselines, metrics) — must draw
+// randomness only from injected *rand.Rand values (seeded per Config.Seed)
+// and must never read the wall clock directly. A single rand.Intn or
+// time.Now in a training loop makes Tables 5–9 unreproducible across runs.
 var Nondeterminism = &Analyzer{
 	Name:     "nondeterminism",
 	Doc:      "algorithm packages must not use time.Now or the global math/rand source",
-	Packages: []string{"nn", "gbt", "kernel", "ce", "warper", "drift", "pool", "resilience"},
+	Packages: []string{"nn", "gbt", "kernel", "ce", "warper", "drift", "pool", "resilience", "workload", "dataset", "adapt", "mathx", "metrics"},
 	Run:      runNondeterminism,
 }
 

@@ -3,36 +3,21 @@ package nn
 import (
 	"fmt"
 	"math"
-
-	"warper/internal/parallel"
 )
 
-// shardRows is the fixed shard granularity for data-parallel training and
-// batched inference. The shard layout depends only on the batch size — never
-// on the worker count — and parameter gradients are summed shard by shard in
-// ascending order (see denseGradW), so seeded runs are byte-identical at any
-// parallel.SetWorkers setting.
+// shardRows is the fixed shard granularity of batched training: the forward,
+// loss and backward passes walk the batch shardRows rows at a time (a shard's
+// activations stay cache-resident across the layer stack), the batch loss is
+// the ascending sum of per-shard sums, and parameter gradients are summed
+// shard by shard in ascending order (see denseGradW). The partition depends
+// only on the batch size; it is the summation order the golden bits pin.
 const shardRows = 8
 
-// gradTaskOuts is how many output neurons of one Dense layer a
-// parameter-gradient work item covers. Every weight gradient is computed
-// whole by exactly one item, so the split changes scheduling, never bits.
-const gradTaskOuts = 32
-
-// Batch operation modes dispatched through the scratch runner.
-const (
-	modeForward = iota
-	modeTrain
-	modeBackward
-	modeGradW
-)
-
-// gradTask is one parameter-gradient work item: outputs [o0, o1) of the Dense
-// layer at index layer.
-type gradTask struct {
-	layer  int
-	o0, o1 int
-}
+// gradBlockOuts is how many output neurons of one Dense layer a denseGradW
+// call covers (its register-resident bias accumulators are sized to it).
+// Every weight gradient is computed whole by exactly one call, so the
+// blocking never changes bits.
+const gradBlockOuts = 32
 
 // scratch is the per-network reusable arena for batched compute: full-batch
 // activation matrices for every layer boundary, and — once a backward pass
@@ -46,6 +31,7 @@ type scratch struct {
 	widths []int // layer-boundary widths for the current input width
 	acts   []Mat // acts[l] is the input to layer l; acts[len] the output
 	maxW   int
+	rows   int
 
 	// grads[l] is dLoss/d acts[l] for the current batch, backed by
 	// gradBufs[l] — except the last, the loss gradient itself, which is the
@@ -54,75 +40,33 @@ type scratch struct {
 	grads    []Mat
 	lossG    Mat
 
-	gradTasks []gradTask
-	gradTmp   [][]float64 // per-task partial-sum row (generic path and k tail)
-
-	shardLoss []float64
-	lossTmp   [][]float64 // per-shard softmax scratch
-	tiles     [][]float64 // per-shard SIMD lane tiles (2 halves of 4*maxW)
-
-	runner *parallel.Runner
+	tmp  []float64 // maxW: softmax scratch, denseGradW partial-sum row
+	tile []float64 // SIMD lane tiles (2 halves of 4*maxW)
 
 	// fwdOK records whether the activation matrices hold a full
 	// BatchForward result for the current row count; InferBatch clears it
 	// because its tile-resident pass never materializes them.
 	fwdOK bool
-
-	// Per-cycle state: written by the dispatching goroutine before
-	// runner.Run, read by the work items (the channel hand-off orders it).
-	mode    int
-	rows    int
-	nShards int
-	loss    Loss
-	ys      [][]float64
-	scale   float64
-}
-
-// batchable reports whether every layer is one of the built-in kinds the
-// batched kernels know how to drive.
-func (n *Network) batchable() bool {
-	for _, l := range n.Layers {
-		switch l.(type) {
-		case *Dense, *LeakyReLU, *Tanh:
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // ensureScratch sizes the arena for a rows×inCols batch, building it on first
-// use. It returns nil when the network contains a layer kind the batched
-// kernels cannot drive (callers then fall back to the per-sample path). The
-// network topology must not change once batched training has started.
+// use. The network topology must not change once batched training has started.
 //
 //lint:allow hotpathalloc first-batch arena construction; every later batch reuses or grows the same scratch
 func (n *Network) ensureScratch(rows, inCols int) *scratch {
 	sc := n.sc
 	if sc == nil {
-		if !n.batchable() {
-			return nil
-		}
 		sc = &scratch{net: n}
-		for li, l := range n.Layers {
-			if d, ok := l.(*Dense); ok {
-				for o0 := 0; o0 < d.Out; o0 += gradTaskOuts {
-					sc.gradTasks = append(sc.gradTasks, gradTask{layer: li, o0: o0, o1: min(o0+gradTaskOuts, d.Out)})
-					sc.gradTmp = append(sc.gradTmp, make([]float64, d.In))
-				}
-			}
-		}
 		sc.widths = make([]int, len(n.Layers)+1)
 		sc.acts = make([]Mat, len(n.Layers)+1)
 		sc.gradBufs = make([]Mat, len(n.Layers))
 		sc.grads = make([]Mat, len(n.Layers)+1)
-		sc.runner = parallel.NewRunner(sc.runItem)
 		n.sc = sc
 	}
 
 	// Recompute boundary widths for this input width (cheap integer walk);
 	// mismatched Dense inputs are programmer errors, caught here once so the
-	// shard kernels can skip per-row checks.
+	// kernels can skip per-row checks.
 	w := inCols
 	sc.widths[0] = w
 	sc.maxW = w
@@ -140,22 +84,12 @@ func (n *Network) ensureScratch(rows, inCols int) *scratch {
 	}
 
 	sc.rows = rows
-	sc.nShards = (rows + shardRows - 1) / shardRows
 	for i := range sc.acts {
 		sc.acts[i] = sc.acts[i].Resized(rows, sc.widths[i])
 	}
-	for len(sc.shardLoss) < sc.nShards {
-		sc.shardLoss = append(sc.shardLoss, 0)
-		sc.lossTmp = append(sc.lossTmp, nil)
-		sc.tiles = append(sc.tiles, nil)
-	}
-	for s := 0; s < sc.nShards; s++ {
-		if len(sc.lossTmp[s]) < sc.maxW {
-			sc.lossTmp[s] = make([]float64, sc.maxW)
-		}
-		if len(sc.tiles[s]) < 8*sc.maxW {
-			sc.tiles[s] = make([]float64, 8*sc.maxW)
-		}
+	if len(sc.tmp) < sc.maxW {
+		sc.tmp = make([]float64, sc.maxW)
+		sc.tile = make([]float64, 8*sc.maxW)
 	}
 	return sc
 }
@@ -170,46 +104,15 @@ func (sc *scratch) sizeGrads(lossGrad Mat) {
 	sc.grads[len(sc.gradBufs)] = lossGrad
 }
 
-// runItem is the persistent worker body. In the row-sharded modes item s is
-// shard s's row range; in modeGradW it is parameter-gradient task s. Shards
-// touch disjoint rows and gradient tasks disjoint weight rows, so items are
-// race-free by construction.
-func (sc *scratch) runItem(s int) {
-	if sc.mode == modeGradW {
-		t := sc.gradTasks[s]
-		denseGradW(sc.net.Layers[t.layer].(*Dense), sc.acts[t.layer], sc.grads[t.layer+1], t.o0, t.o1, sc.scale, sc.gradTmp[s])
-		return
-	}
-	r0 := s * shardRows
-	r1 := min(r0+shardRows, sc.rows)
-	tile := sc.tiles[s]
-	switch sc.mode {
-	case modeForward:
-		sc.forwardRange(r0, r1, tile)
-	case modeTrain:
-		sc.forwardRange(r0, r1, tile)
-		tmp := sc.lossTmp[s]
-		out, gL := sc.acts[len(sc.acts)-1], sc.grads[len(sc.grads)-1]
-		var sum float64
-		for r := r0; r < r1; r++ {
-			sum += LossGradInto(sc.loss, gL.Row(r), tmp, out.Row(r), sc.ys[r])
-		}
-		sc.shardLoss[s] = sum
-		sc.backwardRange(r0, r1, tile)
-	case modeBackward:
-		sc.backwardRange(r0, r1, tile)
-	}
-}
-
 // forwardRange runs rows [r0, r1) through every layer, filling the activation
 // matrices. Per-sample accumulation order inside each kernel matches the
 // scalar Forward path exactly, so outputs are byte-identical to it.
-func (sc *scratch) forwardRange(r0, r1 int, tile []float64) {
+func (sc *scratch) forwardRange(r0, r1 int) {
 	for li, l := range sc.net.Layers {
 		in, out := sc.acts[li], sc.acts[li+1]
 		switch t := l.(type) {
 		case *Dense:
-			batchDenseForward(t, in, out, r0, r1, tile)
+			batchDenseForward(t, in, out, r0, r1, sc.tile)
 		case *LeakyReLU:
 			for r := r0; r < r1; r++ {
 				x, y := in.Row(r), out.Row(r)
@@ -243,12 +146,12 @@ func (sc *scratch) forwardRange(r0, r1 int, tile []float64) {
 // has run, grads[0] is dLoss/dInput and each Dense layer's output gradient is
 // still in place for the parameter-gradient pass. It computes no parameter
 // gradient itself.
-func (sc *scratch) backwardRange(r0, r1 int, tile []float64) {
+func (sc *scratch) backwardRange(r0, r1 int) {
 	for li := len(sc.net.Layers) - 1; li >= 0; li-- {
 		cur, dst := sc.grads[li+1], sc.grads[li]
 		switch t := sc.net.Layers[li].(type) {
 		case *Dense:
-			batchDenseBackward(t, cur, dst, r0, r1, tile)
+			batchDenseBackward(t, cur, dst, r0, r1, sc.tile)
 		case *LeakyReLU:
 			in := sc.acts[li]
 			for r := r0; r < r1; r++ {
@@ -284,37 +187,32 @@ func (sc *scratch) backwardRange(r0, r1 int, tile []float64) {
 // assigned scale·Σ over the batch rows (denseGradW fixes the summation
 // order), whatever it held before.
 func (sc *scratch) gradW(scale float64) {
-	sc.mode = modeGradW
-	sc.scale = scale
-	sc.runner.Run(len(sc.gradTasks))
+	for li, l := range sc.net.Layers {
+		d, ok := l.(*Dense)
+		if !ok {
+			continue
+		}
+		for o0 := 0; o0 < d.Out; o0 += gradBlockOuts {
+			denseGradW(d, sc.acts[li], sc.grads[li+1], o0, min(o0+gradBlockOuts, d.Out), scale, sc.tmp)
+		}
+	}
 }
 
 // BatchForward runs a whole batch through the network, returning an
 // x.Rows×OutSize matrix view into the scratch arena (valid until the next
 // batch operation on this network). Outputs are byte-identical to calling
-// Forward row by row. Networks containing layer kinds outside this package
-// fall back to exactly that, into a freshly allocated matrix.
+// Forward row by row.
 func (n *Network) BatchForward(x Mat) Mat {
 	if x.Rows == 0 {
 		return Mat{}
 	}
 	sc := n.ensureScratch(x.Rows, x.Cols)
-	if sc == nil {
-		var out Mat
-		for r := 0; r < x.Rows; r++ {
-			y := n.Forward(x.Row(r))
-			if r == 0 {
-				out = NewMat(x.Rows, len(y))
-			}
-			copy(out.Row(r), y)
-		}
-		return out
-	}
 	for r := 0; r < x.Rows; r++ {
 		copy(sc.acts[0].Row(r), x.Row(r))
 	}
-	sc.mode = modeForward
-	sc.runner.Run(sc.nShards)
+	for r0 := 0; r0 < sc.rows; r0 += shardRows {
+		sc.forwardRange(r0, min(r0+shardRows, sc.rows))
+	}
 	sc.fwdOK = true
 	return sc.acts[len(sc.acts)-1]
 }
@@ -328,15 +226,15 @@ func (n *Network) BatchForward(x Mat) Mat {
 // the scalar Forward, so out is byte-identical to it. It writes each row's
 // single output into out[r] and reports false — leaving out untouched — when
 // this network or platform cannot run it (head wider than one output, SIMD
-// unavailable, non-batchable or narrow layers); callers then fall back to
-// BatchForward. Unlike BatchForward it does not fill the activation
-// matrices, so it cannot seed a BatchBackward.
+// unavailable, narrow layers); callers then fall back to BatchForward. Unlike
+// BatchForward it does not fill the activation matrices, so it cannot seed a
+// BatchBackward.
 func (n *Network) InferBatch(x Mat, out []float64) bool {
 	if !simdEnabled || x.Rows == 0 || len(out) < x.Rows {
 		return false
 	}
 	sc := n.ensureScratch(x.Rows, x.Cols)
-	if sc == nil || sc.widths[len(sc.widths)-1] != 1 {
+	if sc.widths[len(sc.widths)-1] != 1 {
 		return false
 	}
 	for _, l := range n.Layers {
@@ -345,7 +243,7 @@ func (n *Network) InferBatch(x Mat, out []float64) bool {
 		}
 	}
 	sc.fwdOK = false
-	tile := sc.tiles[0]
+	tile := sc.tile
 	q := len(tile) / 2
 	r := 0
 	for ; r+4 <= x.Rows; r += 4 {
@@ -383,9 +281,8 @@ func (n *Network) InferBatch(x Mat, out []float64) bool {
 // gradients outright: every p.G is assigned scale·Σ_rows of that row's
 // gradient — nothing is accumulated into what p.G held before, so callers
 // neither zero nor rescale it. The sum runs shard by shard in ascending order
-// (see denseGradW), which keeps it byte-identical at any worker count; a
-// gradOut with no rows assigns zero. BatchForward must have been called
-// immediately before with the same row count.
+// (see denseGradW); a gradOut with no rows assigns zero. BatchForward must
+// have been called immediately before with the same row count.
 func (n *Network) BatchBackward(gradOut Mat, scale float64) Mat {
 	if gradOut.Rows == 0 {
 		for _, p := range n.params() {
@@ -408,36 +305,40 @@ func (n *Network) BatchBackwardData(gradOut Mat) Mat {
 func (n *Network) backwardData(gradOut Mat) *scratch {
 	sc := n.sc
 	if sc == nil || !sc.fwdOK || sc.rows != gradOut.Rows || gradOut.Cols != sc.widths[len(sc.widths)-1] {
-		panic("nn: BatchBackward requires a matching BatchForward on a batchable network") //lint:allow panicfree out-of-order batch API use is a programmer error
+		panic("nn: BatchBackward requires a matching BatchForward") //lint:allow panicfree out-of-order batch API use is a programmer error
 	}
 	sc.sizeGrads(gradOut)
-	sc.mode = modeBackward
-	sc.runner.Run(sc.nShards)
+	for r0 := 0; r0 < sc.rows; r0 += shardRows {
+		sc.backwardRange(r0, min(r0+shardRows, sc.rows))
+	}
 	return sc
 }
 
-// trainBatchBatched is the sharded minibatch step behind TrainBatch: copy the
-// batch into the arena, run fused forward/loss/backward per shard, compute
-// the averaged parameter gradients in one pass, and step the optimizer.
-// Steady state allocates nothing.
-func (n *Network) trainBatchBatched(sc *scratch, xs, ys [][]float64, loss Loss, opt Optimizer) float64 {
+// trainBatch is the minibatch step behind TrainBatch: copy the batch into the
+// arena, run fused forward/loss/backward shard by shard, compute the averaged
+// parameter gradients in one pass, and step the optimizer. Steady state
+// allocates nothing.
+func (sc *scratch) trainBatch(xs, ys [][]float64, loss Loss, opt Optimizer) float64 {
 	for i := range xs {
 		copy(sc.acts[0].Row(i), xs[i])
 	}
 	sc.lossG = sc.lossG.Resized(sc.rows, sc.widths[len(sc.widths)-1])
 	sc.sizeGrads(sc.lossG)
-	sc.mode = modeTrain
-	sc.loss = loss
-	sc.ys = ys
-	sc.runner.Run(sc.nShards)
-	sc.fwdOK = true
-	sc.ys = nil
+	out := sc.acts[len(sc.acts)-1]
 	var total float64
-	for s := 0; s < sc.nShards; s++ {
-		total += sc.shardLoss[s]
+	for r0 := 0; r0 < sc.rows; r0 += shardRows {
+		r1 := min(r0+shardRows, sc.rows)
+		sc.forwardRange(r0, r1)
+		var sum float64
+		for r := r0; r < r1; r++ {
+			sum += LossGradInto(loss, sc.lossG.Row(r), sc.tmp, out.Row(r), ys[r])
+		}
+		total += sum
+		sc.backwardRange(r0, r1)
 	}
+	sc.fwdOK = true
 	sc.gradW(1 / float64(len(xs)))
-	opt.Step(n.params())
+	opt.Step(sc.net.params())
 	return total / float64(len(xs))
 }
 
@@ -531,7 +432,7 @@ func batchDenseBackward(d *Dense, gout, gin Mat, r0, r1 int, tile []float64) {
 func denseGradW(d *Dense, x, g Mat, o0, o1 int, scale float64, tmp []float64) {
 	rows, n := g.Rows, o1-o0
 	// Bias: one lane per output, rows read contiguously.
-	var acc, tot [gradTaskOuts]float64
+	var acc, tot [gradBlockOuts]float64
 	for s0 := 0; s0 < rows; s0 += shardRows {
 		clear(acc[:n])
 		for r := s0; r < min(s0+shardRows, rows); r++ {

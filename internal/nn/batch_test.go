@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"warper/internal/parallel"
 )
 
 func randBatch(rng *rand.Rand, rows, in, out int) (xs, ys [][]float64) {
@@ -100,37 +98,6 @@ func TestBatchBackwardDataMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTrainBatchIdenticalAtAnyWorkerCount is the determinism acceptance test:
-// the shard layout depends only on the batch size and the reduction order is
-// fixed, so full training trajectories are byte-identical no matter how many
-// workers the pool runs.
-func TestTrainBatchIdenticalAtAnyWorkerCount(t *testing.T) {
-	t.Cleanup(func() { parallel.SetWorkers(0) })
-	train := func(workers int) *Network {
-		parallel.SetWorkers(workers)
-		rng := rand.New(rand.NewSource(97))
-		n := MLP(9, 32, 3, 5, rng)
-		xs, ys := randBatch(rng, 50, 9, 5)
-		if _, err := n.Fit(xs, ys, MSE{}, NewAdam(1e-3), 5, 32, rng); err != nil {
-			t.Fatalf("Fit: %v", err)
-		}
-		return n
-	}
-	base := train(1)
-	for _, workers := range []int{2, 3, 8} {
-		got := train(workers)
-		bp, gp := base.Params(), got.Params()
-		for pi := range bp {
-			for i := range bp[pi].W {
-				if bp[pi].W[i] != gp[pi].W[i] {
-					t.Fatalf("workers=%d: param %d idx %d diverged: %v vs %v",
-						workers, pi, i, gp[pi].W[i], bp[pi].W[i])
-				}
-			}
-		}
-	}
-}
-
 // TestTrainBatchMatchesReferenceWithinOneShard: with the whole batch in a
 // single shard there is no reassociation at all, so the batched step must be
 // byte-identical to the original per-sample implementation.
@@ -211,29 +178,10 @@ func TestTrainBatchCrossEntropyMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTrainBatchParallelRace drives the parallel trainer hard under the race
-// detector: shards share the activation matrices (disjoint rows) and the
-// parameter reduction happens after the barrier.
-func TestTrainBatchParallelRace(t *testing.T) {
-	parallel.SetWorkers(4)
-	t.Cleanup(func() { parallel.SetWorkers(0) })
-	rng := rand.New(rand.NewSource(71))
-	n := MLP(9, 32, 3, 5, rng)
-	xs, ys := randBatch(rng, 64, 9, 5)
-	opt := NewAdam(1e-3)
-	for step := 0; step < 30; step++ {
-		if _, err := n.TrainBatch(xs, ys, MSE{}, opt); err != nil {
-			t.Fatalf("TrainBatch: %v", err)
-		}
-	}
-}
-
 // TestTrainBatchZeroAllocsSteadyState is the allocs-per-op acceptance test:
-// after warm-up (arena sized, Adam moments built, pool started) a train step
-// must not allocate.
+// after warm-up (arena sized, Adam moments built) a train step must not
+// allocate.
 func TestTrainBatchZeroAllocsSteadyState(t *testing.T) {
-	parallel.SetWorkers(2)
-	t.Cleanup(func() { parallel.SetWorkers(0) })
 	rng := rand.New(rand.NewSource(73))
 	n := MLP(18, 128, 3, 16, rng)
 	xs, ys := randBatch(rng, 32, 18, 16)

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"warper/internal/parallel"
 )
 
 // oracleScaledGrads is the gradient path this package shipped before the
@@ -46,10 +44,9 @@ func oracleScaledGrads(n *Network, x, gOut Mat, scale float64) [][]float64 {
 // ascending-shard reduce + scale — for one, two, four and the generic number
 // of shards, with and without a 1–3-row scalar tail, on Dense widths that
 // leave a k tail (in % 4 != 0), with exact-zero and negative-zero gradient
-// entries, a strided gradient matrix, whatever p.G held before, at any worker
-// count, and on both the AVX2 and the generic kernels.
+// entries, a strided gradient matrix, whatever p.G held before, and on both
+// the AVX2 and the generic kernels.
 func TestBatchBackwardScaledAssignMatchesOldPath(t *testing.T) {
-	t.Cleanup(func() { parallel.SetWorkers(0) })
 	defer func(v bool) { simdEnabled = v }(simdEnabled)
 	for _, simd := range []bool{simdAvailable, false} {
 		simdEnabled = simd
@@ -69,57 +66,54 @@ func testScaledAssign(t *testing.T) {
 			return NewNetwork(NewDense(3, 6, rng), NewTanh(), NewDense(6, 2, rng))
 		},
 		// 20 = one 16-column pass + one 4-column pass; 33 outputs = a
-		// gradient task of a single neuron; 33 inputs = two passes + a tail.
+		// gradient block of a single neuron; 33 inputs = two passes + a tail.
 		"in20out33": func(rng *rand.Rand) *Network {
 			return NewNetwork(NewDense(20, 33, rng), NewLeakyReLU(), NewDense(33, 2, rng))
 		},
 	}
 	for name, mk := range nets {
 		for _, rows := range []int{1, 3, 4, 8, 9, 16, 31, 32, 33, 100} {
-			for _, workers := range []int{1, 3} {
-				parallel.SetWorkers(workers)
-				rng := rand.New(rand.NewSource(int64(1000 + rows)))
-				n := mk(rng)
-				in, out := n.InSize(), n.OutSize()
-				// g is a column view of a wider matrix: strided rows.
-				x, g := NewMat(rows, in), NewMat(rows, out+3).View(rows, out)
-				for r := 0; r < rows; r++ {
-					for i := range x.Row(r) {
-						x.Row(r)[i] = rng.NormFloat64()
-						if rng.Intn(5) == 0 {
-							x.Row(r)[i] = 0 // products of either sign of zero
-						}
-					}
-					for i := range g.Row(r) {
-						g.Row(r)[i] = rng.NormFloat64()
-					}
-					switch r % 7 {
-					case 2:
-						g.Row(r)[rng.Intn(out)] = 0
-					case 3:
-						g.Row(r)[rng.Intn(out)] = math.Copysign(0, -1)
+			rng := rand.New(rand.NewSource(int64(1000 + rows)))
+			n := mk(rng)
+			in, out := n.InSize(), n.OutSize()
+			// g is a column view of a wider matrix: strided rows.
+			x, g := NewMat(rows, in), NewMat(rows, out+3).View(rows, out)
+			for r := 0; r < rows; r++ {
+				for i := range x.Row(r) {
+					x.Row(r)[i] = rng.NormFloat64()
+					if rng.Intn(5) == 0 {
+						x.Row(r)[i] = 0 // products of either sign of zero
 					}
 				}
-				if rows >= 8 { // an all-zero 4-row block: the kernels' skip path
-					for r := 4; r < 8; r++ {
-						g.Row(r)[0] = 0
-					}
+				for i := range g.Row(r) {
+					g.Row(r)[i] = rng.NormFloat64()
 				}
-				scale := 1 / float64(rows)
-				want := oracleScaledGrads(n, x, g, scale)
-				for _, p := range n.Params() { // stale accumulators must not leak in
-					for i := range p.G {
-						p.G[i] = rng.NormFloat64()
-					}
+				switch r % 7 {
+				case 2:
+					g.Row(r)[rng.Intn(out)] = 0
+				case 3:
+					g.Row(r)[rng.Intn(out)] = math.Copysign(0, -1)
 				}
-				n.BatchForward(x)
-				n.BatchBackward(g, scale)
-				for pi, p := range n.Params() {
-					for i := range p.G {
-						if math.Float64bits(p.G[i]) != math.Float64bits(want[pi][i]) {
-							t.Fatalf("%s simd=%v rows=%d workers=%d: param %d[%d] = %v (%#x), old path %v (%#x)", name, simdEnabled, rows, workers,
-								pi, i, p.G[i], math.Float64bits(p.G[i]), want[pi][i], math.Float64bits(want[pi][i]))
-						}
+			}
+			if rows >= 8 { // an all-zero 4-row block: the kernels' skip path
+				for r := 4; r < 8; r++ {
+					g.Row(r)[0] = 0
+				}
+			}
+			scale := 1 / float64(rows)
+			want := oracleScaledGrads(n, x, g, scale)
+			for _, p := range n.Params() { // stale accumulators must not leak in
+				for i := range p.G {
+					p.G[i] = rng.NormFloat64()
+				}
+			}
+			n.BatchForward(x)
+			n.BatchBackward(g, scale)
+			for pi, p := range n.Params() {
+				for i := range p.G {
+					if math.Float64bits(p.G[i]) != math.Float64bits(want[pi][i]) {
+						t.Fatalf("%s simd=%v rows=%d: param %d[%d] = %v (%#x), old path %v (%#x)", name, simdEnabled, rows,
+							pi, i, p.G[i], math.Float64bits(p.G[i]), want[pi][i], math.Float64bits(want[pi][i]))
 					}
 				}
 			}

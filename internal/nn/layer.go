@@ -2,12 +2,13 @@
 // reproduce every learned component in the Warper paper: the encoder 𝔼,
 // generator 𝔾 and discriminator 𝔻 from Table 3, the LM-mlp cardinality
 // estimator and the (simplified) MSCN model. It provides fully-connected
-// layers, LeakyReLU/ReLU/Sigmoid/Tanh activations, L1/MSE/softmax-cross-entropy
-// losses, SGD-with-momentum and Adam optimizers, and per-sample backprop with
-// minibatch gradient accumulation.
+// layers, LeakyReLU/Tanh activations, L1/MSE/softmax-cross-entropy losses,
+// SGD-with-momentum and Adam optimizers, per-sample Forward/Backward, and the
+// batched minibatch step in batch.go (allocation-free, AVX2 kernels on amd64,
+// byte-identical to the per-sample path).
 //
-// Training in the paper runs on CPU with tiny models (3×FC-128), so a clear,
-// allocation-light scalar implementation is plenty fast.
+// Training in the paper runs on CPU with tiny models (3×FC-128); it runs on
+// the calling goroutine, which is also the paper's single-core cost model.
 package nn
 
 import (

@@ -153,7 +153,7 @@ func mustLossLens(pred, target []float64) {
 }
 
 // fusedLoss is implemented by losses that can compute value and gradient in a
-// single allocation-free pass. dst receives the gradient; tmp is per-worker
+// single allocation-free pass. dst receives the gradient; tmp is
 // scratch at least as wide as pred (used by softmax). Inputs are
 // pre-validated by the batched trainer.
 type fusedLoss interface {

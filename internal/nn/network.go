@@ -161,9 +161,7 @@ func (n *Network) OutSize() int {
 }
 
 // TrainBatch performs one optimizer step on a minibatch and returns the mean
-// loss over the batch. The work is sharded across the parallel worker pool
-// with a fixed-order gradient reduction, so seeded training is byte-identical
-// at any worker count. Malformed batches (length or width mismatches) return
+// loss over the batch. Malformed batches (length or width mismatches) return
 // an error instead of panicking.
 func (n *Network) TrainBatch(xs, ys [][]float64, loss Loss, opt Optimizer) (float64, error) {
 	if len(xs) != len(ys) {
@@ -182,32 +180,13 @@ func (n *Network) TrainBatch(xs, ys [][]float64, loss Loss, opt Optimizer) (floa
 		return 0, fmt.Errorf("nn: TrainBatch input width %d, network expects %d", inW, want)
 	}
 	sc := n.ensureScratch(len(xs), inW)
-	if sc == nil {
-		// Layer kinds outside this package: per-sample fallback.
-		return n.trainBatchSerial(xs, ys, loss, opt), nil
-	}
 	outW := sc.widths[len(sc.widths)-1]
 	for i := range ys {
 		if len(ys[i]) != outW {
 			return 0, fmt.Errorf("nn: TrainBatch target row %d has width %d, network outputs %d", i, len(ys[i]), outW)
 		}
 	}
-	return n.trainBatchBatched(sc, xs, ys, loss, opt), nil
-}
-
-// trainBatchSerial is the per-sample minibatch step used when the network
-// contains layer kinds the batched kernels cannot drive.
-func (n *Network) trainBatchSerial(xs, ys [][]float64, loss Loss, opt Optimizer) float64 {
-	n.ZeroGrad()
-	var total float64
-	for i := range xs {
-		pred := n.Forward(xs[i])
-		total += loss.Loss(pred, ys[i])
-		n.Backward(loss.Grad(pred, ys[i]))
-	}
-	scaleGrads(n.params(), 1/float64(len(xs)))
-	opt.Step(n.params())
-	return total / float64(len(xs))
+	return sc.trainBatch(xs, ys, loss, opt), nil
 }
 
 // Fit trains for `epochs` passes over the data with the given batch size,
@@ -254,12 +233,4 @@ func (n *Network) Fit(xs, ys [][]float64, loss Loss, opt Optimizer, epochs, batc
 		last = epochLoss / float64(batches)
 	}
 	return last, nil
-}
-
-func scaleGrads(ps []*Param, s float64) {
-	for _, p := range ps {
-		for i := range p.G {
-			p.G[i] *= s
-		}
-	}
 }

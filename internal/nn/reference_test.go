@@ -122,3 +122,11 @@ func referenceBackward(n *Network, acts [][]float64, grad []float64) {
 		}
 	}
 }
+
+func scaleGrads(ps []*Param, s float64) {
+	for _, p := range ps {
+		for i := range p.G {
+			p.G[i] *= s
+		}
+	}
+}

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -90,6 +93,49 @@ func TestFailedPeriodStampsNothing(t *testing.T) {
 	}
 	if got := metricValue(t, metricsBody(t, ts.URL), "warper_period_failures_total"); got != 1 {
 		t.Errorf("warper_period_failures_total = %v, want 1", got)
+	}
+}
+
+// TestServerOwnsNoGoroutine holds Server.Close to its comment: building the
+// adapter (which trains M), serving feedback and a full drifted period —
+// detect, GAN training, pick, annotate, update, swap — and closing the server
+// leave no goroutine behind. Requests go through the handler in process, so
+// net/http's own connection goroutines stay out of the count.
+func TestServerOwnsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ad, sch, ann, gNew := newTestAdapter(t, 61, nil)
+	srv := NewWithOptions(ad, sch, Options{})
+	h := srv.Handler()
+	post := func(path string, body any) *httptest.ResponseRecorder {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(body); err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, path, &buf)
+		req.Header.Set("Content-Type", "application/json")
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, req)
+		if rw.Code != http.StatusOK {
+			t.Fatalf("POST %s = %d: %s", path, rw.Code, rw.Body)
+		}
+		return rw
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 30; i++ {
+		p := gNew.Gen(rng)
+		card := countOK(t, ann, p)
+		post("/feedback", feedbackRequest{predicateJSON: predicateJSON{Lows: p.Lows, Highs: p.Highs}, Cardinality: &card})
+	}
+	var pr periodResponse
+	if err := json.Unmarshal(post("/period", struct{}{}).Body.Bytes(), &pr); err != nil {
+		t.Fatal(err)
+	}
+	if !pr.Updated || pr.Generated == 0 {
+		t.Fatalf("period did not train: %+v", pr)
+	}
+	srv.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the server existed, %d after Close", before, after)
 	}
 }
 

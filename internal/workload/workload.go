@@ -205,13 +205,18 @@ func (w *W5) buildStrata() {
 		for i := 0; i < n; i++ {
 			freq[keyOf(vals[i])]++
 		}
-		// Order keys by frequency, carve into strata of roughly equal key
-		// counts.
+		// Order keys by frequency — ties by key, so the order does not depend
+		// on map iteration — and carve into strata of roughly equal key counts.
 		keys := make([]int, 0, len(freq))
 		for k := range freq {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(a, b int) bool { return freq[keys[a]] < freq[keys[b]] })
+		sort.Slice(keys, func(a, b int) bool {
+			if fa, fb := freq[keys[a]], freq[keys[b]]; fa != fb {
+				return fa < fb
+			}
+			return keys[a] < keys[b]
+		})
 		stratumOf := make(map[int]int, len(keys))
 		for i, k := range keys {
 			stratumOf[k] = i * w5Strata / len(keys)

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"warper/internal/dataset"
@@ -255,5 +256,23 @@ func TestW5OversamplesRareValues(t *testing.T) {
 	// well above that.
 	if float64(nearRare)/trials < 0.25 {
 		t.Errorf("w5 centered near rare value only %d/%d times", nearRare, trials)
+	}
+}
+
+// TestW5SameSeedSameStream: two w5 generators over one table draw identical
+// predicate streams from one seed. The frequency strata are built from a
+// map, so keys of equal frequency must be ordered by key, not by iteration
+// order — otherwise every experiment whose spec contains w5 prints different
+// numbers on every run.
+func TestW5SameSeedSameStream(t *testing.T) {
+	tbl, sch := testTable(t)
+	want := Generate(New("w5", tbl, sch, Options{}), 300, rand.New(rand.NewSource(1)))
+	for run := 0; run < 4; run++ {
+		got := Generate(New("w5", tbl, sch, Options{}), 300, rand.New(rand.NewSource(1)))
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("run %d: predicate %d differs from the first stream:\n got %v\nwant %v", run, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@
 # Tier-1 verification flow: build, vet, warperlint, full test suite, a
 # module-wide race pass (training-heavy tests skip themselves under -short),
 # the fault-injected chaos soak, and ten seconds of fuzzing per fuzz target.
-# Mirrors `make check` for environments without make.
+# This script is the flow: `make check` and the CI workflow both run it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,13 +24,6 @@ go test ./...
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
-
-# The -short pass above skips the training-heavy tests, so the seeded
-# adaptation script that pins every 𝔼/𝔾/𝔻 and M weight to its golden bits
-# gets its own race run: it fans shards and gradient tasks out at
-# parallel.SetWorkers(1), (2) and (4).
-echo "== golden bits under -race (SetWorkers 1/2/4)"
-go test -race -count=1 -run '^TestGoldenBits' ./internal/warper
 
 echo "== chaos (WARPER_CHAOS=1 fault-injected + overload soak + 10^5-op differential driver)"
 mkdir -p artifacts
