@@ -31,16 +31,9 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	var tbl *dataset.Table
-	switch *ds {
-	case "higgs":
-		tbl = dataset.Higgs(*rows, rng)
-	case "prsa":
-		tbl = dataset.PRSA(*rows, rng)
-	case "poker":
-		tbl = dataset.Poker(*rows, rng)
-	default:
-		fmt.Fprintln(os.Stderr, "unknown dataset", *ds)
+	tbl, err := dataset.ByName(*ds, *rows, rng)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	sch := query.SchemaOf(tbl)

@@ -157,15 +157,9 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		switch cfg.dataset {
-		case "higgs":
-			tbl = dataset.Higgs(cfg.rows, rng)
-		case "poker":
-			tbl = dataset.Poker(cfg.rows, rng)
-		case "prsa":
-			tbl = dataset.PRSA(cfg.rows, rng)
-		default:
-			logger.Error("unknown dataset", "dataset", cfg.dataset)
+		var err error
+		if tbl, err = dataset.ByName(cfg.dataset, cfg.rows, rng); err != nil {
+			logger.Error("unknown dataset", "err", err)
 			os.Exit(1)
 		}
 	}
@@ -173,20 +167,12 @@ func main() {
 	ann := annotator.New(tbl)
 	logger.Info("table loaded", "name", tbl.Name, "rows", tbl.NumRows(), "cols", tbl.NumCols())
 
-	var m ce.Estimator
-	switch cfg.model {
-	case "lm-mlp":
-		m = ce.NewLM(ce.LMMLP, sch, cfg.seed)
-	case "lm-gbt":
-		m = ce.NewLM(ce.LMGBT, sch, cfg.seed)
-	case "lm-ply":
-		m = ce.NewLM(ce.LMPly, sch, cfg.seed)
-	case "lm-rbf":
-		m = ce.NewLM(ce.LMRBF, sch, cfg.seed)
-	default:
-		logger.Error("unknown model", "model", cfg.model)
+	variant, err := ce.ParseLMVariant(cfg.model)
+	if err != nil {
+		logger.Error("unknown model", "err", err)
 		os.Exit(1)
 	}
+	var m ce.Estimator = ce.NewLM(variant, sch, cfg.seed)
 	g := workload.Parse(cfg.workload, tbl, sch, workload.Options{MaxConstrained: 2})
 	train, err := ann.AnnotateAll(context.Background(), workload.Generate(g, cfg.trainSize, rng))
 	if err != nil {

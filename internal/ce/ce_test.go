@@ -126,6 +126,16 @@ func TestLMCloneIsIndependent(t *testing.T) {
 
 func TestUnknownVariantPanics(t *testing.T) {
 	_, sch, _, _ := fixture(t, 1, 1)
+	// A name from outside the program is an error, not a panic: every
+	// variant NewLM builds parses from its own string, nothing else does.
+	for _, v := range []LMVariant{LMMLP, LMGBT, LMPly, LMRBF} {
+		if got, err := ParseLMVariant(string(v)); err != nil || got != v {
+			t.Errorf("ParseLMVariant(%q) = %q, %v", v, got, err)
+		}
+	}
+	if _, err := ParseLMVariant("lm-nope"); err == nil {
+		t.Error("ParseLMVariant accepted an unknown name")
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

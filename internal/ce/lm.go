@@ -56,6 +56,16 @@ const (
 	LMRBF LMVariant = "lm-rbf"
 )
 
+// ParseLMVariant maps a model name as flags and experiment specs spell it
+// onto its variant.
+func ParseLMVariant(name string) (LMVariant, error) {
+	switch v := LMVariant(name); v {
+	case LMMLP, LMGBT, LMPly, LMRBF:
+		return v, nil
+	}
+	return "", fmt.Errorf("ce: unknown LM variant %q (want %s, %s, %s or %s)", name, LMMLP, LMGBT, LMPly, LMRBF)
+}
+
 // NewLM builds an untrained LM of the given variant over a schema. seed
 // controls weight initialization and training shuffles.
 func NewLM(variant LMVariant, s *query.Schema, seed int64) *LM {

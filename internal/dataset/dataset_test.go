@@ -180,17 +180,17 @@ func TestPokerProfile(t *testing.T) {
 func TestByName(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, name := range []string{"higgs", "prsa", "poker"} {
-		tbl := ByName(name, rng)
-		if tbl.Name != name {
-			t.Errorf("ByName(%q).Name = %q", name, tbl.Name)
+		tbl, err := ByName(name, 500, rng)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if tbl.Name != name || tbl.NumRows() != 500 {
+			t.Errorf("ByName(%q, 500) = %q with %d rows", name, tbl.Name, tbl.NumRows())
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown name")
-		}
-	}()
-	ByName("nope", rng)
+	if _, err := ByName("nope", 500, rng); err == nil {
+		t.Fatal("expected an error for an unknown name")
+	}
 }
 
 func TestAppendDrift(t *testing.T) {

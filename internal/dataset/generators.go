@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -183,16 +184,18 @@ func pokerClass(suits, ranks []int) int {
 }
 
 // ByName builds one of the three evaluation tables by dataset name
-// ("higgs", "prsa", "poker") with the default scaled row count.
-func ByName(name string, rng *rand.Rand) *Table {
+// ("higgs", "prsa", "poker") with the given row count (rows <= 0 picks the
+// generator's default) — the one name → generator mapping the binaries and
+// the experiments share.
+func ByName(name string, rows int, rng *rand.Rand) (*Table, error) {
 	switch name {
 	case "higgs":
-		return Higgs(0, rng)
+		return Higgs(rows, rng), nil
 	case "prsa":
-		return PRSA(0, rng)
+		return PRSA(rows, rng), nil
 	case "poker":
-		return Poker(0, rng)
+		return Poker(rows, rng), nil
 	default:
-		panic("dataset: unknown dataset " + name)
+		return nil, fmt.Errorf("dataset: unknown dataset %q (want higgs, prsa or poker)", name)
 	}
 }

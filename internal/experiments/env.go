@@ -76,46 +76,33 @@ func NewEnv(dsName, trainSpec, newSpec, model string, sc Scale, seed int64) *Env
 	return e
 }
 
+// defaultRows are the per-dataset row counts tuned for the default scale
+// (Scale.Rows == 0).
+var defaultRows = map[string]int{"higgs": 8000, "prsa": 6000, "poker": 8000}
+
 // datasetByName builds a synthetic evaluation table at the experiment scale
-// (rows = 0 picks per-dataset defaults tuned for the default scale).
+// (rows = 0 picks the per-dataset default).
 func datasetByName(name string, rows int, rng *rand.Rand) *dataset.Table {
-	switch name {
-	case "higgs":
-		if rows == 0 {
-			rows = 8000
-		}
-		return dataset.Higgs(rows, rng)
-	case "prsa":
-		if rows == 0 {
-			rows = 6000
-		}
-		return dataset.PRSA(rows, rng)
-	case "poker":
-		if rows == 0 {
-			rows = 8000
-		}
-		return dataset.Poker(rows, rng)
-	default:
-		panic("experiments: unknown dataset " + name)
+	if rows == 0 {
+		rows = defaultRows[name]
 	}
+	tbl, err := dataset.ByName(name, rows, rng)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return tbl
 }
 
 // NewModel builds an untrained CE model by name.
 func NewModel(name string, sch *query.Schema, seed int64) ce.Estimator {
-	switch name {
-	case "lm-mlp":
-		return ce.NewLM(ce.LMMLP, sch, seed)
-	case "lm-gbt":
-		return ce.NewLM(ce.LMGBT, sch, seed)
-	case "lm-ply":
-		return ce.NewLM(ce.LMPly, sch, seed)
-	case "lm-rbf":
-		return ce.NewLM(ce.LMRBF, sch, seed)
-	case "mscn":
+	if name == "mscn" {
 		return ce.NewMSCN(ce.NewCatalog(sch), seed)
-	default:
+	}
+	v, err := ce.ParseLMVariant(name)
+	if err != nil {
 		panic("experiments: unknown model " + name)
 	}
+	return ce.NewLM(v, sch, seed)
 }
 
 // NewWarperAdapter builds an Adapter over a clone of the env's model (so

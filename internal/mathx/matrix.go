@@ -1,7 +1,6 @@
 package mathx
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -19,21 +18,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("mathx: ragged rows: row %d has %d cols, want %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // At returns m[i,j].
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -47,49 +31,6 @@ func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Col
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// T returns the transpose of m.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m*n. It panics on a dimension mismatch.
-func (m *Matrix) Mul(n *Matrix) *Matrix {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("mathx: Mul dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	out := NewMatrix(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < n.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * n.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m*v as a vector. It panics on a dimension mismatch.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("mathx: MulVec dimension mismatch %dx%d * %d", m.Rows, m.Cols, len(v)))
-	}
-	out := NewVector(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Row(i).Dot(v)
-	}
 	return out
 }
 

@@ -6,60 +6,9 @@ import (
 	"testing"
 )
 
-func TestMatrixMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("c[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMatrixMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	v := a.MulVec(Vector{1, 1, 1})
-	if v[0] != 6 || v[1] != 15 {
-		t.Errorf("MulVec = %v", v)
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	at := a.T()
-	if at.Rows != 3 || at.Cols != 2 {
-		t.Fatalf("T dims = %dx%d", at.Rows, at.Cols)
-	}
-	if at.At(2, 1) != 6 || at.At(0, 0) != 1 {
-		t.Errorf("T values wrong: %v", at.Data)
-	}
-}
-
-func TestMulDimensionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMatrix(2, 3).Mul(NewMatrix(2, 3))
-}
-
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestCovarianceKnown(t *testing.T) {
 	// Two perfectly correlated columns.
-	X := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
+	X := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 2, 2, 4, 3, 6}}
 	cov, means := Covariance(X)
 	if !almostEq(means[0], 2, 1e-12) || !almostEq(means[1], 4, 1e-12) {
 		t.Errorf("means = %v", means)
@@ -76,7 +25,7 @@ func TestCovarianceKnown(t *testing.T) {
 }
 
 func TestCovarianceDegenerate(t *testing.T) {
-	X := FromRows([][]float64{{1, 2}})
+	X := &Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}}
 	cov, means := Covariance(X)
 	if means[0] != 1 || means[1] != 2 {
 		t.Errorf("means = %v", means)
@@ -89,7 +38,7 @@ func TestCovarianceDegenerate(t *testing.T) {
 }
 
 func TestJacobiEigenDiagonal(t *testing.T) {
-	m := FromRows([][]float64{{3, 0}, {0, 1}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float64{3, 0, 0, 1}}
 	vals, vecs := JacobiEigen(m)
 	if !almostEq(vals[0], 3, 1e-10) || !almostEq(vals[1], 1, 1e-10) {
 		t.Errorf("vals = %v", vals)
@@ -102,17 +51,16 @@ func TestJacobiEigenDiagonal(t *testing.T) {
 
 func TestJacobiEigenKnown2x2(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
-	m := FromRows([][]float64{{2, 1}, {1, 2}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float64{2, 1, 1, 2}}
 	vals, vecs := JacobiEigen(m)
 	if !almostEq(vals[0], 3, 1e-10) || !almostEq(vals[1], 1, 1e-10) {
 		t.Fatalf("vals = %v", vals)
 	}
 	// Check A v = λ v for the first column.
 	v0 := Vector{vecs.At(0, 0), vecs.At(1, 0)}
-	av := m.MulVec(v0)
-	for i := range av {
-		if !almostEq(av[i], 3*v0[i], 1e-9) {
-			t.Errorf("A*v != 3v: %v vs %v", av, v0)
+	for i := range v0 {
+		if av := m.Row(i).Dot(v0); !almostEq(av, 3*v0[i], 1e-9) {
+			t.Errorf("(A*v)[%d] = %v, want 3v = %v", i, av, 3*v0[i])
 		}
 	}
 }
@@ -131,16 +79,15 @@ func TestJacobiEigenReconstructsRandomSymmetric(t *testing.T) {
 		}
 		vals, vecs := JacobiEigen(m)
 		// Reconstruct V diag(vals) V^T and compare to m.
-		vd := NewMatrix(n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				vd.Set(i, j, vecs.At(i, j)*vals[j])
-			}
-		}
-		rec := vd.Mul(vecs.T())
-		for i := 0; i < n*n; i++ {
-			if !almostEq(rec.Data[i], m.Data[i], 1e-8) {
-				t.Fatalf("trial %d: reconstruction mismatch at %d: %v vs %v", trial, i, rec.Data[i], m.Data[i])
+				var rec float64
+				for k := 0; k < n; k++ {
+					rec += vecs.At(i, k) * vals[k] * vecs.At(j, k)
+				}
+				if !almostEq(rec, m.At(i, j), 1e-8) {
+					t.Fatalf("trial %d: reconstruction mismatch at (%d,%d): %v vs %v", trial, i, j, rec, m.At(i, j))
+				}
 			}
 		}
 		// Eigenvalues sorted descending.
@@ -155,12 +102,13 @@ func TestJacobiEigenReconstructsRandomSymmetric(t *testing.T) {
 func TestPCARecoversDominantDirection(t *testing.T) {
 	// Points along the diagonal y=x with tiny noise: first PC must be ~(1,1)/√2.
 	rng := rand.New(rand.NewSource(3))
-	rows := make([][]float64, 200)
-	for i := range rows {
+	X := NewMatrix(200, 2)
+	for i := 0; i < X.Rows; i++ {
 		x := rng.NormFloat64() * 10
-		rows[i] = []float64{x + rng.NormFloat64()*0.01, x + rng.NormFloat64()*0.01}
+		X.Set(i, 0, x+rng.NormFloat64()*0.01)
+		X.Set(i, 1, x+rng.NormFloat64()*0.01)
 	}
-	p := FitPCA(FromRows(rows), 2)
+	p := FitPCA(X, 2)
 	c0 := math.Abs(p.Components.At(0, 0))
 	c1 := math.Abs(p.Components.At(1, 0))
 	if !almostEq(c0, 1/math.Sqrt2, 0.01) || !almostEq(c1, 1/math.Sqrt2, 0.01) {
@@ -172,21 +120,21 @@ func TestPCARecoversDominantDirection(t *testing.T) {
 }
 
 func TestPCAProjectCentersData(t *testing.T) {
-	rows := [][]float64{{1, 0}, {3, 0}, {5, 0}}
-	p := FitPCA(FromRows(rows), 1)
+	X := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 0, 3, 0, 5, 0}}
+	p := FitPCA(X, 1)
 	// Projection of the mean point must be ~0.
 	z := p.Project(Vector{3, 0})
 	if !almostEq(z[0], 0, 1e-10) {
 		t.Errorf("projection of mean = %v, want 0", z[0])
 	}
-	all := p.ProjectAll(FromRows(rows))
+	all := p.ProjectAll(X)
 	if all.Rows != 3 || all.Cols != 1 {
 		t.Fatalf("ProjectAll dims = %dx%d", all.Rows, all.Cols)
 	}
 }
 
 func TestPCADegenerateInput(t *testing.T) {
-	p := FitPCA(FromRows([][]float64{{1, 2, 3}}), 2)
+	p := FitPCA(&Matrix{Rows: 1, Cols: 3, Data: []float64{1, 2, 3}}, 2)
 	z := p.Project(Vector{1, 2, 3})
 	if len(z) != 2 {
 		t.Fatalf("Project len = %d", len(z))

@@ -26,16 +26,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Add returns v + w. It panics if lengths differ.
-func (v Vector) Add(w Vector) Vector {
-	mustSameLen(len(v), len(w))
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
 // Sub returns v - w. It panics if lengths differ.
 func (v Vector) Sub(w Vector) Vector {
 	mustSameLen(len(v), len(w))
@@ -67,18 +57,6 @@ func (v Vector) Dot(w Vector) float64 {
 
 // Norm returns the Euclidean norm of v.
 func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Normalize scales v in place to unit Euclidean norm. Zero vectors are left
-// unchanged.
-func (v Vector) Normalize() {
-	n := v.Norm()
-	if n == 0 {
-		return
-	}
-	for i := range v {
-		v[i] /= n
-	}
-}
 
 // AddInPlace sets v = v + a*w. It panics if lengths differ.
 func (v Vector) AddInPlace(w Vector, a float64) {
@@ -120,48 +98,6 @@ func (v Vector) Std() float64 {
 	return math.Sqrt(s / float64(len(v)))
 }
 
-// Max returns the maximum element; it panics on an empty vector.
-func (v Vector) Max() float64 {
-	if len(v) == 0 {
-		panic("mathx: Max of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element; it panics on an empty vector.
-func (v Vector) Min() float64 {
-	if len(v) == 0 {
-		panic("mathx: Min of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the maximum element; -1 for an empty vector.
-func (v Vector) ArgMax() int {
-	if len(v) == 0 {
-		return -1
-	}
-	best, bi := v[0], 0
-	for i, x := range v[1:] {
-		if x > best {
-			best, bi = x, i+1
-		}
-	}
-	return bi
-}
-
 func mustSameLen(a, b int) {
 	if a != b {
 		panic(fmt.Sprintf("mathx: length mismatch %d vs %d", a, b))
@@ -179,9 +115,6 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// Mean returns the arithmetic mean of xs, or 0 if xs is empty.
-func Mean(xs []float64) float64 { return Vector(xs).Mean() }
-
 // GeoMean returns the geometric mean of xs. All values must be positive; it
 // returns 0 for an empty slice.
 func GeoMean(xs []float64) float64 {
@@ -196,26 +129,4 @@ func GeoMean(xs []float64) float64 {
 		s += math.Log(x)
 	}
 	return math.Exp(s / float64(len(xs)))
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation. xs must be sorted ascending and non-empty.
-func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic("mathx: Quantile of empty slice")
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -67,14 +67,13 @@ func TestGaugeAddConcurrent(t *testing.T) {
 // TestExportRacesSeriesCreation is the registry's concurrency contract: a
 // label value seen for the first time (a new `reason` on a counter, a new
 // handler on a histogram) creates a series at any moment, including while
-// /metrics, /debug/vars and the window sampler are walking the registry.
+// /metrics and /debug/vars are walking the registry.
 // The exporters must work on a snapshot taken under the registry lock —
 // walking the live series map is a fatal "concurrent map iteration and map
 // write", and reading a just-created series' value pointer is a data race.
 // Run under -race.
 func TestExportRacesSeriesCreation(t *testing.T) {
 	r := NewRegistry()
-	win := NewWindows(r, time.Minute)
 	const creators, perCreator = 4, 200
 	var creating, exporting sync.WaitGroup
 	stop := make(chan struct{})
@@ -90,17 +89,12 @@ func TestExportRacesSeriesCreation(t *testing.T) {
 			}
 		}(w)
 	}
-	now := time.Now()
 	for _, export := range []func(){
 		func() {
 			r.PrometheusHandler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/metrics", nil))
 		},
 		func() {
 			r.VarsHandler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/vars", nil))
-		},
-		func() {
-			now = now.Add(time.Minute) // a full span later: every Tick captures
-			win.Tick(now)
 		},
 	} {
 		exporting.Add(1)

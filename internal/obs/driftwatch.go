@@ -19,7 +19,7 @@ import (
 // any span of slots is exp(Σlog/Σcount), so rolling the window is O(slots)
 // arithmetic, no sample retention. Quantiles of the same stream are not kept
 // here: the caller records each q-error in a registry histogram, whose
-// windowed p50/p95/p99 Windows already derives.
+// p50/p95/p99 Snapshot already derives.
 type DriftWatch struct {
 	mu sync.Mutex
 

@@ -88,8 +88,9 @@ func (r *Registry) PrometheusHandler() http.Handler {
 	})
 }
 
-// histogramJSON is the /debug/vars shape of a histogram.
-type histogramJSON struct {
+// HistogramSnapshot is the Snapshot (and so /debug/vars) shape of a
+// histogram: lifetime aggregates, with the overflow bucket's bound as -1.
+type HistogramSnapshot struct {
 	Count   int64    `json:"count"`
 	Sum     float64  `json:"sum"`
 	Mean    float64  `json:"mean"`
@@ -101,7 +102,7 @@ type histogramJSON struct {
 
 // Snapshot returns every metric as a JSON-marshalable map keyed by
 // name{labels}: counters as int64, gauges as float64, histograms as
-// {count, sum, mean, p50, p95, p99, buckets}.
+// HistogramSnapshot.
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
 	for _, f := range r.snapshotFamilies() {
@@ -121,7 +122,7 @@ func (r *Registry) Snapshot() map[string]any {
 						buckets[i].UpperBound = -1
 					}
 				}
-				out[key] = histogramJSON{
+				out[key] = HistogramSnapshot{
 					Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
 					P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
 					Buckets: buckets,

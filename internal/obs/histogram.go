@@ -127,36 +127,42 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
+// Counts appends the non-cumulative per-bucket counts, overflow last, to
+// dst[:0] and returns it; a dst with room for len(bounds)+1 values makes the
+// call allocation-free. Like Buckets, the read is not atomic across buckets.
+func (h *Histogram) Counts(dst []int64) []int64 {
+	dst = dst[:0]
+	for i := range h.buckets {
+		dst = append(dst, h.buckets[i].Load())
+	}
+	return append(dst, h.over.Load())
+}
+
 // Quantile estimates the q-quantile (q in [0,1]) by log-linear interpolation
 // inside the owning bucket. It returns 0 before any observation; overflow
 // observations report the last finite bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]int64, len(h.buckets))
-	var n int64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		n += counts[i]
-	}
-	n += h.over.Load()
-	return quantileFromCounts(h.bounds, counts, n, q)
+	return h.QuantileOfCounts(h.Counts(make([]int64, 0, len(h.buckets)+1)), q)
 }
 
-// quantileFromCounts interpolates the q-quantile over explicit per-bucket
-// counts (total includes the overflow bucket). Shared between live
-// histograms and the windowed bucket deltas computed by Windows.
-func quantileFromCounts(bounds []float64, counts []int64, total int64, q float64) float64 {
+// QuantileOfCounts is Quantile over explicit per-bucket counts laid out as
+// Counts returns them. A log-bucket histogram is a vector of counters, so
+// the difference of two Counts readings is the histogram of the interval
+// between them: this is how a windowed quantile is read, by the health
+// machine in process and by any scraper from two /metrics reads.
+func (h *Histogram) QuantileOfCounts(counts []int64, q float64) float64 {
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = math.Min(math.Max(q, 0), 1)
+	bounds := h.bounds
 	rank := q * float64(total)
 	var cum float64
-	for i := range counts {
+	for i := range bounds {
 		c := float64(counts[i])
 		if cum+c >= rank && c > 0 {
 			lower := bounds[i] / geomRatio(bounds, i)

@@ -86,6 +86,41 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramCountsDiffIsTheWindow pins what the health machine's wait
+// window (and any scraper) relies on: the difference of two Counts readings
+// is the histogram of the observations between them, and reading it through
+// a presized buffer allocates nothing.
+func TestHistogramCountsDiffIsTheWindow(t *testing.T) {
+	h := NewHistogram(HistogramOpts{Start: 0.001, Growth: 10, Count: 4})
+	h.Observe(0.01)
+	base := h.Counts(nil)
+	h.Observe(0.5)
+	h.Observe(0.5)
+	h.Observe(1000) // overflow
+	delta := h.Counts(nil)
+	if len(delta) != 5 {
+		t.Fatalf("Counts has %d entries, want 4 buckets + overflow", len(delta))
+	}
+	for i := range delta {
+		delta[i] -= base[i]
+	}
+	// The windowed median sits in the 0.5 bucket, not dragged down by the
+	// pre-window 0.01 observation; the lifetime median still sees it.
+	if p50 := h.QuantileOfCounts(delta, 0.5); p50 < 0.1 {
+		t.Errorf("windowed p50 = %v, polluted by pre-window data", p50)
+	}
+	if got, want := h.QuantileOfCounts(h.Counts(nil), 0.5), h.Quantile(0.5); got != want {
+		t.Errorf("QuantileOfCounts(Counts) = %v, Quantile = %v", got, want)
+	}
+	if got := h.QuantileOfCounts(make([]int64, 5), 0.99); got != 0 {
+		t.Errorf("empty window p99 = %v, want 0", got)
+	}
+	buf := make([]int64, 0, 5)
+	if n := testing.AllocsPerRun(100, func() { _ = h.QuantileOfCounts(h.Counts(buf), 0.99) }); n != 0 {
+		t.Errorf("presized Counts + QuantileOfCounts allocate %v times, want 0", n)
+	}
+}
+
 func TestHistogramEmptyQuantile(t *testing.T) {
 	h := NewHistogram(QErrorOpts())
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 {

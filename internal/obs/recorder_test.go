@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -356,122 +355,4 @@ func TestDriftWatchMinCountGate(t *testing.T) {
 			t.Fatal("alarm fired below the observation floor")
 		}
 	}
-}
-
-// --- Windows -----------------------------------------------------------------
-
-func TestWindowsCounterRatesAndHistogramDeltas(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("reqs_total")
-	h := r.Histogram("lat_seconds", HistogramOpts{Start: 0.001, Growth: 10, Count: 4})
-	g := r.Gauge("pool")
-
-	w := NewWindows(r, 12*time.Second) // 1s slots
-	t0 := time.Unix(100, 0)
-
-	c.Add(100)
-	h.Observe(0.01)
-	g.Set(5)
-	w.Tick(t0)
-
-	// Inside the window: 50 more requests, two slower observations.
-	c.Add(50)
-	h.Observe(0.5)
-	h.Observe(0.5)
-	g.Set(7)
-	view := w.View(t0.Add(10 * time.Second))
-
-	stats := map[string]WindowStat{}
-	for _, st := range view.Stats {
-		stats[st.Name] = st
-	}
-	cs := stats["reqs_total"]
-	if cs.Delta != 50 {
-		t.Errorf("counter delta = %d, want 50", cs.Delta)
-	}
-	if math.Abs(cs.Rate-5) > 0.01 {
-		t.Errorf("rate = %v, want 5/s", cs.Rate)
-	}
-	if cs.Lifetime != 150 {
-		t.Errorf("lifetime = %v, want 150", cs.Lifetime)
-	}
-	hs := stats["lat_seconds"]
-	if hs.Count != 2 {
-		t.Errorf("windowed histogram count = %d, want 2", hs.Count)
-	}
-	if math.Abs(hs.Mean-0.5) > 1e-9 {
-		t.Errorf("windowed mean = %v, want 0.5", hs.Mean)
-	}
-	// The lifetime view still sees all three observations.
-	if hs.Lifetime != 3 {
-		t.Errorf("histogram lifetime = %v, want 3", hs.Lifetime)
-	}
-	// Windowed p50 must sit in the 0.5 bucket, not be dragged down by the
-	// pre-window 0.01 observation.
-	if hs.P50 < 0.1 {
-		t.Errorf("windowed p50 = %v, polluted by pre-window data", hs.P50)
-	}
-	gs := stats["pool"]
-	if gs.Value != 7 {
-		t.Errorf("gauge value = %v, want 7", gs.Value)
-	}
-	if gs.Change != 2 {
-		t.Errorf("gauge change = %v, want 2 (5 → 7 inside the window)", gs.Change)
-	}
-}
-
-func TestWindowsTickCadenceAndRing(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("x_total")
-	w := NewWindows(r, 12*time.Second)
-	t0 := time.Unix(0, 0)
-	// Ticks faster than the slot duration collapse into one.
-	w.Tick(t0)
-	w.Tick(t0.Add(100 * time.Millisecond))
-	w.mu.Lock()
-	n := w.n
-	w.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("sub-slot tick was recorded: n = %d", n)
-	}
-	// Fill far past the ring: the base must slide forward, bounding the span.
-	for i := 1; i <= 100; i++ {
-		c.Inc()
-		w.Tick(t0.Add(time.Duration(i) * time.Second))
-	}
-	view := w.View(t0.Add(101 * time.Second))
-	if view.Seconds > 13 {
-		t.Errorf("window spans %.1fs, want ≤ 13s (ring must bound it)", view.Seconds)
-	}
-	if view.Stats[0].Delta >= 100 {
-		t.Errorf("delta = %d covers the whole lifetime; window not rolling", view.Stats[0].Delta)
-	}
-}
-
-func TestWindowsConcurrent(t *testing.T) {
-	r := NewRegistry()
-	w := NewWindows(r, 2*time.Second)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					r.Counter("c_total").Inc()
-					r.Histogram("h_seconds", LatencyOpts()).Observe(0.001)
-				}
-			}
-		}()
-	}
-	for i := 0; i < 50; i++ {
-		w.Tick(time.Now())
-		_ = w.View(time.Now())
-	}
-	close(stop)
-	wg.Wait()
 }

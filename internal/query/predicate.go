@@ -174,20 +174,6 @@ func UnfeaturizeInto(f []float64, s *Schema, p Predicate) {
 	p.Normalize(s)
 }
 
-// Volume returns the fraction of the normalized predicate box relative to
-// the full schema box — a cheap proxy for selectivity under uniformity.
-func (p Predicate) Volume(s *Schema) float64 {
-	v := 1.0
-	for i := range p.Lows {
-		span := s.Maxs[i] - s.Mins[i]
-		if span <= 0 {
-			continue
-		}
-		v *= mathClamp((p.Highs[i]-p.Lows[i])/span, 0, 1)
-	}
-	return v
-}
-
 func mathClamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo

@@ -90,9 +90,6 @@ func (r *Resilient) WithCostLedger(c Charger) *Resilient {
 // layer can read its state.
 func (r *Resilient) Breaker() *Breaker { return r.breaker }
 
-// Unwrap returns the wrapped source.
-func (r *Resilient) Unwrap() annotator.Source { return r.src }
-
 // Count implements annotator.Source with the retry/breaker discipline.
 func (r *Resilient) Count(ctx context.Context, p query.Predicate) (float64, error) {
 	var v float64

@@ -239,7 +239,7 @@ func TestEstimateCacheNeverCachesDegraded(t *testing.T) {
 
 	// Hold the only replica: a budgeted estimate must fall back — and the
 	// degraded answer must not be inserted.
-	r, _ := srv.pool.checkout(true, time.Time{})
+	r, _, _ := srv.pool.checkout(true, time.Time{})
 	card, out := srv.EstimateBudget(p, time.Now().Add(time.Millisecond))
 	if !out.Degraded {
 		t.Fatalf("outcome = %+v, want degraded", out)
@@ -282,7 +282,7 @@ func TestEstimateCacheNeverCachesShed(t *testing.T) {
 	p := gNew.Gen(rand.New(rand.NewSource(11))).Normalize(sch)
 	want := srv.Estimator().Clone().Estimate(p)
 
-	r, _ := srv.pool.checkout(true, time.Time{})
+	r, _, _ := srv.pool.checkout(true, time.Time{})
 	_, out := srv.EstimateBudget(p, time.Now().Add(time.Millisecond))
 	if !out.Shed {
 		t.Fatalf("outcome = %+v, want shed", out)

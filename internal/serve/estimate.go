@@ -121,11 +121,11 @@ func (sc *scratch) size(rows int, c *estimateCache) {
 }
 
 // Estimate answers one predicate on the served model — the in-process
-// equivalent of POST /estimate, exported for embedding Warper without HTTP
-// and for the serving benchmark. It always answers from the model and waits
-// for a replica as long as it takes: in pipeline terms, a healthy server
-// and no deadline. The predicate must already be normalized against the
-// server's schema. Safe for concurrent use.
+// equivalent of POST /estimate, exported for embedding Warper without HTTP;
+// bench/'s ladder times it as the serving core without a codec. It always
+// answers from the model and waits for a replica as long as it takes: in
+// pipeline terms, a healthy server and no deadline. The predicate must
+// already be normalized against the server's schema. Safe for concurrent use.
 func (s *Server) Estimate(p query.Predicate) float64 {
 	card, _ := s.estimateOne(p, Healthy, time.Time{}, nil)
 	return card
@@ -238,7 +238,15 @@ func (s *Server) admit(h HealthState, deadline time.Time, preds []query.Predicat
 	// A healthy server queues the group, budgeted by the deadline. Degraded
 	// and shedding admit only what a free replica can absorb right now:
 	// letting requests queue is exactly what the server must stop doing.
-	r, err := s.pool.checkout(h == Healthy, deadline)
+	r, queued, err := s.pool.checkout(h == Healthy, deadline)
+	if queued || h != Healthy {
+		// The health machine's clock is the traffic it governs: a group that
+		// left the checkout fast path (queued — served, timed out or shed —
+		// or refused), or runs under a state that must be able to recover,
+		// offers an evaluation. A healthy group served by a free replica
+		// skips this.
+		s.evalHealth(time.Now()) //lint:allow hotpathalloc sanctioned slow branch: off the fast path only, and due() elects one evaluator per EvalInterval
+	}
 	if err == nil {
 		return s.runOn(r, preds, out, tr), EstimateOutcome{}
 	}

@@ -211,7 +211,7 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 				}
 				var r *replica
 				if held {
-					if r, err = srv.pool.checkout(false, time.Time{}); err != nil {
+					if r, _, err = srv.pool.checkout(false, time.Time{}); err != nil {
 						t.Fatalf("%s: hold the replica: %v", name, err)
 					}
 				}
@@ -240,7 +240,7 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 					card, got := ep.call()
 					if released != nil {
 						<-released
-						if r, err = srv.pool.checkout(false, time.Time{}); err != nil {
+						if r, _, err = srv.pool.checkout(false, time.Time{}); err != nil {
 							t.Fatalf("%s/%s: re-hold the replica: %v", name, ep.name, err)
 						}
 					}
@@ -413,7 +413,7 @@ func TestBatchDeadlineStartsAfterDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := srv.pool.checkout(false, time.Time{})
+	r, _, err := srv.pool.checkout(false, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}

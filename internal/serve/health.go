@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +18,15 @@ import (
 // degrades answers instead of collapsing the process.
 //
 // The machine is deliberately cheap to read and deliberately slow to move:
-// the estimate hot path pays one atomic load to learn the state, and state
-// changes happen only on the read-side tick paths (scrapes, /statusz,
-// feedback, period edges) with hysteresis, so a single bad sample cannot
-// flap the server between modes.
+// the estimate hot path pays one atomic load to learn the state, and the
+// state is re-evaluated — at most once per EvalInterval, with hysteresis, so
+// a single bad sample cannot flap the server between modes — by the traffic
+// it governs: every estimate that leaves the checkout fast path or runs while
+// the state is not Healthy offers an evaluation (admit), as do the /period
+// edges and the two handlers that render health (/metrics, /statusz). The
+// server owns no goroutine, so an idle one holds its last state until the
+// next request or scrape; a free replica is used in every state, so those
+// first requests are still answered by the model.
 
 // HealthState is the serving health ladder. The numeric values are exported
 // on the serve_health_state gauge, so they are part of the metric contract.
@@ -75,7 +81,7 @@ type HealthConfig struct {
 	// (3) so a brief lull under sustained overload does not bounce the
 	// server straight back into the queue it just shed.
 	RecoverAfter int
-	// EvalInterval throttles evaluations: tick paths fire far more often
+	// EvalInterval throttles evaluations: requests offer them far more often
 	// than the machine needs to think. Default 250ms; negative disables the
 	// throttle (used by tests driving the machine step by step).
 	EvalInterval time.Duration
@@ -121,9 +127,56 @@ type healthSignals struct {
 	swapAge     time.Duration
 }
 
+// healthWindowSlots × healthWindowSlot is the span of the checkout-wait
+// window: twelve five-second slots, so the windowed p99 looks 55–60 s back.
+const (
+	healthWindowSlots = 12
+	healthWindowSlot  = 5 * time.Second
+)
+
+// waitWindow is the recent-window view of the one histogram the health
+// machine reads. A log-bucket histogram is a vector of counters, so the
+// window is "live bucket counts minus the oldest retained snapshot of
+// them": a fixed ring of count slices, advanced by the evaluations that read
+// it and allocation-free after construction. The recording path is untouched.
+type waitWindow struct {
+	hist  *obs.Histogram
+	slots [healthWindowSlots][]int64 // cumulative counts, oldest overwritten
+	n     int                        // filled slots
+	next  int                        // ring write index
+	last  time.Time                  // time of the newest snapshot
+	live  []int64                    // scratch: the current reading, then its delta
+}
+
+func newWaitWindow(hist *obs.Histogram) *waitWindow {
+	w := &waitWindow{hist: hist, live: hist.Counts(nil)}
+	for i := range w.slots {
+		w.slots[i] = make([]int64, len(w.live))
+	}
+	return w
+}
+
+// p99 snapshots the histogram when a slot has passed since the last
+// snapshot, then reads the p99 of what was observed since the oldest one. The
+// first reading of a fresh window is therefore empty (0), never the lifetime.
+func (w *waitWindow) p99(now time.Time) float64 {
+	w.live = w.hist.Counts(w.live)
+	if w.n == 0 || now.Sub(w.last) >= healthWindowSlot {
+		copy(w.slots[w.next], w.live)
+		w.next = (w.next + 1) % healthWindowSlots
+		w.n = min(w.n+1, healthWindowSlots)
+		w.last = now
+	}
+	base := w.slots[(w.next-w.n+healthWindowSlots)%healthWindowSlots]
+	for i, b := range base {
+		w.live[i] = max(w.live[i]-b, 0) // buckets are read one by one; clamp a racing snapshot
+	}
+	return w.hist.QuantileOfCounts(w.live, 0.99)
+}
+
 // healthTracker runs the state machine. State reads are one atomic load
 // (the estimate hot path's only contact with it); evaluations run under a
-// mutex but only ever on tick paths.
+// mutex, at most one per EvalInterval.
 type healthTracker struct {
 	cfg HealthConfig
 
@@ -136,22 +189,24 @@ type healthTracker struct {
 	// (0 when none): a period stuck past MaxSwapAge degrades the server.
 	swapStart atomic.Int64
 	// lastEval throttles evaluations to EvalInterval (UnixNano, CAS-guarded
-	// so concurrent scrapes elect one evaluator).
+	// so concurrent requests elect one evaluator).
 	lastEval atomic.Int64
 
-	// mu guards the hysteresis streaks; held only inside eval.
+	// mu guards the wait window and the hysteresis streaks; held only inside
+	// eval.
 	mu         sync.Mutex
+	wait       *waitWindow
 	badStreak  int
 	goodStreak int
 
-	met     *Metrics
-	journal *obs.Journal
+	met *Metrics
+	rec *flightRecorder
 }
 
 // newHealthTracker builds a tracker publishing transitions on met's
-// serve_health_state gauge and into the journal.
-func newHealthTracker(cfg HealthConfig, met *Metrics, journal *obs.Journal) *healthTracker {
-	h := &healthTracker{cfg: cfg, met: met, journal: journal}
+// serve_health_state gauge and as health events on rec.
+func newHealthTracker(cfg HealthConfig, met *Metrics, rec *flightRecorder) *healthTracker {
+	h := &healthTracker{cfg: cfg, wait: newWaitWindow(met.checkoutWait), met: met, rec: rec}
 	met.healthState.Set(float64(Healthy))
 	return h
 }
@@ -184,12 +239,14 @@ func (h *healthTracker) classify(sig healthSignals) HealthState {
 	return Healthy
 }
 
-// eval folds one signal reading into the hysteresis streaks and applies at
-// most a single-step transition. Transitions are journaled with the signals
-// that caused them, so an operator can replay *why* the server left healthy.
-func (h *healthTracker) eval(sig healthSignals) {
-	target := h.classify(sig)
+// eval completes one signal reading with the windowed checkout-wait p99 as of
+// now, folds it into the hysteresis streaks and applies at most a single-step
+// transition. Transitions are journaled and logged with the signals that
+// caused them, so an operator can replay *why* the server left healthy.
+func (h *healthTracker) eval(now time.Time, sig healthSignals) {
 	h.mu.Lock()
+	sig.waitP99 = h.wait.p99(now)
+	target := h.classify(sig)
 	cur := h.current()
 	next := cur
 	switch {
@@ -218,7 +275,11 @@ func (h *healthTracker) eval(sig healthSignals) {
 		return
 	}
 	h.met.healthState.Set(float64(next))
-	h.journal.Append("health", 0, map[string]any{
+	level := slog.LevelInfo
+	if next > cur {
+		level = slog.LevelWarn
+	}
+	h.rec.event(level, "health", 0, map[string]any{
 		"from":         cur.String(),
 		"to":           next.String(),
 		"wait_p99_ms":  sig.waitP99 * 1000,
@@ -226,4 +287,22 @@ func (h *healthTracker) eval(sig healthSignals) {
 		"breaker_open": sig.breakerOpen,
 		"swap_age_ms":  float64(sig.swapAge.Microseconds()) / 1000,
 	})
+}
+
+// evalHealth runs one (throttled) health evaluation: gather the signals —
+// windowed checkout-wait p99, live admission-queue depth, breaker state,
+// in-flight swap age — and let the tracker classify them with hysteresis.
+// An evaluation that does not change the state allocates nothing.
+func (s *Server) evalHealth(now time.Time) {
+	if !s.health.due(now) {
+		return
+	}
+	sig := healthSignals{
+		queueDepth:  s.pool.queueDepth(),
+		breakerOpen: s.health.breakerOpen.Load(),
+	}
+	if start := s.health.swapStart.Load(); start != 0 {
+		sig.swapAge = now.Sub(time.Unix(0, start))
+	}
+	s.health.eval(now, sig)
 }

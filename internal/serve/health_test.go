@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"io"
+	"log/slog"
 	"testing"
 	"time"
 
@@ -10,8 +12,9 @@ import (
 // testTracker builds a tracker with the eval throttle disabled so tests can
 // drive the machine one evaluation at a time.
 func testTracker(cfg HealthConfig) (*healthTracker, *obs.Journal) {
-	j := obs.NewJournal(64)
-	return newHealthTracker(cfg.withDefaults(64), NewMetrics(), j), j
+	met := NewMetrics()
+	rec := newFlightRecorder(met, slog.New(slog.NewTextHandler(io.Discard, nil)), Options{})
+	return newHealthTracker(cfg.withDefaults(64), met, rec), rec.journal
 }
 
 func TestHealthClassify(t *testing.T) {
@@ -46,41 +49,42 @@ func TestHealthHysteresis(t *testing.T) {
 	h, j := testTracker(HealthConfig{EvalInterval: -1})
 	bad := healthSignals{queueDepth: 64} // classifies as shedding
 	good := healthSignals{}
+	now := time.Now()
 
 	// One bad evaluation must not move the state (EscalateAfter = 2).
-	h.eval(bad)
+	h.eval(now, bad)
 	if got := h.current(); got != Healthy {
 		t.Fatalf("after 1 bad eval: %v, want healthy", got)
 	}
 	// The second does — but only a single step, even though the target is
 	// shedding, two above.
-	h.eval(bad)
+	h.eval(now, bad)
 	if got := h.current(); got != Degraded {
 		t.Fatalf("after 2 bad evals: %v, want degraded (single-step)", got)
 	}
-	h.eval(bad)
-	h.eval(bad)
+	h.eval(now, bad)
+	h.eval(now, bad)
 	if got := h.current(); got != Shedding {
 		t.Fatalf("after 4 bad evals: %v, want shedding", got)
 	}
 
 	// Recovery is slower: RecoverAfter = 3 good evaluations per step, and a
 	// bad sample in between resets the streak.
-	h.eval(good)
-	h.eval(good)
-	h.eval(bad) // resets goodStreak (and counts toward escalation instead)
-	h.eval(good)
-	h.eval(good)
+	h.eval(now, good)
+	h.eval(now, good)
+	h.eval(now, bad) // resets goodStreak (and counts toward escalation instead)
+	h.eval(now, good)
+	h.eval(now, good)
 	if got := h.current(); got != Shedding {
 		t.Fatalf("recovery streak not reset by interleaved bad eval: %v", got)
 	}
-	h.eval(good)
+	h.eval(now, good)
 	if got := h.current(); got != Degraded {
 		t.Fatalf("after 3 consecutive good evals: %v, want degraded", got)
 	}
-	h.eval(good)
-	h.eval(good)
-	h.eval(good)
+	h.eval(now, good)
+	h.eval(now, good)
+	h.eval(now, good)
 	if got := h.current(); got != Healthy {
 		t.Fatalf("after 6 consecutive good evals: %v, want healthy", got)
 	}
@@ -152,5 +156,52 @@ func TestHealthDefaults(t *testing.T) {
 	}
 	if c := (HealthConfig{}).withDefaults(0); c.QueueHigh != 1 {
 		t.Errorf("QueueHigh floor = %d, want 1", c.QueueHigh)
+	}
+}
+
+// TestEvalHealthZeroAllocSteady pins the cost of the clock the estimate path
+// now carries: an evaluation that leaves the state where it is — the wait
+// window read and rotated, the signals gathered and classified — allocates
+// nothing. (A transition allocates its event; that is once per state change.)
+func TestEvalHealthZeroAllocSteady(t *testing.T) {
+	srv, _, _, _, _ := newTestServerOpts(t, Options{Health: HealthConfig{EvalInterval: -1}})
+	now := time.Now()
+	n := testing.AllocsPerRun(200, func() {
+		srv.met.checkoutWait.Observe(0.001)
+		now = now.Add(time.Second) // every fifth evaluation rotates the window ring
+		srv.evalHealth(now)
+	})
+	if n != 0 {
+		t.Errorf("a state-preserving evalHealth allocates %v times, want 0", n)
+	}
+	if got := srv.HealthState(); got != Healthy {
+		t.Errorf("state = %v after healthy evaluations", got)
+	}
+}
+
+// TestWaitWindowForgets pins the window the health machine reads: a burst of
+// slow checkouts shows in the p99 while it is inside the 60-second window
+// and is gone once the ring has rolled past it, however large it stays in
+// the lifetime histogram.
+func TestWaitWindowForgets(t *testing.T) {
+	h := obs.NewHistogram(obs.LatencyOpts())
+	w := newWaitWindow(h)
+	t0 := time.Unix(1000, 0)
+	if got := w.p99(t0); got != 0 {
+		t.Fatalf("fresh window p99 = %v, want 0", got)
+	}
+	for i := 0; i < 100; i++ {
+		h.Observe(0.5)
+	}
+	if got := w.p99(t0.Add(time.Second)); got < 0.25 {
+		t.Fatalf("p99 with the burst inside the window = %v, want ~0.5", got)
+	}
+	var last float64
+	for s := 5; s <= 70; s += 5 {
+		h.Observe(0.0005)
+		last = w.p99(t0.Add(time.Duration(s) * time.Second))
+	}
+	if last > 0.001 {
+		t.Errorf("p99 70s after the burst = %v: the window did not roll past it (lifetime p99 %v)", last, h.Quantile(0.99))
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // Metric names that something besides their one declaration in NewMetrics
 // refers to: families with several pre-created or lazily created series, and
-// the names health evaluation and the tests look up. Every other name is
-// stated once, in the declaring call.
+// the names the tests look up. Every other name is stated once, in the
+// declaring call.
 const (
 	mReqTotal        = "warper_http_requests_total"
 	mReqSeconds      = "warper_http_request_seconds"
@@ -65,9 +65,10 @@ type Metrics struct {
 	driftAlarm *obs.Gauge
 	driftGMQ   *obs.Gauge
 
-	// health, when non-nil, mirrors the annotation breaker state into the
-	// serving health machine (set by NewWithOptions).
-	health      *healthTracker
+	// onBreaker, when non-nil, hands annotation-breaker transitions to the
+	// server that owns this metric set (set by NewWithOptions): the health
+	// machine's breaker signal and the breaker event.
+	onBreaker   func(resilience.State)
 	healthState *obs.Gauge
 	// Per-reason fallback and shed counters, pre-created so the estimate hot
 	// path increments a pointer instead of doing a labeled registry lookup
@@ -200,13 +201,8 @@ func (m *Metrics) ResilienceEvents() resilience.Events {
 			// Export the breaker state with a stable encoding: 0 closed,
 			// 1 open, 2 half-open (the resilience.State values).
 			m.breakerState.Set(float64(s))
-			if m.health != nil {
-				// An open annotation breaker is a degraded-health signal:
-				// the adapter cannot repair the model right now, so serving
-				// should stop betting on a fresh one. Half-open probes count
-				// as open until they succeed.
-				m.health.breakerOpen.Store(s != resilience.Closed)
-				m.health.journal.Append("breaker", 0, map[string]any{"state": s.String()})
+			if m.onBreaker != nil {
+				m.onBreaker(s)
 			}
 		},
 	}

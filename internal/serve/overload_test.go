@@ -25,7 +25,7 @@ func drainReplicas(t *testing.T, srv *Server) []*replica {
 	t.Helper()
 	var out []*replica
 	for {
-		r, err := srv.pool.checkout(false, time.Time{})
+		r, _, err := srv.pool.checkout(false, time.Time{})
 		if err != nil {
 			return out
 		}
@@ -324,6 +324,90 @@ func TestEstimatesSurviveReplicaPanicExhaustion(t *testing.T) {
 	}
 }
 
+// TestHealthMovesWithoutATick is the regression test for a health machine
+// only outside parties could move: the server sees nothing but estimates — no
+// /metrics scrape, no /feedback, no /period — and must still leave Healthy
+// when its one replica is starved, say why in the journal, and walk back once
+// the starvation ends, on the strength of the same callers' requests.
+func TestHealthMovesWithoutATick(t *testing.T) {
+	const (
+		callers = 4
+		budget  = 5 * time.Millisecond
+	)
+	faults := resilience.NewServeFaults(resilience.ServeFaultPlan{StarveEvery: 1, StarveHold: 20 * time.Millisecond})
+	// Wait thresholds out of reach, as in the soak below: the callers parked
+	// behind the held replica (QueueHigh = ShedQueue/2 = 2 < callers-1)
+	// drive the ladder, and a scheduler-inflated wait sample cannot pin the
+	// recovery for the length of the wait window.
+	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
+		Replicas:    1,
+		ShedQueue:   4,
+		ServeFaults: faults,
+		Health: HealthConfig{
+			EvalInterval:   5 * time.Millisecond,
+			DegradeWaitP99: 30 * time.Second,
+			ShedWaitP99:    time.Minute,
+		},
+	})
+	p := gNew.Gen(rand.New(rand.NewSource(23))).Normalize(sch)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				srv.EstimateBudget(p, time.Now().Add(budget))
+				time.Sleep(time.Millisecond) // a client, not a spin loop: an unstarved replica keeps up
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 2s (state %v, queue %d)", what, srv.HealthState(), srv.QueueDepth())
+			}
+		}
+	}
+
+	waitFor("leave healthy under starvation", func() bool { return srv.HealthState() != Healthy })
+	var first map[string]any
+	for _, ev := range srv.rec.journal.Snapshot() {
+		if ev.Kind == "health" {
+			first = ev.Fields
+			break
+		}
+	}
+	if first == nil {
+		t.Fatal("the state moved but no health event was journaled")
+	}
+	if first["from"] != "healthy" || first["to"] != "degraded" {
+		t.Errorf("first health event %v -> %v, want healthy -> degraded", first["from"], first["to"])
+	}
+	for _, k := range []string{"wait_p99_ms", "queue_depth", "breaker_open", "swap_age_ms"} {
+		if _, ok := first[k]; !ok {
+			t.Errorf("health event carries no %s signal: %v", k, first)
+		}
+	}
+	if d, _ := first["queue_depth"].(int64); d < srv.health.cfg.QueueHigh {
+		t.Errorf("health event queue_depth = %v, below QueueHigh %d: what moved the state?", first["queue_depth"], srv.health.cfg.QueueHigh)
+	}
+
+	faults.Disable()
+	waitFor("recover once the starvation ends", func() bool { return srv.HealthState() == Healthy })
+}
+
 // TestOverloadChaosSoak is the env-gated overload soak behind `make chaos`:
 // replica starvation, a slow mid-traffic model swap and an open annotation
 // breaker, all at once, under -race. Invariants: the admission queue stays
@@ -394,28 +478,14 @@ func TestOverloadChaosSoak(t *testing.T) {
 				default:
 					ok.Add(1)
 				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-tick.C:
-				srv.Tick(now)
 				// Transient overshoot of `workers` is the reservation
 				// window (Add before the bound check rolls back).
 				if d := srv.QueueDepth(); d > maxQueue+workers {
 					overBound.Add(1)
 				}
 			}
-		}
-	}()
+		}(w)
+	}
 
 	feedDrifted(t, ts, ann, gNew, rng, 25)
 	postJSON(t, ts.URL+"/period", struct{}{}, nil) // may fail; overlap is the point
@@ -431,24 +501,18 @@ func TestOverloadChaosSoak(t *testing.T) {
 	}
 	t.Logf("soak outcomes: ok %d, degraded %d, shed %d", ok.Load(), degraded.Load(), shed.Load())
 
-	// Recovery: chaos off, breaker closed, tick until healthy.
+	// Recovery: chaos off, breaker closed; the requests of a client that
+	// keeps asking are what walk the machine back to healthy.
 	faults.Disable()
 	srv.health.breakerOpen.Store(false)
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.HealthState() != Healthy && time.Now().Before(deadline) {
-		srv.Estimate(probes[0])
-		srv.Tick(time.Now())
+		srv.EstimateBudget(probes[0], time.Now().Add(budget))
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got := srv.HealthState(); got != Healthy {
-		var waitP99 float64
-		for _, st := range srv.rec.windows.View(time.Now()).Stats {
-			if st.Name == mCheckoutWait {
-				waitP99 = st.P99
-			}
-		}
 		t.Fatalf("server did not recover to healthy, state %v (wait_p99 %.3fs, queue %d, breaker %v, swap_start %d)",
-			got, waitP99, srv.QueueDepth(), srv.health.breakerOpen.Load(), srv.health.swapStart.Load())
+			got, srv.health.wait.p99(time.Now()), srv.QueueDepth(), srv.health.breakerOpen.Load(), srv.health.swapStart.Load())
 	}
 
 	// Every journaled health transition is one monotone step.
@@ -587,26 +651,10 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 	}
 	saturation := float64(completed.Load()) / time.Since(start).Seconds()
 
-	// Phase 2: open-loop arrivals at 2x saturation, with a sampler driving
-	// the health machine's clock and watching the queue depth.
+	// Phase 2: open-loop arrivals at 2x saturation. The arrivals are the
+	// health machine's only clock, and each one samples the queue depth as
+	// it leaves.
 	var ok, degraded, shed, maxShedLat, maxDepth atomic.Int64
-	done := make(chan struct{})
-	var sampler sync.WaitGroup
-	sampler.Add(1)
-	go func() {
-		defer sampler.Done()
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-tick.C:
-				srv.Tick(now)
-				storeMax(&maxDepth, srv.QueueDepth())
-			}
-		}
-	}()
 	perStep := max(1, int(2*saturation*step.Seconds()))
 	start = time.Now()
 	for s, idx := 0, 0; s < int(dur/step); s++ {
@@ -626,12 +674,11 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 				default:
 					ok.Add(1)
 				}
+				storeMax(&maxDepth, srv.QueueDepth())
 			}(preds[idx%len(preds)])
 		}
 	}
 	wg.Wait()
-	close(done)
-	sampler.Wait()
 	t.Logf("saturation %.0f est/s, offered 2x: ok %d, degraded %d, shed %d; max queue depth %d (bound %d), max shed latency %v (budget %v)",
 		saturation, ok.Load(), degraded.Load(), shed.Load(), maxDepth.Load(), shedQueue, time.Duration(maxShedLat.Load()), budget)
 	if d := maxDepth.Load(); d > shedQueue+depthSlack {
@@ -652,7 +699,7 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 	faults.Disable()
 	recoverBy := time.Now().Add(10 * time.Second)
 	for srv.HealthState() != Healthy && time.Now().Before(recoverBy) {
-		srv.Tick(time.Now())
+		srv.EstimateBudget(preds[0], time.Now().Add(budget))
 		time.Sleep(20 * time.Millisecond)
 	}
 	if got := srv.HealthState(); got != Healthy {

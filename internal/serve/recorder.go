@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"html/template"
+	"log/slog"
 	"net/http"
+	"sort"
 	"time"
 
 	"warper/internal/obs"
@@ -11,10 +14,10 @@ import (
 
 // This file wires the obs flight-recorder primitives into the server: the
 // sampled request tracer behind /debug/traces, the adaptation event journal
-// behind /debug/events, the windowed-telemetry ring and rolling q-error
-// drift watch behind /statusz and the warper_drift_* gauges. The recorder
-// is pure read-side plumbing — nothing here runs on the estimate hot path
-// unless the request was sampled.
+// behind /debug/events (and, through event, the server log), and the rolling
+// q-error drift watch behind /statusz and the warper_drift_* gauges. The
+// recorder is pure read-side plumbing — nothing here runs on the estimate
+// hot path unless the request was sampled.
 
 // Flight-recorder defaults, overridable through Options.
 const (
@@ -22,8 +25,6 @@ const (
 	defaultJournalCap  = 256
 	defaultDriftWindow = 5 * time.Minute
 	defaultExemplars   = 8
-	// recorderWindow is the recent-metrics window rendered on /statusz.
-	recorderWindow = time.Minute
 )
 
 // flightRecorder bundles the drift flight recorder's moving parts and their
@@ -31,10 +32,10 @@ const (
 type flightRecorder struct {
 	tracer    *obs.Tracer
 	journal   *obs.Journal
-	windows   *obs.Windows
 	drift     *obs.DriftWatch
 	exemplars *obs.Exemplars
 	met       *Metrics
+	logger    *slog.Logger
 
 	// onDriftAlarm, when non-nil, runs on every DriftRaised transition.
 	// NewWithOptions points it at the estimate-cache flush under
@@ -43,8 +44,9 @@ type flightRecorder struct {
 	onDriftAlarm func()
 }
 
-// newFlightRecorder builds the recorder from options.
-func newFlightRecorder(met *Metrics, opts Options) *flightRecorder {
+// newFlightRecorder builds the recorder from options; lifecycle events are
+// logged through logger.
+func newFlightRecorder(met *Metrics, logger *slog.Logger, opts Options) *flightRecorder {
 	buf := opts.TraceBuf
 	if buf <= 0 {
 		buf = defaultTraceBuf
@@ -56,11 +58,33 @@ func newFlightRecorder(met *Metrics, opts Options) *flightRecorder {
 	return &flightRecorder{
 		tracer:    obs.NewTracer(opts.TraceSample, buf),
 		journal:   obs.NewJournal(defaultJournalCap),
-		windows:   obs.NewWindows(met.Reg, recorderWindow),
 		drift:     obs.NewDriftWatch(window, opts.DriftAlarmGMQ),
 		exemplars: obs.NewExemplars(defaultExemplars),
 		met:       met,
+		logger:    logger,
 	}
+}
+
+// event records one lifecycle event — the only way one is recorded: it is
+// appended to the journal behind /debug/events and logged, under the same
+// kind and with the same fields, through the server's logger, so an operator
+// tailing warperd sees what the journal sees. fields may be nil; the map is
+// retained by the journal, so callers must not mutate it afterwards.
+func (r *flightRecorder) event(level slog.Level, kind string, traceID uint64, fields map[string]any) {
+	r.journal.Append(kind, traceID, fields)
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys) // map order would shuffle the attributes from line to line
+	attrs := make([]slog.Attr, 0, len(keys)+1)
+	if traceID != 0 {
+		attrs = append(attrs, slog.Uint64("trace_id", traceID))
+	}
+	for _, k := range keys {
+		attrs = append(attrs, slog.Any(k, fields[k]))
+	}
+	r.logger.LogAttrs(context.Background(), level, kind, attrs...)
 }
 
 // feedback folds one ground-truth observation into the drift watch and the
@@ -70,7 +94,6 @@ func (r *flightRecorder) feedback(q float64, ex obs.Exemplar, now time.Time) {
 	st, tr := r.drift.Observe(q, now)
 	r.applyDriftTransition(st, tr)
 	r.exemplars.OfferQError(ex)
-	r.windows.Tick(now)
 }
 
 // driftState reads the drift watch, rolling its window to now. Rolling can
@@ -91,7 +114,7 @@ func (r *flightRecorder) applyDriftTransition(st obs.DriftState, tr obs.DriftTra
 	switch tr {
 	case obs.DriftRaised:
 		r.met.driftAlarm.Set(1)
-		r.journal.Append("drift_alarm", 0, map[string]any{
+		r.event(slog.LevelWarn, "drift_alarm", 0, map[string]any{
 			"window_gmq": st.WindowGMQ,
 			"count":      st.Count,
 			"threshold":  st.Threshold,
@@ -101,7 +124,7 @@ func (r *flightRecorder) applyDriftTransition(st obs.DriftState, tr obs.DriftTra
 		}
 	case obs.DriftCleared:
 		r.met.driftAlarm.Set(0)
-		r.journal.Append("drift_clear", 0, map[string]any{
+		r.event(slog.LevelInfo, "drift_clear", 0, map[string]any{
 			"window_gmq": st.WindowGMQ,
 			"count":      st.Count,
 		})
@@ -129,7 +152,6 @@ type eventsResponse struct {
 
 // handleEvents serves the adaptation event journal, oldest-first.
 func (r *flightRecorder) handleEvents(w http.ResponseWriter, _ *http.Request) {
-	r.windows.Tick(time.Now())
 	w.Header().Set("Content-Type", "application/json")
 	resp := eventsResponse{Total: r.journal.Total(), Events: r.journal.Snapshot()}
 	if resp.Events == nil {
@@ -144,7 +166,7 @@ type statuszData struct {
 	Status     statusResponse
 	Health     HealthState
 	QueueDepth int64
-	Window     obs.WindowView
+	Metrics    map[string]any
 	Drift      obs.DriftState
 	WorstQ     []obs.Exemplar
 	Slowest    []obs.Exemplar
@@ -171,6 +193,13 @@ type statuszData struct {
 var statuszTmpl = template.Must(template.New("statusz").Funcs(template.FuncMap{
 	"ms":  func(s float64) string { return template.HTMLEscapeString(formatMillis(s)) },
 	"ago": func(now, t time.Time) string { return formatAgo(now, t) },
+	// hist picks the histogram rows out of Registry.Snapshot's values.
+	"hist": func(v any) *obs.HistogramSnapshot {
+		if h, ok := v.(obs.HistogramSnapshot); ok {
+			return &h
+		}
+		return nil
+	},
 }).Parse(`<!DOCTYPE html>
 <html><head><title>warperd statusz</title><style>
 body{font-family:monospace;margin:2em;background:#fafafa;color:#222}
@@ -201,18 +230,17 @@ invalidates every entry without a scan)</p>
 <p>{{if .Drift.Alarm}}<span class="alarm">ALARM</span> since {{ago .Now .Drift.AlarmSince}}{{else}}<span class="ok">ok</span>{{end}}
 — window GMQ {{printf "%.3f" .Drift.WindowGMQ}} over {{.Drift.Count}} obs
 (threshold {{printf "%.2f" .Drift.Threshold}}, window {{.Drift.Window}});
-q-error p50/p95/p99: the warper_qerror_ratio row of the recent window below</p>
+q-error p50/p95/p99: the warper_qerror_ratio row of the metric table below</p>
 {{else}}<p>disabled (set -drift-alarm-gmq)</p>{{end}}
 
-<h2>Recent window ({{printf "%.0fs" .Window.Seconds}})</h2>
-<table><tr><th class="l">metric</th><th>kind</th><th>window</th><th>rate/s</th><th>p50</th><th>p95</th><th>p99</th><th>lifetime</th></tr>
-{{range .Window.Stats}}<tr><td class="l">{{.Name}}</td><td>{{.Kind}}</td>
-<td>{{if eq .Kind "counter"}}{{.Delta}}{{else if eq .Kind "gauge"}}{{printf "%.4g" .Value}}{{else}}{{.Count}}{{end}}</td>
-<td>{{if eq .Kind "counter"}}{{printf "%.2f" .Rate}}{{end}}</td>
-<td>{{if eq .Kind "histogram"}}{{printf "%.4g" .P50}}{{end}}</td>
-<td>{{if eq .Kind "histogram"}}{{printf "%.4g" .P95}}{{end}}</td>
-<td>{{if eq .Kind "histogram"}}{{printf "%.4g" .P99}}{{end}}</td>
-<td>{{printf "%.6g" .Lifetime}}</td></tr>
+<h2>Metrics (lifetime)</h2>
+<p>Every registry series since start: a counter's or gauge's value, a histogram's count and quantiles —
+what <a href="/debug/vars">/debug/vars</a> serves as JSON. Rates and windowed quantiles are a scraper's
+subtraction of two <a href="/metrics">/metrics</a> reads; the server keeps none.</p>
+<table><tr><th class="l">metric</th><th>value / count</th><th>p50</th><th>p95</th><th>p99</th></tr>
+{{range $name, $v := .Metrics}}<tr><td class="l">{{$name}}</td>
+{{with hist $v}}<td>{{.Count}}</td><td>{{printf "%.4g" .P50}}</td><td>{{printf "%.4g" .P95}}</td><td>{{printf "%.4g" .P99}}</td>
+{{else}}<td>{{$v}}</td><td></td><td></td><td></td>{{end}}</tr>
 {{end}}</table>
 
 <h2>Worst q-error exemplars</h2>
@@ -240,11 +268,12 @@ q-error p50/p95/p99: the warper_qerror_ratio row of the recent window below</p>
 // journal is one click away on /debug/events).
 const statuszEventTail = 40
 
-// handleStatusz renders the human-facing flight-recorder page: recent
-// window, drift state, exemplars and the journal tail, stdlib-only HTML.
+// handleStatusz renders the human-facing flight-recorder page: health,
+// drift state, the lifetime metric table, exemplars and the journal tail,
+// stdlib-only HTML. It renders health, so it evaluates it first.
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
-	s.Tick(now)
+	s.evalHealth(now)
 
 	events := s.rec.journal.Snapshot()
 	total := s.rec.journal.Total()
@@ -262,7 +291,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		Status:     s.statusNow(),
 		Health:     s.health.current(),
 		QueueDepth: s.pool.queueDepth(),
-		Window:     s.rec.windows.View(now),
+		Metrics:    s.met.Reg.Snapshot(),
 		Drift:      s.rec.driftState(now),
 		WorstQ:     s.rec.exemplars.WorstQ(),
 		Slowest:    s.rec.exemplars.Slowest(),
@@ -293,49 +322,12 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// withTick wraps a read-side handler so serving it also advances the
-// windowed-telemetry ring — the pull-based design's only clock — and lets
-// the health machine reconsider on the fresh window.
-func (s *Server) withTick(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.Tick(time.Now())
-		h.ServeHTTP(w, r)
-	})
-}
-
-// Tick advances the windowed-telemetry ring and re-evaluates serving health
-// as of now. Exported for embedders (and the overload benchmark) that serve
-// estimates in-process and therefore never hit the HTTP tick paths; HTTP
-// deployments get ticks for free from scrapes, /statusz, feedback and
-// period edges. Never called from the estimate hot path.
-func (s *Server) Tick(now time.Time) {
-	s.rec.windows.Tick(now)
-	s.evalHealth(now)
-}
-
-// evalHealth runs one (throttled) health evaluation: gather the signals —
-// windowed checkout-wait p99, live admission-queue depth, breaker state,
-// in-flight swap age — and let the tracker classify them with hysteresis.
-func (s *Server) evalHealth(now time.Time) {
-	if !s.health.due(now) {
-		return
-	}
-	sig := healthSignals{
-		queueDepth:  s.pool.queueDepth(),
-		breakerOpen: s.health.breakerOpen.Load(),
-	}
-	if start := s.health.swapStart.Load(); start != 0 {
-		sig.swapAge = now.Sub(time.Unix(0, start))
-	}
-	// The windowed view walks the whole registry; due() has already bounded
-	// how often that happens.
-	for _, st := range s.rec.windows.View(now).Stats {
-		if st.Name == mCheckoutWait {
-			sig.waitP99 = st.P99
-			break
-		}
-	}
-	s.health.eval(sig)
+// handleMetrics serves the Prometheus exposition. It renders
+// serve_health_state, so it evaluates health first: a scraper is a clock
+// even for a server whose estimates never leave the fast path.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.evalHealth(time.Now())
+	s.met.Reg.PrometheusHandler().ServeHTTP(w, r)
 }
 
 // formatMillis renders seconds as a millisecond string.

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -95,8 +97,27 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 }
 
+// captureHandler is a slog.Handler that keeps every record at Info and
+// above — the level lifecycle events start at; per-request logs are Debug.
+type captureHandler struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *captureHandler) Enabled(_ context.Context, l slog.Level) bool { return l >= slog.LevelInfo }
+func (h *captureHandler) WithAttrs([]slog.Attr) slog.Handler           { return h }
+func (h *captureHandler) WithGroup(string) slog.Handler                { return h }
+func (h *captureHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r)
+	return nil
+}
+
 func TestDebugEventsCausalOrder(t *testing.T) {
+	logged := &captureHandler{}
 	srv, ts, _, ann, gNew := newTestServerOpts(t, Options{
+		Logger:        slog.New(logged),
 		DriftWindow:   time.Minute,
 		DriftAlarmGMQ: 4,
 	})
@@ -133,6 +154,10 @@ func TestDebugEventsCausalOrder(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("period status = %d", r.StatusCode)
 	}
+	// And one forced health transition: two over-high queue readings.
+	for i := 0; i < 2; i++ {
+		srv.health.eval(time.Now(), healthSignals{queueDepth: srv.health.cfg.QueueHigh})
+	}
 
 	resp, body := getBody(t, ts.URL+"/debug/events")
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
@@ -151,7 +176,7 @@ func TestDebugEventsCausalOrder(t *testing.T) {
 			seq[ev.Kind] = ev.Seq
 		}
 	}
-	for _, kind := range []string{"drift_alarm", "period_start", "period_end", "model_swap"} {
+	for _, kind := range []string{"drift_alarm", "period_start", "period_end", "model_swap", "health"} {
 		if _, ok := seq[kind]; !ok {
 			t.Fatalf("journal missing %q; kinds = %v", kind, seq)
 		}
@@ -168,6 +193,38 @@ func TestDebugEventsCausalOrder(t *testing.T) {
 			if _, ok := ev.Fields["stage_detect_seconds"]; !ok {
 				t.Errorf("period_end missing stage breakdown: %v", ev.Fields)
 			}
+		}
+	}
+
+	// One event path: the server log carries what the journal carries — the
+	// same kinds in the same order, each with the same field names (plus the
+	// trace id, which the journal keeps beside the fields).
+	logged.mu.Lock()
+	defer logged.mu.Unlock()
+	if len(logged.recs) != len(events.Events) {
+		t.Fatalf("log has %d records at info and above, /debug/events lists %d events", len(logged.recs), len(events.Events))
+	}
+	for i, ev := range events.Events {
+		rec := logged.recs[i]
+		if rec.Message != ev.Kind {
+			t.Fatalf("record %d logs %q, journal event %d is %q", i, rec.Message, ev.Seq, ev.Kind)
+		}
+		want := map[string]bool{}
+		for k := range ev.Fields {
+			want[k] = true
+		}
+		if ev.TraceID != 0 {
+			want["trace_id"] = true
+		}
+		rec.Attrs(func(a slog.Attr) bool {
+			if !want[a.Key] {
+				t.Errorf("%s: log attribute %q is not a journal field: %v", ev.Kind, a.Key, ev.Fields)
+			}
+			delete(want, a.Key)
+			return true
+		})
+		if len(want) != 0 {
+			t.Errorf("%s: journal fields %v missing from the log record", ev.Kind, want)
 		}
 	}
 }
@@ -197,7 +254,7 @@ func TestStatuszEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"flight recorder",
 		"Drift watch",
-		mCheckoutWait, // the recent-window table lists registry metrics
+		mCheckoutWait, // the metric table lists every registry series
 		"/debug/traces",
 		"/debug/events",
 	} {

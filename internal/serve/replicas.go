@@ -104,19 +104,19 @@ func newReplicaPool(src ce.Estimator, n int, met *Metrics) *replicaPool {
 // admission queue — a full queue sheds with errShed without waiting, a
 // missed deadline returns errCheckoutTimeout — and with a zero deadline it
 // waits forever, exempt from the queue bound (no deadline means the caller
-// opted out of admission control).
-func (p *replicaPool) checkout(wait bool, deadline time.Time) (*replica, error) {
-	var r *replica
+// opted out of admission control). queued reports that the request left the
+// fast path and joined the queue, whatever came of it.
+func (p *replicaPool) checkout(wait bool, deadline time.Time) (r *replica, queued bool, err error) {
 	select {
 	case r = <-p.free:
 	default:
 		if !wait {
-			return nil, errNoReplica
+			return nil, false, errNoReplica
 		}
-		var err error
 		if r, err = p.queue(deadline); err != nil {
-			return nil, err
+			return nil, true, err
 		}
+		queued = true
 	}
 	p.met.checkouts.Inc()
 	if p.faults != nil {
@@ -130,7 +130,7 @@ func (p *replicaPool) checkout(wait bool, deadline time.Time) (*replica, error) 
 	if cur := p.src.Load(); r.gen != cur.gen {
 		p.refresh(r) //lint:allow hotpathalloc sanctioned slow branch: one re-clone per model swap, serialized behind refreshMu
 	}
-	return r, nil
+	return r, queued, nil
 }
 
 // queue parks one request until a replica frees up or its deadline passes.

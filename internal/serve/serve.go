@@ -46,8 +46,8 @@ import (
 
 // Options configures optional server features.
 type Options struct {
-	// Logger receives structured request/period logs; nil discards debug
-	// logs and sends period summaries nowhere.
+	// Logger receives structured request logs (debug level) and every
+	// lifecycle event the journal records; nil discards both.
 	Logger *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiles expose internals and cost CPU.
@@ -143,7 +143,7 @@ type Server struct {
 
 	met *Metrics
 	// rec is the drift flight recorder: request tracer, adaptation event
-	// journal, windowed telemetry and the rolling q-error drift watch.
+	// journal (mirrored to logger) and the rolling q-error drift watch.
 	rec           *flightRecorder
 	logger        *slog.Logger
 	pprof         bool
@@ -153,7 +153,8 @@ type Server struct {
 	// the tier estimates drop to when the model cannot be reached in budget.
 	fb *fallbackLadder
 	// health is the serving health state machine; the estimate path reads
-	// its state with one atomic load, tick paths evaluate it.
+	// its state with one atomic load and, off the fast path, evaluates it
+	// (see health.go for who else does).
 	health *healthTracker
 	// estimateTimeout is the default /estimate deadline budget (0 = none).
 	estimateTimeout time.Duration
@@ -199,7 +200,7 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 		s.logger = slog.New(slog.NewTextHandler(io.Discard,
 			&slog.HandlerOptions{Level: slog.Level(127)}))
 	}
-	s.rec = newFlightRecorder(s.met, opts)
+	s.rec = newFlightRecorder(s.met, s.logger, opts)
 	n := opts.Replicas
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -221,8 +222,15 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 		s.fb = newFallbackLadder()
 		s.fb.refresh(a.Table(), a.M, sch)
 	}
-	s.health = newHealthTracker(opts.Health.withDefaults(s.pool.maxQueue), s.met, s.rec.journal)
-	s.met.health = s.health
+	s.health = newHealthTracker(opts.Health.withDefaults(s.pool.maxQueue), s.met, s.rec)
+	s.met.onBreaker = func(st resilience.State) {
+		// An open annotation breaker is a degraded-health signal: the
+		// adapter cannot repair the model right now, so serving should stop
+		// betting on a fresh one. Half-open probes count as open until they
+		// succeed.
+		s.health.breakerOpen.Store(st != resilience.Closed)
+		s.rec.event(slog.LevelWarn, "breaker", 0, map[string]any{"state": st.String()})
+	}
 	if opts.EstimateCache {
 		s.cache = newEstimateCache(sch.FeatureDim(), cacheShards, opts.CacheEntries, s.met)
 		if opts.CacheFlushOnAlarm {
@@ -243,15 +251,15 @@ func (s *Server) Close() {}
 
 // InvalidateEstimateCache drops every cached estimate by bumping the
 // cache's flush epoch — one atomic add, no scan. Wired to the drift alarm
-// under Options.CacheFlushOnAlarm and exported for embedders and the cache
-// benchmarks. No-op when the cache is disabled.
+// under Options.CacheFlushOnAlarm and exported for embedders that know their
+// data changed before the drift watch does. No-op when the cache is disabled.
 func (s *Server) InvalidateEstimateCache() {
 	if s.cache == nil {
 		return
 	}
 	s.cache.flushAll()
 	s.met.cacheInvalidations.Inc()
-	s.rec.journal.Append("cache_flush", 0, map[string]any{
+	s.rec.event(slog.LevelInfo, "cache_flush", 0, map[string]any{
 		"entries": s.cache.entries(),
 	})
 }
@@ -288,8 +296,8 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		_, _ = fmt.Fprintln(w, "ok") // health probes ignore the body anyway
 	})
-	mux.Handle("GET /metrics", s.withTick(s.met.Reg.PrometheusHandler()))
-	mux.Handle("GET /debug/vars", s.withTick(s.met.Reg.VarsHandler()))
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /debug/vars", s.met.Reg.VarsHandler())
 	mux.HandleFunc("GET /debug/traces", s.instrument("traces", s.rec.handleTraces))
 	mux.HandleFunc("GET /debug/events", s.instrument("events", s.rec.handleEvents))
 	mux.HandleFunc("GET /statusz", s.instrument("statusz", s.handleStatusz))
@@ -575,9 +583,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	n := len(s.buffer)
 	s.mu.Unlock()
 	s.met.buffered.Set(float64(n))
-	// Feedback is a tick path: let the health machine reconsider with the
-	// window the drift watch just advanced.
-	s.evalHealth(time.Now())
 	if full {
 		// The q-error probe and the drift watch above have seen the
 		// observation; only the next period's evidence is refused.
@@ -651,12 +656,14 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 
 	// Mark the swap in flight for the health machine: a period stuck past
 	// Health.MaxSwapAge degrades the server instead of silently serving an
-	// ever-staler generation. Period edges are also tick paths, so health
-	// reconsiders at both ends.
-	s.health.swapStart.Store(time.Now().UnixNano())
+	// ever-staler generation. Health reconsiders at both edges: a period is
+	// the one long event the estimate traffic cannot see end.
+	start := time.Now()
+	s.health.swapStart.Store(start.UnixNano())
+	s.evalHealth(start)
 	defer func() {
 		s.health.swapStart.Store(0)
-		s.Tick(time.Now())
+		s.evalHealth(time.Now())
 	}()
 
 	// Period requests ride the same sampler as estimates, so a journal
@@ -681,7 +688,7 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	nArrivals := len(arrivals)
 	s.met.buffered.Set(0)
-	s.rec.journal.Append("period_start", traceID, map[string]any{"arrivals": nArrivals})
+	s.rec.event(slog.LevelInfo, "period_start", traceID, map[string]any{"arrivals": nArrivals})
 
 	// Propagate the request context so a disconnected client or the
 	// configured period deadline aborts the adaptation instead of leaving
@@ -709,14 +716,13 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.met.buffered.Set(float64(nBuffered))
 		s.met.failures.Inc()
-		s.rec.journal.Append("period_rollback", traceID, map[string]any{
-			"error":      perr.Error(),
-			"arrivals":   nArrivals,
-			"rebuffered": nBuffered,
+		s.rec.event(slog.LevelError, "period_rollback", traceID, map[string]any{
+			"error":           perr.Error(),
+			"arrivals":        nArrivals,
+			"rebuffered":      nBuffered,
+			"mode":            rep.Detection.Mode.String(),
+			"annotate_failed": rep.AnnotateFailed,
 		})
-		s.logger.Error("period failed",
-			"err", perr, "arrivals", nArrivals, "mode", rep.Detection.Mode.String(),
-			"annotate_failed", rep.AnnotateFailed)
 		code := http.StatusInternalServerError
 		if errors.Is(perr, context.DeadlineExceeded) || errors.Is(perr, context.Canceled) {
 			code = http.StatusGatewayTimeout
@@ -755,9 +761,10 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 // stampPeriod is the one place a completed period is recorded: from the
 // adapter's Report — plus the pool and threshold state the status snapshot
 // just re-read — it moves the counters, gauges and per-stage histograms,
-// journals period_end, the degradation steps and the swap, logs the summary
-// line and builds the /period response. A failed period never gets here, so
-// the period count, the stage histograms and the journal stay aligned.
+// records (journal and log, one event each) period_end, the degradation
+// steps and the swap, and builds the /period response. A failed period never
+// gets here, so the period count, the stage histograms and the journal stay
+// aligned.
 func (s *Server) stampPeriod(rep *warper.Report, arrivals int, st statusSnapshot, traceID uint64) periodResponse {
 	resp := periodResponse{
 		Mode:         rep.Detection.Mode.String(),
@@ -800,59 +807,43 @@ func (s *Server) stampPeriod(rep *warper.Report, arrivals int, st statusSnapshot
 	m.deltaJS.Set(resp.DeltaJS)
 
 	end := map[string]any{
-		"mode":      resp.Mode,
-		"arrivals":  arrivals,
-		"generated": rep.Generated,
-		"picked":    rep.Picked,
-		"annotated": rep.Annotated,
-		"updated":   rep.Updated,
-		"delta_m":   resp.DeltaM,
-		"delta_js":  resp.DeltaJS,
-		"busy_ms":   resp.BusyMillis,
+		"mode":          resp.Mode,
+		"arrivals":      arrivals,
+		"generated":     rep.Generated,
+		"picked":        rep.Picked,
+		"annotated":     rep.Annotated,
+		"updated":       rep.Updated,
+		"early_stopped": rep.EarlyStopped,
+		"delta_m":       resp.DeltaM,
+		"delta_js":      resp.DeltaJS,
+		"pi":            st.Pi,
+		"gamma":         st.Gamma,
+		"busy_ms":       resp.BusyMillis,
 	}
 	for i, stage := range warper.StageNames {
 		secs := rep.Stages[i].Seconds()
 		m.stages[i].Observe(secs)
 		end["stage_"+stage+"_seconds"] = secs
 	}
-	journal := s.rec.journal
-	journal.Append("period_end", 0, end)
+	s.rec.event(slog.LevelInfo, "period_end", 0, end)
 	// One degrade_* event per degradation-ladder step the period took.
 	if rep.Partial {
 		m.periodPartial.Inc()
-		journal.Append("degrade_partial", 0, map[string]any{"annotate_failed": rep.AnnotateFailed})
+		s.rec.event(slog.LevelWarn, "degrade_partial", 0, map[string]any{"annotate_failed": rep.AnnotateFailed})
 	}
 	if rep.UsedFallback {
 		m.annFallback.Inc()
-		journal.Append("degrade_fallback", 0, nil)
+		s.rec.event(slog.LevelWarn, "degrade_fallback", 0, nil)
 	}
 	if rep.TelemetryDegraded {
 		m.telemetryDeg.Inc()
-		journal.Append("degrade_telemetry", 0, nil)
+		s.rec.event(slog.LevelWarn, "degrade_telemetry", 0, nil)
 	}
-	journal.Append("model_swap", traceID, map[string]any{
+	s.rec.event(slog.LevelInfo, "model_swap", traceID, map[string]any{
 		"generation": s.pool.generation(),
 		"model":      st.Model,
 		"updated":    rep.Updated,
 	})
-
-	s.logger.Info("period",
-		"mode", resp.Mode,
-		"arrivals", arrivals,
-		"generated", rep.Generated,
-		"picked", rep.Picked,
-		"annotated", rep.Annotated,
-		"updated", rep.Updated,
-		"early_stopped", rep.EarlyStopped,
-		"delta_m", resp.DeltaM,
-		"delta_js", resp.DeltaJS,
-		"pi", st.Pi,
-		"gamma", st.Gamma,
-		"busy_ms", resp.BusyMillis,
-		"partial", rep.Partial,
-		"annotate_failed", rep.AnnotateFailed,
-		"used_fallback", rep.UsedFallback,
-		"telemetry_degraded", rep.TelemetryDegraded)
 	return resp
 }
 

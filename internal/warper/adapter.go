@@ -637,10 +637,6 @@ func (a *Adapter) Gamma() int { return a.det.gamma }
 // Pi exposes the current drift threshold π.
 func (a *Adapter) Pi() float64 { return a.det.pi }
 
-// Components returns the learned modules for inspection (visualization,
-// tests). The returned struct is live.
-func (a *Adapter) Components() *components { return a.comps }
-
 func maxI(a, b int) int {
 	if a > b {
 		return a

@@ -344,6 +344,12 @@ const (
 	genAdvWeight    = 0.2
 )
 
+// noiseScale shrinks the ε noise below the raw per-dimension embedding std:
+// seeding with z + N(0, σ²) would double the generated distribution's
+// variance relative to the real new workload, which measurably widens it
+// (higher δ_js to the target workload).
+const noiseScale = 0.4
+
 // genStep trains 𝔾 adversarially: z+ε → 𝔾 → q_gen → 𝔼 → z' → 𝔻 → l', with
 // 𝓛_gen = CE(l', new) + anchor·L1(q_gen, q_seed). Gradients flow through 𝔻
 // and 𝔼 but only 𝔾 steps.
@@ -404,12 +410,6 @@ func (c *components) genStep(seeds []*pool.Entry, sigma []float64) float64 {
 	c.optGen.Step(c.genParams)
 	return total / float64(b)
 }
-
-// noiseScale shrinks the ε noise below the raw per-dimension embedding std:
-// seeding with z + N(0, σ²) would double the generated distribution's
-// variance relative to the real new workload, which measurably widens it
-// (higher δ_js to the target workload).
-var noiseScale = 0.4
 
 // noisyInto writes z + ε into dst, with ε ~ N(0, (noiseScale·σ)²) per
 // dimension (§3.2: σ derives from the std of the embeddings of previously

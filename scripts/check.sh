@@ -25,16 +25,13 @@ go test ./...
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
-echo "== chaos (WARPER_CHAOS=1 fault-injected + overload soak + 10^5-op differential driver)"
-mkdir -p artifacts
-WARPER_CHAOS=1 WARPER_EVENTS_OUT="$(pwd)/artifacts/EVENTS_chaos.json" \
-	go test -race -count=1 -timeout 30m -run 'Chaos|Faulty|Degraded|Overload|Differential' \
-	./internal/serve ./internal/resilience ./internal/warper
+# The chaos command and the four fuzz commands are defined once, in the
+# Makefile (EVENTS_OUT and FUZZTIME are its variables; an exported FUZZTIME
+# reaches it through the environment).
+echo "== make chaos (WARPER_CHAOS=1 fault-injected + overload soak + 10^5-op differential driver)"
+make chaos
 
-echo "== fuzz-smoke (${FUZZTIME:=10s} per target)"
-go test -run='^$' -fuzz='^FuzzCountMatchesScan$' -fuzztime="$FUZZTIME" ./internal/annotator
-go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime="$FUZZTIME" ./internal/wire
-go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime="$FUZZTIME" ./internal/wire
-go test -run='^$' -fuzz='^FuzzEstimateEntryPoints$' -fuzztime="$FUZZTIME" ./internal/serve
+echo "== make fuzz-smoke (FUZZTIME, default 10s, per target)"
+make fuzz-smoke
 
 echo "OK"
