@@ -32,8 +32,8 @@
 //	warperd -cache-entries 8192                       # estimate-cache capacity
 //
 // The server it builds is the one bench/fixture.go measures: estimate cache
-// on and flushed on a drift alarm, binary batch endpoints mounted, fallback
-// ladder on. Fault injection lives in the tests behind `make chaos`.
+// on, binary batch endpoints mounted, fallback ladder on. Fault injection
+// lives in the tests behind `make chaos`.
 package main
 
 import (
@@ -192,9 +192,10 @@ func main() {
 		logger.Error("build adapter failed", "err", err)
 		os.Exit(1)
 	}
-	// EstimateCache, CacheFlushOnAlarm and BinaryProtocol are the literals
-	// bench/fixture.go passes, and like it this leaves NoFallback unset, so
-	// the server warperd runs is the server the benchmark measures.
+	// EstimateCache and BinaryProtocol are the literals bench/fixture.go
+	// passes (its CacheFlushOnAlarm is a deprecated no-op), and like it this
+	// leaves NoFallback unset, so the server warperd runs is the server the
+	// benchmark measures.
 	srv := serve.NewWithOptions(adapter, sch, serve.Options{
 		Logger:        logger,
 		EnablePprof:   cfg.pprof,
@@ -206,9 +207,8 @@ func main() {
 
 		EstimateTimeout: cfg.estTimeout,
 
-		EstimateCache:     true,
-		CacheEntries:      cfg.cacheEntries,
-		CacheFlushOnAlarm: true,
+		EstimateCache: true,
+		CacheEntries:  cfg.cacheEntries,
 
 		BinaryProtocol: true,
 	})

@@ -1,9 +1,11 @@
 // Package adapt implements the adaptation baselines the paper compares
 // Warper against (§4.1): fine-tuning (FT, with re-training RT for models
 // that cannot fine-tune), Mixture (MIX), Gaussian-noise data augmentation
-// (AUG) and hard-example mining (HEM) — plus a shared period-driven runner
-// that produces the adaptation curves (GMQ vs. consumed new-workload
+// (AUG) and hard-example mining (HEM) — and Warper itself and NoAdapt (no
+// adaptation) behind the same Method interface, plus a shared period-driven
+// runner that produces the adaptation curves (GMQ vs. consumed new-workload
 // queries) behind Figures 6 and 8 and the Δ speedups of Tables 7, 8 and 10.
+// Figures 1 and 9 step the same Methods, one per table of their join.
 package adapt
 
 import (
@@ -38,9 +40,8 @@ type Method interface {
 // with a re-train update policy it re-trains on everything seen so far
 // (the paper's RT fallback).
 type FT struct {
-	m        ce.Estimator
-	history  []query.Labeled // initial training + all labeled arrivals
-	nameOver string
+	m       ce.Estimator
+	history []query.Labeled // initial training + all labeled arrivals
 }
 
 // NewFT wraps a trained model with the original training corpus (needed by
@@ -51,9 +52,6 @@ func NewFT(m ce.Estimator, train []query.Labeled) *FT {
 
 // Name implements Method.
 func (f *FT) Name() string {
-	if f.nameOver != "" {
-		return f.nameOver
-	}
 	if f.m.Policy() == ce.Retrain {
 		return "RT"
 	}
@@ -67,10 +65,7 @@ func (f *FT) Step(arrivals []warper.Arrival) error {
 		return nil
 	}
 	f.history = append(f.history, labeled...)
-	if f.m.Policy() == ce.Retrain {
-		return f.m.Update(f.history)
-	}
-	return f.m.Update(labeled)
+	return update(f.m, f.history, labeled)
 }
 
 // Model implements Method.
@@ -85,15 +80,19 @@ func (f *FT) AnnotationsSpent() int { return 0 }
 // and the newly arrived labeled queries, improving generalization when the
 // distributions overlap.
 type MIX struct {
-	m     ce.Estimator
-	train []query.Labeled
-	seen  []query.Labeled
-	rng   *rand.Rand
+	m       ce.Estimator
+	train   []query.Labeled
+	history []query.Labeled // initial training + all labeled arrivals
+	rng     *rand.Rand
 }
 
 // NewMIX builds the mixture baseline.
 func NewMIX(m ce.Estimator, train []query.Labeled, seed int64) *MIX {
-	return &MIX{m: m, train: train, rng: rand.New(rand.NewSource(seed))}
+	return &MIX{
+		m: m, train: train,
+		history: append([]query.Labeled(nil), train...),
+		rng:     rand.New(rand.NewSource(seed)),
+	}
 }
 
 // Name implements Method.
@@ -106,16 +105,12 @@ func (x *MIX) Step(arrivals []warper.Arrival) error {
 	if len(labeled) == 0 {
 		return nil
 	}
-	x.seen = append(x.seen, labeled...)
+	x.history = append(x.history, labeled...)
 	mixed := append([]query.Labeled(nil), labeled...)
 	for i := 0; i < len(labeled) && len(x.train) > 0; i++ {
 		mixed = append(mixed, x.train[x.rng.Intn(len(x.train))])
 	}
-	if x.m.Policy() == ce.Retrain {
-		all := append(append([]query.Labeled(nil), x.train...), x.seen...)
-		return x.m.Update(all)
-	}
-	return x.m.Update(mixed)
+	return update(x.m, x.history, mixed)
 }
 
 // Model implements Method.
@@ -152,17 +147,6 @@ func NewAUG(m ce.Estimator, sch *query.Schema, ann *annotator.Annotator, train [
 // Name implements Method.
 func (a *AUG) Name() string { return "AUG" }
 
-// Noisy returns a copy of p with N(0, (0.1·range)²) noise on each bound.
-func (a *AUG) Noisy(p query.Predicate) query.Predicate {
-	out := p.Clone()
-	for i := range out.Lows {
-		span := a.sch.Maxs[i] - a.sch.Mins[i]
-		out.Lows[i] += a.rng.NormFloat64() * 0.1 * span
-		out.Highs[i] += a.rng.NormFloat64() * 0.1 * span
-	}
-	return out.Normalize(a.sch)
-}
-
 // Step implements Method.
 func (a *AUG) Step(arrivals []warper.Arrival) error {
 	labeled := labeledOf(arrivals)
@@ -170,7 +154,7 @@ func (a *AUG) Step(arrivals []warper.Arrival) error {
 	var synth []query.Predicate
 	for i := 0; i < nGen && len(arrivals) > 0; i++ {
 		src := arrivals[a.rng.Intn(len(arrivals))]
-		synth = append(synth, a.Noisy(src.Pred))
+		synth = append(synth, Noisy(src.Pred, a.sch, a.rng))
 	}
 	if len(synth) > 0 {
 		annotated, err := a.ann.AnnotateAll(context.Background(), synth)
@@ -184,10 +168,7 @@ func (a *AUG) Step(arrivals []warper.Arrival) error {
 		return nil
 	}
 	a.history = append(a.history, labeled...)
-	if a.m.Policy() == ce.Retrain {
-		return a.m.Update(a.history)
-	}
-	return a.m.Update(labeled)
+	return update(a.m, a.history, labeled)
 }
 
 // Model implements Method.
@@ -243,9 +224,9 @@ func (h *HEM) Step(arrivals []warper.Arrival) error {
 	}
 	// Weighted replication by q-error: every query appears once, the
 	// hardest examples up to three more times.
-	var update []query.Labeled
+	var batch []query.Labeled
 	for _, lq := range labeled {
-		update = append(update, lq)
+		batch = append(batch, lq)
 		qe := metrics.QError(h.m.Estimate(lq.Pred), lq.Card)
 		reps := 0
 		switch {
@@ -259,26 +240,17 @@ func (h *HEM) Step(arrivals []warper.Arrival) error {
 		for r := 0; r < reps; r++ {
 			// Noisy replica (AUG-style) for robustness; labels come from a
 			// fresh annotation.
-			span := func(i int) float64 { return h.sch.Maxs[i] - h.sch.Mins[i] }
-			noisy := lq.Pred.Clone()
-			for i := range noisy.Lows {
-				noisy.Lows[i] += h.rng.NormFloat64() * 0.1 * span(i)
-				noisy.Highs[i] += h.rng.NormFloat64() * 0.1 * span(i)
-			}
-			noisy = noisy.Normalize(h.sch)
+			noisy := Noisy(lq.Pred, h.sch, h.rng)
 			card, err := h.ann.Count(context.Background(), noisy)
 			if err != nil {
 				return err
 			}
-			update = append(update, query.Labeled{Pred: noisy, Card: card})
+			batch = append(batch, query.Labeled{Pred: noisy, Card: card})
 			h.spent++
 		}
 	}
-	h.history = append(h.history, update...)
-	if h.m.Policy() == ce.Retrain {
-		return h.m.Update(h.history)
-	}
-	return h.m.Update(update)
+	h.history = append(h.history, batch...)
+	return update(h.m, h.history, batch)
 }
 
 // Model implements Method.
@@ -318,6 +290,49 @@ func (w *WarperMethod) AnnotationsSpent() int {
 		}
 	}
 	return n
+}
+
+// --- NoAdapt ---------------------------------------------------------------
+
+// NoAdapt leaves its model untouched: the "before adaptation" line of
+// Figure 1.
+type NoAdapt struct{ M ce.Estimator }
+
+// Name implements Method.
+func (NoAdapt) Name() string { return "NoAdapt" }
+
+// Step implements Method: nothing is learned.
+func (NoAdapt) Step([]warper.Arrival) error { return nil }
+
+// Model implements Method.
+func (n NoAdapt) Model() ce.Estimator { return n.M }
+
+// AnnotationsSpent implements Method.
+func (NoAdapt) AnnotationsSpent() int { return 0 }
+
+// --- shared -------------------------------------------------------------------
+
+// Noisy returns a copy of p with N(0, (0.1·range)²) noise on each bound —
+// §4.1's AUG noise, also HEM's replicas and Table 10's 𝔾→AUG ablation. Per
+// column it draws the low's noise, then the high's.
+func Noisy(p query.Predicate, sch *query.Schema, rng *rand.Rand) query.Predicate {
+	out := p.Clone()
+	for i := range out.Lows {
+		span := sch.Maxs[i] - sch.Mins[i]
+		out.Lows[i] += rng.NormFloat64() * 0.1 * span
+		out.Highs[i] += rng.NormFloat64() * 0.1 * span
+	}
+	return out.Normalize(sch)
+}
+
+// update carries the FT/RT switch of FT, MIX, AUG and HEM: a model that can
+// fine-tune takes the period's batch, a re-train model (the paper's RT
+// fallback) re-trains on all, everything it has seen so far.
+func update(m ce.Estimator, all, batch []query.Labeled) error {
+	if m.Policy() == ce.Retrain {
+		return m.Update(all)
+	}
+	return m.Update(batch)
 }
 
 func labeledOf(arrivals []warper.Arrival) []query.Labeled {

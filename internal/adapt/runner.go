@@ -3,7 +3,6 @@ package adapt
 import (
 	"warper/internal/ce"
 	"warper/internal/metrics"
-	"warper/internal/obs"
 	"warper/internal/query"
 	"warper/internal/warper"
 )
@@ -14,11 +13,6 @@ import (
 // point (0 queries) is the post-drift, pre-adaptation error α.
 type Runner struct {
 	Test []query.Labeled
-	// QErrHist, when non-nil, receives every per-query q-error measured
-	// while evaluating the curve — the same log-scale histogram the serving
-	// stack exposes on /metrics, so offline experiment reports and live
-	// dashboards read the identical distribution summary.
-	QErrHist *obs.Histogram
 }
 
 // Run executes every period and returns the curve. The test set is never
@@ -26,32 +20,16 @@ type Runner struct {
 // so far.
 func (r *Runner) Run(m Method, periods [][]warper.Arrival) (*metrics.Curve, error) {
 	curve := &metrics.Curve{}
-	curve.Append(0, r.eval(m.Model()))
+	curve.Append(0, ce.EvalGMQ(m.Model(), r.Test))
 	consumed := 0
 	for _, p := range periods {
 		if err := m.Step(p); err != nil {
 			return curve, err
 		}
 		consumed += len(p)
-		curve.Append(float64(consumed), r.eval(m.Model()))
+		curve.Append(float64(consumed), ce.EvalGMQ(m.Model(), r.Test))
 	}
 	return curve, nil
-}
-
-// eval measures the model's GMQ on the test set, feeding per-query q-errors
-// into QErrHist when attached.
-func (r *Runner) eval(m ce.Estimator) float64 {
-	if r.QErrHist == nil {
-		return ce.EvalGMQ(m, r.Test)
-	}
-	ests := make([]float64, len(r.Test))
-	acts := make([]float64, len(r.Test))
-	for i, lq := range r.Test {
-		ests[i] = m.Estimate(lq.Pred)
-		acts[i] = lq.Card
-		r.QErrHist.Observe(metrics.QError(ests[i], acts[i]))
-	}
-	return metrics.GMQ(ests, acts)
 }
 
 // SplitPeriods chops a stream of arrivals into fixed-size periods (the last

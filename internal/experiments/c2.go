@@ -5,7 +5,6 @@ import (
 
 	"warper/internal/adapt"
 	"warper/internal/metrics"
-	"warper/internal/obs"
 )
 
 // C2Result aggregates one c2 comparison: multiple adaptation methods run on
@@ -23,11 +22,6 @@ type C2Result struct {
 	Curves map[string]*metrics.Curve
 	// Annotations maps method name to mean extra annotations spent.
 	Annotations map[string]float64
-	// QErrors maps method name to the log-scale q-error histogram
-	// accumulated over every evaluation of every run — the same histogram
-	// shape the serving stack exports on /metrics, so tail behavior
-	// (p95/p99) is reported consistently on- and offline.
-	QErrors map[string]*obs.Histogram
 }
 
 // Speedups returns (Δ.5, Δ.8, Δ1) of a method relative to the FT curve.
@@ -44,17 +38,13 @@ func (r *C2Result) Speedups(method string) (d50, d80, d100 float64) {
 func RunC2(dsName, trainSpec, newSpec, model string, methodNames []string, sc Scale, seed int64) *C2Result {
 	res := &C2Result{
 		Dataset: dsName, TrainSpec: trainSpec, NewSpec: newSpec, Model: model,
-		MethodOrder: methodNames,
+		// A copy: the FT→RT rename below must not write through to the
+		// caller's slice.
+		MethodOrder: append([]string(nil), methodNames...),
 		Curves:      map[string]*metrics.Curve{},
 		Annotations: map[string]float64{},
-		QErrors:     map[string]*obs.Histogram{},
 	}
-	type agg struct {
-		points [][]float64 // per curve point, the GMQ of every run
-		xs     []float64
-		annSum float64
-	}
-	aggs := map[string]*agg{}
+	aggs := map[string]*aggCurve{}
 	for run := 0; run < sc.Runs; run++ {
 		runSeed := seed + int64(run)*7919
 		env := NewEnv(dsName, trainSpec, newSpec, model, sc, runSeed)
@@ -63,33 +53,13 @@ func RunC2(dsName, trainSpec, newSpec, model string, methodNames []string, sc Sc
 		periods := adapt.SplitPeriods(adapt.ArrivalsOf(env.Stream, true), sc.PeriodSize)
 		runner := &adapt.Runner{Test: env.Test}
 		for _, m := range env.Methods(methodNames, sc, runSeed+17) {
-			if res.QErrors[m.Name()] == nil {
-				res.QErrors[m.Name()] = obs.NewHistogram(obs.QErrorOpts())
-			}
-			runner.QErrHist = res.QErrors[m.Name()]
-			curve := mustCurve(runner.Run(m, periods))
-			a := aggs[m.Name()]
-			if a == nil {
-				a = &agg{points: make([][]float64, curve.Len()), xs: curve.Queries}
-				aggs[m.Name()] = a
-			}
-			for i, g := range curve.GMQ {
-				a.points[i] = append(a.points[i], g)
-			}
-			a.annSum += float64(m.AnnotationsSpent())
+			aggs[m.Name()] = aggs[m.Name()].add(must(runner.Run(m, periods)))
+			res.Annotations[m.Name()] += float64(m.AnnotationsSpent())
 		}
 	}
-	// Aggregate runs with the pointwise median: robust to a single
-	// divergent run dominating the mean.
 	for name, a := range aggs {
-		c := &metrics.Curve{}
-		for i := range a.points {
-			c.Append(a.xs[i], median(a.points[i]))
-		}
-		// A temporal median filter keeps single-point noise dips from
-		// winning λ-target crossings.
-		res.Curves[name] = c.MedianSmooth(3)
-		res.Annotations[name] = a.annSum / float64(sc.Runs)
+		res.Curves[name] = a.curve()
+		res.Annotations[name] /= float64(sc.Runs)
 	}
 	// Normalize method names (FT may have reported as RT for re-train
 	// models).

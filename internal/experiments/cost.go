@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -30,21 +31,21 @@ func measureCosts(ds string, sc Scale, seed int64) costProfile {
 	// Annotation: time a fresh batch.
 	env.Ann.ResetMeters()
 	probe := workload.Generate(env.NewGen, 50, rng)
-	mustAnnotateAll(env.Ann, probe)
+	must(env.Ann.AnnotateAll(context.Background(), probe))
 	// AnnotateAll meters a batch as one unit; per-query cost for
 	// separately arriving queries uses single counts.
 	env.Ann.ResetMeters()
 	for _, p := range probe[:10] {
-		mustCount(env.Ann, p)
+		must(env.Ann.Count(context.Background(), p))
 	}
 	prof.AnnotatePerQuery = env.Ann.MeanCostPerQuery()
 
 	// Warper: component build + a few invocations.
-	ad, _ := env.NewWarperAdapter(sc, seed+7)
-	probeN := minI(len(env.Stream), 80)
+	ad := env.NewWarperAdapter(sc, seed+7)
+	probeN := min(len(env.Stream), 80)
 	periods := adapt.SplitPeriods(adapt.ArrivalsOf(env.Stream[:probeN], true), probeN/2)
 	for _, p := range periods {
-		mustPeriod(ad, p)
+		must(ad.Period(p))
 	}
 	// The period clock charges every instant of a period to one ledger key
 	// (warper.Report.Stages); Table 6's C is the component work and the

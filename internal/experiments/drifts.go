@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 
 	"warper/internal/adapt"
@@ -49,11 +50,11 @@ func runC1(ds string, sc Scale, seed int64) []string {
 		dataset.SortTruncateHalf(env.Tbl, 0)
 		// The test set carries post-drift ground truth for the unchanged
 		// workload.
-		test := mustAnnotateAll(env.Ann, workload.Generate(env.TrainGen, sc.TestSize, rng))
+		test := must(env.Ann.AnnotateAll(context.Background(), workload.Generate(env.TrainGen, sc.TestSize, rng)))
 
 		// Oracle for δ_m: trained exclusively on post-drift labels.
 		oracle := NewModel("lm-mlp", env.Sch, runSeed+3)
-		mustTrain(oracle, mustAnnotateAll(env.Ann, workload.Generate(env.TrainGen, sc.StreamSize, rng)))
+		check(oracle.Train(must(env.Ann.AnnotateAll(context.Background(), workload.Generate(env.TrainGen, sc.StreamSize, rng)))))
 		dmSum += metrics.DeltaM(ce.EvalGMQ(env.Model, test), ce.EvalGMQ(oracle, test))
 		// δ_js is 0 by construction: the workload did not change.
 
@@ -72,12 +73,12 @@ func runC1(ds string, sc Scale, seed int64) []string {
 			for i := 0; i < budget && used < len(perm); i++ {
 				lq := env.Train[perm[used]]
 				used++
-				batch = append(batch, query.Labeled{Pred: lq.Pred, Card: mustCount(env.Ann, lq.Pred)})
+				batch = append(batch, query.Labeled{Pred: lq.Pred, Card: must(env.Ann.Count(context.Background(), lq.Pred))})
 			}
 			if len(batch) == 0 {
 				break
 			}
-			mustUpdate(ftModel, batch)
+			check(ftModel.Update(batch))
 			ftCurve.Append(float64(used), ce.EvalGMQ(ftModel, test))
 		}
 
@@ -88,7 +89,7 @@ func runC1(ds string, sc Scale, seed int64) []string {
 		cfg.Gamma = sc.gamma()
 		cfg.AnnotateBudget = budget
 		wModel := env.Model.Clone()
-		ad := mustAdapter(warper.New(cfg, wModel, env.Sch, env.Ann, env.Train))
+		ad := must(warper.New(cfg, wModel, env.Sch, env.Ann, env.Train))
 		wCurve := &metrics.Curve{}
 		wCurve.Append(0, ce.EvalGMQ(wModel, test))
 		spent := 0
@@ -96,16 +97,16 @@ func runC1(ds string, sc Scale, seed int64) []string {
 			arrivals := make([]warper.Arrival, budget/2)
 			for i := range arrivals {
 				pr := env.TrainGen.Gen(rng)
-				arrivals[i] = warper.Arrival{Pred: pr, GT: mustCount(env.Ann, pr), HasGT: true}
+				arrivals[i] = warper.Arrival{Pred: pr, GT: must(env.Ann.Count(context.Background(), pr)), HasGT: true}
 			}
-			rep := mustPeriod(ad, arrivals)
+			rep := must(ad.Period(arrivals))
 			spent += rep.Annotated
 			wCurve.Append(float64(spent), ce.EvalGMQ(wModel, test))
 		}
 		ftAgg = ftAgg.add(ftCurve)
 		wAgg = wAgg.add(wCurve)
 	}
-	ft, w := ftAgg.mean(sc.Runs), wAgg.mean(sc.Runs)
+	ft, w := ftAgg.curve(), wAgg.curve()
 	d5, d8, d1 := metrics.SpeedupTriple(ft, w)
 	return []string{ds, "c1", "w1-5", "LM-mlp", f1(dmSum / float64(sc.Runs)), "0.00", f1(d5), f1(d8), f1(d1)}
 }
@@ -136,10 +137,10 @@ func runC3(ds string, sc Scale, seed int64) []string {
 			idx := rng.Perm(len(period))
 			for i := 0; i < budget && i < len(idx); i++ {
 				pr := period[idx[i]].Pred
-				batch = append(batch, query.Labeled{Pred: pr, Card: mustCount(env.Ann, pr)})
+				batch = append(batch, query.Labeled{Pred: pr, Card: must(env.Ann.Count(context.Background(), pr))})
 				spent++
 			}
-			mustUpdate(ftModel, batch)
+			check(ftModel.Update(batch))
 			ftCurve.Append(float64(spent), ce.EvalGMQ(ftModel, env.Test))
 		}
 
@@ -150,28 +151,29 @@ func runC3(ds string, sc Scale, seed int64) []string {
 		cfg.AnnotateBudget = budget
 		cfg.GenFraction = 0.001 // c3: picker only, no generation
 		wModel := env.Model.Clone()
-		ad := mustAdapter(warper.New(cfg, wModel, env.Sch, env.Ann, env.Train))
+		ad := must(warper.New(cfg, wModel, env.Sch, env.Ann, env.Train))
 		wCurve := &metrics.Curve{}
 		wCurve.Append(0, ce.EvalGMQ(wModel, env.Test))
 		wSpent := 0
 		for _, period := range periods {
-			rep := mustPeriod(ad, period)
+			rep := must(ad.Period(period))
 			wSpent += rep.Annotated
 			wCurve.Append(float64(wSpent), ce.EvalGMQ(wModel, env.Test))
 		}
 		ftAgg = ftAgg.add(ftCurve)
 		wAgg = wAgg.add(wCurve)
 	}
-	ft, w := ftAgg.mean(sc.Runs), wAgg.mean(sc.Runs)
+	ft, w := ftAgg.curve(), wAgg.curve()
 	d5, d8, d1 := metrics.SpeedupTriple(ft, w)
 	return []string{ds, "c3", "w12/345", "LM-mlp",
 		f1(dmSum / float64(sc.Runs)), f2(jsSum / float64(sc.Runs)), f1(d5), f1(d8), f1(d1)}
 }
 
-// aggCurve accumulates curves pointwise across runs. Curves from different
-// runs may have slightly different x grids (annotation counts); the
-// aggregate keeps the first run's grid and takes the pointwise median by
-// point index (robust to one divergent run).
+// aggCurve accumulates curves pointwise across runs — every multi-run
+// experiment aggregates through it. Curves from different runs may have
+// slightly different x grids (annotation counts); the aggregate keeps the
+// first run's grid and takes the pointwise median by point index (robust to
+// one divergent run dominating the mean).
 type aggCurve struct {
 	xs     []float64
 	points [][]float64
@@ -187,7 +189,9 @@ func (a *aggCurve) add(c *metrics.Curve) *aggCurve {
 	return a
 }
 
-func (a *aggCurve) mean(runs int) *metrics.Curve {
+// curve is the aggregate: the pointwise median, then a temporal median
+// filter that keeps single-point noise dips from winning λ-target crossings.
+func (a *aggCurve) curve() *metrics.Curve {
 	out := &metrics.Curve{}
 	for i := range a.points {
 		out.Append(a.xs[i], median(a.points[i]))

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"warper/internal/adapt"
 	"warper/internal/annotator"
 	"warper/internal/ce"
 	"warper/internal/dataset"
@@ -54,8 +56,8 @@ func (e *e2eEnv) labeledPairs(specL, specO string, n int) (ls, os []query.Labele
 	for i := 0; i < n; i++ {
 		pl := gl.Gen(e.rng)
 		po := gob.Gen(e.rng)
-		ls = append(ls, query.Labeled{Pred: pl, Card: mustCount(e.annL, pl)})
-		os = append(os, query.Labeled{Pred: po, Card: mustCount(e.annO, po)})
+		ls = append(ls, query.Labeled{Pred: pl, Card: must(e.annL.Count(context.Background(), pl))})
+		os = append(os, query.Labeled{Pred: po, Card: must(e.annO.Count(context.Background(), po))})
 	}
 	return ls, os
 }
@@ -111,50 +113,58 @@ func Table9(sc Scale, seed int64) []*Table {
 	return []*Table{t}
 }
 
-// e2eMethod adapts the two per-table CE models across periods.
-type e2eMethod interface {
-	name() string
-	step(arrL, arrO []warper.Arrival)
-	models() (ce.Estimator, ce.Estimator)
+// trainedPair trains one LM-mlp per table. Methods built over two pairs
+// trained from one seed start from identical weights.
+func (e *e2eEnv) trainedPair(trainL, trainO []query.Labeled, seed int64) (ce.Estimator, ce.Estimator) {
+	mL := ce.NewLM(ce.LMMLP, e.schL, seed)
+	check(mL.Train(trainL))
+	mO := ce.NewLM(ce.LMMLP, e.schO, seed+1)
+	check(mO.Train(trainO))
+	return mL, mO
 }
 
-// e2eFT fine-tunes both models with labeled arrivals.
-type e2eFT struct{ mL, mO ce.Estimator }
-
-func (f *e2eFT) name() string { return "FT" }
-func (f *e2eFT) step(arrL, arrO []warper.Arrival) {
-	mustUpdate(f.mL, labeledArr(arrL))
-	mustUpdate(f.mO, labeledArr(arrO))
-}
-func (f *e2eFT) models() (ce.Estimator, ce.Estimator) { return f.mL, f.mO }
-
-// e2eNoAdapt leaves the models untouched (Figure 1's "before adaptation").
-type e2eNoAdapt struct{ mL, mO ce.Estimator }
-
-func (f *e2eNoAdapt) name() string                         { return "NoAdapt" }
-func (f *e2eNoAdapt) step(_, _ []warper.Arrival)           {}
-func (f *e2eNoAdapt) models() (ce.Estimator, ce.Estimator) { return f.mL, f.mO }
-
-// e2eWarper runs one Adapter per table.
-type e2eWarper struct {
-	adL, adO *warper.Adapter
-}
-
-func (w *e2eWarper) name() string { return "Warper" }
-func (w *e2eWarper) step(arrL, arrO []warper.Arrival) {
-	mustPeriod(w.adL, arrL)
-	mustPeriod(w.adO, arrO)
-}
-func (w *e2eWarper) models() (ce.Estimator, ce.Estimator) { return w.adL.M, w.adO.M }
-
-func labeledArr(arr []warper.Arrival) []query.Labeled {
-	var out []query.Labeled
-	for _, a := range arr {
-		if a.HasGT {
-			out = append(out, query.Labeled{Pred: a.Pred, Card: a.GT})
+// run drives Figures 1 and 9. A method is a pair of adapt.Methods, one per
+// table. Each period every method steps through the same perPeriod labeled
+// (L, O) arrivals of spec(t), then is scored on testN fresh pairs; every
+// scenario's table gets the row: period, each method's GMQ (the mean of its
+// two tables'), then each method's latency over the test pairs, normalized
+// to the true-cardinality plans'.
+func (e *e2eEnv) run(methods [][2]adapt.Method, scens []engine.Scenario, tables []*Table,
+	periods, perPeriod, testN int, spec func(t int) string) {
+	for _, tbl := range tables {
+		tbl.Header = []string{"Period"}
+		for _, kind := range []string{"GMQ ", "Lat "} {
+			for _, m := range methods {
+				tbl.Header = append(tbl.Header, kind+m[0].Name())
+			}
 		}
 	}
-	return out
+	for t := 0; t < periods; t++ {
+		ls, os := e.labeledPairs(spec(t), spec(t), perPeriod)
+		testL, testO := e.labeledPairs(spec(t), spec(t), testN)
+		gmqs := make([]string, len(methods))
+		for i, m := range methods {
+			check(m[0].Step(adapt.ArrivalsOf(ls, true)))
+			check(m[1].Step(adapt.ArrivalsOf(os, true)))
+			gmqs[i] = f2((ce.EvalGMQ(m[0].Model(), testL) + ce.EvalGMQ(m[1].Model(), testO)) / 2)
+		}
+		for si, s := range scens {
+			row := append([]string{fmt.Sprint(t + 1)}, gmqs...)
+			for _, m := range methods {
+				mL, mO := m[0].Model(), m[1].Model()
+				var actual, ideal float64
+				for i := range testL {
+					good, bad := e.eng.LatencyGap(s, testL[i].Pred, testO[i].Pred,
+						mL.Estimate(testL[i].Pred), mO.Estimate(testO[i].Pred),
+						testL[i].Card, testO[i].Card)
+					actual += float64(bad)
+					ideal += float64(good)
+				}
+				row = append(row, f2(actual/ideal))
+			}
+			tables[si].Rows = append(tables[si].Rows, row)
+		}
+	}
 }
 
 // e2eDrift names one continuous-drift schedule of Figure 9.
@@ -195,91 +205,41 @@ func fig9Drifts() []e2eDrift {
 // accuracy and S1–S3 query latency for Warper vs FT (latency normalized to
 // the true-cardinality plan).
 func Fig9(sc Scale, seed int64) []*Table {
-	var out []*Table
 	const (
 		periods    = 8
 		perPeriod  = 30
 		latQueries = 15
 	)
+	scens := []engine.Scenario{engine.S1BufferSpill, engine.S2JoinType, engine.S3BitmapSide}
+	var out []*Table
 	for _, d := range fig9Drifts() {
 		e := newE2E(seed)
 		// Seed models trained on w1 over both tables.
 		trainL, trainO := e.labeledPairs("w1", "w1", sc.TrainSize)
-		mkModels := func(s int64) (ce.Estimator, ce.Estimator) {
-			mL := ce.NewLM(ce.LMMLP, e.schL, s)
-			mustTrain(mL, trainL)
-			mO := ce.NewLM(ce.LMMLP, e.schO, s+1)
-			mustTrain(mO, trainO)
-			return mL, mO
-		}
 		wcfg := sc.Warper
 		wcfg.Gamma = periods * perPeriod
 		wcfg.Seed = seed + 5
-		mLW, mOW := mkModels(seed + 100)
-		mLF, mOF := mkModels(seed + 100) // same seed: identical start
-		methods := []e2eMethod{
-			&e2eFT{mL: mLF, mO: mOF},
-			&e2eWarper{
-				adL: mustAdapter(warper.New(wcfg, mLW, e.schL, e.annL, trainL)),
-				adO: mustAdapter(warper.New(wcfg, mOW, e.schO, e.annO, trainO)),
-			},
+		mLW, mOW := e.trainedPair(trainL, trainO, seed+100)
+		mLF, mOF := e.trainedPair(trainL, trainO, seed+100) // same seed: identical start
+		methods := [][2]adapt.Method{
+			{adapt.NewFT(mLF, trainL), adapt.NewFT(mOF, trainO)},
+			{adapt.NewWarper(must(warper.New(wcfg, mLW, e.schL, e.annL, trainL))),
+				adapt.NewWarper(must(warper.New(wcfg, mOW, e.schO, e.annO, trainO)))},
 		}
 		if d.dataDrift != nil {
 			d.dataDrift(e)
 		}
-
-		for _, s := range []engine.Scenario{engine.S1BufferSpill, engine.S2JoinType, engine.S3BitmapSide} {
-			t := &Table{
+		tables := make([]*Table, len(scens))
+		for i, s := range scens {
+			tables[i] = &Table{
 				ID: fmt.Sprintf("Figure 9 (%s, Drift %s)", s, d.name),
 				Title: "Per-period GMQ and latency (normalized to the true-cardinality plan), " +
 					"Warper vs FT under a continuous drift",
-				Header: []string{"Period", "GMQ FT", "GMQ Warper", "Lat FT", "Lat Warper"},
-			}
-			out = append(out, t)
-		}
-		scenTables := out[len(out)-3:]
-
-		for t := 0; t < periods; t++ {
-			spec := d.specAt(t, periods)
-			arrL := make([]warper.Arrival, perPeriod)
-			arrO := make([]warper.Arrival, perPeriod)
-			ls, osQ := e.labeledPairs(spec, spec, perPeriod)
-			for i := 0; i < perPeriod; i++ {
-				arrL[i] = warper.Arrival{Pred: ls[i].Pred, GT: ls[i].Card, HasGT: true}
-				arrO[i] = warper.Arrival{Pred: osQ[i].Pred, GT: osQ[i].Card, HasGT: true}
-			}
-			testL, testO := e.labeledPairs(spec, spec, latQueries)
-
-			var gmqs [2]float64
-			for mi, m := range methods {
-				m.step(arrL, arrO)
-				mL, mO := m.models()
-				gmqs[mi] = (ce.EvalGMQ(mL, testL) + ce.EvalGMQ(mO, testO)) / 2
-			}
-			for si, s := range []engine.Scenario{engine.S1BufferSpill, engine.S2JoinType, engine.S3BitmapSide} {
-				var latFT, latW float64
-				for mi, m := range methods {
-					mL, mO := m.models()
-					var actual, ideal float64
-					for i := 0; i < latQueries; i++ {
-						good, bad := e.eng.LatencyGap(s,
-							testL[i].Pred, testO[i].Pred,
-							mL.Estimate(testL[i].Pred), mO.Estimate(testO[i].Pred),
-							testL[i].Card, testO[i].Card)
-						actual += float64(bad)
-						ideal += float64(good)
-					}
-					if mi == 0 {
-						latFT = actual / ideal
-					} else {
-						latW = actual / ideal
-					}
-				}
-				scenTables[si].Rows = append(scenTables[si].Rows, []string{
-					fmt.Sprint(t + 1), f2(gmqs[0]), f2(gmqs[1]), f2(latFT), f2(latW),
-				})
 			}
 		}
+		e.run(methods, scens, tables, periods, perPeriod, latQueries,
+			func(t int) string { return d.specAt(t, periods) })
+		out = append(out, tables...)
 	}
 	return out
 }
@@ -298,61 +258,22 @@ func Fig1(sc Scale, seed int64) []*Table {
 		periods   = 6
 		perPeriod = 30
 	)
-	mkModels := func(s int64) (ce.Estimator, ce.Estimator) {
-		mL := ce.NewLM(ce.LMMLP, e.schL, s)
-		mustTrain(mL, trainL)
-		mO := ce.NewLM(ce.LMMLP, e.schO, s+1)
-		mustTrain(mO, trainO)
-		return mL, mO
-	}
 	wcfg := sc.Warper
 	wcfg.Gamma = periods * perPeriod
 	wcfg.Seed = seed + 3
-	mLW, mOW := mkModels(seed + 200)
-	mLN, mON := mkModels(seed + 200)
-	methods := []e2eMethod{
-		&e2eNoAdapt{mL: mLN, mO: mON},
-		&e2eWarper{
-			adL: mustAdapter(warper.New(wcfg, mLW, e.schL, e.annL, trainL)),
-			adO: mustAdapter(warper.New(wcfg, mOW, e.schO, e.annO, trainO)),
-		},
+	mLW, mOW := e.trainedPair(trainL, trainO, seed+200)
+	mLN, mON := e.trainedPair(trainL, trainO, seed+200)
+	methods := [][2]adapt.Method{
+		{adapt.NoAdapt{M: mLN}, adapt.NoAdapt{M: mON}},
+		{adapt.NewWarper(must(warper.New(wcfg, mLW, e.schL, e.annL, trainL))),
+			adapt.NewWarper(must(warper.New(wcfg, mOW, e.schO, e.annO, trainO)))},
 	}
 	t := &Table{
 		ID: "Figure 1",
 		Title: "Motivation: drift w2→w1 on the L predicate of L⋈O; GMQ and S1 latency " +
 			"(normalized to true-card plans), no adaptation vs Warper",
-		Header: []string{"Period", "GMQ NoAdapt", "GMQ Warper", "Lat NoAdapt", "Lat Warper"},
 	}
-	for p := 0; p < periods; p++ {
-		ls, osQ := e.labeledPairs("w1", "w1", perPeriod)
-		arrL := make([]warper.Arrival, perPeriod)
-		arrO := make([]warper.Arrival, perPeriod)
-		for i := 0; i < perPeriod; i++ {
-			arrL[i] = warper.Arrival{Pred: ls[i].Pred, GT: ls[i].Card, HasGT: true}
-			arrO[i] = warper.Arrival{Pred: osQ[i].Pred, GT: osQ[i].Card, HasGT: true}
-		}
-		testL, testO := e.labeledPairs("w1", "w1", 25)
-		row := []string{fmt.Sprint(p + 1)}
-		var gmqCells, latCells []string
-		for _, m := range methods {
-			m.step(arrL, arrO)
-			mL, mO := m.models()
-			gmq := (ce.EvalGMQ(mL, testL) + ce.EvalGMQ(mO, testO)) / 2
-			var actual, ideal float64
-			for i := range testL {
-				good, bad := e.eng.LatencyGap(engine.S1BufferSpill,
-					testL[i].Pred, testO[i].Pred,
-					mL.Estimate(testL[i].Pred), mO.Estimate(testO[i].Pred),
-					testL[i].Card, testO[i].Card)
-				actual += float64(bad)
-				ideal += float64(good)
-			}
-			gmqCells = append(gmqCells, f2(gmq))
-			latCells = append(latCells, f2(actual/ideal))
-		}
-		row = append(row, gmqCells...)
-		row = append(row, latCells...)
-		t.Rows = append(t.Rows, row)
-	}
+	e.run(methods, []engine.Scenario{engine.S1BufferSpill}, []*Table{t}, periods, perPeriod, 25,
+		func(int) string { return "w1" })
 	return []*Table{t}
 }

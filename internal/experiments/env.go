@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -53,17 +54,17 @@ func NewEnv(dsName, trainSpec, newSpec, model string, sc Scale, seed int64) *Env
 	e.TrainGen = workload.Parse(trainSpec, tbl, sch, wkldOpts)
 	e.NewGen = workload.Parse(newSpec, tbl, sch, wkldOpts)
 
-	e.Train = mustAnnotateAll(ann, workload.Generate(e.TrainGen, sc.TrainSize, rng))
-	e.Stream = mustAnnotateAll(ann, workload.Generate(e.NewGen, sc.StreamSize, rng))
-	e.Test = mustAnnotateAll(ann, workload.Generate(e.NewGen, sc.TestSize, rng))
+	e.Train = must(ann.AnnotateAll(context.Background(), workload.Generate(e.TrainGen, sc.TrainSize, rng)))
+	e.Stream = must(ann.AnnotateAll(context.Background(), workload.Generate(e.NewGen, sc.StreamSize, rng)))
+	e.Test = must(ann.AnnotateAll(context.Background(), workload.Generate(e.NewGen, sc.TestSize, rng)))
 
 	e.Model = NewModel(model, sch, seed+1)
-	mustTrain(e.Model, e.Train)
+	check(e.Model.Train(e.Train))
 
 	// Drift metrics: δ_m (blind accuracy gap vs a model trained exclusively
 	// on the new workload) and δ_js (intrinsic distribution distance).
 	oracle := NewModel(model, sch, seed+2)
-	mustTrain(oracle, e.Stream)
+	check(oracle.Train(e.Stream))
 	e.DeltaM = metrics.DeltaM(ce.EvalGMQ(e.Model, e.Test), ce.EvalGMQ(oracle, e.Test))
 	var trainPreds, newPreds []query.Predicate
 	for _, lq := range e.Train {
@@ -86,11 +87,7 @@ func datasetByName(name string, rows int, rng *rand.Rand) *dataset.Table {
 	if rows == 0 {
 		rows = defaultRows[name]
 	}
-	tbl, err := dataset.ByName(name, rows, rng)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return tbl
+	return must(dataset.ByName(name, rows, rng))
 }
 
 // NewModel builds an untrained CE model by name.
@@ -107,12 +104,11 @@ func NewModel(name string, sch *query.Schema, seed int64) ce.Estimator {
 
 // NewWarperAdapter builds an Adapter over a clone of the env's model (so
 // methods compare from identical starting weights).
-func (e *Env) NewWarperAdapter(sc Scale, seed int64) (*warper.Adapter, ce.Estimator) {
+func (e *Env) NewWarperAdapter(sc Scale, seed int64) *warper.Adapter {
 	cfg := sc.Warper
 	cfg.Seed = seed
 	cfg.Gamma = sc.gamma()
-	m := e.Model.Clone()
-	return mustAdapter(warper.New(cfg, m, e.Sch, e.Ann, e.Train)), m
+	return must(warper.New(cfg, e.Model.Clone(), e.Sch, e.Ann, e.Train))
 }
 
 // Methods builds the named adaptation methods over clones of the env model.
@@ -132,18 +128,17 @@ func (e *Env) Methods(names []string, sc Scale, seed int64) []adapt.Method {
 		case "HEM":
 			out = append(out, adapt.NewHEM(e.Model.Clone(), e.Sch, e.Ann, e.Train, s))
 		case "Warper":
-			ad, _ := e.NewWarperAdapter(sc, s)
-			out = append(out, adapt.NewWarper(ad))
+			out = append(out, adapt.NewWarper(e.NewWarperAdapter(sc, s)))
 		case "Warper:rnd":
-			ad, _ := e.NewWarperAdapter(sc, s)
+			ad := e.NewWarperAdapter(sc, s)
 			ad.Picker.Strategy = warper.StrategyRandom
 			out = append(out, named{adapt.NewWarper(ad), "Warper:rnd"})
 		case "Warper:entropy":
-			ad, _ := e.NewWarperAdapter(sc, s)
+			ad := e.NewWarperAdapter(sc, s)
 			ad.Picker.Strategy = warper.StrategyEntropy
 			out = append(out, named{adapt.NewWarper(ad), "Warper:entropy"})
 		case "Warper:augGen":
-			ad, _ := e.NewWarperAdapter(sc, s)
+			ad := e.NewWarperAdapter(sc, s)
 			ad.GenFunc = e.augGenFunc(s)
 			out = append(out, named{adapt.NewWarper(ad), "Warper:augGen"})
 		default:
@@ -154,8 +149,8 @@ func (e *Env) Methods(names []string, sc Scale, seed int64) []adapt.Method {
 }
 
 // augGenFunc is the Table 10 "𝔾→AUG" ablation: replace the GAN generator
-// with Gaussian noise (std 10% of each column range) around the newly
-// arrived queries in the pool.
+// with AUG's Gaussian noise (adapt.Noisy) around the newly arrived queries
+// in the pool.
 func (e *Env) augGenFunc(seed int64) func(p *pool.Pool, n int) []query.Predicate {
 	rng := rand.New(rand.NewSource(seed))
 	return func(p *pool.Pool, n int) []query.Predicate {
@@ -165,13 +160,7 @@ func (e *Env) augGenFunc(seed int64) func(p *pool.Pool, n int) []query.Predicate
 		}
 		out := make([]query.Predicate, 0, n)
 		for i := 0; i < n; i++ {
-			src := newEntries[rng.Intn(len(newEntries))].Pred.Clone()
-			for c := range src.Lows {
-				span := e.Sch.Maxs[c] - e.Sch.Mins[c]
-				src.Lows[c] += rng.NormFloat64() * 0.1 * span
-				src.Highs[c] += rng.NormFloat64() * 0.1 * span
-			}
-			out = append(out, src.Normalize(e.Sch))
+			out = append(out, adapt.Noisy(newEntries[rng.Intn(len(newEntries))].Pred, e.Sch, rng))
 		}
 		return out
 	}

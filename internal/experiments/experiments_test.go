@@ -59,24 +59,38 @@ func TestRunC2ProducesConsistentCurves(t *testing.T) {
 		t.Skip("training-heavy; skipped under -short (race pass)")
 	}
 	sc := smokeScale()
-	res := RunC2("prsa", "w1", "w4", "lm-mlp", []string{"FT", "Warper"}, sc, 5)
-	if len(res.Curves) != 2 {
-		t.Fatalf("curves = %d", len(res.Curves))
-	}
-	ft := res.Curves["FT"]
-	w := res.Curves["Warper"]
-	if ft.Len() != w.Len() || ft.Len() != sc.StreamSize/sc.PeriodSize+1 {
-		t.Errorf("curve lengths: ft=%d warper=%d", ft.Len(), w.Len())
-	}
-	// Both start from the same unadapted model error.
-	if ft.Initial() != w.Initial() {
-		t.Errorf("methods start from different errors: %v vs %v", ft.Initial(), w.Initial())
-	}
-	d5, d8, d1 := res.Speedups("Warper")
-	for _, d := range []float64{d5, d8, d1} {
-		if d < 0 {
-			t.Errorf("negative speedup %v", d)
-		}
+	// One names slice shared by every row, as Fig6/Fig8 share fig6Methods:
+	// RunC2 renames FT to RT for re-train models and must do so on its own
+	// copy.
+	names := []string{"FT", "Warper"}
+	for _, c := range []struct{ model, ft string }{{"lm-mlp", "FT"}, {"lm-gbt", "RT"}} {
+		t.Run(c.model, func(t *testing.T) {
+			res := RunC2("prsa", "w1", "w4", c.model, names, sc, 5)
+			if names[0] != "FT" || names[1] != "Warper" {
+				t.Errorf("RunC2 rewrote the caller's method names: %v", names)
+			}
+			if got := res.MethodOrder; len(got) != 2 || got[0] != c.ft || got[1] != "Warper" {
+				t.Errorf("MethodOrder = %v, want [%s Warper]", got, c.ft)
+			}
+			if len(res.Curves) != 2 {
+				t.Fatalf("curves = %d", len(res.Curves))
+			}
+			ft := res.Curves[c.ft]
+			w := res.Curves["Warper"]
+			if ft.Len() != w.Len() || ft.Len() != sc.StreamSize/sc.PeriodSize+1 {
+				t.Errorf("curve lengths: %s=%d warper=%d", c.ft, ft.Len(), w.Len())
+			}
+			// Both start from the same unadapted model error.
+			if ft.Initial() != w.Initial() {
+				t.Errorf("methods start from different errors: %v vs %v", ft.Initial(), w.Initial())
+			}
+			d5, d8, d1 := res.Speedups("Warper")
+			for _, d := range []float64{d5, d8, d1} {
+				if d < 0 {
+					t.Errorf("negative speedup %v", d)
+				}
+			}
+		})
 	}
 }
 

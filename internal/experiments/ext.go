@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 
 	"warper/internal/annotator"
@@ -23,24 +24,19 @@ func ExtHistogram(sc Scale, seed int64) []*Table {
 		Header: []string{"Condition", "LM-mlp GMQ", "Histogram GMQ"},
 	}
 	rng := rand.New(rand.NewSource(seed))
-	rows := sc.Rows
-	if rows == 0 {
-		rows = 6000
-	}
-	tbl := dataset.PRSA(rows, rng)
+	tbl := datasetByName("prsa", sc.Rows, rng)
 	sch := query.SchemaOf(tbl)
 	ann := annotator.New(tbl)
-	opts := workload.Options{MinConstrained: 1, MaxConstrained: 2}
-	gTrain := workload.Parse("w12", tbl, sch, opts)
-	gNew := workload.Parse("w345", tbl, sch, opts)
+	gTrain := workload.Parse("w12", tbl, sch, wkldOpts)
+	gNew := workload.Parse("w345", tbl, sch, wkldOpts)
 
-	train := mustAnnotateAll(ann, workload.Generate(gTrain, sc.TrainSize, rng))
+	train := must(ann.AnnotateAll(context.Background(), workload.Generate(gTrain, sc.TrainSize, rng)))
 	lm := ce.NewLM(ce.LMMLP, sch, seed+1)
-	mustTrain(lm, train)
+	check(lm.Train(train))
 	hist := ce.NewHistogramEstimator(tbl, 64)
 
 	evalOn := func(g workload.Generator) (float64, float64) {
-		test := mustAnnotateAll(ann, workload.Generate(g, sc.TestSize, rng))
+		test := must(ann.AnnotateAll(context.Background(), workload.Generate(g, sc.TestSize, rng)))
 		return ce.EvalGMQ(lm, test), ce.EvalGMQ(hist, test)
 	}
 
@@ -56,10 +52,10 @@ func ExtHistogram(sc Scale, seed int64) []*Table {
 	lmDd, hDd := evalOn(gTrain)
 	t.Rows = append(t.Rows, []string{"data drift, no adaptation", f2(lmDd), f2(hDd)})
 
-	mustUpdate(hist, nil) // rebuild from the mutated table — free for histograms
+	check(hist.Update(nil)) // rebuild from the mutated table — free for histograms
 	_, hReb := evalOn(gTrain)
-	relabeled := mustAnnotateAll(ann, workload.Generate(gTrain, sc.StreamSize, rng))
-	mustUpdate(lm, relabeled) // the LM needs fresh labels to recover
+	relabeled := must(ann.AnnotateAll(context.Background(), workload.Generate(gTrain, sc.StreamSize, rng)))
+	check(lm.Update(relabeled)) // the LM needs fresh labels to recover
 	lmReb, _ := evalOn(gTrain)
 	t.Rows = append(t.Rows, []string{"data drift, after adaptation", f2(lmReb), f2(hReb)})
 

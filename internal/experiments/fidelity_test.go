@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -20,23 +21,33 @@ var fidelitySeeds = []int64{1, 2, 3}
 
 // TestFidelityFig6Ordering: under workload drift c2 (w12 → w345, LM-mlp)
 // Warper ends the stream at or below fine-tuning and below MIX and HEM
-// (Figure 6) on PRSA and Poker. Higgs is deliberately not asserted: at this
-// scale its δ_m is 0–0.3, and the paper's own caveat covers that regime —
-// "when δ_m is small the model is already accurate on the new workload, and
-// there is little for any adaptation method to gain" (§4.2, the Table 7
-// rows with δ_m ≈ 0.2).
+// (Figure 6) on PRSA and Poker, and wherever the median δ_m exceeds 0.5 its
+// median Δ1 speedup over FT is at least 1 (ROADMAP item 1a). Higgs is
+// deliberately not asserted: at this scale its δ_m is 0–0.3, and the
+// paper's own caveat covers that regime — "when δ_m is small the model is
+// already accurate on the new workload, and there is little for any
+// adaptation method to gain" (§4.2, the Table 7 rows with δ_m ≈ 0.2).
 func TestFidelityFig6Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training-heavy; skipped under -short (race pass)")
 	}
 	for _, ds := range []string{"prsa", "poker"} {
 		final := map[string][]float64{}
+		var deltaM, d5, d8, d1 []float64
 		for _, seed := range fidelitySeeds {
-			res := RunC2(ds, "w12", "w345", "lm-mlp", append([]string(nil), fig6Methods...), QuickScale(), seed)
+			res := RunC2(ds, "w12", "w345", "lm-mlp", fig6Methods, QuickScale(), seed)
 			for _, m := range fig6Methods {
 				c := res.Curves[m]
 				final[m] = append(final[m], c.GMQ[c.Len()-1])
 			}
+			s5, s8, s1 := res.Speedups("Warper")
+			deltaM, d5, d8, d1 = append(deltaM, res.DeltaM), append(d5, s5), append(d8, s8), append(d1, s1)
+		}
+		t.Logf("%s per seed: δm %.2f Δ.5 %.2f Δ.8 %.2f Δ1 %.2f", ds, deltaM, d5, d8, d1)
+		// Table 7a: where the drift leaves a real gap (δ_m > 0.5), Warper
+		// reaches FT's final accuracy no later than FT does.
+		if dm, s1 := median(deltaM), median(d1); dm > 0.5 && s1 < 1 {
+			t.Errorf("%s: median Δ1 %.2f < 1 at median δm %.2f", ds, s1, dm)
 		}
 		w := median(final["Warper"])
 		t.Logf("%s final GMQ, median of seeds %v: FT %.3f MIX %.3f AUG %.3f HEM %.3f Warper %.3f",
@@ -71,7 +82,7 @@ func TestFidelityDetectorClassifies(t *testing.T) {
 			cfg := sc.Warper
 			cfg.Seed = seed + 17
 			cfg.Gamma = gamma
-			return mustAdapter(warper.New(cfg, env.Model.Clone(), env.Sch, env.Ann, env.Train))
+			return must(warper.New(cfg, env.Model.Clone(), env.Sch, env.Ann, env.Train))
 		}
 		labeled := adapt.ArrivalsOf(env.Stream[:60], true)
 		for _, c := range []struct {
@@ -84,7 +95,7 @@ func TestFidelityDetectorClassifies(t *testing.T) {
 			{"c3", 20, adapt.ArrivalsOf(env.Stream[:60], false), warper.C3},
 			{"c4", 20, labeled, warper.C4},
 		} {
-			det := mustPeriod(adapter(c.gamma), c.arrivals).Detection
+			det := must(adapter(c.gamma).Period(c.arrivals)).Detection
 			if det.Mode != c.want {
 				t.Errorf("seed %d %s: mode = %v (δm %.2f, δjs %.2f, nt %d, na %d), want %v",
 					seed, c.name, det.Mode, det.DeltaM, det.DeltaJS, det.NT, det.NA, c.want)
@@ -94,7 +105,7 @@ func TestFidelityDetectorClassifies(t *testing.T) {
 		ad := adapter(sc.gamma())
 		dataset.SortTruncateHalf(env.Tbl, 0)
 		same := workload.Generate(env.TrainGen, 10, rand.New(rand.NewSource(seed)))
-		det := mustPeriod(ad, adapt.ArrivalsOf(mustAnnotateAll(env.Ann, same), true)).Detection
+		det := must(ad.Period(adapt.ArrivalsOf(must(env.Ann.AnnotateAll(context.Background(), same)), true))).Detection
 		if !det.Mode.Has(warper.C1) || !det.FreshC1 {
 			t.Errorf("seed %d c1: mode = %v (fresh %v), want a fresh c1", seed, det.Mode, det.FreshC1)
 		}

@@ -14,7 +14,7 @@ var datasets = []string{"prsa", "poker", "higgs"}
 func Fig6(sc Scale, seed int64) []*Table {
 	var out []*Table
 	for _, ds := range datasets {
-		res := RunC2(ds, "w12", "w345", "lm-mlp", append([]string(nil), fig6Methods...), sc, seed)
+		res := RunC2(ds, "w12", "w345", "lm-mlp", fig6Methods, sc, seed)
 		out = append(out, res.CurveTable("Figure 6 ("+ds+")",
 			fmt.Sprintf("GMQ vs new-workload queries, c2 w12/345, LM-mlp, %s (δm=%.1f δjs=%.2f)",
 				ds, res.DeltaM, res.DeltaJS)))
@@ -106,7 +106,7 @@ var fig8Pairs = []struct {
 func Fig8(sc Scale, seed int64) []*Table {
 	var out []*Table
 	for _, c := range fig8Pairs {
-		res := RunC2(c.ds, c.pair[0], c.pair[1], "lm-mlp", append([]string(nil), fig6Methods...), sc, seed)
+		res := RunC2(c.ds, c.pair[0], c.pair[1], "lm-mlp", fig6Methods, sc, seed)
 		out = append(out, res.CurveTable(
 			fmt.Sprintf("Figure 8 (%s %s→%s)", c.ds, c.pair[0], c.pair[1]),
 			fmt.Sprintf("GMQ vs queries, LM-mlp (δm=%.1f δjs=%.2f)", res.DeltaM, res.DeltaJS)))
@@ -124,7 +124,7 @@ func Table10(sc Scale, seed int64) []*Table {
 		Header: []string{"Metric", "Dataset", "Warper", "P->rnd", "P->entropy", "G->AUG"},
 	}
 	for _, ds := range []string{"prsa", "poker"} {
-		res := RunC2(ds, "w12", "w345", "lm-mlp", append([]string(nil), methods...), sc, seed)
+		res := RunC2(ds, "w12", "w345", "lm-mlp", methods, sc, seed)
 		_, d8w, d1w := res.Speedups("Warper")
 		_, d8r, d1r := res.Speedups("Warper:rnd")
 		_, d8e, d1e := res.Speedups("Warper:entropy")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 
 	"warper/internal/annotator"
@@ -35,25 +36,25 @@ func Table7d(sc Scale, seed int64) []*Table {
 
 		trainW := &imdb.JoinWorkload{DB: db, PredStyle: "sample"} // w4-like
 		newW := &imdb.JoinWorkload{DB: db, PredStyle: "uniform"}  // w1-like
-		train := mustJoinAnnotateAll(ja, trainW.Generate(sc.TrainSize, rng))
-		stream := mustJoinAnnotateAll(ja, newW.Generate(sc.StreamSize, rng))
-		test := mustJoinAnnotateAll(ja, newW.Generate(sc.TestSize, rng))
+		train := must(ja.AnnotateAll(context.Background(), trainW.Generate(sc.TrainSize, rng)))
+		stream := must(ja.AnnotateAll(context.Background(), newW.Generate(sc.StreamSize, rng)))
+		test := must(ja.AnnotateAll(context.Background(), newW.Generate(sc.TestSize, rng)))
 
 		m := ce.NewMSCN(db.Catalog, runSeed+1)
-		mustTrainJoin(m, train)
+		check(m.TrainJoin(train))
 
 		oracle := ce.NewMSCN(db.Catalog, runSeed+2)
-		mustTrainJoin(oracle, stream)
-		dmSum += metrics.DeltaM(mustJoinGMQ(m, test), mustJoinGMQ(oracle, test))
+		check(oracle.TrainJoin(stream))
+		dmSum += metrics.DeltaM(must(ce.EvalJoinGMQ(m, test)), must(ce.EvalJoinGMQ(oracle, test)))
 
 		// FT: fine-tune with each period's labeled arrivals.
 		ft := m.Clone().(*ce.MSCN)
 		ftCurve := &metrics.Curve{}
-		ftCurve.Append(0, mustJoinGMQ(ft, test))
+		ftCurve.Append(0, must(ce.EvalJoinGMQ(ft, test)))
 		for start := 0; start < len(stream); start += sc.PeriodSize {
-			end := minI(start+sc.PeriodSize, len(stream))
-			mustUpdateJoin(ft, stream[:end]) // all labeled arrivals so far
-			ftCurve.Append(float64(end), mustJoinGMQ(ft, test))
+			end := min(start+sc.PeriodSize, len(stream))
+			check(ft.UpdateJoin(stream[:end])) // all labeled arrivals so far
+			ftCurve.Append(float64(end), must(ce.EvalJoinGMQ(ft, test)))
 		}
 
 		// Warper-for-joins: synthesize additional join queries by pairing
@@ -62,10 +63,10 @@ func Table7d(sc Scale, seed int64) []*Table {
 		// arrivals + synthetic.
 		wm := m.Clone().(*ce.MSCN)
 		wCurve := &metrics.Curve{}
-		wCurve.Append(0, mustJoinGMQ(wm, test))
+		wCurve.Append(0, must(ce.EvalJoinGMQ(wm, test)))
 		var synthPool []query.LabeledJoin
 		for start := 0; start < len(stream); start += sc.PeriodSize {
-			end := minI(start+sc.PeriodSize, len(stream))
+			end := min(start+sc.PeriodSize, len(stream))
 			arrivals := stream[start:end]
 			nGen := len(arrivals) // generate 1× to amplify the sparse join stream
 			var synth []*query.JoinQuery
@@ -81,15 +82,15 @@ func Table7d(sc Scale, seed int64) []*Table {
 				}
 				synth = append(synth, tmpl)
 			}
-			synthPool = append(synthPool, mustJoinAnnotateAll(ja, synth)...)
+			synthPool = append(synthPool, must(ja.AnnotateAll(context.Background(), synth))...)
 			update := append(append([]query.LabeledJoin(nil), stream[:end]...), synthPool...)
-			mustUpdateJoin(wm, update)
-			wCurve.Append(float64(end), mustJoinGMQ(wm, test))
+			check(wm.UpdateJoin(update))
+			wCurve.Append(float64(end), must(ce.EvalJoinGMQ(wm, test)))
 		}
 		ftAgg = ftAgg.add(ftCurve)
 		wAgg = wAgg.add(wCurve)
 	}
-	ft, w := ftAgg.mean(sc.Runs), wAgg.mean(sc.Runs)
+	ft, w := ftAgg.curve(), wAgg.curve()
 	d5, d8, d1 := metrics.SpeedupTriple(ft, w)
 	t.Rows = append(t.Rows, []string{
 		"imdb", "c2", "w4/w1", "MSCN", f1(dmSum / float64(sc.Runs)), "-", f1(d5), f1(d8), f1(d1),
@@ -108,11 +109,4 @@ func jitterPred(p query.Predicate, sch *query.Schema, rng *rand.Rand) query.Pred
 		}
 	}
 	return out.Normalize(sch)
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,14 +1,5 @@
 package experiments
 
-import (
-	"context"
-	"warper/internal/annotator"
-	"warper/internal/ce"
-	"warper/internal/metrics"
-	"warper/internal/query"
-	"warper/internal/warper"
-)
-
 // The experiment harness runs offline over datasets and workloads that are
 // consistent by construction (every generator draws predicates over the
 // table's own schema), so annotation and model-update failures indicate a
@@ -17,92 +8,15 @@ import (
 // readable; the serving stack, by contrast, threads the errors through
 // (see internal/serve) and warperlint's panicfree rule keeps it that way.
 
-// mustCount annotates one predicate, panicking on schema mismatch.
-func mustCount(ann *annotator.Annotator, p query.Predicate) float64 {
-	card, err := ann.Count(context.Background(), p)
+// must unwraps a (value, error) pair, panicking on the error.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+// check panics on a non-nil error.
+func check(err error) {
 	if err != nil {
-		panic("experiments: annotate failed: " + err.Error())
+		panic("experiments: " + err.Error())
 	}
-	return card
-}
-
-// mustTrain trains a model, panicking when the backend cannot fit.
-func mustTrain(m ce.Estimator, examples []query.Labeled) {
-	if err := m.Train(examples); err != nil {
-		panic("experiments: train failed: " + err.Error())
-	}
-}
-
-// mustUpdate updates a model, panicking when the backend cannot fit.
-func mustUpdate(m ce.Estimator, examples []query.Labeled) {
-	if err := m.Update(examples); err != nil {
-		panic("experiments: update failed: " + err.Error())
-	}
-}
-
-// mustAdapter unwraps warper.New.
-func mustAdapter(a *warper.Adapter, err error) *warper.Adapter {
-	if err != nil {
-		panic("experiments: build adapter failed: " + err.Error())
-	}
-	return a
-}
-
-// mustPeriod unwraps Adapter.Period.
-func mustPeriod(a *warper.Adapter, arrivals []warper.Arrival) warper.Report {
-	rep, err := a.Period(arrivals)
-	if err != nil {
-		panic("experiments: period failed: " + err.Error())
-	}
-	return rep
-}
-
-// mustAnnotateAll labels a batch of predicates, panicking on mismatch.
-func mustAnnotateAll(ann *annotator.Annotator, ps []query.Predicate) []query.Labeled {
-	out, err := ann.AnnotateAll(context.Background(), ps)
-	if err != nil {
-		panic("experiments: annotate failed: " + err.Error())
-	}
-	return out
-}
-
-// mustJoinAnnotateAll labels a batch of join queries, panicking on
-// malformed queries.
-func mustJoinAnnotateAll(ja *annotator.JoinAnnotator, qs []*query.JoinQuery) []query.LabeledJoin {
-	out, err := ja.AnnotateAll(context.Background(), qs)
-	if err != nil {
-		panic("experiments: join annotate failed: " + err.Error())
-	}
-	return out
-}
-
-// mustTrainJoin trains a join model, panicking on failure.
-func mustTrainJoin(m ce.JoinEstimator, examples []query.LabeledJoin) {
-	if err := m.TrainJoin(examples); err != nil {
-		panic("experiments: join train failed: " + err.Error())
-	}
-}
-
-// mustUpdateJoin updates a join model, panicking on failure.
-func mustUpdateJoin(m ce.JoinEstimator, examples []query.LabeledJoin) {
-	if err := m.UpdateJoin(examples); err != nil {
-		panic("experiments: join update failed: " + err.Error())
-	}
-}
-
-// mustJoinGMQ unwraps ce.EvalJoinGMQ.
-func mustJoinGMQ(m ce.JoinEstimator, test []query.LabeledJoin) float64 {
-	gmq, err := ce.EvalJoinGMQ(m, test)
-	if err != nil {
-		panic("experiments: join eval failed: " + err.Error())
-	}
-	return gmq
-}
-
-// mustCurve unwraps adapt.Runner.Run.
-func mustCurve(c *metrics.Curve, err error) *metrics.Curve {
-	if err != nil {
-		panic("experiments: adaptation run failed: " + err.Error())
-	}
-	return c
 }

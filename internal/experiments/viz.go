@@ -16,12 +16,9 @@ import (
 func projectPreds(groups map[string][]query.Predicate, sch *query.Schema) map[string][][2]float64 {
 	d := sch.FeatureDim()
 	var all []query.Predicate
-	var names []string
-	for name, ps := range groups {
-		names = append(names, name)
+	for _, ps := range groups {
 		all = append(all, ps...)
 	}
-	_ = names
 	X := mathx.NewMatrix(len(all), d)
 	for i, p := range all {
 		copy(X.Data[i*d:(i+1)*d], p.Featurize(sch))
@@ -58,11 +55,7 @@ func summarizeCloud(pts [][2]float64) (cx, cy, sx, sy float64) {
 // spread); the cmd/driftviz tool emits the raw per-point CSV.
 func Fig5(sc Scale, seed int64) []*Table {
 	rng := rand.New(rand.NewSource(seed))
-	rows := sc.Rows
-	if rows == 0 {
-		rows = 6000
-	}
-	tbl := datasetByName("prsa", rows, rng)
+	tbl := datasetByName("prsa", sc.Rows, rng)
 	sch := query.SchemaOf(tbl)
 	groups := map[string][]query.Predicate{}
 	for _, spec := range []string{"w1", "w2", "w3", "w4", "w5"} {
@@ -87,10 +80,10 @@ func Fig5(sc Scale, seed int64) []*Table {
 // rather than the training one. Rows report centroid distances in PCA space.
 func Fig7(sc Scale, seed int64) []*Table {
 	env := NewEnv("prsa", "w12", "w345", "lm-mlp", sc, seed)
-	ad, _ := env.NewWarperAdapter(sc, seed+17)
+	ad := env.NewWarperAdapter(sc, seed+17)
 	periods := adapt.SplitPeriods(adapt.ArrivalsOf(env.Stream, true), sc.PeriodSize)
 	for _, p := range periods {
-		mustPeriod(ad, p)
+		must(ad.Period(p))
 	}
 	groups := map[string][]query.Predicate{}
 	for _, e := range ad.Pool.Entries {

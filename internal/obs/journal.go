@@ -14,8 +14,7 @@ type Event struct {
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"`
 	// Kind names the lifecycle event (period_start, period_end, model_swap,
-	// period_rollback, degrade_*, health, breaker, drift_alarm, drift_clear,
-	// cache_flush).
+	// period_rollback, degrade_*, health, breaker, drift_alarm, drift_clear).
 	Kind string `json:"kind"`
 	// TraceID links the event to a request trace when one caused it
 	// (0 = none).

@@ -14,18 +14,15 @@ import (
 // model is a pure function of the feature vector, so a repeated predicate
 // can be answered from memory, byte-identical, without touching a replica.
 //
-// Correctness hangs on two stamps carried by every entry:
-//
-//   - gen: the replica-pool generation of the model that COMPUTED the
-//     answer (not the generation current at insert time — a swap racing the
-//     insert must leave the entry invisible, never serve it one generation
-//     late). Lookups require an exact match with the pool's current
-//     generation, so a model swap invalidates the whole cache with the one
-//     atomic bump the pool already performs: no scan, no lock.
-//   - epoch: the cache's flush epoch, read BEFORE the underlying estimate
-//     began. InvalidateEstimateCache bumps the epoch; an insert racing a
-//     flush is stamped with the pre-flush epoch and is therefore
-//     conservatively invisible.
+// Correctness hangs on one stamp carried by every entry: gen, the
+// replica-pool generation of the model that COMPUTED the answer (not the
+// generation current at insert time — a swap racing the insert must leave
+// the entry invisible, never serve it one generation late). Lookups require
+// an exact match with the pool's current generation, so a model swap
+// invalidates the whole cache with the one atomic bump the pool already
+// performs: no scan, no lock. Nothing else invalidates: within one
+// generation an entry is the model's own answer, so dropping it could only
+// turn a hit into a miss.
 //
 // The lookup path takes no lock. Entries are seqlock-style, but with every
 // mutable word atomic (a classical seqlock's plain reads would be flagged by
@@ -43,10 +40,6 @@ type estimateCache struct {
 	keyLen int
 	// capacity is the total entry count across shards, for /statusz.
 	capacity int
-	// epoch is the flush epoch: bumping it makes every existing entry
-	// invisible (their stored epoch no longer matches). Entries are
-	// reclaimed lazily by the insert path's victim scan.
-	epoch atomic.Uint64
 	// live counts slots holding an entry (including generation-stale ones
 	// awaiting overwrite), exported as estimate_cache_entries.
 	live atomic.Int64
@@ -64,10 +57,9 @@ const cacheWays = 4
 // the word level and the race detector sees only synchronized accesses; the
 // seq validation makes the multi-word snapshot consistent.
 type cacheEntry struct {
-	seq   atomic.Uint64
-	hash  atomic.Uint64
-	gen   atomic.Uint64
-	epoch atomic.Uint64
+	seq  atomic.Uint64
+	hash atomic.Uint64
+	gen  atomic.Uint64
 	// card holds math.Float64bits of the cached cardinality.
 	card atomic.Uint64
 	// used is the clock/second-chance reference bit.
@@ -174,9 +166,9 @@ func (sh *cacheShard) keyEqual(slot, keyLen int, key []float64) bool {
 }
 
 // get probes the cache for key (with hash h) against the given serving
-// generation and flush epoch. It is lock-free: at most cacheWays seqlock
-// reads. A hit marks the entry recently used for the second-chance clock.
-func (c *estimateCache) get(key []float64, h, gen, epoch uint64) (float64, bool) {
+// generation. It is lock-free: at most cacheWays seqlock reads. A hit marks
+// the entry recently used for the second-chance clock.
+func (c *estimateCache) get(key []float64, h, gen uint64) (float64, bool) {
 	sh := &c.shards[h&c.shardMask]
 	base := (h >> 32) & sh.mask
 	for i := uint64(0); i < cacheWays; i++ {
@@ -186,7 +178,7 @@ func (c *estimateCache) get(key []float64, h, gen, epoch uint64) (float64, bool)
 		if s1 == 0 || s1&1 != 0 {
 			continue // empty, or a writer is mid-update
 		}
-		if e.hash.Load() != h || e.gen.Load() != gen || e.epoch.Load() != epoch {
+		if e.hash.Load() != h || e.gen.Load() != gen {
 			continue
 		}
 		if !sh.keyEqual(int(slot), c.keyLen, key) {
@@ -204,12 +196,11 @@ func (c *estimateCache) get(key []float64, h, gen, epoch uint64) (float64, bool)
 	return 0, false
 }
 
-// put inserts an answer computed by generation gen under flush epoch
-// `epoch` (both observed by the caller around the underlying estimate).
-// Within the probe group it prefers, in order: the same key (refresh in
-// place), an empty slot, a stale entry (old generation or epoch), then a
+// put inserts an answer computed by generation gen (the replica's, returned
+// by runOn). Within the probe group it prefers, in order: the same key
+// (refresh in place), an empty slot, a stale entry (old generation), then a
 // second-chance eviction of a live entry.
-func (c *estimateCache) put(key []float64, h, gen, epoch uint64, card float64) {
+func (c *estimateCache) put(key []float64, h, gen uint64, card float64) {
 	sh := &c.shards[h&c.shardMask]
 	base := (h >> 32) & sh.mask
 	sh.mu.Lock()
@@ -227,7 +218,7 @@ func (c *estimateCache) put(key []float64, h, gen, epoch uint64, card float64) {
 			victim = slot // same predicate: overwrite its slot
 			break
 		}
-		if stale < 0 && (e.gen.Load() != gen || e.epoch.Load() != epoch) {
+		if stale < 0 && e.gen.Load() != gen {
 			stale = slot
 		}
 	}
@@ -262,7 +253,6 @@ func (c *estimateCache) put(key []float64, h, gen, epoch uint64, card float64) {
 	e.seq.Add(1) // odd: readers skip while the words below are in flux
 	e.hash.Store(h)
 	e.gen.Store(gen)
-	e.epoch.Store(epoch)
 	e.card.Store(math.Float64bits(card))
 	off := victim * c.keyLen
 	for i, v := range key {
@@ -277,12 +267,6 @@ func (c *estimateCache) put(key []float64, h, gen, epoch uint64, card float64) {
 	if evicted {
 		c.met.cacheEvictions.Inc()
 	}
-}
-
-// flushAll makes every cached answer invisible by bumping the flush epoch.
-// Slots stay occupied (and counted) until the insert path overwrites them.
-func (c *estimateCache) flushAll() {
-	c.epoch.Add(1)
 }
 
 // entries reports how many slots hold an entry.

@@ -43,13 +43,13 @@ func TestEstimateCachePutGet(t *testing.T) {
 	c := newEstimateCache(4, 2, 64, NewMetrics())
 	key := cacheKey(4, 0.5)
 	h := cacheHash(key)
-	gen, epoch := uint64(1), c.epoch.Load()
+	gen := uint64(1)
 
-	if _, ok := c.get(key, h, gen, epoch); ok {
+	if _, ok := c.get(key, h, gen); ok {
 		t.Fatal("hit on an empty cache")
 	}
-	c.put(key, h, gen, epoch, 42)
-	card, ok := c.get(key, h, gen, epoch)
+	c.put(key, h, gen, 42)
+	card, ok := c.get(key, h, gen)
 	if !ok || card != 42 {
 		t.Fatalf("get = %v, %v; want 42, true", card, ok)
 	}
@@ -59,25 +59,13 @@ func TestEstimateCachePutGet(t *testing.T) {
 
 	// A different generation must miss: the swap's atomic bump is the
 	// wholesale invalidation.
-	if _, ok := c.get(key, h, gen+1, epoch); ok {
+	if _, ok := c.get(key, h, gen+1); ok {
 		t.Error("hit across a generation bump")
-	}
-	// A flush makes every entry invisible under the new epoch.
-	c.flushAll()
-	if _, ok := c.get(key, h, gen, c.epoch.Load()); ok {
-		t.Error("hit across a flush epoch bump")
-	}
-	// The pre-flush epoch still matches its own stamp: the insert-racing-a-
-	// flush convention (stamp the pre-flush epoch) relies on lookups always
-	// passing the CURRENT epoch, which no longer equals the stale stamp.
-	if card, ok := c.get(key, h, gen, epoch); !ok || card != 42 {
-		t.Fatalf("pre-flush epoch get = %v, %v; want 42, true", card, ok)
 	}
 
 	// Same-key insert refreshes in place: no new slot, new value.
-	epoch = c.epoch.Load()
-	c.put(key, h, gen+1, epoch, 43)
-	if card, ok := c.get(key, h, gen+1, epoch); !ok || card != 43 {
+	c.put(key, h, gen+1, 43)
+	if card, ok := c.get(key, h, gen+1); !ok || card != 43 {
 		t.Fatalf("refreshed get = %v, %v; want 43, true", card, ok)
 	}
 	if n := c.entries(); n != 1 {
@@ -90,11 +78,10 @@ func TestEstimateCacheEviction(t *testing.T) {
 	// One shard of exactly cacheWays slots: every probe group covers the
 	// whole shard, so cacheWays+1 live same-generation inserts must evict.
 	c := newEstimateCache(4, 1, cacheWays, met)
-	epoch := c.epoch.Load()
 	keys := make([][]float64, cacheWays+1)
 	for i := range keys {
 		keys[i] = cacheKey(4, float64(i)+0.25)
-		c.put(keys[i], cacheHash(keys[i]), 1, epoch, float64(i))
+		c.put(keys[i], cacheHash(keys[i]), 1, float64(i))
 	}
 	if met.cacheEvictions.Value() == 0 {
 		t.Error("no eviction after overfilling a full probe group")
@@ -105,7 +92,7 @@ func TestEstimateCacheEviction(t *testing.T) {
 	// The newest insert must be resident (second-chance always finds a
 	// victim for it).
 	last := keys[cacheWays]
-	if card, ok := c.get(last, cacheHash(last), 1, epoch); !ok || card != float64(cacheWays) {
+	if card, ok := c.get(last, cacheHash(last), 1); !ok || card != float64(cacheWays) {
 		t.Errorf("newest insert not resident: get = %v, %v", card, ok)
 	}
 
@@ -113,7 +100,7 @@ func TestEstimateCacheEviction(t *testing.T) {
 	// new generation reclaims them without charging an eviction.
 	before := met.cacheEvictions.Value()
 	k := cacheKey(4, 99.5)
-	c.put(k, cacheHash(k), 2, epoch, 7)
+	c.put(k, cacheHash(k), 2, 7)
 	if got := met.cacheEvictions.Value(); got != before {
 		t.Errorf("evictions %d -> %d; overwriting a stale generation should be free", before, got)
 	}
@@ -301,15 +288,20 @@ func TestEstimateCacheNeverCachesShed(t *testing.T) {
 	}
 }
 
+// TestFeedbackCoherenceAndFlushOnAlarm: feedback re-estimates through the
+// cache without swallowing the accuracy signal, and the drift alarm leaves
+// the cache alone. A cached answer is the served model's own, bit for bit,
+// so it keeps answering after the alarm — even on a degraded server with no
+// replica free, where a miss would have been a fallback answer.
 func TestFeedbackCoherenceAndFlushOnAlarm(t *testing.T) {
-	srv, ts, sch, ann, gNew := newTestServerOpts(t, Options{
+	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{
 		EstimateCache:     true,
-		CacheFlushOnAlarm: true,
+		CacheFlushOnAlarm: true, // deprecated no-op: must not flush
+		Replicas:          1,
 		DriftWindow:       time.Minute,
 		DriftAlarmGMQ:     4,
 	})
 	p := gNew.Gen(rand.New(rand.NewSource(13))).Normalize(sch)
-	_ = ann
 
 	// Warm the cache, then post ground-truth feedback wildly off the
 	// estimate. The feedback path re-estimates (hitting the cache) and its
@@ -320,8 +312,12 @@ func TestFeedbackCoherenceAndFlushOnAlarm(t *testing.T) {
 	missesBefore := srv.met.cacheMisses.Value()
 	gt := est * 1e6
 	// The drift watch refuses to alarm below its windowed observation floor
-	// (default 20), so post well past it.
-	for i := 0; i < 25; i++ {
+	// (default 20): post until it raises and no further, so the estimates
+	// below are the first ones after the alarm.
+	for i := 0; srv.met.driftAlarm.Value() == 0; i++ {
+		if i == 25 {
+			t.Fatal("no drift alarm after 25 feedbacks far off the estimate")
+		}
 		var fr feedbackResponse
 		r := postJSON(t, ts.URL+"/feedback", map[string]any{
 			"lows": p.Lows, "highs": p.Highs, "cardinality": gt,
@@ -333,34 +329,33 @@ func TestFeedbackCoherenceAndFlushOnAlarm(t *testing.T) {
 	if hits := srv.met.cacheHits.Value(); hits <= hitsBefore {
 		t.Errorf("feedback estimates bypassed the cache: hits %d -> %d", hitsBefore, hits)
 	}
-	if inv := srv.met.cacheInvalidations.Value(); inv == 0 {
-		t.Fatal("drift alarm did not flush the cache")
-	}
-	var flushed bool
-	for _, ev := range srv.rec.journal.Snapshot() {
-		if ev.Kind == "cache_flush" {
-			flushed = true
-		}
-	}
-	if !flushed {
-		t.Error("journal has no cache_flush event")
-	}
-	// The flush forced (at least) one recompute: the first feedback after
-	// the alarm missed the emptied cache and re-inserted under the new
-	// epoch. Either way the answer never drifts from the served model's.
-	if misses := srv.met.cacheMisses.Value(); misses <= missesBefore {
-		t.Errorf("flush caused no recompute: misses %d -> %d", missesBefore, misses)
+
+	// Degraded, with the only replica held: a miss would be answered by the
+	// fallback ladder, the warmed predicate is still the model's answer.
+	srv.health.state.Store(int32(Degraded))
+	r, _, _ := srv.pool.checkout(true, time.Time{})
+	card, out := srv.EstimateBudget(p, time.Time{})
+	srv.pool.checkin(r)
+	srv.health.state.Store(int32(Healthy))
+	if card != est || out != (EstimateOutcome{}) {
+		t.Errorf("degraded, replica held: estimate %v %+v, want the cached model answer %v with a zero outcome", card, out, est)
 	}
 	if got := srv.Estimate(p); got != est {
-		t.Fatalf("post-flush estimate = %v, want %v", got, est)
+		t.Fatalf("post-alarm estimate = %v, want %v", got, est)
+	}
+	if misses := srv.met.cacheMisses.Value(); misses != missesBefore {
+		t.Errorf("the drift alarm evicted the warmed predicate: misses %d -> %d", missesBefore, misses)
+	}
+	if inv := srv.met.cacheInvalidations.Value(); inv != 0 {
+		t.Errorf("estimate_cache_invalidations_total = %d with no model swap", inv)
 	}
 }
 
 func TestEstimateCacheSwapUnderLoad(t *testing.T) {
 	// Swap-under-load soak: readers continuously estimate a fixed predicate
-	// set while the main goroutine swaps estimate-identical clones and
-	// flushes the cache. Every answer must stay byte-identical throughout —
-	// under -race this also proves the seqlock publication is clean.
+	// set while the main goroutine swaps estimate-identical clones. Every
+	// answer must stay byte-identical throughout — under -race this also
+	// proves the seqlock publication is clean.
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
 		EstimateCache: true,
 		CacheEntries:  256, // small: force eviction churn under the soak
@@ -394,9 +389,6 @@ func TestEstimateCacheSwapUnderLoad(t *testing.T) {
 	src := srv.Estimator()
 	for i := 0; i < 50; i++ {
 		srv.pool.swap(src.Clone())
-		if i%5 == 0 {
-			srv.InvalidateEstimateCache()
-		}
 		time.Sleep(time.Millisecond)
 	}
 	stop.Store(true)

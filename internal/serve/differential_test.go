@@ -77,8 +77,8 @@ type modelHooks struct {
 	// half-applied repair the server must roll back.
 	failUpdate atomic.Bool
 	// midInfer, when set, runs once at the start of the next inference —
-	// the driver's way to land a flush or a whole adaptation period in the
-	// middle of an in-flight estimate, deterministically.
+	// the driver's way to land a whole adaptation period in the middle of an
+	// in-flight estimate, deterministically.
 	midInfer atomic.Pointer[func()]
 }
 
@@ -248,13 +248,12 @@ func newDiffDriver(t *testing.T, seed int64, evalInterval time.Duration) *diffDr
 	})
 	d.faults.Disable()
 	d.srv = NewWithOptions(d.served.ad, d.sch, Options{
-		BinaryProtocol:    true,
-		Replicas:          2,
-		EstimateCache:     true,
-		CacheEntries:      256, // small: eviction churn
-		CacheFlushOnAlarm: true,
-		DriftAlarmGMQ:     1.5,
-		ServeFaults:       d.faults,
+		BinaryProtocol: true,
+		Replicas:       2,
+		EstimateCache:  true,
+		CacheEntries:   256, // small: eviction churn
+		DriftAlarmGMQ:  1.5,
+		ServeFaults:    d.faults,
 		// One queue slot: concurrent readers overflow it at once.
 		ShedQueue: 1,
 		Health:    HealthConfig{EvalInterval: evalInterval},
@@ -511,10 +510,6 @@ func (d *diffDriver) runSequential(ops int) {
 		case is(pPeriod / 2):
 			d.opSwapMidInference()
 		case is(0.01):
-			d.opFlushMidInference()
-		case is(0.02):
-			d.srv.InvalidateEstimateCache()
-		case is(0.01):
 			d.opToggleServeFaults()
 		case is(0.01):
 			d.opScrape()
@@ -709,35 +704,31 @@ func (d *diffDriver) status() statusResponse {
 	return st
 }
 
-// opFlushMidInference lands InvalidateEstimateCache between a request's
-// cache probe and its fill. The answer was computed before the flush, so it
-// must not be served from the cache after it: asking again has to miss.
-func (d *diffDriver) opFlushMidInference() {
-	p := d.pick(d.rng)
-	flush := d.srv.InvalidateEstimateCache
-	flush() // whatever the cache held for p is gone: the request will miss
-	d.served.hooks.midInfer.Store(&flush)
-	d.oneRowExact(p, d.lo.Load())
-	misses := d.srv.met.cacheMisses.Value()
-	d.oneRowExact(p, d.lo.Load())
-	if got := d.srv.met.cacheMisses.Value() - misses; got != 1 {
-		d.failf("an answer computed before a cache flush was served from the cache after it (misses moved by %d, want 1)", got)
-	}
-}
-
 // opSwapMidInference lands a whole adaptation period — swap included —
 // between a request's replica checkout and its answer. The in-flight
 // request was computed by the old generation and must say so; whoever asks
 // next gets the new generation, not what the old one left in the cache.
 func (d *diffDriver) opSwapMidInference() {
-	p := d.pick(d.rng)
+	p := d.uncached() // the request must miss to reach a replica
 	gen := d.lo.Load()
 	period := d.opPeriod
-	d.srv.InvalidateEstimateCache() // the request must miss to reach a replica
 	d.served.hooks.midInfer.Store(&period)
 	d.oneRowExact(p, gen)
 	d.oneRowExact(p, d.lo.Load())
 	d.stats.MidInferSwaps++
+}
+
+// uncached draws a fresh predicate the cache holds no answer for at the
+// serving generation.
+func (d *diffDriver) uncached() pred {
+	key := make([]float64, d.sch.FeatureDim())
+	for {
+		p := d.newPred(d.rng)
+		p.norm.FeaturizeInto(d.sch, key)
+		if _, hit := d.srv.cache.get(key, cacheHash(key), d.srv.pool.generation()); !hit {
+			return p
+		}
+	}
 }
 
 // oneRowExact sends p alone through a drawn door, unbudgeted on a healthy
@@ -783,7 +774,7 @@ func (d *diffDriver) opScrape() {
 
 // runConcurrent is the windowed mode: reader goroutines send ops estimate
 // requests between them while this goroutine — the one writer — feeds back,
-// runs periods, flushes the cache and toggles faults. Admission is left to
+// runs periods and toggles faults. Admission is left to
 // the health machine, so degraded and shed answers come and go with the
 // starvation fault; every full-model answer must still be the reference's
 // at a generation inside the request's window.
@@ -829,8 +820,6 @@ func (d *diffDriver) runConcurrent(ops int) {
 			d.opPeriod()
 		case is(pFeedback):
 			d.opFeedback()
-		case is(0.1 * pFeedback):
-			d.srv.InvalidateEstimateCache()
 		case is(0.05 * pFeedback):
 			d.opToggleServeFaults()
 		default:

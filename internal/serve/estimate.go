@@ -15,20 +15,19 @@ import (
 // batch endpoints loop it over wireGroupRows-row groups (serveWireBatch).
 // One group goes through four stages:
 //
-//	probe   read the flush epoch, then featurize + hash + probe every row
+//	probe   featurize + hash + probe every row
 //	admit   the health state picks the admission rule, the deadline budgets
 //	        the replica wait, the fallback ladder answers what the model
 //	        cannot — the only place a request is degraded or shed
 //	infer   one checked-out replica answers the packed misses
 //	fill    scatter the answers and insert the full-model ones
 //
-// Three invariants keep the cache honest; each holds because of the stage
+// Two invariants keep the cache honest; each holds because of the stage
 // order above and is stated where it is enforced:
 //
-//  1. the flush epoch is read before the probes (estimateGroup),
-//  2. entries are stamped with the generation of the replica that computed
+//  1. entries are stamped with the generation of the replica that computed
 //     them, never the one current at insert time (runOn's return value),
-//  3. generation 0 — fallback and shed outcomes — is never inserted
+//  2. generation 0 — fallback and shed outcomes — is never inserted
 //     (estimateGroup's fill).
 
 // Fallback and shed reasons, exported on the estimate_fallback_total and
@@ -168,11 +167,6 @@ func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float
 	}
 	tr.EnterStage("cache")
 	n, kl := len(group), c.keyLen
-	// Invariant 1: the flush epoch is read before the probes — and therefore
-	// before the estimates the misses will run — so an insert racing
-	// InvalidateEstimateCache stamps the pre-flush epoch and stays
-	// conservatively invisible.
-	epoch := c.epoch.Load()
 	cur := s.pool.generation()
 	keys, hashes, miss := sc.keys[:n*kl], sc.hashes[:n], sc.missIdx[:n]
 	nm := 0
@@ -180,7 +174,7 @@ func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float
 		k := keys[i*kl : (i+1)*kl]
 		group[i].FeaturizeInto(s.sch, k)
 		hashes[i] = cacheHash(k)
-		if card, ok := c.get(k, hashes[i], cur, epoch); ok {
+		if card, ok := c.get(k, hashes[i], cur); ok {
 			out[i] = card
 			continue
 		}
@@ -211,11 +205,11 @@ func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float
 		}
 	}
 	if gen != 0 {
-		// Invariant 3: only full-model answers are inserted. Fallback answers
+		// Invariant 2: only full-model answers are inserted. Fallback answers
 		// come back with generation 0 — a degraded answer served from cache
 		// after recovery would be a silent accuracy regression.
 		for j, i := range miss {
-			c.put(keys[i*kl:(i+1)*kl], hashes[i], gen, epoch, mo[j])
+			c.put(keys[i*kl:(i+1)*kl], hashes[i], gen, mo[j])
 		}
 	}
 	return gen, oc
@@ -280,7 +274,7 @@ func (s *Server) admit(h HealthState, deadline time.Time, preds []query.Predicat
 }
 
 // runOn answers one packed group on a checked-out replica, returning the
-// replica's serving generation (invariant 2: the cache stamps its entries
+// replica's serving generation (invariant 1: the cache stamps its entries
 // with the generation that computed them, never the one current at insert
 // time). The deferred checkin is the replica-leak guard: even a panicking
 // model hands its replica back to the free list (forward scratch is

@@ -219,8 +219,9 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 					var entriesBefore int64
 					if cacheOn {
 						// Hide what the previous entry point cached, so
-						// every one of them takes the miss path.
-						srv.cache.flushAll()
+						// every one of them takes the miss path: a swap to
+						// the same weights bumps the generation.
+						srv.pool.swap(srv.Estimator())
 						entriesBefore = srv.cache.entries()
 					}
 					before := reasonCounters(srv)
@@ -296,12 +297,22 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 func TestScalarZeroAllocSteady(t *testing.T) {
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true, Replicas: 2})
 	rng := rand.New(rand.NewSource(29))
-	p := gNew.Gen(rng).Normalize(sch)
+	const runs = 100
+	// p is the hit. A miss case asks, run by run, about a predicate nothing
+	// has cached yet: four to warm up, then runs+1 for each of the three
+	// (AllocsPerRun adds one warm-up run).
+	keys := distinctKeys(gNew, sch, 1+4+3*(runs+1), rng)
+	p, fresh := keys[0], keys[1:]
+	nextFresh := func() query.Predicate {
+		q := fresh[0]
+		fresh = fresh[1:]
+		return q
+	}
 	// Warm both replicas (the free list is FIFO) and the pooled scratch.
 	for i := 0; i < 4; i++ {
-		srv.cache.flushAll()
-		srv.Estimate(p)
+		srv.Estimate(nextFresh())
 	}
+	srv.Estimate(p)
 	tracerOff := obs.NewTracer(0, 64)
 
 	// A second server with the smallest cache there is (cacheShards ×
@@ -322,38 +333,35 @@ func TestScalarZeroAllocSteady(t *testing.T) {
 	cases := []struct {
 		name string
 		srv  *Server
-		// flush makes the run a miss by bumping the flush epoch (one atomic
-		// add: the entry is re-inserted in place); evict makes it one by
-		// scanning, and expects every run to evict a live entry. Neither: a
+		// miss asks about a fresh predicate every run; evict misses by
+		// scanning and expects every run to evict a live entry. Neither: a
 		// hit.
-		flush, evict bool
-		call         func()
+		miss, evict bool
+		call        func()
 	}{
 		{"Estimate hit", srv, false, false, func() { srv.Estimate(p) }},
-		{"Estimate miss", srv, true, false, func() { srv.Estimate(p) }},
-		{"EstimateBudget miss", srv, true, false, func() { srv.EstimateBudget(p, time.Now().Add(time.Minute)) }},
+		{"Estimate miss", srv, true, false, func() { srv.Estimate(nextFresh()) }},
+		{"EstimateBudget miss", srv, true, false, func() { srv.EstimateBudget(nextFresh(), time.Now().Add(time.Minute)) }},
 		{"Estimate miss in a tracer-off envelope", srv, true, false, func() {
 			tr := tracerOff.Acquire("estimate")
 			tr.EnterStage("infer")
-			srv.Estimate(p)
+			srv.Estimate(nextFresh())
 			tracerOff.Finish(tr)
 		}},
 		{"Estimate miss into a full cache", full, false, true, scanOne},
 	}
 	for _, tc := range cases {
 		misses, evictions := tc.srv.met.cacheMisses.Value(), tc.srv.met.cacheEvictions.Value()
-		const runs = 100
-		allocs := testing.AllocsPerRun(runs, func() {
-			if tc.flush {
-				tc.srv.cache.flushAll()
-			}
-			tc.call()
-		})
+		allocs := testing.AllocsPerRun(runs, tc.call)
 		if allocs != 0 {
 			t.Errorf("%s allocates %v per call, want 0", tc.name, allocs)
 		}
-		if missed := tc.srv.met.cacheMisses.Value() > misses; missed != (tc.flush || tc.evict) {
-			t.Errorf("%s: took the miss path = %v, want %v", tc.name, missed, !missed)
+		want := int64(0)
+		if tc.miss || tc.evict {
+			want = runs + 1
+		}
+		if missed := tc.srv.met.cacheMisses.Value() - misses; missed != want {
+			t.Errorf("%s: %d of %d runs took the miss path, want %d", tc.name, missed, runs+1, want)
 		}
 		if got := tc.srv.met.cacheEvictions.Value() - evictions; tc.evict && got < runs {
 			t.Errorf("%s: %d evictions over %d runs, want every insert to evict", tc.name, got, runs)

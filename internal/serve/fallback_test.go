@@ -22,19 +22,19 @@ func TestFallbackRefreshFollowsTableVersion(t *testing.T) {
 	p.SetRange(1, sch.Mins[1], (sch.Mins[1]+sch.Maxs[1])/2)
 
 	f := newFallbackLadder()
-	f.refresh(tbl, nil, nil)
+	f.refresh(tbl)
 	first := f.hist.Load()
 	if first == nil {
 		t.Fatal("no histogram after the first refresh")
 	}
 	before := first.Estimate(p)
-	f.refresh(tbl, nil, nil)
+	f.refresh(tbl)
 	if f.hist.Load() != first {
 		t.Error("refresh over an unchanged table replaced the histogram")
 	}
 
 	dataset.UpdateDrift(tbl, 1, 2, rng) // same row count: only Version tells
-	f.refresh(tbl, nil, nil)
+	f.refresh(tbl)
 	second := f.hist.Load()
 	if second == first {
 		t.Fatal("refresh after UpdateDrift kept the stale histogram")
@@ -47,7 +47,7 @@ func TestFallbackRefreshFollowsTableVersion(t *testing.T) {
 	}
 
 	tbl.Truncate(1500)
-	f.refresh(tbl, nil, nil)
+	f.refresh(tbl)
 	all := query.NewFullRange(sch) // the schema's ranges predate the drift
 	for c := range all.Lows {
 		all.SetRange(c, math.Inf(-1), math.Inf(1))

@@ -156,7 +156,7 @@ func NewMetrics() *Metrics {
 		cacheHits:          r.NewCounter("estimate_cache_hits_total", "Estimates answered from the generation-stamped cache."),
 		cacheMisses:        r.NewCounter("estimate_cache_misses_total", "Estimates that probed the cache and fell through to the replica pool."),
 		cacheEvictions:     r.NewCounter("estimate_cache_evictions_total", "Live cache entries overwritten because their probe group was full."),
-		cacheInvalidations: r.NewCounter("estimate_cache_invalidations_total", "Wholesale cache invalidations: model swaps plus explicit/drift-alarm flushes."),
+		cacheInvalidations: r.NewCounter("estimate_cache_invalidations_total", "Wholesale cache invalidations: model swaps, each of which invalidates every entry."),
 		cacheEntries:       r.NewGauge("estimate_cache_entries", "Cache slots holding an entry (including generation-stale ones awaiting overwrite)."),
 
 		wireBatches:      r.NewCounter("wire_batches_total", "Binary /estimate/batch requests (and stream frames) served."),

@@ -36,12 +36,6 @@ type flightRecorder struct {
 	exemplars *obs.Exemplars
 	met       *Metrics
 	logger    *slog.Logger
-
-	// onDriftAlarm, when non-nil, runs on every DriftRaised transition.
-	// NewWithOptions points it at the estimate-cache flush under
-	// Options.CacheFlushOnAlarm: the cached pre-drift answers are exactly
-	// what would keep masking the drift the watch just detected.
-	onDriftAlarm func()
 }
 
 // newFlightRecorder builds the recorder from options; lifecycle events are
@@ -119,9 +113,6 @@ func (r *flightRecorder) applyDriftTransition(st obs.DriftState, tr obs.DriftTra
 			"count":      st.Count,
 			"threshold":  st.Threshold,
 		})
-		if r.onDriftAlarm != nil {
-			r.onDriftAlarm()
-		}
 	case obs.DriftCleared:
 		r.met.driftAlarm.Set(0)
 		r.event(slog.LevelInfo, "drift_clear", 0, map[string]any{
@@ -221,7 +212,7 @@ sheds answer 429 (see estimate_fallback_total / estimate_shed_total below)</p>
 <h2>Estimate cache</h2>
 {{if .CacheOn}}<p>entries {{.CacheEntries}}/{{.CacheCap}} — hits {{.CacheHits}}, misses {{.CacheMisses}}
 (hit rate {{printf "%.1f" .CacheHitPct}}%), evictions {{.CacheEvictions}},
-invalidations {{.CacheInvalidations}} (model swaps + flushes; a swap's generation bump
+invalidations {{.CacheInvalidations}} (model swaps; a swap's generation bump
 invalidates every entry without a scan)</p>
 {{else}}<p>disabled (Options.EstimateCache is off)</p>{{end}}
 

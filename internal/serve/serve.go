@@ -103,9 +103,12 @@ type Options struct {
 	// shards (0 = 4096, at most maxCacheEntries). Full probe groups evict
 	// second-chance style.
 	CacheEntries int
-	// CacheFlushOnAlarm flushes the estimate cache when the drift watch
-	// raises its alarm, so stale pre-drift answers cannot mask the very
-	// drift the recorder is watching.
+	// CacheFlushOnAlarm does nothing. Between two swaps a cached answer is
+	// the model's own, bit for bit, so a flush on the drift alarm could
+	// only turn hits into misses — and, degraded or shedding, misses into
+	// fallback answers and 429s.
+	//
+	// Deprecated: a no-op, kept only because bench/ sets it by name.
 	CacheFlushOnAlarm bool
 	// BinaryProtocol mounts the columnar binary batch endpoints: POST
 	// /estimate/batch (one frame per request) and POST /estimate/batch/stream
@@ -215,12 +218,9 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 	s.pool.faults = opts.ServeFaults
 	s.estimateTimeout = opts.EstimateTimeout
 	if !opts.NoFallback {
-		// Build the fallback ladder up front: the histogram tier from the
-		// adapter's live table, the scale prior from the initial model.
-		// Construction is single-threaded, so probing the adapter's model
-		// here cannot race a replica refresh.
+		// Build the fallback histogram up front from the adapter's live table.
 		s.fb = newFallbackLadder()
-		s.fb.refresh(a.Table(), a.M, sch)
+		s.fb.refresh(a.Table())
 	}
 	s.health = newHealthTracker(opts.Health.withDefaults(s.pool.maxQueue), s.met, s.rec)
 	s.met.onBreaker = func(st resilience.State) {
@@ -233,12 +233,6 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 	}
 	if opts.EstimateCache {
 		s.cache = newEstimateCache(sch.FeatureDim(), cacheShards, opts.CacheEntries, s.met)
-		if opts.CacheFlushOnAlarm {
-			// The drift watch raising its alarm means the cached pre-drift
-			// answers are the ones masking the drift: flush them so feedback
-			// keeps measuring the live model against the live data.
-			s.rec.onDriftAlarm = s.InvalidateEstimateCache
-		}
 	}
 	s.refreshStatusLocked()
 	return s
@@ -248,21 +242,6 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 // deferred Close keep compiling: the server owns no goroutine and no
 // resource the garbage collector does not.
 func (s *Server) Close() {}
-
-// InvalidateEstimateCache drops every cached estimate by bumping the
-// cache's flush epoch — one atomic add, no scan. Wired to the drift alarm
-// under Options.CacheFlushOnAlarm and exported for embedders that know their
-// data changed before the drift watch does. No-op when the cache is disabled.
-func (s *Server) InvalidateEstimateCache() {
-	if s.cache == nil {
-		return
-	}
-	s.cache.flushAll()
-	s.met.cacheInvalidations.Inc()
-	s.rec.event(slog.LevelInfo, "cache_flush", 0, map[string]any{
-		"entries": s.cache.entries(),
-	})
-}
 
 // Metrics exposes the server's metric set (for tests and embedding).
 func (s *Server) Metrics() *Metrics { return s.met }
@@ -743,12 +722,10 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 		s.met.cacheInvalidations.Inc()
 	}
 	if s.fb != nil {
-		// Refresh the fallback ladder against the post-period world: the
-		// histogram tier re-reads the (possibly drifted) table, the scale
-		// prior re-probes the just-swapped model. Under periodMu, so neither
-		// is mid-mutation; the pool serves its own clone, so probing
-		// adapter.M here races nothing.
-		s.fb.refresh(s.adapter.Table(), s.adapter.M, s.sch)
+		// Refresh the fallback histogram against the post-period world: it
+		// re-reads the (possibly drifted) table. Under periodMu, so the
+		// table is not mid-mutation.
+		s.fb.refresh(s.adapter.Table())
 	}
 	s.mu.Lock()
 	s.periods++
