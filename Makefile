@@ -47,14 +47,14 @@ chaos:
 
 # Ten seconds of coverage-guided fuzzing per target (go test takes one -fuzz
 # target per run): the annotator's indexed count against the reference scan,
-# the two wire decoders, and the JSON and binary estimate entry points
-# against each other and a scalar reference. `go test ./...` only replays
-# their seed corpora.
+# the CSV loader, the wire request decoder, and the JSON and binary estimate
+# entry points against each other and a scalar reference. `go test ./...`
+# only replays their seed corpora.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCountMatchesScan$$' -fuzztime=$(FUZZTIME) ./internal/annotator
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/wire
-	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzFromCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzEstimateEntryPoints$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # The benchmark of record (BENCHMARK.json, bench/README.md): four 20-second

@@ -4,8 +4,7 @@
 // workload, wraps it in a Warper adapter, and exposes:
 //
 //	POST /estimate     {"lows": [...], "highs": [...]}            → {"cardinality": N}
-//	POST /estimate/batch        columnar binary batch frame
-//	POST /estimate/batch/stream length-prefixed binary frames
+//	POST /estimate/batch columnar binary batch frame
 //	POST /feedback     {"lows": [...], "highs": [...], "cardinality": N}
 //	POST /period       run one adaptation period over buffered feedback
 //	GET  /status       model, pool, thresholds, component costs
@@ -193,9 +192,8 @@ func main() {
 		os.Exit(1)
 	}
 	// EstimateCache and BinaryProtocol are the literals bench/fixture.go
-	// passes (its CacheFlushOnAlarm is a deprecated no-op), and like it this
-	// leaves NoFallback unset, so the server warperd runs is the server the
-	// benchmark measures.
+	// passes (its CacheFlushOnAlarm is a deprecated no-op), so the server
+	// warperd runs is the server the benchmark measures.
 	srv := serve.NewWithOptions(adapter, sch, serve.Options{
 		Logger:        logger,
 		EnablePprof:   cfg.pprof,

@@ -75,19 +75,6 @@ type Estimator interface {
 	Name() string
 }
 
-// InPlaceCloner is implemented by estimators that can overwrite a previous
-// clone in place, reusing its parameter and scratch memory. The serving
-// replica pool uses it so a model swap re-points N replicas without
-// re-allocating N models.
-type InPlaceCloner interface {
-	Estimator
-	// CloneInto makes dst estimate-identical to the receiver, reusing
-	// dst's memory where shapes allow. It reports false — leaving dst
-	// untouched — when dst is not a compatible target (different concrete
-	// type, variant, or dimensions); callers then fall back to Clone.
-	CloneInto(dst Estimator) bool
-}
-
 // JoinEstimator extends Estimator to key–foreign-key join queries (MSCN).
 // EstimateJoin reports an error for queries outside the model's catalog
 // (unknown table, unregistered join) rather than panicking.

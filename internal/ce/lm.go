@@ -40,9 +40,6 @@ type lmBackend interface {
 	finetune(X [][]float64, y []float64, rng *rand.Rand) (bool, error)
 	predict(x []float64) float64
 	clone() lmBackend
-	// cloneInto copies the backend's model into dst in place, reusing
-	// dst's memory; false means dst is shape-incompatible and untouched.
-	cloneInto(dst lmBackend) bool
 }
 
 // LMVariant names an LM backend.
@@ -174,23 +171,6 @@ func (lm *LM) Clone() Estimator {
 	return &c
 }
 
-// CloneInto implements InPlaceCloner: it makes dst estimate-identical to lm
-// while reusing dst's parameter and scratch memory. dst must be an LM of
-// the same variant over the same schema (the shape a replica refreshed from
-// an earlier generation of the same model always has).
-func (lm *LM) CloneInto(dst Estimator) bool {
-	d, ok := dst.(*LM)
-	if !ok || d == lm || d.name != lm.name || d.Schema != lm.Schema {
-		return false
-	}
-	if !lm.backend.cloneInto(d.backend) {
-		return false
-	}
-	d.policy = lm.policy
-	d.rng = rand.New(rand.NewSource(lm.rng.Int63()))
-	return true
-}
-
 func (lm *LM) featurizeAll(examples []query.Labeled) ([][]float64, []float64) {
 	X := make([][]float64, len(examples))
 	y := make([]float64, len(examples))
@@ -266,14 +246,6 @@ func (b *mlpBackend) predictAllMat(X nn.Mat, out []float64) {
 
 func (b *mlpBackend) clone() lmBackend { return &mlpBackend{net: b.net.Clone(), in: b.in} }
 
-func (b *mlpBackend) cloneInto(dst lmBackend) bool {
-	d, ok := dst.(*mlpBackend)
-	if !ok || d == b || d.in != b.in {
-		return false
-	}
-	return b.net.CloneInto(d.net)
-}
-
 // --- GBT backend -----------------------------------------------------------
 
 type gbtBackend struct {
@@ -307,15 +279,6 @@ func (b *gbtBackend) clone() lmBackend {
 	// The fitted ensemble is immutable after Fit, so sharing it is safe; a
 	// subsequent fit replaces the pointer rather than mutating trees.
 	return &gbtBackend{cfg: b.cfg, model: b.model}
-}
-
-func (b *gbtBackend) cloneInto(dst lmBackend) bool {
-	d, ok := dst.(*gbtBackend)
-	if !ok {
-		return false
-	}
-	d.cfg, d.model = b.cfg, b.model // immutable ensemble: pointer copy suffices
-	return true
 }
 
 // --- Kernel ridge backend (LM-ply / LM-rbf) ---------------------------------
@@ -356,12 +319,3 @@ func (b *krrBackend) predict(x []float64) float64 {
 }
 
 func (b *krrBackend) clone() lmBackend { return &krrBackend{cfg: b.cfg, model: b.model} }
-
-func (b *krrBackend) cloneInto(dst lmBackend) bool {
-	d, ok := dst.(*krrBackend)
-	if !ok {
-		return false
-	}
-	d.cfg, d.model = b.cfg, b.model // fitted regressor is immutable: pointer copy
-	return true
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -28,7 +29,10 @@ type CSVOptions struct {
 // FromCSV reads a table from CSV. Non-numeric column values are
 // dictionary-encoded into integer categorical ids, matching §4.1 of the
 // paper ("for columns with categorical values, predicates are integer
-// dictionary identifiers").
+// dictionary identifiers"). Input with no data rows is an error, and so is
+// ±Inf in a numeric column: either would give the schema a degenerate or
+// infinite domain, and every normalized predicate over it would be garbage.
+// NaN cells load; Column.Min and Max skip them.
 func FromCSV(name string, r io.Reader, opts CSVOptions) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -77,6 +81,9 @@ func FromCSV(name string, r io.Reader, opts CSVOptions) (*Table, error) {
 		}
 		rows++
 	}
+	if rows == 0 {
+		return nil, fmt.Errorf("dataset: csv has no data rows")
+	}
 
 	cols := make([]*Column, nCols)
 	for i := 0; i < nCols; i++ {
@@ -87,14 +94,16 @@ func FromCSV(name string, r io.Reader, opts CSVOptions) (*Table, error) {
 			}
 		}
 		vals, numeric := parseNumeric(raw[i])
-		switch {
-		case typed && wantType == Categorical, !numeric:
+		if typed && wantType == Categorical || !numeric {
 			cols[i] = &Column{Name: header[i], Type: Categorical, Vals: dictEncode(raw[i])}
-		case typed:
-			cols[i] = &Column{Name: header[i], Type: wantType, Vals: vals}
-		default:
-			cols[i] = &Column{Name: header[i], Type: Real, Vals: vals}
+			continue
 		}
+		for r, v := range vals {
+			if math.IsInf(v, 0) {
+				return nil, fmt.Errorf("dataset: column %q, data row %d: infinite value %q", header[i], r+1, raw[i][r])
+			}
+		}
+		cols[i] = &Column{Name: header[i], Type: wantType, Vals: vals}
 	}
 	return NewTable(name, cols...), nil
 }

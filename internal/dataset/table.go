@@ -7,6 +7,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,29 +47,26 @@ type Column struct {
 	Vals []float64
 }
 
-// Min returns the minimum value; 0 for an empty column.
+// Min returns the minimum value, skipping NaN cells: a NaN orders against
+// nothing, and as the first cell it would become the schema's domain bound.
+// 0 for a column with no other value.
 func (c *Column) Min() float64 {
-	if len(c.Vals) == 0 {
-		return 0
-	}
-	m := c.Vals[0]
-	for _, v := range c.Vals[1:] {
-		if v < m {
-			m = v
+	m, seen := 0.0, false
+	for _, v := range c.Vals {
+		if !math.IsNaN(v) && (!seen || v < m) {
+			m, seen = v, true
 		}
 	}
 	return m
 }
 
-// Max returns the maximum value; 0 for an empty column.
+// Max returns the maximum value, skipping NaN cells like Min; 0 for a
+// column with no other value.
 func (c *Column) Max() float64 {
-	if len(c.Vals) == 0 {
-		return 0
-	}
-	m := c.Vals[0]
-	for _, v := range c.Vals[1:] {
-		if v > m {
-			m = v
+	m, seen := 0.0, false
+	for _, v := range c.Vals {
+		if !math.IsNaN(v) && (!seen || v > m) {
+			m, seen = v, true
 		}
 	}
 	return m

@@ -68,16 +68,14 @@ var hotPathRoots = []string{
 	"obs.(*Trace).EnterStage",
 	"obs.(*Tracer).Finish",
 	"nn.(*Network).InferBatch",
-	// The binary batch protocol: handlers, the group-serving loop, the
+	// The binary batch protocol: the handler, the group-serving loop, the
 	// embeddable entry point, and the wire codec's decode/encode pair all
 	// ride the same zero-alloc promise as the scalar /estimate path.
 	"serve.(*Server).handleEstimateBatch",
-	"serve.(*Server).handleEstimateStream",
 	"serve.(*Server).serveWireBatch",
 	"serve.(*Server).EstimateBatchWire",
 	"wire.(*Buffer).DecodeBatch",
 	"wire.(*Buffer).EncodeResponse",
-	"wire.(*Buffer).ReadFrame",
 }
 
 // allocPkgs: every function in these packages allocates (or may), and

@@ -1,8 +1,8 @@
 // Package wire is the hotpathalloc fixture for the binary batch codec: a
-// miniature Buffer whose DecodeBatch / EncodeResponse / ReadFrame roots
-// mirror the real codec — header arithmetic, subslice views and reclaimed
-// request storage on the zero-alloc side, the sanctioned grow-once slab
-// behind a statement allow, and every other allocation flagged.
+// miniature Buffer whose DecodeBatch / EncodeResponse roots mirror the real
+// codec — header arithmetic, subslice views and reclaimed request storage
+// on the zero-alloc side, the sanctioned grow-once slab behind a statement
+// allow, and every other allocation flagged.
 package wire
 
 import "io"
@@ -17,13 +17,16 @@ type Buffer struct {
 	Out    []byte
 	Req    Request
 	floats []float64
-	lp     [4]byte
+	hdr    [4]byte
 }
 
 // DecodeBatch: header reads and subslice views allocate nothing; the slab
 // grow is sanctioned once, but the per-row append is not (the real codec
 // pre-sizes Preds to the row count before slicing views out).
-func (b *Buffer) DecodeBatch(cols int) error {
+func (b *Buffer) DecodeBatch(r io.Reader, cols int) error {
+	if err := b.read(r); err != nil {
+		return err
+	}
 	if len(b.In) < 24 {
 		return io.ErrUnexpectedEOF
 	}
@@ -54,24 +57,25 @@ func (b *Buffer) EncodeResponse(cards []float64) {
 	b.Out = out
 }
 
-// ReadFrame reads the length prefix into buffer-owned scratch (free); the
-// drain-on-error fallback allocates and must be flagged. Dump is pruned by
-// its decl-level allow even though this call site reaches it.
-func (b *Buffer) ReadFrame(r io.Reader) error {
-	if _, err := io.ReadFull(r, b.lp[:]); err != nil {
+// read takes the frame header into buffer-owned scratch (free); the
+// drain-on-error fallback allocates and must be flagged through the
+// DecodeBatch root. Dump is pruned by its decl-level allow even though this
+// call site reaches it.
+func (b *Buffer) read(r io.Reader) error {
+	if _, err := io.ReadFull(r, b.hdr[:]); err != nil {
 		_ = b.Dump()
 		body, _ := io.ReadAll(r) // want "io.ReadAll allocates"
 		_ = body
 		return err
 	}
-	if int(b.lp[0]) > cap(b.In) {
+	if int(b.hdr[0]) > cap(b.In) {
 		panic("frame too large for fixture") // panic arguments are exempt
 	}
 	return b.fill(r)
 }
 
-// fill is reachable from ReadFrame: its scratch and boxing must be
-// flagged through the call-graph walk, not just at the root.
+// fill is reachable from DecodeBatch through read: its scratch and boxing
+// must be flagged through the call-graph walk, not just at the root.
 func (b *Buffer) fill(r io.Reader) error {
 	tmp := make([]byte, 16) // want "make allocates"
 	var v any
@@ -84,7 +88,7 @@ func (b *Buffer) fill(r io.Reader) error {
 func (b *Buffer) debugLabel() string { return "wire" }
 
 // Dump allocates by design; the decl-level allow prunes the whole
-// function from the walk even though ReadFrame's error branch calls it.
+// function from the walk even though read's error branch calls it.
 //
 //lint:allow hotpathalloc fixture: diagnostics dump is off the hot path
 func (b *Buffer) Dump() []string {

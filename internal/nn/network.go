@@ -87,50 +87,6 @@ func (n *Network) Clone() *Network {
 	return out
 }
 
-// CloneInto copies this network's parameters into dst, reusing dst's
-// memory: no layer, parameter, or scratch allocation happens on success.
-// It succeeds only when dst has the identical topology (same layer kinds
-// and dimensions); otherwise it reports false and leaves dst untouched.
-// On success dst is parameter-identical to n with gradients zeroed, and
-// keeps its own forward/backward scratch buffers — the property serving
-// replicas rely on when refreshing from a swapped-in model.
-func (n *Network) CloneInto(dst *Network) bool {
-	if dst == nil || dst == n || len(dst.Layers) != len(n.Layers) {
-		return false
-	}
-	for i, l := range n.Layers {
-		if !sameLayerShape(l, dst.Layers[i]) {
-			return false
-		}
-	}
-	for i, l := range n.Layers {
-		dps := dst.Layers[i].Params()
-		for j, sp := range l.Params() {
-			copy(dps[j].W, sp.W)
-			dps[j].ZeroGrad()
-		}
-	}
-	return true
-}
-
-// sameLayerShape reports whether two layers have the same kind and
-// dimensions, which makes their parameter tensors copy-compatible.
-func sameLayerShape(a, b Layer) bool {
-	switch al := a.(type) {
-	case *Dense:
-		bl, ok := b.(*Dense)
-		return ok && al.In == bl.In && al.Out == bl.Out
-	case *LeakyReLU:
-		bl, ok := b.(*LeakyReLU)
-		return ok && al.Alpha == bl.Alpha
-	case *Tanh:
-		_, ok := b.(*Tanh)
-		return ok
-	default:
-		return false
-	}
-}
-
 // NumParams returns the total number of scalar parameters.
 func (n *Network) NumParams() int {
 	total := 0

@@ -1,23 +1,19 @@
 // Binary batch serving: the HTTP side of the internal/wire protocol.
 //
-// POST /estimate/batch answers one columnar request frame; POST
-// /estimate/batch/stream answers length-prefixed frames on one connection,
-// flushing each response as it is encoded. Both run on the pooled scratch
-// units every estimate uses (estimate.go) with a wire.Buffer attached, so
-// the steady path allocates nothing: decoded predicates view the request
-// bytes in place, cache keys land in the scratch's slabs, and the response
-// is encoded over the reclaimed request storage.
+// POST /estimate/batch answers one columnar request frame. It runs on the
+// pooled scratch units every estimate uses (estimate.go) with a wire.Buffer
+// attached, so the steady path allocates nothing: decoded predicates view
+// the request bytes in place, cache keys land in the scratch's slabs, and
+// the response is encoded over the reclaimed request storage.
 //
 // A batch is served by looping the estimate pipeline over wireGroupRows-row
 // groups, so the serving semantics are the JSON path's, group by group. A
 // shed anywhere sheds the whole request — a binary batch is one optimizer
-// plan, and a half-answered plan is useless — so 429 (or a FlagShed frame
-// on the stream) covers all rows.
+// plan, and a half-answered plan is useless — so 429 covers all rows.
 package serve
 
 import (
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
@@ -36,7 +32,7 @@ const (
 	wireGroupRows = 256
 	// maxWireBody caps a request frame, like maxPeriodBody for JSON bodies.
 	maxWireBody = maxPeriodBody
-	// wireContentType is the media type both binary endpoints speak.
+	// wireContentType is the media type the binary endpoint speaks.
 	wireContentType = "application/x-warper-batch"
 )
 
@@ -99,77 +95,25 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.EnterStage("respond")
-	s.encodeWire(sc, gen, out, false)
+	s.encodeWire(sc, gen, out)
 	w.Header().Set("Content-Type", wireContentType)
 	_, _ = w.Write(sc.buf.Out)
 }
 
-// handleEstimateStream answers length-prefixed frames on one connection.
-// Each frame restarts the deadline budget and flushes its response before
-// the next read. A malformed frame answers an in-band FlagError frame and
-// ends the stream (the framing itself is no longer trustworthy); a shed
-// answers a FlagShed error frame and keeps the stream alive so the client
-// can back off without reconnecting.
-func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
-	budget, err := s.estimateBudget(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc := s.wireScratch()
-	defer s.putScratch(sc)
-	// HTTP/1.x is half-duplex by default: once the first response frame is
-	// written the server stops serving body reads, which would truncate the
-	// stream after one frame. Full duplex restores read-after-write.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-	fl, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", wireContentType)
-	for {
-		tr := s.rec.tracer.Acquire("estimate_stream")
-		tr.EnterStage("decode")
-		err := sc.buf.ReadFrame(r.Body, maxWireBody)
-		if err == nil {
-			err = s.decodeWire(sc)
-		}
-		if err != nil {
-			s.rec.tracer.Finish(tr)
-			if err == io.EOF {
-				return // clean end of stream
-			}
-			s.met.wireDecodeErrors.Inc()
-			sc.buf.EncodeError(0, true)
-			_, _ = w.Write(sc.buf.Out)
-			return
-		}
-		gen, out := s.serveWireBatch(sc, deadlineIn(budget), tr)
-		if out.Shed {
-			sc.buf.EncodeError(wire.FlagShed, true)
-		} else {
-			s.encodeWire(sc, gen, out, true)
-		}
-		tr.EnterStage("respond")
-		_, _ = w.Write(sc.buf.Out)
-		if fl != nil {
-			fl.Flush()
-		}
-		s.rec.tracer.Finish(tr)
-	}
-}
-
 // encodeWire encodes the served batch in sc as a response frame and charges
 // the per-batch wire metrics.
-func (s *Server) encodeWire(sc *scratch, gen uint64, out EstimateOutcome, framed bool) {
+func (s *Server) encodeWire(sc *scratch, gen uint64, out EstimateOutcome) {
 	var flags uint16
 	if out.Degraded {
 		flags |= wire.FlagDegraded
 	}
-	sc.buf.EncodeResponse(gen, flags, sc.cards, framed)
+	sc.buf.EncodeResponse(gen, flags, sc.cards, false)
 	s.met.wireBatches.Inc()
 	s.met.wireRows.Add(int64(len(sc.cards)))
 	s.met.wireBatchRows.Observe(float64(len(sc.cards)))
 }
 
-// EstimateBatchWire answers one (unframed) binary request frame in-process
+// EstimateBatchWire answers one binary request frame in-process
 // — the wire-protocol equivalent of EstimateBudget, exported for embedding
 // Warper without HTTP and for the serving benchmark: this is the surface
 // the zero-allocation assert runs against. The encoded response frame is
@@ -191,7 +135,7 @@ func (s *Server) EstimateBatchWire(dst []byte, frame []byte, deadline time.Time)
 	if out.Shed {
 		return dst, errShed
 	}
-	s.encodeWire(sc, gen, out, false)
+	s.encodeWire(sc, gen, out)
 	//lint:allow hotpathalloc caller-owned dst grows once to its high-water capacity
 	return append(dst, sc.buf.Out...), nil
 }

@@ -61,7 +61,7 @@ func TestWireBatchMatchesJSONAcrossSwap(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s: batch status = %d", stage, code)
 		}
-		if h.Degraded() || h.Err() || len(cards) != len(preds) {
+		if h.Flags != 0 || len(cards) != len(preds) {
 			t.Fatalf("%s: header %+v with %d cards", stage, h, len(cards))
 		}
 		for i, p := range preds {
@@ -150,7 +150,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, cards, code := postWire(t, ts.URL+"/estimate/batch", empty); code != http.StatusOK || len(cards) != 0 || h.Err() {
+	if h, cards, code := postWire(t, ts.URL+"/estimate/batch", empty); code != http.StatusOK || len(cards) != 0 || h.Flags != 0 {
 		t.Errorf("empty batch: code %d, %d cards, header %+v", code, len(cards), h)
 	}
 	// Binary endpoints must be absent without Options.BinaryProtocol.
@@ -246,17 +246,12 @@ func TestDeadlineHeaderMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed, err := wire.AppendRequest(nil, 0, []query.Predicate{p}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	endpoints := []struct {
 		path, ctype string
 		body        []byte
 	}{
 		{"/estimate", "application/json", jsonBody},
 		{"/estimate/batch", wireContentType, frame},
-		{"/estimate/batch/stream", wireContentType, framed},
 	}
 	// Note: leading/trailing whitespace is trimmed by net/http before the
 	// handler sees the header, so " 50" arrives as a valid "50".
@@ -329,65 +324,6 @@ func TestJSONTrailingGarbageRejected(t *testing.T) {
 		if code := post(url, body); code != http.StatusOK {
 			t.Errorf("%s clean body: status = %d, want 200", url, code)
 		}
-	}
-}
-
-// TestWireStream drives the length-prefixed streaming endpoint: two good
-// frames answer two response frames, a garbage frame answers an in-band
-// FlagError frame and ends the stream.
-func TestWireStream(t *testing.T) {
-	_, ts, _, _, gNew := newTestServerOpts(t, Options{BinaryProtocol: true})
-	rng := rand.New(rand.NewSource(19))
-	p1, p2 := gNew.Gen(rng), gNew.Gen(rng)
-	var body []byte
-	var err error
-	body, err = wire.AppendRequest(body, 0, []query.Predicate{p1, p2}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err = wire.AppendRequest(body, 0, []query.Predicate{p1}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Third frame: well-framed garbage — the decoder must answer an error
-	// frame, not a mid-stream HTTP status.
-	body = append(body, 8, 0, 0, 0)
-	body = append(body, []byte("garbage!")...)
-
-	resp, err := http.Post(ts.URL+"/estimate/batch/stream", wireContentType, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status = %d", resp.StatusCode)
-	}
-	b := wire.NewBuffer()
-	var rows []int
-	var errFrames int
-	for {
-		rerr := b.ReadFrame(resp.Body, 1<<20)
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			t.Fatalf("ReadFrame: %v", rerr)
-		}
-		h, cards, derr := wire.DecodeResponse(b.In, nil)
-		if derr != nil {
-			t.Fatalf("DecodeResponse: %v", derr)
-		}
-		if h.Err() {
-			errFrames++
-			continue
-		}
-		rows = append(rows, len(cards))
-	}
-	if len(rows) != 2 || rows[0] != 2 || rows[1] != 1 {
-		t.Errorf("answered rows = %v, want [2 1]", rows)
-	}
-	if errFrames != 1 {
-		t.Errorf("error frames = %d, want 1", errFrames)
 	}
 }
 

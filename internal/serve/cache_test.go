@@ -264,17 +264,19 @@ func TestEstimateCacheNeverCachesShed(t *testing.T) {
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
 		EstimateCache: true,
 		Replicas:      1,
-		NoFallback:    true,
 	})
 	p := gNew.Gen(rand.New(rand.NewSource(11))).Normalize(sch)
 	want := srv.Estimator().Clone().Estimate(p)
 
+	// Shedding with the only replica held: the miss is refused.
+	srv.health.state.Store(int32(Shedding))
 	r, _, _ := srv.pool.checkout(true, time.Time{})
 	_, out := srv.EstimateBudget(p, time.Now().Add(time.Millisecond))
 	if !out.Shed {
 		t.Fatalf("outcome = %+v, want shed", out)
 	}
 	srv.pool.checkin(r)
+	srv.health.state.Store(int32(Healthy))
 
 	card, out := srv.EstimateBudget(p, time.Time{})
 	if out.Shed || out.Degraded {

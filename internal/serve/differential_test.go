@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -29,7 +28,7 @@ import (
 
 // The differential driver: a seeded random sequence of operations sent to a
 // Server (cache, replica pool, binary protocol, fallback ladder, fault
-// injection all on) and to a refServer built from an identically seeded
+// injection through the model all on) and to a refServer built from an identically seeded
 // adapter stack, with every answer compared. DESIGN.md §"The reference
 // server and the differential driver" has the op alphabet, the two modes,
 // the invariants and how to replay a failing seed.
@@ -80,19 +79,61 @@ type modelHooks struct {
 	// the driver's way to land a whole adaptation period in the middle of an
 	// in-flight estimate, deterministically.
 	midInfer atomic.Pointer[func()]
+	// chaos is the overload plan the models inject while chaosOn holds. It
+	// is set before the server is built and only read after.
+	chaos   chaosPlan
+	chaosOn atomic.Bool
+	// inferences counts replica inferences: the starvation schedule's clock.
+	inferences atomic.Int64
 }
 
+// chaosPlan is the serving layer's own failure modes, injected through the
+// served models. The schedule is count-based, so a plan replays alike
+// whatever the timing.
+type chaosPlan struct {
+	// starveEvery holds every N-th replica inference (one Estimate or
+	// EstimateAll call, which is one checkout) for starveHold before it
+	// answers, as a slow forward pass would: the replica stays out of the
+	// free list and the admission queue starves. 0 disables starvation.
+	starveEvery int64
+	starveHold  time.Duration
+	// swapDelay stalls every Clone of the adapter's own model — among them
+	// the one swap takes inside warper_model_swap_seconds — as a large
+	// model's would. Replicas refresh from the pool's source, whose Clone
+	// is never delayed.
+	swapDelay time.Duration
+}
+
+// wrap installs the switchboard around the trained model the adapter will
+// own (newTestAdapter's wrap argument).
+func (h *modelHooks) wrap(lm *ce.LM) ce.Estimator { return &hookModel{LM: lm, h: h} }
+
+// modelRole says which copy of a stack's model a hookModel is. Clone moves
+// one role down: the adapter's own model yields a private copy (the pool's
+// source, the rollback snapshot), and a copy yields a replica.
+type modelRole int
+
+const (
+	roleAdapter modelRole = iota
+	roleCopy
+	roleReplica
+)
+
 // hookModel is an LM-mlp with the modelHooks wired in. Clones share the
-// switchboard and stay in-place clonable, so served replicas refresh the
-// way production ones do.
+// switchboard.
 type hookModel struct {
 	*ce.LM
-	h *modelHooks
+	h    *modelHooks
+	role modelRole
 }
 
 func (m *hookModel) fire() {
 	if f := m.h.midInfer.Swap(nil); f != nil {
 		(*f)()
+	}
+	if c := m.h.chaos; m.role == roleReplica && c.starveEvery > 0 && m.h.chaosOn.Load() &&
+		m.h.inferences.Add(1)%c.starveEvery == 0 {
+		time.Sleep(c.starveHold)
 	}
 }
 
@@ -117,12 +158,14 @@ func (m *hookModel) Update(examples []query.Labeled) error {
 }
 
 func (m *hookModel) Clone() ce.Estimator {
-	return &hookModel{LM: m.LM.Clone().(*ce.LM), h: m.h}
-}
-
-func (m *hookModel) CloneInto(dst ce.Estimator) bool {
-	d, ok := dst.(*hookModel)
-	return ok && m.LM.CloneInto(d.LM)
+	role := roleReplica
+	if m.role == roleAdapter {
+		role = roleCopy
+		if m.h.chaosOn.Load() {
+			time.Sleep(m.h.chaos.swapDelay)
+		}
+	}
+	return &hookModel{LM: m.LM.Clone().(*ce.LM), h: m.h, role: role}
 }
 
 // flakySource fails every k-th Count while armed (k = 1 fails them all):
@@ -156,8 +199,7 @@ type diffStack struct {
 // newDiffStack builds one side; equal seeds build bit-identical sides.
 func newDiffStack(t testing.TB, seed int64) (diffStack, *query.Schema, *annotator.Annotator, workload.Generator) {
 	s := diffStack{hooks: &modelHooks{}}
-	wrap := func(lm *ce.LM) ce.Estimator { return &hookModel{LM: lm, h: s.hooks} }
-	ad, sch, ann, gen := newTestAdapter(t, 100+seed, wrap)
+	ad, sch, ann, gen := newTestAdapter(t, 100+seed, s.hooks.wrap)
 	s.ad, s.flaky = ad, &flakySource{Source: ad.Source()}
 	ad.SetSource(s.flaky)
 	return s, sch, ann, gen
@@ -183,17 +225,15 @@ const (
 	doorJSON                 // POST /estimate
 	doorBatch                // POST /estimate/batch
 	doorWire                 // Server.EstimateBatchWire
-	doorStream               // POST /estimate/batch/stream
 	numDoors
 )
 
 func (d door) String() string {
-	return [...]string{"Estimate", "EstimateBudget", "POST /estimate", "POST /estimate/batch", "EstimateBatchWire", "POST /estimate/batch/stream"}[d]
+	return [...]string{"Estimate", "EstimateBudget", "POST /estimate", "POST /estimate/batch", "EstimateBatchWire"}[d]
 }
 
-// frameAns is one answered frame: a whole scalar or batch request, or one
-// frame of a stream.
-type frameAns struct {
+// answer is one answered request, scalar or batch.
+type answer struct {
 	preds []pred
 	cards []float64
 	out   EstimateOutcome // the reason only where the door carries one
@@ -216,7 +256,6 @@ type diffDriver struct {
 	srv    *Server
 	h      http.Handler
 	served diffStack
-	faults *resilience.ServeFaults
 
 	ref    *refServer
 	shadow diffStack // the reference's stack, armed like served
@@ -243,17 +282,13 @@ func newDiffDriver(t *testing.T, seed int64, evalInterval time.Duration) *diffDr
 	d.shadow, _, _, _ = newDiffStack(t, seed)
 	d.ref = newRefServer(d.shadow.ad)
 	d.served, d.sch, d.ann, d.gen = newDiffStack(t, seed)
-	d.faults = resilience.NewServeFaults(resilience.ServeFaultPlan{
-		StarveEvery: 2, StarveHold: 500 * time.Microsecond, SwapDelay: time.Millisecond,
-	})
-	d.faults.Disable()
+	d.served.hooks.chaos = chaosPlan{starveEvery: 2, starveHold: 500 * time.Microsecond, swapDelay: time.Millisecond}
 	d.srv = NewWithOptions(d.served.ad, d.sch, Options{
 		BinaryProtocol: true,
 		Replicas:       2,
 		EstimateCache:  true,
 		CacheEntries:   256, // small: eviction churn
 		DriftAlarmGMQ:  1.5,
-		ServeFaults:    d.faults,
 		// One queue slot: concurrent readers overflow it at once.
 		ShedQueue: 1,
 		Health:    HealthConfig{EvalInterval: evalInterval},
@@ -304,64 +339,54 @@ func (d *diffDriver) call(method, path, ctype string, body []byte, budget time.D
 	return rw
 }
 
-// issue sends rows through one door and returns the answered frames; the
-// stream door splits rows into frames of per rows. An error is a protocol
-// violation: an unexpected status, an answer with the wrong row count, a
-// shed that is not all-or-nothing.
-func (d *diffDriver) issue(dr door, rows []pred, budget time.Duration, per int) ([]frameAns, error) {
+// issue sends rows through one door and returns the answer. An error is a
+// protocol violation: an unexpected status, an answer with the wrong row
+// count, a shed that is not all-or-nothing.
+func (d *diffDriver) issue(dr door, rows []pred, budget time.Duration) (answer, error) {
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
-	shed429 := func(rw *httptest.ResponseRecorder) ([]frameAns, error) {
+	shed429 := func(rw *httptest.ResponseRecorder) (answer, error) {
 		out, err := parseShed(rw.Code, rw.Body.Bytes())
 		if err != nil {
-			return nil, fmt.Errorf("%v: %v", dr, err)
+			return answer{}, fmt.Errorf("%v: %v", dr, err)
 		}
-		return []frameAns{{preds: rows, out: out}}, nil
+		return answer{preds: rows, out: out}, nil
 	}
-	decode := func(frame []byte, preds []pred) (frameAns, error) {
+	decode := func(frame []byte) (answer, error) {
 		h, cards, err := wire.DecodeResponse(frame, nil)
 		if err != nil {
-			return frameAns{}, fmt.Errorf("%v: response frame: %v", dr, err)
+			return answer{}, fmt.Errorf("%v: response frame: %v", dr, err)
 		}
-		if h.Err() {
-			if h.Flags&wire.FlagShed == 0 || len(cards) != 0 {
-				return frameAns{}, fmt.Errorf("%v: error frame %+v with %d rows, want an empty shed frame", dr, h, len(cards))
-			}
-			return frameAns{preds: preds, out: EstimateOutcome{Shed: true}}, nil
+		if len(cards) != len(rows) {
+			return answer{}, fmt.Errorf("%v: %d rows answered, %d sent", dr, len(cards), len(rows))
 		}
-		if len(cards) != len(preds) {
-			return frameAns{}, fmt.Errorf("%v: %d rows answered, %d sent", dr, len(cards), len(preds))
-		}
-		return frameAns{preds: preds, cards: cards, out: EstimateOutcome{Degraded: h.Degraded()}, gen: h.Generation}, nil
+		return answer{preds: rows, cards: cards, out: EstimateOutcome{Degraded: h.Degraded()}, gen: h.Generation}, nil
 	}
-	request := func(preds []pred, framed bool, dst []byte) []byte {
-		raws := make([]query.Predicate, len(preds))
-		for i, p := range preds {
-			raws[i] = p.raw
-		}
-		dst, err := wire.AppendRequest(dst, 0, raws, framed)
-		if err != nil {
-			panic(err) // the driver's own predicates all span the schema
-		}
-		return dst
+	raws := make([]query.Predicate, len(rows))
+	for i, p := range rows {
+		raws[i] = p.raw
+	}
+	frame, err := wire.AppendRequest(nil, 0, raws, false)
+	if err != nil {
+		return answer{}, err
 	}
 
 	switch dr {
 	case doorEstimate:
-		return []frameAns{{preds: rows, cards: []float64{d.srv.Estimate(rows[0].norm)}}}, nil
+		return answer{preds: rows, cards: []float64{d.srv.Estimate(rows[0].norm)}}, nil
 	case doorBudget:
 		card, out := d.srv.EstimateBudget(rows[0].norm, deadline)
-		fa := frameAns{preds: rows, out: out}
+		a := answer{preds: rows, out: out}
 		if !out.Shed {
-			fa.cards = []float64{card}
+			a.cards = []float64{card}
 		}
-		return []frameAns{fa}, nil
+		return a, nil
 	case doorJSON:
 		body, err := json.Marshal(predicateJSON{Lows: rows[0].raw.Lows, Highs: rows[0].raw.Highs})
 		if err != nil {
-			return nil, err
+			return answer{}, err
 		}
 		rw := d.call("POST", "/estimate", "application/json", body, budget)
 		if rw.Code != http.StatusOK {
@@ -369,111 +394,76 @@ func (d *diffDriver) issue(dr door, rows []pred, budget time.Duration, per int) 
 		}
 		var er estimateResponse
 		if err := json.Unmarshal(rw.Body.Bytes(), &er); err != nil {
-			return nil, fmt.Errorf("%v: %v", dr, err)
+			return answer{}, fmt.Errorf("%v: %v", dr, err)
 		}
-		return []frameAns{{preds: rows, cards: []float64{er.Cardinality}, out: EstimateOutcome{Degraded: er.Degraded, Reason: er.Reason}}}, nil
+		return answer{preds: rows, cards: []float64{er.Cardinality}, out: EstimateOutcome{Degraded: er.Degraded, Reason: er.Reason}}, nil
 	case doorBatch:
-		rw := d.call("POST", "/estimate/batch", wireContentType, request(rows, false, nil), budget)
+		rw := d.call("POST", "/estimate/batch", wireContentType, frame, budget)
 		if rw.Code != http.StatusOK {
 			return shed429(rw)
 		}
-		fa, err := decode(rw.Body.Bytes(), rows)
-		return []frameAns{fa}, err
-	case doorWire:
-		resp, err := d.srv.EstimateBatchWire(nil, request(rows, false, nil), deadline)
+		return decode(rw.Body.Bytes())
+	default: // doorWire
+		resp, err := d.srv.EstimateBatchWire(nil, frame, deadline)
 		if err == errShed {
 			if len(resp) != 0 {
-				return nil, fmt.Errorf("%v: shed with %d response bytes", dr, len(resp))
+				return answer{}, fmt.Errorf("%v: shed with %d response bytes", dr, len(resp))
 			}
-			return []frameAns{{preds: rows, out: EstimateOutcome{Shed: true}}}, nil
+			return answer{preds: rows, out: EstimateOutcome{Shed: true}}, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%v: %v", dr, err)
+			return answer{}, fmt.Errorf("%v: %v", dr, err)
 		}
-		fa, err := decode(resp, rows)
-		return []frameAns{fa}, err
-	default: // doorStream
-		var body []byte
-		var sent [][]pred
-		for base := 0; base < len(rows); base += per {
-			sent = append(sent, rows[base:min(base+per, len(rows))])
-			body = request(sent[len(sent)-1], true, body)
-		}
-		rw := d.call("POST", "/estimate/batch/stream", wireContentType, body, budget)
-		if rw.Code != http.StatusOK {
-			return nil, fmt.Errorf("%v: status %d", dr, rw.Code)
-		}
-		var frames []frameAns
-		buf := wire.NewBuffer()
-		for {
-			err := buf.ReadFrame(rw.Body, maxWireBody)
-			if err == io.EOF {
-				break
-			}
-			if err != nil || len(frames) == len(sent) {
-				return nil, fmt.Errorf("%v: response frame %d of %d: %v", dr, len(frames)+1, len(sent), err)
-			}
-			fa, err := decode(buf.In, sent[len(frames)])
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, fa)
-		}
-		if len(frames) != len(sent) {
-			return nil, fmt.Errorf("%v: %d frames answered, %d sent", dr, len(frames), len(sent))
-		}
-		return frames, nil
+		return decode(resp)
 	}
 }
 
-// verify checks answered frames against the reference. A shed frame carries
-// no rows; a degraded frame is flagged as such and its ladder values are not
-// the reference's business; every row of a full-model frame carries the
+// verify checks an answer against the reference. A shed answer carries no
+// rows; a degraded answer is flagged as such and its ladder values are not
+// the reference's business; every row of a full-model answer carries the
 // bits the reference answers at some generation in [lo, hi] — at exactly
-// the echoed generation for a one-row frame that echoes one (that row was a
-// miss, computed by the replica whose generation the frame reports).
-func (d *diffDriver) verify(dr door, frames []frameAns, lo, hi uint64) error {
-	for _, fa := range frames {
-		switch {
-		case fa.out.Shed:
-			atomic.AddInt64(&d.stats.Shed, 1)
-			if len(fa.cards) != 0 {
-				return fmt.Errorf("%v: shed, yet %d rows answered", dr, len(fa.cards))
-			}
-			continue
-		case fa.out.Degraded:
-			atomic.AddInt64(&d.stats.Degraded, 1)
-			continue
+// the echoed generation for a one-row answer that echoes one (that row was
+// a miss, computed by the replica whose generation the answer reports).
+func (d *diffDriver) verify(dr door, a answer, lo, hi uint64) error {
+	switch {
+	case a.out.Shed:
+		atomic.AddInt64(&d.stats.Shed, 1)
+		if len(a.cards) != 0 {
+			return fmt.Errorf("%v: shed, yet %d rows answered", dr, len(a.cards))
 		}
-		atomic.AddInt64(&d.stats.Full, 1)
-		glo, ghi := lo, hi
-		if fa.gen != 0 {
-			if fa.gen < lo || fa.gen > hi {
-				return fmt.Errorf("%v: answered by generation %d, outside the request's window [%d, %d]", dr, fa.gen, lo, hi)
-			}
-			if len(fa.preds) == 1 {
-				glo, ghi = fa.gen, fa.gen
-			}
+		return nil
+	case a.out.Degraded:
+		atomic.AddInt64(&d.stats.Degraded, 1)
+		return nil
+	}
+	atomic.AddInt64(&d.stats.Full, 1)
+	glo, ghi := lo, hi
+	if a.gen != 0 {
+		if a.gen < lo || a.gen > hi {
+			return fmt.Errorf("%v: answered by generation %d, outside the request's window [%d, %d]", dr, a.gen, lo, hi)
 		}
-	rows:
-		for i, p := range fa.preds {
-			var want []float64
-			for g := glo; g <= ghi; g++ {
-				w := d.ref.estimateAt(g, p.norm)
-				if math.Float64bits(w) == math.Float64bits(fa.cards[i]) {
-					continue rows
-				}
-				want = append(want, w)
-			}
-			return fmt.Errorf("%v: row %d of %d = %v, reference answers %v at generations [%d, %d] (echo %d): %s",
-				dr, i, len(fa.preds), fa.cards[i], want, glo, ghi, fa.gen, p.norm.WhereClause(d.sch))
+		if len(a.preds) == 1 {
+			glo, ghi = a.gen, a.gen
 		}
+	}
+rows:
+	for i, p := range a.preds {
+		var want []float64
+		for g := glo; g <= ghi; g++ {
+			w := d.ref.estimateAt(g, p.norm)
+			if math.Float64bits(w) == math.Float64bits(a.cards[i]) {
+				continue rows
+			}
+			want = append(want, w)
+		}
+		return fmt.Errorf("%v: row %d of %d = %v, reference answers %v at generations [%d, %d] (echo %d): %s",
+			dr, i, len(a.preds), a.cards[i], want, glo, ghi, a.gen, p.norm.WhereClause(d.sch))
 	}
 	return nil
 }
 
 // randomRequest draws a door and the rows to send through it.
-func (d *diffDriver) randomRequest(rng *rand.Rand) (dr door, rows []pred, per int) {
+func (d *diffDriver) randomRequest(rng *rand.Rand) (dr door, rows []pred) {
 	dr = door(rng.Intn(int(numDoors)))
 	n := 1
 	if dr >= doorBatch {
@@ -488,11 +478,7 @@ func (d *diffDriver) randomRequest(rng *rand.Rand) (dr door, rows []pred, per in
 	for i := range rows {
 		rows[i] = d.pick(rng)
 	}
-	per = n
-	if dr == doorStream {
-		per = 1 + rng.Intn(n)
-	}
-	return dr, rows, per
+	return dr, rows
 }
 
 // runSequential is the exact mode: one operation at a time, every answer
@@ -510,7 +496,7 @@ func (d *diffDriver) runSequential(ops int) {
 		case is(pPeriod / 2):
 			d.opSwapMidInference()
 		case is(0.01):
-			d.opToggleServeFaults()
+			d.opToggleChaos()
 		case is(0.01):
 			d.opScrape()
 		default:
@@ -538,7 +524,7 @@ func adaptShares(ops int) (pPeriod, pFeedback float64) {
 // state, breaker, replicas held or free, deadline or none — and checks the
 // answer bits and the outcome class against the admission table.
 func (d *diffDriver) opEstimate() {
-	dr, rows, per := d.randomRequest(d.rng)
+	dr, rows := d.randomRequest(d.rng)
 	state, breaker := Healthy, false
 	switch d.rng.Intn(6) {
 	case 0:
@@ -562,29 +548,27 @@ func (d *diffDriver) opEstimate() {
 		replicas = drainReplicas(d.t, d.srv)
 	}
 	lo := d.lo.Load()
-	frames, err := d.issue(dr, rows, budget, per)
+	a, err := d.issue(dr, rows, budget)
 	restoreReplicas(d.srv, replicas)
 	d.srv.health.state.Store(int32(Healthy))
 	d.srv.health.breakerOpen.Store(false)
 	if err == nil {
-		err = d.verify(dr, frames, lo, d.hi.Load())
+		err = d.verify(dr, a, lo, d.hi.Load())
 	}
 	if err != nil {
 		d.failf("%v", err)
 	}
 	// Rows that hit the cache need no replica, so a held request may still
 	// come back full; nothing else may differ from the table.
-	want := admissionOutcome(state, breaker, true, held, budget > 0)
+	want := admissionOutcome(state, breaker, held, budget > 0)
 	if dr == doorEstimate {
 		want = EstimateOutcome{}
 	}
-	for _, fa := range frames {
-		full := !fa.out.Shed && !fa.out.Degraded
-		if fa.out.Shed != want.Shed && !full || fa.out.Degraded != want.Degraded && !full ||
-			fa.out.Reason != "" && fa.out.Reason != want.Reason {
-			d.failf("%v (%v, breaker %v, held %v, budget %v): outcome %+v, admission table says %+v",
-				dr, state, breaker, held, budget, fa.out, want)
-		}
+	full := !a.out.Shed && !a.out.Degraded
+	if a.out.Shed != want.Shed && !full || a.out.Degraded != want.Degraded && !full ||
+		a.out.Reason != "" && a.out.Reason != want.Reason {
+		d.failf("%v (%v, breaker %v, held %v, budget %v): outcome %+v, admission table says %+v",
+			dr, state, breaker, held, budget, a.out, want)
 	}
 }
 
@@ -653,6 +637,8 @@ func (d *diffDriver) opPeriod() {
 		if rw.Code != http.StatusInternalServerError {
 			d.failf("POST /period = %d %s, the reference's period failed: %v", rw.Code, rw.Body, refErr)
 		}
+		// The reinstated pre-period snapshot is the adapter's model now.
+		d.served.ad.M.(*hookModel).role = roleAdapter
 		if st := d.status(); st.Buffered != buffered || st.Periods != int(gen)-1 {
 			d.failf("failed period left %d buffered arrivals and %d periods, want %d and %d", st.Buffered, st.Periods, buffered, gen-1)
 		}
@@ -735,28 +721,24 @@ func (d *diffDriver) uncached() pred {
 // server, and requires the reference's answer at exactly generation gen.
 func (d *diffDriver) oneRowExact(p pred, gen uint64) {
 	dr := door(d.rng.Intn(int(numDoors)))
-	frames, err := d.issue(dr, []pred{p}, 0, 1)
+	a, err := d.issue(dr, []pred{p}, 0)
 	if d.served.hooks.midInfer.Swap(nil) != nil {
 		d.failf("%v: the request never reached the model", dr)
 	}
 	if err == nil {
-		err = d.verify(dr, frames, gen, gen)
+		err = d.verify(dr, a, gen, gen)
 	}
-	if err == nil && (frames[0].out != EstimateOutcome{}) {
-		err = fmt.Errorf("%v: outcome %+v on a healthy idle server", dr, frames[0].out)
+	if err == nil && (a.out != EstimateOutcome{}) {
+		err = fmt.Errorf("%v: outcome %+v on a healthy idle server", dr, a.out)
 	}
 	if err != nil {
 		d.failf("%v", err)
 	}
 }
 
-// opToggleServeFaults turns replica starvation and slow swaps on or off.
-func (d *diffDriver) opToggleServeFaults() {
-	if d.rng.Intn(2) == 0 {
-		d.faults.Enable()
-	} else {
-		d.faults.Disable()
-	}
+// opToggleChaos turns replica starvation and slow swaps on or off.
+func (d *diffDriver) opToggleChaos() {
+	d.served.hooks.chaosOn.Store(d.rng.Intn(2) == 0)
 }
 
 // opScrape reads the observability endpoints — /metrics and /statusz
@@ -791,12 +773,12 @@ func (d *diffDriver) runConcurrent(ops int) {
 				if i > int64(ops) {
 					return
 				}
-				dr, rows, per := d.randomRequest(rng)
+				dr, rows := d.randomRequest(rng)
 				budget := []time.Duration{0, time.Millisecond, 20 * time.Millisecond}[rng.Intn(3)]
 				lo := d.lo.Load()
-				frames, err := d.issue(dr, rows, budget, per)
+				a, err := d.issue(dr, rows, budget)
 				if err == nil {
-					err = d.verify(dr, frames, lo, d.hi.Load())
+					err = d.verify(dr, a, lo, d.hi.Load())
 				}
 				if err != nil {
 					d.stop.Store(true)
@@ -821,7 +803,7 @@ func (d *diffDriver) runConcurrent(ops int) {
 		case is(pFeedback):
 			d.opFeedback()
 		case is(0.05 * pFeedback):
-			d.opToggleServeFaults()
+			d.opToggleChaos()
 		default:
 			d.opScrape()
 		}

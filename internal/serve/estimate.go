@@ -38,7 +38,6 @@ const (
 	reasonDegraded  = "degraded"   // degraded health, no replica free
 	reasonQueueFull = "queue_full" // bounded admission queue overflowed
 	reasonShedding  = "shedding"   // shedding health, no replica free
-	reasonDeadline  = "deadline"   // budget missed with fallback disabled
 )
 
 // EstimateOutcome reports how an estimate was (or was not) served: fully
@@ -217,8 +216,8 @@ func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float
 
 // admit answers one packed group under admission control. It holds the only
 // copy of the health switch: h picks the admission rule, the deadline
-// budgets the replica wait, and the fallback ladder (when enabled) keeps
-// what the model cannot reach answerable. It is also the only place the
+// budgets the replica wait, and the fallback ladder keeps what the model
+// cannot reach answerable. It is also the only place the
 // estimate_shed_total / estimate_fallback_total counters move — once per
 // group, which for a group of one is once per request. The returned
 // generation is the one that computed a full-model answer, or 0 for
@@ -249,7 +248,7 @@ func (s *Server) admit(h HealthState, deadline time.Time, preds []query.Predicat
 	switch {
 	case err == errShed:
 		oc, charged = EstimateOutcome{Shed: true, Reason: reasonQueueFull}, s.met.shedQueueFull
-	case h == Shedding, h == Degraded && s.fb == nil:
+	case h == Shedding:
 		// Everything a free replica cannot absorb is refused, so the queue
 		// drains instead of growing.
 		oc, charged = EstimateOutcome{Shed: true, Reason: reasonShedding}, s.met.shedShedding
@@ -257,9 +256,6 @@ func (s *Server) admit(h HealthState, deadline time.Time, preds []query.Predicat
 		oc, charged = EstimateOutcome{Degraded: true, Reason: reasonBreaker}, s.met.fbBreaker
 	case h == Degraded:
 		oc, charged = EstimateOutcome{Degraded: true, Reason: reasonDegraded}, s.met.fbDegraded
-	case s.fb == nil:
-		// errCheckoutTimeout with the ladder off.
-		oc, charged = EstimateOutcome{Shed: true, Reason: reasonDeadline}, s.met.shedDeadline
 	default:
 		oc, charged = EstimateOutcome{Degraded: true, Reason: reasonTimeout}, s.met.fbTimeout
 	}

@@ -62,7 +62,7 @@ func shedOutcome(t testing.TB, code int, body []byte) EstimateOutcome {
 	return out
 }
 
-// reasonCounters snapshots the six per-reason admission counters.
+// reasonCounters snapshots the five per-reason admission counters.
 func reasonCounters(srv *Server) map[string]int64 {
 	return map[string]int64{
 		reasonTimeout:   srv.met.fbTimeout.Value(),
@@ -70,7 +70,6 @@ func reasonCounters(srv *Server) map[string]int64 {
 		reasonDegraded:  srv.met.fbDegraded.Value(),
 		reasonQueueFull: srv.met.shedQueueFull.Value(),
 		reasonShedding:  srv.met.shedShedding.Value(),
-		reasonDeadline:  srv.met.shedDeadline.Value(),
 	}
 }
 
@@ -82,23 +81,21 @@ func reasonCounters(srv *Server) map[string]int64 {
 // per group — and only full-model answers ever reach the cache.
 func TestEntryPointsAgree(t *testing.T) {
 	for _, cacheOn := range []bool{true, false} {
-		for _, fallback := range []bool{true, false} {
-			t.Run(fmt.Sprintf("cache=%v/fallback=%v", cacheOn, fallback), func(t *testing.T) {
-				entryPointsAgree(t, cacheOn, fallback)
-			})
-		}
+		t.Run(fmt.Sprintf("cache=%v", cacheOn), func(t *testing.T) {
+			entryPointsAgree(t, cacheOn)
+		})
 	}
 }
 
 // admissionOutcome is the admission table, spelled out from the outside:
 // what a request whose rows all miss the cache must come back as, given the
-// health state, whether a fallback ladder exists, whether every replica is
-// held, and whether the request carries a deadline.
-func admissionOutcome(state HealthState, breaker, fallback, held, budgeted bool) EstimateOutcome {
+// health state, whether every replica is held, and whether the request
+// carries a deadline.
+func admissionOutcome(state HealthState, breaker, held, budgeted bool) EstimateOutcome {
 	switch {
 	case !held:
 		return EstimateOutcome{}
-	case state == Shedding, state == Degraded && !fallback:
+	case state == Shedding:
 		return EstimateOutcome{Shed: true, Reason: "shedding"}
 	case state == Degraded && breaker:
 		return EstimateOutcome{Degraded: true, Reason: "breaker"}
@@ -106,14 +103,12 @@ func admissionOutcome(state HealthState, breaker, fallback, held, budgeted bool)
 		return EstimateOutcome{Degraded: true, Reason: "degraded"}
 	case !budgeted:
 		return EstimateOutcome{} // waits until the replica is released
-	case !fallback:
-		return EstimateOutcome{Shed: true, Reason: "deadline"}
 	}
 	return EstimateOutcome{Degraded: true, Reason: "timeout"}
 }
 
 // entryPointsAgree walks the admission table on one server.
-func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
+func entryPointsAgree(t *testing.T, cacheOn bool) {
 	type health struct {
 		name    string
 		state   HealthState
@@ -131,7 +126,6 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 		BinaryProtocol: true,
 		Replicas:       1,
 		EstimateCache:  cacheOn,
-		NoFallback:     !fallback,
 	})
 	ref := srv.Estimator().Clone()
 	rng := rand.New(rand.NewSource(41))
@@ -204,7 +198,7 @@ func entryPointsAgree(t *testing.T, cacheOn, fallback bool) {
 
 				srv.health.state.Store(int32(h.state))
 				srv.health.breakerOpen.Store(h.breaker)
-				exp := admissionOutcome(h.state, h.breaker, fallback, held, budgeted)
+				exp := admissionOutcome(h.state, h.breaker, held, budgeted)
 				wantCard := ref.Estimate(pn)
 				if exp.Degraded {
 					wantCard = srv.fb.estimate(pn)

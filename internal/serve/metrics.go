@@ -78,7 +78,6 @@ type Metrics struct {
 	fbDegraded    *obs.Counter
 	shedQueueFull *obs.Counter
 	shedShedding  *obs.Counter
-	shedDeadline  *obs.Counter
 
 	// Estimate-cache counters, pre-created for the same reason: the lookup
 	// path increments pointers, never does a registry lookup.
@@ -151,7 +150,6 @@ func NewMetrics() *Metrics {
 		fbDegraded:    r.Counter(mFallbackTotal, "reason", "degraded"),
 		shedQueueFull: r.NewCounter(mShedTotal, "Estimate requests shed by admission control (429), by reason.", "reason", "queue_full"),
 		shedShedding:  r.Counter(mShedTotal, "reason", "shedding"),
-		shedDeadline:  r.Counter(mShedTotal, "reason", "deadline"),
 
 		cacheHits:          r.NewCounter("estimate_cache_hits_total", "Estimates answered from the generation-stamped cache."),
 		cacheMisses:        r.NewCounter("estimate_cache_misses_total", "Estimates that probed the cache and fell through to the replica pool."),
@@ -159,7 +157,7 @@ func NewMetrics() *Metrics {
 		cacheInvalidations: r.NewCounter("estimate_cache_invalidations_total", "Wholesale cache invalidations: model swaps, each of which invalidates every entry."),
 		cacheEntries:       r.NewGauge("estimate_cache_entries", "Cache slots holding an entry (including generation-stale ones awaiting overwrite)."),
 
-		wireBatches:      r.NewCounter("wire_batches_total", "Binary /estimate/batch requests (and stream frames) served."),
+		wireBatches:      r.NewCounter("wire_batches_total", "Binary /estimate/batch requests served."),
 		wireRows:         r.NewCounter("wire_rows_total", "Predicates served through the binary wire protocol."),
 		wireDecodeErrors: r.NewCounter("wire_decode_errors_total", "Binary frames rejected by the wire decoder (bad header, size, or non-finite bounds)."),
 		// Batch sizes span 1..maxWireRows; log-scale buckets from 1 up.

@@ -15,7 +15,6 @@ import (
 
 	"warper/internal/ce"
 	"warper/internal/query"
-	"warper/internal/resilience"
 )
 
 // drainReplicas checks out every free replica so the pool looks saturated;
@@ -242,27 +241,6 @@ func TestQueueBoundSheds(t *testing.T) {
 	}
 }
 
-// TestNoFallbackShedsOnBudgetMiss pins Options.NoFallback: a budget miss sheds
-// with reason "deadline" instead of serving a histogram answer.
-func TestNoFallbackShedsOnBudgetMiss(t *testing.T) {
-	srv, ts, _, _, gNew := newTestServerOpts(t, Options{
-		Replicas:        2,
-		EstimateTimeout: 20 * time.Millisecond,
-		NoFallback:      true,
-	})
-	p := gNew.Gen(rand.New(rand.NewSource(13)))
-
-	held := drainReplicas(t, srv)
-	defer restoreReplicas(srv, held)
-	r := postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, nil)
-	if r.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("no-fallback budget miss = %d, want 429", r.StatusCode)
-	}
-	if body := metricsBody(t, ts.URL); !strings.Contains(body, `estimate_shed_total{reason="deadline"} 1`) {
-		t.Error("estimate_shed_total{reason=\"deadline\"} not incremented")
-	}
-}
-
 // TestEstimateAndFeedbackBodyCaps pins the request-body satellite: /estimate
 // and /feedback reject oversized bodies with 413, like /period always has.
 func TestEstimateAndFeedbackBodyCaps(t *testing.T) {
@@ -334,21 +312,21 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 		callers = 4
 		budget  = 5 * time.Millisecond
 	)
-	faults := resilience.NewServeFaults(resilience.ServeFaultPlan{StarveEvery: 1, StarveHold: 20 * time.Millisecond})
+	chaos := &modelHooks{chaos: chaosPlan{starveEvery: 1, starveHold: 20 * time.Millisecond}}
+	chaos.chaosOn.Store(true)
 	// Wait thresholds out of reach, as in the soak below: the callers parked
 	// behind the held replica (QueueHigh = ShedQueue/2 = 2 < callers-1)
 	// drive the ladder, and a scheduler-inflated wait sample cannot pin the
 	// recovery for the length of the wait window.
-	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
-		Replicas:    1,
-		ShedQueue:   4,
-		ServeFaults: faults,
+	srv, _, sch, _, gNew := newTestServerWrap(t, Options{
+		Replicas:  1,
+		ShedQueue: 4,
 		Health: HealthConfig{
 			EvalInterval:   5 * time.Millisecond,
 			DegradeWaitP99: 30 * time.Second,
 			ShedWaitP99:    time.Minute,
 		},
-	})
+	}, chaos.wrap)
 	p := gNew.Gen(rand.New(rand.NewSource(23))).Normalize(sch)
 
 	stop := make(chan struct{})
@@ -404,7 +382,7 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 		t.Errorf("health event queue_depth = %v, below QueueHigh %d: what moved the state?", first["queue_depth"], srv.health.cfg.QueueHigh)
 	}
 
-	faults.Disable()
+	chaos.chaosOn.Store(false)
 	waitFor("recover once the starvation ends", func() bool { return srv.HealthState() == Healthy })
 }
 
@@ -423,11 +401,12 @@ func TestOverloadChaosSoak(t *testing.T) {
 		maxQueue = 8
 		workers  = 12
 	)
-	faults := resilience.NewServeFaults(resilience.ServeFaultPlan{
-		StarveEvery: 2,
-		StarveHold:  2 * time.Millisecond,
-		SwapDelay:   100 * time.Millisecond,
-	})
+	chaos := &modelHooks{chaos: chaosPlan{
+		starveEvery: 2,
+		starveHold:  2 * time.Millisecond,
+		swapDelay:   100 * time.Millisecond,
+	}}
+	chaos.chaosOn.Store(true)
 	// Wait thresholds sit far above anything this run can record: under
 	// the race detector a timed-out wait's measured duration includes
 	// scheduler delays of hundreds of milliseconds, and those samples live
@@ -435,17 +414,16 @@ func TestOverloadChaosSoak(t *testing.T) {
 	// would pin the machine degraded through the whole recovery deadline.
 	// Queue depth (QueueHigh = maxQueue/2 = 4 < workers) and the breaker
 	// signal drive the ladder here.
-	srv, ts, sch, ann, gNew := newTestServerOpts(t, Options{
+	srv, ts, sch, ann, gNew := newTestServerWrap(t, Options{
 		Replicas:        2,
 		EstimateTimeout: budget,
 		ShedQueue:       maxQueue,
-		ServeFaults:     faults,
 		Health: HealthConfig{
 			EvalInterval:   5 * time.Millisecond,
 			DegradeWaitP99: 30 * time.Second,
 			ShedWaitP99:    time.Minute,
 		},
-	})
+	}, chaos.wrap)
 	rng := rand.New(rand.NewSource(19))
 	probes := make([]query.Predicate, 8)
 	for i := range probes {
@@ -503,7 +481,7 @@ func TestOverloadChaosSoak(t *testing.T) {
 
 	// Recovery: chaos off, breaker closed; the requests of a client that
 	// keeps asking are what walk the machine back to healthy.
-	faults.Disable()
+	chaos.chaosOn.Store(false)
 	srv.health.breakerOpen.Store(false)
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.HealthState() != Healthy && time.Now().Before(deadline) {
@@ -606,20 +584,20 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 		depthSlack   = clients * 8
 		latencySlack = 250 * time.Millisecond
 	)
-	faults := resilience.NewServeFaults(resilience.ServeFaultPlan{StarveEvery: 1, StarveHold: starveHold})
+	chaos := &modelHooks{chaos: chaosPlan{starveEvery: 1, starveHold: starveHold}}
+	chaos.chaosOn.Store(true)
 	// Wait thresholds out of reach, as in the soak: queue depth drives the
 	// ladder, and scheduler-inflated wait samples cannot pin recovery.
-	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
+	srv, _, sch, _, gNew := newTestServerWrap(t, Options{
 		Replicas:        clients,
 		EstimateTimeout: budget,
 		ShedQueue:       shedQueue,
-		ServeFaults:     faults,
 		Health: HealthConfig{
 			EvalInterval:   20 * time.Millisecond,
 			DegradeWaitP99: 30 * time.Second,
 			ShedWaitP99:    time.Minute,
 		},
-	})
+	}, chaos.wrap)
 	rng := rand.New(rand.NewSource(17))
 	ref := srv.Estimator().Clone()
 	preds := make([]query.Predicate, 256)
@@ -696,7 +674,7 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 
 	// Phase 3: chaos off; the health machine must walk back to healthy and
 	// overload must not have perturbed the served model.
-	faults.Disable()
+	chaos.chaosOn.Store(false)
 	recoverBy := time.Now().Add(10 * time.Second)
 	for srv.HealthState() != Healthy && time.Now().Before(recoverBy) {
 		srv.EstimateBudget(preds[0], time.Now().Add(budget))

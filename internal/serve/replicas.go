@@ -8,7 +8,6 @@ import (
 
 	"warper/internal/ce"
 	"warper/internal/obs"
-	"warper/internal/resilience"
 )
 
 // Admission-control outcomes of a checkout that found no free replica.
@@ -52,7 +51,7 @@ type replica struct {
 // replicaPool hands model clones to concurrent estimates via a channel
 // free-list. The checkout path is lock-free (a channel receive, an atomic
 // load); the only mutex, refreshMu, serializes the rare lazy re-clone after
-// a generation bump, because Clone/CloneInto advance the source model's RNG.
+// a generation bump, because Clone advances the source model's RNG.
 // warperlint's lockorder rule pins the lock-free property.
 type replicaPool struct {
 	free chan *replica
@@ -70,9 +69,6 @@ type replicaPool struct {
 	// timers recycles the slow-path deadline timers so a queued checkout
 	// does not allocate one per wait.
 	timers chan *time.Timer
-	// faults, when non-nil, injects the deterministic overload chaos plan
-	// (replica starvation, slow swaps) into this pool.
-	faults *resilience.ServeFaults
 }
 
 // newReplicaPool builds a pool of n replicas cloned from src. src must be a
@@ -119,14 +115,6 @@ func (p *replicaPool) checkout(wait bool, deadline time.Time) (r *replica, queue
 		queued = true
 	}
 	p.met.checkouts.Inc()
-	if p.faults != nil {
-		// Chaos only: hold the replica hostage like a slow forward pass
-		// would. The injector decides, count-based; this path sleeps so the
-		// starvation is real for everyone queued behind the free-list.
-		if d := p.faults.CheckoutHold(); d > 0 {
-			time.Sleep(d)
-		}
-	}
 	if cur := p.src.Load(); r.gen != cur.gen {
 		p.refresh(r) //lint:allow hotpathalloc sanctioned slow branch: one re-clone per model swap, serialized behind refreshMu
 	}
@@ -212,9 +200,9 @@ func defaultShedQueue(replicas int) int64 {
 }
 
 // refresh re-clones a stale replica from the current generation's source.
-// Refreshes are serialized because Clone and CloneInto draw from the source
-// model's RNG; the source is pool-private, so those draws never perturb the
-// adapter's seeded state.
+// Refreshes are serialized because Clone draws from the source model's RNG;
+// the source is pool-private, so those draws never perturb the adapter's
+// seeded state.
 func (p *replicaPool) refresh(r *replica) {
 	p.refreshMu.Lock()
 	defer p.refreshMu.Unlock()
@@ -222,9 +210,7 @@ func (p *replicaPool) refresh(r *replica) {
 	if r.gen == cur.gen {
 		return
 	}
-	if ipc, ok := cur.model.(ce.InPlaceCloner); !ok || !ipc.CloneInto(r.model) {
-		r.model = cur.model.Clone()
-	}
+	r.model = cur.model.Clone()
 	r.gen = cur.gen
 	p.met.refreshes.Inc()
 }
@@ -236,14 +222,6 @@ func (p *replicaPool) refresh(r *replica) {
 // concurrently mutated during the clone.
 func (p *replicaPool) swap(m ce.Estimator) {
 	sp := obs.StartSpan(p.met.swapSeconds)
-	if p.faults != nil {
-		// Chaos only: a slow clone of a large model. Inside the span so the
-		// injected stall is visible on warper_model_swap_seconds, exactly
-		// where a real slow swap would show.
-		if d := p.faults.SwapHold(); d > 0 {
-			time.Sleep(d)
-		}
-	}
 	src := m.Clone()
 	cur := p.src.Load()
 	p.src.Store(&modelGen{model: src, gen: cur.gen + 1})

@@ -77,20 +77,14 @@ type Options struct {
 	DriftAlarmGMQ float64
 	// EstimateTimeout is the default per-request deadline budget for
 	// /estimate: how long a request may queue for a replica before the
-	// server answers from the fallback ladder (or sheds, when fallback is
-	// off). Requests can override it with the X-Warper-Deadline-Ms header.
+	// server answers from the fallback ladder. Requests can override it with
+	// the X-Warper-Deadline-Ms header.
 	// 0 preserves the legacy contract: wait forever, no admission bound.
 	EstimateTimeout time.Duration
 	// ShedQueue bounds the admission queue of deadline-carrying estimates;
 	// arrival ShedQueue+1 is shed immediately with 429 + Retry-After. 0
 	// defaults to max(64, 16×Replicas).
 	ShedQueue int
-	// NoFallback disables the estimator fallback ladder: budget misses and
-	// degraded-state requests shed instead of answering from histograms.
-	NoFallback bool
-	// ServeFaults, when non-nil, injects the deterministic overload chaos
-	// plan (replica starvation, slow swaps) into the serving pool.
-	ServeFaults *resilience.ServeFaults
 	// Health tunes the serving health state machine; zero fields default.
 	Health HealthConfig
 	// EstimateCache enables the generation-stamped predicate→cardinality
@@ -110,9 +104,8 @@ type Options struct {
 	//
 	// Deprecated: a no-op, kept only because bench/ sets it by name.
 	CacheFlushOnAlarm bool
-	// BinaryProtocol mounts the columnar binary batch endpoints: POST
-	// /estimate/batch (one frame per request) and POST /estimate/batch/stream
-	// (length-prefixed frames on one connection). The wire format lives in
+	// BinaryProtocol mounts the columnar binary batch endpoint, POST
+	// /estimate/batch (one frame per request). The wire format lives in
 	// internal/wire; decoded predicates view the request bytes in place and
 	// the steady path allocates nothing. Off by default.
 	BinaryProtocol bool
@@ -152,8 +145,8 @@ type Server struct {
 	pprof         bool
 	periodTimeout time.Duration
 
-	// fb is the estimator fallback ladder (nil with Options.NoFallback):
-	// the tier estimates drop to when the model cannot be reached in budget.
+	// fb is the estimator fallback ladder: the tier estimates drop to when
+	// the model cannot be reached in budget.
 	fb *fallbackLadder
 	// health is the serving health state machine; the estimate path reads
 	// its state with one atomic load and, off the fast path, evaluates it
@@ -215,13 +208,10 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 	if opts.ShedQueue > 0 {
 		s.pool.maxQueue = int64(opts.ShedQueue)
 	}
-	s.pool.faults = opts.ServeFaults
 	s.estimateTimeout = opts.EstimateTimeout
-	if !opts.NoFallback {
-		// Build the fallback histogram up front from the adapter's live table.
-		s.fb = newFallbackLadder()
-		s.fb.refresh(a.Table())
-	}
+	// Build the fallback histogram up front from the adapter's live table.
+	s.fb = newFallbackLadder()
+	s.fb.refresh(a.Table())
 	s.health = newHealthTracker(opts.Health.withDefaults(s.pool.maxQueue), s.met, s.rec)
 	s.met.onBreaker = func(st resilience.State) {
 		// An open annotation breaker is a degraded-health signal: the
@@ -266,7 +256,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /estimate", s.instrument("estimate", s.handleEstimate))
 	if s.wireOn {
 		mux.HandleFunc("POST /estimate/batch", s.instrument("estimate_batch", s.handleEstimateBatch))
-		mux.HandleFunc("POST /estimate/batch/stream", s.instrument("estimate_stream", s.handleEstimateStream))
 	}
 	mux.HandleFunc("POST /feedback", s.instrument("feedback", s.handleFeedback))
 	mux.HandleFunc("POST /period", s.instrument("period", s.handlePeriod))
@@ -304,20 +293,6 @@ func (w *statusWriter) WriteHeader(code int) {
 func (w *statusWriter) Write(b []byte) (int, error) {
 	w.wrote = true
 	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the wrapped writer (when it can flush) so the streaming
-// batch endpoint can push each response frame as soon as it is encoded.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap exposes the underlying writer so http.NewResponseController can
-// reach its EnableFullDuplex/deadline controls through this wrapper.
-func (w *statusWriter) Unwrap() http.ResponseWriter {
-	return w.ResponseWriter
 }
 
 // instrument wraps a handler with panic recovery, request counting, latency
@@ -425,8 +400,8 @@ func (s *Server) estimateBudget(r *http.Request) (time.Duration, error) {
 // deadlineIn starts a budget's clock: the budget bounds the wait for a
 // replica, so it starts when the request is decoded and ready to queue —
 // never before the body is read, or a slow upload would spend it and the
-// request would be answered from the ladder without waiting at all. The
-// streaming endpoint restarts it per frame. A zero budget is no deadline.
+// request would be answered from the ladder without waiting at all. A zero
+// budget is no deadline.
 func deadlineIn(budget time.Duration) time.Time {
 	if budget <= 0 {
 		return time.Time{}
@@ -721,12 +696,10 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 		// evictions on /statusz.
 		s.met.cacheInvalidations.Inc()
 	}
-	if s.fb != nil {
-		// Refresh the fallback histogram against the post-period world: it
-		// re-reads the (possibly drifted) table. Under periodMu, so the
-		// table is not mid-mutation.
-		s.fb.refresh(s.adapter.Table())
-	}
+	// Refresh the fallback histogram against the post-period world: it
+	// re-reads the (possibly drifted) table. Under periodMu, so the table is
+	// not mid-mutation.
+	s.fb.refresh(s.adapter.Table())
 	s.mu.Lock()
 	s.periods++
 	s.refreshStatusLocked()

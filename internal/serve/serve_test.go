@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"warper/internal/annotator"
@@ -25,7 +28,14 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *query.Schema, *ann
 
 func newTestServerOpts(t testing.TB, sopts Options) (*Server, *httptest.Server, *query.Schema, *annotator.Annotator, workload.Generator) {
 	t.Helper()
-	ad, sch, ann, gNew := newTestAdapter(t, 61, nil)
+	return newTestServerWrap(t, sopts, nil)
+}
+
+// newTestServerWrap is newTestServerOpts with the trained model passed
+// through wrap before the adapter sees it (see newTestAdapter).
+func newTestServerWrap(t testing.TB, sopts Options, wrap func(*ce.LM) ce.Estimator) (*Server, *httptest.Server, *query.Schema, *annotator.Annotator, workload.Generator) {
+	t.Helper()
+	ad, sch, ann, gNew := newTestAdapter(t, 61, wrap)
 	srv := NewWithOptions(ad, sch, sopts)
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
@@ -97,6 +107,76 @@ func TestHealthz(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz = %d", resp.StatusCode)
+	}
+}
+
+// TestEndpointDocsMatchRoutes closes the doc loop for the HTTP surface, as
+// TestREADMEMetricTableMatchesRegistry does for metrics. With every optional
+// route mounted (binary protocol, pprof): each route Handler mounts — read
+// from the mux calls in serve.go and obs.AttachPprof — has a row in README's
+// endpoint table and a line in warperd's doc comment, where a documented
+// "…/" subtree covers the routes under it; and each endpoint either one
+// documents answers a request with neither 404 nor 405.
+func TestEndpointDocsMatchRoutes(t *testing.T) {
+	srv, _, _, _, _ := newTestServerOpts(t, Options{BinaryProtocol: true, EnablePprof: true})
+	h := srv.Handler()
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	serveOne := func(method, path string) int {
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest(method, path, nil))
+		return rw.Code
+	}
+
+	var mounted []string
+	routeRE := regexp.MustCompile(`mux\.Handle(?:Func)?\("([A-Z]+ /[^"]*)"`)
+	for _, path := range []string{"serve.go", "../obs/expose.go"} {
+		for _, m := range routeRE.FindAllStringSubmatch(read(path), -1) {
+			mounted = append(mounted, m[1])
+		}
+	}
+	readme := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(/[^`]*)` \\| ([A-Z]+) \\|").FindAllStringSubmatch(read("../../README.md"), -1) {
+		readme[m[2]+" "+m[1]] = true
+	}
+	warperd := map[string]bool{}
+	pkgDoc, _, _ := strings.Cut(read("../../cmd/warperd/main.go"), "\npackage ")
+	for _, m := range regexp.MustCompile(`(?m)^//\t([A-Z]+) +(/\S*)`).FindAllStringSubmatch(pkgDoc, -1) {
+		warperd[m[1]+" "+m[2]] = true
+	}
+	docs := map[string]map[string]bool{"README.md": readme, "cmd/warperd/main.go": warperd}
+
+	if len(mounted) == 0 {
+		t.Fatal("found no mux registrations in serve.go")
+	}
+	for _, route := range mounted {
+		method, path, _ := strings.Cut(route, " ")
+		for doc, eps := range docs {
+			covered := eps[route]
+			for ep := range eps {
+				m, p, _ := strings.Cut(ep, " ")
+				covered = covered || m == method && strings.HasSuffix(p, "/") && strings.HasPrefix(path, p)
+			}
+			if !covered {
+				t.Errorf("Handler mounts %s, which %s does not document", route, doc)
+			}
+		}
+	}
+	for doc, eps := range docs {
+		for ep := range eps {
+			method, path, _ := strings.Cut(ep, " ")
+			if code := serveOne(method, path); code == http.StatusNotFound || code == http.StatusMethodNotAllowed {
+				t.Errorf("%s documents %s, which answers %d", doc, ep, code)
+			}
+		}
+	}
+	if code := serveOne("POST", "/estimate/batch/stream"); code != http.StatusNotFound {
+		t.Errorf("POST /estimate/batch/stream answers %d; the binary protocol has one transport, want 404", code)
 	}
 }
 

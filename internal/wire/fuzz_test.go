@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -53,33 +52,6 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encode differs from accepted frame:\n got %x\nwant %x", re, data)
-		}
-	})
-}
-
-// FuzzReadFrame throws arbitrary byte streams at the length-prefixed frame
-// reader: it must never panic, always terminate, and only ever fail with
-// io.EOF (clean end), ErrShortFrame or ErrFrameTooLarge.
-func FuzzReadFrame(f *testing.F) {
-	framed, _ := AppendRequest(nil, 1, testPreds(1, 2), true)
-	f.Add(framed)
-	f.Add(append(append([]byte{}, framed...), framed...))
-	f.Add(framed[:3])
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		b := NewBuffer()
-		for i := 0; i < 64; i++ {
-			err := b.ReadFrame(r, 1<<12)
-			if err == nil {
-				_ = b.DecodeBatch(2, 16) // any outcome is fine; it must not panic
-				continue
-			}
-			if err != io.EOF && err != ErrShortFrame && err != ErrFrameTooLarge {
-				t.Fatalf("unexpected error class: %v", err)
-			}
-			return
 		}
 	})
 }

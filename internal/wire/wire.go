@@ -1,6 +1,5 @@
 // Package wire implements the columnar binary batch protocol behind
-// POST /estimate/batch (and its length-prefixed streaming variant): a
-// fixed little-endian header followed by two float64 column blocks, lows
+// POST /estimate/batch: a fixed little-endian header followed by two float64 column blocks, lows
 // then highs, each predicate-major so one predicate's bounds are a
 // contiguous sub-slice of the frame. On little-endian hosts the decoder
 // views those blocks in place — decoded predicates alias the request
@@ -27,14 +26,11 @@
 //
 //	[ 0: 4)  magic      uint32
 //	[ 4: 6)  version    uint16
-//	[ 6: 8)  flags      uint16  FlagDegraded / FlagError / FlagShed
+//	[ 6: 8)  flags      uint16  FlagDegraded; other bits reserved (zero)
 //	[ 8:16)  generation uint64  serving generation that computed the answers (0 = none)
 //	[16:20)  rows       uint32
 //	[20:24)  reserved   uint32  zero
 //	[24:24+8·rows)               cardinalities, float64 LE
-//
-// The streaming variant prefixes every frame (both directions) with a
-// uint32 little-endian byte length.
 //
 // Versioning rules: the magic and the header layout above are frozen; a
 // layout change bumps Version and old servers answer ErrVersion, never a
@@ -59,32 +55,25 @@ const (
 	Version = 1
 	// HeaderSize is the fixed byte size of both header forms.
 	HeaderSize = 24
-	// LenPrefixSize is the byte size of the streaming length prefix.
+	// LenPrefixSize is the byte size of the length prefix a framed encode
+	// prepends.
 	LenPrefixSize = 4
 )
 
-// Response flag bits.
-const (
-	// FlagDegraded marks a response with at least one fallback-ladder
-	// answer (the binary analogue of the JSON "degraded" field).
-	FlagDegraded uint16 = 1 << 0
-	// FlagError marks a zero-row error response on the streaming
-	// endpoint, where no HTTP status can follow the first frame.
-	FlagError uint16 = 1 << 1
-	// FlagShed marks an error response caused by admission control.
-	FlagShed uint16 = 1 << 2
-)
+// FlagDegraded, the one response flag bit, marks a response with at least
+// one fallback-ladder answer (the binary analogue of the JSON "degraded"
+// field).
+const FlagDegraded uint16 = 1 << 0
 
 // Decode failures. Sentinels, never wrapped: the serving path maps them
 // to HTTP 400 by identity and must not allocate to do so.
 var (
-	ErrShortFrame    = errors.New("wire: frame shorter than its header demands")
-	ErrMagic         = errors.New("wire: bad magic")
-	ErrVersion       = errors.New("wire: unsupported protocol version")
-	ErrFlags         = errors.New("wire: reserved request flag bits set")
-	ErrRows          = errors.New("wire: row count exceeds the batch cap")
-	ErrCols          = errors.New("wire: column count does not match the schema")
-	ErrFrameTooLarge = errors.New("wire: stream frame exceeds the frame cap")
+	ErrShortFrame = errors.New("wire: frame shorter than its header demands")
+	ErrMagic      = errors.New("wire: bad magic")
+	ErrVersion    = errors.New("wire: unsupported protocol version")
+	ErrFlags      = errors.New("wire: reserved request flag bits set")
+	ErrRows       = errors.New("wire: row count exceeds the batch cap")
+	ErrCols       = errors.New("wire: column count does not match the schema")
 	// ErrTrailingData is shared with the JSON handlers' strict decode:
 	// both protocols reject bodies that continue past their one payload.
 	ErrTrailingData = errors.New("request carries trailing bytes after its payload")
@@ -108,8 +97,8 @@ type Request struct {
 // storage. A Buffer is single-owner between checkout and release; none of
 // its methods are safe for concurrent use.
 type Buffer struct {
-	// In holds the request frame. ReadAll/ReadFrame fill it reusing its
-	// capacity; EncodeResponse reclaims the same backing array.
+	// In holds the request frame. ReadAll fills it reusing its capacity;
+	// EncodeResponse reclaims the same backing array.
 	In []byte
 	// Out is the encoded response frame, aliasing In's storage.
 	Out []byte
@@ -118,7 +107,6 @@ type Buffer struct {
 
 	preds  []query.Predicate
 	floats []float64 // decode slab for hosts that cannot view In in place
-	lp     [LenPrefixSize]byte
 }
 
 // bufferInitialCap sizes a fresh Buffer's frame storage: 64 KiB holds a
@@ -151,35 +139,6 @@ func (b *Buffer) ReadAll(r io.Reader) error {
 			return err
 		}
 	}
-}
-
-// ReadFrame reads one length-prefixed frame from a stream into b.In. A
-// clean end of stream (EOF before any prefix byte) returns io.EOF; a
-// truncated prefix or body returns ErrShortFrame; a prefix beyond
-// maxFrame returns ErrFrameTooLarge without consuming the body.
-func (b *Buffer) ReadFrame(r io.Reader, maxFrame int) error {
-	if _, err := io.ReadFull(r, b.lp[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return ErrShortFrame
-		}
-		return err // io.EOF: the stream ended between frames
-	}
-	n := int(binary.LittleEndian.Uint32(b.lp[:]))
-	if n > maxFrame {
-		return ErrFrameTooLarge
-	}
-	if cap(b.In) < n {
-		//lint:allow hotpathalloc grow-once frame storage, bounded by the caller's frame cap
-		b.In = make([]byte, 0, n)
-	}
-	b.In = b.In[:n]
-	if _, err := io.ReadFull(r, b.In); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return ErrShortFrame
-		}
-		return err
-	}
-	return nil
 }
 
 // DecodeBatch parses b.In into b.Req. wantCols is the serving schema's
@@ -273,7 +232,9 @@ func (b *Buffer) DecodeBatch(wantCols, maxRows int) error {
 // the request bytes' backing array: a response (24 + 8·rows) never
 // outgrows the request (24 + 16·rows·cols) that produced it, so by the
 // time the caller encodes, the decode views are dead by contract. framed
-// prepends the streaming endpoints' length prefix.
+// prepends a uint32 length prefix; no endpoint reads one, and the
+// parameter stays only because bench/, which may not change outside a
+// benchmark PR, passes false by position.
 func (b *Buffer) EncodeResponse(gen uint64, flags uint16, cards []float64, framed bool) {
 	size := HeaderSize + 8*len(cards)
 	total := size
@@ -308,12 +269,6 @@ func (b *Buffer) EncodeResponse(gen uint64, flags uint16, cards []float64, frame
 	b.Out = out
 }
 
-// EncodeError encodes a zero-row error response (FlagError plus the given
-// flags) into b.Out — the streaming endpoint's in-band failure signal.
-func (b *Buffer) EncodeError(flags uint16, framed bool) {
-	b.EncodeResponse(0, flags|FlagError, nil, framed)
-}
-
 // CheckFinite reports ErrNonFinite if any value is NaN or ±Inf: all-ones
 // exponent bits. Shared by the binary decoder and the JSON predicate
 // decoder so both protocols reject the same poison the same way.
@@ -330,7 +285,8 @@ func CheckFinite(vals []float64) error {
 // AppendRequest appends one encoded request frame for preds to dst and
 // returns the extended slice — the client-side encoder (benchmarks, tests,
 // Go clients). Every predicate must span the same column count. framed
-// prepends the streaming length prefix.
+// prepends a uint32 length prefix; like EncodeResponse's, the parameter
+// stays only because bench/ passes false by position.
 func AppendRequest(dst []byte, gen uint64, preds []query.Predicate, framed bool) ([]byte, error) {
 	rows := len(preds)
 	cols := 0
@@ -384,9 +340,6 @@ type ResponseHeader struct {
 
 // Degraded reports the FlagDegraded bit.
 func (h ResponseHeader) Degraded() bool { return h.Flags&FlagDegraded != 0 }
-
-// Err reports the FlagError bit.
-func (h ResponseHeader) Err() bool { return h.Flags&FlagError != 0 }
 
 // DecodeResponse parses one (unframed) response frame, appending the
 // cardinalities to cards[:0] so callers can reuse one slice across calls.

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -70,7 +68,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeResponse: %v", err)
 	}
-	if h.Generation != 9 || !h.Degraded() || h.Err() || h.Rows != len(cards) {
+	if h.Generation != 9 || h.Flags != FlagDegraded || h.Rows != len(cards) {
 		t.Fatalf("header = %+v", h)
 	}
 	for i := range cards {
@@ -161,44 +159,6 @@ func TestCheckFinite(t *testing.T) {
 		if err := CheckFinite([]float64{1, bad}); err != ErrNonFinite {
 			t.Errorf("CheckFinite(%v) = %v, want ErrNonFinite", bad, err)
 		}
-	}
-}
-
-func TestReadFrameStream(t *testing.T) {
-	var stream []byte
-	stream, _ = AppendRequest(stream, 1, testPreds(2, 2), true)
-	stream, _ = AppendRequest(stream, 2, testPreds(1, 2), true)
-	r := bytes.NewReader(stream)
-	b := NewBuffer()
-	var gens []uint64
-	for {
-		err := b.ReadFrame(r, 1<<16)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
-		}
-		if err := b.DecodeBatch(2, 8); err != nil {
-			t.Fatalf("DecodeBatch: %v", err)
-		}
-		gens = append(gens, b.Req.Generation)
-	}
-	if len(gens) != 2 || gens[0] != 1 || gens[1] != 2 {
-		t.Fatalf("gens = %v, want [1 2]", gens)
-	}
-
-	// A truncated body is ErrShortFrame, not a silent EOF.
-	if err := NewBuffer().ReadFrame(bytes.NewReader(stream[:10]), 1<<16); err != ErrShortFrame {
-		t.Fatalf("truncated body: err = %v, want ErrShortFrame", err)
-	}
-	// A truncated prefix too.
-	if err := NewBuffer().ReadFrame(bytes.NewReader(stream[:2]), 1<<16); err != ErrShortFrame {
-		t.Fatalf("truncated prefix: err = %v, want ErrShortFrame", err)
-	}
-	// A frame beyond the cap is refused before its body is read.
-	if err := NewBuffer().ReadFrame(bytes.NewReader(stream), 8); err != ErrFrameTooLarge {
-		t.Fatalf("oversize frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
