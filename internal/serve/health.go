@@ -242,9 +242,13 @@ func (h *healthTracker) classify(sig healthSignals) HealthState {
 // eval completes one signal reading with the windowed checkout-wait p99 as of
 // now, folds it into the hysteresis streaks and applies at most a single-step
 // transition. Transitions are journaled and logged with the signals that
-// caused them, so an operator can replay *why* the server left healthy.
+// caused them, so an operator can replay *why* the server left healthy. The
+// event is written under the lock and before the new state is published:
+// whoever reads a state finds its transition in the journal, and
+// transitions reach the journal in the order they happened.
 func (h *healthTracker) eval(now time.Time, sig healthSignals) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	sig.waitP99 = h.wait.p99(now)
 	target := h.classify(sig)
 	cur := h.current()
@@ -267,10 +271,6 @@ func (h *healthTracker) eval(now time.Time, sig healthSignals) {
 	default:
 		h.badStreak, h.goodStreak = 0, 0
 	}
-	if next != cur {
-		h.state.Store(int32(next))
-	}
-	h.mu.Unlock()
 	if next == cur {
 		return
 	}
@@ -287,6 +287,7 @@ func (h *healthTracker) eval(now time.Time, sig healthSignals) {
 		"breaker_open": sig.breakerOpen,
 		"swap_age_ms":  float64(sig.swapAge.Microseconds()) / 1000,
 	})
+	h.state.Store(int32(next))
 }
 
 // evalHealth runs one (throttled) health evaluation: gather the signals —
