@@ -92,20 +92,35 @@ func (p Predicate) Matches(row []float64) bool {
 // any inverted bounds so that low ≤ high holds everywhere. It returns the
 // predicate for chaining.
 func (p Predicate) Normalize(s *Schema) Predicate {
-	for i := range p.Lows {
-		lo, hi := p.Lows[i], p.Highs[i]
+	NormalizeBounds(s, p.Lows, p.Highs)
+	return p
+}
+
+// NormalizeBounds is Normalize in place over flat bound blocks: lows and
+// highs hold consecutive predicates' bounds, s.NumCols() words per
+// predicate (the wire frame's block layout), so a whole frame normalizes in
+// one pass. The builtin min/max compile inline and agree with
+// math.Max/math.Min bit for bit on every non-NaN input, ±0 included.
+func NormalizeBounds(s *Schema, lows, highs []float64) {
+	mins, maxs := s.Mins, s.Maxs
+	c := 0
+	for k, lo := range lows {
+		hi := highs[k]
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		lo = math.Max(lo, s.Mins[i])
-		hi = math.Min(hi, s.Maxs[i])
+		mn, mx := mins[c], maxs[c]
+		lo = max(lo, mn)
+		hi = min(hi, mx)
 		if lo > hi { // disjoint from the column range; pin to an empty point
-			lo = mathClamp(lo, s.Mins[i], s.Maxs[i])
+			lo = mathClamp(lo, mn, mx)
 			hi = lo
 		}
-		p.Lows[i], p.Highs[i] = lo, hi
+		lows[k], highs[k] = lo, hi
+		if c++; c == len(mins) {
+			c = 0
+		}
 	}
-	return p
 }
 
 // Featurize converts the predicate to the LM layout

@@ -75,6 +75,83 @@ func TestNormalizeDisjointRange(t *testing.T) {
 	}
 }
 
+// normalizeOracle is Normalize's one-column formula as written with
+// math.Max/math.Min, kept as the reference the builtin min/max must match.
+func normalizeOracle(lo, hi, mn, mx float64) (float64, float64) {
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	lo = math.Max(lo, mn)
+	hi = math.Min(hi, mx)
+	if lo > hi {
+		lo = mathClamp(lo, mn, mx)
+		hi = lo
+	}
+	return lo, hi
+}
+
+// sameBits is bit equality, except that any NaN matches any NaN.
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// TestNormalizeMatchesMathMaxMin pins Normalize and NormalizeBounds to the
+// math.Max/math.Min formula bit for bit over every (low, high) pair of a
+// value set holding ±0, ±Inf, subnormals, the column bounds themselves and
+// values below, inside and above each column — so equal, inverted and
+// disjoint-below/above bounds all occur — on columns whose minimum is +0,
+// -0 and subnormal, and on a constant column. A NaN bound stays NaN.
+func TestNormalizeMatchesMathMaxMin(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	s := &Schema{
+		Names: []string{"pos0", "neg0", "sub", "const", "wide"},
+		Mins:  []float64{0, negZero, -sub, 3, -10},
+		Maxs:  []float64{100, 1, 4 * sub, 3, 10},
+	}
+	vals := []float64{
+		math.Inf(-1), -1e300, -10, -3, -sub, negZero, 0, sub, 2 * sub, 4 * sub,
+		0.5, 1, 3, 10, 100, 1e300, math.Inf(1), math.NaN(),
+	}
+	d := s.NumCols()
+	var lows, highs []float64
+	for _, lo := range vals {
+		for _, hi := range vals {
+			for c := 0; c < d; c++ {
+				lows, highs = append(lows, lo), append(highs, hi)
+			}
+		}
+	}
+	rawLows, rawHighs := append([]float64(nil), lows...), append([]float64(nil), highs...)
+
+	NormalizeBounds(s, lows, highs)
+	for k := range lows {
+		c := k % d
+		wantLo, wantHi := normalizeOracle(rawLows[k], rawHighs[k], s.Mins[c], s.Maxs[c])
+		if !sameBits(lows[k], wantLo) || !sameBits(highs[k], wantHi) {
+			t.Fatalf("col %q [%v, %v]: NormalizeBounds = [%v, %v], math.Max/Min = [%v, %v]",
+				s.Names[c], rawLows[k], rawHighs[k], lows[k], highs[k], wantLo, wantHi)
+		}
+		if math.IsNaN(rawLows[k]) && !math.IsNaN(lows[k]) || math.IsNaN(rawHighs[k]) && !math.IsNaN(highs[k]) {
+			t.Fatalf("col %q [%v, %v]: NaN in, [%v, %v] out", s.Names[c], rawLows[k], rawHighs[k], lows[k], highs[k])
+		}
+	}
+	// Normalize is the same pass over one predicate's bounds.
+	for row := 0; row < len(rawLows); row += d {
+		p := Predicate{Lows: append([]float64(nil), rawLows[row:row+d]...), Highs: append([]float64(nil), rawHighs[row:row+d]...)}
+		p = p.Normalize(s)
+		for c := 0; c < d; c++ {
+			if !sameBits(p.Lows[c], lows[row+c]) || !sameBits(p.Highs[c], highs[row+c]) {
+				t.Fatalf("row %d col %d: Normalize = [%v, %v], NormalizeBounds = [%v, %v]",
+					row/d, c, p.Lows[c], p.Highs[c], lows[row+c], highs[row+c])
+			}
+		}
+	}
+}
+
 func TestFeaturizeLayout(t *testing.T) {
 	s := testSchema()
 	p := NewFullRange(s)

@@ -3,8 +3,9 @@
 // POST /estimate/batch answers one columnar request frame. It runs on the
 // pooled scratch units every estimate uses (estimate.go) with a wire.Buffer
 // attached, so the steady path allocates nothing: decoded predicates view
-// the request bytes in place, cache keys land in the scratch's slabs, and
-// the response is encoded over the reclaimed request storage.
+// the request bytes in place and are normalized there, the cache is probed
+// with those bounds as they lie, and the response is encoded over the
+// reclaimed request storage.
 //
 // A batch is served by looping the estimate pipeline over wireGroupRows-row
 // groups, so the serving semantics are the JSON path's, group by group. A
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"warper/internal/obs"
+	"warper/internal/query"
 	"warper/internal/wire"
 )
 
@@ -51,17 +53,16 @@ func (s *Server) wireScratch() *scratch {
 }
 
 // decodeWire parses the frame in sc.buf against the serving schema and
-// normalizes the decoded predicates in place. The decoder has already
-// proven every bound finite — Normalize after the check, never before,
-// because Normalize clamps ±Inf (masking it) and lets NaN through.
+// normalizes the frame's lows and highs blocks in place, in one pass — the
+// decoded predicates view them, so they come out normalized. The decoder
+// has already proven every bound finite — normalize after the check, never
+// before, because normalization clamps ±Inf (masking it) and lets NaN
+// through.
 func (s *Server) decodeWire(sc *scratch) error {
 	if err := sc.buf.DecodeBatch(s.sch.NumCols(), maxWireRows); err != nil {
 		return err
 	}
-	preds := sc.buf.Req.Preds
-	for i := range preds {
-		preds[i] = preds[i].Normalize(s.sch)
-	}
+	query.NormalizeBounds(s.sch, sc.buf.Req.Lows, sc.buf.Req.Highs)
 	return nil
 }
 

@@ -364,3 +364,54 @@ func TestWireZeroAllocSteady(t *testing.T) {
 		t.Errorf("steady binary path allocates %v per batch, want 0", allocs)
 	}
 }
+
+// benchWireBatch times one 256-row frame through EstimateBatchWire on a
+// warmed server, every row a cache hit or every row a miss, and reports the
+// per-row cost. Misses cycle eight frames of distinct predicates through
+// the smallest cache there is, so each row is probed, answered by a replica
+// and inserted over an evicted entry — wire_unique's miss path. Both must
+// report 0 allocs/op.
+func benchWireBatch(b *testing.B, hit bool) {
+	opts := Options{BinaryProtocol: true, EstimateCache: true, Replicas: 2}
+	frames := 1
+	if !hit {
+		opts.CacheEntries, frames = 1, 8
+	}
+	srv, _, sch, _, gNew := newTestServerOpts(b, opts)
+	preds := distinctKeys(gNew, sch, frames*wireGroupRows, rand.New(rand.NewSource(37)))
+	in := make([][]byte, frames)
+	for i := range in {
+		var err error
+		if in[i], err = wire.AppendRequest(nil, 0, preds[i*wireGroupRows:(i+1)*wireGroupRows], false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dst := make([]byte, 0, wire.HeaderSize+8*wireGroupRows)
+	call := func(i int) {
+		if _, err := srv.EstimateBatchWire(dst[:0], in[i%frames], time.Time{}); err != nil {
+			b.Fatalf("EstimateBatchWire: %v", err)
+		}
+	}
+	// Warm both replicas, the pooled scratch and, for hits, the cache.
+	for i := 0; i < 2*frames+4; i++ {
+		call(i)
+	}
+	hits, misses := srv.met.cacheHits.Value(), srv.met.cacheMisses.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*wireGroupRows), "ns/row")
+	rows := int64(b.N * wireGroupRows)
+	if hit && srv.met.cacheHits.Value()-hits != rows {
+		b.Fatalf("%d of %d rows hit the cache, want all", srv.met.cacheHits.Value()-hits, rows)
+	}
+	if !hit && srv.met.cacheMisses.Value()-misses != rows {
+		b.Fatalf("%d of %d rows missed the cache, want all", srv.met.cacheMisses.Value()-misses, rows)
+	}
+}
+
+func BenchmarkWireBatchHit(b *testing.B)  { benchWireBatch(b, true) }
+func BenchmarkWireBatchMiss(b *testing.B) { benchWireBatch(b, false) }

@@ -5,14 +5,24 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"warper/internal/query"
 )
 
 // This file implements the drift-aware estimate cache: a sharded,
 // allocation-free predicate→cardinality map sitting in front of the replica
 // pool. The paper's whole premise (§1, §3.1) is that the served model only
 // changes at discrete adaptation-period boundaries — between two swaps the
-// model is a pure function of the feature vector, so a repeated predicate
-// can be answered from memory, byte-identical, without touching a replica.
+// model is a pure function of the normalized predicate, so a repeated
+// predicate can be answered from memory, byte-identical, without touching a
+// replica.
+//
+// The key is the normalized predicate's bounds, lows then highs, compared
+// as raw float64 bits. A probe reads them where they lie — on the binary
+// path, in the request frame — so a hit copies, divides and featurizes
+// nothing; a miss is featurized once, by the model. Any model reads its
+// answer off the bounds (an LM through the feature vector they map to), so
+// equal keys mean equal answers.
 //
 // Correctness hangs on one stamp carried by every entry: gen, the
 // replica-pool generation of the model that COMPUTED the answer (not the
@@ -35,8 +45,8 @@ type estimateCache struct {
 	// shardMask selects a shard from the hash's low bits (len(shards)-1,
 	// power of two).
 	shardMask uint64
-	// keyLen is the feature-vector length (2·d); keys are compared word-wise
-	// as raw float64 bits.
+	// keyLen is the key length in words, 2·d: a predicate's d lows, then
+	// its d highs.
 	keyLen int
 	// capacity is the total entry count across shards, for /statusz.
 	capacity int
@@ -73,7 +83,7 @@ type cacheShard struct {
 	mu   sync.Mutex
 	ents []cacheEntry
 	// keys is a flat slab of float64 bit patterns: ents[i]'s key occupies
-	// keys[i*keyLen : (i+1)*keyLen].
+	// keys[i*keyLen : (i+1)*keyLen], lows then highs.
 	keys []atomic.Uint64
 	// mask is len(ents)-1 (power of two).
 	mask uint64
@@ -136,12 +146,16 @@ func newEstimateCache(keyLen, shards, entries int, met *Metrics) *estimateCache 
 	return c
 }
 
-// cacheHash mixes the feature vector's raw float64 bits: FNV-1a word-wise,
-// then a murmur3-style finalizer so the low bits (shard) and high bits
-// (slot) are independently well distributed.
-func cacheHash(key []float64) uint64 {
+// cacheHash mixes the predicate's raw bound bits, lows then highs: FNV-1a
+// word-wise, then a murmur3-style finalizer so the low bits (shard) and
+// high bits (slot) are independently well distributed. It and keyEqual
+// define the cache key; the predicate must be normalized.
+func cacheHash(p query.Predicate) uint64 {
 	h := uint64(1469598103934665603)
-	for _, v := range key {
+	for _, v := range p.Lows {
+		h = (h ^ math.Float64bits(v)) * 1099511628211
+	}
+	for _, v := range p.Highs {
 		h = (h ^ math.Float64bits(v)) * 1099511628211
 	}
 	h ^= h >> 33
@@ -152,23 +166,33 @@ func cacheHash(key []float64) uint64 {
 	return h
 }
 
-// keyEqual compares the stored key starting at slot*keyLen with key,
-// bit-exact. Atomic loads keep the race detector satisfied; the caller's
-// seq validation rejects a torn mixture of two keys.
-func (sh *cacheShard) keyEqual(slot, keyLen int, key []float64) bool {
-	off := slot * keyLen
-	for i, v := range key {
-		if sh.keys[off+i].Load() != math.Float64bits(v) {
+// keyEqual compares the key stored at slot with p's bounds, bit-exact. A
+// predicate of another width never matches. Atomic loads keep the race
+// detector satisfied; the caller's seq validation rejects a torn mixture
+// of two keys.
+func (sh *cacheShard) keyEqual(slot, keyLen int, p query.Predicate) bool {
+	d := keyLen / 2
+	if len(p.Lows) != d || len(p.Highs) != d {
+		return false
+	}
+	k := sh.keys[slot*keyLen : (slot+1)*keyLen]
+	for i, v := range p.Lows {
+		if k[i].Load() != math.Float64bits(v) {
+			return false
+		}
+	}
+	for i, v := range p.Highs {
+		if k[d+i].Load() != math.Float64bits(v) {
 			return false
 		}
 	}
 	return true
 }
 
-// get probes the cache for key (with hash h) against the given serving
-// generation. It is lock-free: at most cacheWays seqlock reads. A hit marks
-// the entry recently used for the second-chance clock.
-func (c *estimateCache) get(key []float64, h, gen uint64) (float64, bool) {
+// get probes the cache for p (with hash cacheHash(p)) against the given
+// serving generation. It is lock-free: at most cacheWays seqlock reads. A
+// hit marks the entry recently used for the second-chance clock.
+func (c *estimateCache) get(p query.Predicate, h, gen uint64) (float64, bool) {
 	sh := &c.shards[h&c.shardMask]
 	base := (h >> 32) & sh.mask
 	for i := uint64(0); i < cacheWays; i++ {
@@ -181,7 +205,7 @@ func (c *estimateCache) get(key []float64, h, gen uint64) (float64, bool) {
 		if e.hash.Load() != h || e.gen.Load() != gen {
 			continue
 		}
-		if !sh.keyEqual(int(slot), c.keyLen, key) {
+		if !sh.keyEqual(int(slot), c.keyLen, p) {
 			continue
 		}
 		card := math.Float64frombits(e.card.Load())
@@ -200,7 +224,7 @@ func (c *estimateCache) get(key []float64, h, gen uint64) (float64, bool) {
 // by runOn). Within the probe group it prefers, in order: the same key
 // (refresh in place), an empty slot, a stale entry (old generation), then a
 // second-chance eviction of a live entry.
-func (c *estimateCache) put(key []float64, h, gen uint64, card float64) {
+func (c *estimateCache) put(p query.Predicate, h, gen uint64, card float64) {
 	sh := &c.shards[h&c.shardMask]
 	base := (h >> 32) & sh.mask
 	sh.mu.Lock()
@@ -214,7 +238,7 @@ func (c *estimateCache) put(key []float64, h, gen uint64, card float64) {
 			}
 			continue
 		}
-		if e.hash.Load() == h && sh.keyEqual(slot, c.keyLen, key) {
+		if e.hash.Load() == h && sh.keyEqual(slot, c.keyLen, p) {
 			victim = slot // same predicate: overwrite its slot
 			break
 		}
@@ -254,9 +278,13 @@ func (c *estimateCache) put(key []float64, h, gen uint64, card float64) {
 	e.hash.Store(h)
 	e.gen.Store(gen)
 	e.card.Store(math.Float64bits(card))
-	off := victim * c.keyLen
-	for i, v := range key {
-		sh.keys[off+i].Store(math.Float64bits(v))
+	k := sh.keys[victim*c.keyLen : (victim+1)*c.keyLen]
+	d := c.keyLen / 2
+	for i, v := range p.Lows {
+		k[i].Store(math.Float64bits(v))
+	}
+	for i, v := range p.Highs {
+		k[d+i].Store(math.Float64bits(v))
 	}
 	e.used.Store(1)
 	e.seq.Add(1) // even: the entry is visible again

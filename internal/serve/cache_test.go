@@ -13,6 +13,7 @@ import (
 
 	"warper/internal/ce"
 	"warper/internal/query"
+	"warper/internal/wire"
 )
 
 // constEst is a trivially correct estimator whose answer is a fixed value:
@@ -30,13 +31,14 @@ func (c *constEst) Policy() ce.UpdatePolicy { return ce.FineTune }
 func (c *constEst) Clone() ce.Estimator     { return &constEst{v: c.v} }
 func (c *constEst) Name() string            { return "const" }
 
-// cacheKey builds a distinct keyLen-word key from a seed value.
-func cacheKey(keyLen int, seed float64) []float64 {
+// cacheKey builds a predicate with a distinct keyLen-word key from a seed
+// value.
+func cacheKey(keyLen int, seed float64) query.Predicate {
 	k := make([]float64, keyLen)
 	for i := range k {
 		k[i] = seed + float64(i)/16
 	}
-	return k
+	return query.Predicate{Lows: k[:keyLen/2], Highs: k[keyLen/2:]}
 }
 
 func TestEstimateCachePutGet(t *testing.T) {
@@ -78,7 +80,7 @@ func TestEstimateCacheEviction(t *testing.T) {
 	// One shard of exactly cacheWays slots: every probe group covers the
 	// whole shard, so cacheWays+1 live same-generation inserts must evict.
 	c := newEstimateCache(4, 1, cacheWays, met)
-	keys := make([][]float64, cacheWays+1)
+	keys := make([]query.Predicate, cacheWays+1)
 	for i := range keys {
 		keys[i] = cacheKey(4, float64(i)+0.25)
 		c.put(keys[i], cacheHash(keys[i]), 1, float64(i))
@@ -164,6 +166,92 @@ func TestEstimateCacheHitByteIdentity(t *testing.T) {
 	}
 	if n := srv.met.cacheEntries; n.Value() != float64(len(preds)) {
 		t.Errorf("estimate_cache_entries = %v, want %d", n.Value(), len(preds))
+	}
+}
+
+// TestEstimateCacheKeyIsNormalizedBounds pins what the cache key is: the
+// normalized predicate's bounds, bit for bit — not its feature vector, and
+// not the bounds as the client sent them.
+func TestEstimateCacheKeyIsNormalizedBounds(t *testing.T) {
+	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true, BinaryProtocol: true})
+	rng := rand.New(rand.NewSource(41))
+
+	// -0 and +0 inside a column that spans zero are different bounds with
+	// one feature vector: two entries, and the model's answer is the same
+	// for both, bit for bit.
+	c := -1
+	for i := range sch.Mins {
+		if sch.Mins[i] < 0 && sch.Maxs[i] > 0 {
+			c = i
+			break
+		}
+	}
+	if c < 0 {
+		t.Fatalf("no schema column spans zero: %v..%v", sch.Mins, sch.Maxs)
+	}
+	neg := gNew.Gen(rng).Normalize(sch)
+	neg.SetRange(c, math.Copysign(0, -1), 0)
+	pos := neg.Clone()
+	pos.SetEquals(c, 0)
+	fNeg, fPos := neg.Featurize(sch), pos.Featurize(sch)
+	for i := range fNeg {
+		if math.Float64bits(fNeg[i]) != math.Float64bits(fPos[i]) {
+			t.Fatalf("feature %d differs: %v vs %v", i, fNeg[i], fPos[i])
+		}
+	}
+	a, b := srv.Estimate(neg), srv.Estimate(pos)
+	if math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("equal feature vectors answered %v and %v", a, b)
+	}
+	if n := srv.cache.entries(); n != 2 {
+		t.Errorf("entries = %d, want 2 (one per normalized bounds)", n)
+	}
+	if hits := srv.met.cacheHits.Value(); hits != 0 {
+		t.Errorf("hits = %d, want 0: -0 and +0 bounds shared an entry", hits)
+	}
+
+	// Two raw predicates that normalize to the same bounds share one entry,
+	// whichever door they come through: an inverted column and an
+	// out-of-range column over JSON, the same column pushed out of range by
+	// another amount over the wire.
+	norm := gNew.Gen(rng).Normalize(sch)
+	lo, hi := norm.Lows[0], norm.Highs[0]
+	if lo == hi {
+		t.Fatalf("column 0 is a point [%v, %v]; pick another seed", lo, hi)
+	}
+	norm.SetRange(1, sch.Mins[1], sch.Maxs[1])
+	viaJSON, viaWire := norm.Clone(), norm.Clone()
+	viaJSON.SetRange(0, hi, lo)
+	viaJSON.SetRange(1, sch.Mins[1]-100, sch.Maxs[1]+100)
+	viaWire.SetRange(1, sch.Mins[1]-7, sch.Maxs[1]+7)
+	var er estimateResponse
+	if r := postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: viaJSON.Lows, Highs: viaJSON.Highs}, &er); r.StatusCode != http.StatusOK {
+		t.Fatalf("POST /estimate: status %d", r.StatusCode)
+	}
+	entries, hits := srv.cache.entries(), srv.met.cacheHits.Value()
+	frame, err := wire.AppendRequest(nil, 0, []query.Predicate{viaWire}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.EstimateBatchWire(nil, frame, time.Time{})
+	if err != nil {
+		t.Fatalf("EstimateBatchWire: %v", err)
+	}
+	_, cards, err := wire.DecodeResponse(resp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cards) != 1 || math.Float64bits(cards[0]) != math.Float64bits(er.Cardinality) {
+		t.Errorf("wire answered %v, JSON %v", cards, er.Cardinality)
+	}
+	if got := srv.met.cacheHits.Value() - hits; got != 1 {
+		t.Errorf("the wire row hit %d times, want 1", got)
+	}
+	if got := srv.cache.entries(); got != entries {
+		t.Errorf("entries %d -> %d: the wire row did not share the JSON row's entry", entries, got)
+	}
+	if want := srv.Estimator().Clone().Estimate(norm); math.Float64bits(er.Cardinality) != math.Float64bits(want) {
+		t.Errorf("shared entry = %v, model = %v", er.Cardinality, want)
 	}
 }
 

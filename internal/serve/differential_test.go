@@ -707,11 +707,9 @@ func (d *diffDriver) opSwapMidInference() {
 // uncached draws a fresh predicate the cache holds no answer for at the
 // serving generation.
 func (d *diffDriver) uncached() pred {
-	key := make([]float64, d.sch.FeatureDim())
 	for {
 		p := d.newPred(d.rng)
-		p.norm.FeaturizeInto(d.sch, key)
-		if _, hit := d.srv.cache.get(key, cacheHash(key), d.srv.pool.generation()); !hit {
+		if _, hit := d.srv.cache.get(p.norm, cacheHash(p.norm), d.srv.pool.generation()); !hit {
 			return p
 		}
 	}

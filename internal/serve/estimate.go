@@ -15,7 +15,7 @@ import (
 // batch endpoints loop it over wireGroupRows-row groups (serveWireBatch).
 // One group goes through four stages:
 //
-//	probe   featurize + hash + probe every row
+//	probe   hash + probe every row's normalized bounds
 //	admit   the health state picks the admission rule, the deadline budgets
 //	        the replica wait, the fallback ladder answers what the model
 //	        cannot — the only place a request is degraded or shed
@@ -64,8 +64,7 @@ type scratch struct {
 	one [1]query.Predicate
 	// cards holds the whole request's answers (the binary response payload).
 	cards []float64
-	// keys/hashes hold one row group's featurized cache keys and hashes.
-	keys   []float64
+	// hashes holds one row group's cache-key hashes.
 	hashes []uint64
 	// missIdx/missPreds/missOuts gather a group's cache misses into the
 	// packed batch one replica checkout answers.
@@ -98,10 +97,9 @@ func (s *Server) putScratch(sc *scratch) {
 
 // size prepares the scratch for one request of `rows` predicates: cards is
 // cut to rows, and the group slabs are grown for min(rows, wireGroupRows)
-// rows of c's cache keys (no cache, no group slabs: misses are answered in
-// place).
+// rows (no cache, no group slabs: misses are answered in place).
 //
-//lint:allow hotpathalloc grow-once slabs: bounded by maxWireRows answers and wireGroupRows×keyLen key words, kept at high-water capacity for the scratch's pooled lifetime
+//lint:allow hotpathalloc grow-once slabs: bounded by maxWireRows answers and wireGroupRows group rows, kept at high-water capacity for the scratch's pooled lifetime
 func (sc *scratch) size(rows int, c *estimateCache) {
 	if cap(sc.cards) < rows {
 		sc.cards = make([]float64, rows)
@@ -111,7 +109,6 @@ func (sc *scratch) size(rows int, c *estimateCache) {
 	if c == nil || cap(sc.hashes) >= n {
 		return
 	}
-	sc.keys = make([]float64, n*c.keyLen)
 	sc.hashes = make([]uint64, n)
 	sc.missIdx = make([]int, n)
 	sc.missPreds = make([]query.Predicate, n)
@@ -165,15 +162,13 @@ func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float
 		return s.admit(h, deadline, group, out, tr)
 	}
 	tr.EnterStage("cache")
-	n, kl := len(group), c.keyLen
+	n := len(group)
 	cur := s.pool.generation()
-	keys, hashes, miss := sc.keys[:n*kl], sc.hashes[:n], sc.missIdx[:n]
+	hashes, miss := sc.hashes[:n], sc.missIdx[:n]
 	nm := 0
 	for i := range group {
-		k := keys[i*kl : (i+1)*kl]
-		group[i].FeaturizeInto(s.sch, k)
-		hashes[i] = cacheHash(k)
-		if card, ok := c.get(k, hashes[i], cur); ok {
+		hashes[i] = cacheHash(group[i])
+		if card, ok := c.get(group[i], hashes[i], cur); ok {
 			out[i] = card
 			continue
 		}
@@ -208,7 +203,7 @@ func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float
 		// come back with generation 0 — a degraded answer served from cache
 		// after recovery would be a silent accuracy regression.
 		for j, i := range miss {
-			c.put(keys[i*kl:(i+1)*kl], hashes[i], gen, mo[j])
+			c.put(group[i], hashes[i], gen, mo[j])
 		}
 	}
 	return gen, oc

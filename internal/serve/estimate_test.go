@@ -368,11 +368,9 @@ func TestScalarZeroAllocSteady(t *testing.T) {
 func distinctKeys(g workload.Generator, sch *query.Schema, n int, rng *rand.Rand) []query.Predicate {
 	out := make([]query.Predicate, 0, n)
 	seen := make(map[uint64]bool, n)
-	feat := make([]float64, sch.FeatureDim())
 	for len(out) < n {
 		p := g.Gen(rng).Normalize(sch)
-		p.FeaturizeInto(sch, feat)
-		if h := cacheHash(feat); !seen[h] {
+		if h := cacheHash(p); !seen[h] {
 			seen[h] = true
 			out = append(out, p)
 		}

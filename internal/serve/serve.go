@@ -342,9 +342,10 @@ func (s *Server) decodePredicate(pj predicateJSON) (query.Predicate, error) {
 	}
 	// Finiteness must be checked before Normalize: Normalize clamps ±Inf
 	// into the schema's domain (masking it) and NaN survives its min/max
-	// clamp — a NaN bound would flow into the feature vector, poison the
-	// cache entry for that key, and produce garbage cardinalities silently.
-	// Shared check with the binary decoder (wire.DecodeBatch).
+	// clamp — a NaN bound would become a cache key, flow into the feature
+	// vector and produce garbage cardinalities silently. Shared check with
+	// the binary decoder (wire.DecodeBatch). The normalized bounds are the
+	// cache key as they stand.
 	if wire.CheckFinite(pj.Lows) != nil || wire.CheckFinite(pj.Highs) != nil {
 		return query.Predicate{}, wire.ErrNonFinite
 	}

@@ -20,7 +20,7 @@
 // ErrShortFrame, longer is ErrTrailingData — the same contract the JSON
 // handlers enforce with a second Decode. Every bound must be finite;
 // NaN/±Inf frames are rejected with ErrNonFinite before any bound can
-// reach a feature vector or a cache key.
+// reach normalization, a cache key or a feature vector.
 //
 // Response frame:
 //
@@ -77,8 +77,9 @@ var (
 	// ErrTrailingData is shared with the JSON handlers' strict decode:
 	// both protocols reject bodies that continue past their one payload.
 	ErrTrailingData = errors.New("request carries trailing bytes after its payload")
-	// ErrNonFinite is shared with the JSON predicate decoder: a NaN or
-	// ±Inf bound would poison feature vectors and cache keys silently.
+	// ErrNonFinite is shared with the JSON predicate decoder: normalization
+	// clamps ±Inf into range and lets NaN through, so a non-finite bound
+	// would silently poison the cache key and the model's feature vector.
 	ErrNonFinite = errors.New("predicate bound is NaN or infinite")
 )
 
@@ -90,6 +91,9 @@ type Request struct {
 	Generation uint64
 	Rows, Cols int
 	Preds      []query.Predicate
+	// Lows and Highs are the whole lows and highs blocks, row-major: Preds[i]
+	// views [i·Cols, (i+1)·Cols) of each.
+	Lows, Highs []float64
 }
 
 // Buffer is one pooled request/response unit: the raw frame bytes, the
@@ -224,7 +228,7 @@ func (b *Buffer) DecodeBatch(wantCols, maxRows int) error {
 		}
 	}
 	b.preds = preds
-	b.Req = Request{Generation: gen, Rows: rows, Cols: cols, Preds: preds}
+	b.Req = Request{Generation: gen, Rows: rows, Cols: cols, Preds: preds, Lows: lows, Highs: highs}
 	return nil
 }
 

@@ -4,7 +4,7 @@
 # executes. It runs bench's workload smoke test (all four BENCHMARK.json
 # workloads at smoke scale) and the adapt_drift determinism test under
 # coverage of ./internal/..., then lists every function in
-# internal/{serve,wire,obs,resilience,warper,annotator,ce,nn} at 0.0 %.
+# internal/{serve,wire,query,obs,resilience,warper,annotator,ce,nn} at 0.0 %.
 # A function on this list runs only under tests, or not at all — the
 # evidence a "second path" trial should start from. About 15 s.
 #
@@ -19,7 +19,7 @@ trap 'rm -rf "$tmp"' EXIT
 go test -count=1 -run 'TestWorkloadsSmoke|TestAdaptDriftDeterministic' \
 	-coverpkg=./internal/... -coverprofile="$tmp/cover.out" ./bench >/dev/null
 go tool cover -func="$tmp/cover.out" |
-	awk '$NF == "0.0%" && $1 ~ /^warper\/internal\/(serve|wire|obs|resilience|warper|annotator|ce|nn)\// {
+	awk '$NF == "0.0%" && $1 ~ /^warper\/internal\/(serve|wire|query|obs|resilience|warper|annotator|ce|nn)\// {
 		sub(/^warper\//, "", $1)
 		printf "%-50s %s\n", $1, $2
 	}'
