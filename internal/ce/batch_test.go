@@ -7,9 +7,8 @@ import (
 )
 
 var (
-	_ BatchEstimator     = (*LM)(nil)
-	_ BatchEstimator     = (*MSCN)(nil)
-	_ BatchJoinEstimator = (*MSCN)(nil)
+	_ BatchEstimator = (*LM)(nil)
+	_ BatchEstimator = (*MSCN)(nil)
 )
 
 // TestLMBatchedEstimateMatchesPerQuery: EstimateAll must be bit-equal to

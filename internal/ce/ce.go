@@ -75,15 +75,6 @@ type Estimator interface {
 	Name() string
 }
 
-// JoinEstimator extends Estimator to key–foreign-key join queries (MSCN).
-// EstimateJoin reports an error for queries outside the model's catalog
-// (unknown table, unregistered join) rather than panicking.
-type JoinEstimator interface {
-	TrainJoin(examples []query.LabeledJoin) error
-	UpdateJoin(examples []query.LabeledJoin) error
-	EstimateJoin(q *query.JoinQuery) (float64, error)
-}
-
 // BatchEstimator is implemented by estimators that can answer many
 // predicates in one pass (e.g. LM-mlp's batched forward). Results must be
 // identical to calling Estimate per predicate.
@@ -117,40 +108,18 @@ func EvalGMQ(e Estimator, test []query.Labeled) float64 {
 	return metrics.GMQ(ests, acts)
 }
 
-// BatchJoinEstimator is implemented by join estimators that can answer many
-// queries in one batched pass. Results must be identical to calling
-// EstimateJoin per query.
-type BatchJoinEstimator interface {
-	JoinEstimator
-	// EstimateJoinAll writes the estimate for qs[i] into out[i].
-	EstimateJoinAll(qs []*query.JoinQuery, out []float64) error
-}
-
-// EvalJoinGMQ evaluates a join estimator on labeled join queries. Queries
-// the model cannot featurize make it return an error. Estimators
-// implementing BatchJoinEstimator are evaluated with one batched call.
-func EvalJoinGMQ(e JoinEstimator, test []query.LabeledJoin) (float64, error) {
+// EvalJoinGMQ evaluates an MSCN model on labeled join queries with one
+// batched call. Queries the model cannot featurize make it return an error.
+func EvalJoinGMQ(m *MSCN, test []query.LabeledJoin) (float64, error) {
 	ests := make([]float64, len(test))
 	acts := make([]float64, len(test))
+	qs := make([]*query.JoinQuery, len(test))
 	for i, lq := range test {
 		acts[i] = lq.Card
+		qs[i] = lq.Query
 	}
-	if be, ok := e.(BatchJoinEstimator); ok && len(test) > 0 {
-		qs := make([]*query.JoinQuery, len(test))
-		for i, lq := range test {
-			qs[i] = lq.Query
-		}
-		if err := be.EstimateJoinAll(qs, ests); err != nil {
-			return 0, err
-		}
-	} else {
-		for i, lq := range test {
-			est, err := e.EstimateJoin(lq.Query)
-			if err != nil {
-				return 0, err
-			}
-			ests[i] = est
-		}
+	if err := m.EstimateJoinAll(qs, ests); err != nil {
+		return 0, err
 	}
 	return metrics.GMQ(ests, acts), nil
 }

@@ -313,7 +313,7 @@ func updateOK(t *testing.T, m Estimator, ex []query.Labeled) {
 	}
 }
 
-func joinGMQOK(t *testing.T, m JoinEstimator, test []query.LabeledJoin) float64 {
+func joinGMQOK(t *testing.T, m *MSCN, test []query.LabeledJoin) float64 {
 	t.Helper()
 	gmq, err := EvalJoinGMQ(m, test)
 	if err != nil {

@@ -239,22 +239,10 @@ func scatterMean(gIn nn.Mat, off []int, dst nn.Mat, col int) {
 	}
 }
 
-// forward computes the model output for a single query (the point-estimate
-// path behind EstimateJoin).
-func (m *MSCN) forward(q *query.JoinQuery) (float64, error) {
-	preds, _, err := m.batchedForward([]*query.JoinQuery{q})
-	if err != nil {
-		return 0, err
-	}
-	return preds.Row(0)[0], nil
-}
-
 // trainMinibatch runs one batched gradient step: batched forwards, the MSE
 // gradient at the output, and batched backwards that scatter each query's
-// pooled gradient over its set elements. This replaces the old per-element
-// Forward/Backward loop (which had to re-run Forward per element just to
-// refresh layer caches before each Backward).
-func (m *MSCN) trainMinibatch(qs []*query.JoinQuery, targets []float64, opt nn.Optimizer) error {
+// pooled gradient over its set elements.
+func (m *MSCN) trainMinibatch(qs []*query.JoinQuery, targets []float64, opt *nn.Adam) error {
 	preds, ctx, err := m.batchedForward(qs)
 	if err != nil {
 		return err
@@ -318,34 +306,33 @@ func (m *MSCN) trainEpochs(examples []query.LabeledJoin, epochs int) error {
 				return err
 			}
 		}
-		opt.EndEpoch()
 	}
 	return nil
 }
 
-// TrainJoin implements JoinEstimator: fresh weights, full epoch budget.
+// TrainJoin trains on labeled join queries: fresh weights, full epoch budget.
 func (m *MSCN) TrainJoin(examples []query.LabeledJoin) error {
 	m.initNets()
 	return m.trainEpochs(examples, mscnTrainEpochs)
 }
 
-// UpdateJoin implements JoinEstimator: a few fine-tuning epochs.
+// UpdateJoin fine-tunes on labeled join queries for a few epochs.
 func (m *MSCN) UpdateJoin(examples []query.LabeledJoin) error {
 	return m.trainEpochs(examples, mscnFinetuneEpochs)
 }
 
-// EstimateJoin implements JoinEstimator.
+// EstimateJoin estimates one join query's cardinality: a one-query
+// EstimateJoinAll. A query outside the catalog (unknown table, unregistered
+// join) is an error.
 func (m *MSCN) EstimateJoin(q *query.JoinQuery) (float64, error) {
-	pred, err := m.forward(q)
-	if err != nil {
-		return 0, err
-	}
-	return targetToCard(pred), nil
+	var out [1]float64
+	err := m.EstimateJoinAll([]*query.JoinQuery{q}, out[:])
+	return out[0], err
 }
 
-// EstimateJoinAll implements BatchJoinEstimator: all queries are answered
-// with three batched forward passes. Results are identical to calling
-// EstimateJoin per query.
+// EstimateJoinAll writes the estimate for qs[i] into out[i], answering all
+// queries with three batched forward passes. A length mismatch or a query
+// outside the catalog is an error.
 func (m *MSCN) EstimateJoinAll(qs []*query.JoinQuery, out []float64) error {
 	if len(qs) != len(out) {
 		return fmt.Errorf("ce: EstimateJoinAll got %d queries but %d outputs", len(qs), len(out))
@@ -366,7 +353,7 @@ func (m *MSCN) EstimateJoinAll(qs []*query.JoinQuery, out []float64) error {
 // singleTableQuery wraps a predicate on the catalog's only table.
 func (m *MSCN) singleTableQuery(p query.Predicate) *query.JoinQuery {
 	if len(m.Catalog.Order) != 1 {
-		// API-misuse guard at the Estimator/JoinEstimator boundary: a
+		// API-misuse guard at the single-table Estimator boundary: a
 		// multi-table MSCN is never wired behind the single-table serving
 		// path, so this cannot fire on live traffic.
 		panic("ce: single-table MSCN API requires a one-table catalog") //lint:allow panicfree single-table API misuse guard

@@ -318,7 +318,7 @@ func (n *Network) backwardData(gradOut Mat) *scratch {
 // arena, run fused forward/loss/backward shard by shard, compute the averaged
 // parameter gradients in one pass, and step the optimizer. Steady state
 // allocates nothing.
-func (sc *scratch) trainBatch(xs, ys [][]float64, loss Loss, opt Optimizer) float64 {
+func (sc *scratch) trainBatch(xs, ys [][]float64, loss Loss, opt *Adam) float64 {
 	for i := range xs {
 		copy(sc.acts[0].Row(i), xs[i])
 	}
@@ -387,9 +387,9 @@ func batchDenseForward(d *Dense, in, out Mat, r0, r1 int, tile []float64) {
 // batchDenseBackward computes dX = Wᵀ·g for rows [r0, r1). Each sample's
 // accumulation is independent and runs in ascending output order from +0,
 // skipping exact-zero gradients (adding their ±0 products would change
-// nothing: a sum that starts at +0 is never −0) — the scalar Backward's
-// order, so dX is byte-identical to it. On AVX2 hardware full 4-row blocks go
-// through the assembly kernel, one sample per lane in the same order.
+// nothing: a sum that starts at +0 is never −0). On AVX2 hardware full 4-row
+// blocks go through the assembly kernel, one sample per lane in the same
+// order, so the two paths agree bit for bit.
 func batchDenseBackward(d *Dense, gout, gin Mat, r0, r1 int, tile []float64) {
 	r := r0
 	if simdEnabled && d.In >= 4 {

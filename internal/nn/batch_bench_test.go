@@ -69,17 +69,3 @@ func BenchmarkForwardReference(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkForwardBackwardPerSample is the per-sample Layer API on the same
-// shape: one Forward and one Backward, the path scalar inference and the
-// custom-layer fallback still take.
-func BenchmarkForwardBackwardPerSample(b *testing.B) {
-	n, xs, _ := benchNet()
-	grad := make([]float64, 16)
-	grad[0] = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Forward(xs[0])
-		n.Backward(grad)
-	}
-}

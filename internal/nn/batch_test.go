@@ -60,7 +60,7 @@ func TestBatchForwardMatchesSerial(t *testing.T) {
 }
 
 // TestBatchBackwardDataMatchesSerial: input gradients from the batched
-// backward must be byte-identical to the per-sample Backward path.
+// backward must be byte-identical to the per-sample reference backward.
 func TestBatchBackwardDataMatchesSerial(t *testing.T) {
 	for name, mk := range testNets() {
 		for _, rows := range []int{1, 5, 8, 21} {
@@ -85,8 +85,7 @@ func TestBatchBackwardDataMatchesSerial(t *testing.T) {
 			g.CopyFromRows(grads)
 			dx := n.BatchBackwardData(g)
 			for r := 0; r < rows; r++ {
-				ref.Forward(xs[r])
-				want := ref.Backward(grads[r])
+				want := referenceBackward(ref, referenceForward(ref, xs[r]), grads[r])
 				for i := range want {
 					if dx.Row(r)[i] != want[i] {
 						t.Fatalf("%s rows=%d row=%d col=%d: batched dX %v != serial %v",
@@ -106,13 +105,14 @@ func TestTrainBatchMatchesReferenceWithinOneShard(t *testing.T) {
 		rng := rand.New(rand.NewSource(59))
 		a := MLP(9, 16, 2, 5, rng)
 		b := a.Clone()
+		optA, optB := NewAdam(0.01), NewAdam(0.01)
 		xs, ys := randBatch(rng, shardRows, 9, 5)
 		for step := 0; step < 5; step++ {
-			la, err := a.TrainBatch(xs, ys, loss, NewSGD(0.05))
+			la, err := a.TrainBatch(xs, ys, loss, optA)
 			if err != nil {
 				t.Fatalf("TrainBatch: %v", err)
 			}
-			lb := referenceTrainBatch(b, xs, ys, loss, NewSGD(0.05))
+			lb := referenceTrainBatch(b, xs, ys, loss, optB)
 			if la != lb {
 				t.Fatalf("%T step %d: batched loss %v != reference %v", loss, step, la, lb)
 			}
@@ -136,12 +136,13 @@ func TestTrainBatchMatchesReferenceMultiShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	a := MLP(9, 16, 2, 5, rng)
 	b := a.Clone()
+	optA, optB := NewAdam(0.01), NewAdam(0.01)
 	xs, ys := randBatch(rng, 37, 9, 5)
 	for step := 0; step < 20; step++ {
-		if _, err := a.TrainBatch(xs, ys, MSE{}, NewSGD(0.05)); err != nil {
+		if _, err := a.TrainBatch(xs, ys, MSE{}, optA); err != nil {
 			t.Fatalf("TrainBatch: %v", err)
 		}
-		referenceTrainBatch(b, xs, ys, MSE{}, NewSGD(0.05))
+		referenceTrainBatch(b, xs, ys, MSE{}, optB)
 	}
 	ap, bp := a.Params(), b.Params()
 	for pi := range ap {
@@ -164,14 +165,16 @@ func TestTrainBatchCrossEntropyMatchesReference(t *testing.T) {
 	xs, _ := randBatch(rng, shardRows, 9, 3)
 	ys := make([][]float64, len(xs))
 	for i := range ys {
-		ys[i] = OneHot(3, rng.Intn(3))
+		ys[i] = make([]float64, 3)
+		ys[i][rng.Intn(3)] = 1
 	}
+	optA, optB := NewAdam(0.01), NewAdam(0.01)
 	for step := 0; step < 5; step++ {
-		la, err := a.TrainBatch(xs, ys, SoftmaxCrossEntropy{}, NewSGD(0.05))
+		la, err := a.TrainBatch(xs, ys, SoftmaxCrossEntropy{}, optA)
 		if err != nil {
 			t.Fatalf("TrainBatch: %v", err)
 		}
-		lb := referenceTrainBatch(b, xs, ys, SoftmaxCrossEntropy{}, NewSGD(0.05))
+		lb := referenceTrainBatch(b, xs, ys, SoftmaxCrossEntropy{}, optB)
 		if la != lb {
 			t.Fatalf("step %d: batched CE loss %v != reference %v", step, la, lb)
 		}
@@ -216,17 +219,17 @@ func TestTrainBatchErrors(t *testing.T) {
 		{"wrong target width", [][]float64{{1, 2, 3, 4}}, [][]float64{{0}}},
 	}
 	for _, tc := range cases {
-		if _, err := n.TrainBatch(tc.xs, tc.ys, MSE{}, NewSGD(0.1)); err == nil {
+		if _, err := n.TrainBatch(tc.xs, tc.ys, MSE{}, NewAdam(0.1)); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
-	if _, err := n.Fit([][]float64{{1, 2, 3, 4}}, nil, MSE{}, NewSGD(0.1), 1, 8, rng); err == nil {
+	if _, err := n.Fit([][]float64{{1, 2, 3, 4}}, nil, MSE{}, NewAdam(0.1), 1, 8, rng); err == nil {
 		t.Error("Fit len mismatch: expected error")
 	}
 }
 
 // TestBatchBackwardAccumulatesLikeSerial: parameter gradients from a batched
-// backward over one shard must match per-sample accumulation.
+// backward over one shard must match the reference's per-sample accumulation.
 func TestBatchBackwardAccumulatesLikeSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	n := MLP(9, 16, 2, 5, rng)
@@ -246,10 +249,11 @@ func TestBatchBackwardAccumulatesLikeSerial(t *testing.T) {
 	g.CopyFromRows(grads)
 	n.BatchBackward(g, 1)
 
-	ref.ZeroGrad()
+	for _, p := range ref.Params() {
+		clear(p.G)
+	}
 	for r := range xs {
-		ref.Forward(xs[r])
-		ref.Backward(grads[r])
+		referenceBackward(ref, referenceForward(ref, xs[r]), grads[r])
 	}
 	np, rp := n.Params(), ref.Params()
 	for pi := range np {

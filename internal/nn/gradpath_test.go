@@ -7,9 +7,9 @@ import (
 )
 
 // oracleScaledGrads is the gradient path this package shipped before the
-// scaled-assign BatchBackward, spelled out with the per-sample layer code:
+// scaled-assign BatchBackward, spelled out with the per-sample reference:
 // every shard of shardRows rows accumulates its rows in order into a zeroed
-// buffer (Layer.Backward adds one sample at a time), the shard buffers are
+// buffer (referenceBackward adds one sample at a time), the shard buffers are
 // added in ascending shard order into zeroed accumulators, and the sum is
 // scaled last. It returns one gradient slice per parameter of n.
 func oracleScaledGrads(n *Network, x, gOut Mat, scale float64) [][]float64 {
@@ -20,10 +20,11 @@ func oracleScaledGrads(n *Network, x, gOut Mat, scale float64) [][]float64 {
 		total[i] = make([]float64, len(p.G))
 	}
 	for r0 := 0; r0 < x.Rows; r0 += shardRows {
-		ref.ZeroGrad()
+		for _, p := range ps {
+			clear(p.G)
+		}
 		for r := r0; r < r0+shardRows && r < x.Rows; r++ {
-			ref.Forward(x.Row(r))
-			ref.Backward(gOut.Row(r))
+			referenceBackward(ref, referenceForward(ref, x.Row(r)), gOut.Row(r))
 		}
 		for i, p := range ps {
 			for j, g := range p.G {
@@ -40,7 +41,7 @@ func oracleScaledGrads(n *Network, x, gOut Mat, scale float64) [][]float64 {
 }
 
 // TestBatchBackwardScaledAssignMatchesOldPath: BatchBackward(g, scale) must
-// leave in every p.G exactly the bits of ZeroGrad + per-shard accumulation +
+// leave in every p.G exactly the bits of zeroing + per-shard accumulation +
 // ascending-shard reduce + scale — for one, two, four and the generic number
 // of shards, with and without a 1–3-row scalar tail, on Dense widths that
 // leave a k tail (in % 4 != 0), with exact-zero and negative-zero gradient
@@ -75,7 +76,7 @@ func testScaledAssign(t *testing.T) {
 		for _, rows := range []int{1, 3, 4, 8, 9, 16, 31, 32, 33, 100} {
 			rng := rand.New(rand.NewSource(int64(1000 + rows)))
 			n := mk(rng)
-			in, out := n.InSize(), n.OutSize()
+			in, out := n.InSize(), len(referencePredict(n, make([]float64, n.InSize())))
 			// g is a column view of a wider matrix: strided rows.
 			x, g := NewMat(rows, in), NewMat(rows, out+3).View(rows, out)
 			for r := 0; r < rows; r++ {

@@ -3,9 +3,9 @@
 // generator 𝔾 and discriminator 𝔻 from Table 3, the LM-mlp cardinality
 // estimator and the (simplified) MSCN model. It provides fully-connected
 // layers, LeakyReLU/Tanh activations, L1/MSE/softmax-cross-entropy losses,
-// SGD-with-momentum and Adam optimizers, per-sample Forward/Backward, and the
-// batched minibatch step in batch.go (allocation-free, AVX2 kernels on amd64,
-// byte-identical to the per-sample path).
+// the Adam optimizer, a per-sample Forward for single-row inference, and the
+// batched compute in batch.go — the only training path (allocation-free,
+// AVX2 kernels on amd64, forward outputs byte-identical to Forward).
 //
 // Training in the paper runs on CPU with tiny models (3×FC-128); it runs on
 // the calling goroutine, which is also the paper's single-core cost model.
@@ -17,47 +17,36 @@ import (
 	"math/rand"
 )
 
-// Param is one trainable tensor (stored flat) with its gradient accumulator.
+// Param is one trainable tensor (stored flat) with its gradient. The batched
+// backward pass assigns G outright (see Network.BatchBackward).
 type Param struct {
 	W []float64 // values
-	G []float64 // accumulated gradients
+	G []float64 // gradients of the last batched backward pass
 }
 
 func newParam(n int) *Param { return &Param{W: make([]float64, n), G: make([]float64, n)} }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.G {
-		p.G[i] = 0
-	}
-}
-
-// Layer is a differentiable network stage. Forward must be called before
-// Backward; Backward receives dLoss/dOutput and returns dLoss/dInput while
-// accumulating parameter gradients.
+// Layer is one network stage: Dense, LeakyReLU or Tanh. The set is closed —
+// the unexported clone method seals it — because the batched kernels in
+// batch.go switch over exactly these three types: a stage they did not know
+// would run in Forward but act as the identity in every batched pass.
 type Layer interface {
+	// Forward runs one sample through the stage and returns a layer-owned
+	// buffer, reused on the next call: a result is valid until the next
+	// Forward on the same layer; callers that retain it must copy.
 	Forward(x []float64) []float64
-	Backward(gradOut []float64) []float64
 	Params() []*Param
-	// Clone returns a deep copy with independent parameters.
-	Clone() Layer
-	// OutSize reports the output width for a given input width.
-	OutSize(in int) int
+	// clone returns a deep copy with independent parameters.
+	clone() Layer
 }
 
 // Dense is a fully connected layer: y = W·x + b.
-//
-// Forward and Backward return buffers owned by the layer, reused across
-// calls: a result is valid until the next call on the same layer; callers
-// that retain it must copy.
 type Dense struct {
 	In, Out int
 	Weight  *Param // Out×In, row-major
 	Bias    *Param // Out
 
-	lastIn []float64
-	out    []float64
-	gx     []float64
+	out []float64
 }
 
 // NewDense builds a Dense layer with Xavier/Glorot-uniform initialization.
@@ -73,13 +62,16 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward computes W·x + b, caching x for the backward pass. The returned
-// slice is owned by the layer and reused on the next call.
+// Forward computes W·x + b into the layer-owned output buffer. Each dot
+// product is one accumulator adding the products in ascending input order —
+// the batched kernels' per-sample sequence. The loop is unrolled by four
+// without splitting that accumulator, so the rounding sequence is the same:
+// rolled, its five instructions ran single-row serving (LM.Estimate) up to
+// 1.5× slower depending on where the linker happened to place them.
 func (d *Dense) Forward(x []float64) []float64 {
 	if len(x) != d.In {
 		panic(fmt.Sprintf("nn: Dense expects input %d, got %d", d.In, len(x))) //lint:allow panicfree shape mismatch is a programmer error
 	}
-	d.lastIn = x
 	if d.out == nil {
 		d.out = make([]float64, d.Out) //lint:allow hotpathalloc first-call lazy buffer; reused on every later forward
 	}
@@ -87,56 +79,31 @@ func (d *Dense) Forward(x []float64) []float64 {
 	for o := 0; o < d.Out; o++ {
 		s := d.Bias.W[o]
 		row := d.Weight.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			s += row[i] * xi
+		i := 0
+		for ; i+4 <= len(x); i += 4 {
+			r, v := row[i:i+4:i+4], x[i:i+4:i+4]
+			s += r[0] * v[0]
+			s += r[1] * v[1]
+			s += r[2] * v[2]
+			s += r[3] * v[3]
+		}
+		for ; i < len(x); i++ {
+			s += row[i] * x[i]
 		}
 		y[o] = s
 	}
 	return y
 }
 
-// Backward accumulates dL/dW and dL/db and returns dL/dx (a layer-owned
-// buffer, reused on the next call).
-func (d *Dense) Backward(gradOut []float64) []float64 {
-	if len(gradOut) != d.Out {
-		panic(fmt.Sprintf("nn: Dense backward expects grad %d, got %d", d.Out, len(gradOut))) //lint:allow panicfree shape mismatch is a programmer error
-	}
-	if d.gx == nil {
-		d.gx = make([]float64, d.In)
-	}
-	gx := d.gx
-	for i := range gx {
-		gx[i] = 0
-	}
-	for o := 0; o < d.Out; o++ {
-		g := gradOut[o]
-		if g == 0 {
-			continue
-		}
-		d.Bias.G[o] += g
-		row := d.Weight.W[o*d.In : (o+1)*d.In]
-		grow := d.Weight.G[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			grow[i] += g * d.lastIn[i]
-			gx[i] += g * row[i]
-		}
-	}
-	return gx
-}
-
 // Params returns the weight and bias tensors.
 func (d *Dense) Params() []*Param { return []*Param{d.Weight, d.Bias} }
 
-// Clone returns a deep copy of the layer.
-func (d *Dense) Clone() Layer {
+func (d *Dense) clone() Layer {
 	c := &Dense{In: d.In, Out: d.Out, Weight: newParam(d.In * d.Out), Bias: newParam(d.Out)}
 	copy(c.Weight.W, d.Weight.W)
 	copy(c.Bias.W, d.Bias.W)
 	return c
 }
-
-// OutSize implements Layer.
-func (d *Dense) OutSize(int) int { return d.Out }
 
 // ensureLen returns buf resized to n, reallocating only when capacity is
 // exceeded. It is the growth primitive behind the layer-owned buffers.
@@ -148,13 +115,10 @@ func ensureLen(buf []float64, n int) []float64 {
 }
 
 // LeakyReLU applies max(x, alpha*x) elementwise. The paper's Table 3 uses
-// leaky ReLU between every pair of FC layers. Forward/Backward results are
-// layer-owned buffers, reused across calls.
+// leaky ReLU between every pair of FC layers.
 type LeakyReLU struct {
-	Alpha  float64
-	lastIn []float64
-	out    []float64
-	gx     []float64
+	Alpha float64
+	out   []float64
 }
 
 // NewLeakyReLU returns a LeakyReLU with the conventional slope 0.01.
@@ -162,7 +126,6 @@ func NewLeakyReLU() *LeakyReLU { return &LeakyReLU{Alpha: 0.01} }
 
 // Forward implements Layer.
 func (l *LeakyReLU) Forward(x []float64) []float64 {
-	l.lastIn = x
 	l.out = ensureLen(l.out, len(x))
 	y := l.out
 	for i, v := range x {
@@ -175,34 +138,14 @@ func (l *LeakyReLU) Forward(x []float64) []float64 {
 	return y
 }
 
-// Backward implements Layer.
-func (l *LeakyReLU) Backward(gradOut []float64) []float64 {
-	l.gx = ensureLen(l.gx, len(gradOut))
-	gx := l.gx
-	for i, g := range gradOut {
-		if l.lastIn[i] >= 0 {
-			gx[i] = g
-		} else {
-			gx[i] = l.Alpha * g
-		}
-	}
-	return gx
-}
-
 // Params implements Layer (no parameters).
 func (l *LeakyReLU) Params() []*Param { return nil }
 
-// Clone implements Layer.
-func (l *LeakyReLU) Clone() Layer { return &LeakyReLU{Alpha: l.Alpha} }
+func (l *LeakyReLU) clone() Layer { return &LeakyReLU{Alpha: l.Alpha} }
 
-// OutSize implements Layer.
-func (l *LeakyReLU) OutSize(in int) int { return in }
-
-// Tanh applies the hyperbolic tangent elementwise. Forward/Backward results
-// are layer-owned buffers, reused across calls.
+// Tanh applies the hyperbolic tangent elementwise.
 type Tanh struct {
-	lastOut []float64
-	gx      []float64
+	out []float64
 }
 
 // NewTanh returns a Tanh activation.
@@ -210,30 +153,15 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward implements Layer.
 func (l *Tanh) Forward(x []float64) []float64 {
-	l.lastOut = ensureLen(l.lastOut, len(x))
-	y := l.lastOut
+	l.out = ensureLen(l.out, len(x))
+	y := l.out
 	for i, v := range x {
 		y[i] = math.Tanh(v)
 	}
 	return y
 }
 
-// Backward implements Layer.
-func (l *Tanh) Backward(gradOut []float64) []float64 {
-	l.gx = ensureLen(l.gx, len(gradOut))
-	gx := l.gx
-	for i, g := range gradOut {
-		t := l.lastOut[i]
-		gx[i] = g * (1 - t*t)
-	}
-	return gx
-}
-
 // Params implements Layer.
 func (l *Tanh) Params() []*Param { return nil }
 
-// Clone implements Layer.
-func (l *Tanh) Clone() Layer { return &Tanh{} }
-
-// OutSize implements Layer.
-func (l *Tanh) OutSize(in int) int { return in }
+func (l *Tanh) clone() Layer { return &Tanh{} }

@@ -5,7 +5,8 @@ import (
 	"math/rand"
 )
 
-// Network is an ordered stack of layers trained with backprop.
+// Network is an ordered stack of layers, trained with the batched
+// backprop of batch.go.
 //
 // The layer stack must not be modified once training or batched inference has
 // started: the batched compute path caches the parameter list and a scratch
@@ -43,16 +44,6 @@ func (n *Network) Forward(x []float64) []float64 {
 	return x
 }
 
-// Backward propagates dLoss/dOutput through the stack (in reverse), returning
-// dLoss/dInput and accumulating parameter gradients. Forward must have been
-// called immediately before with the corresponding input.
-func (n *Network) Backward(grad []float64) []float64 {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
 // Params returns every trainable tensor in the network.
 func (n *Network) Params() []*Param {
 	var ps []*Param
@@ -71,29 +62,13 @@ func (n *Network) params() []*Param {
 	return n.pcache
 }
 
-// ZeroGrad clears all accumulated gradients.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.params() {
-		p.ZeroGrad()
-	}
-}
-
 // Clone returns a deep copy with independent parameters (gradients zeroed).
 func (n *Network) Clone() *Network {
 	out := &Network{Layers: make([]Layer, len(n.Layers))}
 	for i, l := range n.Layers {
-		out.Layers[i] = l.Clone()
+		out.Layers[i] = l.clone()
 	}
 	return out
-}
-
-// NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.W)
-	}
-	return total
 }
 
 // InSize returns the input width of the first Dense layer, or -1 if none.
@@ -106,20 +81,10 @@ func (n *Network) InSize() int {
 	return -1
 }
 
-// OutSize returns the output width of the last Dense layer, or -1 if none.
-func (n *Network) OutSize() int {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		if d, ok := n.Layers[i].(*Dense); ok {
-			return d.Out
-		}
-	}
-	return -1
-}
-
 // TrainBatch performs one optimizer step on a minibatch and returns the mean
 // loss over the batch. Malformed batches (length or width mismatches) return
 // an error instead of panicking.
-func (n *Network) TrainBatch(xs, ys [][]float64, loss Loss, opt Optimizer) (float64, error) {
+func (n *Network) TrainBatch(xs, ys [][]float64, loss Loss, opt *Adam) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("nn: TrainBatch len mismatch %d vs %d", len(xs), len(ys))
 	}
@@ -147,7 +112,7 @@ func (n *Network) TrainBatch(xs, ys [][]float64, loss Loss, opt Optimizer) (floa
 
 // Fit trains for `epochs` passes over the data with the given batch size,
 // shuffling each epoch with rng. It returns the mean loss of the final epoch.
-func (n *Network) Fit(xs, ys [][]float64, loss Loss, opt Optimizer, epochs, batch int, rng *rand.Rand) (float64, error) {
+func (n *Network) Fit(xs, ys [][]float64, loss Loss, opt *Adam, epochs, batch int, rng *rand.Rand) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("nn: Fit len mismatch %d vs %d", len(xs), len(ys))
 	}
@@ -185,7 +150,6 @@ func (n *Network) Fit(xs, ys [][]float64, loss Loss, opt Optimizer, epochs, batc
 			epochLoss += l
 			batches++
 		}
-		opt.EndEpoch()
 		last = epochLoss / float64(batches)
 	}
 	return last, nil

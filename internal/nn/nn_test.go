@@ -7,43 +7,67 @@ import (
 	"testing/quick"
 )
 
-// numericGrad estimates dLoss/dParam by central finite differences for the
-// network loss on a single example.
-func numericGrad(n *Network, x, y []float64, loss Loss, p *Param, i int) float64 {
+// meanLoss is the batch's mean loss under the network's current weights,
+// through the batched forward.
+func meanLoss(n *Network, x Mat, ys [][]float64, loss Loss) float64 {
+	out := n.BatchForward(x)
+	g, tmp := make([]float64, out.Cols), make([]float64, out.Cols)
+	var s float64
+	for r, y := range ys {
+		s += LossGradInto(loss, g, tmp, out.Row(r), y)
+	}
+	return s / float64(x.Rows)
+}
+
+// numericGrad estimates d meanLoss/d p.W[i] by central finite differences.
+func numericGrad(n *Network, x Mat, ys [][]float64, loss Loss, p *Param, i int) float64 {
 	const h = 1e-5
 	orig := p.W[i]
 	p.W[i] = orig + h
-	lp := loss.Loss(n.Forward(x), y)
+	lp := meanLoss(n, x, ys, loss)
 	p.W[i] = orig - h
-	lm := loss.Loss(n.Forward(x), y)
+	lm := meanLoss(n, x, ys, loss)
 	p.W[i] = orig
 	return (lp - lm) / (2 * h)
 }
 
+// checkGradients compares the training path's gradients — BatchForward, the
+// loss gradient from LossGradInto, BatchBackward(g, 1/rows) — with finite
+// differences of the mean batch loss, for a one-row batch and for a nine-row
+// batch that crosses a shard boundary.
 func checkGradients(t *testing.T, n *Network, loss Loss, in, out int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	x := make([]float64, in)
-	y := make([]float64, out)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	if _, isCE := loss.(SoftmaxCrossEntropy); isCE {
-		copy(y, OneHot(out, rng.Intn(out)))
-	} else {
-		for i := range y {
-			y[i] = rng.NormFloat64()
+	for _, rows := range []int{1, shardRows + 1} {
+		x := NewMat(rows, in)
+		ys := make([][]float64, rows)
+		for r := range ys {
+			for i := range x.Row(r) {
+				x.Row(r)[i] = rng.NormFloat64()
+			}
+			ys[r] = make([]float64, out)
+			if _, isCE := loss.(SoftmaxCrossEntropy); isCE {
+				ys[r][rng.Intn(out)] = 1
+			} else {
+				for i := range ys[r] {
+					ys[r][i] = rng.NormFloat64()
+				}
+			}
 		}
-	}
-	n.ZeroGrad()
-	pred := n.Forward(x)
-	n.Backward(loss.Grad(pred, y))
-	for pi, p := range n.Params() {
-		for i := 0; i < len(p.W); i += 7 { // sample every 7th weight for speed
-			want := numericGrad(n, x, y, loss, p, i)
-			got := p.G[i]
-			if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
-				t.Fatalf("param %d idx %d: analytic grad %v, numeric %v", pi, i, got, want)
+		pred := n.BatchForward(x)
+		g := NewMat(rows, out)
+		tmp := make([]float64, out)
+		for r, y := range ys {
+			LossGradInto(loss, g.Row(r), tmp, pred.Row(r), y)
+		}
+		n.BatchBackward(g, 1/float64(rows))
+		for pi, p := range n.Params() {
+			for i := 0; i < len(p.W); i += 7 { // sample every 7th weight for speed
+				want := numericGrad(n, x, ys, loss, p, i)
+				got := p.G[i]
+				if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
+					t.Fatalf("rows=%d param %d idx %d: analytic grad %v, numeric %v", rows, pi, i, got, want)
+				}
 			}
 		}
 	}
@@ -89,7 +113,7 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 				return true
 			}
 		}
-		p := Softmax(raw)
+		p := SoftmaxInto(make([]float64, len(raw)), raw)
 		var s float64
 		for _, v := range p {
 			if v < 0 || v > 1 {
@@ -105,7 +129,7 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 }
 
 func TestSoftmaxStability(t *testing.T) {
-	p := Softmax([]float64{1000, 1001, 1002})
+	p := SoftmaxInto(make([]float64, 3), []float64{1000, 1001, 1002})
 	for _, v := range p {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("softmax overflowed: %v", p)
@@ -141,7 +165,7 @@ func TestXORLearnable(t *testing.T) {
 	}
 }
 
-func TestLinearRegressionWithSGD(t *testing.T) {
+func TestLinearRegressionWithAdam(t *testing.T) {
 	// y = 2x + 1 is exactly representable by a single Dense layer.
 	rng := rand.New(rand.NewSource(7))
 	n := NewNetwork(NewDense(1, 1, rng))
@@ -151,7 +175,7 @@ func TestLinearRegressionWithSGD(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, []float64{2*x + 1})
 	}
-	loss, err := n.Fit(xs, ys, MSE{}, NewSGD(0.1), 200, 16, rng)
+	loss, err := n.Fit(xs, ys, MSE{}, NewAdam(0.05), 200, 16, rng)
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -174,7 +198,7 @@ func TestCloneIndependence(t *testing.T) {
 	xs := [][]float64{{1, 2, 3}}
 	ys := [][]float64{{0, 0}}
 	for i := 0; i < 10; i++ {
-		if _, err := n.TrainBatch(xs, ys, MSE{}, NewSGD(0.1)); err != nil {
+		if _, err := n.TrainBatch(xs, ys, MSE{}, NewAdam(0.1)); err != nil {
 			t.Fatalf("TrainBatch: %v", err)
 		}
 	}
@@ -203,7 +227,7 @@ func TestCloneCopiesParams(t *testing.T) {
 	xs := [][]float64{x}
 	ys := [][]float64{{0, 0}}
 	for i := 0; i < 10; i++ {
-		if _, err := src.TrainBatch(xs, ys, MSE{}, NewSGD(0.1)); err != nil {
+		if _, err := src.TrainBatch(xs, ys, MSE{}, NewAdam(0.1)); err != nil {
 			t.Fatalf("TrainBatch: %v", err)
 		}
 	}
@@ -215,62 +239,29 @@ func TestCloneCopiesParams(t *testing.T) {
 	}
 }
 
-func TestSGDDecaySchedule(t *testing.T) {
-	// §3.5's schedule: halve the rate every 10 epochs.
-	opt := &SGD{Rate: 1e-3, Momentum: 0.9, DecayEvery: 10, DecayFactor: 0.5}
-	for i := 0; i < 10; i++ {
-		opt.EndEpoch()
-	}
-	if math.Abs(opt.LR()-5e-4) > 1e-12 {
-		t.Errorf("LR after 10 epochs = %v, want 5e-4", opt.LR())
-	}
-	for i := 0; i < 10; i++ {
-		opt.EndEpoch()
-	}
-	if math.Abs(opt.LR()-2.5e-4) > 1e-12 {
-		t.Errorf("LR after 20 epochs = %v, want 2.5e-4", opt.LR())
-	}
-}
-
-func TestOneHot(t *testing.T) {
-	v := OneHot(3, 1)
-	if v[0] != 0 || v[1] != 1 || v[2] != 0 {
-		t.Errorf("OneHot = %v", v)
-	}
-}
-
-func TestOneHotOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	OneHot(3, 3)
-}
-
 func TestL1LossIdentities(t *testing.T) {
-	l := L1{}
-	if got := l.Loss([]float64{1, 2}, []float64{1, 2}); got != 0 {
+	l1 := func(pred, target []float64) (float64, []float64) {
+		g := make([]float64, len(pred))
+		return LossGradInto(L1{}, g, nil, pred, target), g
+	}
+	if got, _ := l1([]float64{1, 2}, []float64{1, 2}); got != 0 {
 		t.Errorf("L1 of equal = %v", got)
 	}
-	if got := l.Loss([]float64{0, 0}, []float64{1, -3}); got != 2 {
+	if got, _ := l1([]float64{0, 0}, []float64{1, -3}); got != 2 {
 		t.Errorf("L1 = %v, want 2", got)
 	}
-	g := l.Grad([]float64{2, 0, 1}, []float64{1, 1, 1})
-	if g[0] <= 0 || g[1] >= 0 || g[2] != 0 {
+	if _, g := l1([]float64{2, 0, 1}, []float64{1, 1, 1}); g[0] <= 0 || g[1] >= 0 || g[2] != 0 {
 		t.Errorf("L1 grad signs wrong: %v", g)
 	}
 }
 
 func TestNetworkSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	n := MLP(7, 128, 3, 4, rng)
-	if n.InSize() != 7 || n.OutSize() != 4 {
-		t.Errorf("sizes = %d,%d", n.InSize(), n.OutSize())
+	if got := MLP(7, 128, 3, 4, rng).InSize(); got != 7 {
+		t.Errorf("InSize = %d, want 7", got)
 	}
-	want := (7*128 + 128) + (128*128+128)*2 + (128*4 + 4)
-	if n.NumParams() != want {
-		t.Errorf("NumParams = %d, want %d", n.NumParams(), want)
+	if got := NewNetwork(NewLeakyReLU()).InSize(); got != -1 {
+		t.Errorf("InSize without a Dense layer = %d, want -1", got)
 	}
 }
 
@@ -288,7 +279,7 @@ func TestDenseRejectsBadInput(t *testing.T) {
 func TestTrainBatchEmptyIsNoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := MLP(2, 4, 1, 1, rng)
-	got, err := n.TrainBatch(nil, nil, MSE{}, NewSGD(0.1))
+	got, err := n.TrainBatch(nil, nil, MSE{}, NewAdam(0.1))
 	if err != nil {
 		t.Fatalf("TrainBatch: %v", err)
 	}

@@ -5,23 +5,27 @@ import "math"
 // This file preserves the original per-sample training step — one heap
 // allocation per layer per sample, sequential gradient accumulation — exactly
 // as the tree shipped before the batched compute core landed. It is the
-// oracle for the batched-equivalence tests and the baseline of
-// BenchmarkTrainStepReference / BenchmarkForwardReference. It must not be
-// "optimized": its whole value is being the slow, known-good original.
+// package's only per-sample backward pass: the oracle for the
+// batched-equivalence tests and the baseline of BenchmarkTrainStepReference /
+// BenchmarkForwardReference. It must not be "optimized": its whole value is
+// being the slow, known-good original.
 
 // referenceTrainBatch performs one optimizer step on a minibatch using the
 // original allocating per-sample forward/backward, returning the mean loss.
-func referenceTrainBatch(n *Network, xs, ys [][]float64, loss Loss, opt Optimizer) float64 {
+func referenceTrainBatch(n *Network, xs, ys [][]float64, loss Loss, opt *Adam) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	n.ZeroGrad()
+	for _, p := range n.Params() {
+		clear(p.G)
+	}
 	var total float64
 	for i := range xs {
 		acts := referenceForward(n, xs[i])
 		pred := acts[len(acts)-1]
-		total += loss.Loss(pred, ys[i])
-		referenceBackward(n, acts, loss.Grad(pred, ys[i]))
+		g := make([]float64, len(pred))
+		total += LossGradInto(loss, g, make([]float64, len(pred)), pred, ys[i])
+		referenceBackward(n, acts, g)
 	}
 	scaleGrads(n.Params(), 1/float64(len(xs)))
 	opt.Step(n.Params())
@@ -69,8 +73,6 @@ func referenceForward(n *Network, x []float64) [][]float64 {
 				y[i] = math.Tanh(v)
 			}
 			x = y
-		default:
-			x = l.Forward(x)
 		}
 		acts = append(acts, x)
 	}
@@ -78,8 +80,9 @@ func referenceForward(n *Network, x []float64) [][]float64 {
 }
 
 // referenceBackward propagates grad through the stack with the original
-// allocating per-layer code, accumulating parameter gradients.
-func referenceBackward(n *Network, acts [][]float64, grad []float64) {
+// allocating per-layer code, accumulating parameter gradients, and returns
+// dLoss/dInput.
+func referenceBackward(n *Network, acts [][]float64, grad []float64) []float64 {
 	for li := len(n.Layers) - 1; li >= 0; li-- {
 		in := acts[li]
 		switch t := n.Layers[li].(type) {
@@ -117,10 +120,9 @@ func referenceBackward(n *Network, acts [][]float64, grad []float64) {
 				gx[i] = g * (1 - v*v)
 			}
 			grad = gx
-		default:
-			grad = n.Layers[li].Backward(grad)
 		}
 	}
+	return grad
 }
 
 func scaleGrads(ps []*Param, s float64) {

@@ -22,9 +22,9 @@ type components struct {
 	sch      *query.Schema
 	embedDim int
 
-	optEnc  nn.Optimizer
-	optGen  nn.Optimizer
-	optDisc nn.Optimizer
+	optEnc  *nn.Adam
+	optGen  *nn.Adam
+	optDisc *nn.Adam
 	rng     *rand.Rand
 
 	// The networks' parameter lists, built once: Network.Params allocates.
@@ -66,8 +66,9 @@ type stepArena struct {
 const (
 	// batchSize is the minibatch size for component training.
 	batchSize = 32
-	// learningRate is the component learning rate (§3.5: 1e-3, halved every
-	// 10 epochs).
+	// learningRate is the component learning rate (§3.5: 1e-3). It stays
+	// constant: the paper halves it every 10 epochs, this implementation
+	// never does (Adam steps at this rate throughout; see DESIGN.md).
 	learningRate = 1e-3
 )
 
@@ -299,8 +300,6 @@ func (c *components) UpdateAutoEncoder(p *pool.Pool, epochs int) float64 {
 			epochLoss += c.aeStep(batch)
 			batches++
 		}
-		c.optEnc.EndEpoch()
-		c.optGen.EndEpoch()
 		last = epochLoss / float64(batches)
 	}
 	return last
@@ -531,8 +530,6 @@ func (c *components) ganIteration(p *pool.Pool, newEntries []*pool.Entry) ganLos
 	// embeddings.
 	a.batch = sampleInto(a.batch[:0], newEntries, batchSize/2, c.rng)
 	l.Gen = c.genStep(a.batch, sigma)
-
-	c.optDisc.EndEpoch()
 	return l
 }
 

@@ -70,7 +70,7 @@ func (b bitsHash) words(ws []uint64) {
 
 // adamMoments reads the first and second moment vectors Adam keeps for p
 // (unexported maps keyed by parameter; nil before the first step).
-func adamMoments(opt nn.Optimizer, p *nn.Param) (m, v []float64) {
+func adamMoments(opt *nn.Adam, p *nn.Param) (m, v []float64) {
 	a := reflect.ValueOf(opt).Elem()
 	read := func(field string) []float64 {
 		mv := a.FieldByName(field)
@@ -194,7 +194,7 @@ func goldenBitsRun(t *testing.T, mscn bool) (uint64, string) {
 	c := ad.comps
 	for i, no := range []struct {
 		net *nn.Network
-		opt nn.Optimizer
+		opt *nn.Adam
 	}{{c.enc, c.optEnc}, {c.gen, c.optGen}, {c.disc, c.optDisc}} {
 		for _, p := range no.net.Params() {
 			h.floats(p.W)

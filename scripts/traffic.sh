@@ -6,7 +6,8 @@
 # coverage of ./internal/..., then lists every function in
 # internal/{serve,wire,query,obs,resilience,warper,annotator,ce,nn} at 0.0 %.
 # A function on this list runs only under tests, or not at all — the
-# evidence a "second path" trial should start from. About 15 s.
+# evidence a "second path" trial should start from. The last line is the
+# count CHANGES.md and ROADMAP.md quote. About 15 s.
 #
 #	scripts/traffic.sh                  # this checkout
 #	scripts/traffic.sh /path/to/parent  # another one (a clone of the parent commit)
@@ -22,4 +23,6 @@ go tool cover -func="$tmp/cover.out" |
 	awk '$NF == "0.0%" && $1 ~ /^warper\/internal\/(serve|wire|query|obs|resilience|warper|annotator|ce|nn)\// {
 		sub(/^warper\//, "", $1)
 		printf "%-50s %s\n", $1, $2
-	}'
+		n++
+	}
+	END { printf "%d functions at 0.0 %%\n", n }'
