@@ -7,7 +7,7 @@
 //	POST /estimate/batch columnar binary batch frame
 //	POST /feedback     {"lows": [...], "highs": [...], "cardinality": N}
 //	POST /period       run one adaptation period over buffered feedback
-//	GET  /status       model, pool, thresholds, component costs
+//	GET  /status       model, pool, thresholds, costs by period stage
 //	GET  /statusz      human-readable flight-recorder page (HTML)
 //	GET  /metrics      Prometheus text exposition
 //	GET  /debug/vars   JSON metric dump
@@ -33,6 +33,11 @@
 // The server it builds is the one bench/fixture.go measures: estimate cache
 // on, binary batch endpoints mounted, fallback ladder on. Fault injection
 // lives in the tests behind `make chaos`.
+//
+// /status's "costs" is the adapter's cost ledger: "pretrain", then every
+// period's time under its stage names (detect, generate, pick, annotate,
+// update) — the stage label of warper_period_stage_seconds — and
+// "annotate_retry", the failed annotation attempts inside "annotate".
 package main
 
 import (

@@ -1,9 +1,10 @@
 // Package annotator computes ground-truth cardinalities for predicates — the
 // 𝔸 module of Figure 4. The paper implements 𝔸 in C++ against the DBMS; here
 // it counts over the in-memory columnar tables through their sorted-column
-// scan index (dataset.Table.SortedOrder). It also meters its own cost
-// (covered rows and wall time) because annotation is the dominant term c_gt
-// of Warper's cost model (§4.3).
+// scan index (dataset.Table.SortedOrder). Annotation is the c_gt term of
+// Warper's cost model (§4.3); callers time it on their own clock (the
+// adapter's period clock, the experiment harness's stopwatch), so the
+// annotators hold no meters and the exact one is immutable.
 //
 // Annotation is the only adaptation step that touches an external system in
 // production, so every entry point takes a context and returns an error: a
@@ -16,8 +17,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
-	"time"
 
 	"warper/internal/dataset"
 	"warper/internal/query"
@@ -26,15 +25,6 @@ import (
 // Annotator answers count(*) queries over a single table.
 type Annotator struct {
 	tbl *dataset.Table
-
-	// mu guards the cost meters below. Count runs concurrently on the
-	// serving path (/estimate traffic during a period), so meter updates
-	// must be synchronized; reading the fields directly is safe only once
-	// all concurrent callers have quiesced.
-	mu          sync.Mutex
-	Queries     int
-	RowsScanned int64
-	Elapsed     time.Duration
 }
 
 // New returns an annotator over the table.
@@ -49,7 +39,6 @@ func (a *Annotator) Table() *dataset.Table { return a.tbl }
 // malformed predicate must not kill the process. Cancelling ctx stops the
 // count within ctxCheckRows steps.
 func (a *Annotator) Count(ctx context.Context, p query.Predicate) (float64, error) {
-	start := time.Now()
 	if p.Dim() != a.tbl.NumCols() {
 		return 0, fmt.Errorf("annotator: predicate dim %d vs table cols %d", p.Dim(), a.tbl.NumCols())
 	}
@@ -57,7 +46,6 @@ func (a *Annotator) Count(ctx context.Context, p query.Predicate) (float64, erro
 	if err != nil {
 		return 0, err
 	}
-	a.addCost(1, int64(a.tbl.NumRows()), time.Since(start))
 	return float64(count), nil
 }
 
@@ -66,7 +54,6 @@ func (a *Annotator) Count(ctx context.Context, p query.Predicate) (float64, erro
 // shared sorted order plays that part here). A dimension mismatch anywhere
 // in the batch, or a cancelled context, fails the whole batch.
 func (a *Annotator) AnnotateAll(ctx context.Context, ps []query.Predicate) ([]query.Labeled, error) {
-	start := time.Now()
 	for i := range ps {
 		if ps[i].Dim() != a.tbl.NumCols() {
 			return nil, fmt.Errorf("annotator: predicate %d dim %d vs table cols %d",
@@ -81,7 +68,6 @@ func (a *Annotator) AnnotateAll(ctx context.Context, ps []query.Predicate) ([]qu
 		}
 		out[i] = query.Labeled{Pred: p, Card: float64(count)}
 	}
-	a.addCost(len(ps), int64(a.tbl.NumRows()), time.Since(start)) // one batch, one table's worth of rows
 	return out, nil
 }
 
@@ -201,34 +187,4 @@ func markFails(ctx context.Context, fails []uint64, order []int32, r run) error 
 		}
 	}
 	return nil
-}
-
-// addCost charges a finished annotation to the meters.
-func (a *Annotator) addCost(queries int, rows int64, d time.Duration) {
-	a.mu.Lock()
-	a.Queries += queries
-	a.RowsScanned += rows
-	a.Elapsed += d
-	a.mu.Unlock()
-}
-
-// MeanCostPerQuery returns the measured mean annotation latency, which the
-// experiment harness charges to the virtual clock. Returns 0 before any
-// query ran.
-func (a *Annotator) MeanCostPerQuery() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.Queries == 0 {
-		return 0
-	}
-	return a.Elapsed / time.Duration(a.Queries)
-}
-
-// ResetMeters zeroes the cost meters.
-func (a *Annotator) ResetMeters() {
-	a.mu.Lock()
-	a.Queries = 0
-	a.RowsScanned = 0
-	a.Elapsed = 0
-	a.mu.Unlock()
 }

@@ -259,9 +259,6 @@ func TestCancelMidCount(t *testing.T) {
 			t.Errorf("%s: %d ctx polls for %d cells", name, polls, tbl.NumRows()*tbl.NumCols())
 		}
 	}
-	if a.Queries != 2 {
-		t.Errorf("cancelled counts were metered: Queries = %d, want 2", a.Queries)
-	}
 }
 
 // FuzzCountMatchesScan lets the fuzzer pick the table (seed, size) and the

@@ -3,8 +3,6 @@ package annotator
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"warper/internal/dataset"
 	"warper/internal/query"
@@ -15,11 +13,6 @@ import (
 // inputs. It backs the ground truth for the MSCN join experiments (§4.1.2).
 type JoinAnnotator struct {
 	tables map[string]*dataset.Table
-
-	// mu guards the cost meters against concurrent Count calls.
-	mu      sync.Mutex
-	Queries int
-	Elapsed time.Duration
 }
 
 // NewJoin builds a join annotator over the given tables.
@@ -44,13 +37,6 @@ func (ja *JoinAnnotator) Table(name string) *dataset.Table { return ja.tables[na
 // errors rather than panics. Cancelling ctx stops the join between row
 // batches.
 func (ja *JoinAnnotator) Count(ctx context.Context, q *query.JoinQuery) (float64, error) {
-	start := time.Now()
-	defer func() {
-		ja.mu.Lock()
-		ja.Queries++
-		ja.Elapsed += time.Since(start)
-		ja.mu.Unlock()
-	}()
 	if len(q.Tables) == 0 {
 		return 0, nil
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
-	"time"
 
 	"warper/internal/dataset"
 	"warper/internal/query"
@@ -22,12 +20,6 @@ type Sampled struct {
 	tbl   *dataset.Table
 	rows  []int   // sampled row indices
 	scale float64 // NumRows / len(rows)
-
-	// mu guards the cost meters; Count can run concurrently when Sampled
-	// serves as the degradation fallback.
-	mu      sync.Mutex
-	Queries int
-	Elapsed time.Duration
 }
 
 // NewSampled draws a uniform row sample of the given rate (0 < rate <= 1).
@@ -50,7 +42,6 @@ func (s *Sampled) SampleSize() int { return len(s.rows) }
 
 // Count returns the scaled-up approximate cardinality.
 func (s *Sampled) Count(ctx context.Context, p query.Predicate) (float64, error) {
-	start := time.Now()
 	if p.Dim() != s.tbl.NumCols() {
 		return 0, fmt.Errorf("annotator: predicate dim %d vs table cols %d", p.Dim(), s.tbl.NumCols())
 	}
@@ -64,22 +55,5 @@ func (s *Sampled) Count(ctx context.Context, p query.Predicate) (float64, error)
 			hits++
 		}
 	}
-	s.mu.Lock()
-	s.Queries++
-	s.Elapsed += time.Since(start)
-	s.mu.Unlock()
 	return float64(hits) * s.scale, nil
-}
-
-// AnnotateAll labels every predicate approximately.
-func (s *Sampled) AnnotateAll(ctx context.Context, ps []query.Predicate) ([]query.Labeled, error) {
-	out := make([]query.Labeled, len(ps))
-	for i, p := range ps {
-		card, err := s.Count(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = query.Labeled{Pred: p, Card: card}
-	}
-	return out, nil
 }

@@ -80,21 +80,6 @@ func TestSampledIsCheaperPerQuery(t *testing.T) {
 	}
 }
 
-func TestSampledAnnotateAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tbl := dataset.PRSA(1000, rng)
-	sch := query.SchemaOf(tbl)
-	approx := newSampledOK(t, tbl, 0.5, rng)
-	g := workload.New("w1", tbl, sch, workload.Options{})
-	out, err := approx.AnnotateAll(context.Background(), workload.Generate(g, 10, rng))
-	if err != nil {
-		t.Fatalf("AnnotateAll: %v", err)
-	}
-	if len(out) != 10 || approx.Queries != 10 {
-		t.Errorf("AnnotateAll bookkeeping wrong: %d results, %d queries", len(out), approx.Queries)
-	}
-}
-
 func TestSampledBadRateError(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tbl := dataset.PRSA(100, rng)

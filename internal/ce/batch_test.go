@@ -91,4 +91,10 @@ func TestMSCNEstimateJoinAllErrors(t *testing.T) {
 	if err := m.EstimateJoinAll(nil, nil); err != nil {
 		t.Errorf("empty batch: %v", err)
 	}
+	// The single-table batch entry point answers a mis-sized out with zeros.
+	out := []float64{1, 2, 3}
+	m.EstimateAll(make([]query.Predicate, 2), out)
+	if out[0] != 0 || out[1] != 0 || out[2] != 0 {
+		t.Errorf("EstimateAll into a mis-sized out = %v, want zeros", out)
+	}
 }

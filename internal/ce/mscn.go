@@ -401,11 +401,10 @@ func (m *MSCN) EstimateAll(ps []query.Predicate, out []float64) {
 		qs[i] = m.singleTableQuery(ps[i])
 	}
 	// singleTableQuery queries are always in-catalog, so the batched pass
-	// cannot fail; fall back to per-query estimates defensively anyway.
+	// fails only on len(out) != len(ps), a broken BatchEstimator contract
+	// that no per-query retry could repair: answer zeros.
 	if err := m.EstimateJoinAll(qs, out); err != nil {
-		for i := range ps {
-			out[i] = m.Estimate(ps[i])
-		}
+		clear(out)
 	}
 }
 

@@ -8,45 +8,36 @@ package drift
 import (
 	"context"
 	"math"
-	"math/rand"
 
+	"warper/internal/annotator"
 	"warper/internal/mathx"
 	"warper/internal/query"
-	"warper/internal/workload"
 )
 
-// Counter is the slice of the annotation Source the drift telemetry needs:
-// a single ground-truth count. Accepting the narrow interface (rather than
-// *annotator.Annotator) lets the adapter route canary probes through the
-// same resilience wrapper as regular annotation, so a flaky source degrades
-// telemetry instead of crashing detection.
-type Counter interface {
-	Count(ctx context.Context, p query.Predicate) (float64, error)
-}
+// The paper's δ_js parameters (§3.1): PCA dimensions k and bins per
+// dimension m.
+const (
+	jsDims = 10
+	jsBins = 3
+)
 
-// JSConfig controls the δ_js computation. The paper uses k=10 PCA dimensions
-// and m=3 bins per dimension.
-type JSConfig struct {
-	K int // PCA dimensions
-	M int // bins per dimension
-}
-
-// DefaultJSConfig returns the paper's k=10, m=3.
-func DefaultJSConfig() JSConfig { return JSConfig{K: 10, M: 3} }
+// Data-drift telemetry thresholds: the changed-row fraction and the largest
+// canary relative cardinality change that signal a data drift.
+const (
+	changedRowThreshold = 0.05
+	canaryThreshold     = 0.10
+)
 
 // DeltaJS measures the workload distance between predicate sets A and B in
 // [0,1]: featurize each predicate, fit a PCA on the union, reduce to k dims,
 // quantize each dimension into m bins, histogram the resulting bucket ids and
 // return the symmetric Jensen-Shannon divergence of the two histograms.
-func DeltaJS(a, b []query.Predicate, sch *query.Schema, cfg JSConfig) float64 {
+func DeltaJS(a, b []query.Predicate, sch *query.Schema) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	if cfg.K <= 0 || cfg.M <= 1 {
-		cfg = DefaultJSConfig()
-	}
 	d := sch.FeatureDim()
-	k := cfg.K
+	k := jsDims
 	if k > d {
 		k = d
 	}
@@ -55,7 +46,7 @@ func DeltaJS(a, b []query.Predicate, sch *query.Schema, cfg JSConfig) float64 {
 	// large divergence even for identical distributions (pure sparseness
 	// bias). The paper's k=10 assumes thousands of queries per workload.
 	n := len(a) + len(b)
-	for k > 1 && pow(cfg.M, k) > maxInt(16, n/4) {
+	for k > 1 && pow(jsBins, k) > maxInt(16, n/4) {
 		k--
 	}
 	union := mathx.NewMatrix(len(a)+len(b), d)
@@ -87,12 +78,12 @@ func DeltaJS(a, b []query.Predicate, sch *query.Schema, cfg JSConfig) float64 {
 	}
 	buckets := 1
 	for j := 0; j < k; j++ {
-		buckets *= cfg.M
+		buckets *= jsBins
 	}
 	ha := mathx.NewHistogram(buckets)
 	hb := mathx.NewHistogram(buckets)
 	for i := 0; i < proj.Rows; i++ {
-		id := bucketID(proj.Row(i), mins, maxs, cfg.M)
+		id := bucketID(proj.Row(i), mins, maxs, jsBins)
 		if i < len(a) {
 			ha.AddBucket(id)
 		} else {
@@ -148,29 +139,23 @@ type Canaries struct {
 	cards []float64
 }
 
-// NewCanaries draws n probe predicates from the given workload and records
-// their current cardinalities. Annotation failures (a generator producing
-// predicates outside the table's schema) surface as an error.
-func NewCanaries(ctx context.Context, n int, gen workload.Generator, cnt Counter, rng *rand.Rand) (*Canaries, error) {
-	c := &Canaries{}
-	for i := 0; i < n; i++ {
-		p := gen.Gen(rng)
-		card, err := cnt.Count(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		c.preds = append(c.preds, p)
-		c.cards = append(c.cards, card)
+// NewCanaries records the current cardinalities of the given probe
+// predicates, which the Canaries keep. Annotation failures (predicates
+// outside the table's schema) surface as an error.
+func NewCanaries(ctx context.Context, preds []query.Predicate, src annotator.Source) (*Canaries, error) {
+	c := &Canaries{preds: preds, cards: make([]float64, len(preds))}
+	if err := c.Rebase(ctx, src); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
 // MaxRelChange re-evaluates every canary and returns the largest relative
 // cardinality change.
-func (c *Canaries) MaxRelChange(ctx context.Context, cnt Counter) (float64, error) {
+func (c *Canaries) MaxRelChange(ctx context.Context, src annotator.Source) (float64, error) {
 	var worst float64
 	for i, p := range c.preds {
-		now, err := cnt.Count(ctx, p)
+		now, err := src.Count(ctx, p)
 		if err != nil {
 			return 0, err
 		}
@@ -185,9 +170,9 @@ func (c *Canaries) MaxRelChange(ctx context.Context, cnt Counter) (float64, erro
 
 // Rebase re-records current cardinalities (after the model has adapted to a
 // data drift).
-func (c *Canaries) Rebase(ctx context.Context, cnt Counter) error {
+func (c *Canaries) Rebase(ctx context.Context, src annotator.Source) error {
 	for i, p := range c.preds {
-		card, err := cnt.Count(ctx, p)
+		card, err := src.Count(ctx, p)
 		if err != nil {
 			return err
 		}
@@ -202,31 +187,22 @@ func (c *Canaries) Len() int { return len(c.preds) }
 // DataTelemetry combines the two §3.1 data-drift signals into one detector.
 type DataTelemetry struct {
 	Canaries *Canaries
-	// ChangedRowThreshold triggers on Table.ChangedFraction (default 0.05).
-	ChangedRowThreshold float64
-	// CanaryThreshold triggers on canary relative change (default 0.10).
-	CanaryThreshold float64
 }
 
-// Detect reports whether the table has drifted since the last reset/rebase.
-func (d *DataTelemetry) Detect(ctx context.Context, changedFraction float64, cnt Counter) (bool, error) {
-	rowThr := d.ChangedRowThreshold
-	if rowThr <= 0 {
-		rowThr = 0.05
-	}
-	if changedFraction >= rowThr {
+// Detect reports whether the table has drifted since the last reset/rebase:
+// the changed-row fraction or the canaries' largest relative change crossed
+// its threshold. Canary probes go through src, so a flaky source degrades
+// telemetry with an error instead of crashing detection.
+func (d *DataTelemetry) Detect(ctx context.Context, changedFraction float64, src annotator.Source) (bool, error) {
+	if changedFraction >= changedRowThreshold {
 		return true, nil
-	}
-	canThr := d.CanaryThreshold
-	if canThr <= 0 {
-		canThr = 0.10
 	}
 	if d.Canaries == nil {
 		return false, nil
 	}
-	rel, err := d.Canaries.MaxRelChange(ctx, cnt)
+	rel, err := d.Canaries.MaxRelChange(ctx, src)
 	if err != nil {
 		return false, err
 	}
-	return rel >= canThr, nil
+	return rel >= canaryThreshold, nil
 }

@@ -24,7 +24,7 @@ func TestDeltaJSIdenticalWorkloadsNearZero(t *testing.T) {
 	g := workload.New("w1", tbl, sch, workload.Options{})
 	a := workload.Generate(g, 300, rng)
 	b := workload.Generate(g, 300, rng)
-	js := DeltaJS(a, b, sch, DefaultJSConfig())
+	js := DeltaJS(a, b, sch)
 	if js > 0.15 {
 		t.Errorf("δ_js of same distribution = %v, want near 0", js)
 	}
@@ -38,8 +38,8 @@ func TestDeltaJSDifferentWorkloadsLarger(t *testing.T) {
 	a := workload.Generate(g1, 300, rng)
 	b := workload.Generate(g1, 300, rng)
 	c := workload.Generate(g4, 300, rng)
-	same := DeltaJS(a, b, sch, DefaultJSConfig())
-	diff := DeltaJS(a, c, sch, DefaultJSConfig())
+	same := DeltaJS(a, b, sch)
+	diff := DeltaJS(a, c, sch)
 	if diff <= same {
 		t.Errorf("δ_js(w1,w4)=%v should exceed δ_js(w1,w1)=%v", diff, same)
 	}
@@ -53,8 +53,8 @@ func TestDeltaJSSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := workload.Generate(workload.New("w1", tbl, sch, workload.Options{}), 150, rng)
 	b := workload.Generate(workload.New("w3", tbl, sch, workload.Options{}), 150, rng)
-	ab := DeltaJS(a, b, sch, DefaultJSConfig())
-	ba := DeltaJS(b, a, sch, DefaultJSConfig())
+	ab := DeltaJS(a, b, sch)
+	ba := DeltaJS(b, a, sch)
 	if diff := ab - ba; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("not symmetric: %v vs %v", ab, ba)
 	}
@@ -62,7 +62,7 @@ func TestDeltaJSSymmetric(t *testing.T) {
 
 func TestDeltaJSEmptyInputs(t *testing.T) {
 	_, sch := driftsFixture(t)
-	if got := DeltaJS(nil, nil, sch, DefaultJSConfig()); got != 0 {
+	if got := DeltaJS(nil, nil, sch); got != 0 {
 		t.Errorf("empty δ_js = %v", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestCanariesDetectDataDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ann := annotator.New(tbl)
 	g := workload.New("w3", tbl, sch, workload.Options{})
-	can, err := NewCanaries(context.Background(), 10, g, ann, rng)
+	can, err := NewCanaries(context.Background(), workload.Generate(g, 10, rng), ann)
 	if err != nil {
 		t.Fatalf("NewCanaries: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestDataTelemetryCanaryPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ann := annotator.New(tbl)
 	g := workload.New("w3", tbl, sch, workload.Options{})
-	can, err := NewCanaries(context.Background(), 8, g, ann, rng)
+	can, err := NewCanaries(context.Background(), workload.Generate(g, 8, rng), ann)
 	if err != nil {
 		t.Fatalf("NewCanaries: %v", err)
 	}

@@ -73,7 +73,7 @@ func NewEnv(dsName, trainSpec, newSpec, model string, sc Scale, seed int64) *Env
 	for _, lq := range e.Stream {
 		newPreds = append(newPreds, lq.Pred)
 	}
-	e.DeltaJS = drift.DeltaJS(newPreds, trainPreds, sch, drift.DefaultJSConfig())
+	e.DeltaJS = drift.DeltaJS(newPreds, trainPreds, sch)
 	return e
 }
 

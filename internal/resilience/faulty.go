@@ -12,9 +12,9 @@ import (
 )
 
 // FaultPlan describes a deterministic fault schedule for a Faulty source.
-// All probabilities are per call (Count or AnnotateAll — a batch is one
-// "RPC"); draws come from one seeded RNG in call order, so a given plan
-// replays identically across runs with the same call sequence.
+// All probabilities are per Count call (one "RPC"); draws come from one
+// seeded RNG in call order, so a given plan replays identically across runs
+// with the same call sequence.
 type FaultPlan struct {
 	// ErrRate is the probability a call fails immediately with ErrInjected.
 	ErrRate float64
@@ -127,12 +127,4 @@ func (f *Faulty) Count(ctx context.Context, p query.Predicate) (float64, error) 
 		return 0, err
 	}
 	return f.src.Count(ctx, p)
-}
-
-// AnnotateAll implements annotator.Source; the batch is one fault draw.
-func (f *Faulty) AnnotateAll(ctx context.Context, ps []query.Predicate) ([]query.Labeled, error) {
-	if err := f.inject(ctx); err != nil {
-		return nil, err
-	}
-	return f.src.AnnotateAll(ctx, ps)
 }

@@ -50,9 +50,6 @@ func TestFaultyErrorIsErrInjected(t *testing.T) {
 	if _, err := f.Count(context.Background(), query.Predicate{}); !errors.Is(err, ErrInjected) {
 		t.Errorf("err = %v, want ErrInjected", err)
 	}
-	if _, err := f.AnnotateAll(context.Background(), nil); !errors.Is(err, ErrInjected) {
-		t.Errorf("AnnotateAll err = %v, want ErrInjected", err)
-	}
 }
 
 // TestFaultyHangBlocksUntilCancel pins the hang fault: the call must block

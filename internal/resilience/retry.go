@@ -104,22 +104,6 @@ func (r *Resilient) Count(ctx context.Context, p query.Predicate) (float64, erro
 	return v, nil
 }
 
-// AnnotateAll implements annotator.Source. The whole batch is one attempt:
-// a mid-batch failure retries the batch, matching the all-or-nothing
-// contract of the underlying sources.
-func (r *Resilient) AnnotateAll(ctx context.Context, ps []query.Predicate) ([]query.Labeled, error) {
-	var out []query.Labeled
-	err := r.do(ctx, func(actx context.Context) error {
-		var e error
-		out, e = r.src.AnnotateAll(actx, ps)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // do runs op with up to pol.MaxAttempts tries. The caller's ctx always wins:
 // its cancellation or deadline aborts the loop immediately (including backoff
 // waits) and is returned verbatim, so callers can distinguish "the period was

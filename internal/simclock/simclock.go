@@ -15,17 +15,16 @@ import (
 	"time"
 )
 
-// Ledger accumulates named busy-time charges (annotation, model update, GAN
-// training, …) so experiments can report per-component costs and CPU
-// utilization exactly as Table 6 and Table 11 do.
+// Ledger accumulates named busy-time charges (the adaptation period's
+// stages, pretraining, retried annotation) so experiments can report
+// per-component costs and CPU utilization exactly as Table 6 and Table 11 do.
 type Ledger struct {
 	charges map[string]time.Duration
-	calls   map[string]int
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{charges: make(map[string]time.Duration), calls: make(map[string]int)}
+	return &Ledger{charges: make(map[string]time.Duration)}
 }
 
 // Charge adds busy time under the given component name.
@@ -34,30 +33,10 @@ func (l *Ledger) Charge(name string, d time.Duration) {
 		panic("simclock: negative charge")
 	}
 	l.charges[name] += d
-	l.calls[name]++
 }
 
 // Get returns the accumulated busy time for one component.
 func (l *Ledger) Get(name string) time.Duration { return l.charges[name] }
-
-// Calls returns how many times the component was charged. Retried annotation
-// attempts charge once per attempt, so tests can pin attempt counts here.
-func (l *Ledger) Calls(name string) int { return l.calls[name] }
-
-// Total returns the sum over all components.
-func (l *Ledger) Total() time.Duration {
-	var t time.Duration
-	for _, d := range l.charges {
-		t += d
-	}
-	return t
-}
-
-// Reset clears all charges.
-func (l *Ledger) Reset() {
-	l.charges = make(map[string]time.Duration)
-	l.calls = make(map[string]int)
-}
 
 // String renders the ledger sorted by component name.
 func (l *Ledger) String() string {

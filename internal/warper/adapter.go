@@ -19,9 +19,13 @@ import (
 // learned components 𝔼/𝔾/𝔻, the picker ℙ, the drift detector, and a
 // black-box reference to the CE model 𝕄 and the annotator 𝔸.
 type Adapter struct {
-	Cfg    Config
-	M      ce.Estimator
-	Pool   *pool.Pool
+	Cfg  Config
+	M    ce.Estimator
+	Pool *pool.Pool
+	// Ledger is the §4.3 cost record: the one-time "pretrain" charge, then
+	// every period's time under StageNames — the names a period's Report,
+	// the serving metrics and the benchmark use. A resilience wrapper may
+	// add "annotate_retry", a breakdown of time already inside "annotate".
 	Ledger *simclock.Ledger
 	Picker *Picker
 	// GenFunc overrides the synthetic-query source (the Table 10 "𝔾→AUG"
@@ -115,17 +119,13 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 	for _, lq := range trainSet {
 		trainPreds = append(trainPreds, lq.Pred)
 	}
-	canaryCount := cfg.Canaries
-	if canaryCount > len(trainSet) {
-		canaryCount = len(trainSet)
+	probes := make([]query.Predicate, min(cfg.Canaries, len(trainPreds)))
+	for i := range probes {
+		probes[i] = trainPreds[rng.Intn(len(trainPreds))].Clone()
 	}
-	canaries := &drift.Canaries{}
-	if canaryCount > 0 {
-		var err error
-		canaries, err = drift.NewCanaries(context.Background(), canaryCount, staticGen(trainPreds), ann, rng)
-		if err != nil {
-			return nil, err
-		}
+	canaries, err := drift.NewCanaries(context.Background(), probes, ann)
+	if err != nil {
+		return nil, err
 	}
 	a.det = &detector{
 		cfg:        cfg,
@@ -138,17 +138,6 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 	}
 	return a, nil
 }
-
-// staticGen adapts a fixed predicate list to the workload.Generator shape
-// needed by drift.NewCanaries without importing the workload package.
-type staticGenT struct{ preds []query.Predicate }
-
-func staticGen(preds []query.Predicate) staticGenT { return staticGenT{preds} }
-
-func (s staticGenT) Gen(rng *rand.Rand) query.Predicate {
-	return s.preds[rng.Intn(len(s.preds))].Clone()
-}
-func (s staticGenT) Name() string { return "canary" }
 
 // Period stages, the index of Report.Stages. Every period reports every
 // stage — one skipped by the drift mode (generate during a quiet period)
@@ -189,9 +178,10 @@ type Report struct {
 	// Busy is the compute charged to the virtual clock this period.
 	Busy time.Duration
 	// Stages splits Busy by stage (indexed like StageNames): the period runs
-	// on one clock whose every lap lands in exactly one stage and one Ledger
-	// key, so Σ Stages == Busy and the period's Ledger deltas sum to Stages,
-	// on error returns too.
+	// on one clock whose every lap lands in exactly one stage and is charged
+	// to the Ledger under that stage's name, so Σ Stages == Busy and the
+	// period's Ledger delta under StageNames[s] == Stages[s], on error
+	// returns too.
 	Stages [len(StageNames)]time.Duration
 
 	// Partial is true when the ground-truth source lost part of the
@@ -243,7 +233,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
-	clk := periodClock{watch: simclock.StartWatch(), rep: &rep, ledger: a.Ledger, stage: StageDetect, key: "detect"}
+	clk := periodClock{watch: simclock.StartWatch(), rep: &rep, ledger: a.Ledger, stage: StageDetect}
 	defer func() {
 		clk.lap()
 		if err == nil {
@@ -292,13 +282,12 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 	}
 
 	// Lines 3–8: update the learned components; generate when in c2.
+	clk.enter(StageGenerate)
 	if det.Mode.Has(C2) {
-		clk.enter(StageGenerate, "gan")
 		rep.GANLoss = a.comps.UpdateMultiTask(a.Pool, a.Cfg.NIters)
 
 		nGen := int(a.Cfg.GenFraction * float64(maxI(det.NT, 1)))
 		if nGen >= 1 { // §4.3: generator disabled when n_g < 1
-			clk.enter(StageGenerate, "gen")
 			genFn := a.GenFunc
 			if genFn == nil {
 				genFn = a.comps.Generate
@@ -310,22 +299,20 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 			rep.Generated = len(preds)
 		}
 	} else {
-		clk.enter(StageGenerate, "ae")
 		a.comps.UpdateAutoEncoder(a.Pool, 2)
 	}
 
 	// Refresh embeddings so the picker sees current z (and the freshly
 	// generated entries get theirs, with l' and s').
-	clk.enter(StageGenerate, "embed")
 	a.comps.EmbedAll(a.Pool)
 	a.comps.ClassifyAll(a.Pool.BySource(pool.SrcGen))
 
 	// Line 9: pick queries and annotate them.
-	clk.enter(StagePick, "pick")
+	clk.enter(StagePick)
 	picked := a.pick(det.Mode)
 	rep.Picked = len(picked)
 
-	clk.enter(StageAnnotate, "annotate")
+	clk.enter(StageAnnotate)
 	rep.Annotated, err = a.annotate(ctx, picked, &rep)
 	if err != nil {
 		return rep, err
@@ -334,16 +321,11 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 	// Line 10: update 𝕄 from the pool. A failed update aborts the period:
 	// the caller keeps its pre-period model, and the pool/detector state
 	// stays consistent for the next attempt.
-	clk.enter(StageUpdate, "model")
+	clk.enter(StageUpdate)
 	if err := a.updateModel(picked); err != nil {
 		return rep, err
 	}
 	rep.Updated = true
-
-	// The rest of the update stage — the early-stop evaluation and the pool
-	// and canary maintenance below — is no part of Table 6's model-update
-	// cost, so it runs under its own ledger key.
-	clk.enter(StageUpdate, "finish")
 
 	// Early stop (§3.4): when the model stops improving on its best
 	// observed error for several consecutive periods, raise π so det_drft
@@ -404,27 +386,27 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 }
 
 // periodClock is the one clock of a period. lap closes the interval since
-// the previous lap into the stage and Ledger key it ran under; enter does
-// that and names what runs next. PeriodCtx defers the last lap, so every
-// return path accounts for every instant since the period began exactly once.
+// the previous lap into the stage it ran under — Report.Stages, Busy and the
+// Ledger key StageNames[stage]; enter does that and names the stage that
+// runs next. PeriodCtx defers the last lap, so every return path accounts
+// for every instant since the period began exactly once.
 type periodClock struct {
 	watch  simclock.Stopwatch
 	rep    *Report
 	ledger *simclock.Ledger
 	stage  int
-	key    string
 }
 
 func (c *periodClock) lap() {
 	d := c.watch.Lap()
 	c.rep.Stages[c.stage] += d
 	c.rep.Busy += d
-	c.ledger.Charge(c.key, d)
+	c.ledger.Charge(StageNames[c.stage], d)
 }
 
-func (c *periodClock) enter(stage int, key string) {
+func (c *periodClock) enter(stage int) {
 	c.lap()
-	c.stage, c.key = stage, key
+	c.stage = stage
 }
 
 // pick runs ℙ according to the drift mode (Table 2).

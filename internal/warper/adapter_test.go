@@ -209,10 +209,11 @@ func TestLedgerAccumulatesCosts(t *testing.T) {
 	}
 	// Feed periods until a drift is handled (detection can stay quiet on an
 	// individual noisy period).
-	for i := 0; i < 6 && e.ad.Ledger.Get("model") == 0; i++ {
+	update := StageNames[StageUpdate]
+	for i := 0; i < 6 && e.ad.Ledger.Get(update) == 0; i++ {
 		periodOK(t, e.ad, arrivalsOf(e.newQ[i*50:(i+1)*50], true))
 	}
-	if e.ad.Ledger.Get("model") == 0 {
+	if e.ad.Ledger.Get(update) == 0 {
 		t.Error("model update cost not charged")
 	}
 }

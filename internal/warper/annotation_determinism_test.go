@@ -32,18 +32,6 @@ func (s scanSource) Count(ctx context.Context, p query.Predicate) (float64, erro
 	return float64(count), ctx.Err()
 }
 
-func (s scanSource) AnnotateAll(ctx context.Context, ps []query.Predicate) ([]query.Labeled, error) {
-	out := make([]query.Labeled, len(ps))
-	for i, p := range ps {
-		card, err := s.Count(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = query.Labeled{Pred: p, Card: card}
-	}
-	return out, nil
-}
-
 // floatBits appends the bit pattern of every float64 reachable from v,
 // unexported fields included: ce.LM keeps its network private, and the
 // determinism contract is about M's weights, not about a sample of its
@@ -129,9 +117,13 @@ func TestAnnotationSourceDoesNotChangeSeededRun(t *testing.T) {
 		}
 
 		g4 := workload.New("w4", e.tbl, e.sch, workload.Options{MaxConstrained: 2})
-		fresh, err := src.AnnotateAll(context.Background(), workload.Generate(g4, 40, rng))
-		if err != nil {
-			t.Fatal(err)
+		var fresh []query.Labeled
+		for _, p := range workload.Generate(g4, 40, rng) {
+			card, err := src.Count(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh = append(fresh, query.Labeled{Pred: p, Card: card})
 		}
 		period(arrivalsOf(fresh, true))
 

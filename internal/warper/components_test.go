@@ -147,8 +147,8 @@ func TestGANGeneratedResemblesNewWorkload(t *testing.T) {
 	for _, lq := range env.train {
 		trainPreds = append(trainPreds, lq.Pred)
 	}
-	jsGenNew := drift.DeltaJS(gen, newPreds, env.sch, drift.DefaultJSConfig())
-	jsTrainNew := drift.DeltaJS(trainPreds, newPreds, env.sch, drift.DefaultJSConfig())
+	jsGenNew := drift.DeltaJS(gen, newPreds, env.sch)
+	jsTrainNew := drift.DeltaJS(trainPreds, newPreds, env.sch)
 	if jsGenNew >= jsTrainNew {
 		t.Errorf("generated workload no closer to new: δ(gen,new)=%v δ(train,new)=%v", jsGenNew, jsTrainNew)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 
+	"warper/internal/annotator"
 	"warper/internal/ce"
 	"warper/internal/drift"
 	"warper/internal/metrics"
@@ -104,7 +105,7 @@ type Detection struct {
 // drift presence alone. Canary-probe failures degrade (detection proceeds on
 // the δ_m/δ_js/changed-row signals, with Detection.TelemetryDegraded set);
 // only a cancelled ctx aborts.
-func (d *detector) detect(ctx context.Context, arrivals []Arrival, recent []query.Labeled, m ce.Estimator, cnt drift.Counter, changedFraction float64) (Detection, error) {
+func (d *detector) detect(ctx context.Context, arrivals []Arrival, recent []query.Labeled, m ce.Estimator, src annotator.Source, changedFraction float64) (Detection, error) {
 	det := Detection{NT: len(arrivals)}
 	// δ_m: evaluation error of 𝕄 on arrivals that carry execution feedback,
 	// padded with the recent-arrival window.
@@ -149,7 +150,7 @@ func (d *detector) detect(ctx context.Context, arrivals []Arrival, recent []quer
 		if len(obsNew) > m {
 			obsNew = obsNew[:m]
 		}
-		det.DeltaJS = drift.DeltaJS(obsNew, half1, d.sch, drift.DefaultJSConfig())
+		det.DeltaJS = drift.DeltaJS(obsNew, half1, d.sch)
 		jsExcess = det.DeltaJS - d.jsNoiseFloor(m, half1, half2)
 		if jsExcess < 0 {
 			jsExcess = 0
@@ -162,7 +163,7 @@ func (d *detector) detect(ctx context.Context, arrivals []Arrival, recent []quer
 	freshC1 := false
 	if d.telemetry != nil {
 		var err error
-		freshC1, err = d.telemetry.Detect(ctx, changedFraction, cnt)
+		freshC1, err = d.telemetry.Detect(ctx, changedFraction, src)
 		if err != nil {
 			if ctx.Err() != nil {
 				return det, ctx.Err()
@@ -218,7 +219,7 @@ func (d *detector) jsNoiseFloor(m int, half1, half2 []query.Predicate) float64 {
 	if v, ok := d.floorCache[m]; ok {
 		return v
 	}
-	v := drift.DeltaJS(half1, half2, d.sch, drift.DefaultJSConfig())
+	v := drift.DeltaJS(half1, half2, d.sch)
 	d.floorCache[m] = v
 	return v
 }

@@ -3,6 +3,7 @@ package warper
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"warper/internal/ce"
@@ -60,46 +61,39 @@ func (pk *Picker) PickGenerated(cands []*pool.Entry, n int, rng *rand.Rand) []*p
 	case StrategyRandom:
 		return dedup(sampleEntries(cands, n, rng))
 	case StrategyEntropy:
-		return pk.pickByEntropy(cands, n, rng)
+		return roulette(cands, n, rng, entropyWeight)
 	}
-	weights := make([]float64, len(cands))
-	var total float64
-	for i, e := range cands {
-		w := e.Conf
-		if w <= 0 {
-			w = 1e-6
-		}
-		weights[i] = w
-		total += w
-	}
-	picked := make([]*pool.Entry, 0, n)
-	for i := 0; i < n; i++ {
-		r := rng.Float64() * total
-		acc := 0.0
-		for j, w := range weights {
-			acc += w
-			if r <= acc {
-				picked = append(picked, cands[j])
-				break
-			}
-		}
-	}
-	return dedup(picked)
+	return roulette(cands, n, rng, confidenceWeight)
 }
 
-// pickByEntropy implements the uncertainty-sampling ablation: queries whose
-// discriminator distribution has higher entropy are more likely picked.
-func (pk *Picker) pickByEntropy(cands []*pool.Entry, n int, rng *rand.Rand) []*pool.Entry {
+// confidenceWeight is the paper's c2 weight: the discriminator confidence s'
+// that the entry resembles the new workload, floored above zero.
+func confidenceWeight(e *pool.Entry) float64 {
+	if e.Conf <= 0 {
+		return 1e-6
+	}
+	return e.Conf
+}
+
+// entropyWeight is the uncertainty-sampling ablation's weight: the entropy
+// of the entry's (s', 1-s') confidence split, so entries the discriminator
+// is least sure about are likelier picked; entries never classified get
+// maximal weight.
+func entropyWeight(e *pool.Entry) float64 {
+	h := 1.0
+	if e.Conf > 0 && e.Conf < 1 {
+		h = -(e.Conf*math.Log(e.Conf) + (1-e.Conf)*math.Log(1-e.Conf)) / math.Ln2
+	}
+	return h + 1e-6
+}
+
+// roulette draws n candidates with replacement, each with probability
+// proportional to its weight, and deduplicates them in draw order.
+func roulette(cands []*pool.Entry, n int, rng *rand.Rand, weight func(*pool.Entry) float64) []*pool.Entry {
 	weights := make([]float64, len(cands))
 	var total float64
 	for i, e := range cands {
-		// Entropy of the (s', 1-s') confidence split; entries never
-		// classified get maximal weight.
-		h := 1.0
-		if e.Conf > 0 && e.Conf < 1 {
-			h = -(e.Conf*math.Log(e.Conf) + (1-e.Conf)*math.Log(1-e.Conf)) / math.Ln2
-		}
-		weights[i] = h + 1e-6
+		weights[i] = weight(e)
 		total += weights[i]
 	}
 	picked := make([]*pool.Entry, 0, n)
@@ -131,8 +125,13 @@ func (pk *Picker) PickStratified(m ce.Estimator, labeled, cands []*pool.Entry, n
 	if len(cands) == 0 || n <= 0 {
 		return nil
 	}
-	if pk.Strategy == StrategyRandom {
+	// With no labeled reference there are no error buckets to span.
+	hasRef := slices.ContainsFunc(labeled, func(e *pool.Entry) bool { return e.GT >= 0 })
+	if pk.Strategy == StrategyRandom || !hasRef {
 		return dedup(sampleEntries(cands, n, rng))
+	}
+	if pk.Strategy == StrategyEntropy {
+		return roulette(cands, n, rng, entropyWeight)
 	}
 	k := pk.Buckets
 	if k <= 0 {
@@ -145,9 +144,6 @@ func (pk *Picker) PickStratified(m ce.Estimator, labeled, cands []*pool.Entry, n
 			continue
 		}
 		ref = append(ref, refEntry{e, metrics.QError(m.Estimate(e.Pred), e.GT)})
-	}
-	if len(ref) == 0 {
-		return dedup(sampleEntries(cands, n, rng))
 	}
 	errs := make([]float64, len(ref))
 	for i, s := range ref {
@@ -169,10 +165,6 @@ func (pk *Picker) PickStratified(m ce.Estimator, labeled, cands []*pool.Entry, n
 	refBuckets := make([]int, len(ref))
 	for i, s := range ref {
 		refBuckets[i] = bucketOf(s.err)
-	}
-
-	if pk.Strategy == StrategyEntropy {
-		return pk.pickByEntropy(cands, n, rng)
 	}
 
 	// Assign each candidate to a bucket.

@@ -2,6 +2,7 @@ package warper
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"warper/internal/ce"
@@ -173,5 +174,43 @@ func TestPickEntropyStrategy(t *testing.T) {
 	}
 	if counts[uncertain] <= counts[certain] {
 		t.Errorf("entropy picker favored certain entry: %v", counts)
+	}
+}
+
+// countingEstimator counts Estimate calls.
+type countingEstimator struct {
+	constEstimator
+	calls *int
+}
+
+func (c countingEstimator) Estimate(p query.Predicate) float64 {
+	*c.calls++
+	return c.constEstimator.Estimate(p)
+}
+
+// TestPickStratifiedEntropyIsTheEntropyPick pins the entropy ablation of the
+// c1/c3 picker: with a labeled reference it is PickGenerated's entropy pick,
+// draw for draw, and costs no model estimate; without one it stays uniform.
+func TestPickStratifiedEntropyIsTheEntropyPick(t *testing.T) {
+	pk := &Picker{Strategy: StrategyEntropy}
+	cands := []*pool.Entry{genEntry(0.999, 1), genEntry(0.5, 2), genEntry(0.2, 3), genEntry(0, 4)}
+	labeled := []*pool.Entry{genEntry(0.5, 5), genEntry(0.5, 6)}
+	labeled[0].GT, labeled[1].GT = 10, 100
+	var calls int
+	m := countingEstimator{constEstimator{v: 1}, &calls}
+
+	got := pk.PickStratified(m, labeled, cands, 6, rand.New(rand.NewSource(9)))
+	want := pk.PickGenerated(cands, 6, rand.New(rand.NewSource(9)))
+	if !slices.Equal(got, want) {
+		t.Errorf("entropy PickStratified = %v, entropy PickGenerated = %v", got, want)
+	}
+	if calls != 0 {
+		t.Errorf("entropy pick ran %d model estimates", calls)
+	}
+
+	got = pk.PickStratified(m, nil, cands, 6, rand.New(rand.NewSource(9)))
+	want = dedup(sampleEntries(cands, 6, rand.New(rand.NewSource(9))))
+	if !slices.Equal(got, want) {
+		t.Errorf("entropy PickStratified without a reference = %v, uniform = %v", got, want)
 	}
 }
