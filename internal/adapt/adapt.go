@@ -1,11 +1,12 @@
 // Package adapt implements the adaptation baselines the paper compares
-// Warper against (§4.1): fine-tuning (FT, with re-training RT for models
-// that cannot fine-tune), Mixture (MIX), Gaussian-noise data augmentation
-// (AUG) and hard-example mining (HEM) — and Warper itself and NoAdapt (no
-// adaptation) behind the same Method interface, plus a shared period-driven
-// runner that produces the adaptation curves (GMQ vs. consumed new-workload
-// queries) behind Figures 6 and 8 and the Δ speedups of Tables 7, 8 and 10.
-// Figures 1 and 9 step the same Methods, one per table of their join.
+// Warper against (§4.1): fine-tuning (FT; a model that cannot fine-tune
+// re-trains on everything it has seen), Mixture (MIX), Gaussian-noise data
+// augmentation (AUG) and hard-example mining (HEM) — and Warper itself and
+// NoAdapt (no adaptation) behind the same Method interface, plus a shared
+// period-driven runner that produces the adaptation curves (GMQ vs. consumed
+// new-workload queries) behind Figures 6 and 8 and the Δ speedups of Tables
+// 7, 8 and 10. Figures 1 and 9 step the same Methods, one per table of their
+// join.
 package adapt
 
 import (
@@ -34,29 +35,48 @@ type Method interface {
 	AnnotationsSpent() int
 }
 
-// --- FT / RT ----------------------------------------------------------------
-
-// FT fine-tunes the model with each period's labeled arrivals; for models
-// with a re-train update policy it re-trains on everything seen so far
-// (the paper's RT fallback).
-type FT struct {
+// learner is the skeleton FT, MIX, AUG and HEM share: the model, everything
+// it has learned from, and the extra annotations it requested.
+type learner struct {
 	m       ce.Estimator
-	history []query.Labeled // initial training + all labeled arrivals
+	history []query.Labeled // initial training + every learned batch
+	spent   int
 }
+
+func newLearner(m ce.Estimator, train []query.Labeled) learner {
+	return learner{m: m, history: append([]query.Labeled(nil), train...)}
+}
+
+// Model implements Method.
+func (l *learner) Model() ce.Estimator { return l.m }
+
+// AnnotationsSpent implements Method.
+func (l *learner) AnnotationsSpent() int { return l.spent }
+
+// learn appends seen to the history, then updates the model: a model that
+// can fine-tune takes batch, a re-train model (the paper's fallback for
+// models that cannot fine-tune) re-trains on the whole history.
+func (l *learner) learn(seen, batch []query.Labeled) error {
+	l.history = append(l.history, seen...)
+	if l.m.Policy() == ce.Retrain {
+		return l.m.Update(l.history)
+	}
+	return l.m.Update(batch)
+}
+
+// --- FT ----------------------------------------------------------------------
+
+// FT fine-tunes the model with each period's labeled arrivals.
+type FT struct{ learner }
 
 // NewFT wraps a trained model with the original training corpus (needed by
 // re-train models).
 func NewFT(m ce.Estimator, train []query.Labeled) *FT {
-	return &FT{m: m, history: append([]query.Labeled(nil), train...)}
+	return &FT{newLearner(m, train)}
 }
 
 // Name implements Method.
-func (f *FT) Name() string {
-	if f.m.Policy() == ce.Retrain {
-		return "RT"
-	}
-	return "FT"
-}
+func (f *FT) Name() string { return "FT" }
 
 // Step implements Method.
 func (f *FT) Step(arrivals []warper.Arrival) error {
@@ -64,15 +84,8 @@ func (f *FT) Step(arrivals []warper.Arrival) error {
 	if len(labeled) == 0 {
 		return nil
 	}
-	f.history = append(f.history, labeled...)
-	return update(f.m, f.history, labeled)
+	return f.learn(labeled, labeled)
 }
-
-// Model implements Method.
-func (f *FT) Model() ce.Estimator { return f.m }
-
-// AnnotationsSpent implements Method: FT never requests extra annotations.
-func (f *FT) AnnotationsSpent() int { return 0 }
 
 // --- MIX ---------------------------------------------------------------------
 
@@ -80,19 +93,14 @@ func (f *FT) AnnotationsSpent() int { return 0 }
 // and the newly arrived labeled queries, improving generalization when the
 // distributions overlap.
 type MIX struct {
-	m       ce.Estimator
-	train   []query.Labeled
-	history []query.Labeled // initial training + all labeled arrivals
-	rng     *rand.Rand
+	learner
+	train []query.Labeled
+	rng   *rand.Rand
 }
 
 // NewMIX builds the mixture baseline.
 func NewMIX(m ce.Estimator, train []query.Labeled, seed int64) *MIX {
-	return &MIX{
-		m: m, train: train,
-		history: append([]query.Labeled(nil), train...),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+	return &MIX{learner: newLearner(m, train), train: train, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Method.
@@ -105,42 +113,32 @@ func (x *MIX) Step(arrivals []warper.Arrival) error {
 	if len(labeled) == 0 {
 		return nil
 	}
-	x.history = append(x.history, labeled...)
 	mixed := append([]query.Labeled(nil), labeled...)
 	for i := 0; i < len(labeled) && len(x.train) > 0; i++ {
 		mixed = append(mixed, x.train[x.rng.Intn(len(x.train))])
 	}
-	return update(x.m, x.history, mixed)
+	return x.learn(labeled, mixed)
 }
-
-// Model implements Method.
-func (x *MIX) Model() ce.Estimator { return x.m }
-
-// AnnotationsSpent implements Method.
-func (x *MIX) AnnotationsSpent() int { return 0 }
 
 // --- AUG ---------------------------------------------------------------------
 
 // AUG augments each period's arrivals with Gaussian-noise copies (std = 10%
 // of each column's range, §4.1) and annotates the synthetic queries.
 type AUG struct {
-	m   ce.Estimator
+	learner
 	ann *annotator.Annotator
 	sch *query.Schema
 	rng *rand.Rand
 	// GenFraction matches Warper's n_g = frac·n_t (default 0.1).
 	GenFraction float64
-	history     []query.Labeled
-	spent       int
 }
 
 // NewAUG builds the augmentation baseline.
 func NewAUG(m ce.Estimator, sch *query.Schema, ann *annotator.Annotator, train []query.Labeled, seed int64) *AUG {
 	return &AUG{
-		m: m, ann: ann, sch: sch,
+		learner: newLearner(m, train), ann: ann, sch: sch,
 		rng:         rand.New(rand.NewSource(seed)),
 		GenFraction: 0.1,
-		history:     append([]query.Labeled(nil), train...),
 	}
 }
 
@@ -167,15 +165,8 @@ func (a *AUG) Step(arrivals []warper.Arrival) error {
 	if len(labeled) == 0 {
 		return nil
 	}
-	a.history = append(a.history, labeled...)
-	return update(a.m, a.history, labeled)
+	return a.learn(labeled, labeled)
 }
-
-// Model implements Method.
-func (a *AUG) Model() ce.Estimator { return a.m }
-
-// AnnotationsSpent implements Method.
-func (a *AUG) AnnotationsSpent() int { return a.spent }
 
 // --- HEM ---------------------------------------------------------------------
 
@@ -184,21 +175,15 @@ func (a *AUG) AnnotationsSpent() int { return a.spent }
 // same Gaussian noise as AUG for robustness. It needs ground truth for the
 // new queries and annotates any that arrive unlabeled.
 type HEM struct {
-	m       ce.Estimator
-	ann     *annotator.Annotator
-	sch     *query.Schema
-	rng     *rand.Rand
-	history []query.Labeled
-	spent   int
+	learner
+	ann *annotator.Annotator
+	sch *query.Schema
+	rng *rand.Rand
 }
 
 // NewHEM builds the hard-example-mining baseline.
 func NewHEM(m ce.Estimator, sch *query.Schema, ann *annotator.Annotator, train []query.Labeled, seed int64) *HEM {
-	return &HEM{
-		m: m, ann: ann, sch: sch,
-		rng:     rand.New(rand.NewSource(seed)),
-		history: append([]query.Labeled(nil), train...),
-	}
+	return &HEM{learner: newLearner(m, train), ann: ann, sch: sch, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Method.
@@ -249,15 +234,8 @@ func (h *HEM) Step(arrivals []warper.Arrival) error {
 			h.spent++
 		}
 	}
-	h.history = append(h.history, batch...)
-	return update(h.m, h.history, batch)
+	return h.learn(batch, batch)
 }
-
-// Model implements Method.
-func (h *HEM) Model() ce.Estimator { return h.m }
-
-// AnnotationsSpent implements Method.
-func (h *HEM) AnnotationsSpent() int { return h.spent }
 
 // --- Warper as a Method -------------------------------------------------------
 
@@ -323,16 +301,6 @@ func Noisy(p query.Predicate, sch *query.Schema, rng *rand.Rand) query.Predicate
 		out.Highs[i] += rng.NormFloat64() * 0.1 * span
 	}
 	return out.Normalize(sch)
-}
-
-// update carries the FT/RT switch of FT, MIX, AUG and HEM: a model that can
-// fine-tune takes the period's batch, a re-train model (the paper's RT
-// fallback) re-trains on all, everything it has seen so far.
-func update(m ce.Estimator, all, batch []query.Labeled) error {
-	if m.Policy() == ce.Retrain {
-		return m.Update(all)
-	}
-	return m.Update(batch)
 }
 
 func labeledOf(arrivals []warper.Arrival) []query.Labeled {

@@ -66,17 +66,6 @@ func TestFTImprovesOnNewWorkload(t *testing.T) {
 	}
 }
 
-func TestRTNameForRetrainModels(t *testing.T) {
-	e := newEnv(t)
-	gbt := ce.NewLM(ce.LMGBT, e.sch, 2)
-	if err := gbt.Train(e.train); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	if got := NewFT(gbt, e.train).Name(); got != "RT" {
-		t.Errorf("Name = %q, want RT", got)
-	}
-}
-
 func TestFTSkipsUnlabeledPeriods(t *testing.T) {
 	e := newEnv(t)
 	lm := e.trainedLM(3)

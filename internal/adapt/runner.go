@@ -40,11 +40,7 @@ func SplitPeriods(arrivals []warper.Arrival, perPeriod int) [][]warper.Arrival {
 	}
 	var out [][]warper.Arrival
 	for start := 0; start < len(arrivals); start += perPeriod {
-		end := start + perPeriod
-		if end > len(arrivals) {
-			end = len(arrivals)
-		}
-		out = append(out, arrivals[start:end])
+		out = append(out, arrivals[start:min(start+perPeriod, len(arrivals))])
 	}
 	return out
 }

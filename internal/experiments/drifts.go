@@ -20,15 +20,13 @@ func Table7c(sc Scale, seed int64) []*Table {
 	t := &Table{
 		ID:     "Table 7c",
 		Title:  "Different drifts (c1 data drift, c3 slow labeling), LM-mlp",
-		Header: []string{"Dataset", "Cs", "Wkld", "Model", "δm", "δjs", "Δ.5", "Δ.8", "Δ1"},
+		Header: deltaHeader,
 	}
 	for _, ds := range datasets {
-		row := runC1(ds, sc, seed)
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, deltaRow(runC1(ds, sc, seed), ds, "c1", "w1-5", "LM-mlp"))
 	}
 	for _, ds := range datasets {
-		row := runC3(ds, sc, seed)
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, deltaRow(runC3(ds, sc, seed), ds, "c3", "w12/345", "LM-mlp"))
 	}
 	return []*Table{t}
 }
@@ -38,11 +36,8 @@ func Table7c(sc Scale, seed int64) []*Table {
 // is unchanged. Warper's error-stratified picker chooses which training
 // queries to re-annotate; the FT baseline re-annotates uniformly at random
 // with the same per-period budget.
-func runC1(ds string, sc Scale, seed int64) []string {
-	var ftAgg, wAgg *aggCurve
-	var dmSum float64
-	for run := 0; run < sc.Runs; run++ {
-		runSeed := seed + int64(run)*104729
+func runC1(ds string, sc Scale, seed int64) *Comparison {
+	return compare(sc, seed, 104729, ftWarper, func(runSeed int64) (t trial) {
 		rng := rand.New(rand.NewSource(runSeed))
 		env := NewEnv(ds, "w12345", "w12345", "lm-mlp", sc, runSeed)
 
@@ -55,7 +50,7 @@ func runC1(ds string, sc Scale, seed int64) []string {
 		// Oracle for δ_m: trained exclusively on post-drift labels.
 		oracle := NewModel("lm-mlp", env.Sch, runSeed+3)
 		check(oracle.Train(must(env.Ann.AnnotateAll(context.Background(), workload.Generate(env.TrainGen, sc.StreamSize, rng)))))
-		dmSum += metrics.DeltaM(ce.EvalGMQ(env.Model, test), ce.EvalGMQ(oracle, test))
+		t.deltaM = metrics.DeltaM(ce.EvalGMQ(env.Model, test), ce.EvalGMQ(oracle, test))
 		// δ_js is 0 by construction: the workload did not change.
 
 		budget := sc.PeriodSize
@@ -84,14 +79,10 @@ func runC1(ds string, sc Scale, seed int64) []string {
 
 		// Warper: the adapter detects c1 via telemetry and uses the
 		// error-stratified picker under the same per-period budget.
-		cfg := sc.Warper
-		cfg.Seed = runSeed + 11
-		cfg.Gamma = sc.gamma()
-		cfg.AnnotateBudget = budget
-		wModel := env.Model.Clone()
-		ad := must(warper.New(cfg, wModel, env.Sch, env.Ann, env.Train))
+		ad := env.NewWarperAdapter(sc, runSeed+11)
+		ad.Cfg.AnnotateBudget = budget
 		wCurve := &metrics.Curve{}
-		wCurve.Append(0, ce.EvalGMQ(wModel, test))
+		wCurve.Append(0, ce.EvalGMQ(ad.M, test))
 		spent := 0
 		for p := 0; p < periods; p++ {
 			arrivals := make([]warper.Arrival, budget/2)
@@ -101,28 +92,21 @@ func runC1(ds string, sc Scale, seed int64) []string {
 			}
 			rep := must(ad.Period(arrivals))
 			spent += rep.Annotated
-			wCurve.Append(float64(spent), ce.EvalGMQ(wModel, test))
+			wCurve.Append(float64(spent), ce.EvalGMQ(ad.M, test))
 		}
-		ftAgg = ftAgg.add(ftCurve)
-		wAgg = wAgg.add(wCurve)
-	}
-	ft, w := ftAgg.curve(), wAgg.curve()
-	d5, d8, d1 := metrics.SpeedupTriple(ft, w)
-	return []string{ds, "c1", "w1-5", "LM-mlp", f1(dmSum / float64(sc.Runs)), "0.00", f1(d5), f1(d8), f1(d1)}
+		t.curves = []*metrics.Curve{ftCurve, wCurve}
+		return t
+	})
 }
 
 // runC3 reproduces the c3 scenario: the workload drifts but arrivals carry
 // no labels; both methods annotate with the same per-period budget — FT
 // picks uniformly at random, Warper uses the stratified picker.
-func runC3(ds string, sc Scale, seed int64) []string {
-	var ftAgg, wAgg *aggCurve
-	var dmSum, jsSum float64
-	for run := 0; run < sc.Runs; run++ {
-		runSeed := seed + int64(run)*104729
+func runC3(ds string, sc Scale, seed int64) *Comparison {
+	return compare(sc, seed, 104729, ftWarper, func(runSeed int64) (t trial) {
 		rng := rand.New(rand.NewSource(runSeed))
 		env := NewEnv(ds, "w12", "w345", "lm-mlp", sc, runSeed)
-		dmSum += env.DeltaM
-		jsSum += env.DeltaJS
+		t.deltaM, t.deltaJS = env.DeltaM, env.DeltaJS
 
 		budget := sc.PeriodSize / 2
 		periods := adapt.SplitPeriods(adapt.ArrivalsOf(env.Stream, false), sc.PeriodSize)
@@ -145,56 +129,18 @@ func runC3(ds string, sc Scale, seed int64) []string {
 		}
 
 		// Warper with the same budget.
-		cfg := sc.Warper
-		cfg.Seed = runSeed + 11
-		cfg.Gamma = sc.gamma()
-		cfg.AnnotateBudget = budget
-		cfg.GenFraction = 0.001 // c3: picker only, no generation
-		wModel := env.Model.Clone()
-		ad := must(warper.New(cfg, wModel, env.Sch, env.Ann, env.Train))
+		ad := env.NewWarperAdapter(sc, runSeed+11)
+		ad.Cfg.AnnotateBudget = budget
+		ad.Cfg.GenFraction = 0.001 // c3: picker only, no generation
 		wCurve := &metrics.Curve{}
-		wCurve.Append(0, ce.EvalGMQ(wModel, env.Test))
+		wCurve.Append(0, ce.EvalGMQ(ad.M, env.Test))
 		wSpent := 0
 		for _, period := range periods {
 			rep := must(ad.Period(period))
 			wSpent += rep.Annotated
-			wCurve.Append(float64(wSpent), ce.EvalGMQ(wModel, env.Test))
+			wCurve.Append(float64(wSpent), ce.EvalGMQ(ad.M, env.Test))
 		}
-		ftAgg = ftAgg.add(ftCurve)
-		wAgg = wAgg.add(wCurve)
-	}
-	ft, w := ftAgg.curve(), wAgg.curve()
-	d5, d8, d1 := metrics.SpeedupTriple(ft, w)
-	return []string{ds, "c3", "w12/345", "LM-mlp",
-		f1(dmSum / float64(sc.Runs)), f2(jsSum / float64(sc.Runs)), f1(d5), f1(d8), f1(d1)}
-}
-
-// aggCurve accumulates curves pointwise across runs — every multi-run
-// experiment aggregates through it. Curves from different runs may have
-// slightly different x grids (annotation counts); the aggregate keeps the
-// first run's grid and takes the pointwise median by point index (robust to
-// one divergent run dominating the mean).
-type aggCurve struct {
-	xs     []float64
-	points [][]float64
-}
-
-func (a *aggCurve) add(c *metrics.Curve) *aggCurve {
-	if a == nil {
-		a = &aggCurve{xs: append([]float64(nil), c.Queries...), points: make([][]float64, c.Len())}
-	}
-	for i := 0; i < len(a.points) && i < c.Len(); i++ {
-		a.points[i] = append(a.points[i], c.GMQ[i])
-	}
-	return a
-}
-
-// curve is the aggregate: the pointwise median, then a temporal median
-// filter that keeps single-point noise dips from winning λ-target crossings.
-func (a *aggCurve) curve() *metrics.Curve {
-	out := &metrics.Curve{}
-	for i := range a.points {
-		out.Append(a.xs[i], median(a.points[i]))
-	}
-	return out.MedianSmooth(3)
+		t.curves = []*metrics.Curve{ftCurve, wCurve}
+		return t
+	})
 }

@@ -21,11 +21,10 @@ import (
 // a trained CE model, the labeled query stream from the drifted workload and
 // a hold-out test set.
 type Env struct {
-	Dataset string
-	Tbl     *dataset.Table
-	Sch     *query.Schema
-	Ann     *annotator.Annotator
-	Model   ce.Estimator
+	Tbl   *dataset.Table
+	Sch   *query.Schema
+	Ann   *annotator.Annotator
+	Model ce.Estimator
 
 	Train  []query.Labeled
 	Stream []query.Labeled // drifted-workload arrivals, labeled
@@ -50,7 +49,7 @@ func NewEnv(dsName, trainSpec, newSpec, model string, sc Scale, seed int64) *Env
 	tbl := datasetByName(dsName, sc.Rows, rng)
 	sch := query.SchemaOf(tbl)
 	ann := annotator.New(tbl)
-	e := &Env{Dataset: dsName, Tbl: tbl, Sch: sch, Ann: ann}
+	e := &Env{Tbl: tbl, Sch: sch, Ann: ann}
 	e.TrainGen = workload.Parse(trainSpec, tbl, sch, wkldOpts)
 	e.NewGen = workload.Parse(newSpec, tbl, sch, wkldOpts)
 

@@ -59,26 +59,25 @@ func TestRunC2ProducesConsistentCurves(t *testing.T) {
 		t.Skip("training-heavy; skipped under -short (race pass)")
 	}
 	sc := smokeScale()
-	// One names slice shared by every row, as Fig6/Fig8 share fig6Methods:
-	// RunC2 renames FT to RT for re-train models and must do so on its own
-	// copy.
+	// One names slice shared by every row, as Fig6/Fig8 share fig6Methods;
+	// a re-train model (lm-gbt) reports under FT like any other.
 	names := []string{"FT", "Warper"}
-	for _, c := range []struct{ model, ft string }{{"lm-mlp", "FT"}, {"lm-gbt", "RT"}} {
-		t.Run(c.model, func(t *testing.T) {
-			res := RunC2("prsa", "w1", "w4", c.model, names, sc, 5)
+	for _, model := range []string{"lm-mlp", "lm-gbt"} {
+		t.Run(model, func(t *testing.T) {
+			res := RunC2("prsa", "w1", "w4", model, names, sc, 5)
 			if names[0] != "FT" || names[1] != "Warper" {
 				t.Errorf("RunC2 rewrote the caller's method names: %v", names)
 			}
-			if got := res.MethodOrder; len(got) != 2 || got[0] != c.ft || got[1] != "Warper" {
-				t.Errorf("MethodOrder = %v, want [%s Warper]", got, c.ft)
+			if got := res.MethodOrder; len(got) != 2 || got[0] != "FT" || got[1] != "Warper" {
+				t.Errorf("MethodOrder = %v, want [FT Warper]", got)
 			}
 			if len(res.Curves) != 2 {
 				t.Fatalf("curves = %d", len(res.Curves))
 			}
-			ft := res.Curves[c.ft]
+			ft := res.Curves["FT"]
 			w := res.Curves["Warper"]
 			if ft.Len() != w.Len() || ft.Len() != sc.StreamSize/sc.PeriodSize+1 {
-				t.Errorf("curve lengths: %s=%d warper=%d", c.ft, ft.Len(), w.Len())
+				t.Errorf("curve lengths: FT=%d warper=%d", ft.Len(), w.Len())
 			}
 			// Both start from the same unadapted model error.
 			if ft.Initial() != w.Initial() {

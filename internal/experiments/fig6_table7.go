@@ -28,14 +28,11 @@ func Table7a(sc Scale, seed int64) []*Table {
 	t := &Table{
 		ID:     "Table 7a",
 		Title:  "Workload drift (c2), w12/345, LM-mlp: Warper speedups vs FT",
-		Header: []string{"Dataset", "Cs", "Wkld", "Model", "δm", "δjs", "Δ.5", "Δ.8", "Δ1"},
+		Header: deltaHeader,
 	}
 	for _, ds := range datasets {
-		res := RunC2(ds, "w12", "w345", "lm-mlp", []string{"FT", "Warper"}, sc, seed)
-		d5, d8, d1 := res.Speedups("Warper")
-		t.Rows = append(t.Rows, []string{
-			ds, "c2", "w12/345", "LM-mlp", f1(res.DeltaM), f2(res.DeltaJS), f1(d5), f1(d8), f1(d1),
-		})
+		res := RunC2(ds, "w12", "w345", "lm-mlp", ftWarper, sc, seed)
+		t.Rows = append(t.Rows, deltaRow(res, ds, "c2", "w12/345", "LM-mlp"))
 	}
 	return []*Table{t}
 }
@@ -49,15 +46,12 @@ func Table7b(sc Scale, seed int64) []*Table {
 	t := &Table{
 		ID:     "Table 7b",
 		Title:  "Different models, c2 w12/345: Warper speedups vs FT/RT",
-		Header: []string{"Dataset", "Cs", "Wkld", "Model", "δm", "δjs", "Δ.5", "Δ.8", "Δ1"},
+		Header: deltaHeader,
 	}
 	for _, model := range table7bModels {
 		for _, ds := range datasets {
-			res := RunC2(ds, "w12", "w345", model, []string{"FT", "Warper"}, sc, seed)
-			d5, d8, d1 := res.Speedups("Warper")
-			t.Rows = append(t.Rows, []string{
-				ds, "c2", "w12/345", model, f1(res.DeltaM), f2(res.DeltaJS), f1(d5), f1(d8), f1(d1),
-			})
+			res := RunC2(ds, "w12", "w345", model, ftWarper, sc, seed)
+			t.Rows = append(t.Rows, deltaRow(res, ds, "c2", "w12/345", model))
 		}
 	}
 	return []*Table{t}
@@ -80,11 +74,8 @@ func Table8(sc Scale, seed int64) []*Table {
 		Header: []string{"Wkld", "δm", "δjs", "Δ.5", "Δ.8", "Δ1"},
 	}
 	for _, pair := range table8Pairs {
-		res := RunC2("prsa", pair[0], pair[1], "lm-mlp", []string{"FT", "Warper"}, sc, seed)
-		d5, d8, d1 := res.Speedups("Warper")
-		t.Rows = append(t.Rows, []string{
-			pair[0] + "/" + pair[1], f1(res.DeltaM), f2(res.DeltaJS), f1(d5), f1(d8), f1(d1),
-		})
+		res := RunC2("prsa", pair[0], pair[1], "lm-mlp", ftWarper, sc, seed)
+		t.Rows = append(t.Rows, append([]string{pair[0] + "/" + pair[1], f1(res.DeltaM), f2(res.DeltaJS)}, res.deltaCells()...))
 	}
 	return []*Table{t}
 }
@@ -125,14 +116,12 @@ func Table10(sc Scale, seed int64) []*Table {
 	}
 	for _, ds := range []string{"prsa", "poker"} {
 		res := RunC2(ds, "w12", "w345", "lm-mlp", methods, sc, seed)
-		_, d8w, d1w := res.Speedups("Warper")
-		_, d8r, d1r := res.Speedups("Warper:rnd")
-		_, d8e, d1e := res.Speedups("Warper:entropy")
-		_, d8a, d1a := res.Speedups("Warper:augGen")
-		t.Rows = append(t.Rows,
-			[]string{"Δ.8", ds, f1(d8w), f1(d8r), f1(d8e), f1(d8a)},
-			[]string{"Δ1", ds, f1(d1w), f1(d1r), f1(d1e), f1(d1a)},
-		)
+		d8, d1 := []string{"Δ.8", ds}, []string{"Δ1", ds}
+		for _, m := range methods[1:] {
+			_, s8, s1 := res.Speedups(m)
+			d8, d1 = append(d8, f1(s8)), append(d1, f1(s1))
+		}
+		t.Rows = append(t.Rows, d8, d1)
 	}
 	return []*Table{t}
 }
@@ -156,11 +145,8 @@ func Fig10(sc Scale, seed int64) []*Table {
 		s := sc
 		s.Warper.Hidden = cfg.hidden
 		s.Warper.Depth = cfg.depth
-		res := RunC2("prsa", "w12", "w345", "lm-mlp", []string{"FT", "Warper"}, s, seed)
-		d5, d8, d1 := res.Speedups("Warper")
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(cfg.hidden), fmt.Sprint(cfg.depth), f1(d5), f1(d8), f1(d1),
-		})
+		res := RunC2("prsa", "w12", "w345", "lm-mlp", ftWarper, s, seed)
+		t.Rows = append(t.Rows, append([]string{fmt.Sprint(cfg.hidden), fmt.Sprint(cfg.depth)}, res.deltaCells()...))
 	}
 	return []*Table{t}
 }
@@ -181,12 +167,9 @@ func Fig11(sc Scale, seed int64) []*Table {
 		for _, frac := range fig11Fractions {
 			s := sc
 			s.Warper.GenFraction = frac
-			res := RunC2(ds, "w12", "w345", "lm-mlp", []string{"FT", "Warper"}, s, seed)
-			d5, d8, d1 := res.Speedups("Warper")
-			t.Rows = append(t.Rows, []string{
-				ds, fmt.Sprintf("%.1fx", frac), f1(d5), f1(d8), f1(d1),
-				f1(res.Annotations["Warper"]),
-			})
+			res := RunC2(ds, "w12", "w345", "lm-mlp", ftWarper, s, seed)
+			row := append([]string{ds, fmt.Sprintf("%.1fx", frac)}, res.deltaCells()...)
+			t.Rows = append(t.Rows, append(row, f1(res.Annotations["Warper"])))
 		}
 	}
 	return []*Table{t}

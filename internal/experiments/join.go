@@ -21,15 +21,19 @@ import (
 // predicates from the new workload's predicate distribution and grafts them
 // onto observed join templates. Fine-tuning (FT) is the baseline.
 func Table7d(sc Scale, seed int64) []*Table {
-	t := &Table{
+	row := deltaRow(runJoin(sc, seed), "imdb", "c2", "w4/w1", "MSCN")
+	row[5] = "-" // δ_js is defined over single-table predicates
+	return []*Table{{
 		ID:     "Table 7d",
 		Title:  "Join CE: MSCN on IMDB-like star schema, drift c2 (w4 → w1 predicates)",
-		Header: []string{"Dataset", "Cs", "Wkld", "Model", "δm", "δjs", "Δ.5", "Δ.8", "Δ1"},
-	}
-	var ftAgg, wAgg *aggCurve
-	var dmSum float64
-	for run := 0; run < sc.Runs; run++ {
-		runSeed := seed + int64(run)*15485863
+		Header: deltaHeader,
+		Rows:   [][]string{row},
+	}}
+}
+
+// runJoin is Table 7d's comparison: FT against Warper-for-joins on MSCN.
+func runJoin(sc Scale, seed int64) *Comparison {
+	return compare(sc, seed, 15485863, ftWarper, func(runSeed int64) (t trial) {
 		rng := rand.New(rand.NewSource(runSeed))
 		db := imdb.Generate(imdb.Config{Titles: 2000}, rng)
 		ja := annotator.NewJoin(db.Tables()...)
@@ -45,7 +49,7 @@ func Table7d(sc Scale, seed int64) []*Table {
 
 		oracle := ce.NewMSCN(db.Catalog, runSeed+2)
 		check(oracle.TrainJoin(stream))
-		dmSum += metrics.DeltaM(must(ce.EvalJoinGMQ(m, test)), must(ce.EvalJoinGMQ(oracle, test)))
+		t.deltaM = metrics.DeltaM(must(ce.EvalJoinGMQ(m, test)), must(ce.EvalJoinGMQ(oracle, test)))
 
 		// FT: fine-tune with each period's labeled arrivals.
 		ft := m.Clone().(*ce.MSCN)
@@ -87,15 +91,9 @@ func Table7d(sc Scale, seed int64) []*Table {
 			check(wm.UpdateJoin(update))
 			wCurve.Append(float64(end), must(ce.EvalJoinGMQ(wm, test)))
 		}
-		ftAgg = ftAgg.add(ftCurve)
-		wAgg = wAgg.add(wCurve)
-	}
-	ft, w := ftAgg.curve(), wAgg.curve()
-	d5, d8, d1 := metrics.SpeedupTriple(ft, w)
-	t.Rows = append(t.Rows, []string{
-		"imdb", "c2", "w4/w1", "MSCN", f1(dmSum / float64(sc.Runs)), "-", f1(d5), f1(d8), f1(d1),
+		t.curves = []*metrics.Curve{ftCurve, wCurve}
+		return t
 	})
-	return []*Table{t}
 }
 
 // jitterPred adds small Gaussian noise to a predicate's constrained bounds.

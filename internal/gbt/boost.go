@@ -3,15 +3,9 @@ package gbt
 // Config controls a gradient-boosted ensemble.
 type Config struct {
 	Stages      int     // number of boosting rounds
-	Rate        float64 // shrinkage / learning rate (paper uses 1e-2 for LM-gbt)
+	Rate        float64 // shrinkage / learning rate (the paper's LM-gbt uses 1e-2; DESIGN §5)
 	MaxDepth    int     // per-tree depth
 	MinLeafSize int
-}
-
-// DefaultConfig mirrors the paper's LM-gbt settings: learning rate 1e-2 with
-// sklearn-style defaults for the ensemble shape.
-func DefaultConfig() Config {
-	return Config{Stages: 100, Rate: 1e-2, MaxDepth: 3, MinLeafSize: 2}
 }
 
 // Regressor is a gradient-boosted regression ensemble for squared loss:

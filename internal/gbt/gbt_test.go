@@ -163,7 +163,7 @@ func TestBoostingGeneralizes(t *testing.T) {
 }
 
 func TestRegressorEmptyTrainingData(t *testing.T) {
-	r, err := Fit(nil, nil, DefaultConfig())
+	r, err := Fit(nil, nil, Config{Stages: 100, Rate: 1e-2, MaxDepth: 3, MinLeafSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,10 @@ func TestRegressorNumTrees(t *testing.T) {
 }
 
 func TestFitRejectsBadInput(t *testing.T) {
-	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, DefaultConfig()); err == nil {
+	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, Config{Stages: 100, Rate: 1e-2, MaxDepth: 3, MinLeafSize: 2}); err == nil {
 		t.Error("Fit accepted mismatched lengths")
 	}
-	if _, err := Fit([][]float64{{1, 2}, {3}}, []float64{1, 2}, DefaultConfig()); err == nil {
+	if _, err := Fit([][]float64{{1, 2}, {3}}, []float64{1, 2}, Config{Stages: 100, Rate: 1e-2, MaxDepth: 3, MinLeafSize: 2}); err == nil {
 		t.Error("Fit accepted ragged rows")
 	}
 	if _, err := FitTree([][]float64{{1}}, []float64{1, 2}, TreeConfig{MaxDepth: 1, MinLeafSize: 1}); err == nil {

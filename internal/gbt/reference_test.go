@@ -75,7 +75,7 @@ func referenceGrow(X [][]float64, y []float64, idx []int, cfg TreeConfig, depth 
 		return node
 	}
 	feat, thr, gain := referenceBestSplit(X, y, idx, cfg.MinLeafSize)
-	if feat < 0 || gain <= cfg.MinImpurement {
+	if feat < 0 || gain <= 0 {
 		return node
 	}
 	var left, right []int

@@ -35,9 +35,8 @@ type Tree struct {
 
 // TreeConfig controls regression-tree growth.
 type TreeConfig struct {
-	MaxDepth      int // maximum tree depth; 0 means a single leaf
-	MinLeafSize   int // minimum samples in each child after a split
-	MinImpurement float64
+	MaxDepth    int // maximum tree depth; 0 means a single leaf
+	MinLeafSize int // minimum samples in each child after a split
 }
 
 // grower holds the presorted state shared by every tree of an ensemble fit:
@@ -118,7 +117,7 @@ func (g *grower) grow(lo, hi, depth int) *treeNode {
 		return node
 	}
 	feat, thr, gain := g.bestSplit(lo, hi)
-	if feat < 0 || gain <= g.cfg.MinImpurement {
+	if feat < 0 || gain <= 0 {
 		return node
 	}
 	nl := g.partition(lo, hi, feat, thr)

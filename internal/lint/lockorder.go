@@ -8,7 +8,7 @@ package lint
 //     deferred/implicit unlocks). Any mutex acquired inside the region —
 //     directly, in a nested block, or transitively through module calls —
 //     adds an edge held → acquired to a module-wide acquisition graph. A
-//     cycle in that graph is a latent deadlock between serving, pool, and
+//     cycle in that graph is a latent deadlock between serving and
 //     observability locks, and is reported even when the two halves of
 //     the inversion live in different packages.
 //
@@ -46,7 +46,7 @@ import (
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
 	Doc:       "module-wide mutex acquisition graph must be cycle-free; no slow work under serve locks, directly or transitively; replica checkout stays lock-free",
-	Packages:  []string{"serve", "pool", "obs"},
+	Packages:  []string{"serve", "obs"},
 	RunModule: runLockOrder,
 }
 

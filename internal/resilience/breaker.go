@@ -13,9 +13,6 @@ type BreakerConfig struct {
 	// time-based so its transitions are a pure function of the call
 	// sequence (reproducible under the seeded fault plans). Default 8.
 	ProbeEvery int
-	// Disabled short-circuits the breaker: Allow always passes and the
-	// state stays Closed. Used when resilience is configured retry-only.
-	Disabled bool
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -62,11 +59,8 @@ func (b *Breaker) State() State {
 
 // Allow reports whether a call may proceed. A false return means the caller
 // should fail fast with ErrOpen. Every allowed call must be matched by one
-// Record call.
+// Record or Release call.
 func (b *Breaker) Allow() bool {
-	if b.cfg.Disabled {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -86,9 +80,6 @@ func (b *Breaker) Allow() bool {
 
 // Record reports the outcome of an allowed call.
 func (b *Breaker) Record(err error) {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -114,6 +105,17 @@ func (b *Breaker) Record(err error) {
 	default:
 		// Open: a straggler finishing after the breaker tripped; the
 		// trip already accounted for the failure streak.
+	}
+}
+
+// Release returns an allowed call that ended without an outcome: its caller
+// gave up before the source answered. The failure streak is untouched, and a
+// released half-open probe re-opens the breaker so a later call can probe.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == HalfOpen {
+		b.setState(Open)
 	}
 }
 

@@ -83,19 +83,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Disabled: true, OpenAfter: 1}, nil)
-	for i := 0; i < 10; i++ {
-		if !b.Allow() {
-			t.Fatal("disabled breaker rejected a call")
-		}
-		b.Record(errBoom)
-	}
-	if got := b.State(); got != Closed {
-		t.Fatalf("disabled breaker state = %v, want closed", got)
-	}
-}
-
 // TestBreakerConcurrentHammer drives the state machine from many goroutines
 // under -race: the invariant checked is simply that the breaker never
 // deadlocks or corrupts state (final state must be a valid enum member).

@@ -107,7 +107,8 @@ func (r *Resilient) Count(ctx context.Context, p query.Predicate) (float64, erro
 // do runs op with up to pol.MaxAttempts tries. The caller's ctx always wins:
 // its cancellation or deadline aborts the loop immediately (including backoff
 // waits) and is returned verbatim, so callers can distinguish "the period was
-// cancelled" from "the source kept failing".
+// cancelled" from "the source kept failing". An attempt the caller cut short
+// is therefore neither a breaker failure nor a charged retry.
 func (r *Resilient) do(ctx context.Context, op func(context.Context) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= r.pol.MaxAttempts; attempt++ {
@@ -126,20 +127,21 @@ func (r *Resilient) do(ctx context.Context, op func(context.Context) error) erro
 				r.breaker.Record(nil)
 				return nil
 			}
+			if cerr := ctx.Err(); cerr != nil {
+				// The caller gave up, the source did not fail: no
+				// failure streak, no retry charge.
+				r.breaker.Release()
+				return cerr
+			}
 			r.breaker.Record(err)
 			// A failed attempt still burned real annotation work;
 			// charge it so the virtual-clock cost model sees faults.
 			if r.charger != nil {
 				r.charger.Charge(RetryCharge, d)
 			}
-			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+			if errors.Is(err, context.DeadlineExceeded) && r.events.Timeout != nil {
 				// The per-attempt deadline fired, not the caller's.
-				if r.events.Timeout != nil {
-					r.events.Timeout(attempt)
-				}
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+				r.events.Timeout(attempt)
 			}
 			lastErr = err
 		}

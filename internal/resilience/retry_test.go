@@ -131,6 +131,58 @@ func TestParentCancellationWinsOverRetry(t *testing.T) {
 	}
 }
 
+// TestCallerCancellationIsNotASourceFailure pins that an attempt whose
+// caller gives up mid-count is not the source's failure: five such calls
+// leave the breaker closed and charge nothing under RetryCharge, and a
+// half-open probe whose caller gives up re-opens the breaker instead of
+// wedging it in half-open.
+func TestCallerCancellationIsNotASourceFailure(t *testing.T) {
+	pol := fastPolicy()
+	pol.AttemptTimeout = time.Minute // only the caller's deadline can fire
+	pol.Breaker = BreakerConfig{OpenAfter: 5, ProbeEvery: 1}
+	src := &scripted{script: []error{errHang, errHang, errHang, errHang, errHang}}
+	var log chargeLog
+	r := Wrap(src, pol, Events{}).WithCostLedger(&log)
+	giveUp := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		defer cancel()
+		_, err := r.Count(ctx, query.Predicate{})
+		return err
+	}
+	for i := 0; i < 5; i++ {
+		if err := giveUp(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: err = %v, want the caller's deadline", i, err)
+		}
+	}
+	if got := r.Breaker().State(); got != Closed {
+		t.Errorf("breaker = %v after five cancelled calls, want closed", got)
+	}
+	if len(log.names) != 0 {
+		t.Errorf("charges = %v, want none for cancelled calls", log.names)
+	}
+
+	// Trip the breaker with real failures, then cancel the probe.
+	pol.MaxAttempts = 1
+	pol.Breaker.OpenAfter = 1
+	src = &scripted{script: []error{errBoom, errHang, nil}}
+	r = Wrap(src, pol, Events{})
+	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, errBoom) {
+		t.Fatalf("tripping call: err = %v, want errBoom", err)
+	}
+	if err := giveUp(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("probe: err = %v, want the caller's deadline", err)
+	}
+	if got := r.Breaker().State(); got != Open {
+		t.Fatalf("breaker = %v after a cancelled probe, want open", got)
+	}
+	if _, err := r.Count(context.Background(), query.Predicate{}); err != nil {
+		t.Fatalf("next probe: %v", err)
+	}
+	if got := r.Breaker().State(); got != Closed {
+		t.Errorf("breaker = %v after a successful probe, want closed", got)
+	}
+}
+
 // chargeLog is a Charger that records every charge in order.
 type chargeLog struct{ names []string }
 
