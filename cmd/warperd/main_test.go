@@ -3,9 +3,16 @@ package main
 import (
 	"flag"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"warper/internal/gbt"
+	"warper/internal/kernel"
+	"warper/internal/resilience"
+	"warper/internal/serve"
+	"warper/internal/warper"
 )
 
 var (
@@ -15,6 +22,8 @@ var (
 	// dashSpan matches an inline code span that opens with a flag, which is
 	// how the verify skill's prose names warperd flags.
 	dashSpan = regexp.MustCompile("`(-[^`]*)`")
+	// codeSpan matches any inline code span.
+	codeSpan = regexp.MustCompile("`([^`]+)`")
 )
 
 func flagTokens(s string) []string {
@@ -94,5 +103,75 @@ func TestDocsNameOnlyRealFlags(t *testing.T) {
 	})
 	if n > 20 {
 		t.Errorf("warperd defines %d flags; ROADMAP item 7 caps the command line at 20", n)
+	}
+}
+
+// TestSettableValuesDocumented makes DESIGN §14's census executable: every
+// exported field of the structs through which a caller configures the
+// daemon, the adaptation path and the LM backends — and of any struct of
+// this module nested in one — has a row of the §14 table naming it. A row
+// names field F of a struct written P when one of its code spans is `P.F`,
+// or when one span opens with `P.` and another is `F` (a row groups one
+// struct's fields as "`Config.Hidden` `Depth` …").
+func TestSettableValuesDocumented(t *testing.T) {
+	var rows [][]string
+	inCensus := false
+	for _, line := range docLines(t, "../../DESIGN.md") {
+		if strings.HasPrefix(line, "## ") {
+			inCensus = strings.HasPrefix(line, "## 14.")
+		}
+		if !inCensus || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		var spans []string
+		for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
+			spans = append(spans, m[1])
+		}
+		rows = append(rows, spans)
+	}
+	named := func(prefix, field string) bool {
+		for _, spans := range rows {
+			var hasPrefix, hasField bool
+			for _, s := range spans {
+				if s == prefix+field {
+					return true
+				}
+				hasPrefix = hasPrefix || strings.HasPrefix(s, prefix)
+				hasField = hasField || s == field
+			}
+			if hasPrefix && hasField {
+				return true
+			}
+		}
+		return false
+	}
+
+	var audit func(prefix string, typ reflect.Type)
+	audit = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if !named(prefix, f.Name) {
+				t.Errorf("%s%s (%s) has no row in DESIGN §14", prefix, f.Name, typ.PkgPath())
+			}
+			if f.Type.Kind() == reflect.Struct && strings.HasPrefix(f.Type.PkgPath(), "warper/") {
+				audit(f.Type.Name()+".", f.Type)
+			}
+		}
+	}
+	for _, s := range []struct {
+		prefix string
+		v      any
+	}{
+		{"Options.", serve.Options{}},
+		{"Config.", warper.Config{}},
+		{"Picker.", warper.Picker{}},
+		{"Policy.", resilience.Policy{}},
+		{"gbt.Config.", gbt.Config{}},
+		{"kernel.Config.", kernel.Config{}},
+	} {
+		audit(s.prefix, reflect.TypeOf(s.v))
 	}
 }

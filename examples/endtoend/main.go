@@ -22,7 +22,7 @@ import (
 
 func main() {
 	rng := rand.New(rand.NewSource(11))
-	db := tpch.Generate(tpch.Config{Orders: 3000}, rng)
+	db := tpch.Generate(3000, rng)
 	eng := engine.New(db)
 	schL := query.SchemaOf(db.Lineitem)
 	schO := query.SchemaOf(db.Orders)

@@ -129,16 +129,16 @@ type AUG struct {
 	ann *annotator.Annotator
 	sch *query.Schema
 	rng *rand.Rand
-	// GenFraction matches Warper's n_g = frac·n_t (default 0.1).
-	GenFraction float64
 }
+
+// augGenFraction matches Warper's default n_g = 0.1·n_t (§4.1).
+const augGenFraction = 0.1
 
 // NewAUG builds the augmentation baseline.
 func NewAUG(m ce.Estimator, sch *query.Schema, ann *annotator.Annotator, train []query.Labeled, seed int64) *AUG {
 	return &AUG{
 		learner: newLearner(m, train), ann: ann, sch: sch,
-		rng:         rand.New(rand.NewSource(seed)),
-		GenFraction: 0.1,
+		rng: rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -148,7 +148,7 @@ func (a *AUG) Name() string { return "AUG" }
 // Step implements Method.
 func (a *AUG) Step(arrivals []warper.Arrival) error {
 	labeled := labeledOf(arrivals)
-	nGen := int(a.GenFraction * float64(len(arrivals)))
+	nGen := int(augGenFraction * float64(len(arrivals)))
 	var synth []query.Predicate
 	for i := 0; i < nGen && len(arrivals) > 0; i++ {
 		src := arrivals[a.rng.Intn(len(arrivals))]

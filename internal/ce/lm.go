@@ -76,10 +76,12 @@ func NewLM(variant LMVariant, s *query.Schema, seed int64) *LM {
 		lm.backend = &gbtBackend{cfg: gbt.Config{Stages: 120, Rate: 0.05, MaxDepth: 4, MinLeafSize: 3}}
 		lm.policy = Retrain
 	case LMPly:
-		lm.backend = &krrBackend{cfg: kernel.DefaultPolyConfig()}
+		// A 5-degree polynomial kernel.
+		lm.backend = &krrBackend{cfg: kernel.Config{Kernel: kernel.Polynomial{Degree: 5, Gamma: 1.0, Coef0: 1.0}, Lambda: 1e-3, MaxAnchors: 1000}}
 		lm.policy = Retrain
 	case LMRBF:
-		lm.backend = &krrBackend{cfg: kernel.DefaultRBFConfig()}
+		// An RBF kernel with a moderate bandwidth.
+		lm.backend = &krrBackend{cfg: kernel.Config{Kernel: kernel.RBF{Gamma: 1.0}, Lambda: 1e-3, MaxAnchors: 1000}}
 		lm.policy = Retrain
 	default:
 		// Constructor-time configuration validation: unreachable from the

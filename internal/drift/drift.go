@@ -1,8 +1,9 @@
 // Package drift implements the drift metrics of §3.1 and §4.1: the intrinsic
 // workload-distance δ_js (PCA reduction → per-dimension quantization →
-// histogram → symmetric Jensen-Shannon divergence) and the data-drift
-// telemetry (changed-row fraction plus canary predicates whose cardinality
-// is re-checked against the live table).
+// histogram → symmetric Jensen-Shannon divergence) and the canary
+// predicates whose cardinality is re-checked against the live table. The
+// thresholds that turn these into drift verdicts live with the detector
+// (warper).
 package drift
 
 import (
@@ -19,13 +20,6 @@ import (
 const (
 	jsDims = 10
 	jsBins = 3
-)
-
-// Data-drift telemetry thresholds: the changed-row fraction and the largest
-// canary relative cardinality change that signal a data drift.
-const (
-	changedRowThreshold = 0.05
-	canaryThreshold     = 0.10
 )
 
 // DeltaJS measures the workload distance between predicate sets A and B in
@@ -46,7 +40,7 @@ func DeltaJS(a, b []query.Predicate, sch *query.Schema) float64 {
 	// large divergence even for identical distributions (pure sparseness
 	// bias). The paper's k=10 assumes thousands of queries per workload.
 	n := len(a) + len(b)
-	for k > 1 && pow(jsBins, k) > maxInt(16, n/4) {
+	for k > 1 && pow(jsBins, k) > max(16, n/4) {
 		k--
 	}
 	union := mathx.NewMatrix(len(a)+len(b), d)
@@ -102,13 +96,6 @@ func pow(base, exp int) int {
 		}
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // bucketID maps a k-dim point to a base-m composite bucket index.
@@ -179,30 +166,4 @@ func (c *Canaries) Rebase(ctx context.Context, src annotator.Source) error {
 		c.cards[i] = card
 	}
 	return nil
-}
-
-// Len returns the number of canary predicates.
-func (c *Canaries) Len() int { return len(c.preds) }
-
-// DataTelemetry combines the two §3.1 data-drift signals into one detector.
-type DataTelemetry struct {
-	Canaries *Canaries
-}
-
-// Detect reports whether the table has drifted since the last reset/rebase:
-// the changed-row fraction or the canaries' largest relative change crossed
-// its threshold. Canary probes go through src, so a flaky source degrades
-// telemetry with an error instead of crashing detection.
-func (d *DataTelemetry) Detect(ctx context.Context, changedFraction float64, src annotator.Source) (bool, error) {
-	if changedFraction >= changedRowThreshold {
-		return true, nil
-	}
-	if d.Canaries == nil {
-		return false, nil
-	}
-	rel, err := d.Canaries.MaxRelChange(ctx, src)
-	if err != nil {
-		return false, err
-	}
-	return rel >= canaryThreshold, nil
 }

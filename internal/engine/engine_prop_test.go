@@ -14,7 +14,7 @@ import (
 
 func propFixture() (*Engine, *query.Schema, *query.Schema) {
 	rng := rand.New(rand.NewSource(77))
-	db := tpch.Generate(tpch.Config{Orders: 800}, rng)
+	db := tpch.Generate(800, rng)
 	eng := New(db)
 	return eng, query.SchemaOf(db.Lineitem), query.SchemaOf(db.Orders)
 }

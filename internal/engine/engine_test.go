@@ -23,7 +23,7 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(9))
-	db := tpch.Generate(tpch.Config{Orders: 2000}, rng)
+	db := tpch.Generate(2000, rng)
 	eng := New(db)
 	schL := query.SchemaOf(db.Lineitem)
 	schO := query.SchemaOf(db.Orders)

@@ -28,7 +28,7 @@ type e2eEnv struct {
 
 func newE2E(seed int64) *e2eEnv {
 	rng := rand.New(rand.NewSource(seed))
-	db := tpch.Generate(tpch.Config{Orders: 3000}, rng)
+	db := tpch.Generate(3000, rng)
 	return &e2eEnv{
 		db:   db,
 		eng:  engine.New(db),

@@ -69,8 +69,9 @@ func TestFidelityFig6Ordering(t *testing.T) {
 // adequate (n_a ≥ γ), c1 the table sorted and truncated under an unchanged
 // workload. The workload drift is w1 → w4, the pair detector_test.go's
 // fixtures use: without labels only δ_js speaks, and at this scale the
-// w12 → w345 drift of Figure 6 stays under JSThreshold once the noise floor
-// is subtracted (40 unlabeled arrivals read as "none" at all three seeds).
+// w12 → w345 drift of Figure 6 stays under the detector's δ_js threshold
+// once the noise floor is subtracted (40 unlabeled arrivals read as "none"
+// at all three seeds).
 func TestFidelityDetectorClassifies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training-heavy; skipped under -short (race pass)")

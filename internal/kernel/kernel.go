@@ -63,16 +63,6 @@ type Config struct {
 	MaxAnchors int     // subsample cap on support points (0 = no cap)
 }
 
-// DefaultRBFConfig mirrors LM-rbf: RBF kernel with a moderate bandwidth.
-func DefaultRBFConfig() Config {
-	return Config{Kernel: RBF{Gamma: 1.0}, Lambda: 1e-3, MaxAnchors: 1000}
-}
-
-// DefaultPolyConfig mirrors LM-ply: 5-degree polynomial kernel.
-func DefaultPolyConfig() Config {
-	return Config{Kernel: Polynomial{Degree: 5, Gamma: 1.0, Coef0: 1.0}, Lambda: 1e-3, MaxAnchors: 1000}
-}
-
 // Regressor is a fitted kernel ridge regression model:
 // f(x) = Σ_i α_i k(x_i, x).
 type Regressor struct {

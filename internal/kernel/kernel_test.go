@@ -135,7 +135,7 @@ func TestKRRSubsampling(t *testing.T) {
 }
 
 func TestKRREmptyData(t *testing.T) {
-	r, err := Fit(nil, nil, DefaultRBFConfig(), nil)
+	r, err := Fit(nil, nil, Config{Kernel: RBF{Gamma: 1}, Lambda: 1e-3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestKRREmptyData(t *testing.T) {
 }
 
 func TestFitLengthMismatch(t *testing.T) {
-	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, DefaultRBFConfig(), nil); err == nil {
+	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, Config{Kernel: RBF{Gamma: 1}, Lambda: 1e-3}, nil); err == nil {
 		t.Fatal("expected error")
 	}
 }

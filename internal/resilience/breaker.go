@@ -2,33 +2,21 @@ package resilience
 
 import "sync"
 
-// BreakerConfig parameterizes the counting circuit breaker. Zero values take
-// defaults, following the repo's Config convention.
-type BreakerConfig struct {
-	// OpenAfter is the number of consecutive failures that trips the
-	// breaker from Closed to Open. Default 5.
-	OpenAfter int
-	// ProbeEvery promotes every N-th rejected call in the Open state to a
-	// half-open probe. The breaker is deliberately count-based rather than
-	// time-based so its transitions are a pure function of the call
-	// sequence (reproducible under the seeded fault plans). Default 8.
-	ProbeEvery int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.OpenAfter <= 0 {
-		c.OpenAfter = 5
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 8
-	}
-	return c
-}
+// The breaker's thresholds. It is deliberately count-based rather than
+// time-based so its transitions are a pure function of the call sequence
+// (reproducible under the seeded fault plans).
+const (
+	// openAfter consecutive failures trip the breaker from Closed to Open.
+	openAfter = 5
+	// probeEvery: every probeEvery-th rejected call in the Open state is
+	// promoted to a half-open probe.
+	probeEvery = 8
+)
 
 // Breaker is a deterministic counting circuit breaker.
 //
-// Closed → Open after cfg.OpenAfter consecutive failures. While Open, calls
-// are rejected, except that every cfg.ProbeEvery-th rejected call transitions
+// Closed → Open after openAfter consecutive failures. While Open, calls
+// are rejected, except that every probeEvery-th rejected call transitions
 // to HalfOpen and proceeds as the probe. The probe's outcome moves the
 // breaker back to Closed (success) or Open (failure). While a probe is in
 // flight, all other calls are rejected.
@@ -36,7 +24,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // Breaker is safe for concurrent use.
 type Breaker struct {
 	mu       sync.Mutex
-	cfg      BreakerConfig
 	state    State
 	failures int // consecutive failures while Closed
 	rejected int // rejected calls while Open, since last transition
@@ -46,8 +33,8 @@ type Breaker struct {
 // NewBreaker returns a Closed breaker. onState, if non-nil, fires on every
 // state transition (synchronously, with the breaker's lock held — it must
 // not call back into the breaker).
-func NewBreaker(cfg BreakerConfig, onState func(State)) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), onState: onState}
+func NewBreaker(onState func(State)) *Breaker {
+	return &Breaker{onState: onState}
 }
 
 // State returns the current state.
@@ -70,7 +57,7 @@ func (b *Breaker) Allow() bool {
 		return false // probe already in flight
 	default: // Open
 		b.rejected++
-		if b.rejected%b.cfg.ProbeEvery == 0 {
+		if b.rejected%probeEvery == 0 {
 			b.setState(HalfOpen)
 			return true
 		}
@@ -97,7 +84,7 @@ func (b *Breaker) Record(err error) {
 			return
 		}
 		b.failures++
-		if b.failures >= b.cfg.OpenAfter {
+		if b.failures >= openAfter {
 			b.failures = 0
 			b.rejected = 0
 			b.setState(Open)

@@ -34,7 +34,7 @@ type State int
 const (
 	// Closed: calls flow through; consecutive failures are counted.
 	Closed State = iota
-	// Open: calls are rejected with ErrOpen; every cfg.ProbeEvery-th
+	// Open: calls are rejected with ErrOpen; every probeEvery-th
 	// rejected call is promoted to a half-open probe instead.
 	Open
 	// HalfOpen: a single probe call is in flight; its outcome decides

@@ -21,17 +21,17 @@ type Policy struct {
 	// AttemptTimeout is the per-attempt deadline layered under the
 	// caller's context. Default 2s; negative disables.
 	AttemptTimeout time.Duration
-	// BaseBackoff is the pre-jitter wait after the first failure; each
-	// retry doubles it up to MaxBackoff. Defaults 5ms / 250ms.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Seed seeds the jitter RNG. The wrapper never touches the global
 	// math/rand source, so equal seeds give equal backoff sequences.
 	Seed int64
-	// Breaker configures the circuit breaker shared by all calls through
-	// one wrapper.
-	Breaker BreakerConfig
 }
+
+// The retry backoff: the pre-jitter wait after the first failure, doubled
+// per retry up to the cap.
+const (
+	baseBackoff = 5 * time.Millisecond
+	maxBackoff  = 250 * time.Millisecond
+)
 
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
@@ -39,12 +39,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.AttemptTimeout == 0 {
 		p.AttemptTimeout = 2 * time.Second
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 5 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 250 * time.Millisecond
 	}
 	return p
 }
@@ -73,7 +67,7 @@ func Wrap(src annotator.Source, pol Policy, events Events) *Resilient {
 	return &Resilient{
 		src:     src,
 		pol:     pol,
-		breaker: NewBreaker(pol.Breaker, events.BreakerState),
+		breaker: NewBreaker(events.BreakerState),
 		events:  events,
 		rng:     rand.New(rand.NewSource(pol.Seed)),
 	}
@@ -165,16 +159,14 @@ func (r *Resilient) attemptCtx(ctx context.Context) (context.Context, context.Ca
 	return context.WithTimeout(ctx, r.pol.AttemptTimeout)
 }
 
-// backoff waits min(MaxBackoff, BaseBackoff·2^(attempt-1)) scaled by a
+// backoff waits min(maxBackoff, baseBackoff·2^(attempt-1)) scaled by a
 // uniform jitter factor in [0.5, 1), honoring ctx cancellation.
 func (r *Resilient) backoff(ctx context.Context, attempt int) error {
-	d := r.pol.BaseBackoff
-	for i := 1; i < attempt && d < r.pol.MaxBackoff; i++ {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > r.pol.MaxBackoff {
-		d = r.pol.MaxBackoff
-	}
+	d = min(d, maxBackoff)
 	r.mu.Lock()
 	jitter := 0.5 + 0.5*r.rng.Float64()
 	r.mu.Unlock()

@@ -55,8 +55,6 @@ func fastPolicy() Policy {
 	return Policy{
 		MaxAttempts:    3,
 		AttemptTimeout: 50 * time.Millisecond,
-		BaseBackoff:    time.Microsecond,
-		MaxBackoff:     4 * time.Microsecond,
 		Seed:           1,
 	}
 }
@@ -132,14 +130,13 @@ func TestParentCancellationWinsOverRetry(t *testing.T) {
 }
 
 // TestCallerCancellationIsNotASourceFailure pins that an attempt whose
-// caller gives up mid-count is not the source's failure: five such calls
-// leave the breaker closed and charge nothing under RetryCharge, and a
-// half-open probe whose caller gives up re-opens the breaker instead of
+// caller gives up mid-count is not the source's failure: openAfter such
+// calls leave the breaker closed and charge nothing under RetryCharge, and
+// a half-open probe whose caller gives up re-opens the breaker instead of
 // wedging it in half-open.
 func TestCallerCancellationIsNotASourceFailure(t *testing.T) {
 	pol := fastPolicy()
 	pol.AttemptTimeout = time.Minute // only the caller's deadline can fire
-	pol.Breaker = BreakerConfig{OpenAfter: 5, ProbeEvery: 1}
 	src := &scripted{script: []error{errHang, errHang, errHang, errHang, errHang}}
 	var log chargeLog
 	r := Wrap(src, pol, Events{}).WithCostLedger(&log)
@@ -161,20 +158,32 @@ func TestCallerCancellationIsNotASourceFailure(t *testing.T) {
 		t.Errorf("charges = %v, want none for cancelled calls", log.names)
 	}
 
-	// Trip the breaker with real failures, then cancel the probe.
+	// Trip the breaker with real failures, then cancel the probe. With one
+	// attempt per call, each call is one breaker decision.
 	pol.MaxAttempts = 1
-	pol.Breaker.OpenAfter = 1
-	src = &scripted{script: []error{errBoom, errHang, nil}}
+	src = &scripted{script: []error{errBoom, errBoom, errBoom, errBoom, errBoom, errHang, nil}}
 	r = Wrap(src, pol, Events{})
-	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, errBoom) {
-		t.Fatalf("tripping call: err = %v, want errBoom", err)
+	for i := 0; i < openAfter; i++ {
+		if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, errBoom) {
+			t.Fatalf("tripping call %d: err = %v, want errBoom", i, err)
+		}
 	}
+	rejectUntilProbe := func() {
+		t.Helper()
+		for i := 1; i < probeEvery; i++ {
+			if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, ErrOpen) {
+				t.Fatalf("rejected call %d: err = %v, want ErrOpen", i, err)
+			}
+		}
+	}
+	rejectUntilProbe()
 	if err := giveUp(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("probe: err = %v, want the caller's deadline", err)
 	}
 	if got := r.Breaker().State(); got != Open {
 		t.Fatalf("breaker = %v after a cancelled probe, want open", got)
 	}
+	rejectUntilProbe()
 	if _, err := r.Count(context.Background(), query.Predicate{}); err != nil {
 		t.Fatalf("next probe: %v", err)
 	}
@@ -211,22 +220,32 @@ var _ Charger = (*simclock.Ledger)(nil)
 // touching the source.
 func TestBreakerOpensAndFailsFast(t *testing.T) {
 	src := &scripted{script: []error{errBoom, errBoom, errBoom, errBoom, errBoom, errBoom}}
-	pol := fastPolicy()
-	pol.Breaker = BreakerConfig{OpenAfter: 3, ProbeEvery: 100}
 	var states []State
-	r := Wrap(src, pol, Events{BreakerState: func(s State) { states = append(states, s) }})
+	r := Wrap(src, fastPolicy(), Events{BreakerState: func(s State) { states = append(states, s) }})
 
-	// First call: 3 attempts, all fail → breaker open.
+	// First call: 3 attempts, all fail; the breaker stays closed.
 	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, errBoom) {
 		t.Fatalf("first call err = %v, want errBoom", err)
+	}
+	if got := r.Breaker().State(); got != Closed {
+		t.Fatalf("breaker state after 3 failures = %v, want closed", got)
+	}
+	// Second call: attempts 4 and 5 fail and trip the breaker, which
+	// rejects the third.
+	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, ErrOpen) {
+		t.Fatalf("tripping call err = %v, want ErrOpen", err)
 	}
 	if got := r.Breaker().State(); got != Open {
 		t.Fatalf("breaker state = %v, want open", got)
 	}
 	calls := src.Calls()
-	// Second call: all attempts rejected by the breaker, source untouched.
+	if calls != openAfter {
+		t.Errorf("source calls before the trip = %d, want %d", calls, openAfter)
+	}
+	// Third call: all attempts rejected by the breaker (rejections 2–4, no
+	// probe before the 8th), source untouched.
 	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, ErrOpen) {
-		t.Fatalf("second call err = %v, want ErrOpen", err)
+		t.Fatalf("third call err = %v, want ErrOpen", err)
 	}
 	if src.Calls() != calls {
 		t.Errorf("open breaker leaked %d calls to the source", src.Calls()-calls)

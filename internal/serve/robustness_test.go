@@ -194,13 +194,11 @@ func faultyEnv(t *testing.T, plan resilience.FaultPlan, pol resilience.Policy) (
 	return srv, ts, ann, gNew
 }
 
-// chaosPolicy keeps retry waits near zero so fault-heavy tests stay fast.
+// chaosPolicy keeps hung attempts short so fault-heavy tests stay fast.
 func chaosPolicy(seed int64) resilience.Policy {
 	return resilience.Policy{
 		MaxAttempts:    3,
 		AttemptTimeout: 50 * time.Millisecond,
-		BaseBackoff:    time.Microsecond,
-		MaxBackoff:     8 * time.Microsecond,
 		Seed:           seed,
 	}
 }

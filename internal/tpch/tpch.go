@@ -14,16 +14,8 @@ import (
 	"warper/internal/dataset"
 )
 
-// Config sizes the generated database.
-type Config struct {
-	Orders int // number of orders (default 8000)
-	// MaxLinesPerOrder bounds the L-per-O fan-out (uniform 1..Max, TPC-H
-	// uses 1..7).
-	MaxLinesPerOrder int
-}
-
-// DefaultConfig returns the scaled default sizing.
-func DefaultConfig() Config { return Config{Orders: 8000, MaxLinesPerOrder: 7} }
+// maxLinesPerOrder bounds the L-per-O fan-out: uniform 1..7, as in TPC-H.
+const maxLinesPerOrder = 7
 
 // DB holds the generated tables.
 type DB struct {
@@ -46,15 +38,8 @@ const (
 	LColShipDate      = 4
 )
 
-// Generate builds the database.
-func Generate(cfg Config, rng *rand.Rand) *DB {
-	if cfg.Orders <= 0 {
-		cfg.Orders = DefaultConfig().Orders
-	}
-	if cfg.MaxLinesPerOrder <= 0 {
-		cfg.MaxLinesPerOrder = DefaultConfig().MaxLinesPerOrder
-	}
-	n := cfg.Orders
+// Generate builds a database of n orders and their line items.
+func Generate(n int, rng *rand.Rand) *DB {
 	okey := make([]float64, n)
 	ckey := make([]float64, n)
 	price := make([]float64, n)
@@ -65,7 +50,7 @@ func Generate(cfg Config, rng *rand.Rand) *DB {
 		okey[i] = float64(i + 1)
 		ckey[i] = float64(rng.Intn(n/10 + 1))
 		odate[i] = float64(rng.Intn(2406)) // ~6.6 years of order dates
-		lines := 1 + rng.Intn(cfg.MaxLinesPerOrder)
+		lines := 1 + rng.Intn(maxLinesPerOrder)
 		var orderTotal float64
 		for l := 0; l < lines; l++ {
 			q := float64(1 + rng.Intn(50))

@@ -9,7 +9,7 @@ import (
 
 func TestGenerateShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	db := Generate(Config{Orders: 1000, MaxLinesPerOrder: 7}, rng)
+	db := Generate(1000, rng)
 	if db.Orders.NumRows() != 1000 {
 		t.Fatalf("orders = %d", db.Orders.NumRows())
 	}
@@ -24,7 +24,7 @@ func TestGenerateShapes(t *testing.T) {
 
 func TestForeignKeysResolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	db := Generate(Config{Orders: 500}, rng)
+	db := Generate(500, rng)
 	keys := map[float64]bool{}
 	for _, k := range db.Orders.Cols[OColOrderKey].Vals {
 		keys[k] = true
@@ -38,7 +38,7 @@ func TestForeignKeysResolve(t *testing.T) {
 
 func TestTotalPriceConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	db := Generate(Config{Orders: 200}, rng)
+	db := Generate(200, rng)
 	// o_totalprice equals the discounted sum of its lineitems.
 	sums := map[float64]float64{}
 	for r := 0; r < db.Lineitem.NumRows(); r++ {
@@ -59,7 +59,7 @@ func TestTotalPriceConsistent(t *testing.T) {
 
 func TestShipAfterOrderDate(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	db := Generate(Config{Orders: 300}, rng)
+	db := Generate(300, rng)
 	odate := map[float64]float64{}
 	for r := 0; r < db.Orders.NumRows(); r++ {
 		odate[db.Orders.Cols[OColOrderKey].Vals[r]] = db.Orders.Cols[OColOrderDate].Vals[r]
@@ -74,7 +74,7 @@ func TestShipAfterOrderDate(t *testing.T) {
 
 func TestColumnTypes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	db := Generate(Config{}, rng)
+	db := Generate(100, rng)
 	if db.Orders.Cols[OColOrderDate].Type != dataset.Date {
 		t.Error("o_orderdate should be a date column")
 	}

@@ -45,8 +45,10 @@ type Adapter struct {
 	// entries, canary probes, rebase — goes through it.
 	src annotator.Source
 	// fallback is the lazily built sampled annotator used when src loses
-	// more than MinLabelFraction of a batch.
-	fallback annotator.Source
+	// more than minLabelFraction of a batch; fallbackRows is the table's
+	// row count when its sample was drawn.
+	fallback     *annotator.Sampled
+	fallbackRows int
 
 	// bestEvalGMQ tracks the best post-update error seen, for the
 	// early-stop gain check (§3.4); stall counts consecutive periods with
@@ -69,16 +71,18 @@ const (
 
 // Period constants the paper fixes once (§3.5) and no caller varies.
 const (
-	// errorBuckets is the stratification bucket count for the c1/c3 picker.
-	errorBuckets = 5
-	// pickerKNN is the neighbor count when assigning unlabeled queries to
-	// error buckets by embedding distance.
-	pickerKNN = 3
+	// gainEps is the smallest gain over the best post-update GMQ that
+	// counts as progress for the early stop (§3.4).
+	gainEps = 0.02
 	// maxPoolGen bounds retained generated entries across periods.
 	maxPoolGen = 4000
-	// fallbackSampleRate is the row-sample rate of the approximate annotator
-	// used when exact annotation loses more than Config.MinLabelFraction of
-	// a batch.
+	// minLabelFraction is the smallest fraction of requested annotations a
+	// period may proceed with when the ground-truth source partially fails.
+	// Below it the missing labels go to the sampled fallback; if even that
+	// leaves the fraction short, the period aborts cleanly so the caller
+	// keeps its pre-period model.
+	minLabelFraction = 0.5
+	// fallbackSampleRate is the row-sample rate of that fallback.
 	fallbackSampleRate = 0.1
 )
 
@@ -98,7 +102,7 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 		M:      m,
 		Pool:   pool.InitFromTraining(trainSet),
 		Ledger: simclock.NewLedger(),
-		Picker: &Picker{Strategy: StrategyWarper, Buckets: errorBuckets, KNN: pickerKNN},
+		Picker: &Picker{Strategy: StrategyWarper},
 		sch:    sch,
 		ann:    ann,
 		src:    ann,
@@ -128,9 +132,8 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 		return nil, err
 	}
 	a.det = &detector{
-		cfg:        cfg,
 		sch:        sch,
-		telemetry:  &drift.DataTelemetry{Canaries: canaries},
+		canaries:   canaries,
 		trainPreds: trainPreds,
 		trainGMQ:   trainGMQ,
 		pi:         initialPi,
@@ -186,13 +189,13 @@ type Report struct {
 
 	// Partial is true when the ground-truth source lost part of the
 	// annotation batch but the period proceeded with the labels it got
-	// (≥ Config.MinLabelFraction of the request).
+	// (at least half of the request).
 	Partial bool
 	// AnnotateFailed counts annotation calls that failed this period
 	// (after the source's own retries, if it wraps any).
 	AnnotateFailed int
 	// UsedFallback is true when the sampled fallback annotator supplied
-	// labels because exact annotation fell below MinLabelFraction.
+	// labels because exact annotation fell below half of the request.
 	UsedFallback bool
 	// TelemetryDegraded is true when canary telemetry or its rebase failed
 	// and was skipped; detection ran on the remaining signals.
@@ -223,7 +226,7 @@ func (a *Adapter) ModelSnapshot() ce.Estimator { return a.M.Clone() }
 // queries that arrived in the current adaptation period.
 //
 // Annotation faults degrade before they abort: failed calls are skipped
-// while at least Config.MinLabelFraction of the requested labels arrive;
+// while at least half of the requested labels arrive;
 // below that the sampled fallback fills in; only when even the fallback
 // cannot reach the floor — or ctx is cancelled — does the period return an
 // error. A non-nil error means the repair failed partway and the adapter's
@@ -262,7 +265,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 		// value so a later real drift (or resumed progress) re-triggers
 		// detection rather than staying silenced forever.
 		if a.det.pi > initialPi {
-			a.det.pi = maxF(initialPi, a.det.pi*0.8)
+			a.det.pi = max(initialPi, a.det.pi*0.8)
 		}
 		return rep, nil
 	}
@@ -286,7 +289,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 	if det.Mode.Has(C2) {
 		rep.GANLoss = a.comps.UpdateMultiTask(a.Pool, a.Cfg.NIters)
 
-		nGen := int(a.Cfg.GenFraction * float64(maxI(det.NT, 1)))
+		nGen := int(a.Cfg.GenFraction * float64(max(det.NT, 1)))
 		if nGen >= 1 { // §4.3: generator disabled when n_g < 1
 			genFn := a.GenFunc
 			if genFn == nil {
@@ -336,7 +339,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 	evalSet := a.Pool.LabeledBySource(pool.SrcNew)
 	if len(evalSet) >= 10 {
 		cur := ce.EvalGMQ(a.M, lastN(evalSet, 200))
-		if !a.haveBest || cur < a.bestEvalGMQ-a.Cfg.GainEps {
+		if !a.haveBest || cur < a.bestEvalGMQ-gainEps {
 			if !a.haveBest || cur < a.bestEvalGMQ {
 				a.bestEvalGMQ = cur
 			}
@@ -365,7 +368,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 		// whose model update already succeeded. A skipped rebase leaves
 		// the canary baselines stale, so the c1 signal may re-fire next
 		// period and the rebase retries then.
-		if err := a.det.telemetry.Canaries.Rebase(ctx, a.src); err != nil {
+		if err := a.det.canaries.Rebase(ctx, a.src); err != nil {
 			if ctx.Err() != nil {
 				return rep, ctx.Err()
 			}
@@ -447,11 +450,11 @@ func (a *Adapter) entriesWithAnyGT() []*pool.Entry {
 }
 
 // annotate computes ground truth for picked entries that lack a fresh label,
-// honoring the annotation budget and deadline. It returns the number of
-// labels obtained and records degradation in rep.
+// honoring the annotation budget. It returns the number of labels obtained
+// and records degradation in rep.
 //
 // The ladder: failed exact calls are skipped; when at least
-// MinLabelFraction of the requested labels arrive, the period proceeds
+// minLabelFraction of the requested labels arrive, the period proceeds
 // partial. Below the floor, the sampled fallback annotator labels the
 // remainder (noisy labels beat no labels, §2); its labels are committed only
 // if they lift the fraction over the floor, so an abort never leaves
@@ -473,22 +476,12 @@ func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, rep *Repor
 		return 0, nil
 	}
 
-	actx := ctx
-	cancel := func() {}
-	if a.Cfg.AnnotateDeadline > 0 {
-		actx, cancel = context.WithTimeout(ctx, a.Cfg.AnnotateDeadline)
-	}
-	defer cancel()
-
 	count := 0
 	for _, e := range todo {
 		if ctx.Err() != nil {
 			return count, ctx.Err()
 		}
-		if actx.Err() != nil {
-			break // annotation deadline expired: degrade with what we have
-		}
-		card, err := a.src.Count(actx, e.Pred)
+		card, err := a.src.Count(ctx, e.Pred)
 		if err != nil {
 			if ctx.Err() != nil {
 				return count, ctx.Err()
@@ -503,7 +496,7 @@ func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, rep *Repor
 	if count == len(todo) {
 		return count, nil
 	}
-	if frac := float64(count) / float64(len(todo)); frac >= a.Cfg.MinLabelFraction {
+	if frac := float64(count) / float64(len(todo)); frac >= minLabelFraction {
 		rep.Partial = true
 		return count, nil
 	}
@@ -534,7 +527,7 @@ func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, rep *Repor
 			rescue = append(rescue, staged{e, card})
 		}
 	}
-	if frac := float64(count+len(rescue)) / float64(len(todo)); frac >= a.Cfg.MinLabelFraction {
+	if frac := float64(count+len(rescue)) / float64(len(todo)); frac >= minLabelFraction {
 		for _, s := range rescue {
 			s.e.GT = s.card
 			s.e.Stale = false
@@ -545,19 +538,24 @@ func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, rep *Repor
 		return count, nil
 	}
 	return count, fmt.Errorf("warper: annotation got %d/%d labels, below the %.0f%% floor: aborting period",
-		count, len(todo), a.Cfg.MinLabelFraction*100)
+		count, len(todo), minLabelFraction*100)
 }
 
-// fallbackSource lazily builds the sampled fallback annotator over the live
-// table. It is seeded from the adapter's RNG, so the sampled rows — and
-// with them the fallback labels — are a deterministic function of Config.
+// fallbackSource returns the sampled fallback annotator over the live
+// table, drawing its row sample on first use and again whenever the table's
+// row count differs from the one it was drawn over: an append or a truncate
+// would leave the old sample's indices and scale describing another table.
+// An in-place update keeps the sample, whose rows still exist. Draws come
+// from the adapter's RNG, so the sampled rows — and with them the fallback
+// labels — are a deterministic function of Config and the table's history.
 func (a *Adapter) fallbackSource() (annotator.Source, error) {
-	if a.fallback == nil {
-		s, err := annotator.NewSampled(a.ann.Table(), fallbackSampleRate, a.rng)
+	tbl := a.ann.Table()
+	if a.fallback == nil || a.fallbackRows != tbl.NumRows() {
+		s, err := annotator.NewSampled(tbl, fallbackSampleRate, a.rng)
 		if err != nil {
 			return nil, err
 		}
-		a.fallback = s
+		a.fallback, a.fallbackRows = s, tbl.NumRows()
 	}
 	return a.fallback, nil
 }
@@ -618,20 +616,6 @@ func (a *Adapter) Gamma() int { return a.det.gamma }
 
 // Pi exposes the current drift threshold π.
 func (a *Adapter) Pi() float64 { return a.det.pi }
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 func lastN(xs []query.Labeled, n int) []query.Labeled {
 	if len(xs) <= n {

@@ -43,9 +43,6 @@ func adapterCfg() Config {
 	c.Gamma = 150
 	c.PickSize = 150
 	c.Canaries = 5
-	// The w1→w4 drift at this test scale sits near the default detection
-	// threshold; pin it lower so drift-handling paths trigger reliably.
-	c.JSThreshold = 0.02
 	return c
 }
 
@@ -172,10 +169,13 @@ func TestC1DataDrift(t *testing.T) {
 	}
 }
 
+// noGainLeft makes every later adaptation period a stall: no GMQ is below
+// 1, so none beats a best of 1 by gainEps.
+func noGainLeft(ad *Adapter) { ad.bestEvalGMQ, ad.haveBest = 1, true }
+
 func TestEarlyStopRaisesPi(t *testing.T) {
-	cfg := adapterCfg()
-	cfg.GainEps = 1e9 // every gain counts as "too small"
-	e := newAdapterEnv(t, cfg, 500)
+	e := newAdapterEnv(t, adapterCfg(), 500)
+	noGainLeft(e.ad)
 	pi0 := e.ad.Pi()
 	// The stall counter requires several small-gain adaptation periods
 	// (quiet no-drift periods in between do not count) before raising π.
@@ -192,8 +192,8 @@ func TestEarlyStopRaisesPi(t *testing.T) {
 func TestGammaTunedUpOnSlowC4(t *testing.T) {
 	cfg := adapterCfg()
 	cfg.Gamma = 40
-	cfg.GainEps = 1e9
 	e := newAdapterEnv(t, cfg, 500)
+	noGainLeft(e.ad)
 	g0 := e.ad.Gamma()
 	periodOK(t, e.ad, arrivalsOf(e.newQ[:120], true))
 	periodOK(t, e.ad, arrivalsOf(e.newQ[120:240], true))

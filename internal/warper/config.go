@@ -6,8 +6,6 @@
 // and γ-tuning robustness mechanisms of §3.4.
 package warper
 
-import "time"
-
 // Config holds the tunables some caller varies (the Figure 10/11 sweeps,
 // the experiments' scales, the examples); what the paper fixes once lives as
 // constants beside its readers in components.go and adapter.go. Zero values
@@ -34,28 +32,15 @@ type Config struct {
 	// AnnotateBudget caps annotations per invocation (n_a). 0 = unlimited.
 	AnnotateBudget int
 
-	// GainEps is the minimum per-step GMQ gain below which Warper early
-	// stops.
-	GainEps float64
-	// JSThreshold flags a workload drift when δ_js exceeds it.
-	JSThreshold float64
 	// Gamma is γ, the number of annotated queries needed for a robust
 	// model, estimated offline from the training curve and tuned online.
 	Gamma int
 
 	// Canaries is the number of canary predicates for data-drift telemetry.
+	// Every caller outside the tests leaves it at 10; it stays a field
+	// because the canary draws share the adapter's RNG stream and
+	// TestGoldenBitsLM/TestGoldenBitsMSCN were pinned at 5.
 	Canaries int
-
-	// MinLabelFraction is the smallest fraction of requested annotations a
-	// period may proceed with when the ground-truth source partially fails.
-	// Below it the adapter retries the missing labels through the sampled
-	// fallback; if even that leaves the fraction short, the period aborts
-	// cleanly so the caller keeps its pre-period model. Default 0.5.
-	MinLabelFraction float64
-	// AnnotateDeadline bounds one period's annotation pass in wall-clock
-	// time; labels not obtained in time are treated like failed calls
-	// (partial-label degradation). 0 = no deadline.
-	AnnotateDeadline time.Duration
 
 	// Seed drives all of Warper's internal randomness.
 	Seed int64
@@ -71,14 +56,9 @@ func DefaultConfig() Config {
 		GenFraction:    0.1,
 		PickSize:       1000,
 		AnnotateBudget: 0,
-		GainEps:        0.02,
-		JSThreshold:    0.04,
 		Gamma:          400,
 		Canaries:       10,
-
-		MinLabelFraction: 0.5,
-
-		Seed: 1,
+		Seed:           1,
 	}
 }
 
@@ -102,20 +82,11 @@ func (c Config) withDefaults() Config {
 	if c.PickSize <= 0 {
 		c.PickSize = d.PickSize
 	}
-	if c.GainEps <= 0 {
-		c.GainEps = d.GainEps
-	}
-	if c.JSThreshold <= 0 {
-		c.JSThreshold = d.JSThreshold
-	}
 	if c.Gamma <= 0 {
 		c.Gamma = d.Gamma
 	}
 	if c.Canaries <= 0 {
 		c.Canaries = d.Canaries
-	}
-	if c.MinLabelFraction <= 0 || c.MinLabelFraction > 1 {
-		c.MinLabelFraction = d.MinLabelFraction
 	}
 	return c
 }

@@ -60,11 +60,22 @@ type Arrival struct {
 	HasGT bool
 }
 
+// Drift thresholds (§3.1, §4.1): δ_js above its same-distribution noise
+// floor by more than jsThreshold is a workload drift; a changed-row fraction
+// of changedRowThreshold, or a canary whose cardinality moved by
+// canaryThreshold relative to its baseline, is a data drift.
+const (
+	jsThreshold         = 0.04
+	changedRowThreshold = 0.05
+	canaryThreshold     = 0.10
+)
+
 // detector implements det_drft (§3.1).
 type detector struct {
-	cfg       Config
-	sch       *query.Schema
-	telemetry *drift.DataTelemetry
+	sch *query.Schema
+	// canaries are the data-drift probes; nil probes nothing, leaving the
+	// changed-row fraction as the only data-drift signal.
+	canaries *drift.Canaries
 	// trainPreds is the reference workload 𝕀train for δ_js.
 	trainPreds []query.Predicate
 	// trainGMQ is the error observed during training; the δ_m gap is
@@ -157,24 +168,22 @@ func (d *detector) detect(ctx context.Context, arrivals []Arrival, recent []quer
 		}
 	}
 
-	// Data drift from telemetry (changed rows and/or canaries), or a
-	// pending data drift whose stale labels are still being re-annotated
-	// across periods.
-	freshC1 := false
-	if d.telemetry != nil {
-		var err error
-		freshC1, err = d.telemetry.Detect(ctx, changedFraction, src)
+	// Data drift from telemetry — the changed-row fraction, else the
+	// canaries — or a pending data drift whose stale labels are still being
+	// re-annotated across periods. Canary probes go through src.
+	freshC1 := changedFraction >= changedRowThreshold
+	if !freshC1 && d.canaries != nil {
+		rel, err := d.canaries.MaxRelChange(ctx, src)
 		if err != nil {
 			if ctx.Err() != nil {
 				return det, ctx.Err()
 			}
 			// Best effort: a flaky source must not silence the whole
-			// detector — the changed-row fraction already fired inside
-			// Detect if it crossed its threshold, and δ_m/δ_js below
-			// need no annotation.
+			// detector — the changed-row fraction was already checked,
+			// and δ_m/δ_js below need no annotation.
 			det.TelemetryDegraded = true
-			freshC1 = false
 		}
+		freshC1 = err == nil && rel >= canaryThreshold
 	}
 	det.FreshC1 = freshC1
 	dataDrift := freshC1 || d.pendingC1
@@ -182,7 +191,7 @@ func (d *detector) detect(ctx context.Context, arrivals []Arrival, recent []quer
 	// distribution distance is large. During a data drift a high δ_m is
 	// explained by the outdated labels, so only δ_js indicates a
 	// simultaneous workload change (Table 2: c1 is "unchanged workload").
-	wkldDrift := jsExcess > d.cfg.JSThreshold
+	wkldDrift := jsExcess > jsThreshold
 	if !dataDrift && det.DeltaM > d.pi {
 		wkldDrift = true
 	}

@@ -7,13 +7,14 @@ import (
 
 	"warper/internal/annotator"
 	"warper/internal/ce"
+	"warper/internal/dataset"
 	"warper/internal/drift"
 	"warper/internal/query"
 	"warper/internal/workload"
 )
 
-// detFixture builds a detector with controlled thresholds over the shared
-// test environment.
+// detFixture builds a detector over the shared test environment, with no
+// canaries: the changed-row fraction is its only data-drift signal.
 func detFixture(t *testing.T, gamma int) (*testEnv, *detector) {
 	t.Helper()
 	env := newTestEnv(t, 300, 0)
@@ -21,12 +22,8 @@ func detFixture(t *testing.T, gamma int) (*testEnv, *detector) {
 	for _, lq := range env.train {
 		trainPreds = append(trainPreds, lq.Pred)
 	}
-	cfg := DefaultConfig()
-	cfg.JSThreshold = 0.08
 	d := &detector{
-		cfg:        cfg,
 		sch:        env.sch,
-		telemetry:  &drift.DataTelemetry{},
 		trainPreds: trainPreds,
 		trainGMQ:   1.5,
 		pi:         initialPi,
@@ -144,6 +141,41 @@ func TestDetectPendingC1Persists(t *testing.T) {
 	}
 	if det.FreshC1 {
 		t.Error("pending continuation must not be marked fresh")
+	}
+}
+
+// TestDetectChangedRowsThreshold pins the changed-row signal: 1% changed
+// rows stays under the 5% threshold, 20% is a fresh data drift.
+func TestDetectChangedRowsThreshold(t *testing.T) {
+	env, d := detFixture(t, 100)
+	m := env.trainedModel(t)
+	if det := detectOK(t, d, nil, nil, m, env.ann, 0.01); det.FreshC1 {
+		t.Error("1% changed rows should not trigger with a 5% threshold")
+	}
+	if det := detectOK(t, d, nil, nil, m, env.ann, 0.2); !det.FreshC1 || !det.Mode.Has(C1) {
+		t.Errorf("20%% changed rows: mode = %v, want fresh c1", det.Mode)
+	}
+}
+
+// TestDetectCanaryPath pins the canary signal: with no changed rows
+// reported, an in-place update of every row moves the canaries' counts and
+// the detector calls a fresh data drift.
+func TestDetectCanaryPath(t *testing.T) {
+	env, d := detFixture(t, 100)
+	g := workload.New("w3", env.tbl, env.sch, workload.Options{})
+	rng := rand.New(rand.NewSource(6))
+	can, err := drift.NewCanaries(context.Background(), workload.Generate(g, 8, rng), env.ann)
+	if err != nil {
+		t.Fatalf("NewCanaries: %v", err)
+	}
+	d.canaries = can
+	m := env.trainedModel(t)
+	if det := detectOK(t, d, nil, nil, m, env.ann, 0); det.FreshC1 {
+		t.Error("no drift yet")
+	}
+	dataset.UpdateDrift(env.tbl, 1.0, 2.0, rng)
+	if det := detectOK(t, d, nil, nil, m, env.ann, 0); !det.FreshC1 {
+		t.Error("canaries missed a full-table update")
 	}
 }
 

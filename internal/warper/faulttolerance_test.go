@@ -2,16 +2,19 @@ package warper
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
-	"time"
 
 	"warper/internal/ce"
+	"warper/internal/dataset"
+	"warper/internal/query"
 	"warper/internal/resilience"
 )
 
 // TestPartialPeriodStillImprovesGMQ is the golden degradation test: with the
 // exact source dropping ~30% of annotation calls — enough to force partial
-// periods, not enough to hit the MinLabelFraction floor — adaptation on a
+// periods, not enough to hit the minLabelFraction floor — adaptation on a
 // drifted workload must still improve GMQ, because the labels that did
 // arrive are exact.
 func TestPartialPeriodStillImprovesGMQ(t *testing.T) {
@@ -39,16 +42,14 @@ func TestPartialPeriodStillImprovesGMQ(t *testing.T) {
 }
 
 // TestFallbackRescuesBelowFloor pins the second rung of the degradation
-// ladder: when exact annotation falls under MinLabelFraction, the sampled
+// ladder: when exact annotation falls under minLabelFraction, the sampled
 // fallback fills in and the period completes with UsedFallback set instead
 // of aborting.
 func TestFallbackRescuesBelowFloor(t *testing.T) {
-	cfg := adapterCfg()
-	cfg.MinLabelFraction = 0.9
-	e := newAdapterEnv(t, cfg, 500)
-	// Half the exact calls fail: far below the 90% floor, so every
+	e := newAdapterEnv(t, adapterCfg(), 500)
+	// Nine exact calls in ten fail: far below the 50% floor, so every
 	// annotating period needs the fallback.
-	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 0.5, Seed: 78}))
+	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 0.9, Seed: 78}))
 
 	sawFallback := false
 	for step := 0; step < 3 && !sawFallback; step++ {
@@ -61,33 +62,46 @@ func TestFallbackRescuesBelowFloor(t *testing.T) {
 		}
 	}
 	if !sawFallback {
-		t.Error("sampled fallback never engaged under a 50% error rate with a 90% floor")
+		t.Error("sampled fallback never engaged under a 90% error rate with a 50% floor")
 	}
 }
 
-// TestAnnotateDeadlineDegrades pins the per-period annotation budget: with
-// injected latency far exceeding Config.AnnotateDeadline, exact annotation
-// can label only a prefix of the batch before the deadline expires, and the
-// fallback — which runs under the parent context, not the expired deadline —
-// completes the period rather than letting it abort.
-func TestAnnotateDeadlineDegrades(t *testing.T) {
-	cfg := adapterCfg()
-	cfg.AnnotateDeadline = 30 * time.Millisecond
-	// c2 periods at this scale pick only a handful of queries, so pin the
-	// floor high enough that the one or two labels landing before the
-	// deadline cannot satisfy it on their own.
-	cfg.MinLabelFraction = 0.9
-	e := newAdapterEnv(t, cfg, 500)
-	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{Latency: 20 * time.Millisecond, Seed: 79}))
+// TestFallbackSampleFollowsTheTable pins that the sampled fallback counts
+// over the table as it is now. Every exact call fails, so every annotating
+// period falls back; between periods the table doubles, then halves. A
+// sample kept from before scales a full-range count to the old row count
+// after the append, and indexes rows that no longer exist after the
+// truncate.
+func TestFallbackSampleFollowsTheTable(t *testing.T) {
+	e := newAdapterEnv(t, adapterCfg(), 500)
+	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 1, Seed: 80}))
+	all := query.Predicate{Lows: make([]float64, e.tbl.NumCols()), Highs: make([]float64, e.tbl.NumCols())}
+	for i := range all.Lows {
+		all.Lows[i], all.Highs[i] = math.Inf(-1), math.Inf(1)
+	}
+	// fallBack runs a period that must annotate through the fallback, then
+	// checks the fallback's full-range count against the live row count.
+	fallBack := func(what string, arrivals []Arrival) {
+		t.Helper()
+		rep := periodOK(t, e.ad, arrivals)
+		if !rep.UsedFallback {
+			t.Fatalf("%s: period did not fall back (mode %v, annotated %d)", what, rep.Detection.Mode, rep.Annotated)
+		}
+		got, err := e.ad.fallback.Count(context.Background(), all)
+		if err != nil {
+			t.Fatalf("%s: fallback count: %v", what, err)
+		}
+		if n := float64(e.tbl.NumRows()); math.Abs(got-n) > 1e-6*n {
+			t.Fatalf("%s: fallback counts %v rows in range, table has %v", what, got, n)
+		}
+	}
 
-	sawFallback := false
-	for step := 0; step < 3 && !sawFallback; step++ {
-		rep := periodOK(t, e.ad, arrivalsOf(e.newQ[step*40:(step+1)*40], true))
-		sawFallback = rep.UsedFallback
-	}
-	if !sawFallback {
-		t.Error("deadline-starved annotation never degraded to the fallback")
-	}
+	fallBack("drift", arrivalsOf(e.newQ[:40], true))
+	rng := rand.New(rand.NewSource(81))
+	dataset.AppendDrift(e.tbl, 1.0, 0.5, rng)
+	fallBack("after append", arrivalsOf(e.newQ[40:80], true))
+	dataset.SortTruncateHalf(e.tbl, 1)
+	fallBack("after truncate", arrivalsOf(e.newQ[80:120], true))
 }
 
 // TestCancelledPeriodAborts pins the abort rung: parent-context

@@ -16,11 +16,15 @@ import (
 // and the Table 10 ablation alternatives.
 type Picker struct {
 	Strategy PickStrategy
-	// Buckets is the stratification bucket count k for the error-stratified
-	// mode; KNN the neighbor count for assigning unlabeled queries.
-	Buckets int
-	KNN     int
 }
+
+// The error-stratified picker's shape (§3.2): errorBuckets is the number of
+// error strata k, pickerKNN the number of nearest labeled neighbors whose
+// majority stratum an unlabeled candidate joins.
+const (
+	errorBuckets = 5
+	pickerKNN    = 3
+)
 
 // PickStrategy selects a picker implementation.
 type PickStrategy int
@@ -133,10 +137,6 @@ func (pk *Picker) PickStratified(m ce.Estimator, labeled, cands []*pool.Entry, n
 	if pk.Strategy == StrategyEntropy {
 		return roulette(cands, n, rng, entropyWeight)
 	}
-	k := pk.Buckets
-	if k <= 0 {
-		k = 5
-	}
 	// Bucket boundaries: error quantiles over the labeled records.
 	var ref []refEntry
 	for _, e := range labeled {
@@ -150,17 +150,11 @@ func (pk *Picker) PickStratified(m ce.Estimator, labeled, cands []*pool.Entry, n
 		errs[i] = s.err
 	}
 	sort.Float64s(errs)
-	bounds := make([]float64, k-1)
-	for i := 1; i < k; i++ {
-		bounds[i-1] = quantileSorted(errs, float64(i)/float64(k))
+	bounds := make([]float64, errorBuckets-1)
+	for i := 1; i < errorBuckets; i++ {
+		bounds[i-1] = quantileSorted(errs, float64(i)/errorBuckets)
 	}
-	bucketOf := func(err float64) int {
-		b := sort.SearchFloat64s(bounds, err)
-		if b >= k {
-			b = k - 1
-		}
-		return b
-	}
+	bucketOf := func(err float64) int { return sort.SearchFloat64s(bounds, err) }
 	// Pre-bucket the labeled reference entries for kNN voting.
 	refBuckets := make([]int, len(ref))
 	for i, s := range ref {
@@ -168,17 +162,13 @@ func (pk *Picker) PickStratified(m ce.Estimator, labeled, cands []*pool.Entry, n
 	}
 
 	// Assign each candidate to a bucket.
-	buckets := make([][]*pool.Entry, k)
-	knn := pk.KNN
-	if knn <= 0 {
-		knn = 3
-	}
+	buckets := make([][]*pool.Entry, errorBuckets)
 	for _, e := range cands {
 		var b int
 		if e.GT >= 0 {
 			b = bucketOf(metrics.QError(m.Estimate(e.Pred), e.GT))
 		} else {
-			b = knnBucket(e, ref, refBuckets, knn, k)
+			b = knnBucket(e, ref, refBuckets)
 		}
 		buckets[b] = append(buckets[b], e)
 	}
@@ -207,9 +197,9 @@ type refEntry struct {
 	err float64
 }
 
-// knnBucket votes the candidate into the majority bucket of its k nearest
-// labeled reference entries by embedding distance.
-func knnBucket(e *pool.Entry, ref []refEntry, refBuckets []int, knn, k int) int {
+// knnBucket votes the candidate into the majority bucket of its pickerKNN
+// nearest labeled reference entries by embedding distance.
+func knnBucket(e *pool.Entry, ref []refEntry, refBuckets []int) int {
 	type dist struct {
 		d float64
 		b int
@@ -219,10 +209,8 @@ func knnBucket(e *pool.Entry, ref []refEntry, refBuckets []int, knn, k int) int 
 		ds = append(ds, dist{embedDist(e.Z, r.e.Z), refBuckets[i]})
 	}
 	sort.Slice(ds, func(a, b int) bool { return ds[a].d < ds[b].d })
-	if knn > len(ds) {
-		knn = len(ds)
-	}
-	votes := make([]int, k)
+	knn := min(pickerKNN, len(ds))
+	votes := make([]int, errorBuckets)
 	for i := 0; i < knn; i++ {
 		votes[ds[i].b]++
 	}

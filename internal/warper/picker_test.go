@@ -1,6 +1,7 @@
 package warper
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -80,61 +81,75 @@ func TestPickRandomStrategy(t *testing.T) {
 	}
 }
 
+// TestPickStratifiedSpansErrorRange runs the c1/c3 picker at its shipped
+// shape — errorBuckets strata, pickerKNN-neighbor voting — over five error
+// regimes a decade apart, each pickerKNN labeled references wide and apart
+// in z-space. Regime 0 holds 100 unlabeled candidates, the others one each:
+// a 10-query pick reaches every regime only if each candidate joins its own
+// regime's stratum and the pick spans the strata.
 func TestPickStratifiedSpansErrorRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	pk := &Picker{Strategy: StrategyWarper, Buckets: 3, KNN: 1}
+	pk := &Picker{Strategy: StrategyWarper}
 	m := constEstimator{v: 100}
-	// Labeled references with widely varying errors: gt 100 (q=1),
-	// gt 1000 (q=10), gt 10000 (q=100).
-	mkLabeled := func(gt float64, z float64) *pool.Entry {
-		return &pool.Entry{
-			Pred:   query.Predicate{Lows: []float64{z}, Highs: []float64{z + 1}},
-			GT:     gt,
-			Source: pool.SrcTrain,
-			Z:      []float64{z},
+	const regimes = 5
+	var labeled, cands []*pool.Entry
+	for r := 0; r < regimes; r++ {
+		// Regime r's labels sit near 100·10^r, so its q-errors near 10^r;
+		// its embeddings near z = 5r.
+		gt, z := 100*math.Pow(10, float64(r)), 5*float64(r)
+		for j := 0; j < pickerKNN; j++ {
+			labeled = append(labeled, &pool.Entry{
+				Pred:   query.Predicate{Lows: []float64{z}, Highs: []float64{z + 1}},
+				GT:     gt * (1 + 0.01*float64(j)),
+				Source: pool.SrcTrain,
+				Z:      []float64{z + 0.1*float64(j)},
+			})
 		}
-	}
-	labeled := []*pool.Entry{
-		mkLabeled(100, 0), mkLabeled(110, 0.1),
-		mkLabeled(1000, 5), mkLabeled(1100, 5.1),
-		mkLabeled(10000, 10), mkLabeled(11000, 10.1),
-	}
-	// Unlabeled candidates cluster near each error regime in z-space.
-	var cands []*pool.Entry
-	for _, z := range []float64{0.05, 5.05, 10.05} {
-		for i := 0; i < 5; i++ {
+		n := 1
+		if r == 0 {
+			n = 100
+		}
+		for i := 0; i < n; i++ {
 			cands = append(cands, &pool.Entry{
 				Pred:   query.Predicate{Lows: []float64{z}, Highs: []float64{z + 1}},
 				GT:     pool.NoGT,
 				Source: pool.SrcNew,
-				Z:      []float64{z + float64(i)*0.001},
+				Z:      []float64{z + 0.05 + float64(i)*0.001},
 			})
 		}
 	}
-	picked := pk.PickStratified(m, labeled, cands, 30, rng)
+	picked := pk.PickStratified(m, labeled, cands, 10, rng)
 	if len(picked) == 0 {
 		t.Fatal("nothing picked")
 	}
-	// All three z-regions (error strata) should be represented.
 	regions := map[int]bool{}
 	for _, e := range picked {
-		switch {
-		case e.Z[0] < 2:
-			regions[0] = true
-		case e.Z[0] < 8:
-			regions[1] = true
-		default:
-			regions[2] = true
-		}
+		regions[int(e.Z[0]/5)] = true
 	}
-	if len(regions) != 3 {
-		t.Errorf("stratified pick covered %d/3 error regions", len(regions))
+	if len(regions) != regimes {
+		t.Errorf("stratified pick covered %d/%d error regimes", len(regions), regimes)
+	}
+}
+
+// TestKNNBucketVotesByMajority pins the vote: the candidate's single
+// nearest reference sits in bucket 4, but two of its pickerKNN nearest sit
+// in bucket 1, so it joins bucket 1.
+func TestKNNBucketVotesByMajority(t *testing.T) {
+	ref := []refEntry{
+		{e: &pool.Entry{Z: []float64{0}}},
+		{e: &pool.Entry{Z: []float64{0.2}}},
+		{e: &pool.Entry{Z: []float64{0.3}}},
+		{e: &pool.Entry{Z: []float64{9}}},
+	}
+	refBuckets := []int{4, 1, 1, 0}
+	if b := knnBucket(&pool.Entry{Z: []float64{0.05}}, ref, refBuckets); b != 1 {
+		t.Errorf("bucket = %d, want 1 (the majority of the %d nearest)", b, pickerKNN)
 	}
 }
 
 func TestPickStratifiedLabeledCandidatesBucketDirectly(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	pk := &Picker{Strategy: StrategyWarper, Buckets: 2, KNN: 1}
+	pk := &Picker{Strategy: StrategyWarper}
 	m := constEstimator{v: 100}
 	labeled := []*pool.Entry{
 		{Pred: query.Predicate{Lows: []float64{0}, Highs: []float64{1}}, GT: 100, Z: []float64{0}},

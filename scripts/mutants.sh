@@ -16,6 +16,7 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 
 methods=internal/experiments/env.go
 adapter=internal/warper/adapter.go
+picker=internal/warper/picker.go
 components=internal/warper/components.go
 warperCase='out = append(out, adapt.NewWarper(e.NewWarperAdapter(sc, s)))'
 detected='rep.Detection, rep.TelemetryDegraded = det, det.TelemetryDegraded'
@@ -52,7 +53,7 @@ mutate() {
 	M3) patch $adapter "$detected" "det.Mode = C2; $detected" ;;
 	M4) patch $adapter "$detected" "det.Mode = ModeNone; $detected" ;;
 	M5) patch $components 'genAdvWeight    = 0.2' 'genAdvWeight    = 0' ;;
-	M6) patch $methods "$warperCase" 'ad := e.NewWarperAdapter(sc, s); ad.Picker.Buckets = 1; out = append(out, adapt.NewWarper(ad))' ;;
+	M6) patch $picker 'errorBuckets = 5' 'errorBuckets = 1' ;;
 	M7) patch $methods "$warperCase" 'out = append(out, named{adapt.NoAdapt{M: e.Model.Clone()}, "Warper"})' ;;
 	M8) patch $adapter 'return a.Picker.PickStratified(a.M, labeled, a.Pool.Unlabeled(pool.SrcNew), n, a.rng)' \
 		'_ = labeled; cands := a.Pool.Unlabeled(pool.SrcNew); return cands[:min(n, len(cands))]' ;;
