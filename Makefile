@@ -47,15 +47,17 @@ chaos:
 
 # Ten seconds of coverage-guided fuzzing per target (go test takes one -fuzz
 # target per run): the annotator's indexed count against the reference scan,
-# the CSV loader, the wire request decoder, and the JSON and binary estimate
-# entry points against each other and a scalar reference. `go test ./...`
-# only replays their seed corpora.
+# the CSV loader, the wire request decoder, the JSON and binary estimate
+# entry points against each other and a scalar reference, and the JSON body
+# recogniser against encoding/json. `go test ./...` only replays their seed
+# corpora.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCountMatchesScan$$' -fuzztime=$(FUZZTIME) ./internal/annotator
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzFromCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzEstimateEntryPoints$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzPredicateBody$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # The benchmark of record (BENCHMARK.json, bench/README.md): four 20-second
 # workloads against the system built as warperd builds it, with a

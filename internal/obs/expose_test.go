@@ -45,6 +45,28 @@ warper_qerror_count 3
 	}
 }
 
+// TestLabelValueEscapedOnce pins the exposition format's label escaping:
+// backslash, double quote and newline are each escaped exactly once, and a
+// histogram's le label is appended after them unchanged.
+func TestLabelValueEscapedOnce(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c", "k", "a\\b\"c\nd").Inc()
+	r.Histogram("h", HistogramOpts{Start: 1, Growth: 2, Count: 1}, "k", `x\y`).Observe(0.5)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`c{k="a\\b\"c\nd"} 1` + "\n",
+		`h_bucket{k="x\\y",le="1"} 1` + "\n",
+		`h_count{k="x\\y"} 1` + "\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestVarsJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", "k", "v").Add(7)

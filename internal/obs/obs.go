@@ -138,17 +138,31 @@ func labelSuffix(labels []string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, escapeLabel(p.v))
+		b.WriteString(p.k)
+		b.WriteString(`="`)
+		writeLabelValue(&b, p.v)
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel escapes backslash, quote and newline per the exposition format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
+// writeLabelValue writes v escaped once, as the exposition format wants:
+// backslash, double quote and newline become \\, \" and \n; every other
+// byte, UTF-8 included, goes through as it is.
+func writeLabelValue(b *strings.Builder, v string) {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteByte(c)
+		}
+	}
 }
 
 // seriesFor finds or creates the series for (name, labels), enforcing kind

@@ -60,6 +60,10 @@ type scratch struct {
 	// buf is the binary frame buffer, attached by the scratch's first binary
 	// request (wireScratch) so scalar-only servers never pay its 64 KiB.
 	buf *wire.Buffer
+	// body holds a JSON request body, then the response; bounds holds a
+	// recognised body's lows and highs (jsonbody.go).
+	body   []byte
+	bounds []float64
 	// one is the group a scalar request sends through the pipeline.
 	one [1]query.Predicate
 	// cards holds the whole request's answers (the binary response payload).
@@ -140,6 +144,12 @@ func (s *Server) EstimateBudget(p query.Predicate, deadline time.Time) (float64,
 func (s *Server) estimateOne(p query.Predicate, h HealthState, deadline time.Time, tr *obs.Trace) (float64, EstimateOutcome) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
+	return s.estimateIn(sc, p, h, deadline, tr)
+}
+
+// estimateIn is estimateOne on a scratch the caller holds — POST
+// /estimate's, whose slabs hold the decoded bounds p views.
+func (s *Server) estimateIn(sc *scratch, p query.Predicate, h HealthState, deadline time.Time, tr *obs.Trace) (float64, EstimateOutcome) {
 	sc.size(1, s.cache)
 	sc.one[0] = p
 	_, oc := s.estimateGroup(sc, sc.one[:], sc.cards, h, deadline, tr)

@@ -66,50 +66,38 @@ type HealthConfig struct {
 	// ShedWaitP99 is the checkout-wait p99 above which an evaluation counts
 	// as shedding. Default 250ms.
 	ShedWaitP99 time.Duration
-	// QueueHigh is the admission-queue depth above which an evaluation
-	// counts as shedding. Default: half the pool's shed-queue bound.
-	QueueHigh int64
-	// MaxSwapAge marks the server degraded while an adaptation period (and
-	// its eventual model swap) has been in flight longer than this. Default
-	// 30s.
-	MaxSwapAge time.Duration
-	// EscalateAfter is how many consecutive worse-than-current evaluations
-	// move the state one step up the ladder. Default 2.
-	EscalateAfter int
-	// RecoverAfter is how many consecutive better-than-current evaluations
-	// move it one step down. Recovery is slower than escalation by default
-	// (3) so a brief lull under sustained overload does not bounce the
-	// server straight back into the queue it just shed.
-	RecoverAfter int
 	// EvalInterval throttles evaluations: requests offer them far more often
 	// than the machine needs to think. Default 250ms; negative disables the
 	// throttle (used by tests driving the machine step by step).
 	EvalInterval time.Duration
 }
 
-// withDefaults resolves zero fields. queueBound is the pool's admission
-// queue cap, used to derive QueueHigh.
-func (c HealthConfig) withDefaults(queueBound int64) HealthConfig {
+// The machine's fixed thresholds.
+const (
+	// maxSwapAge marks the server degraded while an adaptation period (and
+	// its eventual model swap) has been in flight longer than this.
+	maxSwapAge = 30 * time.Second
+	// escalateAfter is how many consecutive worse-than-current evaluations
+	// move the state one step up the ladder.
+	escalateAfter = 2
+	// recoverAfter is how many consecutive better-than-current evaluations
+	// move it one step down. Recovery is slower than escalation so a brief
+	// lull under sustained overload does not bounce the server straight
+	// back into the queue it just shed.
+	recoverAfter = 3
+)
+
+// queueHighFor derives the admission-queue depth above which an evaluation
+// counts as shedding: half the pool's shed-queue bound, at least 1.
+func queueHighFor(queueBound int64) int64 { return max(queueBound/2, 1) }
+
+// withDefaults resolves zero fields.
+func (c HealthConfig) withDefaults() HealthConfig {
 	if c.DegradeWaitP99 <= 0 {
 		c.DegradeWaitP99 = 25 * time.Millisecond
 	}
 	if c.ShedWaitP99 <= 0 {
 		c.ShedWaitP99 = 250 * time.Millisecond
-	}
-	if c.QueueHigh <= 0 {
-		c.QueueHigh = queueBound / 2
-		if c.QueueHigh < 1 {
-			c.QueueHigh = 1
-		}
-	}
-	if c.MaxSwapAge <= 0 {
-		c.MaxSwapAge = 30 * time.Second
-	}
-	if c.EscalateAfter <= 0 {
-		c.EscalateAfter = 2
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 3
 	}
 	if c.EvalInterval == 0 {
 		c.EvalInterval = 250 * time.Millisecond
@@ -179,6 +167,8 @@ func (w *waitWindow) p99(now time.Time) float64 {
 // mutex, at most one per EvalInterval.
 type healthTracker struct {
 	cfg HealthConfig
+	// queueHigh is queueHighFor of the pool's admission-queue bound.
+	queueHigh int64
 
 	state atomic.Int32
 	// breakerOpen mirrors the annotation circuit breaker, written by the
@@ -186,7 +176,7 @@ type healthTracker struct {
 	// degraded-path reason split.
 	breakerOpen atomic.Bool
 	// swapStart is the UnixNano start of the in-flight adaptation period
-	// (0 when none): a period stuck past MaxSwapAge degrades the server.
+	// (0 when none): a period stuck past maxSwapAge degrades the server.
 	swapStart atomic.Int64
 	// lastEval throttles evaluations to EvalInterval (UnixNano, CAS-guarded
 	// so concurrent requests elect one evaluator).
@@ -203,10 +193,12 @@ type healthTracker struct {
 	rec *flightRecorder
 }
 
-// newHealthTracker builds a tracker publishing transitions on met's
-// serve_health_state gauge and as health events on rec.
-func newHealthTracker(cfg HealthConfig, met *Metrics, rec *flightRecorder) *healthTracker {
-	h := &healthTracker{cfg: cfg, wait: newWaitWindow(met.checkoutWait), met: met, rec: rec}
+// newHealthTracker builds a tracker for a pool whose admission queue holds
+// queueBound estimates, publishing transitions on met's serve_health_state
+// gauge and as health events on rec.
+func newHealthTracker(cfg HealthConfig, queueBound int64, met *Metrics, rec *flightRecorder) *healthTracker {
+	h := &healthTracker{cfg: cfg.withDefaults(), queueHigh: queueHighFor(queueBound),
+		wait: newWaitWindow(met.checkoutWait), met: met, rec: rec}
 	met.healthState.Set(float64(Healthy))
 	return h
 }
@@ -229,11 +221,11 @@ func (h *healthTracker) due(now time.Time) bool {
 
 // classify maps one signal reading onto the ladder, worst condition wins.
 func (h *healthTracker) classify(sig healthSignals) HealthState {
-	if sig.waitP99 >= h.cfg.ShedWaitP99.Seconds() || sig.queueDepth >= h.cfg.QueueHigh {
+	if sig.waitP99 >= h.cfg.ShedWaitP99.Seconds() || sig.queueDepth >= h.queueHigh {
 		return Shedding
 	}
 	if sig.breakerOpen || sig.waitP99 >= h.cfg.DegradeWaitP99.Seconds() ||
-		(sig.swapAge > 0 && sig.swapAge >= h.cfg.MaxSwapAge) {
+		(sig.swapAge > 0 && sig.swapAge >= maxSwapAge) {
 		return Degraded
 	}
 	return Healthy
@@ -257,14 +249,14 @@ func (h *healthTracker) eval(now time.Time, sig healthSignals) {
 	case target > cur:
 		h.badStreak++
 		h.goodStreak = 0
-		if h.badStreak >= h.cfg.EscalateAfter {
+		if h.badStreak >= escalateAfter {
 			next = cur + 1 // single step, even when target is two above
 			h.badStreak = 0
 		}
 	case target < cur:
 		h.goodStreak++
 		h.badStreak = 0
-		if h.goodStreak >= h.cfg.RecoverAfter {
+		if h.goodStreak >= recoverAfter {
 			next = cur - 1
 			h.goodStreak = 0
 		}

@@ -14,7 +14,7 @@ import (
 func testTracker(cfg HealthConfig) (*healthTracker, *obs.Journal) {
 	met := NewMetrics()
 	rec := newFlightRecorder(met, slog.New(slog.NewTextHandler(io.Discard, nil)), Options{})
-	return newHealthTracker(cfg.withDefaults(64), met, rec), rec.journal
+	return newHealthTracker(cfg, 64, met, rec), rec.journal
 }
 
 func TestHealthClassify(t *testing.T) {
@@ -42,8 +42,8 @@ func TestHealthClassify(t *testing.T) {
 	}
 }
 
-// TestHealthHysteresis pins the transition discipline: EscalateAfter
-// consecutive bad evaluations move one step up, RecoverAfter good ones move
+// TestHealthHysteresis pins the transition discipline: escalateAfter
+// consecutive bad evaluations move one step up, recoverAfter good ones move
 // one step down, and a mixed sample resets both streaks.
 func TestHealthHysteresis(t *testing.T) {
 	h, j := testTracker(HealthConfig{EvalInterval: -1})
@@ -51,7 +51,7 @@ func TestHealthHysteresis(t *testing.T) {
 	good := healthSignals{}
 	now := time.Now()
 
-	// One bad evaluation must not move the state (EscalateAfter = 2).
+	// One bad evaluation must not move the state (escalateAfter = 2).
 	h.eval(now, bad)
 	if got := h.current(); got != Healthy {
 		t.Fatalf("after 1 bad eval: %v, want healthy", got)
@@ -68,7 +68,7 @@ func TestHealthHysteresis(t *testing.T) {
 		t.Fatalf("after 4 bad evals: %v, want shedding", got)
 	}
 
-	// Recovery is slower: RecoverAfter = 3 good evaluations per step, and a
+	// Recovery is slower: recoverAfter = 3 good evaluations per step, and a
 	// bad sample in between resets the streak.
 	h.eval(now, good)
 	h.eval(now, good)
@@ -142,20 +142,21 @@ func TestHealthEvalThrottle(t *testing.T) {
 	}
 }
 
-// TestHealthDefaults pins the derived QueueHigh and the zero-value fills.
+// TestHealthDefaults pins the derived queue threshold and the zero-value
+// fills.
 func TestHealthDefaults(t *testing.T) {
-	c := HealthConfig{}.withDefaults(100)
-	if c.QueueHigh != 50 {
-		t.Errorf("QueueHigh = %d, want 50 (half the queue bound)", c.QueueHigh)
+	if q := queueHighFor(100); q != 50 {
+		t.Errorf("queueHighFor(100) = %d, want 50 (half the queue bound)", q)
 	}
+	if q := queueHighFor(0); q != 1 {
+		t.Errorf("queueHighFor(0) = %d, want the floor 1", q)
+	}
+	c := HealthConfig{}.withDefaults()
 	if c.DegradeWaitP99 != 25*time.Millisecond || c.ShedWaitP99 != 250*time.Millisecond {
 		t.Errorf("wait thresholds = %v/%v", c.DegradeWaitP99, c.ShedWaitP99)
 	}
-	if c.EscalateAfter != 2 || c.RecoverAfter != 3 {
-		t.Errorf("streaks = %d/%d, want 2/3", c.EscalateAfter, c.RecoverAfter)
-	}
-	if c := (HealthConfig{}).withDefaults(0); c.QueueHigh != 1 {
-		t.Errorf("QueueHigh floor = %d, want 1", c.QueueHigh)
+	if c.EvalInterval != 250*time.Millisecond {
+		t.Errorf("eval interval = %v, want 250ms", c.EvalInterval)
 	}
 }
 

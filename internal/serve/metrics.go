@@ -2,6 +2,7 @@ package serve
 
 import (
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"warper/internal/obs"
@@ -109,7 +110,7 @@ type Metrics struct {
 // table is checked against the result (TestREADMEMetricTableMatchesRegistry).
 func NewMetrics() *Metrics {
 	r := obs.NewRegistry()
-	// The per-request families get their series on first use (requestDone).
+	// The per-request families get their series on first use (requestSeries).
 	r.Help(mReqTotal, "HTTP requests by handler and status code.")
 	r.Help(mReqSeconds, "HTTP request latency in seconds, by handler.")
 	m := &Metrics{
@@ -181,10 +182,50 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// requestDone records one finished HTTP request.
+// requestDone records one finished HTTP request, looking its series up by
+// label in the registry.
 func (m *Metrics) requestDone(handler string, code int, d time.Duration) {
 	m.Reg.Counter(mReqTotal, "handler", handler, "code", strconv.Itoa(code)).Inc()
 	m.Reg.Histogram(mReqSeconds, obs.LatencyOpts(), "handler", handler).Observe(d.Seconds())
+}
+
+// requestSeries is one handler's per-request series: its latency histogram
+// and a counter per status code, each looked up in the registry the first
+// time it is used and held from then on. A request then costs two atomic
+// loads instead of a label render under the registry lock, and the series
+// still appear on first use, so /metrics before the first request is
+// unchanged.
+type requestSeries struct {
+	m       *Metrics
+	handler string
+	latency atomic.Pointer[obs.Histogram]
+	// codes holds the counters of status codes 100–599; the codes net/http
+	// also allows beyond them take requestDone's lookup.
+	codes [500]atomic.Pointer[obs.Counter]
+}
+
+func (m *Metrics) requestSeries(handler string) *requestSeries {
+	return &requestSeries{m: m, handler: handler}
+}
+
+// done records one finished request.
+func (rs *requestSeries) done(code int, d time.Duration) {
+	if code < 100 || code-100 >= len(rs.codes) {
+		rs.m.requestDone(rs.handler, code, d)
+		return
+	}
+	c := rs.codes[code-100].Load()
+	if c == nil {
+		c = rs.m.Reg.Counter(mReqTotal, "handler", rs.handler, "code", strconv.Itoa(code))
+		rs.codes[code-100].Store(c)
+	}
+	h := rs.latency.Load()
+	if h == nil {
+		h = rs.m.Reg.Histogram(mReqSeconds, obs.LatencyOpts(), "handler", rs.handler)
+		rs.latency.Store(h)
+	}
+	c.Inc()
+	h.Observe(d.Seconds())
 }
 
 // ResilienceEvents returns an Events seam that turns resilience wrapper

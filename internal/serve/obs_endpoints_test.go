@@ -86,6 +86,42 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestRequestSeriesOnFirstUse pins when the per-request series appear:
+// instrument resolves them once, but only on a handler's first request, so
+// /metrics before any request shows neither family, and every Handler()
+// counts into the same series.
+func TestRequestSeriesOnFirstUse(t *testing.T) {
+	srv, ts, _, _, gNew := newTestServer(t)
+	var before strings.Builder
+	if err := srv.met.Reg.WritePrometheus(&before); err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{mReqTotal + "{", mReqSeconds + "_count"} {
+		if strings.Contains(before.String(), family) {
+			t.Errorf("/metrics shows %s before the first request", family)
+		}
+	}
+	p := gNew.Gen(rand.New(rand.NewSource(43)))
+	second := httptest.NewServer(srv.Handler())
+	defer second.Close()
+	postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, nil)
+	postJSON(t, second.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, nil)
+	postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows}, nil)
+	var after strings.Builder
+	if err := srv.met.Reg.WritePrometheus(&after); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`warper_http_requests_total{code="200",handler="estimate"} 2`,
+		`warper_http_requests_total{code="400",handler="estimate"} 1`,
+		`warper_http_request_seconds_count{handler="estimate"} 3`,
+	} {
+		if !strings.Contains(after.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}
+
 func TestDebugVarsRoundTrip(t *testing.T) {
 	_, ts, sch, _, gNew := newTestServer(t)
 	_ = sch

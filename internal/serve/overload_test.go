@@ -315,7 +315,7 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 	chaos := &modelHooks{chaos: chaosPlan{starveEvery: 1, starveHold: 20 * time.Millisecond}}
 	chaos.chaosOn.Store(true)
 	// Wait thresholds out of reach, as in the soak below: the callers parked
-	// behind the held replica (QueueHigh = ShedQueue/2 = 2 < callers-1)
+	// behind the held replica (queueHigh = ShedQueue/2 = 2 < callers-1)
 	// drive the ladder, and a scheduler-inflated wait sample cannot pin the
 	// recovery for the length of the wait window.
 	srv, _, sch, _, gNew := newTestServerWrap(t, Options{
@@ -378,8 +378,8 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 			t.Errorf("health event carries no %s signal: %v", k, first)
 		}
 	}
-	if d, _ := first["queue_depth"].(int64); d < srv.health.cfg.QueueHigh {
-		t.Errorf("health event queue_depth = %v, below QueueHigh %d: what moved the state?", first["queue_depth"], srv.health.cfg.QueueHigh)
+	if d, _ := first["queue_depth"].(int64); d < srv.health.queueHigh {
+		t.Errorf("health event queue_depth = %v, below queueHigh %d: what moved the state?", first["queue_depth"], srv.health.queueHigh)
 	}
 
 	chaos.chaosOn.Store(false)
@@ -412,7 +412,7 @@ func TestOverloadChaosSoak(t *testing.T) {
 	// scheduler delays of hundreds of milliseconds, and those samples live
 	// in the 1-minute metrics window long after the chaos ends — they
 	// would pin the machine degraded through the whole recovery deadline.
-	// Queue depth (QueueHigh = maxQueue/2 = 4 < workers) and the breaker
+	// Queue depth (queueHigh = maxQueue/2 = 4 < workers) and the breaker
 	// signal drive the ladder here.
 	srv, ts, sch, ann, gNew := newTestServerWrap(t, Options{
 		Replicas:        2,
@@ -562,7 +562,7 @@ func storeMax(a *atomic.Int64, v int64) {
 // something. The shapes exercise every rung: the excess arrival rate times
 // the budget exceeds the queue bound (the queue caps out and sheds), the
 // full queue's drain time exceeds the budget (queued requests time out into
-// the fallback ladder), and QueueHigh (= shedQueue/2) is crossed (the health
+// the fallback ladder), and queueHigh (= shedQueue/2) is crossed (the health
 // machine reaches shedding and its admission rule sheds too). Asserted: the
 // queue stays within its bound, no shed answer overstays the budget, both
 // rungs fire, the server walks back to healthy, and the model's answers are

@@ -156,7 +156,7 @@ func TestDebugEventsCausalOrder(t *testing.T) {
 	}
 	// And one forced health transition: two over-high queue readings.
 	for i := 0; i < 2; i++ {
-		srv.health.eval(time.Now(), healthSignals{queueDepth: srv.health.cfg.QueueHigh})
+		srv.health.eval(time.Now(), healthSignals{queueDepth: srv.health.queueHigh})
 	}
 
 	resp, body := getBody(t, ts.URL+"/debug/events")

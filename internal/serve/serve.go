@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -212,7 +213,7 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 	// Build the fallback histogram up front from the adapter's live table.
 	s.fb = newFallbackLadder()
 	s.fb.refresh(a.Table())
-	s.health = newHealthTracker(opts.Health.withDefaults(s.pool.maxQueue), s.met, s.rec)
+	s.health = newHealthTracker(opts.Health, s.pool.maxQueue, s.met, s.rec)
 	s.met.onBreaker = func(st resilience.State) {
 		// An open annotation breaker is a degraded-health signal: the
 		// adapter cannot repair the model right now, so serving should stop
@@ -305,6 +306,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // the whole warperd process. Panics are counted on serve_panics_total and
 // logged with their stack.
 func (s *Server) instrument(name string, fn http.HandlerFunc) http.HandlerFunc {
+	met := s.met.requestSeries(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
@@ -319,9 +321,11 @@ func (s *Server) instrument(name string, fn http.HandlerFunc) http.HandlerFunc {
 				}
 			}
 			d := time.Since(t0)
-			s.met.requestDone(name, sw.code, d)
-			s.logger.Debug("request",
-				"handler", name, "code", sw.code, "dur_ms", float64(d.Microseconds())/1000)
+			met.done(sw.code, d)
+			if s.logger.Enabled(r.Context(), slog.LevelDebug) {
+				s.logger.Debug("request",
+					"handler", name, "code", sw.code, "dur_ms", float64(d.Microseconds())/1000)
+			}
 		}()
 		fn(sw, r)
 	}
@@ -414,9 +418,9 @@ func deadlineIn(budget time.Duration) time.Time {
 // second Decode must report io.EOF, otherwise the body carried trailing
 // bytes after its payload ({"lows":[…]}{"oops"}) and the request is
 // rejected. The binary decoder enforces the same contract with its exact
-// frame-length check; both report wire.ErrTrailingData.
-//
-//lint:allow hotpathalloc HTTP decode boundary; the zero-alloc envelope covers the estimate core, not the JSON codec
+// frame-length check; both report wire.ErrTrailingData. It defines what
+// /estimate and /feedback accept; their recogniser (jsonbody.go) only
+// answers a subset of it faster.
 func decodeJSONStrict(body io.Reader, v any) error {
 	dec := json.NewDecoder(body)
 	if err := dec.Decode(v); err != nil {
@@ -439,13 +443,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxPeriodBody) //lint:allow hotpathalloc HTTP decode boundary; one body-cap wrapper per request, same codec layer as the decoder below
-	var req estimateRequest
-	if err := decodeJSONStrict(r.Body, &req); err != nil {
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	b, err := s.decodeBody(sc, w, r, false)
+	if err != nil {
 		httpError(w, decodeErrorCode(err), "decode: %v", err)
 		return
 	}
-	p, err := s.decodePredicate(req.predicateJSON)
+	p, err := s.decodePredicate(b.predicateJSON)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -453,13 +458,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// The estimate runs on a checked-out replica — no serving mutex anywhere
 	// on this path. The health state decides the admission rule; the
 	// deadline budgets the replica wait.
-	card, out := s.estimateOne(p, s.health.current(), deadlineIn(budget), tr)
+	card, out := s.estimateIn(sc, p, s.health.current(), deadlineIn(budget), tr)
 	if out.Shed {
 		writeShed(w, out.Reason)
 		return
 	}
 	tr.EnterStage("respond")
-	s.writeJSON(w, estimateResponse{Cardinality: card, Degraded: out.Degraded, Reason: out.Reason}) //lint:allow hotpathalloc HTTP encode boundary; one response-struct box per request
+	s.writeEstimate(w, sc, card, out)
 	//lint:allow hotpathalloc sampled-trace epilogue: the string render and exemplar offer never run on untraced requests
 	if tr != nil {
 		// Offer the request as a slowest-exemplar candidate before the ring
@@ -493,22 +498,26 @@ type feedbackResponse struct {
 const maxFeedbackBuffer = 1 << 16
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	// Same body cap as /period and /estimate: feedback bodies beyond the cap
+	// Same decoder and body cap as /estimate: feedback bodies beyond the cap
 	// answer 413 instead of being decoded unboundedly.
-	r.Body = http.MaxBytesReader(w, r.Body, maxPeriodBody)
-	var req feedbackRequest
-	if err := decodeJSONStrict(r.Body, &req); err != nil {
+	sc := s.getScratch()
+	b, err := s.decodeBody(sc, w, r, true)
+	// The arrival buffer keeps the bounds past this request, and Normalize
+	// rewrites them in place: they are copied out of the pooled scratch.
+	b.Lows, b.Highs = slices.Clone(b.Lows), slices.Clone(b.Highs)
+	s.putScratch(sc)
+	if err != nil {
 		httpError(w, decodeErrorCode(err), "decode: %v", err)
 		return
 	}
-	p, err := s.decodePredicate(req.predicateJSON)
+	p, err := s.decodePredicate(b.predicateJSON)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ar := warper.Arrival{Pred: p}
-	if req.Cardinality != nil && *req.Cardinality >= 0 {
-		ar.GT = *req.Cardinality
+	if b.hasCard && b.card >= 0 {
+		ar.GT = b.card
 		ar.HasGT = true
 	}
 	if ar.HasGT {
@@ -610,7 +619,7 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 	defer s.periodMu.Unlock()
 
 	// Mark the swap in flight for the health machine: a period stuck past
-	// Health.MaxSwapAge degrades the server instead of silently serving an
+	// maxSwapAge degrades the server instead of silently serving an
 	// ever-staler generation. Health reconsiders at both edges: a period is
 	// the one long event the estimate traffic cannot see end.
 	start := time.Now()
