@@ -232,7 +232,7 @@ func (b *mlpBackend) predict(x []float64) float64 { return b.net.Forward(x)[0] }
 // predictAllMat runs one batched forward pass over the rows of X, using the
 // network's minibatch kernels instead of X.Rows per-sample Forward calls.
 // X must already hold the featurized predicates. The tile-resident
-// InferBatch path serves full 4-row blocks without materializing activation
+// InferBatch path serves 8-row blocks without materializing activation
 // matrices; where it cannot run it falls back to BatchForward, which is
 // byte-identical by the same contract.
 func (b *mlpBackend) predictAllMat(X nn.Mat, out []float64) {

@@ -58,12 +58,12 @@ var hotPathRoots = []string{
 	"serve.(*replicaPool).checkin",
 	// The one estimate pipeline every entry point calls — the group
 	// function (probe, pack, fill) and admission — and the cache's lookup
-	// and insert under it; rooting them (in addition to reaching them
+	// and group insert under it; rooting them (in addition to reaching them
 	// through Estimate) keeps the zero-alloc proof local to each stage.
 	"serve.(*Server).estimateGroup",
 	"serve.(*Server).admit",
 	"serve.(*estimateCache).get",
-	"serve.(*estimateCache).put",
+	"serve.(*estimateCache).putMisses",
 	"obs.(*Tracer).Acquire",
 	"obs.(*Trace).EnterStage",
 	"obs.(*Tracer).Finish",

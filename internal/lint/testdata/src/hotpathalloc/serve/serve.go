@@ -22,7 +22,7 @@ type Server struct {
 }
 
 // estimateCache mirrors the real cache's shape: a lock-free probe (get) and
-// a serialized insert (put).
+// a serialized group insert (putMisses).
 type estimateCache struct {
 	keys  []uint64
 	trail []float64
@@ -51,8 +51,9 @@ func (c *estimateCache) get(key []float64, h uint64) (float64, bool) {
 	return key[0], true
 }
 
-// put is rooted directly; its bookkeeping must stay allocation-free too.
-func (c *estimateCache) put(key []float64, h uint64) {
+// putMisses is rooted directly; its bookkeeping must stay allocation-free
+// too.
+func (c *estimateCache) putMisses(key []float64, h uint64) {
 	c.trail = append(c.trail, key[0]) // want "append may grow"
 	c.keys[0] = h
 }

@@ -40,8 +40,10 @@ type scratch struct {
 	grads    []Mat
 	lossG    Mat
 
-	tmp  []float64 // maxW: softmax scratch, denseGradW partial-sum row
-	tile []float64 // SIMD lane tiles (2 halves of 4*maxW)
+	tmp []float64 // maxW: softmax scratch, denseGradW partial-sum row
+	// tile is the SIMD lane scratch: two inferLanes*maxW halves for
+	// InferBatch's block, the first 4*maxW for the training kernels' gathers.
+	tile []float64
 
 	// fwdOK records whether the activation matrices hold a full
 	// BatchForward result for the current row count; InferBatch clears it
@@ -89,7 +91,7 @@ func (n *Network) ensureScratch(rows, inCols int) *scratch {
 	}
 	if len(sc.tmp) < sc.maxW {
 		sc.tmp = make([]float64, sc.maxW)
-		sc.tile = make([]float64, 8*sc.maxW)
+		sc.tile = make([]float64, 2*inferLanes*sc.maxW)
 	}
 	return sc
 }
@@ -217,17 +219,23 @@ func (n *Network) BatchForward(x Mat) Mat {
 	return sc.acts[len(sc.acts)-1]
 }
 
-// InferBatch is the forward-only inference fast path: full 4-row blocks stay
-// in the SIMD lane tile across the entire layer stack — the tile an output
-// kernel writes (o-major) is laid out exactly as the next kernel's input
-// (k-major), and the activation layers are elementwise, so the per-layer
-// gather/scatter that BatchForward pays disappears and only the final scalar
-// output leaves the tile. Each sample's arithmetic runs in the same order as
-// the scalar Forward, so out is byte-identical to it. It writes each row's
-// single output into out[r] and reports false — leaving out untouched — when
-// this network or platform cannot run it (head wider than one output, SIMD
-// unavailable, narrow layers); callers then fall back to BatchForward. Unlike
-// BatchForward it does not fill the activation matrices, so it cannot seed a
+// inferLanes is InferBatch's block height: one sample per lane of the
+// inference tile (one zmm register per neuron, or two ymm halves).
+const inferLanes = 8
+
+// InferBatch is the forward-only inference fast path. It runs the rows in
+// blocks of inferLanes samples, one per vector lane: a block is gathered
+// into a k-major lane tile once, the last partial block zero-padded, and
+// stays in the tile across the entire layer stack — the tile a Dense kernel
+// writes (o-major) is laid out exactly as the next kernel's input (k-major),
+// and the activation layers are elementwise — so only the final scalar
+// output leaves it. Each lane's arithmetic runs in the scalar Forward's
+// order, so out is byte-identical to it whichever tile kernel runs (AVX-512
+// when CPUID and XCR0 allow it, AVX2 otherwise). It writes each row's single
+// output into out[r] and reports false — leaving out untouched — when this
+// network or platform cannot run it (head wider than one output, SIMD
+// unavailable); callers then fall back to BatchForward. Unlike BatchForward
+// it does not fill the activation matrices, so it cannot seed a
 // BatchBackward.
 func (n *Network) InferBatch(x Mat, out []float64) bool {
 	if !simdEnabled || x.Rows == 0 || len(out) < x.Rows {
@@ -237,43 +245,52 @@ func (n *Network) InferBatch(x Mat, out []float64) bool {
 	if sc.widths[len(sc.widths)-1] != 1 {
 		return false
 	}
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dense); ok && d.In < 4 {
-			return false
-		}
-	}
 	sc.fwdOK = false
-	tile := sc.tile
-	q := len(tile) / 2
-	r := 0
-	for ; r+4 <= x.Rows; r += 4 {
-		// The first Dense gathers the four sample rows into cur itself
-		// (non-zero input stride); every later one finds its input tile
-		// where the previous kernel left it.
-		cur, nxt := tile[:q], tile[q:]
-		src, stride := &x.Data[r*x.Stride], x.Stride
+	dense := inferTileAVX2
+	if avx512Enabled {
+		dense = inferTileAVX512
+	}
+	q := len(sc.tile) / 2
+	for r := 0; r < x.Rows; r += inferLanes {
+		cur, nxt := sc.tile[:q], sc.tile[q:]
+		gatherLanes(cur, x, r)
 		w := x.Cols
 		for _, l := range n.Layers {
 			switch t := l.(type) {
 			case *Dense:
-				denseForwardBlockASM(&t.Weight.W[0], &t.Bias.W[0], src, &nxt[0], stride, 0, t.In, t.Out, &cur[0])
+				dense(&t.Weight.W[0], &t.Bias.W[0], &cur[0], &nxt[0], t.In, t.Out)
 				cur, nxt = nxt, cur
-				src, stride = &cur[0], 0
 				w = t.Out
 			case *LeakyReLU:
-				leakyForwardASM(&cur[0], &cur[0], 4*w, t.Alpha)
+				leakyForwardASM(&cur[0], &cur[0], inferLanes*w, t.Alpha)
 			case *Tanh:
-				for i := 0; i < 4*w; i++ {
-					cur[i] = math.Tanh(cur[i])
+				for i, v := range cur[:inferLanes*w] {
+					cur[i] = math.Tanh(v)
 				}
 			}
 		}
-		out[r], out[r+1], out[r+2], out[r+3] = cur[0], cur[1], cur[2], cur[3]
-	}
-	for ; r < x.Rows; r++ {
-		out[r] = n.Forward(x.Row(r))[0]
+		copy(out[r:min(r+inferLanes, x.Rows)], cur)
 	}
 	return true
+}
+
+// gatherLanes writes rows [r, r+inferLanes) of x into the k-major lane tile
+// t, t[k*inferLanes+lane] = x[r+lane][k], and zeroes the lanes past x's last
+// row: padding lanes then compute the network on the zero row, never on
+// whatever an earlier block left there (a NaN or a subnormal costs time,
+// not bits — the lanes are independent).
+func gatherLanes(t []float64, x Mat, r int) {
+	nr := min(inferLanes, x.Rows-r)
+	for l := 0; l < nr; l++ {
+		for k, v := range x.Row(r + l) {
+			t[k*inferLanes+l] = v
+		}
+	}
+	for l := nr; l < inferLanes; l++ {
+		for k := 0; k < x.Cols; k++ {
+			t[k*inferLanes+l] = 0
+		}
+	}
 }
 
 // BatchBackward propagates a full batch of output gradients back through the

@@ -267,45 +267,137 @@ func TestBatchBackwardAccumulatesLikeSerial(t *testing.T) {
 	}
 }
 
-// TestInferBatchMatchesForward pins the tile-resident inference fast path:
-// for every row (including the scalar tail when rows % 4 != 0) InferBatch
-// must be bit-identical to the per-sample Forward, across each elementwise
-// activation kind it knows how to keep in the tile.
-func TestInferBatchMatchesForward(t *testing.T) {
+// forEachTileKernel runs f once per InferBatch tile kernel this machine can
+// execute — the two-ymm AVX2 kernel always, the zmm AVX-512 one where CPUID
+// and XCR0 allow it — by flipping avx512Enabled the way the SIMD tests flip
+// simdEnabled.
+func forEachTileKernel(t *testing.T, f func(t *testing.T)) {
 	if !simdAvailable {
 		t.Skip("no AVX2 on this machine")
 	}
-	rng := rand.New(rand.NewSource(5))
-	nets := map[string]*Network{
-		"leaky":        NewNetwork(NewDense(6, 16, rng), NewLeakyReLU(), NewDense(16, 16, rng), NewLeakyReLU(), NewDense(16, 1, rng)),
-		"leaky-narrow": NewNetwork(NewDense(5, 8, rng), NewLeakyReLU(), NewDense(8, 1, rng)),
-		"mixed":        NewNetwork(NewDense(7, 9, rng), NewTanh(), NewDense(9, 6, rng), NewLeakyReLU(), NewDense(6, 1, rng)),
-	}
-	for name, n := range nets {
-		for _, rows := range []int{1, 3, 4, 8, 11} {
-			x := NewMat(rows, n.Layers[0].(*Dense).In)
-			for r := 0; r < rows; r++ {
-				row := x.Row(r)
-				for i := range row {
-					row[i] = rng.NormFloat64()
-				}
+	defer func(v bool) { avx512Enabled = v }(avx512Enabled)
+	for _, on := range []bool{false, true} {
+		name := map[bool]string{false: "avx2", true: "avx512"}[on]
+		t.Run(name, func(t *testing.T) {
+			if on && !avx512Available {
+				t.Skip("no AVX-512 on this machine")
 			}
-			out := make([]float64, rows)
-			if !n.InferBatch(x, out) {
-				t.Fatalf("%s rows=%d: InferBatch refused a batchable network", name, rows)
-			}
-			for r := 0; r < rows; r++ {
-				if want := n.Forward(x.Row(r))[0]; out[r] != want {
-					t.Fatalf("%s rows=%d row %d: InferBatch %v != Forward %v", name, rows, r, out[r], want)
-				}
-			}
-		}
+			avx512Enabled = on
+			f(t)
+		})
 	}
 }
 
-// TestInferBatchRefusals pins the fallback contract: a wide head, a narrow
-// Dense input, or disabled SIMD must make InferBatch report false without
-// touching out.
+// randMat fills a rows×cols matrix with standard normals.
+func randMat(rng *rand.Rand, rows, cols int) Mat {
+	x := NewMat(rows, cols)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// TestInferBatchMatchesForward pins the tile-resident inference fast path:
+// for every row — full 8-lane blocks and the zero-padded partial one —
+// InferBatch must be bit-identical to the per-sample Forward, on both tile
+// kernels, across each elementwise activation kind it keeps in the tile,
+// inputs as narrow as one column, and neuron counts that leave every tail
+// of the kernels' neuron loops (8·k+1, 4·k+1, 3).
+func TestInferBatchMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nets := map[string]*Network{
+		"lm-mlp":       MLP(18, 64, 2, 1, rng),
+		"leaky":        NewNetwork(NewDense(6, 16, rng), NewLeakyReLU(), NewDense(16, 16, rng), NewLeakyReLU(), NewDense(16, 1, rng)),
+		"leaky-narrow": NewNetwork(NewDense(5, 8, rng), NewLeakyReLU(), NewDense(8, 1, rng)),
+		"mixed":        NewNetwork(NewDense(7, 9, rng), NewTanh(), NewDense(9, 6, rng), NewLeakyReLU(), NewDense(6, 1, rng)),
+		"in1":          NewNetwork(NewDense(1, 13, rng), NewLeakyReLU(), NewDense(13, 1, rng)),
+		"in2":          NewNetwork(NewDense(2, 3, rng), NewTanh(), NewDense(3, 1, rng)),
+		"in3":          NewNetwork(NewDense(3, 17, rng), NewLeakyReLU(), NewDense(17, 2, rng), NewTanh(), NewDense(2, 1, rng)),
+	}
+	var rowCounts []int
+	for rows := 1; rows <= 17; rows++ {
+		rowCounts = append(rowCounts, rows)
+	}
+	rowCounts = append(rowCounts, 255, 256, 257)
+	forEachTileKernel(t, func(t *testing.T) {
+		for name, n := range nets {
+			for _, rows := range rowCounts {
+				x := randMat(rng, rows, n.Layers[0].(*Dense).In)
+				out := make([]float64, rows)
+				if !n.InferBatch(x, out) {
+					t.Fatalf("%s rows=%d: InferBatch refused a batchable network", name, rows)
+				}
+				for r := 0; r < rows; r++ {
+					if want := n.Forward(x.Row(r))[0]; math.Float64bits(out[r]) != math.Float64bits(want) {
+						t.Fatalf("%s rows=%d row %d: InferBatch %v != Forward %v", name, rows, r, out[r], want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestInferBatchPoisonStaysInItsLane puts NaN, ±Inf, −0 and a subnormal in
+// one row and checks that every other row still equals Forward bit for
+// bit — at each lane position of a full block and in the padded partial
+// one — and that the poisoned row is NaN there as it is in Forward.
+func TestInferBatchPoisonStaysInItsLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	n := NewNetwork(NewDense(6, 16, rng), NewLeakyReLU(), NewDense(16, 9, rng), NewTanh(), NewDense(9, 1, rng))
+	poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1.5}
+	const rows = 19
+	forEachTileKernel(t, func(t *testing.T) {
+		for _, p := range []int{0, 3, 7, 8, 15, 16, 18} {
+			x := randMat(rng, rows, 6)
+			copy(x.Row(p), poison)
+			out := make([]float64, rows)
+			if !n.InferBatch(x, out) {
+				t.Fatal("InferBatch refused a batchable network")
+			}
+			for r := 0; r < rows; r++ {
+				want := n.Forward(x.Row(r))[0]
+				if r == p {
+					if !math.IsNaN(out[r]) || !math.IsNaN(want) {
+						t.Fatalf("poisoned row %d: InferBatch %v, Forward %v, want NaN from both", p, out[r], want)
+					}
+					continue
+				}
+				if math.Float64bits(out[r]) != math.Float64bits(want) {
+					t.Fatalf("poison in row %d: row %d InferBatch %v != Forward %v", p, r, out[r], want)
+				}
+			}
+		}
+	})
+}
+
+// TestInferBatchZeroPadsTail pins the padding of a partial block: after a
+// batch of NaN rows has filled the tile, the lanes past the last row of a
+// 3-row batch must carry the network's output on the zero row, not the
+// stale NaNs (the lanes never mix, so only the tile shows the difference).
+func TestInferBatchZeroPadsTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := NewNetwork(NewDense(5, 8, rng), NewLeakyReLU(), NewDense(8, 1, rng))
+	zero := n.Forward(make([]float64, 5))[0]
+	forEachTileKernel(t, func(t *testing.T) {
+		nan := NewMat(16, 5)
+		for i := range nan.Data {
+			nan.Data[i] = math.NaN()
+		}
+		out := make([]float64, 16)
+		if !n.InferBatch(nan, out) || !n.InferBatch(randMat(rng, 3, 5), out[:3]) {
+			t.Fatal("InferBatch refused a batchable network")
+		}
+		// Two Dense layers: the input tile (first half) is also the output's.
+		for l, v := range n.sc.tile[3:inferLanes] {
+			if math.Float64bits(v) != math.Float64bits(zero) {
+				t.Fatalf("padding lane %d = %v, want the zero row's output %v", 3+l, v, zero)
+			}
+		}
+	})
+}
+
+// TestInferBatchRefusals pins the fallback contract: a wide head or
+// disabled SIMD must make InferBatch report false without touching out.
 func TestInferBatchRefusals(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := NewMat(4, 6)
@@ -314,10 +406,6 @@ func TestInferBatchRefusals(t *testing.T) {
 	wide := NewNetwork(NewDense(6, 8, rng), NewLeakyReLU(), NewDense(8, 2, rng))
 	if wide.InferBatch(x, out) {
 		t.Error("InferBatch accepted a two-output head")
-	}
-	narrow := NewNetwork(NewDense(6, 3, rng), NewLeakyReLU(), NewDense(3, 1, rng))
-	if narrow.InferBatch(x, out) {
-		t.Error("InferBatch accepted a Dense with In < 4")
 	}
 	if simdAvailable {
 		defer func(v bool) { simdEnabled = v }(simdEnabled)

@@ -132,32 +132,36 @@ PAIR: \
 	MOVQ SI, R9; \
 	MOVQ BX, R10
 
-// func cpuidHasAVX2() bool
-// AVX2 requires: CPUID.1:ECX.OSXSAVE[27] and AVX[28], XCR0 XMM+YMM state
-// enabled by the OS, and CPUID.7.0:EBX.AVX2[5].
-TEXT ·cpuidHasAVX2(SB), NOSPLIT, $0-1
+// func cpuidWords() (maxLeaf, ecx1, ebx7, xcr0 uint32)
+//
+// The raw words x86Features decides from: CPUID leaf 0's EAX (the highest
+// basic leaf), leaf 1's ECX, leaf 7 subleaf 0's EBX and XCR0's low word.
+// Leaf 7 is read whatever leaf 0 says — a CPU answers an out-of-range leaf
+// with its highest basic leaf's data, which is harmless to read and which
+// x86Features discards. XGETBV faults unless the OS has set CR4.OSXSAVE,
+// which leaf 1 reports in ECX bit 27, so xcr0 is 0 without it.
+TEXT ·cpuidWords(SB), NOSPLIT, $0-16
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	MOVL AX, maxLeaf+0(FP)
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
+	MOVL CX, ecx1+4(FP)
 	MOVL CX, R8
-	ANDL $0x18000000, R8
-	CMPL R8, $0x18000000
-	JNE  novx
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  novx
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
-	ANDL $0x20, BX
-	JZ   novx
-	MOVB $1, ret+0(FP)
-	RET
+	MOVL BX, ebx7+8(FP)
+	MOVL $0, xcr0+12(FP)
+	TESTL $0x08000000, R8
+	JZ   cpudone
+	XORL CX, CX
+	XGETBV
+	MOVL AX, xcr0+12(FP)
 
-novx:
-	MOVB $0, ret+0(FP)
+cpudone:
 	RET
 
 // func denseForwardBlockASM(w, bias, x, y *float64, xStride, yStride, in, out int, xt *float64)
@@ -165,34 +169,29 @@ novx:
 // Four output neurons per iteration, four samples per vector lane. Y0..Y3
 // are the accumulators for neurons o..o+3; each k step broadcasts one weight
 // per neuron and does a separate VMULPD+VADDPD so every lane reproduces the
-// scalar "s += w*x" rounding sequence in ascending k order.
-//
-// xStride != 0: x is the first of four sample rows xStride elements apart,
-// gathered into the k-major tile xt first. xStride == 0: x already is that
-// tile. yStride != 0: y is the first of four output rows; each finished
-// neuron quad is transposed in registers and stored straight into them.
-// yStride == 0: y is an o-major tile (the layout the next layer reads).
+// scalar "s += w*x" rounding sequence in ascending k order. x is the first
+// of four sample rows xStride elements apart, gathered into the k-major tile
+// xt first; y is the first of four output rows yStride elements apart, and
+// each finished neuron quad is transposed in registers and stored straight
+// into them.
 TEXT ·denseForwardBlockASM(SB), NOSPLIT, $0-72
-	MOVQ x+16(FP), DX
+	MOVQ x+16(FP), R9
 	MOVQ xStride+32(FP), AX
 	MOVQ in+48(FP), CX
 	TESTQ CX, CX
 	JZ   fdone
-	TESTQ AX, AX
-	JZ   fcore
 	SHLQ $3, AX
-	MOVQ DX, R9
 	LEAQ (R9)(AX*1), R10
 	LEAQ (R10)(AX*1), R11
 	LEAQ (R11)(AX*1), R12
 	MOVQ xt+64(FP), DI
 	MOVQ DI, DX
-	GATHER4(CX, fgquad, fgtail, fcore)
+	GATHER4(CX, fgquad, fgtail, fgdone)
 	MOVQ w+0(FP), SI
 	MOVQ bias+8(FP), BX
 	MOVQ y+24(FP), DI
 	MOVQ yStride+40(FP), AX
-	SHLQ $3, AX           // output row stride in bytes (0: tile output)
+	SHLQ $3, AX           // output row stride in bytes
 	MOVQ out+56(FP), R8
 	MOVQ CX, R15
 	SHLQ $3, R15          // weight row stride in bytes
@@ -232,8 +231,6 @@ fkloop:
 	ADDQ $32, R13
 	DECQ R14
 	JNZ  fkloop
-	TESTQ AX, AX
-	JZ   fqtile
 	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 	LEAQ (DI)(AX*2), R9
 	VMOVUPD Y0, (DI)
@@ -241,16 +238,6 @@ fkloop:
 	VMOVUPD Y2, (R9)
 	VMOVUPD Y3, (R9)(AX*1)
 	ADDQ $32, DI
-	JMP  fqnext
-
-fqtile:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ $128, DI
-
-fqnext:
 	LEAQ (SI)(R15*4), SI
 	ADDQ $32, BX
 	SUBQ $4, R8
@@ -273,8 +260,6 @@ ftk:
 	ADDQ $32, R13
 	DECQ R14
 	JNZ  ftk
-	TESTQ AX, AX
-	JZ   fttile
 	VEXTRACTF128 $1, Y0, X1
 	LEAQ (DI)(AX*2), R9
 	VMOVLPD X0, (DI)
@@ -282,19 +267,225 @@ ftk:
 	VMOVLPD X1, (R9)
 	VMOVHPD X1, (R9)(AX*1)
 	ADDQ $8, DI
-	JMP  ftnext
-
-fttile:
-	VMOVUPD Y0, (DI)
-	ADDQ $32, DI
-
-ftnext:
 	ADDQ R15, SI
 	ADDQ $8, BX
 	DECQ R8
 	JMP  ftail
 
 fdone:
+	VZEROUPPER
+	RET
+
+// LANES8 adds one weight's products to the two ymm halves LO (lanes 0–3)
+// and HI (lanes 4–7) of one neuron's accumulator: the weight at W is
+// broadcast once and multiplied by the tile row's halves in Y8 and Y9.
+#define LANES8(W, LO, HI) \
+	VBROADCASTSD W, Y10; \
+	VMULPD Y8, Y10, Y11; \
+	VADDPD Y11, LO, LO; \
+	VMULPD Y9, Y10, Y12; \
+	VADDPD Y12, HI, HI
+
+// func inferTileAVX2(w, bias, x, y *float64, in, out int)
+//
+// One Dense layer over an 8-sample lane tile: x is k-major (x[k*8+lane]),
+// y is written o-major (y[o*8+lane]) — the layout the next layer reads as
+// its x. y[o*8+lane] = bias[o] + Σ_k w[o*in+k]·x[k*8+lane], one accumulator
+// per (neuron, lane) adding the products in ascending k with separate
+// VMULPD and VADDPD: the scalar Forward's rounding sequence in every lane.
+// Four neurons per pass, each neuron's eight lanes in two ymm halves that
+// share one weight broadcast, then the 0–3 neurons left over one at a time.
+TEXT ·inferTileAVX2(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), SI
+	MOVQ bias+8(FP), BX
+	MOVQ x+16(FP), DX
+	MOVQ y+24(FP), DI
+	MOVQ in+32(FP), CX
+	MOVQ out+40(FP), R8
+	MOVQ CX, R15
+	SHLQ $3, R15              // weight row stride in bytes
+	LEAQ (R15)(R15*2), AX     // three weight rows in bytes
+
+yquad:
+	CMPQ R8, $4
+	JLT  yone
+	MOVQ SI, R9               // neurons 0–2: (R9), (R9)(R15*1), (R9)(R15*2)
+	LEAQ (SI)(AX*1), R10      // neuron 3
+	VBROADCASTSD 0(BX), Y0
+	VMOVAPD Y0, Y1
+	VBROADCASTSD 8(BX), Y2
+	VMOVAPD Y2, Y3
+	VBROADCASTSD 16(BX), Y4
+	VMOVAPD Y4, Y5
+	VBROADCASTSD 24(BX), Y6
+	VMOVAPD Y6, Y7
+	MOVQ DX, R13
+	MOVQ CX, R14
+	TESTQ R14, R14
+	JZ   yqstore
+
+yqk:
+	VMOVUPD (R13), Y8
+	VMOVUPD 32(R13), Y9
+	LANES8((R9), Y0, Y1)
+	LANES8((R9)(R15*1), Y2, Y3)
+	LANES8((R9)(R15*2), Y4, Y5)
+	LANES8((R10), Y6, Y7)
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $64, R13
+	DECQ R14
+	JNZ  yqk
+
+yqstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, DI
+	LEAQ (SI)(R15*4), SI
+	ADDQ $32, BX
+	SUBQ $4, R8
+	JMP  yquad
+
+yone:
+	TESTQ R8, R8
+	JZ   ydone
+	VBROADCASTSD (BX), Y0
+	VMOVAPD Y0, Y1
+	MOVQ SI, R9
+	MOVQ DX, R13
+	MOVQ CX, R14
+	TESTQ R14, R14
+	JZ   yostore
+
+yok:
+	VMOVUPD (R13), Y8
+	VMOVUPD 32(R13), Y9
+	LANES8((R9), Y0, Y1)
+	ADDQ $8, R9
+	ADDQ $64, R13
+	DECQ R14
+	JNZ  yok
+
+yostore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ R15, SI
+	ADDQ $8, BX
+	DECQ R8
+	JMP  yone
+
+ydone:
+	VZEROUPPER
+	RET
+
+// LANE8 adds one weight's products to a neuron's zmm accumulator ACC: the
+// weight at W is broadcast from memory and multiplied by the tile row in Z8.
+#define LANE8(W, TMP, ACC) \
+	VMULPD.BCST W, Z8, TMP; \
+	VADDPD TMP, ACC, ACC
+
+// func inferTileAVX512(w, bias, x, y *float64, in, out int)
+//
+// inferTileAVX2's contract and layout with each neuron's eight lanes in one
+// zmm register: eight neurons per pass (Z0–Z7), then the 0–7 left over one
+// at a time. Every lane still does a separate multiply and add per k, in
+// ascending k, so the two kernels agree bit for bit.
+TEXT ·inferTileAVX512(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), SI
+	MOVQ bias+8(FP), BX
+	MOVQ x+16(FP), DX
+	MOVQ y+24(FP), DI
+	MOVQ in+32(FP), CX
+	MOVQ out+40(FP), R8
+	MOVQ CX, R15
+	SHLQ $3, R15              // weight row stride in bytes
+	LEAQ (R15)(R15*2), AX     // three weight rows in bytes
+
+zoct:
+	CMPQ R8, $8
+	JLT  zone
+	MOVQ SI, R9               // neurons 0–2: (R9), (R9)(R15*1), (R9)(R15*2)
+	LEAQ (SI)(AX*1), R10      // neurons 3–5
+	LEAQ (R10)(AX*1), R11     // neurons 6–7
+	VBROADCASTSD 0(BX), Z0
+	VBROADCASTSD 8(BX), Z1
+	VBROADCASTSD 16(BX), Z2
+	VBROADCASTSD 24(BX), Z3
+	VBROADCASTSD 32(BX), Z4
+	VBROADCASTSD 40(BX), Z5
+	VBROADCASTSD 48(BX), Z6
+	VBROADCASTSD 56(BX), Z7
+	MOVQ DX, R13
+	MOVQ CX, R14
+	TESTQ R14, R14
+	JZ   zostore
+
+zok:
+	VMOVUPD (R13), Z8
+	LANE8((R9), Z9, Z0)
+	LANE8((R9)(R15*1), Z10, Z1)
+	LANE8((R9)(R15*2), Z11, Z2)
+	LANE8((R10), Z12, Z3)
+	LANE8((R10)(R15*1), Z13, Z4)
+	LANE8((R10)(R15*2), Z14, Z5)
+	LANE8((R11), Z15, Z6)
+	LANE8((R11)(R15*1), Z16, Z7)
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $8, R11
+	ADDQ $64, R13
+	DECQ R14
+	JNZ  zok
+
+zostore:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ $512, DI
+	LEAQ (SI)(R15*8), SI
+	ADDQ $64, BX
+	SUBQ $8, R8
+	JMP  zoct
+
+zone:
+	TESTQ R8, R8
+	JZ   zdone
+	VBROADCASTSD (BX), Z0
+	MOVQ SI, R9
+	MOVQ DX, R13
+	MOVQ CX, R14
+	TESTQ R14, R14
+	JZ   z1store
+
+z1k:
+	VMOVUPD (R13), Z8
+	LANE8((R9), Z9, Z0)
+	ADDQ $8, R9
+	ADDQ $64, R13
+	DECQ R14
+	JNZ  z1k
+
+z1store:
+	VMOVUPD Z0, (DI)
+	ADDQ $64, DI
+	ADDQ R15, SI
+	ADDQ $8, BX
+	DECQ R8
+	JMP  zone
+
+zdone:
 	VZEROUPPER
 	RET
 

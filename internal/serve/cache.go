@@ -220,14 +220,58 @@ func (c *estimateCache) get(p query.Predicate, h, gen uint64) (float64, bool) {
 	return 0, false
 }
 
-// put inserts an answer computed by generation gen (the replica's, returned
-// by runOn). Within the probe group it prefers, in order: the same key
-// (refresh in place), an empty slot, a stale entry (old generation), then a
-// second-chance eviction of a live entry.
-func (c *estimateCache) put(p query.Predicate, h, gen uint64, card float64) {
-	sh := &c.shards[h&c.shardMask]
+// putMisses inserts one group's full-model answers, all computed by
+// generation gen (the replica's, returned by runOn): cards[j] is the answer
+// for group[miss[j]], whose hash is hashes[miss[j]]. It takes the lock of
+// each shard the group has rows in once, in ascending shard order, never two
+// at once, and inserts that shard's rows in group order — each shard sees
+// the same insert sequence as row-at-a-time inserts would give it. The entry
+// count and the eviction counter move once per group.
+func (c *estimateCache) putMisses(group []query.Predicate, hashes []uint64, miss []int, gen uint64, cards []float64) {
+	fresh, evicted := 0, 0
+	for s := range c.shards {
+		sh, locked := &c.shards[s], false
+		for j, i := range miss {
+			if hashes[i]&c.shardMask != uint64(s) {
+				continue
+			}
+			if !locked {
+				sh.mu.Lock()
+				locked = true
+			}
+			switch sh.insert(group[i], hashes[i], gen, cards[j], c.keyLen) {
+			case insertFresh:
+				fresh++
+			case insertEvicted:
+				evicted++
+			}
+		}
+		if locked {
+			sh.mu.Unlock()
+		}
+	}
+	if fresh > 0 {
+		c.live.Add(int64(fresh))
+		c.met.cacheEntries.Add(float64(fresh))
+	}
+	if evicted > 0 {
+		c.met.cacheEvictions.Add(int64(evicted))
+	}
+}
+
+// What one insert did to its probe group.
+const (
+	insertReused  = iota // overwrote the same key or a stale entry
+	insertFresh          // filled an empty slot
+	insertEvicted        // evicted a live same-generation entry
+)
+
+// insert writes p's answer into its probe group under sh.mu. Within the
+// group it prefers, in order: the same key (refresh in place), an empty
+// slot, a stale entry (old generation), then a second-chance eviction of a
+// live entry.
+func (sh *cacheShard) insert(p query.Predicate, h, gen uint64, card float64, keyLen int) int {
 	base := (h >> 32) & sh.mask
-	sh.mu.Lock()
 	victim, empty, stale := -1, -1, -1
 	for i := uint64(0); i < cacheWays; i++ {
 		slot := int((base + i) & sh.mask)
@@ -238,7 +282,7 @@ func (c *estimateCache) put(p query.Predicate, h, gen uint64, card float64) {
 			}
 			continue
 		}
-		if e.hash.Load() == h && sh.keyEqual(slot, c.keyLen, p) {
+		if e.hash.Load() == h && sh.keyEqual(slot, keyLen, p) {
 			victim = slot // same predicate: overwrite its slot
 			break
 		}
@@ -246,11 +290,11 @@ func (c *estimateCache) put(p query.Predicate, h, gen uint64, card float64) {
 			stale = slot
 		}
 	}
-	evicted, fresh := false, false
+	what := insertReused
 	switch {
 	case victim >= 0:
 	case empty >= 0:
-		victim, fresh = empty, true
+		victim, what = empty, insertFresh
 	case stale >= 0:
 		victim = stale
 	default:
@@ -271,15 +315,15 @@ func (c *estimateCache) put(p query.Predicate, h, gen uint64, card float64) {
 		if victim < 0 {
 			victim = int(base & sh.mask)
 		}
-		evicted = true
+		what = insertEvicted
 	}
 	e := &sh.ents[victim]
 	e.seq.Add(1) // odd: readers skip while the words below are in flux
 	e.hash.Store(h)
 	e.gen.Store(gen)
 	e.card.Store(math.Float64bits(card))
-	k := sh.keys[victim*c.keyLen : (victim+1)*c.keyLen]
-	d := c.keyLen / 2
+	k := sh.keys[victim*keyLen : (victim+1)*keyLen]
+	d := keyLen / 2
 	for i, v := range p.Lows {
 		k[i].Store(math.Float64bits(v))
 	}
@@ -288,13 +332,7 @@ func (c *estimateCache) put(p query.Predicate, h, gen uint64, card float64) {
 	}
 	e.used.Store(1)
 	e.seq.Add(1) // even: the entry is visible again
-	sh.mu.Unlock()
-	if fresh {
-		c.met.cacheEntries.Set(float64(c.live.Add(1)))
-	}
-	if evicted {
-		c.met.cacheEvictions.Inc()
-	}
+	return what
 }
 
 // entries reports how many slots hold an entry.

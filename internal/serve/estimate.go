@@ -212,9 +212,7 @@ func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float
 		// Invariant 2: only full-model answers are inserted. Fallback answers
 		// come back with generation 0 — a degraded answer served from cache
 		// after recovery would be a silent accuracy regression.
-		for j, i := range miss {
-			c.put(group[i], hashes[i], gen, mo[j])
-		}
+		c.putMisses(group, hashes, miss, gen, mo)
 	}
 	return gen, oc
 }
@@ -284,10 +282,11 @@ func (s *Server) admit(h HealthState, deadline time.Time, preds []query.Predicat
 //
 // Groups of two or more rows take the batched forward pass — the columnar
 // decode leaves preds in the contiguous layout EstimateAll's feature matrix
-// wants, and nn.InferBatch works in 4-row tiles. A one-row group calls
-// Estimate instead: EstimateAll pays its 4-row tile in full (5.3–6.0 µs vs
-// 4.6–4.8 µs on the benchmark's LM-mlp), and per the BatchEstimator
-// contract the two are bit-identical.
+// wants, and nn.InferBatch works in 8-row tiles. A one-row group calls
+// Estimate instead: EstimateAll of one row pays a zero-padded 8-row tile and
+// is no faster on the benchmark's LM-mlp (3.1–3.5 µs against 3.0–4.5 µs on a
+// 2-vCPU AVX-512 guest), and per the BatchEstimator contract the two are
+// bit-identical.
 func (s *Server) runOn(r *replica, preds []query.Predicate, out []float64, tr *obs.Trace) uint64 {
 	defer s.pool.checkin(r)
 	if tr != nil {

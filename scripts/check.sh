@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 verification flow: build, vet, warperlint, full test suite, a
-# module-wide race pass (training-heavy tests skip themselves under -short),
+# Tier-1 verification flow: build, vet (host and arm64), warperlint, full test
+# suite, a module-wide race pass (training-heavy tests skip themselves under -short),
 # the fault-injected chaos soak, and ten seconds of fuzzing per fuzz target.
 # This script is the flow: `make check` and the CI workflow both run it.
 set -eu
@@ -11,6 +11,11 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+# The non-amd64 side of every GOARCH-split pair (internal/nn's simd_other.go
+# stubs) is compiled by nothing else on an amd64 runner.
+echo "== GOARCH=arm64 go vet ./..."
+GOARCH=arm64 go vet ./...
 
 # The JSON report lands in warperlint.json for the CI artifact upload;
 # warperlint logs its load/analyze durations to stderr either way. The
