@@ -242,6 +242,8 @@ func (h *HEM) Step(arrivals []warper.Arrival) error {
 // WarperMethod adapts the warper.Adapter to the Method interface.
 type WarperMethod struct {
 	Adapter *warper.Adapter
+	// Reports holds every period's Report, in order.
+	Reports []warper.Report
 }
 
 // NewWarper wraps an Adapter.
@@ -252,20 +254,21 @@ func (w *WarperMethod) Name() string { return "Warper" }
 
 // Step implements Method.
 func (w *WarperMethod) Step(arrivals []warper.Arrival) error {
-	_, err := w.Adapter.Period(arrivals)
+	rep, err := w.Adapter.Period(arrivals)
+	w.Reports = append(w.Reports, rep)
 	return err
 }
 
 // Model implements Method.
 func (w *WarperMethod) Model() ce.Estimator { return w.Adapter.M }
 
-// AnnotationsSpent implements Method.
+// AnnotationsSpent implements Method: the ground-truth computations the
+// periods requested, re-annotated training queries included and labeled
+// arrivals excluded.
 func (w *WarperMethod) AnnotationsSpent() int {
 	n := 0
-	for _, e := range w.Adapter.Pool.Entries {
-		if e.Source != 0 && e.GT >= 0 { // non-train entries with labels
-			n++
-		}
+	for _, rep := range w.Reports {
+		n += rep.Annotated
 	}
 	return n
 }

@@ -171,6 +171,58 @@ func TestWarperMethodIntegration(t *testing.T) {
 	}
 }
 
+// TestWarperAnnotationsSpentCountsRequests: AnnotationsSpent is the sum of
+// what the periods requested, Report.Annotated. A c2 period's labeled
+// arrivals came for free and do not count; the training queries a c1 period
+// re-annotates do.
+func TestWarperAnnotationsSpentCountsRequests(t *testing.T) {
+	e := newEnv(t)
+	cfg := warper.DefaultConfig()
+	cfg.Hidden = 64
+	cfg.Depth = 2
+	cfg.NIters = 30
+	cfg.Gamma = 150
+	cfg.PickSize = 150
+	cfg.AnnotateBudget = 20
+	ad, err := warper.New(cfg, e.trainedLM(8), e.sch, e.ann, e.train)
+	if err != nil {
+		t.Fatalf("warper.New: %v", err)
+	}
+	wm := NewWarper(ad)
+
+	rng := rand.New(rand.NewSource(5))
+	g1 := workload.New("w1", e.tbl, e.sch, workload.Options{MaxConstrained: 2})
+	unlabeled := make([]warper.Arrival, 60)
+	for i := range unlabeled {
+		unlabeled[i] = warper.Arrival{Pred: g1.Gen(rng)}
+	}
+	sum := 0
+	for i, step := range []struct {
+		want     warper.Mode
+		arrivals []warper.Arrival
+		drift    func()
+	}{
+		{warper.C2, ArrivalsOf(e.newQ[:60], true), func() {}},
+		{warper.C1, unlabeled, func() { dataset.SortTruncateHalf(e.tbl, 0) }},
+	} {
+		step.drift()
+		if err := wm.Step(step.arrivals); err != nil {
+			t.Fatalf("period %d: %v", i+1, err)
+		}
+		rep := wm.Reports[i]
+		if rep.Detection.Mode != step.want {
+			t.Fatalf("period %d: mode %v, want %v", i+1, rep.Detection.Mode, step.want)
+		}
+		if rep.Annotated == 0 {
+			t.Errorf("period %d (%v) annotated nothing", i+1, rep.Detection.Mode)
+		}
+		sum += rep.Annotated
+		if got := wm.AnnotationsSpent(); got != sum {
+			t.Errorf("after period %d (%v): AnnotationsSpent %d, reports sum to %d", i+1, rep.Detection.Mode, got, sum)
+		}
+	}
+}
+
 func TestSplitPeriods(t *testing.T) {
 	arr := make([]warper.Arrival, 10)
 	ps := SplitPeriods(arr, 4)

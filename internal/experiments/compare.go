@@ -5,6 +5,8 @@ import (
 
 	"warper/internal/adapt"
 	"warper/internal/metrics"
+	"warper/internal/query"
+	"warper/internal/warper"
 )
 
 // Comparison aggregates one comparison: adaptation methods run on identical
@@ -19,14 +21,34 @@ type Comparison struct {
 	Curves map[string]*metrics.Curve
 	// Annotations maps method name to mean extra annotations spent.
 	Annotations map[string]float64
+	// Modes counts the Warper method's periods by detected drift mode, over
+	// every repetition.
+	Modes map[warper.Mode]int
 }
 
-// trial is one repetition of a comparison: the drift it measured and, per
-// method in the comparison's order, its curve and extra annotations.
+// trial is one repetition of a comparison: the drift it measured, per
+// method in the comparison's order its curve and extra annotations, and the
+// Warper method's period modes.
 type trial struct {
 	deltaM, deltaJS float64
 	curves          []*metrics.Curve
 	spent           []int
+	modes           []warper.Mode
+}
+
+// run drives every method through the same periods with adapt.Runner and
+// records what the trial keeps of each.
+func (t *trial) run(methods []adapt.Method, periods [][]warper.Arrival, test []query.Labeled) {
+	runner := &adapt.Runner{Test: test}
+	for _, m := range methods {
+		t.curves = append(t.curves, must(runner.Run(m, periods)))
+		t.spent = append(t.spent, m.AnnotationsSpent())
+		if w, ok := m.(*adapt.WarperMethod); ok {
+			for _, rep := range w.Reports {
+				t.modes = append(t.modes, rep.Detection.Mode)
+			}
+		}
+	}
 }
 
 // compare is the one comparison loop: repetition r runs with seed
@@ -37,6 +59,7 @@ func compare(sc Scale, seed, stride int64, methods []string, run func(seed int64
 		MethodOrder: methods,
 		Curves:      map[string]*metrics.Curve{},
 		Annotations: map[string]float64{},
+		Modes:       map[warper.Mode]int{},
 	}
 	aggs := make([]*aggCurve, len(methods))
 	for r := 0; r < sc.Runs; r++ {
@@ -48,6 +71,9 @@ func compare(sc Scale, seed, stride int64, methods []string, run func(seed int64
 		}
 		for i, n := range t.spent {
 			res.Annotations[methods[i]] += float64(n)
+		}
+		for _, m := range t.modes {
+			res.Modes[m]++
 		}
 	}
 	for i, name := range methods {
@@ -69,11 +95,7 @@ func RunC2(dsName, trainSpec, newSpec, model string, methodNames []string, sc Sc
 		env := NewEnv(dsName, trainSpec, newSpec, model, sc, runSeed)
 		t.deltaM, t.deltaJS = env.DeltaM, env.DeltaJS
 		periods := adapt.SplitPeriods(adapt.ArrivalsOf(env.Stream, true), sc.PeriodSize)
-		runner := &adapt.Runner{Test: env.Test}
-		for _, m := range env.Methods(methodNames, sc, runSeed+17) {
-			t.curves = append(t.curves, must(runner.Run(m, periods)))
-			t.spent = append(t.spent, m.AnnotationsSpent())
-		}
+		t.run(env.Methods(methodNames, sc, sc.gamma(), runSeed+17), periods, env.Test)
 		return t
 	})
 }

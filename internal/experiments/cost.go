@@ -40,7 +40,7 @@ func measureCosts(ds string, sc Scale, seed int64) costProfile {
 	prof.AnnotatePerQuery = w.Stop() / 10
 
 	// Warper: component build + a few invocations.
-	ad := env.NewWarperAdapter(sc, seed+7)
+	ad := env.NewWarperAdapter(env.Model.Clone(), sc, sc.gamma(), seed+7)
 	probeN := min(len(env.Stream), 80)
 	periods := adapt.SplitPeriods(adapt.ArrivalsOf(env.Stream[:probeN], true), probeN/2)
 	for _, p := range periods {

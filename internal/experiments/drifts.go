@@ -5,17 +5,17 @@ import (
 	"math/rand"
 
 	"warper/internal/adapt"
+	"warper/internal/annotator"
 	"warper/internal/ce"
 	"warper/internal/dataset"
 	"warper/internal/metrics"
 	"warper/internal/query"
 	"warper/internal/warper"
-	"warper/internal/workload"
 )
 
 // Table7c regenerates Table 7c: data drift (c1) and label-starved workload
-// drift (c3), LM-mlp, Warper's picker vs random annotation at an identical
-// budget.
+// drift (c3), LM-mlp, Warper's picker against random annotation at an
+// identical budget (runStarved).
 func Table7c(sc Scale, seed int64) []*Table {
 	t := &Table{
 		ID:     "Table 7c",
@@ -23,124 +23,69 @@ func Table7c(sc Scale, seed int64) []*Table {
 		Header: deltaHeader,
 	}
 	for _, ds := range datasets {
-		t.Rows = append(t.Rows, deltaRow(runC1(ds, sc, seed), ds, "c1", "w1-5", "LM-mlp"))
+		t.Rows = append(t.Rows, deltaRow(runStarved(ds, "w12345", "w12345", sc, seed), ds, "c1", "w1-5", "LM-mlp"))
 	}
 	for _, ds := range datasets {
-		t.Rows = append(t.Rows, deltaRow(runC3(ds, sc, seed), ds, "c3", "w12/345", "LM-mlp"))
+		t.Rows = append(t.Rows, deltaRow(runStarved(ds, "w12", "w345", sc, seed), ds, "c3", "w12/345", "LM-mlp"))
 	}
 	return []*Table{t}
 }
 
-// runC1 reproduces the c1 construction of §4.1.2: the table is sorted by one
-// column and truncated in half; every stored label goes stale; the workload
-// is unchanged. Warper's error-stratified picker chooses which training
-// queries to re-annotate; the FT baseline re-annotates uniformly at random
-// with the same per-period budget.
-func runC1(ds string, sc Scale, seed int64) *Comparison {
+// runStarved is Table 7c's comparison: FT against Warper over arrivals that
+// carry no labels, each spending at most b = PeriodSize/2 annotations per
+// period. FT labels b of a period's arrivals drawn uniformly at random;
+// Warper spends its b (AnnotateBudget) on what its picker chooses. γ is the
+// period size, so a period's arrivals are adequate in number and short only
+// of labels: a workload drift is c3, never c2.
+//
+// An unchanged workload is the c1 construction of §4.1.2: the table is
+// sorted by one column and truncated in half, every stored label goes stale,
+// and the test set and the δ_m oracle are relabelled after the drift.
+func runStarved(ds, trainSpec, newSpec string, sc Scale, seed int64) *Comparison {
+	b := sc.PeriodSize / 2
+	sc.Warper.AnnotateBudget = b
 	return compare(sc, seed, 104729, ftWarper, func(runSeed int64) (t trial) {
-		rng := rand.New(rand.NewSource(runSeed))
-		env := NewEnv(ds, "w12345", "w12345", "lm-mlp", sc, runSeed)
-
-		// Data drift: sort by column 0 and truncate in half.
-		dataset.SortTruncateHalf(env.Tbl, 0)
-		// The test set carries post-drift ground truth for the unchanged
-		// workload.
-		test := must(env.Ann.AnnotateAll(context.Background(), workload.Generate(env.TrainGen, sc.TestSize, rng)))
-
-		// Oracle for δ_m: trained exclusively on post-drift labels.
-		oracle := NewModel("lm-mlp", env.Sch, runSeed+3)
-		check(oracle.Train(must(env.Ann.AnnotateAll(context.Background(), workload.Generate(env.TrainGen, sc.StreamSize, rng)))))
-		t.deltaM = metrics.DeltaM(ce.EvalGMQ(env.Model, test), ce.EvalGMQ(oracle, test))
-		// δ_js is 0 by construction: the workload did not change.
-
-		budget := sc.PeriodSize
-		periods := sc.StreamSize / sc.PeriodSize
-
-		// FT baseline: re-annotate `budget` random training queries per
-		// period and fine-tune on them.
-		ftModel := env.Model.Clone()
-		ftCurve := &metrics.Curve{}
-		ftCurve.Append(0, ce.EvalGMQ(ftModel, test))
-		perm := rng.Perm(len(env.Train))
-		used := 0
-		for p := 0; p < periods; p++ {
-			var batch []query.Labeled
-			for i := 0; i < budget && used < len(perm); i++ {
-				lq := env.Train[perm[used]]
-				used++
-				batch = append(batch, query.Labeled{Pred: lq.Pred, Card: must(env.Ann.Count(context.Background(), lq.Pred))})
-			}
-			if len(batch) == 0 {
-				break
-			}
-			check(ftModel.Update(batch))
-			ftCurve.Append(float64(used), ce.EvalGMQ(ftModel, test))
-		}
-
-		// Warper: the adapter detects c1 via telemetry and uses the
-		// error-stratified picker under the same per-period budget.
-		ad := env.NewWarperAdapter(sc, runSeed+11)
-		ad.Cfg.AnnotateBudget = budget
-		wCurve := &metrics.Curve{}
-		wCurve.Append(0, ce.EvalGMQ(ad.M, test))
-		spent := 0
-		for p := 0; p < periods; p++ {
-			arrivals := make([]warper.Arrival, budget/2)
-			for i := range arrivals {
-				pr := env.TrainGen.Gen(rng)
-				arrivals[i] = warper.Arrival{Pred: pr, GT: must(env.Ann.Count(context.Background(), pr)), HasGT: true}
-			}
-			rep := must(ad.Period(arrivals))
-			spent += rep.Annotated
-			wCurve.Append(float64(spent), ce.EvalGMQ(ad.M, test))
-		}
-		t.curves = []*metrics.Curve{ftCurve, wCurve}
-		return t
-	})
-}
-
-// runC3 reproduces the c3 scenario: the workload drifts but arrivals carry
-// no labels; both methods annotate with the same per-period budget — FT
-// picks uniformly at random, Warper uses the stratified picker.
-func runC3(ds string, sc Scale, seed int64) *Comparison {
-	return compare(sc, seed, 104729, ftWarper, func(runSeed int64) (t trial) {
-		rng := rand.New(rand.NewSource(runSeed))
-		env := NewEnv(ds, "w12", "w345", "lm-mlp", sc, runSeed)
+		env := NewEnv(ds, trainSpec, newSpec, "lm-mlp", sc, runSeed)
+		test := env.Test
 		t.deltaM, t.deltaJS = env.DeltaM, env.DeltaJS
-
-		budget := sc.PeriodSize / 2
-		periods := adapt.SplitPeriods(adapt.ArrivalsOf(env.Stream, false), sc.PeriodSize)
-
-		// FT baseline: annotate `budget` random arrivals per period.
-		ftModel := env.Model.Clone()
-		ftCurve := &metrics.Curve{}
-		ftCurve.Append(0, ce.EvalGMQ(ftModel, env.Test))
-		spent := 0
-		for _, period := range periods {
-			var batch []query.Labeled
-			idx := rng.Perm(len(period))
-			for i := 0; i < budget && i < len(idx); i++ {
-				pr := period[idx[i]].Pred
-				batch = append(batch, query.Labeled{Pred: pr, Card: must(env.Ann.Count(context.Background(), pr))})
-				spent++
-			}
-			check(ftModel.Update(batch))
-			ftCurve.Append(float64(spent), ce.EvalGMQ(ftModel, env.Test))
+		if trainSpec == newSpec {
+			dataset.SortTruncateHalf(env.Tbl, 0)
+			test = must(env.Ann.AnnotateAll(context.Background(), predsOf(env.Test)))
+			oracle := NewModel("lm-mlp", env.Sch, runSeed+3)
+			check(oracle.Train(must(env.Ann.AnnotateAll(context.Background(), predsOf(env.Stream)))))
+			// δ_js is 0 by construction: the workload did not change.
+			t.deltaM, t.deltaJS = metrics.DeltaM(ce.EvalGMQ(env.Model, test), ce.EvalGMQ(oracle, test)), 0
 		}
-
-		// Warper with the same budget.
-		ad := env.NewWarperAdapter(sc, runSeed+11)
-		ad.Cfg.AnnotateBudget = budget
-		ad.Cfg.GenFraction = 0.001 // c3: picker only, no generation
-		wCurve := &metrics.Curve{}
-		wCurve.Append(0, ce.EvalGMQ(ad.M, env.Test))
-		wSpent := 0
-		for _, period := range periods {
-			rep := must(ad.Period(period))
-			wSpent += rep.Annotated
-			wCurve.Append(float64(wSpent), ce.EvalGMQ(ad.M, env.Test))
-		}
-		t.curves = []*metrics.Curve{ftCurve, wCurve}
+		methods := env.Methods(ftWarper, sc, sc.PeriodSize, runSeed+17)
+		methods[0] = &starvedFT{Method: methods[0], ann: env.Ann, b: b, rng: rand.New(rand.NewSource(runSeed + 17))}
+		t.run(methods, adapt.SplitPeriods(adapt.ArrivalsOf(env.Stream, false), sc.PeriodSize), test)
 		return t
 	})
 }
+
+// starvedFT wraps FT for arrivals that carry no labels: each period it
+// annotates b of them, drawn uniformly at random, and steps FT on those.
+type starvedFT struct {
+	adapt.Method
+	ann   *annotator.Annotator
+	b     int
+	rng   *rand.Rand
+	spent int
+}
+
+// Step implements adapt.Method.
+func (f *starvedFT) Step(arrivals []warper.Arrival) error {
+	var preds []query.Predicate
+	for _, i := range f.rng.Perm(len(arrivals))[:min(f.b, len(arrivals))] {
+		preds = append(preds, arrivals[i].Pred)
+	}
+	labeled, err := f.ann.AnnotateAll(context.Background(), preds)
+	if err != nil {
+		return err
+	}
+	f.spent += len(labeled)
+	return f.Method.Step(adapt.ArrivalsOf(labeled, true))
+}
+
+// AnnotationsSpent implements adapt.Method.
+func (f *starvedFT) AnnotationsSpent() int { return f.spent }

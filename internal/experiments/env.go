@@ -65,15 +65,17 @@ func NewEnv(dsName, trainSpec, newSpec, model string, sc Scale, seed int64) *Env
 	oracle := NewModel(model, sch, seed+2)
 	check(oracle.Train(e.Stream))
 	e.DeltaM = metrics.DeltaM(ce.EvalGMQ(e.Model, e.Test), ce.EvalGMQ(oracle, e.Test))
-	var trainPreds, newPreds []query.Predicate
-	for _, lq := range e.Train {
-		trainPreds = append(trainPreds, lq.Pred)
-	}
-	for _, lq := range e.Stream {
-		newPreds = append(newPreds, lq.Pred)
-	}
-	e.DeltaJS = drift.DeltaJS(newPreds, trainPreds, sch)
+	e.DeltaJS = drift.DeltaJS(predsOf(e.Stream), predsOf(e.Train), sch)
 	return e
+}
+
+// predsOf returns the predicates of labeled queries.
+func predsOf(lqs []query.Labeled) []query.Predicate {
+	out := make([]query.Predicate, len(lqs))
+	for i, lq := range lqs {
+		out[i] = lq.Pred
+	}
+	return out
 }
 
 // defaultRows are the per-dataset row counts tuned for the default scale
@@ -101,45 +103,63 @@ func NewModel(name string, sch *query.Schema, seed int64) ce.Estimator {
 	return ce.NewLM(v, sch, seed)
 }
 
-// NewWarperAdapter builds an Adapter over a clone of the env's model (so
-// methods compare from identical starting weights).
-func (e *Env) NewWarperAdapter(sc Scale, seed int64) *warper.Adapter {
+// NewWarperAdapter builds an Adapter at the scale's Warper configuration,
+// with γ = gamma, over m: a clone of the env's model, so methods compare
+// from identical starting weights.
+func (e *Env) NewWarperAdapter(m ce.Estimator, sc Scale, gamma int, seed int64) *warper.Adapter {
 	cfg := sc.Warper
-	cfg.Seed = seed
-	cfg.Gamma = sc.gamma()
-	return must(warper.New(cfg, e.Model.Clone(), e.Sch, e.Ann, e.Train))
+	cfg.Seed, cfg.Gamma = seed, gamma
+	return must(warper.New(cfg, m, e.Sch, e.Ann, e.Train))
 }
 
-// Methods builds the named adaptation methods over clones of the env model.
-// Recognized names: FT, MIX, AUG, HEM, Warper, Warper:rnd, Warper:entropy,
-// Warper:augGen.
-func (e *Env) Methods(names []string, sc Scale, seed int64) []adapt.Method {
-	var out []adapt.Method
+// methodSeeds lists every method Methods builds, in the one order it takes
+// their model clones, each with its seed offset: its Figure 6 position,
+// which Warper's Table 10 variants share. A clone seeds its RNG from the env
+// model's, so the k-th clone differs from the (k+1)-th; cloning for every
+// method in this order, and seeding by name, makes a method's run depend
+// only on the run seed and its name, never on the rest of the lineup.
+var methodSeeds = []struct {
+	name   string
+	offset int64
+}{
+	{"FT", 0}, {"MIX", 1000}, {"AUG", 2000}, {"HEM", 3000},
+	{"Warper", 4000}, {"Warper:rnd", 4000}, {"Warper:entropy", 4000}, {"Warper:augGen", 4000},
+}
+
+// Methods builds the named adaptation methods over clones of the env model,
+// Warper and its variants with γ = gamma.
+func (e *Env) Methods(names []string, sc Scale, gamma int, seed int64) []adapt.Method {
+	clones, seeds := map[string]ce.Estimator{}, map[string]int64{}
+	for _, ms := range methodSeeds {
+		clones[ms.name], seeds[ms.name] = e.Model.Clone(), seed+ms.offset
+	}
+	out := make([]adapt.Method, len(names))
 	for i, name := range names {
-		s := seed + int64(i)*1000
+		m, s := clones[name], seeds[name]
+		adapter := func() *warper.Adapter { return e.NewWarperAdapter(m, sc, gamma, s) }
 		switch name {
 		case "FT":
-			out = append(out, adapt.NewFT(e.Model.Clone(), e.Train))
+			out[i] = adapt.NewFT(m, e.Train)
 		case "MIX":
-			out = append(out, adapt.NewMIX(e.Model.Clone(), e.Train, s))
+			out[i] = adapt.NewMIX(m, e.Train, s)
 		case "AUG":
-			out = append(out, adapt.NewAUG(e.Model.Clone(), e.Sch, e.Ann, e.Train, s))
+			out[i] = adapt.NewAUG(m, e.Sch, e.Ann, e.Train, s)
 		case "HEM":
-			out = append(out, adapt.NewHEM(e.Model.Clone(), e.Sch, e.Ann, e.Train, s))
+			out[i] = adapt.NewHEM(m, e.Sch, e.Ann, e.Train, s)
 		case "Warper":
-			out = append(out, adapt.NewWarper(e.NewWarperAdapter(sc, s)))
+			out[i] = adapt.NewWarper(adapter())
 		case "Warper:rnd":
-			ad := e.NewWarperAdapter(sc, s)
+			ad := adapter()
 			ad.Picker.Strategy = warper.StrategyRandom
-			out = append(out, named{adapt.NewWarper(ad), "Warper:rnd"})
+			out[i] = named{adapt.NewWarper(ad), name}
 		case "Warper:entropy":
-			ad := e.NewWarperAdapter(sc, s)
+			ad := adapter()
 			ad.Picker.Strategy = warper.StrategyEntropy
-			out = append(out, named{adapt.NewWarper(ad), "Warper:entropy"})
+			out[i] = named{adapt.NewWarper(ad), name}
 		case "Warper:augGen":
-			ad := e.NewWarperAdapter(sc, s)
+			ad := adapter()
 			ad.GenFunc = e.augGenFunc(s)
-			out = append(out, named{adapt.NewWarper(ad), "Warper:augGen"})
+			out[i] = named{adapt.NewWarper(ad), name}
 		default:
 			panic(fmt.Sprintf("experiments: unknown method %q", name))
 		}

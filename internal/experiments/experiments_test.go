@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -93,6 +94,25 @@ func TestRunC2ProducesConsistentCurves(t *testing.T) {
 	}
 }
 
+// TestRunC2LineupIndependent: a method's run depends only on the run seed
+// and its name, so FT's and Warper's curves are the same bits whatever other
+// methods run beside them.
+func TestRunC2LineupIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training-heavy; skipped under -short (race pass)")
+	}
+	sc := smokeScale()
+	want := RunC2("prsa", "w12", "w345", "lm-mlp", ftWarper, sc, 5)
+	for _, lineup := range [][]string{{"FT", "MIX", "Warper"}, {"FT", "HEM", "Warper"}} {
+		got := RunC2("prsa", "w12", "w345", "lm-mlp", lineup, sc, 5)
+		for _, m := range ftWarper {
+			if !reflect.DeepEqual(got.Curves[m], want.Curves[m]) {
+				t.Errorf("lineup %v: %s curve %v, %v in the lineup %v", lineup, m, got.Curves[m].GMQ, want.Curves[m].GMQ, ftWarper)
+			}
+		}
+	}
+}
+
 func TestEnvDriftMetricsPopulated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training-heavy; skipped under -short (race pass)")
@@ -132,19 +152,19 @@ func TestEnvUnknownInputsPanic(t *testing.T) {
 var smokeDigests = map[string]uint64{
 	"ext-histogram": 0xf0cf969a4fe0933d,
 	"fig1":          0xe6d882fb63421953,
-	"fig10":         0x76f738489443f22c,
-	"fig11":         0x81abfd22b7a9c3d9,
+	"fig10":         0x6632f99e375f7cb,
+	"fig11":         0xb1431caddfa91b60,
 	"fig5":          0xb8d0513ba6849682,
 	"fig6":          0xbb0964fccd904821,
 	"fig7":          0xf5d3d7feb965183,
 	"fig8":          0xe9fb43ff941263a,
 	"fig9":          0xc25bcb695612769c,
-	"table10":       0x7194a54d3d435bef,
-	"table7a":       0x6cd461a6ec6094b5,
-	"table7b":       0xfeb30deaf2fcaf68,
-	"table7c":       0x940a67fd09af0f28,
+	"table10":       0x732b005b1e3803f2,
+	"table7a":       0xf1c2831fd4e0fd91,
+	"table7b":       0x41a7a8f4ffacbcae,
+	"table7c":       0x7cf3e0367b736cb5,
 	"table7d":       0x80a555e273919847,
-	"table8":        0x62f5db4ef2eecb91,
+	"table8":        0x61590afa91a25444,
 	"table9":        0x416ed26ac449fcc7,
 }
 

@@ -80,7 +80,7 @@ func Fig5(sc Scale, seed int64) []*Table {
 // rather than the training one. Rows report centroid distances in PCA space.
 func Fig7(sc Scale, seed int64) []*Table {
 	env := NewEnv("prsa", "w12", "w345", "lm-mlp", sc, seed)
-	ad := env.NewWarperAdapter(sc, seed+17)
+	ad := env.NewWarperAdapter(env.Model.Clone(), sc, sc.gamma(), seed+17)
 	periods := adapt.SplitPeriods(adapt.ArrivalsOf(env.Stream, true), sc.PeriodSize)
 	for _, p := range periods {
 		must(ad.Period(p))

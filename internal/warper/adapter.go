@@ -84,6 +84,9 @@ const (
 	minLabelFraction = 0.5
 	// fallbackSampleRate is the row-sample rate of that fallback.
 	fallbackSampleRate = 0.1
+	// canaries is the number of canary predicates New draws from 𝕀train
+	// for data-drift telemetry.
+	canaries = 10
 )
 
 // New builds an Adapter around a previously trained CE model. It fails only
@@ -123,17 +126,17 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 	for _, lq := range trainSet {
 		trainPreds = append(trainPreds, lq.Pred)
 	}
-	probes := make([]query.Predicate, min(cfg.Canaries, len(trainPreds)))
+	probes := make([]query.Predicate, min(canaries, len(trainPreds)))
 	for i := range probes {
 		probes[i] = trainPreds[rng.Intn(len(trainPreds))].Clone()
 	}
-	canaries, err := drift.NewCanaries(context.Background(), probes, ann)
+	can, err := drift.NewCanaries(context.Background(), probes, ann)
 	if err != nil {
 		return nil, err
 	}
 	a.det = &detector{
 		sch:        sch,
-		canaries:   canaries,
+		canaries:   can,
 		trainPreds: trainPreds,
 		trainGMQ:   trainGMQ,
 		pi:         initialPi,

@@ -42,7 +42,6 @@ func adapterCfg() Config {
 	c.NIters = 50
 	c.Gamma = 150
 	c.PickSize = 150
-	c.Canaries = 5
 	return c
 }
 

@@ -36,12 +36,6 @@ type Config struct {
 	// model, estimated offline from the training curve and tuned online.
 	Gamma int
 
-	// Canaries is the number of canary predicates for data-drift telemetry.
-	// Every caller outside the tests leaves it at 10; it stays a field
-	// because the canary draws share the adapter's RNG stream and
-	// TestGoldenBitsLM/TestGoldenBitsMSCN were pinned at 5.
-	Canaries int
-
 	// Seed drives all of Warper's internal randomness.
 	Seed int64
 }
@@ -57,7 +51,6 @@ func DefaultConfig() Config {
 		PickSize:       1000,
 		AnnotateBudget: 0,
 		Gamma:          400,
-		Canaries:       10,
 		Seed:           1,
 	}
 }
@@ -84,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Gamma <= 0 {
 		c.Gamma = d.Gamma
-	}
-	if c.Canaries <= 0 {
-		c.Canaries = d.Canaries
 	}
 	return c
 }

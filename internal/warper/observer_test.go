@@ -191,7 +191,7 @@ func TestFailedPeriodsKeepTheClock(t *testing.T) {
 	// Aborted inside annotate.
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
-	e.ad.SetSource(&cancelAfter{Source: e.ann, n: e.ad.Cfg.Canaries, cancel: cancel})
+	e.ad.SetSource(&cancelAfter{Source: e.ann, n: canaries, cancel: cancel})
 	rep, err = clockedPeriod(t, e.ad, ctx, arrivalsOf(e.newQ[:40], false))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("period cancelled mid-annotation returned %v", err)

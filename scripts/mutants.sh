@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The algorithm's mutation table (DESIGN.md §13, "The algorithm under
 # mutation"): each mutant breaks one part of Warper on a temporary copy of
-# this checkout, then the three paper-fidelity gates run against it (`go test -run TestFidelity ./internal/experiments`,
+# this checkout, then the four paper-fidelity gates run against it (`go test -run TestFidelity ./internal/experiments`,
 # seeds 1–3 at QuickScale). One line per mutant names the gates that went
 # red, or "none", plus the Figure 7 spread median the run logged. M0 is the
-# unmutated tree. About 15 s per mutant.
+# unmutated tree. About 10 s per mutant.
 #
 #	scripts/mutants.sh            # M0 and M1–M8
 #	scripts/mutants.sh M3 M5      # just these
@@ -18,7 +18,7 @@ methods=internal/experiments/env.go
 adapter=internal/warper/adapter.go
 picker=internal/warper/picker.go
 components=internal/warper/components.go
-warperCase='out = append(out, adapt.NewWarper(e.NewWarperAdapter(sc, s)))'
+warperCase='out[i] = adapt.NewWarper(adapter())'
 detected='rep.Detection, rep.TelemetryDegraded = det, det.TelemetryDegraded'
 
 describe() {
@@ -48,13 +48,13 @@ patch() {
 mutate() {
 	case $1 in
 	M0) ;;
-	M1) patch $methods "$warperCase" 'ad := e.NewWarperAdapter(sc, s); ad.Picker.Strategy = warper.StrategyRandom; out = append(out, adapt.NewWarper(ad))' ;;
-	M2) patch $methods "$warperCase" 'ad := e.NewWarperAdapter(sc, s); ad.GenFunc = e.augGenFunc(s); out = append(out, adapt.NewWarper(ad))' ;;
+	M1) patch $methods "$warperCase" 'ad := adapter(); ad.Picker.Strategy = warper.StrategyRandom; out[i] = adapt.NewWarper(ad)' ;;
+	M2) patch $methods "$warperCase" 'ad := adapter(); ad.GenFunc = e.augGenFunc(s); out[i] = adapt.NewWarper(ad)' ;;
 	M3) patch $adapter "$detected" "det.Mode = C2; $detected" ;;
 	M4) patch $adapter "$detected" "det.Mode = ModeNone; $detected" ;;
 	M5) patch $components 'genAdvWeight    = 0.2' 'genAdvWeight    = 0' ;;
 	M6) patch $picker 'errorBuckets = 5' 'errorBuckets = 1' ;;
-	M7) patch $methods "$warperCase" 'out = append(out, named{adapt.NoAdapt{M: e.Model.Clone()}, "Warper"})' ;;
+	M7) patch $methods "$warperCase" 'out[i] = named{adapt.NoAdapt{M: m}, name}' ;;
 	M8) patch $adapter 'return a.Picker.PickStratified(a.M, labeled, a.Pool.Unlabeled(pool.SrcNew), n, a.rng)' \
 		'_ = labeled; cands := a.Pool.Unlabeled(pool.SrcNew); return cands[:min(n, len(cands))]' ;;
 	esac
