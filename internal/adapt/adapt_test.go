@@ -150,7 +150,6 @@ func TestWarperMethodIntegration(t *testing.T) {
 	cfg := warper.DefaultConfig()
 	cfg.Hidden = 64
 	cfg.Depth = 2
-	cfg.NIters = 50
 	cfg.Gamma = 150
 	cfg.PickSize = 150
 	ad, err := warper.New(cfg, lm, e.sch, e.ann, e.train)
@@ -180,7 +179,6 @@ func TestWarperAnnotationsSpentCountsRequests(t *testing.T) {
 	cfg := warper.DefaultConfig()
 	cfg.Hidden = 64
 	cfg.Depth = 2
-	cfg.NIters = 30
 	cfg.Gamma = 150
 	cfg.PickSize = 150
 	cfg.AnnotateBudget = 20

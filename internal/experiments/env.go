@@ -123,7 +123,7 @@ var methodSeeds = []struct {
 	offset int64
 }{
 	{"FT", 0}, {"MIX", 1000}, {"AUG", 2000}, {"HEM", 3000},
-	{"Warper", 4000}, {"Warper:rnd", 4000}, {"Warper:entropy", 4000}, {"Warper:augGen", 4000},
+	{"Warper", 4000}, {"Warper:rnd", 4000}, {"Warper:augGen", 4000},
 }
 
 // Methods builds the named adaptation methods over clones of the env model,
@@ -152,10 +152,6 @@ func (e *Env) Methods(names []string, sc Scale, gamma int, seed int64) []adapt.M
 			ad := adapter()
 			ad.Picker.Strategy = warper.StrategyRandom
 			out[i] = named{adapt.NewWarper(ad), name}
-		case "Warper:entropy":
-			ad := adapter()
-			ad.Picker.Strategy = warper.StrategyEntropy
-			out[i] = named{adapt.NewWarper(ad), name}
 		case "Warper:augGen":
 			ad := adapter()
 			ad.GenFunc = e.augGenFunc(s)
@@ -167,7 +163,7 @@ func (e *Env) Methods(names []string, sc Scale, gamma int, seed int64) []adapt.M
 	return out
 }
 
-// augGenFunc is the Table 10 "𝔾→AUG" ablation: replace the GAN generator
+// augGenFunc is the Table 10 "𝔾→AUG" ablation: replace the generator 𝔾
 // with AUG's Gaussian noise (adapt.Noisy) around the newly arrived queries
 // in the pool.
 func (e *Env) augGenFunc(seed int64) func(p *pool.Pool, n int) []query.Predicate {

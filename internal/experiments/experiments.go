@@ -38,7 +38,6 @@ func DefaultScale() Scale {
 	cfg := warper.DefaultConfig()
 	cfg.Hidden = 64
 	cfg.Depth = 2
-	cfg.NIters = 60
 	cfg.PickSize = 400
 	return Scale{
 		TrainSize:  600,
@@ -60,7 +59,6 @@ func QuickScale() Scale {
 	s.TestSize = 80
 	s.Runs = 1
 	s.Rows = 1500
-	s.Warper.NIters = 30
 	s.Warper.PickSize = 150
 	return s
 }

@@ -16,7 +16,6 @@ func smokeScale() Scale {
 	s.PeriodSize = 20
 	s.TestSize = 50
 	s.Rows = 1000
-	s.Warper.NIters = 15
 	s.Warper.PickSize = 80
 	return s
 }
@@ -151,20 +150,20 @@ func TestEnvUnknownInputsPanic(t *testing.T) {
 // with the cause named in CHANGES.md (and regenerate results_full.txt).
 var smokeDigests = map[string]uint64{
 	"ext-histogram": 0xf0cf969a4fe0933d,
-	"fig1":          0xe6d882fb63421953,
-	"fig10":         0x6632f99e375f7cb,
-	"fig11":         0xb1431caddfa91b60,
+	"fig1":          0xab55f01f46001195,
+	"fig10":         0xdc53d9d6d02e7541,
+	"fig11":         0x599ca2d07cd5d321,
 	"fig5":          0xb8d0513ba6849682,
-	"fig6":          0xbb0964fccd904821,
-	"fig7":          0xf5d3d7feb965183,
-	"fig8":          0xe9fb43ff941263a,
-	"fig9":          0xc25bcb695612769c,
-	"table10":       0x732b005b1e3803f2,
-	"table7a":       0xf1c2831fd4e0fd91,
-	"table7b":       0x41a7a8f4ffacbcae,
-	"table7c":       0x7cf3e0367b736cb5,
+	"fig6":          0x23e7d4074680c53b,
+	"fig7":          0xe22c8dc27828c0e4,
+	"fig8":          0xb9e0101c3a4a5713,
+	"fig9":          0xb1b04458b70a4f05,
+	"table10":       0x190ccf0e6a077c54,
+	"table7a":       0x2fd0cb12b7ca54d6,
+	"table7b":       0xaecd75ee4e886949,
+	"table7c":       0xde7f726d1ee29808,
 	"table7d":       0x80a555e273919847,
-	"table8":        0x61590afa91a25444,
+	"table8":        0x2820d1bf0deb6f64,
 	"table9":        0x416ed26ac449fcc7,
 }
 

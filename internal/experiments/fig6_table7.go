@@ -105,14 +105,16 @@ func Fig8(sc Scale, seed int64) []*Table {
 	return out
 }
 
-// Table10 regenerates Table 10: ablations replacing the picker ℙ (random,
-// entropy) and the generator 𝔾 (AUG noise).
+// Table10 regenerates Table 10: ablations replacing the picker ℙ (random)
+// and the generator 𝔾 (AUG noise). The paper's third column, ℙ → entropy,
+// needs the discriminator's confidence, which this implementation does not
+// train.
 func Table10(sc Scale, seed int64) []*Table {
-	methods := []string{"FT", "Warper", "Warper:rnd", "Warper:entropy", "Warper:augGen"}
+	methods := []string{"FT", "Warper", "Warper:rnd", "Warper:augGen"}
 	t := &Table{
 		ID:     "Table 10",
 		Title:  "Ablations: replacing learned Warper components (c2, w12/345, LM-mlp)",
-		Header: []string{"Metric", "Dataset", "Warper", "P->rnd", "P->entropy", "G->AUG"},
+		Header: []string{"Metric", "Dataset", "Warper", "P->rnd", "G->AUG"},
 	}
 	for _, ds := range []string{"prsa", "poker"} {
 		res := RunC2(ds, "w12", "w345", "lm-mlp", methods, sc, seed)

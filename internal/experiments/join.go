@@ -15,7 +15,7 @@ import (
 // IMDB-like star schema under workload drift c2 (the paper drifts the
 // predicate style w4 → w1 while keeping the join templates).
 //
-// Warper's single-table GAN does not directly synthesize join queries;
+// Warper's single-table generator does not directly synthesize join queries;
 // following the paper's design (Warper "applies directly to the predicates
 // that the model can support"), the generator here synthesizes per-table
 // predicates from the new workload's predicate distribution and grafts them

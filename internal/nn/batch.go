@@ -40,7 +40,7 @@ type scratch struct {
 	grads    []Mat
 	lossG    Mat
 
-	tmp []float64 // maxW: softmax scratch, denseGradW partial-sum row
+	tmp []float64 // maxW: denseGradW partial-sum row
 	// tile is the SIMD lane scratch: two inferLanes*maxW halves for
 	// InferBatch's block, the first 4*maxW for the training kernels' gathers.
 	tile []float64
@@ -307,19 +307,6 @@ func (n *Network) BatchBackward(gradOut Mat, scale float64) Mat {
 		}
 		return Mat{}
 	}
-	sc := n.backwardData(gradOut)
-	sc.gradW(scale)
-	return sc.grads[0]
-}
-
-// BatchBackwardData is BatchBackward without the parameter gradients: it only
-// computes dLoss/dInput and leaves every p.G alone. The GAN generator step
-// uses it to chain gradients through the frozen discriminator and encoder.
-func (n *Network) BatchBackwardData(gradOut Mat) Mat {
-	return n.backwardData(gradOut).grads[0]
-}
-
-func (n *Network) backwardData(gradOut Mat) *scratch {
 	sc := n.sc
 	if sc == nil || !sc.fwdOK || sc.rows != gradOut.Rows || gradOut.Cols != sc.widths[len(sc.widths)-1] {
 		panic("nn: BatchBackward requires a matching BatchForward") //lint:allow panicfree out-of-order batch API use is a programmer error
@@ -328,7 +315,8 @@ func (n *Network) backwardData(gradOut Mat) *scratch {
 	for r0 := 0; r0 < sc.rows; r0 += shardRows {
 		sc.backwardRange(r0, min(r0+shardRows, sc.rows))
 	}
-	return sc
+	sc.gradW(scale)
+	return sc.grads[0]
 }
 
 // trainBatch is the minibatch step behind TrainBatch: copy the batch into the
@@ -348,7 +336,7 @@ func (sc *scratch) trainBatch(xs, ys [][]float64, loss Loss, opt *Adam) float64 
 		sc.forwardRange(r0, r1)
 		var sum float64
 		for r := r0; r < r1; r++ {
-			sum += LossGradInto(loss, sc.lossG.Row(r), sc.tmp, out.Row(r), ys[r])
+			sum += LossGradInto(loss, sc.lossG.Row(r), out.Row(r), ys[r])
 		}
 		total += sum
 		sc.backwardRange(r0, r1)

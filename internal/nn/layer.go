@@ -1,11 +1,11 @@
 // Package nn is a small, dependency-free neural-network engine sufficient to
-// reproduce every learned component in the Warper paper: the encoder 𝔼,
-// generator 𝔾 and discriminator 𝔻 from Table 3, the LM-mlp cardinality
-// estimator and the (simplified) MSCN model. It provides fully-connected
-// layers, LeakyReLU/Tanh activations, L1/MSE/softmax-cross-entropy losses,
-// the Adam optimizer, a per-sample Forward for single-row inference, and the
-// batched compute in batch.go — the only training path (allocation-free,
-// AVX2 kernels on amd64, forward outputs byte-identical to Forward).
+// reproduce every learned component this module trains: the encoder 𝔼 and
+// generator 𝔾 from Table 3, the LM-mlp cardinality estimator and the
+// (simplified) MSCN model. It provides fully-connected layers, LeakyReLU/Tanh
+// activations, L1/MSE losses, the Adam optimizer, a per-sample Forward for
+// single-row inference, and the batched compute in batch.go — the only
+// training path (allocation-free, AVX2 kernels on amd64, forward outputs
+// byte-identical to Forward).
 //
 // Training in the paper runs on CPU with tiny models (3×FC-128); it runs on
 // the calling goroutine, which is also the paper's single-core cost model.

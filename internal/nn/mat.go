@@ -2,8 +2,8 @@ package nn
 
 // Mat is a row-major matrix view over a flat backing slice: row r occupies
 // Data[r*Stride : r*Stride+Cols]. A Stride wider than Cols lets a Mat view a
-// column slice of another matrix without copying (the batched GAN steps use
-// this to peel the featurization columns off an encoder-input gradient).
+// column slice of another matrix without copying; every batched kernel honours
+// Stride.
 type Mat struct {
 	Rows, Cols int
 	Stride     int

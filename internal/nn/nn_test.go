@@ -4,17 +4,16 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // meanLoss is the batch's mean loss under the network's current weights,
 // through the batched forward.
 func meanLoss(n *Network, x Mat, ys [][]float64, loss Loss) float64 {
 	out := n.BatchForward(x)
-	g, tmp := make([]float64, out.Cols), make([]float64, out.Cols)
+	g := make([]float64, out.Cols)
 	var s float64
 	for r, y := range ys {
-		s += LossGradInto(loss, g, tmp, out.Row(r), y)
+		s += LossGradInto(loss, g, out.Row(r), y)
 	}
 	return s / float64(x.Rows)
 }
@@ -46,19 +45,14 @@ func checkGradients(t *testing.T, n *Network, loss Loss, in, out int, seed int64
 				x.Row(r)[i] = rng.NormFloat64()
 			}
 			ys[r] = make([]float64, out)
-			if _, isCE := loss.(SoftmaxCrossEntropy); isCE {
-				ys[r][rng.Intn(out)] = 1
-			} else {
-				for i := range ys[r] {
-					ys[r][i] = rng.NormFloat64()
-				}
+			for i := range ys[r] {
+				ys[r][i] = rng.NormFloat64()
 			}
 		}
 		pred := n.BatchForward(x)
 		g := NewMat(rows, out)
-		tmp := make([]float64, out)
 		for r, y := range ys {
-			LossGradInto(loss, g.Row(r), tmp, pred.Row(r), y)
+			LossGradInto(loss, g.Row(r), pred.Row(r), y)
 		}
 		n.BatchBackward(g, 1/float64(rows))
 		for pi, p := range n.Params() {
@@ -95,49 +89,6 @@ func TestGradCheckTanhMSE(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := NewNetwork(NewDense(3, 5, rng), NewTanh(), NewDense(5, 2, rng))
 	checkGradients(t, n, MSE{}, 3, 2, 13)
-}
-
-func TestGradCheckCrossEntropy(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := NewNetwork(NewDense(5, 8, rng), NewLeakyReLU(), NewDense(8, 3, rng))
-	checkGradients(t, n, SoftmaxCrossEntropy{}, 5, 3, 14)
-}
-
-func TestSoftmaxSumsToOne(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 || len(raw) > 16 {
-			return true
-		}
-		for _, v := range raw {
-			if math.IsNaN(v) || math.Abs(v) > 500 {
-				return true
-			}
-		}
-		p := SoftmaxInto(make([]float64, len(raw)), raw)
-		var s float64
-		for _, v := range p {
-			if v < 0 || v > 1 {
-				return false
-			}
-			s += v
-		}
-		return math.Abs(s-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(5))}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSoftmaxStability(t *testing.T) {
-	p := SoftmaxInto(make([]float64, 3), []float64{1000, 1001, 1002})
-	for _, v := range p {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("softmax overflowed: %v", p)
-		}
-	}
-	if p[2] < p[1] || p[1] < p[0] {
-		t.Errorf("ordering lost: %v", p)
-	}
 }
 
 func TestXORLearnable(t *testing.T) {
@@ -242,7 +193,7 @@ func TestCloneCopiesParams(t *testing.T) {
 func TestL1LossIdentities(t *testing.T) {
 	l1 := func(pred, target []float64) (float64, []float64) {
 		g := make([]float64, len(pred))
-		return LossGradInto(L1{}, g, nil, pred, target), g
+		return LossGradInto(L1{}, g, pred, target), g
 	}
 	if got, _ := l1([]float64{1, 2}, []float64{1, 2}); got != 0 {
 		t.Errorf("L1 of equal = %v", got)

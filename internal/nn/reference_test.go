@@ -24,7 +24,7 @@ func referenceTrainBatch(n *Network, xs, ys [][]float64, loss Loss, opt *Adam) f
 		acts := referenceForward(n, xs[i])
 		pred := acts[len(acts)-1]
 		g := make([]float64, len(pred))
-		total += LossGradInto(loss, g, make([]float64, len(pred)), pred, ys[i])
+		total += LossGradInto(loss, g, pred, ys[i])
 		referenceBackward(n, acts, g)
 	}
 	scaleGrads(n.Params(), 1/float64(len(xs)))

@@ -96,7 +96,7 @@ func TestSIMDBackwardDataMatchesGeneric(t *testing.T) {
 	simdEnabled = false
 	a := build()
 	a.BatchForward(x)
-	dxA := a.BatchBackwardData(g)
+	dxA := a.BatchBackward(g, 1)
 	keep := make([]float64, 0, rows*9)
 	for r := 0; r < rows; r++ {
 		keep = append(keep, dxA.Row(r)...)
@@ -105,7 +105,7 @@ func TestSIMDBackwardDataMatchesGeneric(t *testing.T) {
 	simdEnabled = true
 	b := build()
 	b.BatchForward(x)
-	dxB := b.BatchBackwardData(g)
+	dxB := b.BatchBackward(g, 1)
 	for r := 0; r < rows; r++ {
 		row := dxB.Row(r)
 		for i, v := range row {

@@ -1,9 +1,7 @@
 // Package pool implements Warper's query pool (Figure 4): an in-memory
-// collection of tuples (q, gt, z, l, l', s') where q is a predicate, gt its
-// (possibly missing) ground-truth cardinality, z the encoder embedding, l the
-// true source of the predicate (train / new / gen), l' the discriminator's
-// predicted source and s' its confidence that the predicate resembles the
-// new workload.
+// collection of tuples (q, gt, z, l) where q is a predicate, gt its (possibly
+// missing) ground-truth cardinality, z the encoder embedding and l the source
+// of the predicate (train / new / gen).
 package pool
 
 import (
@@ -42,13 +40,8 @@ type Entry struct {
 	Pred query.Predicate
 	GT   float64 // NoGT when unknown
 	Z    []float64
-	// Source is the true origin l.
+	// Source is the origin l.
 	Source Source
-	// PredSource is the discriminator's predicted origin l'.
-	PredSource Source
-	// Conf is the discriminator's confidence s' that the predicate
-	// resembles the new workload.
-	Conf float64
 	// Stale marks entries whose GT predates a data drift and must be
 	// re-annotated before use (c1 handling).
 	Stale bool
@@ -66,7 +59,7 @@ type Pool struct {
 func New() *Pool { return &Pool{} }
 
 // InitFromTraining seeds the pool from the original training workload
-// 𝕀train, as §3.2 prescribes (l = train, empty z/l'/s').
+// 𝕀train, as §3.2 prescribes (l = train, empty z).
 func InitFromTraining(train []query.Labeled) *Pool {
 	p := New()
 	for _, lq := range train {
@@ -98,7 +91,7 @@ func (p *Pool) AddGenerated(pred query.Predicate) *Entry {
 // Len returns the number of entries.
 func (p *Pool) Len() int { return len(p.Entries) }
 
-// BySource returns the entries with the given true source.
+// BySource returns the entries with the given source.
 func (p *Pool) BySource(s Source) []*Entry {
 	var out []*Entry
 	for _, e := range p.Entries {

@@ -98,9 +98,9 @@ func TestFailedPeriodStampsNothing(t *testing.T) {
 
 // TestServerOwnsNoGoroutine holds Server.Close to its comment: building the
 // adapter (which trains M), serving feedback and a full drifted period —
-// detect, GAN training, pick, annotate, update, swap — and closing the server
-// leave no goroutine behind. Requests go through the handler in process, so
-// net/http's own connection goroutines stay out of the count.
+// detect, autoencoder training, pick, annotate, update, swap — and closing
+// the server leave no goroutine behind. Requests go through the handler in
+// process, so net/http's own connection goroutines stay out of the count.
 func TestServerOwnsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ad, sch, ann, gNew := newTestAdapter(t, 61, nil)

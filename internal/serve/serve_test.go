@@ -69,7 +69,6 @@ func newTestAdapter(t testing.TB, seed int64, wrap func(*ce.LM) ce.Estimator) (*
 	cfg := warper.DefaultConfig()
 	cfg.Hidden = 32
 	cfg.Depth = 2
-	cfg.NIters = 20
 	cfg.Gamma = 100
 	cfg.PickSize = 60
 	ad, err := warper.New(cfg, m, sch, ann, train)

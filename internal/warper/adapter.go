@@ -16,7 +16,7 @@ import (
 )
 
 // Adapter is the Warper system (Figure 4): it owns the query pool, the
-// learned components 𝔼/𝔾/𝔻, the picker ℙ, the drift detector, and a
+// learned components 𝔼/𝔾, the picker ℙ, the drift detector, and a
 // black-box reference to the CE model 𝕄 and the annotator 𝔸.
 type Adapter struct {
 	Cfg  Config
@@ -29,7 +29,7 @@ type Adapter struct {
 	Ledger *simclock.Ledger
 	Picker *Picker
 	// GenFunc overrides the synthetic-query source (the Table 10 "𝔾→AUG"
-	// ablation swaps in Gaussian-noise augmentation). Nil uses the GAN
+	// ablation swaps in Gaussian-noise augmentation). Nil uses the
 	// generator 𝔾.
 	GenFunc func(p *pool.Pool, n int) []query.Predicate
 
@@ -175,10 +175,8 @@ type Report struct {
 	// EarlyStopped is true when the gain check raised π instead of adapting
 	// further.
 	EarlyStopped bool
-	// GANLoss carries the last GAN losses when update_MultiTask ran.
-	GANLoss ganLoss
 	// TrainedSamples is the number of minibatch rows the learned components
-	// (𝔼/𝔾/𝔻) consumed this period; TrainedSamples/Busy is the training
+	// (𝔼/𝔾) consumed this period; TrainedSamples/Busy is the training
 	// throughput an operator watches when sizing the adaptation budget.
 	TrainedSamples int
 	// Busy is the compute charged to the virtual clock this period.
@@ -287,11 +285,11 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 		tbl.ResetChangeTracking()
 	}
 
-	// Lines 3–8: update the learned components; generate when in c2.
+	// Lines 3–8: update the learned components as one autoencoder in every
+	// mode; generate when in c2.
 	clk.enter(StageGenerate)
+	a.comps.UpdateAutoEncoder(a.Pool, 2)
 	if det.Mode.Has(C2) {
-		rep.GANLoss = a.comps.UpdateMultiTask(a.Pool, a.Cfg.NIters)
-
 		nGen := int(a.Cfg.GenFraction * float64(max(det.NT, 1)))
 		if nGen >= 1 { // §4.3: generator disabled when n_g < 1
 			genFn := a.GenFunc
@@ -304,14 +302,11 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 			}
 			rep.Generated = len(preds)
 		}
-	} else {
-		a.comps.UpdateAutoEncoder(a.Pool, 2)
 	}
 
 	// Refresh embeddings so the picker sees current z (and the freshly
-	// generated entries get theirs, with l' and s').
+	// generated entries get theirs).
 	a.comps.EmbedAll(a.Pool)
-	a.comps.ClassifyAll(a.Pool.BySource(pool.SrcGen))
 
 	// Line 9: pick queries and annotate them.
 	clk.enter(StagePick)
@@ -420,9 +415,8 @@ func (a *Adapter) pick(mode Mode) []*pool.Entry {
 	n := a.Cfg.PickSize
 	switch {
 	case mode.Has(C2):
-		// Generated queries weighted by discriminator confidence — labeled
-		// ones included, so previously annotated synthetic queries are
-		// re-used only while they still resemble the new workload; freshly
+		// Generated queries drawn uniformly — labeled ones included, so
+		// previously annotated synthetic queries are re-used; freshly
 		// arrived unlabeled queries ride along (they are the signal).
 		cands := a.Pool.BySource(pool.SrcGen)
 		picked := a.Picker.PickGenerated(cands, n, a.rng)
@@ -589,11 +583,10 @@ func (a *Adapter) updateModel(picked []*pool.Entry) error {
 		}
 		return nil
 	}
-	// Fine-tune on the labeled picked set (which re-samples the useful
-	// generated queries by current discriminator confidence) plus every
-	// labeled new arrival accumulated in the pool — the pool is Warper's
-	// advantage over plain fine-tuning, which only ever sees the fresh
-	// arrivals.
+	// Fine-tune on the labeled picked set (which re-samples the generated
+	// queries) plus every labeled new arrival accumulated in the pool — the
+	// pool is Warper's advantage over plain fine-tuning, which only ever
+	// sees the fresh arrivals.
 	seen := map[*pool.Entry]bool{}
 	var examples []query.Labeled
 	add := func(e *pool.Entry) {

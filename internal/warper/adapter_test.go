@@ -39,7 +39,6 @@ func adapterCfg() Config {
 	c := DefaultConfig()
 	c.Hidden = 64
 	c.Depth = 2
-	c.NIters = 50
 	c.Gamma = 150
 	c.PickSize = 150
 	return c
@@ -224,6 +223,46 @@ func TestAnnotateBudgetHonored(t *testing.T) {
 	rep := periodOK(t, e.ad, arrivalsOf(e.newQ[:150], false)) // c3: all need labels
 	if rep.Annotated > 7 {
 		t.Errorf("annotated %d, budget 7", rep.Annotated)
+	}
+}
+
+// TestC2AndC3TrainTheSameAutoencoderEpochs: every drift mode trains 𝔼/𝔾 as
+// one autoencoder for two epochs over the pool, so a c2 period and a c3
+// period over equal pools report the same TrainedSamples. Two adapters are
+// built alike (they differ only in γ, which decides c2 against c3 for the
+// same 40 drifted arrivals) and share a quiet warm-up period, which absorbs
+// the pretraining count.
+func TestC2AndC3TrainTheSameAutoencoderEpochs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training-heavy; skipped under -short (race pass)")
+	}
+	env := newTestEnv(t, 500, 40)
+	lm := ce.NewLM(ce.LMMLP, env.sch, 31)
+	if err := lm.Train(env.train); err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	g := workload.New("w1", env.tbl, env.sch, workload.Options{MaxConstrained: 2})
+	warmUp := arrivalsOf(annAllT(t, env.ann, workload.Generate(g, 160, rand.New(rand.NewSource(51)))), true)
+	run := func(gamma int, withGT bool) (Report, *Adapter) {
+		cfg := adapterCfg()
+		cfg.Gamma = gamma
+		ad, err := New(cfg, lm.Clone(), env.sch, env.ann, env.train)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if rep := periodOK(t, ad, warmUp); rep.Detection.Mode != ModeNone {
+			t.Fatalf("warm-up mode = %v, want none", rep.Detection.Mode)
+		}
+		return periodOK(t, ad, arrivalsOf(env.newQ, withGT)), ad
+	}
+	c2, _ := run(150, true)  // 40 labeled arrivals < γ
+	c3, ad := run(20, false) // 40 unlabeled arrivals ≥ γ
+	if c2.Detection.Mode != C2 || c3.Detection.Mode != C3 {
+		t.Fatalf("modes %v and %v, want c2 and c3", c2.Detection.Mode, c3.Detection.Mode)
+	}
+	if want := 2 * ad.Pool.Len(); c2.TrainedSamples != want || c3.TrainedSamples != want {
+		t.Errorf("TrainedSamples c2 %d, c3 %d, want both %d (two epochs over the pool)",
+			c2.TrainedSamples, c3.TrainedSamples, want)
 	}
 }
 

@@ -8,42 +8,42 @@ import (
 	"warper/internal/workload"
 )
 
-// ganFixture builds Table 3 sized components (DefaultConfig: three hidden
-// FC-128 layers, minibatch 32) over a small pool with a new workload, warmed
-// up so every arena has reached its steady-state size.
-func ganFixture(tb testing.TB) (*components, *pool.Pool, []*pool.Entry) {
+// aeFixture builds Table 3 sized components (DefaultConfig: three hidden
+// FC-128 layers, minibatch 32) over a small pool with a new workload, and one
+// minibatch of it, warmed up so every arena has reached its steady-state
+// size.
+func aeFixture(tb testing.TB) (*components, []*pool.Entry, []*pool.Entry) {
 	tb.Helper()
 	env := newTestEnvTB(tb, 400, 60)
 	p := env.seededPool(60)
 	c := newComponents(DefaultConfig(), env.sch, env.tbl.NumRows(), env.rng)
 	c.UpdateAutoEncoder(p, 1)
 	c.EmbedAll(p)
-	newEntries := p.BySource(pool.SrcNew)
+	batch := sampleEntries(p.Entries, batchSize, env.rng)
 	for i := 0; i < 3; i++ {
-		c.ganIteration(p, newEntries)
+		c.aeStep(batch)
 	}
-	return c, p, newEntries
+	return c, batch, p.BySource(pool.SrcNew)
 }
 
-// BenchmarkGANIteration is one update_MultiTask round at the paper's sizes:
-// an autoencoder step, a discriminator step and a generator step. Steady
-// state must report 0 allocs/op.
-func BenchmarkGANIteration(b *testing.B) {
-	c, p, newEntries := ganFixture(b)
+// BenchmarkAEStep is one update_AutoEncoder minibatch at the paper's sizes:
+// 𝔼 and 𝔾 forward, backward and Adam step. Steady state must report 0
+// allocs/op.
+func BenchmarkAEStep(b *testing.B) {
+	c, batch, _ := aeFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.ganIteration(p, newEntries)
+		c.aeStep(batch)
 	}
 }
 
-// TestGANIterationSteadyStateAllocs pins the step arena: once warmed up, a
-// full aeStep + discStep + genStep round and the noise-scale computation
-// allocate nothing.
-func TestGANIterationSteadyStateAllocs(t *testing.T) {
-	c, p, newEntries := ganFixture(t)
-	if n := testing.AllocsPerRun(10, func() { c.ganIteration(p, newEntries) }); n != 0 {
-		t.Errorf("ganIteration allocates %v times per run, want 0", n)
+// TestAEStepSteadyStateAllocs pins the step arena: once warmed up, an
+// autoencoder step and the noise-scale computation allocate nothing.
+func TestAEStepSteadyStateAllocs(t *testing.T) {
+	c, batch, newEntries := aeFixture(t)
+	if n := testing.AllocsPerRun(10, func() { c.aeStep(batch) }); n != 0 {
+		t.Errorf("aeStep allocates %v times per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, func() { c.embeddingStd(newEntries) }); n != 0 {
 		t.Errorf("embeddingStd allocates %v times per run, want 0", n)
@@ -62,7 +62,6 @@ func BenchmarkWarperPeriod(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Hidden = 64
 	cfg.Depth = 2
-	cfg.NIters = 30
 	cfg.Gamma = 200
 	cfg.PickSize = 100
 	ad, err := New(cfg, lm, env.sch, env.ann, env.train)

@@ -1,9 +1,9 @@
 // Package warper implements the paper's core contribution: a model-agnostic
 // adaptation layer that detects data and workload drifts (det_drft, §3.1),
-// synthesizes realistic predicates with a 3-class GAN when new queries are
-// scarce (𝔼/𝔾/𝔻, §3.3), picks the most useful queries to annotate (ℙ, §3.2)
-// and updates the underlying CE model (Algorithm 1), with the early-stopping
-// and γ-tuning robustness mechanisms of §3.4.
+// synthesizes predicates near the new workload with an autoencoder's decoder
+// when new queries are scarce (𝔼/𝔾, §3.3), picks the most useful queries to
+// annotate (ℙ, §3.2) and updates the underlying CE model (Algorithm 1), with
+// the early-stopping and γ-tuning robustness mechanisms of §3.4.
 package warper
 
 // Config holds the tunables some caller varies (the Figure 10/11 sweeps,
@@ -11,17 +11,10 @@ package warper
 // constants beside its readers in components.go and adapter.go. Zero values
 // are replaced with the paper's defaults by withDefaults.
 type Config struct {
-	// EmbedDim is |z|, the encoder output width. Table 3 fixes it at 16 and
-	// every caller outside the tests leaves it there; it stays a field
-	// because the component tests train at |z| = 8.
-	EmbedDim int
 	// Hidden and Depth shape 𝔼 and 𝔾 (Table 3 uses 3 hidden FC-128 layers);
 	// Figure 10 sweeps these.
 	Hidden int
 	Depth  int
-	// NIters is n_i, the per-invocation cap on GAN update iterations (§3.5
-	// uses 100 with early stopping on loss convergence).
-	NIters int
 
 	// GenFraction sets n_g = GenFraction·n_t generated queries per step
 	// (§4.1 uses 10%); the generator is disabled when n_g < 1.
@@ -43,10 +36,8 @@ type Config struct {
 // DefaultConfig returns the §3.5/§4.1 settings scaled to this reproduction.
 func DefaultConfig() Config {
 	return Config{
-		EmbedDim:       16,
 		Hidden:         128,
 		Depth:          3,
-		NIters:         100,
 		GenFraction:    0.1,
 		PickSize:       1000,
 		AnnotateBudget: 0,
@@ -57,17 +48,11 @@ func DefaultConfig() Config {
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.EmbedDim <= 0 {
-		c.EmbedDim = d.EmbedDim
-	}
 	if c.Hidden <= 0 {
 		c.Hidden = d.Hidden
 	}
 	if c.Depth <= 0 {
 		c.Depth = d.Depth
-	}
-	if c.NIters <= 0 {
-		c.NIters = d.NIters
 	}
 	if c.GenFraction <= 0 {
 		c.GenFraction = d.GenFraction

@@ -31,88 +31,29 @@ type PickStrategy int
 
 // Picker strategies: the paper's picker plus the Table 10 ablations.
 const (
-	// StrategyWarper is the paper's picker: confidence-weighted over
-	// generated queries (c2) or error-stratified (c1/c3).
+	// StrategyWarper is the paper's picker: error-stratified over c1/c3
+	// candidates.
 	StrategyWarper PickStrategy = iota
 	// StrategyRandom picks uniformly at random (ablation "ℙ → rnd pick").
 	StrategyRandom
-	// StrategyEntropy picks by uncertainty sampling on discriminator
-	// entropy (ablation "ℙ → entropy").
-	StrategyEntropy
 )
 
 // String returns the strategy name.
 func (s PickStrategy) String() string {
-	switch s {
-	case StrategyRandom:
+	if s == StrategyRandom {
 		return "random"
-	case StrategyEntropy:
-		return "entropy"
-	default:
-		return "warper"
 	}
+	return "warper"
 }
 
 // PickGenerated selects n entries from the generated candidates for
-// annotation, weighted by the discriminator confidence s' that each
-// resembles the new workload (sampling with replacement, then deduplicated —
-// annotation of the same predicate twice is free).
+// annotation, uniformly with replacement, then deduplicated (annotation of the
+// same predicate twice is free). Every strategy picks c2 candidates this way.
 func (pk *Picker) PickGenerated(cands []*pool.Entry, n int, rng *rand.Rand) []*pool.Entry {
 	if len(cands) == 0 || n <= 0 {
 		return nil
 	}
-	switch pk.Strategy {
-	case StrategyRandom:
-		return dedup(sampleEntries(cands, n, rng))
-	case StrategyEntropy:
-		return roulette(cands, n, rng, entropyWeight)
-	}
-	return roulette(cands, n, rng, confidenceWeight)
-}
-
-// confidenceWeight is the paper's c2 weight: the discriminator confidence s'
-// that the entry resembles the new workload, floored above zero.
-func confidenceWeight(e *pool.Entry) float64 {
-	if e.Conf <= 0 {
-		return 1e-6
-	}
-	return e.Conf
-}
-
-// entropyWeight is the uncertainty-sampling ablation's weight: the entropy
-// of the entry's (s', 1-s') confidence split, so entries the discriminator
-// is least sure about are likelier picked; entries never classified get
-// maximal weight.
-func entropyWeight(e *pool.Entry) float64 {
-	h := 1.0
-	if e.Conf > 0 && e.Conf < 1 {
-		h = -(e.Conf*math.Log(e.Conf) + (1-e.Conf)*math.Log(1-e.Conf)) / math.Ln2
-	}
-	return h + 1e-6
-}
-
-// roulette draws n candidates with replacement, each with probability
-// proportional to its weight, and deduplicates them in draw order.
-func roulette(cands []*pool.Entry, n int, rng *rand.Rand, weight func(*pool.Entry) float64) []*pool.Entry {
-	weights := make([]float64, len(cands))
-	var total float64
-	for i, e := range cands {
-		weights[i] = weight(e)
-		total += weights[i]
-	}
-	picked := make([]*pool.Entry, 0, n)
-	for i := 0; i < n; i++ {
-		r := rng.Float64() * total
-		acc := 0.0
-		for j, w := range weights {
-			acc += w
-			if r <= acc {
-				picked = append(picked, cands[j])
-				break
-			}
-		}
-	}
-	return dedup(picked)
+	return dedup(sampleEntries(cands, n, rng))
 }
 
 // PickStratified implements the c1/c3 picker (§3.2): cluster the labeled
@@ -133,9 +74,6 @@ func (pk *Picker) PickStratified(m ce.Estimator, labeled, cands []*pool.Entry, n
 	hasRef := slices.ContainsFunc(labeled, func(e *pool.Entry) bool { return e.GT >= 0 })
 	if pk.Strategy == StrategyRandom || !hasRef {
 		return dedup(sampleEntries(cands, n, rng))
-	}
-	if pk.Strategy == StrategyEntropy {
-		return roulette(cands, n, rng, entropyWeight)
 	}
 	// Bucket boundaries: error quantiles over the labeled records.
 	var ref []refEntry

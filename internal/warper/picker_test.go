@@ -21,32 +21,26 @@ func (c constEstimator) Policy() ce.UpdatePolicy          { return ce.FineTune }
 func (c constEstimator) Clone() ce.Estimator              { return c }
 func (c constEstimator) Name() string                     { return "const" }
 
-func genEntry(conf float64, z ...float64) *pool.Entry {
+func genEntry(z ...float64) *pool.Entry {
 	return &pool.Entry{
 		Pred:   query.Predicate{Lows: []float64{0}, Highs: []float64{1}},
 		GT:     pool.NoGT,
 		Source: pool.SrcGen,
-		Conf:   conf,
 		Z:      z,
 	}
 }
 
-func TestPickGeneratedPrefersHighConfidence(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pk := &Picker{Strategy: StrategyWarper}
-	low := genEntry(0.01)
-	high := genEntry(0.99)
-	cands := []*pool.Entry{low, high}
-	highCount := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		picked := pk.PickGenerated(cands, 1, rng)
-		if len(picked) == 1 && picked[0] == high {
-			highCount++
+// TestPickGeneratedIsUniform pins the c2 pick: both strategies draw the
+// generated candidates uniformly with replacement, then deduplicate — the
+// same draws as sampleEntries from the same RNG state.
+func TestPickGeneratedIsUniform(t *testing.T) {
+	cands := []*pool.Entry{genEntry(), genEntry(), genEntry(), genEntry()}
+	want := dedup(sampleEntries(cands, 6, rand.New(rand.NewSource(1))))
+	for _, s := range []PickStrategy{StrategyWarper, StrategyRandom} {
+		pk := &Picker{Strategy: s}
+		if got := pk.PickGenerated(cands, 6, rand.New(rand.NewSource(1))); !slices.Equal(got, want) {
+			t.Errorf("%v PickGenerated = %v, uniform = %v", s, got, want)
 		}
-	}
-	if float64(highCount)/trials < 0.9 {
-		t.Errorf("high-confidence entry picked only %d/%d times", highCount, trials)
 	}
 }
 
@@ -56,7 +50,7 @@ func TestPickGeneratedEmptyAndZero(t *testing.T) {
 	if got := pk.PickGenerated(nil, 5, rng); got != nil {
 		t.Error("expected nil for no candidates")
 	}
-	if got := pk.PickGenerated([]*pool.Entry{genEntry(1)}, 0, rng); got != nil {
+	if got := pk.PickGenerated([]*pool.Entry{genEntry()}, 0, rng); got != nil {
 		t.Error("expected nil for zero pick count")
 	}
 }
@@ -64,7 +58,7 @@ func TestPickGeneratedEmptyAndZero(t *testing.T) {
 func TestPickGeneratedDeduplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pk := &Picker{Strategy: StrategyWarper}
-	e := genEntry(1)
+	e := genEntry()
 	picked := pk.PickGenerated([]*pool.Entry{e}, 50, rng)
 	if len(picked) != 1 {
 		t.Errorf("picked %d entries from a single candidate", len(picked))
@@ -74,7 +68,7 @@ func TestPickGeneratedDeduplicates(t *testing.T) {
 func TestPickRandomStrategy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pk := &Picker{Strategy: StrategyRandom}
-	cands := []*pool.Entry{genEntry(0.0), genEntry(0.0), genEntry(1.0)}
+	cands := []*pool.Entry{genEntry(), genEntry(), genEntry()}
 	picked := pk.PickGenerated(cands, 10, rng)
 	if len(picked) == 0 || len(picked) > 3 {
 		t.Errorf("random pick returned %d", len(picked))
@@ -169,63 +163,9 @@ func TestPickStratifiedLabeledCandidatesBucketDirectly(t *testing.T) {
 func TestPickStratifiedNoLabeledFallsBackToRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pk := &Picker{Strategy: StrategyWarper}
-	cands := []*pool.Entry{genEntry(0.5, 1), genEntry(0.5, 2)}
+	cands := []*pool.Entry{genEntry(1), genEntry(2)}
 	picked := pk.PickStratified(constEstimator{v: 1}, nil, cands, 5, rng)
 	if len(picked) == 0 {
 		t.Error("fallback pick returned nothing")
-	}
-}
-
-func TestPickEntropyStrategy(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	pk := &Picker{Strategy: StrategyEntropy}
-	certain := genEntry(0.999)
-	uncertain := genEntry(0.5)
-	counts := map[*pool.Entry]int{}
-	for i := 0; i < 300; i++ {
-		for _, e := range pk.PickGenerated([]*pool.Entry{certain, uncertain}, 1, rng) {
-			counts[e]++
-		}
-	}
-	if counts[uncertain] <= counts[certain] {
-		t.Errorf("entropy picker favored certain entry: %v", counts)
-	}
-}
-
-// countingEstimator counts Estimate calls.
-type countingEstimator struct {
-	constEstimator
-	calls *int
-}
-
-func (c countingEstimator) Estimate(p query.Predicate) float64 {
-	*c.calls++
-	return c.constEstimator.Estimate(p)
-}
-
-// TestPickStratifiedEntropyIsTheEntropyPick pins the entropy ablation of the
-// c1/c3 picker: with a labeled reference it is PickGenerated's entropy pick,
-// draw for draw, and costs no model estimate; without one it stays uniform.
-func TestPickStratifiedEntropyIsTheEntropyPick(t *testing.T) {
-	pk := &Picker{Strategy: StrategyEntropy}
-	cands := []*pool.Entry{genEntry(0.999, 1), genEntry(0.5, 2), genEntry(0.2, 3), genEntry(0, 4)}
-	labeled := []*pool.Entry{genEntry(0.5, 5), genEntry(0.5, 6)}
-	labeled[0].GT, labeled[1].GT = 10, 100
-	var calls int
-	m := countingEstimator{constEstimator{v: 1}, &calls}
-
-	got := pk.PickStratified(m, labeled, cands, 6, rand.New(rand.NewSource(9)))
-	want := pk.PickGenerated(cands, 6, rand.New(rand.NewSource(9)))
-	if !slices.Equal(got, want) {
-		t.Errorf("entropy PickStratified = %v, entropy PickGenerated = %v", got, want)
-	}
-	if calls != 0 {
-		t.Errorf("entropy pick ran %d model estimates", calls)
-	}
-
-	got = pk.PickStratified(m, nil, cands, 6, rand.New(rand.NewSource(9)))
-	want = dedup(sampleEntries(cands, 6, rand.New(rand.NewSource(9))))
-	if !slices.Equal(got, want) {
-		t.Errorf("entropy PickStratified without a reference = %v, uniform = %v", got, want)
 	}
 }

@@ -28,7 +28,7 @@ describe() {
 	M2) echo "AUG noise as the generator" ;;
 	M3) echo "detector pinned to c2" ;;
 	M4) echo "detector pinned to none" ;;
-	M5) echo "anchor-only generator (genAdvWeight = 0)" ;;
+	M5) echo "generator without noise (noiseScale = 0)" ;;
 	M6) echo "stratified picker with one error bucket" ;;
 	M7) echo "no adaptation (NoAdapt as Warper)" ;;
 	M8) echo "c3 picker replaced by pool order" ;;
@@ -52,7 +52,7 @@ mutate() {
 	M2) patch $methods "$warperCase" 'ad := adapter(); ad.GenFunc = e.augGenFunc(s); out[i] = adapt.NewWarper(ad)' ;;
 	M3) patch $adapter "$detected" "det.Mode = C2; $detected" ;;
 	M4) patch $adapter "$detected" "det.Mode = ModeNone; $detected" ;;
-	M5) patch $components 'genAdvWeight    = 0.2' 'genAdvWeight    = 0' ;;
+	M5) patch $components 'const noiseScale = 0.4' 'const noiseScale = 0' ;;
 	M6) patch $picker 'errorBuckets = 5' 'errorBuckets = 1' ;;
 	M7) patch $methods "$warperCase" 'out[i] = named{adapt.NoAdapt{M: m}, name}' ;;
 	M8) patch $adapter 'return a.Picker.PickStratified(a.M, labeled, a.Pool.Unlabeled(pool.SrcNew), n, a.rng)' \
