@@ -150,20 +150,20 @@ func TestEnvUnknownInputsPanic(t *testing.T) {
 // with the cause named in CHANGES.md (and regenerate results_full.txt).
 var smokeDigests = map[string]uint64{
 	"ext-histogram": 0xf0cf969a4fe0933d,
-	"fig1":          0xab55f01f46001195,
-	"fig10":         0xdc53d9d6d02e7541,
-	"fig11":         0x599ca2d07cd5d321,
+	"fig1":          0xf3175aea755764c7,
+	"fig10":         0xff73a58412ddfb76,
+	"fig11":         0x1721ab385dfdb222,
 	"fig5":          0xb8d0513ba6849682,
-	"fig6":          0x23e7d4074680c53b,
-	"fig7":          0xe22c8dc27828c0e4,
-	"fig8":          0xb9e0101c3a4a5713,
-	"fig9":          0xb1b04458b70a4f05,
-	"table10":       0x190ccf0e6a077c54,
-	"table7a":       0x2fd0cb12b7ca54d6,
-	"table7b":       0xaecd75ee4e886949,
-	"table7c":       0xde7f726d1ee29808,
+	"fig6":          0xec22787e0ef6e79b,
+	"fig7":          0x284d6c3a63aa6dcb,
+	"fig8":          0x3d0e6da2333425fe,
+	"fig9":          0x102674b902934c13,
+	"table10":       0xfb9b1e1b27b6b551,
+	"table7a":       0xf1c2831fd4e0fd91,
+	"table7b":       0x85ee1d2afcbb5cbe,
+	"table7c":       0x1f5b03267bdbdb8c,
 	"table7d":       0x80a555e273919847,
-	"table8":        0x2820d1bf0deb6f64,
+	"table8":        0xb0b1958af1dd5d9e,
 	"table9":        0x416ed26ac449fcc7,
 }
 

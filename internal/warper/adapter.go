@@ -116,7 +116,7 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 	// Pre-train 𝔼 and 𝔾 offline as an autoencoder on 𝕀train (§3.5); this
 	// one-time cost mirrors training the LM model offline.
 	w := simclock.StartWatch()
-	a.comps.UpdateAutoEncoder(a.Pool, 60)
+	a.comps.UpdateAutoEncoder(a.Pool, epochSteps(a.Pool, 60))
 	a.comps.EmbedAll(a.Pool)
 	a.Ledger.Charge("pretrain", w.Stop())
 
@@ -288,7 +288,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 	// Lines 3–8: update the learned components as one autoencoder in every
 	// mode; generate when in c2.
 	clk.enter(StageGenerate)
-	a.comps.UpdateAutoEncoder(a.Pool, 2)
+	a.comps.UpdateAutoEncoder(a.Pool, periodSteps)
 	if det.Mode.Has(C2) {
 		nGen := int(a.Cfg.GenFraction * float64(max(det.NT, 1)))
 		if nGen >= 1 { // §4.3: generator disabled when n_g < 1

@@ -226,13 +226,13 @@ func TestAnnotateBudgetHonored(t *testing.T) {
 	}
 }
 
-// TestC2AndC3TrainTheSameAutoencoderEpochs: every drift mode trains 𝔼/𝔾 as
-// one autoencoder for two epochs over the pool, so a c2 period and a c3
-// period over equal pools report the same TrainedSamples. Two adapters are
+// TestC2AndC3TrainTheSameAutoencoderSteps: every drift mode trains 𝔼/𝔾 as
+// one autoencoder for periodSteps minibatches over the pool, so a c2 period
+// and a c3 period over equal pools report the same TrainedSamples. Two adapters are
 // built alike (they differ only in γ, which decides c2 against c3 for the
 // same 40 drifted arrivals) and share a quiet warm-up period, which absorbs
 // the pretraining count.
-func TestC2AndC3TrainTheSameAutoencoderEpochs(t *testing.T) {
+func TestC2AndC3TrainTheSameAutoencoderSteps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training-heavy; skipped under -short (race pass)")
 	}
@@ -260,9 +260,14 @@ func TestC2AndC3TrainTheSameAutoencoderEpochs(t *testing.T) {
 	if c2.Detection.Mode != C2 || c3.Detection.Mode != C3 {
 		t.Fatalf("modes %v and %v, want c2 and c3", c2.Detection.Mode, c3.Detection.Mode)
 	}
-	if want := 2 * ad.Pool.Len(); c2.TrainedSamples != want || c3.TrainedSamples != want {
-		t.Errorf("TrainedSamples c2 %d, c3 %d, want both %d (two epochs over the pool)",
-			c2.TrainedSamples, c3.TrainedSamples, want)
+	// periodSteps minibatches: whole passes over the pool, each ending in a
+	// partial batch, then full batches of the next pass.
+	n := ad.Pool.Len()
+	perPass := (n + batchSize - 1) / batchSize
+	want := periodSteps/perPass*n + periodSteps%perPass*batchSize
+	if c2.TrainedSamples != want || c3.TrainedSamples != want {
+		t.Errorf("TrainedSamples c2 %d, c3 %d, want both %d (%d minibatches over a pool of %d)",
+			c2.TrainedSamples, c3.TrainedSamples, want, periodSteps, n)
 	}
 }
 

@@ -65,6 +65,10 @@ const (
 	// constant: the paper halves it every 10 epochs, this implementation
 	// never does (Adam steps at this rate throughout; see DESIGN.md).
 	learningRate = 1e-3
+	// periodSteps is n_i (§3.5), the autoencoder minibatches one period
+	// trains: a fixed budget, so a period's training cost stays the same as
+	// the pool grows.
+	periodSteps = 100
 )
 
 // embedDim is |z|, the encoder output width (Table 3).
@@ -206,30 +210,34 @@ func (c *components) aeStep(batch []*pool.Entry) float64 {
 	return total / float64(b)
 }
 
-// UpdateAutoEncoder implements update_AutoEncoder (§3.3) over the whole pool
-// for the given number of epochs, regardless of label availability.
-func (c *components) UpdateAutoEncoder(p *pool.Pool, epochs int) float64 {
+// UpdateAutoEncoder implements update_AutoEncoder (§3.3) over the whole pool,
+// regardless of label availability: steps minibatches drawn from successive
+// random permutations of the pool, each pass ending in a partial batch. It
+// returns the mean loss of those minibatches.
+func (c *components) UpdateAutoEncoder(p *pool.Pool, steps int) float64 {
 	entries := p.Entries
 	if len(entries) == 0 {
 		return 0
 	}
-	var last float64
-	for e := 0; e < epochs; e++ {
-		perm := c.rng.Perm(len(entries))
-		var epochLoss float64
-		var batches int
-		for start := 0; start < len(perm); start += batchSize {
-			batch := c.arena.batch[:0]
-			for _, j := range perm[start:min(start+batchSize, len(perm))] {
-				batch = append(batch, entries[j])
-			}
-			c.arena.batch = batch
-			epochLoss += c.aeStep(batch)
-			batches++
+	var perm []int
+	var total float64
+	for s, start := 0, 0; s < steps; s, start = s+1, start+batchSize {
+		if start >= len(perm) {
+			perm, start = c.rng.Perm(len(entries)), 0
 		}
-		last = epochLoss / float64(batches)
+		batch := c.arena.batch[:0]
+		for _, j := range perm[start:min(start+batchSize, len(perm))] {
+			batch = append(batch, entries[j])
+		}
+		c.arena.batch = batch
+		total += c.aeStep(batch)
 	}
-	return last
+	return total / float64(steps)
+}
+
+// epochSteps is the minibatch count of n passes over the pool.
+func epochSteps(p *pool.Pool, n int) int {
+	return n * ((p.Len() + batchSize - 1) / batchSize)
 }
 
 // noiseScale shrinks the ε noise below the raw per-dimension embedding std:

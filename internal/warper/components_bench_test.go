@@ -17,7 +17,7 @@ func aeFixture(tb testing.TB) (*components, []*pool.Entry, []*pool.Entry) {
 	env := newTestEnvTB(tb, 400, 60)
 	p := env.seededPool(60)
 	c := newComponents(DefaultConfig(), env.sch, env.tbl.NumRows(), env.rng)
-	c.UpdateAutoEncoder(p, 1)
+	c.UpdateAutoEncoder(p, epochSteps(p, 1))
 	c.EmbedAll(p)
 	batch := sampleEntries(p.Entries, batchSize, env.rng)
 	for i := 0; i < 3; i++ {

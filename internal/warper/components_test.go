@@ -69,10 +69,10 @@ func TestAutoEncoderLossDecreases(t *testing.T) {
 	p := env.seededPool(0)
 	cfg := smallCfg()
 	c := newComponents(cfg, env.sch, env.tbl.NumRows(), env.rng)
-	first := c.UpdateAutoEncoder(p, 1)
+	first := c.UpdateAutoEncoder(p, epochSteps(p, 1))
 	var last float64
 	for i := 0; i < 15; i++ {
-		last = c.UpdateAutoEncoder(p, 1)
+		last = c.UpdateAutoEncoder(p, epochSteps(p, 1))
 	}
 	if last >= first {
 		t.Errorf("AE loss did not decrease: first=%v last=%v", first, last)
@@ -96,7 +96,7 @@ func TestGeneratedPredicatesAreValid(t *testing.T) {
 	p := env.seededPool(50)
 	cfg := smallCfg()
 	c := newComponents(cfg, env.sch, env.tbl.NumRows(), env.rng)
-	c.UpdateAutoEncoder(p, 2)
+	c.UpdateAutoEncoder(p, epochSteps(p, 2))
 	preds := c.Generate(p, 40)
 	if len(preds) != 40 {
 		t.Fatalf("generated %d", len(preds))
@@ -123,8 +123,8 @@ func TestGenerateFromEmptyNewWorkload(t *testing.T) {
 }
 
 // TestGeneratedResemblesNewWorkload runs the adapter's schedule — offline
-// pre-training on 𝕀train, then one period's two autoencoder epochs over the
-// pool with the new arrivals in it — and checks that 𝔾's decodes of noisy
+// pre-training on 𝕀train, then one period's autoencoder steps over the pool
+// with the new arrivals in it — and checks that 𝔾's decodes of noisy
 // new-workload embeddings sit closer (in δ_js) to the new workload than the
 // training workload does.
 func TestGeneratedResemblesNewWorkload(t *testing.T) {
@@ -134,11 +134,11 @@ func TestGeneratedResemblesNewWorkload(t *testing.T) {
 	env := newTestEnv(t, 300, 120)
 	p := env.seededPool(0)
 	c := newComponents(DefaultConfig(), env.sch, env.tbl.NumRows(), env.rng)
-	c.UpdateAutoEncoder(p, 60) // offline pre-train
+	c.UpdateAutoEncoder(p, epochSteps(p, 60)) // offline pre-train
 	for _, lq := range env.newQ {
 		p.AddNew(lq.Pred, lq.Card, true)
 	}
-	c.UpdateAutoEncoder(p, 2)
+	c.UpdateAutoEncoder(p, periodSteps)
 	gen := c.Generate(p, 200)
 
 	var newPreds, trainPreds []query.Predicate

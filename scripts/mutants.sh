@@ -4,7 +4,7 @@
 # this checkout, then the four paper-fidelity gates run against it (`go test -run TestFidelity ./internal/experiments`,
 # seeds 1–3 at QuickScale). One line per mutant names the gates that went
 # red, or "none", plus the Figure 7 spread median the run logged. M0 is the
-# unmutated tree. About 10 s per mutant.
+# unmutated tree. About 15 s per mutant.
 #
 #	scripts/mutants.sh            # M0 and M1–M8
 #	scripts/mutants.sh M3 M5      # just these
