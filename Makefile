@@ -38,8 +38,8 @@ lint:
 # acceptance run; and the differential driver's long sequence — 10^5 seeded
 # operations per seed and mode against the one-mutex reference server) on top
 # of the always-on fault-tolerance tests, under the race detector. The soak writes
-# its /debug/events adaptation journal to $(EVENTS_OUT); everything under
-# artifacts/ is ignored by git and uploaded by CI as a workflow artifact.
+# its /status document, adaptation journal included, to $(EVENTS_OUT); everything
+# under artifacts/ is ignored by git and uploaded by CI as a workflow artifact.
 EVENTS_OUT ?= artifacts/EVENTS_chaos.json
 chaos:
 	@mkdir -p $(dir $(CURDIR)/$(EVENTS_OUT))

@@ -7,12 +7,10 @@
 //	POST /estimate/batch columnar binary batch frame
 //	POST /feedback     {"lows": [...], "highs": [...], "cardinality": N}
 //	POST /period       run one adaptation period over buffered feedback
-//	GET  /status       model, pool, thresholds, costs by period stage
-//	GET  /statusz      human-readable flight-recorder page (HTML)
+//	GET  /status       the status document: model, generation, pool, thresholds,
+//	                   costs, health, cache, drift, journal and sampled traces (JSON)
+//	GET  /statusz      the same document as a human-readable page (HTML)
 //	GET  /metrics      Prometheus text exposition
-//	GET  /debug/vars   JSON metric dump
-//	GET  /debug/traces Chrome trace-event JSON of sampled requests
-//	GET  /debug/events adaptation event journal (JSON)
 //	GET  /debug/pprof/ CPU/heap profiles (only with -pprof)
 //	GET  /healthz
 //
@@ -34,10 +32,11 @@
 // on, binary batch endpoints mounted, fallback ladder on. Fault injection
 // lives in the tests behind `make chaos`.
 //
-// /status's "costs" is the adapter's cost ledger: "pretrain", then every
-// period's time under its stage names (detect, generate, pick, annotate,
-// update) — the stage label of warper_period_stage_seconds — and
-// "annotate_retry", the failed annotation attempts inside "annotate".
+// /status's "costs" is the adapter's cost ledger in seconds, keyed by the
+// ledger's own names: "pretrain", then every period's time under its stage
+// names (detect, generate, pick, annotate, update) — the stage label of
+// warper_period_stage_seconds — and "annotate_retry", the failed annotation
+// attempts inside "annotate".
 package main
 
 import (

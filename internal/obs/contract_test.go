@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"strconv"
@@ -64,16 +65,19 @@ func TestGaugeAddConcurrent(t *testing.T) {
 	}
 }
 
-// TestExportRacesSeriesCreation is the registry's concurrency contract: a
+// TestExportRacesSeriesCreation is the exporters' concurrency contract: a
 // label value seen for the first time (a new `reason` on a counter, a new
 // handler on a histogram) creates a series at any moment, including while
-// /metrics and /debug/vars are walking the registry.
-// The exporters must work on a snapshot taken under the registry lock —
-// walking the live series map is a fatal "concurrent map iteration and map
-// write", and reading a just-created series' value pointer is a data race.
-// Run under -race.
+// /metrics is walking the registry, and events and traces land while
+// /status copies the journal and the trace ring. The exporters must work on
+// copies taken under the owners' locks — walking the live series map is a
+// fatal "concurrent map iteration and map write", reading a just-created
+// series' value pointer is a data race, and so is encoding a trace's stages
+// while the ring recycles it. Run under -race.
 func TestExportRacesSeriesCreation(t *testing.T) {
 	r := NewRegistry()
+	j := NewJournal(16)
+	tr := NewTracer(1, 8)
 	const creators, perCreator = 4, 200
 	var creating, exporting sync.WaitGroup
 	stop := make(chan struct{})
@@ -86,6 +90,10 @@ func TestExportRacesSeriesCreation(t *testing.T) {
 				r.Counter("shed_total", "reason", v).Inc()
 				r.Gauge("depth", "queue", v).Set(1)
 				r.Histogram("wait_seconds", LatencyOpts(), "handler", v).Observe(0.01)
+				j.Append("k", 0, map[string]any{"v": v})
+				x := tr.Acquire("estimate")
+				x.EnterStage("infer")
+				tr.Finish(x)
 			}
 		}(w)
 	}
@@ -94,7 +102,12 @@ func TestExportRacesSeriesCreation(t *testing.T) {
 			r.PrometheusHandler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/metrics", nil))
 		},
 		func() {
-			r.VarsHandler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/vars", nil))
+			if _, err := json.Marshal(struct {
+				Events []Event
+				Traces []Trace
+			}{j.Snapshot(), tr.Snapshot()}); err != nil {
+				t.Error(err)
+			}
 		},
 	} {
 		exporting.Add(1)

@@ -19,7 +19,7 @@ import (
 // any span of slots is exp(Σlog/Σcount), so rolling the window is O(slots)
 // arithmetic, no sample retention. Quantiles of the same stream are not kept
 // here: the caller records each q-error in a registry histogram, whose
-// p50/p95/p99 Snapshot already derives.
+// buckets /metrics exposes.
 type DriftWatch struct {
 	mu sync.Mutex
 
@@ -74,13 +74,6 @@ func (d *DriftWatch) SetMinCount(n int) {
 	d.mu.Lock()
 	d.minCount = n
 	d.mu.Unlock()
-}
-
-// Threshold returns the configured alarm GMQ (0 = alarming disabled).
-func (d *DriftWatch) Threshold() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.alarmGMQ
 }
 
 // DriftState is one reading of the watch.

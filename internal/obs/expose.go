@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -85,61 +84,6 @@ func (r *Registry) PrometheusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
-	})
-}
-
-// HistogramSnapshot is the Snapshot (and so /debug/vars) shape of a
-// histogram: lifetime aggregates, with the overflow bucket's bound as -1.
-type HistogramSnapshot struct {
-	Count   int64    `json:"count"`
-	Sum     float64  `json:"sum"`
-	Mean    float64  `json:"mean"`
-	P50     float64  `json:"p50"`
-	P95     float64  `json:"p95"`
-	P99     float64  `json:"p99"`
-	Buckets []Bucket `json:"buckets"`
-}
-
-// Snapshot returns every metric as a JSON-marshalable map keyed by
-// name{labels}: counters as int64, gauges as float64, histograms as
-// HistogramSnapshot.
-func (r *Registry) Snapshot() map[string]any {
-	out := map[string]any{}
-	for _, f := range r.snapshotFamilies() {
-		for _, s := range f.series {
-			key := f.name + s.labels
-			switch f.kind {
-			case kindCounter:
-				out[key] = s.c.Value()
-			case kindGauge:
-				out[key] = s.g.Value()
-			default:
-				h := s.h
-				buckets := h.Buckets()
-				for i := range buckets {
-					if math.IsInf(buckets[i].UpperBound, 1) {
-						// JSON has no +Inf; mark the overflow bucket with -1.
-						buckets[i].UpperBound = -1
-					}
-				}
-				out[key] = HistogramSnapshot{
-					Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
-					P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
-					Buckets: buckets,
-				}
-			}
-		}
-	}
-	return out
-}
-
-// VarsHandler serves GET /debug/vars as a JSON dump of Snapshot.
-func (r *Registry) VarsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Snapshot())
 	})
 }
 

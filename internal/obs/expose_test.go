@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -64,53 +63,6 @@ func TestLabelValueEscapedOnce(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition lacks %q:\n%s", want, b.String())
 		}
-	}
-}
-
-func TestVarsJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c", "k", "v").Add(7)
-	r.Gauge("g").Set(2.25)
-	h := r.Histogram("h", HistogramOpts{Start: 1, Growth: 2, Count: 3})
-	h.Observe(1.5)
-	h.Observe(100)
-
-	rec := httptest.NewRecorder()
-	r.VarsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content-type = %q", ct)
-	}
-	var got map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-		t.Fatalf("vars output is not valid JSON: %v", err)
-	}
-	var c int64
-	if err := json.Unmarshal(got[`c{k="v"}`], &c); err != nil || c != 7 {
-		t.Errorf("counter round-trip = %d, %v", c, err)
-	}
-	var g float64
-	if err := json.Unmarshal(got["g"], &g); err != nil || g != 2.25 {
-		t.Errorf("gauge round-trip = %v, %v", g, err)
-	}
-	var hj struct {
-		Count   int64   `json:"count"`
-		Sum     float64 `json:"sum"`
-		Buckets []struct {
-			Le    float64 `json:"le"`
-			Count int64   `json:"count"`
-		} `json:"buckets"`
-	}
-	if err := json.Unmarshal(got["h"], &hj); err != nil {
-		t.Fatalf("histogram round-trip: %v", err)
-	}
-	if hj.Count != 2 || hj.Sum != 101.5 {
-		t.Errorf("histogram = %+v", hj)
-	}
-	if n := len(hj.Buckets); n != 4 {
-		t.Fatalf("buckets = %d, want 4", n)
-	}
-	if hj.Buckets[3].Le != -1 || hj.Buckets[3].Count != 1 {
-		t.Errorf("overflow bucket = %+v", hj.Buckets[3])
 	}
 }
 

@@ -99,20 +99,11 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Mean returns the average observation, or 0 before any observation.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Bucket is one exported histogram bucket: the count of observations at or
 // below UpperBound. UpperBound is +Inf for the overflow bucket.
 type Bucket struct {
-	UpperBound float64 `json:"le"`
-	Count      int64   `json:"count"`
+	UpperBound float64
+	Count      int64
 }
 
 // Buckets returns the non-cumulative per-bucket counts, overflow last. The
@@ -138,18 +129,13 @@ func (h *Histogram) Counts(dst []int64) []int64 {
 	return append(dst, h.over.Load())
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) by log-linear interpolation
-// inside the owning bucket. It returns 0 before any observation; overflow
-// observations report the last finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.QuantileOfCounts(h.Counts(make([]int64, 0, len(h.buckets)+1)), q)
-}
-
-// QuantileOfCounts is Quantile over explicit per-bucket counts laid out as
-// Counts returns them. A log-bucket histogram is a vector of counters, so
-// the difference of two Counts readings is the histogram of the interval
-// between them: this is how a windowed quantile is read, by the health
-// machine in process and by any scraper from two /metrics reads.
+// QuantileOfCounts estimates the q-quantile (q in [0,1]) of per-bucket
+// counts laid out as Counts returns them, by log-linear interpolation inside
+// the owning bucket. It returns 0 for no observations; overflow observations
+// report the last finite bound. A log-bucket histogram is a vector of
+// counters, so the difference of two Counts readings is the histogram of the
+// interval between them: this is how a windowed quantile is read, by the
+// health machine in process and by any scraper from two /metrics reads.
 func (h *Histogram) QuantileOfCounts(counts []int64, q float64) float64 {
 	var total int64
 	for _, c := range counts {

@@ -1,7 +1,7 @@
 // Package obs is the observability substrate of the serving stack: a
 // dependency-free metrics registry (atomic counters, gauges and log-scale
 // histograms suited to q-error and latency distributions) plus a lightweight
-// span timer, with Prometheus text exposition and an expvar-style JSON dump.
+// span timer, with Prometheus text exposition.
 //
 // Every metric value is updated with atomic operations, so recording is safe
 // from any goroutine and cheap enough for per-request hot paths; the registry

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -12,8 +10,7 @@ import (
 // This file implements the request-tracing half of the flight recorder: a
 // sampled, allocation-bounded per-request trace through the serving stages
 // (handler → cache probe → replica checkout → batched inference), retained in
-// a fixed ring and exportable as Chrome trace-event JSON, plus top-K
-// exemplar capture for the worst and slowest requests.
+// a fixed ring, plus top-K capture of the worst q-error requests.
 //
 // The binding constraint is the estimate hot path: with sampling off, the
 // only cost a request pays is one atomic load in Tracer.Acquire. Trace
@@ -36,20 +33,23 @@ type TraceStage struct {
 // Trace records one sampled request. Exactly one goroutine owns a trace
 // between Acquire and Finish, so stage recording needs no synchronization.
 type Trace struct {
-	ID      uint64
-	Handler string
-	Start   time.Time
+	ID      uint64    `json:"id"`
+	Handler string    `json:"handler"`
+	Start   time.Time `json:"start"`
+	// Total is the request's wall-clock duration, set by Finish.
+	Total time.Duration `json:"total"`
 	// BatchSize and Generation capture which serving configuration answered:
 	// how many cache-missing rows shared the forward pass and which model
 	// generation's replica ran it.
-	BatchSize  int
-	Generation uint64
+	BatchSize  int    `json:"batch_size"`
+	Generation uint64 `json:"generation"`
+	// Stages views the recorded stages on the copies Snapshot returns.
+	Stages []TraceStage `json:"stages"`
 
 	stages [maxTraceStages]TraceStage
 	n      int
 	cur    string // open stage name, "" when none
 	curAt  time.Time
-	total  time.Duration // set by Finish
 }
 
 // reset prepares a recycled trace for a new request.
@@ -57,11 +57,11 @@ func (t *Trace) reset(id uint64, handler string, now time.Time) {
 	t.ID = id
 	t.Handler = handler
 	t.Start = now
+	t.Total = 0
 	t.BatchSize = 0
 	t.Generation = 0
 	t.n = 0
 	t.cur = ""
-	t.total = 0
 }
 
 // EnterStage closes the open stage (if any) and opens the named one. Safe
@@ -88,13 +88,6 @@ func (t *Trace) closeStage(now time.Time) {
 	t.cur = ""
 }
 
-// Stages returns the recorded stages. Valid only after Finish, or while the
-// owning goroutine still holds the trace.
-func (t *Trace) Stages() []TraceStage { return t.stages[:t.n] }
-
-// Total returns the request's wall-clock duration (set by Finish).
-func (t *Trace) Total() time.Duration { return t.total }
-
 // Tracer samples requests and retains the last `buf` finished traces in a
 // ring. All Trace structs are pre-allocated: `buf` live in the ring plus
 // `buf` circulating through the free list, so concurrent sampled requests
@@ -108,14 +101,12 @@ type Tracer struct {
 
 	free chan *Trace
 
-	mu    sync.Mutex
-	ring  []*Trace // finished traces, oldest overwritten
-	n     int
-	next  int
-	total uint64 // finished traces ever
+	mu   sync.Mutex
+	ring []*Trace // finished traces, oldest overwritten
+	n    int
+	next int
 
-	// Sampled and Dropped count sampling decisions and free-list starvation;
-	// the serving metrics export them.
+	// Sampled and Dropped count sampling decisions and free-list starvation.
 	Sampled atomic.Int64
 	Dropped atomic.Int64
 }
@@ -149,9 +140,6 @@ func (t *Tracer) SetSample(n int) {
 	t.every.Store(int64(n))
 }
 
-// Sampling reports whether the tracer is currently sampling at all.
-func (t *Tracer) Sampling() bool { return t.every.Load() > 0 }
-
 // Acquire returns a trace for this request, or nil when tracing is off,
 // the request is not sampled, or every pre-allocated trace is in flight.
 // The disabled path is one atomic load.
@@ -182,7 +170,7 @@ func (t *Tracer) Finish(tr *Trace) {
 	}
 	now := time.Now()
 	tr.closeStage(now)
-	tr.total = now.Sub(tr.Start)
+	tr.Total = now.Sub(tr.Start)
 	t.mu.Lock()
 	evicted := t.ring[t.next]
 	t.ring[t.next] = tr
@@ -190,7 +178,6 @@ func (t *Tracer) Finish(tr *Trace) {
 	if t.n < len(t.ring) {
 		t.n++
 	}
-	t.total++
 	t.mu.Unlock()
 	if evicted != nil {
 		// The channel send is the happens-before edge between this ring slot
@@ -200,109 +187,46 @@ func (t *Tracer) Finish(tr *Trace) {
 }
 
 // Snapshot copies the finished traces, oldest-first. The copies are
-// detached values: the ring entries they came from may be recycled
-// immediately after.
+// detached values, their Stages included: the ring entries they came from
+// may be recycled immediately after.
 func (t *Tracer) Snapshot() []Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Trace, 0, t.n)
+	out := make([]Trace, t.n)
 	start := t.next - t.n
 	if start < 0 {
 		start += len(t.ring)
 	}
-	for i := 0; i < t.n; i++ {
-		out = append(out, *t.ring[(start+i)%len(t.ring)])
+	for i := range out {
+		out[i] = *t.ring[(start+i)%len(t.ring)]
+		out[i].Stages = out[i].stages[:out[i].n]
 	}
 	return out
 }
 
-// Total returns how many traces ever finished.
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// chromeEvent is one entry of the Chrome trace-event format ("X" complete
-// events), loadable in chrome://tracing and Perfetto.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`  // microseconds
-	Dur  float64        `json:"dur"` // microseconds
-	Pid  int            `json:"pid"`
-	Tid  uint64         `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// chromeTraceFile is the JSON-object flavor of the format.
-type chromeTraceFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// WriteChromeTrace renders traces as Chrome trace-event JSON: one complete
-// event per trace spanning the whole request, one per recorded stage,
-// timestamped relative to the earliest trace start. Each trace gets its ID
-// as the tid, so concurrent requests stack as separate tracks.
-func WriteChromeTrace(w io.Writer, traces []Trace) error {
-	var epoch time.Time
-	for i := range traces {
-		if epoch.IsZero() || traces[i].Start.Before(epoch) {
-			epoch = traces[i].Start
-		}
-	}
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	file := chromeTraceFile{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	for i := range traces {
-		tr := &traces[i]
-		base := tr.Start.Sub(epoch)
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
-			Name: tr.Handler, Ph: "X", Ts: us(base), Dur: us(tr.total), Pid: 1, Tid: tr.ID,
-			Args: map[string]any{
-				"trace_id":   tr.ID,
-				"batch_size": tr.BatchSize,
-				"generation": tr.Generation,
-			},
-		})
-		for _, st := range tr.Stages() {
-			file.TraceEvents = append(file.TraceEvents, chromeEvent{
-				Name: st.Name, Ph: "X", Ts: us(base + st.Start), Dur: us(st.Dur), Pid: 1, Tid: tr.ID,
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(file)
-}
-
-// Exemplar pins one noteworthy request — a worst-q-error or slowest
-// outlier — with enough context to reproduce it: the predicate, the
-// estimate vs. the truth, and the trace that carried it.
+// Exemplar pins one worst-q-error request with enough context to
+// reproduce it: the predicate and the estimate vs. the truth.
 type Exemplar struct {
-	TraceID   uint64    `json:"trace_id,omitempty"`
 	Time      time.Time `json:"time"`
-	QError    float64   `json:"q_error,omitempty"`
-	Latency   float64   `json:"latency_seconds,omitempty"`
-	Predicate string    `json:"predicate,omitempty"`
-	Estimate  float64   `json:"estimate,omitempty"`
-	Truth     float64   `json:"truth,omitempty"`
+	QError    float64   `json:"q_error"`
+	Predicate string    `json:"predicate"`
+	Estimate  float64   `json:"estimate"`
+	Truth     float64   `json:"truth"`
 }
 
-// Exemplars keeps two bounded top-K sets: the worst q-error requests seen
-// through feedback and the slowest sampled requests. A cheap atomic
-// threshold check keeps non-outliers from ever touching the mutex.
+// Exemplars keeps the bounded top-K set of the worst q-error requests seen
+// through feedback. A cheap atomic threshold check keeps non-outliers from
+// ever touching the mutex.
 type Exemplars struct {
 	k int
 
 	qFloor atomic.Uint64 // float64 bits of the smallest retained q-error
-	sFloor atomic.Uint64 // float64 bits of the smallest retained latency
 
-	mu      sync.Mutex
-	worstQ  []Exemplar // sorted descending by QError
-	slowest []Exemplar // sorted descending by Latency
+	mu     sync.Mutex
+	worstQ []Exemplar // sorted descending by QError
 }
 
-// NewExemplars retains the top k (minimum 1) of each kind.
+// NewExemplars retains the top k (minimum 1).
 func NewExemplars(k int) *Exemplars {
 	if k < 1 {
 		k = 1
@@ -316,22 +240,9 @@ func (e *Exemplars) OfferQError(x Exemplar) {
 		return
 	}
 	e.mu.Lock()
-	e.worstQ = insertTopK(e.worstQ, x, e.k, func(a, b Exemplar) bool { return a.QError > b.QError })
+	e.worstQ = insertTopK(e.worstQ, x, e.k)
 	if len(e.worstQ) == e.k {
 		e.qFloor.Store(math.Float64bits(e.worstQ[len(e.worstQ)-1].QError))
-	}
-	e.mu.Unlock()
-}
-
-// OfferSlow offers a sampled slow request.
-func (e *Exemplars) OfferSlow(x Exemplar) {
-	if f := e.sFloor.Load(); f != 0 && x.Latency <= math.Float64frombits(f) {
-		return
-	}
-	e.mu.Lock()
-	e.slowest = insertTopK(e.slowest, x, e.k, func(a, b Exemplar) bool { return a.Latency > b.Latency })
-	if len(e.slowest) == e.k {
-		e.sFloor.Store(math.Float64bits(e.slowest[len(e.slowest)-1].Latency))
 	}
 	e.mu.Unlock()
 }
@@ -340,20 +251,14 @@ func (e *Exemplars) OfferSlow(x Exemplar) {
 func (e *Exemplars) WorstQ() []Exemplar {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]Exemplar(nil), e.worstQ...)
+	return append(make([]Exemplar, 0, len(e.worstQ)), e.worstQ...)
 }
 
-// Slowest returns the slowest-request exemplars, slowest first.
-func (e *Exemplars) Slowest() []Exemplar {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Exemplar(nil), e.slowest...)
-}
-
-// insertTopK inserts x into the descending-sorted set, keeping at most k.
-func insertTopK(set []Exemplar, x Exemplar, k int, more func(a, b Exemplar) bool) []Exemplar {
+// insertTopK inserts x into the set sorted descending by QError, keeping at
+// most k.
+func insertTopK(set []Exemplar, x Exemplar, k int) []Exemplar {
 	i := len(set)
-	for i > 0 && more(x, set[i-1]) {
+	for i > 0 && x.QError > set[i-1].QError {
 		i--
 	}
 	if i >= k {

@@ -180,7 +180,7 @@ func TestWireRejectsNonFiniteAndCacheStaysClean(t *testing.T) {
 			t.Fatalf("bound %v: status = %d, want 400", bad, code)
 		}
 	}
-	if n := srv.cache.entries(); n != 0 {
+	if n := int64(srv.met.cacheEntries.Value()); n != 0 {
 		t.Fatalf("rejected requests left %d cache entries", n)
 	}
 	// A finite batch populates the cache, and a repeat answers identically
@@ -193,7 +193,7 @@ func TestWireRejectsNonFiniteAndCacheStaysClean(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("valid frame: status = %d", code)
 	}
-	if n := srv.cache.entries(); n != 1 {
+	if n := int64(srv.met.cacheEntries.Value()); n != 1 {
 		t.Fatalf("cache entries = %d after a full-model answer, want 1", n)
 	}
 	hitsBefore := srv.met.cacheHits.Value()

@@ -48,12 +48,9 @@ type estimateCache struct {
 	// keyLen is the key length in words, 2·d: a predicate's d lows, then
 	// its d highs.
 	keyLen int
-	// capacity is the total entry count across shards, for /statusz.
+	// capacity is the total entry count across shards, for /status.
 	capacity int
-	// live counts slots holding an entry (including generation-stale ones
-	// awaiting overwrite), exported as estimate_cache_entries.
-	live atomic.Int64
-	met  *Metrics
+	met      *Metrics
 }
 
 // cacheWays is the probe-group width: an entry may live in any of the
@@ -251,7 +248,6 @@ func (c *estimateCache) putMisses(group []query.Predicate, hashes []uint64, miss
 		}
 	}
 	if fresh > 0 {
-		c.live.Add(int64(fresh))
 		c.met.cacheEntries.Add(float64(fresh))
 	}
 	if evicted > 0 {
@@ -334,6 +330,3 @@ func (sh *cacheShard) insert(p query.Predicate, h, gen uint64, card float64, key
 	e.seq.Add(1) // even: the entry is visible again
 	return what
 }
-
-// entries reports how many slots hold an entry.
-func (c *estimateCache) entries() int64 { return c.live.Load() }

@@ -69,7 +69,6 @@ func TestPutMissesMatchesRowPuts(t *testing.T) {
 		name string
 		a, b float64
 	}{
-		{"entries", float64(grouped.entries()), float64(rows.entries())},
 		{"estimate_cache_entries", grouped.met.cacheEntries.Value(), rows.met.cacheEntries.Value()},
 		{"estimate_cache_evictions_total", float64(grouped.met.cacheEvictions.Value()), float64(rows.met.cacheEvictions.Value())},
 	} {
@@ -107,9 +106,6 @@ func TestPutMissesConcurrentCount(t *testing.T) {
 				occupied++
 			}
 		}
-	}
-	if n := c.entries(); n != int64(occupied) {
-		t.Errorf("entries() = %d, %d slots occupied", n, occupied)
 	}
 	if v := c.met.cacheEntries.Value(); v != float64(occupied) {
 		t.Errorf("estimate_cache_entries = %v, %d slots occupied", v, occupied)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -55,7 +56,7 @@ func TestEstimateCachePutGet(t *testing.T) {
 	if !ok || card != 42 {
 		t.Fatalf("get = %v, %v; want 42, true", card, ok)
 	}
-	if n := c.entries(); n != 1 {
+	if n := int64(c.met.cacheEntries.Value()); n != 1 {
 		t.Fatalf("entries = %d, want 1", n)
 	}
 
@@ -70,7 +71,7 @@ func TestEstimateCachePutGet(t *testing.T) {
 	if card, ok := c.get(key, h, gen+1); !ok || card != 43 {
 		t.Fatalf("refreshed get = %v, %v; want 43, true", card, ok)
 	}
-	if n := c.entries(); n != 1 {
+	if n := int64(c.met.cacheEntries.Value()); n != 1 {
 		t.Fatalf("entries after same-key refresh = %d, want 1", n)
 	}
 }
@@ -88,7 +89,7 @@ func TestEstimateCacheEviction(t *testing.T) {
 	if met.cacheEvictions.Value() == 0 {
 		t.Error("no eviction after overfilling a full probe group")
 	}
-	if n := c.entries(); n > int64(cacheWays) {
+	if n := int64(c.met.cacheEntries.Value()); n > int64(cacheWays) {
 		t.Errorf("entries = %d beyond capacity %d", n, cacheWays)
 	}
 	// The newest insert must be resident (second-chance always finds a
@@ -203,7 +204,7 @@ func TestEstimateCacheKeyIsNormalizedBounds(t *testing.T) {
 	if math.Float64bits(a) != math.Float64bits(b) {
 		t.Errorf("equal feature vectors answered %v and %v", a, b)
 	}
-	if n := srv.cache.entries(); n != 2 {
+	if n := int64(srv.met.cacheEntries.Value()); n != 2 {
 		t.Errorf("entries = %d, want 2 (one per normalized bounds)", n)
 	}
 	if hits := srv.met.cacheHits.Value(); hits != 0 {
@@ -228,7 +229,7 @@ func TestEstimateCacheKeyIsNormalizedBounds(t *testing.T) {
 	if r := postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: viaJSON.Lows, Highs: viaJSON.Highs}, &er); r.StatusCode != http.StatusOK {
 		t.Fatalf("POST /estimate: status %d", r.StatusCode)
 	}
-	entries, hits := srv.cache.entries(), srv.met.cacheHits.Value()
+	entries, hits := int64(srv.met.cacheEntries.Value()), srv.met.cacheHits.Value()
 	frame, err := wire.AppendRequest(nil, 0, []query.Predicate{viaWire}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +248,7 @@ func TestEstimateCacheKeyIsNormalizedBounds(t *testing.T) {
 	if got := srv.met.cacheHits.Value() - hits; got != 1 {
 		t.Errorf("the wire row hit %d times, want 1", got)
 	}
-	if got := srv.cache.entries(); got != entries {
+	if got := int64(srv.met.cacheEntries.Value()); got != entries {
 		t.Errorf("entries %d -> %d: the wire row did not share the JSON row's entry", entries, got)
 	}
 	if want := srv.Estimator().Clone().Estimate(norm); math.Float64bits(er.Cardinality) != math.Float64bits(want) {
@@ -509,6 +510,15 @@ func TestStatuszShowsCache(t *testing.T) {
 	if !strings.Contains(string(body), "Estimate cache") {
 		t.Error("/statusz has no Estimate cache section")
 	}
+	// The page renders the same document /status serves: one entry in a
+	// cache of the default capacity.
+	c := getStatus(t, ts.URL).Cache
+	if c == nil || c.Entries != 1 || c.Capacity != srv.cache.capacity {
+		t.Fatalf("/status cache = %+v, want 1 entry of %d", c, srv.cache.capacity)
+	}
+	if want := fmt.Sprintf("entries %d/%d", c.Entries, c.Capacity); !strings.Contains(string(body), want) {
+		t.Errorf("/statusz lacks %q", want)
+	}
 }
 
 func TestStatuszCacheDisabled(t *testing.T) {
@@ -524,5 +534,8 @@ func TestStatuszCacheDisabled(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "Options.EstimateCache is off") {
 		t.Error("/statusz cache section missing its disabled hint")
+	}
+	if _, raw := getBody(t, ts.URL+"/status"); !strings.Contains(string(raw), `"cache":null`) {
+		t.Errorf("/status with the cache off: %s", raw)
 	}
 }

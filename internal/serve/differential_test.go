@@ -681,9 +681,9 @@ func (d *diffDriver) opPeriod() {
 }
 
 // status fetches GET /status.
-func (d *diffDriver) status() statusResponse {
+func (d *diffDriver) status() statusDoc {
 	rw := d.call("GET", "/status", "", nil, 0)
-	var st statusResponse
+	var st statusDoc
 	if rw.Code != http.StatusOK || json.Unmarshal(rw.Body.Bytes(), &st) != nil {
 		d.failf("GET /status = %d %s", rw.Code, rw.Body)
 	}
@@ -739,15 +739,19 @@ func (d *diffDriver) opToggleChaos() {
 	d.served.hooks.chaosOn.Store(d.rng.Intn(2) == 0)
 }
 
-// opScrape reads the observability endpoints — /metrics and /statusz
-// evaluate health — and cross-checks /status.
+// opScrape reads the observability endpoints — all three evaluate health —
+// and cross-checks /status against the driver's generation.
 func (d *diffDriver) opScrape() {
-	for _, path := range []string{"/metrics", "/debug/vars", "/statusz"} {
+	for _, path := range []string{"/metrics", "/statusz"} {
 		if rw := d.call("GET", path, "", nil, 0); rw.Code != http.StatusOK {
 			d.failf("GET %s = %d", path, rw.Code)
 		}
 	}
-	if st, gen := d.status(), d.lo.Load(); st.Periods != int(gen)-1 {
+	st, gen := d.status(), d.lo.Load()
+	if st.Generation != gen {
+		d.failf("GET /status reports generation %d, the driver is at %d", st.Generation, gen)
+	}
+	if st.Periods != int(gen)-1 {
 		d.failf("GET /status reports %d periods at generation %d", st.Periods, gen)
 	}
 }

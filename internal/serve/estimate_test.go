@@ -216,7 +216,7 @@ func entryPointsAgree(t *testing.T, cacheOn bool) {
 						// every one of them takes the miss path: a swap to
 						// the same weights bumps the generation.
 						srv.pool.swap(srv.Estimator())
-						entriesBefore = srv.cache.entries()
+						entriesBefore = int64(srv.met.cacheEntries.Value())
 					}
 					before := reasonCounters(srv)
 					var released chan struct{}
@@ -263,7 +263,7 @@ func entryPointsAgree(t *testing.T, cacheOn bool) {
 						}
 					}
 					if cacheOn {
-						if grew := srv.cache.entries() - entriesBefore; (exp.Shed || exp.Degraded) && grew != 0 {
+						if grew := int64(srv.met.cacheEntries.Value()) - entriesBefore; (exp.Shed || exp.Degraded) && grew != 0 {
 							t.Errorf("%s/%s: %+v answer grew the cache by %d entries", name, ep.name, exp, grew)
 						}
 						// A full-model answer is cached: asking again hits,

@@ -23,10 +23,10 @@ import (
 // a single bad sample cannot flap the server between modes — by the traffic
 // it governs: every estimate that leaves the checkout fast path or runs while
 // the state is not Healthy offers an evaluation (admit), as do the /period
-// edges and the two handlers that render health (/metrics, /statusz). The
-// server owns no goroutine, so an idle one holds its last state until the
-// next request or scrape; a free replica is used in every state, so those
-// first requests are still answered by the model.
+// edges and the three handlers that render health (/metrics, /status,
+// /statusz). The server owns no goroutine, so an idle one holds its last
+// state until the next request or scrape; a free replica is used in every
+// state, so those first requests are still answered by the model.
 
 // HealthState is the serving health ladder. The numeric values are exported
 // on the serve_health_state gauge, so they are part of the metric contract.

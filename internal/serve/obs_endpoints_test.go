@@ -122,36 +122,6 @@ func TestRequestSeriesOnFirstUse(t *testing.T) {
 	}
 }
 
-func TestDebugVarsRoundTrip(t *testing.T) {
-	_, ts, sch, _, gNew := newTestServer(t)
-	_ = sch
-	p := gNew.Gen(rand.New(rand.NewSource(3)))
-	postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, nil)
-
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/vars = %d", resp.StatusCode)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("vars not valid JSON: %v", err)
-	}
-	var reqs int64
-	if err := json.Unmarshal(vars[`warper_http_requests_total{code="200",handler="estimate"}`], &reqs); err != nil || reqs != 1 {
-		t.Errorf("estimate counter = %d, %v (keys: %d)", reqs, err, len(vars))
-	}
-	var lat struct {
-		Count int64 `json:"count"`
-	}
-	if err := json.Unmarshal(vars[`warper_http_request_seconds{handler="estimate"}`], &lat); err != nil || lat.Count != 1 {
-		t.Errorf("latency histogram = %+v, %v", lat, err)
-	}
-}
-
 func TestPeriodConflictReturns409(t *testing.T) {
 	srv, ts, _, _, _ := newTestServer(t)
 	// Simulate an in-flight period by holding the period lock.

@@ -26,12 +26,7 @@ func periodFootprint(t *testing.T, base string) (stages [len(warper.StageNames)]
 		stages[i] = metricValue(t, body, `warper_period_stage_seconds_count{stage="`+st+`"}`)
 	}
 	periods = metricValue(t, body, "warper_periods_total")
-	_, raw := getBody(t, base+"/debug/events")
-	var events eventsResponse
-	if err := json.Unmarshal(raw, &events); err != nil {
-		t.Fatalf("invalid events JSON: %v", err)
-	}
-	for _, ev := range events.Events {
+	for _, ev := range getStatus(t, base).Journal.Events {
 		if ev.Kind == "period_end" {
 			ends = append(ends, ev.Fields)
 		}
@@ -139,17 +134,30 @@ func TestServerOwnsNoGoroutine(t *testing.T) {
 	}
 }
 
+// registeredFamilies names every metric family m exposes on /metrics.
+func registeredFamilies(t *testing.T, m *Metrics) map[string]bool {
+	t.Helper()
+	var b strings.Builder
+	if err := m.Reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]bool{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			families[name] = true
+		}
+	}
+	return families
+}
+
 // TestREADMEMetricTableMatchesRegistry keeps the operating guide honest:
 // every metric family the server registers has a row in README's metric
 // table, and the table names no family that does not exist.
 func TestREADMEMetricTableMatchesRegistry(t *testing.T) {
 	m := NewMetrics()
 	m.requestDone("status", http.StatusOK, 0) // the per-request families appear on first use
-	registered := map[string]bool{}
-	for series := range m.Reg.Snapshot() {
-		family, _, _ := strings.Cut(series, "{")
-		registered[family] = true
-	}
+	registered := registeredFamilies(t, m)
 
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"html/template"
 	"log/slog"
 	"net/http"
@@ -12,12 +11,12 @@ import (
 	"warper/internal/obs"
 )
 
-// This file wires the obs flight-recorder primitives into the server: the
-// sampled request tracer behind /debug/traces, the adaptation event journal
-// behind /debug/events (and, through event, the server log), and the rolling
-// q-error drift watch behind /statusz and the warper_drift_* gauges. The
-// recorder is pure read-side plumbing — nothing here runs on the estimate
-// hot path unless the request was sampled.
+// This file wires the obs flight-recorder primitives into the server — the
+// sampled request tracer, the adaptation event journal (mirrored, through
+// event, to the server log) and the rolling q-error drift watch behind the
+// warper_drift_* gauges — and reports them in the one status document that
+// /status and /statusz serve. The recorder is pure read-side plumbing —
+// nothing here runs on the estimate hot path unless the request was sampled.
 
 // Flight-recorder defaults, overridable through Options.
 const (
@@ -27,8 +26,7 @@ const (
 	defaultExemplars   = 8
 )
 
-// flightRecorder bundles the drift flight recorder's moving parts and their
-// HTTP handlers.
+// flightRecorder bundles the drift flight recorder's moving parts.
 type flightRecorder struct {
 	tracer    *obs.Tracer
 	journal   *obs.Journal
@@ -60,7 +58,7 @@ func newFlightRecorder(met *Metrics, logger *slog.Logger, opts Options) *flightR
 }
 
 // event records one lifecycle event — the only way one is recorded: it is
-// appended to the journal behind /debug/events and logged, under the same
+// appended to the journal /status reports and logged, under the same
 // kind and with the same fields, through the server's logger, so an operator
 // tailing warperd sees what the journal sees. fields may be nil; the map is
 // retained by the journal, so callers must not mutate it afterwards.
@@ -122,76 +120,72 @@ func (r *flightRecorder) applyDriftTransition(st obs.DriftState, tr obs.DriftTra
 	}
 }
 
-// handleTraces serves the retained traces as Chrome trace-event JSON,
-// loadable in chrome://tracing or Perfetto.
-func (r *flightRecorder) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := obs.WriteChromeTrace(w, r.tracer.Snapshot()); err != nil {
-		// Headers are gone; nothing to repair. The instrument layer logged
-		// worse failures than a half-written debug dump.
-		return
-	}
+// statusDoc is the one status document: GET /status serves it as JSON and
+// /statusz renders it as HTML. Its names are the ledger's and the metric
+// families' (TestStatusFieldsDocumented holds it to README).
+type statusDoc struct {
+	Model      string  `json:"model"`
+	Generation uint64  `json:"generation"`
+	Periods    int     `json:"periods"`
+	Buffered   int     `json:"buffered"`
+	PoolSize   int     `json:"pool_size"`
+	Labeled    int     `json:"labeled"`
+	Pi         float64 `json:"pi"`
+	Gamma      int     `json:"gamma"`
+	// Costs is the adapter's cost ledger in seconds, keyed by its own names:
+	// pretrain, the five StageNames and annotate_retry, once charged.
+	Costs      map[string]float64 `json:"costs"`
+	Health     string             `json:"health"`
+	QueueDepth int64              `json:"queue_depth"`
+	// Cache is nil when the estimate cache is off.
+	Cache   *cacheStatus   `json:"cache"`
+	Drift   obs.DriftState `json:"drift"`
+	WorstQ  []obs.Exemplar `json:"worst_q"`
+	Journal journalStatus  `json:"journal"`
+	Traces  []obs.Trace    `json:"traces"`
 }
 
-// eventsResponse is the /debug/events payload.
-type eventsResponse struct {
+type cacheStatus struct {
+	Entries  int64 `json:"entries"`
+	Capacity int   `json:"capacity"`
+}
+
+type journalStatus struct {
 	// Total counts events ever journaled; Total - len(Events) were evicted
 	// by the bounded buffer.
 	Total  uint64      `json:"total"`
 	Events []obs.Event `json:"events"`
 }
 
-// handleEvents serves the adaptation event journal, oldest-first.
-func (r *flightRecorder) handleEvents(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	resp := eventsResponse{Total: r.journal.Total(), Events: r.journal.Snapshot()}
-	if resp.Events == nil {
-		resp.Events = []obs.Event{}
+// statusNow builds the status document: the adapter state cached after the
+// last period, the live buffer, generation, health, cache, drift watch,
+// journal and trace ring. It renders health, so it evaluates it first, as
+// /metrics does.
+func (s *Server) statusNow() statusDoc {
+	now := time.Now()
+	s.evalHealth(now)
+	s.mu.Lock()
+	d := s.status
+	d.Buffered, d.Periods = len(s.buffer), s.periods
+	s.mu.Unlock()
+	d.Generation = s.pool.generation()
+	d.Health = s.health.current().String()
+	d.QueueDepth = s.pool.queueDepth()
+	if s.cache != nil {
+		d.Cache = &cacheStatus{Entries: int64(s.met.cacheEntries.Value()), Capacity: s.cache.capacity}
 	}
-	_ = json.NewEncoder(w).Encode(resp)
+	d.Drift = s.rec.driftState(now)
+	d.WorstQ = s.rec.exemplars.WorstQ()
+	d.Journal = journalStatus{Total: s.rec.journal.Total(), Events: s.rec.journal.Snapshot()}
+	d.Traces = s.rec.tracer.Snapshot()
+	return d
 }
 
-// statuszData feeds the /statusz template.
-type statuszData struct {
-	Now        time.Time
-	Status     statusResponse
-	Health     HealthState
-	QueueDepth int64
-	Metrics    map[string]any
-	Drift      obs.DriftState
-	WorstQ     []obs.Exemplar
-	Slowest    []obs.Exemplar
-	Events     []obs.Event
-	Traces     int
-	Sampled    int64
-	Dropped    int64
-	Journal    uint64
-	Evicted    uint64
-	TraceOn    bool
-	DriftOn    bool
-
-	// Estimate-cache panel.
-	CacheOn            bool
-	CacheEntries       int64
-	CacheCap           int
-	CacheHits          int64
-	CacheMisses        int64
-	CacheHitPct        float64
-	CacheEvictions     int64
-	CacheInvalidations int64
+func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+	s.writeJSON(w, s.statusNow())
 }
 
-var statuszTmpl = template.Must(template.New("statusz").Funcs(template.FuncMap{
-	"ms":  func(s float64) string { return template.HTMLEscapeString(formatMillis(s)) },
-	"ago": func(now, t time.Time) string { return formatAgo(now, t) },
-	// hist picks the histogram rows out of Registry.Snapshot's values.
-	"hist": func(v any) *obs.HistogramSnapshot {
-		if h, ok := v.(obs.HistogramSnapshot); ok {
-			return &h
-		}
-		return nil
-	},
-}).Parse(`<!DOCTYPE html>
+var statuszTmpl = template.Must(template.New("statusz").Parse(`<!DOCTYPE html>
 <html><head><title>warperd statusz</title><style>
 body{font-family:monospace;margin:2em;background:#fafafa;color:#222}
 h1{font-size:1.3em}h2{font-size:1.1em;margin-top:1.5em;border-bottom:1px solid #ccc}
@@ -201,114 +195,49 @@ th{background:#eee}td.l,th.l{text-align:left}
 .alarm{color:#b00020;font-weight:bold}.ok{color:#1b5e20}
 </style></head><body>
 <h1>warperd flight recorder</h1>
-<p>model={{.Status.Model}} periods={{.Status.Periods}} buffered={{.Status.Buffered}}
-pi={{printf "%.3f" .Status.Pi}} gamma={{.Status.Gamma}}</p>
+<p>model={{.Model}} generation={{.Generation}} periods={{.Periods}} buffered={{.Buffered}}
+pool_size={{.PoolSize}} labeled={{.Labeled}} pi={{printf "%.3f" .Pi}} gamma={{.Gamma}} —
+this page renders <a href="/status">/status</a>; every metric is on <a href="/metrics">/metrics</a></p>
 
-<h2>Serving health</h2>
-<p>state {{if eq .Health 0}}<span class="ok">healthy</span>{{else}}<span class="alarm">{{.Health}}</span>{{end}}
-— admission queue depth {{.QueueDepth}}; degraded answers come from the fallback ladder,
-sheds answer 429 (see estimate_fallback_total / estimate_shed_total below)</p>
-
-<h2>Estimate cache</h2>
-{{if .CacheOn}}<p>entries {{.CacheEntries}}/{{.CacheCap}} — hits {{.CacheHits}}, misses {{.CacheMisses}}
-(hit rate {{printf "%.1f" .CacheHitPct}}%), evictions {{.CacheEvictions}},
-invalidations {{.CacheInvalidations}} (model swaps; a swap's generation bump
-invalidates every entry without a scan)</p>
-{{else}}<p>disabled (Options.EstimateCache is off)</p>{{end}}
-
-<h2>Drift watch</h2>
-{{if .DriftOn}}
-<p>{{if .Drift.Alarm}}<span class="alarm">ALARM</span> since {{ago .Now .Drift.AlarmSince}}{{else}}<span class="ok">ok</span>{{end}}
-— window GMQ {{printf "%.3f" .Drift.WindowGMQ}} over {{.Drift.Count}} obs
-(threshold {{printf "%.2f" .Drift.Threshold}}, window {{.Drift.Window}});
-q-error p50/p95/p99: the warper_qerror_ratio row of the metric table below</p>
-{{else}}<p>disabled (set -drift-alarm-gmq)</p>{{end}}
-
-<h2>Metrics (lifetime)</h2>
-<p>Every registry series since start: a counter's or gauge's value, a histogram's count and quantiles —
-what <a href="/debug/vars">/debug/vars</a> serves as JSON. Rates and windowed quantiles are a scraper's
-subtraction of two <a href="/metrics">/metrics</a> reads; the server keeps none.</p>
-<table><tr><th class="l">metric</th><th>value / count</th><th>p50</th><th>p95</th><th>p99</th></tr>
-{{range $name, $v := .Metrics}}<tr><td class="l">{{$name}}</td>
-{{with hist $v}}<td>{{.Count}}</td><td>{{printf "%.4g" .P50}}</td><td>{{printf "%.4g" .P95}}</td><td>{{printf "%.4g" .P99}}</td>
-{{else}}<td>{{$v}}</td><td></td><td></td><td></td>{{end}}</tr>
+<h2>Costs (seconds)</h2>
+<table>{{range $name, $secs := .Costs}}<tr><td class="l">{{$name}}</td><td>{{printf "%.3f" $secs}}</td></tr>
 {{end}}</table>
 
+<h2>Serving health</h2>
+<p>state {{if eq .Health "healthy"}}<span class="ok">healthy</span>{{else}}<span class="alarm">{{.Health}}</span>{{end}}
+— admission queue depth {{.QueueDepth}}</p>
+
+<h2>Estimate cache</h2>
+{{with .Cache}}<p>entries {{.Entries}}/{{.Capacity}}</p>{{else}}<p>disabled (Options.EstimateCache is off)</p>{{end}}
+
+<h2>Drift watch</h2>
+{{if gt .Drift.Threshold 0.0}}
+<p>{{if .Drift.Alarm}}<span class="alarm">ALARM</span> since {{.Drift.AlarmSince.Format "15:04:05"}}{{else}}<span class="ok">ok</span>{{end}}
+— window GMQ {{printf "%.3f" .Drift.WindowGMQ}} over {{.Drift.Count}} obs
+(threshold {{printf "%.2f" .Drift.Threshold}}, window {{.Drift.Window}})</p>
+{{else}}<p>disabled (set -drift-alarm-gmq)</p>{{end}}
+
 <h2>Worst q-error exemplars</h2>
-{{if .WorstQ}}<table><tr><th>q-error</th><th>estimate</th><th>truth</th><th class="l">predicate</th><th class="l">age</th></tr>
-{{range .WorstQ}}<tr><td>{{printf "%.2f" .QError}}</td><td>{{printf "%.1f" .Estimate}}</td><td>{{printf "%.1f" .Truth}}</td><td class="l">{{.Predicate}}</td><td class="l">{{ago $.Now .Time}}</td></tr>
+{{if .WorstQ}}<table><tr><th>q-error</th><th>estimate</th><th>truth</th><th class="l">predicate</th><th class="l">time</th></tr>
+{{range .WorstQ}}<tr><td>{{printf "%.2f" .QError}}</td><td>{{printf "%.1f" .Estimate}}</td><td>{{printf "%.1f" .Truth}}</td><td class="l">{{.Predicate}}</td><td class="l">{{.Time.Format "15:04:05"}}</td></tr>
 {{end}}</table>{{else}}<p>none yet (needs feedback with ground truth)</p>{{end}}
 
-<h2>Slowest sampled requests</h2>
-{{if .Slowest}}<table><tr><th>latency</th><th>trace</th><th class="l">predicate</th><th class="l">age</th></tr>
-{{range .Slowest}}<tr><td>{{ms .Latency}}</td><td>{{.TraceID}}</td><td class="l">{{.Predicate}}</td><td class="l">{{ago $.Now .Time}}</td></tr>
-{{end}}</table>{{else}}<p>none yet{{if not $.TraceOn}} (tracing off; set -trace-sample){{end}}</p>{{end}}
+<h2>Sampled request traces</h2>
+{{if .Traces}}<table><tr><th>id</th><th class="l">handler</th><th>total</th><th>batch</th><th>generation</th><th class="l">stages</th></tr>
+{{range .Traces}}<tr><td>{{.ID}}</td><td class="l">{{.Handler}}</td><td>{{.Total}}</td><td>{{.BatchSize}}</td><td>{{.Generation}}</td><td class="l">{{range .Stages}}{{.Name}}={{.Dur}} {{end}}</td></tr>
+{{end}}</table>{{else}}<p>none (-trace-sample N traces one request in N; 0 is off)</p>{{end}}
 
-<h2>Request tracing</h2>
-<p>{{if .TraceOn}}retained {{.Traces}} traces ({{.Sampled}} sampled, {{.Dropped}} dropped) —
-<a href="/debug/traces">/debug/traces</a> loads in chrome://tracing{{else}}off (set -trace-sample){{end}}</p>
-
-<h2>Adaptation journal ({{.Journal}} events, {{.Evicted}} evicted) — <a href="/debug/events">/debug/events</a></h2>
-{{if .Events}}<table><tr><th>seq</th><th class="l">age</th><th class="l">kind</th><th>trace</th><th class="l">fields</th></tr>
-{{range .Events}}<tr><td>{{.Seq}}</td><td class="l">{{ago $.Now .Time}}</td><td class="l">{{.Kind}}</td><td>{{if .TraceID}}{{.TraceID}}{{end}}</td><td class="l">{{range $k, $v := .Fields}}{{$k}}={{$v}} {{end}}</td></tr>
+<h2>Adaptation journal ({{.Journal.Total}} events, {{len .Journal.Events}} retained)</h2>
+{{with .Journal.Events}}<table><tr><th>seq</th><th class="l">time</th><th class="l">kind</th><th>trace</th><th class="l">fields</th></tr>
+{{range .}}<tr><td>{{.Seq}}</td><td class="l">{{.Time.Format "15:04:05.000"}}</td><td class="l">{{.Kind}}</td><td>{{if .TraceID}}{{.TraceID}}{{end}}</td><td class="l">{{range $k, $v := .Fields}}{{$k}}={{$v}} {{end}}</td></tr>
 {{end}}</table>{{else}}<p>no lifecycle events yet</p>{{end}}
 </body></html>
 `))
 
-// statuszEventTail bounds the journal rows rendered on /statusz (the full
-// journal is one click away on /debug/events).
-const statuszEventTail = 40
-
-// handleStatusz renders the human-facing flight-recorder page: health,
-// drift state, the lifetime metric table, exemplars and the journal tail,
-// stdlib-only HTML. It renders health, so it evaluates it first.
+// handleStatusz renders the status document as a stdlib-only HTML page.
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	now := time.Now()
-	s.evalHealth(now)
-
-	events := s.rec.journal.Snapshot()
-	total := s.rec.journal.Total()
-	evicted := total - uint64(len(events))
-	if len(events) > statuszEventTail {
-		events = events[len(events)-statuszEventTail:]
-	}
-	// Newest first reads better on a debug page.
-	for i, j := 0, len(events)-1; i < j; i, j = i+1, j-1 {
-		events[i], events[j] = events[j], events[i]
-	}
-	traces := s.rec.tracer.Snapshot()
-	data := statuszData{
-		Now:        now,
-		Status:     s.statusNow(),
-		Health:     s.health.current(),
-		QueueDepth: s.pool.queueDepth(),
-		Metrics:    s.met.Reg.Snapshot(),
-		Drift:      s.rec.driftState(now),
-		WorstQ:     s.rec.exemplars.WorstQ(),
-		Slowest:    s.rec.exemplars.Slowest(),
-		Events:     events,
-		Traces:     len(traces),
-		Sampled:    s.rec.tracer.Sampled.Load(),
-		Dropped:    s.rec.tracer.Dropped.Load(),
-		Journal:    total,
-		Evicted:    evicted,
-		TraceOn:    s.rec.tracer.Sampling(),
-		DriftOn:    s.rec.drift.Threshold() > 0,
-	}
-	if s.cache != nil {
-		data.CacheOn = true
-		data.CacheEntries = s.cache.entries()
-		data.CacheCap = s.cache.capacity
-		data.CacheHits = s.met.cacheHits.Value()
-		data.CacheMisses = s.met.cacheMisses.Value()
-		if n := data.CacheHits + data.CacheMisses; n > 0 {
-			data.CacheHitPct = 100 * float64(data.CacheHits) / float64(n)
-		}
-		data.CacheEvictions = s.met.cacheEvictions.Value()
-		data.CacheInvalidations = s.met.cacheInvalidations.Value()
-	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := statuszTmpl.Execute(w, data); err != nil {
+	if err := statuszTmpl.Execute(w, s.statusNow()); err != nil {
 		s.logger.Error("statusz render failed", "err", err)
 	}
 }
@@ -319,21 +248,4 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.evalHealth(time.Now())
 	s.met.Reg.PrometheusHandler().ServeHTTP(w, r)
-}
-
-// formatMillis renders seconds as a millisecond string.
-func formatMillis(s float64) string {
-	return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond).String()
-}
-
-// formatAgo renders "how long ago" for the statusz tables.
-func formatAgo(now, t time.Time) string {
-	if t.IsZero() {
-		return "-"
-	}
-	d := now.Sub(t)
-	if d < 0 {
-		d = 0
-	}
-	return d.Round(time.Second).String() + " ago"
 }

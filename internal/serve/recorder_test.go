@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"html/template"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -28,18 +29,26 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, body
 }
 
-// chromeTraceDump mirrors the /debug/traces payload for assertions.
-type chromeTraceDump struct {
-	TraceEvents []struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Ts   float64        `json:"ts"`
-		Dur  float64        `json:"dur"`
-		Tid  uint64         `json:"tid"`
-		Args map[string]any `json:"args"`
-	} `json:"traceEvents"`
+// getStatus fetches and decodes the /status document.
+func getStatus(t *testing.T, base string) statusDoc {
+	t.Helper()
+	resp, body := getBody(t, base+"/status")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /status = %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/status content-type = %q", ct)
+	}
+	var doc statusDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("invalid /status JSON: %v", err)
+	}
+	return doc
 }
 
+// TestDebugTracesEndpoint checks the sampled traces /status carries: every
+// estimate traced at sample-every-1, each with its batch size, generation
+// and stages nested inside the request's total.
 func TestDebugTracesEndpoint(t *testing.T) {
 	_, ts, _, _, gNew := newTestServerOpts(t, Options{TraceSample: 1, TraceBuf: 16})
 	rng := rand.New(rand.NewSource(7))
@@ -48,52 +57,35 @@ func TestDebugTracesEndpoint(t *testing.T) {
 		postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, nil)
 	}
 
-	resp, body := getBody(t, ts.URL+"/debug/traces")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content-type = %q", ct)
-	}
-	var dump chromeTraceDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		t.Fatalf("not valid Chrome trace JSON: %v", err)
-	}
-	if len(dump.TraceEvents) == 0 {
-		t.Fatal("no trace events despite sample-every-1")
-	}
-
-	// Per trace: the top-level request event must dominate the sum of its
-	// stage events (stages nest inside the request).
-	reqDur := map[uint64]float64{}
-	stageSum := map[uint64]float64{}
-	for _, ev := range dump.TraceEvents {
-		if ev.Ph != "X" {
-			t.Fatalf("unexpected phase %q", ev.Ph)
-		}
-		if ev.Name == "estimate" {
-			reqDur[ev.Tid] = ev.Dur
-			if ev.Args["batch_size"] == nil {
-				t.Error("request event missing batch_size arg")
-			}
-		} else {
-			stageSum[ev.Tid] += ev.Dur
-		}
-	}
-	if len(reqDur) == 0 {
-		t.Fatal("no top-level estimate events")
-	}
-	for tid, sum := range stageSum {
-		total, ok := reqDur[tid]
-		if !ok {
-			t.Errorf("trace %d has stages but no request event", tid)
+	var estimates int
+	for _, tr := range getStatus(t, ts.URL).Traces {
+		if tr.Handler != "estimate" {
 			continue
 		}
-		// Stages cover decode→serve→respond with no blind gaps; allow 1ms
-		// of slack for clock rounding.
-		if sum > total+1000 {
-			t.Errorf("trace %d: stage sum %.0fµs exceeds request %.0fµs", tid, sum, total)
+		estimates++
+		// Uncached scalar estimates: one row per forward pass, on the
+		// first serving generation.
+		if tr.BatchSize != 1 || tr.Generation != 1 {
+			t.Errorf("trace %d: batch size %d, generation %d; want 1, 1", tr.ID, tr.BatchSize, tr.Generation)
 		}
+		if len(tr.Stages) == 0 {
+			t.Errorf("trace %d has no stages", tr.ID)
+		}
+		// Stages cover decode→serve→respond with no blind gaps and nest
+		// inside the request.
+		var sum time.Duration
+		for _, st := range tr.Stages {
+			if st.Start < 0 || st.Dur < 0 {
+				t.Errorf("trace %d: bad stage %+v", tr.ID, st)
+			}
+			sum += st.Dur
+		}
+		if sum > tr.Total {
+			t.Errorf("trace %d: stage sum %v exceeds request %v", tr.ID, sum, tr.Total)
+		}
+	}
+	if estimates != 10 {
+		t.Fatalf("/status carries %d estimate traces despite sample-every-1, want 10", estimates)
 	}
 }
 
@@ -159,14 +151,7 @@ func TestDebugEventsCausalOrder(t *testing.T) {
 		srv.health.eval(time.Now(), healthSignals{queueDepth: srv.health.queueHigh})
 	}
 
-	resp, body := getBody(t, ts.URL+"/debug/events")
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content-type = %q", ct)
-	}
-	var events eventsResponse
-	if err := json.Unmarshal(body, &events); err != nil {
-		t.Fatalf("invalid events JSON: %v", err)
-	}
+	events := getStatus(t, ts.URL).Journal
 
 	// The flight-recorder story must read in causal order: the drift alarm
 	// fired, then a period ran, finished, and swapped the repaired model in.
@@ -202,7 +187,7 @@ func TestDebugEventsCausalOrder(t *testing.T) {
 	logged.mu.Lock()
 	defer logged.mu.Unlock()
 	if len(logged.recs) != len(events.Events) {
-		t.Fatalf("log has %d records at info and above, /debug/events lists %d events", len(logged.recs), len(events.Events))
+		t.Fatalf("log has %d records at info and above, /status's journal lists %d events", len(logged.recs), len(events.Events))
 	}
 	for i, ev := range events.Events {
 		rec := logged.recs[i]
@@ -229,6 +214,9 @@ func TestDebugEventsCausalOrder(t *testing.T) {
 	}
 }
 
+// TestStatuszEndpoint checks that /statusz renders the status document —
+// drift watch, exemplars, traces and journal — and nothing else: the
+// lifetime metric table is gone, /metrics keeps every metric.
 func TestStatuszEndpoint(t *testing.T) {
 	_, ts, _, _, gNew := newTestServerOpts(t, Options{TraceSample: 1, DriftAlarmGMQ: 10})
 	rng := rand.New(rand.NewSource(10))
@@ -251,24 +239,33 @@ func TestStatuszEndpoint(t *testing.T) {
 		t.Errorf("content-type = %q", ct)
 	}
 	page := string(body)
+	doc := getStatus(t, ts.URL)
+	if len(doc.WorstQ) == 0 || len(doc.Traces) == 0 {
+		t.Fatalf("/status has %d exemplars and %d traces, want some of each", len(doc.WorstQ), len(doc.Traces))
+	}
 	for _, want := range []string{
 		"flight recorder",
 		"Drift watch",
-		mCheckoutWait, // the metric table lists every registry series
-		"/debug/traces",
-		"/debug/events",
+		"model=" + doc.Model,
+		"threshold 10.00",
+		template.HTMLEscapeString(doc.WorstQ[0].Predicate),
+		`<td class="l">estimate</td>`, // a trace row
+		`href="/status"`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("statusz missing %q", want)
 		}
 	}
+	if strings.Contains(page, mCheckoutWait) || strings.Contains(page, "/debug/") {
+		t.Error("statusz still renders the metric table or links a deleted /debug route")
+	}
 }
 
 // TestDebugEndpointsBoundedUnderLoad hammers the server with estimates,
-// feedback and debug reads concurrently (run with -race to validate the
-// recorder's synchronization) and checks every debug surface stays bounded.
+// feedback and status reads concurrently (run with -race to validate the
+// recorder's synchronization) and checks the status document stays bounded.
 func TestDebugEndpointsBoundedUnderLoad(t *testing.T) {
-	srv, ts, _, _, gNew := newTestServerOpts(t, Options{
+	_, ts, _, _, gNew := newTestServerOpts(t, Options{
 		TraceSample: 1, TraceBuf: 8, DriftWindow: time.Second, DriftAlarmGMQ: 2,
 	})
 	rng := rand.New(rand.NewSource(11))
@@ -296,7 +293,7 @@ func TestDebugEndpointsBoundedUnderLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			for _, path := range []string{"/debug/traces", "/debug/events", "/statusz", "/metrics"} {
+			for _, path := range []string{"/status", "/statusz", "/metrics"} {
 				resp, err := http.Get(ts.URL + path)
 				if err != nil {
 					t.Errorf("GET %s: %v", path, err)
@@ -314,21 +311,20 @@ func TestDebugEndpointsBoundedUnderLoad(t *testing.T) {
 
 	// Bounded retention: the ring and journal never exceed their caps no
 	// matter how much traffic flowed.
-	if n := len(srv.rec.tracer.Snapshot()); n > 8 {
-		t.Errorf("trace ring holds %d, cap 8", n)
+	doc := getStatus(t, ts.URL)
+	if n := len(doc.Traces); n > 8 {
+		t.Errorf("/status carries %d traces, ring cap 8", n)
 	}
-	_, body := getBody(t, ts.URL+"/debug/events")
-	var events eventsResponse
-	if err := json.Unmarshal(body, &events); err != nil {
-		t.Fatalf("invalid events JSON: %v", err)
+	if n := len(doc.Journal.Events); n > defaultJournalCap {
+		t.Errorf("journal holds %d events, cap %d", n, defaultJournalCap)
 	}
-	if len(events.Events) > defaultJournalCap {
-		t.Errorf("journal holds %d events, cap %d", len(events.Events), defaultJournalCap)
+	if len(doc.WorstQ) > defaultExemplars {
+		t.Errorf("/status carries %d exemplars, cap %d", len(doc.WorstQ), defaultExemplars)
 	}
 }
 
 // TestTracingOffHasNoDebugData confirms the default server traces nothing
-// (the zero-cost default) while the journal still records lifecycle events.
+// (the zero-cost default): /status carries an empty trace ring.
 func TestTracingOffHasNoDebugData(t *testing.T) {
 	srv, ts, _, _, gNew := newTestServer(t)
 	rng := rand.New(rand.NewSource(13))
@@ -336,21 +332,11 @@ func TestTracingOffHasNoDebugData(t *testing.T) {
 		p := gNew.Gen(rng)
 		postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, nil)
 	}
-	if n := len(srv.rec.tracer.Snapshot()); n != 0 {
-		t.Errorf("tracing off but %d traces retained", n)
-	}
 	if got := srv.rec.tracer.Sampled.Load(); got != 0 {
 		t.Errorf("tracing off but sampled %d", got)
 	}
-	resp, body := getBody(t, ts.URL+"/debug/traces")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/traces = %d", resp.StatusCode)
-	}
-	var dump chromeTraceDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		t.Fatalf("empty trace dump is invalid JSON: %v", err)
-	}
-	if len(dump.TraceEvents) != 0 {
-		t.Errorf("tracing off but %d events exported", len(dump.TraceEvents))
+	_, body := getBody(t, ts.URL+"/status")
+	if !strings.Contains(string(body), `"traces":[]`) {
+		t.Errorf("tracing off but /status carries traces: %s", body)
 	}
 }

@@ -461,11 +461,11 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("%d estimate requests failed during the chaos soak", n)
 	}
 
-	// `make chaos` captures the adaptation event journal of the soak as a CI
-	// artifact: the breaker transitions, degradation steps and model swaps
-	// the fault injection provoked, in causal order.
+	// `make chaos` captures the soak's /status document as a CI artifact:
+	// its journal holds the breaker transitions, degradation steps and model
+	// swaps the fault injection provoked, in causal order.
 	if path := os.Getenv("WARPER_EVENTS_OUT"); path != "" {
-		resp, err := http.Get(ts.URL + "/debug/events")
+		resp, err := http.Get(ts.URL + "/status")
 		if err != nil {
 			t.Fatalf("events artifact: %v", err)
 		}
@@ -477,6 +477,6 @@ func TestChaosSoak(t *testing.T) {
 		if err := os.WriteFile(path, body, 0o644); err != nil {
 			t.Fatalf("events artifact: %v", err)
 		}
-		t.Logf("wrote adaptation event journal to %s", path)
+		t.Logf("wrote the /status document, adaptation journal included, to %s", path)
 	}
 }

@@ -64,17 +64,17 @@ type Options struct {
 	Replicas int
 	// TraceSample enables request tracing: one estimate (and period) request
 	// in every TraceSample is traced through the serving stages and retained
-	// for /debug/traces. 0 disables tracing; the disabled hot path costs one
+	// for /status. 0 disables tracing; the disabled hot path costs one
 	// atomic load and allocates nothing.
 	TraceSample int
-	// TraceBuf is how many finished traces /debug/traces retains (default 64).
+	// TraceBuf is how many finished traces /status retains (default 64).
 	TraceBuf int
 	// DriftWindow is the rolling window of the q-error drift watch
 	// (default 5m).
 	DriftWindow time.Duration
 	// DriftAlarmGMQ raises the drift alarm (journal event + warper_drift_alarm
 	// gauge) when the windowed geometric mean q-error reaches this value.
-	// 0 disables alarming; the windowed GMQ is still tracked for /statusz.
+	// 0 disables alarming; the windowed GMQ is still tracked for /status.
 	DriftAlarmGMQ float64
 	// EstimateTimeout is the default per-request deadline budget for
 	// /estimate: how long a request may queue for a replica before the
@@ -134,9 +134,10 @@ type Server struct {
 	cache   *estimateCache
 	buffer  []warper.Arrival
 	periods int
-	// status caches the adapter-derived fields of GET /status so the
-	// handler never touches adapter state a running period may be mutating.
-	status statusSnapshot
+	// status caches the adapter-derived fields of GET /status (model, pool,
+	// thresholds, costs) so the handler never touches adapter state a
+	// running period may be mutating.
+	status statusDoc
 
 	met *Metrics
 	// rec is the drift flight recorder: request tracer, adaptation event
@@ -161,17 +162,6 @@ type Server struct {
 	scratch chan *scratch
 	// wireOn mounts the binary batch endpoints (see binary.go).
 	wireOn bool
-}
-
-// statusSnapshot holds the /status fields refreshed under mu after every
-// period.
-type statusSnapshot struct {
-	Model    string
-	PoolSize int
-	Labeled  int
-	Pi       float64
-	Gamma    int
-	Costs    string
 }
 
 // New builds a Server around an adapter with default options.
@@ -241,13 +231,13 @@ func (s *Server) Metrics() *Metrics { return s.met }
 // must guarantee no period is concurrently mutating the adapter (holding
 // periodMu, or during construction).
 func (s *Server) refreshStatusLocked() {
-	s.status = statusSnapshot{
+	s.status = statusDoc{
 		Model:    s.adapter.M.Name(),
 		PoolSize: s.adapter.Pool.Len(),
 		Labeled:  s.adapter.Pool.CountLabeled(),
 		Pi:       s.adapter.Pi(),
 		Gamma:    s.adapter.Gamma(),
-		Costs:    s.adapter.Ledger.String(),
+		Costs:    s.adapter.Ledger.Seconds(),
 	}
 }
 
@@ -266,9 +256,6 @@ func (s *Server) Handler() http.Handler {
 		_, _ = fmt.Fprintln(w, "ok") // health probes ignore the body anyway
 	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", s.met.Reg.VarsHandler())
-	mux.HandleFunc("GET /debug/traces", s.instrument("traces", s.rec.handleTraces))
-	mux.HandleFunc("GET /debug/events", s.instrument("events", s.rec.handleEvents))
 	mux.HandleFunc("GET /statusz", s.instrument("statusz", s.handleStatusz))
 	if s.pprof {
 		obs.AttachPprof(mux)
@@ -465,19 +452,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.EnterStage("respond")
 	s.writeEstimate(w, sc, card, out)
-	//lint:allow hotpathalloc sampled-trace epilogue: the string render and exemplar offer never run on untraced requests
-	if tr != nil {
-		// Offer the request as a slowest-exemplar candidate before the ring
-		// recycles the trace. Sampled requests only — the string render
-		// never happens on untraced requests.
-		lat := time.Since(tr.Start)
-		s.rec.exemplars.OfferSlow(obs.Exemplar{
-			TraceID:   tr.ID,
-			Time:      tr.Start,
-			Latency:   lat.Seconds(),
-			Predicate: p.WhereClause(s.sch),
-		})
-	}
 }
 
 type feedbackRequest struct {
@@ -529,7 +503,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.met.qerr.Observe(q)
 		// Feed the rolling drift watch; an alarm transition lands in the
 		// event journal and on the warper_drift_alarm gauge. The exemplar
-		// set pins the worst offenders with their predicates for /statusz.
+		// set pins the worst offenders with their predicates for /status.
 		now := time.Now()
 		s.rec.feedback(q, obs.Exemplar{
 			Time:      now,
@@ -703,7 +677,7 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 		// The generation bump IS the cache invalidation: every entry is
 		// stamped with the old generation and stops matching. Count it so
 		// operators can tell wholesale invalidations from per-entry
-		// evictions on /statusz.
+		// evictions on /metrics.
 		s.met.cacheInvalidations.Inc()
 	}
 	// Refresh the fallback histogram against the post-period world: it
@@ -725,7 +699,7 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 // steps and the swap, and builds the /period response. A failed period never
 // gets here, so the period count, the stage histograms and the journal stay
 // aligned.
-func (s *Server) stampPeriod(rep *warper.Report, arrivals int, st statusSnapshot, traceID uint64) periodResponse {
+func (s *Server) stampPeriod(rep *warper.Report, arrivals int, st statusDoc, traceID uint64) periodResponse {
 	resp := periodResponse{
 		Mode:         rep.Detection.Mode.String(),
 		Arrivals:     arrivals,
@@ -805,39 +779,6 @@ func (s *Server) stampPeriod(rep *warper.Report, arrivals int, st statusSnapshot
 		"updated":    rep.Updated,
 	})
 	return resp
-}
-
-type statusResponse struct {
-	Model    string  `json:"model"`
-	PoolSize int     `json:"pool_size"`
-	Labeled  int     `json:"labeled"`
-	Buffered int     `json:"buffered"`
-	Periods  int     `json:"periods"`
-	Pi       float64 `json:"pi"`
-	Gamma    int     `json:"gamma"`
-	Costs    string  `json:"costs"`
-}
-
-// statusNow assembles the GET /status payload, which /statusz heads its page
-// with: the adapter state cached after the last period plus the live buffer
-// length and period count.
-func (s *Server) statusNow() statusResponse {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return statusResponse{
-		Model:    s.status.Model,
-		PoolSize: s.status.PoolSize,
-		Labeled:  s.status.Labeled,
-		Buffered: len(s.buffer),
-		Periods:  s.periods,
-		Pi:       s.status.Pi,
-		Gamma:    s.status.Gamma,
-		Costs:    s.status.Costs,
-	}
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, s.statusNow())
 }
 
 // writeJSON encodes v as the response body. By the time Encode can fail the

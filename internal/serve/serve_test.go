@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"warper/internal/annotator"
 	"warper/internal/ce"
@@ -179,6 +181,54 @@ func TestEndpointDocsMatchRoutes(t *testing.T) {
 	}
 }
 
+// TestStatusFieldsDocumented holds /status to one vocabulary, as
+// TestEndpointDocsMatchRoutes holds the routes: every JSON field of
+// statusDoc, and of each struct it nests one level deep, is the name of a
+// /metrics family (with or without the warper_ prefix) or is named in
+// README's section on the /status document.
+func TestStatusFieldsDocumented(t *testing.T) {
+	families := registeredFamilies(t, NewMetrics())
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### The `/status` document")
+	if !ok {
+		t.Fatal("README.md has no section on the /status document")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(section, -1) {
+		documented[m[1]] = true
+	}
+	var check func(prefix string, typ reflect.Type, nested bool)
+	check = func(prefix string, typ reflect.Type, nested bool) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || typ == reflect.TypeOf(time.Time{}) {
+			return
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" {
+				name = f.Name
+			}
+			if !documented[name] && !families[name] && !families["warper_"+name] {
+				t.Errorf("/status field %s%s is neither a /metrics family nor named in README's /status section", prefix, name)
+			}
+			if !nested {
+				check(prefix+name+".", f.Type, true)
+			}
+		}
+	}
+	check("", reflect.TypeOf(statusDoc{}), false)
+}
+
 func TestEstimateEndpoint(t *testing.T) {
 	srv, ts, sch, _, gNew := newTestServer(t)
 	p := gNew.Gen(rand.New(rand.NewSource(1)))
@@ -247,7 +297,7 @@ func TestFeedbackPeriodStatusFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statusResponse
+	var st statusDoc
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,15 @@ func (l *Ledger) Charge(name string, d time.Duration) {
 // Get returns the accumulated busy time for one component.
 func (l *Ledger) Get(name string) time.Duration { return l.charges[name] }
 
+// Seconds returns every charge so far in seconds, keyed by component name.
+func (l *Ledger) Seconds() map[string]float64 {
+	out := make(map[string]float64, len(l.charges))
+	for n, d := range l.charges {
+		out[n] = d.Seconds()
+	}
+	return out
+}
+
 // String renders the ledger sorted by component name.
 func (l *Ledger) String() string {
 	names := make([]string, 0, len(l.charges))

@@ -19,6 +19,9 @@ func TestLedger(t *testing.T) {
 	if s := l.String(); s != "annotate=5s model=1s" {
 		t.Errorf("String = %q", s)
 	}
+	if s := l.Seconds(); len(s) != 2 || s["annotate"] != 5 || s["model"] != 1 {
+		t.Errorf("Seconds = %v", s)
+	}
 }
 
 func TestCPUPercent(t *testing.T) {
