@@ -27,7 +27,8 @@ vet:
 # warperlint enforces determinism, panic-safety, error handling, context
 # propagation, metric naming, two syntactic bans (function-style sync/atomic,
 # `go` statements) and the two module-wide call-graph contracts: hot-path
-# allocation-freedom and lock ordering (see internal/lint, DESIGN.md §13).
+# allocation-freedom and the lock discipline, which bans taking a module lock
+# under another (see internal/lint, DESIGN.md §13).
 # Exits non-zero on any diagnostic.
 lint:
 	$(GO) run ./cmd/warperlint ./...

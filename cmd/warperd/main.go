@@ -36,7 +36,8 @@
 // ledger's own names: "pretrain", then every period's time under its stage
 // names (detect, generate, pick, annotate, update) — the stage label of
 // warper_period_stage_seconds — and "annotate_retry", the failed annotation
-// attempts inside "annotate".
+// attempts, already inside the stage that made them (annotate, or detect and
+// update, whose canary probes use the same source).
 package main
 
 import (

@@ -1,11 +1,13 @@
 // Command warperlint runs the project's static-analysis suite (package
 // internal/lint) over the module: determinism of the algorithm packages,
-// panic-freedom of the serving path, lock hygiene in internal/serve,
-// dropped-error detection everywhere, typed atomics only, no go statements
-// in the serving packages, and the module-wide call-graph rules — hot-path
-// allocation-freedom and lock-order acyclicity. It exits non-zero when any
-// diagnostic survives //lint:allow suppression, so it can gate
-// scripts/check.sh and CI.
+// panic-freedom of the serving path, dropped-error detection everywhere,
+// context propagation, metric naming, typed atomics only, no go statements
+// outside the benchmark's load generator, and the module-wide call-graph
+// rules — hot-path allocation-freedom, and a lock discipline in which no
+// module lock is taken under another and no slow work runs under a
+// serving lock. It exits non-zero when any diagnostic survives
+// //lint:allow suppression, so it can gate scripts/check.sh and CI.
+// -rules lists every rule with its package scope.
 //
 // Usage:
 //

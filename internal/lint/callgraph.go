@@ -2,8 +2,8 @@ package lint
 
 // This file builds a module-wide call graph over the loaded packages so
 // analyzers can check transitive properties — "no allocation reachable
-// from the estimate handler", "no lock cycle" — that per-package AST walks
-// cannot see.
+// from the estimate handler", "no module lock taken under another" — that
+// per-package AST walks cannot see.
 //
 // Resolution is CHA-style (class hierarchy analysis) over go/types:
 //
@@ -14,10 +14,11 @@ package lint
 //     which over-approximates the dynamic targets but never misses one
 //     that lives in this module;
 //   - method values (s.handleEstimate passed as a handler) and method
-//     expressions get EdgeMethodValue edges with the same resolution;
-//   - function literals are first-class nodes, reached by EdgeClosure
-//     (built and passed around) or by the direct kind when invoked in
-//     place; go f(...) and defer f(...) are calls like any other.
+//     expressions get edges with the same resolution, since the method
+//     may run later from anywhere the value flows;
+//   - function literals are first-class nodes with an edge from their
+//     enclosing function, whether invoked in place or built and passed
+//     around; go f(...) and defer f(...) are calls like any other.
 //
 // Known holes, deliberate for a stdlib-only analyzer: calls through
 // func-typed variables and struct fields are unresolved (no edge), and
@@ -32,44 +33,10 @@ import (
 	"sort"
 )
 
-// EdgeKind classifies how a call-graph edge is taken.
-type EdgeKind uint8
-
-const (
-	// EdgeCall is a direct static call to a declared function or a
-	// method on a concrete receiver.
-	EdgeCall EdgeKind = iota
-	// EdgeDynamic is an interface method call, resolved by CHA to every
-	// module implementation.
-	EdgeDynamic
-	// EdgeMethodValue is a method value or method expression reference;
-	// the method may run later, from anywhere the value flows.
-	EdgeMethodValue
-	// EdgeClosure is a reference to a function literal that is not
-	// invoked on the spot.
-	EdgeClosure
-)
-
-// String names the kind for golden tests and diagnostics.
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeCall:
-		return "call"
-	case EdgeDynamic:
-		return "dynamic"
-	case EdgeMethodValue:
-		return "methodvalue"
-	case EdgeClosure:
-		return "closure"
-	}
-	return "unknown"
-}
-
 // A CGEdge is one outgoing call edge.
 type CGEdge struct {
 	Callee *CGNode
 	Pos    token.Pos // call or reference site
-	Kind   EdgeKind
 }
 
 // A CGNode is one function in the graph: a declared function or method
@@ -194,20 +161,14 @@ func (g *CallGraph) walk(n *CGNode, root *ast.BlockStmt) {
 	pkg := n.Pkg
 	info := pkg.Info
 
-	// First pass: which expressions are call Funs, and which literals are
-	// invoked in place.
+	// First pass: which expressions are call Funs.
 	callFun := map[ast.Expr]bool{}
-	invoked := map[*ast.FuncLit]bool{}
 	ast.Inspect(root, func(x ast.Node) bool {
 		switch v := x.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			fun := unparen(v.Fun)
-			callFun[fun] = true
-			if lit, ok := fun.(*ast.FuncLit); ok {
-				invoked[lit] = true
-			}
+			callFun[unparen(v.Fun)] = true
 		}
 		return true
 	})
@@ -216,24 +177,15 @@ func (g *CallGraph) walk(n *CGNode, root *ast.BlockStmt) {
 		switch v := x.(type) {
 		case *ast.FuncLit:
 			child := g.litNode(n, v)
-			kind := EdgeClosure
-			if invoked[v] {
-				kind = EdgeCall
-			}
-			n.Out = append(n.Out, CGEdge{Callee: child, Pos: v.Pos(), Kind: kind})
+			n.Out = append(n.Out, CGEdge{Callee: child, Pos: v.Pos()})
 			g.walk(child, v.Body)
 			return false
 		case *ast.CallExpr:
 			if _, ok := unparen(v.Fun).(*ast.FuncLit); ok {
 				return true // edge added by the FuncLit case
 			}
-			targets, dynamic := g.resolveTargets(pkg, v.Fun)
-			kind := EdgeCall
-			if dynamic {
-				kind = EdgeDynamic
-			}
-			for _, t := range targets {
-				n.Out = append(n.Out, CGEdge{Callee: t, Pos: v.Pos(), Kind: kind})
+			for _, t := range g.resolveTargets(pkg, v.Fun) {
+				n.Out = append(n.Out, CGEdge{Callee: t, Pos: v.Pos()})
 			}
 			return true
 		case *ast.SelectorExpr:
@@ -244,9 +196,8 @@ func (g *CallGraph) walk(n *CGNode, root *ast.BlockStmt) {
 			if sel == nil || (sel.Kind() != types.MethodVal && sel.Kind() != types.MethodExpr) {
 				return true
 			}
-			targets, _ := g.resolveTargets(pkg, v)
-			for _, t := range targets {
-				n.Out = append(n.Out, CGEdge{Callee: t, Pos: v.Pos(), Kind: EdgeMethodValue})
+			for _, t := range g.resolveTargets(pkg, v) {
+				n.Out = append(n.Out, CGEdge{Callee: t, Pos: v.Pos()})
 			}
 			return true
 		}
@@ -279,15 +230,15 @@ func (g *CallGraph) litNode(parent *CGNode, lit *ast.FuncLit) *CGNode {
 	return n
 }
 
-// resolveTargets resolves a call/reference expression to module nodes.
-// dynamic reports interface dispatch (the targets are a CHA fan-out).
-func (g *CallGraph) resolveTargets(pkg *Package, fun ast.Expr) (targets []*CGNode, dynamic bool) {
+// resolveTargets resolves a call/reference expression to module nodes: one
+// node, or a CHA fan-out for interface dispatch.
+func (g *CallGraph) resolveTargets(pkg *Package, fun ast.Expr) []*CGNode {
 	info := pkg.Info
 	switch v := unparen(fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[v].(*types.Func); ok {
 			if n := g.funcs[fn]; n != nil {
-				return []*CGNode{n}, false
+				return []*CGNode{n}
 			}
 		}
 	case *ast.SelectorExpr:
@@ -296,13 +247,13 @@ func (g *CallGraph) resolveTargets(pkg *Package, fun ast.Expr) (targets []*CGNod
 			// Package-qualified call: pkg.Fn.
 			if fn, ok := info.Uses[v.Sel].(*types.Func); ok {
 				if n := g.funcs[fn]; n != nil {
-					return []*CGNode{n}, false
+					return []*CGNode{n}
 				}
 			}
-			return nil, false
+			return nil
 		}
 		if sel.Kind() != types.MethodVal && sel.Kind() != types.MethodExpr {
-			return nil, false // func-typed field: unresolved
+			return nil // func-typed field: unresolved
 		}
 		recv := sel.Recv()
 		if sel.Kind() == types.MethodExpr {
@@ -312,17 +263,17 @@ func (g *CallGraph) resolveTargets(pkg *Package, fun ast.Expr) (targets []*CGNod
 			}
 		}
 		if iface, ok := recv.Underlying().(*types.Interface); ok {
-			return g.cha(iface, v.Sel.Name), true
+			return g.cha(iface, v.Sel.Name)
 		}
 		if fn, ok := sel.Obj().(*types.Func); ok {
 			if n := g.funcs[fn]; n != nil {
-				return []*CGNode{n}, false
+				return []*CGNode{n}
 			}
 		}
 	case *ast.IndexExpr:
 		return g.resolveTargets(pkg, v.X) // generic instantiation
 	}
-	return nil, false
+	return nil
 }
 
 // cha returns the node for method name on every module named type whose

@@ -1,17 +1,16 @@
 package lint
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// edgeList renders a node's out-edges as "kind callee" strings, the
-// golden form the fixture assertions compare against.
+// edgeList renders a node's out-edges as callee names, the golden form the
+// fixture assertions compare against.
 func edgeList(n *CGNode) []string {
 	var out []string
 	for _, e := range n.Out {
-		out = append(out, e.Kind.String()+" "+e.Callee.Name)
+		out = append(out, e.Callee.Name)
 	}
 	return out
 }
@@ -34,17 +33,17 @@ func TestCallGraphFixture(t *testing.T) {
 
 	// Interface dispatch fans out to every implementation, name-sorted.
 	if got, want := edgeList(get("app.Dispatch")), []string{
-		"dynamic app.(*Hist).Estimate",
-		"dynamic app.(*LM).Estimate",
+		"app.(*Hist).Estimate",
+		"app.(*LM).Estimate",
 	}; !reflect.DeepEqual(got, want) {
 		t.Errorf("app.Dispatch edges = %v, want %v", got, want)
 	}
 
 	// Mutual recursion terminates and keeps both edges.
-	if got, want := edgeList(get("app.Even")), []string{"call app.Odd"}; !reflect.DeepEqual(got, want) {
+	if got, want := edgeList(get("app.Even")), []string{"app.Odd"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("app.Even edges = %v, want %v", got, want)
 	}
-	if got, want := edgeList(get("app.Odd")), []string{"call app.Even"}; !reflect.DeepEqual(got, want) {
+	if got, want := edgeList(get("app.Odd")), []string{"app.Even"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("app.Odd edges = %v, want %v", got, want)
 	}
 
@@ -52,18 +51,18 @@ func TestCallGraphFixture(t *testing.T) {
 	// (CHA fan-out), closure, and an in-place invoked literal, in source
 	// order.
 	if got, want := edgeList(get("app.Spawn")), []string{
-		"call app.worker",
-		"call app.cleanup",
-		"methodvalue app.(*Hist).Estimate",
-		"methodvalue app.(*LM).Estimate",
-		"closure app.Spawn$1",
-		"call app.Spawn$2",
+		"app.worker",
+		"app.cleanup",
+		"app.(*Hist).Estimate",
+		"app.(*LM).Estimate",
+		"app.Spawn$1",
+		"app.Spawn$2",
 	}; !reflect.DeepEqual(got, want) {
 		t.Errorf("app.Spawn edges = %v, want %v", got, want)
 	}
 
 	// The invoked literal is a real node with its own edges.
-	if got, want := edgeList(get("app.Spawn$2")), []string{"call app.Dispatch"}; !reflect.DeepEqual(got, want) {
+	if got, want := edgeList(get("app.Spawn$2")), []string{"app.Dispatch"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("app.Spawn$2 edges = %v, want %v", got, want)
 	}
 }
@@ -71,25 +70,11 @@ func TestCallGraphFixture(t *testing.T) {
 // TestCallGraphModule builds the graph over the real module and checks
 // the properties the hot-path rules depend on: every serving root
 // resolves, and interface dispatch through ce.Estimator reaches the LM
-// implementation from the estimate handler. Skipped in -short runs with
-// the rest of the full-module loads.
+// implementation from the estimate handler (the handler reaches
+// ce.(*LM).Estimate only through that CHA fan-out). Skipped in -short runs
+// with the rest of the full-module loads.
 func TestCallGraphModule(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module load is slow under the source importer")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := BuildCallGraph(pkgs)
+	g := BuildCallGraph(moduleLoad(t))
 
 	for _, rootName := range hotPathRoots {
 		if len(g.Named(rootName)) == 0 {
@@ -97,8 +82,7 @@ func TestCallGraphModule(t *testing.T) {
 		}
 	}
 
-	// BFS from the estimate handler must cross an interface dispatch into
-	// the LM estimator.
+	// BFS from the estimate handler must reach the LM estimator.
 	starts := g.Named("serve.(*Server).handleEstimate")
 	if len(starts) == 0 {
 		t.Fatal("no serve.(*Server).handleEstimate node")
@@ -114,13 +98,13 @@ func TestCallGraphModule(t *testing.T) {
 		}
 		seen[n] = true
 		for _, e := range n.Out {
-			if e.Kind == EdgeDynamic && e.Callee.Name == "ce.(*LM).Estimate" {
+			if e.Callee.Name == "ce.(*LM).Estimate" {
 				foundLM = true
 			}
 			queue = append(queue, e.Callee)
 		}
 	}
 	if !foundLM {
-		t.Error("no dynamic-dispatch path from the estimate handler to ce.(*LM).Estimate")
+		t.Error("no path from the estimate handler to ce.(*LM).Estimate")
 	}
 }

@@ -2,22 +2,29 @@ package lint
 
 import (
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// fixtureLoader is shared across tests so the stdlib source importer's
-// work (parsing sync, time, fmt, …) is paid once.
+// One loader is shared across tests so the stdlib source importer's work
+// (parsing sync, time, fmt, …) is paid once, and the module is loaded once
+// for every test that needs all of it.
 var (
 	loaderOnce sync.Once
 	fixLoader  *Loader
 	loaderErr  error
+
+	moduleOnce sync.Once
+	modulePkgs []*Package
+	moduleErr  error
 )
 
-func fixtureLoad(t *testing.T, rel string) *Package {
+func sharedLoader(t *testing.T) *Loader {
 	t.Helper()
 	loaderOnce.Do(func() {
 		root, err := filepath.Abs("../..")
@@ -30,12 +37,33 @@ func fixtureLoad(t *testing.T, rel string) *Package {
 	if loaderErr != nil {
 		t.Fatalf("loader: %v", loaderErr)
 	}
+	return fixLoader
+}
+
+// moduleLoad returns every module package, loaded once per test binary.
+// Skipped in -short runs: the first full-module load takes seconds under
+// the source importer.
+func moduleLoad(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full-module load is slow under the source importer")
+	}
+	l := sharedLoader(t)
+	moduleOnce.Do(func() { modulePkgs, moduleErr = l.LoadAll() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return modulePkgs
+}
+
+func fixtureLoad(t *testing.T, rel string) *Package {
+	t.Helper()
 	dir := filepath.Join("testdata", "src", filepath.FromSlash(rel))
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := fixLoader.LoadDir("fixture/"+rel, abs)
+	pkg, err := sharedLoader(t).LoadDir("fixture/"+rel, abs)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", rel, err)
 	}
@@ -197,8 +225,8 @@ func TestGoroutineLeakFixture(t *testing.T) {
 
 func TestLockOrderFixture(t *testing.T) {
 	diags := checkFixture(t, LockOrder, "lockorder/serve")
-	if len(diags) != 3 {
-		t.Errorf("got %d diagnostics, want 3 (TryLock and refreshMu are exempt)", len(diags))
+	if len(diags) != 6 {
+		t.Errorf("got %d diagnostics, want 6 (TryLock opens no region; refreshMu is exempt from hygiene)", len(diags))
 	}
 }
 
@@ -227,6 +255,55 @@ func TestScopeByLastSegment(t *testing.T) {
 	}
 }
 
+// TestLintRulesDocumented closes the doc loop for the rule scopes: every
+// row of README's two rule tables names a shipped analyzer, every analyzer
+// has a row, and a row's scope lists exactly the analyzer's Packages — or
+// starts with "everywhere" when Packages is empty.
+func TestLintRulesDocumented(t *testing.T) {
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	codeSpan := regexp.MustCompile("`([^`]+)`")
+	rows := map[string]string{} // rule → scope cell
+	inSection := false
+	for _, line := range strings.Split(string(b), "\n") {
+		if strings.HasPrefix(line, "#") {
+			inSection = line == "### Static analysis"
+		}
+		cells := strings.Split(line, "|")
+		if !inSection || len(cells) < 4 {
+			continue
+		}
+		if m := codeSpan.FindStringSubmatch(cells[1]); m != nil {
+			rows[m[1]] = strings.TrimSpace(cells[2])
+		}
+	}
+	for _, a := range All() {
+		scope, ok := rows[a.Name]
+		if !ok {
+			t.Errorf("%s has no row in README's rule tables", a.Name)
+			continue
+		}
+		delete(rows, a.Name)
+		var listed []string
+		if !strings.HasPrefix(scope, "everywhere") {
+			for _, m := range codeSpan.FindAllStringSubmatch(scope, -1) {
+				listed = append(listed, m[1])
+			}
+		}
+		want := slices.Clone(a.Packages)
+		slices.Sort(listed)
+		slices.Sort(want)
+		if !slices.Equal(listed, want) {
+			t.Errorf("README scope of %s lists %v; the analyzer's Packages are %v (empty means everywhere)", a.Name, listed, want)
+		}
+	}
+	for name := range rows {
+		t.Errorf("README's rule tables have a row for %s, which is no shipped analyzer", name)
+	}
+}
+
 // TestDiagnosticFormat pins the file:line:col rendering warperlint prints.
 func TestDiagnosticFormat(t *testing.T) {
 	d := Diagnostic{
@@ -240,24 +317,9 @@ func TestDiagnosticFormat(t *testing.T) {
 }
 
 // TestLoadAllModule loads and type-checks the entire module — the same
-// work `go run ./cmd/warperlint ./...` does. Skipped in -short runs: the
-// stdlib source importer makes the first load take several seconds.
+// work `go run ./cmd/warperlint ./...` does.
 func TestLoadAllModule(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module load is slow under the source importer")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := moduleLoad(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded %d packages, expected the whole module", len(pkgs))
 	}

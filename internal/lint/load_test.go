@@ -6,24 +6,22 @@ import (
 	"testing"
 )
 
-// loadNN loads warper/internal/nn under the given GOARCH and returns the
-// base names of the files that made it into the package.
+// loadNN loads warper/internal/nn under the given GOARCH ("" is the shared
+// loader's default context) and returns the base names of the files that
+// made it into the package.
 func loadNN(t *testing.T, goarch string) map[string]bool {
 	t.Helper()
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := sharedLoader(t)
 	if goarch != "" {
+		var err error
+		if l, err = NewLoader(l.Root); err != nil {
+			t.Fatal(err)
+		}
 		ctx := build.Default
 		ctx.GOARCH = goarch
 		l.Build = &ctx
 	}
-	pkg, err := l.LoadDir("warper/internal/nn", filepath.Join(root, "internal", "nn"))
+	pkg, err := l.LoadDir("warper/internal/nn", filepath.Join(l.Root, "internal", "nn"))
 	if err != nil {
 		t.Fatalf("GOARCH=%s: %v", goarch, err)
 	}

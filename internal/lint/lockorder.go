@@ -3,14 +3,13 @@ package lint
 // LockOrder is the module's lock discipline, checked over the call graph.
 // Three properties:
 //
-//  1. Ordering. Every blocking Lock/RLock opens a region (to the matching
+//  1. Nesting. Every blocking Lock/RLock opens a region (to the matching
 //     Unlock in the same statement list, or the end of the list for
-//     deferred/implicit unlocks). Any mutex acquired inside the region —
-//     directly, in a nested block, or transitively through module calls —
-//     adds an edge held → acquired to a module-wide acquisition graph. A
-//     cycle in that graph is a latent deadlock between serving and
-//     observability locks, and is reported even when the two halves of
-//     the inversion live in different packages.
+//     deferred/implicit unlocks). No module mutex may be acquired inside a
+//     region — directly, in a nested block, or transitively through module
+//     calls. One lock at a time cannot deadlock, whatever the order, so the
+//     ban is strictly stronger than an acyclic acquisition graph, and half
+//     an inversion is already a finding.
 //
 //  2. Hygiene. PR 1 measured lock-wait as the dominant head-of-line
 //     latency source and moved adaptation off the estimate lock via
@@ -29,31 +28,21 @@ package lint
 // deadlock, which is exactly why handlePeriod's period latch uses it and
 // may span a full repair — and refreshMu, which serializes rare post-swap
 // re-clones off the common path, is exempt from hygiene and from the
-// checkout check (but not from ordering: a cycle through refreshMu is
-// still a cycle). Goroutine and closure edges are followed
-// conservatively: work spawned while a lock is held can run while it is
-// held.
+// checkout check (but not from nesting). Goroutine and closure edges are
+// followed conservatively: work spawned while a lock is held can run while
+// it is held.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "module-wide mutex acquisition graph must be cycle-free; no slow work under serve locks, directly or transitively; replica checkout stays lock-free",
-	Packages:  []string{"serve", "obs"},
+	Doc:       "no module mutex acquired while another is held, directly or transitively; no slow work under serve locks, directly or transitively; replica checkout stays lock-free",
 	RunModule: runLockOrder,
-}
-
-// lockEdge is one held → acquired observation with its acquisition site.
-type lockEdge struct {
-	from, to *types.Var
-	pos      token.Pos
 }
 
 // lockOrderState carries the per-run memoization.
@@ -64,8 +53,6 @@ type lockOrderState struct {
 	inSummary map[*CGNode]bool
 	slowMemo  map[*CGNode]string // transitive slow-work description, "" = none
 	inSlow    map[*CGNode]bool
-	edges     []lockEdge
-	edgeSeen  map[[2]*types.Var]bool
 	display   map[*types.Var]string
 }
 
@@ -89,7 +76,6 @@ func runLockOrder(mp *ModulePass) {
 		inSummary: map[*CGNode]bool{},
 		slowMemo:  map[*CGNode]string{},
 		inSlow:    map[*CGNode]bool{},
-		edgeSeen:  map[[2]*types.Var]bool{},
 		display:   map[*types.Var]string{},
 	}
 	st.buildDisplayNames()
@@ -102,7 +88,6 @@ func runLockOrder(mp *ModulePass) {
 			st.reportCheckoutLocks(n)
 		}
 	}
-	st.reportCycles()
 }
 
 // onCheckoutPath reports whether fn belongs to the replica checkout hot
@@ -167,11 +152,11 @@ func (st *lockOrderState) name(v *types.Var) string {
 }
 
 // scanRegions walks one statement list. held carries the lock keys open
-// at this point (outer regions included). For every statement it records
-// direct acquisitions and call-carried acquisitions against every held
-// lock, and recurses into nested lists. A Lock opens a region scanned
-// recursively with the key held; the outer loop resumes at the matching
-// unlock so no statement is charged twice.
+// at this point (outer regions included). For every statement it reports
+// direct and call-carried acquisitions while a lock is held, and recurses
+// into nested lists. A Lock opens a region scanned recursively with the key
+// held; the outer loop resumes at the matching unlock so no statement is
+// charged twice.
 func (st *lockOrderState) scanRegions(n *CGNode, stmts []ast.Stmt, held []*types.Var) {
 	for i := 0; i < len(stmts); i++ {
 		stm := stmts[i]
@@ -223,8 +208,10 @@ func (st *lockOrderState) scanRegions(n *CGNode, stmts []ast.Stmt, held []*types
 
 		key, kind := st.mutexCallKey(n, stm)
 		if kind == "Lock" || kind == "RLock" {
-			// Direct acquisition while other locks are held.
-			st.noteAcquire(n, key, stm.Pos(), held)
+			if key != nil && len(held) > 0 {
+				st.mp.Reportf(stm.Pos(), "%s acquired while %s is held: %s",
+					st.name(key), st.name(held[len(held)-1]), nestedAdvice)
+			}
 			// Open the region: to the matching unlock, else end of list.
 			end := len(stmts)
 			recvText := mutexRecvText(stm)
@@ -262,12 +249,11 @@ func (st *lockOrderState) scanClauses(n *CGNode, body *ast.BlockStmt, held []*ty
 	}
 }
 
-// noteNodeCalls records, for every call under the node, the locks the
-// callee transitively acquires (as ordering edges) and slow work the call
-// is or reaches (as hygiene diagnostics, serve package only). Function
-// literals invoked in place are followed; closures merely constructed here
-// run elsewhere and are skipped — deferred unlock closures must not extend
-// the region.
+// noteNodeCalls reports, for every call under the node, a lock the callee
+// transitively acquires (nesting) and slow work the call is or reaches
+// (hygiene, serve package only). Function literals invoked in place are
+// followed; closures merely constructed here run elsewhere and are skipped
+// — deferred unlock closures must not extend the region.
 func (st *lockOrderState) noteNodeCalls(n *CGNode, node ast.Node, held []*types.Var) {
 	if len(held) == 0 {
 		return
@@ -286,13 +272,9 @@ func (st *lockOrderState) noteNodeCalls(n *CGNode, node ast.Node, held []*types.
 				targets = []*CGNode{ln}
 			}
 		} else {
-			targets, _ = st.g.resolveTargets(n.Pkg, call.Fun)
+			targets = st.g.resolveTargets(n.Pkg, call.Fun)
 		}
-		for _, t := range targets {
-			for _, lk := range st.lockSummary(t) {
-				st.noteAcquire(n, lk, call.Pos(), held)
-			}
-		}
+		st.noteNested(call, targets, held)
 		st.noteHygiene(n, call, targets, held)
 		return true
 	})
@@ -328,18 +310,18 @@ func (st *lockOrderState) noteHygiene(n *CGNode, call *ast.CallExpr, targets []*
 	}
 }
 
-// noteAcquire records held → key edges.
-func (st *lockOrderState) noteAcquire(n *CGNode, key *types.Var, pos token.Pos, held []*types.Var) {
-	if key == nil || st.mp.Allowed(pos) {
-		return
-	}
-	for _, h := range held {
-		k := [2]*types.Var{h, key}
-		if st.edgeSeen[k] {
-			continue
+// nestedAdvice closes every nesting diagnostic.
+const nestedAdvice = "take one module lock at a time"
+
+// noteNested reports one call made while a lock is held when some target
+// transitively acquires a module lock.
+func (st *lockOrderState) noteNested(call *ast.CallExpr, targets []*CGNode, held []*types.Var) {
+	for _, t := range targets {
+		if locks := st.lockSummary(t); len(locks) > 0 {
+			st.mp.Reportf(call.Pos(), "call to %s acquires %s while %s is held: %s",
+				t.Name, st.name(locks[0]), st.name(held[len(held)-1]), nestedAdvice)
+			return
 		}
-		st.edgeSeen[k] = true
-		st.edges = append(st.edges, lockEdge{from: h, to: key, pos: pos})
 	}
 }
 
@@ -517,90 +499,4 @@ func mutexRecvText(stm ast.Stmt) string {
 		return ""
 	}
 	return types.ExprString(sel.X)
-}
-
-// reportCycles finds strongly connected components of the acquisition
-// graph and reports each cycle once, at its lexicographically-first
-// edge's site.
-func (st *lockOrderState) reportCycles() {
-	if len(st.edges) == 0 {
-		return
-	}
-	adj := map[*types.Var][]lockEdge{}
-	for _, e := range st.edges {
-		adj[e.from] = append(adj[e.from], e)
-	}
-	for v := range adj {
-		sort.Slice(adj[v], func(i, j int) bool { return st.name(adj[v][i].to) < st.name(adj[v][j].to) })
-	}
-	// Order roots deterministically by display name.
-	var roots []*types.Var
-	for v := range adj {
-		roots = append(roots, v)
-	}
-	sort.Slice(roots, func(i, j int) bool { return st.name(roots[i]) < st.name(roots[j]) })
-
-	reported := map[string]bool{}
-	var path []lockEdge
-	onPath := map[*types.Var]bool{}
-	var dfs func(v *types.Var)
-	dfs = func(v *types.Var) {
-		if len(path) > 32 {
-			return // depth cap; module lock graphs are tiny
-		}
-		onPath[v] = true
-		for _, e := range adj[v] {
-			if onPath[e.to] {
-				// Extract the cycle from the path suffix starting at e.to.
-				var cyc []lockEdge
-				for i := 0; i < len(path); i++ {
-					if path[i].from == e.to {
-						cyc = append(cyc, path[i:]...)
-						break
-					}
-				}
-				cyc = append(cyc, e)
-				st.reportCycle(cyc, reported)
-				continue
-			}
-			path = append(path, e)
-			dfs(e.to)
-			path = path[:len(path)-1]
-		}
-		delete(onPath, v)
-	}
-	for _, r := range roots {
-		dfs(r)
-	}
-}
-
-// reportCycle renders one cycle, canonicalized so each distinct cycle is
-// reported exactly once regardless of discovery order.
-func (st *lockOrderState) reportCycle(cyc []lockEdge, reported map[string]bool) {
-	if len(cyc) == 0 {
-		return
-	}
-	// Rotate so the lexicographically-smallest lock name leads.
-	lead := 0
-	for i := range cyc {
-		if st.name(cyc[i].from) < st.name(cyc[lead].from) {
-			lead = i
-		}
-	}
-	rot := append(append([]lockEdge{}, cyc[lead:]...), cyc[:lead]...)
-	var b strings.Builder
-	for i, e := range rot {
-		if i > 0 {
-			b.WriteString(" → ")
-		}
-		b.WriteString(st.name(e.from))
-	}
-	b.WriteString(" → ")
-	b.WriteString(st.name(rot[0].from))
-	key := b.String()
-	if reported[key] {
-		return
-	}
-	reported[key] = true
-	st.mp.Reportf(rot[0].pos, "lock acquisition cycle %s is a latent deadlock: acquire these locks in one global order", key)
 }

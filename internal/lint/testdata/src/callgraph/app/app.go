@@ -34,18 +34,18 @@ func Odd(n int) bool {
 	return Even(n - 1)
 }
 
-// Spawn exercises every remaining edge kind from one body.
+// Spawn exercises every remaining way to reach a function from one body.
 func Spawn(e Estimator) {
-	go worker(e)    // EdgeCall: spawned calls are calls
-	defer cleanup() // EdgeCall: so are deferred ones
+	go worker(e)    // spawned calls are calls
+	defer cleanup() // so are deferred ones
 
-	f := e.Estimate // EdgeMethodValue, CHA fan-out
+	f := e.Estimate // method value, CHA fan-out
 	_ = f
 
-	add := func(a, b float64) float64 { return a + b } // EdgeClosure
+	add := func(a, b float64) float64 { return a + b } // closure built, not called
 	_ = add
 
-	func() { // EdgeCall: literal invoked in place
+	func() { // literal invoked in place
 		_ = Dispatch(e, 1)
 	}()
 }

@@ -1,6 +1,7 @@
-// Package serve is the lockorder fixture: an AB/BA inversion where one
-// half is transitive, TryLock and refreshMu exemptions, a deferred-unlock
-// region, and a slow call under a lock, direct and transitive.
+// Package serve is the lockorder fixture: nested acquisitions, direct and
+// transitive, each half of an AB/BA inversion flagged on its own, TryLock
+// and refreshMu exemptions, a deferred-unlock region, and a slow call under
+// a lock, direct and transitive.
 package serve
 
 import "sync"
@@ -18,19 +19,19 @@ type Model struct{}
 
 func (m *Model) Update(x float64) {}
 
-// ab acquires mu then st directly.
+// ab acquires st directly while holding mu.
 func (s *Server) ab() {
 	s.mu.Lock()
-	s.st.Lock() // want "lock acquisition cycle"
+	s.st.Lock() // want "serve.Server.st acquired while serve.Server.mu is held"
 	s.st.Unlock()
 	s.mu.Unlock()
 }
 
-// ba acquires st, then mu three frames away: the inversion only exists
-// module-wide.
+// ba acquires mu through a helper while holding st: the other half of ab's
+// inversion, a finding on its own.
 func (s *Server) ba() {
 	s.st.Lock()
-	s.lockMuIndirect()
+	s.lockMuIndirect() // want "call to serve.\(\*Server\).lockMuIndirect acquires serve.Server.mu while serve.Server.st is held"
 	s.st.Unlock()
 }
 
@@ -40,8 +41,8 @@ func (s *Server) lockMuIndirect() {
 }
 
 // try holds mu via TryLock while taking j.mu; inverse takes j.mu then mu.
-// That would be a cycle if TryLock opened a region — it must not, because
-// a non-blocking acquisition cannot deadlock.
+// TryLock opens no region, because a non-blocking acquisition cannot
+// deadlock, so only inverse is flagged.
 func (s *Server) try(j *Journal) {
 	if !s.mu.TryLock() {
 		return
@@ -53,7 +54,7 @@ func (s *Server) try(j *Journal) {
 
 func (s *Server) inverse(j *Journal) {
 	j.mu.Lock()
-	s.lockMuIndirect()
+	s.lockMuIndirect() // want "acquires serve.Server.mu while serve.Journal.mu is held"
 	j.mu.Unlock()
 }
 
@@ -78,7 +79,7 @@ func (s *Server) directSlow(m *Model) {
 }
 
 // refresher keeps refreshMu's sanctioned exemption from the hygiene
-// check (though not from ordering).
+// check (though not from nesting).
 type refresher struct {
 	refreshMu sync.Mutex
 }
@@ -90,7 +91,7 @@ func (r *refresher) refresh(s *Server, m *Model) {
 }
 
 // deferred pins the deferred-unlock region shape: the region runs to the
-// end of the statement list, and the edge st → tracer.tmu is acyclic.
+// end of the statement list, so tr.tmu is taken under st.
 type tracer struct {
 	tmu sync.Mutex
 }
@@ -98,6 +99,6 @@ type tracer struct {
 func (s *Server) deferred(tr *tracer) {
 	s.st.Lock()
 	defer s.st.Unlock()
-	tr.tmu.Lock()
+	tr.tmu.Lock() // want "serve.tracer.tmu acquired while serve.Server.st is held"
 	tr.tmu.Unlock()
 }

@@ -271,6 +271,7 @@ func (h *healthTracker) eval(now time.Time, sig healthSignals) {
 	if next > cur {
 		level = slog.LevelWarn
 	}
+	//lint:allow lockorder the transition is journaled before it is published; Journal.Append takes no other lock
 	h.rec.event(level, "health", 0, map[string]any{
 		"from":         cur.String(),
 		"to":           next.String(),

@@ -25,7 +25,8 @@ type Adapter struct {
 	// Ledger is the §4.3 cost record: the one-time "pretrain" charge, then
 	// every period's time under StageNames — the names a period's Report,
 	// the serving metrics and the benchmark use. A resilience wrapper may
-	// add "annotate_retry", a breakdown of time already inside "annotate".
+	// add "annotate_retry": its failed attempts, already inside whichever
+	// stage called src (annotate, detect's canary probes, update's rebase).
 	Ledger *simclock.Ledger
 	Picker *Picker
 	// GenFunc overrides the synthetic-query source (the Table 10 "𝔾→AUG"

@@ -38,8 +38,8 @@ func ledgerCharges(t *testing.T, l *simclock.Ledger) map[string]time.Duration {
 // identities, which hold by construction on every return path: the stages
 // sum to Busy exactly, each stage equals, exactly, what the period charged
 // to the Ledger under that stage's name, and the period charges no other
-// key but the resilience wrapper's, a breakdown of time already inside
-// "annotate".
+// key but the resilience wrapper's, a breakdown of time already inside the
+// stages that called the source.
 func clockedPeriod(t *testing.T, ad *Adapter, ctx context.Context, arrivals []Arrival) (Report, error) {
 	t.Helper()
 	before := ledgerCharges(t, ad.Ledger)
@@ -140,6 +140,38 @@ func TestLedgerCoversEveryStage(t *testing.T) {
 		t.Fatalf("period ran %v updated=%v, want an updating c1 period", rep.Detection.Mode, rep.Updated)
 	}
 	wantStages(t, rep, allStages...)
+}
+
+// TestRetryChargeOutsideAnnotate pins where the resilience wrapper's
+// "annotate_retry" lands: detection's canary probes go through the same
+// source as annotation, so a hanging source charges failed attempts during
+// a quiet period, which never enters the annotate stage. The charge is
+// wall time inside the stages that made the calls, so it never exceeds
+// Busy.
+func TestRetryChargeOutsideAnnotate(t *testing.T) {
+	e := newAdapterEnv(t, adapterCfg(), 500)
+	hang := resilience.NewFaulty(e.ann, resilience.FaultPlan{HangRate: 1, Seed: 53})
+	e.ad.SetSource(resilience.Wrap(hang, resilience.Policy{AttemptTimeout: 2 * time.Millisecond, Seed: 53},
+		resilience.Events{}).WithCostLedger(e.ad.Ledger))
+
+	rng := rand.New(rand.NewSource(53))
+	g := workload.New("w1", e.tbl, e.sch, workload.Options{MaxConstrained: 2})
+	same := annAllT(t, e.ann, workload.Generate(g, 160, rng))
+	rep, err := clockedPeriod(t, e.ad, context.Background(), arrivalsOf(same, true))
+	if err != nil {
+		t.Fatalf("quiet period: %v", err)
+	}
+	if rep.Detection.Mode != ModeNone || !rep.Detection.TelemetryDegraded {
+		t.Fatalf("mode = %v, telemetry degraded = %v; want a quiet period whose canary probes failed",
+			rep.Detection.Mode, rep.Detection.TelemetryDegraded)
+	}
+	retry, annotate := e.ad.Ledger.Get(resilience.RetryCharge), e.ad.Ledger.Get(StageNames[StageAnnotate])
+	if retry <= 0 || annotate != 0 {
+		t.Errorf("annotate_retry = %v, annotate = %v; want retry time charged outside annotate", retry, annotate)
+	}
+	if retry > rep.Busy {
+		t.Errorf("annotate_retry = %v exceeds the period's Busy %v", retry, rep.Busy)
+	}
 }
 
 // cancelAfter is a ground-truth source that answers its first n counts —
