@@ -65,7 +65,7 @@ var slowMethods = map[string]bool{
 
 // ioPackages whose calls count as I/O under a lock.
 var ioPackages = map[string]bool{
-	"os": true, "io": true, "net": true, "net/http": true, "bufio": true,
+	"os": true, "io": true, "net": true, "net/http": true, "bufio": true, "log/slog": true,
 }
 
 func runLockOrder(mp *ModulePass) {

@@ -4,7 +4,10 @@
 // a lock, direct and transitive.
 package serve
 
-import "sync"
+import (
+	"log/slog"
+	"sync"
+)
 
 type Server struct {
 	mu sync.Mutex
@@ -76,6 +79,15 @@ func (s *Server) directSlow(m *Model) {
 	s.mu.Lock()
 	m.Update(2) // want "m.Update under a held sync lock"
 	s.mu.Unlock()
+}
+
+// logUnderLock writes a log line while holding mu: log/slog does I/O. The
+// same line after the unlock is fine.
+func (s *Server) logUnderLock() {
+	s.mu.Lock()
+	slog.Info("held") // want "slog.Info under a held sync lock"
+	s.mu.Unlock()
+	slog.Info("released")
 }
 
 // refresher keeps refreshMu's sanctioned exemption from the hygiene

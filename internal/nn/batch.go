@@ -10,8 +10,9 @@ import (
 // activations stay cache-resident across the layer stack), the batch loss is
 // the ascending sum of per-shard sums, and parameter gradients are summed
 // shard by shard in ascending order (see denseGradW). The partition depends
-// only on the batch size; it is the summation order the golden bits pin.
-const shardRows = 8
+// only on the batch size; it is the summation order the golden bits pin. It
+// is InferBatch's block height, so with SIMD a shard runs as one lane tile.
+const shardRows = inferLanes
 
 // gradBlockOuts is how many output neurons of one Dense layer a denseGradW
 // call covers (its register-resident bias accumulators are sized to it).
@@ -29,7 +30,7 @@ type scratch struct {
 	net *Network
 
 	widths []int // layer-boundary widths for the current input width
-	acts   []Mat // acts[l] is the input to layer l; acts[len] the output
+	acts   []Mat // acts[l] is the input to layer l; acts[len] the output (see tileStored for the SIMD layout)
 	maxW   int
 	rows   int
 
@@ -41,8 +42,9 @@ type scratch struct {
 	lossG    Mat
 
 	tmp []float64 // maxW: denseGradW partial-sum row
-	// tile is the SIMD lane scratch: two inferLanes*maxW halves for
-	// InferBatch's block, the first 4*maxW for the training kernels' gathers.
+	// tile is the SIMD lane scratch, three inferLanes*maxW lane tiles: the
+	// two a block or shard ping-pongs between across the layers, and the
+	// one the backward pass gathers an activation stored as rows into.
 	tile []float64
 
 	// fwdOK records whether the activation matrices hold a full
@@ -87,11 +89,15 @@ func (n *Network) ensureScratch(rows, inCols int) *scratch {
 
 	sc.rows = rows
 	for i := range sc.acts {
-		sc.acts[i] = sc.acts[i].Resized(rows, sc.widths[i])
+		r := rows
+		if simdEnabled && sc.tileStored(i) {
+			r = (rows + inferLanes - 1) &^ (inferLanes - 1)
+		}
+		sc.acts[i] = sc.acts[i].Resized(r, sc.widths[i])
 	}
 	if len(sc.tmp) < sc.maxW {
 		sc.tmp = make([]float64, sc.maxW)
-		sc.tile = make([]float64, 2*inferLanes*sc.maxW)
+		sc.tile = make([]float64, 3*inferLanes*sc.maxW)
 	}
 	return sc
 }
@@ -106,26 +112,25 @@ func (sc *scratch) sizeGrads(lossGrad Mat) {
 	sc.grads[len(sc.gradBufs)] = lossGrad
 }
 
-// forwardRange runs rows [r0, r1) through every layer, filling the activation
-// matrices. Per-sample accumulation order inside each kernel matches the
-// scalar Forward path exactly, so outputs are byte-identical to it.
+// forwardRange runs rows [r0, r1) — one shard — through every layer,
+// filling the activation matrices. Per-sample accumulation order inside each
+// kernel matches the scalar Forward path exactly, so outputs are
+// byte-identical to it.
 func (sc *scratch) forwardRange(r0, r1 int) {
+	if simdEnabled {
+		sc.forwardTile(r0)
+		return
+	}
 	for li, l := range sc.net.Layers {
 		in, out := sc.acts[li], sc.acts[li+1]
 		switch t := l.(type) {
 		case *Dense:
-			batchDenseForward(t, in, out, r0, r1, sc.tile)
+			batchDenseForward(t, in, out, r0, r1)
 		case *LeakyReLU:
 			for r := r0; r < r1; r++ {
 				x, y := in.Row(r), out.Row(r)
-				i := 0
-				if simdEnabled && len(x) >= 4 {
-					n4 := len(x) &^ 3
-					leakyForwardASM(&x[0], &y[0], n4, t.Alpha)
-					i = n4
-				}
-				for ; i < len(x); i++ {
-					if v := x[i]; v >= 0 {
+				for i, v := range x {
+					if v >= 0 {
 						y[i] = v
 					} else {
 						y[i] = t.Alpha * v
@@ -143,32 +148,97 @@ func (sc *scratch) forwardRange(r0, r1 int) {
 	}
 }
 
-// backwardRange propagates the loss-gradient rows [r0, r1) back through the
-// stack: layer li reads grads[li+1] and writes grads[li], so after every shard
-// has run, grads[0] is dLoss/dInput and each Dense layer's output gradient is
-// still in place for the parameter-gradient pass. It computes no parameter
-// gradient itself.
+// forwardTile is forwardRange on the lane tile: the shard at row r0 is
+// gathered once (padding lanes zeroed) and stays in lane tiles across the
+// stack, as an InferBatch block does. Each boundary is stored in its own
+// layout (see tileStored): an activation layer's input is written by the
+// kernel straight into its shard tile, every other boundary's real rows are
+// stored back into the row-major matrix the weight-gradient pass reads.
+func (sc *scratch) forwardTile(r0 int) {
+	q := inferLanes * sc.maxW
+	a, b := sc.tile[:q], sc.tile[q:2*q]
+	cur := a
+	gatherLanes(cur, sc.acts[0], r0)
+	for li, l := range sc.net.Layers {
+		dst := b
+		if &cur[0] == &b[0] {
+			dst = a
+		}
+		stored := sc.tileStored(li + 1)
+		if stored {
+			dst = sc.shardTile(li+1, r0, nil)
+		}
+		n := inferLanes * sc.widths[li]
+		switch t := l.(type) {
+		case *Dense:
+			if avx512Enabled {
+				inferTileAVX512(&t.Weight.W[0], &t.Bias.W[0], &cur[0], &dst[0], t.In, t.Out)
+			} else {
+				inferTileAVX2(&t.Weight.W[0], &t.Bias.W[0], &cur[0], &dst[0], t.In, t.Out)
+			}
+		case *LeakyReLU:
+			leakyForwardASM(&cur[0], &dst[0], n, t.Alpha)
+		case *Tanh:
+			for i, v := range cur[:n] {
+				dst[i] = math.Tanh(v)
+			}
+		}
+		if !stored {
+			scatterLanes(sc.acts[li+1], r0, dst)
+		}
+		cur = dst
+	}
+}
+
+// tileStored reports whether the SIMD path keeps boundary l as shard tiles —
+// shard s's lane tile at rows [8s, 8s+8) of its matrix, padded to whole
+// shards — rather than as rows. That is the input of an activation layer,
+// which only that layer's backward reads; the batch input and output and
+// every Dense input (the weight-gradient pass reads it) stay row-major.
+func (sc *scratch) tileStored(l int) bool {
+	if l == 0 || l == len(sc.net.Layers) {
+		return false
+	}
+	_, dense := sc.net.Layers[l].(*Dense)
+	return !dense
+}
+
+// shardTile returns boundary l's activations for the shard at row r0 as a
+// lane tile: a view of the boundary's storage when it is tile-stored,
+// otherwise its rows gathered into buf.
+func (sc *scratch) shardTile(l, r0 int, buf []float64) []float64 {
+	m := sc.acts[l]
+	if sc.tileStored(l) {
+		return m.Data[r0*m.Cols : (r0+inferLanes)*m.Cols]
+	}
+	gatherLanes(buf, m, r0)
+	return buf
+}
+
+// backwardRange propagates the loss-gradient rows [r0, r1) — one shard —
+// back through the stack: layer li reads grads[li+1] and writes grads[li],
+// so after every shard has run, grads[0] is dLoss/dInput and each Dense
+// layer's output gradient is still in place for the parameter-gradient pass.
+// It computes no parameter gradient itself.
 func (sc *scratch) backwardRange(r0, r1 int) {
+	if simdEnabled {
+		sc.backwardTile(r0)
+		return
+	}
 	for li := len(sc.net.Layers) - 1; li >= 0; li-- {
 		cur, dst := sc.grads[li+1], sc.grads[li]
 		switch t := sc.net.Layers[li].(type) {
 		case *Dense:
-			batchDenseBackward(t, cur, dst, r0, r1, sc.tile)
+			batchDenseBackward(t, cur, dst, r0, r1)
 		case *LeakyReLU:
 			in := sc.acts[li]
 			for r := r0; r < r1; r++ {
 				x, g, gx := in.Row(r), cur.Row(r), dst.Row(r)
-				i := 0
-				if simdEnabled && len(g) >= 4 {
-					n4 := len(g) &^ 3
-					leakyBackwardASM(&x[0], &g[0], &gx[0], n4, t.Alpha)
-					i = n4
-				}
-				for ; i < len(g); i++ {
+				for i, gi := range g {
 					if x[i] >= 0 {
-						gx[i] = g[i]
+						gx[i] = gi
 					} else {
-						gx[i] = t.Alpha * g[i]
+						gx[i] = t.Alpha * gi
 					}
 				}
 			}
@@ -181,6 +251,44 @@ func (sc *scratch) backwardRange(r0, r1 int) {
 					gx[i] = gi * (1 - t*t)
 				}
 			}
+		}
+	}
+}
+
+// backwardTile is backwardRange on the lane tile: the shard's output
+// gradient is gathered once and stays in the tile down the stack — Dense
+// layers run the dX tile kernel, LeakyReLU and Tanh read the activation
+// tile shardTile gives them — and a boundary's real rows are stored back
+// only where something reads them row-major: the output gradient of a Dense
+// layer (the weight-gradient pass) and dLoss/dInput (the caller).
+func (sc *scratch) backwardTile(r0 int) {
+	q := inferLanes * sc.maxW
+	cur, nxt, at := sc.tile[:q], sc.tile[q:2*q], sc.tile[2*q:]
+	layers := sc.net.Layers
+	gatherLanes(cur, sc.grads[len(layers)], r0)
+	for li := len(layers) - 1; li >= 0; li-- {
+		n := inferLanes * sc.widths[li+1]
+		switch t := layers[li].(type) {
+		case *Dense:
+			if avx512Enabled {
+				dxTileAVX512(&t.Weight.W[0], &cur[0], &nxt[0], t.In, t.Out)
+			} else {
+				dxTileAVX2(&t.Weight.W[0], &cur[0], &nxt[0], t.In, t.Out)
+			}
+			cur, nxt = nxt, cur
+		case *LeakyReLU:
+			x := sc.shardTile(li, r0, at)
+			leakyBackwardASM(&x[0], &cur[0], &cur[0], n, t.Alpha)
+		case *Tanh:
+			y := sc.shardTile(li+1, r0, at)
+			for i, g := range cur[:n] {
+				cur[i] = g * (1 - y[i]*y[i])
+			}
+		}
+		if li == 0 {
+			scatterLanes(sc.grads[0], r0, cur)
+		} else if _, ok := layers[li-1].(*Dense); ok {
+			scatterLanes(sc.grads[li], r0, cur)
 		}
 	}
 }
@@ -278,9 +386,26 @@ func (n *Network) InferBatch(x Mat, out []float64) bool {
 // t, t[k*inferLanes+lane] = x[r+lane][k], and zeroes the lanes past x's last
 // row: padding lanes then compute the network on the zero row, never on
 // whatever an earlier block left there (a NaN or a subnormal costs time,
-// not bits — the lanes are independent).
+// not bits — the lanes are independent). A full block's whole 8-column
+// blocks go through the AVX-512 transpose where it runs.
 func gatherLanes(t []float64, x Mat, r int) {
 	nr := min(inferLanes, x.Rows-r)
+	if nr == inferLanes {
+		k0 := 0
+		if avx512Enabled && x.Cols >= inferLanes {
+			k0 = x.Cols &^ (inferLanes - 1)
+			laneTransposeAVX512(&x.Data[r*x.Stride], &t[0], k0/inferLanes, x.Stride, inferLanes, inferLanes, inferLanes*inferLanes)
+		}
+		x0 := x.Row(r)
+		x1, x2, x3 := x.Row(r + 1)[:len(x0)], x.Row(r + 2)[:len(x0)], x.Row(r + 3)[:len(x0)]
+		x4, x5, x6 := x.Row(r + 4)[:len(x0)], x.Row(r + 5)[:len(x0)], x.Row(r + 6)[:len(x0)]
+		x7 := x.Row(r + 7)[:len(x0)]
+		for k := k0; k < len(x0); k++ {
+			c := (*[inferLanes]float64)(t[k*inferLanes:])
+			c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = x0[k], x1[k], x2[k], x3[k], x4[k], x5[k], x6[k], x7[k]
+		}
+		return
+	}
 	for l := 0; l < nr; l++ {
 		for k, v := range x.Row(r + l) {
 			t[k*inferLanes+l] = v
@@ -289,6 +414,34 @@ func gatherLanes(t []float64, x Mat, r int) {
 	for l := nr; l < inferLanes; l++ {
 		for k := 0; k < x.Cols; k++ {
 			t[k*inferLanes+l] = 0
+		}
+	}
+}
+
+// scatterLanes is gatherLanes' inverse for the real rows: it writes lane l of
+// the lane tile t to row r+l of m for every row m has, m[r+l][k] =
+// t[k*inferLanes+l].
+func scatterLanes(m Mat, r int, t []float64) {
+	nr := min(inferLanes, m.Rows-r)
+	if nr == inferLanes {
+		k0 := 0
+		if avx512Enabled && m.Cols >= inferLanes {
+			k0 = m.Cols &^ (inferLanes - 1)
+			laneTransposeAVX512(&t[0], &m.Data[r*m.Stride], k0/inferLanes, inferLanes, inferLanes*inferLanes, m.Stride, inferLanes)
+		}
+		y0 := m.Row(r)
+		y1, y2, y3 := m.Row(r + 1)[:len(y0)], m.Row(r + 2)[:len(y0)], m.Row(r + 3)[:len(y0)]
+		y4, y5, y6 := m.Row(r + 4)[:len(y0)], m.Row(r + 5)[:len(y0)], m.Row(r + 6)[:len(y0)]
+		y7 := m.Row(r + 7)[:len(y0)]
+		for k := k0; k < len(y0); k++ {
+			c := (*[inferLanes]float64)(t[k*inferLanes:])
+			y0[k], y1[k], y2[k], y3[k], y4[k], y5[k], y6[k], y7[k] = c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+		}
+		return
+	}
+	for l := 0; l < nr; l++ {
+		for k := range m.Row(r + l) {
+			m.Data[(r+l)*m.Stride+k] = t[k*inferLanes+l]
 		}
 	}
 }
@@ -347,21 +500,13 @@ func (sc *scratch) trainBatch(xs, ys [][]float64, loss Loss, opt *Adam) float64 
 	return total / float64(len(xs))
 }
 
-// batchDenseForward computes y = W·x + b for rows [r0, r1), four samples at a
-// time so the weight row stays hot and the four independent accumulators hide
-// FMA latency. Each sample's dot product runs in ascending k order — the same
-// order as the scalar Forward — so results are byte-identical to it. On AVX2
-// hardware full 4-row blocks go through the assembly kernel (one sample per
-// vector lane, same per-lane accumulation order, still byte-identical), which
-// reads the four sample rows and writes the four output rows itself.
-func batchDenseForward(d *Dense, in, out Mat, r0, r1 int, tile []float64) {
+// batchDenseForward is the generic Dense forward: y = W·x + b for rows
+// [r0, r1), four samples at a time so the weight row stays hot and the four
+// independent accumulators hide FMA latency. Each sample's dot product runs
+// in ascending k order — the same order as the scalar Forward — so results
+// are byte-identical to it and to the tile kernels.
+func batchDenseForward(d *Dense, in, out Mat, r0, r1 int) {
 	r := r0
-	if simdEnabled && d.In >= 4 {
-		for ; r+4 <= r1; r += 4 {
-			denseForwardBlockASM(&d.Weight.W[0], &d.Bias.W[0], &in.Data[r*in.Stride], &out.Data[r*out.Stride],
-				in.Stride, out.Stride, d.In, d.Out, &tile[0])
-		}
-	}
 	for ; r+4 <= r1; r += 4 {
 		x0, x1, x2, x3 := in.Row(r), in.Row(r+1), in.Row(r+2), in.Row(r+3)
 		y0, y1, y2, y3 := out.Row(r), out.Row(r+1), out.Row(r+2), out.Row(r+3)
@@ -389,21 +534,13 @@ func batchDenseForward(d *Dense, in, out Mat, r0, r1 int, tile []float64) {
 	}
 }
 
-// batchDenseBackward computes dX = Wᵀ·g for rows [r0, r1). Each sample's
-// accumulation is independent and runs in ascending output order from +0,
-// skipping exact-zero gradients (adding their ±0 products would change
-// nothing: a sum that starts at +0 is never −0). On AVX2 hardware full 4-row
-// blocks go through the assembly kernel, one sample per lane in the same
-// order, so the two paths agree bit for bit.
-func batchDenseBackward(d *Dense, gout, gin Mat, r0, r1 int, tile []float64) {
-	r := r0
-	if simdEnabled && d.In >= 4 {
-		for ; r+4 <= r1; r += 4 {
-			denseBackwardDXBlockASM(&d.Weight.W[0], &gout.Data[r*gout.Stride], &gin.Data[r*gin.Stride],
-				gout.Stride, gin.Stride, d.In, d.Out, &tile[0])
-		}
-	}
-	for ; r < r1; r++ {
+// batchDenseBackward is the generic Dense dX: dX = Wᵀ·g for rows [r0, r1).
+// Each sample's accumulation is independent and runs in ascending output
+// order from +0, skipping exact-zero gradients (adding their ±0 products
+// would change nothing: a sum that starts at +0 is never −0), so it agrees
+// bit for bit with the dX tile kernels, which do not skip.
+func batchDenseBackward(d *Dense, gout, gin Mat, r0, r1 int) {
+	for r := r0; r < r1; r++ {
 		g, gx := gout.Row(r), gin.Row(r)
 		clear(gx)
 		for o, gv := range g {
@@ -458,11 +595,18 @@ func denseGradW(d *Dense, x, g Mat, o0, o1 int, scale float64, tmp []float64) {
 	}
 
 	k0 := 0
-	if simdEnabled && d.In >= 4 && n >= 2 {
-		// The kernel covers whole quads of input columns; the loop below
-		// finishes the 0–3 columns left over.
-		k0 = d.In &^ 3
-		denseGradWBlockASM(&d.Weight.G[o0*d.In], &g.Data[o0], &x.Data[0], g.Stride, x.Stride, rows, d.In, n, scale, shardRows)
+	if simdEnabled && n >= 2 {
+		// The AVX-512 kernel covers whole 32-column blocks, the AVX2 kernel
+		// the column quads after them; the loop below finishes the 0–3
+		// columns left over.
+		if avx512Enabled && d.In >= 32 {
+			k0 = d.In &^ 31
+			gradWAVX512(&d.Weight.G[o0*d.In], &g.Data[o0], &x.Data[0], g.Stride, x.Stride, rows, d.In, k0, n, scale, shardRows)
+		}
+		if k1 := d.In &^ 3; k1 > k0 {
+			gradWAVX2(&d.Weight.G[o0*d.In+k0], &g.Data[o0], &x.Data[k0], g.Stride, x.Stride, rows, d.In, k1-k0, n, scale, shardRows)
+			k0 = k1
+		}
 	}
 	if k0 == d.In {
 		return

@@ -2,21 +2,24 @@
 
 package nn
 
-// AVX2 kernels for the batched Dense layer. The vector lanes run ACROSS
-// samples (or across k for the weight-gradient kernel), never across a single
-// sample's reduction, so every lane performs exactly the scalar code's
-// sequence of individually-rounded multiplies and adds — results are
-// bit-identical to the pure-Go kernels (covered by TestSIMDMatchesGeneric).
-// VMULPD+VADDPD are used instead of FMA on purpose: the Go compiler does not
-// fuse multiply-add on amd64, and fusing here would change rounding.
+// AVX2 and AVX-512 kernels for the batched Dense layer, Adam and the
+// activations. The Dense forward and dX kernels run one 8-sample lane tile
+// — InferBatch's block, which is also a training shard — one sample per
+// lane; the weight-gradient kernels lay their lanes across input columns.
+// No lane ever runs across a single sample's reduction, so every lane
+// performs exactly the scalar code's sequence of individually-rounded
+// multiplies and adds — results are bit-identical to the pure-Go kernels
+// (covered by TestSIMDMatchesGeneric). VMULPD+VADDPD are used instead of
+// FMA on purpose: the Go compiler does not fuse multiply-add on amd64, and
+// fusing here would change rounding.
 
 // simdAvailable reports hardware+OS support for the AVX2 kernels;
-// avx512Available, for the AVX-512 inference tile kernel as well.
+// avx512Available, for the AVX-512 tile and weight-gradient kernels as well.
 var simdAvailable, avx512Available = x86Features(cpuidWords())
 
-// simdEnabled gates the kernels at runtime and avx512Enabled picks
-// InferBatch's tile kernel; tests flip them to prove the generic and vector
-// paths, and the two tile kernels, agree bit-for-bit.
+// simdEnabled gates the kernels at runtime and avx512Enabled picks the
+// AVX-512 ones; UseKernels and the tests flip them to prove the generic and
+// vector paths, and the two vector sets, agree bit-for-bit.
 var (
 	simdEnabled   = simdAvailable
 	avx512Enabled = avx512Available
@@ -30,7 +33,7 @@ func cpuidWords() (maxLeaf, ecx1, ebx7, xcr0 uint32)
 // x86Features decides which kernel sets may run. Each needs the CPU to
 // report its instructions and the OS to save the registers they use:
 // AVX2 needs AVX and OSXSAVE in leaf 1, AVX2 in leaf 7, and XMM and YMM
-// state in XCR0; the AVX-512 tile kernel needs that plus AVX-512F in leaf 7
+// state in XCR0; the AVX-512 kernels need that plus AVX-512F in leaf 7
 // and opmask, ZMM0–15 upper-half and ZMM16–31 state in XCR0. Leaf 7's word
 // is meaningless when leaf 0 reports a highest leaf below 7.
 func x86Features(maxLeaf, ecx1, ebx7, xcr0 uint32) (avx2, avx512 bool) {
@@ -49,16 +52,6 @@ func x86Features(maxLeaf, ecx1, ebx7, xcr0 uint32) (avx2, avx512 bool) {
 	return avx2, avx2 && ebx7&ebx7AVX512F != 0 && xcr0&xcr0ZMM == xcr0ZMM
 }
 
-// denseForwardBlockASM computes, for one block of four samples (one per
-// lane), out[o] = bias[o] + Σ_k w[o*in+k] * x[k] for o in [0, out),
-// accumulating in ascending k order per lane. x is the first of four sample
-// rows xStride elements apart, gathered into the k-major scratch tile xt; y
-// is the first of four output rows yStride elements apart, written through
-// an in-register transpose.
-//
-//go:noescape
-func denseForwardBlockASM(w, bias, x, y *float64, xStride, yStride, in, out int, xt *float64)
-
 // inferTileAVX2 and inferTileAVX512 run one Dense layer over InferBatch's
 // 8-sample lane tile: x is k-major (x[k*8+lane], in rows of eight), y is
 // written o-major (y[o*8+lane], out rows) — the layout the next layer reads
@@ -73,28 +66,48 @@ func inferTileAVX2(w, bias, x, y *float64, in, out int)
 //go:noescape
 func inferTileAVX512(w, bias, x, y *float64, in, out int)
 
-// denseBackwardDXBlockASM computes, for one block of four samples, gx[k] =
-// Σ_o dy[o] * w[o*in+k] from +0 in ascending o order per (k, sample). dy and
-// gx are the first of four rows gStride / gxStride elements apart; gvt is a
-// 4*out scratch tile. Every gx element is written exactly once.
+// laneTransposeAVX512 transposes `blocks` 8×8 blocks of doubles: block j
+// reads eight rows of eight at src + j·srcBlock (rows srcRow elements apart)
+// and writes its columns as eight rows at dst + j·dstBlock (dstRow apart).
+// gatherLanes and scatterLanes move a full shard between rows and its lane
+// tile with it.
 //
 //go:noescape
-func denseBackwardDXBlockASM(w, dy, gx *float64, gStride, gxStride, in, out int, gvt *float64)
+func laneTransposeAVX512(src, dst *float64, blocks, srcRow, srcBlock, dstRow, dstBlock int)
 
-// denseGradWBlockASM assigns gw[o*in+k] = scale · Σ_shards (Σ_rows dy[r][o] *
-// x[r][k]) for o in [0, nOut) and k in [0, in&^3): rows in order from +0
-// within each shard of `shard` rows, shards in ascending order, scale last
-// (the caller handles the k tail and the bias). gw is the first neuron's
-// gradient row (stride in), dy its entry in output-gradient row 0 (row stride
-// gStride), x input row 0 (row stride xStride). nOut must be at least 2.
+// dxTileAVX2 and dxTileAVX512 run one Dense layer's dX over the same tile,
+// backwards: dy is o-major (dy[o*8+lane], out rows), gx is written k-major
+// (gx[k*8+lane], in rows). Every lane computes Σ_o w[o*in+k]·dy[o*8+lane]
+// from +0 in ascending o with a separate multiply and add — the generic
+// batchDenseBackward's per-sample sequence — with the weights broadcast from
+// W's rows (in elements apart); dxTileAVX512 holds a column's eight lanes in
+// one zmm register, dxTileAVX2 in two ymm halves.
 //
 //go:noescape
-func denseGradWBlockASM(gw, dy, x *float64, gStride, xStride, rows, in, nOut int, scale float64, shard int)
+func dxTileAVX2(w, dy, gx *float64, in, out int)
+
+//go:noescape
+func dxTileAVX512(w, dy, gx *float64, in, out int)
+
+// gradWAVX2 assigns gw[o*in+k] = scale · Σ_shards (Σ_rows dy[r][o] *
+// x[r][k]) for o in [0, nOut) and k in [0, cols&^3): rows in order from +0
+// within each shard of `shard` rows, shards in ascending order, scale last
+// (the caller handles the column tail and the bias). gw is the first
+// neuron's gradient row (stride in), dy its entry in output-gradient row 0
+// (row stride gStride), x input row 0 (row stride xStride). nOut must be at
+// least 2. gradWAVX512 computes the same sums over k in [0, cols&^31).
+//
+//go:noescape
+func gradWAVX2(gw, dy, x *float64, gStride, xStride, rows, in, cols, nOut int, scale float64, shard int)
+
+//go:noescape
+func gradWAVX512(gw, dy, x *float64, gStride, xStride, rows, in, cols, nOut int, scale float64, shard int)
 
 // adamStepASM applies the Adam update to the first n&^3 elements of w/g/m/v
 // (the caller handles the tail). VDIVPD and VSQRTPD are IEEE correctly
 // rounded — identical to scalar / and math.Sqrt — so each lane is
-// bit-identical to the scalar update loop.
+// bit-identical to the scalar update loop. It skips the division by c1 once
+// c1 is exactly 1.0.
 //
 //go:noescape
 func adamStepASM(w, grad, m, v *float64, n int, b1, omb1, b2, omb2, c1, c2, rate, eps float64)

@@ -2,85 +2,10 @@
 
 #include "textflag.h"
 
-// TRANSPOSE4 transposes the 4×4 block of doubles held in A, B, C, D (one row
-// per register) in place: afterwards A holds the four first elements, B the
-// second ones, and so on. T0–T3 are clobbered. Pure data movement.
-#define TRANSPOSE4(A, B, C, D, T0, T1, T2, T3) \
-	VUNPCKLPD B, A, T0; \
-	VUNPCKHPD B, A, T1; \
-	VUNPCKLPD D, C, T2; \
-	VUNPCKHPD D, C, T3; \
-	VPERM2F128 $0x20, T2, T0, A; \
-	VPERM2F128 $0x20, T3, T1, B; \
-	VPERM2F128 $0x31, T2, T0, C; \
-	VPERM2F128 $0x31, T3, T1, D
-
-// GATHER4 copies N columns of the four rows at R9, R10, R11, R12 into the
-// lane tile at DI (element [c*4+lane] = row lane's column c), four columns at
-// a time through an in-register transpose, the 0–3 left over one by one.
-// Clobbers R9–R14, DI and Y0–Y7.
-#define GATHER4(N, QUAD, TAIL, DONE) \
-	MOVQ N, R14; \
-QUAD: \
-	CMPQ R14, $4; \
-	JLT  TAIL; \
-	VMOVUPD (R9), Y0; \
-	VMOVUPD (R10), Y1; \
-	VMOVUPD (R11), Y2; \
-	VMOVUPD (R12), Y3; \
-	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7); \
-	VMOVUPD Y0, (DI); \
-	VMOVUPD Y1, 32(DI); \
-	VMOVUPD Y2, 64(DI); \
-	VMOVUPD Y3, 96(DI); \
-	ADDQ $32, R9; \
-	ADDQ $32, R10; \
-	ADDQ $32, R11; \
-	ADDQ $32, R12; \
-	ADDQ $128, DI; \
-	SUBQ $4, R14; \
-	JMP  QUAD; \
-TAIL: \
-	TESTQ R14, R14; \
-	JZ   DONE; \
-	MOVQ (R9), R13; \
-	MOVQ R13, (DI); \
-	MOVQ (R10), R13; \
-	MOVQ R13, 8(DI); \
-	MOVQ (R11), R13; \
-	MOVQ R13, 16(DI); \
-	MOVQ (R12), R13; \
-	MOVQ R13, 24(DI); \
-	ADDQ $8, R9; \
-	ADDQ $8, R10; \
-	ADDQ $8, R11; \
-	ADDQ $8, R12; \
-	ADDQ $32, DI; \
-	DECQ R14; \
-	JMP  TAIL; \
-DONE:
-
-// DXSTEP adds one output neuron's contribution to accumulator ACC: the weight
-// at OFF(R9) broadcast across the four sample lanes, times the neuron's
-// gradient quad in Y8.
-#define DXSTEP(OFF, TMP, ACC) \
-	VBROADCASTSD OFF(R9), TMP; \
-	VMULPD Y8, TMP, TMP; \
-	VADDPD TMP, ACC, ACC
-
-// DXSTORE4 transposes accumulators A–D (four consecutive input columns, lanes
-// across samples) and stores them at byte offset OFF of the four dX rows DI,
-// DI+AX, R10 = DI+2·AX, R10+AX.
-#define DXSTORE4(A, B, C, D, OFF) \
-	TRANSPOSE4(A, B, C, D, Y8, Y9, Y10, Y11); \
-	VMOVUPD A, OFF(DI); \
-	VMOVUPD B, OFF(DI)(AX*1); \
-	VMOVUPD C, OFF(R10); \
-	VMOVUPD D, OFF(R10)(AX*1)
-
-// GWSTEP adds one sample row's contribution to the accumulators of two output
-// neurons for four consecutive input columns: the inputs at OFF(R9) times the
-// row's two output gradients, broadcast in Y8 and Y9.
+// GWSTEP / GWSTEPZ add one sample row's contribution to the accumulators of
+// two output neurons for four (ymm) or eight (zmm) consecutive input columns:
+// the inputs at OFF(R9) times the row's two output gradients, broadcast in
+// register 8 and 9.
 #define GWSTEP(OFF, ACC0, ACC1) \
 	VMOVUPD OFF(R9), Y10; \
 	VMULPD Y10, Y8, Y11; \
@@ -88,8 +13,26 @@ DONE:
 	VMULPD Y10, Y9, Y12; \
 	VADDPD Y12, ACC1, ACC1
 
-// GWROW16 / GWROW4 are one sample row of the 16-column and 4-column passes:
-// broadcast the two neurons' gradients, add the products, move to the next row.
+#define GWSTEPZ(OFF, ACC0, ACC1) \
+	VMOVUPD OFF(R9), Z10; \
+	VMULPD Z10, Z8, Z11; \
+	VADDPD Z11, ACC0, ACC0; \
+	VMULPD Z10, Z9, Z12; \
+	VADDPD Z12, ACC1, ACC1
+
+// GWROW32 / GWROW16 / GWROW4 are one sample row of the 32-, 16- and 4-column
+// passes: broadcast the two neurons' gradients, add the products, move to the
+// next row.
+#define GWROW32 \
+	VBROADCASTSD (R10), Z8; \
+	VBROADCASTSD 8(R10), Z9; \
+	GWSTEPZ(0, Z0, Z4); \
+	GWSTEPZ(64, Z1, Z5); \
+	GWSTEPZ(128, Z2, Z6); \
+	GWSTEPZ(192, Z3, Z7); \
+	ADDQ R11, R10; \
+	ADDQ R12, R9
+
 #define GWROW16 \
 	VBROADCASTSD (R10), Y8; \
 	VBROADCASTSD 8(R10), Y9; \
@@ -110,7 +53,7 @@ DONE:
 // GWSHARD loads the row count of the next shard into CX (min(shard, rows
 // left)) and takes it off the rows left in R13.
 #define GWSHARD \
-	MOVQ shard+72(FP), CX; \
+	MOVQ shard+80(FP), CX; \
 	CMPQ R13, CX; \
 	CMOVQLT R13, CX; \
 	SUBQ CX, R13
@@ -131,6 +74,91 @@ PAIR: \
 	MOVQ R15, R13; \
 	MOVQ SI, R9; \
 	MOVQ BX, R10
+
+// GWZERO, GWPARK, GWADDPARKED and GWSCALE handle a wide pass's eight
+// accumulators: A0–A3 hold the first neuron's columns, B0–B3 the second's,
+// register i of each covering the columns at byte offset Oi of its gradient
+// row (R14, and R14+AX for the second neuron). Both wide passes keep them in
+// registers 0–7; GWZERO clears those through their xmm names, which zeroes
+// the ymm and zmm registers whole and needs nothing past AVX.
+#define GWZERO \
+	VXORPD X0, X0, X0; \
+	VXORPD X1, X1, X1; \
+	VXORPD X2, X2, X2; \
+	VXORPD X3, X3, X3; \
+	VXORPD X4, X4, X4; \
+	VXORPD X5, X5, X5; \
+	VXORPD X6, X6, X6; \
+	VXORPD X7, X7, X7
+
+#define GWPARK(A0, A1, A2, A3, B0, B1, B2, B3, O1, O2, O3) \
+	VMOVUPD A0, (R14); \
+	VMOVUPD A1, O1(R14); \
+	VMOVUPD A2, O2(R14); \
+	VMOVUPD A3, O3(R14); \
+	VMOVUPD B0, (R14)(AX*1); \
+	VMOVUPD B1, O1(R14)(AX*1); \
+	VMOVUPD B2, O2(R14)(AX*1); \
+	VMOVUPD B3, O3(R14)(AX*1)
+
+#define GWADDPARKED(A0, A1, A2, A3, B0, B1, B2, B3, O1, O2, O3) \
+	VADDPD (R14), A0, A0; \
+	VADDPD O1(R14), A1, A1; \
+	VADDPD O2(R14), A2, A2; \
+	VADDPD O3(R14), A3, A3; \
+	VADDPD (R14)(AX*1), B0, B0; \
+	VADDPD O1(R14)(AX*1), B1, B1; \
+	VADDPD O2(R14)(AX*1), B2, B2; \
+	VADDPD O3(R14)(AX*1), B3, B3
+
+#define GWSCALE(A0, A1, A2, A3, B0, B1, B2, B3, S) \
+	VMULPD S, A0, A0; \
+	VMULPD S, A1, A1; \
+	VMULPD S, A2, A2; \
+	VMULPD S, A3, A3; \
+	VMULPD S, B0, B0; \
+	VMULPD S, B1, B1; \
+	VMULPD S, B2, B2; \
+	VMULPD S, B3, B3
+
+// GWPASS runs one wide column block over every neuron pair, starting at the
+// gradient row DI, the inputs at SI and the first neuron's output gradient:
+// ROW adds one sample row to the eight accumulators (see GWZERO), S holds the
+// broadcast scale, and the rest are the pass's labels. For every pair it
+// sums the first shard, then parks the running total in gw and adds each
+// later shard's sum to it, and scales and stores the total last.
+#define GWPASS(ROW, A0, A1, A2, A3, B0, B1, B2, B3, O1, O2, O3, S, NEXT, PAIR, FIRST, SHARD, REST, STORE, DONE) \
+	MOVQ DI, R14; \
+	MOVQ dy+8(FP), BX; \
+	MOVQ nOut+64(FP), R8; \
+NEXT: \
+	GWPAIR(PAIR, DONE); \
+	GWSHARD; \
+	GWZERO; \
+FIRST: \
+	ROW; \
+	DECQ CX; \
+	JNZ  FIRST; \
+SHARD: \
+	TESTQ R13, R13; \
+	JZ   STORE; \
+	GWPARK(A0, A1, A2, A3, B0, B1, B2, B3, O1, O2, O3); \
+	GWSHARD; \
+	GWZERO; \
+REST: \
+	ROW; \
+	DECQ CX; \
+	JNZ  REST; \
+	GWADDPARKED(A0, A1, A2, A3, B0, B1, B2, B3, O1, O2, O3); \
+	JMP  SHARD; \
+STORE: \
+	GWSCALE(A0, A1, A2, A3, B0, B1, B2, B3, S); \
+	GWPARK(A0, A1, A2, A3, B0, B1, B2, B3, O1, O2, O3); \
+	LEAQ (R14)(AX*2), R14; \
+	ADDQ $16, BX; \
+	SUBQ $2, R8; \
+	JMP  NEXT; \
+DONE:
 
 // func cpuidWords() (maxLeaf, ecx1, ebx7, xcr0 uint32)
 //
@@ -162,118 +190,6 @@ TEXT ·cpuidWords(SB), NOSPLIT, $0-16
 	MOVL AX, xcr0+12(FP)
 
 cpudone:
-	RET
-
-// func denseForwardBlockASM(w, bias, x, y *float64, xStride, yStride, in, out int, xt *float64)
-//
-// Four output neurons per iteration, four samples per vector lane. Y0..Y3
-// are the accumulators for neurons o..o+3; each k step broadcasts one weight
-// per neuron and does a separate VMULPD+VADDPD so every lane reproduces the
-// scalar "s += w*x" rounding sequence in ascending k order. x is the first
-// of four sample rows xStride elements apart, gathered into the k-major tile
-// xt first; y is the first of four output rows yStride elements apart, and
-// each finished neuron quad is transposed in registers and stored straight
-// into them.
-TEXT ·denseForwardBlockASM(SB), NOSPLIT, $0-72
-	MOVQ x+16(FP), R9
-	MOVQ xStride+32(FP), AX
-	MOVQ in+48(FP), CX
-	TESTQ CX, CX
-	JZ   fdone
-	SHLQ $3, AX
-	LEAQ (R9)(AX*1), R10
-	LEAQ (R10)(AX*1), R11
-	LEAQ (R11)(AX*1), R12
-	MOVQ xt+64(FP), DI
-	MOVQ DI, DX
-	GATHER4(CX, fgquad, fgtail, fgdone)
-	MOVQ w+0(FP), SI
-	MOVQ bias+8(FP), BX
-	MOVQ y+24(FP), DI
-	MOVQ yStride+40(FP), AX
-	SHLQ $3, AX           // output row stride in bytes
-	MOVQ out+56(FP), R8
-	MOVQ CX, R15
-	SHLQ $3, R15          // weight row stride in bytes
-
-fquad:
-	CMPQ R8, $4
-	JLT  ftail
-	MOVQ SI, R9
-	LEAQ (SI)(R15*1), R10
-	LEAQ (R10)(R15*1), R11
-	LEAQ (R11)(R15*1), R12
-	VBROADCASTSD 0(BX), Y0
-	VBROADCASTSD 8(BX), Y1
-	VBROADCASTSD 16(BX), Y2
-	VBROADCASTSD 24(BX), Y3
-	MOVQ DX, R13
-	MOVQ CX, R14
-
-fkloop:
-	VMOVUPD (R13), Y4
-	VBROADCASTSD (R9), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y0, Y0
-	VBROADCASTSD (R10), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y1, Y1
-	VBROADCASTSD (R11), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y2, Y2
-	VBROADCASTSD (R12), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y3, Y3
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $32, R13
-	DECQ R14
-	JNZ  fkloop
-	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
-	LEAQ (DI)(AX*2), R9
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, (DI)(AX*1)
-	VMOVUPD Y2, (R9)
-	VMOVUPD Y3, (R9)(AX*1)
-	ADDQ $32, DI
-	LEAQ (SI)(R15*4), SI
-	ADDQ $32, BX
-	SUBQ $4, R8
-	JMP  fquad
-
-ftail:
-	TESTQ R8, R8
-	JZ   fdone
-	VBROADCASTSD 0(BX), Y0
-	MOVQ SI, R9
-	MOVQ DX, R13
-	MOVQ CX, R14
-
-ftk:
-	VMOVUPD (R13), Y4
-	VBROADCASTSD (R9), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y0, Y0
-	ADDQ $8, R9
-	ADDQ $32, R13
-	DECQ R14
-	JNZ  ftk
-	VEXTRACTF128 $1, Y0, X1
-	LEAQ (DI)(AX*2), R9
-	VMOVLPD X0, (DI)
-	VMOVHPD X0, (DI)(AX*1)
-	VMOVLPD X1, (R9)
-	VMOVHPD X1, (R9)(AX*1)
-	ADDQ $8, DI
-	ADDQ R15, SI
-	ADDQ $8, BX
-	DECQ R8
-	JMP  ftail
-
-fdone:
-	VZEROUPPER
 	RET
 
 // LANES8 adds one weight's products to the two ymm halves LO (lanes 0–3)
@@ -489,42 +405,107 @@ zdone:
 	VZEROUPPER
 	RET
 
-// func denseBackwardDXBlockASM(w, dy, gx *float64, gStride, gxStride, in, out int, gvt *float64)
+// func laneTransposeAVX512(src, dst *float64, blocks, srcRow, srcBlock, dstRow, dstBlock int)
 //
-// dX for one block of four samples, lanes across samples. dy is the first of
-// four output-gradient rows (gStride elements apart); they are gathered into
-// the o-major tile gvt first. The kernel is output-stationary: eight (then
-// four, then one) input columns at a time it keeps gx[k] for the four samples
-// in a register that starts at +0 and adds dy[o]·w[o][k] in ascending o order
-// — the scalar backward's per-sample sequence — then transposes the finished
-// columns in registers and stores them straight into the four dX rows
-// (gxStride apart). Nothing is read back, pre-zeroed or accumulated in
-// memory. Exact-zero gradients are not skipped the way the scalar path skips
-// them: with finite weights their products are ±0, and adding ±0 to a sum
-// that started at +0 (and therefore is never −0) changes nothing.
-TEXT ·denseBackwardDXBlockASM(SB), NOSPLIT, $0-64
-	MOVQ dy+8(FP), R9
-	MOVQ gStride+24(FP), AX
-	MOVQ out+48(FP), R8
+// Transposes `blocks` 8×8 blocks of doubles: block j reads eight rows of
+// eight at src + j·srcBlock, srcRow elements apart, and writes its eight
+// columns as eight rows at dst + j·dstBlock, dstRow elements apart. Pure data
+// movement: 128-bit lane pairs by VUNPCKLPD/VUNPCKHPD, then two rounds of
+// VSHUFF64X2 across lanes.
+TEXT ·laneTransposeAVX512(SB), NOSPLIT, $0-56
+	MOVQ src+0(FP), SI
+	MOVQ dst+8(FP), DI
+	MOVQ blocks+16(FP), CX
+	MOVQ srcRow+24(FP), AX
+	MOVQ srcBlock+32(FP), BX
+	MOVQ dstRow+40(FP), DX
+	MOVQ dstBlock+48(FP), R8
 	SHLQ $3, AX
-	LEAQ (R9)(AX*1), R10
-	LEAQ (R10)(AX*1), R11
-	LEAQ (R11)(AX*1), R12
-	MOVQ gvt+56(FP), DI
-	GATHER4(R8, xgquad, xgtail, xgdone)
-	MOVQ w+0(FP), SI          // column base: w[0][k]
-	MOVQ gvt+56(FP), DX
-	MOVQ gx+16(FP), DI        // dX row 0 at column k
-	MOVQ gxStride+32(FP), AX
-	SHLQ $3, AX
-	LEAQ (DI)(AX*2), R10      // dX row 2 at column k
-	MOVQ in+40(FP), CX        // input columns left
+	SHLQ $3, BX
+	SHLQ $3, DX
+	SHLQ $3, R8
+	LEAQ (AX)(AX*2), R9       // three source rows in bytes
+	LEAQ (DX)(DX*2), R10      // three destination rows in bytes
+	TESTQ CX, CX
+	JZ   tdone
+
+tblock:
+	LEAQ (SI)(AX*4), R11
+	VMOVUPD (SI), Z0
+	VMOVUPD (SI)(AX*1), Z1
+	VMOVUPD (SI)(AX*2), Z2
+	VMOVUPD (SI)(R9*1), Z3
+	VMOVUPD (R11), Z4
+	VMOVUPD (R11)(AX*1), Z5
+	VMOVUPD (R11)(AX*2), Z6
+	VMOVUPD (R11)(R9*1), Z7
+	VUNPCKLPD Z1, Z0, Z8      // rows 0,1: columns 0,2,4,6
+	VUNPCKHPD Z1, Z0, Z9      // rows 0,1: columns 1,3,5,7
+	VUNPCKLPD Z3, Z2, Z10
+	VUNPCKHPD Z3, Z2, Z11
+	VUNPCKLPD Z5, Z4, Z12
+	VUNPCKHPD Z5, Z4, Z13
+	VUNPCKLPD Z7, Z6, Z14
+	VUNPCKHPD Z7, Z6, Z15
+	VSHUFF64X2 $0x44, Z10, Z8, Z0 // rows 0–3: columns 0,2
+	VSHUFF64X2 $0xEE, Z10, Z8, Z1 // rows 0–3: columns 4,6
+	VSHUFF64X2 $0x44, Z14, Z12, Z2
+	VSHUFF64X2 $0xEE, Z14, Z12, Z3
+	VSHUFF64X2 $0x44, Z11, Z9, Z4 // rows 0–3: columns 1,3
+	VSHUFF64X2 $0xEE, Z11, Z9, Z5
+	VSHUFF64X2 $0x44, Z15, Z13, Z6
+	VSHUFF64X2 $0xEE, Z15, Z13, Z7
+	VSHUFF64X2 $0x88, Z2, Z0, Z8  // column 0
+	VSHUFF64X2 $0x88, Z6, Z4, Z9  // column 1
+	VSHUFF64X2 $0xDD, Z2, Z0, Z10 // column 2
+	VSHUFF64X2 $0xDD, Z6, Z4, Z11 // column 3
+	VSHUFF64X2 $0x88, Z3, Z1, Z12 // column 4
+	VSHUFF64X2 $0x88, Z7, Z5, Z13 // column 5
+	VSHUFF64X2 $0xDD, Z3, Z1, Z14 // column 6
+	VSHUFF64X2 $0xDD, Z7, Z5, Z15 // column 7
+	LEAQ (DI)(DX*4), R11
+	VMOVUPD Z8, (DI)
+	VMOVUPD Z9, (DI)(DX*1)
+	VMOVUPD Z10, (DI)(DX*2)
+	VMOVUPD Z11, (DI)(R10*1)
+	VMOVUPD Z12, (R11)
+	VMOVUPD Z13, (R11)(DX*1)
+	VMOVUPD Z14, (R11)(DX*2)
+	VMOVUPD Z15, (R11)(R10*1)
+	ADDQ BX, SI
+	ADDQ R8, DI
+	DECQ CX
+	JNZ  tblock
+
+tdone:
+	VZEROUPPER
+	RET
+
+// func dxTileAVX2(w, dy, gx *float64, in, out int)
+//
+// dX for one 8-sample lane tile, the inference tile run backwards: dy is
+// o-major (dy[o*8+lane], out rows), gx is written k-major (gx[k*8+lane], in
+// rows). gx[k*8+lane] = Σ_o w[o*in+k]·dy[o*8+lane], one accumulator per
+// (column, lane) that starts at +0 and adds the products in ascending o with
+// separate VMULPD and VADDPD — the scalar backward's per-sample sequence.
+// The weights are broadcast straight from W's rows, in elements apart, so no
+// transposed copy of W exists. Four columns per pass, each column's eight
+// lanes in two ymm halves that share one dy load pair, then the 0–3 columns
+// left over one at a time. Exact-zero gradients are not skipped the way the
+// scalar path skips them: with finite weights their products are ±0, and
+// adding ±0 to a sum that started at +0 (so is never −0) changes nothing.
+TEXT ·dxTileAVX2(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), SI          // w[0][k]
+	MOVQ dy+8(FP), DX
+	MOVQ gx+16(FP), DI
+	MOVQ in+24(FP), CX        // columns left
+	MOVQ out+32(FP), R8
 	MOVQ CX, R15
 	SHLQ $3, R15              // weight row stride in bytes
 
-xk8:
-	CMPQ CX, $8
-	JLT  xk4
+xquad:
+	CMPQ CX, $4
+	JLT  xone
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -534,115 +515,171 @@ xk8:
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
 	MOVQ SI, R9
-	MOVQ DX, BX
+	MOVQ DX, R13
 	MOVQ R8, R14
 
-xo8:
-	VMOVUPD (BX), Y8
-	DXSTEP(0, Y9, Y0)
-	DXSTEP(8, Y10, Y1)
-	DXSTEP(16, Y11, Y2)
-	DXSTEP(24, Y12, Y3)
-	DXSTEP(32, Y9, Y4)
-	DXSTEP(40, Y10, Y5)
-	DXSTEP(48, Y11, Y6)
-	DXSTEP(56, Y12, Y7)
-	ADDQ $32, BX
+xqo:
+	VMOVUPD (R13), Y8
+	VMOVUPD 32(R13), Y9
+	LANES8(0(R9), Y0, Y1)
+	LANES8(8(R9), Y2, Y3)
+	LANES8(16(R9), Y4, Y5)
+	LANES8(24(R9), Y6, Y7)
 	ADDQ R15, R9
+	ADDQ $64, R13
 	DECQ R14
-	JNZ  xo8
-	DXSTORE4(Y0, Y1, Y2, Y3, 0)
-	DXSTORE4(Y4, Y5, Y6, Y7, 32)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	ADDQ $64, R10
-	SUBQ $8, CX
-	JMP  xk8
-
-xk4:
-	CMPQ CX, $4
-	JLT  xk1
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ SI, R9
-	MOVQ DX, BX
-	MOVQ R8, R14
-
-xo4:
-	VMOVUPD (BX), Y8
-	DXSTEP(0, Y9, Y0)
-	DXSTEP(8, Y10, Y1)
-	DXSTEP(16, Y11, Y2)
-	DXSTEP(24, Y12, Y3)
-	ADDQ $32, BX
-	ADDQ R15, R9
-	DECQ R14
-	JNZ  xo4
-	DXSTORE4(Y0, Y1, Y2, Y3, 0)
+	JNZ  xqo
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, DI
 	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, R10
 	SUBQ $4, CX
-	JMP  xk4
+	JMP  xquad
 
-xk1:
+xone:
 	TESTQ CX, CX
 	JZ   xdone
 	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
 	MOVQ SI, R9
-	MOVQ DX, BX
+	MOVQ DX, R13
 	MOVQ R8, R14
 
-xo1:
-	VMOVUPD (BX), Y8
-	DXSTEP(0, Y9, Y0)
-	ADDQ $32, BX
+xoo:
+	VMOVUPD (R13), Y8
+	VMOVUPD 32(R13), Y9
+	LANES8((R9), Y0, Y1)
 	ADDQ R15, R9
+	ADDQ $64, R13
 	DECQ R14
-	JNZ  xo1
-	VEXTRACTF128 $1, Y0, X1
-	VMOVLPD X0, (DI)
-	VMOVHPD X0, (DI)(AX*1)
-	VMOVLPD X1, (R10)
-	VMOVHPD X1, (R10)(AX*1)
+	JNZ  xoo
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
 	ADDQ $8, SI
-	ADDQ $8, DI
-	ADDQ $8, R10
 	DECQ CX
-	JMP  xk1
+	JMP  xone
 
 xdone:
 	VZEROUPPER
 	RET
 
-// func denseGradWBlockASM(gw, dy, x *float64, gStride, xStride, rows, in, nOut int, scale float64, shard int)
+// func dxTileAVX512(w, dy, gx *float64, in, out int)
+//
+// dxTileAVX2's contract and layout with each column's eight lanes in one zmm
+// register: eight columns per pass (Z0–Z7, one 64-byte run of each weight
+// row), then the 0–7 left over one at a time. Every lane still does a
+// separate multiply and add per o, in ascending o, so the two kernels agree
+// bit for bit.
+TEXT ·dxTileAVX512(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), SI
+	MOVQ dy+8(FP), DX
+	MOVQ gx+16(FP), DI
+	MOVQ in+24(FP), CX
+	MOVQ out+32(FP), R8
+	MOVQ CX, R15
+	SHLQ $3, R15
+
+zxoct:
+	CMPQ CX, $8
+	JLT  zxone
+	VXORPD X0, X0, X0         // the xmm zero idiom clears the whole zmm
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	VXORPD X4, X4, X4
+	VXORPD X5, X5, X5
+	VXORPD X6, X6, X6
+	VXORPD X7, X7, X7
+	MOVQ SI, R9
+	MOVQ DX, R13
+	MOVQ R8, R14
+
+zxo:
+	VMOVUPD (R13), Z8
+	LANE8(0(R9), Z9, Z0)
+	LANE8(8(R9), Z10, Z1)
+	LANE8(16(R9), Z11, Z2)
+	LANE8(24(R9), Z12, Z3)
+	LANE8(32(R9), Z13, Z4)
+	LANE8(40(R9), Z14, Z5)
+	LANE8(48(R9), Z15, Z6)
+	LANE8(56(R9), Z16, Z7)
+	ADDQ R15, R9
+	ADDQ $64, R13
+	DECQ R14
+	JNZ  zxo
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ $512, DI
+	ADDQ $64, SI
+	SUBQ $8, CX
+	JMP  zxoct
+
+zxone:
+	TESTQ CX, CX
+	JZ   zxdone
+	VXORPD X0, X0, X0
+	MOVQ SI, R9
+	MOVQ DX, R13
+	MOVQ R8, R14
+
+zxo1:
+	VMOVUPD (R13), Z8
+	LANE8((R9), Z9, Z0)
+	ADDQ R15, R9
+	ADDQ $64, R13
+	DECQ R14
+	JNZ  zxo1
+	VMOVUPD Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $8, SI
+	DECQ CX
+	JMP  zxone
+
+zxdone:
+	VZEROUPPER
+	RET
+
+// func gradWAVX2(gw, dy, x *float64, gStride, xStride, rows, in, cols, nOut int, scale float64, shard int)
 //
 // Weight gradients of nOut >= 2 consecutive output neurons over the whole
-// batch, output-stationary, lanes across four consecutive input columns k. gw
-// is the first neuron's gradient row (row stride in), dy the first neuron's
+// batch, output-stationary, lanes across consecutive input columns k. gw is
+// the first neuron's gradient row (row stride in), dy the first neuron's
 // entry in output-gradient row 0 (row stride gStride), x input row 0 (row
-// stride xStride). For every (neuron, k quad) the kernel walks the batch in
-// shards of `shard` rows: a register that starts at +0 adds dy_r·x_r[k] row
-// by row (the per-shard partial sum, in row order); at the end of a shard the
-// running total of the earlier shards — parked in gw itself, which stays in
-// L1 — is added to it, and after the last shard the total is multiplied by
-// scale and stored. That is the value sequence of per-shard buffers reduced
-// in ascending order and scaled last, with no buffer to clear or reduce. Two
-// neurons and sixteen columns per pass (eight independent accumulators that
-// share every input load), then two neurons and one column quad per pass.
-// The caller finishes the in%4 column tail and the bias.
-TEXT ·denseGradWBlockASM(SB), NOSPLIT, $0-80
+// stride xStride); the kernel covers columns [0, cols&^3). For every
+// (neuron, column block) it walks the batch in shards of `shard` rows: a
+// register that starts at +0 adds dy_r·x_r[k] row by row (the per-shard
+// partial sum, in row order); at the end of a shard the running total of the
+// earlier shards — parked in gw itself, which stays in L1 — is added to it,
+// and after the last shard the total is multiplied by scale and stored. That
+// is the value sequence of per-shard buffers reduced in ascending order and
+// scaled last, with no buffer to clear or reduce. Two neurons and sixteen
+// columns per pass (eight independent accumulators that share every input
+// load), then two neurons and one column quad per pass. The caller finishes
+// the cols%4 column tail and the bias.
+TEXT ·gradWAVX2(SB), NOSPLIT, $0-88
 	MOVQ gw+0(FP), DI
 	MOVQ x+16(FP), SI
 	MOVQ gStride+24(FP), R11
 	MOVQ xStride+32(FP), R12
 	MOVQ in+48(FP), AX
-	VBROADCASTSD scale+64(FP), Y13
+	MOVQ cols+56(FP), DX
+	VBROADCASTSD scale+72(FP), Y13
 	SHLQ $3, R11
 	SHLQ $3, R12
-	MOVQ AX, DX
 	SHRQ $2, DX               // k quads left
 	SHLQ $3, AX               // gw row stride in bytes
 	MOVQ rows+40(FP), R15
@@ -652,85 +689,7 @@ TEXT ·denseGradWBlockASM(SB), NOSPLIT, $0-80
 wk16:
 	CMPQ DX, $4
 	JLT  wk4
-	MOVQ DI, R14
-	MOVQ dy+8(FP), BX
-	MOVQ nOut+56(FP), R8
-
-wo16:
-	GWPAIR(wo16pair, wk16next)
-	GWSHARD
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-wr16first:
-	GWROW16
-	DECQ CX
-	JNZ  wr16first
-
-wsh16:
-	TESTQ R13, R13
-	JZ   wst16
-	VMOVUPD Y0, (R14)         // park the running total
-	VMOVUPD Y1, 32(R14)
-	VMOVUPD Y2, 64(R14)
-	VMOVUPD Y3, 96(R14)
-	VMOVUPD Y4, (R14)(AX*1)
-	VMOVUPD Y5, 32(R14)(AX*1)
-	VMOVUPD Y6, 64(R14)(AX*1)
-	VMOVUPD Y7, 96(R14)(AX*1)
-	GWSHARD
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-wr16:
-	GWROW16
-	DECQ CX
-	JNZ  wr16
-	VADDPD (R14), Y0, Y0      // total so far + this shard's sum
-	VADDPD 32(R14), Y1, Y1
-	VADDPD 64(R14), Y2, Y2
-	VADDPD 96(R14), Y3, Y3
-	VADDPD (R14)(AX*1), Y4, Y4
-	VADDPD 32(R14)(AX*1), Y5, Y5
-	VADDPD 64(R14)(AX*1), Y6, Y6
-	VADDPD 96(R14)(AX*1), Y7, Y7
-	JMP  wsh16
-
-wst16:
-	VMULPD Y13, Y0, Y0
-	VMULPD Y13, Y1, Y1
-	VMULPD Y13, Y2, Y2
-	VMULPD Y13, Y3, Y3
-	VMULPD Y13, Y4, Y4
-	VMULPD Y13, Y5, Y5
-	VMULPD Y13, Y6, Y6
-	VMULPD Y13, Y7, Y7
-	VMOVUPD Y0, (R14)
-	VMOVUPD Y1, 32(R14)
-	VMOVUPD Y2, 64(R14)
-	VMOVUPD Y3, 96(R14)
-	VMOVUPD Y4, (R14)(AX*1)
-	VMOVUPD Y5, 32(R14)(AX*1)
-	VMOVUPD Y6, 64(R14)(AX*1)
-	VMOVUPD Y7, 96(R14)(AX*1)
-	LEAQ (R14)(AX*2), R14
-	ADDQ $16, BX
-	SUBQ $2, R8
-	JMP  wo16
-
-wk16next:
+	GWPASS(GWROW16, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, 32, 64, 96, Y13, wo16, wo16pair, wr16first, wsh16, wr16, wst16, wk16next)
 	ADDQ $128, DI
 	ADDQ $128, SI
 	SUBQ $4, DX
@@ -741,7 +700,7 @@ wk4:
 	JZ   wdone
 	MOVQ DI, R14
 	MOVQ dy+8(FP), BX
-	MOVQ nOut+56(FP), R8
+	MOVQ nOut+64(FP), R8
 
 wo4:
 	GWPAIR(wo4pair, wk4next)
@@ -791,12 +750,48 @@ wdone:
 	VZEROUPPER
 	RET
 
+// func gradWAVX512(gw, dy, x *float64, gStride, xStride, rows, in, cols, nOut int, scale float64, shard int)
+//
+// gradWAVX2's contract and sums over columns [0, cols&^31): two neurons and
+// 32 columns per pass, four zmm accumulators per neuron. The caller hands
+// the columns left over to gradWAVX2.
+TEXT ·gradWAVX512(SB), NOSPLIT, $0-88
+	MOVQ gw+0(FP), DI
+	MOVQ x+16(FP), SI
+	MOVQ gStride+24(FP), R11
+	MOVQ xStride+32(FP), R12
+	MOVQ in+48(FP), AX
+	MOVQ cols+56(FP), DX
+	VBROADCASTSD scale+72(FP), Z13
+	SHLQ $3, R11
+	SHLQ $3, R12
+	SHRQ $5, DX               // 32-column blocks left
+	SHLQ $3, AX
+	MOVQ rows+40(FP), R15
+	TESTQ R15, R15
+	JZ   vdone
+
+vk32:
+	TESTQ DX, DX
+	JZ   vdone
+	GWPASS(GWROW32, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, 64, 128, 192, Z13, vo32, vo32pair, vr32first, vsh32, vr32, vst32, vk32next)
+	ADDQ $256, DI
+	ADDQ $256, SI
+	DECQ DX
+	JMP  vk32
+
+vdone:
+	VZEROUPPER
+	RET
+
 // func adamStepASM(w, grad, m, v *float64, n int, b1, omb1, b2, omb2, c1, c2, rate, eps float64)
 //
 // Vectorized Adam update over n/4 quads (the Go caller handles the tail).
 // Every operation is an IEEE-correctly-rounded elementwise VMULPD / VADDPD /
 // VDIVPD / VSQRTPD in the exact expression order of the scalar Step loop, so
-// each lane is bit-identical to the scalar update.
+// each lane is bit-identical to the scalar update. Once c1 = 1 − β1^t has
+// rounded to exactly 1.0 (from t = 356 on) the division by it is skipped:
+// x/1.0 is x for every double, and the loop is divider-bound.
 TEXT ·adamStepASM(SB), NOSPLIT, $0-104
 	MOVQ w+0(FP), DI
 	MOVQ grad+8(FP), SI
@@ -811,6 +806,8 @@ TEXT ·adamStepASM(SB), NOSPLIT, $0-104
 	VBROADCASTSD c2+80(FP), Y13
 	VBROADCASTSD rate+88(FP), Y14
 	VBROADCASTSD eps+96(FP), Y15
+	MOVQ c1+72(FP), R11
+	MOVQ $0x3ff0000000000000, AX // 1.0
 	SHRQ $2, CX
 	JZ   adone
 
@@ -827,7 +824,11 @@ aloop:
 	VMULPD Y4, Y0, Y0         // ((1-b2)*g)*g
 	VADDPD Y0, Y6, Y6         // v'
 	VMOVUPD Y6, (R10)
+	CMPQ R11, AX              // c1 == 1.0: mHat is m' itself
+	JEQ  anodiv
 	VDIVPD Y12, Y5, Y5        // mHat = m'/c1
+
+anodiv:
 	VDIVPD Y13, Y6, Y6        // vHat = v'/c2
 	VSQRTPD Y6, Y6            // sqrt(vHat)
 	VADDPD Y15, Y6, Y6        // + eps

@@ -12,15 +12,17 @@ var simdEnabled, avx512Enabled = false, false
 // noSIMD is every kernel stub's body.
 func noSIMD() { panic("nn: no simd") } //lint:allow panicfree unreachable: simdEnabled is false on this platform
 
-func denseForwardBlockASM(w, bias, x, y *float64, xStride, yStride, in, out int, xt *float64) {
-	noSIMD()
-}
 func inferTileAVX2(w, bias, x, y *float64, in, out int)   { noSIMD() }
 func inferTileAVX512(w, bias, x, y *float64, in, out int) { noSIMD() }
-func denseBackwardDXBlockASM(w, dy, gx *float64, gStride, gxStride, in, out int, gvt *float64) {
+func laneTransposeAVX512(src, dst *float64, blocks, srcRow, srcBlock, dstRow, dstBlock int) {
 	noSIMD()
 }
-func denseGradWBlockASM(gw, dy, x *float64, gStride, xStride, rows, in, nOut int, scale float64, shard int) {
+func dxTileAVX2(w, dy, gx *float64, in, out int)   { noSIMD() }
+func dxTileAVX512(w, dy, gx *float64, in, out int) { noSIMD() }
+func gradWAVX2(gw, dy, x *float64, gStride, xStride, rows, in, cols, nOut int, scale float64, shard int) {
+	noSIMD()
+}
+func gradWAVX512(gw, dy, x *float64, gStride, xStride, rows, in, cols, nOut int, scale float64, shard int) {
 	noSIMD()
 }
 func adamStepASM(w, grad, m, v *float64, n int, b1, omb1, b2, omb2, c1, c2, rate, eps float64) {

@@ -53,18 +53,19 @@ func TestFaultyErrorIsErrInjected(t *testing.T) {
 }
 
 // TestFaultyHangBlocksUntilCancel pins the hang fault: the call must block
-// until its context dies, then surface ctx.Err().
+// until its context dies, then surface ctx.Err(). The deadline is the
+// context's own: a stopwatch started after WithTimeout would miss the time
+// already spent and could read a correct hang as early.
 func TestFaultyHangBlocksUntilCancel(t *testing.T) {
 	f := NewFaulty(&scripted{}, FaultPlan{HangRate: 1, Seed: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	_, err := f.Count(ctx, query.Predicate{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Error("hang returned before the context deadline")
+	if deadline, _ := ctx.Deadline(); time.Now().Before(deadline) {
+		t.Errorf("hang returned %v before the context deadline", time.Until(deadline))
 	}
 	_, _, hangs := f.Stats()
 	if hangs != 1 {

@@ -235,10 +235,22 @@ func (h *healthTracker) classify(sig healthSignals) HealthState {
 // now, folds it into the hysteresis streaks and applies at most a single-step
 // transition. Transitions are journaled and logged with the signals that
 // caused them, so an operator can replay *why* the server left healthy. The
-// event is written under the lock and before the new state is published:
-// whoever reads a state finds its transition in the journal, and
-// transitions reach the journal in the order they happened.
+// journal entry is written under the lock and before the new state is
+// published: whoever reads a state finds its transition in the journal, and
+// transitions reach the journal in the order they happened. The log line,
+// which does I/O, is written after the lock is released, so two transitions
+// racing each other may reach the log in the other order.
 func (h *healthTracker) eval(now time.Time, sig healthSignals) {
+	if level, fields := h.transition(now, sig); fields != nil {
+		h.rec.log(level, "health", 0, fields)
+	}
+}
+
+// transition is eval's locked half: it classifies sig and, on a state
+// change, journals the transition and publishes the new state. It returns
+// the transition's log level and fields, and nil fields when the state
+// holds.
+func (h *healthTracker) transition(now time.Time, sig healthSignals) (slog.Level, map[string]any) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sig.waitP99 = h.wait.p99(now)
@@ -264,23 +276,25 @@ func (h *healthTracker) eval(now time.Time, sig healthSignals) {
 		h.badStreak, h.goodStreak = 0, 0
 	}
 	if next == cur {
-		return
+		return 0, nil
 	}
 	h.met.healthState.Set(float64(next))
 	level := slog.LevelInfo
 	if next > cur {
 		level = slog.LevelWarn
 	}
-	//lint:allow lockorder the transition is journaled before it is published; Journal.Append takes no other lock
-	h.rec.event(level, "health", 0, map[string]any{
+	fields := map[string]any{
 		"from":         cur.String(),
 		"to":           next.String(),
 		"wait_p99_ms":  sig.waitP99 * 1000,
 		"queue_depth":  sig.queueDepth,
 		"breaker_open": sig.breakerOpen,
 		"swap_age_ms":  float64(sig.swapAge.Microseconds()) / 1000,
-	})
+	}
+	//lint:allow lockorder the transition is journaled before it is published; Journal.Append takes no other lock
+	h.rec.journal.Append("health", 0, fields)
 	h.state.Store(int32(next))
+	return level, fields
 }
 
 // evalHealth runs one (throttled) health evaluation: gather the signals —

@@ -57,13 +57,20 @@ func newFlightRecorder(met *Metrics, logger *slog.Logger, opts Options) *flightR
 	}
 }
 
-// event records one lifecycle event — the only way one is recorded: it is
-// appended to the journal /status reports and logged, under the same
-// kind and with the same fields, through the server's logger, so an operator
-// tailing warperd sees what the journal sees. fields may be nil; the map is
-// retained by the journal, so callers must not mutate it afterwards.
+// event records one lifecycle event: it is appended to the journal /status
+// reports and logged, under the same kind and with the same fields, through
+// the server's logger, so an operator tailing warperd sees what the journal
+// sees. fields may be nil; the map is retained by the journal, so callers
+// must not mutate it afterwards. A caller that must journal under a lock
+// appends to the journal itself and calls log once it has unlocked.
 func (r *flightRecorder) event(level slog.Level, kind string, traceID uint64, fields map[string]any) {
 	r.journal.Append(kind, traceID, fields)
+	r.log(level, kind, traceID, fields)
+}
+
+// log is event's server-log half: one line at level, with fields as sorted
+// attributes.
+func (r *flightRecorder) log(level slog.Level, kind string, traceID uint64, fields map[string]any) {
 	keys := make([]string, 0, len(fields))
 	for k := range fields {
 		keys = append(keys, k)
