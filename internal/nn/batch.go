@@ -90,7 +90,7 @@ func (n *Network) ensureScratch(rows, inCols int) *scratch {
 	sc.rows = rows
 	for i := range sc.acts {
 		r := rows
-		if simdEnabled && sc.tileStored(i) {
+		if sc.tileStored(i) {
 			r = (rows + inferLanes - 1) &^ (inferLanes - 1)
 		}
 		sc.acts[i] = sc.acts[i].Resized(r, sc.widths[i])
@@ -191,10 +191,15 @@ func (sc *scratch) forwardTile(r0 int) {
 }
 
 // tileStored reports whether the SIMD path keeps boundary l as shard tiles —
-// shard s's lane tile at rows [8s, 8s+8) of its matrix, padded to whole
-// shards — rather than as rows. That is the input of an activation layer,
-// which only that layer's backward reads; the batch input and output and
-// every Dense input (the weight-gradient pass reads it) stay row-major.
+// shard s's lane tile at rows [8s, 8s+8) of its matrix — rather than as
+// rows. That is the input of an activation layer, which only that layer's
+// backward reads; the batch input and output and every Dense input (the
+// weight-gradient pass reads it) stay row-major. Such a boundary's matrix
+// is padded to whole shards whichever kernel set runs; the generic path
+// fills its real rows row-major and leaves the padding unread. Keeping it
+// as tiles saves one scatter and one gather per activation layer and
+// shard: storing it as rows made adapt_drift's period_mean_ms 3.8 % slower
+// (DESIGN.md §10).
 func (sc *scratch) tileStored(l int) bool {
 	if l == 0 || l == len(sc.net.Layers) {
 		return false

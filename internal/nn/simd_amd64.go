@@ -18,8 +18,8 @@ package nn
 var simdAvailable, avx512Available = x86Features(cpuidWords())
 
 // simdEnabled gates the kernels at runtime and avx512Enabled picks the
-// AVX-512 ones; UseKernels and the tests flip them to prove the generic and
-// vector paths, and the two vector sets, agree bit-for-bit.
+// AVX-512 ones; the tests flip them to prove the generic and vector paths,
+// and the two vector sets, agree bit-for-bit.
 var (
 	simdEnabled   = simdAvailable
 	avx512Enabled = avx512Available

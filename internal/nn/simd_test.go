@@ -16,30 +16,44 @@ var kernelWidths = []int{1, 3, 8, 17, 31, 32, 33, 128}
 var kernelRowCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32}
 
 // kernelNet is the equivalence tests' network for one (in, out) pair: both
-// Dense shapes, a LeakyReLU (its input is tile-stored on the SIMD path) and
-// a Tanh (whose backward reads its row-major output).
+// Dense shapes, a LeakyReLU (whose backward reads its input) and a Tanh
+// (whose backward reads its output).
 func kernelNet(in, out int) *Network {
 	rng := rand.New(rand.NewSource(int64(1000*in + out)))
 	return NewNetwork(NewDense(in, out, rng), NewLeakyReLU(), NewDense(out, in, rng), NewTanh())
 }
 
+// kernelSets names the batched-kernel sets this machine can run, fastest
+// first: "avx512" (the AVX-512 tile and weight-gradient kernels, AVX2 for
+// the rest), "avx2" and "generic" (pure Go). Every set gives the same bits.
+func kernelSets() []string {
+	sets := []string{"generic"}
+	if simdAvailable {
+		sets = append([]string{"avx2"}, sets...)
+	}
+	if avx512Available {
+		sets = append([]string{"avx512"}, sets...)
+	}
+	return sets
+}
+
 // simdSets returns the kernel sets other than the generic one; the tests
-// compare each to "generic" after selecting it with UseKernels.
+// compare each to "generic" after selecting it with useKernels.
 func simdSets(t *testing.T) []string {
-	sets := KernelSets()
+	sets := kernelSets()
 	if len(sets) == 1 {
 		t.Skip("no AVX2 on this machine")
 	}
 	return sets[:len(sets)-1]
 }
 
-// useKernels selects set for the rest of the test.
-func useKernels(t *testing.T, set string) {
-	restore, ok := UseKernels(set)
-	if !ok {
-		t.Fatalf("UseKernels(%q) refused a listed set", set)
-	}
-	t.Cleanup(restore)
+// useKernels makes every batched pass run the named set, one kernelSets
+// lists, until the test or benchmark ends, by flipping simdEnabled and
+// avx512Enabled.
+func useKernels(tb testing.TB, set string) {
+	simd, avx512 := simdEnabled, avx512Enabled
+	tb.Cleanup(func() { simdEnabled, avx512Enabled = simd, avx512 })
+	simdEnabled, avx512Enabled = set != "generic", set == "avx512"
 }
 
 // sameBits reports whether a and b are the same double bit for bit.

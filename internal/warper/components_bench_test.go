@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"warper/internal/ce"
-	"warper/internal/nn"
 	"warper/internal/pool"
 	"warper/internal/workload"
 )
@@ -34,21 +33,15 @@ func aeFixture(tb testing.TB) (*components, []*pool.Entry, []*pool.Entry) {
 }
 
 // BenchmarkAEStep is one update_AutoEncoder minibatch at the paper's sizes:
-// 𝔼 and 𝔾 forward, backward and Adam step, once per nn kernel set this
-// machine can run. Steady state must report 0 allocs/op.
+// 𝔼 and 𝔾 forward, backward and Adam step, on the kernels this machine
+// dispatches to (nn's BenchmarkTrainStepBatched times each kernel set).
+// Steady state must report 0 allocs/op.
 func BenchmarkAEStep(b *testing.B) {
 	c, batch, _ := aeFixture(b)
-	for _, set := range nn.KernelSets() {
-		b.Run(set, func(b *testing.B) {
-			restore, _ := nn.UseKernels(set)
-			defer restore()
-			c.aeStep(batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.aeStep(batch)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.aeStep(batch)
 	}
 }
 
