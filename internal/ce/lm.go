@@ -126,7 +126,7 @@ func (lm *LM) Estimate(p query.Predicate) float64 {
 }
 
 // EstimateAll implements BatchEstimator: the MLP backend answers the whole
-// slice with one batched forward pass through the minibatch kernels; the
+// slice with one nn.InferBatch pass over the lane tile; the
 // tree and kernel backends predict row by row (their per-row cost is the
 // model walk itself, there is nothing to batch).
 func (lm *LM) EstimateAll(ps []query.Predicate, out []float64) {
@@ -145,7 +145,7 @@ func (lm *LM) EstimateAll(ps []query.Predicate, out []float64) {
 		for i := range ps {
 			ps[i].FeaturizeInto(lm.Schema, X.Row(i))
 		}
-		mlp.predictAllMat(X, out)
+		mlp.net.InferBatch(X, out)
 		for i := range out {
 			out[i] = targetToCard(out[i])
 		}
@@ -228,23 +228,6 @@ func (b *mlpBackend) run(X [][]float64, y []float64, epochs int, rng *rand.Rand)
 }
 
 func (b *mlpBackend) predict(x []float64) float64 { return b.net.Forward(x)[0] }
-
-// predictAllMat runs one batched forward pass over the rows of X, using the
-// network's minibatch kernels instead of X.Rows per-sample Forward calls.
-// X must already hold the featurized predicates. The tile-resident
-// InferBatch path serves 8-row blocks without materializing activation
-// matrices; where it cannot run it falls back to BatchForward, which is
-// byte-identical by the same contract.
-func (b *mlpBackend) predictAllMat(X nn.Mat, out []float64) {
-	if b.net.InferBatch(X, out) {
-		return
-	}
-	//lint:allow hotpathalloc fallback for layer kinds the in-place kernels cannot drive; LM's MLP stays on InferBatch
-	y := b.net.BatchForward(X)
-	for i := range out {
-		out[i] = y.Row(i)[0]
-	}
-}
 
 func (b *mlpBackend) clone() lmBackend { return &mlpBackend{net: b.net.Clone(), in: b.in} }
 

@@ -11,7 +11,7 @@ import (
 // the ascending sum of per-shard sums, and parameter gradients are summed
 // shard by shard in ascending order (see denseGradW). The partition depends
 // only on the batch size; it is the summation order the golden bits pin. It
-// is InferBatch's block height, so with SIMD a shard runs as one lane tile.
+// is InferBatch's block height, so a shard runs as one lane tile.
 const shardRows = inferLanes
 
 // gradBlockOuts is how many output neurons of one Dense layer a denseGradW
@@ -19,6 +19,21 @@ const shardRows = inferLanes
 // Every weight gradient is computed whole by exactly one call, so the
 // blocking never changes bits.
 const gradBlockOuts = 32
+
+// kernelSet names one implementation of the batched kernels: the lane-tile
+// Dense forward and dX, the weight gradient, Adam and the activations.
+// Every set computes the same bits; they differ only in speed.
+type kernelSet int
+
+const (
+	genericKernels kernelSet = iota // pure Go, on every platform
+	avx2Kernels                     // AVX2 (amd64)
+	avx512Kernels                   // AVX-512 tile, transpose and weight-gradient kernels, AVX2 for the rest
+)
+
+// kernels is the set every batched pass and InferBatch run: the host's
+// fastest, hostKernels. The tests switch it to show the sets agree.
+var kernels = hostKernels
 
 // scratch is the per-network reusable arena for batched compute: full-batch
 // activation matrices for every layer boundary, and — once a backward pass
@@ -30,7 +45,7 @@ type scratch struct {
 	net *Network
 
 	widths []int // layer-boundary widths for the current input width
-	acts   []Mat // acts[l] is the input to layer l; acts[len] the output (see tileStored for the SIMD layout)
+	acts   []Mat // acts[l] is the input to layer l; acts[len] the output (see tileStored for the tile layout)
 	maxW   int
 	rows   int
 
@@ -42,7 +57,7 @@ type scratch struct {
 	lossG    Mat
 
 	tmp []float64 // maxW: denseGradW partial-sum row
-	// tile is the SIMD lane scratch, three inferLanes*maxW lane tiles: the
+	// tile is the lane scratch, three inferLanes*maxW lane tiles: the
 	// two a block or shard ping-pongs between across the layers, and the
 	// one the backward pass gathers an activation stored as rows into.
 	tile []float64
@@ -112,48 +127,13 @@ func (sc *scratch) sizeGrads(lossGrad Mat) {
 	sc.grads[len(sc.gradBufs)] = lossGrad
 }
 
-// forwardRange runs rows [r0, r1) — one shard — through every layer,
-// filling the activation matrices. Per-sample accumulation order inside each
-// kernel matches the scalar Forward path exactly, so outputs are
-// byte-identical to it.
-func (sc *scratch) forwardRange(r0, r1 int) {
-	if simdEnabled {
-		sc.forwardTile(r0)
-		return
-	}
-	for li, l := range sc.net.Layers {
-		in, out := sc.acts[li], sc.acts[li+1]
-		switch t := l.(type) {
-		case *Dense:
-			batchDenseForward(t, in, out, r0, r1)
-		case *LeakyReLU:
-			for r := r0; r < r1; r++ {
-				x, y := in.Row(r), out.Row(r)
-				for i, v := range x {
-					if v >= 0 {
-						y[i] = v
-					} else {
-						y[i] = t.Alpha * v
-					}
-				}
-			}
-		case *Tanh:
-			for r := r0; r < r1; r++ {
-				x, y := in.Row(r), out.Row(r)
-				for i, v := range x {
-					y[i] = math.Tanh(v)
-				}
-			}
-		}
-	}
-}
-
-// forwardTile is forwardRange on the lane tile: the shard at row r0 is
-// gathered once (padding lanes zeroed) and stays in lane tiles across the
-// stack, as an InferBatch block does. Each boundary is stored in its own
-// layout (see tileStored): an activation layer's input is written by the
-// kernel straight into its shard tile, every other boundary's real rows are
-// stored back into the row-major matrix the weight-gradient pass reads.
+// forwardTile runs the shard at row r0 through every layer on the lane
+// tile: the shard is gathered once (padding lanes zeroed) and stays in lane
+// tiles across the stack, as an InferBatch block does. Each boundary is
+// stored in its own layout (see tileStored): an activation layer's input is
+// written by the kernel straight into its shard tile, every other
+// boundary's real rows are stored back into the row-major matrix the
+// weight-gradient pass reads.
 func (sc *scratch) forwardTile(r0 int) {
 	q := inferLanes * sc.maxW
 	a, b := sc.tile[:q], sc.tile[q:2*q]
@@ -168,21 +148,7 @@ func (sc *scratch) forwardTile(r0 int) {
 		if stored {
 			dst = sc.shardTile(li+1, r0, nil)
 		}
-		n := inferLanes * sc.widths[li]
-		switch t := l.(type) {
-		case *Dense:
-			if avx512Enabled {
-				inferTileAVX512(&t.Weight.W[0], &t.Bias.W[0], &cur[0], &dst[0], t.In, t.Out)
-			} else {
-				inferTileAVX2(&t.Weight.W[0], &t.Bias.W[0], &cur[0], &dst[0], t.In, t.Out)
-			}
-		case *LeakyReLU:
-			leakyForwardASM(&cur[0], &dst[0], n, t.Alpha)
-		case *Tanh:
-			for i, v := range cur[:n] {
-				dst[i] = math.Tanh(v)
-			}
-		}
+		tileForward(l, cur, dst, inferLanes*sc.widths[li])
 		if !stored {
 			scatterLanes(sc.acts[li+1], r0, dst)
 		}
@@ -190,16 +156,14 @@ func (sc *scratch) forwardTile(r0 int) {
 	}
 }
 
-// tileStored reports whether the SIMD path keeps boundary l as shard tiles —
-// shard s's lane tile at rows [8s, 8s+8) of its matrix — rather than as
-// rows. That is the input of an activation layer, which only that layer's
-// backward reads; the batch input and output and every Dense input (the
-// weight-gradient pass reads it) stay row-major. Such a boundary's matrix
-// is padded to whole shards whichever kernel set runs; the generic path
-// fills its real rows row-major and leaves the padding unread. Keeping it
-// as tiles saves one scatter and one gather per activation layer and
-// shard: storing it as rows made adapt_drift's period_mean_ms 3.8 % slower
-// (DESIGN.md §10).
+// tileStored reports whether boundary l is kept as shard tiles — shard s's
+// lane tile at rows [8s, 8s+8) of its matrix, which is padded to whole
+// shards — rather than as rows. That is the input of an activation layer,
+// which only that layer's backward reads; the batch input and output and
+// every Dense input (the weight-gradient pass reads it) stay row-major.
+// Keeping it as tiles saves one scatter and one gather per activation layer
+// and shard: storing it as rows made adapt_drift's period_mean_ms 3.8 %
+// slower (DESIGN.md §10).
 func (sc *scratch) tileStored(l int) bool {
 	if l == 0 || l == len(sc.net.Layers) {
 		return false
@@ -220,52 +184,14 @@ func (sc *scratch) shardTile(l, r0 int, buf []float64) []float64 {
 	return buf
 }
 
-// backwardRange propagates the loss-gradient rows [r0, r1) — one shard —
-// back through the stack: layer li reads grads[li+1] and writes grads[li],
-// so after every shard has run, grads[0] is dLoss/dInput and each Dense
-// layer's output gradient is still in place for the parameter-gradient pass.
-// It computes no parameter gradient itself.
-func (sc *scratch) backwardRange(r0, r1 int) {
-	if simdEnabled {
-		sc.backwardTile(r0)
-		return
-	}
-	for li := len(sc.net.Layers) - 1; li >= 0; li-- {
-		cur, dst := sc.grads[li+1], sc.grads[li]
-		switch t := sc.net.Layers[li].(type) {
-		case *Dense:
-			batchDenseBackward(t, cur, dst, r0, r1)
-		case *LeakyReLU:
-			in := sc.acts[li]
-			for r := r0; r < r1; r++ {
-				x, g, gx := in.Row(r), cur.Row(r), dst.Row(r)
-				for i, gi := range g {
-					if x[i] >= 0 {
-						gx[i] = gi
-					} else {
-						gx[i] = t.Alpha * gi
-					}
-				}
-			}
-		case *Tanh:
-			out := sc.acts[li+1]
-			for r := r0; r < r1; r++ {
-				y, g, gx := out.Row(r), cur.Row(r), dst.Row(r)
-				for i, gi := range g {
-					t := y[i]
-					gx[i] = gi * (1 - t*t)
-				}
-			}
-		}
-	}
-}
-
-// backwardTile is backwardRange on the lane tile: the shard's output
-// gradient is gathered once and stays in the tile down the stack — Dense
-// layers run the dX tile kernel, LeakyReLU and Tanh read the activation
-// tile shardTile gives them — and a boundary's real rows are stored back
-// only where something reads them row-major: the output gradient of a Dense
-// layer (the weight-gradient pass) and dLoss/dInput (the caller).
+// backwardTile propagates the loss gradient of the shard at row r0 back
+// through the stack on the lane tile: the shard's output gradient is
+// gathered once and stays in the tile down the stack — Dense layers run
+// the dX tile kernel, LeakyReLU and Tanh read the activation tile
+// shardTile gives them — and a boundary's real rows are stored back only
+// where something reads them row-major: the output gradient of a Dense
+// layer (the weight-gradient pass) and dLoss/dInput (the caller). It
+// computes no parameter gradient itself.
 func (sc *scratch) backwardTile(r0 int) {
 	q := inferLanes * sc.maxW
 	cur, nxt, at := sc.tile[:q], sc.tile[q:2*q], sc.tile[2*q:]
@@ -275,15 +201,21 @@ func (sc *scratch) backwardTile(r0 int) {
 		n := inferLanes * sc.widths[li+1]
 		switch t := layers[li].(type) {
 		case *Dense:
-			if avx512Enabled {
-				dxTileAVX512(&t.Weight.W[0], &cur[0], &nxt[0], t.In, t.Out)
-			} else {
-				dxTileAVX2(&t.Weight.W[0], &cur[0], &nxt[0], t.In, t.Out)
-			}
+			dxTile(t, cur, nxt)
 			cur, nxt = nxt, cur
 		case *LeakyReLU:
 			x := sc.shardTile(li, r0, at)
-			leakyBackwardASM(&x[0], &cur[0], &cur[0], n, t.Alpha)
+			if kernels == genericKernels {
+				for i, g := range cur[:n] {
+					if x[i] >= 0 {
+						cur[i] = g
+					} else {
+						cur[i] = t.Alpha * g
+					}
+				}
+			} else {
+				leakyBackwardASM(&x[0], &cur[0], &cur[0], n, t.Alpha)
+			}
 		case *Tanh:
 			y := sc.shardTile(li+1, r0, at)
 			for i, g := range cur[:n] {
@@ -294,6 +226,91 @@ func (sc *scratch) backwardTile(r0 int) {
 			scatterLanes(sc.grads[0], r0, cur)
 		} else if _, ok := layers[li-1].(*Dense); ok {
 			scatterLanes(sc.grads[li], r0, cur)
+		}
+	}
+}
+
+// tileForward runs layer l over a lane tile: x holds its input, n values
+// for an activation layer, and y receives its output. A Dense layer writes
+// y o-major (y[o*8+lane]), which is the k-major input of the next layer;
+// an activation layer may run in place (y = x), a Dense layer may not.
+// Every lane computes bias + Σ w·x in ascending k, Dense.Forward's rounding
+// sequence for its sample, on every kernel set.
+func tileForward(l Layer, x, y []float64, n int) {
+	switch t := l.(type) {
+	case *Dense:
+		w, bias := t.Weight.W, t.Bias.W
+		switch kernels {
+		case avx512Kernels:
+			inferTileAVX512(&w[0], &bias[0], &x[0], &y[0], t.In, t.Out)
+		case avx2Kernels:
+			inferTileAVX2(&w[0], &bias[0], &x[0], &y[0], t.In, t.Out)
+		default:
+			for o := 0; o < t.Out; o++ {
+				b := bias[o]
+				s0, s1, s2, s3, s4, s5, s6, s7 := b, b, b, b, b, b, b, b
+				for k, wv := range w[o*t.In : (o+1)*t.In] {
+					c := (*[inferLanes]float64)(x[k*inferLanes:])
+					s0 += wv * c[0]
+					s1 += wv * c[1]
+					s2 += wv * c[2]
+					s3 += wv * c[3]
+					s4 += wv * c[4]
+					s5 += wv * c[5]
+					s6 += wv * c[6]
+					s7 += wv * c[7]
+				}
+				c := (*[inferLanes]float64)(y[o*inferLanes:])
+				c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = s0, s1, s2, s3, s4, s5, s6, s7
+			}
+		}
+	case *LeakyReLU:
+		if kernels != genericKernels {
+			leakyForwardASM(&x[0], &y[0], n, t.Alpha)
+			return
+		}
+		for i, v := range x[:n] {
+			if v >= 0 {
+				y[i] = v
+			} else {
+				y[i] = t.Alpha * v
+			}
+		}
+	case *Tanh:
+		for i, v := range x[:n] {
+			y[i] = math.Tanh(v)
+		}
+	}
+}
+
+// dxTile runs Dense d's dX over a lane tile: dy is o-major (dy[o*8+lane]),
+// gx is written k-major (gx[k*8+lane]). Every lane computes
+// Σ_o dy[o]·w[o*in+k] from +0 in ascending o, with no skip of exact-zero
+// gradients (a +Inf or NaN weight then makes a NaN on every kernel set).
+func dxTile(d *Dense, dy, gx []float64) {
+	w := d.Weight.W
+	switch kernels {
+	case avx512Kernels:
+		dxTileAVX512(&w[0], &dy[0], &gx[0], d.In, d.Out)
+	case avx2Kernels:
+		dxTileAVX2(&w[0], &dy[0], &gx[0], d.In, d.Out)
+	default:
+		for k := 0; k < d.In; k++ {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			for o := 0; o < d.Out; o++ {
+				wv := w[o*d.In+k]
+				g := (*[inferLanes]float64)(dy[o*inferLanes:])
+				s0 += g[0] * wv
+				s1 += g[1] * wv
+				s2 += g[2] * wv
+				s3 += g[3] * wv
+				s4 += g[4] * wv
+				s5 += g[5] * wv
+				s6 += g[6] * wv
+				s7 += g[7] * wv
+			}
+			c := (*[inferLanes]float64)(gx[k*inferLanes:])
+			c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = s0, s1, s2, s3, s4, s5, s6, s7
 		}
 	}
 }
@@ -326,7 +343,7 @@ func (n *Network) BatchForward(x Mat) Mat {
 		copy(sc.acts[0].Row(r), x.Row(r))
 	}
 	for r0 := 0; r0 < sc.rows; r0 += shardRows {
-		sc.forwardRange(r0, min(r0+shardRows, sc.rows))
+		sc.forwardTile(r0)
 	}
 	sc.fwdOK = true
 	return sc.acts[len(sc.acts)-1]
@@ -343,48 +360,33 @@ const inferLanes = 8
 // writes (o-major) is laid out exactly as the next kernel's input (k-major),
 // and the activation layers are elementwise — so only the final scalar
 // output leaves it. Each lane's arithmetic runs in the scalar Forward's
-// order, so out is byte-identical to it whichever tile kernel runs (AVX-512
-// when CPUID and XCR0 allow it, AVX2 otherwise). It writes each row's single
-// output into out[r] and reports false — leaving out untouched — when this
-// network or platform cannot run it (head wider than one output, SIMD
-// unavailable); callers then fall back to BatchForward. Unlike BatchForward
-// it does not fill the activation matrices, so it cannot seed a
-// BatchBackward.
-func (n *Network) InferBatch(x Mat, out []float64) bool {
-	if !simdEnabled || x.Rows == 0 || len(out) < x.Rows {
-		return false
+// order, so out is byte-identical to it whichever kernel set runs. It writes
+// each row's single output into out[r]; the network must end in one output.
+// Unlike BatchForward it does not fill the activation matrices, so it
+// cannot seed a BatchBackward.
+func (n *Network) InferBatch(x Mat, out []float64) {
+	if x.Rows == 0 {
+		return
 	}
 	sc := n.ensureScratch(x.Rows, x.Cols)
 	if sc.widths[len(sc.widths)-1] != 1 {
-		return false
+		panic("nn: InferBatch needs a single-output network") //lint:allow panicfree a wider head is a programmer error, like a Dense width mismatch
 	}
 	sc.fwdOK = false
-	dense := inferTileAVX2
-	if avx512Enabled {
-		dense = inferTileAVX512
-	}
-	q := len(sc.tile) / 2
+	q := inferLanes * sc.maxW
 	for r := 0; r < x.Rows; r += inferLanes {
-		cur, nxt := sc.tile[:q], sc.tile[q:]
+		cur, nxt := sc.tile[:q], sc.tile[q:2*q]
 		gatherLanes(cur, x, r)
-		w := x.Cols
-		for _, l := range n.Layers {
-			switch t := l.(type) {
-			case *Dense:
-				dense(&t.Weight.W[0], &t.Bias.W[0], &cur[0], &nxt[0], t.In, t.Out)
-				cur, nxt = nxt, cur
-				w = t.Out
-			case *LeakyReLU:
-				leakyForwardASM(&cur[0], &cur[0], inferLanes*w, t.Alpha)
-			case *Tanh:
-				for i, v := range cur[:inferLanes*w] {
-					cur[i] = math.Tanh(v)
-				}
+		for li, l := range n.Layers {
+			dst := cur
+			if _, dense := l.(*Dense); dense {
+				dst, nxt = nxt, cur
 			}
+			tileForward(l, cur, dst, inferLanes*sc.widths[li])
+			cur = dst
 		}
 		copy(out[r:min(r+inferLanes, x.Rows)], cur)
 	}
-	return true
 }
 
 // gatherLanes writes rows [r, r+inferLanes) of x into the k-major lane tile
@@ -397,7 +399,7 @@ func gatherLanes(t []float64, x Mat, r int) {
 	nr := min(inferLanes, x.Rows-r)
 	if nr == inferLanes {
 		k0 := 0
-		if avx512Enabled && x.Cols >= inferLanes {
+		if kernels == avx512Kernels && x.Cols >= inferLanes {
 			k0 = x.Cols &^ (inferLanes - 1)
 			laneTransposeAVX512(&x.Data[r*x.Stride], &t[0], k0/inferLanes, x.Stride, inferLanes, inferLanes, inferLanes*inferLanes)
 		}
@@ -430,7 +432,7 @@ func scatterLanes(m Mat, r int, t []float64) {
 	nr := min(inferLanes, m.Rows-r)
 	if nr == inferLanes {
 		k0 := 0
-		if avx512Enabled && m.Cols >= inferLanes {
+		if kernels == avx512Kernels && m.Cols >= inferLanes {
 			k0 = m.Cols &^ (inferLanes - 1)
 			laneTransposeAVX512(&t[0], &m.Data[r*m.Stride], k0/inferLanes, inferLanes, inferLanes*inferLanes, m.Stride, inferLanes)
 		}
@@ -471,7 +473,7 @@ func (n *Network) BatchBackward(gradOut Mat, scale float64) Mat {
 	}
 	sc.sizeGrads(gradOut)
 	for r0 := 0; r0 < sc.rows; r0 += shardRows {
-		sc.backwardRange(r0, min(r0+shardRows, sc.rows))
+		sc.backwardTile(r0)
 	}
 	sc.gradW(scale)
 	return sc.grads[0]
@@ -491,72 +493,18 @@ func (sc *scratch) trainBatch(xs, ys [][]float64, loss Loss, opt *Adam) float64 
 	var total float64
 	for r0 := 0; r0 < sc.rows; r0 += shardRows {
 		r1 := min(r0+shardRows, sc.rows)
-		sc.forwardRange(r0, r1)
+		sc.forwardTile(r0)
 		var sum float64
 		for r := r0; r < r1; r++ {
 			sum += LossGradInto(loss, sc.lossG.Row(r), out.Row(r), ys[r])
 		}
 		total += sum
-		sc.backwardRange(r0, r1)
+		sc.backwardTile(r0)
 	}
 	sc.fwdOK = true
 	sc.gradW(1 / float64(len(xs)))
 	opt.Step(sc.net.params())
 	return total / float64(len(xs))
-}
-
-// batchDenseForward is the generic Dense forward: y = W·x + b for rows
-// [r0, r1), four samples at a time so the weight row stays hot and the four
-// independent accumulators hide FMA latency. Each sample's dot product runs
-// in ascending k order — the same order as the scalar Forward — so results
-// are byte-identical to it and to the tile kernels.
-func batchDenseForward(d *Dense, in, out Mat, r0, r1 int) {
-	r := r0
-	for ; r+4 <= r1; r += 4 {
-		x0, x1, x2, x3 := in.Row(r), in.Row(r+1), in.Row(r+2), in.Row(r+3)
-		y0, y1, y2, y3 := out.Row(r), out.Row(r+1), out.Row(r+2), out.Row(r+3)
-		for o := 0; o < d.Out; o++ {
-			b := d.Bias.W[o]
-			s0, s1, s2, s3 := b, b, b, b
-			for k, w := range d.Weight.W[o*d.In : (o+1)*d.In] {
-				s0 += w * x0[k]
-				s1 += w * x1[k]
-				s2 += w * x2[k]
-				s3 += w * x3[k]
-			}
-			y0[o], y1[o], y2[o], y3[o] = s0, s1, s2, s3
-		}
-	}
-	for ; r < r1; r++ {
-		x, y := in.Row(r), out.Row(r)
-		for o := 0; o < d.Out; o++ {
-			s := d.Bias.W[o]
-			for k, w := range d.Weight.W[o*d.In : (o+1)*d.In] {
-				s += w * x[k]
-			}
-			y[o] = s
-		}
-	}
-}
-
-// batchDenseBackward is the generic Dense dX: dX = Wᵀ·g for rows [r0, r1).
-// Each sample's accumulation is independent and runs in ascending output
-// order from +0, skipping exact-zero gradients (adding their ±0 products
-// would change nothing: a sum that starts at +0 is never −0), so it agrees
-// bit for bit with the dX tile kernels, which do not skip.
-func batchDenseBackward(d *Dense, gout, gin Mat, r0, r1 int) {
-	for r := r0; r < r1; r++ {
-		g, gx := gout.Row(r), gin.Row(r)
-		clear(gx)
-		for o, gv := range g {
-			if gv == 0 {
-				continue
-			}
-			for k, w := range d.Weight.W[o*d.In : (o+1)*d.In] {
-				gx[k] += gv * w
-			}
-		}
-	}
 }
 
 // denseGradW assigns the weight and bias gradients of outputs [o0, o1) of d
@@ -600,11 +548,11 @@ func denseGradW(d *Dense, x, g Mat, o0, o1 int, scale float64, tmp []float64) {
 	}
 
 	k0 := 0
-	if simdEnabled && n >= 2 {
+	if kernels != genericKernels && n >= 2 {
 		// The AVX-512 kernel covers whole 32-column blocks, the AVX2 kernel
 		// the column quads after them; the loop below finishes the 0–3
 		// columns left over.
-		if avx512Enabled && d.In >= 32 {
+		if kernels == avx512Kernels && d.In >= 32 {
 			k0 = d.In &^ 31
 			gradWAVX512(&d.Weight.G[o0*d.In], &g.Data[o0], &x.Data[0], g.Stride, x.Stride, rows, d.In, k0, n, scale, shardRows)
 		}

@@ -83,32 +83,32 @@ func BenchmarkForwardReference(b *testing.B) {
 // inferSink keeps BenchmarkInferBatch's output observable.
 var inferSink float64
 
-// BenchmarkInferBatch is the uncached serving path's inference: 256 rows
-// (one wire group) through the LM-mlp shape (18 → 64 → 64 → 1), once per
-// tile kernel this machine can run. Steady state must report 0 allocs/op.
+// BenchmarkInferBatch is the serving path's inference on the LM-mlp shape
+// (18 → 64 → 64 → 1): 256 rows (one wire group, the uncached batch path)
+// and one row (what a one-row EstimateAll would pay), once per kernel set
+// this machine can run. Steady state must report 0 allocs/op.
 func BenchmarkInferBatch(b *testing.B) {
-	if !simdAvailable {
-		b.Skip("no AVX2 on this machine")
-	}
-	defer func(v bool) { avx512Enabled = v }(avx512Enabled)
 	rng := rand.New(rand.NewSource(1))
 	n := MLP(18, 64, 2, 1, rng)
 	x := randMat(rng, 256, 18)
 	out := make([]float64, x.Rows)
-	for _, on := range []bool{true, false} {
-		name := map[bool]string{false: "avx2", true: "avx512"}[on]
-		b.Run(name, func(b *testing.B) {
-			if on && !avx512Available {
-				b.Skip("no AVX-512 on this machine")
+	for _, set := range kernelSets() {
+		for _, rows := range []int{256, 1} {
+			name := set
+			if rows == 1 {
+				name += "-1row"
 			}
-			avx512Enabled = on
-			n.InferBatch(x, out)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.InferBatch(x, out)
-			}
-			inferSink = out[0]
-		})
+			b.Run(name, func(b *testing.B) {
+				useKernels(b, set)
+				xr := x.View(rows, x.Cols)
+				n.InferBatch(xr, out)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n.InferBatch(xr, out)
+				}
+				inferSink = out[0]
+			})
+		}
 	}
 }

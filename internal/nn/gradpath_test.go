@@ -45,13 +45,14 @@ func oracleScaledGrads(n *Network, x, gOut Mat, scale float64) [][]float64 {
 // ascending-shard reduce + scale — for one, two, four and the generic number
 // of shards, with and without a 1–3-row scalar tail, on Dense widths that
 // leave a k tail (in % 4 != 0), with exact-zero and negative-zero gradient
-// entries, a strided gradient matrix, whatever p.G held before, and on both
-// the AVX2 and the generic kernels.
+// entries, a strided gradient matrix, whatever p.G held before, and on
+// every kernel set.
 func TestBatchBackwardScaledAssignMatchesOldPath(t *testing.T) {
-	defer func(v bool) { simdEnabled = v }(simdEnabled)
-	for _, simd := range []bool{simdAvailable, false} {
-		simdEnabled = simd
-		testScaledAssign(t)
+	for _, set := range kernelSets() {
+		t.Run(set, func(t *testing.T) {
+			useKernels(t, set)
+			testScaledAssign(t)
+		})
 	}
 }
 
@@ -113,7 +114,7 @@ func testScaledAssign(t *testing.T) {
 			for pi, p := range n.Params() {
 				for i := range p.G {
 					if math.Float64bits(p.G[i]) != math.Float64bits(want[pi][i]) {
-						t.Fatalf("%s simd=%v rows=%d: param %d[%d] = %v (%#x), old path %v (%#x)", name, simdEnabled, rows,
+						t.Fatalf("%s rows=%d: param %d[%d] = %v (%#x), old path %v (%#x)", name, rows,
 							pi, i, p.G[i], math.Float64bits(p.G[i]), want[pi][i], math.Float64bits(want[pi][i]))
 					}
 				}

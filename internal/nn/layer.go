@@ -4,8 +4,11 @@
 // (simplified) MSCN model. It provides fully-connected layers, LeakyReLU/Tanh
 // activations, L1/MSE losses, the Adam optimizer, a per-sample Forward for
 // single-row inference, and the batched compute in batch.go — the only
-// training path (allocation-free, AVX2 kernels on amd64, forward outputs
-// byte-identical to Forward).
+// training path and the batched inference path. It is allocation-free and
+// has one compute layout: every batch runs in 8-sample lane tiles, on one
+// of three kernel sets (pure Go on every platform, AVX2 and AVX-512 on
+// amd64) that give the same bits, forward outputs byte-identical to
+// Forward.
 //
 // Training in the paper runs on CPU with tiny models (3×FC-128); it runs on
 // the calling goroutine, which is also the paper's single-core cost model.

@@ -37,7 +37,7 @@ func (a *Adam) Step(params []*Param) {
 			a.m[p], a.v[p] = m, v
 		}
 		i := 0
-		if simdEnabled && len(p.W) >= 4 {
+		if kernels != genericKernels && len(p.W) >= 4 {
 			// The vector kernel performs the identical sequence of
 			// correctly-rounded operations per element, so results match the
 			// scalar loop bit-for-bit.

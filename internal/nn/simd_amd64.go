@@ -13,30 +13,21 @@ package nn
 // FMA on purpose: the Go compiler does not fuse multiply-add on amd64, and
 // fusing here would change rounding.
 
-// simdAvailable reports hardware+OS support for the AVX2 kernels;
-// avx512Available, for the AVX-512 tile and weight-gradient kernels as well.
-var simdAvailable, avx512Available = x86Features(cpuidWords())
-
-// simdEnabled gates the kernels at runtime and avx512Enabled picks the
-// AVX-512 ones; the tests flip them to prove the generic and vector paths,
-// and the two vector sets, agree bit-for-bit.
-var (
-	simdEnabled   = simdAvailable
-	avx512Enabled = avx512Available
-)
+// hostKernels is the fastest kernel set this CPU and OS can run.
+var hostKernels = x86Features(cpuidWords())
 
 // cpuidWords returns the raw words x86Features decides from: CPUID leaf 0's
 // EAX (the highest basic leaf), leaf 1's ECX, leaf 7 subleaf 0's EBX, and
 // XCR0's low word (0 when the OS has not enabled XGETBV).
 func cpuidWords() (maxLeaf, ecx1, ebx7, xcr0 uint32)
 
-// x86Features decides which kernel sets may run. Each needs the CPU to
-// report its instructions and the OS to save the registers they use:
+// x86Features decides which kernel set may run. Each vector set needs the
+// CPU to report its instructions and the OS to save the registers they use:
 // AVX2 needs AVX and OSXSAVE in leaf 1, AVX2 in leaf 7, and XMM and YMM
-// state in XCR0; the AVX-512 kernels need that plus AVX-512F in leaf 7
-// and opmask, ZMM0–15 upper-half and ZMM16–31 state in XCR0. Leaf 7's word
-// is meaningless when leaf 0 reports a highest leaf below 7.
-func x86Features(maxLeaf, ecx1, ebx7, xcr0 uint32) (avx2, avx512 bool) {
+// state in XCR0; the AVX-512 set needs that plus AVX-512F in leaf 7 and
+// opmask, ZMM0–15 upper-half and ZMM16–31 state in XCR0. Leaf 7's word is
+// meaningless when leaf 0 reports a highest leaf below 7.
+func x86Features(maxLeaf, ecx1, ebx7, xcr0 uint32) kernelSet {
 	const (
 		ecx1OSXSAVE = 1 << 27
 		ecx1AVX     = 1 << 28
@@ -45,11 +36,13 @@ func x86Features(maxLeaf, ecx1, ebx7, xcr0 uint32) (avx2, avx512 bool) {
 		xcr0YMM     = 1<<1 | 1<<2        // XMM, YMM upper halves
 		xcr0ZMM     = 1<<5 | 1<<6 | 1<<7 // opmask, ZMM0–15 upper halves, ZMM16–31
 	)
-	if maxLeaf < 7 || ecx1&(ecx1OSXSAVE|ecx1AVX) != ecx1OSXSAVE|ecx1AVX || xcr0&xcr0YMM != xcr0YMM {
-		return false, false
+	switch {
+	case maxLeaf < 7 || ecx1&(ecx1OSXSAVE|ecx1AVX) != ecx1OSXSAVE|ecx1AVX || xcr0&xcr0YMM != xcr0YMM || ebx7&ebx7AVX2 == 0:
+		return genericKernels
+	case ebx7&ebx7AVX512F != 0 && xcr0&xcr0ZMM == xcr0ZMM:
+		return avx512Kernels
 	}
-	avx2 = ebx7&ebx7AVX2 != 0
-	return avx2, avx2 && ebx7&ebx7AVX512F != 0 && xcr0&xcr0ZMM == xcr0ZMM
+	return avx2Kernels
 }
 
 // inferTileAVX2 and inferTileAVX512 run one Dense layer over InferBatch's
@@ -79,7 +72,7 @@ func laneTransposeAVX512(src, dst *float64, blocks, srcRow, srcBlock, dstRow, ds
 // backwards: dy is o-major (dy[o*8+lane], out rows), gx is written k-major
 // (gx[k*8+lane], in rows). Every lane computes Σ_o w[o*in+k]·dy[o*8+lane]
 // from +0 in ascending o with a separate multiply and add — the generic
-// batchDenseBackward's per-sample sequence — with the weights broadcast from
+// dxTile's per-lane sequence — with the weights broadcast from
 // W's rows (in elements apart); dxTileAVX512 holds a column's eight lanes in
 // one zmm register, dxTileAVX2 in two ymm halves.
 //

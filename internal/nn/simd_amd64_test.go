@@ -17,17 +17,16 @@ func TestX86Features(t *testing.T) {
 	for _, tc := range []struct {
 		name                    string
 		maxLeaf, ecx, ebx, xcr0 uint32
-		wantAVX2, wantAVX512    bool
+		want                    kernelSet
 	}{
-		{"max leaf 6", 6, ecx1, ebx7, xcr0ZMM, false, false},
-		{"AVX without OS YMM state", 0xd, ecx1, ebx7, 1<<0 | 1<<1, false, false},
-		{"AVX-512F without ZMM state", 0xd, ecx1, ebx7, xcr0YMM, true, false},
-		{"AVX-512F without opmask state", 0xd, ecx1, ebx7, xcr0YMM | 0x3<<6, true, false},
-		{"full AVX-512 host", 0xd, ecx1, ebx7, xcr0ZMM, true, true},
+		{"max leaf 6", 6, ecx1, ebx7, xcr0ZMM, genericKernels},
+		{"AVX without OS YMM state", 0xd, ecx1, ebx7, 1<<0 | 1<<1, genericKernels},
+		{"AVX-512F without ZMM state", 0xd, ecx1, ebx7, xcr0YMM, avx2Kernels},
+		{"AVX-512F without opmask state", 0xd, ecx1, ebx7, xcr0YMM | 0x3<<6, avx2Kernels},
+		{"full AVX-512 host", 0xd, ecx1, ebx7, xcr0ZMM, avx512Kernels},
 	} {
-		avx2, avx512 := x86Features(tc.maxLeaf, tc.ecx, tc.ebx, tc.xcr0)
-		if avx2 != tc.wantAVX2 || avx512 != tc.wantAVX512 {
-			t.Errorf("%s: avx2=%v avx512=%v, want %v %v", tc.name, avx2, avx512, tc.wantAVX2, tc.wantAVX512)
+		if got := x86Features(tc.maxLeaf, tc.ecx, tc.ebx, tc.xcr0); got != tc.want {
+			t.Errorf("%s: kernel set %s, want %s", tc.name, kernelNames[got], kernelNames[tc.want])
 		}
 	}
 }

@@ -2,15 +2,14 @@
 
 package nn
 
-// Non-amd64 builds use the pure-Go batched kernels, which the SIMD paths are
+// Non-amd64 builds run the generic kernel set, which the vector sets are
 // bit-identical to by construction. The stubs below keep the callers
-// compiling; simdEnabled is false, so none is ever reached.
+// compiling; kernels is always genericKernels here, so none is ever reached.
 
-var simdAvailable, avx512Available = false, false
-var simdEnabled, avx512Enabled = false, false
+const hostKernels = genericKernels
 
 // noSIMD is every kernel stub's body.
-func noSIMD() { panic("nn: no simd") } //lint:allow panicfree unreachable: simdEnabled is false on this platform
+func noSIMD() { panic("nn: no simd") } //lint:allow panicfree unreachable: only the generic kernel set runs on this platform
 
 func inferTileAVX2(w, bias, x, y *float64, in, out int)   { noSIMD() }
 func inferTileAVX512(w, bias, x, y *float64, in, out int) { noSIMD() }

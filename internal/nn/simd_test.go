@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -23,16 +25,16 @@ func kernelNet(in, out int) *Network {
 	return NewNetwork(NewDense(in, out, rng), NewLeakyReLU(), NewDense(out, in, rng), NewTanh())
 }
 
+// kernelNames names each kernel set in test and benchmark output.
+var kernelNames = [...]string{genericKernels: "generic", avx2Kernels: "avx2", avx512Kernels: "avx512"}
+
 // kernelSets names the batched-kernel sets this machine can run, fastest
 // first: "avx512" (the AVX-512 tile and weight-gradient kernels, AVX2 for
 // the rest), "avx2" and "generic" (pure Go). Every set gives the same bits.
 func kernelSets() []string {
-	sets := []string{"generic"}
-	if simdAvailable {
-		sets = append([]string{"avx2"}, sets...)
-	}
-	if avx512Available {
-		sets = append([]string{"avx512"}, sets...)
+	var sets []string
+	for k := hostKernels; k >= genericKernels; k-- {
+		sets = append(sets, kernelNames[k])
 	}
 	return sets
 }
@@ -47,13 +49,12 @@ func simdSets(t *testing.T) []string {
 	return sets[:len(sets)-1]
 }
 
-// useKernels makes every batched pass run the named set, one kernelSets
-// lists, until the test or benchmark ends, by flipping simdEnabled and
-// avx512Enabled.
+// useKernels makes every batched pass and InferBatch run the named set, one
+// kernelSets lists, until the test or benchmark ends.
 func useKernels(tb testing.TB, set string) {
-	simd, avx512 := simdEnabled, avx512Enabled
-	tb.Cleanup(func() { simdEnabled, avx512Enabled = simd, avx512 })
-	simdEnabled, avx512Enabled = set != "generic", set == "avx512"
+	old := kernels
+	tb.Cleanup(func() { kernels = old })
+	kernels = kernelSet(slices.Index(kernelNames[:], set))
 }
 
 // sameBits reports whether a and b are the same double bit for bit.
@@ -127,10 +128,13 @@ func TestSIMDMatchesGeneric(t *testing.T) {
 // — the path 𝔾's gradient takes into 𝔼 — bit for bit between the generic
 // and every SIMD kernel set: outputs, dLoss/dInput and every parameter
 // gradient, over the kernelWidths pairs and kernelRowCounts batches, once
-// clean and once with a poison row (NaN, ±Inf, −0 and a subnormal) at the
-// first and at the last row. The generic path runs row by row, so matching
-// it shows the poison stays in its own lane of every tile, and that it turns
-// the weight gradients into the same NaNs on every kernel set.
+// clean, once with a poison row (NaN, ±Inf, −0 and a subnormal) at the
+// first and at the last row, and once each with a +Inf and a NaN weight in
+// the last Dense layer and an all-zero output gradient on the last row. The
+// generic kernels keep every lane in its own accumulators, so matching them
+// shows the poison stays in its own lane of every tile and turns the weight
+// gradients into the same NaNs on every kernel set; the non-finite weight
+// shows that no set skips an exact-zero gradient (0·Inf is NaN).
 func TestSIMDBackwardDataMatchesGeneric(t *testing.T) {
 	sets := simdSets(t)
 	poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64}
@@ -153,6 +157,18 @@ func TestSIMDBackwardDataMatchesGeneric(t *testing.T) {
 	for _, in := range kernelWidths {
 		for _, out := range kernelWidths {
 			n := kernelNet(in, out) // BatchBackward writes only the gradients
+			check := func(what string, rows int, x, g Mat) {
+				want := run("generic", n, x, g)
+				for _, set := range sets {
+					got := run(set, n, x, g)
+					for i := range want {
+						if !sameBits(got[i], want[i]) {
+							t.Fatalf("%s %d→%d rows=%d %s: value %d = %v, generic %v", set, in, out, rows, what, i, got[i], want[i])
+						}
+					}
+				}
+			}
+			last := n.Layers[2].(*Dense).Weight.W
 			for _, rows := range kernelRowCounts {
 				rng := rand.New(rand.NewSource(int64(7*rows + in)))
 				for _, p := range []int{-1, 0, rows - 1} {
@@ -162,15 +178,15 @@ func TestSIMDBackwardDataMatchesGeneric(t *testing.T) {
 							x.Row(p)[k] = poison[k%len(poison)]
 						}
 					}
-					want := run("generic", n, x, g)
-					for _, set := range sets {
-						got := run(set, n, x, g)
-						for i := range want {
-							if !sameBits(got[i], want[i]) {
-								t.Fatalf("%s %d→%d rows=%d poison row %d: value %d = %v, generic %v", set, in, out, rows, p, i, got[i], want[i])
-							}
-						}
-					}
+					check(fmt.Sprintf("poison row %d", p), rows, x, g)
+				}
+				for _, w := range []float64{math.Inf(1), math.NaN()} {
+					x, g := randMat(rng, rows, in), randMat(rng, rows, in)
+					clear(g.Row(rows - 1))
+					keep := last[0]
+					last[0] = w
+					check(fmt.Sprintf("weight %v", w), rows, x, g)
+					last[0] = keep
 				}
 			}
 		}

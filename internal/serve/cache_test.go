@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -121,7 +122,7 @@ func TestEstimateCacheSizing(t *testing.T) {
 		{4096, 4096},
 		{4097, 8192},
 		{maxCacheEntries + 1, maxCacheEntries},
-		{1 << 40, maxCacheEntries},
+		{math.MaxInt / 2, maxCacheEntries},
 		{math.MaxInt, maxCacheEntries},
 	} {
 		// keyLen 1 keeps the largest case at a few hundred MB.
@@ -129,9 +130,10 @@ func TestEstimateCacheSizing(t *testing.T) {
 			t.Errorf("entries %d: capacity %d, want %d", tc.entries, got, tc.want)
 		}
 	}
+	const maxPow2 = 1 << (bits.UintSize - 2) // the largest power of two an int holds
 	for _, tc := range []struct{ n, want int }{
 		{math.MinInt, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {1 << 20, 1 << 20}, {1<<20 + 1, 1 << 21},
-		{1 << 62, 1 << 62}, {1<<62 + 1, 1 << 62}, {math.MaxInt, 1 << 62},
+		{maxPow2, maxPow2}, {maxPow2 + 1, maxPow2}, {math.MaxInt, maxPow2},
 	} {
 		if got := nextPow2(tc.n); got != tc.want {
 			t.Errorf("nextPow2(%d) = %d, want %d", tc.n, got, tc.want)

@@ -283,10 +283,11 @@ func (s *Server) admit(h HealthState, deadline time.Time, preds []query.Predicat
 // Groups of two or more rows take the batched forward pass — the columnar
 // decode leaves preds in the contiguous layout EstimateAll's feature matrix
 // wants, and nn.InferBatch works in 8-row tiles. A one-row group calls
-// Estimate instead: EstimateAll of one row pays a zero-padded 8-row tile and
-// is no faster on the benchmark's LM-mlp (3.1–3.5 µs against 3.0–4.5 µs on a
-// 2-vCPU AVX-512 guest), and per the BatchEstimator contract the two are
-// bit-identical.
+// Estimate instead, and per the BatchEstimator contract the two are
+// bit-identical. Routing one row through the zero-padded tile won the
+// micro-benchmark (BenchmarkLMEstimate 4.10 → 3.59 µs) but lost json_scalar
+// end to end (request_p95_us +4.1 %, higher in 16 of 18 alternating pairs,
+// 2-vCPU AVX-512 guest), so the per-row Forward stays.
 func (s *Server) runOn(r *replica, preds []query.Predicate, out []float64, tr *obs.Trace) uint64 {
 	defer s.pool.checkin(r)
 	if tr != nil {

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification flow: build, vet (host and arm64), warperlint, full test
-# suite, a module-wide race pass (training-heavy tests skip themselves under -short),
+# suite, the internal packages' short tests on the pure-Go 386 build, a
+# module-wide race pass (training-heavy tests skip themselves under -short),
 # the fault-injected chaos soak, and ten seconds of fuzzing per fuzz target.
 # This script is the flow: `make check` and the CI workflow both run it.
 set -eu
@@ -26,6 +27,11 @@ go run ./cmd/warperlint -json ./... > warperlint.json
 
 echo "== go test ./..."
 go test ./...
+
+# 386 has no AVX2 kernels, so internal/nn runs only its generic kernel set,
+# which every non-amd64 build runs; amd64 runners execute 386 natively.
+echo "== GOARCH=386 go test -short ./internal/..."
+GOARCH=386 go test -short ./internal/...
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
