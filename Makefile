@@ -1,6 +1,7 @@
 # Build/test entry points. `make check` is the full tier-1 flow the CI
 # driver runs (scripts/check.sh, the one definition of it: build, vet on
-# amd64 and arm64, warperlint, the tests, the internal packages' short
+# amd64 and arm64, the guard that the arm64 build of the internal packages
+# fuses no multiply-add, warperlint, the tests, the internal packages' short
 # tests on the pure-Go 386 build, race, chaos and fuzz); `make race`
 # sweeps the whole module under the race detector (-short skips
 # training-heavy tests so the pass stays fast); `make lint` runs warperlint,

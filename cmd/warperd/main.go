@@ -196,9 +196,10 @@ func main() {
 		logger.Error("build adapter failed", "err", err)
 		os.Exit(1)
 	}
-	// EstimateCache and BinaryProtocol are the literals bench/fixture.go
-	// passes (its CacheFlushOnAlarm is a deprecated no-op), so the server
-	// warperd runs is the server the benchmark measures.
+	// The estimate cache and the binary batch endpoint are always on, so the
+	// server warperd runs is the server bench/fixture.go measures (the
+	// fixture's EstimateCache, BinaryProtocol and CacheFlushOnAlarm are
+	// deprecated no-ops).
 	srv := serve.NewWithOptions(adapter, sch, serve.Options{
 		Logger:        logger,
 		EnablePprof:   cfg.pprof,
@@ -209,11 +210,7 @@ func main() {
 		DriftAlarmGMQ: cfg.driftAlarm,
 
 		EstimateTimeout: cfg.estTimeout,
-
-		EstimateCache: true,
-		CacheEntries:  cfg.cacheEntries,
-
-		BinaryProtocol: true,
+		CacheEntries:    cfg.cacheEntries,
 	})
 
 	// Route period-time annotation through the resilience stack:

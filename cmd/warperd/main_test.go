@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,6 +25,8 @@ var (
 	dashSpan = regexp.MustCompile("`(-[^`]*)`")
 	// codeSpan matches any inline code span.
 	codeSpan = regexp.MustCompile("`([^`]+)`")
+	// censusFigure matches the sentence of DESIGN §14 that states the census.
+	censusFigure = regexp.MustCompile(`The census\s+stands at (\d+) settable values`)
 )
 
 func flagTokens(s string) []string {
@@ -112,15 +115,22 @@ func TestDocsNameOnlyRealFlags(t *testing.T) {
 // this module nested in one — has a row of the §14 table naming it. A row
 // names field F of a struct written P when one of its code spans is `P.F`,
 // or when one span opens with `P.` and another is `F` (a row groups one
-// struct's fields as "`Config.Hidden` `Depth` …").
+// struct's fields as "`Config.Hidden` `Depth` …"). The census figure §14
+// states is the count of warperd's flags and of the fields on the path from
+// warperd to Algorithm 1.
 func TestSettableValuesDocumented(t *testing.T) {
 	var rows [][]string
+	var prose strings.Builder
 	inCensus := false
 	for _, line := range docLines(t, "../../DESIGN.md") {
 		if strings.HasPrefix(line, "## ") {
 			inCensus = strings.HasPrefix(line, "## 14.")
 		}
-		if !inCensus || !strings.HasPrefix(line, "|") {
+		if !inCensus {
+			continue
+		}
+		prose.WriteString(line + "\n")
+		if !strings.HasPrefix(line, "|") {
 			continue
 		}
 		var spans []string
@@ -146,32 +156,51 @@ func TestSettableValuesDocumented(t *testing.T) {
 		return false
 	}
 
-	var audit func(prefix string, typ reflect.Type)
-	audit = func(prefix string, typ reflect.Type) {
+	// audit returns how many settable values typ holds: its exported fields
+	// and those of the module's structs nested in it.
+	var audit func(prefix string, typ reflect.Type) int
+	audit = func(prefix string, typ reflect.Type) int {
+		n := 0
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
 			if !f.IsExported() {
 				continue
 			}
+			n++
 			if !named(prefix, f.Name) {
 				t.Errorf("%s%s (%s) has no row in DESIGN §14", prefix, f.Name, typ.PkgPath())
 			}
 			if f.Type.Kind() == reflect.Struct && strings.HasPrefix(f.Type.PkgPath(), "warper/") {
-				audit(f.Type.Name()+".", f.Type)
+				n += audit(f.Type.Name()+".", f.Type)
 			}
 		}
+		return n
 	}
+	fs := flag.NewFlagSet("warperd", flag.ContinueOnError)
+	defineFlags(fs)
+	census := 0
+	fs.VisitAll(func(*flag.Flag) { census++ })
 	for _, s := range []struct {
-		prefix string
-		v      any
+		prefix  string
+		v       any
+		counted bool // on the path from warperd to Algorithm 1
 	}{
-		{"Options.", serve.Options{}},
-		{"Config.", warper.Config{}},
-		{"Picker.", warper.Picker{}},
-		{"Policy.", resilience.Policy{}},
-		{"gbt.Config.", gbt.Config{}},
-		{"kernel.Config.", kernel.Config{}},
+		{"Options.", serve.Options{}, true},
+		{"Config.", warper.Config{}, true},
+		{"Picker.", warper.Picker{}, true},
+		{"Policy.", resilience.Policy{}, true},
+		{"gbt.Config.", gbt.Config{}, false},
+		{"kernel.Config.", kernel.Config{}, false},
 	} {
-		audit(s.prefix, reflect.TypeOf(s.v))
+		if n := audit(s.prefix, reflect.TypeOf(s.v)); s.counted {
+			census += n
+		}
+	}
+	m := censusFigure.FindStringSubmatch(prose.String())
+	if m == nil {
+		t.Fatal("DESIGN §14 states no census figure (\"The census stands at N settable values\")")
+	}
+	if m[1] != strconv.Itoa(census) {
+		t.Errorf("DESIGN §14 says the census stands at %s settable values; warperd's flags and the counted structs hold %d", m[1], census)
 	}
 }

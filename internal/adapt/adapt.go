@@ -300,8 +300,8 @@ func Noisy(p query.Predicate, sch *query.Schema, rng *rand.Rand) query.Predicate
 	out := p.Clone()
 	for i := range out.Lows {
 		span := sch.Maxs[i] - sch.Mins[i]
-		out.Lows[i] += rng.NormFloat64() * 0.1 * span
-		out.Highs[i] += rng.NormFloat64() * 0.1 * span
+		out.Lows[i] += float64(rng.NormFloat64() * 0.1 * span)
+		out.Highs[i] += float64(rng.NormFloat64() * 0.1 * span)
 	}
 	return out.Normalize(sch)
 }

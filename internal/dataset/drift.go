@@ -29,7 +29,7 @@ func AppendDrift(t *Table, frac, shift float64, rng *rand.Rand) {
 		t.Row(src, row)
 		for j, c := range t.Cols {
 			if c.Type == Real || c.Type == Date {
-				row[j] += shift * stds[j] * (0.5 + rng.Float64())
+				row[j] += float64(shift * stds[j] * (0.5 + float64(rng.Float64())))
 			} else if rng.Float64() < 0.3 {
 				// Occasionally remap categorical values.
 				row[j] = c.Vals[rng.Intn(n)]
@@ -56,7 +56,7 @@ func UpdateDrift(t *Table, frac, noise float64, rng *rand.Rand) {
 		r := rng.Intn(n)
 		for j, c := range t.Cols {
 			if c.Type == Real || c.Type == Date {
-				c.Vals[r] += rng.NormFloat64() * noise * stds[j]
+				c.Vals[r] += float64(rng.NormFloat64() * noise * stds[j])
 			} else if rng.Float64() < 0.5 {
 				c.Vals[r] = c.Vals[rng.Intn(n)]
 			}
@@ -87,7 +87,7 @@ func colStd(vals []float64) float64 {
 	var s float64
 	for _, v := range vals {
 		d := v - mean
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(vals)))
 }

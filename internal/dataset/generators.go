@@ -42,14 +42,14 @@ func Higgs(rows int, rng *rand.Rand) *Table {
 			shift = 1.2
 		}
 		// Transverse momenta: log-normal-ish heavy tails.
-		leptonPt := math.Exp(0.5*base + 0.4*rng.NormFloat64() + shift*0.3)
-		jetPt := math.Exp(0.5*base + 0.5*rng.NormFloat64() + shift*0.2)
+		leptonPt := math.Exp(float64(0.5*base) + float64(0.4*rng.NormFloat64()) + float64(shift*0.3))
+		jetPt := math.Exp(float64(0.5*base) + float64(0.5*rng.NormFloat64()) + float64(shift*0.2))
 		missing := math.Abs(2*base + rng.NormFloat64() + shift)
 		eta1 := rng.NormFloat64() * 1.2
-		eta2 := eta1*0.4 + rng.NormFloat64()
-		mjj := 1 + math.Abs(jetPt*0.8+rng.NormFloat64()*0.7)
+		eta2 := float64(eta1*0.4) + rng.NormFloat64()
+		mjj := 1 + math.Abs(float64(jetPt*0.8)+float64(rng.NormFloat64()*0.7))
 		mjjj := mjj + math.Abs(rng.NormFloat64())
-		mbb := 0.5*leptonPt + math.Abs(rng.NormFloat64())*1.5 + shift
+		mbb := float64(0.5*leptonPt) + float64(math.Abs(rng.NormFloat64())*1.5) + shift
 
 		vals := []float64{leptonPt, eta1, missing, jetPt, eta2, mjj, mjjj, mbb}
 		for i := range cols {
@@ -84,15 +84,15 @@ func PRSA(rows int, rng *rand.Rand) *Table {
 	for r := 0; r < rows; r++ {
 		d := float64(r) / float64(rows) * 1460 // four simulated years
 		season := math.Sin(2 * math.Pi * d / 365)
-		pollution = 0.95*pollution + 0.05*(80-40*season) + rng.NormFloat64()*8
+		pollution = float64(0.95*pollution) + float64(0.05*(80-float64(40*season))) + float64(rng.NormFloat64()*8)
 		if pollution < 1 {
 			pollution = 1
 		}
 		day.Vals[r] = math.Floor(d)
 		pm25.Vals[r] = pollution * math.Exp(rng.NormFloat64()*0.3)
-		temp.Vals[r] = 12 + 14*season + rng.NormFloat64()*4
+		temp.Vals[r] = 12 + float64(14*season) + float64(rng.NormFloat64()*4)
 		dewp.Vals[r] = temp.Vals[r] - 5 - math.Abs(rng.NormFloat64()*4)
-		pres.Vals[r] = 1015 - 8*season + rng.NormFloat64()*4
+		pres.Vals[r] = 1015 - float64(8*season) + float64(rng.NormFloat64()*4)
 		wspd.Vals[r] = math.Abs(rng.NormFloat64() * 12)
 		if rng.Float64() < 0.85 {
 			rain.Vals[r] = 0

@@ -168,7 +168,7 @@ func (e *Engine) Execute(plan Plan, predL, predO query.Predicate) Stats {
 	switch {
 	case plan.UseNL:
 		// Nested loop: compare every filtered pair.
-		cost += float64(len(lRows)) * float64(len(oRows)) * costNLCompare
+		cost += float64(float64(len(lRows)) * float64(len(oRows)) * costNLCompare)
 		matches := 0
 		for _, lr := range lRows {
 			k := lKeys[lr]
@@ -198,17 +198,17 @@ func (e *Engine) Execute(plan Plan, predL, predO query.Predicate) Stats {
 		for _, r := range build {
 			bitmap[buildKeys[r]] = struct{}{}
 		}
-		cost += float64(len(build)) * costBitmapSet
+		cost += float64(float64(len(build)) * costBitmapSet)
 		var surviving []int
 		for _, r := range probe {
 			if _, ok := bitmap[probeKeys[r]]; ok {
 				surviving = append(surviving, r)
 			}
 		}
-		cost += float64(len(probe)) * costBitmapTest
+		cost += float64(float64(len(probe)) * costBitmapTest)
 		// Hash join between build side and surviving probe rows.
 		st.OutputRows = hashJoinCount(build, buildKeys, surviving, probeKeys)
-		cost += float64(len(build))*costHashBuild + float64(len(surviving))*costHashProbe
+		cost += float64(float64(len(build))*costHashBuild) + float64(float64(len(surviving))*costHashProbe)
 		cost += float64(st.OutputRows) * costOutputRow
 		st.WrongBitmap = len(build) > len(probe)
 
@@ -228,18 +228,18 @@ func (e *Engine) Execute(plan Plan, predL, predO query.Predicate) Stats {
 			if plan.SpillPlanned {
 				// Grace-style pre-partitioning: both inputs written and
 				// re-read once.
-				cost += float64(len(build)+len(probe)) * costSpillRow
+				cost += float64(float64(len(build)+len(probe)) * costSpillRow)
 			} else if len(build) > budget {
 				// Unplanned overflow: the partially built table is flushed
 				// and both inputs re-partitioned mid-flight — much more
 				// expensive than having planned the spill.
 				cost += float64(budget) * costHashBuild // wasted build work
-				cost += float64(len(build)+len(probe)) * costSpillRow * 2.5
+				cost += float64(float64(len(build)+len(probe)) * costSpillRow * 2.5)
 				st.SpilledMid = true
 			}
 		}
 		st.OutputRows = hashJoinCount(build, buildKeys, probe, probeKeys)
-		cost += float64(len(build))*costHashBuild + float64(len(probe))*costHashProbe
+		cost += float64(float64(len(build))*costHashBuild) + float64(float64(len(probe))*costHashProbe)
 		cost += float64(st.OutputRows) * costOutputRow
 	}
 

@@ -102,8 +102,8 @@ func jitterPred(p query.Predicate, sch *query.Schema, rng *rand.Rand) query.Pred
 	for i := range out.Lows {
 		span := sch.Maxs[i] - sch.Mins[i]
 		if out.Lows[i] > sch.Mins[i] || out.Highs[i] < sch.Maxs[i] {
-			out.Lows[i] += rng.NormFloat64() * 0.05 * span
-			out.Highs[i] += rng.NormFloat64() * 0.05 * span
+			out.Lows[i] += float64(rng.NormFloat64() * 0.05 * span)
+			out.Highs[i] += float64(rng.NormFloat64() * 0.05 * span)
 		}
 	}
 	return out.Normalize(sch)

@@ -49,7 +49,7 @@ func Fit(X [][]float64, y []float64, cfg Config) (*Regressor, error) {
 		tree := g.fitTree()
 		r.trees = append(r.trees, tree)
 		for i := range pred {
-			pred[i] += cfg.Rate * tree.Predict(X[i])
+			pred[i] += float64(cfg.Rate * tree.Predict(X[i]))
 		}
 	}
 	return r, nil
@@ -59,7 +59,7 @@ func Fit(X [][]float64, y []float64, cfg Config) (*Regressor, error) {
 func (r *Regressor) Predict(x []float64) float64 {
 	out := r.base
 	for _, t := range r.trees {
-		out += r.cfg.Rate * t.Predict(x)
+		out += float64(r.cfg.Rate * t.Predict(x))
 	}
 	return out
 }

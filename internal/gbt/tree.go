@@ -154,7 +154,7 @@ func (g *grower) bestSplit(lo, hi int) (feature int, threshold, gain float64) {
 	var totalSum, totalSq float64
 	for _, i := range g.rows[lo:hi] {
 		totalSum += g.y[i]
-		totalSq += g.y[i] * g.y[i]
+		totalSq += float64(g.y[i] * g.y[i])
 	}
 	parentSSE := totalSq - totalSum*totalSum/float64(n)
 
@@ -166,7 +166,7 @@ func (g *grower) bestSplit(lo, hi int) (feature int, threshold, gain float64) {
 			i := ord[k]
 			yi := g.y[i]
 			leftSum += yi
-			leftSq += yi * yi
+			leftSq += float64(yi * yi)
 			nl := k + 1
 			nr := n - nl
 			if nl < minLeaf || nr < minLeaf {

@@ -40,7 +40,7 @@ func Generate(cfg Config, rng *rand.Rand) *DB {
 	for i := 0; i < n; i++ {
 		id[i] = float64(i)
 		// Production years skew recent, like the real IMDB.
-		year[i] = 2020 - math.Abs(rng.NormFloat64())*25
+		year[i] = 2020 - float64(math.Abs(rng.NormFloat64())*25)
 		if year[i] < 1900 {
 			year[i] = 1900
 		}
@@ -151,8 +151,8 @@ func (jw *JoinWorkload) drawBounds(table string, col int, sch *query.Schema, rng
 		}
 		return lo, hi
 	}
-	a := mn + rng.Float64()*(mx-mn)
-	b := mn + rng.Float64()*(mx-mn)
+	a := mn + float64(rng.Float64()*(mx-mn))
+	b := mn + float64(rng.Float64()*(mx-mn))
 	if a > b {
 		a, b = b, a
 	}

@@ -29,7 +29,7 @@ func (k RBF) Eval(x, y []float64) float64 {
 	var s float64
 	for i := range x {
 		d := x[i] - y[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Exp(-k.Gamma * s)
 }
@@ -48,9 +48,9 @@ type Polynomial struct {
 func (k Polynomial) Eval(x, y []float64) float64 {
 	var dot float64
 	for i := range x {
-		dot += x[i] * y[i]
+		dot += float64(x[i] * y[i])
 	}
-	return math.Pow(k.Gamma*dot+k.Coef0, float64(k.Degree))
+	return math.Pow(float64(k.Gamma*dot)+k.Coef0, float64(k.Degree))
 }
 
 // Name implements Kernel.
@@ -125,7 +125,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Regressor, er
 func (r *Regressor) Predict(x []float64) float64 {
 	var s float64
 	for i, a := range r.anchors {
-		s += r.alpha[i] * r.cfg.Kernel.Eval(a, x)
+		s += float64(r.alpha[i] * r.cfg.Kernel.Eval(a, x))
 	}
 	return s
 }
@@ -140,7 +140,7 @@ func solveCholesky(A, b []float64, n int) ([]float64, error) {
 	for j := 0; j < n; j++ {
 		d := A[j*n+j]
 		for k := 0; k < j; k++ {
-			d -= A[j*n+k] * A[j*n+k]
+			d -= float64(A[j*n+k] * A[j*n+k])
 		}
 		if d <= 0 {
 			return nil, fmt.Errorf("kernel: matrix not positive definite at pivot %d (%g); increase Lambda", j, d)
@@ -150,7 +150,7 @@ func solveCholesky(A, b []float64, n int) ([]float64, error) {
 		for i := j + 1; i < n; i++ {
 			s := A[i*n+j]
 			for k := 0; k < j; k++ {
-				s -= A[i*n+k] * A[j*n+k]
+				s -= float64(A[i*n+k] * A[j*n+k])
 			}
 			A[i*n+j] = s / ljj
 		}
@@ -160,7 +160,7 @@ func solveCholesky(A, b []float64, n int) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= A[i*n+k] * y[k]
+			s -= float64(A[i*n+k] * y[k])
 		}
 		y[i] = s / A[i*n+i]
 	}
@@ -169,7 +169,7 @@ func solveCholesky(A, b []float64, n int) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= A[k*n+i] * x[k]
+			s -= float64(A[k*n+i] * x[k])
 		}
 		x[i] = s / A[i*n+i]
 	}

@@ -53,7 +53,6 @@ var HotPathAlloc = &Analyzer{
 var hotPathRoots = []string{
 	"serve.(*Server).handleEstimate",
 	"serve.(*Server).Estimate",
-	"serve.(*Server).EstimateBudget",
 	"serve.(*replicaPool).checkout",
 	"serve.(*replicaPool).checkin",
 	// The one estimate pipeline every entry point calls — the group

@@ -65,7 +65,7 @@ func KLDivergence(p, q Vector) float64 {
 	qs := smooth(q)
 	var s float64
 	for i := range ps {
-		s += ps[i] * (math.Log(ps[i]) - math.Log(qs[i]))
+		s += float64(ps[i] * (math.Log(ps[i]) - math.Log(qs[i])))
 	}
 	if s < 0 { // numeric guard; KL is non-negative
 		s = 0
@@ -85,7 +85,7 @@ func JSDivergence(p, q Vector) float64 {
 	for i := range m {
 		m[i] = 0.5 * (ps[i] + qs[i])
 	}
-	js := 0.5*KLDivergence(ps, m) + 0.5*KLDivergence(qs, m)
+	js := float64(0.5*KLDivergence(ps, m)) + float64(0.5*KLDivergence(qs, m))
 	js /= math.Ln2 * 1 // convert nats to bits; max JS in bits is 1
 	return Clamp(js, 0, 1)
 }

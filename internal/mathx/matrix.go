@@ -57,7 +57,7 @@ func Covariance(X *Matrix) (*Matrix, Vector) {
 				continue
 			}
 			for b := a; b < d; b++ {
-				cov.Data[a*d+b] += da * (row[b] - means[b])
+				cov.Data[a*d+b] += float64(da * (row[b] - means[b]))
 			}
 		}
 	}
@@ -91,7 +91,7 @@ func JacobiEigen(sym *Matrix) (Vector, *Matrix) {
 		var off float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
+				off += float64(a.At(i, j) * a.At(i, j))
 			}
 		}
 		if off < 1e-22 {
@@ -107,28 +107,28 @@ func JacobiEigen(sym *Matrix) (Vector, *Matrix) {
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
 				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := t * c
 				// Rotate rows/cols p and q of a.
 				for k := 0; k < n; k++ {
 					akp, akq := a.At(k, p), a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
+					a.Set(k, p, float64(c*akp)-float64(s*akq))
+					a.Set(k, q, float64(s*akp)+float64(c*akq))
 				}
 				for k := 0; k < n; k++ {
 					apk, aqk := a.At(p, k), a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
+					a.Set(p, k, float64(c*apk)-float64(s*aqk))
+					a.Set(q, k, float64(s*apk)+float64(c*aqk))
 				}
 				// Accumulate the rotation into v.
 				for k := 0; k < n; k++ {
 					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+					v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 				}
 			}
 		}

@@ -51,7 +51,7 @@ func (p *PCA) Project(row Vector) Vector {
 	for c := 0; c < p.K; c++ {
 		var s float64
 		for r := 0; r < len(centered); r++ {
-			s += centered[r] * p.Components.At(r, c)
+			s += float64(centered[r] * p.Components.At(r, c))
 		}
 		out[c] = s
 	}

@@ -50,7 +50,7 @@ func (v Vector) Dot(w Vector) float64 {
 	mustSameLen(len(v), len(w))
 	var s float64
 	for i := range v {
-		s += v[i] * w[i]
+		s += float64(v[i] * w[i])
 	}
 	return s
 }
@@ -62,7 +62,7 @@ func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 func (v Vector) AddInPlace(w Vector, a float64) {
 	mustSameLen(len(v), len(w))
 	for i := range v {
-		v[i] += a * w[i]
+		v[i] += float64(a * w[i])
 	}
 }
 
@@ -93,7 +93,7 @@ func (v Vector) Std() float64 {
 	var s float64
 	for _, x := range v {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(v)))
 }

@@ -99,7 +99,7 @@ func (c *Curve) QueriesToReach(target float64) float64 {
 				return q1
 			}
 			frac := (g0 - target) / (g0 - g1)
-			return q0 + frac*(q1-q0)
+			return q0 + float64(frac*(q1-q0))
 		}
 	}
 	return math.Inf(1)
@@ -162,7 +162,7 @@ func Speedup(ft, a *Curve, lambda float64) float64 {
 	// Target GMQ after closing a λ-fraction of the gap: α − λ(α−β). (The
 	// paper writes β + λ(α−β) but its worked example and Δ1 ="full
 	// improvement" semantics correspond to this orientation.)
-	target := alpha - lambda*(alpha-beta)
+	target := alpha - float64(lambda*(alpha-beta))
 	dFT := ft.QueriesToReach(target)
 	dA := a.QueriesToReach(target)
 	if math.IsInf(dFT, 1) {

@@ -219,7 +219,7 @@ func (sc *scratch) backwardTile(r0 int) {
 		case *Tanh:
 			y := sc.shardTile(li+1, r0, at)
 			for i, g := range cur[:n] {
-				cur[i] = g * (1 - y[i]*y[i])
+				cur[i] = g * (1 - float64(y[i]*y[i]))
 			}
 		}
 		if li == 0 {
@@ -251,14 +251,14 @@ func tileForward(l Layer, x, y []float64, n int) {
 				s0, s1, s2, s3, s4, s5, s6, s7 := b, b, b, b, b, b, b, b
 				for k, wv := range w[o*t.In : (o+1)*t.In] {
 					c := (*[inferLanes]float64)(x[k*inferLanes:])
-					s0 += wv * c[0]
-					s1 += wv * c[1]
-					s2 += wv * c[2]
-					s3 += wv * c[3]
-					s4 += wv * c[4]
-					s5 += wv * c[5]
-					s6 += wv * c[6]
-					s7 += wv * c[7]
+					s0 += float64(wv * c[0])
+					s1 += float64(wv * c[1])
+					s2 += float64(wv * c[2])
+					s3 += float64(wv * c[3])
+					s4 += float64(wv * c[4])
+					s5 += float64(wv * c[5])
+					s6 += float64(wv * c[6])
+					s7 += float64(wv * c[7])
 				}
 				c := (*[inferLanes]float64)(y[o*inferLanes:])
 				c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = s0, s1, s2, s3, s4, s5, s6, s7
@@ -300,14 +300,14 @@ func dxTile(d *Dense, dy, gx []float64) {
 			for o := 0; o < d.Out; o++ {
 				wv := w[o*d.In+k]
 				g := (*[inferLanes]float64)(dy[o*inferLanes:])
-				s0 += g[0] * wv
-				s1 += g[1] * wv
-				s2 += g[2] * wv
-				s3 += g[3] * wv
-				s4 += g[4] * wv
-				s5 += g[5] * wv
-				s6 += g[6] * wv
-				s7 += g[7] * wv
+				s0 += float64(g[0] * wv)
+				s1 += float64(g[1] * wv)
+				s2 += float64(g[2] * wv)
+				s3 += float64(g[3] * wv)
+				s4 += float64(g[4] * wv)
+				s5 += float64(g[5] * wv)
+				s6 += float64(g[6] * wv)
+				s7 += float64(g[7] * wv)
 			}
 			c := (*[inferLanes]float64)(gx[k*inferLanes:])
 			c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = s0, s1, s2, s3, s4, s5, s6, s7
@@ -572,7 +572,7 @@ func denseGradW(d *Dense, x, g Mat, o0, o1 int, scale float64, tmp []float64) {
 			for r := s0; r < min(s0+shardRows, rows); r++ {
 				gv := g.Data[r*g.Stride+o]
 				for k, xv := range x.Data[r*x.Stride+k0 : r*x.Stride+d.In] {
-					part[k] += gv * xv
+					part[k] += float64(gv * xv)
 				}
 			}
 			if s0 == 0 {

@@ -60,7 +60,7 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	d := &Dense{In: in, Out: out, Weight: newParam(in * out), Bias: newParam(out)}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := range d.Weight.W {
-		d.Weight.W[i] = (rng.Float64()*2 - 1) * limit
+		d.Weight.W[i] = (float64(float64(rng.Float64())*2) - 1) * limit
 	}
 	return d
 }
@@ -85,13 +85,13 @@ func (d *Dense) Forward(x []float64) []float64 {
 		i := 0
 		for ; i+4 <= len(x); i += 4 {
 			r, v := row[i:i+4:i+4], x[i:i+4:i+4]
-			s += r[0] * v[0]
-			s += r[1] * v[1]
-			s += r[2] * v[2]
-			s += r[3] * v[3]
+			s += float64(r[0] * v[0])
+			s += float64(r[1] * v[1])
+			s += float64(r[2] * v[2])
+			s += float64(r[3] * v[3])
 		}
 		for ; i < len(x); i++ {
-			s += row[i] * x[i]
+			s += float64(row[i] * x[i])
 		}
 		y[o] = s
 	}

@@ -21,7 +21,7 @@ func (MSE) lossGradInto(dst, pred, target []float64) float64 {
 	var s float64
 	for i := range pred {
 		d := pred[i] - target[i]
-		s += d * d
+		s += float64(d * d)
 		dst[i] = d * inv
 	}
 	return 0.5 * s / float64(len(pred))

@@ -48,8 +48,8 @@ func (a *Adam) Step(params []*Param) {
 		}
 		for ; i < len(p.W); i++ {
 			g := p.G[i]
-			m[i] = a.beta1*m[i] + (1-a.beta1)*g
-			v[i] = a.beta2*v[i] + (1-a.beta2)*g*g
+			m[i] = float64(a.beta1*m[i]) + float64((1-a.beta1)*g)
+			v[i] = float64(a.beta2*v[i]) + float64((1-a.beta2)*g*g)
 			mHat := m[i] / c1
 			vHat := v[i] / c2
 			p.W[i] -= a.rate * mHat / (math.Sqrt(vHat) + a.eps)

@@ -146,7 +146,7 @@ func (h *Histogram) QuantileOfCounts(counts []int64, q float64) float64 {
 	}
 	q = math.Min(math.Max(q, 0), 1)
 	bounds := h.bounds
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	var cum float64
 	for i := range bounds {
 		c := float64(counts[i])

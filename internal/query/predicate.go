@@ -178,8 +178,8 @@ func UnfeaturizeInto(f []float64, s *Schema, p Predicate) {
 	}
 	for i := 0; i < d; i++ {
 		span := s.Maxs[i] - s.Mins[i]
-		lo := s.Mins[i] + mathClamp(f[i], 0, 1)*span
-		hi := s.Mins[i] + mathClamp(f[d+i], 0, 1)*span
+		lo := s.Mins[i] + float64(mathClamp(f[i], 0, 1)*span)
+		hi := s.Mins[i] + float64(mathClamp(f[d+i], 0, 1)*span)
 		if s.Types[i] == dataset.Categorical {
 			lo = math.Round(lo)
 			hi = math.Round(hi)

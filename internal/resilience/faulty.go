@@ -79,7 +79,7 @@ func (f *Faulty) decide() (faultKind, time.Duration, int) {
 	u := f.rng.Float64()
 	lat := time.Duration(0)
 	if f.plan.Latency > 0 {
-		lat = time.Duration((0.5 + 0.5*f.rng.Float64()) * float64(f.plan.Latency))
+		lat = time.Duration((0.5 + float64(0.5*f.rng.Float64())) * float64(f.plan.Latency))
 	} else {
 		_ = f.rng.Float64()
 	}

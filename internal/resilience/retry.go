@@ -168,7 +168,7 @@ func (r *Resilient) backoff(ctx context.Context, attempt int) error {
 	}
 	d = min(d, maxBackoff)
 	r.mu.Lock()
-	jitter := 0.5 + 0.5*r.rng.Float64()
+	jitter := 0.5 + float64(0.5*r.rng.Float64())
 	r.mu.Unlock()
 	d = time.Duration(float64(d) * jitter)
 	t := time.NewTimer(d)

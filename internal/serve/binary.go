@@ -14,7 +14,6 @@
 package serve
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
@@ -37,10 +36,6 @@ const (
 	// wireContentType is the media type the binary endpoint speaks.
 	wireContentType = "application/x-warper-batch"
 )
-
-// errWireDisabled reports EstimateBatchWire on a server built without
-// Options.BinaryProtocol.
-var errWireDisabled = errors.New("serve: binary protocol not enabled")
 
 // wireScratch is getScratch for the binary entry points: the frame buffer
 // is attached on a scratch's first binary request and recycled with it.
@@ -114,16 +109,13 @@ func (s *Server) encodeWire(sc *scratch, gen uint64, out EstimateOutcome) {
 	s.met.wireBatchRows.Observe(float64(len(sc.cards)))
 }
 
-// EstimateBatchWire answers one binary request frame in-process
-// — the wire-protocol equivalent of EstimateBudget, exported for embedding
-// Warper without HTTP and for the serving benchmark: this is the surface
-// the zero-allocation assert runs against. The encoded response frame is
-// appended to dst (reuse a sized dst to stay allocation-free). The error
-// is a decode sentinel from internal/wire, or the shed outcome.
+// EstimateBatchWire answers one binary request frame in-process under
+// admission control — the deadline bounds the wait for a replica — exported
+// for embedding Warper without HTTP and for the serving benchmark: this is
+// the surface the zero-allocation assert runs against. The encoded response
+// frame is appended to dst (reuse a sized dst to stay allocation-free). The
+// error is a decode sentinel from internal/wire, or the shed outcome.
 func (s *Server) EstimateBatchWire(dst []byte, frame []byte, deadline time.Time) ([]byte, error) {
-	if !s.wireOn {
-		return dst, errWireDisabled
-	}
 	sc := s.wireScratch()
 	defer s.putScratch(sc)
 	//lint:allow hotpathalloc grow-once frame copy; the pooled buffer keeps its high-water capacity
@@ -151,7 +143,7 @@ func (s *Server) EstimateBatchWire(dst []byte, frame []byte, deadline time.Time)
 // next group on.
 func (s *Server) serveWireBatch(sc *scratch, deadline time.Time, tr *obs.Trace) (uint64, EstimateOutcome) {
 	preds := sc.buf.Req.Preds
-	sc.size(len(preds), s.cache)
+	sc.size(len(preds))
 	var gen uint64
 	var batch EstimateOutcome
 	for base := 0; base < len(preds); base += wireGroupRows {

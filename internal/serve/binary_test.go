@@ -46,7 +46,7 @@ func postWire(t *testing.T, url string, frame []byte) (wire.ResponseHeader, []fl
 // before and after a mid-run model swap — and the response generation echo
 // must advance across the swap.
 func TestWireBatchMatchesJSONAcrossSwap(t *testing.T) {
-	_, ts, _, ann, gNew := newTestServerOpts(t, Options{BinaryProtocol: true})
+	_, ts, _, ann, gNew := newTestServerOpts(t, Options{})
 	rng := rand.New(rand.NewSource(11))
 	preds := make([]query.Predicate, 32)
 	for i := range preds {
@@ -104,7 +104,7 @@ func TestWireBatchMatchesJSONAcrossSwap(t *testing.T) {
 }
 
 func TestWireRejectsMalformed(t *testing.T) {
-	_, ts, sch, _, gNew := newTestServerOpts(t, Options{BinaryProtocol: true})
+	_, ts, sch, _, gNew := newTestServerOpts(t, Options{})
 	p := gNew.Gen(rand.New(rand.NewSource(5)))
 	valid, err := wire.AppendRequest(nil, 0, []query.Predicate{p}, false)
 	if err != nil {
@@ -153,18 +153,13 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if h, cards, code := postWire(t, ts.URL+"/estimate/batch", empty); code != http.StatusOK || len(cards) != 0 || h.Flags != 0 {
 		t.Errorf("empty batch: code %d, %d cards, header %+v", code, len(cards), h)
 	}
-	// Binary endpoints must be absent without Options.BinaryProtocol.
-	_, ts2, _, _, _ := newTestServer(t)
-	if _, _, code := postWire(t, ts2.URL+"/estimate/batch", valid); code != http.StatusNotFound {
-		t.Errorf("disabled server: status = %d, want 404", code)
-	}
 }
 
 // TestWireRejectsNonFiniteAndCacheStaysClean pins the NaN bugfix at the
 // cache boundary: a non-finite bound must be rejected before it can be
 // featurized into a cache key, so the cache holds nothing afterwards.
 func TestWireRejectsNonFiniteAndCacheStaysClean(t *testing.T) {
-	srv, ts, _, _, gNew := newTestServerOpts(t, Options{BinaryProtocol: true, EstimateCache: true})
+	srv, ts, _, _, gNew := newTestServerOpts(t, Options{})
 	p := gNew.Gen(rand.New(rand.NewSource(7)))
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		poisoned := query.Predicate{
@@ -236,7 +231,7 @@ func TestDecodePredicateRejectsNonFinite(t *testing.T) {
 // into a negative budget (no deadline, exempt from the admission-queue
 // bound) or an arbitrary tiny one.
 func TestDeadlineHeaderMalformed(t *testing.T) {
-	_, ts, _, _, gNew := newTestServerOpts(t, Options{BinaryProtocol: true})
+	_, ts, _, _, gNew := newTestServerOpts(t, Options{})
 	p := gNew.Gen(rand.New(rand.NewSource(13)))
 	jsonBody, err := jsonBytes(predicateJSON{Lows: p.Lows, Highs: p.Highs})
 	if err != nil {
@@ -332,7 +327,7 @@ func TestJSONTrailingGarbageRejected(t *testing.T) {
 // high-water shapes, a full in-process batch round trip (decode → group
 // loop → inference → encode) allocates nothing.
 func TestWireZeroAllocSteady(t *testing.T) {
-	srv, _, _, _, gNew := newTestServerOpts(t, Options{BinaryProtocol: true, Replicas: 4})
+	srv, _, _, _, gNew := newTestServerOpts(t, Options{Replicas: 4})
 	rng := rand.New(rand.NewSource(23))
 	preds := make([]query.Predicate, 64)
 	for i := range preds {
@@ -372,7 +367,7 @@ func TestWireZeroAllocSteady(t *testing.T) {
 // and inserted over an evicted entry — wire_unique's miss path. Both must
 // report 0 allocs/op.
 func benchWireBatch(b *testing.B, hit bool) {
-	opts := Options{BinaryProtocol: true, EstimateCache: true, Replicas: 2}
+	opts := Options{Replicas: 2}
 	frames := 1
 	if !hit {
 		opts.CacheEntries, frames = 1, 8

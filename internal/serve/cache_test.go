@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -142,7 +143,7 @@ func TestEstimateCacheSizing(t *testing.T) {
 }
 
 func TestEstimateCacheHitByteIdentity(t *testing.T) {
-	srv, _, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true})
+	srv, _, sch, _, gNew := newTestServerOpts(t, Options{})
 	rng := rand.New(rand.NewSource(7))
 	ref := srv.Estimator().Clone()
 
@@ -176,7 +177,7 @@ func TestEstimateCacheHitByteIdentity(t *testing.T) {
 // normalized predicate's bounds, bit for bit — not its feature vector, and
 // not the bounds as the client sent them.
 func TestEstimateCacheKeyIsNormalizedBounds(t *testing.T) {
-	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true, BinaryProtocol: true})
+	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{})
 	rng := rand.New(rand.NewSource(41))
 
 	// -0 and +0 inside a column that spans zero are different bounds with
@@ -259,7 +260,7 @@ func TestEstimateCacheKeyIsNormalizedBounds(t *testing.T) {
 }
 
 func TestEstimateCacheSwapInvalidates(t *testing.T) {
-	srv, _, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true})
+	srv, _, sch, _, gNew := newTestServerOpts(t, Options{})
 	p := gNew.Gen(rand.New(rand.NewSource(3))).Normalize(sch)
 
 	srv.pool.swap(&constEst{v: 111})
@@ -285,7 +286,7 @@ func TestEstimateCacheGenerationStamp(t *testing.T) {
 	// The cached value doubles as a generation witness: after each swap the
 	// model's constant equals the new pool generation, so any hit whose value
 	// differs from the current generation is a cross-generation leak.
-	srv, _, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true})
+	srv, _, sch, _, gNew := newTestServerOpts(t, Options{})
 	rng := rand.New(rand.NewSource(5))
 	preds := make([]query.Predicate, 8)
 	for i := range preds {
@@ -309,8 +310,7 @@ func TestEstimateCacheGenerationStamp(t *testing.T) {
 
 func TestEstimateCacheNeverCachesDegraded(t *testing.T) {
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
-		EstimateCache: true,
-		Replicas:      1,
+		Replicas: 1,
 	})
 	p := gNew.Gen(rand.New(rand.NewSource(9))).Normalize(sch)
 	want := srv.Estimator().Clone().Estimate(p)
@@ -318,7 +318,7 @@ func TestEstimateCacheNeverCachesDegraded(t *testing.T) {
 	// Hold the only replica: a budgeted estimate must fall back — and the
 	// degraded answer must not be inserted.
 	r, _, _ := srv.pool.checkout(true, time.Time{})
-	card, out := srv.EstimateBudget(p, time.Now().Add(time.Millisecond))
+	card, out := srv.estimateOne(p, srv.health.current(), time.Now().Add(time.Millisecond), nil)
 	if !out.Degraded {
 		t.Fatalf("outcome = %+v, want degraded", out)
 	}
@@ -329,7 +329,7 @@ func TestEstimateCacheNeverCachesDegraded(t *testing.T) {
 
 	// The degraded answer must be gone: the next estimate misses again and
 	// returns the full-model answer.
-	card, out = srv.EstimateBudget(p, time.Time{})
+	card, out = srv.estimateOne(p, srv.health.current(), time.Time{}, nil)
 	if out.Degraded || out.Shed {
 		t.Fatalf("outcome = %+v, want full", out)
 	}
@@ -353,8 +353,7 @@ func TestEstimateCacheNeverCachesDegraded(t *testing.T) {
 
 func TestEstimateCacheNeverCachesShed(t *testing.T) {
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
-		EstimateCache: true,
-		Replicas:      1,
+		Replicas: 1,
 	})
 	p := gNew.Gen(rand.New(rand.NewSource(11))).Normalize(sch)
 	want := srv.Estimator().Clone().Estimate(p)
@@ -362,14 +361,14 @@ func TestEstimateCacheNeverCachesShed(t *testing.T) {
 	// Shedding with the only replica held: the miss is refused.
 	srv.health.state.Store(int32(Shedding))
 	r, _, _ := srv.pool.checkout(true, time.Time{})
-	_, out := srv.EstimateBudget(p, time.Now().Add(time.Millisecond))
+	_, out := srv.estimateOne(p, srv.health.current(), time.Now().Add(time.Millisecond), nil)
 	if !out.Shed {
 		t.Fatalf("outcome = %+v, want shed", out)
 	}
 	srv.pool.checkin(r)
 	srv.health.state.Store(int32(Healthy))
 
-	card, out := srv.EstimateBudget(p, time.Time{})
+	card, out := srv.estimateOne(p, srv.health.current(), time.Time{}, nil)
 	if out.Shed || out.Degraded {
 		t.Fatalf("outcome = %+v, want full", out)
 	}
@@ -388,7 +387,6 @@ func TestEstimateCacheNeverCachesShed(t *testing.T) {
 // replica free, where a miss would have been a fallback answer.
 func TestFeedbackCoherenceAndFlushOnAlarm(t *testing.T) {
 	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{
-		EstimateCache:     true,
 		CacheFlushOnAlarm: true, // deprecated no-op: must not flush
 		Replicas:          1,
 		DriftWindow:       time.Minute,
@@ -427,7 +425,7 @@ func TestFeedbackCoherenceAndFlushOnAlarm(t *testing.T) {
 	// fallback ladder, the warmed predicate is still the model's answer.
 	srv.health.state.Store(int32(Degraded))
 	r, _, _ := srv.pool.checkout(true, time.Time{})
-	card, out := srv.EstimateBudget(p, time.Time{})
+	card, out := srv.estimateOne(p, srv.health.current(), time.Time{}, nil)
 	srv.pool.checkin(r)
 	srv.health.state.Store(int32(Healthy))
 	if card != est || out != (EstimateOutcome{}) {
@@ -450,8 +448,7 @@ func TestEstimateCacheSwapUnderLoad(t *testing.T) {
 	// answer must stay byte-identical throughout — under -race this also
 	// proves the seqlock publication is clean.
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
-		EstimateCache: true,
-		CacheEntries:  256, // small: force eviction churn under the soak
+		CacheEntries: 256, // small: force eviction churn under the soak
 	})
 	rng := rand.New(rand.NewSource(17))
 	preds := make([]query.Predicate, 64)
@@ -495,7 +492,7 @@ func TestEstimateCacheSwapUnderLoad(t *testing.T) {
 }
 
 func TestStatuszShowsCache(t *testing.T) {
-	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true})
+	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{})
 	p := gNew.Gen(rand.New(rand.NewSource(19))).Normalize(sch)
 	srv.Estimate(p)
 	srv.Estimate(p)
@@ -515,7 +512,7 @@ func TestStatuszShowsCache(t *testing.T) {
 	// The page renders the same document /status serves: one entry in a
 	// cache of the default capacity.
 	c := getStatus(t, ts.URL).Cache
-	if c == nil || c.Entries != 1 || c.Capacity != srv.cache.capacity {
+	if c.Entries != 1 || c.Capacity != srv.cache.capacity {
 		t.Fatalf("/status cache = %+v, want 1 entry of %d", c, srv.cache.capacity)
 	}
 	if want := fmt.Sprintf("entries %d/%d", c.Entries, c.Capacity); !strings.Contains(string(body), want) {
@@ -523,21 +520,30 @@ func TestStatuszShowsCache(t *testing.T) {
 	}
 }
 
-func TestStatuszCacheDisabled(t *testing.T) {
-	_, ts, _, _, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/statusz")
+// TestZeroOptionsServeCacheAndBatch pins the one served configuration: a
+// server built from the zero Options mounts POST /estimate/batch, and a
+// repeated predicate is answered from the estimate cache, bit for bit.
+func TestZeroOptionsServeCacheAndBatch(t *testing.T) {
+	ad, sch, _, gNew := newTestAdapter(t, 61, nil)
+	ts := httptest.NewServer(NewWithOptions(ad, sch, Options{}).Handler())
+	defer ts.Close()
+	frame, err := wire.AppendRequest(nil, 0, []query.Predicate{gNew.Gen(rand.New(rand.NewSource(19)))}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	var cards [2]float64
+	for i := range cards {
+		_, got, code := postWire(t, ts.URL+"/estimate/batch", frame)
+		if code != http.StatusOK || len(got) != 1 {
+			t.Fatalf("POST /estimate/batch = %d with %d cards, want 200 with 1", code, len(got))
+		}
+		cards[i] = got[0]
 	}
-	if !strings.Contains(string(body), "Options.EstimateCache is off") {
-		t.Error("/statusz cache section missing its disabled hint")
+	if math.Float64bits(cards[0]) != math.Float64bits(cards[1]) {
+		t.Errorf("repeated predicate answered %v, then %v", cards[0], cards[1])
 	}
-	if _, raw := getBody(t, ts.URL+"/status"); !strings.Contains(string(raw), `"cache":null`) {
-		t.Errorf("/status with the cache off: %s", raw)
+	_, body := getBody(t, ts.URL+"/metrics")
+	if hits := metricValue(t, string(body), "estimate_cache_hits_total"); hits != 1 {
+		t.Errorf("estimate_cache_hits_total = %v after a repeated predicate, want 1", hits)
 	}
 }

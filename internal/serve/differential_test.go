@@ -221,7 +221,7 @@ type door int
 
 const (
 	doorEstimate door = iota // Server.Estimate
-	doorBudget               // Server.EstimateBudget
+	doorBudget               // Server.estimateOne under the current health state
 	doorJSON                 // POST /estimate
 	doorBatch                // POST /estimate/batch
 	doorWire                 // Server.EstimateBatchWire
@@ -229,7 +229,7 @@ const (
 )
 
 func (d door) String() string {
-	return [...]string{"Estimate", "EstimateBudget", "POST /estimate", "POST /estimate/batch", "EstimateBatchWire"}[d]
+	return [...]string{"Estimate", "estimateOne", "POST /estimate", "POST /estimate/batch", "EstimateBatchWire"}[d]
 }
 
 // answer is one answered request, scalar or batch.
@@ -277,22 +277,20 @@ type diffDriver struct {
 	stats   diffStats
 }
 
-func newDiffDriver(t *testing.T, seed int64, evalInterval time.Duration) *diffDriver {
+func newDiffDriver(t *testing.T, seed int64, evalEvery time.Duration) *diffDriver {
 	d := &diffDriver{t: t, seed: seed, rng: rand.New(rand.NewSource(seed))}
 	d.shadow, _, _, _ = newDiffStack(t, seed)
 	d.ref = newRefServer(d.shadow.ad)
 	d.served, d.sch, d.ann, d.gen = newDiffStack(t, seed)
 	d.served.hooks.chaos = chaosPlan{starveEvery: 2, starveHold: 500 * time.Microsecond, swapDelay: time.Millisecond}
 	d.srv = NewWithOptions(d.served.ad, d.sch, Options{
-		BinaryProtocol: true,
-		Replicas:       2,
-		EstimateCache:  true,
-		CacheEntries:   256, // small: eviction churn
-		DriftAlarmGMQ:  1.5,
-		// One queue slot: concurrent readers overflow it at once.
-		ShedQueue: 1,
-		Health:    HealthConfig{EvalInterval: evalInterval},
+		Replicas:      2,
+		CacheEntries:  256, // small: eviction churn
+		DriftAlarmGMQ: 1.5,
 	})
+	// One queue slot: concurrent readers overflow it at once.
+	boundQueue(d.srv, 1)
+	d.srv.health.evalEvery = evalEvery
 	d.h = d.srv.Handler()
 	d.lo.Store(1)
 	d.hi.Store(1)
@@ -377,7 +375,7 @@ func (d *diffDriver) issue(dr door, rows []pred, budget time.Duration) (answer, 
 	case doorEstimate:
 		return answer{preds: rows, cards: []float64{d.srv.Estimate(rows[0].norm)}}, nil
 	case doorBudget:
-		card, out := d.srv.EstimateBudget(rows[0].norm, deadline)
+		card, out := d.srv.estimateOne(rows[0].norm, d.srv.health.current(), deadline, nil)
 		a := answer{preds: rows, out: out}
 		if !out.Shed {
 			a.cards = []float64{card}

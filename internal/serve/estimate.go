@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the estimate pipeline — the only one. Every entry point is a
-// caller of estimateGroup: Estimate, EstimateBudget, POST /estimate and the
-// /feedback q-error probe send a group of one (estimateOne); the binary
-// batch endpoints loop it over wireGroupRows-row groups (serveWireBatch).
+// caller of estimateGroup: Estimate, POST /estimate and the /feedback
+// q-error probe send a group of one (estimateOne); the binary batch
+// endpoints loop it over wireGroupRows-row groups (serveWireBatch).
 // One group goes through four stages:
 //
 //	probe   hash + probe every row's normalized bounds
@@ -101,16 +101,16 @@ func (s *Server) putScratch(sc *scratch) {
 
 // size prepares the scratch for one request of `rows` predicates: cards is
 // cut to rows, and the group slabs are grown for min(rows, wireGroupRows)
-// rows (no cache, no group slabs: misses are answered in place).
+// rows.
 //
 //lint:allow hotpathalloc grow-once slabs: bounded by maxWireRows answers and wireGroupRows group rows, kept at high-water capacity for the scratch's pooled lifetime
-func (sc *scratch) size(rows int, c *estimateCache) {
+func (sc *scratch) size(rows int) {
 	if cap(sc.cards) < rows {
 		sc.cards = make([]float64, rows)
 	}
 	sc.cards = sc.cards[:rows]
 	n := min(rows, wireGroupRows)
-	if c == nil || cap(sc.hashes) >= n {
+	if cap(sc.hashes) >= n {
 		return
 	}
 	sc.hashes = make([]uint64, n)
@@ -130,17 +130,12 @@ func (s *Server) Estimate(p query.Predicate) float64 {
 	return card
 }
 
-// EstimateBudget is Estimate under admission control: the deadline bounds
-// how long the request may queue for a replica, and the outcome says whether
-// the answer is the model's, the fallback ladder's, or a shed. A zero
-// deadline waits forever (in healthy state). Safe for concurrent use.
-func (s *Server) EstimateBudget(p query.Predicate, deadline time.Time) (float64, EstimateOutcome) {
-	return s.estimateOne(p, s.health.current(), deadline, nil)
-}
-
-// estimateOne sends p through the pipeline as a group of one. With tr == nil
-// the path is identical to before tracing existed — nil-receiver stage calls
-// compile to cheap no-ops and nothing allocates.
+// estimateOne sends p through the pipeline as a group of one, under
+// admission state h: the deadline bounds how long the request may queue for
+// a replica (a zero deadline waits forever in healthy state), and the
+// outcome says whether the answer is the model's, the fallback ladder's, or
+// a shed. With tr == nil the path is identical to before tracing existed —
+// nil-receiver stage calls compile to cheap no-ops and nothing allocates.
 func (s *Server) estimateOne(p query.Predicate, h HealthState, deadline time.Time, tr *obs.Trace) (float64, EstimateOutcome) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
@@ -150,7 +145,7 @@ func (s *Server) estimateOne(p query.Predicate, h HealthState, deadline time.Tim
 // estimateIn is estimateOne on a scratch the caller holds — POST
 // /estimate's, whose slabs hold the decoded bounds p views.
 func (s *Server) estimateIn(sc *scratch, p query.Predicate, h HealthState, deadline time.Time, tr *obs.Trace) (float64, EstimateOutcome) {
-	sc.size(1, s.cache)
+	sc.size(1)
 	sc.one[0] = p
 	_, oc := s.estimateGroup(sc, sc.one[:], sc.cards, h, deadline, tr)
 	return sc.cards[0], oc
@@ -164,13 +159,9 @@ func (s *Server) estimateIn(sc *scratch, p query.Predicate, h HealthState, deadl
 //
 // A cache hit is admission-free — it consumes no replica and no queue slot —
 // so hits serve even in degraded and shedding states: an exact model answer
-// for ~100 ns is strictly better than a fallback answer or a 429. Without a
-// cache every row is simply a miss, answered in place.
+// for ~100 ns is strictly better than a fallback answer or a 429.
 func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float64, h HealthState, deadline time.Time, tr *obs.Trace) (uint64, EstimateOutcome) {
 	c := s.cache
-	if c == nil {
-		return s.admit(h, deadline, group, out, tr)
-	}
 	tr.EnterStage("cache")
 	n := len(group)
 	cur := s.pool.generation()
@@ -241,7 +232,7 @@ func (s *Server) admit(h HealthState, deadline time.Time, preds []query.Predicat
 		// or refused), or runs under a state that must be able to recover,
 		// offers an evaluation. A healthy group served by a free replica
 		// skips this.
-		s.evalHealth(time.Now()) //lint:allow hotpathalloc sanctioned slow branch: off the fast path only, and due() elects one evaluator per EvalInterval
+		s.evalHealth(time.Now()) //lint:allow hotpathalloc sanctioned slow branch: off the fast path only, and due() elects one evaluator per evalInterval
 	}
 	if err == nil {
 		return s.runOn(r, preds, out, tr), EstimateOutcome{}

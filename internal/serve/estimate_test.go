@@ -73,20 +73,6 @@ func reasonCounters(srv *Server) map[string]int64 {
 	}
 }
 
-// TestEntryPointsAgree is the one-pipeline contract in every admission
-// state, not just healthy: the same predicate sent through EstimateBudget,
-// POST /estimate, a one-row binary frame and row 280 of a 300-row binary
-// frame (its second 256-row group) gets the same cardinality bits, the same
-// outcome class and reason, and charges the same per-reason counter once
-// per group — and only full-model answers ever reach the cache.
-func TestEntryPointsAgree(t *testing.T) {
-	for _, cacheOn := range []bool{true, false} {
-		t.Run(fmt.Sprintf("cache=%v", cacheOn), func(t *testing.T) {
-			entryPointsAgree(t, cacheOn)
-		})
-	}
-}
-
 // admissionOutcome is the admission table, spelled out from the outside:
 // what a request whose rows all miss the cache must come back as, given the
 // health state, whether every replica is held, and whether the request
@@ -107,8 +93,14 @@ func admissionOutcome(state HealthState, breaker, held, budgeted bool) EstimateO
 	return EstimateOutcome{Degraded: true, Reason: "timeout"}
 }
 
-// entryPointsAgree walks the admission table on one server.
-func entryPointsAgree(t *testing.T, cacheOn bool) {
+// TestEntryPointsAgree is the one-pipeline contract in every admission
+// state, not just healthy: the same predicate sent through estimateOne,
+// POST /estimate, a one-row binary frame and row 280 of a 300-row binary
+// frame (its second 256-row group) gets the same cardinality bits, the same
+// outcome class and reason, and charges the same per-reason counter once
+// per group — and only full-model answers ever reach the cache. It walks
+// the admission table on one server.
+func TestEntryPointsAgree(t *testing.T) {
 	type health struct {
 		name    string
 		state   HealthState
@@ -122,11 +114,7 @@ func entryPointsAgree(t *testing.T, cacheOn bool) {
 	}
 	const bigRows, bigRow = 300, 280
 
-	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{
-		BinaryProtocol: true,
-		Replicas:       1,
-		EstimateCache:  cacheOn,
-	})
+	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{Replicas: 1})
 	ref := srv.Estimator().Clone()
 	rng := rand.New(rand.NewSource(41))
 	big := make([]query.Predicate, bigRows)
@@ -174,12 +162,12 @@ func entryPointsAgree(t *testing.T, cacheOn bool) {
 					groups int64
 					call   func() (float64, EstimateOutcome)
 				}{
-					{"EstimateBudget", 1, func() (float64, EstimateOutcome) {
+					{"estimateOne", 1, func() (float64, EstimateOutcome) {
 						var deadline time.Time
 						if budgeted {
 							deadline = time.Now().Add(time.Millisecond)
 						}
-						return srv.EstimateBudget(pn, deadline)
+						return srv.estimateOne(pn, srv.health.current(), deadline, nil)
 					}},
 					{"POST /estimate", 1, func() (float64, EstimateOutcome) {
 						code, body := post(t, ts.URL+"/estimate", "application/json", jsonBody, budgetMs)
@@ -210,14 +198,11 @@ func entryPointsAgree(t *testing.T, cacheOn bool) {
 					}
 				}
 				for _, ep := range entries {
-					var entriesBefore int64
-					if cacheOn {
-						// Hide what the previous entry point cached, so
-						// every one of them takes the miss path: a swap to
-						// the same weights bumps the generation.
-						srv.pool.swap(srv.Estimator())
-						entriesBefore = int64(srv.met.cacheEntries.Value())
-					}
+					// Hide what the previous entry point cached, so every
+					// one of them takes the miss path: a swap to the same
+					// weights bumps the generation.
+					srv.pool.swap(srv.Estimator())
+					entriesBefore := int64(srv.met.cacheEntries.Value())
 					before := reasonCounters(srv)
 					var released chan struct{}
 					if held && h.state == Healthy && !budgeted {
@@ -262,17 +247,15 @@ func entryPointsAgree(t *testing.T, cacheOn bool) {
 							t.Errorf("%s/%s: counter{reason=%q} moved by %d, want %d", name, ep.name, reason, d, charges[reason])
 						}
 					}
-					if cacheOn {
-						if grew := int64(srv.met.cacheEntries.Value()) - entriesBefore; (exp.Shed || exp.Degraded) && grew != 0 {
-							t.Errorf("%s/%s: %+v answer grew the cache by %d entries", name, ep.name, exp, grew)
-						}
-						// A full-model answer is cached: asking again hits,
-						// whatever the admission state.
-						hits := srv.met.cacheHits.Value()
-						srv.EstimateBudget(pn, time.Now().Add(time.Millisecond))
-						if hit := srv.met.cacheHits.Value() == hits+1; hit != (exp == EstimateOutcome{}) {
-							t.Errorf("%s/%s: answer cached = %v after outcome %+v", name, ep.name, hit, exp)
-						}
+					if grew := int64(srv.met.cacheEntries.Value()) - entriesBefore; (exp.Shed || exp.Degraded) && grew != 0 {
+						t.Errorf("%s/%s: %+v answer grew the cache by %d entries", name, ep.name, exp, grew)
+					}
+					// A full-model answer is cached: asking again hits,
+					// whatever the admission state.
+					hits := srv.met.cacheHits.Value()
+					srv.estimateOne(pn, srv.health.current(), time.Now().Add(time.Millisecond), nil)
+					if hit := srv.met.cacheHits.Value() == hits+1; hit != (exp == EstimateOutcome{}) {
+						t.Errorf("%s/%s: answer cached = %v after outcome %+v", name, ep.name, hit, exp)
 					}
 				}
 				if held {
@@ -289,7 +272,7 @@ func entryPointsAgree(t *testing.T, cacheOn bool) {
 // and evicts — nor does the envelope the HTTP handler wraps around it
 // (Acquire → EnterStage → Finish) while the tracer's sample rate is 0.
 func TestScalarZeroAllocSteady(t *testing.T) {
-	srv, _, sch, _, gNew := newTestServerOpts(t, Options{EstimateCache: true, Replicas: 2})
+	srv, _, sch, _, gNew := newTestServerOpts(t, Options{Replicas: 2})
 	rng := rand.New(rand.NewSource(29))
 	const runs = 100
 	// p is the hit. A miss case asks, run by run, about a predicate nothing
@@ -313,7 +296,7 @@ func TestScalarZeroAllocSteady(t *testing.T) {
 	// cacheWays slots) under a cyclic scan of eight times as many distinct
 	// predicates: every estimate misses, finds its probe group full of live
 	// same-generation entries and takes put's second-chance eviction branch.
-	full, _, fsch, _, fgen := newTestServerOpts(t, Options{EstimateCache: true, CacheEntries: 1, Replicas: 2})
+	full, _, fsch, _, fgen := newTestServerOpts(t, Options{CacheEntries: 1, Replicas: 2})
 	scan := distinctKeys(fgen, fsch, 8*full.cache.capacity, rng)
 	next := 0
 	scanOne := func() {
@@ -335,7 +318,7 @@ func TestScalarZeroAllocSteady(t *testing.T) {
 	}{
 		{"Estimate hit", srv, false, false, func() { srv.Estimate(p) }},
 		{"Estimate miss", srv, true, false, func() { srv.Estimate(nextFresh()) }},
-		{"EstimateBudget miss", srv, true, false, func() { srv.EstimateBudget(nextFresh(), time.Now().Add(time.Minute)) }},
+		{"estimateOne miss under a deadline", srv, true, false, func() { srv.estimateOne(nextFresh(), srv.health.current(), time.Now().Add(time.Minute), nil) }},
 		{"Estimate miss in a tracer-off envelope", srv, true, false, func() {
 			tr := tracerOff.Acquire("estimate")
 			tr.EnterStage("infer")
@@ -407,7 +390,7 @@ func (b *slowBody) Read(p []byte) (int, error) {
 // 50 ms and get the model's answer, not a fallback answer it never waited
 // for.
 func TestBatchDeadlineStartsAfterDecode(t *testing.T) {
-	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{BinaryProtocol: true, Replicas: 1})
+	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{Replicas: 1})
 	p := gNew.Gen(rand.New(rand.NewSource(31)))
 	frame, err := wire.AppendRequest(nil, 0, []query.Predicate{p}, false)
 	if err != nil {

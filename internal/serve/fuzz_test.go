@@ -23,7 +23,7 @@ import (
 // ±Inf bounds, wrong arity, trailing bytes) or answer together, with the
 // cardinality bits of a scalar Estimate on a private clone of the model.
 func FuzzEstimateEntryPoints(f *testing.F) {
-	srv, _, sch, _, gNew := newTestServerOpts(f, Options{BinaryProtocol: true, EstimateCache: true})
+	srv, _, sch, _, gNew := newTestServerOpts(f, Options{})
 	h := srv.Handler()
 	ref := srv.Estimator().Clone()
 	cols := sch.NumCols()

@@ -19,7 +19,7 @@ import (
 //
 // The machine is deliberately cheap to read and deliberately slow to move:
 // the estimate hot path pays one atomic load to learn the state, and the
-// state is re-evaluated — at most once per EvalInterval, with hysteresis, so
+// state is re-evaluated — at most once per evalInterval, with hysteresis, so
 // a single bad sample cannot flap the server between modes — by the traffic
 // it governs: every estimate that leaves the checkout fast path or runs while
 // the state is not Healthy offers an evaluation (admit), as do the /period
@@ -57,23 +57,17 @@ func (h HealthState) String() string {
 	return "unknown"
 }
 
-// HealthConfig tunes the health state machine. The zero value means
-// "defaults", resolved by withDefaults at server construction.
-type HealthConfig struct {
-	// DegradeWaitP99 is the windowed replica-checkout-wait p99 above which
-	// the server counts an evaluation as degraded. Default 25ms.
-	DegradeWaitP99 time.Duration
-	// ShedWaitP99 is the checkout-wait p99 above which an evaluation counts
-	// as shedding. Default 250ms.
-	ShedWaitP99 time.Duration
-	// EvalInterval throttles evaluations: requests offer them far more often
-	// than the machine needs to think. Default 250ms; negative disables the
-	// throttle (used by tests driving the machine step by step).
-	EvalInterval time.Duration
-}
-
 // The machine's fixed thresholds.
 const (
+	// degradeWaitP99 is the windowed replica-checkout-wait p99 above which
+	// an evaluation counts as degraded.
+	degradeWaitP99 = 25 * time.Millisecond
+	// shedWaitP99 is the checkout-wait p99 above which an evaluation counts
+	// as shedding.
+	shedWaitP99 = 250 * time.Millisecond
+	// evalInterval throttles evaluations: requests offer them far more often
+	// than the machine needs to think.
+	evalInterval = 250 * time.Millisecond
 	// maxSwapAge marks the server degraded while an adaptation period (and
 	// its eventual model swap) has been in flight longer than this.
 	maxSwapAge = 30 * time.Second
@@ -90,20 +84,6 @@ const (
 // queueHighFor derives the admission-queue depth above which an evaluation
 // counts as shedding: half the pool's shed-queue bound, at least 1.
 func queueHighFor(queueBound int64) int64 { return max(queueBound/2, 1) }
-
-// withDefaults resolves zero fields.
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.DegradeWaitP99 <= 0 {
-		c.DegradeWaitP99 = 25 * time.Millisecond
-	}
-	if c.ShedWaitP99 <= 0 {
-		c.ShedWaitP99 = 250 * time.Millisecond
-	}
-	if c.EvalInterval == 0 {
-		c.EvalInterval = 250 * time.Millisecond
-	}
-	return c
-}
 
 // healthSignals is one evaluation's input: the windowed checkout-wait p99,
 // the live admission-queue depth, the annotation breaker state, and how long
@@ -164,11 +144,14 @@ func (w *waitWindow) p99(now time.Time) float64 {
 
 // healthTracker runs the state machine. State reads are one atomic load
 // (the estimate hot path's only contact with it); evaluations run under a
-// mutex, at most one per EvalInterval.
+// mutex, at most one per evalEvery.
 type healthTracker struct {
-	cfg HealthConfig
-	// queueHigh is queueHighFor of the pool's admission-queue bound.
-	queueHigh int64
+	// degradeWait, shedWait and evalEvery start at degradeWaitP99,
+	// shedWaitP99 and evalInterval; queueHigh is queueHighFor of the pool's
+	// admission-queue bound. Tests that drive the machine step by step or
+	// in milliseconds set them before any traffic.
+	degradeWait, shedWait, evalEvery time.Duration
+	queueHigh                        int64
 
 	state atomic.Int32
 	// breakerOpen mirrors the annotation circuit breaker, written by the
@@ -178,7 +161,7 @@ type healthTracker struct {
 	// swapStart is the UnixNano start of the in-flight adaptation period
 	// (0 when none): a period stuck past maxSwapAge degrades the server.
 	swapStart atomic.Int64
-	// lastEval throttles evaluations to EvalInterval (UnixNano, CAS-guarded
+	// lastEval throttles evaluations to evalEvery (UnixNano, CAS-guarded
 	// so concurrent requests elect one evaluator).
 	lastEval atomic.Int64
 
@@ -196,9 +179,9 @@ type healthTracker struct {
 // newHealthTracker builds a tracker for a pool whose admission queue holds
 // queueBound estimates, publishing transitions on met's serve_health_state
 // gauge and as health events on rec.
-func newHealthTracker(cfg HealthConfig, queueBound int64, met *Metrics, rec *flightRecorder) *healthTracker {
-	h := &healthTracker{cfg: cfg.withDefaults(), queueHigh: queueHighFor(queueBound),
-		wait: newWaitWindow(met.checkoutWait), met: met, rec: rec}
+func newHealthTracker(queueBound int64, met *Metrics, rec *flightRecorder) *healthTracker {
+	h := &healthTracker{degradeWait: degradeWaitP99, shedWait: shedWaitP99, evalEvery: evalInterval,
+		queueHigh: queueHighFor(queueBound), wait: newWaitWindow(met.checkoutWait), met: met, rec: rec}
 	met.healthState.Set(float64(Healthy))
 	return h
 }
@@ -207,13 +190,11 @@ func newHealthTracker(cfg HealthConfig, queueBound int64, met *Metrics, rec *fli
 func (h *healthTracker) current() HealthState { return HealthState(h.state.Load()) }
 
 // due reports whether enough time passed since the last evaluation, electing
-// exactly one caller per interval.
+// exactly one caller per interval. At evalEvery 0 every caller that wins the
+// CAS is due.
 func (h *healthTracker) due(now time.Time) bool {
-	if h.cfg.EvalInterval < 0 {
-		return true
-	}
 	last := h.lastEval.Load()
-	if now.UnixNano()-last < int64(h.cfg.EvalInterval) {
+	if now.UnixNano()-last < int64(h.evalEvery) {
 		return false
 	}
 	return h.lastEval.CompareAndSwap(last, now.UnixNano())
@@ -221,10 +202,10 @@ func (h *healthTracker) due(now time.Time) bool {
 
 // classify maps one signal reading onto the ladder, worst condition wins.
 func (h *healthTracker) classify(sig healthSignals) HealthState {
-	if sig.waitP99 >= h.cfg.ShedWaitP99.Seconds() || sig.queueDepth >= h.queueHigh {
+	if sig.waitP99 >= h.shedWait.Seconds() || sig.queueDepth >= h.queueHigh {
 		return Shedding
 	}
-	if sig.breakerOpen || sig.waitP99 >= h.cfg.DegradeWaitP99.Seconds() ||
+	if sig.breakerOpen || sig.waitP99 >= h.degradeWait.Seconds() ||
 		(sig.swapAge > 0 && sig.swapAge >= maxSwapAge) {
 		return Degraded
 	}

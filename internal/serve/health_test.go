@@ -9,16 +9,19 @@ import (
 	"warper/internal/obs"
 )
 
-// testTracker builds a tracker with the eval throttle disabled so tests can
-// drive the machine one evaluation at a time.
-func testTracker(cfg HealthConfig) (*healthTracker, *obs.Journal) {
+// testTracker builds a tracker for a 64-deep admission queue with the eval
+// throttle at evalEvery (0: every evaluation is due, so tests can drive the
+// machine one evaluation at a time).
+func testTracker(evalEvery time.Duration) (*healthTracker, *obs.Journal) {
 	met := NewMetrics()
 	rec := newFlightRecorder(met, slog.New(slog.NewTextHandler(io.Discard, nil)), Options{})
-	return newHealthTracker(cfg, 64, met, rec), rec.journal
+	h := newHealthTracker(64, met, rec)
+	h.evalEvery = evalEvery
+	return h, rec.journal
 }
 
 func TestHealthClassify(t *testing.T) {
-	h, _ := testTracker(HealthConfig{EvalInterval: -1})
+	h, _ := testTracker(0)
 	cases := []struct {
 		name string
 		sig  healthSignals
@@ -46,7 +49,7 @@ func TestHealthClassify(t *testing.T) {
 // consecutive bad evaluations move one step up, recoverAfter good ones move
 // one step down, and a mixed sample resets both streaks.
 func TestHealthHysteresis(t *testing.T) {
-	h, j := testTracker(HealthConfig{EvalInterval: -1})
+	h, j := testTracker(0)
 	bad := healthSignals{queueDepth: 64} // classifies as shedding
 	good := healthSignals{}
 	now := time.Now()
@@ -121,10 +124,10 @@ func healthLevel(t *testing.T, v any) int {
 	return -1
 }
 
-// TestHealthEvalThrottle pins the CAS election: within one EvalInterval only
-// the first caller is due; a negative interval disables the throttle.
+// TestHealthEvalThrottle pins the CAS election: within one interval only
+// the first caller is due; at interval 0 every caller is.
 func TestHealthEvalThrottle(t *testing.T) {
-	h, _ := testTracker(HealthConfig{EvalInterval: time.Minute})
+	h, _ := testTracker(time.Minute)
 	now := time.Now()
 	if !h.due(now) {
 		t.Fatal("first caller must be due")
@@ -136,14 +139,14 @@ func TestHealthEvalThrottle(t *testing.T) {
 		t.Fatal("caller after the interval must be due")
 	}
 
-	always, _ := testTracker(HealthConfig{EvalInterval: -1})
+	always, _ := testTracker(0)
 	if !always.due(now) || !always.due(now) {
-		t.Fatal("negative interval must disable the throttle")
+		t.Fatal("interval 0 must disable the throttle")
 	}
 }
 
-// TestHealthDefaults pins the derived queue threshold and the zero-value
-// fills.
+// TestHealthDefaults pins the derived queue threshold and the thresholds a
+// server's tracker starts at.
 func TestHealthDefaults(t *testing.T) {
 	if q := queueHighFor(100); q != 50 {
 		t.Errorf("queueHighFor(100) = %d, want 50 (half the queue bound)", q)
@@ -151,12 +154,12 @@ func TestHealthDefaults(t *testing.T) {
 	if q := queueHighFor(0); q != 1 {
 		t.Errorf("queueHighFor(0) = %d, want the floor 1", q)
 	}
-	c := HealthConfig{}.withDefaults()
-	if c.DegradeWaitP99 != 25*time.Millisecond || c.ShedWaitP99 != 250*time.Millisecond {
-		t.Errorf("wait thresholds = %v/%v", c.DegradeWaitP99, c.ShedWaitP99)
+	h := newHealthTracker(64, NewMetrics(), nil)
+	if h.degradeWait != 25*time.Millisecond || h.shedWait != 250*time.Millisecond {
+		t.Errorf("wait thresholds = %v/%v", h.degradeWait, h.shedWait)
 	}
-	if c.EvalInterval != 250*time.Millisecond {
-		t.Errorf("eval interval = %v, want 250ms", c.EvalInterval)
+	if h.evalEvery != 250*time.Millisecond {
+		t.Errorf("eval interval = %v, want 250ms", h.evalEvery)
 	}
 }
 
@@ -165,7 +168,7 @@ func TestHealthDefaults(t *testing.T) {
 // window read and rotated, the signals gathered and classified — allocates
 // nothing. (A transition allocates its event; that is once per state change.)
 func TestEvalHealthZeroAllocSteady(t *testing.T) {
-	srv, _, _, _, _ := newTestServerOpts(t, Options{Health: HealthConfig{EvalInterval: -1}})
+	srv, _, _, _, _ := newTestServer(t)
 	now := time.Now()
 	n := testing.AllocsPerRun(200, func() {
 		srv.met.checkoutWait.Observe(0.001)
@@ -175,7 +178,7 @@ func TestEvalHealthZeroAllocSteady(t *testing.T) {
 	if n != 0 {
 		t.Errorf("a state-preserving evalHealth allocates %v times, want 0", n)
 	}
-	if got := srv.HealthState(); got != Healthy {
+	if got := srv.health.current(); got != Healthy {
 		t.Errorf("state = %v after healthy evaluations", got)
 	}
 }

@@ -233,7 +233,7 @@ func (w *memWriter) Write(b []byte) (int, error) { w.body = append(w.body, b...)
 // function that serves the next one through Handler().ServeHTTP on an
 // in-memory writer, checking it answered 200.
 func jsonEstimateLoop(tb testing.TB, n int) func() {
-	srv, _, _, _, gNew := newTestServerOpts(tb, Options{EstimateCache: true, BinaryProtocol: true, DriftAlarmGMQ: 4})
+	srv, _, _, _, gNew := newTestServerOpts(tb, Options{DriftAlarmGMQ: 4})
 	h := srv.Handler()
 	rng := rand.New(rand.NewSource(37))
 	bodies := make([][]byte, n)

@@ -204,8 +204,8 @@ func TestQueueBoundSheds(t *testing.T) {
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{
 		Replicas:        1,
 		EstimateTimeout: time.Second,
-		ShedQueue:       1,
 	})
+	boundQueue(srv, 1)
 	p := gNew.Gen(rand.New(rand.NewSource(11))).Normalize(sch)
 
 	held := drainReplicas(t, srv)
@@ -215,18 +215,18 @@ func TestQueueBoundSheds(t *testing.T) {
 	}
 	first := make(chan res, 1)
 	go func() {
-		c, o := srv.EstimateBudget(p, time.Now().Add(time.Second))
+		c, o := srv.estimateOne(p, srv.health.current(), time.Now().Add(time.Second), nil)
 		first <- res{c, o}
 	}()
 	// Wait for the first request to park in the queue.
-	for i := 0; srv.QueueDepth() == 0 && i < 1000; i++ {
+	for i := 0; srv.pool.queueDepth() == 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if srv.QueueDepth() != 1 {
-		t.Fatalf("queue depth = %d, want 1 parked waiter", srv.QueueDepth())
+	if srv.pool.queueDepth() != 1 {
+		t.Fatalf("queue depth = %d, want 1 parked waiter", srv.pool.queueDepth())
 	}
 
-	_, out := srv.EstimateBudget(p, time.Now().Add(time.Second))
+	_, out := srv.estimateOne(p, srv.health.current(), time.Now().Add(time.Second), nil)
 	if !out.Shed || out.Reason != "queue_full" {
 		t.Errorf("over-bound arrival = %+v, want shed queue_full", out)
 	}
@@ -282,15 +282,16 @@ func TestEstimatesSurviveReplicaPanicExhaustion(t *testing.T) {
 	armed.Store(false)
 
 	// If any panic leaked its replica, one of these n+2 serial estimates
-	// would block forever on an empty free list.
+	// would block forever on an empty free list. Each asks about a fresh
+	// predicate, so each checks a replica out instead of hitting the cache.
 	client := &http.Client{Timeout: 15 * time.Second}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(predicateJSON{Lows: p.Lows, Highs: p.Highs}); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.Bytes()
 	for i := 0; i < n+2; i++ {
-		resp, err := client.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(body))
+		q := gNew.Gen(rng)
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(predicateJSON{Lows: q.Lows, Highs: q.Highs}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+"/estimate", "application/json", &buf)
 		if err != nil {
 			t.Fatalf("post-panic estimate %d: %v (replica leaked on panic?)", i, err)
 		}
@@ -315,25 +316,18 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 	chaos := &modelHooks{chaos: chaosPlan{starveEvery: 1, starveHold: 20 * time.Millisecond}}
 	chaos.chaosOn.Store(true)
 	// Wait thresholds out of reach, as in the soak below: the callers parked
-	// behind the held replica (queueHigh = ShedQueue/2 = 2 < callers-1)
+	// behind the held replica (queueHigh = 4/2 = 2 < callers-1)
 	// drive the ladder, and a scheduler-inflated wait sample cannot pin the
 	// recovery for the length of the wait window.
-	srv, _, sch, _, gNew := newTestServerWrap(t, Options{
-		Replicas:  1,
-		ShedQueue: 4,
-		Health: HealthConfig{
-			EvalInterval:   5 * time.Millisecond,
-			DegradeWaitP99: 30 * time.Second,
-			ShedWaitP99:    time.Minute,
-		},
-	}, chaos.wrap)
-	p := gNew.Gen(rand.New(rand.NewSource(23))).Normalize(sch)
+	srv, _, sch, _, gNew := newTestServerWrap(t, Options{Replicas: 1}, chaos.wrap)
+	boundQueue(srv, 4)
+	quickHealth(srv, 5*time.Millisecond)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
-		go func() {
+		go func(rng *rand.Rand) {
 			defer wg.Done()
 			for {
 				select {
@@ -341,10 +335,12 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 					return
 				default:
 				}
-				srv.EstimateBudget(p, time.Now().Add(budget))
+				// A fresh predicate per request: a cache hit is admission-free
+				// and offers no evaluation, so only misses move the machine.
+				srv.estimateOne(gNew.Gen(rng).Normalize(sch), srv.health.current(), time.Now().Add(budget), nil)
 				time.Sleep(time.Millisecond) // a client, not a spin loop: an unstarved replica keeps up
 			}
-		}()
+		}(rand.New(rand.NewSource(23 + int64(c))))
 	}
 	defer func() {
 		close(stop)
@@ -354,12 +350,12 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 		t.Helper()
 		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: not within 2s (state %v, queue %d)", what, srv.HealthState(), srv.QueueDepth())
+				t.Fatalf("%s: not within 2s (state %v, queue %d)", what, srv.health.current(), srv.pool.queueDepth())
 			}
 		}
 	}
 
-	waitFor("leave healthy under starvation", func() bool { return srv.HealthState() != Healthy })
+	waitFor("leave healthy under starvation", func() bool { return srv.health.current() != Healthy })
 	var first map[string]any
 	for _, ev := range srv.rec.journal.Snapshot() {
 		if ev.Kind == "health" {
@@ -383,7 +379,7 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 	}
 
 	chaos.chaosOn.Store(false)
-	waitFor("recover once the starvation ends", func() bool { return srv.HealthState() == Healthy })
+	waitFor("recover once the starvation ends", func() bool { return srv.health.current() == Healthy })
 }
 
 // TestOverloadChaosSoak is the env-gated overload soak behind `make chaos`:
@@ -417,18 +413,11 @@ func TestOverloadChaosSoak(t *testing.T) {
 	srv, ts, sch, ann, gNew := newTestServerWrap(t, Options{
 		Replicas:        2,
 		EstimateTimeout: budget,
-		ShedQueue:       maxQueue,
-		Health: HealthConfig{
-			EvalInterval:   5 * time.Millisecond,
-			DegradeWaitP99: 30 * time.Second,
-			ShedWaitP99:    time.Minute,
-		},
 	}, chaos.wrap)
+	boundQueue(srv, maxQueue)
+	quickHealth(srv, 5*time.Millisecond)
 	rng := rand.New(rand.NewSource(19))
-	probes := make([]query.Predicate, 8)
-	for i := range probes {
-		probes[i] = gNew.Gen(rng).Normalize(sch)
-	}
+	probe := gNew.Gen(rng).Normalize(sch)
 
 	// Chaos phase: open-ended load against starved replicas, the breaker
 	// signal forced open, and one adaptation period (with its delayed swap)
@@ -439,15 +428,17 @@ func TestOverloadChaosSoak(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(rng *rand.Rand) {
 			defer wg.Done()
-			for i := w; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				_, o := srv.EstimateBudget(probes[i%len(probes)], time.Now().Add(budget))
+				// A fresh predicate per request: a cache hit needs no
+				// replica, so only misses load the pool.
+				_, o := srv.estimateOne(gNew.Gen(rng).Normalize(sch), srv.health.current(), time.Now().Add(budget), nil)
 				switch {
 				case o.Shed:
 					shed.Add(1)
@@ -458,11 +449,11 @@ func TestOverloadChaosSoak(t *testing.T) {
 				}
 				// Transient overshoot of `workers` is the reservation
 				// window (Add before the bound check rolls back).
-				if d := srv.QueueDepth(); d > maxQueue+workers {
+				if d := srv.pool.queueDepth(); d > maxQueue+workers {
 					overBound.Add(1)
 				}
 			}
-		}(w)
+		}(rand.New(rand.NewSource(100 + int64(w))))
 	}
 
 	feedDrifted(t, ts, ann, gNew, rng, 25)
@@ -484,13 +475,13 @@ func TestOverloadChaosSoak(t *testing.T) {
 	chaos.chaosOn.Store(false)
 	srv.health.breakerOpen.Store(false)
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.HealthState() != Healthy && time.Now().Before(deadline) {
-		srv.EstimateBudget(probes[0], time.Now().Add(budget))
+	for srv.health.current() != Healthy && time.Now().Before(deadline) {
+		srv.estimateOne(gNew.Gen(rng).Normalize(sch), srv.health.current(), time.Now().Add(budget), nil)
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := srv.HealthState(); got != Healthy {
+	if got := srv.health.current(); got != Healthy {
 		t.Fatalf("server did not recover to healthy, state %v (wait_p99 %.3fs, queue %d, breaker %v, swap_start %d)",
-			got, srv.health.wait.p99(time.Now()), srv.QueueDepth(), srv.health.breakerOpen.Load(), srv.health.swapStart.Load())
+			got, srv.health.wait.p99(time.Now()), srv.pool.queueDepth(), srv.health.breakerOpen.Load(), srv.health.swapStart.Load())
 	}
 
 	// Every journaled health transition is one monotone step.
@@ -511,7 +502,7 @@ func TestOverloadChaosSoak(t *testing.T) {
 
 	// Byte-identity once healthy: two raw reads agree with each other, with
 	// the in-process model, and carry no degradation fields.
-	body, err := json.Marshal(predicateJSON{Lows: probes[0].Lows, Highs: probes[0].Highs})
+	body, err := json.Marshal(predicateJSON{Lows: probe.Lows, Highs: probe.Highs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +532,7 @@ func TestOverloadChaosSoak(t *testing.T) {
 	if err := json.Unmarshal(a, &est); err != nil {
 		t.Fatal(err)
 	}
-	if want := srv.Estimator().Estimate(probes[0]); est.Cardinality != want {
+	if want := srv.Estimator().Estimate(probe); est.Cardinality != want {
 		t.Errorf("post-recovery answer %v, want full-model %v", est.Cardinality, want)
 	}
 }
@@ -591,13 +582,9 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 	srv, _, sch, _, gNew := newTestServerWrap(t, Options{
 		Replicas:        clients,
 		EstimateTimeout: budget,
-		ShedQueue:       shedQueue,
-		Health: HealthConfig{
-			EvalInterval:   20 * time.Millisecond,
-			DegradeWaitP99: 30 * time.Second,
-			ShedWaitP99:    time.Minute,
-		},
 	}, chaos.wrap)
+	boundQueue(srv, shedQueue)
+	quickHealth(srv, 20*time.Millisecond)
 	rng := rand.New(rand.NewSource(17))
 	ref := srv.Estimator().Clone()
 	preds := make([]query.Predicate, 256)
@@ -607,27 +594,38 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 		want[i] = ref.Estimate(preds[i])
 	}
 
-	// Phase 1: closed-loop saturation, every answer checked.
-	var completed, diverged atomic.Int64
+	// Every request of phases 1–3 asks about a fresh predicate: a cache hit
+	// needs no replica, so only misses load the pool.
+	type answered struct {
+		p    query.Predicate
+		card float64
+	}
+
+	// Phase 1: closed-loop saturation, every answer checked once it ends.
+	var completed atomic.Int64
 	var wg sync.WaitGroup
+	served := make([][]answered, clients)
 	start := time.Now()
 	for w := 0; w < clients; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, rng *rand.Rand) {
 			defer wg.Done()
-			for i := w; time.Since(start) < satDur; i++ {
-				if srv.Estimate(preds[i%len(preds)]) != want[i%len(preds)] {
-					diverged.Add(1)
-				}
+			for time.Since(start) < satDur {
+				p := gNew.Gen(rng).Normalize(sch)
+				served[w] = append(served[w], answered{p, srv.Estimate(p)})
 				completed.Add(1)
 			}
-		}(w)
+		}(w, rand.New(rand.NewSource(200+int64(w))))
 	}
 	wg.Wait()
-	if n := diverged.Load(); n != 0 {
-		t.Fatalf("saturation: %d estimates diverged from the reference", n)
-	}
 	saturation := float64(completed.Load()) / time.Since(start).Seconds()
+	for _, as := range served {
+		for _, a := range as {
+			if want := ref.Estimate(a.p); a.card != want {
+				t.Fatalf("saturation: estimate %v diverged from the reference %v", a.card, want)
+			}
+		}
+	}
 
 	// Phase 2: open-loop arrivals at 2x saturation. The arrivals are the
 	// health machine's only clock, and each one samples the queue depth as
@@ -635,14 +633,14 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 	var ok, degraded, shed, maxShedLat, maxDepth atomic.Int64
 	perStep := max(1, int(2*saturation*step.Seconds()))
 	start = time.Now()
-	for s, idx := 0, 0; s < int(dur/step); s++ {
+	for s := 0; s < int(dur/step); s++ {
 		time.Sleep(time.Until(start.Add(time.Duration(s) * step)))
-		for j := 0; j < perStep; j, idx = j+1, idx+1 {
+		for j := 0; j < perStep; j++ {
 			wg.Add(1)
 			go func(p query.Predicate) {
 				defer wg.Done()
 				t0 := time.Now()
-				_, o := srv.EstimateBudget(p, t0.Add(budget))
+				_, o := srv.estimateOne(p, srv.health.current(), t0.Add(budget), nil)
 				switch {
 				case o.Shed:
 					shed.Add(1)
@@ -652,8 +650,8 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 				default:
 					ok.Add(1)
 				}
-				storeMax(&maxDepth, srv.QueueDepth())
-			}(preds[idx%len(preds)])
+				storeMax(&maxDepth, srv.pool.queueDepth())
+			}(gNew.Gen(rng).Normalize(sch))
 		}
 	}
 	wg.Wait()
@@ -676,11 +674,11 @@ func TestOverloadOpenLoop2xSaturation(t *testing.T) {
 	// overload must not have perturbed the served model.
 	chaos.chaosOn.Store(false)
 	recoverBy := time.Now().Add(10 * time.Second)
-	for srv.HealthState() != Healthy && time.Now().Before(recoverBy) {
-		srv.EstimateBudget(preds[0], time.Now().Add(budget))
+	for srv.health.current() != Healthy && time.Now().Before(recoverBy) {
+		srv.estimateOne(gNew.Gen(rng).Normalize(sch), srv.health.current(), time.Now().Add(budget), nil)
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := srv.HealthState(); got != Healthy {
+	if got := srv.health.current(); got != Healthy {
 		t.Fatalf("server did not recover to healthy (state %v)", got)
 	}
 	for i, p := range preds {

@@ -18,9 +18,9 @@ import (
 // /status and /statusz serve. The recorder is pure read-side plumbing —
 // nothing here runs on the estimate hot path unless the request was sampled.
 
-// Flight-recorder defaults, overridable through Options.
+// Flight-recorder sizes; only the drift window is an option.
 const (
-	defaultTraceBuf    = 64
+	traceBuf           = 64 // finished traces /status retains
 	defaultJournalCap  = 256
 	defaultDriftWindow = 5 * time.Minute
 	defaultExemplars   = 8
@@ -39,16 +39,12 @@ type flightRecorder struct {
 // newFlightRecorder builds the recorder from options; lifecycle events are
 // logged through logger.
 func newFlightRecorder(met *Metrics, logger *slog.Logger, opts Options) *flightRecorder {
-	buf := opts.TraceBuf
-	if buf <= 0 {
-		buf = defaultTraceBuf
-	}
 	window := opts.DriftWindow
 	if window <= 0 {
 		window = defaultDriftWindow
 	}
 	return &flightRecorder{
-		tracer:    obs.NewTracer(opts.TraceSample, buf),
+		tracer:    obs.NewTracer(opts.TraceSample, traceBuf),
 		journal:   obs.NewJournal(defaultJournalCap),
 		drift:     obs.NewDriftWatch(window, opts.DriftAlarmGMQ),
 		exemplars: obs.NewExemplars(defaultExemplars),
@@ -144,12 +140,11 @@ type statusDoc struct {
 	Costs      map[string]float64 `json:"costs"`
 	Health     string             `json:"health"`
 	QueueDepth int64              `json:"queue_depth"`
-	// Cache is nil when the estimate cache is off.
-	Cache   *cacheStatus   `json:"cache"`
-	Drift   obs.DriftState `json:"drift"`
-	WorstQ  []obs.Exemplar `json:"worst_q"`
-	Journal journalStatus  `json:"journal"`
-	Traces  []obs.Trace    `json:"traces"`
+	Cache      cacheStatus        `json:"cache"`
+	Drift      obs.DriftState     `json:"drift"`
+	WorstQ     []obs.Exemplar     `json:"worst_q"`
+	Journal    journalStatus      `json:"journal"`
+	Traces     []obs.Trace        `json:"traces"`
 }
 
 type cacheStatus struct {
@@ -178,9 +173,7 @@ func (s *Server) statusNow() statusDoc {
 	d.Generation = s.pool.generation()
 	d.Health = s.health.current().String()
 	d.QueueDepth = s.pool.queueDepth()
-	if s.cache != nil {
-		d.Cache = &cacheStatus{Entries: int64(s.met.cacheEntries.Value()), Capacity: s.cache.capacity}
-	}
+	d.Cache = cacheStatus{Entries: int64(s.met.cacheEntries.Value()), Capacity: s.cache.capacity}
 	d.Drift = s.rec.driftState(now)
 	d.WorstQ = s.rec.exemplars.WorstQ()
 	d.Journal = journalStatus{Total: s.rec.journal.Total(), Events: s.rec.journal.Snapshot()}
@@ -215,7 +208,7 @@ this page renders <a href="/status">/status</a>; every metric is on <a href="/me
 — admission queue depth {{.QueueDepth}}</p>
 
 <h2>Estimate cache</h2>
-{{with .Cache}}<p>entries {{.Entries}}/{{.Capacity}}</p>{{else}}<p>disabled (Options.EstimateCache is off)</p>{{end}}
+<p>entries {{.Cache.Entries}}/{{.Cache.Capacity}}</p>
 
 <h2>Drift watch</h2>
 {{if gt .Drift.Threshold 0.0}}

@@ -50,7 +50,7 @@ func getStatus(t *testing.T, base string) statusDoc {
 // estimate traced at sample-every-1, each with its batch size, generation
 // and stages nested inside the request's total.
 func TestDebugTracesEndpoint(t *testing.T) {
-	_, ts, _, _, gNew := newTestServerOpts(t, Options{TraceSample: 1, TraceBuf: 16})
+	_, ts, _, _, gNew := newTestServerOpts(t, Options{TraceSample: 1})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10; i++ {
 		p := gNew.Gen(rng)
@@ -266,7 +266,7 @@ func TestStatuszEndpoint(t *testing.T) {
 // recorder's synchronization) and checks the status document stays bounded.
 func TestDebugEndpointsBoundedUnderLoad(t *testing.T) {
 	_, ts, _, _, gNew := newTestServerOpts(t, Options{
-		TraceSample: 1, TraceBuf: 8, DriftWindow: time.Second, DriftAlarmGMQ: 2,
+		TraceSample: 1, DriftWindow: time.Second, DriftAlarmGMQ: 2,
 	})
 	rng := rand.New(rand.NewSource(11))
 	preds := make([]predicateJSON, 8)
@@ -310,10 +310,10 @@ func TestDebugEndpointsBoundedUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	// Bounded retention: the ring and journal never exceed their caps no
-	// matter how much traffic flowed.
+	// matter how much traffic flowed. 160 traced estimates fill the ring.
 	doc := getStatus(t, ts.URL)
-	if n := len(doc.Traces); n > 8 {
-		t.Errorf("/status carries %d traces, ring cap 8", n)
+	if n := len(doc.Traces); n != traceBuf {
+		t.Errorf("/status carries %d traces after 160 traced estimates, want the full ring of %d", n, traceBuf)
 	}
 	if n := len(doc.Journal.Events); n > defaultJournalCap {
 		t.Errorf("journal holds %d events, cap %d", n, defaultJournalCap)

@@ -192,7 +192,7 @@ func TestFailedPeriodRebufferIsBounded(t *testing.T) {
 	hooks := &modelHooks{}
 	hooks.failUpdate.Store(true)
 	ad, sch, ann, gNew := newTestAdapter(t, 91, func(lm *ce.LM) ce.Estimator { return &hookModel{LM: lm, h: hooks} })
-	srv := New(ad, sch)
+	srv := NewWithOptions(ad, sch, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	const n = 30

@@ -56,7 +56,7 @@ func failingUpdate(lm *ce.LM) ce.Estimator {
 func robustnessEnv(t *testing.T, wrap func(*ce.LM) ce.Estimator) (*Server, *httptest.Server, *annotator.Annotator, workload.Generator) {
 	t.Helper()
 	ad, sch, ann, gNew := newTestAdapter(t, 91, wrap)
-	srv := New(ad, sch)
+	srv := NewWithOptions(ad, sch, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, ann, gNew
@@ -94,6 +94,8 @@ func TestPanickingModelKeepsServing(t *testing.T) {
 		t.Fatalf("pre-panic estimate = %d", r.StatusCode)
 	}
 
+	// A predicate the cache has not seen, so the request reaches the model.
+	p = gNew.Gen(rng)
 	armed.Store(true)
 	r = postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, nil)
 	if r.StatusCode != http.StatusInternalServerError {
@@ -101,7 +103,8 @@ func TestPanickingModelKeepsServing(t *testing.T) {
 	}
 
 	// The panic must not have killed the server or orphaned the serving
-	// lock: the next requests complete normally.
+	// lock: the next requests complete normally. The panic cached nothing,
+	// so this one reaches the model too.
 	armed.Store(false)
 	var est estimateResponse
 	r = postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, &est)

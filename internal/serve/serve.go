@@ -45,7 +45,8 @@ import (
 	"warper/internal/wire"
 )
 
-// Options configures optional server features.
+// Options configures the server: its fields are warperd's command line.
+// The estimate cache and the binary batch endpoint are always on.
 type Options struct {
 	// Logger receives structured request logs (debug level) and every
 	// lifecycle event the journal records; nil discards both.
@@ -63,12 +64,10 @@ type Options struct {
 	// can estimate concurrently. 0 or negative defaults to GOMAXPROCS.
 	Replicas int
 	// TraceSample enables request tracing: one estimate (and period) request
-	// in every TraceSample is traced through the serving stages and retained
-	// for /status. 0 disables tracing; the disabled hot path costs one
-	// atomic load and allocates nothing.
+	// in every TraceSample is traced through the serving stages, and /status
+	// retains the last 64 traces. 0 disables tracing; the disabled hot path
+	// costs one atomic load and allocates nothing.
 	TraceSample int
-	// TraceBuf is how many finished traces /status retains (default 64).
-	TraceBuf int
 	// DriftWindow is the rolling window of the q-error drift watch
 	// (default 5m).
 	DriftWindow time.Duration
@@ -82,22 +81,15 @@ type Options struct {
 	// the X-Warper-Deadline-Ms header.
 	// 0 preserves the legacy contract: wait forever, no admission bound.
 	EstimateTimeout time.Duration
-	// ShedQueue bounds the admission queue of deadline-carrying estimates;
-	// arrival ShedQueue+1 is shed immediately with 429 + Retry-After. 0
-	// defaults to max(64, 16×Replicas).
-	ShedQueue int
-	// Health tunes the serving health state machine; zero fields default.
-	Health HealthConfig
-	// EstimateCache enables the generation-stamped predicate→cardinality
-	// cache in front of the replica pool: repeated predicates are answered
-	// byte-identically from memory until the next model swap (whose atomic
-	// generation bump invalidates the whole cache). Degraded, shed and
-	// deadline-missed answers are never cached.
-	EstimateCache bool
-	// CacheEntries bounds the estimate cache's total capacity across all
-	// shards (0 = 4096, at most maxCacheEntries). Full probe groups evict
-	// second-chance style.
+	// CacheEntries bounds the generation-stamped predicate→cardinality
+	// cache in front of the replica pool, across all shards (0 = 4096, at
+	// most maxCacheEntries). Full probe groups evict second-chance style.
 	CacheEntries int
+
+	// EstimateCache does nothing: the estimate cache is always on.
+	//
+	// Deprecated: a no-op, kept only because bench/ sets it by name.
+	EstimateCache bool
 	// CacheFlushOnAlarm does nothing. Between two swaps a cached answer is
 	// the model's own, bit for bit, so a flush on the drift alarm could
 	// only turn hits into misses — and, degraded or shedding, misses into
@@ -105,10 +97,9 @@ type Options struct {
 	//
 	// Deprecated: a no-op, kept only because bench/ sets it by name.
 	CacheFlushOnAlarm bool
-	// BinaryProtocol mounts the columnar binary batch endpoint, POST
-	// /estimate/batch (one frame per request). The wire format lives in
-	// internal/wire; decoded predicates view the request bytes in place and
-	// the steady path allocates nothing. Off by default.
+	// BinaryProtocol does nothing: POST /estimate/batch is always mounted.
+	//
+	// Deprecated: a no-op, kept only because bench/ sets it by name.
 	BinaryProtocol bool
 }
 
@@ -128,9 +119,8 @@ type Server struct {
 	// pool serves estimates from private model clones; handlePeriod swaps
 	// a repaired model in with one atomic generation bump.
 	pool *replicaPool
-	// cache, when non-nil, answers repeated predicates without touching the
-	// pool; entries are generation-stamped, so a model swap invalidates them
-	// wholesale (Options.EstimateCache).
+	// cache answers repeated predicates without touching the pool; entries
+	// are generation-stamped, so a model swap invalidates them wholesale.
 	cache   *estimateCache
 	buffer  []warper.Arrival
 	periods int
@@ -160,16 +150,9 @@ type Server struct {
 	// scratch is the free list of pooled request units every estimate entry
 	// point draws from (see estimate.go).
 	scratch chan *scratch
-	// wireOn mounts the binary batch endpoints (see binary.go).
-	wireOn bool
 }
 
-// New builds a Server around an adapter with default options.
-func New(a *warper.Adapter, sch *query.Schema) *Server {
-	return NewWithOptions(a, sch, Options{})
-}
-
-// NewWithOptions builds a Server with explicit options.
+// NewWithOptions builds a Server around an adapter.
 func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server {
 	s := &Server{
 		adapter:       a,
@@ -179,7 +162,6 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 		pprof:         opts.EnablePprof,
 		periodTimeout: opts.PeriodTimeout,
 		scratch:       make(chan *scratch, scratchPoolSize),
-		wireOn:        opts.BinaryProtocol,
 	}
 	if s.logger == nil {
 		// Discard at a level above every call site rather than relying on
@@ -196,14 +178,11 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 	// replica refreshes advance the source's RNG, and the adapter's seeded
 	// state must stay traffic-independent.
 	s.pool = newReplicaPool(a.ModelSnapshot(), n, s.met)
-	if opts.ShedQueue > 0 {
-		s.pool.maxQueue = int64(opts.ShedQueue)
-	}
 	s.estimateTimeout = opts.EstimateTimeout
 	// Build the fallback histogram up front from the adapter's live table.
 	s.fb = newFallbackLadder()
 	s.fb.refresh(a.Table())
-	s.health = newHealthTracker(opts.Health, s.pool.maxQueue, s.met, s.rec)
+	s.health = newHealthTracker(s.pool.maxQueue, s.met, s.rec)
 	s.met.onBreaker = func(st resilience.State) {
 		// An open annotation breaker is a degraded-health signal: the
 		// adapter cannot repair the model right now, so serving should stop
@@ -212,9 +191,7 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 		s.health.breakerOpen.Store(st != resilience.Closed)
 		s.rec.event(slog.LevelWarn, "breaker", 0, map[string]any{"state": st.String()})
 	}
-	if opts.EstimateCache {
-		s.cache = newEstimateCache(sch.FeatureDim(), cacheShards, opts.CacheEntries, s.met)
-	}
+	s.cache = newEstimateCache(sch.FeatureDim(), cacheShards, opts.CacheEntries, s.met)
 	s.refreshStatusLocked()
 	return s
 }
@@ -245,9 +222,7 @@ func (s *Server) refreshStatusLocked() {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /estimate", s.instrument("estimate", s.handleEstimate))
-	if s.wireOn {
-		mux.HandleFunc("POST /estimate/batch", s.instrument("estimate_batch", s.handleEstimateBatch))
-	}
+	mux.HandleFunc("POST /estimate/batch", s.instrument("estimate_batch", s.handleEstimateBatch))
 	mux.HandleFunc("POST /feedback", s.instrument("feedback", s.handleFeedback))
 	mux.HandleFunc("POST /period", s.instrument("period", s.handlePeriod))
 	mux.HandleFunc("GET /status", s.instrument("status", s.handleStatus))
@@ -673,13 +648,10 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 	// re-clone from the new generation's private source lazily, at their
 	// next checkout.
 	s.pool.swap(s.adapter.M)
-	if s.cache != nil {
-		// The generation bump IS the cache invalidation: every entry is
-		// stamped with the old generation and stops matching. Count it so
-		// operators can tell wholesale invalidations from per-entry
-		// evictions on /metrics.
-		s.met.cacheInvalidations.Inc()
-	}
+	// The generation bump IS the cache invalidation: every entry is stamped
+	// with the old generation and stops matching. Count it so operators can
+	// tell wholesale invalidations from per-entry evictions on /metrics.
+	s.met.cacheInvalidations.Inc()
 	// Refresh the fallback histogram against the post-period world: it
 	// re-reads the (possibly drifted) table. Under periodMu, so the table is
 	// not mid-mutation.
@@ -826,11 +798,3 @@ func decodeErrorCode(err error) int {
 func (s *Server) Estimator() ce.Estimator {
 	return s.pool.current()
 }
-
-// HealthState returns the current serving health state.
-func (s *Server) HealthState() HealthState { return s.health.current() }
-
-// QueueDepth returns how many estimates currently sit in the bounded
-// admission queue, for overload benchmarks and soak tests asserting the
-// queue stays bounded.
-func (s *Server) QueueDepth() int64 { return s.pool.queueDepth() }

@@ -45,6 +45,24 @@ func newTestServerWrap(t testing.TB, sopts Options, wrap func(*ce.LM) ce.Estimat
 	return srv, ts, sch, ann, gNew
 }
 
+// boundQueue sets srv's admission-queue bound to n, and the health
+// machine's queue threshold with it, as newReplicaPool and newHealthTracker
+// derive them for a pool whose bound is n. Call it before any traffic.
+func boundQueue(srv *Server, n int64) {
+	srv.pool.maxQueue = n
+	srv.health.queueHigh = queueHighFor(n)
+}
+
+// quickHealth makes srv's health machine evaluate at most once per every,
+// with its wait thresholds out of reach, so that queue depth and the breaker
+// drive the ladder: under the race detector a timed-out wait's measured
+// duration includes scheduler delays, and such samples would pin the machine
+// degraded for the length of the wait window. Call it before any traffic.
+func quickHealth(srv *Server, every time.Duration) {
+	srv.health.evalEvery = every
+	srv.health.degradeWait, srv.health.shedWait = 30*time.Second, time.Minute
+}
+
 // newTestAdapter builds the adaptation stack every server in these tests
 // sits on: a 2000-row PRSA table drawn from seed, an LM-mlp trained on 300
 // w1 predicates (passed through wrap, when given, before the adapter sees
@@ -119,7 +137,7 @@ func TestHealthz(t *testing.T) {
 // "…/" subtree covers the routes under it; and each endpoint either one
 // documents answers a request with neither 404 nor 405.
 func TestEndpointDocsMatchRoutes(t *testing.T) {
-	srv, _, _, _, _ := newTestServerOpts(t, Options{BinaryProtocol: true, EnablePprof: true})
+	srv, _, _, _, _ := newTestServerOpts(t, Options{EnablePprof: true})
 	h := srv.Handler()
 	read := func(path string) string {
 		b, err := os.ReadFile(path)

@@ -55,7 +55,7 @@ func Generate(n int, rng *rand.Rand) *DB {
 		for l := 0; l < lines; l++ {
 			q := float64(1 + rng.Intn(50))
 			// Extended price correlates with quantity, log-normal unit price.
-			unit := math.Exp(rng.NormFloat64()*0.4 + 6.9) // ≈ $1000 median
+			unit := math.Exp(float64(rng.NormFloat64()*0.4) + 6.9) // ≈ $1000 median
 			ep := q * unit
 			d := float64(rng.Intn(11)) / 100 // 0.00..0.10
 			ship := odate[i] + float64(1+rng.Intn(120))
@@ -64,7 +64,7 @@ func Generate(n int, rng *rand.Rand) *DB {
 			eprice = append(eprice, ep)
 			disc = append(disc, d)
 			sdate = append(sdate, ship)
-			orderTotal += ep * (1 - d)
+			orderTotal += float64(ep * (1 - d))
 		}
 		price[i] = orderTotal
 	}

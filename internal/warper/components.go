@@ -251,7 +251,7 @@ const noiseScale = 0.4
 // seen predicates).
 func (c *components) noisyInto(dst, z, sigma []float64) {
 	for i := range z {
-		dst[i] = z[i] + c.rng.NormFloat64()*sigma[i]*noiseScale
+		dst[i] = z[i] + float64(c.rng.NormFloat64()*sigma[i]*noiseScale)
 	}
 }
 
@@ -292,7 +292,7 @@ func (c *components) embeddingStd(entries []*pool.Entry) []float64 {
 		if len(e.Z) == embedDim {
 			for d, z := range e.Z {
 				dev := z - mean[d]
-				sigma[d] += dev * dev
+				sigma[d] += float64(dev * dev)
 			}
 		}
 	}

@@ -168,7 +168,7 @@ func embedDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -177,13 +177,13 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(pos)
 	if lo >= len(sorted)-1 {
 		return sorted[len(sorted)-1]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // dedup removes duplicate entries while preserving order.

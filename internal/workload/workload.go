@@ -73,8 +73,8 @@ type W1 struct{ base }
 func (w *W1) Gen(rng *rand.Rand) query.Predicate {
 	p := query.NewFullRange(w.sch)
 	for _, c := range w.pickCols(rng) {
-		lo := w.sch.Mins[c] + rng.Float64()*(w.sch.Maxs[c]-w.sch.Mins[c])
-		hi := w.sch.Mins[c] + rng.Float64()*(w.sch.Maxs[c]-w.sch.Mins[c])
+		lo := w.sch.Mins[c] + float64(rng.Float64()*(w.sch.Maxs[c]-w.sch.Mins[c]))
+		hi := w.sch.Mins[c] + float64(rng.Float64()*(w.sch.Maxs[c]-w.sch.Mins[c]))
 		p.SetRange(c, lo, hi)
 	}
 	return p.Normalize(w.sch)
@@ -102,7 +102,7 @@ func (w *W2) logDraw(c int, rng *rand.Rand) float64 {
 	mn, mx := w.sch.Mins[c], w.sch.Maxs[c]
 	off := 1 - mn // shift so the range starts at 1 for the log transform
 	llo, lhi := math.Log(mn+off), math.Log(mx+off)
-	u := llo + rng.Float64()*(lhi-llo)
+	u := llo + float64(rng.Float64()*(lhi-llo))
 	return math.Exp(u) - off
 }
 
@@ -120,7 +120,11 @@ func (w *W3) Gen(rng *rand.Rand) query.Predicate {
 	for _, c := range w.pickCols(rng) {
 		center := w.tbl.Cols[c].Vals[r]
 		width := rng.Float64() * (w.sch.Maxs[c] - w.sch.Mins[c]) * 0.5
-		p.SetRange(c, center-width/2, center+width/2)
+		// Each half-width is converted so that arm64 cannot fuse it into
+		// the add. Spelled alike, the two conversions reorder two integer
+		// compares in amd64's code; spelled apart, amd64 compiles this loop
+		// exactly as it compiles the unconverted expressions.
+		p.SetRange(c, center-float64(width/2), center+float64(width*0.5))
 	}
 	return p.Normalize(w.sch)
 }
@@ -245,7 +249,11 @@ func (w *W5) Gen(rng *rand.Rand) query.Predicate {
 		}
 		center := w.tbl.Cols[c].Vals[rows[rng.Intn(len(rows))]]
 		width := rng.Float64() * (w.sch.Maxs[c] - w.sch.Mins[c]) * 0.5
-		p.SetRange(c, center-width/2, center+width/2)
+		// Each half-width is converted so that arm64 cannot fuse it into
+		// the add. Spelled alike, the two conversions reorder two integer
+		// compares in amd64's code; spelled apart, amd64 compiles this loop
+		// exactly as it compiles the unconverted expressions.
+		p.SetRange(c, center-float64(width/2), center+float64(width*0.5))
 	}
 	return p.Normalize(w.sch)
 }
