@@ -98,9 +98,15 @@ func admissionOutcome(state HealthState, breaker, held, budgeted bool) EstimateO
 // POST /estimate, a one-row binary frame and row 280 of a 300-row binary
 // frame (its second 256-row group) gets the same cardinality bits, the same
 // outcome class and reason, and charges the same per-reason counter once
-// per group — and only full-model answers ever reach the cache. It walks
-// the admission table on one server.
+// per group — and only full-model answers ever reach the cache. The cache
+// is always on, so the one subtest keeps the name it had when a cache-off
+// server could still be built.
 func TestEntryPointsAgree(t *testing.T) {
+	t.Run("cache=true", entryPointsAgree)
+}
+
+// entryPointsAgree walks the admission table on one server.
+func entryPointsAgree(t *testing.T) {
 	type health struct {
 		name    string
 		state   HealthState
