@@ -40,6 +40,20 @@ import (
 // reader snapshots seq, reads the stamped words and the key, and accepts
 // only if seq was even and unchanged. Writers (inserts only) serialize per
 // shard on a mutex that no reader ever touches.
+//
+// Admission is on second sighting (TinyLFU's doorkeeper: Einziger, Friedman
+// & Manes, arXiv:1512.00727), and residence is on probation. An insert that
+// finds its key, an empty slot or a stale-generation slot writes at once, so
+// a fresh cache and every post-swap refill fill on the first miss. Into a
+// group of live same-generation entries, only a predicate the shard's
+// doorkeeper has seen before evicts, second-chance style; a first sighting
+// leaves its fingerprint there and is declined, storing no entry. Every
+// entry lives in probation windows of probation·capacity inserts of its
+// shard: one not hit during its window is retired when the window ends,
+// freeing its slot for the next insert. So a stream of one-off predicates
+// writes only as fast as windows end — not on every miss — and no entry
+// outlives a window and a bit unless it is asked for: a stream that never
+// repeats within a few capacities never hits, as under plain second chance.
 type estimateCache struct {
 	shards []cacheShard
 	// shardMask selects a shard from the hash's low bits (len(shards)-1,
@@ -50,6 +64,8 @@ type estimateCache struct {
 	keyLen int
 	// capacity is the total entry count across shards, for /status.
 	capacity int
+	// declined counts inserts the doorkeeper turned away, for /status.
+	declined atomic.Int64
 	met      *Metrics
 }
 
@@ -69,7 +85,8 @@ type cacheEntry struct {
 	gen  atomic.Uint64
 	// card holds math.Float64bits of the cached cardinality.
 	card atomic.Uint64
-	// used is the clock/second-chance reference bit.
+	// used is the clock/second-chance reference bit, cleared by a write
+	// and set by a hit.
 	used atomic.Uint32
 }
 
@@ -86,7 +103,33 @@ type cacheShard struct {
 	mask uint64
 	// hand is the per-shard second-chance clock hand, advanced under mu.
 	hand uint64
+	// door is the admission doorkeeper, guarded by mu and never read by
+	// get: one 32-bit fingerprint word per slot, direct-mapped. A declined
+	// first sighting overwrites its word, so a predicate earns an eviction
+	// only if it recurs before another first sighting takes its word — on
+	// average within one shard's capacity of them.
+	door []uint32
+	// tick counts the shard's inserts, and born holds the tick at which
+	// each slot's probation window began. Both are guarded by mu and never
+	// read by get.
+	tick uint32
+	born []uint32
 }
+
+// probation is the length of an entry's probation window, in inserts per
+// slot of its shard. An entry whose window has ended expires if it was not
+// hit during it, and starts a new window with its reference bit cleared if
+// it was; a write or a second-chance pass starts one too. It must stay
+// below the shortest cycle of distinct predicates that should never hit, in
+// capacities: the tiny benchmark stream repeats after four, and an expired
+// entry waits for an insert into its group.
+const probation = 2
+
+// doorShift drops the hash's shard bits (h&shardMask: bits 0–2 for
+// cacheShards) from a door word's index, hash bits 3 and up; the
+// fingerprint is the slot word h>>32. A false admit — another predicate's
+// fingerprint in the word — needs both to match.
+const doorShift = 3
 
 // Cache geometry. Only the capacity is an option (Options.CacheEntries).
 const (
@@ -139,6 +182,8 @@ func newEstimateCache(keyLen, shards, entries int, met *Metrics) *estimateCache 
 		c.shards[i].ents = make([]cacheEntry, per)
 		c.shards[i].keys = make([]atomic.Uint64, per*keyLen)
 		c.shards[i].mask = uint64(per - 1)
+		c.shards[i].door = make([]uint32, per)
+		c.shards[i].born = make([]uint32, per)
 	}
 	return c
 }
@@ -188,7 +233,7 @@ func (sh *cacheShard) keyEqual(slot, keyLen int, p query.Predicate) bool {
 
 // get probes the cache for p (with hash cacheHash(p)) against the given
 // serving generation. It is lock-free: at most cacheWays seqlock reads. A
-// hit marks the entry recently used for the second-chance clock.
+// hit marks the entry referenced for the second-chance clock.
 func (c *estimateCache) get(p query.Predicate, h, gen uint64) (float64, bool) {
 	sh := &c.shards[h&c.shardMask]
 	base := (h >> 32) & sh.mask
@@ -223,9 +268,9 @@ func (c *estimateCache) get(p query.Predicate, h, gen uint64) (float64, bool) {
 // each shard the group has rows in once, in ascending shard order, never two
 // at once, and inserts that shard's rows in group order — each shard sees
 // the same insert sequence as row-at-a-time inserts would give it. The entry
-// count and the eviction counter move once per group.
+// count and the eviction and decline counters move once per group.
 func (c *estimateCache) putMisses(group []query.Predicate, hashes []uint64, miss []int, gen uint64, cards []float64) {
-	fresh, evicted := 0, 0
+	fresh, evicted, declined := 0, 0, 0
 	for s := range c.shards {
 		sh, locked := &c.shards[s], false
 		for j, i := range miss {
@@ -236,11 +281,13 @@ func (c *estimateCache) putMisses(group []query.Predicate, hashes []uint64, miss
 				sh.mu.Lock()
 				locked = true
 			}
-			switch sh.insert(group[i], hashes[i], gen, cards[j], c.keyLen) {
+			what, ev := sh.insert(group[i], hashes[i], gen, cards[j], c.keyLen)
+			evicted += ev
+			switch what {
 			case insertFresh:
 				fresh++
-			case insertEvicted:
-				evicted++
+			case insertDeclined:
+				declined++
 			}
 		}
 		if locked {
@@ -253,21 +300,31 @@ func (c *estimateCache) putMisses(group []query.Predicate, hashes []uint64, miss
 	if evicted > 0 {
 		c.met.cacheEvictions.Add(int64(evicted))
 	}
+	if declined > 0 {
+		c.declined.Add(int64(declined))
+	}
 }
 
-// What one insert did to its probe group.
+// What one insert did with its answer.
 const (
-	insertReused  = iota // overwrote the same key or a stale entry
-	insertFresh          // filled an empty slot
-	insertEvicted        // evicted a live same-generation entry
+	insertReused   = iota // overwrote the same key, a stale entry or an evicted one
+	insertFresh           // filled an empty slot
+	insertDeclined        // a first sighting into a full group: stored nothing
 )
 
-// insert writes p's answer into its probe group under sh.mu. Within the
-// group it prefers, in order: the same key (refresh in place), an empty
-// slot, a stale entry (old generation), then a second-chance eviction of a
-// live entry.
-func (sh *cacheShard) insert(p query.Predicate, h, gen uint64, card float64, keyLen int) int {
+// insert writes p's answer into its probe group under sh.mu. On the way it
+// ends the probation window of every live entry in the group whose window
+// is over: an entry not hit during it is retired (stamped generation 0,
+// which no lookup asks for), one that was hit starts a new window. Within
+// the group it then prefers, in order: the same key (refresh in place), an
+// empty slot, a stale entry (old generation or retired), then — for a
+// predicate the doorkeeper has seen before — a second-chance eviction of a
+// live entry. Otherwise it declines. evicted counts the live entries it
+// retired or evicted.
+func (sh *cacheShard) insert(p query.Predicate, h, gen uint64, card float64, keyLen int) (what, evicted int) {
 	base := (h >> 32) & sh.mask
+	sh.tick++
+	window := uint32(probation * len(sh.ents))
 	victim, empty, stale := -1, -1, -1
 	for i := uint64(0); i < cacheWays; i++ {
 		slot := int((base + i) & sh.mask)
@@ -282,27 +339,44 @@ func (sh *cacheShard) insert(p query.Predicate, h, gen uint64, card float64, key
 			victim = slot // same predicate: overwrite its slot
 			break
 		}
-		if stale < 0 && e.gen.Load() != gen {
+		g := e.gen.Load()
+		if g == gen && sh.tick-sh.born[slot] >= window {
+			// Its probation window has ended.
+			if e.used.Load() == 0 {
+				e.gen.Store(0) // not hit during it: retired
+				g = 0
+				evicted++
+			} else {
+				e.used.Store(0) // hit: a new window
+				sh.born[slot] = sh.tick
+			}
+		}
+		if stale < 0 && g != gen {
 			stale = slot
 		}
 	}
-	what := insertReused
+	what = insertReused
 	switch {
 	case victim >= 0:
 	case empty >= 0:
 		victim, what = empty, insertFresh
 	case stale >= 0:
 		victim = stale
+	case !sh.seenBefore(h):
+		return insertDeclined, evicted
 	default:
-		// Every way holds a live same-generation entry: second-chance scan.
-		// The first pass clears reference bits; the second pass must find a
-		// victim, so the loop is bounded at two laps.
+		// Every way holds a live same-generation entry in its probation
+		// window, and p was seen before: second-chance scan. The first pass clears
+		// reference bits, starting each cleared entry's next probation
+		// window; the second pass must find a victim, so the loop is bounded
+		// at two laps.
 		for lap := 0; lap < 2*cacheWays; lap++ {
 			slot := int((base + sh.hand%cacheWays) & sh.mask)
 			sh.hand++
 			e := &sh.ents[slot]
 			if e.used.Load() != 0 {
 				e.used.Store(0)
+				sh.born[slot] = sh.tick
 				continue
 			}
 			victim = slot
@@ -311,7 +385,7 @@ func (sh *cacheShard) insert(p query.Predicate, h, gen uint64, card float64, key
 		if victim < 0 {
 			victim = int(base & sh.mask)
 		}
-		what = insertEvicted
+		evicted++
 	}
 	e := &sh.ents[victim]
 	e.seq.Add(1) // odd: readers skip while the words below are in flux
@@ -326,7 +400,20 @@ func (sh *cacheShard) insert(p query.Predicate, h, gen uint64, card float64, key
 	for i, v := range p.Highs {
 		k[d+i].Store(math.Float64bits(v))
 	}
-	e.used.Store(1)
+	e.used.Store(0)
+	sh.born[victim] = sh.tick
 	e.seq.Add(1) // even: the entry is visible again
-	return what
+	return what, evicted
+}
+
+// seenBefore is the doorkeeper, consulted under sh.mu: it reports whether
+// h's door word holds h's fingerprint, and writes it there if not.
+func (sh *cacheShard) seenBefore(h uint64) bool {
+	w := &sh.door[(uint32(h)>>doorShift)&uint32(len(sh.door)-1)]
+	f := uint32(h>>32) | 1 // never 0, the empty word
+	if *w == f {
+		return true
+	}
+	*w = f
+	return false
 }

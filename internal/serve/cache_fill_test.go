@@ -32,9 +32,10 @@ func fillGroup(keyLen, rows, distinct int, base float64) ([]query.Predicate, []u
 
 // TestPutMissesMatchesRowPuts pins the grouped fill to the row-at-a-time
 // one: the same groups through putMisses and through one put per row leave
-// every slot, key, clock hand and counter identical — each shard sees the
-// same insert sequence — across fresh slots, same-key refreshes within a
-// group, stale generations and second-chance evictions.
+// every slot, key, clock hand, probation tick, doorkeeper word and counter
+// identical — each shard sees the same insert sequence — across fresh
+// slots, same-key refreshes within a group, stale generations, probation
+// retirements, declined first sightings and second-chance evictions.
 func TestPutMissesMatchesRowPuts(t *testing.T) {
 	const keyLen = 6
 	grouped := newEstimateCache(keyLen, cacheShards, 256, NewMetrics())
@@ -49,8 +50,13 @@ func TestPutMissesMatchesRowPuts(t *testing.T) {
 	}
 	for s := range grouped.shards {
 		a, b := &grouped.shards[s], &rows.shards[s]
-		if a.hand != b.hand {
-			t.Fatalf("shard %d: clock hand %d, row-at-a-time %d", s, a.hand, b.hand)
+		if a.hand != b.hand || a.tick != b.tick {
+			t.Fatalf("shard %d: clock hand %d, tick %d; row-at-a-time %d, %d", s, a.hand, a.tick, b.hand, b.tick)
+		}
+		for i := range a.door {
+			if a.door[i] != b.door[i] || a.born[i] != b.born[i] {
+				t.Fatalf("shard %d: door word or window start %d differs from the row-at-a-time fill", s, i)
+			}
 		}
 		for i := range a.ents {
 			ea, eb := &a.ents[i], &b.ents[i]
@@ -71,13 +77,15 @@ func TestPutMissesMatchesRowPuts(t *testing.T) {
 	}{
 		{"estimate_cache_entries", grouped.met.cacheEntries.Value(), rows.met.cacheEntries.Value()},
 		{"estimate_cache_evictions_total", float64(grouped.met.cacheEvictions.Value()), float64(rows.met.cacheEvictions.Value())},
+		{"declined", float64(grouped.declined.Load()), float64(rows.declined.Load())},
 	} {
 		if m.a != m.b {
 			t.Errorf("%s = %v, row-at-a-time %v", m.name, m.a, m.b)
 		}
 	}
-	if grouped.met.cacheEvictions.Value() == 0 {
-		t.Error("no eviction: the groups never filled a probe group")
+	if grouped.met.cacheEvictions.Value() == 0 || grouped.declined.Load() == 0 {
+		t.Errorf("%d evictions, %d declined: the groups never took both branches of a full probe group",
+			grouped.met.cacheEvictions.Value(), grouped.declined.Load())
 	}
 }
 
@@ -113,23 +121,71 @@ func TestPutMissesConcurrentCount(t *testing.T) {
 }
 
 // BenchmarkCacheFillGroup is the uncached path's cache fill: one wire group
-// of 256 distinct full-model answers per op through putMisses, inserted from
-// b.RunParallel goroutines so that the cores contend for the shard locks the
-// way concurrent binary requests do. Each goroutine cycles through 16 groups
-// of its own — 4096 keys of the default 9-column width against the default
-// 4096-slot cache — so inserts mix empty slots and evictions as a
-// cache-bypassing stream does. Steady state must report 0 allocs/op.
+// of 256 distinct full-model answers per op through putMisses, into the
+// default 4096-slot cache filled before the timer starts, with keys of the
+// default 9-column width: every insert finds its probe group full of live
+// entries. The two sub-benchmarks time the two ways such an insert goes,
+// and steady state must report 0 allocs/op for both:
+//
+//   - evict: 16 groups, cycled, each sent twice with the second send timed:
+//     second
+//     sightings, which evict and write (or refresh a row the first send
+//     wrote into a slot probation had freed). It runs on one goroutine,
+//     because only b.StopTimer can leave the first send out and RunParallel
+//     has no per-goroutine timer.
+//   - declined: first sightings of 64 groups per worker, cycled — over four
+//     capacities per worker, so that no key recurs within its probation
+//     window — inserted from b.RunParallel goroutines so that the cores
+//     contend for the shard locks the way concurrent binary
+//     requests do. Most are declined without a store; the rest take the
+//     slots of entries retired at the end of their probation window, as on
+//     a never-repeating stream (declined/row reports the share).
 func BenchmarkCacheFillGroup(b *testing.B) {
-	const keyLen, groups = 18, 16
-	type group struct {
-		preds  []query.Predicate
-		hashes []uint64
-	}
-	workers := make([][]group, runtime.GOMAXPROCS(0))
+	b.Run("evict", func(b *testing.B) {
+		c, workers, miss, cards := fullCacheFill(1, 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, g := 0, 0; i < b.N; i, g = i+1, (g+1)%len(workers[0]) {
+			grp := workers[0][g]
+			b.StopTimer()
+			c.putMisses(grp.preds, grp.hashes, miss, 1, cards)
+			b.StartTimer()
+			c.putMisses(grp.preds, grp.hashes, miss, 1, cards)
+		}
+	})
+	b.Run("declined", func(b *testing.B) {
+		c, workers, miss, cards := fullCacheFill(runtime.GOMAXPROCS(0), 64)
+		var next atomic.Int64
+		declined := c.declined.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			mine := workers[int(next.Add(1)-1)%len(workers)]
+			for g := 0; pb.Next(); g = (g + 1) % len(mine) {
+				c.putMisses(mine[g].preds, mine[g].hashes, miss, 1, cards)
+			}
+		})
+		b.ReportMetric(float64(c.declined.Load()-declined)/float64(b.N*wireGroupRows), "declined/row")
+	})
+}
+
+// fillGroupKeys is one wire group's keys and their hashes.
+type fillGroupKeys struct {
+	preds  []query.Predicate
+	hashes []uint64
+}
+
+// fullCacheFill builds BenchmarkCacheFillGroup's state: a default-sized
+// cache with every slot holding a key no group sends, the given number of
+// groups of distinct keys for each of n workers, an all-miss index and
+// answers.
+func fullCacheFill(n, groups int) (*estimateCache, [][]fillGroupKeys, []int, []float64) {
+	const keyLen = 18
+	workers := make([][]fillGroupKeys, n)
 	for w := range workers {
-		workers[w] = make([]group, groups)
+		workers[w] = make([]fillGroupKeys, groups)
 		for g := range workers[w] {
-			grp := group{make([]query.Predicate, wireGroupRows), make([]uint64, wireGroupRows)}
+			grp := fillGroupKeys{make([]query.Predicate, wireGroupRows), make([]uint64, wireGroupRows)}
 			for r := range grp.preds {
 				grp.preds[r] = cacheKey(keyLen, float64((w*groups+g)*wireGroupRows+r))
 				grp.hashes[r] = cacheHash(grp.preds[r])
@@ -142,13 +198,9 @@ func BenchmarkCacheFillGroup(b *testing.B) {
 		miss[i], cards[i] = i, float64(i)
 	}
 	c := newEstimateCache(keyLen, cacheShards, 0, NewMetrics())
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		mine := workers[int(next.Add(1)-1)%len(workers)]
-		for g := 0; pb.Next(); g = (g + 1) % groups {
-			c.putMisses(mine[g].preds, mine[g].hashes, miss, 1, cards)
-		}
-	})
+	for base := 0; c.met.cacheEntries.Value() < float64(c.capacity); base += wireGroupRows {
+		preds, hashes, miss, cards := fillGroup(keyLen, wireGroupRows, wireGroupRows, -1e9-float64(base))
+		c.putMisses(preds, hashes, miss, 1, cards)
+	}
+	return c, workers, miss, cards
 }

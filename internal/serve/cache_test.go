@@ -81,33 +81,185 @@ func TestEstimateCachePutGet(t *testing.T) {
 func TestEstimateCacheEviction(t *testing.T) {
 	met := NewMetrics()
 	// One shard of exactly cacheWays slots: every probe group covers the
-	// whole shard, so cacheWays+1 live same-generation inserts must evict.
+	// whole shard, so the (cacheWays+1)th live same-generation key finds its
+	// group full.
 	c := newEstimateCache(4, 1, cacheWays, met)
 	keys := make([]query.Predicate, cacheWays+1)
 	for i := range keys {
 		keys[i] = cacheKey(4, float64(i)+0.25)
-		c.put(keys[i], cacheHash(keys[i]), 1, float64(i))
 	}
-	if met.cacheEvictions.Value() == 0 {
-		t.Error("no eviction after overfilling a full probe group")
+	for i, k := range keys[:cacheWays] {
+		c.put(k, cacheHash(k), 1, float64(i))
+	}
+	resident := func(i int) bool {
+		card, ok := c.get(keys[i], cacheHash(keys[i]), 1)
+		return ok && card == float64(i)
+	}
+
+	// A first sighting into the full group is declined: nothing is stored,
+	// nothing evicted, and the group keeps every entry.
+	last := keys[cacheWays]
+	c.put(last, cacheHash(last), 1, float64(cacheWays))
+	if ev, d := met.cacheEvictions.Value(), c.declined.Load(); ev != 0 || d != 1 {
+		t.Errorf("first sighting into a full group: %d evictions, %d declined; want 0 and 1", ev, d)
+	}
+	for i := range keys[:cacheWays] {
+		if !resident(i) {
+			t.Errorf("key %d lost to a declined insert", i)
+		}
+	}
+	if resident(cacheWays) {
+		t.Error("a declined insert is resident")
+	}
+
+	// The second sighting evicts, and the newest insert is resident
+	// (second-chance always finds a victim for it).
+	c.put(last, cacheHash(last), 1, float64(cacheWays))
+	if ev := met.cacheEvictions.Value(); ev != 1 {
+		t.Errorf("second sighting into a full group: %d evictions, want 1", ev)
 	}
 	if n := int64(c.met.cacheEntries.Value()); n > int64(cacheWays) {
 		t.Errorf("entries = %d beyond capacity %d", n, cacheWays)
 	}
-	// The newest insert must be resident (second-chance always finds a
-	// victim for it).
-	last := keys[cacheWays]
-	if card, ok := c.get(last, cacheHash(last), 1); !ok || card != float64(cacheWays) {
-		t.Errorf("newest insert not resident: get = %v, %v", card, ok)
+	if !resident(cacheWays) {
+		t.Error("newest insert not resident after its second sighting")
 	}
 
 	// Stale (old-generation) entries are preferred victims: inserting at a
-	// new generation reclaims them without charging an eviction.
-	before := met.cacheEvictions.Value()
+	// new generation reclaims them without charging an eviction and without
+	// asking the doorkeeper.
+	before, declined := met.cacheEvictions.Value(), c.declined.Load()
 	k := cacheKey(4, 99.5)
 	c.put(k, cacheHash(k), 2, 7)
 	if got := met.cacheEvictions.Value(); got != before {
 		t.Errorf("evictions %d -> %d; overwriting a stale generation should be free", before, got)
+	}
+	if got := c.declined.Load(); got != declined {
+		t.Errorf("declined %d -> %d; a stale slot takes a first sighting", declined, got)
+	}
+	if card, ok := c.get(k, cacheHash(k), 2); !ok || card != 7 {
+		t.Errorf("first sighting into a stale slot not resident: get = %v, %v", card, ok)
+	}
+}
+
+// TestEstimateCacheProbation pins the probation window: at its end an entry
+// that was not hit during it is retired and its slot taken by the next
+// insert, while one that was hit stays and starts a new window — which it
+// must earn again.
+func TestEstimateCacheProbation(t *testing.T) {
+	met := NewMetrics()
+	// One shard of cacheWays slots, one probe group: a window is
+	// probation·cacheWays inserts.
+	const window = probation * cacheWays
+	c := newEstimateCache(4, 1, cacheWays, met)
+	keys := make([]query.Predicate, cacheWays)
+	for i := range keys {
+		keys[i] = cacheKey(4, float64(i)+0.25)
+		c.put(keys[i], cacheHash(keys[i]), 1, float64(i))
+	}
+	resident := func(k query.Predicate) bool {
+		_, ok := c.get(k, cacheHash(k), 1)
+		return ok
+	}
+	if !resident(keys[0]) {
+		t.Fatal("key 0 not resident")
+	}
+	// First sightings, one window and a group's worth: declined until the
+	// windows end, then they take the retired slots.
+	next := 100.25
+	sight := func(n int) {
+		for ; n > 0; n-- {
+			k := cacheKey(4, next)
+			next++
+			c.put(k, cacheHash(k), 1, 0)
+		}
+	}
+	sight(window + cacheWays)
+	if ev, d := met.cacheEvictions.Value(), c.declined.Load(); ev != cacheWays-1 || d == 0 {
+		t.Errorf("%d evictions, %d declined; want the %d unhit entries retired after some declines", ev, d, cacheWays-1)
+	}
+	for _, k := range keys[1:] {
+		if resident(k) {
+			t.Error("an entry never hit outlived its probation window")
+		}
+	}
+	if !resident(keys[0]) { // a hit in its new window
+		t.Fatal("the entry hit during its window was retired")
+	}
+	// It starts one more window at the end of this one, and that window
+	// passes without a hit: it is retired too.
+	sight(2*window + cacheWays)
+	if resident(keys[0]) {
+		t.Error("an entry not hit during its second window outlived it")
+	}
+}
+
+// TestEstimateCacheScanKeepsHotSet pins the scan resistance admission buys:
+// one pass of fresh predicates, sixteen times the capacity, through a full
+// cache leaves a hot set resident as long as it keeps being asked for (once
+// per capacity of the scan, well inside a probation window). First
+// sightings take only the slots of entries retired unhit, at most one per
+// slot per probation window, and a second sighting still evicts.
+func TestEstimateCacheScanKeepsHotSet(t *testing.T) {
+	const keyLen = 6
+	met := NewMetrics()
+	c := newEstimateCache(keyLen, cacheShards, 1024, met)
+	// Warm the hot set: a quarter of the capacity, keeping the keys that
+	// found room (a crowded probe group declines a first sighting even
+	// while the cache has room elsewhere).
+	var hot []query.Predicate
+	for i := 0; len(hot) < c.capacity/4; i++ {
+		k := cacheKey(keyLen, float64(i)+0.5)
+		c.put(k, cacheHash(k), 1, float64(i))
+		if _, ok := c.get(k, cacheHash(k), 1); ok {
+			hot = append(hot, k)
+		}
+	}
+	lost := func() int {
+		n := 0
+		for _, k := range hot {
+			if _, ok := c.get(k, cacheHash(k), 1); !ok {
+				n++
+			}
+		}
+		return n
+	}
+
+	scan := 16 * c.capacity
+	for base := 0; base < scan; base += wireGroupRows {
+		preds, hashes, miss, cards := fillGroup(keyLen, wireGroupRows, wireGroupRows, 1e6+float64(base))
+		c.putMisses(preds, hashes, miss, 1, cards)
+		if (base+wireGroupRows)%c.capacity == 0 {
+			if n := lost(); n != 0 {
+				t.Fatalf("after %d scanned predicates %d of %d hot keys are gone", base+wireGroupRows, n, len(hot))
+			}
+		}
+	}
+	if ev, bound := met.cacheEvictions.Value(), int64(scan/probation); ev > bound {
+		t.Errorf("the scan of %d first sightings evicted %d entries, want at most %d (one per slot per window)", scan, ev, bound)
+	}
+	if n := int64(met.cacheEntries.Value()); n != int64(c.capacity) {
+		t.Errorf("entries = %d after the scan, want a full cache of %d", n, c.capacity)
+	}
+
+	// A predicate declined on its first sighting is admitted on its
+	// second, evicting an entry in its window.
+	for i := 0; ; i++ {
+		k := cacheKey(keyLen, -7.5-float64(i))
+		declined := c.declined.Load()
+		c.put(k, cacheHash(k), 1, 3)
+		if c.declined.Load() == declined {
+			continue // its group had a slot to give; try another
+		}
+		evictions := met.cacheEvictions.Value()
+		c.put(k, cacheHash(k), 1, 3)
+		if ev := met.cacheEvictions.Value() - evictions; ev != 1 {
+			t.Errorf("second sighting: %d evictions, want 1", ev)
+		}
+		if card, ok := c.get(k, cacheHash(k), 1); !ok || card != 3 {
+			t.Errorf("second-sighted key not resident: get = %v, %v", card, ok)
+		}
+		break
 	}
 }
 

@@ -159,7 +159,9 @@ func (s *Server) estimateIn(sc *scratch, p query.Predicate, h HealthState, deadl
 //
 // A cache hit is admission-free — it consumes no replica and no queue slot —
 // so hits serve even in degraded and shedding states: an exact model answer
-// for ~100 ns is strictly better than a fallback answer or a 429.
+// for ~100 ns is strictly better than a fallback answer or a 429. While the
+// state is not healthy an all-hit group still offers a health evaluation,
+// as admit does for a group that misses.
 func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float64, h HealthState, deadline time.Time, tr *obs.Trace) (uint64, EstimateOutcome) {
 	c := s.cache
 	tr.EnterStage("cache")
@@ -180,6 +182,12 @@ func (s *Server) estimateGroup(sc *scratch, group []query.Predicate, out []float
 	s.met.cacheHits.Add(int64(n - nm))
 	s.met.cacheMisses.Add(int64(nm))
 	if nm == 0 {
+		if h != Healthy {
+			// An all-hit group never reaches admit, so it offers the
+			// evaluation here: traffic of repeated predicates must be able
+			// to walk the machine back to healthy too.
+			s.evalHealth(time.Now()) //lint:allow hotpathalloc sanctioned slow branch: only while not healthy, and due() elects one evaluator per evalInterval
+		}
 		return 0, EstimateOutcome{}
 	}
 	// A group that missed on every row is already packed.

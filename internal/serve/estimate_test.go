@@ -274,9 +274,10 @@ func entryPointsAgree(t *testing.T) {
 
 // TestScalarZeroAllocSteady is TestWireZeroAllocSteady for the group of
 // one: a warmed in-process estimate allocates nothing whether it hits the
-// cache, misses it, misses it under a deadline, or misses into a full cache
-// and evicts — nor does the envelope the HTTP handler wraps around it
-// (Acquire → EnterStage → Finish) while the tracer's sample rate is 0.
+// cache, misses it, misses it under a deadline, misses into a full cache and
+// evicts, or misses into a full cache and is declined — nor does the
+// envelope the HTTP handler wraps around it (Acquire → EnterStage → Finish)
+// while the tracer's sample rate is 0.
 func TestScalarZeroAllocSteady(t *testing.T) {
 	srv, _, sch, _, gNew := newTestServerOpts(t, Options{Replicas: 2})
 	rng := rand.New(rand.NewSource(29))
@@ -298,56 +299,81 @@ func TestScalarZeroAllocSteady(t *testing.T) {
 	srv.Estimate(p)
 	tracerOff := obs.NewTracer(0, 64)
 
-	// A second server with the smallest cache there is (cacheShards ×
-	// cacheWays slots) under a cyclic scan of eight times as many distinct
-	// predicates: every estimate misses, finds its probe group full of live
-	// same-generation entries and takes put's second-chance eviction branch.
-	full, _, fsch, _, fgen := newTestServerOpts(t, Options{CacheEntries: 1, Replicas: 2})
-	scan := distinctKeys(fgen, fsch, 8*full.cache.capacity, rng)
-	next := 0
-	scanOne := func() {
-		full.Estimate(scan[next%len(scan)])
-		next++
+	// A second server whose cache is full of entries that were hit, so
+	// none leaves at the end of its probation window within this test
+	// (windows are probation·64 inserts of a shard here, the test makes
+	// about 40): a fresh predicate's first ask finds its probe group full
+	// and is declined, and a second ask right after is a second sighting
+	// and takes the second-chance eviction branch.
+	full, _, fsch, _, fgen := newTestServerOpts(t, Options{CacheEntries: 512, Replicas: 2})
+	fkeys := distinctKeys(fgen, fsch, 8*full.cache.capacity, rng)
+	hitAll := func(keys []query.Predicate) {
+		for _, k := range keys {
+			full.cache.get(k, cacheHash(k), full.pool.generation())
+		}
 	}
-	for range scan {
-		scanOne()
+	filled := 0
+	for ; int(full.met.cacheEntries.Value()) < full.cache.capacity; filled++ {
+		if filled == len(fkeys)-2*(runs+1) {
+			t.Fatal("the cache is not full after filling it with most of the keys")
+		}
+		full.Estimate(fkeys[filled])
+		hitAll(fkeys[filled : filled+1])
+	}
+	hitAll(fkeys[:filled]) // every resident entry starts the test hit
+	firsts := fkeys[filled:]
+	askTwice := func() {
+		full.Estimate(firsts[0])
+		full.Estimate(firsts[0])
+		firsts = firsts[1:]
+	}
+	askOnce := func() {
+		full.Estimate(firsts[0])
+		firsts = firsts[1:]
 	}
 
 	cases := []struct {
 		name string
 		srv  *Server
-		// miss asks about a fresh predicate every run; evict misses by
-		// scanning and expects every run to evict a live entry. Neither: a
-		// hit.
-		miss, evict bool
-		call        func()
+		// misses is each run's cache misses; decline expects every run to
+		// be declined, evict every run to be declined once and then evict.
+		misses         int64
+		evict, decline bool
+		call           func()
 	}{
-		{"Estimate hit", srv, false, false, func() { srv.Estimate(p) }},
-		{"Estimate miss", srv, true, false, func() { srv.Estimate(nextFresh()) }},
-		{"estimateOne miss under a deadline", srv, true, false, func() { srv.estimateOne(nextFresh(), srv.health.current(), time.Now().Add(time.Minute), nil) }},
-		{"Estimate miss in a tracer-off envelope", srv, true, false, func() {
+		{"Estimate hit", srv, 0, false, false, func() { srv.Estimate(p) }},
+		{"Estimate miss", srv, 1, false, false, func() { srv.Estimate(nextFresh()) }},
+		{"estimateOne miss under a deadline", srv, 1, false, false, func() { srv.estimateOne(nextFresh(), srv.health.current(), time.Now().Add(time.Minute), nil) }},
+		{"Estimate miss in a tracer-off envelope", srv, 1, false, false, func() {
 			tr := tracerOff.Acquire("estimate")
 			tr.EnterStage("infer")
 			srv.Estimate(nextFresh())
 			tracerOff.Finish(tr)
 		}},
-		{"Estimate miss into a full cache", full, false, true, scanOne},
+		{"Estimate miss into a full cache, declined", full, 1, false, true, askOnce},
+		{"Estimate miss into a full cache, second sighting", full, 2, true, false, askTwice},
 	}
 	for _, tc := range cases {
-		misses, evictions := tc.srv.met.cacheMisses.Value(), tc.srv.met.cacheEvictions.Value()
+		misses, evictions, declined := tc.srv.met.cacheMisses.Value(), tc.srv.met.cacheEvictions.Value(), tc.srv.cache.declined.Load()
 		allocs := testing.AllocsPerRun(runs, tc.call)
 		if allocs != 0 {
 			t.Errorf("%s allocates %v per call, want 0", tc.name, allocs)
 		}
-		want := int64(0)
-		if tc.miss || tc.evict {
-			want = runs + 1
+		if missed, want := tc.srv.met.cacheMisses.Value()-misses, tc.misses*(runs+1); missed != want {
+			t.Errorf("%s: %d cache misses over %d runs, want %d", tc.name, missed, runs+1, want)
 		}
-		if missed := tc.srv.met.cacheMisses.Value() - misses; missed != want {
-			t.Errorf("%s: %d of %d runs took the miss path, want %d", tc.name, missed, runs+1, want)
+		wantEv, wantDecl := int64(0), int64(0)
+		if tc.evict {
+			wantEv = runs + 1
 		}
-		if got := tc.srv.met.cacheEvictions.Value() - evictions; tc.evict && got < runs {
-			t.Errorf("%s: %d evictions over %d runs, want every insert to evict", tc.name, got, runs)
+		if tc.evict || tc.decline {
+			wantDecl = runs + 1
+		}
+		if got := tc.srv.met.cacheEvictions.Value() - evictions; got != wantEv {
+			t.Errorf("%s: %d evictions over %d runs, want %d", tc.name, got, runs+1, wantEv)
+		}
+		if got := tc.srv.cache.declined.Load() - declined; got != wantDecl {
+			t.Errorf("%s: %d declined over %d runs, want %d", tc.name, got, runs+1, wantDecl)
 		}
 	}
 }

@@ -22,9 +22,9 @@ import (
 // state is re-evaluated — at most once per evalInterval, with hysteresis, so
 // a single bad sample cannot flap the server between modes — by the traffic
 // it governs: every estimate that leaves the checkout fast path or runs while
-// the state is not Healthy offers an evaluation (admit), as do the /period
-// edges and the three handlers that render health (/metrics, /status,
-// /statusz). The server owns no goroutine, so an idle one holds its last
+// the state is not Healthy offers an evaluation (admit, or estimateGroup for
+// a group that hit on every row), as do the /period edges and the three
+// handlers that render health (/metrics, /status, /statusz). The server owns no goroutine, so an idle one holds its last
 // state until the next request or scrape; a free replica is used in every
 // state, so those first requests are still answered by the model.
 

@@ -382,6 +382,76 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 	waitFor("recover once the starvation ends", func() bool { return srv.health.current() == Healthy })
 }
 
+// TestHealthRecoversOnCacheHits: after an overload, traffic made only of
+// cache hits must walk the server back to healthy. A hit never reaches
+// admit, so an all-hit group offers the health evaluation itself while the
+// state is not healthy; without it the server stays degraded with an empty
+// queue until the first miss, which is then admitted under the stale state.
+func TestHealthRecoversOnCacheHits(t *testing.T) {
+	const (
+		callers = 4
+		budget  = 5 * time.Millisecond
+	)
+	chaos := &modelHooks{chaos: chaosPlan{starveEvery: 1, starveHold: 20 * time.Millisecond}}
+	srv, _, sch, _, gNew := newTestServerWrap(t, Options{Replicas: 1}, chaos.wrap)
+	boundQueue(srv, 4)
+	quickHealth(srv, 5*time.Millisecond)
+	hot := gNew.Gen(rand.New(rand.NewSource(31))).Normalize(sch)
+	want := srv.Estimate(hot) // cached while healthy, before the starvation
+
+	// run starts the callers, each asking pred(rng) until stop is called;
+	// with check set, every answer must be the cached one.
+	run := func(pred func(*rand.Rand) query.Predicate, check bool) (stop func()) {
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(rng *rand.Rand) {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if card, _ := srv.estimateOne(pred(rng), srv.health.current(), time.Now().Add(budget), nil); check && card != want {
+						t.Errorf("cached estimate = %v, want %v", card, want)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}(rand.New(rand.NewSource(37 + int64(c))))
+		}
+		return func() {
+			close(done)
+			wg.Wait()
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 2s (state %v, queue %d)", what, srv.health.current(), srv.pool.queueDepth())
+			}
+		}
+	}
+
+	// Starve the one replica under fresh predicates until the server
+	// leaves healthy, then end the starvation and the fresh traffic.
+	chaos.chaosOn.Store(true)
+	stop := run(func(rng *rand.Rand) query.Predicate { return gNew.Gen(rng).Normalize(sch) }, false)
+	waitFor("leave healthy under starvation", func() bool { return srv.health.current() != Healthy })
+	stop()
+	chaos.chaosOn.Store(false)
+
+	hits := srv.met.cacheHits.Value()
+	stop = run(func(*rand.Rand) query.Predicate { return hot }, true)
+	defer stop()
+	waitFor("recover on cache hits alone", func() bool { return srv.health.current() == Healthy })
+	if srv.met.cacheHits.Value() == hits {
+		t.Error("the recovery traffic never hit the cache")
+	}
+}
+
 // TestOverloadChaosSoak is the env-gated overload soak behind `make chaos`:
 // replica starvation, a slow mid-traffic model swap and an open annotation
 // breaker, all at once, under -race. Invariants: the admission queue stays

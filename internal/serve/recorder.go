@@ -150,6 +150,9 @@ type statusDoc struct {
 type cacheStatus struct {
 	Entries  int64 `json:"entries"`
 	Capacity int   `json:"capacity"`
+	// Declined counts inserts the admission doorkeeper turned away: first
+	// sightings that would have evicted a live entry.
+	Declined int64 `json:"declined"`
 }
 
 type journalStatus struct {
@@ -173,7 +176,7 @@ func (s *Server) statusNow() statusDoc {
 	d.Generation = s.pool.generation()
 	d.Health = s.health.current().String()
 	d.QueueDepth = s.pool.queueDepth()
-	d.Cache = cacheStatus{Entries: int64(s.met.cacheEntries.Value()), Capacity: s.cache.capacity}
+	d.Cache = cacheStatus{Entries: int64(s.met.cacheEntries.Value()), Capacity: s.cache.capacity, Declined: s.cache.declined.Load()}
 	d.Drift = s.rec.driftState(now)
 	d.WorstQ = s.rec.exemplars.WorstQ()
 	d.Journal = journalStatus{Total: s.rec.journal.Total(), Events: s.rec.journal.Snapshot()}
@@ -208,7 +211,7 @@ this page renders <a href="/status">/status</a>; every metric is on <a href="/me
 — admission queue depth {{.QueueDepth}}</p>
 
 <h2>Estimate cache</h2>
-<p>entries {{.Cache.Entries}}/{{.Cache.Capacity}}</p>
+<p>entries {{.Cache.Entries}}/{{.Cache.Capacity}} — declined {{.Cache.Declined}}</p>
 
 <h2>Drift watch</h2>
 {{if gt .Drift.Threshold 0.0}}
