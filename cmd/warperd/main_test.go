@@ -187,7 +187,6 @@ func TestSettableValuesDocumented(t *testing.T) {
 	}{
 		{"Options.", serve.Options{}, true},
 		{"Config.", warper.Config{}, true},
-		{"Picker.", warper.Picker{}, true},
 		{"Policy.", resilience.Policy{}, true},
 		{"gbt.Config.", gbt.Config{}, false},
 		{"kernel.Config.", kernel.Config{}, false},

@@ -114,16 +114,18 @@ func (e *Env) NewWarperAdapter(m ce.Estimator, sc Scale, gamma int, seed int64) 
 
 // methodSeeds lists every method Methods builds, in the one order it takes
 // their model clones, each with its seed offset: its Figure 6 position,
-// which Warper's Table 10 variants share. A clone seeds its RNG from the env
+// which Warper's Table 10 variant shares. A clone seeds its RNG from the env
 // model's, so the k-th clone differs from the (k+1)-th; cloning for every
 // method in this order, and seeding by name, makes a method's run depend
-// only on the run seed and its name, never on the rest of the lineup.
+// only on the run seed and its name, never on the rest of the lineup. It
+// does depend on this list: an entry added or deleted before a method
+// changes that method's clone, and with it every number the method reports.
 var methodSeeds = []struct {
 	name   string
 	offset int64
 }{
 	{"FT", 0}, {"MIX", 1000}, {"AUG", 2000}, {"HEM", 3000},
-	{"Warper", 4000}, {"Warper:rnd", 4000}, {"Warper:augGen", 4000},
+	{"Warper", 4000}, {"Warper:augGen", 4000},
 }
 
 // Methods builds the named adaptation methods over clones of the env model,
@@ -148,10 +150,6 @@ func (e *Env) Methods(names []string, sc Scale, gamma int, seed int64) []adapt.M
 			out[i] = adapt.NewHEM(m, e.Sch, e.Ann, e.Train, s)
 		case "Warper":
 			out[i] = adapt.NewWarper(adapter())
-		case "Warper:rnd":
-			ad := adapter()
-			ad.Picker.Strategy = warper.StrategyRandom
-			out[i] = named{adapt.NewWarper(ad), name}
 		case "Warper:augGen":
 			ad := adapter()
 			ad.GenFunc = e.augGenFunc(s)

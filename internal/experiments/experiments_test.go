@@ -157,11 +157,11 @@ var smokeDigests = map[string]uint64{
 	"fig6":          0xec22787e0ef6e79b,
 	"fig7":          0x284d6c3a63aa6dcb,
 	"fig8":          0x3d0e6da2333425fe,
-	"fig9":          0x102674b902934c13,
-	"table10":       0xfb9b1e1b27b6b551,
+	"fig9":          0x6fb6b34d69f99dd1,
+	"table10":       0xebc28b9ca494aa7e,
 	"table7a":       0xf1c2831fd4e0fd91,
 	"table7b":       0x85ee1d2afcbb5cbe,
-	"table7c":       0x1f5b03267bdbdb8c,
+	"table7c":       0xb3cbf86b7df29da8,
 	"table7d":       0x80a555e273919847,
 	"table8":        0xb0b1958af1dd5d9e,
 	"table9":        0x416ed26ac449fcc7,

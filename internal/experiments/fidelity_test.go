@@ -113,19 +113,21 @@ func TestFidelityDetectorClassifies(t *testing.T) {
 	}
 }
 
-// table7cDelta1Floor is the c3 row's floor on Warper's median Δ1 over FT.
-// PRSA and Higgs hold the paper's Δ1 ≥ 1. Poker's 0 is a known-bad floor,
-// not a target: its detector calls 3 to 10 of the 12 drifting periods "none"
-// (ten unlabeled arrivals rarely clear the δ_js noise floor), Warper spends
-// 10 to 45 of FT's 60 annotations, and on seeds 2 and 3 it never reaches
-// FT's final GMQ. The job is to raise it to 1.
-var table7cDelta1Floor = map[string]float64{"prsa": 1, "poker": 0, "higgs": 1}
+// table7cDelta1Floor is the c3 row's floor on Warper's median Δ1 over FT:
+// the paper's Δ1 ≥ 1 on every dataset. Poker's floor stood at 0 while the
+// error-stratified picker ran there (its c3 Δ1 read 2.2/0.0/0.0 on seeds
+// 1–3); with the uniform pick it reads 3.0/0.0/2.4. Its detector still calls
+// 3 to 10 of the 12 drifting periods "none" (ten unlabeled arrivals rarely
+// clear the δ_js noise floor), so seed 2 never reaches FT's final GMQ, and
+// one more such seed would sink the median.
+var table7cDelta1Floor = map[string]float64{"prsa": 1, "poker": 1, "higgs": 1}
 
 // TestFidelityTable7c: Table 7c compares equal budgets over arrivals that
 // carry no labels. On both rows FT spends annotations and Warper spends no
 // more than FT; on the c3 row some period is classified c3 and none c2, so
-// what runs there is Warper's stratified picker; and on that row Warper's median Δ1 over FT
-// holds table7cDelta1Floor.
+// Warper spends its budget on a uniform pick of the unlabeled arrivals
+// against FT's uniform pick of each period's; and on that row Warper's
+// median Δ1 over FT holds table7cDelta1Floor.
 func TestFidelityTable7c(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training-heavy; skipped under -short (race pass)")

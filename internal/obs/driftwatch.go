@@ -68,14 +68,6 @@ func NewDriftWatch(window time.Duration, alarmGMQ float64) *DriftWatch {
 	}
 }
 
-// SetMinCount overrides the minimum windowed observation count required
-// before the alarm may fire (default 20).
-func (d *DriftWatch) SetMinCount(n int) {
-	d.mu.Lock()
-	d.minCount = n
-	d.mu.Unlock()
-}
-
 // DriftState is one reading of the watch.
 type DriftState struct {
 	// WindowGMQ is the geometric mean q-error over the rolling window;

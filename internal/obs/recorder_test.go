@@ -202,7 +202,7 @@ func TestExemplarsConcurrent(t *testing.T) {
 
 func TestDriftWatchAlarmLifecycle(t *testing.T) {
 	d := NewDriftWatch(time.Minute, 4)
-	d.SetMinCount(5)
+	d.minCount = 5
 	t0 := time.Unix(1000, 0)
 
 	// Healthy feedback: no alarm.
@@ -264,7 +264,7 @@ func TestDriftWatchWindowAgesOut(t *testing.T) {
 
 func TestDriftWatchStateClearsStalledAlarm(t *testing.T) {
 	d := NewDriftWatch(time.Minute, 4)
-	d.SetMinCount(5)
+	d.minCount = 5
 	t0 := time.Unix(0, 0)
 	raised := false
 	for i := 0; i < 30; i++ {

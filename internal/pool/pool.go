@@ -39,7 +39,9 @@ const NoGT = -1
 type Entry struct {
 	Pred query.Predicate
 	GT   float64 // NoGT when unknown
-	Z    []float64
+	// Z is the embedding 𝔼 last gave the entry. Generation refreshes it
+	// on the new entries it seeds from, and nothing else reads it.
+	Z []float64
 	// Source is the origin l.
 	Source Source
 	// Stale marks entries whose GT predates a data drift and must be

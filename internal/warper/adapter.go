@@ -16,8 +16,9 @@ import (
 )
 
 // Adapter is the Warper system (Figure 4): it owns the query pool, the
-// learned components 𝔼/𝔾, the picker ℙ, the drift detector, and a
-// black-box reference to the CE model 𝕄 and the annotator 𝔸.
+// learned components 𝔼/𝔾, the drift detector, and a black-box reference to
+// the CE model 𝕄 and the annotator 𝔸. The picker ℙ is a uniform draw
+// (pickUniform).
 type Adapter struct {
 	Cfg  Config
 	M    ce.Estimator
@@ -28,7 +29,6 @@ type Adapter struct {
 	// add "annotate_retry": its failed attempts, already inside whichever
 	// stage called src (annotate, detect's canary probes, update's rebase).
 	Ledger *simclock.Ledger
-	Picker *Picker
 	// GenFunc overrides the synthetic-query source (the Table 10 "𝔾→AUG"
 	// ablation swaps in Gaussian-noise augmentation). Nil uses the
 	// generator 𝔾.
@@ -106,7 +106,6 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 		M:      m,
 		Pool:   pool.InitFromTraining(trainSet),
 		Ledger: simclock.NewLedger(),
-		Picker: &Picker{Strategy: StrategyWarper},
 		sch:    sch,
 		ann:    ann,
 		src:    ann,
@@ -118,7 +117,6 @@ func New(cfg Config, m ce.Estimator, sch *query.Schema, ann *annotator.Annotator
 	// one-time cost mirrors training the LM model offline.
 	w := simclock.StartWatch()
 	a.comps.UpdateAutoEncoder(a.Pool, epochSteps(a.Pool, 60))
-	a.comps.EmbedAll(a.Pool)
 	a.Ledger.Charge("pretrain", w.Stop())
 
 	// Training-time error baseline for δ_m and the detector state.
@@ -305,10 +303,6 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 		}
 	}
 
-	// Refresh embeddings so the picker sees current z (and the freshly
-	// generated entries get theirs).
-	a.comps.EmbedAll(a.Pool)
-
 	// Line 9: pick queries and annotate them.
 	clk.enter(StagePick)
 	picked := a.pick(det.Mode)
@@ -411,40 +405,26 @@ func (c *periodClock) enter(stage int) {
 	c.stage = stage
 }
 
-// pick runs ℙ according to the drift mode (Table 2).
+// pick runs ℙ according to the drift mode (Table 2): the mode chooses the
+// candidate set, and every set is drawn the same way (pickUniform).
 func (a *Adapter) pick(mode Mode) []*pool.Entry {
 	n := a.Cfg.PickSize
 	switch {
 	case mode.Has(C2):
-		// Generated queries drawn uniformly — labeled ones included, so
-		// previously annotated synthetic queries are re-used; freshly
-		// arrived unlabeled queries ride along (they are the signal).
-		cands := a.Pool.BySource(pool.SrcGen)
-		picked := a.Picker.PickGenerated(cands, n, a.rng)
+		// Generated queries — labeled ones included, so previously
+		// annotated synthetic queries are re-used; freshly arrived
+		// unlabeled queries ride along (they are the signal).
+		picked := pickUniform(a.Pool.BySource(pool.SrcGen), n, a.rng)
 		return append(picked, a.Pool.Unlabeled(pool.SrcNew)...)
 	case mode.Has(C1):
-		// Re-annotate the most useful training-set queries.
-		labeled := a.entriesWithAnyGT()
-		return a.Picker.PickStratified(a.M, labeled, a.Pool.BySource(pool.SrcTrain), n, a.rng)
+		// Re-annotate training-set queries whose labels went stale.
+		return pickUniform(a.Pool.BySource(pool.SrcTrain), n, a.rng)
 	case mode.Has(C3):
-		// Annotate the most useful unlabeled new queries.
-		labeled := a.entriesWithAnyGT()
-		return a.Picker.PickStratified(a.M, labeled, a.Pool.Unlabeled(pool.SrcNew), n, a.rng)
+		// Annotate unlabeled new queries.
+		return pickUniform(a.Pool.Unlabeled(pool.SrcNew), n, a.rng)
 	default: // c4: adequate labeled queries; nothing to pick.
 		return nil
 	}
-}
-
-// entriesWithAnyGT returns entries carrying a label, fresh or stale — stale
-// labels still inform the error stratification.
-func (a *Adapter) entriesWithAnyGT() []*pool.Entry {
-	var out []*pool.Entry
-	for _, e := range a.Pool.Entries {
-		if e.GT >= 0 {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // annotate computes ground truth for picked entries that lack a fresh label,

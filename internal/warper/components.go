@@ -74,9 +74,9 @@ const (
 // embedDim is |z|, the encoder output width (Table 3).
 const embedDim = 16
 
-// embedChunk is the row count of one batched 𝔼 refresh pass: whole-pool
-// refreshes run in chunks of this size so the networks' activation arenas
-// are sized by it, not by the pool.
+// embedChunk is the row count of one batched 𝔼 refresh pass: refreshes run
+// in chunks of this size so the networks' activation arenas are sized by it,
+// not by the pool.
 const embedChunk = 256
 
 // TakeTrained returns the number of samples trained since the last call and
@@ -151,12 +151,6 @@ func (c *components) embedEntries(entries []*pool.Entry) {
 			e.Z = append(e.Z[:0], z.Row(i)...)
 		}
 	}
-}
-
-// EmbedAll refreshes the embedding of every entry (each Algorithm-1
-// invocation re-embeds so stale z never lingers after 𝔼 updates).
-func (c *components) EmbedAll(p *pool.Pool) {
-	c.embedEntries(p.Entries)
 }
 
 // sampleEntries draws n entries uniformly with replacement.
@@ -256,9 +250,9 @@ func (c *components) noisyInto(dst, z, sigma []float64) {
 }
 
 // embeddingStd computes the per-dimension population std of the given
-// entries' embeddings (entries without one are left out), reading the
-// embeddings in place. The result lives in the step arena and is valid until
-// the next call.
+// entries' embeddings, reading them in place; every entry must carry one
+// (Generate embeds its seeds first). The result lives in the step arena and
+// is valid until the next call.
 func (c *components) embeddingStd(entries []*pool.Entry) []float64 {
 	a := &c.arena
 	if len(a.sigma) != embedDim {
@@ -274,31 +268,26 @@ func (c *components) embeddingStd(entries []*pool.Entry) []float64 {
 	}
 	// Two passes, each dimension accumulating in entry order: mean, then the
 	// mean squared deviation.
+	n := float64(len(entries))
 	clear(mean)
-	n := 0
 	for _, e := range entries {
-		if len(e.Z) == embedDim {
-			n++
-			for d, z := range e.Z {
-				mean[d] += z
-			}
+		for d, z := range e.Z {
+			mean[d] += z
 		}
 	}
 	for d := range mean {
-		mean[d] /= float64(n)
+		mean[d] /= n
 	}
 	clear(sigma)
 	for _, e := range entries {
-		if len(e.Z) == embedDim {
-			for d, z := range e.Z {
-				dev := z - mean[d]
-				sigma[d] += float64(dev * dev)
-			}
+		for d, z := range e.Z {
+			dev := z - mean[d]
+			sigma[d] += float64(dev * dev)
 		}
 	}
 	for d := range sigma {
-		sigma[d] = math.Sqrt(sigma[d] / float64(n))
-		if n < 2 || sigma[d] <= 0 {
+		sigma[d] = math.Sqrt(sigma[d] / n)
+		if sigma[d] <= 0 {
 			sigma[d] = 0.05
 		}
 	}

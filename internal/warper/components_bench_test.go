@@ -24,7 +24,7 @@ func aeFixture(tb testing.TB) (*components, []*pool.Entry, []*pool.Entry) {
 	p := env.seededPool(60)
 	c := newComponents(DefaultConfig(), env.sch, env.tbl.NumRows(), env.rng)
 	c.UpdateAutoEncoder(p, epochSteps(p, 1))
-	c.EmbedAll(p)
+	c.embedEntries(p.Entries)
 	batch := sampleEntries(p.Entries, batchSize, env.rng)
 	for i := 0; i < aeWarmSteps; i++ {
 		c.aeStep(batch)

@@ -2,7 +2,9 @@ package warper
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"warper/internal/annotator"
@@ -83,7 +85,7 @@ func TestEmbeddingsHaveConfiguredDim(t *testing.T) {
 	env := newTestEnv(t, 50, 10)
 	p := env.seededPool(10)
 	c := newComponents(smallCfg(), env.sch, env.tbl.NumRows(), env.rng)
-	c.EmbedAll(p)
+	c.embedEntries(p.Entries)
 	for _, e := range p.Entries {
 		if len(e.Z) != embedDim {
 			t.Fatalf("embedding dim = %d, want %d", len(e.Z), embedDim)
@@ -110,6 +112,52 @@ func TestGeneratedPredicatesAreValid(t *testing.T) {
 				t.Fatal("generated predicate out of schema range")
 			}
 		}
+	}
+}
+
+// TestGenerateIgnoresOtherEmbeddings: Generate reads only the embeddings of
+// the new entries it seeds from, and refreshes those itself. A pool whose
+// training and generated entries carry garbage embeddings — NaN values, a
+// wrong length — must generate the same bits as an unpoisoned twin whose
+// every entry was embedded by the current 𝔼, from the same seed.
+func TestGenerateIgnoresOtherEmbeddings(t *testing.T) {
+	env := newTestEnv(t, 150, 50)
+	generate := func(poison bool) []query.Predicate {
+		p := env.seededPool(50)
+		for _, lq := range env.newQ[:20] {
+			p.AddGenerated(lq.Pred)
+		}
+		c := newComponents(smallCfg(), env.sch, env.tbl.NumRows(), rand.New(rand.NewSource(7)))
+		c.UpdateAutoEncoder(p, epochSteps(p, 2))
+		c.embedEntries(p.Entries)
+		if poison {
+			for i, e := range p.Entries {
+				switch {
+				case e.Source == pool.SrcNew:
+				case i%2 == 0:
+					e.Z = make([]float64, embedDim)
+					for d := range e.Z {
+						e.Z[d] = math.NaN()
+					}
+				default:
+					e.Z = []float64{1, 2, 3}
+				}
+			}
+		}
+		return c.Generate(p, 40)
+	}
+	clean, poisoned := generate(false), generate(true)
+	bits := func(ps []query.Predicate) []uint64 {
+		var out []uint64
+		for _, p := range ps {
+			for i := range p.Lows {
+				out = append(out, math.Float64bits(p.Lows[i]), math.Float64bits(p.Highs[i]))
+			}
+		}
+		return out
+	}
+	if len(clean) != 40 || !slices.Equal(bits(clean), bits(poisoned)) {
+		t.Errorf("poisoned training/generated embeddings changed Generate's output (%d vs %d predicates)", len(clean), len(poisoned))
 	}
 }
 
