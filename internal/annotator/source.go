@@ -15,8 +15,9 @@ import (
 // absorb instead of a lost period).
 //
 // Implementations: *Annotator (exact, over the table's sorted-column scan
-// index), *Sampled (approximate, over a row sample), and the wrappers in
-// internal/resilience (retry/breaker hardening, fault injection). The
+// index) and the wrappers in internal/resilience (retry/breaker hardening,
+// fault injection). Every label is an exact count: §4.3 prices each one as
+// c_gt, and no approximate source stands in for a failed one. The
 // adaptation loop and the drift telemetry label one predicate at a time, so
 // one method is the whole seam; the exact annotator's AnnotateAll is a
 // concrete convenience for labeling training sets. The JoinAnnotator follows
@@ -28,11 +29,8 @@ type Source interface {
 	Count(ctx context.Context, p query.Predicate) (float64, error)
 }
 
-// Interface conformance of the in-package annotators.
-var (
-	_ Source = (*Annotator)(nil)
-	_ Source = (*Sampled)(nil)
-)
+// Interface conformance of the in-package annotator.
+var _ Source = (*Annotator)(nil)
 
 // ctxCheckRows is how many rows the counting loops process between context
 // polls: frequent enough that cancellation lands within microseconds on the

@@ -30,25 +30,18 @@ func TestCancelledContextStopsCount(t *testing.T) {
 	if _, err := a.AnnotateAll(ctx, preds); !errors.Is(err, context.Canceled) {
 		t.Errorf("AnnotateAll err = %v, want context.Canceled", err)
 	}
-	s := newSampledOK(t, tbl, 0.5, rng)
-	if _, err := s.Count(ctx, preds[0]); !errors.Is(err, context.Canceled) {
-		t.Errorf("Sampled.Count err = %v, want context.Canceled", err)
-	}
 }
 
-// TestAnnotateAllDimMismatch pins the batch-path error contract: a malformed
-// predicate fails the batch with an error rather than matching nothing
-// silently, and the sampled annotator rejects it the same way one count at
-// a time.
+// TestAnnotateAllDimMismatch pins the error contract: a malformed predicate
+// fails the batch, and a single count, with an error rather than matching
+// nothing silently.
 func TestAnnotateAllDimMismatch(t *testing.T) {
 	tbl := smallTable()
 	bad := []query.Predicate{{Lows: []float64{0}, Highs: []float64{1}}}
 	if _, err := New(tbl).AnnotateAll(context.Background(), bad); err == nil {
 		t.Error("exact AnnotateAll accepted a dim-mismatched predicate")
 	}
-	rng := rand.New(rand.NewSource(1))
-	s := newSampledOK(t, tbl, 1, rng)
-	if _, err := s.Count(context.Background(), bad[0]); err == nil {
-		t.Error("Sampled.Count accepted a dim-mismatched predicate")
+	if _, err := New(tbl).Count(context.Background(), bad[0]); err == nil {
+		t.Error("exact Count accepted a dim-mismatched predicate")
 	}
 }

@@ -80,10 +80,6 @@ func (r *Resilient) WithCostLedger(c Charger) *Resilient {
 	return r
 }
 
-// Breaker exposes the wrapper's breaker, mainly so tests and the serve
-// layer can read its state.
-func (r *Resilient) Breaker() *Breaker { return r.breaker }
-
 // Count implements annotator.Source with the retry/breaker discipline.
 func (r *Resilient) Count(ctx context.Context, p query.Predicate) (float64, error) {
 	var v float64

@@ -151,7 +151,7 @@ func TestCallerCancellationIsNotASourceFailure(t *testing.T) {
 			t.Fatalf("call %d: err = %v, want the caller's deadline", i, err)
 		}
 	}
-	if got := r.Breaker().State(); got != Closed {
+	if got := r.breaker.State(); got != Closed {
 		t.Errorf("breaker = %v after five cancelled calls, want closed", got)
 	}
 	if len(log.names) != 0 {
@@ -180,14 +180,14 @@ func TestCallerCancellationIsNotASourceFailure(t *testing.T) {
 	if err := giveUp(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("probe: err = %v, want the caller's deadline", err)
 	}
-	if got := r.Breaker().State(); got != Open {
+	if got := r.breaker.State(); got != Open {
 		t.Fatalf("breaker = %v after a cancelled probe, want open", got)
 	}
 	rejectUntilProbe()
 	if _, err := r.Count(context.Background(), query.Predicate{}); err != nil {
 		t.Fatalf("next probe: %v", err)
 	}
-	if got := r.Breaker().State(); got != Closed {
+	if got := r.breaker.State(); got != Closed {
 		t.Errorf("breaker = %v after a successful probe, want closed", got)
 	}
 }
@@ -227,7 +227,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, errBoom) {
 		t.Fatalf("first call err = %v, want errBoom", err)
 	}
-	if got := r.Breaker().State(); got != Closed {
+	if got := r.breaker.State(); got != Closed {
 		t.Fatalf("breaker state after 3 failures = %v, want closed", got)
 	}
 	// Second call: attempts 4 and 5 fail and trip the breaker, which
@@ -235,7 +235,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, ErrOpen) {
 		t.Fatalf("tripping call err = %v, want ErrOpen", err)
 	}
-	if got := r.Breaker().State(); got != Open {
+	if got := r.breaker.State(); got != Open {
 		t.Fatalf("breaker state = %v, want open", got)
 	}
 	calls := src.Calls()

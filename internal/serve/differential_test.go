@@ -200,7 +200,7 @@ type diffStack struct {
 func newDiffStack(t testing.TB, seed int64) (diffStack, *query.Schema, *annotator.Annotator, workload.Generator) {
 	s := diffStack{hooks: &modelHooks{}}
 	ad, sch, ann, gen := newTestAdapter(t, 100+seed, s.hooks.wrap)
-	s.ad, s.flaky = ad, &flakySource{Source: ad.Source()}
+	s.ad, s.flaky = ad, &flakySource{Source: ann}
 	ad.SetSource(s.flaky)
 	return s, sch, ann, gen
 }
@@ -597,8 +597,8 @@ func (d *diffDriver) opFeedback() {
 
 // opPeriod runs one adaptation period on both servers, clean or under an
 // injected fault, and compares the reports field for field. A failed period
-// must leave the served model and the arrival buffer as they were; a period
-// that lost ground-truth calls must say so in its response.
+// must leave the served model, the arrival buffer and the pool as they were;
+// a period that lost ground-truth calls must say so in its response.
 func (d *diffDriver) opPeriod() {
 	var failUpdate bool
 	var flakyEvery int64
@@ -608,7 +608,7 @@ func (d *diffDriver) opPeriod() {
 	case 1:
 		flakyEvery = 3 // a third of the exact counts fail: partial labels
 	case 2:
-		flakyEvery = 1 // all of them fail: the sampled fallback annotator
+		flakyEvery = 1 // all of them fail: below the label floor, the period aborts
 	}
 	d.shadow.arm(failUpdate, flakyEvery)
 	d.served.arm(failUpdate, flakyEvery)
@@ -619,6 +619,7 @@ func (d *diffDriver) opPeriod() {
 		before[i] = d.srv.Estimate(p.norm)
 	}
 	buffered := d.status().Buffered
+	poolLen := d.served.ad.Pool.Len()
 
 	rep, refErr := d.ref.period(context.Background())
 	if refErr == nil {
@@ -643,6 +644,9 @@ func (d *diffDriver) opPeriod() {
 		if g := d.srv.pool.generation(); g != gen {
 			d.failf("failed period moved the serving generation %d → %d", gen, g)
 		}
+		if n := d.served.ad.Pool.Len(); n != poolLen {
+			d.failf("failed period left the pool at %d entries, %d before", n, poolLen)
+		}
 		for i, p := range probes {
 			if got := d.srv.Estimate(p.norm); math.Float64bits(got) != math.Float64bits(before[i]) {
 				d.failf("failed period changed the served answer of probe %d: %v → %v", i, before[i], got)
@@ -662,18 +666,18 @@ func (d *diffDriver) opPeriod() {
 		DeltaM: rep.Detection.DeltaM, DeltaJS: rep.Detection.DeltaJS,
 		BusyMillis: pr.BusyMillis, // wall clock
 		Partial:    rep.Partial, AnnotateFailed: rep.AnnotateFailed,
-		UsedFallback: rep.UsedFallback, TelemetryDegraded: rep.TelemetryDegraded,
+		TelemetryDegraded: rep.TelemetryDegraded,
 	}
 	if pr != want {
 		d.failf("period reports differ:\nserved    %+v\nreference %+v", pr, want)
 	}
-	if lostCalls > 0 && !(pr.Partial || pr.UsedFallback || pr.TelemetryDegraded || pr.AnnotateFailed > 0) {
+	if lostCalls > 0 && !(pr.Partial || pr.TelemetryDegraded || pr.AnnotateFailed > 0) {
 		d.failf("period lost %d ground-truth calls and its response flags nothing: %+v", lostCalls, pr)
 	}
 	if pr.Updated {
 		d.stats.Updated++
 	}
-	if pr.Partial || pr.UsedFallback {
+	if pr.Partial {
 		d.stats.PartialPeriods++
 	}
 }

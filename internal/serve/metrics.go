@@ -99,7 +99,6 @@ type Metrics struct {
 	annRetries    *obs.Counter
 	annTimeouts   *obs.Counter
 	annFailed     *obs.Counter
-	annFallback   *obs.Counter
 	breakerState  *obs.Gauge
 	periodPartial *obs.Counter
 	telemetryDeg  *obs.Counter
@@ -169,7 +168,6 @@ func NewMetrics() *Metrics {
 		annRetries:    r.NewCounter("warper_annotate_retries_total", "Annotation attempts retried by the resilience wrapper."),
 		annTimeouts:   r.NewCounter("warper_annotate_timeouts_total", "Annotation attempts killed by the per-attempt deadline."),
 		annFailed:     r.NewCounter("warper_annotate_failed_total", "Annotation calls that failed for good within a period (after retries)."),
-		annFallback:   r.NewCounter("warper_annotate_fallback_total", "Periods whose labels came partly from the sampled fallback annotator."),
 		breakerState:  r.NewGauge("warper_breaker_state", "Annotation circuit-breaker state: 0 closed, 1 open, 2 half-open."),
 		periodPartial: r.NewCounter("warper_period_partial_total", "Periods that proceeded with a partial annotation batch."),
 		telemetryDeg:  r.NewCounter("warper_telemetry_degraded_total", "Periods whose canary telemetry or rebase was skipped after source failures."),

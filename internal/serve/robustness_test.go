@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
@@ -18,6 +20,7 @@ import (
 
 	"warper/internal/annotator"
 	"warper/internal/ce"
+	"warper/internal/pool"
 	"warper/internal/query"
 	"warper/internal/resilience"
 	"warper/internal/workload"
@@ -185,6 +188,77 @@ func TestFailedPeriodKeepsPrePeriodModelServing(t *testing.T) {
 	}
 }
 
+// TestFailedPeriodsOfferEachArrivalOnce pins the pool side of the rollback:
+// a failed period hands its arrivals back to the buffer, so the adapter must
+// not keep the copies it appended. After k failed periods and one that
+// succeeds, each fed arrival is in the pool exactly once — not k+1 times,
+// which would weight every re-offered arrival k+1 times in the update.
+func TestFailedPeriodsOfferEachArrivalOnce(t *testing.T) {
+	h := &modelHooks{}
+	h.failUpdate.Store(true)
+	srv, ts, ann, gNew := robustnessEnv(t, func(lm *ce.LM) ce.Estimator { return &hookModel{LM: lm, h: h} })
+	rng := rand.New(rand.NewSource(13))
+	fed := make([]query.Predicate, 30)
+	for i := range fed {
+		fed[i] = gNew.Gen(rng)
+		card := countOK(t, ann, fed[i])
+		postJSON(t, ts.URL+"/feedback", feedbackRequest{
+			predicateJSON: predicateJSON{Lows: fed[i].Lows, Highs: fed[i].Highs},
+			Cardinality:   &card,
+		}, nil)
+	}
+	for k := 0; k < 3; k++ {
+		if r := postJSON(t, ts.URL+"/period", struct{}{}, nil); r.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("failing period %d = %d, want 500", k, r.StatusCode)
+		}
+	}
+	h.failUpdate.Store(false)
+	if r := postJSON(t, ts.URL+"/period", struct{}{}, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("period after the failures = %d, want 200", r.StatusCode)
+	}
+
+	// The workload can draw one predicate more than once: compare counts.
+	key := func(p query.Predicate) string { return fmt.Sprint(p.Lows, p.Highs) }
+	want, got := map[string]int{}, map[string]int{}
+	for _, p := range fed {
+		want[key(p.Clone().Normalize(srv.sch))]++
+	}
+	for _, e := range srv.adapter.Pool.BySource(pool.SrcNew) {
+		got[key(e.Pred)]++
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("the pool's new entries are not the %d fed arrivals once each: %d entries, %d distinct",
+			len(fed), len(srv.adapter.Pool.BySource(pool.SrcNew)), len(got))
+	}
+}
+
+// TestBelowFloorPeriodRollsBack is the label floor seen from /period: with
+// nine exact calls in ten failing, the period aborts instead of degrading,
+// so the answer is a 500, the serving generation stays, the failure is
+// counted, and no degrade_* step is journaled.
+func TestBelowFloorPeriodRollsBack(t *testing.T) {
+	srv, ts, ann, gNew := robustnessEnv(t, func(lm *ce.LM) ce.Estimator { return lm })
+	srv.adapter.SetSource(resilience.NewFaulty(ann, resilience.FaultPlan{ErrRate: 0.9, Seed: 78}))
+	feedDrifted(t, ts, ann, gNew, rand.New(rand.NewSource(17)), 30)
+
+	failures := metricValue(t, metricsBody(t, ts.URL), "warper_period_failures_total")
+	gen := srv.pool.generation()
+	if r := postJSON(t, ts.URL+"/period", struct{}{}, nil); r.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("below-floor period = %d, want 500", r.StatusCode)
+	}
+	if g := srv.pool.generation(); g != gen {
+		t.Errorf("below-floor period moved the serving generation %d → %d", gen, g)
+	}
+	if got := metricValue(t, metricsBody(t, ts.URL), "warper_period_failures_total"); got != failures+1 {
+		t.Errorf("warper_period_failures_total = %v, want %v", got, failures+1)
+	}
+	for _, ev := range getStatus(t, ts.URL).Journal.Events {
+		if strings.HasPrefix(ev.Kind, "degrade_") {
+			t.Errorf("below-floor period journaled %s", ev.Kind)
+		}
+	}
+}
+
 // faultyEnv builds a server whose adapter annotates through a deterministic
 // fault injector under the resilience wrapper — the chaos-test configuration
 // warperd itself no longer offers.
@@ -192,7 +266,7 @@ func faultyEnv(t *testing.T, plan resilience.FaultPlan, pol resilience.Policy) (
 	t.Helper()
 	srv, ts, ann, gNew := robustnessEnv(t, func(lm *ce.LM) ce.Estimator { return lm })
 	ad := srv.adapter
-	faulty := resilience.NewFaulty(ad.Source(), plan)
+	faulty := resilience.NewFaulty(ann, plan)
 	ad.SetSource(resilience.Wrap(faulty, pol, srv.Metrics().ResilienceEvents()).WithCostLedger(ad.Ledger))
 	return srv, ts, ann, gNew
 }

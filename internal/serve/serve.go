@@ -519,7 +519,6 @@ type periodResponse struct {
 	// Degradation outcomes of the fault-tolerant annotation pipeline.
 	Partial           bool `json:"partial,omitempty"`
 	AnnotateFailed    int  `json:"annotate_failed,omitempty"`
-	UsedFallback      bool `json:"used_fallback,omitempty"`
 	TelemetryDegraded bool `json:"telemetry_degraded,omitempty"`
 }
 
@@ -686,7 +685,6 @@ func (s *Server) stampPeriod(rep *warper.Report, arrivals int, st statusDoc, tra
 
 		Partial:           rep.Partial,
 		AnnotateFailed:    rep.AnnotateFailed,
-		UsedFallback:      rep.UsedFallback,
 		TelemetryDegraded: rep.TelemetryDegraded,
 	}
 
@@ -736,10 +734,6 @@ func (s *Server) stampPeriod(rep *warper.Report, arrivals int, st statusDoc, tra
 	if rep.Partial {
 		m.periodPartial.Inc()
 		s.rec.event(slog.LevelWarn, "degrade_partial", 0, map[string]any{"annotate_failed": rep.AnnotateFailed})
-	}
-	if rep.UsedFallback {
-		m.annFallback.Inc()
-		s.rec.event(slog.LevelWarn, "degrade_fallback", 0, nil)
 	}
 	if rep.TelemetryDegraded {
 		m.telemetryDeg.Inc()

@@ -45,11 +45,6 @@ type Adapter struct {
 	// test a resilience.Faulty). All period-time annotation — picked
 	// entries, canary probes, rebase — goes through it.
 	src annotator.Source
-	// fallback is the lazily built sampled annotator used when src loses
-	// more than minLabelFraction of a batch; fallbackRows is the table's
-	// row count when its sample was drawn.
-	fallback     *annotator.Sampled
-	fallbackRows int
 
 	// bestEvalGMQ tracks the best post-update error seen, for the
 	// early-stop gain check (§3.4); stall counts consecutive periods with
@@ -79,12 +74,8 @@ const (
 	maxPoolGen = 4000
 	// minLabelFraction is the smallest fraction of requested annotations a
 	// period may proceed with when the ground-truth source partially fails.
-	// Below it the missing labels go to the sampled fallback; if even that
-	// leaves the fraction short, the period aborts cleanly so the caller
-	// keeps its pre-period model.
+	// Below it the period aborts, so the caller keeps its pre-period model.
 	minLabelFraction = 0.5
-	// fallbackSampleRate is the row-sample rate of that fallback.
-	fallbackSampleRate = 0.1
 	// canaries is the number of canary predicates New draws from 𝕀train
 	// for data-drift telemetry.
 	canaries = 10
@@ -194,9 +185,6 @@ type Report struct {
 	// AnnotateFailed counts annotation calls that failed this period
 	// (after the source's own retries, if it wraps any).
 	AnnotateFailed int
-	// UsedFallback is true when the sampled fallback annotator supplied
-	// labels because exact annotation fell below half of the request.
-	UsedFallback bool
 	// TelemetryDegraded is true when canary telemetry or its rebase failed
 	// and was skipped; detection ran on the remaining signals.
 	TelemetryDegraded bool
@@ -226,24 +214,32 @@ func (a *Adapter) ModelSnapshot() ce.Estimator { return a.M.Clone() }
 // queries that arrived in the current adaptation period.
 //
 // Annotation faults degrade before they abort: failed calls are skipped
-// while at least half of the requested labels arrive;
-// below that the sampled fallback fills in; only when even the fallback
-// cannot reach the floor — or ctx is cancelled — does the period return an
-// error. A non-nil error means the repair failed partway and the adapter's
-// model may be partially updated: callers that serve traffic should discard
-// a.M in favor of a pre-period clone so the previous model keeps serving.
+// while at least half of the requested labels arrive; below that — or when
+// ctx is cancelled — the period returns an error. A non-nil error means the
+// repair failed partway and the adapter's model may be partially updated:
+// callers that serve traffic should discard a.M in favor of a pre-period
+// clone so the previous model keeps serving. The pool drops every entry the
+// failed period appended (its arrivals and generated queries; exact labels
+// it wrote into older entries stay), so the caller owns the arrivals again:
+// re-offering them to the next period adds each one once.
 func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report, err error) {
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
 	clk := periodClock{watch: simclock.StartWatch(), rep: &rep, ledger: a.Ledger, stage: StageDetect}
+	// Nothing removes pool entries before the last error return, so the
+	// period's additions are exactly the tail past base.
+	base := a.Pool.Len()
 	defer func() {
 		clk.lap()
-		if err == nil {
-			// Samples trained during a period that errored out are
-			// attributed to the next period that completes.
-			rep.TrainedSamples = a.comps.TakeTrained()
+		if err != nil {
+			clear(a.Pool.Entries[base:])
+			a.Pool.Entries = a.Pool.Entries[:base]
+			return
 		}
+		// Samples trained during a period that errored out are attributed
+		// to the next period that completes.
+		rep.TrainedSamples = a.comps.TakeTrained()
 	}()
 
 	tbl := a.ann.Table()
@@ -355,7 +351,6 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 		}
 	}
 
-	a.Pool.TrimGenerated(maxPoolGen)
 	if det.Mode.Has(C1) {
 		// Rebase is best-effort: a flaky source must not abort a period
 		// whose model update already succeeded. A skipped rebase leaves
@@ -367,6 +362,11 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 			}
 			rep.TelemetryDegraded = true
 		}
+	}
+	// Trimming comes after the rebase, the last error return: a failed
+	// period's rollback relies on the pool only having grown (base above).
+	a.Pool.TrimGenerated(maxPoolGen)
+	if det.Mode.Has(C1) {
 		// Keep c1 pending while stale labels remain (unless the early stop
 		// decided further adaptation is not worth it).
 		staleLeft := false
@@ -433,11 +433,9 @@ func (a *Adapter) pick(mode Mode) []*pool.Entry {
 //
 // The ladder: failed exact calls are skipped; when at least
 // minLabelFraction of the requested labels arrive, the period proceeds
-// partial. Below the floor, the sampled fallback annotator labels the
-// remainder (noisy labels beat no labels, §2); its labels are committed only
-// if they lift the fraction over the floor, so an abort never leaves
-// approximate cardinalities in the pool. Cancellation of the parent ctx
-// aborts immediately — that is the caller giving up, not the source failing.
+// partial; below the floor it aborts. Every label is an exact count (§4.3's
+// c_gt). Cancellation of the parent ctx aborts immediately — that is the
+// caller giving up, not the source failing.
 func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, rep *Report) (int, error) {
 	budget := a.Cfg.AnnotateBudget
 	var todo []*pool.Entry
@@ -478,79 +476,13 @@ func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, rep *Repor
 		rep.Partial = true
 		return count, nil
 	}
-
-	// Exact annotation fell below the floor: try the sampled fallback for
-	// the still-missing labels, staging them so a failed rescue leaves no
-	// noisy labels behind.
-	type staged struct {
-		e    *pool.Entry
-		card float64
-	}
-	var rescue []staged
-	if fb, err := a.fallbackSource(); err == nil {
-		for _, e := range todo {
-			if e.HasGT() {
-				continue
-			}
-			if ctx.Err() != nil {
-				return count, ctx.Err()
-			}
-			card, ferr := fb.Count(ctx, e.Pred)
-			if ferr != nil {
-				if ctx.Err() != nil {
-					return count, ctx.Err()
-				}
-				continue
-			}
-			rescue = append(rescue, staged{e, card})
-		}
-	}
-	if frac := float64(count+len(rescue)) / float64(len(todo)); frac >= minLabelFraction {
-		for _, s := range rescue {
-			s.e.GT = s.card
-			s.e.Stale = false
-		}
-		count += len(rescue)
-		rep.Partial = true
-		rep.UsedFallback = true
-		return count, nil
-	}
 	return count, fmt.Errorf("warper: annotation got %d/%d labels, below the %.0f%% floor: aborting period",
 		count, len(todo), minLabelFraction*100)
 }
 
-// fallbackSource returns the sampled fallback annotator over the live
-// table, drawing its row sample on first use and again whenever the table's
-// row count differs from the one it was drawn over: an append or a truncate
-// would leave the old sample's indices and scale describing another table.
-// An in-place update keeps the sample, whose rows still exist. Draws come
-// from the adapter's RNG, so the sampled rows — and with them the fallback
-// labels — are a deterministic function of Config and the table's history.
-func (a *Adapter) fallbackSource() (annotator.Source, error) {
-	tbl := a.ann.Table()
-	if a.fallback == nil || a.fallbackRows != tbl.NumRows() {
-		s, err := annotator.NewSampled(tbl, fallbackSampleRate, a.rng)
-		if err != nil {
-			return nil, err
-		}
-		a.fallback, a.fallbackRows = s, tbl.NumRows()
-	}
-	return a.fallback, nil
-}
-
 // SetSource installs the active ground-truth source — typically the exact
-// annotator behind a resilience.Resilient wrapper. A nil src restores the
-// raw exact annotator.
-func (a *Adapter) SetSource(src annotator.Source) {
-	if src == nil {
-		a.src = a.ann
-		return
-	}
-	a.src = src
-}
-
-// Source returns the active ground-truth source.
-func (a *Adapter) Source() annotator.Source { return a.src }
+// annotator behind a resilience.Resilient wrapper.
+func (a *Adapter) SetSource(src annotator.Source) { a.src = src }
 
 // updateModel runs line 10 of Algorithm 1: fine-tuning models get the
 // labeled picked/new queries; re-training models get the full labeled pool.

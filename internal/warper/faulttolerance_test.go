@@ -2,21 +2,21 @@ package warper
 
 import (
 	"context"
-	"math"
-	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"warper/internal/ce"
-	"warper/internal/dataset"
-	"warper/internal/query"
 	"warper/internal/resilience"
 )
 
 // TestPartialPeriodStillImprovesGMQ is the golden degradation test: with the
 // exact source dropping ~30% of annotation calls — enough to force partial
-// periods, not enough to hit the minLabelFraction floor — adaptation on a
-// drifted workload must still improve GMQ, because the labels that did
-// arrive are exact.
+// periods — adaptation on a drifted workload must still improve GMQ,
+// because the labels that did arrive are exact. A small batch can still
+// fall under the minLabelFraction floor; such a period must roll back
+// (floorPeriod).
 func TestPartialPeriodStillImprovesGMQ(t *testing.T) {
 	e := newAdapterEnv(t, adapterCfg(), 500)
 	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 0.3, Seed: 77}))
@@ -26,7 +26,7 @@ func TestPartialPeriodStillImprovesGMQ(t *testing.T) {
 	sawPartial := false
 	failed := 0
 	for step := 0; step < 4; step++ {
-		rep := periodOK(t, e.ad, arrivalsOf(e.newQ[step*40:(step+1)*40], true))
+		rep, _ := floorPeriod(t, e.ad, arrivalsOf(e.newQ[step*40:(step+1)*40], true))
 		sawPartial = sawPartial || rep.Partial
 		failed += rep.AnnotateFailed
 	}
@@ -41,67 +41,57 @@ func TestPartialPeriodStillImprovesGMQ(t *testing.T) {
 	}
 }
 
-// TestFallbackRescuesBelowFloor pins the second rung of the degradation
-// ladder: when exact annotation falls under minLabelFraction, the sampled
-// fallback fills in and the period completes with UsedFallback set instead
-// of aborting.
-func TestFallbackRescuesBelowFloor(t *testing.T) {
-	e := newAdapterEnv(t, adapterCfg(), 500)
-	// Nine exact calls in ten fail: far below the 50% floor, so every
-	// annotating period needs the fallback.
-	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 0.9, Seed: 78}))
-
-	sawFallback := false
-	for step := 0; step < 3 && !sawFallback; step++ {
-		rep := periodOK(t, e.ad, arrivalsOf(e.newQ[step*40:(step+1)*40], true))
-		if rep.Annotated > 0 {
-			sawFallback = rep.UsedFallback
-			if sawFallback && !rep.Partial {
-				t.Error("UsedFallback without Partial: fallback labels are partial by definition")
-			}
-		}
+// floorPeriod runs one period under a faulty source and reports whether it
+// aborted. An aborted period must have stopped at the label floor and left
+// what the caller rolls back to: 𝕄's weights bit for bit, and a pool with
+// none of the period's entries.
+func floorPeriod(t *testing.T, ad *Adapter, arrivals []Arrival) (Report, bool) {
+	t.Helper()
+	weights := paramBits(reflect.ValueOf(ad.M), map[uintptr]bool{}, nil)
+	size := ad.Pool.Len()
+	rep, err := ad.Period(arrivals)
+	if err == nil {
+		return rep, false
 	}
-	if !sawFallback {
-		t.Error("sampled fallback never engaged under a 90% error rate with a 50% floor")
+	if !strings.Contains(err.Error(), "floor") {
+		t.Fatalf("period failed with %v, want the label-floor error", err)
 	}
+	if rep.Partial || rep.Updated {
+		t.Errorf("aborted period reports partial=%v updated=%v, want neither", rep.Partial, rep.Updated)
+	}
+	if got := paramBits(reflect.ValueOf(ad.M), map[uintptr]bool{}, nil); !slices.Equal(got, weights) {
+		t.Error("the aborted period moved 𝕄's weights")
+	}
+	if got := ad.Pool.Len(); got != size {
+		t.Errorf("pool holds %d entries after the aborted period, %d before: its additions stayed", got, size)
+	}
+	return rep, true
 }
 
-// TestFallbackSampleFollowsTheTable pins that the sampled fallback counts
-// over the table as it is now. Every exact call fails, so every annotating
-// period falls back; between periods the table doubles, then halves. A
-// sample kept from before scales a full-range count to the old row count
-// after the append, and indexes rows that no longer exist after the
-// truncate.
-func TestFallbackSampleFollowsTheTable(t *testing.T) {
+// TestBelowFloorAborts pins the last rung of the degradation ladder: when
+// exact annotation falls under minLabelFraction, the period aborts
+// (floorPeriod) and the pool keeps only exact labels — no approximate count
+// stands in for the ones the source lost.
+func TestBelowFloorAborts(t *testing.T) {
 	e := newAdapterEnv(t, adapterCfg(), 500)
-	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 1, Seed: 80}))
-	all := query.Predicate{Lows: make([]float64, e.tbl.NumCols()), Highs: make([]float64, e.tbl.NumCols())}
-	for i := range all.Lows {
-		all.Lows[i], all.Highs[i] = math.Inf(-1), math.Inf(1)
-	}
-	// fallBack runs a period that must annotate through the fallback, then
-	// checks the fallback's full-range count against the live row count.
-	fallBack := func(what string, arrivals []Arrival) {
-		t.Helper()
-		rep := periodOK(t, e.ad, arrivals)
-		if !rep.UsedFallback {
-			t.Fatalf("%s: period did not fall back (mode %v, annotated %d)", what, rep.Detection.Mode, rep.Annotated)
-		}
-		got, err := e.ad.fallback.Count(context.Background(), all)
-		if err != nil {
-			t.Fatalf("%s: fallback count: %v", what, err)
-		}
-		if n := float64(e.tbl.NumRows()); math.Abs(got-n) > 1e-6*n {
-			t.Fatalf("%s: fallback counts %v rows in range, table has %v", what, got, n)
-		}
-	}
+	// Nine exact calls in ten fail: far below the 50% floor, so every
+	// annotating period aborts.
+	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 0.9, Seed: 78}))
 
-	fallBack("drift", arrivalsOf(e.newQ[:40], true))
-	rng := rand.New(rand.NewSource(81))
-	dataset.AppendDrift(e.tbl, 1.0, 0.5, rng)
-	fallBack("after append", arrivalsOf(e.newQ[40:80], true))
-	dataset.SortTruncateHalf(e.tbl, 1)
-	fallBack("after truncate", arrivalsOf(e.newQ[80:120], true))
+	for step := 0; step < 3; step++ {
+		if _, aborted := floorPeriod(t, e.ad, arrivalsOf(e.newQ[step*40:(step+1)*40], true)); !aborted {
+			continue // nothing left to annotate: no rung was reached
+		}
+		for i, pe := range e.ad.Pool.Entries {
+			if pe.HasGT() {
+				if want := countOK(t, e.ann, pe.Pred); pe.GT != want {
+					t.Fatalf("pool entry %d (%v) is labeled %v, the exact count is %v", i, pe.Source, pe.GT, want)
+				}
+			}
+		}
+		return
+	}
+	t.Fatal("no period aborted under a 90% error rate with a 50% floor")
 }
 
 // TestCancelledPeriodAborts pins the abort rung: parent-context

@@ -229,7 +229,7 @@ func TestFailedPeriodsKeepTheClock(t *testing.T) {
 		t.Fatalf("period cancelled mid-annotation returned %v", err)
 	}
 	wantStages(t, rep, StageDetect, StageGenerate, StagePick, StageAnnotate)
-	e.ad.SetSource(nil)
+	e.ad.SetSource(e.ann)
 
 	// Failed in the model update, after the components trained.
 	m := &failingUpdate{Estimator: e.ad.M, fail: true}
