@@ -38,7 +38,7 @@ lint:
 
 # Fault-injected soak: the WARPER_CHAOS gate enables the opt-in chaos tests
 # (heavy injected errors/hangs under concurrent traffic; the overload soak:
-# replica starvation + slow swaps + open breaker; the open-loop 2x-saturation
+# replica starvation + slow swaps; the open-loop 2x-saturation
 # acceptance run; and the differential driver's long sequence — 10^5 seeded
 # operations per seed and mode against the one-mutex reference server) on top
 # of the always-on fault-tolerance tests, under the race detector. The soak writes

@@ -123,8 +123,8 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.Float64Var(&c.driftAlarm, "drift-alarm-gmq", 4, "windowed GMQ that raises the drift alarm (0 = off)")
 
 	// Fault tolerance. The resilience wrapper always guards period-time
-	// annotation: retry with backoff, per-attempt timeouts and a circuit
-	// breaker.
+	// annotation: retry with backoff and per-attempt timeouts. A failing
+	// annotator fails periods, never serving: health reads serving load only.
 	fs.DurationVar(&c.annTimeout, "annotate-timeout", 2*time.Second, "per-attempt annotation deadline")
 	fs.IntVar(&c.annRetries, "annotate-retries", 3, "annotation attempts per call, including the first")
 	fs.DurationVar(&c.periodTimeout, "period-timeout", 0, "deadline for one POST /period adaptation (0 = none)")
@@ -214,9 +214,8 @@ func main() {
 	})
 
 	// Route period-time annotation through the resilience stack:
-	// retry/backoff, per-attempt timeouts and a circuit breaker, reporting
-	// into the server's /metrics registry and charging retries to the
-	// adapter's cost ledger.
+	// retry/backoff and per-attempt timeouts, reporting into the server's
+	// /metrics registry and charging retries to the adapter's cost ledger.
 	adapter.SetSource(resilience.Wrap(ann, resilience.Policy{
 		MaxAttempts:    cfg.annRetries,
 		AttemptTimeout: cfg.annTimeout,

@@ -7,16 +7,17 @@ import (
 )
 
 // Source is the annotation seam between Warper and whatever executes
-// ground-truth counts. In this reproduction every implementation counts
-// over in-memory tables, but in production 𝔸 issues count(*) queries against a
-// live DBMS — a call that can be slow, flaky, or down. The interface is
+// ground-truth counts. Every implementation here counts over in-memory
+// tables and fails only on a cancelled context or a wrong-dimension
+// predicate; a deployment that backs 𝔸 with count(*) queries against a live
+// DBMS gets a call that can be slow, flaky, or down. The interface is
 // therefore context-aware (callers bound and cancel annotation work) and
 // fallible (a failed count surfaces as an error the adaptation loop can
 // absorb instead of a lost period).
 //
 // Implementations: *Annotator (exact, over the table's sorted-column scan
-// index) and the wrappers in internal/resilience (retry/breaker hardening,
-// fault injection). Every label is an exact count: §4.3 prices each one as
+// index) and the wrappers in internal/resilience (retries and per-attempt
+// timeouts, fault injection). Every label is an exact count: §4.3 prices each one as
 // c_gt, and no approximate source stands in for a failed one. The
 // adaptation loop and the drift telemetry label one predicate at a time, so
 // one method is the whole seam; the exact annotator's AnnotateAll is a

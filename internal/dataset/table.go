@@ -72,15 +72,6 @@ func (c *Column) Max() float64 {
 	return m
 }
 
-// DistinctCount returns the number of distinct values in the column.
-func (c *Column) DistinctCount() int {
-	seen := make(map[float64]struct{}, 64)
-	for _, v := range c.Vals {
-		seen[v] = struct{}{}
-	}
-	return len(seen)
-}
-
 // Table is a named collection of equal-length columns.
 type Table struct {
 	Name string

@@ -63,6 +63,3 @@ func (r *Regressor) Predict(x []float64) float64 {
 	}
 	return out
 }
-
-// NumTrees returns the number of fitted boosting stages.
-func (r *Regressor) NumTrees() int { return len(r.trees) }

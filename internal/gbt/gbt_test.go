@@ -72,7 +72,7 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := tree.Depth(); got > depth {
+		if got := nodeDepth(tree.root); got > depth {
 			t.Errorf("depth = %d, limit %d", got, depth)
 		}
 	}
@@ -101,9 +101,28 @@ func TestTreeConstantTargetIsLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.NumLeaves() != 1 {
-		t.Errorf("constant target produced %d leaves", tree.NumLeaves())
+	if n := countLeaves(tree.root); n != 1 {
+		t.Errorf("constant target produced %d leaves", n)
 	}
+}
+
+// nodeDepth is the depth of the subtree at n (a lone leaf has depth 0).
+func nodeDepth(n *treeNode) int {
+	if n == nil || n.Feature < 0 {
+		return 0
+	}
+	return 1 + max(nodeDepth(n.Left), nodeDepth(n.Right))
+}
+
+// countLeaves is the number of leaves in the subtree at n.
+func countLeaves(n *treeNode) int {
+	if n == nil {
+		return 0
+	}
+	if n.Feature < 0 {
+		return 1
+	}
+	return countLeaves(n.Left) + countLeaves(n.Right)
 }
 
 func TestBoostingReducesTrainError(t *testing.T) {
@@ -179,8 +198,8 @@ func TestRegressorNumTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumTrees() != 7 {
-		t.Errorf("NumTrees = %d, want 7", r.NumTrees())
+	if len(r.trees) != 7 {
+		t.Errorf("fitted %d trees, want 7", len(r.trees))
 	}
 }
 

@@ -15,7 +15,6 @@ package gbt
 
 import (
 	"errors"
-	"math"
 	"sort"
 )
 
@@ -256,28 +255,4 @@ func (t *Tree) Predict(x []float64) float64 {
 		}
 	}
 	return node.Value
-}
-
-// Depth returns the depth of the tree (a lone leaf has depth 0).
-func (t *Tree) Depth() int { return nodeDepth(t.root) }
-
-func nodeDepth(n *treeNode) int {
-	if n == nil || n.Feature < 0 {
-		return 0
-	}
-	l, r := nodeDepth(n.Left), nodeDepth(n.Right)
-	return 1 + int(math.Max(float64(l), float64(r)))
-}
-
-// NumLeaves returns the number of leaves in the tree.
-func (t *Tree) NumLeaves() int { return countLeaves(t.root) }
-
-func countLeaves(n *treeNode) int {
-	if n == nil {
-		return 0
-	}
-	if n.Feature < 0 {
-		return 1
-	}
-	return countLeaves(n.Left) + countLeaves(n.Right)
 }

@@ -130,9 +130,6 @@ func (r *Regressor) Predict(x []float64) float64 {
 	return s
 }
 
-// NumAnchors returns the number of support points retained.
-func (r *Regressor) NumAnchors() int { return len(r.anchors) }
-
 // solveCholesky solves the symmetric positive-definite system A x = b where A
 // is n×n row-major. A is destroyed.
 func solveCholesky(A, b []float64, n int) ([]float64, error) {

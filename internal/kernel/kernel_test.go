@@ -126,8 +126,8 @@ func TestKRRSubsampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumAnchors() != 100 {
-		t.Errorf("NumAnchors = %d, want 100", r.NumAnchors())
+	if len(r.anchors) != 100 {
+		t.Errorf("retained %d anchors, want 100", len(r.anchors))
 	}
 	if got := r.Predict([]float64{0.5}); math.Abs(got-1) > 0.1 {
 		t.Errorf("f(0.5) = %v, want ~1", got)

@@ -100,7 +100,7 @@ func BenchmarkInferBatch(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				useKernels(b, set)
-				xr := x.View(rows, x.Cols)
+				xr := Mat{Rows: rows, Cols: x.Cols, Stride: x.Stride, Data: x.Data}
 				n.InferBatch(xr, out)
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -79,7 +79,8 @@ func testScaledAssign(t *testing.T) {
 			n := mk(rng)
 			in, out := n.InSize(), len(referencePredict(n, make([]float64, n.InSize())))
 			// g is a column view of a wider matrix: strided rows.
-			x, g := NewMat(rows, in), NewMat(rows, out+3).View(rows, out)
+			wide := NewMat(rows, out+3)
+			x, g := NewMat(rows, in), Mat{Rows: rows, Cols: out, Stride: wide.Stride, Data: wide.Data}
 			for r := 0; r < rows; r++ {
 				for i := range x.Row(r) {
 					x.Row(r)[i] = rng.NormFloat64()

@@ -21,12 +21,6 @@ func (m Mat) Row(r int) []float64 {
 	return m.Data[off : off+m.Cols : off+m.Cols]
 }
 
-// View returns a view of the first rows rows and cols columns. The backing
-// array is shared.
-func (m Mat) View(rows, cols int) Mat {
-	return Mat{Rows: rows, Cols: cols, Stride: m.Stride, Data: m.Data}
-}
-
 // CopyFromRows fills the matrix from a slice of equal-length rows.
 func (m Mat) CopyFromRows(rows [][]float64) {
 	for r, src := range rows {

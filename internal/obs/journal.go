@@ -6,15 +6,15 @@ import (
 )
 
 // Event is one adaptation-lifecycle record in the journal: what the serving
-// stack decided (a period started, a model swapped in, the breaker opened,
-// the drift watch fired) and why, correlated to request traces by ID.
+// stack decided (a period started, a model swapped in, health changed, the
+// drift watch fired) and why, correlated to request traces by ID.
 type Event struct {
 	// Seq is the global append order; it never resets, so gaps at the head
 	// of a snapshot reveal how many events the bounded buffer evicted.
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"`
 	// Kind names the lifecycle event (period_start, period_end, model_swap,
-	// period_rollback, degrade_*, health, breaker, drift_alarm, drift_clear).
+	// period_rollback, degrade_*, health, drift_alarm, drift_clear).
 	Kind string `json:"kind"`
 	// TraceID links the event to a request trace when one caused it
 	// (0 = none).

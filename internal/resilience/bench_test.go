@@ -11,11 +11,11 @@ import (
 	"warper/internal/workload"
 )
 
-// BenchmarkAnnotateResilienceOverhead measures what the retry/breaker
-// wrapper costs on the fault-free fast path: the same predicates counted one
-// at a time, as the adapter annotates, through the raw annotator and through
-// Wrap. The delta is the per-call price of the breaker check, the attempt
-// context, and the cost ledger charge — it should stay far below one count.
+// BenchmarkAnnotateResilienceOverhead measures what the retry wrapper costs
+// on the fault-free fast path: the same predicates counted one at a time, as
+// the adapter annotates, through the raw annotator and through Wrap. The
+// delta is the per-call price of the attempt context and the stopwatch — it
+// should stay far below one count.
 func BenchmarkAnnotateResilienceOverhead(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	tbl := dataset.PRSA(6000, rng)

@@ -43,15 +43,14 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Resilient wraps an annotator.Source with retries, per-attempt timeouts,
-// and a circuit breaker. It implements annotator.Source itself, so it can
-// stand anywhere an annotator does — including under another wrapper.
+// Resilient wraps an annotator.Source with retries and per-attempt
+// timeouts. It implements annotator.Source itself, so it can stand anywhere
+// an annotator does — including under another wrapper.
 //
 // Resilient is safe for concurrent use; the jitter RNG is mutex-guarded.
 type Resilient struct {
 	src     annotator.Source
 	pol     Policy
-	breaker *Breaker
 	events  Events
 	charger Charger
 
@@ -65,11 +64,10 @@ var _ annotator.Source = (*Resilient)(nil)
 func Wrap(src annotator.Source, pol Policy, events Events) *Resilient {
 	pol = pol.withDefaults()
 	return &Resilient{
-		src:     src,
-		pol:     pol,
-		breaker: NewBreaker(events.BreakerState),
-		events:  events,
-		rng:     rand.New(rand.NewSource(pol.Seed)),
+		src:    src,
+		pol:    pol,
+		events: events,
+		rng:    rand.New(rand.NewSource(pol.Seed)),
 	}
 }
 
@@ -80,7 +78,7 @@ func (r *Resilient) WithCostLedger(c Charger) *Resilient {
 	return r
 }
 
-// Count implements annotator.Source with the retry/breaker discipline.
+// Count implements annotator.Source with the retry discipline.
 func (r *Resilient) Count(ctx context.Context, p query.Predicate) (float64, error) {
 	var v float64
 	err := r.do(ctx, func(actx context.Context) error {
@@ -98,43 +96,35 @@ func (r *Resilient) Count(ctx context.Context, p query.Predicate) (float64, erro
 // its cancellation or deadline aborts the loop immediately (including backoff
 // waits) and is returned verbatim, so callers can distinguish "the period was
 // cancelled" from "the source kept failing". An attempt the caller cut short
-// is therefore neither a breaker failure nor a charged retry.
+// is therefore not a charged retry.
 func (r *Resilient) do(ctx context.Context, op func(context.Context) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= r.pol.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !r.breaker.Allow() {
-			lastErr = ErrOpen
-		} else {
-			actx, cancel := r.attemptCtx(ctx)
-			w := simclock.StartWatch()
-			err := op(actx)
-			d := w.Stop()
-			cancel()
-			if err == nil {
-				r.breaker.Record(nil)
-				return nil
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				// The caller gave up, the source did not fail: no
-				// failure streak, no retry charge.
-				r.breaker.Release()
-				return cerr
-			}
-			r.breaker.Record(err)
-			// A failed attempt still burned real annotation work;
-			// charge it so the virtual-clock cost model sees faults.
-			if r.charger != nil {
-				r.charger.Charge(RetryCharge, d)
-			}
-			if errors.Is(err, context.DeadlineExceeded) && r.events.Timeout != nil {
-				// The per-attempt deadline fired, not the caller's.
-				r.events.Timeout(attempt)
-			}
-			lastErr = err
+		actx, cancel := r.attemptCtx(ctx)
+		w := simclock.StartWatch()
+		err := op(actx)
+		d := w.Stop()
+		cancel()
+		if err == nil {
+			return nil
 		}
+		if cerr := ctx.Err(); cerr != nil {
+			// The caller gave up, the source did not fail: no retry charge.
+			return cerr
+		}
+		// A failed attempt still burned real annotation work; charge it so
+		// the virtual-clock cost model sees faults.
+		if r.charger != nil {
+			r.charger.Charge(RetryCharge, d)
+		}
+		if errors.Is(err, context.DeadlineExceeded) && r.events.Timeout != nil {
+			// The per-attempt deadline fired, not the caller's.
+			r.events.Timeout(attempt)
+		}
+		lastErr = err
 		if attempt == r.pol.MaxAttempts {
 			break
 		}

@@ -20,7 +20,10 @@ type scripted struct {
 	calls  int
 }
 
-var errHang = errors.New("scripted hang sentinel")
+var (
+	errBoom = errors.New("boom")
+	errHang = errors.New("scripted hang sentinel")
+)
 
 func (s *scripted) next() error {
 	s.mu.Lock()
@@ -130,65 +133,27 @@ func TestParentCancellationWinsOverRetry(t *testing.T) {
 }
 
 // TestCallerCancellationIsNotASourceFailure pins that an attempt whose
-// caller gives up mid-count is not the source's failure: openAfter such
-// calls leave the breaker closed and charge nothing under RetryCharge, and
-// a half-open probe whose caller gives up re-opens the breaker instead of
-// wedging it in half-open.
+// caller gives up mid-count is not the source's failure: such calls return
+// the caller's error and charge nothing under RetryCharge.
 func TestCallerCancellationIsNotASourceFailure(t *testing.T) {
 	pol := fastPolicy()
 	pol.AttemptTimeout = time.Minute // only the caller's deadline can fire
 	src := &scripted{script: []error{errHang, errHang, errHang, errHang, errHang}}
 	var log chargeLog
 	r := Wrap(src, pol, Events{}).WithCostLedger(&log)
-	giveUp := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		defer cancel()
-		_, err := r.Count(ctx, query.Predicate{})
-		return err
-	}
 	for i := 0; i < 5; i++ {
-		if err := giveUp(); !errors.Is(err, context.DeadlineExceeded) {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		_, err := r.Count(ctx, query.Predicate{})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("call %d: err = %v, want the caller's deadline", i, err)
 		}
 	}
-	if got := r.breaker.State(); got != Closed {
-		t.Errorf("breaker = %v after five cancelled calls, want closed", got)
+	if src.Calls() != 5 {
+		t.Errorf("underlying calls = %d, want 5 (one per call, no retry)", src.Calls())
 	}
 	if len(log.names) != 0 {
 		t.Errorf("charges = %v, want none for cancelled calls", log.names)
-	}
-
-	// Trip the breaker with real failures, then cancel the probe. With one
-	// attempt per call, each call is one breaker decision.
-	pol.MaxAttempts = 1
-	src = &scripted{script: []error{errBoom, errBoom, errBoom, errBoom, errBoom, errHang, nil}}
-	r = Wrap(src, pol, Events{})
-	for i := 0; i < openAfter; i++ {
-		if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, errBoom) {
-			t.Fatalf("tripping call %d: err = %v, want errBoom", i, err)
-		}
-	}
-	rejectUntilProbe := func() {
-		t.Helper()
-		for i := 1; i < probeEvery; i++ {
-			if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, ErrOpen) {
-				t.Fatalf("rejected call %d: err = %v, want ErrOpen", i, err)
-			}
-		}
-	}
-	rejectUntilProbe()
-	if err := giveUp(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("probe: err = %v, want the caller's deadline", err)
-	}
-	if got := r.breaker.State(); got != Open {
-		t.Fatalf("breaker = %v after a cancelled probe, want open", got)
-	}
-	rejectUntilProbe()
-	if _, err := r.Count(context.Background(), query.Predicate{}); err != nil {
-		t.Fatalf("next probe: %v", err)
-	}
-	if got := r.breaker.State(); got != Closed {
-		t.Errorf("breaker = %v after a successful probe, want closed", got)
 	}
 }
 
@@ -214,46 +179,6 @@ func TestFailedAttemptsChargedToLedger(t *testing.T) {
 
 // The adapter's cost ledger is what WithCostLedger receives in production.
 var _ Charger = (*simclock.Ledger)(nil)
-
-// TestBreakerOpensAndFailsFast wires breaker + retry: once the failure
-// streak trips the breaker, subsequent calls fail fast with ErrOpen without
-// touching the source.
-func TestBreakerOpensAndFailsFast(t *testing.T) {
-	src := &scripted{script: []error{errBoom, errBoom, errBoom, errBoom, errBoom, errBoom}}
-	var states []State
-	r := Wrap(src, fastPolicy(), Events{BreakerState: func(s State) { states = append(states, s) }})
-
-	// First call: 3 attempts, all fail; the breaker stays closed.
-	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, errBoom) {
-		t.Fatalf("first call err = %v, want errBoom", err)
-	}
-	if got := r.breaker.State(); got != Closed {
-		t.Fatalf("breaker state after 3 failures = %v, want closed", got)
-	}
-	// Second call: attempts 4 and 5 fail and trip the breaker, which
-	// rejects the third.
-	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, ErrOpen) {
-		t.Fatalf("tripping call err = %v, want ErrOpen", err)
-	}
-	if got := r.breaker.State(); got != Open {
-		t.Fatalf("breaker state = %v, want open", got)
-	}
-	calls := src.Calls()
-	if calls != openAfter {
-		t.Errorf("source calls before the trip = %d, want %d", calls, openAfter)
-	}
-	// Third call: all attempts rejected by the breaker (rejections 2–4, no
-	// probe before the 8th), source untouched.
-	if _, err := r.Count(context.Background(), query.Predicate{}); !errors.Is(err, ErrOpen) {
-		t.Fatalf("third call err = %v, want ErrOpen", err)
-	}
-	if src.Calls() != calls {
-		t.Errorf("open breaker leaked %d calls to the source", src.Calls()-calls)
-	}
-	if len(states) != 1 || states[0] != Open {
-		t.Errorf("state transitions = %v, want [open]", states)
-	}
-}
 
 // TestSeededRunsAreIdentical pins the determinism acceptance criterion at
 // the wrapper level: same seed + same script → identical call counts and

@@ -519,14 +519,14 @@ func adaptShares(ops int) (pPeriod, pFeedback float64) {
 }
 
 // opEstimate sends one request under a drawn admission situation — health
-// state, breaker, replicas held or free, deadline or none — and checks the
+// state, replicas held or free, deadline or none — and checks the
 // answer bits and the outcome class against the admission table.
 func (d *diffDriver) opEstimate() {
 	dr, rows := d.randomRequest(d.rng)
-	state, breaker := Healthy, false
+	state := Healthy
 	switch d.rng.Intn(6) {
 	case 0:
-		state, breaker = Degraded, d.rng.Intn(2) == 0
+		state = Degraded
 	case 1:
 		state = Shedding
 	}
@@ -540,7 +540,6 @@ func (d *diffDriver) opEstimate() {
 	}
 
 	d.srv.health.state.Store(int32(state))
-	d.srv.health.breakerOpen.Store(breaker)
 	var replicas []*replica
 	if held {
 		replicas = drainReplicas(d.t, d.srv)
@@ -549,7 +548,6 @@ func (d *diffDriver) opEstimate() {
 	a, err := d.issue(dr, rows, budget)
 	restoreReplicas(d.srv, replicas)
 	d.srv.health.state.Store(int32(Healthy))
-	d.srv.health.breakerOpen.Store(false)
 	if err == nil {
 		err = d.verify(dr, a, lo, d.hi.Load())
 	}
@@ -558,15 +556,15 @@ func (d *diffDriver) opEstimate() {
 	}
 	// Rows that hit the cache need no replica, so a held request may still
 	// come back full; nothing else may differ from the table.
-	want := admissionOutcome(state, breaker, held, budget > 0)
+	want := admissionOutcome(state, held, budget > 0)
 	if dr == doorEstimate {
 		want = EstimateOutcome{}
 	}
 	full := !a.out.Shed && !a.out.Degraded
 	if a.out.Shed != want.Shed && !full || a.out.Degraded != want.Degraded && !full ||
 		a.out.Reason != "" && a.out.Reason != want.Reason {
-		d.failf("%v (%v, breaker %v, held %v, budget %v): outcome %+v, admission table says %+v",
-			dr, state, breaker, held, budget, a.out, want)
+		d.failf("%v (%v, held %v, budget %v): outcome %+v, admission table says %+v",
+			dr, state, held, budget, a.out, want)
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 // estimate_shed_total counters and in degraded response bodies.
 const (
 	reasonTimeout   = "timeout"    // checkout missed the deadline budget
-	reasonBreaker   = "breaker"    // annotation breaker open, server degraded
 	reasonDegraded  = "degraded"   // degraded health, no replica free
 	reasonQueueFull = "queue_full" // bounded admission queue overflowed
 	reasonShedding  = "shedding"   // shedding health, no replica free
@@ -254,8 +253,6 @@ func (s *Server) admit(h HealthState, deadline time.Time, preds []query.Predicat
 		// Everything a free replica cannot absorb is refused, so the queue
 		// drains instead of growing.
 		oc, charged = EstimateOutcome{Shed: true, Reason: reasonShedding}, s.met.shedShedding
-	case h == Degraded && s.health.breakerOpen.Load():
-		oc, charged = EstimateOutcome{Degraded: true, Reason: reasonBreaker}, s.met.fbBreaker
 	case h == Degraded:
 		oc, charged = EstimateOutcome{Degraded: true, Reason: reasonDegraded}, s.met.fbDegraded
 	default:

@@ -62,11 +62,10 @@ func shedOutcome(t testing.TB, code int, body []byte) EstimateOutcome {
 	return out
 }
 
-// reasonCounters snapshots the five per-reason admission counters.
+// reasonCounters snapshots the four per-reason admission counters.
 func reasonCounters(srv *Server) map[string]int64 {
 	return map[string]int64{
 		reasonTimeout:   srv.met.fbTimeout.Value(),
-		reasonBreaker:   srv.met.fbBreaker.Value(),
 		reasonDegraded:  srv.met.fbDegraded.Value(),
 		reasonQueueFull: srv.met.shedQueueFull.Value(),
 		reasonShedding:  srv.met.shedShedding.Value(),
@@ -77,14 +76,12 @@ func reasonCounters(srv *Server) map[string]int64 {
 // what a request whose rows all miss the cache must come back as, given the
 // health state, whether every replica is held, and whether the request
 // carries a deadline.
-func admissionOutcome(state HealthState, breaker, held, budgeted bool) EstimateOutcome {
+func admissionOutcome(state HealthState, held, budgeted bool) EstimateOutcome {
 	switch {
 	case !held:
 		return EstimateOutcome{}
 	case state == Shedding:
 		return EstimateOutcome{Shed: true, Reason: "shedding"}
-	case state == Degraded && breaker:
-		return EstimateOutcome{Degraded: true, Reason: "breaker"}
 	case state == Degraded:
 		return EstimateOutcome{Degraded: true, Reason: "degraded"}
 	case !budgeted:
@@ -107,17 +104,6 @@ func TestEntryPointsAgree(t *testing.T) {
 
 // entryPointsAgree walks the admission table on one server.
 func entryPointsAgree(t *testing.T) {
-	type health struct {
-		name    string
-		state   HealthState
-		breaker bool
-	}
-	healths := []health{
-		{"healthy", Healthy, false},
-		{"degraded", Degraded, false},
-		{"degraded+breaker", Degraded, true},
-		{"shedding", Shedding, false},
-	}
 	const bigRows, bigRow = 300, 280
 
 	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{Replicas: 1})
@@ -127,10 +113,10 @@ func entryPointsAgree(t *testing.T) {
 	for i := range big {
 		big[i] = gNew.Gen(rng)
 	}
-	for _, h := range healths {
+	for _, h := range []HealthState{Healthy, Degraded, Shedding} {
 		for _, held := range []bool{false, true} {
 			for _, budgeted := range []bool{false, true} {
-				name := fmt.Sprintf("%s/held=%v/budgeted=%v", h.name, held, budgeted)
+				name := fmt.Sprintf("%v/held=%v/budgeted=%v", h, held, budgeted)
 				p := gNew.Gen(rng)
 				pn := p.Normalize(sch)
 				big[bigRow] = p
@@ -190,9 +176,8 @@ func entryPointsAgree(t *testing.T) {
 					{"row 280 of 300", 2, func() (float64, EstimateOutcome) { return wireCall(bigFrame, bigRow) }},
 				}
 
-				srv.health.state.Store(int32(h.state))
-				srv.health.breakerOpen.Store(h.breaker)
-				exp := admissionOutcome(h.state, h.breaker, held, budgeted)
+				srv.health.state.Store(int32(h))
+				exp := admissionOutcome(h, held, budgeted)
 				wantCard := ref.Estimate(pn)
 				if exp.Degraded {
 					wantCard = srv.fb.estimate(pn)
@@ -211,7 +196,7 @@ func entryPointsAgree(t *testing.T) {
 					entriesBefore := int64(srv.met.cacheEntries.Value())
 					before := reasonCounters(srv)
 					var released chan struct{}
-					if held && h.state == Healthy && !budgeted {
+					if held && h == Healthy && !budgeted {
 						// The request queues forever: hand the replica
 						// back once it is parked, take it again after.
 						released = make(chan struct{})

@@ -10,12 +10,13 @@ import (
 
 // This file implements the estimator fallback ladder: the cheap,
 // always-available tier an estimate drops to when the learned model cannot
-// be reached in budget — checkout missed its deadline, the annotation
-// breaker is open, or the health machine has left healthy. CardOOD's thesis
-// (PAPERS.md) is that learned CEs need a story for "the model can't be
-// trusted"; overload is the sibling problem, "the model can't be *reached*",
-// and the answer is the same: keep a classical estimator warm next to the
-// learned one.
+// be reached in budget — checkout missed its deadline, or the health machine
+// has left healthy under serving load. CardOOD's thesis (PAPERS.md) is that
+// learned CEs need a story for "the model can't be trusted"; overload is the
+// sibling problem, "the model can't be *reached*", and the answer is the
+// same: keep a classical estimator warm next to the learned one. A failing
+// annotator is neither: the served model stays unchanged and reachable, so
+// it never sends an estimate here.
 //
 // The ladder is one rung: a ce.HistogramEstimator built from the live table
 // — data-driven, workload-blind, immune to every serving-side failure

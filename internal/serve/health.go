@@ -14,8 +14,11 @@ import (
 // the request may queue for a replica, must settle for the fallback
 // estimator, or should be shed outright. The paper budgets adaptation so
 // serving is never starved (§4.3); the health machine is the same idea
-// pointed the other way — it budgets *serving* so overload or a stuck swap
-// degrades answers instead of collapsing the process.
+// pointed the other way — it budgets *serving* so overload degrades answers
+// instead of collapsing the process. It reads serving load only — the
+// windowed replica-checkout-wait p99 and the admission-queue depth — because
+// only overload keeps the model from answering: an annotation fault or a
+// long adaptation period leaves the served model unchanged and reachable.
 //
 // The machine is deliberately cheap to read and deliberately slow to move:
 // the estimate hot path pays one atomic load to learn the state, and the
@@ -23,10 +26,11 @@ import (
 // a single bad sample cannot flap the server between modes — by the traffic
 // it governs: every estimate that leaves the checkout fast path or runs while
 // the state is not Healthy offers an evaluation (admit, or estimateGroup for
-// a group that hit on every row), as do the /period edges and the three
-// handlers that render health (/metrics, /status, /statusz). The server owns no goroutine, so an idle one holds its last
-// state until the next request or scrape; a free replica is used in every
-// state, so those first requests are still answered by the model.
+// a group that hit on every row), as do the three handlers that render
+// health (/metrics, /status, /statusz). The server owns no goroutine, so an
+// idle one holds its last state until the next request or scrape; a free
+// replica is used in every state, so those first requests are still answered
+// by the model.
 
 // HealthState is the serving health ladder. The numeric values are exported
 // on the serve_health_state gauge, so they are part of the metric contract.
@@ -68,9 +72,6 @@ const (
 	// evalInterval throttles evaluations: requests offer them far more often
 	// than the machine needs to think.
 	evalInterval = 250 * time.Millisecond
-	// maxSwapAge marks the server degraded while an adaptation period (and
-	// its eventual model swap) has been in flight longer than this.
-	maxSwapAge = 30 * time.Second
 	// escalateAfter is how many consecutive worse-than-current evaluations
 	// move the state one step up the ladder.
 	escalateAfter = 2
@@ -85,14 +86,11 @@ const (
 // counts as shedding: half the pool's shed-queue bound, at least 1.
 func queueHighFor(queueBound int64) int64 { return max(queueBound/2, 1) }
 
-// healthSignals is one evaluation's input: the windowed checkout-wait p99,
-// the live admission-queue depth, the annotation breaker state, and how long
-// the in-flight adaptation period (if any) has been running.
+// healthSignals is one evaluation's input: the windowed checkout-wait p99
+// and the live admission-queue depth.
 type healthSignals struct {
-	waitP99     float64 // seconds
-	queueDepth  int64
-	breakerOpen bool
-	swapAge     time.Duration
+	waitP99    float64 // seconds
+	queueDepth int64
 }
 
 // healthWindowSlots × healthWindowSlot is the span of the checkout-wait
@@ -154,13 +152,6 @@ type healthTracker struct {
 	queueHigh                        int64
 
 	state atomic.Int32
-	// breakerOpen mirrors the annotation circuit breaker, written by the
-	// resilience Events callback and read by evaluations and by the
-	// degraded-path reason split.
-	breakerOpen atomic.Bool
-	// swapStart is the UnixNano start of the in-flight adaptation period
-	// (0 when none): a period stuck past maxSwapAge degrades the server.
-	swapStart atomic.Int64
 	// lastEval throttles evaluations to evalEvery (UnixNano, CAS-guarded
 	// so concurrent requests elect one evaluator).
 	lastEval atomic.Int64
@@ -205,8 +196,7 @@ func (h *healthTracker) classify(sig healthSignals) HealthState {
 	if sig.waitP99 >= h.shedWait.Seconds() || sig.queueDepth >= h.queueHigh {
 		return Shedding
 	}
-	if sig.breakerOpen || sig.waitP99 >= h.degradeWait.Seconds() ||
-		(sig.swapAge > 0 && sig.swapAge >= maxSwapAge) {
+	if sig.waitP99 >= h.degradeWait.Seconds() {
 		return Degraded
 	}
 	return Healthy
@@ -265,12 +255,10 @@ func (h *healthTracker) transition(now time.Time, sig healthSignals) (slog.Level
 		level = slog.LevelWarn
 	}
 	fields := map[string]any{
-		"from":         cur.String(),
-		"to":           next.String(),
-		"wait_p99_ms":  sig.waitP99 * 1000,
-		"queue_depth":  sig.queueDepth,
-		"breaker_open": sig.breakerOpen,
-		"swap_age_ms":  float64(sig.swapAge.Microseconds()) / 1000,
+		"from":        cur.String(),
+		"to":          next.String(),
+		"wait_p99_ms": sig.waitP99 * 1000,
+		"queue_depth": sig.queueDepth,
 	}
 	//lint:allow lockorder the transition is journaled before it is published; Journal.Append takes no other lock
 	h.rec.journal.Append("health", 0, fields)
@@ -279,19 +267,12 @@ func (h *healthTracker) transition(now time.Time, sig healthSignals) (slog.Level
 }
 
 // evalHealth runs one (throttled) health evaluation: gather the signals —
-// windowed checkout-wait p99, live admission-queue depth, breaker state,
-// in-flight swap age — and let the tracker classify them with hysteresis.
-// An evaluation that does not change the state allocates nothing.
+// windowed checkout-wait p99 and live admission-queue depth — and let the
+// tracker classify them with hysteresis. An evaluation that does not change
+// the state allocates nothing.
 func (s *Server) evalHealth(now time.Time) {
 	if !s.health.due(now) {
 		return
 	}
-	sig := healthSignals{
-		queueDepth:  s.pool.queueDepth(),
-		breakerOpen: s.health.breakerOpen.Load(),
-	}
-	if start := s.health.swapStart.Load(); start != 0 {
-		sig.swapAge = now.Sub(time.Unix(0, start))
-	}
-	s.health.eval(now, sig)
+	s.health.eval(now, healthSignals{queueDepth: s.pool.queueDepth()})
 }

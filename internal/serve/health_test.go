@@ -31,12 +31,9 @@ func TestHealthClassify(t *testing.T) {
 		{"small wait", healthSignals{waitP99: 0.001}, Healthy},
 		{"degrade wait", healthSignals{waitP99: 0.025}, Degraded},
 		{"shed wait", healthSignals{waitP99: 0.250}, Shedding},
-		{"breaker open", healthSignals{breakerOpen: true}, Degraded},
 		{"queue high", healthSignals{queueDepth: 32}, Shedding},
 		{"queue below high", healthSignals{queueDepth: 31}, Healthy},
-		{"young swap", healthSignals{swapAge: time.Second}, Healthy},
-		{"stuck swap", healthSignals{swapAge: time.Minute}, Degraded},
-		{"worst wins", healthSignals{breakerOpen: true, queueDepth: 32}, Shedding},
+		{"worst wins", healthSignals{waitP99: 0.025, queueDepth: 32}, Shedding},
 	}
 	for _, c := range cases {
 		if got := h.classify(c.sig); got != c.want {

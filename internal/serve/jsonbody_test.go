@@ -172,7 +172,7 @@ func TestEstimateResponseBytes(t *testing.T) {
 		1<<53 + 1, math.MaxFloat64, -1e300, math.NaN(), math.Inf(1), math.Inf(-1),
 	}
 	outcomes := []EstimateOutcome{{}}
-	for _, r := range []string{reasonTimeout, reasonBreaker, reasonDegraded} {
+	for _, r := range []string{reasonTimeout, reasonDegraded} {
 		outcomes = append(outcomes, EstimateOutcome{Degraded: true, Reason: r})
 	}
 	sc := &scratch{}

@@ -66,16 +66,11 @@ type Metrics struct {
 	driftAlarm *obs.Gauge
 	driftGMQ   *obs.Gauge
 
-	// onBreaker, when non-nil, hands annotation-breaker transitions to the
-	// server that owns this metric set (set by NewWithOptions): the health
-	// machine's breaker signal and the breaker event.
-	onBreaker   func(resilience.State)
 	healthState *obs.Gauge
 	// Per-reason fallback and shed counters, pre-created so the estimate hot
 	// path increments a pointer instead of doing a labeled registry lookup
 	// (which would allocate the label key).
 	fbTimeout     *obs.Counter
-	fbBreaker     *obs.Counter
 	fbDegraded    *obs.Counter
 	shedQueueFull *obs.Counter
 	shedShedding  *obs.Counter
@@ -99,7 +94,6 @@ type Metrics struct {
 	annRetries    *obs.Counter
 	annTimeouts   *obs.Counter
 	annFailed     *obs.Counter
-	breakerState  *obs.Gauge
 	periodPartial *obs.Counter
 	telemetryDeg  *obs.Counter
 }
@@ -146,7 +140,6 @@ func NewMetrics() *Metrics {
 
 		healthState:   r.NewGauge("serve_health_state", "Serving health state: 0 healthy, 1 degraded, 2 shedding."),
 		fbTimeout:     r.NewCounter(mFallbackTotal, "Estimates answered by the fallback ladder instead of the model, by reason.", "reason", "timeout"),
-		fbBreaker:     r.Counter(mFallbackTotal, "reason", "breaker"),
 		fbDegraded:    r.Counter(mFallbackTotal, "reason", "degraded"),
 		shedQueueFull: r.NewCounter(mShedTotal, "Estimate requests shed by admission control (429), by reason.", "reason", "queue_full"),
 		shedShedding:  r.Counter(mShedTotal, "reason", "shedding"),
@@ -168,7 +161,6 @@ func NewMetrics() *Metrics {
 		annRetries:    r.NewCounter("warper_annotate_retries_total", "Annotation attempts retried by the resilience wrapper."),
 		annTimeouts:   r.NewCounter("warper_annotate_timeouts_total", "Annotation attempts killed by the per-attempt deadline."),
 		annFailed:     r.NewCounter("warper_annotate_failed_total", "Annotation calls that failed for good within a period (after retries)."),
-		breakerState:  r.NewGauge("warper_breaker_state", "Annotation circuit-breaker state: 0 closed, 1 open, 2 half-open."),
 		periodPartial: r.NewCounter("warper_period_partial_total", "Periods that proceeded with a partial annotation batch."),
 		telemetryDeg:  r.NewCounter("warper_telemetry_degraded_total", "Periods whose canary telemetry or rebase was skipped after source failures."),
 	}
@@ -227,20 +219,12 @@ func (rs *requestSeries) done(code int, d time.Duration) {
 }
 
 // ResilienceEvents returns an Events seam that turns resilience wrapper
-// callbacks into the warper_annotate_* and warper_breaker_state metrics.
+// callbacks into the warper_annotate_* metrics.
 // Wire it into resilience.Wrap when installing a resilient source on the
 // served adapter.
 func (m *Metrics) ResilienceEvents() resilience.Events {
 	return resilience.Events{
 		Retry:   func(int, error) { m.annRetries.Inc() },
 		Timeout: func(int) { m.annTimeouts.Inc() },
-		BreakerState: func(s resilience.State) {
-			// Export the breaker state with a stable encoding: 0 closed,
-			// 1 open, 2 half-open (the resilience.State values).
-			m.breakerState.Set(float64(s))
-			if m.onBreaker != nil {
-				m.onBreaker(s)
-			}
-		},
 	}
 }

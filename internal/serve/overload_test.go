@@ -92,24 +92,8 @@ func TestDegradedStateFallsBack(t *testing.T) {
 	if est.Cardinality <= 0 {
 		t.Errorf("fallback cardinality = %v, want > 0", est.Cardinality)
 	}
-
-	// With the annotation breaker open the reason is attributed to it.
-	srv.health.breakerOpen.Store(true)
-	est = estimateResponse{}
-	postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, &est)
-	if est.Reason != "breaker" {
-		t.Errorf("breaker-open fallback reason = %q, want \"breaker\"", est.Reason)
-	}
-	srv.health.breakerOpen.Store(false)
-
-	body := metricsBody(t, ts.URL)
-	for _, m := range []string{
-		`estimate_fallback_total{reason="degraded"} 1`,
-		`estimate_fallback_total{reason="breaker"} 1`,
-	} {
-		if !strings.Contains(body, m) {
-			t.Errorf("metric %s missing from /metrics", m)
-		}
+	if m := `estimate_fallback_total{reason="degraded"} 1`; !strings.Contains(metricsBody(t, ts.URL), m) {
+		t.Errorf("metric %s missing from /metrics", m)
 	}
 
 	// Back to healthy with replicas free: the response body must not even
@@ -369,7 +353,7 @@ func TestHealthMovesWithoutATick(t *testing.T) {
 	if first["from"] != "healthy" || first["to"] != "degraded" {
 		t.Errorf("first health event %v -> %v, want healthy -> degraded", first["from"], first["to"])
 	}
-	for _, k := range []string{"wait_p99_ms", "queue_depth", "breaker_open", "swap_age_ms"} {
+	for _, k := range []string{"wait_p99_ms", "queue_depth"} {
 		if _, ok := first[k]; !ok {
 			t.Errorf("health event carries no %s signal: %v", k, first)
 		}
@@ -453,11 +437,11 @@ func TestHealthRecoversOnCacheHits(t *testing.T) {
 }
 
 // TestOverloadChaosSoak is the env-gated overload soak behind `make chaos`:
-// replica starvation, a slow mid-traffic model swap and an open annotation
-// breaker, all at once, under -race. Invariants: the admission queue stays
-// bounded, every health transition in the journal is a single monotone step,
-// and once the chaos stops the server walks back to healthy and serves
-// byte-identical full-model answers.
+// replica starvation and a slow mid-traffic model swap at once, under
+// -race. Invariants: the admission queue stays bounded, every health
+// transition in the journal is a single monotone step, and once the chaos
+// stops the server walks back to healthy and serves byte-identical
+// full-model answers.
 func TestOverloadChaosSoak(t *testing.T) {
 	if os.Getenv("WARPER_CHAOS") == "" {
 		t.Skip("overload soak is opt-in: set WARPER_CHAOS=1 (or run `make chaos`)")
@@ -478,8 +462,8 @@ func TestOverloadChaosSoak(t *testing.T) {
 	// scheduler delays of hundreds of milliseconds, and those samples live
 	// in the 1-minute metrics window long after the chaos ends — they
 	// would pin the machine degraded through the whole recovery deadline.
-	// Queue depth (queueHigh = maxQueue/2 = 4 < workers) and the breaker
-	// signal drive the ladder here.
+	// Queue depth (queueHigh = maxQueue/2 = 4 < workers) drives the ladder
+	// here.
 	srv, ts, sch, ann, gNew := newTestServerWrap(t, Options{
 		Replicas:        2,
 		EstimateTimeout: budget,
@@ -489,10 +473,8 @@ func TestOverloadChaosSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	probe := gNew.Gen(rng).Normalize(sch)
 
-	// Chaos phase: open-ended load against starved replicas, the breaker
-	// signal forced open, and one adaptation period (with its delayed swap)
-	// overlapping the traffic.
-	srv.health.breakerOpen.Store(true)
+	// Chaos phase: open-ended load against starved replicas, and one
+	// adaptation period (with its delayed swap) overlapping the traffic.
 	var ok, degraded, shed, overBound atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -540,18 +522,17 @@ func TestOverloadChaosSoak(t *testing.T) {
 	}
 	t.Logf("soak outcomes: ok %d, degraded %d, shed %d", ok.Load(), degraded.Load(), shed.Load())
 
-	// Recovery: chaos off, breaker closed; the requests of a client that
-	// keeps asking are what walk the machine back to healthy.
+	// Recovery: chaos off; the requests of a client that keeps asking are
+	// what walk the machine back to healthy.
 	chaos.chaosOn.Store(false)
-	srv.health.breakerOpen.Store(false)
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.health.current() != Healthy && time.Now().Before(deadline) {
 		srv.estimateOne(gNew.Gen(rng).Normalize(sch), srv.health.current(), time.Now().Add(budget), nil)
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got := srv.health.current(); got != Healthy {
-		t.Fatalf("server did not recover to healthy, state %v (wait_p99 %.3fs, queue %d, breaker %v, swap_start %d)",
-			got, srv.health.wait.p99(time.Now()), srv.pool.queueDepth(), srv.health.breakerOpen.Load(), srv.health.swapStart.Load())
+		t.Fatalf("server did not recover to healthy, state %v (wait_p99 %.3fs, queue %d)",
+			got, srv.health.wait.p99(time.Now()), srv.pool.queueDepth())
 	}
 
 	// Every journaled health transition is one monotone step.

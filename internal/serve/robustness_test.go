@@ -233,13 +233,18 @@ func TestFailedPeriodsOfferEachArrivalOnce(t *testing.T) {
 }
 
 // TestBelowFloorPeriodRollsBack is the label floor seen from /period: with
-// nine exact calls in ten failing, the period aborts instead of degrading,
+// nine exact calls in ten failing and arrivals that carry no cardinality (so
+// no fed label holds the floor up), the period aborts instead of degrading,
 // so the answer is a 500, the serving generation stays, the failure is
 // counted, and no degrade_* step is journaled.
 func TestBelowFloorPeriodRollsBack(t *testing.T) {
 	srv, ts, ann, gNew := robustnessEnv(t, func(lm *ce.LM) ce.Estimator { return lm })
 	srv.adapter.SetSource(resilience.NewFaulty(ann, resilience.FaultPlan{ErrRate: 0.9, Seed: 78}))
-	feedDrifted(t, ts, ann, gNew, rand.New(rand.NewSource(17)), 30)
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 30; i++ {
+		p := gNew.Gen(rng)
+		postJSON(t, ts.URL+"/feedback", feedbackRequest{predicateJSON: predicateJSON{Lows: p.Lows, Highs: p.Highs}}, nil)
+	}
 
 	failures := metricValue(t, metricsBody(t, ts.URL), "warper_period_failures_total")
 	gen := srv.pool.generation()
@@ -255,6 +260,39 @@ func TestBelowFloorPeriodRollsBack(t *testing.T) {
 	for _, ev := range getStatus(t, ts.URL).Journal.Events {
 		if strings.HasPrefix(ev.Kind, "degrade_") {
 			t.Errorf("below-floor period journaled %s", ev.Kind)
+		}
+	}
+}
+
+// TestAnnotationFaultsLeaveServingHealthy pins that serving health reads
+// serving load only: with a ground-truth source that fails every call,
+// period after period aborts (500), yet the served model is unchanged and
+// reachable, so the health machine stays healthy and journals nothing.
+func TestAnnotationFaultsLeaveServingHealthy(t *testing.T) {
+	srv, ts, _, gNew := faultyEnv(t, resilience.FaultPlan{ErrRate: 1, Seed: 3},
+		resilience.Policy{MaxAttempts: 1, AttemptTimeout: 50 * time.Millisecond, Seed: 3})
+	quickHealth(srv, 0)
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 30; i++ {
+		p := gNew.Gen(rng)
+		postJSON(t, ts.URL+"/feedback", feedbackRequest{predicateJSON: predicateJSON{Lows: p.Lows, Highs: p.Highs}}, nil)
+	}
+	for k := 0; k < 4; k++ {
+		if r := postJSON(t, ts.URL+"/period", struct{}{}, nil); r.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("period %d under an always-failing source = %d, want 500", k, r.StatusCode)
+		}
+	}
+	var est estimateResponse
+	p := gNew.Gen(rng)
+	if r := postJSON(t, ts.URL+"/estimate", predicateJSON{Lows: p.Lows, Highs: p.Highs}, &est); r.StatusCode != http.StatusOK || est.Degraded {
+		t.Errorf("estimate after the failed periods = %d (degraded %v), want a 200 from the model", r.StatusCode, est.Degraded)
+	}
+	if got := srv.health.current(); got != Healthy {
+		t.Errorf("health = %v after failed periods, want healthy", got)
+	}
+	for _, ev := range srv.rec.journal.Snapshot() {
+		if ev.Kind == "health" || ev.Kind == "breaker" {
+			t.Errorf("annotation faults journaled a %s event: %v", ev.Kind, ev.Fields)
 		}
 	}
 }
@@ -341,7 +379,7 @@ func TestDegradedPeriodKeepsServing(t *testing.T) {
 	}
 	for _, name := range []string{
 		"warper_annotate_timeouts_total", "warper_annotate_failed_total",
-		"warper_breaker_state", "warper_period_partial_total",
+		"warper_period_partial_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("metric %s missing from /metrics", name)
@@ -539,8 +577,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// `make chaos` captures the soak's /status document as a CI artifact:
-	// its journal holds the breaker transitions, degradation steps and model
-	// swaps the fault injection provoked, in causal order.
+	// its journal holds the rollbacks, degradation steps and model swaps the
+	// fault injection provoked, in causal order.
 	if path := os.Getenv("WARPER_EVENTS_OUT"); path != "" {
 		resp, err := http.Get(ts.URL + "/status")
 		if err != nil {

@@ -40,7 +40,6 @@ import (
 	"warper/internal/metrics"
 	"warper/internal/obs"
 	"warper/internal/query"
-	"warper/internal/resilience"
 	"warper/internal/warper"
 	"warper/internal/wire"
 )
@@ -183,14 +182,6 @@ func NewWithOptions(a *warper.Adapter, sch *query.Schema, opts Options) *Server 
 	s.fb = newFallbackLadder()
 	s.fb.refresh(a.Table())
 	s.health = newHealthTracker(s.pool.maxQueue, s.met, s.rec)
-	s.met.onBreaker = func(st resilience.State) {
-		// An open annotation breaker is a degraded-health signal: the
-		// adapter cannot repair the model right now, so serving should stop
-		// betting on a fresh one. Half-open probes count as open until they
-		// succeed.
-		s.health.breakerOpen.Store(st != resilience.Closed)
-		s.rec.event(slog.LevelWarn, "breaker", 0, map[string]any{"state": st.String()})
-	}
 	s.cache = newEstimateCache(sch.FeatureDim(), cacheShards, opts.CacheEntries, s.met)
 	s.refreshStatusLocked()
 	return s
@@ -565,18 +556,6 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.periodMu.Unlock()
-
-	// Mark the swap in flight for the health machine: a period stuck past
-	// maxSwapAge degrades the server instead of silently serving an
-	// ever-staler generation. Health reconsiders at both edges: a period is
-	// the one long event the estimate traffic cannot see end.
-	start := time.Now()
-	s.health.swapStart.Store(start.UnixNano())
-	s.evalHealth(start)
-	defer func() {
-		s.health.swapStart.Store(0)
-		s.evalHealth(time.Now())
-	}()
 
 	// Period requests ride the same sampler as estimates, so a journal
 	// event can point at the trace that carried its period.

@@ -54,10 +54,10 @@ func boundQueue(srv *Server, n int64) {
 }
 
 // quickHealth makes srv's health machine evaluate at most once per every,
-// with its wait thresholds out of reach, so that queue depth and the breaker
-// drive the ladder: under the race detector a timed-out wait's measured
-// duration includes scheduler delays, and such samples would pin the machine
-// degraded for the length of the wait window. Call it before any traffic.
+// with its wait thresholds out of reach, so that queue depth alone drives the
+// ladder: under the race detector a timed-out wait's measured duration
+// includes scheduler delays, and such samples would pin the machine degraded
+// for the length of the wait window. Call it before any traffic.
 func quickHealth(srv *Server, every time.Duration) {
 	srv.health.evalEvery = every
 	srv.health.degradeWait, srv.health.shedWait = 30*time.Second, time.Minute

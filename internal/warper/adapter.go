@@ -72,8 +72,9 @@ const (
 	gainEps = 0.02
 	// maxPoolGen bounds retained generated entries across periods.
 	maxPoolGen = 4000
-	// minLabelFraction is the smallest fraction of requested annotations a
-	// period may proceed with when the ground-truth source partially fails.
+	// minLabelFraction is the smallest fraction of a period's labels —
+	// requested annotations plus the arrivals' fed labels — it may proceed
+	// with when the ground-truth source partially fails.
 	// Below it the period aborts, so the caller keeps its pre-period model.
 	minLabelFraction = 0.5
 	// canaries is the number of canary predicates New draws from 𝕀train
@@ -180,7 +181,7 @@ type Report struct {
 
 	// Partial is true when the ground-truth source lost part of the
 	// annotation batch but the period proceeded with the labels it got
-	// (at least half of the request).
+	// (at least half of the request and the fed arrivals together).
 	Partial bool
 	// AnnotateFailed counts annotation calls that failed this period
 	// (after the source's own retries, if it wraps any).
@@ -214,11 +215,12 @@ func (a *Adapter) ModelSnapshot() ce.Estimator { return a.M.Clone() }
 // queries that arrived in the current adaptation period.
 //
 // Annotation faults degrade before they abort: failed calls are skipped
-// while at least half of the requested labels arrive; below that — or when
-// ctx is cancelled — the period returns an error. A non-nil error means the
-// repair failed partway and the adapter's model may be partially updated:
-// callers that serve traffic should discard a.M in favor of a pre-period
-// clone so the previous model keeps serving. The pool drops every entry the
+// while at least half of the period's labels — requested ones and the
+// arrivals' fed ones — are in hand; below that — or when ctx is cancelled —
+// the period returns an error. A non-nil error means the repair failed
+// partway and the adapter's model may be partially updated: callers that
+// serve traffic should discard a.M in favor of a pre-period clone so the
+// previous model keeps serving. The pool drops every entry the
 // failed period appended (its arrivals and generated queries; exact labels
 // it wrote into older entries stay), so the caller owns the arrivals again:
 // re-offering them to the next period adds each one once.
@@ -305,7 +307,7 @@ func (a *Adapter) PeriodCtx(ctx context.Context, arrivals []Arrival) (rep Report
 	rep.Picked = len(picked)
 
 	clk.enter(StageAnnotate)
-	rep.Annotated, err = a.annotate(ctx, picked, &rep)
+	rep.Annotated, err = a.annotate(ctx, picked, labeledArrivals(arrivals), &rep)
 	if err != nil {
 		return rep, err
 	}
@@ -432,11 +434,14 @@ func (a *Adapter) pick(mode Mode) []*pool.Entry {
 // and records degradation in rep.
 //
 // The ladder: failed exact calls are skipped; when at least
-// minLabelFraction of the requested labels arrive, the period proceeds
-// partial; below the floor it aborts. Every label is an exact count (§4.3's
-// c_gt). Cancellation of the parent ctx aborts immediately — that is the
-// caller giving up, not the source failing.
-func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, rep *Report) (int, error) {
+// minLabelFraction of the period's labels are in hand, the period proceeds
+// partial; below the floor it aborts. The period's labels are the requested
+// ones plus the fed labels of its arrivals (fed), which the update trains on
+// too, so a small batch that loses most of its calls does not throw away the
+// arrivals' own exact feedback. Every label is an exact count (§4.3's c_gt).
+// Cancellation of the parent ctx aborts immediately — that is the caller
+// giving up, not the source failing.
+func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, fed int, rep *Report) (int, error) {
 	budget := a.Cfg.AnnotateBudget
 	var todo []*pool.Entry
 	for _, e := range picked {
@@ -472,12 +477,23 @@ func (a *Adapter) annotate(ctx context.Context, picked []*pool.Entry, rep *Repor
 	if count == len(todo) {
 		return count, nil
 	}
-	if frac := float64(count) / float64(len(todo)); frac >= minLabelFraction {
+	if frac := float64(count+fed) / float64(len(todo)+fed); frac >= minLabelFraction {
 		rep.Partial = true
 		return count, nil
 	}
-	return count, fmt.Errorf("warper: annotation got %d/%d labels, below the %.0f%% floor: aborting period",
-		count, len(todo), minLabelFraction*100)
+	return count, fmt.Errorf("warper: annotation got %d/%d labels (%d fed), below the %.0f%% floor: aborting period",
+		count, len(todo), fed, minLabelFraction*100)
+}
+
+// labeledArrivals counts the arrivals that carry execution feedback.
+func labeledArrivals(arrivals []Arrival) int {
+	n := 0
+	for _, ar := range arrivals {
+		if ar.HasGT {
+			n++
+		}
+	}
+	return n
 }
 
 // SetSource installs the active ground-truth source — typically the exact

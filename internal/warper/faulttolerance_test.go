@@ -14,9 +14,10 @@ import (
 // TestPartialPeriodStillImprovesGMQ is the golden degradation test: with the
 // exact source dropping ~30% of annotation calls — enough to force partial
 // periods — adaptation on a drifted workload must still improve GMQ,
-// because the labels that did arrive are exact. A small batch can still
-// fall under the minLabelFraction floor; such a period must roll back
-// (floorPeriod).
+// because the labels that did arrive are exact. Every period proceeds: the
+// 40 fed labels of its arrivals count toward the minLabelFraction floor, so
+// a small pick batch that loses most of its calls (2 of 5 in the third
+// period) does not throw the arrivals' update away.
 func TestPartialPeriodStillImprovesGMQ(t *testing.T) {
 	e := newAdapterEnv(t, adapterCfg(), 500)
 	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 0.3, Seed: 77}))
@@ -26,7 +27,7 @@ func TestPartialPeriodStillImprovesGMQ(t *testing.T) {
 	sawPartial := false
 	failed := 0
 	for step := 0; step < 4; step++ {
-		rep, _ := floorPeriod(t, e.ad, arrivalsOf(e.newQ[step*40:(step+1)*40], true))
+		rep := periodOK(t, e.ad, arrivalsOf(e.newQ[step*40:(step+1)*40], true))
 		sawPartial = sawPartial || rep.Partial
 		failed += rep.AnnotateFailed
 	}
@@ -38,6 +39,28 @@ func TestPartialPeriodStillImprovesGMQ(t *testing.T) {
 	}
 	if after := ce.EvalGMQ(e.lm, testSet); after >= before {
 		t.Errorf("partial periods did not improve GMQ: before=%v after=%v", before, after)
+	}
+}
+
+// TestFedLabelsHoldTheFloor pins what the label floor counts: a period's
+// labeled arrivals are labels its update uses, so they count on both sides
+// of minLabelFraction. With nine calls in ten failing, a small pick batch
+// falls far below the floor on its own, yet 40 fed labels carry the period:
+// it proceeds partial and updates 𝕄.
+func TestFedLabelsHoldTheFloor(t *testing.T) {
+	e := newAdapterEnv(t, adapterCfg(), 500)
+	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 0.9, Seed: 78}))
+	weights := paramBits(reflect.ValueOf(e.ad.M), map[uintptr]bool{}, nil)
+
+	rep := periodOK(t, e.ad, arrivalsOf(e.newQ[:40], true))
+	if requested := rep.Annotated + rep.AnnotateFailed; float64(rep.Annotated) >= minLabelFraction*float64(requested) {
+		t.Fatalf("the pick batch got %d/%d labels, not below the floor on its own: the premise is gone", rep.Annotated, requested)
+	}
+	if !rep.Partial || !rep.Updated {
+		t.Errorf("period reports partial=%v updated=%v, want both", rep.Partial, rep.Updated)
+	}
+	if got := paramBits(reflect.ValueOf(e.ad.M), map[uintptr]bool{}, nil); slices.Equal(got, weights) {
+		t.Error("the period left 𝕄's weights unchanged")
 	}
 }
 
@@ -74,12 +97,13 @@ func floorPeriod(t *testing.T, ad *Adapter, arrivals []Arrival) (Report, bool) {
 // stands in for the ones the source lost.
 func TestBelowFloorAborts(t *testing.T) {
 	e := newAdapterEnv(t, adapterCfg(), 500)
-	// Nine exact calls in ten fail: far below the 50% floor, so every
-	// annotating period aborts.
+	// Nine exact calls in ten fail, and the arrivals carry no feedback, so
+	// they need labels too: far below the 50% floor, so every annotating
+	// period aborts.
 	e.ad.SetSource(resilience.NewFaulty(e.ann, resilience.FaultPlan{ErrRate: 0.9, Seed: 78}))
 
 	for step := 0; step < 3; step++ {
-		if _, aborted := floorPeriod(t, e.ad, arrivalsOf(e.newQ[step*40:(step+1)*40], true)); !aborted {
+		if _, aborted := floorPeriod(t, e.ad, arrivalsOf(e.newQ[step*40:(step+1)*40], false)); !aborted {
 			continue // nothing left to annotate: no rung was reached
 		}
 		for i, pe := range e.ad.Pool.Entries {
