@@ -51,13 +51,15 @@ chaos:
 
 # Ten seconds of coverage-guided fuzzing per target (go test takes one -fuzz
 # target per run): the annotator's indexed count against the reference scan,
-# the CSV loader, the wire request decoder, the JSON and binary estimate
+# on a fresh table and interleaved with table mutations under a warm
+# pass-bitmap cache, the CSV loader, the wire request decoder, the JSON and binary estimate
 # entry points against each other and a scalar reference, and the JSON body
 # recogniser against encoding/json. `go test ./...` only replays their seed
 # corpora.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCountMatchesScan$$' -fuzztime=$(FUZZTIME) ./internal/annotator
+	$(GO) test -run='^$$' -fuzz='^FuzzCountAcrossMutations$$' -fuzztime=$(FUZZTIME) ./internal/annotator
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzFromCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzEstimateEntryPoints$$' -fuzztime=$(FUZZTIME) ./internal/serve

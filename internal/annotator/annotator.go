@@ -4,7 +4,7 @@
 // scan index (dataset.Table.SortedOrder). Annotation is the c_gt term of
 // Warper's cost model (§4.3); callers time it on their own clock (the
 // adapter's period clock, the experiment harness's stopwatch), so the
-// annotators hold no meters and the exact one is immutable.
+// annotators hold no meters.
 //
 // Annotation is the only adaptation step that touches an external system in
 // production, so every entry point takes a context and returns an error: a
@@ -22,13 +22,23 @@ import (
 	"warper/internal/query"
 )
 
-// Annotator answers count(*) queries over a single table.
+// Annotator answers count(*) queries over a single table. It is safe for
+// concurrent use. Every annotator over one table shares that table's
+// pass-bitmap cache (see count).
 type Annotator struct {
-	tbl *dataset.Table
+	tbl   *dataset.Table
+	cache *passCache
 }
 
+// passCacheKey is the key of the table's pass-bitmap cache in
+// dataset.Table.Shared.
+type passCacheKey struct{}
+
 // New returns an annotator over the table.
-func New(t *dataset.Table) *Annotator { return &Annotator{tbl: t} }
+func New(t *dataset.Table) *Annotator {
+	pc := t.Shared(passCacheKey{}, func() any { return new(passCache) }).(*passCache)
+	return &Annotator{tbl: t, cache: pc}
+}
 
 // Table returns the underlying table (live, not a copy).
 func (a *Annotator) Table() *dataset.Table { return a.tbl }
@@ -71,10 +81,6 @@ func (a *Annotator) AnnotateAll(ctx context.Context, ps []query.Predicate) ([]qu
 	return out, nil
 }
 
-// stackRows is the table size up to which count keeps its failure bitmap on
-// the stack (8 KiB); larger tables allocate one per call.
-const stackRows = 1 << 16
-
 // run is the part of one column's sorted row order that passes a range:
 // order[:nan] (NaN cells pass every range) and order[lo:hi]. The rest,
 // order[nan:lo] and order[hi:], fails.
@@ -82,19 +88,71 @@ type run struct{ nan, lo, hi int }
 
 func (r run) passes() int { return r.nan + r.hi - r.lo }
 
-// count is the counting kernel behind Count and AnnotateAll. Instead of
-// testing rows × cols cells it works on the table's sorted row order
-// (dataset.Table.SortedOrder): a binary search per column finds the run of
-// rows passing that column's range, the narrowest run becomes the driver,
-// and only the smaller side of each remaining column is touched — a column
-// failing fewer rows than the driver passes marks them in a bitmap, any
-// other is compared cell by cell while walking the driver's run. When the
-// failures of all columns together are fewer than the driver's passes the
-// answer is n − popcount(failures) and no run is walked at all. The work is
-// cols·log n + min(passes, failures) steps, with ctx polled every
-// ctxCheckRows of them; the result equals the row-at-a-time scan
-// `v < low || v > high → reject` cell for cell, NaN cells (which pass every
-// range) and NaN bounds (which bound nothing) included.
+// active is one column that rejects some rows of a count, with how the
+// count's plan uses it.
+type active struct {
+	col  int
+	run  run
+	use  use
+	bits []uint64    // the cached pass bitmap, or nil
+	slot *passBitmap // the cache slot bits is pinned in
+}
+
+func (c *active) fails(n int) int { return n - c.run.passes() }
+
+// key names the run in the pass-bitmap cache; every run with lo == hi
+// passes only the NaN prefix, so they share one key.
+func (c *active) key() runKey {
+	if c.run.lo == c.run.hi {
+		return runKey{int32(c.run.nan), int32(c.run.nan)}
+	}
+	return runKey{int32(c.run.lo), int32(c.run.hi)}
+}
+
+// use is how count applies one active column.
+type use uint8
+
+const (
+	useDriver  use = iota // its passing rows are walked
+	useProbe              // its cached bitmap is tested per walked row
+	useCompare            // its cells are compared per walked row
+	useAnd                // its cached bitmap is ANDed into the accumulator
+	useClear              // its failing rows are cleared from the accumulator
+	useBuild              // its passing rows are set in a bitmap ANDed into the accumulator
+)
+
+// cellCost is what count charges for comparing one cell fetched by row id,
+// in units of one bitmap word or one bit set through a row id: the cells
+// are spread over the whole column, the bitmaps stay in cache.
+const cellCost = 4
+
+// count is the counting kernel behind Count and AnnotateAll: the popcount
+// of the AND of the pass bitmaps of the columns whose range rejects a row,
+// each reached by its cheapest side. It works on the table's sorted row
+// order (dataset.Table.SortedOrder): a binary search per column finds the
+// run of rows passing that column's range; a column whose run is every row
+// is skipped, and the narrowest run is the driver. Every other column is
+//
+//   - ANDed into the accumulator (n/64 words), or tested per driver row
+//     when the driver's run is shorter than that, if the table's
+//     pass-bitmap cache holds its run's bitmap (passCache: built from the
+//     sorted order on a run's second sighting);
+//   - otherwise compared cell by cell per driver row when that is cheaper
+//     than touching its smaller side;
+//   - otherwise absorbed through its smaller side: its failing rows are
+//     cleared from the accumulator, or its passing rows set in a bitmap
+//     that is ANDed in.
+//
+// The driver's run is then walked, testing each row's accumulator bit —
+// unless nothing is left to test per row and absorbing the driver too is
+// cheaper, when the answer is the accumulator's popcount. A cached bitmap
+// costs n/64 words instead of its failing rows, which is what makes a
+// drifted table cheap: a normalized predicate's unconstrained columns sit
+// at the schema's old range, reject the same drifted rows for every
+// predicate, and come out of the cache. ctx is polled every ctxCheckRows
+// rows; the result equals the row-at-a-time scan `v < low || v > high →
+// reject` cell for cell, NaN cells (which pass every range) and NaN bounds
+// (which bound nothing) included.
 func (a *Annotator) count(ctx context.Context, p query.Predicate) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -103,88 +161,223 @@ func (a *Annotator) count(ctx context.Context, p query.Predicate) (int, error) {
 	n := a.tbl.NumRows()
 	order, nans := a.tbl.SortedOrder()
 
-	var runBuf [16]run
-	runs := runBuf[:0]
-	driver, passes := -1, n+1
+	var actBuf [16]active
+	act := actBuf[:0]
+	driver, passes := -1, n
 	for c, col := range cols {
 		vals, rows, low, high := col.Vals, order[c][nans[c]:], p.Lows[c], p.Highs[c]
 		lo := sort.Search(len(rows), func(i int) bool { return !(vals[rows[i]] < low) })
 		hi := max(lo, sort.Search(len(rows), func(i int) bool { return vals[rows[i]] > high }))
 		r := run{nans[c], nans[c] + lo, nans[c] + hi}
-		runs = append(runs, r)
-		if r.passes() < passes {
-			driver, passes = c, r.passes()
+		switch pr := r.passes(); {
+		case pr == 0:
+			return 0, nil
+		case pr == n:
+			continue
+		case pr < passes:
+			driver, passes = len(act), pr
 		}
+		act = append(act, active{col: c, run: r})
 	}
-	if passes == 0 || driver < 0 {
-		return 0, nil
-	}
-
-	var bitBuf [stackRows / 64]uint64
-	fails := bitBuf[:]
-	if n > stackRows {
-		fails = make([]uint64, (n+63)/64)
-	}
-	var cmpBuf [16]int
-	compare := cmpBuf[:0] // columns cheaper to test per driver row than to mark
-	marked := 0
-	for c, r := range runs {
-		switch fail := n - r.passes(); {
-		case c == driver || fail == 0:
-		case fail >= passes:
-			compare = append(compare, c)
-		default:
-			marked += fail
-			if err := markFails(ctx, fails, order[c], r); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if len(compare) == 0 && marked == 0 {
+	if len(act) <= 1 {
 		return passes, nil
 	}
-	if len(compare) == 0 && n-passes < passes {
-		// Failures are the smaller side: add the driver's and count bits.
-		if err := markFails(ctx, fails, order[driver], runs[driver]); err != nil {
+
+	scratch, err := a.cache.acquire(ctx, a.tbl, order, act)
+	defer a.cache.release(act, scratch)
+	if err != nil {
+		return 0, err
+	}
+	words := (n + 63) / 64
+	acc, tmp := scratch[:words], scratch[words:]
+	var probeBuf [16][]uint64
+	var cmpBuf [16]int
+	probes, compare := probeBuf[:0], cmpBuf[:0]
+	for i := range act {
+		c := &act[i]
+		pass, fail := c.run.passes(), c.fails(n)
+		switch {
+		case i == driver:
+			c.use = useDriver
+		case c.bits != nil && passes < words:
+			c.use = useProbe
+			probes = append(probes, c.bits)
+		case c.bits != nil:
+			c.use = useAnd
+		case fail <= pass && cellCost*passes >= fail:
+			c.use = useClear
+		case fail > pass && cellCost*passes >= pass+2*words:
+			c.use = useBuild
+		default:
+			c.use = useCompare
+			compare = append(compare, c.col)
+		}
+	}
+	d := &act[driver]
+	if len(probes) == 0 && len(compare) == 0 {
+		switch {
+		case d.bits != nil && 2*words < passes:
+			d.use = useAnd
+		case d.bits == nil && d.fails(n)+words < passes:
+			d.use = useClear
+		}
+	}
+
+	// The accumulator: the AND of the absorbed columns' pass bitmaps,
+	// starting from the first cached one or from all ones.
+	filled := false
+	for _, c := range act {
+		if c.use != useAnd {
+			continue
+		}
+		if !filled {
+			copy(acc, c.bits)
+			filled = true
+		} else if err := andInto(ctx, acc, c.bits); err != nil {
 			return 0, err
 		}
-		failed := 0
-		for _, w := range fails[:(n+63)/64] {
-			failed += bits.OnesCount64(w)
-		}
-		return n - failed, nil
 	}
-	count, r := 0, runs[driver]
-	for _, seg := range [2][]int32{order[driver][:r.nan], order[driver][r.lo:r.hi]} {
-	rows:
-		for i, row := range seg {
-			if i%ctxCheckRows == 0 && ctx.Err() != nil {
-				return 0, ctx.Err()
+	for _, c := range act {
+		if c.use != useClear && c.use != useBuild {
+			continue
+		}
+		if !filled {
+			fillOnes(acc, n)
+			filled = true
+		}
+		if c.use == useClear {
+			err = clearFails(ctx, acc, order[c.col], c.run)
+		} else if err = buildPass(ctx, tmp, order[c.col], c.run, n); err == nil {
+			err = andInto(ctx, acc, tmp)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	if d.use != useDriver {
+		return popcount(ctx, acc)
+	}
+	if !filled {
+		acc = nil
+	}
+	return walk(ctx, order[d.col], d.run, acc, probes, compare, cols, p)
+}
+
+// walk counts the driver's passing rows that pass every other column: the
+// accumulator (nil when no column was absorbed), the probed bitmaps and the
+// compared cells.
+func walk(ctx context.Context, order []int32, r run, acc []uint64, probes [][]uint64, compare []int, cols []*dataset.Column, p query.Predicate) (int, error) {
+	count := 0
+	for _, seg := range [2][]int32{order[:r.nan], order[r.lo:r.hi]} {
+		for start := 0; start < len(seg); start += ctxCheckRows {
+			if err := ctx.Err(); err != nil {
+				return 0, err
 			}
-			if fails[row>>6]>>(uint32(row)&63)&1 != 0 {
+			chunk := seg[start:min(start+ctxCheckRows, len(seg))]
+			if len(probes) == 0 && len(compare) == 0 { // only the accumulator is left
+				for _, row := range chunk {
+					count += int(acc[row>>6] >> (uint32(row) & 63) & 1)
+				}
 				continue
 			}
-			for _, c := range compare {
-				if v := cols[c].Vals[row]; v < p.Lows[c] || v > p.Highs[c] {
-					continue rows
+		rows:
+			for _, row := range chunk {
+				w, bit := row>>6, uint32(row)&63
+				if len(acc) != 0 && acc[w]>>bit&1 == 0 {
+					continue
 				}
+				for _, b := range probes {
+					if b[w]>>bit&1 == 0 {
+						continue rows
+					}
+				}
+				for _, c := range compare {
+					if v := cols[c].Vals[row]; v < p.Lows[c] || v > p.Highs[c] {
+						continue rows
+					}
+				}
+				count++
 			}
-			count++
 		}
 	}
 	return count, nil
 }
 
-// markFails sets the bit of every row that fails r in the column whose
-// sorted order is given.
-func markFails(ctx context.Context, fails []uint64, order []int32, r run) error {
-	for _, seg := range [2][]int32{order[r.nan:r.lo], order[r.hi:]} {
-		for i, row := range seg {
-			if i%ctxCheckRows == 0 && ctx.Err() != nil {
-				return ctx.Err()
+// fillOnes sets the bits of rows 0..n-1 of dst and clears the rest.
+func fillOnes(dst []uint64, n int) {
+	for i := range dst {
+		dst[i] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		dst[len(dst)-1] = 1<<(n%64) - 1
+	}
+}
+
+// buildPass writes the pass bitmap of run r of the column with the given
+// sorted order into dst, marking whichever side of the run is smaller.
+func buildPass(ctx context.Context, dst []uint64, order []int32, r run, n int) error {
+	if r.passes() > n-r.passes() {
+		fillOnes(dst, n)
+		return clearFails(ctx, dst, order, r)
+	}
+	clear(dst)
+	for _, seg := range [2][]int32{order[:r.nan], order[r.lo:r.hi]} {
+		for start := 0; start < len(seg); start += ctxCheckRows {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			fails[row>>6] |= 1 << (uint32(row) & 63)
+			for _, row := range seg[start:min(start+ctxCheckRows, len(seg))] {
+				dst[row>>6] |= 1 << (uint32(row) & 63)
+			}
 		}
 	}
 	return nil
+}
+
+// clearFails clears the bit of every row that fails r in the column whose
+// sorted order is given.
+func clearFails(ctx context.Context, dst []uint64, order []int32, r run) error {
+	for _, seg := range [2][]int32{order[r.nan:r.lo], order[r.hi:]} {
+		for start := 0; start < len(seg); start += ctxCheckRows {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			for _, row := range seg[start:min(start+ctxCheckRows, len(seg))] {
+				dst[row>>6] &^= 1 << (uint32(row) & 63)
+			}
+		}
+	}
+	return nil
+}
+
+// ctxCheckWords is ctxCheckRows in bitmap words.
+const ctxCheckWords = ctxCheckRows / 64
+
+// andInto ANDs src into dst.
+func andInto(ctx context.Context, dst, src []uint64) error {
+	for start := 0; start < len(dst); start += ctxCheckWords {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		end := min(start+ctxCheckWords, len(dst))
+		d, s := dst[start:end], src[start:end]
+		for i := range d {
+			d[i] &= s[i]
+		}
+	}
+	return nil
+}
+
+// popcount counts the set bits of bm.
+func popcount(ctx context.Context, bm []uint64) (int, error) {
+	count := 0
+	for start := 0; start < len(bm); start += ctxCheckWords {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		for _, w := range bm[start:min(start+ctxCheckWords, len(bm))] {
+			count += bits.OnesCount64(w)
+		}
+	}
+	return count, nil
 }

@@ -1,11 +1,13 @@
 package annotator
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -131,10 +133,10 @@ func checkAgainstScan(t *testing.T, a *Annotator, rng *rand.Rand, k int, when st
 
 func TestCountMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	// 70 000 rows is past stackRows: the failure bitmap moves to the heap.
-	for _, rows := range []int{0, 1, 2, 63, 64, 65, 700, 5000, stackRows + 4464} {
+	// The largest table, 70 000 rows, is wide only at four columns.
+	for _, rows := range []int{0, 1, 2, 63, 64, 65, 700, 5000, 70000} {
 		for _, cols := range []int{1, 4, 9, 17} {
-			if rows > stackRows && cols > 4 {
+			if rows > 5000 && cols > 4 {
 				continue
 			}
 			a := New(randomTable(rng, rows, cols))
@@ -212,6 +214,182 @@ func TestConcurrentFirstUse(t *testing.T) {
 	}
 }
 
+// TestSortedOrderMatchesComparisonSort holds the table's radix-sorted order
+// to the comparison sort it replaced — cmp.Compare on the values (NaN first,
+// -0 equal to +0), ties by row id — on every column shape randomTable
+// draws: NaN, ±Inf, ±0, duplicates and a constant column.
+func TestSortedOrderMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, rows := range []int{0, 1, 2, 255, 256, 257, 3000} {
+		tbl := randomTable(rng, rows, 8)
+		order, nans := tbl.SortedOrder()
+		for c, col := range tbl.Cols {
+			want := make([]int32, rows)
+			for r := range want {
+				want[r] = int32(r)
+			}
+			slices.SortFunc(want, func(a, b int32) int {
+				if d := cmp.Compare(col.Vals[a], col.Vals[b]); d != 0 {
+					return d
+				}
+				return cmp.Compare(a, b)
+			})
+			wantNaN := 0
+			for _, v := range col.Vals {
+				if math.IsNaN(v) {
+					wantNaN++
+				}
+			}
+			if !slices.Equal(order[c], want) || nans[c] != wantNaN {
+				t.Fatalf("%d rows, column %d: order %v with %d NaNs, want %v with %d", rows, c, order[c], nans[c], want, wantNaN)
+			}
+		}
+	}
+}
+
+// mutateAndRecount warms a's pass-bitmap cache on preds (each counted three
+// times, so its runs are admitted and then hit), applies mutate, and checks
+// every count against the scan — first on the mutated table, then warm
+// again.
+func mutateAndRecount(t *testing.T, a *Annotator, preds []query.Predicate, name string, mutate func()) {
+	t.Helper()
+	tbl := a.Table()
+	for round := range 3 {
+		for i, p := range preds {
+			if got, want := countOK(t, a, p), scanCount(tbl, p); got != want {
+				t.Fatalf("before %s, round %d, pred %d: Count = %v, scan = %v", name, round, i, got, want)
+			}
+		}
+	}
+	mutate()
+	for round := range 2 {
+		for i, p := range preds {
+			if got, want := countOK(t, a, p), scanCount(tbl, p); got != want {
+				t.Fatalf("after %s, round %d, pred %d: Count = %v, scan = %v", name, round, i, got, want)
+			}
+		}
+	}
+}
+
+// TestCountAcrossMutations counts through the pass-bitmap cache across each
+// mutation the cache must notice: a bare Version++, an in-place update, an
+// append and a sort-then-truncate. A quarter of the predicates are
+// unconstrained on every column but one, at the columns' ranges before any
+// mutation, as a schema captured at start leaves them: once the table
+// drifts, those columns' runs are the cached ones a stale cache would
+// serve.
+func TestCountAcrossMutations(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	tbl := randomTable(rng, 2000, 6)
+	a := New(tbl)
+	preds := make([]query.Predicate, 64)
+	for i := range preds {
+		preds[i] = randomPred(rng, tbl)
+		if i%4 == 0 {
+			for c, col := range tbl.Cols {
+				if c != i%len(tbl.Cols) {
+					preds[i].Lows[c], preds[i].Highs[c] = col.Min(), col.Max()
+				}
+			}
+		}
+	}
+	for _, m := range []struct {
+		name string
+		do   func()
+	}{
+		{"Version++", func() {
+			// Reversing a column keeps its values, so every run keeps its
+			// bounds in the sorted order, and moves them to other rows.
+			for _, col := range tbl.Cols[1:] {
+				slices.Reverse(col.Vals)
+			}
+			tbl.Version++
+		}},
+		{"UpdateDrift", func() { dataset.UpdateDrift(tbl, 0.3, 1.0, rng) }},
+		{"AppendDrift", func() { dataset.AppendDrift(tbl, 0.2, 1.5, rng) }},
+		{"SortTruncateHalf", func() { dataset.SortTruncateHalf(tbl, 0) }},
+		{"UpdateDrift again", func() { dataset.UpdateDrift(tbl, 1, 0.5, rng) }},
+	} {
+		mutateAndRecount(t, a, preds, m.name, m.do)
+	}
+}
+
+// TestWarmCountAllocatesNothing pins the cache's steady state: once a
+// drifted table's repeated runs are admitted, a count — cache hits, scratch
+// accumulators and all — allocates nothing.
+func TestWarmCountAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	tbl := randomTable(rng, 5000, 6)
+	mins, maxs := tbl.Ranges()
+	preds := make([]query.Predicate, 8)
+	for i := range preds {
+		preds[i] = randomPred(rng, tbl)
+		for c := range tbl.Cols { // unconstrained at the pre-drift ranges, as a start-up schema leaves them
+			if c != i%len(tbl.Cols) {
+				preds[i].Lows[c], preds[i].Highs[c] = mins[c], maxs[c]
+			}
+		}
+	}
+	dataset.UpdateDrift(tbl, 0.3, 1, rng)
+	a := New(tbl)
+	cycle := func() {
+		for _, p := range preds {
+			countOK(t, a, p)
+		}
+	}
+	cycle()
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("a warm cycle of %d counts allocates %v times, want 0", len(preds), allocs)
+	}
+	hits := 0
+	for _, cc := range a.cache.cols {
+		for _, s := range cc.slots {
+			hits += int(s.hits)
+		}
+	}
+	if hits == 0 {
+		t.Error("no count hit the cache: the drifted columns were never admitted")
+	}
+}
+
+// TestConcurrentCountsShareCache counts from four goroutines, two per
+// annotator, on two annotators over one table (run under -race); both
+// annotators use the table's one pass-bitmap cache. Six predicates keep
+// every run inside the sightings ring, so each column sees up to six runs
+// admitted in turn into its two slots: the cache admits, evicts and hands
+// out bitmaps while other counts read them.
+func TestConcurrentCountsShareCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	tbl := randomTable(rng, 20000, 5)
+	preds := make([]query.Predicate, 6)
+	want := make([]float64, len(preds))
+	for i := range preds {
+		preds[i] = randomPred(rng, tbl)
+		want[i] = scanCount(tbl, preds[i])
+	}
+	anns := [2]*Annotator{New(tbl), New(tbl)}
+	if anns[0].cache != anns[1].cache || New(tbl.Clone()).cache == anns[0].cache {
+		t.Fatal("annotators over one table must share its cache, and only they")
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := anns[g%2]
+			for k := range 200 {
+				i := (k*5 + g) % len(preds)
+				if got, err := a.Count(context.Background(), preds[i]); err != nil || got != want[i] {
+					t.Errorf("goroutine %d pred %d: Count = %v, %v; scan = %v", g, i, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // pollLimited is a context that reports cancellation from its (left+1)-th
 // Err call on.
 type pollLimited struct {
@@ -227,36 +405,63 @@ func (c *pollLimited) Err() error {
 	return nil
 }
 
-// TestCancelMidCount cancels during the marking and walking loops: the
-// kernel polls ctx every ctxCheckRows steps, so a count that needs several
-// polls must give up at whichever one reports cancellation.
+// TestCancelMidCount cancels during every loop of the kernel: the marking
+// and walking loops, the build of an admitted pass bitmap and the AND of
+// cached ones. The kernel polls ctx every ctxCheckRows rows (or the words
+// that cover them), so a count that needs several polls must give up at
+// whichever one reports cancellation, and a cancelled build must leave no
+// bitmap behind.
 func TestCancelMidCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	tbl := randomTable(rng, 6*ctxCheckRows, 2)
 	sch := query.SchemaOf(tbl)
-	a := New(tbl)
 	walk := query.NewFullRange(sch) // two fifths of column 0, four fifths of column 1: walks column 0's run
 	walk.SetRange(0, 2, math.Inf(1))
 	walk.SetRange(1, 1, 4)
 	mark := query.NewFullRange(sch) // a few failures on each side: marks them and counts bits
 	mark.SetRange(0, -25, 25)
 	mark.SetRange(1, 0, 3)
-	for name, p := range map[string]query.Predicate{"walk": walk, "mark": mark} {
+	for _, tc := range []struct {
+		name string
+		p    query.Predicate
+		// seen is how often the predicate was counted before: once makes
+		// the cancelled count build both columns' bitmaps, twice makes it
+		// AND the cached ones.
+		seen int
+	}{{"walk", walk, 0}, {"mark", mark, 0}, {"build", walk, 1}, {"and", mark, 2}} {
+		want := scanCount(tbl, tc.p)
 		polls := 0
 		for ; ; polls++ {
-			_, err := a.Count(&pollLimited{context.Background(), polls}, p)
+			a := New(tbl.Clone()) // a clone starts with an empty pass-bitmap cache
+			for range tc.seen {
+				countOK(t, a, tc.p)
+			}
+			got, err := a.Count(&pollLimited{context.Background(), polls}, tc.p)
 			if err == nil {
+				if got != want {
+					t.Errorf("%s: count = %v after %d cancelled attempts, scan = %v", tc.name, got, polls, want)
+				}
+				if got := countOK(t, a, tc.p); got != want {
+					t.Errorf("%s: recount = %v, scan = %v", tc.name, got, want)
+				}
 				break
 			}
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+				t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
+			}
+			if got := countOK(t, a, tc.p); got != want {
+				t.Fatalf("%s: count after cancelling at poll %d = %v, scan = %v", tc.name, polls, got, want)
 			}
 		}
 		if polls < 3 {
-			t.Errorf("%s: count finished after %d ctx polls; the loops do not poll", name, polls)
+			t.Errorf("%s: count finished after %d ctx polls; the loops do not poll", tc.name, polls)
 		}
-		if polls > 2+tbl.NumRows()*tbl.NumCols()/ctxCheckRows {
-			t.Errorf("%s: %d ctx polls for %d cells", name, polls, tbl.NumRows()*tbl.NumCols())
+		// A count covers each cell at most twice — once building or
+		// clearing its column's bitmap, once in the AND, the walk or the
+		// popcount — at one poll per ctxCheckRows rows or the words that
+		// hold them.
+		if polls > 2+2*tbl.NumRows()*tbl.NumCols()/ctxCheckRows {
+			t.Errorf("%s: %d ctx polls for %d cells", tc.name, polls, tbl.NumRows()*tbl.NumCols())
 		}
 	}
 }
@@ -286,6 +491,46 @@ func FuzzCountMatchesScan(f *testing.F) {
 		want = scanCount(tbl, p)
 		if got := countOK(t, a, p); got != want {
 			t.Fatalf("after UpdateDrift, pred %v: Count = %v, scan = %v", p, got, want)
+		}
+	})
+}
+
+// FuzzCountAcrossMutations interleaves counts with table mutations on one
+// annotator, so the pass-bitmap cache is warm when each mutation lands: ops
+// picks, per step, a mutation (bare Version++, UpdateDrift, AppendDrift,
+// SortTruncateHalf) or a count of one of four predicates, and every count
+// is checked against the scan.
+func FuzzCountAcrossMutations(f *testing.F) {
+	f.Add(int64(1), uint16(300), []byte{0, 1, 0, 1, 4, 0, 1, 5, 2, 3, 6, 0, 7, 1})
+	f.Add(int64(2), uint16(70), []byte{2, 2, 2, 8, 2, 2, 9, 3, 3, 10, 11, 3})
+	f.Add(int64(3), uint16(1500), []byte{0, 0, 1, 1, 2, 2, 3, 3, 5, 0, 1, 2, 3, 0, 1, 2, 3, 7, 0, 1})
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		tbl := randomTable(rng, int(rows)%3000, 4)
+		a := New(tbl)
+		var preds [4]query.Predicate
+		for i := range preds {
+			preds[i] = randomPred(rng, tbl)
+		}
+		for step, op := range ops[:min(len(ops), 64)] {
+			switch op % 12 {
+			case 4:
+				if tbl.NumRows() > 0 {
+					tbl.Cols[0].Vals[rng.Intn(tbl.NumRows())] = rng.NormFloat64() * 10
+				}
+				tbl.Version++
+			case 5:
+				dataset.UpdateDrift(tbl, 0.3, 1, rng)
+			case 6:
+				dataset.AppendDrift(tbl, 0.2, 1.5, rng)
+			case 7:
+				dataset.SortTruncateHalf(tbl, rng.Intn(tbl.NumCols()))
+			default:
+				p := preds[op%4]
+				if got, want := countOK(t, a, p), scanCount(tbl, p); got != want {
+					t.Fatalf("step %d, %d rows, pred %v: Count = %v, scan = %v", step, tbl.NumRows(), p, got, want)
+				}
+			}
 		}
 	})
 }

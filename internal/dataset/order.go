@@ -1,10 +1,6 @@
 package dataset
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
 // sortedOrder is a table's per-column sorted row order: the scan index the
 // annotator counts over and the histogram estimator reads its equi-depth
@@ -47,39 +43,84 @@ func (t *Table) rebuildOrder() *sortedOrder {
 	if o := t.order.Load(); t.current(o) {
 		return o
 	}
-	type cell struct {
-		v   float64
-		row int32
-	}
 	n := t.NumRows()
 	o := &sortedOrder{
 		version: t.Version, numRows: n, numCols: len(t.Cols),
 		rows: make([][]int32, len(t.Cols)), nans: make([]int, len(t.Cols)),
 	}
-	// Sorting (value, row) cells keeps the comparisons on one cache line;
-	// sorting row ids through the column would chase a pointer per compare.
-	cells := make([]cell, n)
+	var s radixSorter
 	for c, col := range t.Cols {
-		for r, v := range col.Vals {
-			cells[r] = cell{v, int32(r)}
-		}
-		// cmp.Compare orders NaN before every number and -0 equal to +0,
-		// exactly as sort.Float64s does.
-		slices.SortFunc(cells, func(a, b cell) int {
-			if d := cmp.Compare(a.v, b.v); d != 0 {
-				return d
-			}
-			return cmp.Compare(a.row, b.row)
-		})
-		rows := make([]int32, n)
-		for i, x := range cells {
-			rows[i] = x.row
-			if math.IsNaN(x.v) {
-				o.nans[c]++
-			}
-		}
-		o.rows[c] = rows
+		o.rows[c], o.nans[c] = s.sort(col.Vals)
 	}
 	t.order.Store(o)
 	return o
+}
+
+// radixSorter orders a column's row ids by an LSD radix sort on sortKey,
+// one stable counting pass per key byte, skipping the bytes every key
+// shares. Its buffers are reused across the columns of one rebuild.
+type radixSorter struct {
+	keys, keyTmp []uint64
+	rowTmp       []int32
+}
+
+// sort returns the row ids of vals in ascending order of sortKey — the
+// order sort.Float64s gives the values, ties by row id — and the number of
+// NaN cells, which come first.
+func (s *radixSorter) sort(vals []float64) ([]int32, int) {
+	n := len(vals)
+	if cap(s.keys) < n {
+		s.keys, s.keyTmp, s.rowTmp = make([]uint64, n), make([]uint64, n), make([]int32, n)
+	}
+	keys, keyTmp, rowTmp := s.keys[:n], s.keyTmp[:n], s.rowTmp[:n]
+	rows := make([]int32, n)
+	nans := 0
+	var counts [8][256]int
+	for r, v := range vals {
+		k := sortKey(v)
+		if k == 0 {
+			nans++
+		}
+		keys[r], rows[r] = k, int32(r)
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		cnt := &counts[b]
+		if n == 0 || cnt[byte(keys[0]>>(8*b))] == n {
+			continue // every key has this byte: the pass would not move a row
+		}
+		sum := 0
+		for i, c := range cnt {
+			cnt[i], sum = sum, sum+c
+		}
+		for i, k := range keys {
+			d := &cnt[byte(k>>(8*b))]
+			keyTmp[*d], rowTmp[*d] = k, rows[i]
+			*d++
+		}
+		keys, keyTmp = keyTmp, keys
+		rows, rowTmp = rowTmp, rows
+	}
+	s.rowTmp = rowTmp // whichever buffer the order did not end in
+	return rows, nans
+}
+
+// sortKey maps a float64 to a uint64 whose unsigned order is the order
+// cmp.Compare gives the floats: every NaN maps to 0, below -Inf's key; -0
+// and +0 share one key; otherwise negative floats have their bits flipped
+// and the rest their sign bit set.
+func sortKey(v float64) uint64 {
+	switch {
+	case math.IsNaN(v):
+		return 0
+	case v == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }

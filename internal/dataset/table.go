@@ -87,6 +87,11 @@ type Table struct {
 	// orderMu serializes its rebuild.
 	orderMu sync.Mutex
 	order   atomic.Pointer[sortedOrder]
+
+	// shared holds what other packages derive from the table and share
+	// among its readers (see Shared), under sharedMu.
+	sharedMu sync.Mutex
+	shared   map[any]any
 }
 
 // NewTable builds a table and validates that all columns have equal length.
@@ -101,6 +106,27 @@ func NewTable(name string, cols ...*Column) *Table {
 		}
 	}
 	return t
+}
+
+// Shared returns the value stored under key, storing what build returns on
+// the first call for that key. It lets a package keep one piece of state
+// per table that all its readers of the table share — the annotators'
+// pass-bitmap cache. Such state must notice mutations itself, as
+// SortedOrder does by Version, NumRows and NumCols. Keys compare like map
+// keys; a package's unexported key type keeps its entry its own. A Clone
+// starts with none.
+func (t *Table) Shared(key any, build func() any) any {
+	t.sharedMu.Lock()
+	defer t.sharedMu.Unlock()
+	v, ok := t.shared[key]
+	if !ok {
+		if t.shared == nil {
+			t.shared = make(map[any]any)
+		}
+		v = build()
+		t.shared[key] = v
+	}
+	return v
 }
 
 // NumRows returns the row count.

@@ -17,9 +17,16 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric.
+// cacheLine is the coherence unit Counter and Gauge are padded to.
+const cacheLine = 64
+
+// Counter is a monotonically increasing metric. It fills a cache line of
+// its own: an unpadded counter is an 8-byte allocation, so counters that
+// different requests write on every call would share lines in whatever
+// order the registry happened to allocate them.
 type Counter struct {
 	v atomic.Int64
+	_ [cacheLine - 8]byte
 }
 
 // Inc adds one.
@@ -35,9 +42,11 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down (pool size, thresholds, …).
+// Gauge is a metric that can go up and down (pool size, thresholds, …),
+// padded to a cache line like Counter.
 type Gauge struct {
 	bits atomic.Uint64
+	_    [cacheLine - 8]byte
 }
 
 // Set replaces the gauge value.

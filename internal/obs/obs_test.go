@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -34,6 +36,26 @@ func TestGaugeBasics(t *testing.T) {
 	g.Add(-2.5)
 	if got := g.Value(); got != 7.5 {
 		t.Errorf("gauge = %v, want 7.5", got)
+	}
+}
+
+// TestMetricsOwnCacheLines pins the padding: a registry's counters and
+// gauges never share a cache line, whatever order they were created in.
+func TestMetricsOwnCacheLines(t *testing.T) {
+	r := NewRegistry()
+	lines := map[uintptr]string{}
+	for i := range 8 {
+		name := fmt.Sprintf("m%d", i)
+		addrs := map[string]uintptr{
+			name + "_total": uintptr(unsafe.Pointer(r.Counter(name + "_total"))),
+			name:            uintptr(unsafe.Pointer(r.Gauge(name))),
+		}
+		for n, a := range addrs {
+			if prev, ok := lines[a/cacheLine]; ok {
+				t.Fatalf("%s shares a cache line with %s", n, prev)
+			}
+			lines[a/cacheLine] = n
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ GOARCH=386 go test -short ./internal/...
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
-# The chaos command and the five fuzz commands are defined once, in the
+# The chaos command and the six fuzz commands are defined once, in the
 # Makefile (EVENTS_OUT and FUZZTIME are its variables; an exported FUZZTIME
 # reaches it through the environment).
 echo "== make chaos (WARPER_CHAOS=1 fault-injected + overload soak + 10^5-op differential driver)"
