@@ -9,7 +9,6 @@
 //	POST /period       run one adaptation period over buffered feedback
 //	GET  /status       the status document: model, generation, pool, thresholds,
 //	                   costs, health, cache, drift, journal and sampled traces (JSON)
-//	GET  /statusz      the same document as a human-readable page (HTML)
 //	GET  /metrics      Prometheus text exposition
 //	GET  /debug/pprof/ CPU/heap profiles (only with -pprof)
 //	GET  /healthz

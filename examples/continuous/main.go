@@ -42,34 +42,42 @@ func main() {
 
 	// A drift schedule in the shape of Figure 2(c): stable, a short-lived
 	// workload drift, back to stable, then a combined data+workload drift.
-	sched := workload.NewSchedule(
-		workload.Phase{Gen: w1, Periods: 2},
-		workload.Phase{Gen: w4, Periods: 3},
-		workload.Phase{Gen: w1, Periods: 2},
-		workload.Phase{Gen: w4, Periods: 3, OnEnter: func(t *dataset.Table, r *rand.Rand) {
-			dataset.UpdateDrift(t, 0.5, 1.0, r)
+	// onEnter, if set, mutates the table as its phase begins.
+	phases := []struct {
+		gen     workload.Generator
+		periods int
+		onEnter func()
+	}{
+		{gen: w1, periods: 2},
+		{gen: w4, periods: 3},
+		{gen: w1, periods: 2},
+		{gen: w4, periods: 3, onEnter: func() {
+			dataset.UpdateDrift(tbl, 0.5, 1.0, rng)
 			fmt.Println("  >> data drift injected: 50% of rows updated")
 		}},
-	)
+	}
 
 	fmt.Println("period | workload | detected mode | generated | annotated | GMQ on current workload")
-	for p := 0; p < sched.TotalPeriods(); p++ {
-		phase, first := sched.PhaseAt(p)
-		if first && phase.OnEnter != nil {
-			phase.OnEnter(tbl, rng)
+	p := 0
+	for _, phase := range phases {
+		if phase.onEnter != nil {
+			phase.onEnter()
 		}
-		// 15 labeled queries arrive per period from the current workload.
-		arrivals := make([]warper.Arrival, 15)
-		for i := range arrivals {
-			pr := phase.Gen.Gen(rng)
-			arrivals[i] = warper.Arrival{Pred: pr, GT: must1(ann.Count(context.Background(), pr)), HasGT: true}
-		}
-		rep := must1(adapter.Period(arrivals))
+		for range phase.periods {
+			p++
+			// 15 labeled queries arrive per period from the current workload.
+			arrivals := make([]warper.Arrival, 15)
+			for i := range arrivals {
+				pr := phase.gen.Gen(rng)
+				arrivals[i] = warper.Arrival{Pred: pr, GT: must1(ann.Count(context.Background(), pr)), HasGT: true}
+			}
+			rep := must1(adapter.Period(arrivals))
 
-		test := must1(ann.AnnotateAll(context.Background(), workload.Generate(phase.Gen, 80, rng)))
-		fmt.Printf("%6d | %-8s | %-13s | %9d | %9d | %.2f\n",
-			p+1, phase.Gen.Name(), rep.Detection.Mode, rep.Generated, rep.Annotated,
-			ce.EvalGMQ(model, test))
+			test := must1(ann.AnnotateAll(context.Background(), workload.Generate(phase.gen, 80, rng)))
+			fmt.Printf("%6d | %-8s | %-13s | %9d | %9d | %.2f\n",
+				p, phase.gen.Name(), rep.Detection.Mode, rep.Generated, rep.Annotated,
+				ce.EvalGMQ(model, test))
+		}
 	}
 	fmt.Printf("\nfinal π=%.2f γ=%d — Warper relaxed or tightened its own thresholds as drifts came and went\n",
 		adapter.Pi(), adapter.Gamma())

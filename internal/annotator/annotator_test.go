@@ -49,7 +49,7 @@ func TestCountInclusiveBounds(t *testing.T) {
 	a := New(tbl)
 	s := query.SchemaOf(tbl)
 	p := query.NewFullRange(s)
-	p.SetEquals(0, 3)
+	p.SetRange(0, 3, 3)
 	if got := countOK(t, a, p); got != 1 {
 		t.Errorf("equality count = %v, want 1", got)
 	}

@@ -24,9 +24,6 @@ func NewJoin(tables ...*dataset.Table) *JoinAnnotator {
 	return &JoinAnnotator{tables: m}
 }
 
-// Table returns a registered table by name, or nil.
-func (ja *JoinAnnotator) Table(name string) *dataset.Table { return ja.tables[name] }
-
 // Count executes the join query and returns its exact cardinality.
 //
 // The plan is left-deep in the order of q.Tables: filtered rows of the first

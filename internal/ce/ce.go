@@ -26,14 +26,6 @@ const (
 	Retrain
 )
 
-// String returns the policy name.
-func (p UpdatePolicy) String() string {
-	if p == FineTune {
-		return "fine-tune"
-	}
-	return "re-train"
-}
-
 // Estimator is the black-box CE model 𝕄: any function that emits a
 // cardinality for a predicate and can update itself with labeled predicates.
 //
@@ -85,10 +77,17 @@ type BatchEstimator interface {
 	EstimateAll(ps []query.Predicate, out []float64)
 }
 
+// Estimating is the one method EvalGMQ calls: every Estimator has it, and
+// so does the data-driven HistogramEstimator baseline, which is no
+// Estimator (it neither trains on queries nor serves from replicas).
+type Estimating interface {
+	Estimate(p query.Predicate) float64
+}
+
 // EvalGMQ evaluates an estimator on a labeled test set and returns the GMQ.
 // Estimators implementing BatchEstimator are evaluated with one batched
 // inference call instead of len(test) per-query forwards.
-func EvalGMQ(e Estimator, test []query.Labeled) float64 {
+func EvalGMQ(e Estimating, test []query.Labeled) float64 {
 	ests := make([]float64, len(test))
 	acts := make([]float64, len(test))
 	for i, lq := range test {

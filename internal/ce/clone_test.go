@@ -68,9 +68,3 @@ func TestCloneEstimateIdentical(t *testing.T) {
 		}
 	}
 }
-
-func TestUpdatePolicyString(t *testing.T) {
-	if FineTune.String() != "fine-tune" || Retrain.String() != "re-train" {
-		t.Error("policy strings wrong")
-	}
-}

@@ -35,8 +35,7 @@ func NewHistogramEstimator(t *dataset.Table, bins int) *HistogramEstimator {
 
 // rebuild reads the equi-depth edges off the table's shared sorted row
 // order (the annotator's scan index), so an estimator over an unchanged
-// table sorts nothing. It replaces bounds rather than writing into them: a
-// Clone taken earlier keeps its own edges.
+// table sorts nothing.
 func (h *HistogramEstimator) rebuild() {
 	n := h.tbl.NumRows()
 	h.numRows = float64(n)
@@ -133,7 +132,8 @@ func (h *HistogramEstimator) massLT(edges []float64, x float64) float64 {
 	return (float64(b) + frac) / float64(last)
 }
 
-// Estimate implements Estimator under attribute-value independence.
+// Estimate multiplies per-column selectivities (attribute-value
+// independence).
 // Estimates deliberately go stale after a data drift until Update rebuilds
 // the histograms — data-driven models have no incremental adaptation path
 // (the §2 contrast this baseline exists to demonstrate).
@@ -145,29 +145,9 @@ func (h *HistogramEstimator) Estimate(p query.Predicate) float64 {
 	return sel * h.numRows
 }
 
-// Train implements Estimator: histograms ignore the workload; building
-// happens from the data.
-func (h *HistogramEstimator) Train([]query.Labeled) error { h.rebuild(); return nil }
-
-// Update implements Estimator: rebuild from the current table (the only
-// adaptation a data-driven model supports).
+// Update rebuilds the histograms from the current table: the only
+// adaptation a data-driven model supports. It ignores the labeled queries.
 func (h *HistogramEstimator) Update([]query.Labeled) error { h.rebuild(); return nil }
-
-// Policy implements Estimator.
-func (h *HistogramEstimator) Policy() UpdatePolicy { return Retrain }
-
-// Clone implements Estimator.
-func (h *HistogramEstimator) Clone() Estimator {
-	c := *h
-	c.bounds = make([][]float64, len(h.bounds))
-	for i, b := range h.bounds {
-		c.bounds[i] = append([]float64(nil), b...)
-	}
-	return &c
-}
-
-// Name implements Estimator.
-func (h *HistogramEstimator) Name() string { return "histogram" }
 
 func mathClamp01(x float64) float64 {
 	if math.IsNaN(x) || x < 0 {

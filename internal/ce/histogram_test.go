@@ -124,26 +124,13 @@ func TestHistogramEdgesMatchSortedValues(t *testing.T) {
 	}
 }
 
-func TestHistogramImplementsEstimator(t *testing.T) {
-	tbl, _, _ := histFixture(t)
-	var e Estimator = NewHistogramEstimator(tbl, 16)
-	if e.Name() != "histogram" || e.Policy() != Retrain {
-		t.Error("metadata wrong")
-	}
-	c := e.Clone().(*HistogramEstimator)
-	c.bounds[0][0] = -999
-	if e.(*HistogramEstimator).bounds[0][0] == -999 {
-		t.Error("Clone aliases bounds")
-	}
-}
-
 func TestHistogramEqualityPredicates(t *testing.T) {
 	tbl, sch, ann := histFixture(t)
 	h := NewHistogramEstimator(tbl, 64)
 	// Categorical equality: station has 5 distinct values with heavy mass.
 	c := tbl.ColIndex("station")
 	p := query.NewFullRange(sch)
-	p.SetEquals(c, 2)
+	p.SetRange(c, 2, 2)
 	est := h.Estimate(p)
 	truth := annCountOK(t, ann, p)
 	if est <= 0 {

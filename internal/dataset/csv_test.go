@@ -16,15 +16,15 @@ func TestFromCSVWithHeader(t *testing.T) {
 	if tbl.NumRows() != 3 || tbl.NumCols() != 3 {
 		t.Fatalf("dims = %dx%d", tbl.NumRows(), tbl.NumCols())
 	}
-	if tbl.Col("a").Type != Real || tbl.Col("city").Type != Categorical {
+	if col(tbl, "a").Type != Real || col(tbl, "city").Type != Categorical {
 		t.Error("type inference wrong")
 	}
 	// Dictionary encoding: rome=0, oslo=1, rome=0.
-	city := tbl.Col("city").Vals
+	city := col(tbl, "city").Vals
 	if city[0] != 0 || city[1] != 1 || city[2] != 0 {
 		t.Errorf("dict encoding = %v", city)
 	}
-	if tbl.Col("b").Vals[1] != 4.5 {
+	if col(tbl, "b").Vals[1] != 4.5 {
 		t.Error("numeric parse wrong")
 	}
 }
@@ -53,15 +53,15 @@ func TestFromCSVExplicitTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Col("day").Type != Date {
+	if col(tbl, "day").Type != Date {
 		t.Error("explicit Date type ignored")
 	}
-	if tbl.Col("kind").Type != Categorical {
+	if col(tbl, "kind").Type != Categorical {
 		t.Error("explicit Categorical type ignored")
 	}
 	// Numeric categorical values are dictionary-encoded.
-	if tbl.Col("kind").Vals[0] != 0 || tbl.Col("kind").Vals[1] != 1 {
-		t.Errorf("categorical encoding = %v", tbl.Col("kind").Vals)
+	if col(tbl, "kind").Vals[0] != 0 || col(tbl, "kind").Vals[1] != 1 {
+		t.Errorf("categorical encoding = %v", col(tbl, "kind").Vals)
 	}
 }
 

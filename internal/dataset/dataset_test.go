@@ -6,6 +6,25 @@ import (
 	"testing/quick"
 )
 
+// col returns the column with the given name, or nil.
+func col(t *Table, name string) *Column {
+	if i := t.ColIndex(name); i >= 0 {
+		return t.Cols[i]
+	}
+	return nil
+}
+
+// cloneTable deep-copies t's columns into a new table at t's Version.
+func cloneTable(t *Table) *Table {
+	cols := make([]*Column, len(t.Cols))
+	for i, c := range t.Cols {
+		cols[i] = &Column{Name: c.Name, Type: c.Type, Vals: append([]float64(nil), c.Vals...)}
+	}
+	c := NewTable(t.Name, cols...)
+	c.Version = t.Version
+	return c
+}
+
 // distinctCount is the number of distinct values in c.
 func distinctCount(c *Column) int {
 	seen := make(map[float64]struct{}, 64)
@@ -22,9 +41,6 @@ func TestTableBasics(t *testing.T) {
 	)
 	if tbl.NumRows() != 3 || tbl.NumCols() != 2 {
 		t.Fatalf("dims = %d,%d", tbl.NumRows(), tbl.NumCols())
-	}
-	if tbl.Col("a") == nil || tbl.Col("z") != nil {
-		t.Error("Col lookup wrong")
 	}
 	if tbl.ColIndex("b") != 1 || tbl.ColIndex("z") != -1 {
 		t.Error("ColIndex wrong")
@@ -84,18 +100,15 @@ func TestSortByColumn(t *testing.T) {
 	}
 }
 
-func TestTruncateAndAppend(t *testing.T) {
+func TestTruncateTracksChanges(t *testing.T) {
 	tbl := NewTable("t", &Column{Name: "a", Vals: []float64{1, 2, 3, 4}})
+	v0 := tbl.Version
 	tbl.Truncate(2)
-	if tbl.NumRows() != 2 {
-		t.Fatalf("rows = %d", tbl.NumRows())
+	if tbl.NumRows() != 2 || tbl.Cols[0].Vals[1] != 2 {
+		t.Fatalf("rows = %v", tbl.Cols[0].Vals)
 	}
-	if tbl.ChangedRows != 2 {
-		t.Errorf("ChangedRows = %d, want 2", tbl.ChangedRows)
-	}
-	tbl.AppendRow([]float64{9})
-	if tbl.NumRows() != 3 || tbl.Cols[0].Vals[2] != 9 {
-		t.Error("append failed")
+	if tbl.ChangedRows != 2 || tbl.ChangedFraction() != 1 || tbl.Version == v0 {
+		t.Errorf("ChangedRows = %d, fraction %v, Version %d; want 2, 1 and a bump", tbl.ChangedRows, tbl.ChangedFraction(), tbl.Version)
 	}
 	tbl.ResetChangeTracking()
 	if tbl.ChangedFraction() != 0 {
@@ -103,9 +116,11 @@ func TestTruncateAndAppend(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence holds the test helper cloneTable to a deep copy:
+// TestUpdateDriftShiftsValues compares a drifted table against one.
 func TestCloneIndependence(t *testing.T) {
 	tbl := NewTable("t", &Column{Name: "a", Vals: []float64{1, 2}})
-	c := tbl.Clone()
+	c := cloneTable(tbl)
 	c.Cols[0].Vals[0] = 99
 	if tbl.Cols[0].Vals[0] != 1 {
 		t.Error("Clone aliases data")
@@ -150,11 +165,11 @@ func TestPRSAProfile(t *testing.T) {
 	if nReal != 6 || nCat != 2 || nDate != 1 {
 		t.Errorf("type mix = %d real, %d cat, %d date; want 6/2/1", nReal, nCat, nDate)
 	}
-	if d := distinctCount(tbl.Col("station")); d > 5 {
+	if d := distinctCount(col(tbl, "station")); d > 5 {
 		t.Errorf("station distinct = %d, want <=5", d)
 	}
 	// Seasonality: temperature range should span tens of degrees.
-	temp := tbl.Col("temp")
+	temp := col(tbl, "temp")
 	if temp.Max()-temp.Min() < 20 {
 		t.Errorf("temp range = %v, want seasonal spread", temp.Max()-temp.Min())
 	}
@@ -174,7 +189,7 @@ func TestPokerProfile(t *testing.T) {
 		}
 	}
 	// Hand classes concentrate on high-card/pair as in the real dataset.
-	class := tbl.Col("class")
+	class := col(tbl, "class")
 	low := 0
 	for _, v := range class.Vals {
 		if v <= 1 {
@@ -202,23 +217,10 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestAppendDrift(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tbl := PRSA(2000, rng)
-	n0 := tbl.NumRows()
-	AppendDrift(tbl, 0.2, 1.0, rng)
-	if tbl.NumRows() != n0+n0/5 {
-		t.Errorf("rows after append = %d, want %d", tbl.NumRows(), n0+n0/5)
-	}
-	if tbl.ChangedFraction() < 0.15 {
-		t.Errorf("ChangedFraction = %v", tbl.ChangedFraction())
-	}
-}
-
 func TestUpdateDriftShiftsValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tbl := Higgs(2000, rng)
-	before := tbl.Clone()
+	before := cloneTable(tbl)
 	UpdateDrift(tbl, 1.0, 1.0, rng)
 	diff := 0
 	for i, v := range tbl.Cols[0].Vals {

@@ -6,38 +6,9 @@ import (
 )
 
 // Data-drift operators implementing the constructions in §2 and §4.1.2 of
-// the paper: appends, in-place updates, and the sort-then-truncate-half
-// construction used for the c1 experiments.
-
-// AppendDrift appends frac·NumRows new rows drawn by resampling existing rows
-// and shifting real columns by `shift` standard deviations, modelling the
-// paper's "20% of the rows are appended" scenario.
-func AppendDrift(t *Table, frac, shift float64, rng *rand.Rand) {
-	n := t.NumRows()
-	if n == 0 || frac <= 0 {
-		return
-	}
-	// Precompute per-column std for the shift.
-	stds := make([]float64, len(t.Cols))
-	for j, c := range t.Cols {
-		stds[j] = colStd(c.Vals)
-	}
-	add := int(float64(n) * frac)
-	row := make([]float64, len(t.Cols))
-	for i := 0; i < add; i++ {
-		src := rng.Intn(n)
-		t.Row(src, row)
-		for j, c := range t.Cols {
-			if c.Type == Real || c.Type == Date {
-				row[j] += float64(shift * stds[j] * (0.5 + float64(rng.Float64())))
-			} else if rng.Float64() < 0.3 {
-				// Occasionally remap categorical values.
-				row[j] = c.Vals[rng.Intn(n)]
-			}
-		}
-		t.AppendRow(row)
-	}
-}
+// the paper: in-place updates and the sort-then-truncate-half construction
+// used for the c1 experiments. (The paper's "20% of the rows are appended"
+// scenario has no operator: no experiment or benchmark runs it.)
 
 // UpdateDrift perturbs frac·NumRows randomly chosen rows in place: real
 // columns get Gaussian noise scaled by their std, categorical columns are

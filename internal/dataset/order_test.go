@@ -25,17 +25,21 @@ func TestSortedOrder(t *testing.T) {
 	if again, _ := tbl.SortedOrder(); &again[0][0] != &rows[0][0] {
 		t.Error("SortedOrder rebuilt over an unchanged table")
 	}
-	// A clone starts without an order and never shares one.
-	c := tbl.Clone()
+	// A copy starts without an order and never shares one.
+	c := cloneTable(tbl)
 	if cr, _ := c.SortedOrder(); &cr[0][0] == &rows[0][0] {
-		t.Error("Clone shares the original's order")
+		t.Error("a copy shares the original's order")
 	}
 
 	UpdateDrift(tbl, 1, 1, rand.New(rand.NewSource(1))) // same size: only Version changes
-	tbl.AppendRow([]float64{-7, 1})
+	tbl.SortedOrder()
+	// A row appended behind the table's back changes NumRows but not
+	// Version: the order is keyed on both, so it is rebuilt.
+	tbl.Cols[0].Vals = append(tbl.Cols[0].Vals, -7)
+	tbl.Cols[1].Vals = append(tbl.Cols[1].Vals, 1)
 	rows, nans = tbl.SortedOrder()
 	if len(rows[0]) != 8 || rows[0][nans[0]] != 7 || rows[1][7] != 7 {
-		t.Errorf("after AppendRow: order %v / %v does not place the new row", rows[0], rows[1])
+		t.Errorf("after a bare append: order %v / %v does not place the new row", rows[0], rows[1])
 	}
 	for c, col := range tbl.Cols {
 		for i := nans[c] + 1; i < len(rows[c]); i++ {

@@ -1,7 +1,7 @@
 // Package dataset provides the in-memory columnar tables that Warper's
 // annotator scans for ground-truth cardinalities, plus synthetic generators
 // whose column-type signatures match the paper's evaluation datasets
-// (Table 4: Higgs, PRSA, Poker) and data-drift operators (append, update,
+// (Table 4: Higgs, PRSA, Poker) and the data-drift operators (update,
 // sort-and-truncate) used in the c1 experiments.
 package dataset
 
@@ -25,20 +25,6 @@ const (
 	Categorical
 	Date
 )
-
-// String returns a human-readable column type.
-func (t ColType) String() string {
-	switch t {
-	case Real:
-		return "real"
-	case Categorical:
-		return "categorical"
-	case Date:
-		return "date"
-	default:
-		return fmt.Sprintf("ColType(%d)", int(t))
-	}
-}
 
 // Column is a single named column stored densely as float64.
 type Column struct {
@@ -79,7 +65,7 @@ type Table struct {
 	// Version increments on every mutation, giving the drift detector the
 	// "database telemetry" signal from §3.1.
 	Version int
-	// ChangedRows counts rows appended or updated since the last
+	// ChangedRows counts rows updated or truncated away since the last
 	// ResetChangeTracking, as a fraction feed for data-drift detection.
 	ChangedRows int
 
@@ -113,8 +99,7 @@ func NewTable(name string, cols ...*Column) *Table {
 // per table that all its readers of the table share — the annotators'
 // pass-bitmap cache. Such state must notice mutations itself, as
 // SortedOrder does by Version, NumRows and NumCols. Keys compare like map
-// keys; a package's unexported key type keeps its entry its own. A Clone
-// starts with none.
+// keys; a package's unexported key type keeps its entry its own.
 func (t *Table) Shared(key any, build func() any) any {
 	t.sharedMu.Lock()
 	defer t.sharedMu.Unlock()
@@ -139,16 +124,6 @@ func (t *Table) NumRows() int {
 
 // NumCols returns the column count.
 func (t *Table) NumCols() int { return len(t.Cols) }
-
-// Col returns the column with the given name, or nil.
-func (t *Table) Col(name string) *Column {
-	for _, c := range t.Cols {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
 
 // ColIndex returns the index of the named column, or -1.
 func (t *Table) ColIndex(name string) int {
@@ -234,27 +209,4 @@ func (t *Table) Truncate(n int) {
 	}
 	t.Version++
 	t.ChangedRows += cur - n
-}
-
-// AppendRow appends one row (len must equal NumCols).
-func (t *Table) AppendRow(row []float64) {
-	if len(row) != len(t.Cols) {
-		panic(fmt.Sprintf("dataset: AppendRow got %d values for %d columns", len(row), len(t.Cols)))
-	}
-	for j, c := range t.Cols {
-		c.Vals = append(c.Vals, row[j])
-	}
-	t.Version++
-	t.ChangedRows++
-}
-
-// Clone deep-copies the table.
-func (t *Table) Clone() *Table {
-	cols := make([]*Column, len(t.Cols))
-	for i, c := range t.Cols {
-		vals := make([]float64, len(c.Vals))
-		copy(vals, c.Vals)
-		cols[i] = &Column{Name: c.Name, Type: c.Type, Vals: vals}
-	}
-	return &Table{Name: t.Name, Cols: cols, Version: t.Version}
 }

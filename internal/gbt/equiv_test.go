@@ -24,6 +24,12 @@ func randData(rng *rand.Rand, n, d, dup int) ([][]float64, []float64) {
 	return X, y
 }
 
+// growTree grows one tree with the presorted grower, as each stage of Fit
+// does.
+func growTree(X [][]float64, y []float64, cfg TreeConfig) *Tree {
+	return newGrower(X, y, cfg).fitTree()
+}
+
 func sameTree(t *testing.T, a, b *treeNode) {
 	t.Helper()
 	if (a == nil) != (b == nil) {
@@ -58,10 +64,7 @@ func TestPresortedTreeMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			X, y := randData(rng, tc.n, tc.d, tc.dup)
 			cfg := TreeConfig{MaxDepth: 5, MinLeafSize: 3}
-			got, err := FitTree(X, y, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := growTree(X, y, cfg)
 			want := referenceFitTree(X, y, cfg)
 			sameTree(t, got.root, want.root)
 		})

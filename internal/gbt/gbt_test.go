@@ -19,10 +19,7 @@ func TestTreeFitsStepFunction(t *testing.T) {
 			y = append(y, 10)
 		}
 	}
-	tree, err := FitTree(X, y, TreeConfig{MaxDepth: 2, MinLeafSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := growTree(X, y, TreeConfig{MaxDepth: 2, MinLeafSize: 1})
 	if got := tree.Predict([]float64{0.1}); math.Abs(got) > 1e-9 {
 		t.Errorf("predict(0.1) = %v, want 0", got)
 	}
@@ -46,10 +43,7 @@ func TestTreeSelectsInformativeFeature(t *testing.T) {
 			y = append(y, -1)
 		}
 	}
-	tree, err := FitTree(X, y, TreeConfig{MaxDepth: 1, MinLeafSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := growTree(X, y, TreeConfig{MaxDepth: 1, MinLeafSize: 5})
 	if tree.root.Feature != 1 {
 		t.Errorf("root split on feature %d, want 1", tree.root.Feature)
 	}
@@ -68,10 +62,7 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 		y = append(y, math.Sin(10*x))
 	}
 	for _, depth := range []int{0, 1, 2, 4} {
-		tree, err := FitTree(X, y, TreeConfig{MaxDepth: depth, MinLeafSize: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := growTree(X, y, TreeConfig{MaxDepth: depth, MinLeafSize: 1})
 		if got := nodeDepth(tree.root); got > depth {
 			t.Errorf("depth = %d, limit %d", got, depth)
 		}
@@ -81,10 +72,7 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 func TestTreeMinLeafSize(t *testing.T) {
 	X := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{0, 0, 10, 10}
-	tree, err := FitTree(X, y, TreeConfig{MaxDepth: 5, MinLeafSize: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := growTree(X, y, TreeConfig{MaxDepth: 5, MinLeafSize: 3})
 	// Only 4 samples with min leaf 3 → no split possible.
 	if tree.root.Feature != -1 {
 		t.Error("tree split despite MinLeafSize")
@@ -97,10 +85,7 @@ func TestTreeMinLeafSize(t *testing.T) {
 func TestTreeConstantTargetIsLeaf(t *testing.T) {
 	X := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{7, 7, 7, 7}
-	tree, err := FitTree(X, y, TreeConfig{MaxDepth: 5, MinLeafSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := growTree(X, y, TreeConfig{MaxDepth: 5, MinLeafSize: 1})
 	if n := countLeaves(tree.root); n != 1 {
 		t.Errorf("constant target produced %d leaves", n)
 	}
@@ -209,8 +194,5 @@ func TestFitRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Fit([][]float64{{1, 2}, {3}}, []float64{1, 2}, Config{Stages: 100, Rate: 1e-2, MaxDepth: 3, MinLeafSize: 2}); err == nil {
 		t.Error("Fit accepted ragged rows")
-	}
-	if _, err := FitTree([][]float64{{1}}, []float64{1, 2}, TreeConfig{MaxDepth: 1, MinLeafSize: 1}); err == nil {
-		t.Error("FitTree accepted mismatched lengths")
 	}
 }

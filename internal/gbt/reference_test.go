@@ -10,8 +10,8 @@ import "sort"
 // the same order and fit byte-identical trees. It must not be optimized.
 
 // referenceFitTree grows a regression tree by re-sorting the node's samples
-// on every feature at every node. Inputs must be well-formed (callers
-// validate); it is retained for tests and benchmarks only.
+// on every feature at every node. Inputs must be well-formed (Fit
+// validates); it is retained for tests and benchmarks only.
 func referenceFitTree(X [][]float64, y []float64, cfg TreeConfig) *Tree {
 	if cfg.MinLeafSize < 1 {
 		cfg.MinLeafSize = 1

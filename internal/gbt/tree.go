@@ -215,19 +215,6 @@ func (g *grower) partition(lo, hi, feat int, thr float64) int {
 	return nl
 }
 
-// FitTree grows a regression tree on rows X (each a feature vector) and
-// targets y. It returns an error when X and y lengths differ or the feature
-// rows are ragged.
-func FitTree(X [][]float64, y []float64, cfg TreeConfig) (*Tree, error) {
-	if err := validate(X, y); err != nil {
-		return nil, err
-	}
-	if len(y) == 0 {
-		return &Tree{root: &treeNode{Feature: -1}}, nil
-	}
-	return newGrower(X, y, cfg).fitTree(), nil
-}
-
 func validate(X [][]float64, y []float64) error {
 	if len(X) != len(y) {
 		return errors.New("gbt: X and y length mismatch")

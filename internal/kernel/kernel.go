@@ -18,7 +18,6 @@ import (
 // Kernel computes k(x, y) for two feature vectors.
 type Kernel interface {
 	Eval(x, y []float64) float64
-	Name() string
 }
 
 // RBF is the Gaussian kernel exp(−γ‖x−y‖²).
@@ -33,9 +32,6 @@ func (k RBF) Eval(x, y []float64) float64 {
 	}
 	return math.Exp(-k.Gamma * s)
 }
-
-// Name implements Kernel.
-func (k RBF) Name() string { return "rbf" }
 
 // Polynomial is (γ·x·y + c)^d. The paper's LM-ply uses degree 5.
 type Polynomial struct {
@@ -52,9 +48,6 @@ func (k Polynomial) Eval(x, y []float64) float64 {
 	}
 	return math.Pow(float64(k.Gamma*dot)+k.Coef0, float64(k.Degree))
 }
-
-// Name implements Kernel.
-func (k Polynomial) Name() string { return "poly" }
 
 // Config controls KRR fitting.
 type Config struct {

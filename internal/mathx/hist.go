@@ -30,9 +30,6 @@ func (h *Histogram) AddBucket(b int) {
 	h.n++
 }
 
-// Count returns the number of observations added.
-func (h *Histogram) Count() int { return h.n }
-
 // Normalized returns the frequency vector scaled to sum to 1. An empty
 // histogram yields a uniform distribution so divergence computations remain
 // well defined.

@@ -17,8 +17,8 @@ func TestHistogramAddAndNormalize(t *testing.T) {
 	if !almostEq(n[0], 0.6, 1e-12) || !almostEq(n[3], 0.4, 1e-12) {
 		t.Errorf("Normalized = %v", n)
 	}
-	if h.Count() != 5 {
-		t.Errorf("Count = %d", h.Count())
+	if h.n != 5 {
+		t.Errorf("observations = %d", h.n)
 	}
 }
 

@@ -69,14 +69,12 @@ func (p Predicate) Clone() Predicate {
 // Dim returns the number of columns constrained by the predicate.
 func (p Predicate) Dim() int { return len(p.Lows) }
 
-// SetRange constrains column i to [lo, hi].
+// SetRange constrains column i to [lo, hi]; lo == hi is an equality
+// (l_i = u_i per §2).
 func (p Predicate) SetRange(i int, lo, hi float64) {
 	p.Lows[i] = lo
 	p.Highs[i] = hi
 }
-
-// SetEquals constrains column i to exactly v (l_i = u_i per §2).
-func (p Predicate) SetEquals(i int, v float64) { p.SetRange(i, v, v) }
 
 // Matches reports whether the row satisfies every range check.
 func (p Predicate) Matches(row []float64) bool {

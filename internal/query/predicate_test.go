@@ -39,15 +39,6 @@ func TestMatchesBounds(t *testing.T) {
 	}
 }
 
-func TestSetEquals(t *testing.T) {
-	s := testSchema()
-	p := NewFullRange(s)
-	p.SetEquals(2, 3)
-	if !p.Matches([]float64{50, 0, 3}) || p.Matches([]float64{50, 0, 2}) {
-		t.Error("equality check wrong")
-	}
-}
-
 func TestNormalizeSwapsAndClamps(t *testing.T) {
 	s := testSchema()
 	p := NewFullRange(s)
@@ -219,7 +210,7 @@ func TestUnfeaturizeRoundTrip(t *testing.T) {
 	p := NewFullRange(s)
 	p.SetRange(0, 10, 60)
 	p.SetRange(1, -5, 5)
-	p.SetEquals(2, 2)
+	p.SetRange(2, 2, 2)
 	q := Unfeaturize(p.Featurize(s), s)
 	for i := range p.Lows {
 		if math.Abs(q.Lows[i]-p.Lows[i]) > 1e-9 || math.Abs(q.Highs[i]-p.Highs[i]) > 1e-9 {

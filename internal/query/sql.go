@@ -6,7 +6,7 @@ import (
 )
 
 // SQL rendering turns predicates back into the WHERE clauses they model —
-// how /statusz shows an operator the predicates behind its exemplars.
+// how /status shows an operator the predicates behind its exemplars.
 
 // WhereClause renders the predicate as a SQL boolean expression against the
 // schema's column names. Unconstrained columns (spanning the full range) are

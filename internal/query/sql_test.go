@@ -20,7 +20,7 @@ func TestWhereClauseForms(t *testing.T) {
 	if got := p.WhereClause(s); got != "a >= 10" {
 		t.Errorf("one-sided high = %q", got)
 	}
-	p.SetEquals(0, 42)
+	p.SetRange(0, 42, 42)
 	if got := p.WhereClause(s); got != "a = 42" {
 		t.Errorf("equality = %q", got)
 	}

@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -348,7 +345,7 @@ func TestEstimateCacheKeyIsNormalizedBounds(t *testing.T) {
 	neg := gNew.Gen(rng).Normalize(sch)
 	neg.SetRange(c, math.Copysign(0, -1), 0)
 	pos := neg.Clone()
-	pos.SetEquals(c, 0)
+	pos.SetRange(c, 0, 0)
 	fNeg, fPos := neg.Featurize(sch), pos.Featurize(sch)
 	for i := range fNeg {
 		if math.Float64bits(fNeg[i]) != math.Float64bits(fPos[i]) {
@@ -643,32 +640,15 @@ func TestEstimateCacheSwapUnderLoad(t *testing.T) {
 	}
 }
 
-func TestStatuszShowsCache(t *testing.T) {
+// TestStatusShowsCache checks the estimate cache on /status: one entry, in
+// a cache of the default capacity, after the same predicate twice.
+func TestStatusShowsCache(t *testing.T) {
 	srv, ts, sch, _, gNew := newTestServerOpts(t, Options{})
 	p := gNew.Gen(rand.New(rand.NewSource(19))).Normalize(sch)
 	srv.Estimate(p)
 	srv.Estimate(p)
-
-	resp, err := http.Get(ts.URL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "Estimate cache") {
-		t.Error("/statusz has no Estimate cache section")
-	}
-	// The page renders the same document /status serves: one entry in a
-	// cache of the default capacity.
-	c := getStatus(t, ts.URL).Cache
-	if c.Entries != 1 || c.Capacity != srv.cache.capacity {
+	if c := getStatus(t, ts.URL).Cache; c.Entries != 1 || c.Capacity != srv.cache.capacity {
 		t.Fatalf("/status cache = %+v, want 1 entry of %d", c, srv.cache.capacity)
-	}
-	if want := fmt.Sprintf("entries %d/%d", c.Entries, c.Capacity); !strings.Contains(string(body), want) {
-		t.Errorf("/statusz lacks %q", want)
 	}
 }
 

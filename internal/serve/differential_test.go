@@ -360,7 +360,7 @@ func (d *diffDriver) issue(dr door, rows []pred, budget time.Duration) (answer, 
 		if len(cards) != len(rows) {
 			return answer{}, fmt.Errorf("%v: %d rows answered, %d sent", dr, len(cards), len(rows))
 		}
-		return answer{preds: rows, cards: cards, out: EstimateOutcome{Degraded: h.Degraded()}, gen: h.Generation}, nil
+		return answer{preds: rows, cards: cards, out: EstimateOutcome{Degraded: h.Flags&wire.FlagDegraded != 0}, gen: h.Generation}, nil
 	}
 	raws := make([]query.Predicate, len(rows))
 	for i, p := range rows {
@@ -739,13 +739,11 @@ func (d *diffDriver) opToggleChaos() {
 	d.served.hooks.chaosOn.Store(d.rng.Intn(2) == 0)
 }
 
-// opScrape reads the observability endpoints — all three evaluate health —
-// and cross-checks /status against the driver's generation.
+// opScrape reads the observability endpoints — both evaluate health — and
+// cross-checks /status against the driver's generation.
 func (d *diffDriver) opScrape() {
-	for _, path := range []string{"/metrics", "/statusz"} {
-		if rw := d.call("GET", path, "", nil, 0); rw.Code != http.StatusOK {
-			d.failf("GET %s = %d", path, rw.Code)
-		}
+	if rw := d.call("GET", "/metrics", "", nil, 0); rw.Code != http.StatusOK {
+		d.failf("GET /metrics = %d", rw.Code)
 	}
 	st, gen := d.status(), d.lo.Load()
 	if st.Generation != gen {

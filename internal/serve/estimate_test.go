@@ -147,7 +147,7 @@ func entryPointsAgree(t *testing.T) {
 					}
 					// The wire carries the class, not the reason: the
 					// counter deltas below pin the reason.
-					return cards[row], EstimateOutcome{Degraded: hd.Degraded()}
+					return cards[row], EstimateOutcome{Degraded: hd.Flags&wire.FlagDegraded != 0}
 				}
 				entries := []struct {
 					name   string
@@ -452,7 +452,7 @@ func TestBatchDeadlineStartsAfterDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Degraded() {
+	if h.Flags&wire.FlagDegraded != 0 {
 		t.Errorf("slow upload spent the replica-wait budget: answer is degraded (fallback timeouts = %d)", srv.met.fbTimeout.Value())
 	}
 	if want := srv.Estimator().Clone().Estimate(p.Normalize(sch)); len(cards) != 1 || cards[0] != want {

@@ -26,8 +26,8 @@ import (
 // a single bad sample cannot flap the server between modes — by the traffic
 // it governs: every estimate that leaves the checkout fast path or runs while
 // the state is not Healthy offers an evaluation (admit, or estimateGroup for
-// a group that hit on every row), as do the three handlers that render
-// health (/metrics, /status, /statusz). The server owns no goroutine, so an
+// a group that hit on every row), as do the two handlers that render
+// health (/metrics, /status). The server owns no goroutine, so an
 // idle one holds its last state until the next request or scrape; a free
 // replica is used in every state, so those first requests are still answered
 // by the model.
@@ -48,7 +48,7 @@ const (
 	Shedding HealthState = 2
 )
 
-// String names the state for journals and /statusz.
+// String names the state for journals and /status.
 func (h HealthState) String() string {
 	switch h {
 	case Healthy:

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"html/template"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -15,7 +14,7 @@ import (
 // sampled request tracer, the adaptation event journal (mirrored, through
 // event, to the server log) and the rolling q-error drift watch behind the
 // warper_drift_* gauges — and reports them in the one status document that
-// /status and /statusz serve. The recorder is pure read-side plumbing —
+// /status serves. The recorder is pure read-side plumbing —
 // nothing here runs on the estimate hot path unless the request was sampled.
 
 // Flight-recorder sizes; only the drift window is an option.
@@ -123,8 +122,8 @@ func (r *flightRecorder) applyDriftTransition(st obs.DriftState, tr obs.DriftTra
 	}
 }
 
-// statusDoc is the one status document: GET /status serves it as JSON and
-// /statusz renders it as HTML. Its names are the ledger's and the metric
+// statusDoc is the one status document, which GET /status serves as JSON.
+// Its names are the ledger's and the metric
 // families' (TestStatusFieldsDocumented holds it to README).
 type statusDoc struct {
 	Model      string  `json:"model"`
@@ -186,63 +185,6 @@ func (s *Server) statusNow() statusDoc {
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, s.statusNow())
-}
-
-var statuszTmpl = template.Must(template.New("statusz").Parse(`<!DOCTYPE html>
-<html><head><title>warperd statusz</title><style>
-body{font-family:monospace;margin:2em;background:#fafafa;color:#222}
-h1{font-size:1.3em}h2{font-size:1.1em;margin-top:1.5em;border-bottom:1px solid #ccc}
-table{border-collapse:collapse;margin:0.5em 0}
-td,th{border:1px solid #ddd;padding:2px 8px;text-align:right}
-th{background:#eee}td.l,th.l{text-align:left}
-.alarm{color:#b00020;font-weight:bold}.ok{color:#1b5e20}
-</style></head><body>
-<h1>warperd flight recorder</h1>
-<p>model={{.Model}} generation={{.Generation}} periods={{.Periods}} buffered={{.Buffered}}
-pool_size={{.PoolSize}} labeled={{.Labeled}} pi={{printf "%.3f" .Pi}} gamma={{.Gamma}} —
-this page renders <a href="/status">/status</a>; every metric is on <a href="/metrics">/metrics</a></p>
-
-<h2>Costs (seconds)</h2>
-<table>{{range $name, $secs := .Costs}}<tr><td class="l">{{$name}}</td><td>{{printf "%.3f" $secs}}</td></tr>
-{{end}}</table>
-
-<h2>Serving health</h2>
-<p>state {{if eq .Health "healthy"}}<span class="ok">healthy</span>{{else}}<span class="alarm">{{.Health}}</span>{{end}}
-— admission queue depth {{.QueueDepth}}</p>
-
-<h2>Estimate cache</h2>
-<p>entries {{.Cache.Entries}}/{{.Cache.Capacity}} — declined {{.Cache.Declined}}</p>
-
-<h2>Drift watch</h2>
-{{if gt .Drift.Threshold 0.0}}
-<p>{{if .Drift.Alarm}}<span class="alarm">ALARM</span> since {{.Drift.AlarmSince.Format "15:04:05"}}{{else}}<span class="ok">ok</span>{{end}}
-— window GMQ {{printf "%.3f" .Drift.WindowGMQ}} over {{.Drift.Count}} obs
-(threshold {{printf "%.2f" .Drift.Threshold}}, window {{.Drift.Window}})</p>
-{{else}}<p>disabled (set -drift-alarm-gmq)</p>{{end}}
-
-<h2>Worst q-error exemplars</h2>
-{{if .WorstQ}}<table><tr><th>q-error</th><th>estimate</th><th>truth</th><th class="l">predicate</th><th class="l">time</th></tr>
-{{range .WorstQ}}<tr><td>{{printf "%.2f" .QError}}</td><td>{{printf "%.1f" .Estimate}}</td><td>{{printf "%.1f" .Truth}}</td><td class="l">{{.Predicate}}</td><td class="l">{{.Time.Format "15:04:05"}}</td></tr>
-{{end}}</table>{{else}}<p>none yet (needs feedback with ground truth)</p>{{end}}
-
-<h2>Sampled request traces</h2>
-{{if .Traces}}<table><tr><th>id</th><th class="l">handler</th><th>total</th><th>batch</th><th>generation</th><th class="l">stages</th></tr>
-{{range .Traces}}<tr><td>{{.ID}}</td><td class="l">{{.Handler}}</td><td>{{.Total}}</td><td>{{.BatchSize}}</td><td>{{.Generation}}</td><td class="l">{{range .Stages}}{{.Name}}={{.Dur}} {{end}}</td></tr>
-{{end}}</table>{{else}}<p>none (-trace-sample N traces one request in N; 0 is off)</p>{{end}}
-
-<h2>Adaptation journal ({{.Journal.Total}} events, {{len .Journal.Events}} retained)</h2>
-{{with .Journal.Events}}<table><tr><th>seq</th><th class="l">time</th><th class="l">kind</th><th>trace</th><th class="l">fields</th></tr>
-{{range .}}<tr><td>{{.Seq}}</td><td class="l">{{.Time.Format "15:04:05.000"}}</td><td class="l">{{.Kind}}</td><td>{{if .TraceID}}{{.TraceID}}{{end}}</td><td class="l">{{range $k, $v := .Fields}}{{$k}}={{$v}} {{end}}</td></tr>
-{{end}}</table>{{else}}<p>no lifecycle events yet</p>{{end}}
-</body></html>
-`))
-
-// handleStatusz renders the status document as a stdlib-only HTML page.
-func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := statuszTmpl.Execute(w, s.statusNow()); err != nil {
-		s.logger.Error("statusz render failed", "err", err)
-	}
 }
 
 // handleMetrics serves the Prometheus exposition. It renders

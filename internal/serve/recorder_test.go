@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"html/template"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -214,10 +213,10 @@ func TestDebugEventsCausalOrder(t *testing.T) {
 	}
 }
 
-// TestStatuszEndpoint checks that /statusz renders the status document —
-// drift watch, exemplars, traces and journal — and nothing else: the
-// lifetime metric table is gone, /metrics keeps every metric.
-func TestStatuszEndpoint(t *testing.T) {
+// TestStatusEndpoint checks that /status carries the flight recorder —
+// drift watch, exemplars and traces — besides the adapter state, and no
+// lifetime metric: /metrics keeps every metric.
+func TestStatusEndpoint(t *testing.T) {
 	_, ts, _, _, gNew := newTestServerOpts(t, Options{TraceSample: 1, DriftAlarmGMQ: 10})
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 5; i++ {
@@ -231,33 +230,23 @@ func TestStatuszEndpoint(t *testing.T) {
 		}, nil)
 	}
 
-	resp, body := getBody(t, ts.URL+"/statusz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Errorf("content-type = %q", ct)
-	}
-	page := string(body)
+	_, body := getBody(t, ts.URL+"/status")
 	doc := getStatus(t, ts.URL)
-	if len(doc.WorstQ) == 0 || len(doc.Traces) == 0 {
-		t.Fatalf("/status has %d exemplars and %d traces, want some of each", len(doc.WorstQ), len(doc.Traces))
+	if doc.Model == "" || doc.Drift.Threshold != 10 || doc.Drift.Count != 5 {
+		t.Errorf("/status model %q, drift %+v; want a model and 5 observations against threshold 10", doc.Model, doc.Drift)
 	}
-	for _, want := range []string{
-		"flight recorder",
-		"Drift watch",
-		"model=" + doc.Model,
-		"threshold 10.00",
-		template.HTMLEscapeString(doc.WorstQ[0].Predicate),
-		`<td class="l">estimate</td>`, // a trace row
-		`href="/status"`,
-	} {
-		if !strings.Contains(page, want) {
-			t.Errorf("statusz missing %q", want)
-		}
+	if len(doc.WorstQ) == 0 || doc.WorstQ[0].Predicate == "" {
+		t.Errorf("/status worst_q = %+v, want exemplars with their predicates", doc.WorstQ)
 	}
-	if strings.Contains(page, mCheckoutWait) || strings.Contains(page, "/debug/") {
-		t.Error("statusz still renders the metric table or links a deleted /debug route")
+	traced := false
+	for _, tr := range doc.Traces {
+		traced = traced || tr.Handler == "estimate"
+	}
+	if !traced {
+		t.Errorf("/status traces %+v hold no estimate", doc.Traces)
+	}
+	if strings.Contains(string(body), mCheckoutWait) || strings.Contains(string(body), "/debug/") {
+		t.Error("/status renders a metric or links a deleted /debug route")
 	}
 }
 
@@ -293,7 +282,7 @@ func TestDebugEndpointsBoundedUnderLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			for _, path := range []string{"/status", "/statusz", "/metrics"} {
+			for _, path := range []string{"/status", "/metrics"} {
 				resp, err := http.Get(ts.URL + path)
 				if err != nil {
 					t.Errorf("GET %s: %v", path, err)

@@ -222,7 +222,6 @@ func (s *Server) Handler() http.Handler {
 		_, _ = fmt.Fprintln(w, "ok") // health probes ignore the body anyway
 	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /statusz", s.instrument("statusz", s.handleStatusz))
 	if s.pprof {
 		obs.AttachPprof(mux)
 	}

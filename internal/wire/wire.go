@@ -342,9 +342,6 @@ type ResponseHeader struct {
 	Rows       int
 }
 
-// Degraded reports the FlagDegraded bit.
-func (h ResponseHeader) Degraded() bool { return h.Flags&FlagDegraded != 0 }
-
 // DecodeResponse parses one (unframed) response frame, appending the
 // cardinalities to cards[:0] so callers can reuse one slice across calls.
 func DecodeResponse(frame []byte, cards []float64) (ResponseHeader, []float64, error) {

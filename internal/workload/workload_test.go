@@ -197,41 +197,6 @@ func TestGenerateCount(t *testing.T) {
 	}
 }
 
-func TestScheduleSequencing(t *testing.T) {
-	tbl, sch := testTable(t)
-	opts := Options{}
-	g1 := New("w1", tbl, sch, opts)
-	g2 := New("w2", tbl, sch, opts)
-	entered := 0
-	sched := NewSchedule(
-		Phase{Gen: g1, Periods: 3},
-		Phase{Gen: g2, Periods: 2, OnEnter: func(*dataset.Table, *rand.Rand) { entered++ }},
-	)
-	if sched.TotalPeriods() != 5 {
-		t.Errorf("TotalPeriods = %d", sched.TotalPeriods())
-	}
-	p, first := sched.PhaseAt(0)
-	if p.Gen.Name() != "w1" || !first {
-		t.Error("period 0 wrong")
-	}
-	p, first = sched.PhaseAt(2)
-	if p.Gen.Name() != "w1" || first {
-		t.Error("period 2 wrong")
-	}
-	p, first = sched.PhaseAt(3)
-	if p.Gen.Name() != "w2" || !first {
-		t.Error("period 3 wrong")
-	}
-	// Past the end, the last phase persists without re-entering.
-	p, first = sched.PhaseAt(99)
-	if p.Gen.Name() != "w2" || first {
-		t.Error("period 99 wrong")
-	}
-	if entered != 0 {
-		t.Error("OnEnter should not fire from PhaseAt")
-	}
-}
-
 func TestW5OversamplesRareValues(t *testing.T) {
 	// Build a table where value 0 dominates and value 100 is rare; w5 should
 	// center on the rare value far more often than its base rate.

@@ -8,7 +8,7 @@
 # runs on source, not in the system) and experiments (the harness itself) at
 # 0.0 %. A function on this list runs only under tests, or not at all — the
 # evidence a "second path" trial should start from. The last line is the
-# count CHANGES.md and ROADMAP.md quote. About 30 s.
+# count CHANGES.md and ROADMAP.md quote. About 20 s on a 2-vCPU host.
 #
 #	scripts/traffic.sh                  # this checkout
 #	scripts/traffic.sh /path/to/parent  # another one (a clone of the parent commit)
@@ -18,8 +18,14 @@ cd "${1:-$(dirname "$0")/..}"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-go test -count=1 -run '^(TestWorkloadsSmoke|TestAdaptDriftDeterministic|TestAllExperimentsSmoke)$' \
-	-coverpkg=./internal/... -coverprofile="$tmp/cover.out" ./bench ./internal/experiments >/dev/null
+# Quiet on success; a red coverage run prints go test's output and stops the
+# census, since a failed test leaves the profile short of what it executes.
+if ! go test -count=1 -run '^(TestWorkloadsSmoke|TestAdaptDriftDeterministic|TestAllExperimentsSmoke)$' \
+	-coverpkg=./internal/... -coverprofile="$tmp/cover.out" ./bench ./internal/experiments >"$tmp/test.out" 2>&1; then
+	cat "$tmp/test.out" >&2
+	echo "traffic.sh: the coverage run failed; no census" >&2
+	exit 1
+fi
 go tool cover -func="$tmp/cover.out" |
 	awk '$NF == "0.0%" && $1 ~ /^warper\/internal\// && $1 !~ /^warper\/internal\/(lint|experiments)\// {
 		sub(/^warper\//, "", $1)
