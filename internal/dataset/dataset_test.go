@@ -123,7 +123,7 @@ func TestCloneIndependence(t *testing.T) {
 	c := cloneTable(tbl)
 	c.Cols[0].Vals[0] = 99
 	if tbl.Cols[0].Vals[0] != 1 {
-		t.Error("Clone aliases data")
+		t.Error("cloneTable aliases data")
 	}
 }
 
