@@ -91,7 +91,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	c := &config{}
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&c.dataset, "dataset", "prsa", "synthetic dataset: higgs, prsa or poker")
-	fs.StringVar(&c.csvPath, "csv", "", "load the table from a CSV file instead")
+	fs.StringVar(&c.csvPath, "csv", "", "load the table from a CSV file with a header row instead; NaN and ±Inf cells are refused")
 	fs.IntVar(&c.rows, "rows", 6000, "synthetic table rows")
 	fs.StringVar(&c.model, "model", "lm-mlp", "CE model: lm-mlp, lm-gbt, lm-ply, lm-rbf")
 	fs.IntVar(&c.trainSize, "train", 600, "initial training workload size")

@@ -82,11 +82,10 @@ func (a *Annotator) AnnotateAll(ctx context.Context, ps []query.Predicate) ([]qu
 }
 
 // run is the part of one column's sorted row order that passes a range:
-// order[:nan] (NaN cells pass every range) and order[lo:hi]. The rest,
-// order[nan:lo] and order[hi:], fails.
-type run struct{ nan, lo, hi int }
+// order[lo:hi]. The rest, order[:lo] and order[hi:], fails.
+type run struct{ lo, hi int }
 
-func (r run) passes() int { return r.nan + r.hi - r.lo }
+func (r run) passes() int { return r.hi - r.lo }
 
 // active is one column that rejects some rows of a count, with how the
 // count's plan uses it.
@@ -94,20 +93,10 @@ type active struct {
 	col  int
 	run  run
 	use  use
-	bits []uint64    // the cached pass bitmap, or nil
-	slot *passBitmap // the cache slot bits is pinned in
+	bits []uint64 // the cached pass bitmap, or nil
 }
 
 func (c *active) fails(n int) int { return n - c.run.passes() }
-
-// key names the run in the pass-bitmap cache; every run with lo == hi
-// passes only the NaN prefix, so they share one key.
-func (c *active) key() runKey {
-	if c.run.lo == c.run.hi {
-		return runKey{int32(c.run.nan), int32(c.run.nan)}
-	}
-	return runKey{int32(c.run.lo), int32(c.run.hi)}
-}
 
 // use is how count applies one active column.
 type use uint8
@@ -151,24 +140,24 @@ const cellCost = 4
 // at the schema's old range, reject the same drifted rows for every
 // predicate, and come out of the cache. ctx is polled every ctxCheckRows
 // rows; the result equals the row-at-a-time scan `v < low || v > high →
-// reject` cell for cell, NaN cells (which pass every range) and NaN bounds
-// (which bound nothing) included.
+// reject` cell for cell, NaN bounds (which bound nothing) included. Cells
+// are never NaN (dataset.FromCSV refuses them).
 func (a *Annotator) count(ctx context.Context, p query.Predicate) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	cols := a.tbl.Cols
 	n := a.tbl.NumRows()
-	order, nans := a.tbl.SortedOrder()
+	order := a.tbl.SortedOrder()
 
 	var actBuf [16]active
 	act := actBuf[:0]
 	driver, passes := -1, n
 	for c, col := range cols {
-		vals, rows, low, high := col.Vals, order[c][nans[c]:], p.Lows[c], p.Highs[c]
+		vals, rows, low, high := col.Vals, order[c], p.Lows[c], p.Highs[c]
 		lo := sort.Search(len(rows), func(i int) bool { return !(vals[rows[i]] < low) })
 		hi := max(lo, sort.Search(len(rows), func(i int) bool { return vals[rows[i]] > high }))
-		r := run{nans[c], nans[c] + lo, nans[c] + hi}
+		r := run{lo, hi}
 		switch pr := r.passes(); {
 		case pr == 0:
 			return 0, nil
@@ -184,7 +173,7 @@ func (a *Annotator) count(ctx context.Context, p query.Predicate) (int, error) {
 	}
 
 	scratch, err := a.cache.acquire(ctx, a.tbl, order, act)
-	defer a.cache.release(act, scratch)
+	defer a.cache.release(scratch)
 	if err != nil {
 		return 0, err
 	}
@@ -268,36 +257,35 @@ func (a *Annotator) count(ctx context.Context, p query.Predicate) (int, error) {
 // compared cells.
 func walk(ctx context.Context, order []int32, r run, acc []uint64, probes [][]uint64, compare []int, cols []*dataset.Column, p query.Predicate) (int, error) {
 	count := 0
-	for _, seg := range [2][]int32{order[:r.nan], order[r.lo:r.hi]} {
-		for start := 0; start < len(seg); start += ctxCheckRows {
-			if err := ctx.Err(); err != nil {
-				return 0, err
+	seg := order[r.lo:r.hi]
+	for start := 0; start < len(seg); start += ctxCheckRows {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		chunk := seg[start:min(start+ctxCheckRows, len(seg))]
+		if len(probes) == 0 && len(compare) == 0 { // only the accumulator is left
+			for _, row := range chunk {
+				count += int(acc[row>>6] >> (uint32(row) & 63) & 1)
 			}
-			chunk := seg[start:min(start+ctxCheckRows, len(seg))]
-			if len(probes) == 0 && len(compare) == 0 { // only the accumulator is left
-				for _, row := range chunk {
-					count += int(acc[row>>6] >> (uint32(row) & 63) & 1)
-				}
+			continue
+		}
+	rows:
+		for _, row := range chunk {
+			w, bit := row>>6, uint32(row)&63
+			if len(acc) != 0 && acc[w]>>bit&1 == 0 {
 				continue
 			}
-		rows:
-			for _, row := range chunk {
-				w, bit := row>>6, uint32(row)&63
-				if len(acc) != 0 && acc[w]>>bit&1 == 0 {
-					continue
+			for _, b := range probes {
+				if b[w]>>bit&1 == 0 {
+					continue rows
 				}
-				for _, b := range probes {
-					if b[w]>>bit&1 == 0 {
-						continue rows
-					}
-				}
-				for _, c := range compare {
-					if v := cols[c].Vals[row]; v < p.Lows[c] || v > p.Highs[c] {
-						continue rows
-					}
-				}
-				count++
 			}
+			for _, c := range compare {
+				if v := cols[c].Vals[row]; v < p.Lows[c] || v > p.Highs[c] {
+					continue rows
+				}
+			}
+			count++
 		}
 	}
 	return count, nil
@@ -321,14 +309,13 @@ func buildPass(ctx context.Context, dst []uint64, order []int32, r run, n int) e
 		return clearFails(ctx, dst, order, r)
 	}
 	clear(dst)
-	for _, seg := range [2][]int32{order[:r.nan], order[r.lo:r.hi]} {
-		for start := 0; start < len(seg); start += ctxCheckRows {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for _, row := range seg[start:min(start+ctxCheckRows, len(seg))] {
-				dst[row>>6] |= 1 << (uint32(row) & 63)
-			}
+	seg := order[r.lo:r.hi]
+	for start := 0; start < len(seg); start += ctxCheckRows {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, row := range seg[start:min(start+ctxCheckRows, len(seg))] {
+			dst[row>>6] |= 1 << (uint32(row) & 63)
 		}
 	}
 	return nil
@@ -337,7 +324,7 @@ func buildPass(ctx context.Context, dst []uint64, order []int32, r run, n int) e
 // clearFails clears the bit of every row that fails r in the column whose
 // sorted order is given.
 func clearFails(ctx context.Context, dst []uint64, order []int32, r run) error {
-	for _, seg := range [2][]int32{order[r.nan:r.lo], order[r.hi:]} {
+	for _, seg := range [2][]int32{order[:r.lo], order[r.hi:]} {
 		for start := 0; start < len(seg); start += ctxCheckRows {
 			if err := ctx.Err(); err != nil {
 				return err

@@ -55,8 +55,9 @@ func appendBare(t *dataset.Table, k int, cell func(c int) float64) {
 }
 
 // randomTable mixes the column shapes the index has to get right: continuous
-// values, duplicate-heavy categoricals, a constant column, and a column with
-// NaN and ±Inf cells (NaN cells pass every range in the reference scan).
+// values, duplicate-heavy categoricals, a constant column, and a column of
+// small integers with −0 cells among the +0 ones. Cells are finite, as
+// dataset.FromCSV leaves them.
 func randomTable(rng *rand.Rand, rows, cols int) *dataset.Table {
 	cs := make([]*dataset.Column, cols)
 	for c := range cs {
@@ -68,14 +69,9 @@ func randomTable(rng *rand.Rand, rows, cols int) *dataset.Table {
 			case 1:
 				vals[r] = float64(rng.Intn(5))
 			case 2:
-				switch rng.Intn(12) {
-				case 0:
-					vals[r] = math.NaN()
-				case 1:
-					vals[r] = math.Inf(1 - 2*rng.Intn(2))
-				case 2:
+				if rng.Intn(12) == 0 {
 					vals[r] = math.Copysign(0, -1)
-				default:
+				} else {
 					vals[r] = float64(rng.Intn(40)) - 20
 				}
 			case 3:
@@ -236,14 +232,14 @@ func TestConcurrentFirstUse(t *testing.T) {
 }
 
 // TestSortedOrderMatchesComparisonSort holds the table's radix-sorted order
-// to the comparison sort it replaced — cmp.Compare on the values (NaN first,
-// -0 equal to +0), ties by row id — on every column shape randomTable
-// draws: NaN, ±Inf, ±0, duplicates and a constant column.
+// to the comparison sort it replaced — cmp.Compare on the values (-0 equal
+// to +0), ties by row id — on every column shape randomTable draws: ±0,
+// duplicates and a constant column.
 func TestSortedOrderMatchesComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, rows := range []int{0, 1, 2, 255, 256, 257, 3000} {
 		tbl := randomTable(rng, rows, 8)
-		order, nans := tbl.SortedOrder()
+		order := tbl.SortedOrder()
 		for c, col := range tbl.Cols {
 			want := make([]int32, rows)
 			for r := range want {
@@ -255,14 +251,8 @@ func TestSortedOrderMatchesComparisonSort(t *testing.T) {
 				}
 				return cmp.Compare(a, b)
 			})
-			wantNaN := 0
-			for _, v := range col.Vals {
-				if math.IsNaN(v) {
-					wantNaN++
-				}
-			}
-			if !slices.Equal(order[c], want) || nans[c] != wantNaN {
-				t.Fatalf("%d rows, column %d: order %v with %d NaNs, want %v with %d", rows, c, order[c], nans[c], want, wantNaN)
+			if !slices.Equal(order[c], want) {
+				t.Fatalf("%d rows, column %d: order %v, want %v", rows, c, order[c], want)
 			}
 		}
 	}
@@ -329,9 +319,10 @@ func TestCountAcrossMutations(t *testing.T) {
 		{"UpdateDrift", func() { dataset.UpdateDrift(tbl, 0.3, 1.0, rng) }},
 		{"bare append", func() {
 			// Rows that sort last in every column leave each run that
-			// excludes +Inf at its bounds in the sorted order, so only
-			// NumRows tells the cache that its bitmaps are too short.
-			appendBare(tbl, 300, func(int) float64 { return math.Inf(1) })
+			// excludes the largest float at its bounds in the sorted
+			// order, so only NumRows tells the cache that its bitmaps are
+			// too short.
+			appendBare(tbl, 300, func(int) float64 { return math.MaxFloat64 })
 		}},
 		{"SortTruncateHalf", func() { dataset.SortTruncateHalf(tbl, 0) }},
 		{"UpdateDrift again", func() { dataset.UpdateDrift(tbl, 1, 0.5, rng) }},
@@ -368,23 +359,103 @@ func TestWarmCountAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Errorf("a warm cycle of %d counts allocates %v times, want 0", len(preds), allocs)
 	}
-	hits := 0
+	cached := 0
 	for _, cc := range a.cache.cols {
 		for _, s := range cc.slots {
-			hits += int(s.hits)
+			if s.bits != nil {
+				cached++
+			}
 		}
 	}
-	if hits == 0 {
-		t.Error("no count hit the cache: the drifted columns were never admitted")
+	if cached == 0 {
+		t.Error("the cache holds no bitmap: the drifted columns were never admitted")
 	}
+}
+
+// TestPassBitmapsAreWrittenOnce pins the cache's policy on a drifted table.
+// Column 0's run at its pre-drift range (unconstrained, as a start-up
+// schema leaves it) recurs between constrained runs of column 0 that
+// repeat in turn: the first two runs seen twice take the column's two
+// slots and keep them, the unconstrained run's bitmap is one slice
+// throughout, and the later runs are never built. A mutation gives the
+// next table state fresh slots, and a bitmap handed out before it keeps
+// its words.
+func TestPassBitmapsAreWrittenOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	tbl := randomTable(rng, 5000, 4)
+	mins, maxs := tbl.Ranges()
+	dataset.UpdateDrift(tbl, 0.3, 1, rng)
+	pred := func(lo0, hi0 float64) query.Predicate {
+		p := query.Predicate{Lows: make([]float64, 4), Highs: make([]float64, 4)}
+		for c := range p.Lows {
+			p.Lows[c], p.Highs[c] = math.Inf(-1), math.Inf(1)
+		}
+		p.Lows[0], p.Highs[0] = lo0, hi0
+		p.Lows[1], p.Highs[1] = 1, 3 // column 1 is active in every count
+		return p
+	}
+	unconstrained := pred(mins[0], maxs[0])
+	if scanCount(tbl, pred(math.Inf(-1), math.Inf(1))) == scanCount(tbl, unconstrained) {
+		t.Fatal("no row drifted out of column 0's start-up range: the run passes every row")
+	}
+	a := New(tbl)
+	count := func(p query.Predicate) {
+		t.Helper()
+		if got, want := countOK(t, a, p), scanCount(tbl, p); got != want {
+			t.Fatalf("pred %v: Count = %v, scan = %v", p, got, want)
+		}
+	}
+	var first [2]passBitmap // column 0's slots once both are written
+	for k := 1; k <= 6; k++ {
+		constrained := pred(-float64(k), float64(k)+0.5)
+		for _, p := range []query.Predicate{unconstrained, constrained, unconstrained, constrained} {
+			count(p)
+			if s := a.cache.cols[0].slots; k > 1 && !(sameSlot(s[0], first[0]) && sameSlot(s[1], first[1])) {
+				t.Fatalf("constrained run %d moved column 0's slots: runs %v %v, then %v %v", k, first[0].run, first[1].run, s[0].run, s[1].run)
+			}
+		}
+		if k == 1 {
+			first = a.cache.cols[0].slots
+			if first[0].bits == nil || first[1].bits == nil {
+				t.Fatal("after two sightings each, column 0's slots are not both written")
+			}
+		}
+	}
+	later := pred(-3, 3.5) // seen twice, never built
+	if allocs := testing.AllocsPerRun(20, func() {
+		count(unconstrained)
+		count(later)
+	}); allocs != 0 {
+		t.Errorf("a count with both slots written allocates %v times, want 0", allocs)
+	}
+
+	held := first[0].bits
+	words := slices.Clone(held)
+	dataset.UpdateDrift(tbl, 0.3, 1, rng)
+	count(unconstrained)
+	if s := a.cache.cols[0].slots; !sameSlot(s[0], passBitmap{}) || !sameSlot(s[1], passBitmap{}) {
+		t.Fatalf("after a mutation and one sighting, column 0's slots hold runs %v %v, want two empty slots", s[0].run, s[1].run)
+	}
+	count(unconstrained)
+	if s := a.cache.cols[0].slots[0]; s.bits == nil || &s.bits[0] == &held[0] {
+		t.Error("the new table state's bitmap reuses the old state's words")
+	}
+	if !slices.Equal(held, words) {
+		t.Error("a bitmap handed out before the mutation changed its words")
+	}
+}
+
+// sameSlot reports whether two cache slots hold one run in one bitmap slice.
+func sameSlot(x, y passBitmap) bool {
+	return x.run == y.run && len(x.bits) == len(y.bits) && (len(x.bits) == 0 || &x.bits[0] == &y.bits[0])
 }
 
 // TestConcurrentCountsShareCache counts from four goroutines, two per
 // annotator, on two annotators over one table (run under -race); both
-// annotators use the table's one pass-bitmap cache. Six predicates keep
-// every run inside the sightings ring, so each column sees up to six runs
-// admitted in turn into its two slots: the cache admits, evicts and hands
-// out bitmaps while other counts read them.
+// annotators use the table's one pass-bitmap cache. Six predicates give
+// each column up to six runs seen twice, of which the first two take its
+// slots: the cache sights, admits, builds and hands out bitmaps while other
+// counts read them.
 func TestConcurrentCountsShareCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	tbl := randomTable(rng, 20000, 5)

@@ -40,7 +40,7 @@ func (h *HistogramEstimator) rebuild() {
 	n := h.tbl.NumRows()
 	h.numRows = float64(n)
 	h.bounds = make([][]float64, h.tbl.NumCols())
-	order, _ := h.tbl.SortedOrder()
+	order := h.tbl.SortedOrder()
 	for c, col := range h.tbl.Cols {
 		edges := make([]float64, h.bins+1)
 		for b := 0; n > 0 && b <= h.bins; b++ {

@@ -30,9 +30,10 @@ type CSVOptions struct {
 // dictionary-encoded into integer categorical ids, matching §4.1 of the
 // paper ("for columns with categorical values, predicates are integer
 // dictionary identifiers"). Input with no data rows is an error, and so is
-// ±Inf in a numeric column: either would give the schema a degenerate or
-// infinite domain, and every normalized predicate over it would be garbage.
-// NaN cells load; Column.Min and Max skip them.
+// a NaN or ±Inf cell in a numeric column: either would give the schema a
+// degenerate or infinite domain, and every normalized predicate over it
+// would be garbage; a NaN cell also orders against nothing, and the
+// table's scan index (SortedOrder) needs an order.
 func FromCSV(name string, r io.Reader, opts CSVOptions) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -99,8 +100,8 @@ func FromCSV(name string, r io.Reader, opts CSVOptions) (*Table, error) {
 			continue
 		}
 		for r, v := range vals {
-			if math.IsInf(v, 0) {
-				return nil, fmt.Errorf("dataset: column %q, data row %d: infinite value %q", header[i], r+1, raw[i][r])
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, fmt.Errorf("dataset: column %q, data row %d: non-finite value %q", header[i], r+1, raw[i][r])
 			}
 		}
 		cols[i] = &Column{Name: header[i], Type: wantType, Vals: vals}

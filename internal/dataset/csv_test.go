@@ -112,35 +112,41 @@ func TestFromCSVRejectsNoDataRows(t *testing.T) {
 	}
 }
 
-// TestNaNCellsLeaveTheDomainFinite: a NaN anywhere in a column — the first
-// data row included — is skipped by Min and Max, so Ranges is the span of
-// the other cells; an all-NaN column spans [0, 0] like an empty one.
-func TestNaNCellsLeaveTheDomainFinite(t *testing.T) {
-	for _, in := range []string{"a,b\nnan,1\n2,3\n4,5\n6,7\n", "a,b\n2,1\nNaN,3\n4,5\n6,7\n"} {
-		tbl, err := FromCSV("t", strings.NewReader(in), CSVOptions{HasHeader: true})
-		if err != nil {
-			t.Fatalf("%q: %v", in, err)
+// TestFromCSVRejectsNaN: a NaN cell orders against nothing, so it has no
+// place in the table's scan index and would give the schema a NaN domain
+// bound; like ±Inf it is refused — in the first data row too, and under
+// header autodetection — with an error that names the column and the row.
+func TestFromCSVRejectsNaN(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		opts CSVOptions
+		want string
+	}{
+		{"a,b\nnan,1\n2,3\n4,5\n6,7\n", CSVOptions{HasHeader: true}, `column "a", data row 1`},
+		{"a,b\n2,1\n4,3\n6,NaN\n", CSVOptions{HasHeader: true}, `column "b", data row 3`},
+		{"1,2\n3,NAN\n", CSVOptions{}, `column "col1", data row 2`},
+	} {
+		tbl, err := FromCSV("t", strings.NewReader(tc.in), tc.opts)
+		if err == nil {
+			t.Fatalf("%q: loaded %d rows, want an error", tc.in, tbl.NumRows())
 		}
-		mins, maxs := tbl.Ranges()
-		if mins[0] != 2 || maxs[0] != 6 || mins[1] != 1 || maxs[1] != 7 {
-			t.Errorf("%q: ranges %v..%v, want [2 1]..[6 7]", in, mins, maxs)
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %q does not name %s", tc.in, err, tc.want)
 		}
-	}
-	nan := &Column{Vals: []float64{math.NaN(), math.NaN()}}
-	if nan.Min() != 0 || nan.Max() != 0 {
-		t.Errorf("all-NaN column spans [%v, %v], want [0, 0]", nan.Min(), nan.Max())
 	}
 }
 
 // FuzzFromCSV throws arbitrary bytes at the CSV loader, with and without a
-// header: it never panics, and every table it accepts has a row and a
-// finite domain in every column.
+// header: it never panics, and every table it accepts has a row and only
+// finite cells.
 func FuzzFromCSV(f *testing.F) {
 	f.Add([]byte("a,b,city\n1,2.5,rome\n3,4.5,oslo\n"), true)
 	f.Add([]byte("1,2\n3,4\n"), false)
 	f.Add([]byte("a,b\nnan,1\n2,inf\n"), true)
 	f.Add([]byte("a,b\n"), true)
 	f.Add([]byte("a,b\n1\n"), false)
+	f.Add([]byte("nan,1\n2,3\n"), false)
+	f.Add([]byte("a,b\n1,2\n3,NaN\n"), true)
 	f.Fuzz(func(t *testing.T, data []byte, header bool) {
 		tbl, err := FromCSV("fuzz", bytes.NewReader(data), CSVOptions{HasHeader: header})
 		if err != nil {
@@ -149,10 +155,11 @@ func FuzzFromCSV(f *testing.F) {
 		if tbl.NumRows() < 1 {
 			t.Fatalf("accepted a table with %d rows", tbl.NumRows())
 		}
-		mins, maxs := tbl.Ranges()
-		for i := range mins {
-			if math.IsNaN(mins[i]) || math.IsInf(mins[i], 0) || math.IsNaN(maxs[i]) || math.IsInf(maxs[i], 0) {
-				t.Fatalf("column %d spans [%v, %v]", i, mins[i], maxs[i])
+		for _, col := range tbl.Cols {
+			for r, v := range col.Vals {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("column %q, row %d: accepted %v", col.Name, r, v)
+				}
 			}
 		}
 	})

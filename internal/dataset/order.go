@@ -9,26 +9,24 @@ type sortedOrder struct {
 	// version, numRows and numCols are the table state the order was built
 	// from; a mismatch with the live table means it is stale.
 	version, numRows, numCols int
-	// rows[c] lists the row ids of column c by ascending value, NaN cells
-	// first (the order sort.Float64s gives the values), ties by row id.
+	// rows[c] lists the row ids of column c by ascending value (the order
+	// sort.Float64s gives the values), ties by row id.
 	rows [][]int32
-	// nans[c] is how many leading entries of rows[c] hold NaN cells.
-	nans []int
 }
 
 // SortedOrder returns, for every column c, the row ids ordered by ascending
-// value (rows[c]; NaN cells first, nans[c] of them, ties by row id). The
+// value (ties by row id). Cells are never NaN (FromCSV refuses them). The
 // order is built on the first call after a mutation, keyed on (Version,
 // NumRows) like workload.W5's strata, and shared by every reader of the
 // table: concurrent callers are safe against each other, and — as for every
 // other read of a Table — not against a concurrent mutator. The returned
 // slices are read-only.
-func (t *Table) SortedOrder() (rows [][]int32, nans []int) {
+func (t *Table) SortedOrder() [][]int32 {
 	o := t.order.Load()
 	if !t.current(o) {
 		o = t.rebuildOrder()
 	}
-	return o.rows, o.nans
+	return o.rows
 }
 
 func (t *Table) current(o *sortedOrder) bool {
@@ -46,11 +44,11 @@ func (t *Table) rebuildOrder() *sortedOrder {
 	n := t.NumRows()
 	o := &sortedOrder{
 		version: t.Version, numRows: n, numCols: len(t.Cols),
-		rows: make([][]int32, len(t.Cols)), nans: make([]int, len(t.Cols)),
+		rows: make([][]int32, len(t.Cols)),
 	}
 	var s radixSorter
 	for c, col := range t.Cols {
-		o.rows[c], o.nans[c] = s.sort(col.Vals)
+		o.rows[c] = s.sort(col.Vals)
 	}
 	t.order.Store(o)
 	return o
@@ -65,22 +63,17 @@ type radixSorter struct {
 }
 
 // sort returns the row ids of vals in ascending order of sortKey — the
-// order sort.Float64s gives the values, ties by row id — and the number of
-// NaN cells, which come first.
-func (s *radixSorter) sort(vals []float64) ([]int32, int) {
+// order sort.Float64s gives the values, ties by row id.
+func (s *radixSorter) sort(vals []float64) []int32 {
 	n := len(vals)
 	if cap(s.keys) < n {
 		s.keys, s.keyTmp, s.rowTmp = make([]uint64, n), make([]uint64, n), make([]int32, n)
 	}
 	keys, keyTmp, rowTmp := s.keys[:n], s.keyTmp[:n], s.rowTmp[:n]
 	rows := make([]int32, n)
-	nans := 0
 	var counts [8][256]int
 	for r, v := range vals {
 		k := sortKey(v)
-		if k == 0 {
-			nans++
-		}
 		keys[r], rows[r] = k, int32(r)
 		for b := range counts {
 			counts[b][byte(k>>(8*b))]++
@@ -104,18 +97,14 @@ func (s *radixSorter) sort(vals []float64) ([]int32, int) {
 		rows, rowTmp = rowTmp, rows
 	}
 	s.rowTmp = rowTmp // whichever buffer the order did not end in
-	return rows, nans
+	return rows
 }
 
-// sortKey maps a float64 to a uint64 whose unsigned order is the order
-// cmp.Compare gives the floats: every NaN maps to 0, below -Inf's key; -0
-// and +0 share one key; otherwise negative floats have their bits flipped
-// and the rest their sign bit set.
+// sortKey maps a non-NaN float64 to a uint64 whose unsigned order is the
+// order cmp.Compare gives the floats: -0 and +0 share one key; otherwise
+// negative floats have their bits flipped and the rest their sign bit set.
 func sortKey(v float64) uint64 {
-	switch {
-	case math.IsNaN(v):
-		return 0
-	case v == 0:
+	if v == 0 {
 		return 1 << 63
 	}
 	b := math.Float64bits(v)

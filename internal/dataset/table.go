@@ -7,7 +7,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,26 +32,23 @@ type Column struct {
 	Vals []float64
 }
 
-// Min returns the minimum value, skipping NaN cells: a NaN orders against
-// nothing, and as the first cell it would become the schema's domain bound.
-// 0 for a column with no other value.
+// Min returns the minimum value; 0 for an empty column.
 func (c *Column) Min() float64 {
-	m, seen := 0.0, false
-	for _, v := range c.Vals {
-		if !math.IsNaN(v) && (!seen || v < m) {
-			m, seen = v, true
+	m := 0.0
+	for i, v := range c.Vals {
+		if i == 0 || v < m {
+			m = v
 		}
 	}
 	return m
 }
 
-// Max returns the maximum value, skipping NaN cells like Min; 0 for a
-// column with no other value.
+// Max returns the maximum value; 0 for an empty column.
 func (c *Column) Max() float64 {
-	m, seen := 0.0, false
-	for _, v := range c.Vals {
-		if !math.IsNaN(v) && (!seen || v > m) {
-			m, seen = v, true
+	m := 0.0
+	for i, v := range c.Vals {
+		if i == 0 || v > m {
+			m = v
 		}
 	}
 	return m
